@@ -9,7 +9,7 @@
 //	anomaly-study [-dests N] [-rounds N] [-workers N] [-shards N] [-batch] [-stream]
 //	              [-fold-every K] [-seed N] [-paper] [-truth] [-flips]
 //	              [-delay S] [-load L] [-churn C] [-dynamics-seed N]
-//	anomaly-study -checkpoint ck.json [-checkpoint-every N] [-resume] [-halt-after N]
+//	anomaly-study -checkpoint study.ck [-checkpoint-every N] [-resume] [-halt-after N]
 //	              [-fail-fast] [-stats-json out.json]
 //	anomaly-study -live {-live-dests A.B.C.D[,...] | -live-dests-file FILE}
 //	              [-rounds N] [-workers N] [-batch] [-stream]

@@ -1,0 +1,91 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// The tests re-execute the test binary as anomaly-study itself: with
+// asMainEnv set, TestMain runs main() on the process's arguments instead of
+// the tests, so exit codes and stderr are the shipped binary's.
+const asMainEnv = "ANOMALY_STUDY_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asMainEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+func study(t *testing.T, args ...string) (stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return errb.String(), ee.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return errb.String(), 0
+}
+
+var toyStudy = []string{"-dests", "4", "-rounds", "4", "-workers", "1", "-flips=false", "-seed", "7"}
+
+// TestResumeRefusesLegacyJSONCheckpoint: -resume on a version-2 JSON
+// checkpoint (the fixture is the last JSON build's output for toyStudy,
+// halted after two rounds) exits 1 with an error that names the old format,
+// and leaves the file alone.
+func TestResumeRefusesLegacyJSONCheckpoint(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "internal", "measure", "testdata", "legacy-v2.ck.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(t.TempDir(), "study.ck")
+	if err := os.WriteFile(ck, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stderr, exit := study(t, append(toyStudy, "-checkpoint", ck, "-resume")...)
+	if exit != 1 || !strings.Contains(stderr, "legacy JSON checkpoint") || !strings.Contains(stderr, "study.ck") {
+		t.Fatalf("exit %d, stderr %q: want exit 1 naming the legacy JSON format and the file", exit, stderr)
+	}
+	if after, err := os.ReadFile(ck); err != nil || !bytes.Equal(after, legacy) {
+		t.Errorf("refused checkpoint was modified (%v)", err)
+	}
+}
+
+// TestHaltAndResume is the CI kill-and-resume step in miniature: the same
+// flags halted, then resumed from the binary checkpoint, write the
+// statistics of the uninterrupted run byte for byte.
+func TestHaltAndResume(t *testing.T) {
+	dir := t.TempDir()
+	ck, full, resumed := filepath.Join(dir, "study.ck"), filepath.Join(dir, "full.json"), filepath.Join(dir, "resumed.json")
+	for _, extra := range [][]string{
+		{"-stats-json", full},
+		{"-checkpoint", ck, "-halt-after", "2"},
+		{"-checkpoint", ck, "-resume", "-stats-json", resumed},
+	} {
+		if stderr, exit := study(t, append(toyStudy, extra...)...); exit != 0 {
+			t.Fatalf("%v: exit %d: %s", extra, exit, stderr)
+		}
+	}
+	a, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("resumed statistics differ from the uninterrupted run")
+	}
+}

@@ -11,7 +11,7 @@
 //	measured [-dests N] [-seed N] [-listen ADDR] [-period N] [-interval D]
 //	         [-workers N] [-queue-cap N] [-rate P] [-burst N]
 //	         [-stall-timeout D] [-max-restarts N]
-//	         [-checkpoint ck.json] [-checkpoint-every N] [-fresh]
+//	         [-checkpoint measured.ck] [-checkpoint-every N] [-fresh]
 //	         [-max-rounds N] [-delay S] [-load L] [-churn C]
 //	         [-dynamics-seed N] [-flips] [-batch]
 //	         [-fault-seed N] [-fault-transient-every K] [-fault-drop-every K]

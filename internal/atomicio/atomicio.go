@@ -1,23 +1,36 @@
 // Package atomicio provides crash-safe file installation: a file either
-// appears complete or not at all, never torn. It is the write path under
-// the campaign checkpoints (measure.AtomicWriteJSON) and the pcap capture
-// sink, both of which promise that a kill at any instant leaves either the
-// previous file or a fully-written successor on disk.
+// appears complete or not at all, never torn. It is the one write path under
+// the campaign and daemon checkpoints (internal/ckpt streams into it) and
+// the pcap capture sink, all of which promise that a kill at any instant
+// leaves either the previous file or a fully-written successor on disk.
 package atomicio
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
 
-// WriteFile writes data to path via a temp file in the same directory,
-// fsynced and renamed into place, so a kill mid-write leaves the previous
-// file intact. The temp file is removed on every error path, and a
-// successful write sweeps stale "<base>.tmp*" siblings left behind by
-// writers killed mid-write — the file's writer is assumed to be a single
-// process, which is both the checkpoint and the capture contract.
+// WriteFile installs data at path atomically; see WriteFileFunc.
 func WriteFile(path string, data []byte) error {
+	return WriteFileFunc(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteFileFunc streams a file into place: write receives a temp file in
+// path's directory, and once it returns nil the temp file is fsynced,
+// renamed over path, and the directory itself fsynced — so a kill mid-write
+// leaves the previous file intact and a power loss after a nil return cannot
+// lose the rename. The writer is unbuffered; write does its own batching.
+// The temp file is removed on every error path (write's own error is
+// returned unwrapped), and a successful install sweeps stale "<base>.tmp*"
+// siblings left behind by writers killed mid-write — the file's writer is
+// assumed to be a single process, which is both the checkpoint and the
+// capture contract.
+func WriteFileFunc(path string, write func(io.Writer) error) error {
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
@@ -33,8 +46,8 @@ func WriteFile(path string, data []byte) error {
 			os.Remove(tmpName)
 		}
 	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("atomicio: writing %s: %w", base, err)
+	if err := write(tmp); err != nil {
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		return fmt.Errorf("atomicio: syncing %s: %w", base, err)
@@ -43,8 +56,6 @@ func WriteFile(path string, data []byte) error {
 		return fmt.Errorf("atomicio: closing %s: %w", base, err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		installed = true // already removed; skip the deferred double-remove
 		return fmt.Errorf("atomicio: installing %s: %w", base, err)
 	}
 	installed = true
@@ -56,5 +67,19 @@ func WriteFile(path string, data []byte) error {
 			os.Remove(s)
 		}
 	}
+	// The rename is a directory update; until the directory is on disk a
+	// power loss can still roll the install back.
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("atomicio: syncing directory of %s: %w", base, err)
+	}
 	return nil
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

@@ -6,17 +6,21 @@ import (
 	"net/netip"
 	"os"
 
+	"repro/internal/ckpt"
 	"repro/internal/measure"
 )
 
-// CheckpointVersion gates the daemon checkpoint schema.
-const CheckpointVersion = 1
+// CheckpointVersion gates the daemon checkpoint schema. Version 2 replaced
+// the JSON document with the binary format of internal/ckpt; a version-1
+// file is quarantined like any other unreadable checkpoint.
+const CheckpointVersion = 2
 
 // Checkpoint is the daemon's serialized resumable state: the merged
-// accumulator statistics (the measure checkpoint format, so the replay-based
-// restore is shared with campaign resume), the per-destination cadence and
-// quarantine table, the cumulative supervision counters, the event cursor,
-// and the opaque transport cursor.
+// accumulator statistics (the measure checkpoint format, so the codec and
+// the replay-based restore are shared with campaign resume), the
+// per-destination cadence and quarantine table, the cumulative supervision
+// counters, the event cursor, and the opaque transport cursor. The struct
+// still marshals with encoding/json for inspection; files are binary.
 type Checkpoint struct {
 	Version int
 	// Digest fingerprints the destination list and probing shape the
@@ -117,31 +121,87 @@ func (d *Daemon) checkpointLocked() *Checkpoint {
 	return ck
 }
 
-// Save writes the checkpoint atomically (temp file + rename on the shared
-// measure.AtomicWriteJSON path), so a kill mid-write leaves the previous
-// checkpoint intact.
+// minDestState is the fewest bytes one DestState occupies on disk: six
+// integers, two fixed 8-byte fingerprints, two booleans.
+const minDestState = 6 + 16 + 2
+
+// Save streams the checkpoint to path in the shared binary format
+// (internal/ckpt: the daemon's counters and scheduler table around the same
+// AccState body a campaign checkpoint carries) on the one atomic write path,
+// so a kill mid-write leaves the previous checkpoint intact.
 func (ck *Checkpoint) Save(path string) error {
-	return measure.AtomicWriteJSON(path, ck)
+	if ck.Version != CheckpointVersion {
+		return fmt.Errorf("daemon: cannot write checkpoint version %d, only %d", ck.Version, CheckpointVersion)
+	}
+	if err := ckpt.WriteFile(path, ckpt.KindDaemon, CheckpointVersion, ck.encode); err != nil {
+		return fmt.Errorf("daemon: writing checkpoint %s: %w", path, err)
+	}
+	return nil
+}
+
+func (ck *Checkpoint) encode(e *ckpt.Encoder) {
+	e.U64(ck.Digest)
+	for _, v := range []int64{ck.Round, ck.Shed, ck.Restarts, ck.Stalls, ck.Panics, ck.EventSeq} {
+		e.Int(v)
+	}
+	e.Bytes(ck.Transport)
+	e.Len(len(ck.Dests))
+	for i := range ck.Dests {
+		st := &ck.Dests[i]
+		e.Int(st.NextDue)
+		e.Bool(st.Seen)
+		e.U64(st.ParisFP)
+		e.U64(st.ClassicFP)
+		e.Int(int64(st.ConsecFails))
+		e.Bool(st.Quarantined)
+		e.Int(int64(st.HintParis))
+		e.Int(int64(st.HintClassic))
+		e.Int(st.Pairs)
+		e.Int(int64(st.ShedStreak))
+	}
+	ck.Acc.Encode(e)
+}
+
+func (ck *Checkpoint) decode(d *ckpt.Decoder) {
+	ck.Version = CheckpointVersion
+	ck.Digest = d.U64()
+	for _, p := range []*int64{&ck.Round, &ck.Shed, &ck.Restarts, &ck.Stalls, &ck.Panics, &ck.EventSeq} {
+		*p = d.Int()
+	}
+	ck.Transport = d.Bytes()
+	if n := d.Len(minDestState); n > 0 {
+		ck.Dests = make([]DestState, n)
+		for i := range ck.Dests {
+			ck.Dests[i] = DestState{
+				NextDue:     d.Int(),
+				Seen:        d.Bool(),
+				ParisFP:     d.U64(),
+				ClassicFP:   d.U64(),
+				ConsecFails: int(d.Int()),
+				Quarantined: d.Bool(),
+				HintParis:   int(d.Int()),
+				HintClassic: int(d.Int()),
+				Pairs:       d.Int(),
+				ShedStreak:  int(d.Int()),
+			}
+		}
+	}
+	ck.Acc.Decode(d)
 }
 
 // LoadCheckpoint reads and decodes a daemon checkpoint. A missing file is
-// (nil, nil): the caller starts fresh.
+// (nil, nil): the caller starts fresh. Any other failure says which way the
+// file is unusable (errors.Is against the ckpt.Err* values).
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
+	ck := new(Checkpoint)
+	err := ckpt.ReadFile(path, ckpt.KindDaemon, CheckpointVersion, ck.decode)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("daemon: read checkpoint: %w", err)
+		return nil, fmt.Errorf("daemon: checkpoint %s: %w", path, err)
 	}
-	var ck Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("daemon: decode checkpoint %s: %w", path, err)
-	}
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("daemon: checkpoint %s has version %d, want %d", path, ck.Version, CheckpointVersion)
-	}
-	return &ck, nil
+	return ck, nil
 }
 
 // recover restores the daemon from the checkpoint at path, if any. A

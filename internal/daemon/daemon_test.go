@@ -1,14 +1,18 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/measure"
 	"repro/internal/netsim"
 	"repro/internal/topo"
@@ -27,7 +31,7 @@ func noSleep(time.Duration) {}
 
 // freeTopo generates a schedule-free topology: statistics depend only on
 // (seed, round, destination), never on worker interleaving.
-func freeTopo(t *testing.T, dests int, seed int64, churn float64) *topo.Scenario {
+func freeTopo(t testing.TB, dests int, seed int64, churn float64) *topo.Scenario {
 	t.Helper()
 	gc := topo.DefaultGenConfig()
 	gc.Seed = seed
@@ -411,7 +415,7 @@ func TestDaemonWatchdogStall(t *testing.T) {
 
 func TestDaemonCheckpointRecovery(t *testing.T) {
 	const half = 4
-	ckPath := filepath.Join(t.TempDir(), "daemon.ck.json")
+	ckPath := filepath.Join(t.TempDir(), "daemon.ck")
 	plan := netsim.FaultPlan{Seed: 23, BlackholeEvery: 3, BlackholeStart: 0}
 
 	build := func(path string) (Config, *topo.Scenario) {
@@ -463,7 +467,7 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 	resumed, _ := json.Marshal(b.Snapshot())
 
 	// Reference: the same daemon uninterrupted.
-	cfgC, _ := build(filepath.Join(t.TempDir(), "ref.ck.json"))
+	cfgC, _ := build(filepath.Join(t.TempDir(), "ref.ck"))
 	c := mustNew(t, cfgC)
 	defer c.Stop()
 	tick(c, 2*half)
@@ -474,30 +478,76 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 	}
 }
 
+// TestDaemonCorruptCheckpointStartsFresh: whatever is wrong with the file at
+// CheckpointPath — torn, foreign, flipped, or a version-1 JSON checkpoint
+// from before the binary format (testdata/legacy-v1.ck.json, written by the
+// last JSON build) — the daemon moves it to .corrupt, publishes a recovered
+// event that names the cause, and comes back measuring from round zero.
 func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
-	ckPath := filepath.Join(t.TempDir(), "daemon.ck.json")
-	if err := os.WriteFile(ckPath, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	good := filepath.Join(t.TempDir(), "good.ck")
 	sc := freeTopo(t, 4, 3, 0)
 	cfg := testConfig(sc)
-	cfg.CheckpointPath = ckPath
+	cfg.CheckpointPath = good
 	d := mustNew(t, cfg)
-	defer d.Stop()
-	if ok, _ := d.Recovered(); ok {
-		t.Fatal("recovered from a corrupt checkpoint")
-	}
-	if _, err := os.Stat(ckPath + ".corrupt"); err != nil {
-		t.Fatalf("corrupt checkpoint not moved aside: %v", err)
-	}
 	d.Tick()
-	if s := d.Snapshot(); s.Robust.Probed != 4 {
-		t.Fatalf("fresh start probed %d, want 4", s.Robust.Probed)
+	if err := d.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-v1.ck.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 1
+
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		cause error
+	}{
+		{"torn", valid[:len(valid)/2], ckpt.ErrTruncated},
+		{"foreign", []byte("not a checkpoint at all"), ckpt.ErrBadMagic},
+		{"flipped bit", flipped, ckpt.ErrChecksum},
+		{"legacy v1 JSON", legacy, ckpt.ErrLegacyJSON},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckPath := filepath.Join(t.TempDir(), "daemon.ck")
+			if err := os.WriteFile(ckPath, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadCheckpoint(ckPath); !errors.Is(err, tc.cause) {
+				t.Fatalf("LoadCheckpoint: %v, want %v", err, tc.cause)
+			}
+			sc := freeTopo(t, 4, 3, 0)
+			cfg := testConfig(sc)
+			cfg.CheckpointPath = ckPath
+			d := mustNew(t, cfg)
+			defer d.Stop()
+			if ok, _ := d.Recovered(); ok {
+				t.Fatal("recovered from an unusable checkpoint")
+			}
+			if moved, err := os.ReadFile(ckPath + ".corrupt"); err != nil || !bytes.Equal(moved, tc.data) {
+				t.Fatalf("unusable checkpoint not moved aside intact: %v", err)
+			}
+			replay, _, cancel := d.events.subscribe(0)
+			cancel()
+			if len(replay) != 1 || replay[0].Type != EventRecovered || !strings.Contains(replay[0].Detail, tc.cause.Error()) {
+				t.Fatalf("want one recovered event naming %q, got %+v", tc.cause, replay)
+			}
+			d.Tick()
+			if s := d.Snapshot(); d.Round() != 1 || s.Robust.Probed != 4 {
+				t.Fatalf("fresh start at round %d probed %d, want round 1 probed 4", d.Round(), s.Robust.Probed)
+			}
+		})
 	}
 }
 
 func TestDaemonCheckpointDigestMismatch(t *testing.T) {
-	ckPath := filepath.Join(t.TempDir(), "daemon.ck.json")
+	ckPath := filepath.Join(t.TempDir(), "daemon.ck")
 	sc := freeTopo(t, 4, 3, 0)
 	cfg := testConfig(sc)
 	cfg.CheckpointPath = ckPath
@@ -522,7 +572,7 @@ func TestDaemonCheckpointDigestMismatch(t *testing.T) {
 }
 
 func TestDaemonStopWritesFinalCheckpoint(t *testing.T) {
-	ckPath := filepath.Join(t.TempDir(), "daemon.ck.json")
+	ckPath := filepath.Join(t.TempDir(), "daemon.ck")
 	sc := freeTopo(t, 4, 3, 0)
 	cfg := testConfig(sc)
 	cfg.CheckpointPath = ckPath

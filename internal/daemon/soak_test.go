@@ -64,7 +64,7 @@ func runSoak(t *testing.T, rounds int, ckPath string) (*Daemon, soakCounters) {
 
 func TestDaemonSoak(t *testing.T) {
 	const rounds = 60
-	d1, c1 := runSoak(t, rounds, filepath.Join(t.TempDir(), "soak1.ck.json"))
+	d1, c1 := runSoak(t, rounds, filepath.Join(t.TempDir(), "soak1.ck"))
 	defer d1.Stop()
 
 	// The daemon survived panics, fault windows, and shedding — and is
@@ -100,7 +100,7 @@ func TestDaemonSoak(t *testing.T) {
 
 	// Determinism: an identical second soak pins every counter and every
 	// statistic byte for byte — worker interleaving must not matter.
-	d2, c2 := runSoak(t, rounds, filepath.Join(t.TempDir(), "soak2.ck.json"))
+	d2, c2 := runSoak(t, rounds, filepath.Join(t.TempDir(), "soak2.ck"))
 	defer d2.Stop()
 	if c1 != c2 {
 		t.Fatalf("soak not deterministic:\nrun1: %+v\nrun2: %+v", counterOnly(c1), counterOnly(c2))
@@ -121,7 +121,7 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 	// must match the uninterrupted 60-round soak byte for byte — the fault
 	// plan, the churn draws, the quarantine state, and the probe counters
 	// all restored.
-	ckPath := filepath.Join(t.TempDir(), "soak.ck.json")
+	ckPath := filepath.Join(t.TempDir(), "soak.ck")
 
 	build := func(path string) Config {
 		sc := freeTopo(t, 30, 77, 0.5)
@@ -197,7 +197,7 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 	// free by splitting the reference into the same two 30-round lives on
 	// one shared checkpoint... so instead pin the restarted run against
 	// ITSELF: a second kill-restart pair must reproduce the first exactly.
-	ck2 := filepath.Join(t.TempDir(), "soak2.ck.json")
+	ck2 := filepath.Join(t.TempDir(), "soak2.ck")
 	a2 := mustNew(t, build(ck2))
 	tick(a2, 30)
 	b2 := mustNew(t, build(ck2))

@@ -4,12 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
-	"os"
 	"path/filepath"
 	"sort"
 
 	"repro/internal/anomaly"
-	"repro/internal/atomicio"
+	"repro/internal/ckpt"
 	"repro/internal/tracer"
 )
 
@@ -33,6 +32,10 @@ import (
 // exact campaign that wrote it. Files are written with an atomic temp-file
 // + rename, so a kill during Save leaves the previous checkpoint intact.
 //
+// On disk a checkpoint is the binary format of internal/ckpt, laid out by
+// codec.go; the structs below are its in-memory form (and still marshal with
+// encoding/json, which is handy for inspecting one by hand).
+//
 // The one state this format cannot carry is a fingerprint-collided route
 // (two unequal routes of one destination sharing a 64-bit FNV hash): only
 // the canonical route of each fingerprint is retained. Such a route was
@@ -42,9 +45,9 @@ import (
 
 // CheckpointVersion is the schema version Save writes and Load accepts.
 // Version 2 added the accumulator RTT tallies (AccState.RTTSamples and
-// friends); version-1 files are refused rather than resumed with silently
-// zeroed RTT statistics.
-const CheckpointVersion = 2
+// friends); version 3 replaced the JSON document with the binary format.
+// Older files are refused, never resumed with silently wrong statistics.
+const CheckpointVersion = 3
 
 // Checkpoint is a streaming campaign's serialized resumable state.
 type Checkpoint struct {
@@ -318,41 +321,29 @@ func (a *Accumulator) State() AccState { return snapshotAcc(a) }
 // code (the same path Campaign.Resume uses).
 func RestoreAccumulator(st AccState) (*Accumulator, error) { return restoreAcc(st) }
 
-// AtomicWriteJSON writes v as JSON to path via a temp file in the same
-// directory, fsynced and renamed into place, so a kill mid-write leaves
-// the previous file intact (the atomicio.WriteFile contract; the pcap
-// capture sink flushes on the same path).
-func AtomicWriteJSON(path string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("measure: encoding %s: %w", filepath.Base(path), err)
+// Save streams the checkpoint to path in the binary format (see codec.go and
+// docs/checkpoint.md) on the one atomic write path: temp file, fsync,
+// rename, directory fsync, stale temp files swept. A kill mid-write leaves
+// the previous checkpoint intact, and nothing checkpoint-sized is ever held
+// in memory.
+func (ck *Checkpoint) Save(path string) error {
+	if ck.Version != CheckpointVersion {
+		return fmt.Errorf("measure: cannot write checkpoint version %d, only %d", ck.Version, CheckpointVersion)
 	}
-	if err := atomicio.WriteFile(path, data); err != nil {
-		return fmt.Errorf("measure: %s: %w", filepath.Base(path), err)
+	if err := ckpt.WriteFile(path, ckpt.KindCampaign, CheckpointVersion, ck.encode); err != nil {
+		return fmt.Errorf("measure: writing checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }
 
-// Save writes the checkpoint atomically on the shared AtomicWriteJSON
-// path: temp file + fsync + rename, stale temp files swept, so a kill
-// mid-write leaves the previous checkpoint intact and no .tmp debris
-// accumulates.
-func (ck *Checkpoint) Save(path string) error {
-	return AtomicWriteJSON(path, ck)
-}
-
-// LoadCheckpoint reads a checkpoint written by Save.
+// LoadCheckpoint reads a checkpoint written by Save. The error says which
+// way a file is unusable (errors.Is against the ckpt.Err* values): a legacy
+// JSON checkpoint, a truncated or corrupted file, a daemon's checkpoint, or
+// another version.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("measure: reading checkpoint: %w", err)
-	}
 	ck := new(Checkpoint)
-	if err := json.Unmarshal(data, ck); err != nil {
-		return nil, fmt.Errorf("measure: decoding checkpoint: %w", err)
-	}
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("measure: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
+	if err := ckpt.ReadFile(path, ckpt.KindCampaign, CheckpointVersion, ck.decode); err != nil {
+		return nil, fmt.Errorf("measure: checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return ck, nil
 }

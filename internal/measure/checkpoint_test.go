@@ -1,15 +1,19 @@
 package measure
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 )
@@ -333,32 +337,65 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("Resume accepted a checkpoint on a non-streaming campaign")
 	}
 
-	// Unknown version → refused at load.
+	// Unknown version → refused at load, whatever the rest of the file says.
 	raw, err := os.ReadFile(ckPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
+	load := func(name string, data []byte) error {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadCheckpoint(path)
+		return err
 	}
-	doc["Version"] = json.RawMessage("99")
-	tampered, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
+	tampered := bytes.Clone(raw)
+	tampered[5] = 99 // the frame's version byte
+	if err := load("version.ck", tampered); !errors.Is(err, ckpt.ErrVersion) {
+		t.Errorf("version 99: got %v, want ErrVersion", err)
 	}
-	badPath := filepath.Join(dir, "bad.ck")
-	if err := os.WriteFile(badPath, tampered, 0o644); err != nil {
-		t.Fatal(err)
+	// Each other way a file can be unusable is its own error.
+	flipped := bytes.Clone(raw)
+	flipped[len(flipped)/2] ^= 0x40
+	if err := load("flipped.ck", flipped); !errors.Is(err, ckpt.ErrChecksum) {
+		t.Errorf("flipped bit: got %v, want ErrChecksum", err)
 	}
-	if _, err := LoadCheckpoint(badPath); err == nil {
-		t.Error("LoadCheckpoint accepted an unknown version")
+	if err := load("cut.ck", raw[:len(raw)/2]); !errors.Is(err, ckpt.ErrTruncated) {
+		t.Errorf("half a file: got %v, want ErrTruncated", err)
+	}
+	daemonKind := bytes.Clone(raw)
+	daemonKind[4] = byte(ckpt.KindDaemon)
+	if err := load("daemon.ck", daemonKind); !errors.Is(err, ckpt.ErrKind) {
+		t.Errorf("daemon kind: got %v, want ErrKind", err)
+	}
+	if _, err := LoadCheckpoint(filepath.Join(dir, "absent.ck")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: got %v, want ErrNotExist", err)
+	}
+	// A checkpoint struct of another version is never written as this one.
+	ck.Version = 2
+	if err := ck.Save(filepath.Join(dir, "v2.ck")); err == nil {
+		t.Error("Save wrote a version-2 struct in the version-3 layout")
+	}
+}
+
+// TestLegacyJSONCheckpointRefused: a checkpoint written before the binary
+// format (testdata/legacy-v2.ck.json, from the last JSON build) is refused
+// with an error that says what it is, not a decode failure.
+func TestLegacyJSONCheckpointRefused(t *testing.T) {
+	_, err := LoadCheckpoint(filepath.Join("testdata", "legacy-v2.ck.json"))
+	if !errors.Is(err, ckpt.ErrLegacyJSON) {
+		t.Fatalf("got %v, want ErrLegacyJSON", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "legacy JSON checkpoint") || !strings.Contains(msg, "legacy-v2.ck.json") {
+		t.Errorf("error does not name the old format and the file: %q", msg)
 	}
 }
 
 // TestCheckpointFilesDeterministic: the same campaign prefix writes the
-// same checkpoint bytes (sorted sets, seq-ordered routes), so checkpoint
-// artifacts diff cleanly across runs.
+// same checkpoint bytes (sorted sets, seq-ordered routes, per-cause maps in
+// cause order), so checkpoint artifacts diff cleanly across runs — and a
+// loaded checkpoint saves back to the bytes it was loaded from.
 func TestCheckpointFilesDeterministic(t *testing.T) {
 	const dests = 30
 	run := func(dir string) []byte {
@@ -377,78 +414,123 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 		}
 		return b
 	}
-	a, b := run(t.TempDir()), run(t.TempDir())
-	if string(a) != string(b) {
+	dir := t.TempDir()
+	a, b := run(dir), run(t.TempDir())
+	if !bytes.Equal(a, b) {
 		t.Error("identical campaigns wrote different checkpoint bytes")
 	}
-}
 
-// tmpDebris lists any "<base>.tmp*" siblings of path — the leak the atomic
-// writer must never leave behind.
-func tmpDebris(t *testing.T, path string) []string {
-	t.Helper()
-	stale, err := filepath.Glob(path + ".tmp*")
+	ck, err := LoadCheckpoint(filepath.Join(dir, "d.ck"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stale
-}
-
-// TestAtomicWriteCleansTempOnError is the regression test for the temp-file
-// leak: every error path of AtomicWriteJSON must remove its temp file. The
-// rename is forced to fail by making the target path a directory.
-func TestAtomicWriteCleansTempOnError(t *testing.T) {
-	dir := t.TempDir()
-	target := filepath.Join(dir, "ck.json")
-	if err := os.Mkdir(target, 0o755); err != nil {
+	again := filepath.Join(dir, "again.ck")
+	if err := ck.Save(again); err != nil {
 		t.Fatal(err)
 	}
-	if err := AtomicWriteJSON(target, map[string]int{"round": 3}); err == nil {
-		t.Fatal("rename onto a directory should fail")
+	if c, err := os.ReadFile(again); err != nil || !bytes.Equal(a, c) {
+		t.Errorf("load then save changed the file (%v)", err)
 	}
-	if stale := tmpDebris(t, target); len(stale) != 0 {
-		t.Fatalf("failed write leaked temp files: %v", stale)
-	}
-	// The unencodable-value path fails before a temp file even exists.
-	target2 := filepath.Join(dir, "ck2.json")
-	if err := AtomicWriteJSON(target2, func() {}); err == nil {
-		t.Fatal("unencodable value should fail")
-	}
-	if stale := tmpDebris(t, target2); len(stale) != 0 {
-		t.Fatalf("encode failure leaked temp files: %v", stale)
+	// Equal accumulators encode identically: one restored by replay
+	// snapshots to the state it was restored from.
+	for w, st := range ck.Workers {
+		acc, err := RestoreAccumulator(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(acc.State(), st) {
+			t.Errorf("worker %d: restored accumulator snapshots to a different state", w)
+		}
 	}
 }
 
-// TestAtomicWriteSweepsStaleTemps: a writer killed between CreateTemp and
-// Rename leaves a randomized temp name no later Save reuses; the next
-// successful write must sweep it.
-func TestAtomicWriteSweepsStaleTemps(t *testing.T) {
-	dir := t.TempDir()
-	target := filepath.Join(dir, "ck.json")
-	for _, stale := range []string{target + ".tmp1111", target + ".tmp2222"} {
-		if err := os.WriteFile(stale, []byte("half-written"), 0o644); err != nil {
+// goldenConfig is the toy campaign testdata/toy-v3.ck was written by: small
+// enough to commit, large enough to meet a loop (so the per-cause map, the
+// loop address set and the signature spans are not all empty).
+func goldenConfig(path string) (*topo.Scenario, Config) {
+	sc := topo.Generate(invarianceConfig(24))
+	cfg := checkpointConfig(sc, path)
+	cfg.Rounds = 6
+	cfg.CheckpointEvery = 3
+	cfg.TransportState = transportState(sc.Net)
+	return sc, cfg
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v3.ck from the current encoder")
+
+// TestCheckpointGolden pins the wire format: the toy campaign halted after
+// three rounds must write the committed file byte for byte, and the
+// committed file must resume to the uninterrupted run's statistics. A
+// deliberate format change bumps CheckpointVersion and regenerates the file
+// (go test -run TestCheckpointGolden -update).
+func TestCheckpointGolden(t *testing.T) {
+	const killAt = 3
+	golden := filepath.Join("testdata", "toy-v3.ck")
+	ckPath := filepath.Join(t.TempDir(), "toy.ck")
+
+	sc, cfg := goldenConfig(ckPath)
+	ctx, cancel := context.WithCancel(context.Background())
+	inner := cfg.RoundStart
+	cfg.RoundStart = func(r int) {
+		if r == killAt {
+			cancel()
+		}
+		inner(r)
+	}
+	camp, err := NewCampaign(netsim.NewTransport(sc.Net), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := camp.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("halted run returned %v", err)
+	}
+	got, err := os.ReadFile(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bystander := filepath.Join(dir, "other.json.tmp999")
-	if err := os.WriteFile(bystander, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AtomicWriteJSON(target, map[string]int{"round": 7}); err != nil {
-		t.Fatal(err)
-	}
-	if stale := tmpDebris(t, target); len(stale) != 0 {
-		t.Fatalf("successful write left stale temps: %v", stale)
-	}
-	if _, err := os.Stat(bystander); err != nil {
-		t.Fatalf("sweep must only touch its own base's temps: %v", err)
-	}
-	var got map[string]int
-	data, err := os.ReadFile(target)
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &got); err != nil || got["round"] != 7 {
-		t.Fatalf("written content wrong: %v %v", got, err)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Save no longer reproduces %s (%d bytes written, %d committed): the wire format changed", golden, len(got), len(want))
+	}
+
+	ck, err := LoadCheckpoint(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.NextRound != killAt || len(ck.Workers) != 1 || ck.Workers[0].LoopInstances == 0 {
+		t.Fatalf("golden checkpoint degenerate: NextRound=%d workers=%d", ck.NextRound, len(ck.Workers))
+	}
+	scR, cfgR := goldenConfig(filepath.Join(t.TempDir(), "resumed.ck"))
+	campR, err := NewCampaign(netsim.NewTransport(scR.Net), cfgR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoreTransport(t, scR.Net, ck.Transport)
+	if err := campR.Resume(ck); err != nil {
+		t.Fatal(err)
+	}
+	resR, err := campR.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scU, cfgU := goldenConfig("")
+	campU, err := NewCampaign(netsim.NewTransport(scU.Net), cfgU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resU, err := campU.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resU.Stats, resR.Stats) {
+		t.Errorf("resuming the golden checkpoint diverges from the uninterrupted run:\nuninterrupted: %+v\nresumed:       %+v", resU.Stats, resR.Stats)
 	}
 }

@@ -1,0 +1,301 @@
+package measure
+
+import (
+	"fmt"
+	"net/netip"
+	"slices"
+	"time"
+
+	"repro/internal/anomaly"
+	"repro/internal/ckpt"
+	"repro/internal/tracer"
+)
+
+// This file lays Checkpoint and AccState out in the internal/ckpt wire
+// format. Fields are written in declaration order: every integer a zigzag
+// varint, every slice a count followed by its elements, per-cause maps as
+// (cause, count) pairs in ascending cause order — so equal states give equal
+// bytes, and a decoded state encodes back to the bytes it came from.
+// docs/checkpoint.md has the layout tables; the golden file under testdata/
+// pins it.
+//
+// The min* constants are the fewest bytes one element of each repeated
+// structure can occupy; the decoder checks every count against the bytes
+// that remain before allocating (ckpt.Decoder.Len).
+const (
+	minHealth   = 2  // ConsecFails, Quarantined
+	minAccState = 22 // 15 integers, 2 maps, 4 address sets, Dests
+	minCause    = 2  // cause, count
+	minDest     = 6  // address tag, SawLoop, SawCycle, 3 counts
+	minRoute    = 6  // Classic, 2 address tags, Halt, 2 counts
+	minHop      = 9  // 5 integers, address tag, IP ID, Mismatched
+	minSig      = 3  // address tag, LastRound, Rounds
+)
+
+func (ck *Checkpoint) encode(e *ckpt.Encoder) {
+	e.U64(ck.Digest)
+	e.Int(int64(ck.NextRound))
+	e.Len(len(ck.Health))
+	for _, h := range ck.Health {
+		e.Int(int64(h.ConsecFails))
+		e.Bool(h.Quarantined)
+	}
+	encodeInts(e, ck.ParisHint)
+	encodeInts(e, ck.ClasHint)
+	e.Bytes(ck.Transport)
+	e.Len(len(ck.Workers))
+	for w := range ck.Workers {
+		ck.Workers[w].Encode(e)
+	}
+}
+
+func (ck *Checkpoint) decode(d *ckpt.Decoder) {
+	ck.Version = CheckpointVersion
+	ck.Digest = d.U64()
+	ck.NextRound = int(d.Int())
+	if n := d.Len(minHealth); n > 0 {
+		ck.Health = make([]HealthState, n)
+		for i := range ck.Health {
+			ck.Health[i] = HealthState{ConsecFails: int(d.Int()), Quarantined: d.Bool()}
+		}
+	}
+	ck.ParisHint = decodeInts(d)
+	ck.ClasHint = decodeInts(d)
+	ck.Transport = d.Bytes()
+	if n := d.Len(minAccState); n > 0 {
+		ck.Workers = make([]AccState, n)
+		for w := range ck.Workers {
+			ck.Workers[w].Decode(d)
+		}
+	}
+}
+
+// Encode appends the accumulator state to a checkpoint body. The campaign
+// checkpoint writes one per worker, the daemon checkpoint exactly one.
+func (st *AccState) Encode(e *ckpt.Encoder) {
+	for _, v := range []int{
+		st.Routes, st.Reached, st.Responses, st.MidStars,
+		st.RoutesWithLoop, st.LoopInstances, st.ParisOnly,
+		st.RoutesWithCycle, st.CycleInstances,
+		st.Failed, st.Skipped, st.RTTSamples,
+	} {
+		e.Int(int64(v))
+	}
+	e.Int(st.RTTSum)
+	e.Int(st.RTTMin)
+	e.Int(st.RTTMax)
+	encodeCauses(e, st.LoopByCause)
+	encodeCauses(e, st.CycleByCause)
+	encodeAddrs(e, st.Addrs)
+	encodeAddrs(e, st.LoopAddrs)
+	encodeAddrs(e, st.CycleAddrs)
+	encodeAddrs(e, st.SkippedDests)
+	e.Len(len(st.Dests))
+	for i := range st.Dests {
+		dc := &st.Dests[i]
+		e.Addr(dc.Dest)
+		e.Bool(dc.SawLoop)
+		e.Bool(dc.SawCycle)
+		e.Len(len(dc.Routes))
+		for j, rc := range dc.Routes {
+			if rc.Route == nil {
+				e.Fail(fmt.Errorf("measure: dest %v: route %d missing", dc.Dest, j))
+				return
+			}
+			e.Bool(rc.Classic)
+			encodeRoute(e, rc.Route)
+		}
+		encodeSigs(e, dc.LoopSigs)
+		encodeSigs(e, dc.CycleSigs)
+	}
+}
+
+// Decode reads one accumulator state written by Encode into st, which must
+// be zero.
+func (st *AccState) Decode(d *ckpt.Decoder) {
+	for _, p := range []*int{
+		&st.Routes, &st.Reached, &st.Responses, &st.MidStars,
+		&st.RoutesWithLoop, &st.LoopInstances, &st.ParisOnly,
+		&st.RoutesWithCycle, &st.CycleInstances,
+		&st.Failed, &st.Skipped, &st.RTTSamples,
+	} {
+		*p = int(d.Int())
+	}
+	st.RTTSum = d.Int()
+	st.RTTMin = d.Int()
+	st.RTTMax = d.Int()
+	st.LoopByCause = decodeCauses(d)
+	st.CycleByCause = decodeCauses(d)
+	st.Addrs = decodeAddrs(d)
+	st.LoopAddrs = decodeAddrs(d)
+	st.CycleAddrs = decodeAddrs(d)
+	st.SkippedDests = decodeAddrs(d)
+	n := d.Len(minDest)
+	if n == 0 {
+		return
+	}
+	st.Dests = make([]DestCheckpoint, n)
+	for i := range st.Dests {
+		dc := &st.Dests[i]
+		dc.Dest = d.Addr()
+		dc.SawLoop = d.Bool()
+		dc.SawCycle = d.Bool()
+		if nr := d.Len(minRoute); nr > 0 {
+			dc.Routes = make([]RouteCheckpoint, nr)
+			for j := range dc.Routes {
+				dc.Routes[j] = RouteCheckpoint{Classic: d.Bool(), Route: decodeRoute(d)}
+			}
+		}
+		dc.LoopSigs = decodeSigs(d)
+		dc.CycleSigs = decodeSigs(d)
+	}
+}
+
+func encodeInts(e *ckpt.Encoder, vs []int) {
+	e.Len(len(vs))
+	for _, v := range vs {
+		e.Int(int64(v))
+	}
+}
+
+func decodeInts(d *ckpt.Decoder) []int {
+	n := d.Len(1)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]int, n)
+	for i := range vs {
+		vs[i] = int(d.Int())
+	}
+	return vs
+}
+
+func encodeAddrs(e *ckpt.Encoder, as []netip.Addr) {
+	e.Len(len(as))
+	for _, a := range as {
+		e.Addr(a)
+	}
+}
+
+func decodeAddrs(d *ckpt.Decoder) []netip.Addr {
+	n := d.Len(1)
+	if n == 0 {
+		return nil
+	}
+	as := make([]netip.Addr, n)
+	for i := range as {
+		as[i] = d.Addr()
+	}
+	return as
+}
+
+func encodeCauses(e *ckpt.Encoder, m map[anomaly.Cause]int) {
+	causes := make([]anomaly.Cause, 0, len(m))
+	for c := range m {
+		causes = append(causes, c)
+	}
+	slices.Sort(causes)
+	e.Len(len(causes))
+	for _, c := range causes {
+		e.Int(int64(c))
+		e.Int(int64(m[c]))
+	}
+}
+
+// decodeCauses always returns a map, as Accumulator.State does. Causes out
+// of ascending order are refused: they would not encode back to the same
+// bytes.
+func decodeCauses(d *ckpt.Decoder) map[anomaly.Cause]int {
+	n := d.Len(minCause)
+	m := make(map[anomaly.Cause]int, n)
+	var prev anomaly.Cause
+	for i := 0; i < n; i++ {
+		c := anomaly.Cause(d.Int())
+		if i > 0 && c <= prev {
+			d.Fail(fmt.Errorf("%w: cause %d after cause %d", ckpt.ErrCorrupt, c, prev))
+			break
+		}
+		m[c], prev = int(d.Int()), c
+	}
+	return m
+}
+
+func encodeSigs(e *ckpt.Encoder, sigs []SigCheckpoint) {
+	e.Len(len(sigs))
+	for _, sg := range sigs {
+		e.Addr(sg.Addr)
+		e.Int(int64(sg.LastRound))
+		e.Int(int64(sg.Rounds))
+	}
+}
+
+func decodeSigs(d *ckpt.Decoder) []SigCheckpoint {
+	n := d.Len(minSig)
+	if n == 0 {
+		return nil
+	}
+	sigs := make([]SigCheckpoint, n)
+	for i := range sigs {
+		sigs[i] = SigCheckpoint{Addr: d.Addr(), LastRound: int(d.Int()), Rounds: int(d.Int())}
+	}
+	return sigs
+}
+
+func encodeRoute(e *ckpt.Encoder, rt *tracer.Route) {
+	e.Addr(rt.Dest)
+	e.Addr(rt.Source)
+	e.Int(int64(rt.Halt))
+	encodeHops(e, rt.Hops)
+	e.Len(len(rt.All))
+	for _, row := range rt.All {
+		encodeHops(e, row)
+	}
+}
+
+func decodeRoute(d *ckpt.Decoder) *tracer.Route {
+	rt := &tracer.Route{Dest: d.Addr(), Source: d.Addr(), Halt: tracer.HaltReason(d.Int())}
+	rt.Hops = decodeHops(d)
+	if n := d.Len(1); n > 0 {
+		rt.All = make([][]tracer.Hop, n)
+		for i := range rt.All {
+			rt.All[i] = decodeHops(d)
+		}
+	}
+	return rt
+}
+
+func encodeHops(e *ckpt.Encoder, hops []tracer.Hop) {
+	e.Len(len(hops))
+	for i := range hops {
+		h := &hops[i]
+		e.Int(int64(h.TTL))
+		e.Addr(h.Addr)
+		e.Int(int64(h.RTT))
+		e.Int(int64(h.Kind))
+		e.Int(int64(h.ProbeTTL))
+		e.Int(int64(h.RespTTL))
+		e.U16(h.IPID)
+		e.Bool(h.Mismatched)
+	}
+}
+
+func decodeHops(d *ckpt.Decoder) []tracer.Hop {
+	n := d.Len(minHop)
+	if n == 0 {
+		return nil
+	}
+	hops := make([]tracer.Hop, n)
+	for i := range hops {
+		hops[i] = tracer.Hop{
+			TTL:        int(d.Int()),
+			Addr:       d.Addr(),
+			RTT:        time.Duration(d.Int()),
+			Kind:       tracer.ReplyKind(d.Int()),
+			ProbeTTL:   int(d.Int()),
+			RespTTL:    int(d.Int()),
+			IPID:       d.U16(),
+			Mismatched: d.Bool(),
+		}
+	}
+	return hops
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,7 +25,13 @@ func faultyCampaign(t *testing.T, dests, rounds int, plan netsim.FaultPlan, cfg 
 	cfg.Rounds = rounds
 	cfg.RoundStart = sc.RoundStart
 	cfg.PortSeed = 42
-	cfg.Sleep = func(d time.Duration) { *sleeps = append(*sleeps, d) }
+	// Every worker backs off through this one seam.
+	var mu sync.Mutex
+	cfg.Sleep = func(d time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		*sleeps = append(*sleeps, d)
+	}
 	camp, err := NewCampaign(ft, cfg)
 	if err != nil {
 		t.Fatal(err)

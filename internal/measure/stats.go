@@ -90,8 +90,9 @@ type RobustStats struct {
 	// accumulators (a shed job was never measured, so there is no pair
 	// to fold).
 
-	// Shed counts jobs dropped at scheduler admission by the shed-oldest
-	// overload policy (the destination is re-armed, never lost).
+	// Shed counts jobs dropped at scheduler admission by the overload
+	// policy, a seeded lottery with aging (docs/daemon.md); the
+	// destination is re-armed for the next round, never lost.
 	Shed int `json:",omitempty"`
 	// WorkerRestarts counts supervised worker replacements after a
 	// panic (restart-with-backoff; see the daemon's state machine).
