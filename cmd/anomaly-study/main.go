@@ -176,8 +176,10 @@ func main() {
 	if *replayPath != "" {
 		if err := runReplay(*replayPath, *liveDests, *liveDestsFile, *rounds, *workers, *batch, *stream, *foldEvery, *seed,
 			*timeout, *retries, *statsJSON); err != nil {
+			// Not a usage error: the flags were fine, the capture (or its
+			// match with them) was not.
 			fmt.Fprintln(os.Stderr, "anomaly-study:", err)
-			os.Exit(2)
+			os.Exit(1)
 		}
 		return
 	}

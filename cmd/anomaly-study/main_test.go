@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/pcap"
 )
 
 // The tests re-execute the test binary as anomaly-study itself: with
@@ -87,5 +91,47 @@ func TestHaltAndResume(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Error("resumed statistics differ from the uninterrupted run")
+	}
+}
+
+// TestReplayRefusesUnusableCaptures: -replay on a capture it cannot load
+// exits 1 with an error that names the file and says what is wrong with it
+// — an Ethernet capture straight from tcpdump is refused by its link type
+// (not as "does not begin with a probe"), and a torn file reports how many
+// complete records precede the tear.
+func TestReplayRefusesUnusableCaptures(t *testing.T) {
+	good, err := os.ReadFile(filepath.Join("..", "..", "internal", "tracer", "replay", "testdata", "corpus", "clean-paris-udp.pcap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := pcap.ReadAll(bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ethernet := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(ethernet[20:], 1) // LINKTYPE_ETHERNET
+	torn := good[:len(good)-3]
+
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		want []string
+	}{
+		{"ethernet.pcap", ethernet, []string{"link type 1 (Ethernet)", "LINKTYPE_RAW"}},
+		{"torn.pcap", torn, []string{"truncated", fmt.Sprintf("%d complete records precede the tear", len(whole)-1)}},
+	} {
+		path := filepath.Join(t.TempDir(), c.name)
+		if err := os.WriteFile(path, c.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stderr, exit := study(t, "-replay", path)
+		if exit != 1 {
+			t.Errorf("%s: exit %d, want 1: %s", c.name, exit, stderr)
+		}
+		for _, want := range append(c.want, c.name) {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("%s: stderr %q does not mention %q", c.name, stderr, want)
+			}
+		}
 	}
 }

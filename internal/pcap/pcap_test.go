@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -42,9 +44,71 @@ func writeSample(t *testing.T) ([]byte, []Record) {
 	return buf.Bytes(), want
 }
 
+// stream drains data through the streaming Reader — the reference the
+// in-memory path is compared against.
+func stream(data []byte) ([]Record, error) {
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var recs []Record
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// readBoth reads data through the streaming Reader and through the
+// in-memory path and fails unless the two agree record for record and error
+// for error, and the in-memory records are clipped sub-slices of data (so
+// the in-memory path allocates the record slice and nothing per record). It
+// returns the in-memory result.
+func readBoth(t testing.TB, data []byte) ([]Record, error) {
+	t.Helper()
+	want, wantErr := stream(data)
+	got, err := parse(data)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("in-memory read failed with %v, streaming read with %v", err, wantErr)
+	}
+	for _, class := range []error{ErrBadMagic, ErrTruncated, ErrLinkType} {
+		if errors.Is(err, class) != errors.Is(wantErr, class) {
+			t.Fatalf("in-memory error %v and streaming error %v differ in class %v", err, wantErr, class)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("in-memory read returned %d records, streaming read %d (error: %v)", len(got), len(want), err)
+	}
+	off := fileHeaderLen
+	for i := range got {
+		if !got[i].TS.Equal(want[i].TS) || !bytes.Equal(got[i].Data, want[i].Data) {
+			t.Fatalf("record %d: in-memory (%v, %x), streaming (%v, %x)", i, got[i].TS, got[i].Data, want[i].TS, want[i].Data)
+		}
+		if len(got[i].Data) > maxRecordLen {
+			t.Fatalf("record of %d bytes escaped the length bound", len(got[i].Data))
+		}
+		// No per-record allocation: the record is the input's own bytes,
+		// clipped so that an append cannot reach the next record.
+		off += recordHeaderLen
+		if len(got[i].Data) > 0 && &got[i].Data[0] != &data[off] {
+			t.Fatalf("record %d does not alias the input at offset %d", i, off)
+		}
+		if cap(got[i].Data) != len(got[i].Data) {
+			t.Fatalf("record %d: cap %d over len %d: an append would overwrite the next record", i, cap(got[i].Data), len(got[i].Data))
+		}
+		off += len(got[i].Data)
+	}
+	return got, err
+}
+
 func TestRoundTrip(t *testing.T) {
 	raw, want := writeSample(t)
-	got, err := ReadAll(bytes.NewReader(raw))
+	got, err := readBoth(t, raw)
 	if err != nil {
 		t.Fatalf("ReadAll: %v", err)
 	}
@@ -100,7 +164,7 @@ func TestEmptyCaptureIsValid(t *testing.T) {
 	if _, err := NewWriter(&buf); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	recs, err := readBoth(t, buf.Bytes())
 	if err != nil {
 		t.Fatalf("header-only capture must read cleanly: %v", err)
 	}
@@ -114,7 +178,7 @@ func TestBadMagic(t *testing.T) {
 	for i := range junk {
 		junk[i] = 0xee
 	}
-	if _, err := NewReader(bytes.NewReader(junk)); !errors.Is(err, ErrBadMagic) {
+	if _, err := readBoth(t, junk); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("got %v, want ErrBadMagic", err)
 	}
 }
@@ -133,7 +197,7 @@ func TestTruncation(t *testing.T) {
 	}
 	for _, c := range cuts {
 		t.Run(c.name, func(t *testing.T) {
-			recs, err := ReadAll(bytes.NewReader(raw[:c.at]))
+			recs, err := readBoth(t, raw[:c.at])
 			if !errors.Is(err, ErrTruncated) {
 				t.Fatalf("cut at %d: got %v, want ErrTruncated", c.at, err)
 			}
@@ -146,45 +210,45 @@ func TestTruncation(t *testing.T) {
 	}
 }
 
-// TestForeignDialects hand-builds the three dialects the writer never emits
-// (big-endian nano, and microsecond resolution in both orders) and checks
-// the reader normalizes all of them.
+// buildDialect hand-builds a one-record capture in any of the four
+// dialects and with any link type: the writer only ever emits one of each.
+func buildDialect(order binary.ByteOrder, magic, linkType, frac uint32) []byte {
+	var buf bytes.Buffer
+	hdr := make([]byte, fileHeaderLen)
+	order.PutUint32(hdr[0:], magic)
+	order.PutUint16(hdr[4:], 2)
+	order.PutUint16(hdr[6:], 4)
+	order.PutUint32(hdr[16:], SnapLen)
+	order.PutUint32(hdr[20:], linkType)
+	buf.Write(hdr)
+	rec := make([]byte, recordHeaderLen)
+	order.PutUint32(rec[0:], 1)    // ts_sec
+	order.PutUint32(rec[4:], frac) // ts frac
+	order.PutUint32(rec[8:], 2)    // incl_len
+	order.PutUint32(rec[12:], 2)   // orig_len
+	buf.Write(rec)
+	buf.Write([]byte{0xde, 0xad})
+	return buf.Bytes()
+}
+
+// TestForeignDialects checks the reader normalizes the three dialects the
+// writer never emits (big-endian nano, and microsecond resolution in both
+// orders).
 func TestForeignDialects(t *testing.T) {
-	build := func(order binary.ByteOrder, magic, frac uint32) []byte {
-		var buf bytes.Buffer
-		hdr := make([]byte, fileHeaderLen)
-		order.PutUint32(hdr[0:], magic)
-		order.PutUint16(hdr[4:], 2)
-		order.PutUint16(hdr[6:], 4)
-		order.PutUint32(hdr[16:], SnapLen)
-		order.PutUint32(hdr[20:], LinkTypeRaw)
-		buf.Write(hdr)
-		rec := make([]byte, recordHeaderLen)
-		order.PutUint32(rec[0:], 1)    // ts_sec
-		order.PutUint32(rec[4:], frac) // ts frac
-		order.PutUint32(rec[8:], 2)    // incl_len
-		order.PutUint32(rec[12:], 2)   // orig_len
-		buf.Write(rec)
-		buf.Write([]byte{0xde, 0xad})
-		return buf.Bytes()
-	}
 	cases := []struct {
 		name   string
 		raw    []byte
 		wantTS time.Time
 	}{
-		{"big-endian-nano", build(binary.BigEndian, MagicNano, 123456789), time.Unix(1, 123456789)},
-		{"little-endian-micro", build(binary.LittleEndian, MagicMicro, 500), time.Unix(1, 500000)},
-		{"big-endian-micro", build(binary.BigEndian, MagicMicro, 999999), time.Unix(1, 999999000)},
+		{"big-endian-nano", buildDialect(binary.BigEndian, MagicNano, LinkTypeRaw, 123456789), time.Unix(1, 123456789)},
+		{"little-endian-micro", buildDialect(binary.LittleEndian, MagicMicro, LinkTypeRaw, 500), time.Unix(1, 500000)},
+		{"big-endian-micro", buildDialect(binary.BigEndian, MagicMicro, LinkTypeRaw, 999999), time.Unix(1, 999999000)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rd, err := NewReader(bytes.NewReader(c.raw))
 			if err != nil {
 				t.Fatal(err)
-			}
-			if rd.LinkType() != LinkTypeRaw {
-				t.Fatalf("link type %d, want %d", rd.LinkType(), LinkTypeRaw)
 			}
 			rec, err := rd.Next()
 			if err != nil {
@@ -199,7 +263,44 @@ func TestForeignDialects(t *testing.T) {
 			if _, err := rd.Next(); err != io.EOF {
 				t.Errorf("after last record: %v, want io.EOF", err)
 			}
+			if recs, err := readBoth(t, c.raw); err != nil || len(recs) != 1 {
+				t.Errorf("in-memory read: %d records, %v", len(recs), err)
+			}
 		})
+	}
+}
+
+// TestLinkTypeRefused: a capture whose records carry link-layer framing —
+// what tcpdump writes on an Ethernet interface — is refused by both readers
+// with an error naming the type found, in either byte order.
+func TestLinkTypeRefused(t *testing.T) {
+	for _, order := range []binary.ByteOrder{binary.LittleEndian, binary.BigEndian} {
+		_, err := readBoth(t, buildDialect(order, MagicMicro, 1, 0))
+		if !errors.Is(err, ErrLinkType) || !strings.Contains(err.Error(), "link type 1 (Ethernet)") {
+			t.Errorf("%v Ethernet capture: got %v, want ErrLinkType naming link type 1", order, err)
+		}
+	}
+	if _, err := readBoth(t, buildDialect(binary.LittleEndian, MagicNano, 147, 0)); !errors.Is(err, ErrLinkType) || !strings.Contains(err.Error(), "link type 147") {
+		t.Errorf("link type 147: got %v, want ErrLinkType naming it", err)
+	}
+}
+
+// TestLoadedRecordsDoNotOverlap pins the aliasing contract from the
+// caller's side: records loaded in one read share a buffer, and appending
+// to one must not write into the next.
+func TestLoadedRecordsDoNotOverlap(t *testing.T) {
+	raw, want := writeSample(t)
+	recs, err := ReadAll(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		_ = append(recs[i].Data, bytes.Repeat([]byte{0xff}, recordHeaderLen+4)...)
+	}
+	for i := range recs {
+		if !bytes.Equal(recs[i].Data, want[i].Data) {
+			t.Errorf("record %d overwritten by an append to a neighbour: %x, want %x", i, recs[i].Data, want[i].Data)
+		}
 	}
 }
 
@@ -216,10 +317,10 @@ func TestCorruptHeadersRejected(t *testing.T) {
 		binary.LittleEndian.PutUint32(raw[fileHeaderLen+8:], incl)
 		return raw
 	}
-	if _, err := ReadAll(bytes.NewReader(forge(2_000_000_000, 1))); err == nil {
+	if _, err := readBoth(t, forge(2_000_000_000, 1)); err == nil {
 		t.Error("2e9 nanoseconds accepted")
 	}
-	if _, err := ReadAll(bytes.NewReader(forge(0, maxRecordLen+1))); err == nil {
+	if _, err := readBoth(t, forge(0, maxRecordLen+1)); err == nil {
 		t.Error("oversized incl_len accepted")
 	}
 }
@@ -300,17 +401,17 @@ func TestCreateCaptureBadPath(t *testing.T) {
 	}
 }
 
-// FuzzReadPcap asserts the reader never panics and never over-allocates on
+// FuzzReadPcap asserts that neither reader panics or over-allocates on
 // arbitrary input — capture files cross trust boundaries (anyone can hand
-// one to -replay).
+// one to -replay) — and that the two are one reader: every input reads the
+// same through the streaming Reader and through the in-memory path, records
+// and errors alike, in all four dialects.
 func FuzzReadPcap(f *testing.F) {
-	raw, _ := func() ([]byte, []Record) {
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
-		_ = w.WritePacket(time.Unix(1700000000, 42), []byte{0x45, 0x00, 0x00, 0x1c})
-		_ = w.WritePacket(time.Unix(1700000001, 7), []byte{0x45, 0x00})
-		return buf.Bytes(), nil
-	}()
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	_ = w.WritePacket(time.Unix(1700000000, 42), []byte{0x45, 0x00, 0x00, 0x1c})
+	_ = w.WritePacket(time.Unix(1700000001, 7), []byte{0x45, 0x00})
+	raw := buf.Bytes()
 	f.Add(raw)
 	for _, cut := range []int{0, 3, fileHeaderLen, fileHeaderLen + 9, len(raw) - 1} {
 		f.Add(raw[:cut])
@@ -318,15 +419,70 @@ func FuzzReadPcap(f *testing.F) {
 	junk := append([]byte(nil), raw...)
 	junk[0] ^= 0xff
 	f.Add(junk)
+	for _, order := range []binary.ByteOrder{binary.LittleEndian, binary.BigEndian} {
+		f.Add(buildDialect(order, MagicNano, LinkTypeRaw, 999_999_999))
+		f.Add(buildDialect(order, MagicNano, LinkTypeRaw, 1_000_000_000)) // fraction out of range
+		f.Add(buildDialect(order, MagicMicro, LinkTypeRaw, 999_999))
+		f.Add(buildDialect(order, MagicMicro, LinkTypeRaw, 1_000_000)) // fraction out of range
+		f.Add(buildDialect(order, MagicMicro, 1, 0))                   // Ethernet
+		big := buildDialect(order, MagicNano, LinkTypeRaw, 0)
+		order.PutUint32(big[fileHeaderLen+8:], maxRecordLen+1) // oversize incl_len
+		f.Add(big)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ReadAll(bytes.NewReader(data))
-		for _, r := range recs {
-			if len(r.Data) > maxRecordLen {
-				t.Fatalf("record of %d bytes escaped the allocation bound", len(r.Data))
-			}
-		}
+		_, err := readBoth(t, data)
 		if err == nil && len(data) < fileHeaderLen {
 			t.Fatalf("accepted a %d-byte input as a pcap file", len(data))
 		}
 	})
+}
+
+// BenchmarkReadFile: loading a capture the size of a small campaign (records
+// of 28 and 56 bytes alternating, a UDP probe and the ICMP error that quotes
+// it) in one read. retained-B/record is the record slice plus the file's own
+// bytes — there is nothing else.
+func BenchmarkReadFile(b *testing.B) {
+	const records = 200_000
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkt := make([]byte, 56)
+	pkt[0] = 0x45
+	for i := 0; i < records; i++ {
+		if err := w.WritePacket(time.Unix(1700000000, int64(i)), pkt[:28+28*(i&1)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	path := filepath.Join(b.TempDir(), "bench.pcap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	buf = bytes.Buffer{} // not part of what a loaded capture retains
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	recs, err := ReadFile(path)
+	if err != nil || len(recs) != records {
+		b.Fatalf("%d records, %v", len(recs), err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(recs)
+	retained := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / records
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var end runtime.MemStats
+	runtime.ReadMemStats(&end)
+	n := float64(b.N) * records
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+	b.ReportMetric(float64(end.Mallocs-after.Mallocs)/n, "allocs/record")
+	b.ReportMetric(retained, "retained-B/record")
 }

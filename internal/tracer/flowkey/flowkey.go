@@ -54,8 +54,23 @@ const (
 // first8 copies up to eight transport octets, zero-padding the rest (RFC
 // 792 guarantees eight for quoted probes; defensive for shorter captures).
 func first8(b []byte) (t [8]byte) {
+	if len(b) >= 8 {
+		return [8]byte(b)
+	}
 	copy(t[:], b)
 	return t
+}
+
+// set makes k the quoted key of the probe with header h and transport
+// octets transport: what the probe registers under, and what an ICMP error
+// quoting it yields. Field by field, so the stores go straight to k.
+func (k *Key) set(h *packet.IPv4, transport []byte) {
+	k.Kind = KindQuoted
+	k.Src = h.Src.As4()
+	k.Dst = h.Dst.As4()
+	k.Proto = h.Protocol
+	k.IPID = h.ID
+	k.T = first8(transport)
 }
 
 // ProbeKeys derives the keys a serialized probe registers under: always the
@@ -68,92 +83,118 @@ func ProbeKeys(probe []byte) (quoted Key, terminal Key, hasTerminal, ok bool) {
 	if err != nil {
 		return Key{}, Key{}, false, false
 	}
-	quoted = Key{
-		Kind:  KindQuoted,
-		Src:   h.Src.As4(),
-		Dst:   h.Dst.As4(),
-		Proto: h.Protocol,
-		IPID:  h.ID,
-		T:     first8(payload),
-	}
+	hasTerminal, _ = probeKeys(&h, payload, &quoted, &terminal)
+	return quoted, terminal, hasTerminal, true
+}
+
+// ProbeKeysOf is ProbeKeys for a packet whose IPv4 header the caller has
+// already parsed (h and payload as ParseIPv4Into returned them), so a
+// loader that must look at every packet of a capture parses each once. It
+// also reports whether the packet is probe-shaped — a UDP datagram, an ICMP
+// Echo Request, or a TCP segment with SYN set and ACK and RST clear, the
+// only forms the tracer's disciplines send. Every response shape RespKey
+// accepts from the network (ICMP errors, Echo Replies, RST and SYN-ACK
+// segments) fails that test, which is what lets a capture holding both
+// directions be split structurally.
+func ProbeKeysOf(h *packet.IPv4, payload []byte) (quoted Key, terminal Key, hasTerminal, shaped bool) {
+	hasTerminal, shaped = probeKeys(h, payload, &quoted, &terminal)
+	return quoted, terminal, hasTerminal, shaped
+}
+
+// probeKeys writes the keys through pointers: the byte-wise key stores land
+// in the caller's variables directly instead of being copied out of a
+// result (a copy the processor stalls on, measurably, at this call rate).
+// *terminal is written only when hasTerminal.
+func probeKeys(h *packet.IPv4, payload []byte, quoted, terminal *Key) (hasTerminal, shaped bool) {
+	quoted.set(h, payload)
 	switch h.Protocol {
+	case packet.ProtoUDP:
+		return false, true
 	case packet.ProtoICMP:
 		var m packet.ICMP
 		if err := packet.ParseICMPInto(payload, &m); err == nil && m.Type == packet.ICMPTypeEchoRequest {
-			k := Key{Kind: KindEcho, Src: h.Src.As4(), Proto: packet.ProtoICMP}
-			put16(k.T[0:], m.ID)
-			put16(k.T[2:], m.Seq)
-			return quoted, k, true, true
+			*terminal = Key{Kind: KindEcho, Src: quoted.Src, Proto: packet.ProtoICMP}
+			put16(terminal.T[0:], m.ID)
+			put16(terminal.T[2:], m.Seq)
+			return true, true
 		}
 	case packet.ProtoTCP:
 		var th packet.TCP
 		if _, _, err := packet.ParseTCPInto(payload, &th); err == nil {
-			k := Key{Kind: KindTCP, Src: h.Src.As4(), Proto: packet.ProtoTCP}
-			put16(k.T[0:], th.SrcPort)
-			put16(k.T[2:], th.DstPort)
-			put32(k.T[4:], th.Seq+1) // RST and SYN-ACK acknowledge seq+1
-			return quoted, k, true, true
+			*terminal = Key{Kind: KindTCP, Src: quoted.Src, Proto: packet.ProtoTCP}
+			put16(terminal.T[0:], th.SrcPort)
+			put16(terminal.T[2:], th.DstPort)
+			put32(terminal.T[4:], th.Seq+1) // RST and SYN-ACK acknowledge seq+1
+			return true, th.Flags&packet.TCPSyn != 0 && th.Flags&(packet.TCPAck|packet.TCPRst) == 0
 		}
 	}
-	return quoted, Key{}, false, true
+	return false, false
 }
 
 // RespKey classifies an inbound packet and computes the single key it
 // matches under. ok=false means the packet cannot answer any probe
 // (unparseable, an unrelated ICMP type, our own outbound probe looped back
 // by the capture path) and must be dropped.
-func RespKey(resp []byte) (Key, bool) {
+func RespKey(resp []byte) (key Key, ok bool) {
 	var h packet.IPv4
 	payload, err := packet.ParseIPv4Into(resp, &h)
 	if err != nil {
 		return Key{}, false
 	}
+	ok = respKey(&h, payload, &key)
+	return key, ok
+}
+
+// RespKeyOf is RespKey for a packet whose IPv4 header the caller has
+// already parsed.
+func RespKeyOf(h *packet.IPv4, payload []byte) (key Key, ok bool) {
+	ok = respKey(h, payload, &key)
+	return key, ok
+}
+
+// respKey writes *key only when it reports true (see probeKeys for why a
+// pointer).
+func respKey(h *packet.IPv4, payload []byte, key *Key) bool {
 	switch h.Protocol {
 	case packet.ProtoICMP:
 		var m packet.ICMP
 		if err := packet.ParseICMPInto(payload, &m); err != nil {
-			return Key{}, false
+			return false
 		}
 		if m.IsError() {
 			var inner packet.IPv4
 			quotedTransport, err := packet.ParseIPv4Into(m.Payload, &inner)
 			if err != nil {
-				return Key{}, false
+				return false
 			}
-			return Key{
-				Kind:  KindQuoted,
-				Src:   inner.Src.As4(),
-				Dst:   inner.Dst.As4(),
-				Proto: inner.Protocol,
-				IPID:  inner.ID,
-				T:     first8(quotedTransport),
-			}, true
+			key.set(&inner, quotedTransport)
+			return true
 		}
 		if m.Type == packet.ICMPTypeEchoReply {
 			// The reply's destination is the probe's source; the reply's
 			// source may have been rewritten, so it stays out of the key.
-			k := Key{Kind: KindEcho, Src: h.Dst.As4(), Proto: packet.ProtoICMP}
-			put16(k.T[0:], m.ID)
-			put16(k.T[2:], m.Seq)
-			return k, true
+			*key = Key{Kind: KindEcho, Src: h.Dst.As4(), Proto: packet.ProtoICMP}
+			put16(key.T[0:], m.ID)
+			put16(key.T[2:], m.Seq)
+			return true
 		}
-		return Key{}, false
+		return false
 	case packet.ProtoTCP:
 		var th packet.TCP
 		if _, _, err := packet.ParseTCPInto(payload, &th); err != nil {
-			return Key{}, false
+			return false
 		}
 		if th.Flags&(packet.TCPRst|packet.TCPSyn) == 0 {
-			return Key{}, false
+			return false
 		}
 		// Swap the ports back into probe orientation.
-		k := Key{Kind: KindTCP, Src: h.Dst.As4(), Proto: packet.ProtoTCP}
-		put16(k.T[0:], th.DstPort)
-		put16(k.T[2:], th.SrcPort)
-		put32(k.T[4:], th.Ack)
-		return k, true
+		*key = Key{Kind: KindTCP, Src: h.Dst.As4(), Proto: packet.ProtoTCP}
+		put16(key.T[0:], th.DstPort)
+		put16(key.T[2:], th.SrcPort)
+		put32(key.T[4:], th.Ack)
+		return true
 	default:
-		return Key{}, false
+		return false
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // replayTopo mirrors the live package's muxTopo: per-probe randomness is
 // zeroed so responses are pure functions of probe bytes and replaying in
 // any interleaving yields the same routes.
-func replayTopo(t *testing.T, dests int, seed int64) *topo.Scenario {
+func replayTopo(t testing.TB, dests int, seed int64) *topo.Scenario {
 	t.Helper()
 	gc := topo.DefaultGenConfig()
 	gc.Seed = seed
@@ -48,7 +48,7 @@ func responder(net *netsim.Network) func([]byte) ([]byte, bool) {
 
 // statsJSON renders Stats in the same canonical form the anomaly-study
 // binary persists, so "byte-identical" means what a user would diff.
-func statsJSON(t *testing.T, s *measure.Stats) []byte {
+func statsJSON(t testing.TB, s *measure.Stats) []byte {
 	t.Helper()
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -59,7 +59,7 @@ func statsJSON(t *testing.T, s *measure.Stats) []byte {
 
 // captureCampaign runs a streamed multi-worker campaign through one shared
 // mux with a capture tap, and returns its stats and the capture path.
-func captureCampaign(t *testing.T, sc *topo.Scenario, sched live.SimSchedule, retries, workers, rounds int) (*measure.Stats, string) {
+func captureCampaign(t testing.TB, sc *topo.Scenario, sched live.SimSchedule, retries, workers, rounds int) (*measure.Stats, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "campaign.pcap")
 	cap, err := pcap.CreateCapture(path)
@@ -95,7 +95,7 @@ func captureCampaign(t *testing.T, sc *topo.Scenario, sched live.SimSchedule, re
 }
 
 // replayCampaign re-runs the same campaign shape over the capture.
-func replayCampaign(t *testing.T, rt *replay.Transport, sc *topo.Scenario, workers, rounds int) *measure.Stats {
+func replayCampaign(t testing.TB, rt *replay.Transport, sc *topo.Scenario, workers, rounds int) *measure.Stats {
 	t.Helper()
 	camp, err := measure.NewCampaign(nil, measure.Config{
 		Dests: sc.Dests, Rounds: rounds, Workers: workers, PortSeed: 42,
