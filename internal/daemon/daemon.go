@@ -156,6 +156,9 @@ type Daemon struct {
 
 	events *eventHub
 	jobs   chan *job
+	// afterFold, when a test sets it, sees each measured pair right after
+	// its fold, under mu: the point past which finish reads no route.
+	afterFold func(*measure.Pair)
 
 	ready    atomic.Bool
 	stopped  atomic.Bool

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/anomaly"
 	"repro/internal/measure"
 )
 
@@ -144,6 +143,13 @@ func (d *Daemon) supervise(j *job, wg *sync.WaitGroup) {
 // destination's cadence: success every Period rounds, a changed Paris route
 // fingerprint next round (immediate re-exploration), failure per the error
 // budget.
+//
+// Route lifetime: the pair crossed from its worker to this goroutine and the
+// worker may since have been abandoned mid-trace, so the daemon never gives
+// routes back to a Prober. Should that change, Fold is the last reader: it
+// copies what the accumulator keeps, everything after it — cadence, events —
+// works from the FoldResult, and the job's route pointers are cleared right
+// there (TestFinishDoesNotReadRoutesAfterFold poisons them at that point).
 func (d *Daemon) finish(j *job) {
 	d.mu.Lock()
 	ds := j.ds
@@ -156,15 +162,16 @@ func (d *Daemon) finish(j *job) {
 		d.mu.Unlock()
 		return
 	}
-	pair := j.pair
-	d.acc.Fold(&pair)
+	fr := d.acc.Fold(&j.pair)
+	if d.afterFold != nil {
+		d.afterFold(&j.pair)
+	}
+	j.pair.Paris, j.pair.Classic = nil, nil
 	ds.hints = j.hints
 	ds.consecFails = 0
 	ds.pairs++
-	pfp := pair.Paris.Fingerprint()
-	cfp := pair.Classic.Fingerprint()
-	changed := ds.seen && pfp != ds.parisFP
-	ds.parisFP, ds.classicFP = pfp, cfp
+	changed := ds.seen && fr.Paris != ds.parisFP
+	ds.parisFP, ds.classicFP = fr.Paris, fr.Classic
 	ds.seen = true
 	if changed {
 		ds.nextDue = round + 1
@@ -173,14 +180,12 @@ func (d *Daemon) finish(j *job) {
 	}
 	d.mu.Unlock()
 	if changed {
-		loops := len(anomaly.FindLoops(pair.Paris)) + len(anomaly.FindLoops(pair.Classic))
-		cycles := len(anomaly.FindCycles(pair.Paris)) + len(anomaly.FindCycles(pair.Classic))
 		d.events.publish(Event{Round: round, Type: EventRouteChange, Dest: j.dest,
 			Detail: "paris route fingerprint changed; re-exploring next round",
-			Loops:  loops, Cycles: cycles})
-		if loops+cycles > 0 {
+			Loops:  fr.Loops, Cycles: fr.Cycles})
+		if fr.Loops+fr.Cycles > 0 {
 			d.events.publish(Event{Round: round, Type: EventAnomaly, Dest: j.dest,
-				Detail: "anomalies on changed route", Loops: loops, Cycles: cycles})
+				Detail: "anomalies on changed route", Loops: fr.Loops, Cycles: fr.Cycles})
 		}
 	}
 }

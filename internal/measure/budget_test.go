@@ -1,0 +1,147 @@
+package measure
+
+import (
+	"context"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/netsim"
+	"repro/internal/topo"
+	"repro/internal/tracer"
+)
+
+// steadyWorker is one campaign worker driven by hand, the way runRound
+// drives it — measureDest, then the fold ring — so a test can stop between
+// pairs: a batched, streamed, one-worker campaign over the schedule-free
+// topology.
+type steadyWorker struct {
+	c      *Campaign
+	sc     *topo.Scenario
+	acc    *Accumulator
+	ring   foldRing
+	health []destHealth
+	round  int
+}
+
+func newSteadyWorker(tb testing.TB, dests int) *steadyWorker {
+	tb.Helper()
+	sc := topo.Generate(invarianceConfig(dests))
+	c, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+		Dests: sc.Dests, Workers: 1, PortSeed: 42, Batch: true, Stream: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &steadyWorker{c: c, sc: sc, acc: NewAccumulator(), health: make([]destHealth, dests)}
+	w.ring = foldRing{acc: w.acc, prober: c.probers[0], every: c.cfg.FoldEvery}
+	return w
+}
+
+// pair measures and stages the next pair, opening a new round when the list
+// wraps.
+func (w *steadyWorker) pair(tb testing.TB, i int) {
+	idx := i % len(w.sc.Dests)
+	if idx == 0 {
+		w.sc.RoundStart(w.round)
+		w.round++
+	}
+	p, err := w.c.measureDest(context.Background(), 0, w.round-1, idx, w.sc.Dests[idx], &w.health[idx])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.ring.push(p)
+}
+
+// rounds runs n whole rounds.
+func (w *steadyWorker) rounds(tb testing.TB, n int) {
+	for i := 0; i < n*len(w.sc.Dests); i++ {
+		w.pair(tb, i)
+	}
+}
+
+// TestPairAllocBudget is the study's steady-state budget: once a worker's
+// buffers, route pool and interned routes are warm, a pair — two traces, the
+// staging, the fold, netsim's own forwarding included — stays within three
+// allocations. The tracer's share is zero (the tracer package's
+// TestTraceSteadyStateAllocs); what remains is a classic route seen for the
+// first time, which the accumulator copies and analyzes once — forty rounds
+// in, that is well under one allocation per pair here.
+func TestPairAllocBudget(t *testing.T) {
+	const dests = 100
+	w := newSteadyWorker(t, dests)
+	w.rounds(t, 40)
+	perRound := testing.AllocsPerRun(4, func() { w.rounds(t, 1) })
+	if perPair := perRound / dests; perPair > pairAllocBudget {
+		t.Errorf("%.2f allocations per steady-state pair, budget %d", perPair, pairAllocBudget)
+	} else {
+		t.Logf("%.2f allocations per steady-state pair", perPair)
+	}
+}
+
+// hopSlots counts the hop slots an accumulator's interned routes hold on to
+// and reports whether every slice among them is at its exact length.
+func hopSlots(a *Accumulator) (slots int, exact bool) {
+	exact = true
+	count := func(hops []tracer.Hop) {
+		slots += cap(hops)
+		exact = exact && cap(hops) == len(hops)
+	}
+	for _, ds := range a.dests {
+		for _, m := range []map[uint64]*routeMemo{ds.classic, ds.paris} {
+			for _, mo := range m {
+				count(mo.rt.Hops)
+				for _, row := range mo.rt.All {
+					count(row)
+				}
+			}
+		}
+	}
+	return slots, exact
+}
+
+// TestInternedRoutesExactSize pins what an accumulator retains per interned
+// route: a copy at exact length, whether the route was folded live (traced
+// into a hint-sized or recycled, possibly longer, hop slice) or restored from
+// a checkpoint — so a resumed campaign holds exactly the hop slots the
+// uninterrupted one does.
+func TestInternedRoutesExactSize(t *testing.T) {
+	w := newSteadyWorker(t, 80)
+	w.rounds(t, 5)
+	w.ring.flush()
+	live, exact := hopSlots(w.acc)
+	if !exact {
+		t.Error("a live accumulator interned a route with spare capacity")
+	}
+	if live == 0 {
+		t.Fatal("nothing interned")
+	}
+
+	path := filepath.Join(t.TempDir(), "exact.ck")
+	if err := w.c.checkpoint(w.round, []*Accumulator{w.acc}, w.health).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreAccumulator(ck.Workers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, exact := hopSlots(restored); got != live || !exact {
+		t.Errorf("restored accumulator retains %d hop slots (exact=%v), the live one %d", got, exact, live)
+	}
+}
+
+// BenchmarkMeasurePairSteady is the study's unit of work at steady state:
+// one warmed worker over netsim, one pair per iteration (ns, allocations and
+// bytes per pair).
+func BenchmarkMeasurePairSteady(b *testing.B) {
+	w := newSteadyWorker(b, 500)
+	w.rounds(b, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.pair(b, i)
+	}
+}

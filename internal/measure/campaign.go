@@ -44,11 +44,10 @@ type Config struct {
 	// contiguous 1/Workers slicing.
 	ShardOf map[netip.Addr]int
 	// Batch routes every trace through the transport's batched TTL
-	// ladder (tracer.BatchTransport) when it offers one; each worker
-	// carries one reusable tracer.Scratch across all its destinations,
-	// and each destination feeds its previous round's path length back
-	// as the next round's window hint. Transports without batching fall
-	// back to the sequential loop. Off by default.
+	// ladder (tracer.BatchTransport) when it offers one; each destination
+	// feeds its previous round's path length back as the next round's
+	// window hint. Transports without batching fall back to the
+	// sequential loop. Off by default.
 	Batch bool
 	// BatchWindow overrides the TTL-window per batch (0: tracer
 	// default). Ignored unless Batch is set.
@@ -221,30 +220,20 @@ type Results struct {
 // netsim.Transport forwards exchanges in parallel.
 type Campaign struct {
 	cfg Config
-	tp  tracer.Transport
-	// tps[w] is worker w's resolved transport: TransportFor(w) when the
-	// seam is set and returns non-nil, the shared tp otherwise.
-	tps  []tracer.Transport
-	base tracer.Options // per-trace options before flow-identifier seeding
+	// probers[w] is worker w's Prober, over TransportFor(w) when the seam
+	// is set and returns non-nil, over the shared transport otherwise. The
+	// plan is fixed, so a destination is only ever probed by one worker and
+	// a Prober never crosses goroutines.
+	probers []*Prober
 	// plan[w] lists the destination indices worker w probes each round;
 	// computed once at construction (shard-affine when ShardOf is set).
 	plan [][]int
-	// scratch[w] is worker w's reusable batch buffer set: the plan is
-	// fixed, so a destination index is only ever probed by one worker
-	// and the scratch never crosses goroutines.
-	scratch []*tracer.Scratch
-	// parisHint and clasHint record each destination's previous ladder
-	// length per discipline; the next round sizes its first batch window
-	// from them, so a stable route is probed in exactly one batch with
-	// no overshoot. Indexed by destination; each slot is owned by the
-	// single worker whose plan covers it.
-	parisHint, clasHint []int
-	// parisSrc and parisDst are each destination's Paris flow ports,
-	// derived once at construction time alongside the worker plan — they
-	// are a pure function of (PortSeed, destination), so deriving them
-	// per pair per round was wasted work. Only the classic tracer's
-	// per-(round, destination) pseudo-PID source port stays per-round.
-	parisSrc, parisDst []uint16
+	// hints records each destination's previous ladder lengths; the next
+	// round sizes its routes — and, batched, its first window — from them,
+	// so a stable route is probed in exactly one batch with no overshoot.
+	// Indexed by destination; each slot is owned by the single worker whose
+	// plan covers it.
+	hints []PathHints
 	// resume, when non-nil, is the state loaded by Resume; the next
 	// RunContext consumes it and continues from its round cursor.
 	resume *resumeState
@@ -260,10 +249,10 @@ type destHealth struct {
 
 // resumeState carries a loaded checkpoint into the next RunContext call.
 type resumeState struct {
-	nextRound           int
-	accs                []*Accumulator
-	health              []destHealth
-	parisHint, clasHint []int
+	nextRound int
+	accs      []*Accumulator
+	health    []destHealth
+	hints     []PathHints // nil unless the campaign batches
 }
 
 // NewCampaign creates a campaign; cfg.Dests must be non-empty and free of
@@ -281,38 +270,31 @@ func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 		}
 		seen[d] = true
 	}
-	c := &Campaign{cfg: cfg, tp: tp, base: tracer.Options{
+	c := &Campaign{
+		cfg:     cfg,
+		probers: make([]*Prober, cfg.Workers),
+		plan:    workerPlan(cfg),
+		hints:   make([]PathHints, len(cfg.Dests)),
+	}
+	pc := ProbeConfig{
 		MinTTL:              cfg.MinTTL,
 		MaxTTL:              cfg.MaxTTL,
 		MaxConsecutiveStars: cfg.MaxConsecutiveStars,
-	}, plan: workerPlan(cfg)}
-	c.tps = make([]tracer.Transport, cfg.Workers)
-	for w := range c.tps {
-		c.tps[w] = tp
+		PortSeed:            cfg.PortSeed,
+		Batch:               cfg.Batch,
+		BatchWindow:         cfg.BatchWindow,
+	}
+	for w := range c.probers {
+		wtp := tp
 		if cfg.TransportFor != nil {
 			if t := cfg.TransportFor(w); t != nil {
-				c.tps[w] = t
+				wtp = t
 			}
 		}
-		if c.tps[w] == nil {
+		if wtp == nil {
 			return nil, fmt.Errorf("measure: no transport for worker %d (nil shared transport and no TransportFor override)", w)
 		}
-	}
-	c.parisSrc = make([]uint16, len(cfg.Dests))
-	c.parisDst = make([]uint16, len(cfg.Dests))
-	for i, d := range cfg.Dests {
-		c.parisSrc[i] = portFor(cfg.PortSeed, d, 0x517e)
-		c.parisDst[i] = portFor(cfg.PortSeed, d, 0xd057)
-	}
-	if cfg.Batch {
-		c.base.Batch = true
-		c.base.BatchWindow = cfg.BatchWindow
-		c.scratch = make([]*tracer.Scratch, cfg.Workers)
-		for w := range c.scratch {
-			c.scratch[w] = tracer.NewScratch()
-		}
-		c.parisHint = make([]int, len(cfg.Dests))
-		c.clasHint = make([]int, len(cfg.Dests))
+		c.probers[w] = NewProber(wtp, pc)
 	}
 	return c, nil
 }
@@ -409,13 +391,11 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 	res := &Results{Config: c.cfg}
 	health := make([]destHealth, len(c.cfg.Dests))
 	var accs []*Accumulator
-	var rings []foldRing
 	if c.cfg.Stream {
 		accs = make([]*Accumulator, c.cfg.Workers)
 		for w := range accs {
 			accs[w] = NewAccumulator()
 		}
-		rings = make([]foldRing, c.cfg.Workers)
 	}
 	start := 0
 	if rs := c.resume; rs != nil {
@@ -425,10 +405,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 		if c.cfg.Stream {
 			accs = rs.accs
 		}
-		if c.cfg.Batch {
-			copy(c.parisHint, rs.parisHint)
-			copy(c.clasHint, rs.clasHint)
-		}
+		copy(c.hints, rs.hints)
 		// Replay the completed rounds' dynamics draws so the resumed
 		// rounds see the same topology evolution the uninterrupted run
 		// would have (topo.Generate's RoundStart draws sequentially from
@@ -437,6 +414,13 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 			for r := 0; r < start; r++ {
 				c.cfg.RoundStart(r)
 			}
+		}
+	}
+	var rings []foldRing
+	if c.cfg.Stream {
+		rings = make([]foldRing, len(accs))
+		for w := range rings {
+			rings[w] = foldRing{acc: accs[w], prober: c.probers[w], every: c.cfg.FoldEvery}
 		}
 	}
 	canceled := false
@@ -448,7 +432,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 		if c.cfg.RoundStart != nil {
 			c.cfg.RoundStart(r)
 		}
-		pairs, err := c.runRound(ctx, r, accs, rings, health)
+		pairs, err := c.runRound(ctx, r, rings, health)
 		if err != nil {
 			return nil, err
 		}
@@ -470,7 +454,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 			// the flush is race-free and the accumulators hold exactly
 			// the completed rounds.
 			for w := range rings {
-				rings[w].flush(accs[w])
+				rings[w].flush()
 			}
 			ck := c.checkpoint(r+1, accs, health)
 			if err := ck.Save(c.cfg.CheckpointPath); err != nil {
@@ -483,7 +467,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 		// is only ever touched by its worker, and the final round's
 		// wg.Wait makes these flushes race-free on the caller goroutine.
 		for w := range rings {
-			rings[w].flush(accs[w])
+			rings[w].flush()
 		}
 		res.Stats = Merge(c.cfg.Rounds, len(c.cfg.Dests), accs...)
 	}
@@ -496,19 +480,21 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 // runRound measures every destination once with Workers parallel workers,
 // each holding its planned share of the list (the paper's 32 processes each
 // probe 1/32 of the destinations; sharded campaigns use shard-affine
-// shares). With accs non-nil (streaming), worker w folds each pair into
-// accs[w] the moment it completes and nothing is retained; otherwise the
-// pairs are collected into a slice. Under the default error policy
+// shares). With rings non-nil (streaming), worker w stages each pair in
+// rings[w], which folds it into the worker's accumulator and gives its
+// routes back to the worker's Prober; nothing is retained. Otherwise the
+// pairs are collected into a slice and their routes are the caller's for
+// good. Under the default error policy
 // measureDest absorbs failures into Failed/Skipped pairs and runRound never
 // errors; with FailFast the first error any worker hits aborts the whole
 // round — a stop channel closed under a sync.Once halts the remaining
 // workers at their next destination instead of letting them probe out their
 // slices silently. Context cancellation stops workers the same way in both
 // modes, without an error of its own (the caller reads ctx.Err()).
-func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator, rings []foldRing, health []destHealth) ([]Pair, error) {
+func (c *Campaign) runRound(ctx context.Context, round int, rings []foldRing, health []destHealth) ([]Pair, error) {
 	dests := c.cfg.Dests
 	var out []Pair
-	if accs == nil {
+	if rings == nil {
 		out = make([]Pair, len(dests))
 	}
 	var (
@@ -540,8 +526,8 @@ func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator,
 					})
 					return
 				}
-				if accs != nil {
-					rings[w].push(accs[w], p, c.cfg.FoldEvery)
+				if rings != nil {
+					rings[w].push(p)
 				} else {
 					out[i] = p
 				}
@@ -557,13 +543,13 @@ func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator,
 
 // measureDest applies the error policy around one destination's pair: skip
 // when quarantined, retry transient failures with seeded-jitter backoff,
-// charge the error budget on exhaustion. With FailFast it is measureOne
-// plus nothing — errors propagate and abort the round.
+// charge the error budget on exhaustion. With FailFast it is the worker's
+// Prober.MeasurePair plus nothing — errors propagate and abort the round.
 func (c *Campaign) measureDest(ctx context.Context, w, round, idx int, d netip.Addr, h *destHealth) (Pair, error) {
 	if !c.cfg.FailFast && h.quarantined {
 		return Pair{Dest: d, Round: round, Outcome: OutcomeSkipped}, nil
 	}
-	p, err := c.measureOne(w, round, idx, d)
+	p, err := c.probers[w].MeasurePair(d, round, &c.hints[idx])
 	if err == nil {
 		h.consecFails = 0
 		return p, nil
@@ -573,7 +559,7 @@ func (c *Campaign) measureDest(ctx context.Context, w, round, idx int, d netip.A
 	}
 	for attempt := 1; attempt < c.cfg.MaxAttempts && tracer.IsTransient(err) && ctx.Err() == nil; attempt++ {
 		c.sleep(c.backoff(d, round, attempt))
-		if p, err = c.measureOne(w, round, idx, d); err == nil {
+		if p, err = c.probers[w].MeasurePair(d, round, &c.hints[idx]); err == nil {
 			h.consecFails = 0
 			return p, nil
 		}
@@ -614,28 +600,4 @@ func (c *Campaign) sleep(d time.Duration) {
 		return
 	}
 	time.Sleep(d)
-}
-
-// measureOne performs the paper's two steps for destination d (the idx-th
-// entry of the list, probed by worker w) through the shared measurePair
-// core (prober.go). In batch mode both traces reuse worker w's scratch
-// buffers and seed their first window from the destination's previous
-// ladder length.
-func (c *Campaign) measureOne(w, round, idx int, d netip.Addr) (Pair, error) {
-	var scratch *tracer.Scratch
-	var hints PathHints
-	if c.cfg.Batch {
-		scratch = c.scratch[w]
-		hints = PathHints{Paris: c.parisHint[idx], Classic: c.clasHint[idx]}
-	}
-	p, newHints, err := measurePair(c.tps[w], c.base, scratch, c.cfg.PortSeed,
-		d, round, c.parisSrc[idx], c.parisDst[idx], hints)
-	if err != nil {
-		return Pair{}, err
-	}
-	if c.cfg.Batch {
-		c.parisHint[idx] = newHints.Paris
-		c.clasHint[idx] = newHints.Classic
-	}
-	return p, nil
 }

@@ -171,8 +171,11 @@ func (c *Campaign) checkpoint(nextRound int, accs []*Accumulator, health []destH
 		ck.Health[i] = HealthState{ConsecFails: h.consecFails, Quarantined: h.quarantined}
 	}
 	if c.cfg.Batch {
-		ck.ParisHint = append([]int(nil), c.parisHint...)
-		ck.ClasHint = append([]int(nil), c.clasHint...)
+		ck.ParisHint = make([]int, len(c.hints))
+		ck.ClasHint = make([]int, len(c.hints))
+		for i, h := range c.hints {
+			ck.ParisHint[i], ck.ClasHint[i] = h.Paris, h.Classic
+		}
 	}
 	if c.cfg.TransportState != nil {
 		ck.Transport = c.cfg.TransportState()
@@ -293,9 +296,13 @@ func restoreAcc(st AccState) (*Accumulator, error) {
 			if rc.Classic {
 				m = ds.classic
 			}
-			if a.intern(m, rc.Route, rc.Route.Fingerprint(), rc.Classic, ds) == nil {
+			fp := rc.Route.Fingerprint()
+			if m[fp] != nil {
 				return nil, fmt.Errorf("measure: checkpoint dest %v: route %d collides", dc.Dest, i)
 			}
+			// A snapshot's routes are exact-size and never written to by
+			// either side: interned as they are, not copied.
+			a.adopt(m, rc.Route, fp, rc.Classic, ds)
 		}
 		for _, sg := range dc.LoopSigs {
 			ds.loopSigs[sg.Addr] = &sigSpan{lastRound: sg.LastRound, rounds: sg.Rounds}
@@ -390,8 +397,10 @@ func (c *Campaign) Resume(ck *Checkpoint) error {
 		rs.accs[w] = a
 	}
 	if c.cfg.Batch {
-		rs.parisHint = append([]int(nil), ck.ParisHint...)
-		rs.clasHint = append([]int(nil), ck.ClasHint...)
+		rs.hints = make([]PathHints, len(ck.ParisHint))
+		for i := range rs.hints {
+			rs.hints[i] = PathHints{Paris: ck.ParisHint[i], Classic: ck.ClasHint[i]}
+		}
 	}
 	c.resume = rs
 	return nil

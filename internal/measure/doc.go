@@ -10,10 +10,11 @@
 // configuration: each destination belongs to exactly one worker (shard-
 // affine when Config.ShardOf is set) for the whole campaign. Workers share
 // the transport — which must be safe for concurrent use, as both netsim
-// and the live transport are — and nothing else: scratch buffers, port
-// choices, retry state, and (when streaming) the statistics accumulator
-// are all per-worker or per-destination and owned by the one worker that
-// probes them. Rounds are separated by a WaitGroup barrier; RoundStart
+// and the live transport are — and nothing else: the Prober (its two
+// tracers, scratch buffers and route pool), retry state, and (when
+// streaming) the statistics accumulator and its fold ring are all
+// per-worker or per-destination and owned by the one worker that probes
+// them. Rounds are separated by a WaitGroup barrier; RoundStart
 // hooks, checkpoints, and the final Merge all run on the campaign
 // goroutine between rounds, where every accumulator is quiescent.
 //
@@ -51,7 +52,7 @@
 // Inside an accumulator, interning exploits round-over-round route
 // stability: each destination's distinct routes are keyed by
 // tracer.Route.Fingerprint and verified with Route.Equal against the
-// canonical interned object, so a fingerprint collision can only cost
+// accumulator's own interned copy, so a fingerprint collision can only cost
 // speed, never correctness. Per-route work (loop/cycle detection, response
 // tallies, diamond-graph contribution) is memoized on the interned route;
 // classic-vs-Paris classification is memoized per fingerprint pair.
@@ -66,6 +67,33 @@
 //
 // Streaming and materialize-then-Analyze produce byte-identical Stats (one
 // implementation, pinned by TestCampaignStreamInvariance).
+//
+// # Route ownership
+//
+// A route belongs to the worker that traced it until it is folded; the
+// accumulator keeps its own copy of anything it keeps. Concretely:
+//
+//   - Fold copies what it keeps. The first route seen with a fingerprint is
+//     interned as a tracer.Route.Clone — exact length, nothing shared — and
+//     Fold never retains the caller's Pair or routes, so they may be reused
+//     the moment it returns.
+//   - The fold ring gives routes back. A streaming worker's ring recycles
+//     both routes of a pair into the worker's Prober right after folding it
+//     (Prober.Recycle); the worker's next traces refill those routes, so a
+//     steady-state pair allocates nothing of its own.
+//   - Retained Results never do. Without Config.Stream every route of
+//     Results.Rounds is the caller's for good, and Analyze over them copies
+//     what it interns like any other fold.
+//   - The daemon never does. Its pairs cross from a pool worker to the
+//     supervising goroutine that folds them, and a stalled worker can be
+//     abandoned mid-trace with its Prober; carrying routes back would need
+//     a lock or a channel the hot path does not otherwise have. It still
+//     gets the reusable tracers, hint-sized routes and exact-size interned
+//     copies through the same Prober.
+//
+// The poison suite (poison_test.go) scribbles over every route at the
+// moment it is recycled and requires statistics and checkpoints to match
+// the never-recycling Stream=false + Analyze path byte for byte.
 //
 // # Error policy
 //

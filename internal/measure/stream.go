@@ -36,11 +36,10 @@ import (
 // Fold re-evaluates exactly those instances against the current round's
 // route and reuses the memoized cause everywhere else.
 
-// routeMemo is one interned measured route: the canonical *tracer.Route for
-// its fingerprint plus everything the statistics need from that route
-// alone, computed once when first seen. Reusing the memo also reuses the
-// interned object — the new round's identical Route is dropped instead of
-// retained.
+// routeMemo is one interned measured route: the accumulator's own copy of
+// the first route seen with its fingerprint (tracer.Route.Clone: every slice
+// at its exact length, nothing shared with the folded route) plus everything
+// the statistics need from that route alone, computed once when first seen.
 type routeMemo struct {
 	rt        *tracer.Route
 	loops     []anomaly.Loop
@@ -128,29 +127,35 @@ func note(sigs map[netip.Addr]*sigSpan, addr netip.Addr, round int) {
 // Stats — holds for every K (TestCampaignStreamInvariance pins K=1 vs 16).
 const DefaultFoldEvery = 16
 
-// foldRing is one worker's staging buffer: a fixed-capacity ring of
-// completed pairs folded K at a time in completion order. A ring belongs to
-// exactly one worker across all rounds (the same ownership rule as the
-// accumulator it feeds) and must be flushed before Merge reads partials.
+// foldRing is one worker's staging buffer: completed pairs folded every at
+// a time, in completion order, into the worker's accumulator, their routes
+// then given back to the worker's Prober. A ring belongs to exactly one
+// worker across all rounds (the same ownership rule as the accumulator and
+// the Prober it joins) and must be flushed before Merge reads partials.
 type foldRing struct {
-	buf []Pair
+	acc    *Accumulator
+	prober *Prober
+	every  int
+	buf    []Pair
 }
 
-// push stages one completed pair, folding the whole ring once k are
+// push stages one completed pair, folding the whole ring once every are
 // waiting.
-func (r *foldRing) push(a *Accumulator, p Pair, k int) {
+func (r *foldRing) push(p Pair) {
 	r.buf = append(r.buf, p)
-	if len(r.buf) >= k {
-		r.flush(a)
+	if len(r.buf) >= r.every {
+		r.flush()
 	}
 }
 
-// flush folds every staged pair, in order, and empties the ring (dropping
-// the route pointers so interned duplicates stay collectable).
-func (r *foldRing) flush(a *Accumulator) {
+// flush folds every staged pair, in order, and empties the ring. Fold keeps
+// nothing of a pair's routes, so each goes back to the Prober that traced it
+// the moment its pair is folded: the next traces refill those routes, and a
+// steady-state round allocates none.
+func (r *foldRing) flush() {
 	for i := range r.buf {
-		a.Fold(&r.buf[i])
-		r.buf[i] = Pair{}
+		r.acc.Fold(&r.buf[i])
+		r.prober.Recycle(&r.buf[i])
 	}
 	r.buf = r.buf[:0]
 }
@@ -234,10 +239,11 @@ func (a *Accumulator) analyzeRoute(rt *tracer.Route, classic bool, ds *destState
 	return mo
 }
 
-// intern returns the destination's memo for rt, creating it on first sight.
-// It returns nil on a fingerprint collision (fingerprint present, contents
-// unequal); the caller then computes the pair without memoization — every
-// side effect of analyzeRoute is idempotent, so correctness is unaffected.
+// intern returns the destination's memo for rt, creating it — over a copy
+// of rt, never rt itself — on first sight. It returns nil on a fingerprint
+// collision (fingerprint present, contents unequal); the caller then computes
+// the pair without memoization — every side effect of analyzeRoute is
+// idempotent, so correctness is unaffected.
 func (a *Accumulator) intern(m map[uint64]*routeMemo, rt *tracer.Route, fp uint64, classic bool, ds *destState) *routeMemo {
 	if mo := m[fp]; mo != nil {
 		if mo.rt.Equal(rt) {
@@ -245,6 +251,12 @@ func (a *Accumulator) intern(m map[uint64]*routeMemo, rt *tracer.Route, fp uint6
 		}
 		return nil
 	}
+	return a.adopt(m, rt.Clone(), fp, classic, ds)
+}
+
+// adopt interns rt, a route the accumulator owns and whose fingerprint fp is
+// not yet in m.
+func (a *Accumulator) adopt(m map[uint64]*routeMemo, rt *tracer.Route, fp uint64, classic bool, ds *destState) *routeMemo {
 	mo := new(routeMemo)
 	*mo = a.analyzeRoute(rt, classic, ds)
 	mo.seq = ds.nextSeq
@@ -275,26 +287,37 @@ func (a *Accumulator) foldRTT(rt *tracer.Route) {
 	}
 }
 
+// FoldResult is what Fold learned about the pair on the way: the two route
+// fingerprints and the loop and cycle instances on either route, all zero for
+// a Failed or Skipped pair. Callers that react to a fold (the daemon's
+// route-change events) work from it and need not read the routes again.
+type FoldResult struct {
+	Paris, Classic uint64
+	Loops, Cycles  int
+}
+
 // Fold merges one completed pair into the partial statistics, attributing
 // it to round p.Round. Pairs for one destination must all be folded into
 // the same Accumulator in nondecreasing round order; pairs for different
-// destinations may interleave arbitrarily.
-func (a *Accumulator) Fold(p *Pair) { a.foldAt(p, p.Round) }
+// destinations may interleave arbitrarily. Fold never retains p or its
+// routes — it copies what it keeps — so the caller may reuse or recycle them
+// as soon as it returns.
+func (a *Accumulator) Fold(p *Pair) FoldResult { return a.foldAt(p, p.Round) }
 
 // foldAt is Fold with the round attribution explicit: Analyze passes the
 // round slice index, so hand-built Results are counted the way they always
 // were even when the Pair.Round fields were never populated.
-func (a *Accumulator) foldAt(p *Pair, round int) {
+func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 	switch p.Outcome {
 	case OutcomeFailed:
 		// Nothing was measured: the pair counts toward the robustness
 		// accounting and nowhere else.
 		a.failed++
-		return
+		return FoldResult{}
 	case OutcomeSkipped:
 		a.skipped++
 		a.skippedDests[p.Dest] = true
-		return
+		return FoldResult{}
 	}
 	ds := a.dests[p.Dest]
 	if ds == nil {
@@ -373,6 +396,11 @@ func (a *Accumulator) foldAt(p *Pair, round int) {
 		}
 		a.cycleByCause[cause]++
 		note(ds.cycleSigs, c.Addr, round)
+	}
+	return FoldResult{
+		Paris: pfp, Classic: cfp,
+		Loops:  len(cm.loops) + len(pm.loops),
+		Cycles: len(cm.cycles) + len(pm.cycles),
 	}
 }
 

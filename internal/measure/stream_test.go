@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/topo"
@@ -253,24 +254,50 @@ func TestMergeSplitMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestCampaignParisPortPlan pins the construction-time port derivation: the
-// hoisted per-destination Paris ports must be exactly what portFor derives,
-// and in the paper's range.
+// portTap records, per destination, the UDP port pairs of the probes sent
+// toward it.
+type portTap struct {
+	tracer.Transport
+	ports map[netip.Addr]map[[2]uint16]bool
+}
+
+func (p *portTap) Exchange(probe []byte) ([]byte, time.Duration, bool) {
+	dst := netip.AddrFrom4([4]byte(probe[16:20]))
+	if p.ports[dst] == nil {
+		p.ports[dst] = make(map[[2]uint16]bool)
+	}
+	p.ports[dst][[2]uint16{uint16(probe[20])<<8 | uint16(probe[21]), uint16(probe[22])<<8 | uint16(probe[23])}] = true
+	return p.Transport.Exchange(probe)
+}
+
+// TestCampaignParisPortPlan pins the Paris flow-identifier derivation on the
+// wire: a worker's one reusable Paris tracer, re-aimed per pair, must send
+// every probe toward a destination with exactly the ports portFor derives
+// for it, in the paper's range, round after round.
 func TestCampaignParisPortPlan(t *testing.T) {
 	sc := smallScenario(t, 20)
-	camp, err := NewCampaign(sc.Transport(), Config{Dests: sc.Dests, PortSeed: 99})
+	tap := &portTap{Transport: sc.Transport(), ports: make(map[netip.Addr]map[[2]uint16]bool)}
+	camp, err := NewCampaign(tap, Config{Dests: sc.Dests, Rounds: 2, Workers: 1, PortSeed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range sc.Dests {
-		if got, want := camp.parisSrc[i], portFor(99, d, 0x517e); got != want {
-			t.Fatalf("parisSrc[%d] = %d, want %d", i, got, want)
+	if _, err := camp.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range sc.Dests {
+		src, dst := portFor(99, d, 0x517e), portFor(99, d, 0xd057)
+		if src < 10000 || src >= 60000 || dst < 10000 || dst >= 60000 {
+			t.Fatalf("dest %v: Paris ports %d/%d outside the paper's range", d, src, dst)
 		}
-		if got, want := camp.parisDst[i], portFor(99, d, 0xd057); got != want {
-			t.Fatalf("parisDst[%d] = %d, want %d", i, got, want)
+		if !tap.ports[d][[2]uint16{src, dst}] {
+			t.Fatalf("dest %v: no probe carried the Paris ports %d/%d", d, src, dst)
 		}
-		if camp.parisSrc[i] < 10000 || camp.parisSrc[i] >= 60000 {
-			t.Fatalf("parisSrc[%d] = %d outside the paper's range", i, camp.parisSrc[i])
+		// Every other port pair is a classic probe: pseudo-PID source port,
+		// destination port counting up from the classic base.
+		for pp := range tap.ports[d] {
+			if pp != [2]uint16{src, dst} && (pp[0] < 32768 || pp[1] < tracer.ClassicBaseDstPort) {
+				t.Fatalf("dest %v: stray port pair %v", d, pp)
+			}
 		}
 	}
 }

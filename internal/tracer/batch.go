@@ -2,7 +2,6 @@ package tracer
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 )
 
@@ -47,16 +46,20 @@ type BatchTransport interface {
 // most traces in exactly one batch with zero overshoot.
 const DefaultBatchWindow = 8
 
-// Scratch holds the reusable buffers of the batched ladder: the probe
-// packets, their match expectations, and the exchange results whose response
-// buffers the transport refills in place. One Scratch serves one worker
-// goroutine (it is not safe for concurrent use); a campaign worker carries
-// its Scratch across every destination it probes, so the steady state
-// allocates nothing per trace.
+// Scratch holds what a worker reuses from trace to trace: the probe packets,
+// their match expectations, the exchange results whose response buffers the
+// transport refills in place, the per-TTL attempts, and the Routes given back
+// with Recycle. One Scratch serves one worker goroutine (it is not safe for
+// concurrent use) across every tracer and destination it probes. A trace
+// through a warmed Scratch allocates nothing but its Route, and not that
+// either when a recycled one is waiting; a caller that never recycles gets a
+// new Route per trace, as without a Scratch.
 type Scratch struct {
-	probes  [][]byte
-	exps    []expect
-	results []ProbeResult
+	probes   [][]byte
+	exps     []expect
+	results  []ProbeResult
+	attempts []Hop
+	free     []*Route
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
@@ -76,6 +79,38 @@ func (s *Scratch) grow(n int) {
 	}
 }
 
+// Recycle gives rt back: a later trace through s fills it again instead of
+// allocating. The caller must hold the only reference — after Recycle neither
+// rt nor its Hops may be read or written again, and anything kept from the
+// route must have been copied (Route.Clone) beforehand. A route with a
+// per-attempt All table (ProbesPerHop > 1) is left to the collector: its All
+// windows alias a per-trace backing array, and that mode is the interactive
+// tool's, not the study's. A nil rt is ignored.
+func (s *Scratch) Recycle(rt *Route) {
+	if rt == nil || rt.All != nil {
+		return
+	}
+	s.free = append(s.free, rt)
+}
+
+// route returns the Route a trace fills: the most recently recycled one, or
+// a new one whose hop slice is sized from the path hint (DefaultBatchWindow
+// without one) and grown on demand — never from MaxTTL, which a route of
+// about ten hops would pay for in 38 pointer-carrying slots.
+func (s *Scratch) route(o *Options) *Route {
+	if n := len(s.free); n > 0 {
+		rt := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return rt
+	}
+	n := o.PathHint
+	if n <= 0 {
+		n = DefaultBatchWindow
+	}
+	return &Route{Hops: make([]Hop, 0, max(0, min(n, o.MaxTTL-o.MinTTL+1)))}
+}
+
 // traceBatched is the windowed-ladder twin of the sequential trace loop: it
 // builds a window of TTLs, submits them as one ExchangeBatch, and consumes
 // the results through the same ladder bookkeeping (ladderState) as the
@@ -83,22 +118,8 @@ func (s *Scratch) grow(n int) {
 // boundary. On a topology where forwarding is a pure function of the probe
 // bytes the resulting Route is identical hop for hop to the sequential
 // loop's; TestTraceBatchedMatchesSequential enforces that.
-func (e *engine) traceBatched(bt BatchTransport, dest netip.Addr) (*Route, error) {
-	o := e.opts
-	ladder := o.MaxTTL - o.MinTTL + 1
-	sc := o.Scratch
-	if sc == nil {
-		sc = NewScratch()
-	}
-
-	rt := &Route{Dest: dest, Source: e.tp.Source(), Halt: HaltMaxTTL}
-	rt.Hops = make([]Hop, 0, ladder)
-	ls := ladderState{rt: rt, opts: &o}
-	if o.ProbesPerHop > 1 {
-		ls.backing = make([]Hop, 0, ladder*o.ProbesPerHop)
-		rt.All = make([][]Hop, 0, ladder)
-	}
-	attempts := make([]Hop, o.ProbesPerHop)
+func (e *engine) traceBatched(bt BatchTransport, sc *Scratch, ls *ladderState) error {
+	o, dest := ls.opts, ls.rt.Dest
 
 	window := o.BatchWindow
 	if window <= 0 {
@@ -122,10 +143,10 @@ func (e *engine) traceBatched(bt BatchTransport, dest netip.Addr) (*Route, error
 		sc.grow(n)
 		for i, t := 0, ttl; t < ttl+w; t++ {
 			for a := 0; a < o.ProbesPerHop; a++ {
-				probe, exp, err := e.build(dest, t, probeIdx, sc.probes[i])
+				probe, exp, err := e.build(e, dest, t, probeIdx, sc.probes[i])
 				probeIdx++
 				if err != nil {
-					return nil, fmt.Errorf("tracer %s: building probe ttl=%d: %w", e.name, t, err)
+					return fmt.Errorf("tracer %s: building probe ttl=%d: %w", e.name, t, err)
 				}
 				sc.probes[i], sc.exps[i] = probe, exp
 				i++
@@ -143,7 +164,7 @@ func (e *engine) traceBatched(bt BatchTransport, dest netip.Addr) (*Route, error
 					// aborts the trace exactly where the sequential loop
 					// would have; failures in truncated (unconsumed)
 					// slots are discarded with the rest of the overshoot.
-					return nil, fmt.Errorf("tracer %s: exchange ttl=%d: %w", e.name, ttl+k, r.Err)
+					return fmt.Errorf("tracer %s: exchange ttl=%d: %w", e.name, ttl+k, r.Err)
 				}
 				h := Hop{TTL: ttl + k, ProbeTTL: -1}
 				if r.OK {
@@ -151,15 +172,15 @@ func (e *engine) traceBatched(bt BatchTransport, dest netip.Addr) (*Route, error
 					h.TTL = ttl + k
 					h.RTT = r.RTT
 				}
-				attempts[a] = h
+				ls.attempts[a] = h
 			}
-			if ls.step(attempts) {
+			if ls.step() {
 				// Truncate: results past the terminal hop or the
 				// star-run boundary are discarded unseen.
-				return rt, nil
+				return nil
 			}
 		}
 		ttl += w
 	}
-	return rt, nil
+	return nil
 }

@@ -11,14 +11,20 @@
 //
 // # Determinism and concurrency contract
 //
-// An engine is a pure function of (its Options, the destination, and the
-// transport's behaviour): Trace holds no state across calls beyond the
-// Options it was built with, so the same engine value may trace many
-// destinations concurrently as long as the Transport is safe for concurrent
-// use — both netsim's and the live transport are. Probe bytes are built
-// deterministically from Options (source port seeding included), so against
-// a transport whose responses are a pure function of the probe bytes, two
-// traces of the same destination are byte-identical, hop for hop.
+// A trace is a pure function of (the engine's Options as last re-aimed, the
+// destination, and the transport's behaviour): what an engine carries from
+// one Trace to the next is buffers, never results. One engine serves one
+// goroutine — its probe builder and its Scratch recycle those buffers — and
+// any number of destinations; goroutines each build their own over a shared
+// Transport, which must then be safe for concurrent use (netsim's and the
+// live transports are). Probe bytes are built deterministically from Options
+// (source port seeding included), so against a transport whose responses are
+// a pure function of the probe bytes, two traces of the same destination are
+// byte-identical, hop for hop.
+//
+// A returned Route belongs to the caller. One traced through a Scratch may
+// be handed back with Scratch.Recycle when nothing refers to it any more,
+// and is then refilled by a later trace; see Scratch and Tracer.
 //
 // Hop.RTT is whatever the transport reports for the exchange — netsim's
 // virtual-clock RTT when dynamics are enabled, its synthetic steps-derived

@@ -25,50 +25,38 @@ const (
 // of the flow identifier — is incremented with every probe, so consecutive
 // probes may take different paths through per-flow load balancers.
 func NewClassicUDP(tp Transport, opts Options) Tracer {
-	opts = opts.withDefaults()
-	srcPort := opts.SrcPort
-	if srcPort == 0 {
-		srcPort = ClassicSrcPortBase + 1234 // emulate PID + 32768
+	// The default source port emulates PID + 32768.
+	e := newEngine("classic-udp", tp, opts, ClassicSrcPortBase+1234, ClassicBaseDstPort, buildClassicUDP)
+	e.payload = make([]byte, e.opts.PayloadLen)
+	return e
+}
+
+func buildClassicUDP(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
+	srcPort, dstPort := e.opts.SrcPort, e.opts.DstPort+uint16(probeIdx)
+	uh := &packet.UDP{SrcPort: srcPort, DstPort: dstPort}
+	dgram, err := packet.MarshalUDPInto(e.dgram, e.src, dest, uh, e.payload)
+	if err != nil {
+		return nil, expect{}, err
 	}
-	basePort := opts.DstPort
-	if basePort == 0 {
-		basePort = ClassicBaseDstPort
+	e.dgram = dgram
+	pkt, err := (&packet.IPv4{
+		TOS:      e.opts.TOS,
+		TTL:      uint8(ttl),
+		Protocol: packet.ProtoUDP,
+		ID:       uint16(probeIdx + 1),
+		Src:      e.src,
+		Dst:      dest,
+	}).MarshalInto(buf, dgram)
+	if err != nil {
+		return nil, expect{}, err
 	}
-	src := tp.Source()
-	payload := make([]byte, opts.PayloadLen) // all-zero, read-only, shared by every probe
-	var dgramBuf []byte                      // datagram scratch recycled across probes
-	return &engine{
-		name: "classic-udp",
-		tp:   tp,
-		opts: opts,
-		build: func(dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
-			dstPort := basePort + uint16(probeIdx)
-			uh := &packet.UDP{SrcPort: srcPort, DstPort: dstPort}
-			dgram, err := packet.MarshalUDPInto(dgramBuf, src, dest, uh, payload)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			dgramBuf = dgram
-			pkt, err := (&packet.IPv4{
-				TOS:      opts.TOS,
-				TTL:      uint8(ttl),
-				Protocol: packet.ProtoUDP,
-				ID:       uint16(probeIdx + 1),
-				Src:      src,
-				Dst:      dest,
-			}).MarshalInto(buf, dgram)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			return pkt, expect{
-				dest:         dest,
-				proto:        packet.ProtoUDP,
-				udpSrcPort:   srcPort,
-				udpDstPort:   dstPort,
-				matchUDPPort: true,
-			}, nil
-		},
-	}
+	return pkt, expect{
+		dest:         dest,
+		proto:        packet.ProtoUDP,
+		udpSrcPort:   srcPort,
+		udpDstPort:   dstPort,
+		matchUDPPort: true,
+	}, nil
 }
 
 // NewParisUDP builds Paris traceroute with UDP probes: Source and
@@ -79,62 +67,49 @@ func NewClassicUDP(tp Transport, opts Options) Tracer {
 // The (SrcPort, DstPort) pair selects the flow; varying it across traces
 // enumerates different load-balanced paths.
 func NewParisUDP(tp Transport, opts Options) Tracer {
-	opts = opts.withDefaults()
-	srcPort := opts.SrcPort
-	if srcPort == 0 {
-		srcPort = 10007
+	return newEngine("paris-udp", tp, opts, 10007, 20011, buildParisUDP)
+}
+
+func buildParisUDP(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
+	// Probe identifier: checksum = probeIdx+1 (never zero).
+	target := uint16(probeIdx + 1)
+	if target == 0 {
+		target = 1
 	}
-	dstPort := opts.DstPort
-	if dstPort == 0 {
-		dstPort = 20011
+	srcPort, dstPort := e.opts.SrcPort, e.opts.DstPort
+	uh := &packet.UDP{SrcPort: srcPort, DstPort: dstPort}
+	payload, err := packet.CraftUDPPayloadInto(e.payload, e.src, dest, uh, target, e.opts.PayloadLen)
+	if err != nil {
+		return nil, expect{}, err
 	}
-	src := tp.Source()
-	var payloadBuf, dgramBuf []byte // scratch recycled across probes
-	return &engine{
-		name: "paris-udp",
-		tp:   tp,
-		opts: opts,
-		build: func(dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
-			// Probe identifier: checksum = probeIdx+1 (never zero).
-			target := uint16(probeIdx + 1)
-			if target == 0 {
-				target = 1
-			}
-			uh := &packet.UDP{SrcPort: srcPort, DstPort: dstPort}
-			payload, err := packet.CraftUDPPayloadInto(payloadBuf, src, dest, uh, target, opts.PayloadLen)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			payloadBuf = payload
-			dgram, err := packet.MarshalUDPInto(dgramBuf, src, dest, uh, payload)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			dgramBuf = dgram
-			if got := dgram[6]; uint16(got)<<8|uint16(dgram[7]) != target {
-				return nil, expect{}, fmt.Errorf("tracer: crafted checksum %#04x, want %#04x", uint16(dgram[6])<<8|uint16(dgram[7]), target)
-			}
-			pkt, err := (&packet.IPv4{
-				TOS:      opts.TOS,
-				TTL:      uint8(ttl),
-				Protocol: packet.ProtoUDP,
-				ID:       uint16(probeIdx + 1),
-				Src:      src,
-				Dst:      dest,
-			}).MarshalInto(buf, dgram)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			return pkt, expect{
-				dest:             dest,
-				proto:            packet.ProtoUDP,
-				udpSrcPort:       srcPort,
-				udpDstPort:       dstPort,
-				udpChecksum:      target,
-				matchUDPChecksum: true,
-			}, nil
-		},
+	e.payload = payload
+	dgram, err := packet.MarshalUDPInto(e.dgram, e.src, dest, uh, payload)
+	if err != nil {
+		return nil, expect{}, err
 	}
+	e.dgram = dgram
+	if got := uint16(dgram[6])<<8 | uint16(dgram[7]); got != target {
+		return nil, expect{}, fmt.Errorf("tracer: crafted checksum %#04x, want %#04x", got, target)
+	}
+	pkt, err := (&packet.IPv4{
+		TOS:      e.opts.TOS,
+		TTL:      uint8(ttl),
+		Protocol: packet.ProtoUDP,
+		ID:       uint16(probeIdx + 1),
+		Src:      e.src,
+		Dst:      dest,
+	}).MarshalInto(buf, dgram)
+	if err != nil {
+		return nil, expect{}, err
+	}
+	return pkt, expect{
+		dest:             dest,
+		proto:            packet.ProtoUDP,
+		udpSrcPort:       srcPort,
+		udpDstPort:       dstPort,
+		udpChecksum:      target,
+		matchUDPChecksum: true,
+	}, nil
 }
 
 // NewClassicICMP builds classic traceroute with ICMP Echo probes: the
@@ -148,11 +123,8 @@ func NewClassicICMP(tp Transport, opts Options) Tracer {
 		id = 4321 // emulate the process ID
 	}
 	src := tp.Source()
-	return &engine{
-		name: "classic-icmp",
-		tp:   tp,
-		opts: opts,
-		build: func(dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
+	return newEngine("classic-icmp", tp, opts, 0, 0,
+		func(_ *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
 			seq := uint16(probeIdx + 1)
 			m := &packet.ICMP{
 				Type:    packet.ICMPTypeEchoRequest,
@@ -182,8 +154,7 @@ func NewClassicICMP(tp Transport, opts Options) Tracer {
 				icmpSeq:      seq,
 				matchICMPSeq: true,
 			}, nil
-		},
-	}
+		})
 }
 
 // NewParisICMP builds Paris traceroute with ICMP Echo probes: the Sequence
@@ -200,11 +171,8 @@ func NewParisICMP(tp Transport, opts Options) Tracer {
 		target = 0xbeef // constant checksum: the flow identifier
 	}
 	src := tp.Source()
-	return &engine{
-		name: "paris-icmp",
-		tp:   tp,
-		opts: opts,
-		build: func(dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
+	return newEngine("paris-icmp", tp, opts, 0, 0,
+		func(_ *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
 			seq := uint16(probeIdx + 1)
 			payload := make([]byte, opts.PayloadLen)
 			id, err := packet.CompensatingEchoID(seq, target, payload)
@@ -239,8 +207,7 @@ func NewParisICMP(tp Transport, opts Options) Tracer {
 				icmpSeq:      seq,
 				matchICMPSeq: true,
 			}, nil
-		},
-	}
+		})
 }
 
 // NewParisTCP builds Paris traceroute with TCP probes: ports are constant
@@ -248,20 +215,10 @@ func NewParisICMP(tp Transport, opts Options) Tracer {
 // Sequence Number, which sits in the second four octets, varies per probe.
 func NewParisTCP(tp Transport, opts Options) Tracer {
 	opts = opts.withDefaults()
-	srcPort := opts.SrcPort
-	if srcPort == 0 {
-		srcPort = 30021
-	}
-	dstPort := opts.DstPort
-	if dstPort == 0 {
-		dstPort = TCPTracerouteDstPort
-	}
 	src := tp.Source()
-	return &engine{
-		name: "paris-tcp",
-		tp:   tp,
-		opts: opts,
-		build: func(dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
+	return newEngine("paris-tcp", tp, opts, 30021, TCPTracerouteDstPort,
+		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
+			srcPort, dstPort := e.opts.SrcPort, e.opts.DstPort
 			seq := uint32(probeIdx + 1)
 			seg, err := packet.MarshalTCP(src, dest, &packet.TCP{
 				SrcPort: srcPort,
@@ -292,8 +249,7 @@ func NewParisTCP(tp Transport, opts Options) Tracer {
 				tcpSeq:      seq,
 				matchTCPSeq: true,
 			}, nil
-		},
-	}
+		})
 }
 
 // NewTCPTraceroute builds Toren's tcptraceroute: Destination Port 80,
@@ -302,20 +258,10 @@ func NewParisTCP(tp Transport, opts Options) Tracer {
 // this but observes no prior work had examined the effect.
 func NewTCPTraceroute(tp Transport, opts Options) Tracer {
 	opts = opts.withDefaults()
-	srcPort := opts.SrcPort
-	if srcPort == 0 {
-		srcPort = 31337
-	}
-	dstPort := opts.DstPort
-	if dstPort == 0 {
-		dstPort = TCPTracerouteDstPort
-	}
 	src := tp.Source()
-	return &engine{
-		name: "tcptraceroute",
-		tp:   tp,
-		opts: opts,
-		build: func(dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
+	return newEngine("tcptraceroute", tp, opts, 31337, TCPTracerouteDstPort,
+		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
+			srcPort, dstPort := e.opts.SrcPort, e.opts.DstPort
 			ipid := uint16(probeIdx + 1)
 			seg, err := packet.MarshalTCP(src, dest, &packet.TCP{
 				SrcPort: srcPort,
@@ -347,6 +293,5 @@ func NewTCPTraceroute(tp Transport, opts Options) Tracer {
 				matchIPID:  true,
 				ipID:       ipid,
 			}, nil
-		},
-	}
+		})
 }

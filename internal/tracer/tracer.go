@@ -262,6 +262,30 @@ func (r *Route) Equal(o *Route) bool {
 	return true
 }
 
+// Clone returns a deep copy that shares no memory with r, with every slice
+// at its exact length: what a holder keeps of a route it is about to give
+// back (Scratch.Recycle), or keeps for long. All's rows are carved from one
+// backing array, as a trace lays them out.
+func (r *Route) Clone() *Route {
+	c := *r
+	c.Hops = make([]Hop, len(r.Hops))
+	copy(c.Hops, r.Hops)
+	if r.All != nil {
+		n := 0
+		for _, row := range r.All {
+			n += len(row)
+		}
+		backing := make([]Hop, 0, n)
+		c.All = make([][]Hop, len(r.All))
+		for i, row := range r.All {
+			s := len(backing)
+			backing = append(backing, row...)
+			c.All[i] = backing[s:len(backing):len(backing)]
+		}
+	}
+	return &c
+}
+
 // Addresses returns the measured route as the paper defines it
 // (Section 4): the ℓ-tuple of responding addresses, with invalid entries
 // for stars, indexed from the first probed TTL.
@@ -315,14 +339,15 @@ type Options struct {
 	// BatchWindow is the number of TTLs submitted per batch (0 selects
 	// DefaultBatchWindow). Ignored unless Batch is set.
 	BatchWindow int
-	// PathHint sizes the first batch window to the expected ladder
-	// length (in TTLs), typically the previous round's len(Route.Hops)
-	// for the same destination; a correct hint makes the whole trace one
-	// batch with no probes wasted past the terminal hop. 0 means no hint.
+	// PathHint is the expected ladder length (in TTLs), typically the
+	// previous round's len(Route.Hops) for the same destination. It sizes
+	// the route's hop slice and, when batching, the first window: a
+	// correct hint makes the whole trace one batch with no probes wasted
+	// past the terminal hop. 0 means no hint.
 	PathHint int
-	// Scratch supplies the reusable probe/result buffers of the batched
-	// ladder. One Scratch must serve at most one goroutine; nil makes
-	// the trace allocate its own.
+	// Scratch supplies the trace's reusable buffers and its Route (see
+	// Scratch). One Scratch must serve at most one goroutine; nil makes
+	// every trace allocate its own.
 	Scratch *Scratch
 }
 
@@ -347,27 +372,63 @@ func (o Options) withDefaults() Options {
 
 // Tracer runs traceroutes using a specific probing discipline. A Tracer is
 // not safe for concurrent use (its probe builder recycles scratch buffers
-// between probes); construct one per goroutine.
+// between probes); construct one per goroutine and reuse it — nothing about
+// a Tracer is tied to one destination.
+//
+// Route lifetime: the caller owns the returned Route. A trace that was given
+// a Scratch may have drawn the Route from it, and the caller may hand it back
+// with Scratch.Recycle once nothing refers to it any more; a caller that
+// never recycles keeps every route for as long as it likes.
 type Tracer interface {
 	// Trace measures the route from the transport's source to dest.
 	Trace(dest netip.Addr) (*Route, error)
 	// Name identifies the discipline ("classic-udp", "paris-udp", ...).
 	Name() string
+	// Aim sets the flow ports and the path hint of the traces that follow,
+	// as Options.SrcPort, DstPort and PathHint would have at construction
+	// (zero ports select the engine's defaults; the ICMP engines have no
+	// ports and take only the hint). It lets one Tracer serve a campaign
+	// worker for every destination and round.
+	Aim(srcPort, dstPort uint16, pathHint int)
 }
 
 // engine is the shared trace loop; each discipline supplies a prober.
 type engine struct {
 	name  string
 	tp    Transport
+	src   netip.Addr
 	opts  Options
 	build proberFunc
+	// defSrc and defDst are the discipline's historical default ports.
+	defSrc, defDst uint16
+	// payload and dgram are the UDP builders' scratch, recycled across
+	// probes (classic UDP's payload is all-zero and read-only).
+	payload, dgram []byte
 }
 
 // proberFunc returns the serialized probe for the given TTL and global
 // probe index, plus the expectation used to match its response. buf, when
 // non-nil, offers a recycled buffer the probe may be marshaled into (the
 // returned probe then aliases it); the builder allocates otherwise.
-type proberFunc func(dest netip.Addr, ttl, probeIdx int, buf []byte) (probe []byte, exp expect, err error)
+type proberFunc func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) (probe []byte, exp expect, err error)
+
+func newEngine(name string, tp Transport, opts Options, defSrc, defDst uint16, build proberFunc) *engine {
+	e := &engine{name: name, tp: tp, src: tp.Source(), opts: opts.withDefaults(),
+		build: build, defSrc: defSrc, defDst: defDst}
+	e.Aim(opts.SrcPort, opts.DstPort, opts.PathHint)
+	return e
+}
+
+// Aim implements Tracer.
+func (e *engine) Aim(srcPort, dstPort uint16, pathHint int) {
+	if srcPort == 0 {
+		srcPort = e.defSrc
+	}
+	if dstPort == 0 {
+		dstPort = e.defDst
+	}
+	e.opts.SrcPort, e.opts.DstPort, e.opts.PathHint = srcPort, dstPort, pathHint
+}
 
 // haltFor classifies the halt reason of a terminal TTL. The hop actually
 // recorded for the TTL (first) decides: an echo reply recorded at this hop
@@ -394,21 +455,43 @@ func haltFor(first Hop, attempts []Hop) HaltReason {
 
 // ladderState is the per-TTL bookkeeping shared verbatim by the sequential
 // and the batched trace loops, which is what makes their Routes identical by
-// construction: hop selection, the All backing array, star-run counting, and
-// halt classification all live here.
+// construction: the route itself, hop selection, the All backing array,
+// star-run counting, and halt classification all live here.
 type ladderState struct {
 	rt    *Route
 	opts  *Options
 	stars int
+	// attempts is the per-TTL scratch the loops fill and step consumes.
+	attempts []Hop
 	// backing holds every attempt of the trace contiguously when
 	// ProbesPerHop > 1; rt.All carves windows out of it instead of
 	// growing one slice per TTL attempt by attempt.
 	backing []Hop
 }
 
-// step consumes one TTL's attempts (a reused scratch slice; step copies what
-// it keeps) and reports whether the trace halts here, with rt.Halt set.
-func (ls *ladderState) step(attempts []Hop) bool {
+// begin starts a trace toward dest: both ladders, with or without a caller's
+// Scratch, get their Route and their attempts scratch here.
+func (e *engine) begin(sc *Scratch, dest netip.Addr) ladderState {
+	o := &e.opts
+	rt := sc.route(o)
+	*rt = Route{Dest: dest, Source: e.src, Halt: HaltMaxTTL, Hops: rt.Hops[:0]}
+	ls := ladderState{rt: rt, opts: o}
+	if o.ProbesPerHop > 1 {
+		ladder := o.MaxTTL - o.MinTTL + 1
+		ls.backing = make([]Hop, 0, ladder*o.ProbesPerHop)
+		rt.All = make([][]Hop, 0, ladder)
+	}
+	if cap(sc.attempts) < o.ProbesPerHop {
+		sc.attempts = make([]Hop, o.ProbesPerHop)
+	}
+	ls.attempts = sc.attempts[:o.ProbesPerHop]
+	return ls
+}
+
+// step consumes one TTL's attempts (step copies what it keeps) and reports
+// whether the trace halts here, with rt.Halt set.
+func (ls *ladderState) step() bool {
+	attempts := ls.attempts
 	first := attempts[0]
 	for _, h := range attempts {
 		if !h.Star() {
@@ -448,39 +531,43 @@ func (ls *ladderState) step(attempts []Hop) bool {
 // Trace implements Tracer. With Options.Batch set and a batching transport
 // it runs the windowed batched ladder; otherwise the sequential loop.
 func (e *engine) Trace(dest netip.Addr) (*Route, error) {
-	if e.opts.Batch {
-		if bt, ok := e.tp.(BatchTransport); ok {
-			return e.traceBatched(bt, dest)
-		}
+	sc := e.opts.Scratch
+	if sc == nil {
+		sc = new(Scratch)
 	}
-	return e.traceSequential(dest)
+	ls := e.begin(sc, dest)
+	var err error
+	if bt, ok := e.tp.(BatchTransport); ok && e.opts.Batch {
+		err = e.traceBatched(bt, sc, &ls)
+	} else {
+		err = e.traceSequential(sc, &ls)
+	}
+	if err != nil {
+		// The unfinished route never left the trace; keep it for the next.
+		sc.Recycle(ls.rt)
+		return nil, err
+	}
+	return ls.rt, nil
 }
 
 // traceSequential is the classic one-exchange-at-a-time trace loop. When
 // the transport is fallible (FallibleTransport), exchange failures abort the
 // trace with the transport's error — transient or fatal per the taxonomy in
 // errors.go — instead of being recorded as stars.
-func (e *engine) traceSequential(dest netip.Addr) (*Route, error) {
-	o := e.opts
-	ladder := o.MaxTTL - o.MinTTL + 1
-	rt := &Route{Dest: dest, Source: e.tp.Source(), Halt: HaltMaxTTL}
-	rt.Hops = make([]Hop, 0, ladder)
-	ls := ladderState{rt: rt, opts: &o}
-	if o.ProbesPerHop > 1 {
-		ls.backing = make([]Hop, 0, ladder*o.ProbesPerHop)
-		rt.All = make([][]Hop, 0, ladder)
-	}
-	attempts := make([]Hop, o.ProbesPerHop)
+func (e *engine) traceSequential(sc *Scratch, ls *ladderState) error {
+	o, dest := ls.opts, ls.rt.Dest
 	ft, fallible := e.tp.(FallibleTransport)
+	sc.grow(1)
 
 	probeIdx := 0
 	for ttl := o.MinTTL; ttl <= o.MaxTTL; ttl++ {
-		for a := 0; a < o.ProbesPerHop; a++ {
-			probe, exp, err := e.build(dest, ttl, probeIdx, nil)
+		for a := range ls.attempts {
+			probe, exp, err := e.build(e, dest, ttl, probeIdx, sc.probes[0])
 			probeIdx++
 			if err != nil {
-				return nil, fmt.Errorf("tracer %s: building probe ttl=%d: %w", e.name, ttl, err)
+				return fmt.Errorf("tracer %s: building probe ttl=%d: %w", e.name, ttl, err)
 			}
+			sc.probes[0] = probe
 			var (
 				resp []byte
 				rtt  time.Duration
@@ -490,7 +577,7 @@ func (e *engine) traceSequential(dest netip.Addr) (*Route, error) {
 				var xerr error
 				resp, rtt, ok, xerr = ft.ExchangeErr(probe)
 				if xerr != nil {
-					return nil, fmt.Errorf("tracer %s: exchange ttl=%d: %w", e.name, ttl, xerr)
+					return fmt.Errorf("tracer %s: exchange ttl=%d: %w", e.name, ttl, xerr)
 				}
 			} else {
 				resp, rtt, ok = e.tp.Exchange(probe)
@@ -501,13 +588,13 @@ func (e *engine) traceSequential(dest netip.Addr) (*Route, error) {
 				h.TTL = ttl
 				h.RTT = rtt
 			}
-			attempts[a] = h
+			ls.attempts[a] = h
 		}
-		if ls.step(attempts) {
-			return rt, nil
+		if ls.step() {
+			return nil
 		}
 	}
-	return rt, nil
+	return nil
 }
 
 // Name implements Tracer.
