@@ -25,7 +25,14 @@ type steadyWorker struct {
 
 func newSteadyWorker(tb testing.TB, dests int) *steadyWorker {
 	tb.Helper()
-	sc := topo.Generate(invarianceConfig(dests))
+	return newSteadyWorkerOn(tb, invarianceConfig(dests))
+}
+
+// newSteadyWorkerOn is newSteadyWorker over any generated topology.
+func newSteadyWorkerOn(tb testing.TB, gen topo.GenConfig) *steadyWorker {
+	tb.Helper()
+	sc := topo.Generate(gen)
+	dests := len(sc.Dests)
 	c, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Workers: 1, PortSeed: 42, Batch: true, Stream: true,
 	})
@@ -135,13 +142,28 @@ func TestInternedRoutesExactSize(t *testing.T) {
 
 // BenchmarkMeasurePairSteady is the study's unit of work at steady state:
 // one warmed worker over netsim, one pair per iteration (ns, allocations and
-// bytes per pair).
+// bytes per pair). flips=on is the default topology — per-packet balancers,
+// every rare-cause pod and the mid-trace flip hook on every probe — which is
+// what the binaries and the repository benchmark run; flips=off is the
+// schedule-free one the invariance suites use.
 func BenchmarkMeasurePairSteady(b *testing.B) {
-	w := newSteadyWorker(b, 500)
-	w.rounds(b, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.pair(b, i)
+	flipsOn := topo.DefaultGenConfig()
+	flipsOn.Destinations = 500
+	for _, c := range []struct {
+		name string
+		gen  topo.GenConfig
+	}{
+		{"flips=off", invarianceConfig(500)},
+		{"flips=on", flipsOn},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w := newSteadyWorkerOn(b, c.gen)
+			w.rounds(b, 5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.pair(b, i)
+			}
+		})
 	}
 }

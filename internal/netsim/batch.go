@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"net/netip"
 	"sync"
 	"time"
 )
@@ -70,43 +69,18 @@ func (a *arena) rewind() { a.off = 0 }
 
 // exchCtx carries the per-exchange state the forwarding walk threads through
 // its helpers: the probe's private RNG stream and, on the batch path, the
-// arena and the per-batch memos. The zero value (heap-allocated responses,
-// no memos) is the sequential Exchange configuration.
+// arena. The zero value (heap-allocated responses) is the sequential
+// Exchange configuration.
 type exchCtx struct {
 	rng prng
 	// arena serves response marshal buffers; nil falls back to the heap.
 	arena *arena
-	// cfgs memoizes each router's behavioural snapshot for the duration
-	// of one batch, so a TTL ladder revisiting the same routers loads each
-	// config once instead of once per visit. nil loads per visit. Only
-	// installed when the network has no OnSend hooks: hooks are the one
-	// sanctioned way to mutate configuration mid-batch, and per-visit
-	// loads are what keeps that byte-identical to sequential Exchanges.
-	cfgs map[*Router]*routerConfig
-	// routes memoizes forwarding-table lookups per (router, destination)
-	// for the duration of one batch, under the same hook gating as cfgs.
-	routes map[routeKey]routeEntry
 	// dyn and clk are the virtual-clock layer for this exchange; both nil
 	// when dynamics are disabled. The clock is reset per probe — each
 	// exchange runs its own event loop (see vclock.go on why batches are
 	// not interleaved by virtual time).
 	dyn *dynamics
 	clk *vclock
-	// links memoizes the time-invariant per-link delay parameters for the
-	// duration of one batch. Unlike cfgs/routes this memo is always exact
-	// — the parameters are pure functions of (seed, link) — so it needs
-	// no hook gating.
-	links map[uint32]linkParams
-}
-
-type routeKey struct {
-	r   *Router
-	dst netip.Addr
-}
-
-type routeEntry struct {
-	rt *Route
-	ok bool
 }
 
 // respBuf returns an arena buffer for a response packet of the given size,
@@ -118,40 +92,13 @@ func (c *exchCtx) respBuf(n int) []byte {
 	return c.arena.take(n)
 }
 
-func (c *exchCtx) cfgOf(r *Router) *routerConfig {
-	if c.cfgs == nil {
-		return r.config.Load()
-	}
-	cfg, ok := c.cfgs[r]
-	if !ok {
-		cfg = r.config.Load()
-		c.cfgs[r] = cfg
-	}
-	return cfg
-}
-
-func (c *exchCtx) lookup(r *Router, dst netip.Addr) (*Route, bool) {
-	if c.routes == nil {
-		return r.lookup(dst)
-	}
-	k := routeKey{r, dst}
-	e, ok := c.routes[k]
-	if !ok {
-		e.rt, e.ok = r.lookup(dst)
-		c.routes[k] = e
-	}
-	return e.rt, e.ok
-}
-
-// batchState is the pooled per-ExchangeBatch scratch: the arena and the memo
-// maps, recycled across batches through Network.batchPool.
+// batchState is the pooled per-exchange scratch: the arena and the context
+// of a batch, and the virtual clock of either path, recycled through
+// batchPool.
 type batchState struct {
-	arena  arena
-	cfgs   map[*Router]*routerConfig
-	routes map[routeKey]routeEntry
-	clk    vclock
-	links  map[uint32]linkParams
-	ctx    exchCtx
+	arena arena
+	clk   vclock
+	ctx   exchCtx
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchState) }}
@@ -164,12 +111,12 @@ var batchPool = sync.Pool{New: func() any { return new(batchState) }}
 // exactly the RNG stream (and OnSend hook count) it would have drawn as the
 // corresponding sequential Exchange.
 //
-// The topology read lock is held across the whole batch, per-router config
-// snapshots and forwarding-table lookups are memoized per batch (unless
-// OnSend hooks are registered, which may mutate them mid-batch), and probe
-// copies plus originated responses are carved from a pooled arena instead of
-// the heap. See the package comment's batch contract for the full
-// determinism and ownership rules.
+// The topology read lock is held across the whole batch, and probe copies
+// plus originated responses are carved from a pooled arena instead of the
+// heap. Every probe walks the one path Exchange walks — per-visit config and
+// table loads — so a hook's, or another goroutine's, SetFaults or
+// RewriteRoutes is seen by the very next visit. See the package comment's
+// batch contract for the full determinism and ownership rules.
 //
 // ExchangeBatch is safe for concurrent use alongside Exchange and other
 // batches.
@@ -198,22 +145,7 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 	var vround int64
 	if dy != nil {
 		vround = n.vround.Load()
-		if st.links == nil {
-			st.links = make(map[uint32]linkParams, 64)
-		} else {
-			clear(st.links)
-		}
-		st.ctx.dyn, st.ctx.clk, st.ctx.links = dy, &st.clk, st.links
-	}
-	if len(hooks) == 0 {
-		if st.cfgs == nil {
-			st.cfgs = make(map[*Router]*routerConfig, 32)
-			st.routes = make(map[routeKey]routeEntry, 64)
-		} else {
-			clear(st.cfgs)
-			clear(st.routes)
-		}
-		st.ctx.cfgs, st.ctx.routes = st.cfgs, st.routes
+		st.ctx.dyn, st.ctx.clk = dy, &st.clk
 	}
 
 	for i, probe := range probes {
@@ -229,7 +161,7 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 			st.clk.reset(dy.probeStart(vround, probe))
 		}
 		pkt := st.arena.copyOf(probe)
-		resp, steps, ok := n.run(&st.ctx, pkt, n.sourceGW, false)
+		resp, steps, ok := n.run(&st.ctx, pkt, n.srcGW, false)
 		out[i].Steps, out[i].OK = steps, ok
 		out[i].RTT = 0
 		if ok && dy != nil {

@@ -36,14 +36,26 @@ type Network struct {
 	// with each other.
 	topoMu sync.RWMutex
 
-	// nodes is the unified topology registry, keyed by the 4-byte IPv4
-	// address: the forwarding walk resolves "what sits at this interface"
-	// with a single cheap-hash map access per step instead of separate
-	// netip.Addr-keyed router and host lookups.
-	nodes map[uint32]netNode
+	// nodes is the topology registry, indexed by node id: every address the
+	// topology has named under the write lock — interfaces, hosts, host
+	// gateways, the source and its gateway — owns one dense id for good,
+	// whether or not anything is registered there yet. The forwarding walk
+	// moves from id to id; ids maps the 4-byte IPv4 address to the id and
+	// is consulted only when something is resolved (a packet's destination,
+	// a forwarding table being compiled), never per hop.
+	nodes []netNode
+	ids   map[uint32]int32
+	// hosts counts the dense host ids handed out (netNode.hostID).
+	hosts int32
+	// gen is the topology generation, bumped under the write lock by every
+	// registration. Compiled forwarding tables are stamped with it (see
+	// routerTable), so a table that resolved addresses against an older
+	// registry is rebuilt exactly as a mutated one is.
+	gen uint64
 
 	source    netip.Addr // the measurement source address
-	sourceGW  netip.Addr // interface the source's packets enter through
+	srcNode   int32      // its node id: nothing need be registered there
+	srcGW     int32      // node the source's packets enter through
 	haveEntry bool
 
 	// seed fixes all randomized behaviour. Each Exchange derives its own
@@ -73,20 +85,35 @@ type Network struct {
 // (per-packet balancing, probabilistic drops), keeping runs reproducible.
 func New(seed int64) *Network {
 	return &Network{
-		nodes:           make(map[uint32]netNode),
+		ids:             make(map[uint32]int32),
+		srcNode:         nodeNone,
+		srcGW:           nodeNone,
 		seed:            uint64(seed),
 		RandomPerPacket: true,
 		maxSteps:        DefaultMaxSteps,
 	}
 }
 
+// nodeNone is the node id of an address the registry has never been told
+// about (or that is not IPv4): packets handed to it are dropped.
+const nodeNone int32 = -1
+
 // netNode is one registry entry: the router or host answering at an
-// interface address (exactly one is non-nil), plus, for hosts, the gateway
-// interface their responses enter the network through.
+// interface address (at most one is non-nil; neither for an address that
+// was only ever named, which drops what it is handed), plus, for hosts,
+// their dense host id and the gateway their responses enter the network
+// through.
 type netNode struct {
 	router *Router
 	host   *Host
-	hostGW netip.Addr
+	key    uint32 // the interface address, as a4 gives it
+	hostID int32  // -1 unless host is set
+	hostGW int32
+}
+
+// addr returns the node's interface address.
+func (nd *netNode) addr() netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(nd.key >> 24), byte(nd.key >> 16), byte(nd.key >> 8), byte(nd.key)})
 }
 
 // a4 maps an address to its registry key. ok is false for anything but a
@@ -109,28 +136,74 @@ func mustA4(a netip.Addr) uint32 {
 	return k
 }
 
+// internLocked returns the node id of the address with key k, giving it one
+// if this is its first mention.
+func (n *Network) internLocked(k uint32) int32 {
+	id, ok := n.ids[k]
+	if !ok {
+		id = int32(len(n.nodes))
+		n.nodes = append(n.nodes, netNode{key: k, hostID: -1, hostGW: nodeNone})
+		n.ids[k] = id
+		if dy := n.dyn.Load(); dy != nil {
+			dy.links = append(dy.links, linkSlot{})
+		}
+	}
+	return id
+}
+
+// internAddrLocked is internLocked for addresses that name an adjacency (a
+// gateway): anything but IPv4 is legal there and leads nowhere.
+func (n *Network) internAddrLocked(a netip.Addr) int32 {
+	k, ok := a4(a)
+	if !ok {
+		return nodeNone
+	}
+	return n.internLocked(k)
+}
+
+// nodeOf resolves an address against the registry: its node id, or nodeNone.
+// Callers hold topoMu.
+func (n *Network) nodeOf(a netip.Addr) int32 {
+	if k, ok := a4(a); ok {
+		if id, ok := n.ids[k]; ok {
+			return id
+		}
+	}
+	return nodeNone
+}
+
 // AddRouter registers a router; each of its interface addresses becomes
 // routable within the network.
 func (n *Network) AddRouter(r *Router) *Router {
 	n.topoMu.Lock()
 	defer n.topoMu.Unlock()
+	n.adoptLocked(r)
 	for _, a := range r.ifaces {
 		n.registerIfaceLocked(r, a)
 	}
 	return r
 }
 
-func (n *Network) registerIfaceLocked(r *Router, a netip.Addr) {
-	k := mustA4(a)
-	if nd, ok := n.nodes[k]; ok {
-		if nd.host != nil {
-			panic(fmt.Sprintf("netsim: interface %v already owned by a host", a))
-		}
-		if nd.router != r {
-			panic(fmt.Sprintf("netsim: interface %v already owned by router %s", a, nd.router.Name))
-		}
+// adoptLocked binds r to this network. A router's compiled forwarding table
+// holds this network's node ids, so the shard rule is enforced here: one
+// Router, one Network.
+func (n *Network) adoptLocked(r *Router) {
+	if r.net != nil && r.net != n {
+		panic(fmt.Sprintf("netsim: router %s is already registered in another Network; the shard rule gives a router to exactly one shard's Network (replicate it instead)", r.Name))
 	}
-	n.nodes[k] = netNode{router: r}
+	r.net = n
+	n.gen++
+}
+
+func (n *Network) registerIfaceLocked(r *Router, a netip.Addr) {
+	nd := &n.nodes[n.internLocked(mustA4(a))]
+	if nd.host != nil {
+		panic(fmt.Sprintf("netsim: interface %v already owned by a host", a))
+	}
+	if nd.router != nil && nd.router != r {
+		panic(fmt.Sprintf("netsim: interface %v already owned by router %s", a, nd.router.Name))
+	}
+	nd.router = r
 }
 
 // AddIface allocates a new interface on r with address a, registering it in
@@ -139,6 +212,7 @@ func (n *Network) registerIfaceLocked(r *Router, a netip.Addr) {
 func (n *Network) AddIface(r *Router, a netip.Addr) int {
 	n.topoMu.Lock()
 	defer n.topoMu.Unlock()
+	n.adoptLocked(r)
 	n.registerIfaceLocked(r, a)
 	r.ifaces = append(r.ifaces, a)
 	return len(r.ifaces) - 1
@@ -149,11 +223,18 @@ func (n *Network) AddIface(r *Router, a netip.Addr) int {
 func (n *Network) AttachHost(h *Host, gateway netip.Addr) *Host {
 	n.topoMu.Lock()
 	defer n.topoMu.Unlock()
-	k := mustA4(h.Addr)
-	if nd, ok := n.nodes[k]; ok && nd.router != nil {
+	id := n.internLocked(mustA4(h.Addr))
+	if n.nodes[id].router != nil {
 		panic(fmt.Sprintf("netsim: host address %v already owned by a router", h.Addr))
 	}
-	n.nodes[k] = netNode{host: h, hostGW: gateway}
+	gw := n.internAddrLocked(gateway) // may grow n.nodes
+	nd := &n.nodes[id]
+	if nd.host == nil {
+		nd.hostID = n.hosts
+		n.hosts++
+	}
+	nd.host, nd.hostGW = h, gw
+	n.gen++
 	return h
 }
 
@@ -163,8 +244,10 @@ func (n *Network) SetSource(src, gateway netip.Addr) {
 	n.topoMu.Lock()
 	defer n.topoMu.Unlock()
 	n.source = src
-	n.sourceGW = gateway
+	n.srcNode = n.internAddrLocked(src)
+	n.srcGW = n.internAddrLocked(gateway)
 	n.haveEntry = true
+	n.gen++
 }
 
 // Source returns the measurement source address.
@@ -178,24 +261,22 @@ func (n *Network) Source() netip.Addr {
 func (n *Network) RouterAt(a netip.Addr) (*Router, bool) {
 	n.topoMu.RLock()
 	defer n.topoMu.RUnlock()
-	k, ok := a4(a)
-	if !ok {
+	id := n.nodeOf(a)
+	if id < 0 || n.nodes[id].router == nil {
 		return nil, false
 	}
-	nd, ok := n.nodes[k]
-	return nd.router, ok && nd.router != nil
+	return n.nodes[id].router, true
 }
 
 // HostAt returns the host owning the given address.
 func (n *Network) HostAt(a netip.Addr) (*Host, bool) {
 	n.topoMu.RLock()
 	defer n.topoMu.RUnlock()
-	k, ok := a4(a)
-	if !ok {
+	id := n.nodeOf(a)
+	if id < 0 || n.nodes[id].host == nil {
 		return nil, false
 	}
-	nd, ok := n.nodes[k]
-	return nd.host, ok && nd.host != nil
+	return n.nodes[id].host, true
 }
 
 // OnSend registers a hook invoked (outside any network lock) with the
@@ -281,57 +362,87 @@ func (n *Network) ExchangeV(probe []byte) (resp []byte, steps int, rtt time.Dura
 	}
 
 	ctx := exchCtx{rng: prng{state: splitmix64(n.seed ^ splitmix64(uint64(count)))}}
-	if dy := n.dyn.Load(); dy != nil {
-		ctx.dyn = dy
-		ctx.clk = &vclock{}
-		ctx.clk.reset(dy.probeStart(n.vround.Load(), probe))
-	}
 	// Copy: forwarding mutates TTL/checksum/src in place.
 	pkt := append([]byte(nil), probe...)
 	n.topoMu.RLock()
 	defer n.topoMu.RUnlock()
-	resp, steps, ok = n.run(&ctx, pkt, n.sourceGW, false)
+	// Loaded under the lock: the installed layer's link table covers every
+	// node registered so far.
+	if dy := n.dyn.Load(); dy != nil {
+		// Only the clock comes from the pooled state: the response of a
+		// sequential exchange is the caller's to keep, so it stays on the
+		// heap.
+		st := batchPool.Get().(*batchState)
+		defer batchPool.Put(st)
+		ctx.dyn, ctx.clk = dy, &st.clk
+		ctx.clk.reset(dy.probeStart(n.vround.Load(), probe))
+	}
+	resp, steps, ok = n.run(&ctx, pkt, n.srcGW, false)
 	if ok && ctx.clk != nil {
 		rtt = ctx.clk.elapsed()
 	}
 	return resp, steps, rtt, ok
 }
 
-// run is the forwarding engine. pkt is located at interface `at`
-// (or originates at the router owning `at` when originated is true).
-// Must be called with n.topoMu read-held. The IPv4 header is parsed once
-// per packet version (injection, host response, originated ICMP) and
-// threaded through the walk instead of being re-parsed at every hop. ctx
-// carries the probe's RNG stream and, on the batch path, the arena and the
-// per-batch config/route memos.
-func (n *Network) run(ctx *exchCtx, pkt []byte, at netip.Addr, originated bool) (resp []byte, steps int, ok bool) {
+// dstRef is a packet's destination address resolved against the registry,
+// once per packet version: everything the per-hop decisions ask about it.
+type dstRef struct {
+	node   int32   // the destination's node id, or nodeNone
+	host   int32   // its dense host id, or -1
+	router *Router // the router owning it, if it is a router interface
+	source bool    // it is the measurement source address
+}
+
+// resolveDst resolves a packet's destination. Responses, nearly all of them
+// addressed to the source, cost no map access; a probe costs one.
+func (n *Network) resolveDst(a netip.Addr) dstRef {
+	d := dstRef{node: nodeNone, host: -1, source: a == n.source}
+	if d.source {
+		d.node = n.srcNode
+	} else {
+		d.node = n.nodeOf(a)
+	}
+	if d.node >= 0 {
+		nd := &n.nodes[d.node]
+		d.host, d.router = nd.hostID, nd.router
+	}
+	return d
+}
+
+// run is the forwarding engine. pkt is located at node `at` (or originates
+// at the router owning it when originated is true). Must be called with
+// n.topoMu read-held. The IPv4 header is parsed, and its destination
+// resolved against the registry, once per packet version (injection, host
+// response, originated ICMP) and threaded through the walk; a hop is then a
+// node-table index, an atomic config load and a compiled-table index. ctx
+// carries the probe's RNG stream and, on the batch path, the arena.
+func (n *Network) run(ctx *exchCtx, pkt []byte, at int32, originated bool) (resp []byte, steps int, ok bool) {
 	var hdr packet.IPv4
 	payload, err := packet.ParseIPv4Into(pkt, &hdr)
 	if err != nil {
 		return nil, 0, false
 	}
+	dst := n.resolveDst(hdr.Dst)
 	// Injection crosses the first link (source → gateway) on the virtual
 	// clock; every further traversal is charged where the packet moves
 	// (host handoff, loop bottom). Originated ICMP replies are built in
 	// place and charge nothing until they move.
-	if ctx.clk != nil && !n.advanceClock(ctx, at, len(pkt)) {
+	if ctx.clk != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
 		return nil, 0, false
 	}
 	for ; steps < n.maxSteps; steps++ {
 		// Final delivery to the measurement source.
-		if at == n.source && hdr.Dst == n.source {
+		if at == n.srcNode && dst.source {
 			return pkt, steps, true
 		}
-
-		k, v4 := a4(at)
-		if !v4 {
-			return nil, steps, false // non-IPv4 adjacency
+		if at < 0 {
+			return nil, steps, false // unregistered or non-IPv4 adjacency
 		}
-		nd := n.nodes[k]
+		nd := &n.nodes[at]
 
 		// Delivery to a host.
 		if h := nd.host; h != nil {
-			if hdr.Dst != h.Addr {
+			if dst.node != at {
 				return nil, steps, false // mis-delivered; drop
 			}
 			r := h.respond(ctx, &hdr, payload, pkt)
@@ -342,7 +453,8 @@ func (n *Network) run(ctx *exchCtx, pkt []byte, at netip.Addr, originated bool) 
 			if payload, err = packet.ParseIPv4Into(pkt, &hdr); err != nil {
 				return nil, steps, false
 			}
-			if ctx.clk != nil && !n.advanceClock(ctx, at, len(pkt)) {
+			dst = n.resolveDst(hdr.Dst)
+			if ctx.clk != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
 				return nil, steps, false
 			}
 			continue
@@ -352,67 +464,59 @@ func (n *Network) run(ctx *exchCtx, pkt []byte, at netip.Addr, originated bool) 
 		if r == nil {
 			return nil, steps, false // dangling adjacency
 		}
-		cfg := ctx.cfgOf(r)
+		cfg := r.config.Load()
 
-		// Packet addressed to one of the router's own interfaces: the
-		// router behaves like a host (intermediate hops are pingable).
-		if !originated && r.ownsAddr(hdr.Dst) {
-			reply := routerRespondLocal(ctx, r, cfg, hdr.Dst, &hdr, payload, pkt)
-			if reply == nil {
+		var reply []byte
+		switch {
+		case !originated && dst.router == r:
+			// Packet addressed to one of the router's own interfaces: the
+			// router behaves like a host (intermediate hops are pingable).
+			if reply = routerRespondLocal(ctx, r, cfg, hdr.Dst, &hdr, payload, pkt); reply == nil {
 				return nil, steps, false
 			}
-			pkt, originated = reply, true
-			if payload, err = packet.ParseIPv4Into(pkt, &hdr); err != nil {
+		case !originated:
+			var done bool
+			if done, reply = routerTTLCheck(ctx, r, cfg, nd, pkt, &hdr, payload); done && reply == nil {
 				return nil, steps, false
 			}
-			continue
 		}
-
-		if !originated {
-			done, reply := routerTTLCheck(ctx, r, cfg, at, pkt, &hdr, payload)
-			if done {
-				if reply == nil {
+		if reply == nil {
+			// Forwarding decision.
+			next, via, rep, dropped := n.routerForward(ctx, r, cfg, nd, &dst, pkt, &hdr, payload, originated)
+			if dropped {
+				return nil, steps, false
+			}
+			if rep == nil {
+				if ctx.clk != nil && !n.advanceClock(ctx, next, via, len(pkt)) {
 					return nil, steps, false
 				}
-				pkt, originated = reply, true
-				if payload, err = packet.ParseIPv4Into(pkt, &hdr); err != nil {
-					return nil, steps, false
-				}
+				at, originated = next, false
 				continue
 			}
+			reply = rep
 		}
-
-		// Forwarding decision.
-		next, reply, dropped := n.routerForward(ctx, r, cfg, at, pkt, &hdr, payload, originated)
-		if dropped {
+		// The router originated a packet of its own: a new packet version.
+		pkt, originated = reply, true
+		if payload, err = packet.ParseIPv4Into(pkt, &hdr); err != nil {
 			return nil, steps, false
 		}
-		if reply != nil {
-			pkt, originated = reply, true
-			if payload, err = packet.ParseIPv4Into(pkt, &hdr); err != nil {
-				return nil, steps, false
-			}
-			continue
-		}
-		if ctx.clk != nil && !n.advanceClock(ctx, next, len(pkt)) {
-			return nil, steps, false
-		}
-		at, originated = next, false
+		dst = n.resolveDst(hdr.Dst)
 	}
 	return nil, steps, false
 }
 
 // routerTTLCheck applies TTL processing for a transit packet arriving at
-// router r. done=true means the packet will not be forwarded as-is: either
-// reply is the ICMP error the router originates, or nil for a silent drop.
-func routerTTLCheck(ctx *exchCtx, r *Router, cfg *routerConfig, at netip.Addr, pkt []byte, hdr *packet.IPv4, payload []byte) (done bool, reply []byte) {
+// router r on interface nd. done=true means the packet will not be
+// forwarded as-is: either reply is the ICMP error the router originates, or
+// nil for a silent drop.
+func routerTTLCheck(ctx *exchCtx, r *Router, cfg *routerConfig, nd *netNode, pkt []byte, hdr *packet.IPv4, payload []byte) (done bool, reply []byte) {
 	switch {
 	case hdr.TTL == 0:
 		// Arrived already dead (zero-TTL forwarded upstream): quote TTL 0.
 		if cfg.faults.Silent {
 			return true, nil
 		}
-		return true, originateTimeExceeded(ctx, r, cfg, at, pkt, hdr, payload)
+		return true, originateTimeExceeded(ctx, r, cfg, nd.addr(), pkt, hdr, payload)
 	case hdr.TTL == 1:
 		if cfg.faults.ZeroTTLForward {
 			// The Fig. 4 misbehaviour: forward with TTL 0.
@@ -425,7 +529,7 @@ func routerTTLCheck(ctx *exchCtx, r *Router, cfg *routerConfig, at netip.Addr, p
 		if cfg.faults.Silent {
 			return true, nil
 		}
-		return true, originateTimeExceeded(ctx, r, cfg, at, pkt, hdr, payload)
+		return true, originateTimeExceeded(ctx, r, cfg, nd.addr(), pkt, hdr, payload)
 	default:
 		if err := packet.PatchTTL(pkt, hdr.TTL-1); err != nil {
 			return true, nil
@@ -435,58 +539,69 @@ func routerTTLCheck(ctx *exchCtx, r *Router, cfg *routerConfig, at netip.Addr, p
 	}
 }
 
-// routerForward looks up and applies the forwarding decision for pkt at r.
-// Exactly one of (next, reply, dropped) is meaningful: a valid next means
-// the packet moves to that interface; reply is an originated ICMP error;
-// dropped means silence.
-func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, at netip.Addr, pkt []byte, hdr *packet.IPv4, payload []byte, originated bool) (next netip.Addr, reply []byte, dropped bool) {
+// routerForward looks up and applies the forwarding decision for pkt at r,
+// reached on interface nd. Exactly one of (next, reply, dropped) is
+// meaningful: reply is an originated ICMP error; dropped means silence;
+// otherwise the packet moves to node next. When nothing is registered there
+// (next is nodeNone) via is the adjacency's address, which still keys the
+// link on the virtual clock.
+func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, nd *netNode, dst *dstRef, pkt []byte, hdr *packet.IPv4, payload []byte, originated bool) (next int32, via *netip.Addr, reply []byte, dropped bool) {
 	isTransitProbe := !originated
 	if cfg.faults.Unreachable && isTransitProbe {
-		return netip.Addr{}, originateUnreachable(ctx, r, cfg, at, pkt, hdr, payload), false
+		return nodeNone, nil, originateUnreachable(ctx, r, cfg, nd.addr(), pkt, hdr, payload), false
 	}
 	// Scheduled dynamics at this router, evaluated functionally from the
 	// arrival interface and the virtual arrival time (never from router
 	// state, which concurrent probes at different virtual times share).
 	var rot int
 	if ctx.dyn != nil {
-		if k, ok := a4(at); ok {
-			if isTransitProbe && ctx.dyn.flapActive(k, ctx.clk.now) {
-				// Route flap: transit routes transiently withdrawn.
-				return netip.Addr{}, originateUnreachable(ctx, r, cfg, at, pkt, hdr, payload), false
-			}
-			rot = ctx.dyn.weightRot(k, ctx.clk.now)
+		if isTransitProbe && ctx.dyn.flapActive(nd.key, ctx.clk.now) {
+			// Route flap: transit routes transiently withdrawn.
+			return nodeNone, nil, originateUnreachable(ctx, r, cfg, nd.addr(), pkt, hdr, payload), false
 		}
+		rot = ctx.dyn.weightRot(nd.key, ctx.clk.now)
 	}
 	if cfg.faults.ForwardOverride.IsValid() && !originated {
-		return cfg.faults.ForwardOverride, nil, false
+		// The transient-loop gadget is rare enough to resolve per use.
+		return n.nodeOf(cfg.faults.ForwardOverride), &cfg.faults.ForwardOverride, nil, false
 	}
-	rt, found := ctx.lookup(r, hdr.Dst)
-	if !found {
+	t := r.compiled(n)
+	e := t.lookup(dst, hdr.Dst)
+	if e < 0 {
 		if originated {
-			return netip.Addr{}, nil, true // can't route our own ICMP; drop
+			return nodeNone, nil, nil, true // can't route our own ICMP; drop
 		}
-		return netip.Addr{}, originateUnreachable(ctx, r, cfg, at, pkt, hdr, payload), false
+		return nodeNone, nil, originateUnreachable(ctx, r, cfg, nd.addr(), pkt, hdr, payload), false
 	}
 	if cfg.faults.DropProbability > 0 && !originated && ctx.rng.Float64() < cfg.faults.DropProbability {
-		return netip.Addr{}, nil, true
+		return nodeNone, nil, nil, true
 	}
-	var hopRng *prng
-	if n.RandomPerPacket {
-		hopRng = &ctx.rng
-	}
-	hop, err := r.selectHop(rt, hdr, payload, hopRng, rot)
-	if err != nil {
-		return netip.Addr{}, nil, true
+	// A single next hop is in the compiled table; only an entry to balance
+	// (or the rare hop below that needs its address) reads the Route.
+	next, i := t.next[e], 0
+	if next < nodeNone {
+		var hopRng *prng
+		if n.RandomPerPacket {
+			hopRng = &ctx.rng
+		}
+		var err error
+		if i, err = r.selectHop(&t.entries[e], hdr, payload, hopRng, rot); err != nil {
+			return nodeNone, nil, nil, true
+		}
+		next = t.hops[-2-next+int32(i)]
 	}
 	// NAT egress rewriting (Fig. 5): packets whose source lies inside the
 	// NAT prefix leaving for an outside adjacency get the public address.
-	nat := cfg.nat
-	if nat.Enabled() && hdr.Src.Is4() && nat.Inside.Contains(hdr.Src) && !nat.Inside.Contains(hop.Via) {
-		if err := packet.PatchSrc(pkt, nat.Public); err == nil {
-			hdr.Src = nat.Public
+	nat := &cfg.nat
+	if next < 0 || nat.Enabled() {
+		via = &t.entries[e].Hops[i].Via
+		if nat.Enabled() && hdr.Src.Is4() && nat.Inside.Contains(hdr.Src) && !nat.Inside.Contains(*via) {
+			if err := packet.PatchSrc(pkt, nat.Public); err == nil {
+				hdr.Src = nat.Public
+			}
 		}
 	}
-	return hop.Via, nil, false
+	return next, via, nil, false
 }
 
 // quoteOf returns the RFC 792 quotation of the packet: its IP header plus
@@ -614,13 +729,4 @@ func isICMPError(hdr *packet.IPv4, payload []byte) bool {
 	}
 	t := payload[0]
 	return t == packet.ICMPTypeTimeExceeded || t == packet.ICMPTypeDestUnreachable
-}
-
-func (r *Router) ownsAddr(a netip.Addr) bool {
-	for _, x := range r.ifaces {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }

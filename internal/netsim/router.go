@@ -29,24 +29,35 @@
 // forward in parallel — the engine that lets the measurement campaign's 32
 // workers (Section 3) actually run side by side. The design is read-mostly:
 //
-//   - The Network's topology registry (interface -> router, host
-//     attachments, the source) is guarded by an RWMutex. Registration
-//     (AddRouter, AddIface, AttachHost, SetSource, OnSend) takes the write
-//     lock; every Exchange holds only the read lock, so packets in flight
-//     exclude topology registration but not each other.
+//   - The Network's topology registry is a node table: every address the
+//     topology names (interfaces, hosts, their gateways, the source and its
+//     gateway) owns a dense node id, hosts a dense host id besides, and the
+//     address -> id map is consulted only to resolve something — a packet's
+//     destination once per packet version, a forwarding table when it is
+//     compiled — never per hop. The registry is guarded by an RWMutex.
+//     Registration (AddRouter, AddIface, AttachHost, SetSource, OnSend)
+//     takes the write lock and bumps a topology generation; every Exchange
+//     holds only the read lock, so packets in flight exclude topology
+//     registration but not each other. Registering after the first exchange
+//     stays legal.
 //   - Per-router behavioural configuration (faults, NAT, initial ICMP TTL,
 //     IP ID stride) lives in an immutable snapshot behind an atomic
 //     pointer. The forwarding loop loads it once per router visit;
 //     SetFaults and friends publish a fresh snapshot, so routing dynamics
 //     (flaps, transient loops, mid-trace flips) can be injected while
 //     probes are in flight without a lock.
-//   - Forwarding tables publish an immutable lookup snapshot (entry list
-//     plus /32 and prefix indexes) behind an atomic pointer, exactly like
-//     the config snapshot: the per-visit lookup is lock-free. Route
-//     mutation (AddRoute, SetRoutes, RewriteRoutes) serializes on a
-//     per-router mutex, invalidates the snapshot, and the next lookup
-//     rebuilds it once. Entries are never mutated in place, so pointers
-//     into a published snapshot stay valid indefinitely.
+//   - Forwarding tables publish an immutable compiled snapshot behind an
+//     atomic pointer, exactly like the config snapshot: the entry list with
+//     every next hop resolved to a node id, the /32 entries toward hosts
+//     indexed by host id, the lookup result for the source address, and the
+//     topology generation all of that was resolved at. The per-visit lookup
+//     is lock-free and hash-free: slice loads. Route mutation (AddRoute,
+//     SetRoutes, RewriteRoutes) serializes on a per-router mutex and
+//     invalidates the snapshot; the next visit — under the topology read
+//     lock, which keeps the registry still — rebuilds it once, as it does
+//     for a snapshot whose generation a registration has since outdated.
+//     Entries are never mutated in place, so indexes into a published
+//     snapshot stay valid indefinitely.
 //   - Counters (the network probe counter, per-router IP ID and
 //     round-robin counters, per-host IP ID) are atomics.
 //
@@ -67,13 +78,6 @@
 //     forwarding tables (the routing-dynamics gadgets do); they must not
 //     register topology (AddRouter, AddIface, AttachHost, OnSend would
 //     self-deadlock).
-//   - When the network has no OnSend hooks, per-router config snapshots
-//     and forwarding-table lookups are memoized for the duration of the
-//     batch (hooks are the one sanctioned mid-batch mutator, so without
-//     them the memo is exact). Config or route changes made concurrently
-//     by other goroutines then become visible at batch rather than visit
-//     granularity — the same class of schedule sensitivity concurrent
-//     exchanges already have.
 //   - Arena ownership: the probe copy and every originated response are
 //     carved from a pooled per-batch arena that is recycled probe to probe
 //     and batch to batch; no arena memory ever escapes ExchangeBatch. The
@@ -91,12 +95,15 @@
 // a router or host belongs to exactly one shard's Network, and cross-shard
 // addresses are unroutable by construction — no shard's forwarding tables
 // name an interface registered in another shard, so no lock, counter, or
-// cache line is ever shared between shards. Only the spine (gateway, core,
-// transit routers) is replicated per shard, with identical interface
-// addresses, which keeps measured routes independent of the shard count;
-// the replicas are distinct Router objects with their own IP ID counters,
-// so spine IP IDs advance per shard rather than globally (schedule-free
-// statistics are unaffected; see the determinism contract below).
+// cache line is ever shared between shards. For routers the rule is
+// enforced: a Router's compiled table holds its Network's node ids, so
+// AddRouter and AddIface panic on a Router already registered in another
+// Network. Only the spine (gateway, core, transit routers) is replicated per
+// shard, with identical interface addresses, which keeps measured routes
+// independent of the shard count; the replicas are distinct Router objects
+// with their own IP ID counters, so spine IP IDs advance per shard rather
+// than globally (schedule-free statistics are unaffected; see the
+// determinism contract below).
 //
 // # Determinism contract
 //
@@ -267,6 +274,11 @@ type Router struct {
 	// lock, excluding packets in flight).
 	ifaces []netip.Addr
 
+	// net is the one Network this router is registered in, set (under that
+	// network's write lock) by its first AddRouter/AddIface; the compiled
+	// forwarding table holds that network's node and host ids.
+	net *Network
+
 	// config is the atomically-published behavioural snapshot; see
 	// routerConfig.
 	config atomic.Pointer[routerConfig]
@@ -278,10 +290,11 @@ type Router struct {
 	// never mutated in place — mutators append or install a fresh slice —
 	// so pointers into a published snapshot stay valid forever.
 	table []Route
-	// snap is the atomically-published lookup snapshot, rebuilt on demand
+	// snap is the atomically-published compiled table, rebuilt on demand
 	// after a mutation (mutators clear it; the next lookup pays the one
-	// O(table) rebuild). nil means stale. Like the config snapshot, this
-	// keeps the per-visit hot path free of locks and shared counters.
+	// O(table) rebuild) or a registration (its generation no longer
+	// matches). nil means stale. Like the config snapshot, this keeps the
+	// per-visit hot path free of locks and shared counters.
 	snap atomic.Pointer[routerTable]
 
 	// ipID is the router's internal counter stamped (mod 2^16) into the
@@ -329,22 +342,41 @@ func (r *Router) updateConfig(f func(*routerConfig)) {
 	r.config.Store(&cfg)
 }
 
-// routerTable is the immutable lookup snapshot: the route entries it was
-// built from plus the two indexes the hot path consults. entries shares the
-// mutable table's backing array at build time; that is safe because entries
-// are never overwritten in place and the snapshot's length bounds every
-// access.
+// routerTable is the immutable compiled forwarding table: the route entries
+// it was built from, with every address in them resolved once against the
+// network's registry, so the walk indexes where it used to hash. entries
+// shares the mutable table's backing array at build time; that is safe
+// because entries are never overwritten in place and the snapshot's length
+// bounds every access.
 type routerTable struct {
+	// gen is the topology generation the addresses were resolved at; a
+	// table from an older generation is stale (see Network.gen).
+	gen     uint64
 	entries []Route
-	// host32 indexes /32 entries for O(1) lookup, keyed by the 4-byte
-	// address (cheap to hash — probed once per router visit); campaign
-	// topologies install one host route per destination along each path,
-	// so core routers carry thousands of them.
-	host32 map[uint32]int
-	// prefixIdx lists the indices of non-/32 entries, so the LPM
-	// fallback scans only real prefixes (a handful: pod subnets and the
-	// default route) instead of the thousands of indexed host routes.
-	prefixIdx []int
+	// next[i] is the node id of entry i's only next hop (nodeNone: nothing
+	// registered there) — all the walk needs of the common single-hop entry.
+	// An entry to balance over several next hops (or with none) holds
+	// -2-off instead, its hops' node ids sitting at hops[off:] in Route.Hops
+	// order.
+	next []int32
+	hops []int32
+	// dense indexes the /32 entries toward hosts by dense host id, offset by
+	// base and spanning only the ids this router routes (a pod router's
+	// handful, a spine router's all); -1 marks a host with no entry here.
+	// Campaign topologies install one host route per destination along each
+	// path, so core routers carry thousands of them.
+	base  int32
+	dense []int32
+	// host32 indexes the remaining /32 entries — those for addresses that
+	// are not hosts — by the 4-byte address.
+	host32 map[uint32]int32
+	// prefixIdx lists the indices of non-/32 entries, so the LPM fallback
+	// scans only real prefixes (a handful: pod subnets and the default
+	// route) instead of the thousands of indexed host routes.
+	prefixIdx []int32
+	// srcEntry is the lookup result for the measurement source address,
+	// which every response on its way back asks for at every hop.
+	srcEntry int32
 }
 
 // AddRoute appends a forwarding-table entry. Entries are matched by longest
@@ -387,29 +419,71 @@ func (r *Router) Routes() []Route {
 	return append([]Route(nil), r.table...)
 }
 
-// snapshot returns the current lookup snapshot, rebuilding it (once, under
-// tableMu, with double-checked publication) when a mutation invalidated it.
-func (r *Router) snapshot() *routerTable {
-	if t := r.snap.Load(); t != nil {
+// compiled returns the current forwarding table compiled against n's
+// registry, rebuilding it (once, under tableMu, with double-checked
+// publication) when a route mutation invalidated it or a registration
+// outdated it. The caller holds n.topoMu, which keeps n.gen and the registry
+// still.
+func (r *Router) compiled(n *Network) *routerTable {
+	if t := r.snap.Load(); t != nil && t.gen == n.gen {
 		return t
 	}
 	r.tableMu.Lock()
 	defer r.tableMu.Unlock()
-	if t := r.snap.Load(); t != nil {
+	if t := r.snap.Load(); t != nil && t.gen == n.gen {
 		return t
 	}
-	t := &routerTable{entries: r.table}
-	for i := range t.entries {
-		if t.entries[i].Prefix.Bits() == 32 {
-			if t.host32 == nil {
-				t.host32 = make(map[uint32]int, len(t.entries))
-			}
-			t.host32[mustA4(t.entries[i].Prefix.Addr())] = i
+	t := compileTable(n, r.table)
+	r.snap.Store(t)
+	return t
+}
+
+func compileTable(n *Network, entries []Route) *routerTable {
+	t := &routerTable{gen: n.gen, entries: entries, next: make([]int32, len(entries))}
+	// hostOf[i] is the dense id of the host entry i is a /32 for, else -1.
+	hostOf := make([]int32, len(entries))
+	lo, hi := int32(0), int32(-1)
+	for i := range entries {
+		e := &entries[i]
+		if len(e.Hops) == 1 {
+			t.next[i] = n.nodeOf(e.Hops[0].Via)
 		} else {
-			t.prefixIdx = append(t.prefixIdx, i)
+			t.next[i] = -2 - int32(len(t.hops))
+			for _, h := range e.Hops {
+				t.hops = append(t.hops, n.nodeOf(h.Via))
+			}
+		}
+		hostOf[i] = -1
+		k, v4 := a4(e.Prefix.Addr())
+		if !v4 || e.Prefix.Bits() != 32 {
+			t.prefixIdx = append(t.prefixIdx, int32(i))
+			continue
+		}
+		if id, ok := n.ids[k]; ok && n.nodes[id].host != nil {
+			h := n.nodes[id].hostID
+			if hi < lo {
+				lo = h // the first host entry opens the span
+			}
+			lo, hi, hostOf[i] = min(lo, h), max(hi, h), h
+			continue
+		}
+		if t.host32 == nil {
+			t.host32 = make(map[uint32]int32)
+		}
+		t.host32[k] = int32(i)
+	}
+	t.base, t.dense = lo, make([]int32, hi-lo+1)
+	for i := range t.dense {
+		t.dense[i] = -1
+	}
+	for i, h := range hostOf {
+		if h >= 0 {
+			t.dense[h-lo] = int32(i) // the last entry for a host wins, as in host32
 		}
 	}
-	r.snap.Store(t)
+	src := n.resolveDst(n.source)
+	src.source = false
+	t.srcEntry = t.lookup(&src, n.source)
 	return t
 }
 
@@ -447,68 +521,70 @@ func (r *Router) nextIPID(cfg *routerConfig) uint16 {
 	return uint16(r.ipID.Add(uint32(cfg.ipIDStride)))
 }
 
-// lookup performs longest-prefix-match on the forwarding table, consulting
-// the /32 index first. The hot path is lock-free: one atomic snapshot load,
-// one cheap-keyed map probe. It returns a pointer into the snapshot rather
-// than a copy — lookup runs once per router visit, and the Route struct is
-// large enough that copying it dominated profiles; the pointer stays valid
-// because snapshot entries are never mutated in place.
-func (r *Router) lookup(dst netip.Addr) (*Route, bool) {
-	t := r.snapshot()
-	if k, ok := a4(dst); ok {
-		if i, hit := t.host32[k]; hit {
-			return &t.entries[i], true
+// lookup performs longest-prefix match for a resolved destination and
+// returns the index of the matching entry, or -1. The /32 indexes go first:
+// a slice load for the source and for hosts, a map probe only for the odd
+// packet addressed to neither. The index stays valid because snapshot
+// entries are never mutated in place.
+func (t *routerTable) lookup(d *dstRef, dst netip.Addr) int32 {
+	switch {
+	case d.source:
+		return t.srcEntry
+	case d.host >= 0:
+		if i := d.host - t.base; uint32(i) < uint32(len(t.dense)) && t.dense[i] >= 0 {
+			return t.dense[i]
+		}
+	case len(t.host32) > 0:
+		if k, ok := a4(dst); ok {
+			if i, hit := t.host32[k]; hit {
+				return i
+			}
 		}
 	}
-	best := -1
-	bestLen := -1
+	best, bestLen := int32(-1), -1
 	for _, i := range t.prefixIdx {
 		rt := &t.entries[i]
 		if rt.Prefix.Contains(dst) && rt.Prefix.Bits() > bestLen {
 			best, bestLen = i, rt.Prefix.Bits()
 		}
 	}
-	if best < 0 {
-		return nil, false
-	}
-	return &t.entries[best], true
+	return best
 }
 
-// selectHop chooses one of the route's equal-cost next hops for the packet
-// with the given parsed header and transport payload. rng is nil for
-// deterministic round-robin PerPacket spreading. rot is the virtual-clock
-// weight-churn rotation (0 outside churn windows): it offsets the hashed
-// bucket of the flow-keyed policies, remapping flows to different next
-// hops without perturbing the hash itself — weight churn in real routers
-// likewise remaps buckets while the flow key stays stable.
-func (r *Router) selectHop(rt *Route, hdr *packet.IPv4, payload []byte, rng *prng, rot int) (NextHop, error) {
+// selectHop chooses one of the route's equal-cost next hops — its index in
+// rt.Hops — for the packet with the given parsed header and transport
+// payload. rng is nil for deterministic round-robin PerPacket spreading. rot
+// is the virtual-clock weight-churn rotation (0 outside churn windows): it
+// offsets the hashed bucket of the flow-keyed policies, remapping flows to
+// different next hops without perturbing the hash itself — weight churn in
+// real routers likewise remaps buckets while the flow key stays stable.
+func (r *Router) selectHop(rt *Route, hdr *packet.IPv4, payload []byte, rng *prng, rot int) (int, error) {
 	n := len(rt.Hops)
 	if n == 0 {
-		return NextHop{}, fmt.Errorf("netsim: route %v on %s has no next hops", rt.Prefix, r.Name)
+		return 0, fmt.Errorf("netsim: route %v on %s has no next hops", rt.Prefix, r.Name)
 	}
 	if n == 1 {
-		return rt.Hops[0], nil
+		return 0, nil
 	}
 	switch rt.Balance {
 	case PerFlow:
 		k, err := flow.FromParsed(hdr, payload, rt.FlowOpts)
 		if err != nil {
-			return NextHop{}, err
+			return 0, err
 		}
-		return rt.Hops[(k.Bucket(n)+rot)%n], nil
+		return (k.Bucket(n) + rot) % n, nil
 	case PerPacket:
 		if rng != nil {
-			return rt.Hops[rng.Intn(n)], nil
+			return rng.Intn(n), nil
 		}
-		i := int((r.perPacketCounter.Add(1) - 1) % uint64(n))
-		return rt.Hops[i], nil
+		return int((r.perPacketCounter.Add(1) - 1) % uint64(n)), nil
 	case PerDestination:
 		k, err := flow.FromParsed(hdr, payload, flow.Options{Kind: flow.KeyDestination})
 		if err != nil {
-			return NextHop{}, err
+			return 0, err
 		}
-		return rt.Hops[(k.Bucket(n)+rot)%n], nil
+		return (k.Bucket(n) + rot) % n, nil
 	default:
-		return NextHop{}, fmt.Errorf("netsim: unknown balance policy %v", rt.Balance)
+		return 0, fmt.Errorf("netsim: unknown balance policy %v", rt.Balance)
 	}
 }

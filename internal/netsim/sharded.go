@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -12,9 +13,10 @@ import (
 // ShardedTransport fans probes out over several fully independent Network
 // shards, implementing the tracer Transport contract over all of them at
 // once. Each probe is dispatched to the shard owning its destination by one
-// read of an immutable map — no lock, no atomic, no shared counter sits on
-// the dispatch path, so shards never contend with each other and the only
-// synchronization a probe ever sees is its own shard's read lock.
+// read of an immutable map keyed by the destination's four bytes — no lock,
+// no atomic, no shared counter sits on the dispatch path, so shards never
+// contend with each other and the only synchronization a probe ever sees is
+// its own shard's read lock.
 //
 // The shard map and the shard slice are frozen at construction; a router or
 // host belongs to exactly one shard, and addresses outside the probe's own
@@ -25,21 +27,22 @@ import (
 // address.
 type ShardedTransport struct {
 	shards  []*Transport
-	shardOf map[netip.Addr]int
+	shardOf map[uint32]int // by a4 of the destination
 	source  netip.Addr
 }
 
 // NewShardedTransport wraps one Transport per shard network. shardOf maps
-// each destination address to the index of the shard that routes it; it
-// must not be mutated after the call. All shards must share the same
-// measurement source address — the tracers see one source, many networks.
+// each destination address to the index of the shard that routes it; it is
+// converted once, here, to the four-byte keys dispatch hashes. All shards
+// must share the same measurement source address — the tracers see one
+// source, many networks.
 func NewShardedTransport(nets []*Network, shardOf map[netip.Addr]int) *ShardedTransport {
 	if len(nets) == 0 {
 		panic("netsim: NewShardedTransport needs at least one shard")
 	}
 	t := &ShardedTransport{
 		shards:  make([]*Transport, len(nets)),
-		shardOf: shardOf,
+		shardOf: make(map[uint32]int, len(shardOf)),
 		source:  nets[0].Source(),
 	}
 	for i, n := range nets {
@@ -51,6 +54,9 @@ func NewShardedTransport(nets []*Network, shardOf map[netip.Addr]int) *ShardedTr
 	for a, s := range shardOf {
 		if s < 0 || s >= len(nets) {
 			panic(fmt.Sprintf("netsim: destination %v mapped to shard %d of %d", a, s, len(nets)))
+		}
+		if k, ok := a4(a); ok { // a probe's destination field holds nothing else
+			t.shardOf[k] = s
 		}
 	}
 	return t
@@ -66,7 +72,7 @@ func (t *ShardedTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) 
 // shardIdx maps a serialized probe to the shard owning its destination.
 func (t *ShardedTransport) shardIdx(probe []byte) int {
 	if len(probe) >= 20 {
-		if s, ok := t.shardOf[netip.AddrFrom4([4]byte(probe[16:20]))]; ok {
+		if s, ok := t.shardOf[binary.BigEndian.Uint32(probe[16:20])]; ok {
 			return s
 		}
 	}
@@ -96,15 +102,17 @@ func (t *ShardedTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResu
 	if len(probes) == 0 {
 		return
 	}
+	// Each probe's shard is looked up once: the scan for the first probe
+	// that leaves probes[0]'s shard stops there, and grouping resumes there.
 	first := t.shardIdx(probes[0])
-	single := true
-	for _, p := range probes[1:] {
-		if t.shardIdx(p) != first {
-			single = false
+	split, other := len(probes), first
+	for i := 1; i < len(probes); i++ {
+		if s := t.shardIdx(probes[i]); s != first {
+			split, other = i, s
 			break
 		}
 	}
-	if single {
+	if split == len(probes) {
 		t.shards[first].ExchangeBatch(probes, out[:len(probes)])
 		return
 	}
@@ -117,8 +125,12 @@ func (t *ShardedTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResu
 	for s := range idxs {
 		idxs[s] = idxs[s][:0]
 	}
-	for i, p := range probes {
-		s := t.shardIdx(p)
+	for i := 0; i < split; i++ {
+		idxs[first] = append(idxs[first], i)
+	}
+	idxs[other] = append(idxs[other], split)
+	for i := split + 1; i < len(probes); i++ {
+		s := t.shardIdx(probes[i])
 		idxs[s] = append(idxs[s], i)
 	}
 	for s, list := range idxs {

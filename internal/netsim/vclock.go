@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"net/netip"
+	"sync/atomic"
 	"time"
 )
 
@@ -125,7 +126,18 @@ type dynamics struct {
 	roundDur int64
 	// qFactor is the precomputed M/M/1 intensity term load/(1-load).
 	qFactor float64
+	// links caches each link's time-invariant delay parameters, indexed by
+	// the receiving node's id and filled on first crossing. SetDynamics
+	// sizes it to the registry and registration grows it (both under
+	// topoMu), so it lasts as long as this layer is installed.
+	links []linkSlot
 }
+
+// linkSlot is one link's cached linkParams as float bits, drawn by whichever
+// exchange crosses the link first. The parameters are a pure function of
+// (seed, link address), so racing fills store the same bits; bw is never
+// zero once drawn, which is what marks the slot filled.
+type linkSlot struct{ prop, bw atomic.Uint64 }
 
 // compileDynamics clamps and precomputes a Dynamics value; nil when
 // disabled.
@@ -191,39 +203,44 @@ func (dy *dynamics) windowHash(salt, k uint64, window int64) uint64 {
 	return splitmix64(dy.linkHash(salt, k) ^ uint64(window))
 }
 
-// linkParams is the time-invariant part of one link's delay model,
-// memoizable per batch because it depends only on (seed, link).
+// linkParams is the time-invariant part of one link's delay model; it
+// depends only on (seed, link).
 type linkParams struct {
 	propNs      float64 // propagation delay, already Delay-scaled
 	bwBitsPerNs float64 // serialization bandwidth
 }
 
-// paramsOf draws (or recalls) the link's propagation delay and bandwidth.
-func (dy *dynamics) paramsOf(k uint32, memo map[uint32]linkParams) linkParams {
-	if memo != nil {
-		if p, ok := memo[k]; ok {
-			return p
+// paramsOf draws (or recalls) the propagation delay and bandwidth of the
+// link into interface k. The draws hash the address key; the node id `to`
+// (nodeNone for an unregistered adjacency) only locates the cache slot.
+func (dy *dynamics) paramsOf(k uint32, to int32) linkParams {
+	var slot *linkSlot
+	if to >= 0 {
+		slot = &dy.links[to]
+		if bw := slot.bw.Load(); bw != 0 {
+			return linkParams{propNs: math.Float64frombits(slot.prop.Load()), bwBitsPerNs: math.Float64frombits(bw)}
 		}
 	}
 	p := linkParams{
 		propNs:      dy.delay * basePropNs * math.Exp(sigmaProp*stdNormal(dy.linkHash(saltProp, uint64(k)))),
 		bwBitsPerNs: baseBWBitsPerNs * math.Exp(sigmaBW*stdNormal(dy.linkHash(saltBW, uint64(k)))),
 	}
-	if memo != nil {
-		memo[k] = p
+	if slot != nil {
+		slot.prop.Store(math.Float64bits(p.propNs))
+		slot.bw.Store(math.Float64bits(p.bwBitsPerNs))
 	}
 	return p
 }
 
 // linkDelay is the virtual time a pktLen-byte packet spends crossing the
-// link into interface k when it departs at virtual time now: propagation
-// plus serialization (both Delay-scaled, time-invariant per link) plus the
-// load-driven queueing term (redrawn per burst bucket). Always at least
-// 1ns, so the event clock strictly advances.
-func (dy *dynamics) linkDelay(k uint32, now int64, pktLen int, memo map[uint32]linkParams) int64 {
+// link into interface k (node `to`) when it departs at virtual time now:
+// propagation plus serialization (both Delay-scaled, time-invariant per
+// link) plus the load-driven queueing term (redrawn per burst bucket).
+// Always at least 1ns, so the event clock strictly advances.
+func (dy *dynamics) linkDelay(k uint32, to int32, now int64, pktLen int) int64 {
 	ns := 0.0
 	if dy.delay > 0 || dy.load > 0 {
-		p := dy.paramsOf(k, memo)
+		p := dy.paramsOf(k, to)
 		if dy.delay > 0 {
 			ns += p.propNs + float64(pktLen*8)/p.bwBitsPerNs
 		}
@@ -372,13 +389,19 @@ func (c *vclock) elapsed() time.Duration { return time.Duration(c.now - c.start)
 
 // SetDynamics installs (or, with a disabled config, removes) the network's
 // virtual-clock dynamics layer. Like RandomPerPacket it is a setup-time
-// switch: set it before the first exchange. With dynamics installed,
-// exchanges run on the virtual event clock — per-link delays, queueing,
-// flaps, churn, and brownouts all replay identically from Dynamics.Seed —
-// and report virtual RTTs; without, forwarding takes the historical
-// instant path byte for byte.
+// switch: set it before the first exchange, and never from an OnSend hook
+// (it takes the topology read lock). With dynamics installed, exchanges run
+// on the virtual event clock — per-link delays, queueing, flaps, churn, and
+// brownouts all replay identically from Dynamics.Seed — and report virtual
+// RTTs; without, forwarding takes the historical instant path byte for byte.
 func (n *Network) SetDynamics(d Dynamics) {
-	n.dyn.Store(compileDynamics(d))
+	dy := compileDynamics(d)
+	n.topoMu.RLock()
+	defer n.topoMu.RUnlock()
+	if dy != nil {
+		dy.links = make([]linkSlot, len(n.nodes))
+	}
+	n.dyn.Store(dy)
 }
 
 // DynamicsEnabled reports whether a dynamics layer is installed.
@@ -394,16 +417,26 @@ func (n *Network) SetVirtualRound(r int) {
 	n.vround.Store(int64(r))
 }
 
-// advanceClock carries the packet across the link into interface `to`: the
+// advanceClock carries the packet across the link into node `to`: the
 // arrival is scheduled after the link's delay and the event loop steps to
-// it. It reports false when the link is browned out at arrival time and
-// the packet is lost. Called only on the dynamics path (ctx.clk non-nil).
-func (n *Network) advanceClock(ctx *exchCtx, to netip.Addr, pktLen int) bool {
-	k, ok := a4(to)
-	if !ok {
-		return true // the walk drops non-IPv4 adjacencies itself
+// it. via names the adjacency when nothing is registered there (to is
+// nodeNone; nil: nowhere at all): the link is keyed by its address either
+// way. It reports false when the link is browned out at arrival time and the
+// packet is lost. Called only on the dynamics path (ctx.clk non-nil).
+func (n *Network) advanceClock(ctx *exchCtx, to int32, via *netip.Addr, pktLen int) bool {
+	var (
+		k  uint32
+		ok bool
+	)
+	if to >= 0 {
+		k, ok = n.nodes[to].key, true
+	} else if via != nil {
+		k, ok = a4(*via)
 	}
-	ctx.clk.schedule(ctx.dyn.linkDelay(k, ctx.clk.now, pktLen, ctx.links), k)
+	if !ok {
+		return true // no link to cross: the walk drops the packet itself
+	}
+	ctx.clk.schedule(ctx.dyn.linkDelay(k, to, ctx.clk.now, pktLen), k)
 	ev, _ := ctx.clk.step()
 	return !ctx.dyn.brownout(ev.key, ctx.clk.now)
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -317,7 +318,7 @@ func Generate(cfg GenConfig) *Scenario {
 
 	gen := &generator{
 		cfg: cfg, rng: rng, sc: sc,
-		flipByDest: make(map[netip.Addr]*flipState),
+		flipByDest: make(map[uint32]*flipState),
 	}
 
 	destsLeft := cfg.Destinations
@@ -378,7 +379,7 @@ func Generate(cfg GenConfig) *Scenario {
 			}
 			sc.AS.Add(netip.PrefixFrom(h.Addr, 32), asn)
 			if tmpl.flip != nil {
-				gen.flipByDest[h.Addr] = tmpl.flip
+				gen.flipByDest[dst4(h.Addr.AsSlice())] = tmpl.flip
 			}
 			installStep(RouteStep{On: b.Gateway, Via: via(core[0].Iface(0))}, h.Addr)
 			for i := 0; i+1 < len(core); i++ {
@@ -449,8 +450,7 @@ func Generate(cfg GenConfig) *Scenario {
 				if len(probe) < 20 {
 					return
 				}
-				dst := netip.AddrFrom4([4]byte(probe[16:20]))
-				fs, ok := flips[dst]
+				fs, ok := flips[dst4(probe[16:20])]
 				if !ok {
 					return
 				}
@@ -493,8 +493,14 @@ type generator struct {
 
 	flapRouters []*netsim.Router
 	looperPairs [][2]*netsim.Router
-	flipByDest  map[netip.Addr]*flipState
+	// flipByDest is keyed by dst4 of the destination: the flip hook runs
+	// for every probe of the study, so its key is four bytes, not an Addr.
+	flipByDest map[uint32]*flipState
 }
+
+// dst4 is the flip table's key: the four octets of an IPv4 address, as they
+// sit in a probe's destination field.
+func dst4(b []byte) uint32 { return binary.BigEndian.Uint32(b) }
 
 // buildPod assembles one pod's routers into b (the pod's shard) and returns
 // its route template.
