@@ -18,7 +18,7 @@ import (
 // campaign — socket reopen, context cancellation, a trace error — the
 // file on disk is either absent or a complete, readable capture of
 // everything recorded up to Close. Safe for concurrent use: the mux's
-// reader loop and its writer workers record without coordination.
+// reader and its sending workers record without coordination.
 type Capture struct {
 	mu     sync.Mutex
 	path   string

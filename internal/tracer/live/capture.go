@@ -13,7 +13,7 @@ import "time"
 // unrelated host traffic that the demultiplexer will discard. Replays
 // therefore see exactly the traffic the original attribution logic saw.
 //
-// Implementations must be safe for concurrent use: the mux's reader loop
+// Implementations must be safe for concurrent use: the mux's reader
 // records inbound datagrams while worker batches record their sends. The
 // transports guarantee ordering per conversation — a probe is always
 // recorded before any response to it — by recording sends before the

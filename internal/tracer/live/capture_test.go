@@ -71,6 +71,7 @@ func TestMuxCaptureSurvivesSocketRecovery(t *testing.T) {
 	}
 	got := muxTraceAll(t, m, sc, workers)
 	h := m.Health()
+	assertMuxDrained(t, m)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

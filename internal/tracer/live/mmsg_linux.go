@@ -23,16 +23,38 @@ type mmsghdr struct {
 	_    [4]byte
 }
 
+// mmsgScratch is one direction's batch-syscall header storage, kept on the
+// conn and grown to the largest batch seen, so a steady-state WriteBatch or
+// ReadBatch allocates nothing. PacketConn's concurrency contract guards it:
+// WriteBatch calls are serialized, and there is one ReadBatch at a time.
+type mmsgScratch struct {
+	vec  []mmsghdr
+	iovs []syscall.Iovec
+	sas  []syscall.RawSockaddrInet4 // send only
+	ctrl []byte                     // receive only
+}
+
+// grow sizes the scratch for an n-datagram batch.
+func (s *mmsgScratch) grow(n int) {
+	if cap(s.vec) < n {
+		s.vec = make([]mmsghdr, n)
+		s.iovs = make([]syscall.Iovec, n)
+		s.sas = make([]syscall.RawSockaddrInet4, n)
+		s.ctrl = make([]byte, n*recvCtrlSpace)
+	}
+	s.vec, s.iovs = s.vec[:n], s.iovs[:n]
+}
+
 // sendmmsg transmits every datagram in one syscall, returning how many the
 // kernel accepted.
-func sendmmsg(fd int, dgs []Datagram) (int, error) {
-	vec := make([]mmsghdr, len(dgs))
-	iovs := make([]syscall.Iovec, len(dgs))
-	sas := make([]syscall.RawSockaddrInet4, len(dgs))
+func sendmmsg(fd int, dgs []Datagram, sc *mmsgScratch) (int, error) {
+	sc.grow(len(dgs))
+	vec, iovs, sas := sc.vec, sc.iovs, sc.sas
 	for i := range dgs {
 		iovs[i].Base = &dgs[i].Buf[0]
 		iovs[i].SetLen(len(dgs[i].Buf))
 		sas[i] = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Addr: dgs[i].Dst}
+		vec[i] = mmsghdr{}
 		vec[i].hdr.Name = (*byte)(unsafe.Pointer(&sas[i]))
 		vec[i].hdr.Namelen = uint32(syscall.SizeofSockaddrInet4)
 		vec[i].hdr.Iov = &iovs[i]
@@ -55,13 +77,13 @@ const recvCtrlSpace = 48
 // the largest SO_RXQ_OVFL overflow counter seen in the sweep's control
 // messages — the kernel attaches the cumulative per-socket drop count to
 // every datagram once the option is enabled — or 0 when none arrived.
-func recvmmsg(fd int, dgs []Datagram) (int, uint32, error) {
-	vec := make([]mmsghdr, len(dgs))
-	iovs := make([]syscall.Iovec, len(dgs))
-	ctrl := make([]byte, len(dgs)*recvCtrlSpace)
+func recvmmsg(fd int, dgs []Datagram, sc *mmsgScratch) (int, uint32, error) {
+	sc.grow(len(dgs))
+	vec, iovs, ctrl := sc.vec, sc.iovs, sc.ctrl
 	for i := range dgs {
 		iovs[i].Base = &dgs[i].Buf[0]
 		iovs[i].SetLen(len(dgs[i].Buf))
+		vec[i] = mmsghdr{}
 		vec[i].hdr.Iov = &iovs[i]
 		vec[i].hdr.Iovlen = 1
 		vec[i].hdr.Control = &ctrl[i*recvCtrlSpace]

@@ -14,11 +14,14 @@ import (
 
 const haveMmsg = false
 
-func sendmmsg(fd int, dgs []Datagram) (int, error) { return 0, syscall.ENOSYS }
+// mmsgScratch is empty here: there are no batch syscalls to keep headers for.
+type mmsgScratch struct{}
+
+func sendmmsg(int, []Datagram, *mmsgScratch) (int, error) { return 0, syscall.ENOSYS }
 
 // recvmmsg is unsupported here; the Recvfrom path also carries no
 // SO_RXQ_OVFL control messages, so kernel drop counts stay zero.
-func recvmmsg(fd int, dgs []Datagram) (int, uint32, error) { return 0, 0, syscall.ENOSYS }
+func recvmmsg(int, []Datagram, *mmsgScratch) (int, uint32, error) { return 0, 0, syscall.ENOSYS }
 
 // fdBits is the width of one FdSet.Bits word (64 on LP64, 32 on ILP32).
 var fdBits = 8 * int(unsafe.Sizeof(syscall.FdSet{}.Bits[0]))

@@ -6,21 +6,28 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/tracer"
 )
 
 // This file is the campaign-wide demultiplexer: one raw socket pair, the
-// whole fleet. A Mux owns a single PacketConn and a single receive loop;
-// any number of workers call ExchangeBatch concurrently through the thin
-// MuxTransport handles it hands out, and the loop attributes every inbound
-// datagram across all in-flight batches by the same quoted-flow-identifier
-// keys the per-batch wheel (live.go) uses — the per-batch key table is
-// simply promoted to a mux-global registration table with per-batch
-// ownership and race-safe unregister on completion.
+// whole fleet. A Mux owns a single PacketConn, one registration table and
+// one deadline wheel, and no goroutine: any number of workers call
+// ExchangeBatch concurrently through the MuxTransport handles it hands out,
+// and whoever waits, reads. The worker holding the reader role reads the
+// conn and attributes every inbound datagram across all in-flight batches
+// by the same quoted-flow-identifier keys the per-batch wheel (live.go)
+// uses — the per-batch key table promoted to a mux-global registration
+// table with per-batch ownership and race-safe unregister. The other
+// waiting workers sleep, each on its own batch's wake channel, until their
+// batch completes or the role is handed to them; a reader leaves as soon as
+// its own batch is resolved. A mux with one handle is therefore exactly the
+// caller-driven wheel of live.Transport, and an idle mux holds nothing but
+// its sockets.
 //
-// Three robustness layers ride on the shared loop (see docs/live.md for
+// Three robustness layers ride on the shared wheel (see docs/live.md for
 // the full contracts):
 //
 //   - Per-destination adaptive timeouts: an RFC 6298 SRTT/RTTVAR estimator
@@ -41,13 +48,19 @@ import (
 //     with the fatal error and marks the mux broken, per the transient/
 //     fatal taxonomy.
 //
-// Lock order: a worker registers, sends, and wakes the loop under mu; the
-// loop reads without mu (the conn is the only thing it touches unlocked)
-// and takes mu to dispatch, expire, and reopen. Sends from both sides are
-// serialized by mu itself. The fake conn's virtual clock works unchanged:
-// the loop's read deadline is always the earliest wheel deadline, so an
-// ErrTimeout turn always expires at least one slot and the wheel advances
-// without real sleeps.
+// Lock order: one lock. A worker registers and sends under mu, then either
+// takes the reader role (Mux.reader) or sleeps on its batch's wake channel
+// with mu released. The reader gives mu up only around the conn read with
+// its capture tap, the OnPressure callback and a redial with its back-off
+// sleep (Mux.unlocked), and holds it to dispatch, expire and reopen; the
+// role is released by defer, under mu, on every path out. Sends from every
+// side are serialized by mu and one ReadBatch runs at a time because one
+// worker holds the role — PacketConn's concurrency contract. The fake
+// conn's virtual clock works unchanged: the read deadline is always the
+// earliest wheel deadline, so an ErrTimeout turn expires every slot due by
+// then (bar those sent while that read was under way, whose answers may be
+// sitting unread until the next turn) and the wheel advances without real
+// sleeps.
 
 // MuxConfig parameterizes a shared demultiplexer.
 type MuxConfig struct {
@@ -63,10 +76,11 @@ type MuxConfig struct {
 	// Retries is how many times an unanswered probe is re-sent before it
 	// resolves as a star. Zero means send once, never re-send.
 	Retries int
-	// Context, when non-nil, cancels in-flight exchanges: every waiting
-	// worker fails its unresolved probes with the context's error.
-	// Cancellation is observed by the waiting workers themselves, so it
-	// is prompt regardless of the loop's read deadline.
+	// Context, when non-nil, cancels the mux: once it is done every
+	// in-flight probe of every worker fails with the context's error, and
+	// so does every later exchange. One context.AfterFunc (registered by
+	// NewMux, stopped by Close) does it and pops a blocked reader through
+	// the Waker seam, so it is prompt whatever the read deadline.
 	Context context.Context
 	// Conn overrides the raw-socket layer — the test seam. Nil dials the
 	// platform's real raw sockets (Linux only, needs root/CAP_NET_RAW).
@@ -74,7 +88,8 @@ type MuxConfig struct {
 	// Redial re-opens the socket layer after a fatal receive error. Nil
 	// with a nil Conn selects dialRaw; nil with an injected Conn leaves
 	// the mux unable to reopen (the first fatal error breaks it), which
-	// is what hermetic tests that do not exercise recovery want.
+	// is what hermetic tests that do not exercise recovery want. It runs
+	// on the reader, outside the mux lock.
 	Redial func() (PacketConn, error)
 	// MaxReopens bounds both the redial attempts within one recovery
 	// incident and the consecutive incidents tolerated without a single
@@ -84,18 +99,20 @@ type MuxConfig struct {
 	MTU int
 	// OnPressure, when set, is invoked (outside the mux lock) every time
 	// the degradation level changes — up on detected receive pressure,
-	// down as clean read turns accumulate — with a health snapshot.
-	// Binaries use it to drive tracer.Pacer.SetRate.
+	// down as clean read turns accumulate — with a health snapshot. It runs
+	// on the reader, between two reads: nothing is read until it returns,
+	// it must not call Close, and a panic in it takes only that worker's
+	// exchange down. Binaries use it to drive tracer.Pacer.SetRate.
 	OnPressure func(tracer.MuxHealth)
 	// Sleep replaces time.Sleep for redial backoff; tests inject a no-op.
 	Sleep func(time.Duration)
 	// Capture, when non-nil, receives every probe any worker's batch
-	// injects and every datagram the receive loop reads — pre-dedup, so
+	// injects and every datagram the reader reads — pre-dedup, so
 	// duplicates, retransmits, reopen re-sends, and unrelated junk are
 	// recorded too (pcap.Capture is the standard sink; it must be safe
-	// for concurrent use). While a capture is armed the mux stamps
-	// wall-clock times, making the capture's timestamps authoritative
-	// for offline replay.
+	// for concurrent use: one worker's sends overlap the reader's read).
+	// While a capture is armed the mux stamps wall-clock times, making the
+	// capture's timestamps authoritative for offline replay.
 	Capture CaptureSink
 }
 
@@ -109,23 +126,30 @@ type Mux struct {
 	retries    int
 	maxReopens int
 	mtu        int
-	ctx        context.Context
 	redial     func() (PacketConn, error)
 	onPressure func(tracer.MuxHealth)
 	sleepFn    func(time.Duration)
-	capture    CaptureSink // immutable after NewMux; loop reads without mu
+	capture    CaptureSink // immutable after NewMux; the reader calls it without mu
+	stopCancel func() bool // detaches the Context's AfterFunc; nil without one
 
 	mu   sync.Mutex
-	cond *sync.Cond // registration/close wake-up for the idle loop
 	conn PacketConn // nil only transiently inside reopenLocked
-	// armed is the read deadline the loop is currently blocked on (zero:
-	// the loop is not in a read); a worker registering an earlier
-	// deadline wakes the conn through the Waker seam.
-	armed  time.Time
+	// reader is the batch whose worker holds the reader role; nil when
+	// nobody does, which with batches in flight lasts only from a hand-off
+	// to its taker's lock.
+	reader *muxBatch
+	left   chan struct{} // made by a Close that finds a reader, closed by it on leaving
+	// armed is the read deadline the reader is currently blocked on (zero:
+	// nobody is in a read); a worker registering an earlier deadline wakes
+	// the conn through the Waker seam.
+	armed time.Time
+	// turn counts armed reads; an expiring turn spares the slots sent
+	// while its own read was under way (see expireLocked).
+	turn   uint64
 	closed bool
-	broken error // terminal failure: reopen budget exhausted
+	broken error // terminal failure: reopen budget exhausted, or Context done
 
-	byKey   map[matchKey][]slotRef
+	byKey   map[matchKey]keyQueue
 	batches map[*muxBatch]struct{}
 	est     map[[4]byte]*rttEstimator
 
@@ -140,25 +164,44 @@ type Mux struct {
 	pressureEvents int
 	kdrops         uint64
 
-	send []Datagram // send scratch, guarded by mu
-	recv []Datagram // receive scratch, loop-owned
-
-	loopDone chan struct{}
+	send   []Datagram // send scratch, guarded by mu
+	resend []slotRef  // expiry and reopen re-send scratch, guarded by mu
+	recv   []Datagram // receive scratch, owned by the reader role
 }
 
-// slotRef names one in-flight probe: batch identity plus slot index. The
-// registration table maps each match key to a FIFO of these.
+// slotRef names one in-flight probe: batch identity plus slot index.
 type slotRef struct {
 	b *muxBatch
 	i int
 }
 
-// muxBatch is one worker's ExchangeBatch call in flight.
+// keyQueue is the registration table's entry for one match key: the FIFO
+// of unresolved probes registered under it, oldest first, the first inline
+// and more only when probes really share a key (tcptraceroute's constant
+// sequence number). An entry never outlives its last reference.
+type keyQueue struct {
+	first slotRef
+	more  []slotRef
+}
+
+// muxBatch is one worker's ExchangeBatch call in flight. Its handle
+// recycles it from call to call (slots, send references, wake channel).
 type muxBatch struct {
 	slots      []muxSlot
+	refs       []slotRef // the registered slots, for the initial send
 	out        []tracer.ProbeResult
 	unresolved int
-	done       chan struct{} // closed exactly once, under mu
+	// wake (capacity 1) is where the worker sleeps while another reads: a
+	// token arrives when the batch completes or the role is offered.
+	// Tokens can be stale; the worker re-checks under mu.
+	wake chan struct{}
+}
+
+func (b *muxBatch) wakeWorker() {
+	select {
+	case b.wake <- struct{}{}:
+	default: // one pending token is enough
+	}
 }
 
 // muxSlot is one in-flight probe's wheel entry (the mux-side slot).
@@ -166,12 +209,15 @@ type muxSlot struct {
 	probe            []byte
 	dst              [4]byte
 	quoted, terminal matchKey
-	hasTerminal      bool
-	registered       bool
-	sentAt           time.Time
-	deadline         time.Time
-	attempts         int
-	sendDefers       int
+	// inQuoted and inTerminal say which of the slot's keys still hold a
+	// table reference to it, so resolving it removes exactly what is left.
+	inQuoted, inTerminal bool
+	est                  *rttEstimator // the destination's, cached; nil until one exists
+	turn                 uint64        // Mux.turn when the probe was last sent
+	sentAt               time.Time
+	deadline             time.Time
+	attempts             int
+	sendDefers           int
 	// noSample suppresses the RTT sample per Karn's rule: set on every
 	// retransmission and on reopen re-sends (an answer may belong to any
 	// copy of the probe).
@@ -180,8 +226,12 @@ type muxSlot struct {
 	err      error
 }
 
-// errMuxClosed fails exchanges against a closed mux.
-var errMuxClosed = errors.New("live: mux closed")
+// errMuxClosed fails exchanges against a closed mux; errAbandoned marks the
+// probes of an exchange a panic unwound through.
+var (
+	errMuxClosed = errors.New("live: mux closed")
+	errAbandoned = errors.New("live: exchange abandoned by a panic")
+)
 
 // Pressure- and recovery-tuning constants. The degrade shift widens
 // adaptive timeouts by up to 1<<maxDegradeShift (still capped at Timeout);
@@ -195,7 +245,8 @@ const (
 	reopenBackoffBase = 100 * time.Millisecond
 )
 
-// NewMux opens a shared demultiplexer and starts its receive loop.
+// NewMux opens a shared demultiplexer. It starts no goroutine: the workers
+// that exchange through it do all of its work.
 func NewMux(cfg MuxConfig) (*Mux, error) {
 	if !cfg.Source.Is4() {
 		return nil, fmt.Errorf("live: need an IPv4 source address, got %v", cfg.Source)
@@ -241,67 +292,93 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 		retries:    cfg.Retries,
 		maxReopens: cfg.MaxReopens,
 		mtu:        cfg.MTU,
-		ctx:        cfg.Context,
 		redial:     redial,
 		onPressure: cfg.OnPressure,
 		sleepFn:    sleep,
 		capture:    cfg.Capture,
 		conn:       conn,
-		byKey:      make(map[matchKey][]slotRef),
+		byKey:      make(map[matchKey]keyQueue),
 		batches:    make(map[*muxBatch]struct{}),
 		est:        make(map[[4]byte]*rttEstimator),
 		recv:       make([]Datagram, 64),
-		loopDone:   make(chan struct{}),
 	}
 	for i := range m.recv {
 		m.recv[i].Buf = make([]byte, m.mtu)
 	}
-	m.cond = sync.NewCond(&m.mu)
-	go m.loop()
+	if ctx := cfg.Context; ctx != nil {
+		m.stopCancel = context.AfterFunc(ctx, func() { m.cancel(ctx.Err()) })
+	}
 	return m, nil
 }
 
 // Source returns the configured local address.
 func (m *Mux) Source() netip.Addr { return m.src }
 
-// Close fails every in-flight probe, stops the receive loop, and releases
-// the sockets. It returns after the loop goroutine has exited, so a closed
-// mux leaks nothing. Safe to call more than once.
+// Close fails every in-flight probe and releases the sockets. It returns
+// after the worker holding the reader role, if any, has left the conn, so
+// a closed mux leaks nothing. Safe to call more than once.
 func (m *Mux) Close() error {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		<-m.loopDone
-		return nil
+	var conn PacketConn
+	if !m.closed {
+		m.closed = true
+		m.failAllLocked(errMuxClosed)
+		conn, m.conn = m.conn, nil
+		if m.stopCancel != nil {
+			m.stopCancel()
+		}
 	}
-	m.closed = true
-	m.failAllLocked(errMuxClosed)
-	conn := m.conn
-	m.conn = nil
-	m.cond.Broadcast()
+	if m.reader != nil && m.left == nil {
+		m.left = make(chan struct{})
+	}
+	left := m.left
 	m.mu.Unlock()
 	var err error
 	if conn != nil {
-		// A loop blocked in the conn's read won't notice a concurrent close
-		// of the descriptors it is polling; pop it out through the Waker
-		// seam first, then close. The loop observes closed and exits.
-		if w, ok := conn.(Waker); ok {
-			w.Wake()
-		}
+		// A reader blocked in the conn's read won't notice a concurrent
+		// close of the descriptors it is polling; pop it out first.
+		wakeConn(conn)
 		err = conn.Close()
 	}
-	<-m.loopDone
+	if left != nil {
+		<-left
+	}
 	return err
 }
 
+// cancel is the Context's AfterFunc: everything in flight and every later
+// exchange fails with err, and a blocked reader is popped out to see it.
+func (m *Mux) cancel(err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.closed {
+		m.broken = err
+		m.failAllLocked(err)
+		wakeConn(m.conn)
+	}
+}
+
+// wakeConn pops a blocked ReadBatch out of a conn that has the Waker seam.
+// Wake never blocks, so holding mu across it is fine.
+func wakeConn(conn PacketConn) {
+	if w, ok := conn.(Waker); ok {
+		w.Wake()
+	}
+}
+
 // Transport returns a tracer.Transport / tracer.BatchTransport /
-// tracer.FallibleTransport handle over the mux. Handles are stateless and
-// safe for concurrent use; a campaign may give every worker its own or
-// share one, indifferently.
+// tracer.FallibleTransport handle over the mux. Handles are safe for
+// concurrent use; a campaign may give every worker its own or share one.
+// A worker with a handle of its own exchanges without allocating.
 func (m *Mux) Transport() *MuxTransport { return &MuxTransport{m: m} }
 
 // MuxTransport is a worker's handle on a shared Mux.
-type MuxTransport struct{ m *Mux }
+type MuxTransport struct {
+	m *Mux
+	// spare is the recycled batch; of concurrent callers the loser of the
+	// swap allocates one of its own.
+	spare atomic.Pointer[muxBatch]
+}
 
 // Source implements tracer.Transport.
 func (t *MuxTransport) Source() netip.Addr { return t.m.src }
@@ -317,7 +394,7 @@ func (t *MuxTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
 func (t *MuxTransport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, error) {
 	probes := [1][]byte{probe}
 	var out [1]tracer.ProbeResult
-	t.m.exchangeBatch(probes[:], out[:])
+	t.ExchangeBatch(probes[:], out[:])
 	if out[0].Err != nil {
 		return nil, 0, false, out[0].Err
 	}
@@ -331,7 +408,25 @@ func (t *MuxTransport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, e
 // Transport, concurrent calls interleave freely: the mux attributes every
 // response by flow identifier across all in-flight batches.
 func (t *MuxTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
-	t.m.exchangeBatch(probes, out)
+	if len(out) < len(probes) {
+		panic("live: ExchangeBatch result slice shorter than probe slice")
+	}
+	if len(probes) == 0 {
+		return
+	}
+	b := t.spare.Swap(nil)
+	if b == nil {
+		b = &muxBatch{wake: make(chan struct{}, 1)}
+	}
+	if cap(b.slots) < len(probes) {
+		b.slots = make([]muxSlot, len(probes))
+	}
+	b.slots, b.out = b.slots[:len(probes)], out
+	t.m.exchange(b, probes)
+	// Slots go back zeroed, holding none of the caller's buffers.
+	clear(b.slots)
+	b.out = nil
+	t.spare.Store(b)
 }
 
 // Health snapshots the mux's robustness counters.
@@ -352,8 +447,8 @@ func (m *Mux) healthLocked() tracer.MuxHealth {
 		Destinations:   len(m.est),
 	}
 	var sum int64
-	for dst := range m.est {
-		r := int64(m.rtoLocked(dst))
+	for _, e := range m.est {
+		r := int64(m.rtoLocked(e))
 		sum += r
 		if h.RTOMinNs == 0 || r < h.RTOMinNs {
 			h.RTOMinNs = r
@@ -368,47 +463,49 @@ func (m *Mux) healthLocked() tracer.MuxHealth {
 	return h
 }
 
-// exchangeBatch registers the batch in the mux-global table, performs the
-// initial send, and blocks until the receive loop (or cancellation)
-// resolves every probe.
-func (m *Mux) exchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
-	if len(out) < len(probes) {
-		panic("live: ExchangeBatch result slice shorter than probe slice")
-	}
-	if len(probes) == 0 {
-		return
-	}
-	b := &muxBatch{slots: make([]muxSlot, len(probes)), out: out, done: make(chan struct{})}
-
+// exchange registers b (zeroed slots, one per probe) in the mux-global
+// table, performs the initial send, and returns once every probe is
+// resolved: by this worker turning the wheel itself whenever nobody else
+// is, by the reader of the moment otherwise, or by Close or cancellation.
+func (m *Mux) exchange(b *muxBatch, probes [][]byte) {
+	out := b.out
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if ferr := m.fatalLocked(); ferr != nil {
-		m.mu.Unlock()
 		for i := range probes {
 			resetResult(&out[i])
 			out[i].Err = ferr
 		}
 		return
 	}
+	b.refs = b.refs[:0]
+	var last *muxSlot // the slot registered before this one
 	for i, p := range probes {
 		resetResult(&out[i])
 		s := &b.slots[i]
 		s.probe = p
-		quoted, terminal, hasTerminal, ok := probeKeys(p)
-		if !ok {
+		var ok bool
+		if s.quoted, s.terminal, s.inTerminal, ok = probeKeys(p); !ok {
 			s.resolved = true // unparseable: an immediate star
 			continue
 		}
-		s.dst = quoted.Dst
-		s.quoted, s.terminal, s.hasTerminal = quoted, terminal, hasTerminal
-		s.registered = true
-		m.byKey[quoted] = append(m.byKey[quoted], slotRef{b, i})
-		if hasTerminal {
-			m.byKey[terminal] = append(m.byKey[terminal], slotRef{b, i})
+		s.dst = s.quoted.Dst
+		// One estimator lookup per run of equal destinations: a ladder.
+		if last != nil && last.dst == s.dst {
+			s.est = last.est
+		} else {
+			s.est = m.est[s.dst]
 		}
-		b.unresolved++
+		last = s
+		ref := slotRef{b, i}
+		s.inQuoted = true
+		m.addRefLocked(s.quoted, ref)
+		if s.inTerminal {
+			m.addRefLocked(s.terminal, ref)
+		}
+		b.refs = append(b.refs, ref)
 	}
-	if b.unresolved == 0 {
-		m.mu.Unlock()
+	if b.unresolved = len(b.refs); b.unresolved == 0 {
 		return
 	}
 	m.batches[b] = struct{}{}
@@ -416,37 +513,60 @@ func (m *Mux) exchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	if m.inFlight > m.inFlightPeak {
 		m.inFlightPeak = m.inFlight
 	}
-	refs := make([]slotRef, 0, b.unresolved)
-	for i := range b.slots {
-		if !b.slots[i].resolved {
-			refs = append(refs, slotRef{b, i})
+	m.sendRefsLocked(m.now(), b.refs, false)
+	// A reader blocked in a read armed at a later deadline than this
+	// batch's earliest must re-arm: nudge the conn.
+	if !m.armed.IsZero() && m.batchEarliestLocked(b).Before(m.armed) {
+		wakeConn(m.conn)
+	}
+	for b.unresolved > 0 {
+		if m.reader == nil {
+			m.readLocked(b)
+			continue
 		}
+		m.mu.Unlock()
+		<-b.wake
+		m.mu.Lock()
 	}
-	m.sendRefsLocked(m.now(), refs, false)
-	// Wake an idle loop; if it is instead blocked in a read armed at a
-	// later deadline than this batch's earliest, nudge the conn.
-	m.cond.Broadcast()
-	var wake Waker
-	if !m.armed.IsZero() {
-		if dl := m.batchEarliestLocked(b); dl.Before(m.armed) {
-			wake, _ = m.conn.(Waker)
-		}
-	}
-	m.mu.Unlock()
-	if wake != nil {
-		wake.Wake()
-	}
+}
 
-	if m.ctx == nil {
-		<-b.done
-		return
+// readLocked takes the reader role for b's worker and turns the wheel until
+// b is resolved — by a turn, or by Close or cancellation failing every
+// batch — then releases the role.
+func (m *Mux) readLocked(b *muxBatch) {
+	m.reader = b
+	defer m.releaseLocked(b)
+	for b.unresolved > 0 {
+		m.turnLocked()
 	}
-	select {
-	case <-b.done:
-	case <-m.ctx.Done():
-		m.failBatch(b, m.ctx.Err())
-		<-b.done
+}
+
+// releaseLocked gives the reader role up (deferred: no way out of a turn
+// can strand it) and offers it to the worker of another batch in flight;
+// should a newcomer take it first, the newcomer makes the next offer. Only
+// a callback's panic unwinds through here with b unresolved: b is failed,
+// so that no table reference outlives the call that owns its buffers.
+func (m *Mux) releaseLocked(b *muxBatch) {
+	m.reader = nil
+	if b.unresolved > 0 {
+		m.failLocked(b, errAbandoned)
 	}
+	for nb := range m.batches {
+		nb.wakeWorker()
+		break
+	}
+	if m.left != nil {
+		close(m.left)
+		m.left = nil
+	}
+}
+
+// unlocked runs f with mu released and re-takes it even when f panics, so
+// whatever unwinds through the reader does so under the lock.
+func (m *Mux) unlocked(f func()) {
+	m.mu.Unlock()
+	defer m.mu.Lock()
+	f()
 }
 
 // now is the mux's clock. With a capture sink armed it strips the
@@ -480,30 +600,23 @@ func resetResult(r *tracer.ProbeResult) {
 	}
 }
 
-// loop is the mux's single receive goroutine: wait for work, read until
-// the earliest wheel deadline, dispatch, expire, recover.
-func (m *Mux) loop() {
-	defer close(m.loopDone)
-	m.mu.Lock()
-	for {
-		for !m.closed && m.broken == nil && len(m.batches) == 0 {
-			m.cond.Wait()
-		}
-		if m.closed || m.broken != nil {
-			m.mu.Unlock()
-			return
-		}
-		dl := m.earliestDeadlineLocked()
-		conn := m.conn
-		m.armed = dl
-		m.mu.Unlock()
-
-		rerr := conn.SetReadDeadline(dl)
-		var n int
-		if rerr == nil {
+// turnLocked is one turn of the wheel, run by the worker holding the reader
+// role: read until the earliest wheel deadline, dispatch, expire, recover.
+func (m *Mux) turnLocked() {
+	dl := m.earliestDeadlineLocked()
+	conn := m.conn
+	m.armed = dl
+	m.turn++
+	var (
+		n    int
+		rerr error
+		now  time.Time
+	)
+	m.unlocked(func() {
+		if rerr = conn.SetReadDeadline(dl); rerr == nil {
 			n, rerr = conn.ReadBatch(m.recv)
 		}
-		now := m.now()
+		now = m.now()
 		// The tap sees every datagram before demultiplexing, stamped with
 		// the same clock reading the RTTs below use. Safe without mu: a
 		// probe's outbound record always precedes its response's arrival
@@ -514,45 +627,38 @@ func (m *Mux) loop() {
 				m.capture.CaptureInbound(now, m.recv[i].Buf[:m.recv[i].N])
 			}
 		}
-
-		m.mu.Lock()
-		m.armed = time.Time{}
-		if m.closed {
-			m.mu.Unlock()
-			return
-		}
-		if n > 0 {
-			m.dispatchLocked(n, now)
-			m.incidentStreak = 0
-		}
-		switch {
-		case rerr == nil:
-			// Full sweeps back-to-back mean the loop is not keeping up
-			// with the receive rate — pressure even without kernel counts.
-			if n == len(m.recv) {
-				m.lagStreak++
-			} else {
-				m.lagStreak = 0
-			}
-		case errors.Is(rerr, ErrTimeout):
-			// The conn reports the deadline we set has passed: expire
-			// everything due at or before it. Trusting the conn (not the
-			// wall clock) is what lets the fake fast-forward the wheel.
+	})
+	m.armed = time.Time{}
+	if m.closed || m.broken != nil {
+		return // everything in flight has been failed already
+	}
+	if n > 0 {
+		m.dispatchLocked(n, now)
+		m.incidentStreak = 0
+	}
+	switch {
+	case rerr == nil:
+		// Full sweeps back-to-back mean the reader is not keeping up
+		// with the receive rate — pressure even without kernel counts.
+		if n == len(m.recv) {
+			m.lagStreak++
+		} else {
 			m.lagStreak = 0
-			m.incidentStreak = 0
-			m.expireLocked(dl, now)
-		default:
-			m.lagStreak = 0
-			m.reopenLocked(fmt.Errorf("live: receive: %w", rerr))
 		}
-		changed := m.pressureLocked(conn)
-		if changed && m.onPressure != nil {
-			h := m.healthLocked()
-			cb := m.onPressure
-			m.mu.Unlock()
-			cb(h)
-			m.mu.Lock()
-		}
+	case errors.Is(rerr, ErrTimeout):
+		// The conn reports the deadline we set has passed: expire
+		// everything due at or before it. Trusting the conn (not the
+		// wall clock) is what lets the fake fast-forward the wheel.
+		m.lagStreak = 0
+		m.incidentStreak = 0
+		m.expireLocked(dl, now)
+	default:
+		m.lagStreak = 0
+		m.reopenLocked(fmt.Errorf("live: receive: %w", rerr))
+	}
+	if m.pressureLocked(conn) && m.onPressure != nil {
+		h := m.healthLocked()
+		m.unlocked(func() { m.onPressure(h) })
 	}
 }
 
@@ -577,10 +683,10 @@ func (m *Mux) dispatchLocked(n int, now time.Time) {
 		if s.attempts == 1 && !s.noSample {
 			// Karn's rule: only first-transmission responses feed the
 			// estimator.
-			e := m.est[s.dst]
+			e := m.estLocked(s)
 			if e == nil {
 				e = &rttEstimator{}
-				m.est[s.dst] = e
+				m.est[s.dst], s.est = e, e
 			}
 			e.observe(out.RTT)
 		}
@@ -588,68 +694,88 @@ func (m *Mux) dispatchLocked(n int, now time.Time) {
 	}
 }
 
-// resolveLocked marks ref's slot resolved and completes its batch when it
-// was the last one. The slot's result fields are the caller's business.
+// resolveLocked marks ref's slot resolved, removes what the table still
+// holds of it — the race-safe unregister: under mu, so nothing dispatched
+// concurrently can resolve against a resolved slot — and completes its
+// batch when it was the last one, waking the batch's worker unless that is
+// the reader itself. The slot's result fields are the caller's business.
 func (m *Mux) resolveLocked(ref slotRef) {
-	s := &ref.b.slots[ref.i]
+	b := ref.b
+	s := &b.slots[ref.i]
 	s.resolved = true
-	ref.b.unresolved--
+	if s.inQuoted {
+		s.inQuoted = false
+		m.dropRefLocked(s.quoted, ref)
+	}
+	if s.inTerminal {
+		s.inTerminal = false
+		m.dropRefLocked(s.terminal, ref)
+	}
+	b.unresolved--
 	m.inFlight--
-	if ref.b.unresolved == 0 {
-		m.unregisterLocked(ref.b)
-		close(ref.b.done)
+	if b.unresolved == 0 {
+		delete(m.batches, b)
+		if b != m.reader {
+			b.wakeWorker()
+		}
 	}
 }
 
-// unregisterLocked removes every key-table reference the batch owns — the
-// race-safe unregister: it runs under mu, so no response being dispatched
-// concurrently can resolve against a completed batch's slots.
-func (m *Mux) unregisterLocked(b *muxBatch) {
-	for i := range b.slots {
-		s := &b.slots[i]
-		if !s.registered {
-			continue
-		}
-		m.dropRefLocked(s.quoted, b, i)
-		if s.hasTerminal {
-			m.dropRefLocked(s.terminal, b, i)
-		}
+// addRefLocked appends ref to k's FIFO.
+func (m *Mux) addRefLocked(k matchKey, ref slotRef) {
+	q, shared := m.byKey[k]
+	if !shared {
+		m.byKey[k] = keyQueue{first: ref}
+		return
 	}
-	delete(m.batches, b)
+	q.more = append(q.more, ref)
+	m.byKey[k] = q
 }
 
-func (m *Mux) dropRefLocked(k matchKey, b *muxBatch, i int) {
-	q := m.byKey[k]
-	for j := range q {
-		if q[j].b == b && q[j].i == i {
-			q = append(q[:j], q[j+1:]...)
-			break
-		}
-	}
-	if len(q) == 0 {
+// shiftLocked removes the head of k's FIFO q, deleting the entry it
+// empties.
+func (m *Mux) shiftLocked(k matchKey, q keyQueue) {
+	if len(q.more) == 0 {
 		delete(m.byKey, k)
-	} else {
-		m.byKey[k] = q
+		return
+	}
+	q.first = q.more[0]
+	q.more = q.more[:copy(q.more, q.more[1:])]
+	m.byKey[k] = q
+}
+
+// dropRefLocked removes ref from k's FIFO, wherever in it ref stands.
+func (m *Mux) dropRefLocked(k matchKey, ref slotRef) {
+	q := m.byKey[k]
+	if q.first == ref {
+		m.shiftLocked(k, q)
+		return
+	}
+	for j := range q.more {
+		if q.more[j] == ref {
+			q.more = append(q.more[:j], q.more[j+1:]...)
+			m.byKey[k] = q
+			return
+		}
 	}
 }
 
 // popLocked resolves key to the oldest unanswered probe registered under
-// it, consuming the entry — the same FIFO rule as the per-batch wheel,
+// it, consuming the reference — the same FIFO rule as the per-batch wheel,
 // now spanning every batch in flight.
 func (m *Mux) popLocked(key matchKey) (slotRef, bool) {
-	q := m.byKey[key]
-	for len(q) > 0 {
-		ref := q[0]
-		q = q[1:]
-		if !ref.b.slots[ref.i].resolved {
-			m.byKey[key] = q
-			return ref, true
-		}
+	q, ok := m.byKey[key]
+	if !ok {
+		return slotRef{}, false
 	}
-	if q != nil {
-		m.byKey[key] = q
+	ref := q.first
+	m.shiftLocked(key, q)
+	if s := &ref.b.slots[ref.i]; key == s.quoted {
+		s.inQuoted = false
+	} else {
+		s.inTerminal = false
 	}
-	return slotRef{}, false
+	return ref, true
 }
 
 // earliestDeadlineLocked returns the soonest deadline among every
@@ -657,20 +783,14 @@ func (m *Mux) popLocked(key matchKey) (slotRef, bool) {
 func (m *Mux) earliestDeadlineLocked() time.Time {
 	var dl time.Time
 	for b := range m.batches {
-		for i := range b.slots {
-			s := &b.slots[i]
-			if s.resolved {
-				continue
-			}
-			if dl.IsZero() || s.deadline.Before(dl) {
-				dl = s.deadline
-			}
+		if bdl := m.batchEarliestLocked(b); dl.IsZero() || bdl.Before(dl) {
+			dl = bdl
 		}
 	}
 	return dl
 }
 
-// batchEarliestLocked returns b's soonest unresolved deadline.
+// batchEarliestLocked returns b's soonest unresolved deadline; b has one.
 func (m *Mux) batchEarliestLocked(b *muxBatch) time.Time {
 	var dl time.Time
 	for i := range b.slots {
@@ -685,15 +805,18 @@ func (m *Mux) batchEarliestLocked(b *muxBatch) time.Time {
 	return dl
 }
 
-// expireLocked advances the wheel past dl: probes due at or before it
-// resolve with their pending fatal error, star when out of attempts, and
-// are re-sent otherwise with their next adaptive-backoff deadline.
+// expireLocked advances the wheel past dl, the deadline of the turn whose
+// read just timed out: probes due at or before it resolve with their
+// pending fatal error, star when out of attempts, and are re-sent otherwise
+// with their next adaptive-backoff deadline. Probes sent during that very
+// turn wait for the next: the read began before they went out, so its
+// timeout says nothing about their answers.
 func (m *Mux) expireLocked(dl, now time.Time) {
-	var resend []slotRef
+	m.resend = m.resend[:0]
 	for b := range m.batches {
 		for i := range b.slots {
 			s := &b.slots[i]
-			if s.resolved || s.deadline.After(dl) {
+			if s.resolved || s.deadline.After(dl) || s.turn == m.turn {
 				continue
 			}
 			switch {
@@ -703,12 +826,12 @@ func (m *Mux) expireLocked(dl, now time.Time) {
 			case s.attempts > m.retries:
 				m.resolveLocked(slotRef{b, i}) // a star: OK stays false
 			default:
-				resend = append(resend, slotRef{b, i})
+				m.resend = append(m.resend, slotRef{b, i})
 			}
 		}
 	}
-	if len(resend) > 0 {
-		m.sendRefsLocked(now, resend, false)
+	if len(m.resend) > 0 {
+		m.sendRefsLocked(now, m.resend, false)
 	}
 }
 
@@ -733,8 +856,8 @@ func (m *Mux) sendRefsLocked(now time.Time, refs []slotRef, reopen bool) {
 		m.send = append(m.send, Datagram{Buf: s.probe, Dst: s.dst})
 	}
 	// Record before the write, not after: the conn may deliver a response
-	// (and the reader loop capture it) the instant WriteBatch enqueues
-	// the probe, and the capture must never show an answer preceding its
+	// (and the reader capture it) the instant WriteBatch enqueues the
+	// probe, and the capture must never show an answer preceding its
 	// probe. The cost is that a send the kernel rejects is still
 	// recorded; replay folds the unanswered occurrence into the eventual
 	// re-send or serves it as a star.
@@ -749,6 +872,7 @@ func (m *Mux) sendRefsLocked(now time.Time, refs []slotRef, reopen bool) {
 		switch {
 		case k < sent:
 			s.sentAt = now
+			s.turn = m.turn
 			if reopen && s.attempts > 0 {
 				s.noSample = true
 			} else {
@@ -761,7 +885,7 @@ func (m *Mux) sendRefsLocked(now time.Time, refs []slotRef, reopen bool) {
 			if a < 1 {
 				a = 1
 			}
-			s.deadline = now.Add(m.backoffRTOLocked(s.dst, a))
+			s.deadline = now.Add(m.backoffRTOLocked(s, a))
 			s.sendDefers = 0
 		case err != nil && transientSendErr(err) && s.sendDefers < maxSendDefers:
 			// The kernel will drain its buffers: re-offer the probe on the
@@ -782,11 +906,21 @@ func (m *Mux) sendRefsLocked(now time.Time, refs []slotRef, reopen bool) {
 	}
 }
 
-// rtoLocked is destination dst's current adaptive timeout: the RFC 6298
-// RTO clamped into [floor, Timeout], widened by the degradation shift
-// (re-capped), falling back to the Timeout cap before any sample exists.
-func (m *Mux) rtoLocked(dst [4]byte) time.Duration {
-	r := m.est[dst].rto(m.floor, m.timeout)
+// estLocked is s's destination's estimator, nil while it has none; a slot
+// registered before the first sample finds it as soon as there is one.
+func (m *Mux) estLocked(s *muxSlot) *rttEstimator {
+	if s.est == nil {
+		s.est = m.est[s.dst]
+	}
+	return s.est
+}
+
+// rtoLocked is the current adaptive timeout of a destination whose
+// estimator is e (nil: none yet): the RFC 6298 RTO clamped into [floor,
+// Timeout], widened by the degradation shift (re-capped), falling back to
+// the Timeout cap before any sample exists.
+func (m *Mux) rtoLocked(e *rttEstimator) time.Duration {
+	r := e.rto(m.floor, m.timeout)
 	if m.degrade > 0 {
 		r <<= m.degrade
 		if r > m.timeout {
@@ -796,10 +930,10 @@ func (m *Mux) rtoLocked(dst [4]byte) time.Duration {
 	return r
 }
 
-// backoffRTOLocked is the deadline spacing for send attempt a (1-based):
+// backoffRTOLocked is s's deadline spacing for send attempt a (1-based):
 // the adaptive RTO doubled per retransmission, re-clamped at the cap.
-func (m *Mux) backoffRTOLocked(dst [4]byte, a int) time.Duration {
-	r := m.rtoLocked(dst) << (a - 1)
+func (m *Mux) backoffRTOLocked(s *muxSlot, a int) time.Duration {
+	r := m.rtoLocked(m.estLocked(s)) << (a - 1)
 	if r <= 0 || r > m.timeout {
 		r = m.timeout
 	}
@@ -840,12 +974,13 @@ func (m *Mux) pressureLocked(conn PacketConn) bool {
 	return false
 }
 
-// reopenLocked is the supervised socket-recovery path, run by the loop on
-// a fatal receive error: close the broken conn, redial with bounded
-// backed-off retries, and re-send every in-flight probe on the new conn.
-// Exhaustion — of redials within the incident, or of consecutive
-// incidents without one successful read between them — fails all
-// in-flight probes with the fatal error and marks the mux broken.
+// reopenLocked is the supervised socket-recovery path, run by the reader
+// (which keeps the role throughout, so probes registered meanwhile ride the
+// re-send) on a fatal receive error: close the broken conn, redial with
+// bounded backed-off retries, and re-send every in-flight probe on the new
+// conn. Exhaustion — of redials within the incident, or of consecutive
+// incidents without one successful read between them — fails all in-flight
+// probes with the fatal error and marks the mux broken.
 func (m *Mux) reopenLocked(cause error) {
 	m.incidentStreak++
 	if old := m.conn; old != nil {
@@ -858,11 +993,12 @@ func (m *Mux) reopenLocked(cause error) {
 		return
 	}
 	for attempt := 1; attempt <= m.maxReopens; attempt++ {
-		redial := m.redial
-		m.mu.Unlock()
-		c, err := redial()
-		m.mu.Lock()
-		if m.closed {
+		var (
+			c   PacketConn
+			err error
+		)
+		m.unlocked(func() { c, err = m.redial() })
+		if m.closed || m.broken != nil {
 			if err == nil {
 				c.Close()
 			}
@@ -883,11 +1019,8 @@ func (m *Mux) reopenLocked(cause error) {
 		if d > m.timeout {
 			d = m.timeout
 		}
-		sleep := m.sleepFn
-		m.mu.Unlock()
-		sleep(d)
-		m.mu.Lock()
-		if m.closed {
+		m.unlocked(func() { m.sleepFn(d) })
+		if m.closed || m.broken != nil {
 			return
 		}
 	}
@@ -898,7 +1031,7 @@ func (m *Mux) reopenLocked(cause error) {
 // hit a fatal send error on the dead conn get a clean slate: the error
 // belonged to the old socket.
 func (m *Mux) resendAllLocked(now time.Time) {
-	var refs []slotRef
+	m.resend = m.resend[:0]
 	for b := range m.batches {
 		for i := range b.slots {
 			s := &b.slots[i]
@@ -907,11 +1040,11 @@ func (m *Mux) resendAllLocked(now time.Time) {
 			}
 			s.err = nil
 			s.sendDefers = 0
-			refs = append(refs, slotRef{b, i})
+			m.resend = append(m.resend, slotRef{b, i})
 		}
 	}
-	if len(refs) > 0 {
-		m.sendRefsLocked(now, refs, true)
+	if len(m.resend) > 0 {
+		m.sendRefsLocked(now, m.resend, true)
 	}
 }
 
@@ -919,43 +1052,16 @@ func (m *Mux) resendAllLocked(now time.Time) {
 // completes the batches.
 func (m *Mux) failAllLocked(err error) {
 	for b := range m.batches {
-		for i := range b.slots {
-			s := &b.slots[i]
-			if s.resolved {
-				continue
-			}
-			b.out[i].Err = err
-			s.resolved = true
-			b.unresolved--
-			m.inFlight--
-		}
-		delete(m.batches, b)
-		// References die with the map entries; the table must not outlive
-		// the batches it points into.
-		close(b.done)
+		m.failLocked(b, err)
 	}
-	clear(m.byKey)
 }
 
-// failBatch fails one batch's unresolved probes (the cancellation path,
-// called from the waiting worker). A batch already completed by the loop
-// is left untouched.
-func (m *Mux) failBatch(b *muxBatch, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.batches[b]; !ok {
-		return
-	}
+// failLocked resolves b's unresolved probes with err, completing it.
+func (m *Mux) failLocked(b *muxBatch, err error) {
 	for i := range b.slots {
-		s := &b.slots[i]
-		if s.resolved {
-			continue
+		if !b.slots[i].resolved {
+			b.out[i].Err = err
+			m.resolveLocked(slotRef{b, i})
 		}
-		b.out[i].Err = err
-		s.resolved = true
-		b.unresolved--
-		m.inFlight--
 	}
-	m.unregisterLocked(b)
-	close(b.done)
 }

@@ -36,7 +36,7 @@ var (
 // randomness (mid-trace flips, per-packet balancing) is zeroed, so every
 // response is a pure function of the probe bytes and replaying probes in
 // any order or multiplicity yields identical routes.
-func muxTopo(t *testing.T, dests int, seed int64) *topo.Scenario {
+func muxTopo(t testing.TB, dests int, seed int64) *topo.Scenario {
 	t.Helper()
 	gc := topo.DefaultGenConfig()
 	gc.Seed = seed
@@ -64,8 +64,15 @@ func muxBaseline(t *testing.T, sc *topo.Scenario) []*tracer.Route {
 }
 
 // muxTraceAll traces sc's destinations through m with `workers` concurrent
-// goroutines over disjoint contiguous slices, batched ladders.
+// goroutines over disjoint contiguous slices, batched ladders, each worker
+// on a handle of its own.
 func muxTraceAll(t *testing.T, m *Mux, sc *topo.Scenario, workers int) []*tracer.Route {
+	t.Helper()
+	return muxTraceAllVia(t, sc, workers, func() tracer.Transport { return m.Transport() })
+}
+
+// muxTraceAllVia is muxTraceAll with each worker's transport made by tpFor.
+func muxTraceAllVia(t *testing.T, sc *topo.Scenario, workers int, tpFor func() tracer.Transport) []*tracer.Route {
 	t.Helper()
 	got := make([]*tracer.Route, len(sc.Dests))
 	errs := make([]error, workers)
@@ -76,7 +83,7 @@ func muxTraceAll(t *testing.T, m *Mux, sc *topo.Scenario, workers int) []*tracer
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			tp := m.Transport()
+			tp := tpFor()
 			for i := lo; i < hi; i++ {
 				r, err := tracer.NewParisUDP(tp, tracer.Options{Batch: true}).Trace(sc.Dests[i])
 				if err != nil {
@@ -141,6 +148,7 @@ func TestMuxMultiWorkerDifferential(t *testing.T) {
 		}
 		got := muxTraceAll(t, m, sc, workers)
 		h := m.Health()
+		assertMuxDrained(t, m)
 		if err := m.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", sch.name, err)
 		}
@@ -201,6 +209,7 @@ func TestMuxCampaignDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertMuxDrained(t, m)
 
 	for r := range res1.Rounds {
 		for i := range res1.Rounds[r] {
@@ -254,6 +263,7 @@ func TestMuxSocketFailureRecovery(t *testing.T) {
 	}
 	got := muxTraceAll(t, m, sc, workers)
 	h := m.Health()
+	assertMuxDrained(t, m)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +315,12 @@ func TestMuxReopenExhaustion(t *testing.T) {
 	if h := m.Health(); h.InFlight != 0 {
 		t.Fatalf("%d probes leaked in flight through the broken path", h.InFlight)
 	}
+	assertMuxDrained(t, m)
 }
 
 // TestMuxLifecycleNoGoroutineLeak cycles mux start → trace → stop many
-// times and requires the goroutine count to come back down: Close must
-// reap the receive loop every time.
+// times and requires the goroutine count not to grow: a mux has no
+// goroutine of its own to leak, and Close leaves none behind.
 func TestMuxLifecycleNoGoroutineLeak(t *testing.T) {
 	dest := netip.AddrFrom4([4]byte{198, 51, 100, 9})
 	src := netip.AddrFrom4([4]byte{192, 0, 2, 1})
@@ -332,9 +343,9 @@ func TestMuxLifecycleNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Close joins the loop goroutine, so the count must settle without
-	// sleeping; scheduling slack is absorbed by a yield loop and a small
-	// tolerance.
+	// Every exchange ran on this goroutine, so the count must settle
+	// without sleeping; scheduling slack is absorbed by a yield loop and a
+	// small tolerance.
 	for i := 0; i < 100 && runtime.NumGoroutine() > before+2; i++ {
 		runtime.Gosched()
 	}
@@ -372,7 +383,7 @@ func TestMuxPressureStateMachine(t *testing.T) {
 		t.Fatalf("pressureEvents=%d, want every one of 6 counted", m.pressureEvents)
 	}
 	// The widened timeout still respects the cap.
-	if got := m.rtoLocked([4]byte{10, 0, 0, 1}); got != m.timeout {
+	if got := m.rtoLocked(nil); got != m.timeout {
 		t.Fatalf("degraded no-sample RTO = %v, want capped at %v", got, m.timeout)
 	}
 	// Clean turns decay one level per degradeDecayTurns.
@@ -508,6 +519,7 @@ func TestMuxRetriesExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertMuxDrained(t, m)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // returns ErrTimeout the moment nothing is deliverable, which
 // fast-forwards the transport's deadline wheel without any real sleeping.
 // All methods are safe for concurrent use, so the shared mux's writer
-// workers and reader loop can hit one SimConn at once under -race.
+// workers and its reader can hit one SimConn at once under -race.
 //
 // It lives in the non-test build so `go generate`-run tools can capture
 // hermetic campaigns through the real mux (see internal/tracer/replay/gen);

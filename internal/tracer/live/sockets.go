@@ -28,6 +28,15 @@ var ErrTimeout = errors.New("live: receive timeout")
 // with raw sockets and the sendmmsg/recvmmsg batch syscalls; tests back it
 // with an in-process fake that can reorder, drop, duplicate and delay
 // responses, which is what lets the entire live path run hermetically.
+//
+// Concurrency contract, honoured by both transports, which lets an
+// implementation keep per-direction scratch without locking: WriteBatch
+// calls are serialized by the caller (the mux sends under its lock,
+// live.Transport from inside one exchange at a time); one ReadBatch runs at
+// a time, and SetReadDeadline and the optional DropCounter are called only
+// by that reader, between its reads (the mux's reader role; the exchanging
+// goroutine for live.Transport); a WriteBatch may overlap a ReadBatch. Wake
+// and Close may be called from anywhere, at any time.
 type PacketConn interface {
 	// WriteBatch sends every datagram, in order, in as few syscalls as the
 	// platform allows (one sendmmsg per call on Linux). It returns the
@@ -51,9 +60,10 @@ type PacketConn interface {
 // Waker is the optional wake-up seam on a PacketConn: Wake makes a
 // concurrently blocked ReadBatch return early with (0, nil) instead of
 // waiting out its full deadline. The shared mux uses it when a worker
-// registers probes whose deadline is earlier than the one the receive
-// loop is currently blocked on, so adaptive (shorter-than-cap) timeouts
-// are honored promptly. Wake must be safe to call concurrently and must
+// registers probes whose deadline is earlier than the one the reader is
+// currently blocked on, so adaptive (shorter-than-cap) timeouts are
+// honored promptly, and to pop the reader out on Close and on context
+// cancellation. Wake must be safe to call concurrently and must
 // never block. Conns without the seam merely detect such deadlines late —
 // correctness is unaffected, only timeout latency.
 type Waker interface {
@@ -66,7 +76,7 @@ type Waker interface {
 // (SO_RXQ_OVFL on Linux), counted over the conn's lifetime. The mux polls
 // it after every read turn; any increase is a pressure event. Conns
 // without the seam (or platforms without the counter) simply contribute
-// no kernel-drop signal — read-loop lag detection still applies.
+// no kernel-drop signal — read-lag detection still applies.
 type DropCounter interface {
 	KernelDrops() uint64
 }

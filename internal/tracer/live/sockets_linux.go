@@ -32,8 +32,11 @@ type rawConn struct {
 	wakeWr   int
 	deadline time.Time
 	// rxICMP and rxTCP hold each receive socket's last-seen cumulative
-	// overflow count; only the read loop's goroutine touches them.
+	// overflow count; like the deadline, only the one reader touches them.
 	rxICMP, rxTCP uint64
+	// tx and rx are the batch syscalls' header scratch: tx belongs to
+	// WriteBatch (serialized by the caller), rx to the one reader.
+	tx, rx mmsgScratch
 	// wakeMu guards the wake pipe against Wake racing Close: once closed,
 	// the pipe fds may be reused by the kernel, and a late write would
 	// land in an unrelated descriptor.
@@ -129,8 +132,8 @@ func (c *rawConn) Wake() {
 }
 
 // KernelDrops implements DropCounter: the summed SO_RXQ_OVFL counters of
-// both receive sockets, as of their latest recvmmsg sweeps. Called from
-// the same goroutine that reads, like the deadline.
+// both receive sockets, as of their latest recvmmsg sweeps. Called by the
+// one reader between its reads, like SetReadDeadline.
 func (c *rawConn) KernelDrops() uint64 { return c.rxICMP + c.rxTCP }
 
 // SetReadDeadline implements PacketConn.
@@ -146,7 +149,7 @@ func (c *rawConn) WriteBatch(dgs []Datagram) (int, error) {
 	sent := 0
 	for sent < len(dgs) {
 		if haveMmsg {
-			n, err := sendmmsg(c.sendFD, dgs[sent:])
+			n, err := sendmmsg(c.sendFD, dgs[sent:], &c.tx)
 			if n > 0 {
 				// Partial acceptance (e.g. transient ENOBUFS mid-batch):
 				// resume with the unsent tail rather than reporting the
@@ -234,7 +237,7 @@ func (c *rawConn) ReadBatch(dgs []Datagram) (int, error) {
 }
 
 // drainWake empties the self-pipe so coalesced Wake calls cost one byte
-// each, not one spurious loop turn each.
+// each, not one spurious read turn each.
 func (c *rawConn) drainWake() {
 	var buf [64]byte
 	for {
@@ -251,7 +254,7 @@ func (c *rawConn) drainWake() {
 // per-socket drop tallies.
 func (c *rawConn) drain(fd int, dgs []Datagram) (int, error) {
 	if haveMmsg {
-		n, ovfl, err := recvmmsg(fd, dgs)
+		n, ovfl, err := recvmmsg(fd, dgs, &c.rx)
 		if ovfl > 0 {
 			switch fd {
 			case c.icmpFD:
