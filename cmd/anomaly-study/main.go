@@ -28,10 +28,9 @@
 // identifier — and per-destination RFC 6298 RTT estimators adapt each
 // probe's deadline between -timeout-floor and -timeout. -retries is the
 // re-send budget per unanswered probe; re-sends are spaced by the
-// destination's adaptive, exponentially backed-off RTO (the historical
-// -retry-backoff flag is accepted but ignored). The report's robustness
-// section carries the mux health counters (reopens, kernel drops,
-// degradation level, RTO spread).
+// destination's adaptive, exponentially backed-off RTO. The report's
+// robustness section carries the mux health counters (reopens, kernel
+// drops, degradation level, RTO spread).
 //
 // -capture records every live probe and response — pre-deduplication, before
 // retransmit folding — to a classic pcap file, installed atomically when the
@@ -70,7 +69,7 @@
 // partitions the topology across N independent simulated networks probed
 // by shard-affine workers. -batch (default on) submits each trace's TTL
 // ladder through the batched exchange path, amortizing per-probe overhead;
-// -batch=false selects the sequential per-probe loop. -stream (default on)
+// -batch=false narrows the ladder's window to one TTL. -stream (default on)
 // folds the statistics into per-worker accumulators as pairs complete, so
 // memory stays O(destinations + unique routes) no matter how many rounds
 // run; -stream=false retains every pair and analyzes at the end (the
@@ -120,7 +119,6 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Second, "adaptive live-probe timeout cap (and the timeout before a destination has RTT samples)")
 	timeoutFloor := flag.Duration("timeout-floor", 100*time.Millisecond, "adaptive live-probe timeout floor")
 	retries := flag.Int("retries", 1, "re-sends per unanswered live probe")
-	_ = flag.Duration("retry-backoff", 0, "ignored: live re-sends are spaced by the per-destination adaptive RTO")
 	capturePath := flag.String("capture", "", "record every live probe and response to this pcap file (requires -live)")
 	replayPath := flag.String("replay", "", "re-run a captured campaign offline from this pcap file (excludes -live and -capture)")
 	failFast := flag.Bool("fail-fast", false, "abort the campaign on the first trace error instead of retrying and quarantining")

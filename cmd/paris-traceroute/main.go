@@ -6,9 +6,7 @@
 // Usage:
 //
 //	paris-traceroute [-scenario fig3] [-method paris-udp] [-flows N] [-shards N] [-batch] [-seed N]
-//	paris-traceroute -live -dest A.B.C.D [-method paris-udp] [-batch]
-//	                 [-timeout 2s] [-retries 1] [-retry-backoff 0]
-//	paris-traceroute -live -live-dests-file FILE [-method paris-udp] [-batch]
+//	paris-traceroute -live {-dest A.B.C.D | -live-dests-file FILE} [-method paris-udp] [-batch]
 //	                 [-timeout 2s] [-timeout-floor 100ms] [-retries 1]
 //	paris-traceroute -live ... -capture trace.pcap
 //	paris-traceroute -replay trace.pcap [-dest A.B.C.D] [-method paris-udp] [-batch] [-retries 1]
@@ -16,29 +14,28 @@
 // Scenarios: fig1, fig3, fig4, fig5, fig6, random. -seed seeds the random
 // scenario's generator. With -shards N > 1 the random scenario is
 // partitioned across N independent simulated networks and the trace runs
-// through the sharded dispatch path. -batch submits the TTL ladder through
-// the batched exchange path instead of one exchange per probe; the
-// measured route is identical either way.
+// through the sharded dispatch path. -batch submits the TTL ladder a window
+// of TTLs at a time instead of one TTL at a time; the measured route is
+// identical either way.
 // Methods: paris-udp, paris-icmp, paris-tcp, classic-udp, classic-icmp,
 // tcptraceroute.
 //
-// -live replaces the simulator with the raw-socket transport
+// -live replaces the simulator with the raw-socket mux
 // (internal/tracer/live): probes go on the wire verbatim and -dest names
 // the real IPv4 destination. Raw sockets need root or CAP_NET_RAW; without
-// them the tool explains and exits rather than probing anything. -timeout,
-// -retries, and -retry-backoff apply only to live probing: an unanswered
-// probe is re-sent up to -retries times, each re-send spaced by an
-// exponentially growing, seeded-jitter backoff when -retry-backoff is
-// nonzero (the same policy anomaly-study uses), and a probe that exhausts
-// its attempts resolves as a star.
+// them the tool explains and exits rather than probing anything. A single
+// ICMP+TCP receive pair demultiplexes the responses by quoted flow
+// identifier, and per-destination RFC 6298 RTT estimators adapt each probe's
+// deadline between -timeout-floor and -timeout: an unanswered probe is
+// re-sent up to -retries times, each re-send spaced by the destination's
+// exponentially backed-off adaptive timeout, and a probe that exhausts its
+// attempts resolves as a star. -timeout, -timeout-floor and -retries apply
+// only to live probing (and -timeout and -retries to -replay). A mux health
+// summary line (reopens, kernel drops, pressure events) closes the output.
 //
 // -live-dests-file traces every destination listed in the file (one IPv4
 // address per line, '#' comments and blank lines skipped, duplicates
-// rejected) through one shared raw-socket mux: a single ICMP+TCP receive
-// pair demultiplexes all the traces' responses by quoted flow identifier,
-// and per-destination RFC 6298 RTT estimators adapt each probe's deadline
-// between -timeout-floor and -timeout. A mux health summary line (reopens,
-// kernel drops, pressure events) closes the output.
+// rejected) through the same mux; -dest is the one-destination case of it.
 //
 // With -flows N > 1, the tool runs the paper's future-work multipath
 // enumeration: one Paris trace per flow, reporting every interface of each
@@ -84,11 +81,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	liveMode := flag.Bool("live", false, "probe the real network over raw sockets instead of the simulator")
 	liveDest := flag.String("dest", "", "live destination IPv4 address (required with -live unless -live-dests-file)")
-	liveDestsFile := flag.String("live-dests-file", "", "file of live IPv4 destinations, one per line ('#' comments); traces all through one shared mux")
-	timeout := flag.Duration("timeout", 2*time.Second, "per-probe timeout for live probing (the adaptive cap with -live-dests-file)")
-	timeoutFloor := flag.Duration("timeout-floor", 100*time.Millisecond, "adaptive timeout floor for -live-dests-file probing")
+	liveDestsFile := flag.String("live-dests-file", "", "file of live IPv4 destinations, one per line ('#' comments); traces them all through the one mux")
+	timeout := flag.Duration("timeout", 2*time.Second, "cap on the adaptive per-probe timeout for live probing")
+	timeoutFloor := flag.Duration("timeout-floor", 100*time.Millisecond, "floor of the adaptive per-probe timeout for live probing")
 	retries := flag.Int("retries", 1, "re-sends per unanswered live probe")
-	retryBackoff := flag.Duration("retry-backoff", 0, "jittered backoff between live probe re-sends (0: immediate; -live-dests-file paces by adaptive RTO instead)")
 	capturePath := flag.String("capture", "", "record every live probe and response to this pcap file (requires -live)")
 	replayPath := flag.String("replay", "", "replay a captured pcap offline instead of probing (excludes -live and -capture)")
 	flag.Parse()
@@ -125,59 +121,57 @@ func main() {
 		}
 	}
 
-	if *liveMode && *liveDestsFile != "" {
-		if *liveDest != "" {
-			fmt.Fprintln(os.Stderr, "paris-traceroute: -dest and -live-dests-file are mutually exclusive")
+	if *liveMode {
+		dests, err := liveDestinations(*liveDest, *liveDestsFile)
+		if err == nil && *flows > 1 && *liveDestsFile != "" {
+			err = fmt.Errorf("-flows > 1 is not supported with -live-dests-file")
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
 			os.Exit(2)
 		}
-		if *flows > 1 {
-			fmt.Fprintln(os.Stderr, "paris-traceroute: -flows > 1 is not supported with -live-dests-file")
-			os.Exit(2)
-		}
+		// Ctrl-C mid-trace cancels the in-flight deadline wheel instead of
+		// waiting out the remaining probe timeouts.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		if err := runLiveMulti(ctx, *liveDestsFile, *method, *batch, *timeout, *timeoutFloor, *retries, capSink); err != nil {
+		m, err := openLive(ctx, *timeout, *timeoutFloor, *retries, capSink)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
+			os.Exit(2)
+		}
+		err = traceLive(ctx, m, dests, *method, *batch, *flows)
+		m.Close()
+		// Flush the capture once the mux has stopped feeding it, even when a
+		// trace failed: an interrupted run still installs a complete,
+		// readable capture.
+		if cerr := finishCapture(capSink); cerr != nil && err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	var (
-		tp   tracer.Transport
-		dest netip.Addr
-		err  error
-	)
-	if *liveMode {
-		// Ctrl-C mid-trace cancels the in-flight deadline wheel instead of
-		// waiting out the remaining probe timeouts.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		tp, dest, err = buildLive(ctx, *liveDest, *timeout, *retries, *retryBackoff, capSink)
-	} else {
-		tp, dest, err = buildScenario(*scenario, *seed, *shards)
-	}
+	tp, dest, err := buildScenario(*scenario, *seed, *shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
 		os.Exit(2)
 	}
-
 	if *flows > 1 {
-		enumerate(tp, dest, *flows)
+		if err := enumerate(tp, dest, *flows); err != nil {
+			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
+			os.Exit(1)
+		}
 		return
 	}
-
 	tr, err := buildTracer(*method, tp, *batch)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
 		os.Exit(2)
 	}
 	rt, err := tr.Trace(dest)
-	// The capture flushes whatever was recorded before the failure too: a
-	// partial run still installs a complete, readable pcap.
-	if cerr := finishCapture(capSink); cerr != nil && err == nil {
-		err = cerr
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
 		os.Exit(1)
@@ -257,25 +251,31 @@ func printRoute(name string, dest netip.Addr, rt *tracer.Route) {
 	fmt.Printf("halt: %v\n", rt.Halt)
 }
 
-// runLiveMulti traces every destination in the file through one shared
-// raw-socket mux and closes with the mux health summary.
-func runLiveMulti(ctx context.Context, path, method string, batch bool, timeout, timeoutFloor time.Duration, retries int, capSink *pcap.Capture) (err error) {
-	dests, err := live.ReadDestsFile(path)
-	if err != nil {
-		return err
+// liveDestinations resolves what -live probes: the one -dest, or every line
+// of -live-dests-file.
+func liveDestinations(dest, destsFile string) ([]netip.Addr, error) {
+	switch {
+	case dest != "" && destsFile != "":
+		return nil, fmt.Errorf("-dest and -live-dests-file are mutually exclusive")
+	case destsFile != "":
+		return live.ReadDestsFile(destsFile)
+	case dest == "":
+		return nil, fmt.Errorf("-live requires -dest A.B.C.D or -live-dests-file FILE")
 	}
+	d, err := netip.ParseAddr(dest)
+	if err != nil || !d.Is4() {
+		return nil, fmt.Errorf("-dest %q is not an IPv4 address", dest)
+	}
+	return []netip.Addr{d}, nil
+}
+
+// openLive opens the raw-socket mux, failing with a clear explanation when
+// the capability is missing.
+func openLive(ctx context.Context, timeout, timeoutFloor time.Duration, retries int, capSink *pcap.Capture) (*live.Mux, error) {
 	src, err := live.LocalIPv4()
 	if err != nil {
-		return fmt.Errorf("cannot determine local IPv4 source: %w", err)
+		return nil, fmt.Errorf("cannot determine local IPv4 source: %w", err)
 	}
-	// Flush the capture after the mux stops feeding it (deferred before the
-	// mux's own Close so it runs after), even when a trace fails: an
-	// interrupted run still installs a complete, readable capture.
-	defer func() {
-		if cerr := finishCapture(capSink); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
 	mc := live.MuxConfig{
 		Source: src, Timeout: timeout, TimeoutFloor: timeoutFloor,
 		Retries: retries, Context: ctx,
@@ -285,25 +285,36 @@ func runLiveMulti(ctx context.Context, path, method string, batch bool, timeout,
 	}
 	m, err := live.NewMux(mc)
 	if err != nil {
-		return fmt.Errorf("live probing unavailable: %w", err)
+		return nil, fmt.Errorf("live probing unavailable: %w", err)
 	}
-	defer m.Close()
-	tr, err := buildTracer(method, m.Transport(), batch)
-	if err != nil {
-		return err
-	}
-	for i, d := range dests {
-		var rt *tracer.Route
-		rt, err = tr.Trace(d)
+	return m, nil
+}
+
+// traceLive traces every destination through one handle on the mux — or
+// enumerates the paths to the only one — and closes with the mux health
+// summary.
+func traceLive(ctx context.Context, m *live.Mux, dests []netip.Addr, method string, batch bool, flows int) error {
+	if flows > 1 {
+		if err := enumerate(m.Transport(), dests[0], flows); err != nil {
+			return err
+		}
+	} else {
+		tr, err := buildTracer(method, m.Transport(), batch)
 		if err != nil {
-			return fmt.Errorf("trace %v: %w", d, err)
+			return err
 		}
-		if i > 0 {
-			fmt.Println()
-		}
-		printRoute(tr.Name(), d, rt)
-		if ctx.Err() != nil {
-			return ctx.Err()
+		for i, d := range dests {
+			rt, err := tr.Trace(d)
+			if err != nil {
+				return fmt.Errorf("trace %v: %w", d, err)
+			}
+			if i > 0 {
+				fmt.Println()
+			}
+			printRoute(tr.Name(), d, rt)
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
 		}
 	}
 	h := m.Health()
@@ -319,12 +330,11 @@ func flagStr(h tracer.Hop) string {
 	return ""
 }
 
-func enumerate(tp tracer.Transport, dest netip.Addr, flows int) {
+func enumerate(tp tracer.Transport, dest netip.Addr, flows int) error {
 	sess := core.NewSession(tp)
 	ps, err := sess.EnumeratePaths(dest, flows)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("multipath enumeration to %s over %d flows: %d distinct path(s)\n",
 		dest, flows, ps.Distinct())
@@ -340,35 +350,10 @@ func enumerate(tp tracer.Transport, dest netip.Addr, flows int) {
 	}
 	kind, err := sess.ClassifyBalancer(dest, flows, 4)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("balancer classification: %v\n", kind)
-}
-
-// buildLive opens the raw-socket transport, failing with a clear
-// explanation when the capability is missing.
-func buildLive(ctx context.Context, destStr string, timeout time.Duration, retries int, backoff time.Duration, capSink *pcap.Capture) (tracer.Transport, netip.Addr, error) {
-	if destStr == "" {
-		return nil, netip.Addr{}, fmt.Errorf("-live requires -dest A.B.C.D")
-	}
-	dest, err := netip.ParseAddr(destStr)
-	if err != nil || !dest.Is4() {
-		return nil, netip.Addr{}, fmt.Errorf("-dest %q is not an IPv4 address", destStr)
-	}
-	src, err := live.LocalIPv4()
-	if err != nil {
-		return nil, netip.Addr{}, fmt.Errorf("cannot determine local IPv4 source: %w", err)
-	}
-	lc := live.Config{Source: src, Timeout: timeout, Retries: retries, RetryBackoff: backoff, Context: ctx}
-	if capSink != nil {
-		lc.Capture = capSink
-	}
-	tp, err := live.New(lc)
-	if err != nil {
-		return nil, netip.Addr{}, fmt.Errorf("live probing unavailable: %w", err)
-	}
-	return tp, dest, nil
+	return nil
 }
 
 func buildScenario(name string, seed int64, shards int) (tracer.Transport, netip.Addr, error) {

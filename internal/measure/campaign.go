@@ -43,11 +43,11 @@ type Config struct {
 	// are never shared across a worker's round. Nil keeps the paper's
 	// contiguous 1/Workers slicing.
 	ShardOf map[netip.Addr]int
-	// Batch routes every trace through the transport's batched TTL
-	// ladder (tracer.BatchTransport) when it offers one; each destination
-	// feeds its previous round's path length back as the next round's
-	// window hint. Transports without batching fall back to the
-	// sequential loop. Off by default.
+	// Batch widens every trace's TTL ladder to a window of BatchWindow
+	// TTLs when the transport batches (tracer.BatchTransport); each
+	// destination feeds its previous round's path length back as the next
+	// round's window hint. Off, or over a transport without batching, the
+	// window is one TTL. Off by default.
 	Batch bool
 	// BatchWindow overrides the TTL-window per batch (0: tracer
 	// default). Ignored unless Batch is set.

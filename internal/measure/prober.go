@@ -34,8 +34,8 @@ type ProbeConfig struct {
 	// PortSeed derives the per-destination Paris flow identifiers and the
 	// classic tracer's per-(round, destination) pseudo-PID source port.
 	PortSeed int64
-	// Batch routes traces through the transport's batched TTL ladder when
-	// it offers one (tracer.BatchTransport).
+	// Batch widens the TTL ladder's window when the transport batches
+	// (tracer.BatchTransport); see tracer.Options.Batch.
 	Batch bool
 	// BatchWindow overrides the TTL window per batch (0: tracer default).
 	BatchWindow int

@@ -161,6 +161,7 @@ type destFaults struct {
 // (one map access per probe).
 type FaultTransport struct {
 	inner tracer.Transport
+	batch tracer.BatchTransport // inner's batch path (tracer.AsBatch)
 	plan  FaultPlan
 
 	mu    sync.Mutex
@@ -175,8 +176,9 @@ type FaultTransport struct {
 
 // WrapFaults afflicts tp with the plan's fault schedules.
 func WrapFaults(tp tracer.Transport, plan FaultPlan) *FaultTransport {
+	bt, _ := tracer.AsBatch(tp)
 	return &FaultTransport{
-		inner: tp, plan: plan,
+		inner: tp, batch: bt, plan: plan,
 		dests:  make(map[uint32]*destFaults),
 		stallC: make(chan struct{}),
 	}
@@ -306,8 +308,8 @@ func (t *FaultTransport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool,
 
 // ExchangeBatch implements tracer.BatchTransport: afflicted probes resolve
 // in place (Err for injected errors, a star for drops) and the remainder
-// passes through the inner transport's batch path in submission order. When
-// the inner transport cannot batch, probes fall back to one Exchange each.
+// passes through the inner transport's batch path (tracer.AsBatch) in
+// submission order.
 func (t *FaultTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	if len(out) < len(probes) {
 		panic("netsim: ExchangeBatch result slice shorter than probe slice")
@@ -350,31 +352,17 @@ func (t *FaultTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 	if len(pass) == 0 {
 		return
 	}
-	if bt, ok := t.inner.(tracer.BatchTransport); ok && len(pass) == len(probes) {
-		bt.ExchangeBatch(probes, out)
+	if len(pass) == len(probes) {
+		t.batch.ExchangeBatch(probes, out)
 		return
 	}
-	if bt, ok := t.inner.(tracer.BatchTransport); ok {
-		sub := make([]tracer.ProbeResult, len(pass))
-		for j, i := range idxs {
-			sub[j] = tracer.ProbeResult{Resp: out[i].Resp[:0:cap(out[i].Resp)]}
-		}
-		bt.ExchangeBatch(pass, sub)
-		for j, i := range idxs {
-			out[i] = sub[j]
-		}
-		return
-	}
+	sub := make([]tracer.ProbeResult, len(pass))
 	for j, i := range idxs {
-		resp, rtt, ok := t.inner.Exchange(pass[j])
-		out[i].OK = ok
-		out[i].Err = nil
-		out[i].RTT = rtt
-		if ok {
-			out[i].Resp = append(out[i].Resp[:0], resp...)
-		} else if out[i].Resp != nil {
-			out[i].Resp = out[i].Resp[:0]
-		}
+		sub[j] = tracer.ProbeResult{Resp: out[i].Resp[:0:cap(out[i].Resp)]}
+	}
+	t.batch.ExchangeBatch(pass, sub)
+	for j, i := range idxs {
+		out[i] = sub[j]
 	}
 }
 

@@ -111,25 +111,67 @@ func (s *Scratch) route(o *Options) *Route {
 	return &Route{Hops: make([]Hop, 0, max(0, min(n, o.MaxTTL-o.MinTTL+1)))}
 }
 
-// traceBatched is the windowed-ladder twin of the sequential trace loop: it
-// builds a window of TTLs, submits them as one ExchangeBatch, and consumes
-// the results through the same ladder bookkeeping (ladderState) as the
-// sequential path, truncating at the first terminal hop or star-run
-// boundary. On a topology where forwarding is a pure function of the probe
-// bytes the resulting Route is identical hop for hop to the sequential
-// loop's; TestTraceBatchedMatchesSequential enforces that.
-func (e *engine) traceBatched(bt BatchTransport, sc *Scratch, ls *ladderState) error {
+// perProbe is the batch path of a transport that has none: the probes are
+// exchanged one at a time in slice order, through ExchangeErr when the
+// transport is fallible, so a failed exchange lands in its ProbeResult.Err
+// instead of reading as a star.
+type perProbe struct {
+	Transport
+	fall FallibleTransport // nil when the transport cannot fail
+}
+
+func (p perProbe) ExchangeBatch(probes [][]byte, out []ProbeResult) {
+	for i, probe := range probes {
+		r := &out[i]
+		var resp []byte
+		if p.fall != nil {
+			resp, r.RTT, r.OK, r.Err = p.fall.ExchangeErr(probe)
+		} else {
+			resp, r.RTT, r.OK = p.Exchange(probe)
+			r.Err = nil
+		}
+		r.OK = r.OK && r.Err == nil
+		r.Resp = r.Resp[:0]
+		if r.OK {
+			r.Resp = append(r.Resp, resp...)
+		}
+	}
+}
+
+// AsBatch returns tp's batch path, and whether it is tp's own: tp itself when
+// it implements BatchTransport, else the per-probe loop above. It is the one
+// place that decides between the two; the ladder and the wrapping transports
+// (PacedTransport, netsim.FaultTransport) ask it once, at construction.
+func AsBatch(tp Transport) (bt BatchTransport, native bool) {
+	if bt, ok := tp.(BatchTransport); ok {
+		return bt, true
+	}
+	fall, _ := tp.(FallibleTransport)
+	return perProbe{tp, fall}, false
+}
+
+// trace is the TTL ladder, the only one: it builds a window of whole TTLs
+// (every attempt of each), submits them as one ExchangeBatch, and consumes
+// the results in TTL order through ladderState, truncating at the first
+// terminal hop or star-run boundary. Options.Batch only chooses the window:
+// one TTL when it is off or the transport has no batch path of its own (so
+// not one probe goes out past the halting hop), BatchWindow TTLs otherwise,
+// the first window sized by the path hint. Against a transport whose
+// responses are a pure function of the probe bytes the Route is the same at
+// every window; TestTraceBatchedMatchesSequential enforces that.
+func (e *engine) trace(sc *Scratch, ls *ladderState) error {
 	o, dest := ls.opts, ls.rt.Dest
 
-	window := o.BatchWindow
-	if window <= 0 {
-		window = DefaultBatchWindow
-	}
-	// The first window takes the path-length hint, so a stable route is
-	// probed in exactly one batch with no overshoot past the terminal hop.
-	next := window
-	if o.PathHint > 0 {
-		next = o.PathHint
+	window, next := 1, 1
+	if o.Batch && e.native {
+		if window = o.BatchWindow; window <= 0 {
+			window = DefaultBatchWindow
+		}
+		// The first window takes the path-length hint, so a stable route is
+		// probed in exactly one batch with no overshoot past the terminal hop.
+		if next = window; o.PathHint > 0 {
+			next = o.PathHint
+		}
 	}
 
 	probeIdx := 0
@@ -153,16 +195,16 @@ func (e *engine) traceBatched(bt BatchTransport, sc *Scratch, ls *ladderState) e
 			}
 		}
 		res := sc.results[:n]
-		bt.ExchangeBatch(sc.probes[:n], res)
+		e.bt.ExchangeBatch(sc.probes[:n], res)
 
 		for k := 0; k < w; k++ {
 			for a := 0; a < o.ProbesPerHop; a++ {
 				r := &res[k*o.ProbesPerHop+a]
 				if r.Err != nil {
-					// The ladder consumes results in TTL order, so the
-					// first failed exchange among the hops actually used
-					// aborts the trace exactly where the sequential loop
-					// would have; failures in truncated (unconsumed)
+					// Results are consumed in TTL order, so the first failed
+					// exchange among the hops actually used aborts the trace
+					// with the transport's error — transient or fatal per
+					// errors.go — and failures in truncated (unconsumed)
 					// slots are discarded with the rest of the overshoot.
 					return fmt.Errorf("tracer %s: exchange ttl=%d: %w", e.name, ttl+k, r.Err)
 				}

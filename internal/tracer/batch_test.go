@@ -1,9 +1,13 @@
 package tracer
 
 import (
+	"errors"
+	"fmt"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/packet"
 )
@@ -48,9 +52,29 @@ func scriptedBatchChain(t *testing.T, n int) *batchCaptureTransport {
 	return tp
 }
 
+// failingChain is a scripted chain that cannot batch and can fail: the
+// exchange of probe number failAt returns errScripted instead of a response.
+type failingChain struct {
+	*captureTransport
+	failAt int
+}
+
+var errScripted = errors.New("scripted exchange failure")
+
+func (f failingChain) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, error) {
+	if len(f.probes) == f.failAt {
+		f.probes = append(f.probes, append([]byte(nil), probe...))
+		return nil, 0, false, errScripted
+	}
+	resp, rtt, ok := f.Exchange(probe)
+	return resp, rtt, ok, nil
+}
+
 // TestTraceBatchedMatchesSequential sweeps window sizes, hints, and probes
-// per hop, requiring the batched ladder to produce a Route identical hop for
-// hop (and attempt for attempt) to the sequential loop's.
+// per hop, requiring the ladder to produce at every window a Route identical
+// hop for hop (and attempt for attempt) to the one it produces over a
+// transport that cannot batch, one TTL at a time; and a failed exchange to
+// end the trace at its TTL either way.
 func TestTraceBatchedMatchesSequential(t *testing.T) {
 	const pathLen = 9
 	mk := func(batch bool, window, hint, probesPerHop int) *Route {
@@ -84,6 +108,25 @@ func TestTraceBatchedMatchesSequential(t *testing.T) {
 						probes, window, hint, got, want)
 				}
 			}
+		}
+	}
+
+	// The second of three attempts at TTL 4 fails. A window is whole TTLs, so
+	// the third attempt still goes out before the error ends the trace — and
+	// nothing past that TTL does, batching asked for or not.
+	const failTTL, perHop = 4, 3
+	for _, batch := range []bool{false, true} {
+		tp := failingChain{scriptedChain(t, pathLen), (failTTL-1)*perHop + 1}
+		rt, err := NewParisUDP(tp, Options{MaxTTL: 20, ProbesPerHop: perHop, Batch: batch}).Trace(tDest)
+		if rt != nil || !errors.Is(err, errScripted) {
+			t.Fatalf("batch=%v: route %v, error %v; want no route and the scripted failure", batch, rt, err)
+		}
+		if want := fmt.Sprintf("exchange ttl=%d", failTTL); !strings.Contains(err.Error(), want) {
+			t.Errorf("batch=%v: error %q does not name %q", batch, err, want)
+		}
+		if len(tp.probes) != failTTL*perHop {
+			t.Errorf("batch=%v: %d probes sent, want %d (every attempt through TTL %d, none past it)",
+				batch, len(tp.probes), failTTL*perHop, failTTL)
 		}
 	}
 }
@@ -136,8 +179,8 @@ func sameHops(a, b []Hop) bool {
 }
 
 // TestTraceBatchFallback sets Options.Batch against a transport that does
-// not implement BatchTransport and expects the sequential loop to run,
-// producing the same route.
+// not implement BatchTransport and expects the ladder to stay at one TTL a
+// window, producing the same route with no probe past the terminal hop.
 func TestTraceBatchFallback(t *testing.T) {
 	const pathLen = 6
 	want, err := NewParisUDP(scriptedChain(t, pathLen), Options{MaxTTL: 20}).Trace(tDest)

@@ -17,10 +17,10 @@
 // goroutine — its probe builder and its Scratch recycle those buffers — and
 // any number of destinations; goroutines each build their own over a shared
 // Transport, which must then be safe for concurrent use (netsim's and the
-// live transports are). Probe bytes are built deterministically from Options
-// (source port seeding included), so against a transport whose responses are
-// a pure function of the probe bytes, two traces of the same destination are
-// byte-identical, hop for hop.
+// live mux's handles are). Probe bytes are built deterministically from
+// Options (source port seeding included), so against a transport whose
+// responses are a pure function of the probe bytes, two traces of the same
+// destination are byte-identical, hop for hop.
 //
 // A returned Route belongs to the caller. One traced through a Scratch may
 // be handed back with Scratch.Recycle when nothing refers to it any more,
@@ -28,13 +28,26 @@
 //
 // Hop.RTT is whatever the transport reports for the exchange — netsim's
 // virtual-clock RTT when dynamics are enabled, its synthetic steps-derived
-// latency otherwise, a wall-clock measurement on the live transport — and
-// is carried, never interpreted: engines make no timing decisions from it,
+// latency otherwise, a wall-clock measurement on the live mux — and is
+// carried, never interpreted: engines make no timing decisions from it,
 // which keeps traces schedule-independent.
 //
-// BatchTransport is an optional fast path: engines that detect it submit a
-// whole TTL ladder in one call. The contract is strict equivalence — a
-// batched trace must return byte-identical hops to the sequential trace
-// (netsim pins this under its dynamics layer too), so batching is purely a
+// # One ladder
+//
+// There is one TTL ladder (engine.trace) and every exchange goes through
+// ExchangeBatch: a transport's own when it implements BatchTransport, the
+// per-probe loop AsBatch wraps around it otherwise. Options.Batch only
+// chooses the ladder's window: BatchWindow TTLs (the first window sized by
+// PathHint) when it is set and the transport batches, one TTL otherwise, so
+// an unbatched trace never sends a probe past its halting hop. The contract
+// is strict equivalence — the Route is byte-identical at every window
+// (netsim pins this under its dynamics layer too), so the window is purely a
 // throughput decision.
+//
+// A window is whole TTLs. With ProbesPerHop == 1 (every campaign, the
+// daemon, every golden) the unbatched probe sequence on the wire is one
+// probe, its answer, the next probe: exactly the classic loop. With
+// ProbesPerHop > 1 the attempts of one TTL are submitted together, so a
+// failed exchange no longer keeps its sibling attempts from being sent; the
+// trace still ends with that error, at that TTL.
 package tracer

@@ -43,10 +43,11 @@ func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // FallibleTransport is implemented by transports that can distinguish "no
 // response arrived" (ok=false, a star — a legitimate measurement) from "the
-// exchange itself failed" (err != nil — nothing was measured). The trace
-// loops prefer ExchangeErr when a transport offers it, so transport faults
-// surface as trace errors carrying the taxonomy above instead of silently
-// recording stars; plain Transports keep the historical ok=false semantics.
+// exchange itself failed" (err != nil — nothing was measured). The per-probe
+// batch path (AsBatch) prefers ExchangeErr when a transport offers it, so
+// transport faults surface as trace errors carrying the taxonomy above
+// instead of silently recording stars; plain Transports keep the historical
+// ok=false semantics.
 type FallibleTransport interface {
 	Transport
 	// ExchangeErr is Exchange with the failure channel explicit. err and

@@ -7,10 +7,10 @@ import (
 	"repro/internal/packet"
 )
 
-// Edge cases of the windowed batched ladder that the differential sweeps do
-// not pin: a star run whose halt lands exactly on a window boundary, a
-// path hint that overshoots MaxTTL, and the sequential fallback running
-// with every batch option set.
+// Edge cases of the windowed ladder that the differential sweeps do not
+// pin: a star run whose halt lands exactly on a window boundary, a path
+// hint that overshoots MaxTTL, and every batch option set over a transport
+// that cannot batch.
 
 // scriptedDeadEnd answers Time Exceeded below hop silentFrom and nothing
 // from there on — a path that never terminates, so only the star-run rule
@@ -99,8 +99,8 @@ func TestTraceBatchedPathHintBeyondMaxTTL(t *testing.T) {
 
 // TestTraceBatchFallbackWithBatchOptions points every batch option —
 // window, hint, scratch, multiple probes per hop — at a transport that
-// implements only Transport: the sequential fallback must run, match the
-// plain sequential route exactly, and send not one probe more.
+// implements only Transport: the ladder must stay at one TTL a window,
+// match the unbatched route exactly, and send not one probe more.
 func TestTraceBatchFallbackWithBatchOptions(t *testing.T) {
 	const pathLen = 6
 	base := Options{MaxTTL: 20, ProbesPerHop: 2}

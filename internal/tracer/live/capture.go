@@ -15,7 +15,7 @@ import "time"
 //
 // Implementations must be safe for concurrent use: the mux's reader
 // records inbound datagrams while worker batches record their sends. The
-// transports guarantee ordering per conversation — a probe is always
+// mux guarantees ordering per conversation — a probe is always
 // recorded before any response to it — by recording sends before the
 // datagrams reach the conn.
 type CaptureSink interface {

@@ -107,7 +107,7 @@ func TestMuxCaptureSurvivesSocketRecovery(t *testing.T) {
 	}
 }
 
-// TestCaptureSurvivesContextCancellation cancels a live transport's
+// TestCaptureSurvivesContextCancellation cancels a one-handle mux's
 // context mid-batch: the exchange fails with the context error, and the
 // capture still installs a complete readable file of the traffic so far.
 func TestCaptureSurvivesContextCancellation(t *testing.T) {
@@ -131,18 +131,22 @@ func TestCaptureSurvivesContextCancellation(t *testing.T) {
 		}
 		return responder(probe)
 	}}
-	tp, err := New(Config{Source: sc.Net.Source(), Conn: fake, Capture: cap, Context: ctx})
-	if err != nil {
-		t.Fatal(err)
+	mux := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake, Capture: cap, Context: ctx})
+	fake.ReadErr = func(int) error {
+		if ctx.Err() != nil {
+			awaitCancel(mux)
+		}
+		return nil
 	}
 	defer cancel()
-	_, err = tracer.NewParisUDP(tp, tracer.Options{Batch: true}).Trace(sc.Dests[0])
+	_, err = tracer.NewParisUDP(mux.Transport(), tracer.Options{Batch: true}).Trace(sc.Dests[0])
 	if err == nil {
 		t.Fatal("trace survived a cancelled context")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("trace failed with %v, want a context.Canceled chain", err)
 	}
+	assertMuxDrained(t, mux)
 
 	recs := readCapture(t, cap, path)
 	if len(recs) == 0 {

@@ -7,19 +7,17 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/tracer"
 )
 
-// Fault-injection tests for the wheel's error paths: transient syscall
-// failures on send (ENOBUFS, EINTR), fatal socket errors, cancellation,
-// and the jittered retransmit backoff. Everything runs over the SimConn
-// (no sleeps: the fake fast-forwards the wheel) and is -race clean.
-
-var _ tracer.FallibleTransport = (*Transport)(nil)
+// Fault-injection tests for the wheel's error paths as a single trace sees
+// them, through a one-handle mux: transient syscall failures on send
+// (ENOBUFS, EINTR), fatal socket errors, and cancellation. Everything runs
+// over the SimConn (no sleeps: the fake fast-forwards the wheel) and is
+// -race clean.
 
 // TestLiveTransientSendFaultDeferred: a WriteBatch that fails with ENOBUFS
 // halfway through must not cost the unsent tail any attempts — even with
@@ -33,17 +31,18 @@ func TestLiveTransientSendFaultDeferred(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tp, fake, dest := newFakeTransport(t, scenarios[1].build, seed, SimSchedule{}, 0)
+	mux, fake, dest := newFakeMux(t, scenarios[1].build, seed, SimSchedule{}, 0)
 	fake.WriteErr = func(call, n int) (int, error) {
 		if call == 0 {
 			return n / 2, syscall.ENOBUFS // kernel buffers filled mid-batch
 		}
 		return n, nil
 	}
-	got, err := tracer.NewParisUDP(tp, tracer.Options{Batch: true}).Trace(dest)
+	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{Batch: true}).Trace(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertMuxDrained(t, mux)
 	if !got.Equal(want) {
 		t.Errorf("ENOBUFS tail changed the route\ngot:  %v\nwant: %v", got.Addresses(), want.Addresses())
 	}
@@ -56,12 +55,13 @@ func TestLiveTransientSendFaultDeferred(t *testing.T) {
 // EINTR gets exactly maxSendDefers free re-offers per probe, then degrades
 // to the attempt-burning path and stars out — bounded work, no livelock.
 func TestLiveTransientSendFaultExhausted(t *testing.T) {
-	tp, fake, dest := newFakeTransport(t, scenarios[1].build, 5, SimSchedule{}, 0)
+	mux, fake, dest := newFakeMux(t, scenarios[1].build, 5, SimSchedule{}, 0)
 	fake.WriteErr = func(call, n int) (int, error) { return 0, syscall.EINTR }
-	got, err := tracer.NewParisUDP(tp, tracer.Options{Batch: true}).Trace(dest)
+	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{Batch: true}).Trace(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertMuxDrained(t, mux)
 	if got.Halt != tracer.HaltStars {
 		t.Fatalf("halt = %v, want stars", got.Halt)
 	}
@@ -75,28 +75,30 @@ func TestLiveTransientSendFaultExhausted(t *testing.T) {
 	if want := maxSendDefers + 1; fake.writeCalls != want {
 		t.Errorf("write calls = %d, want %d", fake.writeCalls, want)
 	}
-	if len(fake.sends) != 0 {
-		t.Errorf("%d probes reached the wire through a failing send path", len(fake.sends))
+	if n := fake.SendCount(); n != 0 {
+		t.Errorf("%d probes reached the wire through a failing send path", n)
 	}
 }
 
 // TestLiveFatalSendErrSurfaced: a non-transient send failure must fail the
-// probe with the error — not silently star it — and the sequential engine
-// sees it through ExchangeErr.
+// probe with the error — not silently star it — and an unbatched trace ends
+// with it.
 func TestLiveFatalSendErrSurfaced(t *testing.T) {
-	tp, fake, dest := newFakeTransport(t, scenarios[1].build, 5, SimSchedule{}, 0)
+	mux, fake, dest := newFakeMux(t, scenarios[1].build, 5, SimSchedule{}, 0)
 	fake.WriteErr = func(call, n int) (int, error) { return 0, errors.New("device down") }
-	_, err := tracer.NewParisUDP(tp, tracer.Options{}).Trace(dest)
+	_, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{}).Trace(dest)
 	if err == nil {
 		t.Fatal("trace over a dead send path returned a route")
 	}
+	assertMuxDrained(t, mux)
 	if !strings.Contains(err.Error(), "live: send: device down") {
 		t.Errorf("error %q does not carry the send failure", err)
 	}
 }
 
-// TestLiveReceiveErrorSurfaced: a socket failure on the receive side fails
-// the in-flight probes with the wrapped error.
+// TestLiveReceiveErrorSurfaced: a socket failure on the receive side, with
+// no way to reopen the socket, fails the in-flight probes with the wrapped
+// error.
 func TestLiveReceiveErrorSurfaced(t *testing.T) {
 	net2, dest := scenarios[1].build(5)
 	fake := &SimConn{}
@@ -104,14 +106,12 @@ func TestLiveReceiveErrorSurfaced(t *testing.T) {
 		fake.closed = true // the socket dies after the send
 		return nil, false
 	}
-	tp, err := New(Config{Source: net2.Source(), Conn: fake, Retries: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = tracer.NewParisUDP(tp, tracer.Options{}).Trace(dest)
+	mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake})
+	_, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{}).Trace(dest)
 	if err == nil {
 		t.Fatal("trace over a broken receive path returned a route")
 	}
+	assertMuxDrained(t, mux)
 	if !strings.Contains(err.Error(), "live: receive:") {
 		t.Errorf("error %q does not carry the receive failure", err)
 	}
@@ -126,14 +126,16 @@ func TestLiveContextCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		fake := &SimConn{Respond: netsimResponder(net2)}
-		tp, err := New(Config{Source: net2.Source(), Conn: fake, Context: ctx})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = tracer.NewParisUDP(tp, tracer.Options{}).Trace(dest)
+		mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake, Context: ctx})
+		awaitCancel(mux)
+		_, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{}).Trace(dest)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("trace error = %v, want context.Canceled", err)
 		}
+		if n := fake.SendCount(); n != 0 {
+			t.Errorf("%d probes sent under a context that was already done", n)
+		}
+		assertMuxDrained(t, mux)
 	})
 	t.Run("mid-flight", func(t *testing.T) {
 		net2, dest := scenarios[1].build(5)
@@ -144,116 +146,17 @@ func TestLiveContextCancel(t *testing.T) {
 			cancel() // arrives while the wheel still owes a response
 			return nil, false
 		}
-		tp, err := New(Config{Source: net2.Source(), Conn: fake, Context: ctx, Retries: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = tracer.NewParisUDP(tp, tracer.Options{}).Trace(dest)
+		mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake, Context: ctx, Retries: 5})
+		fake.ReadErr = func(int) error { awaitCancel(mux); return nil }
+		_, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{}).Trace(dest)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("trace error = %v, want context.Canceled", err)
 		}
+		if n := fake.SendCount(); n != 1 {
+			t.Errorf("%d probes sent, want the one in flight when the context ended", n)
+		}
+		assertMuxDrained(t, mux)
 	})
-}
-
-// TestLiveRetryBackoffRoute: with a retransmit backoff configured, a
-// drop-first-attempt schedule still converges to the clean baseline — the
-// backoff state rides the same deadline wheel, so the fake fast-forwards
-// it without any real sleeping.
-func TestLiveRetryBackoffRoute(t *testing.T) {
-	const seed = 7
-	net1, dest1 := scenarios[1].build(seed)
-	want, err := tracer.NewParisUDP(netsim.NewTransport(net1), tracer.Options{}).Trace(dest1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	net2, dest := scenarios[1].build(seed)
-	seen := make(map[string]bool)
-	fake := &SimConn{
-		Respond: netsimResponder(net2),
-		Sched: SimSchedule{Drop: func(_ int, probe []byte) bool {
-			if seen[string(probe)] {
-				return false
-			}
-			seen[string(probe)] = true
-			return true
-		}},
-	}
-	start := time.Now()
-	tp, err := New(Config{
-		Source: net2.Source(), Conn: fake,
-		Retries: 1, RetryBackoff: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tracer.NewParisUDP(tp, tracer.Options{Batch: true}).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Errorf("backoff retransmits changed the route\ngot:  %v\nwant: %v", got.Addresses(), want.Addresses())
-	}
-	// Every probe was dropped once, so every probe was re-sent exactly once
-	// after its backoff elapsed (on the fake's virtual clock).
-	if len(fake.sends) != 2*len(seen) {
-		t.Errorf("sent %d probes for %d unique, want exactly one retransmit each", len(fake.sends), len(seen))
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("hermetic backoff test took %v; the wheel slept for real", elapsed)
-	}
-}
-
-// TestRetryDelayDeterministic pins the backoff computation: reproducible
-// for a given source seed, exponential in the attempt number, jittered
-// within [0.5, 1.5) of the base, capped at the timeout.
-func TestRetryDelayDeterministic(t *testing.T) {
-	mk := func() *Transport {
-		fake := &SimConn{}
-		tp, err := New(Config{
-			Source:       netip.AddrFrom4([4]byte{192, 0, 2, 9}),
-			Conn:         fake,
-			Timeout:      2 * time.Second,
-			RetryBackoff: 100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tp
-	}
-	a, b := mk(), mk()
-	var prev time.Duration
-	for attempt := 1; attempt <= 8; attempt++ {
-		da := a.retryDelay(attempt)
-		if db := b.retryDelay(attempt); da != db {
-			t.Fatalf("attempt %d: delay not reproducible (%v vs %v)", attempt, da, db)
-		}
-		base := 100 * time.Millisecond << (attempt - 1)
-		if base <= 0 || base > 2*time.Second {
-			base = 2 * time.Second
-		}
-		lo := time.Duration(float64(base) * 0.5)
-		hi := time.Duration(float64(base) * 1.5)
-		if da < lo || da >= hi {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, da, lo, hi)
-		}
-		if da == prev {
-			t.Fatalf("attempt %d: jitter repeated exactly (%v)", attempt, da)
-		}
-		prev = da
-	}
-	// A different source draws a different jitter stream.
-	fake := &SimConn{}
-	c, err := New(Config{
-		Source: netip.AddrFrom4([4]byte{192, 0, 2, 10}), Conn: fake,
-		Timeout: 2 * time.Second, RetryBackoff: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk().retryDelay(1) == c.retryDelay(1) {
-		t.Error("jitter identical across sources; retransmits would march in lockstep")
-	}
 }
 
 // TestLiveResultSlotErrReset: a result slice recycled across batches (the
@@ -262,10 +165,8 @@ func TestRetryDelayDeterministic(t *testing.T) {
 func TestLiveResultSlotErrReset(t *testing.T) {
 	net2, dest := scenarios[1].build(5)
 	fake := &SimConn{Respond: netsimResponder(net2)}
-	tp, err := New(Config{Source: net2.Source(), Conn: fake})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake})
+	tp := mux.Transport()
 	probe := buildProbe(t, net2.Source(), dest)
 
 	fail := true
@@ -289,6 +190,7 @@ func TestLiveResultSlotErrReset(t *testing.T) {
 	if !out[0].OK {
 		t.Fatal("clean exchange through a recycled slot did not resolve")
 	}
+	assertMuxDrained(t, mux)
 }
 
 // buildProbe crafts a minimal valid Paris-style UDP probe from src to dst

@@ -2,7 +2,9 @@ package live
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -11,14 +13,14 @@ import (
 )
 
 // The differential harness: the same probing engine is run once against the
-// simulator transport (the baseline) and once against the live transport
-// over a SimConn whose responder replays a second, identically-built
-// netsim.Network — so every byte the live path receives is a genuine
-// simulator response, and the two routes must agree on every path
-// observable (tracer.Route.Equal: everything but RTTs and IP IDs, which
-// differ per exchange by construction). The schedules then layer reorder,
-// duplication, loss and delay over the replay without being allowed to
-// change the measured route.
+// simulator transport (the baseline) and once against a one-handle mux —
+// what a single live trace rides — over a SimConn whose responder replays a
+// second, identically-built netsim.Network, so every byte the live path
+// receives is a genuine simulator response, and the two routes must agree on
+// every path observable (tracer.Route.Equal: everything but RTTs and IP IDs,
+// which differ per exchange by construction). The schedules then layer
+// reorder, duplication, loss and delay over the replay without being allowed
+// to change the measured route.
 
 var scenarios = []struct {
 	name  string
@@ -73,24 +75,55 @@ func netsimResponder(net *netsim.Network) func([]byte) ([]byte, bool) {
 	}
 }
 
-// newFakeTransport builds a live Transport over a SimConn backed by a
-// fresh copy of the scenario.
-func newFakeTransport(t *testing.T, build func(int64) (*netsim.Network, netip.Addr), seed int64, sched SimSchedule, retries int) (*Transport, *SimConn, netip.Addr) {
+// newFakeMux opens a mux over a SimConn backed by a fresh copy of the
+// scenario; the tests below trace through one handle of it. A redial
+// back-off never sleeps.
+func newFakeMux(t *testing.T, build func(int64) (*netsim.Network, netip.Addr), seed int64, sched SimSchedule, retries int) (*Mux, *SimConn, netip.Addr) {
 	t.Helper()
 	net, dest := build(seed)
 	fake := &SimConn{Respond: netsimResponder(net), Sched: sched}
-	tp, err := New(Config{Source: net.Source(), Conn: fake, Retries: retries})
+	return openFakeMux(t, MuxConfig{Source: net.Source(), Conn: fake, Retries: retries}), fake, dest
+}
+
+// openFakeMux is NewMux for a hermetic test: no sleeping, closed with the test.
+func openFakeMux(t *testing.T, cfg MuxConfig) *Mux {
+	t.Helper()
+	cfg.Sleep = func(time.Duration) {}
+	m, err := NewMux(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tp, fake, dest
+	t.Cleanup(func() { m.Close() })
+	return m
 }
+
+// awaitCancel returns once m has seen its Context end. The AfterFunc that
+// tells it runs on a goroutine of its own, and a SimConn never blocks, so a
+// test that cancels calls this before tracing, or from the conn's read hook
+// (the reader holds no lock there): the turn after a cancellation then always
+// finds the mux cancelled.
+func awaitCancel(m *Mux) {
+	for {
+		m.mu.Lock()
+		done := m.broken != nil
+		m.mu.Unlock()
+		if done {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// exchangeOnly hides a handle's ExchangeBatch, so the tracer reaches the mux
+// one ExchangeErr at a time.
+type exchangeOnly struct{ tracer.FallibleTransport }
 
 // TestLiveDifferentialAgainstNetsim is the package's acceptance test:
 // ladders driven through the fake socket replaying netsim responses must
 // produce routes identical (in every path observable) to the netsim
-// transport's, for every scenario, every probing discipline, every batch
-// window, and under injected reorder, duplicate, drop and delay schedules.
+// transport's, for every scenario, every probing discipline, every ladder
+// window (Batch off is the window of one TTL), and under injected reorder,
+// duplicate, drop and delay schedules.
 func TestLiveDifferentialAgainstNetsim(t *testing.T) {
 	const seed = 7
 	schedules := []struct {
@@ -126,6 +159,10 @@ func TestLiveDifferentialAgainstNetsim(t *testing.T) {
 			}}
 		}, 1, false},
 	}
+	// Batch off is the ladder at a window of one TTL, over the same mux.
+	ladders := []tracer.Options{
+		{Batch: true}, {Batch: true, BatchWindow: 1}, {Batch: true, BatchWindow: 4}, {},
+	}
 	for _, sc := range scenarios {
 		for _, m := range methods {
 			net1, dest1 := sc.build(seed)
@@ -137,15 +174,16 @@ func TestLiveDifferentialAgainstNetsim(t *testing.T) {
 				if sch.perturbsOrder && m.indistinctTerminal {
 					continue
 				}
-				for _, window := range []int{0, 1, 4} {
-					tp, _, dest := newFakeTransport(t, sc.build, seed, sch.sched(), sch.retries)
-					got, err := m.mk(tp, tracer.Options{Batch: true, BatchWindow: window}).Trace(dest)
+				for _, opts := range ladders {
+					mux, _, dest := newFakeMux(t, sc.build, seed, sch.sched(), sch.retries)
+					got, err := m.mk(mux.Transport(), opts).Trace(dest)
 					if err != nil {
-						t.Fatalf("%s/%s/%s w=%d: %v", sc.name, m.name, sch.name, window, err)
+						t.Fatalf("%s/%s/%s batch=%v w=%d: %v", sc.name, m.name, sch.name, opts.Batch, opts.BatchWindow, err)
 					}
+					assertMuxDrained(t, mux)
 					if !got.Equal(want) {
-						t.Errorf("%s/%s/%s w=%d: live route differs from netsim\ngot:  halt=%v hops=%v\nwant: halt=%v hops=%v",
-							sc.name, m.name, sch.name, window,
+						t.Errorf("%s/%s/%s batch=%v w=%d: live route differs from netsim\ngot:  halt=%v hops=%v\nwant: halt=%v hops=%v",
+							sc.name, m.name, sch.name, opts.Batch, opts.BatchWindow,
 							got.Halt, got.Addresses(), want.Halt, want.Addresses())
 					}
 				}
@@ -154,8 +192,9 @@ func TestLiveDifferentialAgainstNetsim(t *testing.T) {
 	}
 }
 
-// TestLiveSequentialExchange drives the tracer's sequential (non-batched)
-// loop through Transport.Exchange and requires the same route as the
+// TestLiveSequentialExchange hides the handle's ExchangeBatch, so the ladder
+// reaches the mux through the tracer's per-probe path — one
+// MuxTransport.ExchangeErr per probe — and requires the same route as the
 // simulator, for every discipline.
 func TestLiveSequentialExchange(t *testing.T) {
 	const seed = 11
@@ -165,13 +204,14 @@ func TestLiveSequentialExchange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp, _, dest := newFakeTransport(t, scenarios[1].build, seed, SimSchedule{}, 0)
-		got, err := m.mk(tp, tracer.Options{}).Trace(dest)
+		mux, _, dest := newFakeMux(t, scenarios[1].build, seed, SimSchedule{}, 0)
+		got, err := m.mk(exchangeOnly{mux.Transport()}, tracer.Options{}).Trace(dest)
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertMuxDrained(t, mux)
 		if !got.Equal(want) {
-			t.Errorf("%s: sequential live route differs\ngot:  %v\nwant: %v", m.name, got.Addresses(), want.Addresses())
+			t.Errorf("%s: per-probe live route differs\ngot:  %v\nwant: %v", m.name, got.Addresses(), want.Addresses())
 		}
 	}
 }
@@ -199,14 +239,12 @@ func TestLiveSilentHopStar(t *testing.T) {
 		}
 		return inner(probe)
 	}}
-	tp, err := New(Config{Source: net2.Source(), Conn: fake, Retries: 1})
+	mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake, Retries: 1})
+	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{Batch: true}).Trace(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tracer.NewParisUDP(tp, tracer.Options{Batch: true}).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertMuxDrained(t, mux)
 	if len(got.Hops) != len(want.Hops) || got.Halt != want.Halt {
 		t.Fatalf("route shape changed: got %d hops halt %v, want %d hops halt %v",
 			len(got.Hops), got.Halt, len(want.Hops), want.Halt)
@@ -224,17 +262,20 @@ func TestLiveSilentHopStar(t *testing.T) {
 	}
 }
 
-// TestLiveRetriesExhausted drops every response: the wheel must re-send
-// each probe exactly Retries times before starring it, and the ladder must
-// halt on the consecutive-star rule.
+// TestLiveRetriesExhausted drops every response to an unbatched trace, whose
+// ladder submits one TTL at a time: the wheel must re-send each probe
+// exactly Retries times before starring it, and the ladder must halt on the
+// consecutive-star rule having probed not one TTL more. (The batched window
+// is TestMuxRetriesExhausted's.)
 func TestLiveRetriesExhausted(t *testing.T) {
 	const retries = 2
-	tp, fake, dest := newFakeTransport(t, scenarios[1].build, 5,
+	mux, fake, dest := newFakeMux(t, scenarios[1].build, 5,
 		SimSchedule{Drop: func(int, []byte) bool { return true }}, retries)
-	got, err := tracer.NewParisUDP(tp, tracer.Options{Batch: true}).Trace(dest)
+	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{}).Trace(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertMuxDrained(t, mux)
 	if got.Halt != tracer.HaltStars {
 		t.Fatalf("halt = %v, want stars", got.Halt)
 	}
@@ -246,9 +287,9 @@ func TestLiveRetriesExhausted(t *testing.T) {
 			t.Fatalf("hop %d responded under a drop-everything schedule", h.TTL)
 		}
 	}
-	// One window of 8 probes (default window), each sent 1 + retries times.
-	if want := 8 * (1 + retries); len(fake.sends) != want {
-		t.Errorf("sent %d probes, want %d (8 probes x %d attempts)", len(fake.sends), want, 1+retries)
+	// Eight one-TTL windows, each probe sent 1 + retries times.
+	if want := 8 * (1 + retries); fake.SendCount() != want {
+		t.Errorf("sent %d probes, want %d (8 probes x %d attempts)", fake.SendCount(), want, 1+retries)
 	}
 }
 
@@ -278,14 +319,12 @@ func TestLiveUnrelatedTrafficIgnored(t *testing.T) {
 		)
 		return resp, ok
 	}
-	tp, err := New(Config{Source: net2.Source(), Conn: fake, Retries: 0})
+	mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake})
+	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{Batch: true}).Trace(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tracer.NewParisUDP(tp, tracer.Options{Batch: true}).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertMuxDrained(t, mux)
 	if !got.Equal(want) {
 		t.Errorf("junk traffic changed the route\ngot:  %v\nwant: %v", got.Addresses(), want.Addresses())
 	}
@@ -326,16 +365,17 @@ func buildJunkError(t *testing.T) []byte {
 func TestLiveScratchReuse(t *testing.T) {
 	const seed = 17
 	sc := tracer.NewScratch()
-	tp, _, dest := newFakeTransport(t, scenarios[1].build, seed, SimSchedule{}, 0)
+	mux, _, dest := newFakeMux(t, scenarios[1].build, seed, SimSchedule{}, 0)
 	opts := tracer.Options{Batch: true, Scratch: sc}
-	first, err := tracer.NewParisUDP(tp, opts).Trace(dest)
+	first, err := tracer.NewParisUDP(mux.Transport(), opts).Trace(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := tracer.NewParisUDP(tp, opts).Trace(dest)
+	second, err := tracer.NewParisUDP(mux.Transport(), opts).Trace(dest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertMuxDrained(t, mux)
 	if !first.Equal(second) {
 		t.Error("second trace through the same Scratch changed the measured route")
 	}

@@ -17,8 +17,9 @@ import (
 
 // TestLiveLoopback exercises the real raw-socket path end to end where the
 // environment permits it (root or CAP_NET_RAW; CI runs it in a privileged
-// job, everywhere else it skips cleanly): a batched Paris UDP ladder toward
-// 127.0.0.1 must reach the local responder — the kernel itself — in one
+// job, everywhere else it skips cleanly), as a single trace runs it — one
+// handle on a mux of its own: a batched Paris UDP ladder toward 127.0.0.1
+// must reach the local responder — the kernel itself — in one
 // hop via an ICMP Port Unreachable quoting our probe, driven through
 // sendmmsg/recvmmsg on architectures that compile them in.
 func TestLiveLoopback(t *testing.T) {
@@ -26,11 +27,12 @@ func TestLiveLoopback(t *testing.T) {
 		t.Skipf("raw sockets unavailable: %v", err)
 	}
 	lo := netip.AddrFrom4([4]byte{127, 0, 0, 1})
-	tp, err := New(Config{Source: lo, Timeout: 2 * time.Second, Retries: 1})
+	m, err := NewMux(MuxConfig{Source: lo, Timeout: 2 * time.Second, Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tp.Close()
+	defer m.Close()
+	tp := m.Transport()
 
 	t.Run("paris-udp", func(t *testing.T) {
 		rt, err := tracer.NewParisUDP(tp, tracer.Options{Batch: true, MaxTTL: 5}).Trace(lo)

@@ -4,15 +4,15 @@ import (
 	"repro/internal/tracer/flowkey"
 )
 
-// Response demultiplexing. A live transport shares one pair of raw receive
-// sockets among every probe of a batch (and with every other ICMP/TCP
+// Response demultiplexing. The mux shares one pair of raw receive sockets
+// among every probe of every batch (and with every other ICMP/TCP
 // conversation the host is having), so each inbound packet must be routed
 // back to the in-flight probe it answers — or discarded as unrelated
 // traffic — before the tracer's strict per-discipline matching ever sees
 // it. The key derivation lives in internal/tracer/flowkey (shared with the
 // replay transport, which must attribute a captured campaign's responses
-// with the exact same rule); this file binds it under the names the
-// transport and mux use. See the flowkey package doc for the attribution
+// with the exact same rule); this file binds it under the names the mux
+// uses. See the flowkey package doc for the attribution
 // contract — the Paris quoted-header invariant, the terminal-key
 // namespaces, and the oldest-unanswered FIFO rule for shared TCP keys.
 

@@ -1,3 +1,55 @@
+// Package live carries the repository's probing engines onto the real
+// network: one transport, the Mux, whose MuxTransport handles implement
+// tracer.Transport / BatchTransport / FallibleTransport over raw IPv4
+// sockets, sending whole TTL-ladder windows with one sendmmsg and reading
+// responses back with recvmmsg, so the batched amortization the simulator
+// path earned applies unchanged to live measurement. A single trace is a mux
+// with one handle; a campaign gives every worker a handle on the same mux.
+//
+// # Response-matching contract
+//
+// Probes go out with IP_HDRINCL: every header field the engines craft —
+// TTL, IP ID, the Paris UDP checksum payload, the compensated ICMP Echo
+// identifier — reaches the wire verbatim, exactly as the original
+// paris-traceroute tool requires. Responses arrive on shared raw ICMP and
+// TCP sockets and are demultiplexed back to their in-flight probes by the
+// quoted inner header's flow identifier: an ICMP error quotes the probe's
+// IP header plus its first eight transport octets (RFC 792), and those
+// octets are precisely where each discipline keeps its flow and probe
+// identifiers — the Paris invariant of Section 2.1 of the paper. The match
+// key is (inner source, inner destination, inner protocol, inner IP ID,
+// first eight quoted transport octets); the quoted TTL and checksum, which
+// routers mutate in flight (zero-TTL forwarding, Fig. 4), and the outer
+// source address, which NAT boxes rewrite (Fig. 5), are excluded. Terminal
+// responses match on what the destination echoes back (Echo identifier and
+// sequence; TCP ports and acknowledged sequence number), falling back to
+// oldest-unanswered FIFO order when a discipline sends indistinguishable
+// probes (tcptraceroute's constant sequence number). Everything finer — the
+// per-discipline strict matching of Section 2.1 — stays in the tracer's
+// shared parseResponse pipeline, identical for simulated and live routes.
+//
+// Timeouts, retries, and out-of-order, duplicate, or unrelated responses
+// are handled by the mux's deadline wheel: every in-flight probe carries
+// its own deadline and attempt count, the reader polls until the earliest
+// pending deadline, expired probes are re-sent (up to MuxConfig.Retries
+// times) as one batch, and probes that exhaust their attempts resolve as
+// stars. Duplicates find their key already gone from the table and are
+// dropped; unrelated traffic never matches a key at all.
+//
+// # Privileges and the socket seam
+//
+// The syscall layer sits behind the PacketConn interface (sockets.go). The
+// real implementation needs root or CAP_NET_RAW, exists on Linux only, and
+// is exercised by an opt-in loopback test; everything above the seam — the
+// batching, demultiplexing, timeout, retry, and buffer-recycling logic —
+// runs identically over an in-process fake and is pinned by differential
+// tests against the simulator: ladders driven through a fake that replays
+// netsim-generated responses must produce tracer.Routes equal (in every
+// path observable) to the netsim transport's, including under injected
+// reorder, duplicate, and drop schedules. Available reports whether raw
+// sockets can be opened; NewMux returns a descriptive error when they
+// cannot, and callers are expected to fall back to the simulator or exit
+// cleanly.
 package live
 
 import (
@@ -7,24 +59,24 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/tracer"
 )
 
-// This file is the campaign-wide demultiplexer: one raw socket pair, the
-// whole fleet. A Mux owns a single PacketConn, one registration table and
-// one deadline wheel, and no goroutine: any number of workers call
-// ExchangeBatch concurrently through the MuxTransport handles it hands out,
-// and whoever waits, reads. The worker holding the reader role reads the
-// conn and attributes every inbound datagram across all in-flight batches
-// by the same quoted-flow-identifier keys the per-batch wheel (live.go)
-// uses — the per-batch key table promoted to a mux-global registration
-// table with per-batch ownership and race-safe unregister. The other
-// waiting workers sleep, each on its own batch's wake channel, until their
-// batch completes or the role is handed to them; a reader leaves as soon as
-// its own batch is resolved. A mux with one handle is therefore exactly the
-// caller-driven wheel of live.Transport, and an idle mux holds nothing but
+// This file is the demultiplexer: one raw socket pair, the whole fleet. A
+// Mux owns a single PacketConn, one registration table and one deadline
+// wheel, and no goroutine: any number of workers call ExchangeBatch
+// concurrently through the MuxTransport handles it hands out, and whoever
+// waits, reads. The worker holding the reader role reads the conn and
+// attributes every inbound datagram across all in-flight batches by the
+// quoted-flow-identifier keys of the package comment — a mux-global
+// registration table with per-batch ownership and race-safe unregister. The
+// other waiting workers sleep, each on its own batch's wake channel, until
+// their batch completes or the role is handed to them; a reader leaves as
+// soon as its own batch is resolved. A mux with one handle is therefore a
+// wheel its one caller turns for itself, and an idle mux holds nothing but
 // its sockets.
 //
 // Three robustness layers ride on the shared wheel (see docs/live.md for
@@ -404,9 +456,12 @@ func (t *MuxTransport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, e
 	return out[0].Resp, out[0].RTT, true, nil
 }
 
-// ExchangeBatch implements tracer.BatchTransport. Unlike the per-worker
-// Transport, concurrent calls interleave freely: the mux attributes every
-// response by flow identifier across all in-flight batches.
+// ExchangeBatch implements tracer.BatchTransport. Concurrent calls, on one
+// handle or many, interleave freely: the mux attributes every response by
+// flow identifier across all in-flight batches. out[i].Resp is refilled with
+// append-truncate, so callers recycling one result slice across batches
+// (tracer.Scratch) amortize the response buffers exactly as they do against
+// the simulator.
 func (t *MuxTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	if len(out) < len(probes) {
 		panic("live: ExchangeBatch result slice shorter than probe slice")
@@ -761,8 +816,7 @@ func (m *Mux) dropRefLocked(k matchKey, ref slotRef) {
 }
 
 // popLocked resolves key to the oldest unanswered probe registered under
-// it, consuming the reference — the same FIFO rule as the per-batch wheel,
-// now spanning every batch in flight.
+// it, consuming the reference: the FIFO rule spans every batch in flight.
 func (m *Mux) popLocked(key matchKey) (slotRef, bool) {
 	q, ok := m.byKey[key]
 	if !ok {
@@ -836,8 +890,11 @@ func (m *Mux) expireLocked(dl, now time.Time) {
 }
 
 // sendRefsLocked sends every referenced slot in one WriteBatch and stamps
-// the outcomes, with the same transient/fatal send classification as the
-// per-batch wheel. With reopen set, slots already attempted are re-sent
+// the outcomes. Send failures are classified: a transient syscall (full
+// buffer, interrupted call) leaves the unsent tail due immediately without
+// consuming an attempt, bounded by maxSendDefers; any other error fails those
+// probes outright. Either way the wheel observes the outcome on its next
+// turn. With reopen set, slots already attempted are re-sent
 // without charging their attempt budget (the socket died under them, the
 // probe is preserved, not penalized) and with RTT sampling suppressed.
 func (m *Mux) sendRefsLocked(now time.Time, refs []slotRef, reopen bool) {
@@ -904,6 +961,18 @@ func (m *Mux) sendRefsLocked(now time.Time, refs []slotRef, reopen bool) {
 			s.attempts++
 		}
 	}
+}
+
+// maxSendDefers bounds how many times a transient syscall failure may
+// postpone one probe's send before the failure starts burning attempts.
+const maxSendDefers = 3
+
+// transientSendErr reports whether a WriteBatch failure is worth re-trying
+// without charging the probe's attempt budget.
+func transientSendErr(err error) bool {
+	return errors.Is(err, syscall.ENOBUFS) ||
+		errors.Is(err, syscall.EAGAIN) ||
+		errors.Is(err, syscall.EINTR)
 }
 
 // estLocked is s's destination's estimator, nil while it has none; a slot

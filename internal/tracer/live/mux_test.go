@@ -15,9 +15,9 @@ import (
 	"repro/internal/tracer"
 )
 
-// The mux differential harness extends the per-batch one (live_test.go) to
-// the shared demultiplexer: N workers trace disjoint destination slices
-// concurrently through ONE Mux over ONE SimConn, and every route must be
+// The mux differential harness extends the one-handle one (live_test.go) to
+// many workers: N workers trace disjoint destination slices concurrently
+// through ONE Mux over ONE SimConn, and every route must be
 // identical (tracer.Route.Equal) to a sequential baseline over an
 // identically-built network. The topologies are schedule-free — responses
 // are pure functions of the probe bytes — so worker interleaving cannot
@@ -503,9 +503,9 @@ func TestMuxAdaptiveTimeoutClamps(t *testing.T) {
 	}
 }
 
-// TestMuxRetriesExhausted mirrors the per-batch wheel's attempt accounting
-// on the shared path: under a drop-everything schedule every probe is sent
-// exactly 1+Retries times and stars cleanly.
+// TestMuxRetriesExhausted pins the wheel's attempt accounting over a batched
+// window: under a drop-everything schedule every probe is sent exactly
+// 1+Retries times and stars cleanly.
 func TestMuxRetriesExhausted(t *testing.T) {
 	const retries = 2
 	sc := muxTopo(t, 1, 43)

@@ -18,7 +18,7 @@ type Datagram struct {
 }
 
 // ErrTimeout is returned by PacketConn.ReadBatch when the read deadline
-// passes with no datagram available. The transport's deadline wheel treats
+// passes with no datagram available. The mux's deadline wheel treats
 // it as the expiry signal for the probes still in flight.
 var ErrTimeout = errors.New("live: receive timeout")
 
@@ -29,14 +29,13 @@ var ErrTimeout = errors.New("live: receive timeout")
 // with an in-process fake that can reorder, drop, duplicate and delay
 // responses, which is what lets the entire live path run hermetically.
 //
-// Concurrency contract, honoured by both transports, which lets an
-// implementation keep per-direction scratch without locking: WriteBatch
-// calls are serialized by the caller (the mux sends under its lock,
-// live.Transport from inside one exchange at a time); one ReadBatch runs at
-// a time, and SetReadDeadline and the optional DropCounter are called only
-// by that reader, between its reads (the mux's reader role; the exchanging
-// goroutine for live.Transport); a WriteBatch may overlap a ReadBatch. Wake
-// and Close may be called from anywhere, at any time.
+// Concurrency contract, which lets an implementation keep per-direction
+// scratch without locking: WriteBatch calls are serialized by the caller
+// (the mux sends under its lock); one ReadBatch runs at a time, and
+// SetReadDeadline and the optional DropCounter are called only by that
+// reader, between its reads (the mux's reader role); a WriteBatch may
+// overlap a ReadBatch. Wake and Close may be called from anywhere, at any
+// time.
 type PacketConn interface {
 	// WriteBatch sends every datagram, in order, in as few syscalls as the
 	// platform allows (one sendmmsg per call on Linux). It returns the

@@ -132,6 +132,7 @@ func (p *Pacer) Waits() (int64, time.Duration) {
 // with the batched ladder and the error-policy layer unchanged.
 type PacedTransport struct {
 	inner Transport
+	batch BatchTransport // inner's batch path (AsBatch)
 	pacer *Pacer
 }
 
@@ -139,7 +140,8 @@ type PacedTransport struct {
 // Several transports may share one Pacer — that is the point: the bucket
 // then caps the whole process's aggregate probe rate.
 func NewPacedTransport(tp Transport, p *Pacer) *PacedTransport {
-	return &PacedTransport{inner: tp, pacer: p}
+	bt, _ := AsBatch(tp)
+	return &PacedTransport{inner: tp, batch: bt, pacer: p}
 }
 
 // Exchange implements Transport.
@@ -161,28 +163,13 @@ func (t *PacedTransport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool,
 
 // ExchangeBatch implements BatchTransport: the whole window takes its
 // tokens in one call, pacing batches at the same aggregate rate as
-// sequential probes. With a non-batching inner transport each probe falls
-// back to one Exchange (tokens already taken).
+// sequential probes, then goes through the inner transport's batch path.
 func (t *PacedTransport) ExchangeBatch(probes [][]byte, out []ProbeResult) {
 	if len(out) < len(probes) {
 		panic("tracer: ExchangeBatch result slice shorter than probe slice")
 	}
 	t.pacer.Take(len(probes))
-	if bt, ok := t.inner.(BatchTransport); ok {
-		bt.ExchangeBatch(probes, out)
-		return
-	}
-	for i, p := range probes {
-		resp, rtt, ok := t.inner.Exchange(p)
-		out[i].OK = ok
-		out[i].Err = nil
-		out[i].RTT = rtt
-		if ok {
-			out[i].Resp = append(out[i].Resp[:0], resp...)
-		} else if out[i].Resp != nil {
-			out[i].Resp = out[i].Resp[:0]
-		}
-	}
+	t.batch.ExchangeBatch(probes, out)
 }
 
 // Source implements Transport.

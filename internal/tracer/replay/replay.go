@@ -88,7 +88,7 @@ import (
 // Config parameterizes how a capture is reconstructed.
 type Config struct {
 	// Retries is the captured campaign's per-probe re-send budget
-	// (live.Config.Retries / MuxConfig.Retries at capture time): up to
+	// (live.MuxConfig.Retries at capture time): up to
 	// 1+Retries consecutive identical occurrences of one flow key fold
 	// into a single exchange as retransmissions. Zero means every
 	// occurrence is its own exchange.

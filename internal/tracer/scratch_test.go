@@ -29,7 +29,8 @@ func (n *nullTransport) ExchangeBatch(probes [][]byte, out []ProbeResult) {
 	}
 }
 
-// sequentialOnly hides a transport's ExchangeBatch.
+// sequentialOnly hides a transport's ExchangeBatch, leaving the ladder the
+// per-probe path.
 type sequentialOnly struct{ Transport }
 
 // recordNull traces once over a scripted chain of pathLen hops with the tracer
@@ -49,8 +50,9 @@ func recordNull(t *testing.T, mk func(Transport, Options) Tracer, opts Options, 
 
 // TestTraceSteadyStateAllocs is the budget the Scratch comment promises: a
 // reused tracer whose routes come back through Recycle allocates nothing per
-// trace, batched or sequential, Paris or classic — and the route it refills
-// is the route a fresh trace would have returned.
+// trace — Batch on or off, over a transport that batches or one probe at a
+// time over one that cannot, Paris or classic — and the route it refills is
+// the route a fresh trace would have returned.
 func TestTraceSteadyStateAllocs(t *testing.T) {
 	const pathLen = 11
 	for _, tc := range []struct {
@@ -60,11 +62,12 @@ func TestTraceSteadyStateAllocs(t *testing.T) {
 		{"paris-udp", NewParisUDP},
 		{"classic-udp", NewClassicUDP},
 	} {
-		for _, batch := range []bool{true, false} {
+		for _, mode := range []struct{ batch, perProbe bool }{{true, false}, {false, false}, {false, true}} {
+			batch := mode.batch
 			opts := Options{MinTTL: 2, MaxTTL: 39, SrcPort: 40001, DstPort: 40002}
 			null := recordNull(t, tc.mk, opts, pathLen)
 			var tp Transport = null
-			if !batch {
+			if mode.perProbe {
 				tp = sequentialOnly{null}
 			}
 			want, err := tc.mk(tp, opts).Trace(tDest)
@@ -91,10 +94,10 @@ func TestTraceSteadyStateAllocs(t *testing.T) {
 			trace() // warm the Scratch: buffers grown, one route in the pool
 			allocs := testing.AllocsPerRun(100, trace)
 			if allocs != 0 {
-				t.Errorf("%s batch=%v: %v allocs per steady-state trace, want 0", tc.name, batch, allocs)
+				t.Errorf("%s %+v: %v allocs per steady-state trace, want 0", tc.name, mode, allocs)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s batch=%v: recycled route differs from a fresh trace\ngot:  %+v\nwant: %+v", tc.name, batch, got, want)
+				t.Errorf("%s %+v: recycled route differs from a fresh trace\ngot:  %+v\nwant: %+v", tc.name, mode, got, want)
 			}
 		}
 	}

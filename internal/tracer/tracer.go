@@ -330,11 +330,11 @@ type Options struct {
 	// absorb the checksum; default 12 mirrors classic traceroute's
 	// default packet length.
 	PayloadLen int
-	// Batch opts into the windowed batched ladder when the transport
-	// implements BatchTransport: the engine submits a window of TTLs as
-	// one ExchangeBatch and truncates at the first terminal hop or
-	// star-run boundary. Transports without batching fall back to the
-	// sequential loop. Off by default.
+	// Batch widens the ladder's window when the transport implements
+	// BatchTransport: the engine submits BatchWindow TTLs as one
+	// ExchangeBatch and truncates at the first terminal hop or star-run
+	// boundary. Off, or over a transport without batching, the window is
+	// one TTL. Off by default.
 	Batch bool
 	// BatchWindow is the number of TTLs submitted per batch (0 selects
 	// DefaultBatchWindow). Ignored unless Batch is set.
@@ -394,11 +394,14 @@ type Tracer interface {
 
 // engine is the shared trace loop; each discipline supplies a prober.
 type engine struct {
-	name  string
-	tp    Transport
-	src   netip.Addr
-	opts  Options
-	build proberFunc
+	name string
+	// bt is the transport's batch path (AsBatch); native says it is the
+	// transport's own, so a window wider than one TTL is worth submitting.
+	bt     BatchTransport
+	native bool
+	src    netip.Addr
+	opts   Options
+	build  proberFunc
 	// defSrc and defDst are the discipline's historical default ports.
 	defSrc, defDst uint16
 	// payload and dgram are the UDP builders' scratch, recycled across
@@ -413,8 +416,9 @@ type engine struct {
 type proberFunc func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) (probe []byte, exp expect, err error)
 
 func newEngine(name string, tp Transport, opts Options, defSrc, defDst uint16, build proberFunc) *engine {
-	e := &engine{name: name, tp: tp, src: tp.Source(), opts: opts.withDefaults(),
+	e := &engine{name: name, src: tp.Source(), opts: opts.withDefaults(),
 		build: build, defSrc: defSrc, defDst: defDst}
+	e.bt, e.native = AsBatch(tp)
 	e.Aim(opts.SrcPort, opts.DstPort, opts.PathHint)
 	return e
 }
@@ -453,15 +457,14 @@ func haltFor(first Hop, attempts []Hop) HaltReason {
 	return HaltDestination
 }
 
-// ladderState is the per-TTL bookkeeping shared verbatim by the sequential
-// and the batched trace loops, which is what makes their Routes identical by
-// construction: the route itself, hop selection, the All backing array,
-// star-run counting, and halt classification all live here.
+// ladderState is the ladder's per-TTL bookkeeping: the route itself, hop
+// selection, the All backing array, star-run counting, and halt
+// classification all live here.
 type ladderState struct {
 	rt    *Route
 	opts  *Options
 	stars int
-	// attempts is the per-TTL scratch the loops fill and step consumes.
+	// attempts is the per-TTL scratch the ladder fills and step consumes.
 	attempts []Hop
 	// backing holds every attempt of the trace contiguously when
 	// ProbesPerHop > 1; rt.All carves windows out of it instead of
@@ -469,8 +472,8 @@ type ladderState struct {
 	backing []Hop
 }
 
-// begin starts a trace toward dest: both ladders, with or without a caller's
-// Scratch, get their Route and their attempts scratch here.
+// begin starts a trace toward dest: with or without a caller's Scratch, the
+// ladder gets its Route and its attempts scratch here.
 func (e *engine) begin(sc *Scratch, dest netip.Addr) ladderState {
 	o := &e.opts
 	rt := sc.route(o)
@@ -528,73 +531,19 @@ func (ls *ladderState) step() bool {
 	return false
 }
 
-// Trace implements Tracer. With Options.Batch set and a batching transport
-// it runs the windowed batched ladder; otherwise the sequential loop.
+// Trace implements Tracer.
 func (e *engine) Trace(dest netip.Addr) (*Route, error) {
 	sc := e.opts.Scratch
 	if sc == nil {
 		sc = new(Scratch)
 	}
 	ls := e.begin(sc, dest)
-	var err error
-	if bt, ok := e.tp.(BatchTransport); ok && e.opts.Batch {
-		err = e.traceBatched(bt, sc, &ls)
-	} else {
-		err = e.traceSequential(sc, &ls)
-	}
-	if err != nil {
+	if err := e.trace(sc, &ls); err != nil {
 		// The unfinished route never left the trace; keep it for the next.
 		sc.Recycle(ls.rt)
 		return nil, err
 	}
 	return ls.rt, nil
-}
-
-// traceSequential is the classic one-exchange-at-a-time trace loop. When
-// the transport is fallible (FallibleTransport), exchange failures abort the
-// trace with the transport's error — transient or fatal per the taxonomy in
-// errors.go — instead of being recorded as stars.
-func (e *engine) traceSequential(sc *Scratch, ls *ladderState) error {
-	o, dest := ls.opts, ls.rt.Dest
-	ft, fallible := e.tp.(FallibleTransport)
-	sc.grow(1)
-
-	probeIdx := 0
-	for ttl := o.MinTTL; ttl <= o.MaxTTL; ttl++ {
-		for a := range ls.attempts {
-			probe, exp, err := e.build(e, dest, ttl, probeIdx, sc.probes[0])
-			probeIdx++
-			if err != nil {
-				return fmt.Errorf("tracer %s: building probe ttl=%d: %w", e.name, ttl, err)
-			}
-			sc.probes[0] = probe
-			var (
-				resp []byte
-				rtt  time.Duration
-				ok   bool
-			)
-			if fallible {
-				var xerr error
-				resp, rtt, ok, xerr = ft.ExchangeErr(probe)
-				if xerr != nil {
-					return fmt.Errorf("tracer %s: exchange ttl=%d: %w", e.name, ttl, xerr)
-				}
-			} else {
-				resp, rtt, ok = e.tp.Exchange(probe)
-			}
-			h := Hop{TTL: ttl, ProbeTTL: -1}
-			if ok {
-				h = parseResponse(resp, exp)
-				h.TTL = ttl
-				h.RTT = rtt
-			}
-			ls.attempts[a] = h
-		}
-		if ls.step() {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Name implements Tracer.
