@@ -13,7 +13,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/anomaly"
 	"repro/internal/core"
@@ -46,9 +45,6 @@ func main() {
 
 	fmt.Printf("per-destination graphs from %d rounds toward %s\n\n", rounds, fig.Dest.Addr)
 	cds := classic.Diamonds()
-	sort.Slice(cds, func(i, j int) bool {
-		return cds[i].Head.String()+cds[i].Tail.String() < cds[j].Head.String()+cds[j].Tail.String()
-	})
 	fmt.Printf("classic graph: %d diamonds\n", len(cds))
 	for _, d := range cds {
 		fmt.Printf("  (%s, %s) with %d middles -> %v\n",

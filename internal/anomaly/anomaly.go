@@ -1,8 +1,10 @@
 package anomaly
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"repro/internal/tracer"
 )
@@ -100,25 +102,33 @@ func FindLoops(rt *tracer.Route) []Loop {
 
 // FindCycles scans a measured route for cycles: r ... r' ... r with r' ≠ r.
 // Consecutive repeats (loops) do not qualify. One Cycle is reported per
-// cycling address.
+// cycling address. A route is at most MaxTTL hops, so an address's first
+// appearance and "already reported" are found by scanning: a cycle-free
+// route — nearly every route — allocates nothing.
 func FindCycles(rt *tracer.Route) []Cycle {
 	hops := rt.Hops
-	first := make(map[netip.Addr]int)
-	reported := make(map[netip.Addr]bool)
 	var out []Cycle
+next:
 	for i, h := range hops {
 		if h.Star() {
 			continue
 		}
-		f, seen := first[h.Addr]
-		if !seen {
-			first[h.Addr] = i
+		// f is the address's first appearance; hop i itself ends the scan.
+		f := 0
+		for hops[f].Star() || hops[f].Addr != h.Addr {
+			f++
+		}
+		if f == i {
 			continue
 		}
-		if reported[h.Addr] {
-			continue
+		for _, c := range out {
+			if c.Addr == h.Addr {
+				continue next
+			}
 		}
-		// Require at least one distinct intervening address.
+		// Require at least one distinct intervening address. A repeat
+		// without one is skipped but not marked: a later repeat is still
+		// tested against f.
 		distinct := false
 		for k := f + 1; k < i; k++ {
 			if !hops[k].Star() && hops[k].Addr != h.Addr {
@@ -136,7 +146,6 @@ func FindCycles(rt *tracer.Route) []Cycle {
 			Second: i,
 			Period: periodOf(hops, f, i),
 		})
-		reported[h.Addr] = true
 	}
 	return out
 }
@@ -165,79 +174,108 @@ func periodOf(hops []tracer.Hop, first, second int) int {
 	return p
 }
 
-// Graph is a per-destination directed multigraph assembled from many
-// measured routes, as the paper builds for its diamond study: nodes are
-// addresses, and an edge (a, b) exists when some route contains a at hop i
-// and b at hop i+1.
+// Graph is the per-destination diamond index of Section 4.3: the set of
+// (h, mid, t) address triples seen at three consecutive responding hops of
+// the measured routes merged in, held as one slice sorted by (h, t, mid), so
+// the middles observed between a head and a tail are one contiguous run.
+//
+// An address key is an IPv4 address's four bytes as a big-endian uint32:
+// ordered like netip.Addr.Less, and pointer-free, so the collector never
+// scans an index. The tracer and internal/packet are IPv4-only; a responding
+// hop whose address is anything else (IPv6, IPv4-mapped, zoned, or the zero
+// Addr) has no key, and Add panics on it rather than alias another address.
 type Graph struct {
 	Dest netip.Addr
-	// Succ maps each address to its successor set.
-	Succ map[netip.Addr]map[netip.Addr]bool
-	// Triples records (h, mid, t) adjacencies: for each (h, t) pair at
-	// distance two in some route, the set of observed middles.
-	Triples map[[2]netip.Addr]map[netip.Addr]bool
 	// Routes is the number of measured routes merged in.
-	Routes int
+	Routes  int
+	triples []triple
+}
+
+type triple struct{ h, t, mid uint32 }
+
+func (a triple) ht() uint64 { return uint64(a.h)<<32 | uint64(a.t) }
+
+func addrKey(a netip.Addr) uint32 {
+	if !a.Is4() {
+		panic(fmt.Sprintf("anomaly: hop address %v is not IPv4: the diamond index cannot key it", a))
+	}
+	b := a.As4()
+	return binary.BigEndian.Uint32(b[:])
+}
+
+func keyAddr(k uint32) netip.Addr {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], k)
+	return netip.AddrFrom4(b)
 }
 
 // NewGraph creates an empty per-destination graph.
-func NewGraph(dest netip.Addr) *Graph {
-	return &Graph{
-		Dest:    dest,
-		Succ:    make(map[netip.Addr]map[netip.Addr]bool),
-		Triples: make(map[[2]netip.Addr]map[netip.Addr]bool),
+func NewGraph(dest netip.Addr) *Graph { return &Graph{Dest: dest} }
+
+// search returns where tr sorts in the index and whether it is there.
+func (g *Graph) search(tr triple) (int, bool) {
+	lo, hi := 0, len(g.triples)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x := g.triples[m]; x.ht() < tr.ht() || x.ht() == tr.ht() && x.mid < tr.mid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo, lo < len(g.triples) && g.triples[lo] == tr
 }
 
-// Add merges one measured route into the graph in a single pass over its
-// hops. Stars break adjacency.
+// Add merges one measured route into the graph: one triple per window of
+// three responding hops. Stars break adjacency.
 //
-// Add is idempotent below the Routes counter: Succ and Triples are sets, so
-// merging a route whose edges are already present changes nothing. That is
-// the incremental-dedup contract streaming accumulators build on — a graph
-// grown one route per round holds exactly the edges of the distinct routes
-// seen, and re-adding an interned (round-over-round stable) route may be
-// skipped without moving a diamond statistic.
+// Add is idempotent below the Routes counter: the index is a set, so merging
+// a route whose triples are already present changes nothing (and allocates
+// nothing). That is the incremental-dedup contract streaming accumulators
+// build on — a graph grown one route per round holds exactly the triples of
+// the distinct routes seen, and re-adding an interned (round-over-round
+// stable) route may be skipped without moving a diamond statistic.
 func (g *Graph) Add(rt *tracer.Route) {
 	g.Routes++
 	hops := rt.Hops
-	for i := 0; i+1 < len(hops); i++ {
-		a, b := hops[i], hops[i+1]
-		if a.Star() || b.Star() {
+	for i := 0; i+2 < len(hops); i++ {
+		if hops[i].Star() || hops[i+1].Star() || hops[i+2].Star() {
 			continue
 		}
-		s := g.Succ[a.Addr]
-		if s == nil {
-			s = make(map[netip.Addr]bool)
-			g.Succ[a.Addr] = s
+		tr := triple{h: addrKey(hops[i].Addr), t: addrKey(hops[i+2].Addr), mid: addrKey(hops[i+1].Addr)}
+		if at, found := g.search(tr); !found {
+			g.triples = slices.Insert(g.triples, at, tr)
 		}
-		s[b.Addr] = true
-		if i+2 >= len(hops) || hops[i+2].Star() {
-			continue
-		}
-		key := [2]netip.Addr{a.Addr, hops[i+2].Addr}
-		t := g.Triples[key]
-		if t == nil {
-			t = make(map[netip.Addr]bool)
-			g.Triples[key] = t
-		}
-		t[b.Addr] = true
 	}
 }
 
+// diamond reports whether at least two middles were seen between head and
+// tail: the search lands on the pair's first triple, so the pair is a
+// diamond exactly when the next triple is the pair's too.
+func (g *Graph) diamond(head, tail netip.Addr) bool {
+	first := triple{h: addrKey(head), t: addrKey(tail)}
+	at, _ := g.search(first)
+	return at+1 < len(g.triples) && g.triples[at+1].ht() == first.ht()
+}
+
 // Diamonds enumerates the diamond signatures of the graph: (h, t) pairs
-// whose observed middles number at least two.
+// whose observed middles number at least two, in ascending (Head, Tail)
+// order with each diamond's Mids ascending (netip.Addr.Less).
 func (g *Graph) Diamonds() []Diamond {
 	var out []Diamond
-	for key, mids := range g.Triples {
-		if len(mids) < 2 {
-			continue
+	for ts := g.triples; len(ts) > 0; {
+		n := 1
+		for n < len(ts) && ts[n].ht() == ts[0].ht() {
+			n++
 		}
-		d := Diamond{Head: key[0], Tail: key[1], Dest: g.Dest}
-		for m := range mids {
-			d.Mids = append(d.Mids, m)
+		if n >= 2 {
+			d := Diamond{Head: keyAddr(ts[0].h), Tail: keyAddr(ts[0].t), Dest: g.Dest, Mids: make([]netip.Addr, n)}
+			for i, tr := range ts[:n] {
+				d.Mids[i] = keyAddr(tr.mid)
+			}
+			out = append(out, d)
 		}
-		out = append(out, d)
+		ts = ts[n:]
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package anomaly
 
 import (
 	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/tracer"
@@ -403,25 +405,23 @@ func TestClassifyPairNilParis(t *testing.T) {
 }
 
 // TestGraphAddIdempotent pins the incremental-dedup contract streaming
-// accumulators rely on: re-adding a route whose edges are present must not
-// change Succ, Triples, or the diamond set.
+// accumulators rely on: re-adding a route whose triples are present must not
+// change the index or the diamond set.
 func TestGraphAddIdempotent(t *testing.T) {
 	g := NewGraph(dst)
 	g.Add(mkRoute(1, 2, 4))
 	g.Add(mkRoute(1, 3, 4))
-	succ, triples, diamonds := len(g.Succ), len(g.Triples), len(g.Diamonds())
-	mids := len(g.Triples[[2]netip.Addr{addr(1), addr(4)}])
+	triples, diamonds := slices.Clone(g.triples), g.Diamonds()
 	g.Add(mkRoute(1, 2, 4))
 	g.Add(mkRoute(1, 3, 4))
-	if len(g.Succ) != succ || len(g.Triples) != triples || len(g.Diamonds()) != diamonds ||
-		len(g.Triples[[2]netip.Addr{addr(1), addr(4)}]) != mids {
-		t.Errorf("re-adding present routes changed the graph: succ %d->%d triples %d->%d diamonds %d->%d",
-			succ, len(g.Succ), triples, len(g.Triples), diamonds, len(g.Diamonds()))
+	if !slices.Equal(g.triples, triples) || !reflect.DeepEqual(g.Diamonds(), diamonds) {
+		t.Errorf("re-adding present routes changed the graph: triples %v -> %v, diamonds %v -> %v",
+			triples, g.triples, diamonds, g.Diamonds())
 	}
 	if g.Routes != 4 {
 		t.Errorf("Routes = %d, want 4 (the counter still advances)", g.Routes)
 	}
-	if diamonds != 1 || mids != 2 {
-		t.Fatalf("test shape degenerate: diamonds=%d mids=%d", diamonds, mids)
+	if len(triples) != 2 || len(diamonds) != 1 || len(diamonds[0].Mids) != 2 {
+		t.Fatalf("test shape degenerate: triples=%v diamonds=%v", triples, diamonds)
 	}
 }

@@ -326,10 +326,7 @@ func ClassifyPairDetected(loops []Loop, cycles []Cycle, parisLoops []Loop, paris
 // residual the paper attributes mostly to per-packet load balancing (or to
 // true topology visible through it).
 func ClassifyDiamond(d Diamond, parisGraph *Graph) Cause {
-	if parisGraph == nil {
-		return CausePerPacketLB
-	}
-	if mids, ok := parisGraph.Triples[[2]netip.Addr{d.Head, d.Tail}]; ok && len(mids) >= 2 {
+	if parisGraph == nil || parisGraph.diamond(d.Head, d.Tail) {
 		return CausePerPacketLB
 	}
 	return CausePerFlowLB

@@ -167,3 +167,34 @@ func BenchmarkMeasurePairSteady(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFoldFirstSight is the fold's other regime: a pair whose
+// destination and both routes the accumulator has never seen — the
+// destination's state is made, both routes are copied, analyzed (loops,
+// cycles, tallies) and merged into the diamond graphs, and the pair is
+// classified. One round of the flips-on topology, folded into a fresh
+// accumulator each time it wraps.
+func BenchmarkFoldFirstSight(b *testing.B) {
+	gen := topo.DefaultGenConfig()
+	gen.Destinations = 500
+	w := newSteadyWorkerOn(b, gen)
+	w.sc.RoundStart(0)
+	pairs := make([]Pair, len(w.sc.Dests))
+	for i, d := range w.sc.Dests {
+		p, err := w.c.measureDest(context.Background(), 0, 0, i, d, &w.health[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs[i] = p
+	}
+	var acc *Accumulator
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(pairs)
+		if k == 0 {
+			acc = NewAccumulator()
+		}
+		acc.Fold(&pairs[k])
+	}
+}

@@ -300,6 +300,14 @@ func restoreAcc(st AccState) (*Accumulator, error) {
 			if m[fp] != nil {
 				return nil, fmt.Errorf("measure: checkpoint dest %v: route %d collides", dc.Dest, i)
 			}
+			// The decoder accepts a responding hop with no address; the
+			// diamond index (anomaly.Graph) keys IPv4 addresses only and
+			// panics on anything else, so a file is refused here instead.
+			for _, h := range rc.Route.Hops {
+				if !h.Star() && !h.Addr.Is4() {
+					return nil, fmt.Errorf("measure: checkpoint dest %v: route %d: hop %d responds from %v, not an IPv4 address", dc.Dest, i, h.TTL, h.Addr)
+				}
+			}
 			// A snapshot's routes are exact-size and never written to by
 			// either side: interned as they are, not copied.
 			a.adopt(m, rc.Route, fp, rc.Classic, ds)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -532,5 +533,24 @@ func TestCheckpointGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resU.Stats, resR.Stats) {
 		t.Errorf("resuming the golden checkpoint diverges from the uninterrupted run:\nuninterrupted: %+v\nresumed:       %+v", resU.Stats, resR.Stats)
+	}
+}
+
+// TestRestoreRefusesAddresslessRespondingHop: the checkpoint codec can carry
+// a responding hop with no address (address tag 0 beside a reply kind), which
+// the diamond index cannot key. A file that says so is refused with an error
+// at restore, not answered with the index's panic.
+func TestRestoreRefusesAddresslessRespondingHop(t *testing.T) {
+	d := aAddr(200)
+	a := NewAccumulator()
+	a.Fold(&Pair{Dest: d, Classic: synthRoute(d, 1, 2, 3, 4), Paris: synthRoute(d, 1, 2, 3, 4)})
+	st := a.State()
+	if _, err := RestoreAccumulator(st); err != nil {
+		t.Fatalf("untouched state refused: %v", err)
+	}
+	hop := &st.Dests[0].Routes[0].Route.Hops[1]
+	hop.Addr = netip.Addr{}
+	if _, err := RestoreAccumulator(st); err == nil || !strings.Contains(err.Error(), "not an IPv4 address") {
+		t.Errorf("responding hop without an address: got %v, want a refusal naming it", err)
 	}
 }

@@ -63,7 +63,11 @@
 // against each round's route, keeping the statistics byte-identical. A
 // stable path therefore costs zero anomaly work per round, and campaign
 // memory is O(destinations + unique routes) — independent of the round
-// count — where materialized results grow O(destinations × rounds).
+// count — where materialized results grow O(destinations × rounds). A
+// destination's share is its interned routes, a few small maps and two
+// diamond indexes of a few hundred bytes, each a sorted set of
+// (head, tail, middle) triples (see stream.go's header for the reading and
+// the test that pins it).
 //
 // Streaming and materialize-then-Analyze produce byte-identical Stats (one
 // implementation, pinned by TestCampaignStreamInvariance).
