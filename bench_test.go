@@ -8,9 +8,7 @@
 package repro
 
 import (
-	"fmt"
 	"io"
-	"runtime"
 	"testing"
 
 	"repro/internal/anomaly"
@@ -190,199 +188,6 @@ func campaignStats(b *testing.B) *measure.Stats {
 	}
 	campaignCache = measure.Analyze(res)
 	return campaignCache
-}
-
-// BenchmarkCampaignRound times one full measurement round (paired classic
-// and Paris traces to every destination with 32 workers), the unit the
-// paper repeats 556 times, in the as-shipped configuration: batched TTL
-// ladders (Batch on, the cmd binaries' default). The campaign object is
-// constructed once and one warm-up round runs before the timer, so the
-// measurement reflects the steady state a 556-round study spends its time
-// in — per-destination path hints warmed, per-worker scratch buffers grown.
-func BenchmarkCampaignRound(b *testing.B) {
-	cfg := topo.DefaultGenConfig()
-	cfg.Destinations = 500
-	sc := topo.Generate(cfg)
-	tp := netsim.NewTransport(sc.Net)
-	camp, err := measure.NewCampaign(tp, measure.Config{
-		Dests: sc.Dests, Rounds: 1, Workers: 32,
-		RoundStart: sc.RoundStart, PortSeed: cfg.Seed,
-		Batch: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := camp.Run(); err != nil { // warm hints and scratch
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := camp.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCampaignRoundBatched is the batching A/B: the same steady-state
-// round with the batched ladder off (the PR 2 sequential path) and on,
-// across shard counts. BENCH_3.json records a full run; the off rows are
-// the apples-to-apples baseline for the on rows.
-func BenchmarkCampaignRoundBatched(b *testing.B) {
-	for _, batch := range []bool{false, true} {
-		for _, shards := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("batch=%v/shards=%d", batch, shards), func(b *testing.B) {
-				cfg := topo.DefaultGenConfig()
-				cfg.Destinations = 500
-				cfg.Shards = shards
-				sc := topo.Generate(cfg)
-				camp, err := measure.NewCampaign(sc.Transport(), measure.Config{
-					Dests: sc.Dests, Rounds: 1, Workers: 32,
-					RoundStart: sc.RoundStart, PortSeed: cfg.Seed,
-					ShardOf: sc.ShardOf, Batch: batch,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := camp.Run(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := camp.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCampaignRoundDynamics is the virtual-clock A/B: the same
-// steady-state batched round with netsim's dynamics layer off and fully
-// armed (per-link delay, background load, scheduled churn). The delta is
-// the whole cost of simulating network dynamics — the event loop, the
-// per-link delay draws, and the schedule checks run per traversal, yet no
-// wall-clock time passes: a 30-virtual-second round still completes in
-// simulator time.
-func BenchmarkCampaignRoundDynamics(b *testing.B) {
-	for _, dyn := range []bool{false, true} {
-		b.Run(fmt.Sprintf("dynamics=%v", dyn), func(b *testing.B) {
-			cfg := topo.DefaultGenConfig()
-			cfg.Destinations = 500
-			if dyn {
-				cfg.Delay, cfg.Load, cfg.Churn = 1, 0.3, 0.5
-			}
-			sc := topo.Generate(cfg)
-			camp, err := measure.NewCampaign(sc.Transport(), measure.Config{
-				Dests: sc.Dests, Rounds: 1, Workers: 32,
-				RoundStart: sc.RoundStart, PortSeed: cfg.Seed,
-				Batch: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := camp.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := camp.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCampaignStudyStream is the streaming A/B on the multi-round
-// study the engine actually ships: Config.Stream folding pairs into
-// per-worker accumulators as they complete, versus materializing every pair
-// and running Analyze at the end. One op is a full 500-destination ×
-// 16-round batched study (rounds amortize the accumulator's first-sight
-// interning the way the paper's 556 rounds do), so the custom ns/round and
-// allocs/round metrics compare directly with BenchmarkCampaignRound and the
-// BENCH_*.json trajectory, while allocated bytes expose the memory wall the
-// streaming engine removes.
-func BenchmarkCampaignStudyStream(b *testing.B) {
-	const rounds = 16
-	for _, stream := range []bool{false, true} {
-		b.Run(fmt.Sprintf("stream=%v", stream), func(b *testing.B) {
-			cfg := topo.DefaultGenConfig()
-			cfg.Destinations = 500
-			sc := topo.Generate(cfg)
-			camp, err := measure.NewCampaign(netsim.NewTransport(sc.Net), measure.Config{
-				Dests: sc.Dests, Rounds: rounds, Workers: 32,
-				RoundStart: sc.RoundStart, PortSeed: cfg.Seed,
-				Batch: true, Stream: stream,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := camp.Run(); err != nil { // warm hints and scratch
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := camp.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				s := res.Stats
-				if s == nil {
-					s = measure.Analyze(res)
-				}
-				if s.Routes != rounds*len(sc.Dests) {
-					b.Fatalf("stats cover %d routes, want %d", s.Routes, rounds*len(sc.Dests))
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*rounds), "allocs/round")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
-		})
-	}
-}
-
-// BenchmarkCampaignRoundSharded sweeps one measurement round over a
-// (shards × workers) grid: the same 500-destination topology partitioned
-// across S independent networks, probed by shard-affine workers. At equal
-// worker count the sharded engine must be no slower than the single
-// network (shards=1 is the baseline row); with enough cores each extra
-// shard removes one more source of read-lock and cache-line sharing.
-// BENCH_2.json records a full sweep.
-func BenchmarkCampaignRoundSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 8, 32} {
-			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				cfg := topo.DefaultGenConfig()
-				cfg.Destinations = 500
-				cfg.Shards = shards
-				sc := topo.Generate(cfg)
-				tp := sc.Transport()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					camp, err := measure.NewCampaign(tp, measure.Config{
-						Dests: sc.Dests, Rounds: 1, Workers: workers,
-						RoundStart: sc.RoundStart, PortSeed: cfg.Seed,
-						ShardOf: sc.ShardOf,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := camp.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkLoopStatistics reports the Section 4.1.2 table. Paper values:

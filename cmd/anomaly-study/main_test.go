@@ -20,6 +20,7 @@ const asMainEnv = "ANOMALY_STUDY_TEST_AS_MAIN"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(asMainEnv) != "" {
+		simulateNetwork()
 		main()
 		return
 	}

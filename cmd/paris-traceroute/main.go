@@ -1,56 +1,16 @@
-// Command paris-traceroute traces routes through a simulated scenario with
-// any of the probing disciplines the paper discusses, printing classic
-// traceroute-style output extended with the Paris observables (probe TTL,
-// response TTL, IP ID).
+// Command paris-traceroute traces routes with any of the probing disciplines
+// the paper discusses — paris-udp, paris-icmp, paris-tcp, classic-udp,
+// classic-icmp, tcptraceroute — printing classic traceroute-style output
+// extended with the Paris observables (probe TTL, response TTL, IP ID). It
+// traces through one of the paper's figure topologies by default, the real
+// network with -live, or a capture of an earlier live run with -replay;
+// -flows N > 1 runs the paper's future-work multipath enumeration instead
+// of a single trace. The flags are described by -h and in the README.
 //
-// Usage:
-//
-//	paris-traceroute [-scenario fig3] [-method paris-udp] [-flows N] [-shards N] [-batch] [-seed N]
-//	paris-traceroute -live {-dest A.B.C.D | -live-dests-file FILE} [-method paris-udp] [-batch]
-//	                 [-timeout 2s] [-timeout-floor 100ms] [-retries 1]
-//	paris-traceroute -live ... -capture trace.pcap
-//	paris-traceroute -replay trace.pcap [-dest A.B.C.D] [-method paris-udp] [-batch] [-retries 1]
-//
-// Scenarios: fig1, fig3, fig4, fig5, fig6, random. -seed seeds the random
-// scenario's generator. With -shards N > 1 the random scenario is
-// partitioned across N independent simulated networks and the trace runs
-// through the sharded dispatch path. -batch submits the TTL ladder a window
-// of TTLs at a time instead of one TTL at a time; the measured route is
-// identical either way.
-// Methods: paris-udp, paris-icmp, paris-tcp, classic-udp, classic-icmp,
-// tcptraceroute.
-//
-// -live replaces the simulator with the raw-socket mux
-// (internal/tracer/live): probes go on the wire verbatim and -dest names
-// the real IPv4 destination. Raw sockets need root or CAP_NET_RAW; without
-// them the tool explains and exits rather than probing anything. A single
-// ICMP+TCP receive pair demultiplexes the responses by quoted flow
-// identifier, and per-destination RFC 6298 RTT estimators adapt each probe's
-// deadline between -timeout-floor and -timeout: an unanswered probe is
-// re-sent up to -retries times, each re-send spaced by the destination's
-// exponentially backed-off adaptive timeout, and a probe that exhausts its
-// attempts resolves as a star. -timeout, -timeout-floor and -retries apply
-// only to live probing (and -timeout and -retries to -replay). A mux health
-// summary line (reopens, kernel drops, pressure events) closes the output.
-//
-// -live-dests-file traces every destination listed in the file (one IPv4
-// address per line, '#' comments and blank lines skipped, duplicates
-// rejected) through the same mux; -dest is the one-destination case of it.
-//
-// With -flows N > 1, the tool runs the paper's future-work multipath
-// enumeration: one Paris trace per flow, reporting every interface of each
-// load balancer and every distinct path.
-//
-// -capture FILE records every live probe and response (pre-deduplication,
-// before retransmit folding) to a classic pcap file as the trace runs; the
-// file is installed atomically when the run finishes, so an interrupted run
-// still leaves a complete, readable capture. -replay FILE is the offline
-// counterpart: it re-serves a captured run through the same flow-key
-// attribution as the live demultiplexer — no network, no privileges — and
-// traces either -dest or, by default, every destination the capture probed.
-// -retries and -timeout must match the captured run's settings; a probe the
-// capture does not hold fails the replay loudly rather than guessing. See
-// docs/replay.md.
+// Exit codes (internal/cli): 0 every trace completed; 1 a runtime failure —
+// a trace error, an unusable capture; 2 a bad flag, scenario or method, or
+// missing raw-socket privileges; 130 a -live run stopped by SIGINT/SIGTERM
+// (the capture is still installed; a second signal exits at once).
 package main
 
 import (
@@ -58,175 +18,107 @@ import (
 	"flag"
 	"fmt"
 	"net/netip"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/pcap"
 	"repro/internal/topo"
 	"repro/internal/tracer"
-	"repro/internal/tracer/live"
-	"repro/internal/tracer/replay"
 )
 
-func main() {
+func main() { cli.Exit(run()) }
+
+func run() (err error) {
+	var lv cli.Live
+	lv.Register(flag.CommandLine, "dest", true)
 	scenario := flag.String("scenario", "fig3", "topology: fig1, fig3, fig4, fig5, fig6, random")
 	method := flag.String("method", "paris-udp", "probing method")
 	flows := flag.Int("flows", 1, "number of flows (>1 enables multipath enumeration)")
 	shards := flag.Int("shards", 1, "network shards for the random scenario")
 	batch := flag.Bool("batch", false, "submit the TTL ladder as batched exchanges")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	liveMode := flag.Bool("live", false, "probe the real network over raw sockets instead of the simulator")
-	liveDest := flag.String("dest", "", "live destination IPv4 address (required with -live unless -live-dests-file)")
-	liveDestsFile := flag.String("live-dests-file", "", "file of live IPv4 destinations, one per line ('#' comments); traces them all through the one mux")
-	timeout := flag.Duration("timeout", 2*time.Second, "cap on the adaptive per-probe timeout for live probing")
-	timeoutFloor := flag.Duration("timeout-floor", 100*time.Millisecond, "floor of the adaptive per-probe timeout for live probing")
-	retries := flag.Int("retries", 1, "re-sends per unanswered live probe")
-	capturePath := flag.String("capture", "", "record every live probe and response to this pcap file (requires -live)")
-	replayPath := flag.String("replay", "", "replay a captured pcap offline instead of probing (excludes -live and -capture)")
 	flag.Parse()
 
-	if *replayPath != "" {
-		switch {
-		case *liveMode:
-			fmt.Fprintln(os.Stderr, "paris-traceroute: -replay is an offline mode and excludes -live")
-			os.Exit(2)
-		case *capturePath != "":
-			fmt.Fprintln(os.Stderr, "paris-traceroute: -capture and -replay are mutually exclusive")
-			os.Exit(2)
-		case *flows > 1:
-			fmt.Fprintln(os.Stderr, "paris-traceroute: -flows > 1 is not supported with -replay")
-			os.Exit(2)
-		}
-		if err := runReplay(*replayPath, *liveDest, *method, *batch, *retries, *timeout); err != nil {
-			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-			os.Exit(1)
-		}
-		return
+	if err := lv.Validate(flag.CommandLine); err != nil {
+		return err
 	}
-
-	var capSink *pcap.Capture
-	if *capturePath != "" {
-		if !*liveMode {
-			fmt.Fprintln(os.Stderr, "paris-traceroute: -capture requires -live (the simulator is already replayable from its seed)")
-			os.Exit(2)
+	var (
+		ctx    = context.Background()
+		tp     tracer.Transport
+		dests  []netip.Addr
+		footer = func() {}
+	)
+	switch {
+	case lv.Replay != "":
+		if *flows > 1 {
+			return cli.Usagef("-flows > 1 is not supported with -replay")
 		}
-		var err error
-		if capSink, err = pcap.CreateCapture(*capturePath); err != nil {
-			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *liveMode {
-		dests, err := liveDestinations(*liveDest, *liveDestsFile)
-		if err == nil && *flows > 1 && *liveDestsFile != "" {
-			err = fmt.Errorf("-flows > 1 is not supported with -live-dests-file")
-		}
+		rt, ds, err := lv.OpenReplay()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-			os.Exit(2)
+			return err
+		}
+		tp, dests = rt, ds
+		footer = func() { cli.WarnDiverged(rt) }
+	case lv.On:
+		if dests, err = lv.Dests(); err != nil {
+			return err
+		}
+		if *flows > 1 && len(dests) != 1 {
+			return cli.Usagef("-flows > 1 enumerates the paths to one destination, not %d", len(dests))
 		}
 		// Ctrl-C mid-trace cancels the in-flight deadline wheel instead of
 		// waiting out the remaining probe timeouts.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		m, err := openLive(ctx, *timeout, *timeoutFloor, *retries, capSink)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-			os.Exit(2)
+		ctx = cli.SignalContext()
+		var m *cli.Mux
+		if m, err = lv.OpenMux(ctx, nil); err != nil {
+			return err
 		}
-		err = traceLive(ctx, m, dests, *method, *batch, *flows)
-		m.Close()
-		// Flush the capture once the mux has stopped feeding it, even when a
-		// trace failed: an interrupted run still installs a complete,
-		// readable capture.
-		if cerr := finishCapture(capSink); cerr != nil && err == nil {
-			err = cerr
+		defer m.CloseInto(&err)
+		tp = m.Transport()
+		footer = func() {
+			h := m.Health()
+			fmt.Printf("\nmux: in-flight peak %d, reopens %d, pressure events %d, kernel drops %d, %d RTT estimator(s)\n",
+				h.InFlightPeak, h.Reopens, h.PressureEvents, h.KernelDrops, h.Destinations)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-			os.Exit(1)
+	default:
+		var dest netip.Addr
+		if tp, dest, err = buildScenario(*scenario, *seed, *shards); err != nil {
+			return err
 		}
-		return
+		dests = []netip.Addr{dest}
 	}
 
-	tp, dest, err := buildScenario(*scenario, *seed, *shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-		os.Exit(2)
-	}
 	if *flows > 1 {
-		if err := enumerate(tp, dest, *flows); err != nil {
-			fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-			os.Exit(1)
-		}
-		return
+		err = enumerate(tp, dests[0], *flows)
+	} else {
+		err = traceAll(ctx, tp, dests, *method, *batch)
 	}
-	tr, err := buildTracer(*method, tp, *batch)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-		os.Exit(2)
+		return err
 	}
-	rt, err := tr.Trace(dest)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paris-traceroute:", err)
-		os.Exit(1)
-	}
-	printRoute(tr.Name(), dest, rt)
-}
-
-// finishCapture installs an armed capture sink and reports where it went.
-func finishCapture(c *pcap.Capture) error {
-	if c == nil {
-		return nil
-	}
-	if err := c.Close(); err != nil {
-		return fmt.Errorf("finalizing capture: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "capture: %d record(s) written to %s\n", c.Count(), c.Path())
+	footer()
 	return nil
 }
 
-// runReplay re-serves a captured run offline: the pcap's probes and
-// responses stand in for the network, attributed by the same flow-key logic
-// the live demultiplexer uses. Divergence — a probe the capture never sent,
-// mismatched retry settings — fails loudly rather than inventing traffic.
-func runReplay(path, destStr, method string, batch bool, retries int, timeout time.Duration) error {
-	rt, err := replay.Open(path, replay.Config{Retries: retries, Timeout: timeout})
+// traceAll traces every destination through one tracer and prints the
+// routes, a blank line between them.
+func traceAll(ctx context.Context, tp tracer.Transport, dests []netip.Addr, method string, batch bool) error {
+	tr, err := buildTracer(method, tp, batch)
 	if err != nil {
 		return err
-	}
-	tr, err := buildTracer(method, rt, batch)
-	if err != nil {
-		return err
-	}
-	dests := rt.Destinations()
-	if destStr != "" {
-		d, err := netip.ParseAddr(destStr)
-		if err != nil || !d.Is4() {
-			return fmt.Errorf("-dest %q is not an IPv4 address", destStr)
-		}
-		dests = []netip.Addr{d}
-	}
-	if len(dests) == 0 {
-		return fmt.Errorf("capture %s holds no probed destinations", path)
 	}
 	for i, d := range dests {
-		route, err := tr.Trace(d)
+		rt, err := tr.Trace(d)
 		if err != nil {
-			return fmt.Errorf("replaying trace to %v: %w", d, err)
+			return fmt.Errorf("trace %v: %w", d, err)
 		}
 		if i > 0 {
 			fmt.Println()
 		}
-		printRoute(tr.Name(), d, route)
-	}
-	if l, j := rt.Leftover(), rt.Junk(); l != 0 || j != 0 {
-		fmt.Fprintf(os.Stderr, "replay: %d captured exchange(s) never served, %d junk record(s) — the replayed run diverges from the captured one\n", l, j)
+		printRoute(tr.Name(), d, rt)
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
 	}
 	return nil
 }
@@ -249,78 +141,6 @@ func printRoute(name string, dest netip.Addr, rt *tracer.Route) {
 			flagStr(h), extra)
 	}
 	fmt.Printf("halt: %v\n", rt.Halt)
-}
-
-// liveDestinations resolves what -live probes: the one -dest, or every line
-// of -live-dests-file.
-func liveDestinations(dest, destsFile string) ([]netip.Addr, error) {
-	switch {
-	case dest != "" && destsFile != "":
-		return nil, fmt.Errorf("-dest and -live-dests-file are mutually exclusive")
-	case destsFile != "":
-		return live.ReadDestsFile(destsFile)
-	case dest == "":
-		return nil, fmt.Errorf("-live requires -dest A.B.C.D or -live-dests-file FILE")
-	}
-	d, err := netip.ParseAddr(dest)
-	if err != nil || !d.Is4() {
-		return nil, fmt.Errorf("-dest %q is not an IPv4 address", dest)
-	}
-	return []netip.Addr{d}, nil
-}
-
-// openLive opens the raw-socket mux, failing with a clear explanation when
-// the capability is missing.
-func openLive(ctx context.Context, timeout, timeoutFloor time.Duration, retries int, capSink *pcap.Capture) (*live.Mux, error) {
-	src, err := live.LocalIPv4()
-	if err != nil {
-		return nil, fmt.Errorf("cannot determine local IPv4 source: %w", err)
-	}
-	mc := live.MuxConfig{
-		Source: src, Timeout: timeout, TimeoutFloor: timeoutFloor,
-		Retries: retries, Context: ctx,
-	}
-	if capSink != nil {
-		mc.Capture = capSink
-	}
-	m, err := live.NewMux(mc)
-	if err != nil {
-		return nil, fmt.Errorf("live probing unavailable: %w", err)
-	}
-	return m, nil
-}
-
-// traceLive traces every destination through one handle on the mux — or
-// enumerates the paths to the only one — and closes with the mux health
-// summary.
-func traceLive(ctx context.Context, m *live.Mux, dests []netip.Addr, method string, batch bool, flows int) error {
-	if flows > 1 {
-		if err := enumerate(m.Transport(), dests[0], flows); err != nil {
-			return err
-		}
-	} else {
-		tr, err := buildTracer(method, m.Transport(), batch)
-		if err != nil {
-			return err
-		}
-		for i, d := range dests {
-			rt, err := tr.Trace(d)
-			if err != nil {
-				return fmt.Errorf("trace %v: %w", d, err)
-			}
-			if i > 0 {
-				fmt.Println()
-			}
-			printRoute(tr.Name(), d, rt)
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-		}
-	}
-	h := m.Health()
-	fmt.Printf("\nmux: in-flight peak %d, reopens %d, pressure events %d, kernel drops %d, %d RTT estimator(s)\n",
-		h.InFlightPeak, h.Reopens, h.PressureEvents, h.KernelDrops, h.Destinations)
-	return nil
 }
 
 func flagStr(h tracer.Hop) string {
@@ -390,7 +210,7 @@ func buildScenario(name string, seed int64, shards int) (tracer.Transport, netip
 		}
 		return sc.Transport(), dest, nil
 	default:
-		return nil, netip.Addr{}, fmt.Errorf("unknown scenario %q", name)
+		return nil, netip.Addr{}, cli.Usagef("unknown scenario %q", name)
 	}
 }
 
@@ -410,6 +230,6 @@ func buildTracer(method string, tp tracer.Transport, batch bool) (tracer.Tracer,
 	case "tcptraceroute":
 		return tracer.NewTCPTraceroute(tp, opts), nil
 	default:
-		return nil, fmt.Errorf("unknown method %q", method)
+		return nil, cli.Usagef("unknown method %q", method)
 	}
 }

@@ -2,49 +2,32 @@
 // gadget ground truth, router/interface counts, AS layout, and a sample of
 // destination routes as measured by a single Paris trace each.
 //
-// Usage:
-//
-//	topogen [-dests N] [-seed N] [-sample N]
-//	        [-delay S] [-load L] [-churn C] [-dynamics-seed N]
-//
-// -delay, -load, and -churn switch on netsim's virtual-clock dynamics
-// (seeded per-link latency, background cross-traffic, and scheduled route
-// flaps/weight churn/brownouts); the sampled routes then carry a virtual
-// RTT per hop, printed in an extra column. -dynamics-seed fixes the
-// dynamics draws independently of the topology seed (0 derives it from
-// -seed).
+// With -delay, -load or -churn the sampled routes carry a virtual RTT per
+// hop. The flags are described by -h and in the README.
 package main
 
 import (
 	"flag"
 	"fmt"
 
+	"repro/internal/cli"
 	"repro/internal/netsim"
-	"repro/internal/topo"
 	"repro/internal/tracer"
 )
 
 func main() {
-	dests := flag.Int("dests", 200, "number of destinations")
-	seed := flag.Int64("seed", 42, "generator seed")
+	var gen cli.Topo
+	gen.Register(flag.CommandLine, 200)
 	sample := flag.Int("sample", 5, "number of destination routes to print")
-	delay := flag.Float64("delay", 0, "virtual-clock per-link delay scale (1 = calibrated; 0 disables)")
-	load := flag.Float64("load", 0, "virtual-clock background cross-traffic intensity in [0, 0.95]")
-	churn := flag.Float64("churn", 0, "virtual-clock scheduled-dynamics rate in [0, 1]")
-	dynamicsSeed := flag.Int64("dynamics-seed", 0, "seed for the virtual-clock dynamics draws (0: derived from -seed)")
 	flag.Parse()
 
-	cfg := topo.DefaultGenConfig()
-	cfg.Seed = *seed
-	cfg.Destinations = *dests
-	cfg.Delay = *delay
-	cfg.Load = *load
-	cfg.Churn = *churn
-	cfg.DynamicsSeed = *dynamicsSeed
-	sc := topo.Generate(cfg)
+	sc, err := gen.Generate()
+	if err != nil {
+		cli.Exit(err)
+	}
 	dynamics := sc.Net.DynamicsEnabled()
 
-	fmt.Printf("topology seed=%d destinations=%d\n", *seed, len(sc.Dests))
+	fmt.Printf("topology seed=%d destinations=%d\n", gen.Seed, len(sc.Dests))
 	fmt.Printf("ground truth: %+v\n", sc.Truth)
 	fmt.Printf("AS table: %d prefixes\n\n", sc.AS.Len())
 

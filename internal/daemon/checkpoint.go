@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"repro/internal/ckpt"
+	"repro/internal/keyhash"
 	"repro/internal/measure"
 )
 
@@ -62,10 +63,9 @@ type DestState struct {
 // destination list and the probing configuration that produced the folded
 // statistics.
 func configDigest(dests []netip.Addr, probe measure.ProbeConfig) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
+	h := keyhash.FNVOffset64
 	mix := func(x uint64) {
-		h = (h ^ x) * prime
+		h = (h ^ x) * keyhash.FNVPrime64
 	}
 	mix(uint64(len(dests)))
 	for _, d := range dests {

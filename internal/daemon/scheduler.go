@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"sort"
 
+	"repro/internal/keyhash"
 	"repro/internal/measure"
 )
 
@@ -85,11 +86,7 @@ func (s *scheduler) due(round int64) []*destSched {
 // lottery only against destinations 256^k times unluckier. Determinism per
 // (seed, round) keeps rounds reproducible and checkpoints exact.
 func shedScore(seed, round int64, ds *destSched) uint64 {
-	x := uint64(seed) ^ uint64(round)*0x9e3779b97f4a7c15 ^ uint64(uint32(ds.idx))<<1
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
+	x := keyhash.Mix64(uint64(seed) ^ uint64(round)*keyhash.Golden64 ^ uint64(uint32(ds.idx))<<1)
 	shift := ds.shedStreak * 8
 	if shift > 56 {
 		shift = 56

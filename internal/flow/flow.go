@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 
+	"repro/internal/keyhash"
 	"repro/internal/packet"
 )
 
@@ -103,20 +104,11 @@ func FromParsed(h *packet.IPv4, payload []byte, opts Options) (Key, error) {
 	}
 }
 
-// Hash returns a stable 64-bit hash of the key (FNV-1a, computed inline so
-// the per-forwarding-decision call allocates nothing; hash/fnv's New64a
-// heap-allocates its state).
+// Hash returns a stable 64-bit hash of the key (FNV-1a through the
+// inlinable keyhash helper, so the per-forwarding-decision call allocates
+// nothing; hash/fnv's New64a heap-allocates its state).
 func (k Key) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range k.raw[:k.n] {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return keyhash.FNV1a(keyhash.FNVOffset64, k.raw[:k.n])
 }
 
 // Bucket maps the key onto one of n equal-cost next hops.

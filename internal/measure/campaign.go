@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/keyhash"
 	"repro/internal/tracer"
 )
 
@@ -368,7 +369,7 @@ func portFor(seed int64, dest netip.Addr, salt uint64) uint16 {
 	a := dest.As4()
 	x := uint64(seed) ^ salt
 	for _, b := range a {
-		x = x*1099511628211 + uint64(b) // FNV-style mix
+		x = x*keyhash.FNVPrime64 + uint64(b) // FNV-style mix
 	}
 	return uint16(10000 + x%50000)
 }
@@ -585,11 +586,7 @@ func (c *Campaign) backoff(d netip.Addr, round, attempt int) time.Duration {
 	x := uint64(c.cfg.PortSeed)
 	x ^= uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3])
 	x ^= uint64(round)<<32 ^ uint64(attempt)<<56
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	jitter := 0.5 + float64(x>>11)/float64(1<<53)
+	jitter := 0.5 + float64(keyhash.Mix64(x)>>11)/float64(1<<53)
 	return time.Duration(float64(delay) * jitter)
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/ckpt"
+	"repro/internal/keyhash"
 	"repro/internal/tracer"
 )
 
@@ -129,10 +130,9 @@ type SigCheckpoint struct {
 
 // configDigest hashes the campaign shape a checkpoint is only valid for.
 func (c *Campaign) configDigest() uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
+	h := keyhash.FNVOffset64
 	mix := func(x uint64) {
-		h = (h ^ x) * prime
+		h = (h ^ x) * keyhash.FNVPrime64
 	}
 	mix(uint64(len(c.cfg.Dests)))
 	for _, d := range c.cfg.Dests {

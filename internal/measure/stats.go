@@ -2,8 +2,6 @@ package measure
 
 import (
 	"net/netip"
-	"runtime"
-	"sync"
 
 	"repro/internal/anomaly"
 	"repro/internal/tracer"
@@ -162,90 +160,19 @@ type Stats struct {
 }
 
 // Analyze computes the paper's statistics over retained campaign results.
-// It feeds every pair through the same streaming Accumulator a Config.
-// Stream campaign uses and merges the partials, so retained-results and
-// streaming callers get identical Stats from one implementation
-// (TestCampaignStreamInvariance pins this). Campaign-shaped results —
-// every round listing the same destination in the same column, which is
-// what Campaign.Run produces — are accumulated in parallel across
-// destination chunks; Merge makes the outcome independent of the chunking.
+// It feeds every pair, in round order, through one streaming Accumulator —
+// the same one a Config.Stream campaign folds into per worker — and merges
+// it. It is the serial reference the streaming path is held to
+// (TestCampaignStreamInvariance, the route-poison suite); the binaries
+// always stream.
 func Analyze(res *Results) *Stats {
-	rounds, dests := len(res.Rounds), len(res.Config.Dests)
-	if n, shaped := campaignShaped(res); shaped {
-		if p := analyzeParallelism(n); p > 1 {
-			accs := make([]*Accumulator, p)
-			var wg sync.WaitGroup
-			for g := range accs {
-				accs[g] = NewAccumulator()
-				lo, hi := g*n/p, (g+1)*n/p
-				wg.Add(1)
-				go func(a *Accumulator, lo, hi int) {
-					defer wg.Done()
-					for r := range res.Rounds {
-						pairs := res.Rounds[r]
-						for i := lo; i < hi; i++ {
-							a.foldAt(&pairs[i], r)
-						}
-					}
-				}(accs[g], lo, hi)
-			}
-			wg.Wait()
-			return Merge(rounds, dests, accs...)
-		}
-	}
 	a := NewAccumulator()
 	for r := range res.Rounds {
 		for i := range res.Rounds[r] {
 			a.foldAt(&res.Rounds[r][i], r)
 		}
 	}
-	return Merge(rounds, dests, a)
-}
-
-// campaignShaped reports whether every round lists the same destination in
-// the same column, with no destination in two columns. Only then may
-// Analyze chunk columns across goroutines while keeping each destination's
-// pairs in one accumulator in round order (the Fold contract); hand-built
-// Results with other layouts — including duplicated destinations, which
-// the address-keyed serial accumulator still merges correctly — take the
-// serial path.
-func campaignShaped(res *Results) (int, bool) {
-	if len(res.Rounds) == 0 {
-		return 0, false
-	}
-	first := res.Rounds[0]
-	seen := make(map[netip.Addr]bool, len(first))
-	for i := range first {
-		if seen[first[i].Dest] {
-			return 0, false
-		}
-		seen[first[i].Dest] = true
-	}
-	for _, pairs := range res.Rounds[1:] {
-		if len(pairs) != len(first) {
-			return 0, false
-		}
-		for i := range pairs {
-			if pairs[i].Dest != first[i].Dest {
-				return 0, false
-			}
-		}
-	}
-	return len(first), true
-}
-
-// analyzeParallelism sizes the accumulator fan-out: one chunk per core,
-// but never chunks smaller than 64 destinations (goroutine and merge
-// overhead would beat the win on small studies).
-func analyzeParallelism(dests int) int {
-	p := runtime.GOMAXPROCS(0)
-	if chunks := (dests + 63) / 64; p > chunks {
-		p = chunks
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return Merge(len(res.Rounds), len(res.Config.Dests), a)
 }
 
 // pct returns 100*a/b.

@@ -170,7 +170,7 @@ func (r *foldRing) flush() {
 // not safe for concurrent use: a streaming campaign gives each worker its
 // own Accumulator, every destination's pairs flow through the single worker
 // that owns it (in round order), and the partials meet only in Merge after
-// the last round. Analyze partitions retained results the same way.
+// the last round. Analyze folds retained results through one, serially.
 type Accumulator struct {
 	routes, reached, responses, midStars int
 

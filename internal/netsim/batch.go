@@ -3,6 +3,8 @@ package netsim
 import (
 	"sync"
 	"time"
+
+	"repro/internal/keyhash"
 )
 
 // ExchangeResult is the outcome of one probe/response exchange within an
@@ -156,7 +158,7 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 		for _, f := range hooks {
 			f(int(count), probe)
 		}
-		st.ctx.rng = prng{state: splitmix64(n.seed ^ splitmix64(uint64(count)))}
+		st.ctx.rng = prng{state: keyhash.Mix64(n.seed ^ keyhash.Mix64(uint64(count)))}
 		if dy != nil {
 			st.clk.reset(dy.probeStart(vround, probe))
 		}

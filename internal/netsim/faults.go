@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/keyhash"
 	"repro/internal/tracer"
 )
 
@@ -104,27 +105,27 @@ func (p FaultPlan) ScheduleFor(dst netip.Addr) DestSchedule {
 	if !ok {
 		return s
 	}
-	h := splitmix64(uint64(p.Seed) ^ uint64(k))
+	h := keyhash.Mix64(uint64(p.Seed) ^ uint64(k))
 	if p.TransientEvery > 0 && h%uint64(p.TransientEvery) == 0 {
 		s.Transient = true
 		s.TransientStart, s.TransientLen = p.TransientStart, p.TransientLen
 	}
-	h = splitmix64(h)
+	h = keyhash.Mix64(h)
 	if p.BlackholeEvery > 0 && h%uint64(p.BlackholeEvery) == 0 {
 		s.Blackhole = true
 		s.BlackholeStart = p.BlackholeStart
 	}
-	h = splitmix64(h)
+	h = keyhash.Mix64(h)
 	if p.DropEvery > 0 && h%uint64(p.DropEvery) == 0 {
 		s.Drop = true
 		s.DropStart, s.DropLen = p.DropStart, p.DropLen
 	}
-	h = splitmix64(h)
+	h = keyhash.Mix64(h)
 	if p.PanicEvery > 0 && h%uint64(p.PanicEvery) == 0 {
 		s.Panic = true
 		s.PanicStart, s.PanicLen = p.PanicStart, p.PanicLen
 	}
-	h = splitmix64(h)
+	h = keyhash.Mix64(h)
 	if p.StallEvery > 0 && h%uint64(p.StallEvery) == 0 {
 		s.Stall = true
 		s.StallStart, s.StallLen = p.StallStart, p.StallLen

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/keyhash"
 	"repro/internal/packet"
 )
 
@@ -303,14 +304,6 @@ func (n *Network) SetProbeCount(c int) {
 	n.probeCount.Store(int64(c))
 }
 
-// splitmix64 advances and finalizes one step of the SplitMix64 generator.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // prng is a tiny lock-free SplitMix64 stream private to one exchange. It
 // replaces the shared *rand.Rand the old single-lock engine serialized on:
 // each Exchange seeds its own stream from (network seed, probe counter), so
@@ -319,8 +312,8 @@ func splitmix64(x uint64) uint64 {
 type prng struct{ state uint64 }
 
 func (p *prng) next() uint64 {
-	v := splitmix64(p.state)
-	p.state += 0x9e3779b97f4a7c15
+	v := keyhash.Mix64(p.state)
+	p.state += keyhash.Golden64
 	return v
 }
 
@@ -361,7 +354,7 @@ func (n *Network) ExchangeV(probe []byte) (resp []byte, steps int, rtt time.Dura
 		f(int(count), probe)
 	}
 
-	ctx := exchCtx{rng: prng{state: splitmix64(n.seed ^ splitmix64(uint64(count)))}}
+	ctx := exchCtx{rng: prng{state: keyhash.Mix64(n.seed ^ keyhash.Mix64(uint64(count)))}}
 	// Copy: forwarding mutates TTL/checksum/src in place.
 	pkt := append([]byte(nil), probe...)
 	n.topoMu.RLock()

@@ -5,6 +5,8 @@ import (
 	"net/netip"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/keyhash"
 )
 
 // This file is the virtual-clock dynamics layer: seeded per-link latency,
@@ -187,7 +189,7 @@ func stdNormal(h uint64) float64 {
 	s := 0.0
 	x := h
 	for i := 0; i < 6; i++ {
-		x = splitmix64(x)
+		x = keyhash.Mix64(x)
 		s += u01(x)
 	}
 	return (s - 3) * math.Sqrt2
@@ -195,12 +197,12 @@ func stdNormal(h uint64) float64 {
 
 // linkHash derives the per-link draw stream for one purpose (salt).
 func (dy *dynamics) linkHash(salt, k uint64) uint64 {
-	return splitmix64(splitmix64(dy.seed^salt) ^ k)
+	return keyhash.Mix64(keyhash.Mix64(dy.seed^salt) ^ k)
 }
 
 // windowHash derives the per-(link, time window) draw stream.
 func (dy *dynamics) windowHash(salt, k uint64, window int64) uint64 {
-	return splitmix64(dy.linkHash(salt, k) ^ uint64(window))
+	return keyhash.Mix64(dy.linkHash(salt, k) ^ uint64(window))
 }
 
 // linkParams is the time-invariant part of one link's delay model; it
@@ -288,7 +290,7 @@ func (dy *dynamics) weightRot(k uint32, now int64) int {
 	if u01(h) >= rotProb*dy.churn {
 		return 0
 	}
-	return 1 + int(splitmix64(h)%15)
+	return 1 + int(keyhash.Mix64(h)%15)
 }
 
 // probeStart places a probe on the virtual timeline: the round base plus a
@@ -297,12 +299,8 @@ func (dy *dynamics) weightRot(k uint32, now int64) int {
 // with them every dynamics draw the probe observes — invariant to worker,
 // shard, and batch scheduling.
 func (dy *dynamics) probeStart(round int64, probe []byte) int64 {
-	const prime = 1099511628211
-	h := dy.seed ^ saltStart
-	for _, b := range probe {
-		h = (h ^ uint64(b)) * prime
-	}
-	return round*dy.roundDur + int64(splitmix64(h)%uint64(dy.roundDur))
+	h := keyhash.FNV1a(dy.seed^saltStart, probe)
+	return round*dy.roundDur + int64(keyhash.Mix64(h)%uint64(dy.roundDur))
 }
 
 // vevent is one scheduled arrival: a packet reaching interface key at

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -195,6 +196,43 @@ func (sc *Scenario) Transport() tracer.Transport {
 		return netsim.NewTransport(sc.Net)
 	}
 	return netsim.NewShardedTransport(sc.Nets, sc.ShardOf)
+}
+
+// TransportState serializes each shard network's probe counter — the only
+// transport cursor a resumed campaign or a recovered daemon needs to replay
+// the per-packet schedules exactly. Its shape is measure.Config's and
+// daemon.Config's TransportState hook.
+func (sc *Scenario) TransportState() json.RawMessage {
+	counts := make([]int, len(sc.Nets))
+	for i, n := range sc.Nets {
+		counts[i] = n.ProbeCount()
+	}
+	b, err := json.Marshal(struct{ ProbeCounts []int }{counts})
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
+// RestoreTransportState rewinds each shard network to the probe counter a
+// checkpoint carries, before probing resumes. An empty payload (a
+// checkpoint written without the hook) restores nothing; one taken over a
+// different shard count is refused.
+func (sc *Scenario) RestoreTransportState(raw json.RawMessage) error {
+	if len(raw) == 0 {
+		return nil
+	}
+	var st struct{ ProbeCounts []int }
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return fmt.Errorf("checkpoint transport state: %w", err)
+	}
+	if len(st.ProbeCounts) != len(sc.Nets) {
+		return fmt.Errorf("checkpoint transport state covers %d shards, scenario has %d", len(st.ProbeCounts), len(sc.Nets))
+	}
+	for i, n := range sc.Nets {
+		n.SetProbeCount(st.ProbeCounts[i])
+	}
+	return nil
 }
 
 // Truth counts the anomaly gadgets the generator placed.

@@ -43,3 +43,23 @@ func ReadDestsFile(path string) ([]netip.Addr, error) {
 	}
 	return dests, nil
 }
+
+// ParseDests is ReadDestsFile for a destination list given inline: IPv4
+// addresses separated by commas, spaces around them ignored. Duplicates are
+// rejected for the same reason as in a file.
+func ParseDests(list string) ([]netip.Addr, error) {
+	var dests []netip.Addr
+	seen := make(map[netip.Addr]bool)
+	for _, s := range strings.Split(list, ",") {
+		a, err := netip.ParseAddr(strings.TrimSpace(s))
+		if err != nil || !a.Is4() {
+			return nil, fmt.Errorf("live: destination list entry %q is not an IPv4 address", s)
+		}
+		if seen[a] {
+			return nil, fmt.Errorf("live: destination list names %v twice", a)
+		}
+		seen[a] = true
+		dests = append(dests, a)
+	}
+	return dests, nil
+}

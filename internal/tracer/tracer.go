@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/netip"
 	"time"
+
+	"repro/internal/keyhash"
 )
 
 // Transport carries serialized IPv4 probes to the network under measurement
@@ -184,14 +186,6 @@ type Route struct {
 	Halt   HaltReason
 }
 
-// fnv64Offset and fnv64Prime are the 64-bit FNV-1a parameters; Fingerprint
-// folds whole words rather than bytes, which keeps the FNV mixing structure
-// at a fraction of the per-byte cost.
-const (
-	fnv64Offset uint64 = 14695981039346656037
-	fnv64Prime  uint64 = 1099511628211
-)
-
 // addrWord flattens an IPv4 address into a hashable word; the zero word
 // stands for the invalid address of a star hop.
 func addrWord(a netip.Addr) uint64 {
@@ -205,8 +199,9 @@ func addrWord(a netip.Addr) uint64 {
 // Fingerprint returns a cheap FNV-1a hash over the route's path
 // observables: destination, source, halt reason, and every hop's TTL,
 // responder address, reply kind, quoted probe TTL, response TTL and match
-// flag. Three per-exchange quantities are deliberately excluded — RTTs,
-// the response IP IDs (each responder's counter advances on every reply,
+// flag. It folds whole words rather than bytes, which keeps the FNV mixing
+// structure at a fraction of the per-byte cost. Three per-exchange
+// quantities are deliberately excluded — RTTs, the response IP IDs (each responder's counter advances on every reply,
 // so no two rounds ever agree on them), and the per-attempt All table —
 // because a path that forwarded identically must fingerprint identically
 // round over round; that stability is what campaign accumulators intern
@@ -215,21 +210,21 @@ func addrWord(a netip.Addr) uint64 {
 // two classification rules that do consult IP IDs against the current
 // round's route (see the measure package's streaming contract).
 func (r *Route) Fingerprint() uint64 {
-	h := fnv64Offset
-	h = (h ^ addrWord(r.Dest)) * fnv64Prime
-	h = (h ^ addrWord(r.Source)) * fnv64Prime
-	h = (h ^ uint64(r.Halt)) * fnv64Prime
-	h = (h ^ uint64(len(r.Hops))) * fnv64Prime
+	h := keyhash.FNVOffset64
+	h = (h ^ addrWord(r.Dest)) * keyhash.FNVPrime64
+	h = (h ^ addrWord(r.Source)) * keyhash.FNVPrime64
+	h = (h ^ uint64(r.Halt)) * keyhash.FNVPrime64
+	h = (h ^ uint64(len(r.Hops))) * keyhash.FNVPrime64
 	for i := range r.Hops {
 		hp := &r.Hops[i]
-		h = (h ^ uint64(uint32(hp.TTL))) * fnv64Prime
-		h = (h ^ addrWord(hp.Addr)) * fnv64Prime
+		h = (h ^ uint64(uint32(hp.TTL))) * keyhash.FNVPrime64
+		h = (h ^ addrWord(hp.Addr)) * keyhash.FNVPrime64
 		w := uint64(uint32(hp.Kind))<<24 |
 			uint64(uint8(hp.ProbeTTL))<<16 | uint64(uint8(hp.RespTTL))<<8
 		if hp.Mismatched {
 			w |= 1
 		}
-		h = (h ^ w) * fnv64Prime
+		h = (h ^ w) * keyhash.FNVPrime64
 	}
 	return h
 }
