@@ -1,5 +1,7 @@
 // Benchmark harness: one benchmark per figure and quoted statistic of the
 // paper, plus ablations of the design choices called out in DESIGN.md.
+// (Fig. 2's header-role table is generated by test code of its own, so its
+// benchmark sits with it in internal/tracer/fig2_test.go.)
 //
 // Statistic-bearing benchmarks attach their measured values as custom
 // metrics (b.ReportMetric), so `go test -bench=. -benchmem` regenerates the
@@ -8,7 +10,6 @@
 package repro
 
 import (
-	"io"
 	"testing"
 
 	"repro/internal/anomaly"
@@ -44,16 +45,6 @@ func BenchmarkFig1MissingNodes(b *testing.B) {
 	}
 	b.ReportMetric(float64(missed)/float64(b.N), "p_miss_hop7")
 	b.ReportMetric(float64(ambiguous)/float64(b.N), "p_ambiguous")
-}
-
-// BenchmarkFig2HeaderRoles regenerates the header-field role table for all
-// six probing disciplines from their emitted probe bytes.
-func BenchmarkFig2HeaderRoles(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := tracer.WriteHeaderRolesTable(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFig3LoopLB measures how often classic traceroute sees the Fig. 3

@@ -143,7 +143,7 @@ func TestLiveResumeContinuesFromCheckpoint(t *testing.T) {
 	// A checkpoint of another campaign is refused, not overwritten.
 	before, _ := os.ReadFile(ck)
 	stderr, exit = liveStudy(t, "ok", "-rounds", "4", "-seed", "99", "-checkpoint", ck, "-resume")
-	if exit != 1 || !strings.Contains(stderr, "does not match campaign") {
+	if exit != 1 || !strings.Contains(stderr, "digest does not match the configuration") {
 		t.Errorf("resume under another seed: exit %d, stderr %q, want exit 1 and a digest mismatch", exit, stderr)
 	}
 	if after, _ := os.ReadFile(ck); string(after) != string(before) {

@@ -20,7 +20,6 @@ import (
 	"net/netip"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 	"repro/internal/tracer"
@@ -151,8 +150,7 @@ func flagStr(h tracer.Hop) string {
 }
 
 func enumerate(tp tracer.Transport, dest netip.Addr, flows int) error {
-	sess := core.NewSession(tp)
-	ps, err := sess.EnumeratePaths(dest, flows)
+	ps, err := tracer.EnumeratePaths(tp, tracer.Options{}, dest, flows)
 	if err != nil {
 		return err
 	}
@@ -168,7 +166,7 @@ func enumerate(tp tracer.Transport, dest netip.Addr, flows int) error {
 		}
 		fmt.Println()
 	}
-	kind, err := sess.ClassifyBalancer(dest, flows, 4)
+	kind, err := tracer.ClassifyBalancer(tp, tracer.Options{}, dest, flows, 4)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/anomaly"
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 	"repro/internal/tracer"
@@ -53,9 +52,8 @@ func main() {
 	fmt.Printf("paris graph:   %d diamonds\n\n", len(paris.Diamonds()))
 
 	// Future-work feature: enumerate the balancer's interfaces properly.
-	sess := core.NewSession(tp)
-	sess.Options.MaxTTL = 15
-	ps, err := sess.EnumeratePaths(fig.Dest.Addr, 48)
+	opts := tracer.Options{MaxTTL: 15}
+	ps, err := tracer.EnumeratePaths(tp, opts, fig.Dest.Addr, 48)
 	if err != nil {
 		panic(err)
 	}
@@ -65,7 +63,7 @@ func main() {
 			fmt.Printf("  hop %2d has %d interfaces: %v\n", i+1, len(addrs), addrs)
 		}
 	}
-	kind, err := sess.ClassifyBalancer(fig.Dest.Addr, 48, 4)
+	kind, err := tracer.ClassifyBalancer(tp, opts, fig.Dest.Addr, 48, 4)
 	if err != nil {
 		panic(err)
 	}

@@ -1,88 +1,38 @@
 package daemon
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net/netip"
 	"os"
 
 	"repro/internal/ckpt"
-	"repro/internal/keyhash"
 	"repro/internal/measure"
 )
 
 // CheckpointVersion gates the daemon checkpoint schema. Version 2 replaced
-// the JSON document with the binary format of internal/ckpt; a version-1
-// file is quarantined like any other unreadable checkpoint.
-const CheckpointVersion = 2
+// the JSON document with the binary format of internal/ckpt; version 3 is
+// the run body a campaign checkpoint is made of, followed by the daemon's
+// schedule section. An older file is quarantined like any other unreadable
+// checkpoint.
+const CheckpointVersion = 3
 
-// Checkpoint is the daemon's serialized resumable state: the merged
-// accumulator statistics (the measure checkpoint format, so the codec and
-// the replay-based restore are shared with campaign resume), the
-// per-destination cadence and quarantine table, the cumulative supervision
-// counters, the event cursor, and the opaque transport cursor. The struct
-// still marshals with encoding/json for inspection; files are binary.
+// Checkpoint is the daemon's serialized resumable state: the run body it
+// shares with campaign checkpoints — digest, round cursor, opaque transport
+// cursor, per-destination error budgets and path hints, and the folded
+// statistics as Workers[0], the daemon's one accumulator — then what only a
+// scheduler has: the cumulative supervision counters, the event cursor and
+// the per-destination cadence table. The struct still marshals with
+// encoding/json for inspection; files are binary.
 type Checkpoint struct {
-	Version int
-	// Digest fingerprints the destination list and probing shape the
-	// checkpoint is valid for. Cadence knobs (Period, QueueCap, worker
-	// count) are deliberately excluded: they are retunable across
-	// restarts without invalidating the measured statistics.
-	Digest uint64
-	// Round is the next round the resumed daemon will run; rounds
-	// [0, Round) are fully folded into Acc.
-	Round int64
+	measure.Checkpoint
 	// Cumulative supervision counters, restored so /stats survives a
 	// restart without resetting the robustness history.
 	Shed, Restarts, Stalls, Panics int64
 	// EventSeq restores the /events cursor so post-restart events never
 	// reuse sequence numbers a client has already consumed.
 	EventSeq int64
-	// Acc is the folded statistics, in the measure checkpoint format.
-	Acc measure.AccState
-	// Dests is the scheduler table, indexed like Config.Dests.
-	Dests []DestState
-	// Transport is the opaque payload of Config.TransportState.
-	Transport json.RawMessage `json:",omitempty"`
-}
-
-// DestState is one destination's serialized scheduler state.
-type DestState struct {
-	NextDue            int64
-	Seen               bool   `json:",omitempty"`
-	ParisFP, ClassicFP uint64 `json:",omitempty"`
-	ConsecFails        int    `json:",omitempty"`
-	Quarantined        bool   `json:",omitempty"`
-	HintParis          int    `json:",omitempty"`
-	HintClassic        int    `json:",omitempty"`
-	Pairs              int64  `json:",omitempty"`
-	ShedStreak         int    `json:",omitempty"`
-}
-
-// configDigest hashes the daemon shape a checkpoint is only valid for: the
-// destination list and the probing configuration that produced the folded
-// statistics.
-func configDigest(dests []netip.Addr, probe measure.ProbeConfig) uint64 {
-	h := keyhash.FNVOffset64
-	mix := func(x uint64) {
-		h = (h ^ x) * keyhash.FNVPrime64
-	}
-	mix(uint64(len(dests)))
-	for _, d := range dests {
-		a := d.As4()
-		mix(uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3]))
-	}
-	mix(uint64(probe.MinTTL))
-	mix(uint64(probe.MaxTTL))
-	mix(uint64(probe.MaxConsecutiveStars))
-	mix(uint64(probe.PortSeed))
-	flags := uint64(0)
-	if probe.Batch {
-		flags |= 1
-	}
-	mix(flags)
-	mix(uint64(probe.BatchWindow))
-	return h
+	// Sched is the scheduler's cadence table, indexed like Config.Dests.
+	Sched []DestState
 }
 
 // checkpointLocked snapshots the daemon between rounds. Caller holds d.mu
@@ -90,30 +40,21 @@ func configDigest(dests []netip.Addr, probe measure.ProbeConfig) uint64 {
 // accumulator and the scheduler table are quiescent.
 func (d *Daemon) checkpointLocked() *Checkpoint {
 	ck := &Checkpoint{
-		Version:  CheckpointVersion,
-		Digest:   configDigest(d.cfg.Dests, d.cfg.Probe),
-		Round:    d.round,
+		Checkpoint: measure.Checkpoint{
+			Digest:    d.digest,
+			NextRound: int(d.round),
+			Dests:     make([]measure.DestRun, len(d.sched.dests)),
+			Workers:   []measure.AccState{d.acc.State()},
+		},
 		Shed:     d.shed,
 		Restarts: d.restarts,
 		Stalls:   d.stalls,
 		Panics:   d.panics,
 		EventSeq: d.events.seq(),
-		Acc:      d.acc.State(),
-		Dests:    make([]DestState, len(d.sched.dests)),
+		Sched:    make([]DestState, len(d.sched.dests)),
 	}
 	for i, ds := range d.sched.dests {
-		ck.Dests[i] = DestState{
-			NextDue:     ds.nextDue,
-			Seen:        ds.seen,
-			ParisFP:     ds.parisFP,
-			ClassicFP:   ds.classicFP,
-			ConsecFails: ds.consecFails,
-			Quarantined: ds.quarantined,
-			HintParis:   ds.hints.Paris,
-			HintClassic: ds.hints.Classic,
-			Pairs:       ds.pairs,
-			ShedStreak:  ds.shedStreak,
-		}
+		ck.Dests[i], ck.Sched[i] = ds.DestRun, ds.DestState
 	}
 	if d.cfg.TransportState != nil {
 		ck.Transport = d.cfg.TransportState()
@@ -121,18 +62,14 @@ func (d *Daemon) checkpointLocked() *Checkpoint {
 	return ck
 }
 
-// minDestState is the fewest bytes one DestState occupies on disk: six
-// integers, two fixed 8-byte fingerprints, two booleans.
-const minDestState = 6 + 16 + 2
+// minDestState is the fewest bytes one DestState occupies on disk: three
+// integers, two fixed 8-byte fingerprints, one boolean.
+const minDestState = 3 + 16 + 1
 
 // Save streams the checkpoint to path in the shared binary format
-// (internal/ckpt: the daemon's counters and scheduler table around the same
-// AccState body a campaign checkpoint carries) on the one atomic write path,
-// so a kill mid-write leaves the previous checkpoint intact.
+// (internal/ckpt) on the one atomic write path, so a kill mid-write leaves
+// the previous checkpoint intact.
 func (ck *Checkpoint) Save(path string) error {
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("daemon: cannot write checkpoint version %d, only %d", ck.Version, CheckpointVersion)
-	}
 	if err := ckpt.WriteFile(path, ckpt.KindDaemon, CheckpointVersion, ck.encode); err != nil {
 		return fmt.Errorf("daemon: writing checkpoint %s: %w", path, err)
 	}
@@ -140,53 +77,40 @@ func (ck *Checkpoint) Save(path string) error {
 }
 
 func (ck *Checkpoint) encode(e *ckpt.Encoder) {
-	e.U64(ck.Digest)
-	for _, v := range []int64{ck.Round, ck.Shed, ck.Restarts, ck.Stalls, ck.Panics, ck.EventSeq} {
+	ck.Checkpoint.Encode(e)
+	for _, v := range []int64{ck.Shed, ck.Restarts, ck.Stalls, ck.Panics, ck.EventSeq} {
 		e.Int(v)
 	}
-	e.Bytes(ck.Transport)
-	e.Len(len(ck.Dests))
-	for i := range ck.Dests {
-		st := &ck.Dests[i]
+	e.Len(len(ck.Sched))
+	for i := range ck.Sched {
+		st := &ck.Sched[i]
 		e.Int(st.NextDue)
 		e.Bool(st.Seen)
 		e.U64(st.ParisFP)
 		e.U64(st.ClassicFP)
-		e.Int(int64(st.ConsecFails))
-		e.Bool(st.Quarantined)
-		e.Int(int64(st.HintParis))
-		e.Int(int64(st.HintClassic))
 		e.Int(st.Pairs)
 		e.Int(int64(st.ShedStreak))
 	}
-	ck.Acc.Encode(e)
 }
 
 func (ck *Checkpoint) decode(d *ckpt.Decoder) {
-	ck.Version = CheckpointVersion
-	ck.Digest = d.U64()
-	for _, p := range []*int64{&ck.Round, &ck.Shed, &ck.Restarts, &ck.Stalls, &ck.Panics, &ck.EventSeq} {
+	ck.Checkpoint.Decode(d)
+	for _, p := range []*int64{&ck.Shed, &ck.Restarts, &ck.Stalls, &ck.Panics, &ck.EventSeq} {
 		*p = d.Int()
 	}
-	ck.Transport = d.Bytes()
 	if n := d.Len(minDestState); n > 0 {
-		ck.Dests = make([]DestState, n)
-		for i := range ck.Dests {
-			ck.Dests[i] = DestState{
-				NextDue:     d.Int(),
-				Seen:        d.Bool(),
-				ParisFP:     d.U64(),
-				ClassicFP:   d.U64(),
-				ConsecFails: int(d.Int()),
-				Quarantined: d.Bool(),
-				HintParis:   int(d.Int()),
-				HintClassic: int(d.Int()),
-				Pairs:       d.Int(),
-				ShedStreak:  int(d.Int()),
+		ck.Sched = make([]DestState, n)
+		for i := range ck.Sched {
+			ck.Sched[i] = DestState{
+				NextDue:    d.Int(),
+				Seen:       d.Bool(),
+				ParisFP:    d.U64(),
+				ClassicFP:  d.U64(),
+				Pairs:      d.Int(),
+				ShedStreak: int(d.Int()),
 			}
 		}
 	}
-	ck.Acc.Decode(d)
 }
 
 // LoadCheckpoint reads and decodes a daemon checkpoint. A missing file is
@@ -204,10 +128,11 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// recover restores the daemon from the checkpoint at path, if any. A
-// checkpoint that fails to decode or restore is moved aside to path+
-// ".corrupt" and the daemon starts fresh — an always-on service should come
-// back measuring, not refuse to boot over a torn file the atomic writer
+// recover restores the daemon from the checkpoint at path, if any, through
+// the restore path campaign resume uses (measure.Checkpoint.Restore). A
+// checkpoint that fails to decode, validate or restore is moved aside to
+// path+".corrupt" and the daemon starts fresh — an always-on service should
+// come back measuring, not refuse to boot over a torn file the atomic writer
 // already protects against. A checkpoint for a different destination list
 // or probing shape is a hard error: silently discarding real prior
 // statistics over a config edit is worse than making the operator pass
@@ -220,34 +145,25 @@ func (d *Daemon) recover(path string) error {
 	if ck == nil {
 		return nil
 	}
-	if dg := configDigest(d.cfg.Dests, d.cfg.Probe); ck.Digest != dg {
-		return fmt.Errorf("daemon: checkpoint digest %#x does not match configuration %#x (pass FreshStart to discard)", ck.Digest, dg)
+	accs, err := ck.Restore(d.digest, len(d.cfg.Dests), 1)
+	if errors.Is(err, measure.ErrDigest) {
+		return fmt.Errorf("daemon: %w (pass FreshStart to discard)", err)
 	}
-	if len(ck.Dests) != len(d.cfg.Dests) {
-		return fmt.Errorf("daemon: checkpoint has %d destinations, configuration %d", len(ck.Dests), len(d.cfg.Dests))
+	if err == nil && len(ck.Sched) != len(d.cfg.Dests) {
+		err = fmt.Errorf("daemon: checkpoint schedules %d destinations, configuration has %d", len(ck.Sched), len(d.cfg.Dests))
 	}
-	acc, err := measure.RestoreAccumulator(ck.Acc)
 	if err != nil {
 		return d.quarantineCorrupt(path, err)
 	}
-	d.acc = acc
-	d.round = ck.Round
+	d.acc = accs[0]
+	d.round = int64(ck.NextRound)
 	d.shed = ck.Shed
 	d.restarts = ck.Restarts
 	d.stalls = ck.Stalls
 	d.panics = ck.Panics
 	d.events.setSeq(ck.EventSeq)
-	for i, st := range ck.Dests {
-		ds := d.sched.dests[i]
-		ds.nextDue = st.NextDue
-		ds.seen = st.Seen
-		ds.parisFP = st.ParisFP
-		ds.classicFP = st.ClassicFP
-		ds.consecFails = st.ConsecFails
-		ds.quarantined = st.Quarantined
-		ds.hints = measure.PathHints{Paris: st.HintParis, Classic: st.HintClassic}
-		ds.pairs = st.Pairs
-		ds.shedStreak = st.ShedStreak
+	for i, ds := range d.sched.dests {
+		ds.DestRun, ds.DestState = ck.Dests[i], ck.Sched[i]
 	}
 	if d.cfg.RestoreTransport != nil && len(ck.Transport) > 0 {
 		if err := d.cfg.RestoreTransport(ck.Transport); err != nil {
@@ -255,7 +171,7 @@ func (d *Daemon) recover(path string) error {
 		}
 	}
 	d.recovered = true
-	d.recoveredAt = ck.Round
+	d.recoveredAt = d.round
 	return nil
 }
 

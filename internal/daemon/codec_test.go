@@ -59,8 +59,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Round != 4 || len(ck.Dests) != 6 || !ck.Dests[0].Seen || ck.Dests[0].ParisFP == 0 ||
-		ck.Acc.Routes == 0 || len(ck.Acc.Dests) != 6 || string(ck.Transport) != `{"ProbeCounts":[7]}` {
+	if ck.NextRound != 4 || len(ck.Dests) != 6 || ck.Dests[0].Hints.Paris == 0 ||
+		len(ck.Sched) != 6 || !ck.Sched[0].Seen || ck.Sched[0].ParisFP == 0 || len(ck.Workers) != 1 ||
+		ck.Workers[0].Routes == 0 || len(ck.Workers[0].Dests) != 6 || string(ck.Transport) != `{"ProbeCounts":[7]}` {
 		t.Fatalf("toy checkpoint degenerate or misdecoded: %+v", ck)
 	}
 	again := filepath.Join(t.TempDir(), "again.ck")
@@ -81,9 +82,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // FuzzDecodeCheckpoint: the daemon checkpoint decoder is total on arbitrary
 // bytes (see ckpttest.Check for the properties). Seeded with a real toy
-// checkpoint and its truncation ladder.
+// checkpoint and its truncation ladder, and with the previous version's
+// (testdata/toy-v2.ck), whose body Check also wraps in a current frame: the
+// old layout read as the new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	ckpttest.Seed(f, toyCheckpoint(f))
+	previous, err := os.ReadFile(filepath.Join("testdata", "toy-v2.ck"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ckpttest.Seed(f, previous)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ckpttest.Check(t, ckpt.KindDaemon, CheckpointVersion, data, recodeCheckpoint)
 	})

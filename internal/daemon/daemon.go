@@ -51,8 +51,8 @@ type Config struct {
 	RestartBackoff time.Duration
 	// RestartBackoffMax caps the restart backoff. Zero selects 5s.
 	RestartBackoffMax time.Duration
-	// QuarantineAfter is the per-destination error budget (campaign
-	// semantics). Zero selects 3.
+	// QuarantineAfter is the per-destination error budget
+	// (measure.DestRun, as in a campaign). Zero selects 3.
 	QuarantineAfter int
 	// StallTimeout is the watchdog deadline per trace; a job that has
 	// neither completed nor panicked by then is abandoned and its worker
@@ -134,6 +134,11 @@ func (c Config) withDefaults() Config {
 type Daemon struct {
 	cfg Config
 	tp  tracer.Transport
+	// digest is the measure.RunDigest of what the folded statistics depend
+	// on — the destination list and the probing shape; a checkpoint under
+	// another is refused. Cadence knobs (Period, QueueCap, worker count) are
+	// deliberately excluded: they are retunable across restarts.
+	digest uint64
 
 	// mu guards everything the scheduler, the fold path, and the HTTP
 	// snapshot share: the accumulator, the cadence table, the supervision
@@ -170,15 +175,8 @@ type Daemon struct {
 // checkpoint exists (unless FreshStart), and starts the worker pool.
 func New(cfg Config) (*Daemon, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Dests) == 0 {
-		return nil, fmt.Errorf("daemon: empty destination list")
-	}
-	seen := make(map[netip.Addr]bool, len(cfg.Dests))
-	for _, d := range cfg.Dests {
-		if seen[d] {
-			return nil, fmt.Errorf("daemon: duplicate destination %v", d)
-		}
-		seen[d] = true
+	if err := measure.ValidateDests(cfg.Dests); err != nil {
+		return nil, err
 	}
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("daemon: nil transport")
@@ -186,6 +184,7 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:    cfg,
 		tp:     cfg.Transport,
+		digest: measure.RunDigest(cfg.Dests, cfg.Probe),
 		acc:    measure.NewAccumulator(),
 		sched:  newScheduler(cfg.Dests, int64(cfg.Period)),
 		events: newEventHub(cfg.EventBuffer),
@@ -197,14 +196,7 @@ func New(cfg Config) (*Daemon, error) {
 			return nil, err
 		}
 	}
-	if d.cfg.RoundStart != nil {
-		// Replay the completed rounds' dynamics draws so the resumed
-		// rounds see the same topology evolution the uninterrupted run
-		// would have — the same replay contract as campaign resume.
-		for r := int64(0); r < d.round; r++ {
-			d.cfg.RoundStart(int(r))
-		}
-	}
+	measure.ReplayRounds(cfg.RoundStart, int(d.round))
 	d.workersAlive = cfg.Workers
 	for w := 0; w < cfg.Workers; w++ {
 		go d.worker(w, 0)
@@ -249,21 +241,17 @@ func (d *Daemon) Tick() {
 	d.mu.Lock()
 	due := d.sched.due(round)
 	runnable := due[:0]
-	var quarantined []*destSched
 	for _, ds := range due {
-		if ds.quarantined {
-			quarantined = append(quarantined, ds)
+		if ds.Quarantined {
+			// Quarantined destinations keep their cadence as Skipped folds
+			// — the same accounting a campaign round produces — without
+			// consuming queue capacity.
+			p := measure.SkippedPair(ds.dest, int(round))
+			d.acc.Fold(&p)
+			ds.NextDue = round + d.sched.period
 			continue
 		}
 		runnable = append(runnable, ds)
-	}
-	for _, ds := range quarantined {
-		// Quarantined destinations keep their cadence as Skipped folds —
-		// the same accounting a campaign round produces — without
-		// consuming queue capacity.
-		p := measure.Pair{Dest: ds.dest, Round: int(round), Outcome: measure.OutcomeSkipped}
-		d.acc.Fold(&p)
-		ds.nextDue = round + d.sched.period
 	}
 	var shedList []*destSched
 	if len(runnable) > d.cfg.QueueCap {
@@ -272,8 +260,8 @@ func (d *Daemon) Tick() {
 		victim := make(map[*destSched]bool, n)
 		for _, ds := range shedList {
 			victim[ds] = true
-			ds.shedStreak++
-			ds.nextDue = round + 1
+			ds.ShedStreak++
+			ds.NextDue = round + 1
 		}
 		kept := runnable[:0]
 		for _, ds := range runnable {
@@ -290,12 +278,12 @@ func (d *Daemon) Tick() {
 		if poolDead {
 			// Degraded terminal state: no worker can run anything, so
 			// the job fails immediately instead of hanging the round.
-			d.failLocked(ds, round, "worker pool dead")
+			d.failLocked(ds, round)
 			continue
 		}
 		ds.inFlight = true
-		ds.shedStreak = 0
-		jobs = append(jobs, &job{ds: ds, dest: ds.dest, round: round, hints: ds.hints, done: make(chan struct{})})
+		ds.ShedStreak = 0
+		jobs = append(jobs, &job{ds: ds, dest: ds.dest, round: round, hints: ds.Hints, done: make(chan struct{})})
 	}
 	d.mu.Unlock()
 
@@ -353,27 +341,19 @@ func (d *Daemon) enqueue(j *job) {
 	}
 }
 
-// failLocked folds an immediate failure for a never-dispatched destination.
-// Caller holds mu.
-func (d *Daemon) failLocked(ds *destSched, round int64, why string) {
-	p := measure.Pair{Dest: ds.dest, Round: int(round), Outcome: measure.OutcomeFailed}
+// failLocked folds one failed pair for ds — its trace erred, stalled or
+// never found a live worker — charges the destination's error budget and
+// re-arms its cadence. Caller holds mu.
+func (d *Daemon) failLocked(ds *destSched, round int64) {
+	p := measure.FailedPair(ds.dest, int(round))
 	d.acc.Fold(&p)
-	d.chargeLocked(ds, round)
-	_ = why
-}
-
-// chargeLocked charges one failed pair to the destination's error budget
-// and re-arms its cadence. Caller holds mu.
-func (d *Daemon) chargeLocked(ds *destSched, round int64) {
-	ds.consecFails++
-	if !ds.quarantined && ds.consecFails >= d.cfg.QuarantineAfter {
-		ds.quarantined = true
+	if ds.Failed(d.cfg.QuarantineAfter) {
 		// eventHub has its own mutex and never takes d.mu, so publishing
 		// under d.mu is deadlock-free and keeps event order deterministic.
 		d.events.publish(Event{Round: round, Type: EventQuarantine, Dest: ds.dest,
-			Detail: fmt.Sprintf("%d consecutive failures", ds.consecFails)})
+			Detail: fmt.Sprintf("%d consecutive failures", ds.ConsecFails)})
 	}
-	ds.nextDue = round + d.sched.period
+	ds.NextDue = round + d.sched.period
 }
 
 // Run drives Tick on the configured wall-clock Interval until ctx is done,

@@ -188,7 +188,7 @@ func shedPairs(t *testing.T, seed int64, rounds int) []int64 {
 	pairs := make([]int64, len(sc.Dests))
 	d.mu.Lock()
 	for i, ds := range d.sched.dests {
-		pairs[i] = ds.pairs
+		pairs[i] = ds.Pairs
 	}
 	d.mu.Unlock()
 	return pairs
@@ -338,6 +338,27 @@ func TestDaemonQuarantine(t *testing.T) {
 	if quarEvents != blackholed {
 		t.Fatalf("%d quarantine events, want %d", quarEvents, blackholed)
 	}
+
+	// One error budget, two runtimes: at period 1 the daemon probes every
+	// destination every round, so a campaign over the same faulty topology
+	// must fail, quarantine and skip the same destinations after the same
+	// number of pairs.
+	sc2 := freeTopo(t, 8, 17, 0)
+	camp, err := measure.NewCampaign(netsim.WrapFaults(sc2.Transport(), plan), measure.Config{
+		Dests: sc2.Dests, Rounds: 5, Workers: 3, RoundStart: sc2.RoundStart,
+		PortSeed: 42, Batch: true, Stream: true, QuarantineAfter: 2, Sleep: noSleep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := camp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Stats.Robust, s.Robust; got.Probed != want.Probed || got.Failed != want.Failed ||
+		got.Skipped != want.Skipped || got.QuarantinedDests != want.QuarantinedDests {
+		t.Fatalf("campaign and daemon charge the same faults differently:\ncampaign: %+v\ndaemon:   %+v", got, want)
+	}
 }
 
 func TestDaemonWatchdogStall(t *testing.T) {
@@ -481,7 +502,9 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 // TestDaemonCorruptCheckpointStartsFresh: whatever is wrong with the file at
 // CheckpointPath — torn, foreign, flipped, or a version-1 JSON checkpoint
 // from before the binary format (testdata/legacy-v1.ck.json, written by the
-// last JSON build) — the daemon moves it to .corrupt, publishes a recovered
+// last JSON build), or a version-2 file from before the shared run body
+// (testdata/toy-v2.ck, the last version-2 build's codec-test checkpoint) —
+// the daemon moves it to .corrupt, publishes a recovered
 // event that names the cause, and comes back measuring from round zero.
 func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	good := filepath.Join(t.TempDir(), "good.ck")
@@ -501,6 +524,10 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	previous, err := os.ReadFile(filepath.Join("testdata", "toy-v2.ck"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/2] ^= 1
 
@@ -513,6 +540,7 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 		{"foreign", []byte("not a checkpoint at all"), ckpt.ErrBadMagic},
 		{"flipped bit", flipped, ckpt.ErrChecksum},
 		{"legacy v1 JSON", legacy, ckpt.ErrLegacyJSON},
+		{"version 2 binary", previous, ckpt.ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckPath := filepath.Join(t.TempDir(), "daemon.ck")
@@ -543,6 +571,81 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 				t.Fatalf("fresh start at round %d probed %d, want round 1 probed 4", d.Round(), s.Robust.Probed)
 			}
 		})
+	}
+}
+
+// TestDaemonImpossibleCheckpointStartsFresh: a frame that verifies around a
+// body no daemon can have written — a negative round, a negative failure
+// count, a schedule table of another length — is unusable too: moved aside,
+// never resumed (a negative round would reach RoundStart).
+func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
+	good := filepath.Join(t.TempDir(), "good.ck")
+	cfg := testConfig(freeTopo(t, 4, 3, 0))
+	cfg.CheckpointPath = good
+	d := mustNew(t, cfg)
+	tick(d, 2)
+	if err := d.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	for name, tamper := range map[string]func(*Checkpoint){
+		"negative round":  func(ck *Checkpoint) { ck.NextRound = -1 },
+		"negative budget": func(ck *Checkpoint) { ck.Dests[1].ConsecFails = -3 },
+		"short schedule":  func(ck *Checkpoint) { ck.Sched = ck.Sched[:3] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ck, err := LoadCheckpoint(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tamper(ck)
+			ckPath := filepath.Join(t.TempDir(), "daemon.ck")
+			if err := ck.Save(ckPath); err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(freeTopo(t, 4, 3, 0))
+			cfg.CheckpointPath = ckPath
+			cfg.RoundStart = func(r int) {
+				if r < 0 {
+					t.Errorf("RoundStart(%d)", r)
+				}
+			}
+			d := mustNew(t, cfg)
+			defer d.Stop()
+			if ok, _ := d.Recovered(); ok || d.Round() != 0 {
+				t.Fatalf("resumed an impossible checkpoint at round %d", d.Round())
+			}
+			if _, err := os.Stat(ckPath + ".corrupt"); err != nil {
+				t.Fatalf("impossible checkpoint not moved aside: %v", err)
+			}
+		})
+	}
+}
+
+// TestDaemonRecoversUnderSpelledOutDefaults: the digest covers the probing
+// the daemon does, not how its configuration spells it — a restart that
+// writes the default TTL policy out recovers the checkpoint written under
+// the zero values.
+func TestDaemonRecoversUnderSpelledOutDefaults(t *testing.T) {
+	ckPath := filepath.Join(t.TempDir(), "daemon.ck")
+	cfg := testConfig(freeTopo(t, 4, 3, 0))
+	cfg.Probe = measure.ProbeConfig{}
+	cfg.CheckpointPath = ckPath
+	d := mustNew(t, cfg)
+	tick(d, 3)
+	if err := d.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg2 := testConfig(freeTopo(t, 4, 3, 0))
+	cfg2.Probe = measure.ProbeConfig{MinTTL: 2, MaxTTL: 39, MaxConsecutiveStars: 8}
+	cfg2.CheckpointPath = ckPath
+	d2, err := New(cfg2)
+	if err != nil {
+		t.Fatalf("restart with the defaults spelled out: %v", err)
+	}
+	defer d2.Stop()
+	if ok, at := d2.Recovered(); !ok || at != 3 {
+		t.Fatalf("recovered=%v at=%d, want true at 3", ok, at)
 	}
 }
 
@@ -589,7 +692,7 @@ func TestDaemonStopWritesFinalCheckpoint(t *testing.T) {
 	if err != nil || ck == nil {
 		t.Fatalf("final checkpoint unreadable: %v", err)
 	}
-	if ck.Round != 2 {
-		t.Fatalf("final checkpoint at round %d, want 2", ck.Round)
+	if ck.NextRound != 2 {
+		t.Fatalf("final checkpoint at round %d, want 2", ck.NextRound)
 	}
 }

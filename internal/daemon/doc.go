@@ -8,7 +8,7 @@
 //
 // The daemon advances in scheduler rounds. Tick runs exactly one round:
 //
-//	due        := every destination whose nextDue <= round (oldest first)
+//	due        := every destination whose NextDue <= round (oldest first)
 //	quarantine := folded as Skipped pairs, re-armed, never probed
 //	shed       := if len(due) > QueueCap, the oldest-due overflow is shed
 //	              (re-armed for the next round) — explicit shed-oldest

@@ -8,40 +8,43 @@ import (
 	"repro/internal/measure"
 )
 
-// destSched is one destination's scheduler state. Every field is guarded by
-// the daemon mutex except hints, which only the single worker running the
-// destination's in-flight job touches (a destination is never in flight
-// twice — inFlight gates re-dispatch).
+// destSched is one destination's scheduler state, guarded by the daemon
+// mutex. A dispatched job carries a copy of the path hints to its worker and
+// finish writes the new ones back, so no worker touches this struct (and a
+// destination is never in flight twice — inFlight gates re-dispatch).
 type destSched struct {
+	// DestRun is the error budget and the path hints carried between the
+	// destination's pairs — the record a campaign keeps too — and DestState
+	// the cadence; both are checkpointed as they are.
+	measure.DestRun
+	DestState
 	dest netip.Addr
 	idx  int
-	// nextDue is the earliest round the destination may be probed in.
-	nextDue int64
 	// inFlight marks a dispatched, unresolved job.
 	inFlight bool
-	// seen is true once a pair completed; the first completion never
+}
+
+// DestState is one destination's cadence: what the scheduler keeps per
+// destination beyond the DestRun, in memory and in the checkpoint's schedule
+// section alike.
+type DestState struct {
+	// NextDue is the earliest round the destination may be probed in.
+	NextDue int64
+	// Seen is true once a pair completed; the first completion never
 	// counts as a route change.
-	seen bool
-	// parisFP and classicFP are the last completed pair's route
+	Seen bool `json:",omitempty"`
+	// ParisFP and ClassicFP are the last completed pair's route
 	// fingerprints — the interned identity the re-exploration trigger
 	// compares against.
-	parisFP, classicFP uint64
-	// consecFails and quarantined are the error budget, with campaign
-	// semantics: QuarantineAfter consecutive failures quarantine the
-	// destination; a success resets the count.
-	consecFails int
-	quarantined bool
-	// hints carries the batched ladder lengths between the destination's
-	// pairs.
-	hints measure.PathHints
-	// pairs counts completed (OK) pairs, for observability.
-	pairs int64
-	// shedStreak counts consecutive rounds this destination was shed by
+	ParisFP, ClassicFP uint64 `json:",omitempty"`
+	// Pairs counts completed (OK) pairs, for observability.
+	Pairs int64 `json:",omitempty"`
+	// ShedStreak counts consecutive rounds this destination was shed by
 	// admission without being dispatched in between; the victim-selection
 	// score decays exponentially in it, so a destination the lottery keeps
 	// hitting becomes rapidly un-sheddable (aging — no starvation under
 	// persistent overload). Dispatch resets it.
-	shedStreak int
+	ShedStreak int `json:",omitempty"`
 }
 
 // scheduler owns the per-destination cadence table.
@@ -65,13 +68,13 @@ func newScheduler(dests []netip.Addr, period int64) *scheduler {
 func (s *scheduler) due(round int64) []*destSched {
 	var out []*destSched
 	for _, ds := range s.dests {
-		if !ds.inFlight && ds.nextDue <= round {
+		if !ds.inFlight && ds.NextDue <= round {
 			out = append(out, ds)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].nextDue != out[j].nextDue {
-			return out[i].nextDue < out[j].nextDue
+		if out[i].NextDue != out[j].NextDue {
+			return out[i].NextDue < out[j].NextDue
 		}
 		return out[i].idx < out[j].idx
 	})
@@ -87,7 +90,7 @@ func (s *scheduler) due(round int64) []*destSched {
 // (seed, round) keeps rounds reproducible and checkpoints exact.
 func shedScore(seed, round int64, ds *destSched) uint64 {
 	x := keyhash.Mix64(uint64(seed) ^ uint64(round)*keyhash.Golden64 ^ uint64(uint32(ds.idx))<<1)
-	shift := ds.shedStreak * 8
+	shift := ds.ShedStreak * 8
 	if shift > 56 {
 		shift = 56
 	}

@@ -180,7 +180,7 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 	}
 	// The quarantine table survived the restart bit for bit.
 	for i, dsSt := range ckA.Dests {
-		if b.sched.dests[i].quarantined != dsSt.Quarantined {
+		if b.sched.dests[i].Quarantined != dsSt.Quarantined {
 			t.Fatalf("dest %d quarantine state lost across restart", i)
 		}
 	}

@@ -52,9 +52,8 @@ type job struct {
 	state atomic.Int64
 	done  chan struct{}
 
-	pair     measure.Pair
-	err      error
-	panicked bool
+	pair measure.Pair
+	err  error
 }
 
 // worker is one supervised pool goroutine. id names the slot; gen counts the
@@ -156,9 +155,7 @@ func (d *Daemon) finish(j *job) {
 	ds.inFlight = false
 	round := j.round
 	if j.err != nil {
-		p := measure.Pair{Dest: j.dest, Round: int(round), Outcome: measure.OutcomeFailed}
-		d.acc.Fold(&p)
-		d.chargeLocked(ds, round)
+		d.failLocked(ds, round)
 		d.mu.Unlock()
 		return
 	}
@@ -167,16 +164,15 @@ func (d *Daemon) finish(j *job) {
 		d.afterFold(&j.pair)
 	}
 	j.pair.Paris, j.pair.Classic = nil, nil
-	ds.hints = j.hints
-	ds.consecFails = 0
-	ds.pairs++
-	changed := ds.seen && fr.Paris != ds.parisFP
-	ds.parisFP, ds.classicFP = fr.Paris, fr.Classic
-	ds.seen = true
+	ds.Succeeded(j.hints)
+	ds.Pairs++
+	changed := ds.Seen && fr.Paris != ds.ParisFP
+	ds.ParisFP, ds.ClassicFP = fr.Paris, fr.Classic
+	ds.Seen = true
 	if changed {
-		ds.nextDue = round + 1
+		ds.NextDue = round + 1
 	} else {
-		ds.nextDue = round + d.sched.period
+		ds.NextDue = round + d.sched.period
 	}
 	d.mu.Unlock()
 	if changed {
@@ -198,9 +194,7 @@ func (d *Daemon) onStall(j *job, prev int64) {
 	d.mu.Lock()
 	d.stalls++
 	j.ds.inFlight = false
-	p := measure.Pair{Dest: j.dest, Round: int(j.round), Outcome: measure.OutcomeFailed}
-	d.acc.Fold(&p)
-	d.chargeLocked(j.ds, j.round)
+	d.failLocked(j.ds, j.round)
 	d.mu.Unlock()
 	d.events.publish(Event{Round: j.round, Type: EventStall, Dest: j.dest,
 		Detail: "trace exceeded stall deadline; job abandoned"})
@@ -244,7 +238,6 @@ func (d *Daemon) onWorkerPanic(id, gen int, r any, j *job) {
 	}
 	if j != nil {
 		j.err = fmt.Errorf("daemon: worker panic during trace to %v: %v", j.dest, r)
-		j.panicked = true
 		close(j.done)
 	}
 	if dead {

@@ -15,12 +15,11 @@ import (
 // pairs: a batched, streamed, one-worker campaign over the schedule-free
 // topology.
 type steadyWorker struct {
-	c      *Campaign
-	sc     *topo.Scenario
-	acc    *Accumulator
-	ring   foldRing
-	health []destHealth
-	round  int
+	c     *Campaign
+	sc    *topo.Scenario
+	acc   *Accumulator
+	ring  foldRing
+	round int
 }
 
 func newSteadyWorker(tb testing.TB, dests int) *steadyWorker {
@@ -32,14 +31,13 @@ func newSteadyWorker(tb testing.TB, dests int) *steadyWorker {
 func newSteadyWorkerOn(tb testing.TB, gen topo.GenConfig) *steadyWorker {
 	tb.Helper()
 	sc := topo.Generate(gen)
-	dests := len(sc.Dests)
 	c, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Workers: 1, PortSeed: 42, Batch: true, Stream: true,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := &steadyWorker{c: c, sc: sc, acc: NewAccumulator(), health: make([]destHealth, dests)}
+	w := &steadyWorker{c: c, sc: sc, acc: NewAccumulator()}
 	w.ring = foldRing{acc: w.acc, prober: c.probers[0], every: c.cfg.FoldEvery}
 	return w
 }
@@ -52,7 +50,7 @@ func (w *steadyWorker) pair(tb testing.TB, i int) {
 		w.sc.RoundStart(w.round)
 		w.round++
 	}
-	p, err := w.c.measureDest(context.Background(), 0, w.round-1, idx, w.sc.Dests[idx], &w.health[idx])
+	p, err := w.c.measureDest(context.Background(), 0, w.round-1, w.sc.Dests[idx], &w.c.runs[idx])
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -124,7 +122,7 @@ func TestInternedRoutesExactSize(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "exact.ck")
-	if err := w.c.checkpoint(w.round, []*Accumulator{w.acc}, w.health).Save(path); err != nil {
+	if err := w.c.checkpoint(w.round, []*Accumulator{w.acc}).Save(path); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := LoadCheckpoint(path)
@@ -181,7 +179,7 @@ func BenchmarkFoldFirstSight(b *testing.B) {
 	w.sc.RoundStart(0)
 	pairs := make([]Pair, len(w.sc.Dests))
 	for i, d := range w.sc.Dests {
-		p, err := w.c.measureDest(context.Background(), 0, 0, i, d, &w.health[i])
+		p, err := w.c.measureDest(context.Background(), 0, 0, d, &w.c.runs[i])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -229,31 +229,27 @@ type Campaign struct {
 	// plan[w] lists the destination indices worker w probes each round;
 	// computed once at construction (shard-affine when ShardOf is set).
 	plan [][]int
-	// hints records each destination's previous ladder lengths; the next
-	// round sizes its routes — and, batched, its first window — from them,
-	// so a stable route is probed in exactly one batch with no overshoot.
-	// Indexed by destination; each slot is owned by the single worker whose
-	// plan covers it.
-	hints []PathHints
-	// resume, when non-nil, is the state loaded by Resume; the next
-	// RunContext consumes it and continues from its round cursor.
+	// digest is the campaign's RunDigest, which a checkpoint must match to
+	// resume it: beyond the destinations and the probing, the statistics
+	// depend on how many rounds it runs, how the list is split among
+	// workers, and whether it streams at all.
+	digest uint64
+	// runs holds each destination's error budget and previous ladder
+	// lengths; the next round sizes its routes — and, batched, its first
+	// window — from the latter, so a stable route is probed in exactly one
+	// batch with no overshoot. Indexed by destination; each slot is owned by
+	// the single worker whose plan covers it, so no locking.
+	runs []DestRun
+	// resume, when non-nil, is the state loaded by Resume (which also filled
+	// runs); the next RunContext consumes it and continues from its round
+	// cursor.
 	resume *resumeState
-}
-
-// destHealth is one destination's error budget: how many consecutive rounds
-// have failed, and whether the budget is exhausted. Each slot is owned by
-// the single worker whose plan covers the destination, so no locking.
-type destHealth struct {
-	consecFails int
-	quarantined bool
 }
 
 // resumeState carries a loaded checkpoint into the next RunContext call.
 type resumeState struct {
 	nextRound int
 	accs      []*Accumulator
-	health    []destHealth
-	hints     []PathHints // nil unless the campaign batches
 }
 
 // NewCampaign creates a campaign; cfg.Dests must be non-empty and free of
@@ -261,21 +257,14 @@ type resumeState struct {
 // worker plan both assume one owner per address).
 func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Dests) == 0 {
-		return nil, fmt.Errorf("measure: empty destination list")
-	}
-	seen := make(map[netip.Addr]bool, len(cfg.Dests))
-	for _, d := range cfg.Dests {
-		if seen[d] {
-			return nil, fmt.Errorf("measure: duplicate destination %v", d)
-		}
-		seen[d] = true
+	if err := ValidateDests(cfg.Dests); err != nil {
+		return nil, err
 	}
 	c := &Campaign{
 		cfg:     cfg,
 		probers: make([]*Prober, cfg.Workers),
 		plan:    workerPlan(cfg),
-		hints:   make([]PathHints, len(cfg.Dests)),
+		runs:    make([]DestRun, len(cfg.Dests)),
 	}
 	pc := ProbeConfig{
 		MinTTL:              cfg.MinTTL,
@@ -285,6 +274,11 @@ func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 		Batch:               cfg.Batch,
 		BatchWindow:         cfg.BatchWindow,
 	}
+	stream := uint64(0)
+	if cfg.Stream {
+		stream = 1
+	}
+	c.digest = RunDigest(cfg.Dests, pc, uint64(cfg.Rounds), uint64(cfg.Workers), stream)
 	for w := range c.probers {
 		wtp := tp
 		if cfg.TransportFor != nil {
@@ -390,7 +384,6 @@ func (c *Campaign) Run() (*Results, error) { return c.RunContext(context.Backgro
 // should resume from the checkpoint instead).
 func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 	res := &Results{Config: c.cfg}
-	health := make([]destHealth, len(c.cfg.Dests))
 	var accs []*Accumulator
 	if c.cfg.Stream {
 		accs = make([]*Accumulator, c.cfg.Workers)
@@ -401,20 +394,13 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 	start := 0
 	if rs := c.resume; rs != nil {
 		c.resume = nil
-		start = rs.nextRound
-		copy(health, rs.health)
-		if c.cfg.Stream {
-			accs = rs.accs
-		}
-		copy(c.hints, rs.hints)
-		// Replay the completed rounds' dynamics draws so the resumed
-		// rounds see the same topology evolution the uninterrupted run
-		// would have (topo.Generate's RoundStart draws sequentially from
-		// one seeded stream).
-		if c.cfg.RoundStart != nil {
-			for r := 0; r < start; r++ {
-				c.cfg.RoundStart(r)
-			}
+		start, accs = rs.nextRound, rs.accs
+		ReplayRounds(c.cfg.RoundStart, start)
+	} else {
+		// A run that resumes nothing starts with every error budget whole;
+		// the ladder hints of an earlier Run stay useful.
+		for i := range c.runs {
+			c.runs[i] = DestRun{Hints: c.runs[i].Hints}
 		}
 	}
 	var rings []foldRing
@@ -433,7 +419,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 		if c.cfg.RoundStart != nil {
 			c.cfg.RoundStart(r)
 		}
-		pairs, err := c.runRound(ctx, r, rings, health)
+		pairs, err := c.runRound(ctx, r, rings)
 		if err != nil {
 			return nil, err
 		}
@@ -457,7 +443,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 			for w := range rings {
 				rings[w].flush()
 			}
-			ck := c.checkpoint(r+1, accs, health)
+			ck := c.checkpoint(r+1, accs)
 			if err := ck.Save(c.cfg.CheckpointPath); err != nil {
 				return nil, fmt.Errorf("measure: checkpoint after round %d: %w", r, err)
 			}
@@ -492,7 +478,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 // workers at their next destination instead of letting them probe out their
 // slices silently. Context cancellation stops workers the same way in both
 // modes, without an error of its own (the caller reads ctx.Err()).
-func (c *Campaign) runRound(ctx context.Context, round int, rings []foldRing, health []destHealth) ([]Pair, error) {
+func (c *Campaign) runRound(ctx context.Context, round int, rings []foldRing) ([]Pair, error) {
 	dests := c.cfg.Dests
 	var out []Pair
 	if rings == nil {
@@ -519,7 +505,7 @@ func (c *Campaign) runRound(ctx context.Context, round int, rings []foldRing, he
 					return
 				default:
 				}
-				p, err := c.measureDest(ctx, w, round, i, dests[i], &health[i])
+				p, err := c.measureDest(ctx, w, round, dests[i], &c.runs[i])
 				if err != nil {
 					stopOnce.Do(func() {
 						firstErr = err
@@ -546,30 +532,25 @@ func (c *Campaign) runRound(ctx context.Context, round int, rings []foldRing, he
 // when quarantined, retry transient failures with seeded-jitter backoff,
 // charge the error budget on exhaustion. With FailFast it is the worker's
 // Prober.MeasurePair plus nothing — errors propagate and abort the round.
-func (c *Campaign) measureDest(ctx context.Context, w, round, idx int, d netip.Addr, h *destHealth) (Pair, error) {
-	if !c.cfg.FailFast && h.quarantined {
-		return Pair{Dest: d, Round: round, Outcome: OutcomeSkipped}, nil
+func (c *Campaign) measureDest(ctx context.Context, w, round int, d netip.Addr, run *DestRun) (Pair, error) {
+	if !c.cfg.FailFast && run.Quarantined {
+		return SkippedPair(d, round), nil
 	}
-	p, err := c.probers[w].MeasurePair(d, round, &c.hints[idx])
-	if err == nil {
-		h.consecFails = 0
-		return p, nil
-	}
-	if c.cfg.FailFast {
+	hints := run.Hints
+	p, err := c.probers[w].MeasurePair(d, round, &hints)
+	if err != nil && c.cfg.FailFast {
 		return Pair{}, err
 	}
-	for attempt := 1; attempt < c.cfg.MaxAttempts && tracer.IsTransient(err) && ctx.Err() == nil; attempt++ {
+	for attempt := 1; err != nil && attempt < c.cfg.MaxAttempts && tracer.IsTransient(err) && ctx.Err() == nil; attempt++ {
 		c.sleep(c.backoff(d, round, attempt))
-		if p, err = c.probers[w].MeasurePair(d, round, &c.hints[idx]); err == nil {
-			h.consecFails = 0
-			return p, nil
-		}
+		p, err = c.probers[w].MeasurePair(d, round, &hints)
 	}
-	h.consecFails++
-	if h.consecFails >= c.cfg.QuarantineAfter {
-		h.quarantined = true
+	if err != nil {
+		run.Failed(c.cfg.QuarantineAfter)
+		return FailedPair(d, round), nil
 	}
-	return Pair{Dest: d, Round: round, Outcome: OutcomeFailed}, nil
+	run.Succeeded(hints)
+	return p, nil
 }
 
 // backoff is the delay before retry attempt k (1-based): exponential from

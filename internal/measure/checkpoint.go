@@ -2,21 +2,23 @@ package measure
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/netip"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/anomaly"
 	"repro/internal/ckpt"
-	"repro/internal/keyhash"
 	"repro/internal/tracer"
 )
 
-// This file is the campaign's checkpoint/restore layer. A checkpoint
-// captures everything a streaming campaign needs to continue after a kill:
-// the round cursor, the per-destination error budgets, the batching path
-// hints, an opaque transport cursor, and each worker accumulator's partial
+// This file is the checkpoint/restore layer of a run — the campaign's whole
+// checkpoint, and the body the daemon's checkpoint extends with its schedule
+// section. A checkpoint captures everything a run needs to continue after a
+// kill: the round cursor, the per-destination error budgets and path hints
+// (DestRun), an opaque transport cursor, and each accumulator's partial
 // statistics. The accumulator state splits into two kinds — the scalar
 // tallies and address sets, which serialize verbatim, and the derived
 // memo/graph layers, which are NOT serialized: restore replays each
@@ -27,11 +29,12 @@ import (
 // drift. Pair-classification memos are dropped entirely and recomputed
 // lazily — they are a pure function of the interned routes.
 //
-// Compatibility contract: Checkpoint.Version gates the schema, and Digest
-// hashes the campaign shape (destination list, rounds, workers, TTL policy,
-// port seed, batch/stream switches), so a checkpoint only ever resumes the
-// exact campaign that wrote it. Files are written with an atomic temp-file
-// + rename, so a kill during Save leaves the previous checkpoint intact.
+// Compatibility contract: the frame's version byte gates the schema, and
+// Digest hashes the run's shape (RunDigest: destination list, effective
+// probing, and for a campaign its rounds, workers and stream switch), so a
+// checkpoint only ever resumes the exact run that wrote it. Files are
+// written with an atomic temp-file + rename, so a kill during Save leaves
+// the previous checkpoint intact.
 //
 // On disk a checkpoint is the binary format of internal/ckpt, laid out by
 // codec.go; the structs below are its in-memory form (and still marshal with
@@ -46,40 +49,32 @@ import (
 
 // CheckpointVersion is the schema version Save writes and Load accepts.
 // Version 2 added the accumulator RTT tallies (AccState.RTTSamples and
-// friends); version 3 replaced the JSON document with the binary format.
+// friends); version 3 replaced the JSON document with the binary format;
+// version 4 is the run body shared with the daemon (one DestRun per
+// destination where version 3 had a health table and two hint arrays).
 // Older files are refused, never resumed with silently wrong statistics.
-const CheckpointVersion = 3
+const CheckpointVersion = 4
 
-// Checkpoint is a streaming campaign's serialized resumable state.
+// Checkpoint is a run's serialized resumable state: all of a streaming
+// campaign's, and the body of the daemon's.
 type Checkpoint struct {
-	// Version gates the schema.
-	Version int
-	// Digest fingerprints the campaign configuration that wrote the
-	// checkpoint; Resume refuses a mismatch.
+	// Digest fingerprints the configuration that wrote the checkpoint
+	// (RunDigest); Restore refuses a mismatch.
 	Digest uint64
-	// NextRound is the first round the resumed campaign will run; rounds
+	// NextRound is the first round the resumed run will run; rounds
 	// [0, NextRound) are fully folded into Workers.
 	NextRound int
-	// Health is the per-destination error budget, indexed like
-	// Config.Dests.
-	Health []HealthState
-	// ParisHint and ClasHint are the batching path-length hints, indexed
-	// like Config.Dests; present only for batched campaigns.
-	ParisHint []int `json:",omitempty"`
-	ClasHint  []int `json:",omitempty"`
 	// Transport is the opaque payload of Config.TransportState: transport
-	// cursors the campaign persists but never interprets.
+	// cursors the run persists but never interprets.
 	Transport json.RawMessage `json:",omitempty"`
+	// Dests is the per-destination error budget and path hints, indexed
+	// like Config.Dests.
+	Dests []DestRun
 	// Workers holds one accumulator snapshot per campaign worker, in
 	// worker order (the worker plan is a pure function of the config, so
-	// snapshot w resumes as worker w's accumulator).
+	// snapshot w resumes as worker w's accumulator). The daemon folds into
+	// one accumulator and writes exactly one.
 	Workers []AccState
-}
-
-// HealthState is one destination's serialized error budget.
-type HealthState struct {
-	ConsecFails int  `json:",omitempty"`
-	Quarantined bool `json:",omitempty"`
 }
 
 // AccState is one worker accumulator's serialized partial statistics.
@@ -128,60 +123,22 @@ type SigCheckpoint struct {
 	Rounds    int
 }
 
-// configDigest hashes the campaign shape a checkpoint is only valid for.
-func (c *Campaign) configDigest() uint64 {
-	h := keyhash.FNVOffset64
-	mix := func(x uint64) {
-		h = (h ^ x) * keyhash.FNVPrime64
-	}
-	mix(uint64(len(c.cfg.Dests)))
-	for _, d := range c.cfg.Dests {
-		a := d.As4()
-		mix(uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3]))
-	}
-	mix(uint64(c.cfg.Rounds))
-	mix(uint64(c.cfg.Workers))
-	mix(uint64(c.cfg.MinTTL))
-	mix(uint64(c.cfg.MaxTTL))
-	mix(uint64(c.cfg.MaxConsecutiveStars))
-	mix(uint64(c.cfg.PortSeed))
-	flags := uint64(0)
-	if c.cfg.Batch {
-		flags |= 1
-	}
-	if c.cfg.Stream {
-		flags |= 2
-	}
-	mix(flags)
-	return h
-}
-
 // checkpoint snapshots the campaign after nextRound-1 completed. Caller
 // must have flushed the fold rings (RunContext checkpoints only between
-// rounds, where the wg.Wait edge makes the accumulators quiescent).
-func (c *Campaign) checkpoint(nextRound int, accs []*Accumulator, health []destHealth) *Checkpoint {
+// rounds, where the wg.Wait edge makes the accumulators and the DestRuns
+// quiescent).
+func (c *Campaign) checkpoint(nextRound int, accs []*Accumulator) *Checkpoint {
 	ck := &Checkpoint{
-		Version:   CheckpointVersion,
-		Digest:    c.configDigest(),
+		Digest:    c.digest,
 		NextRound: nextRound,
-		Health:    make([]HealthState, len(health)),
+		Dests:     slices.Clone(c.runs),
 		Workers:   make([]AccState, len(accs)),
-	}
-	for i, h := range health {
-		ck.Health[i] = HealthState{ConsecFails: h.consecFails, Quarantined: h.quarantined}
-	}
-	if c.cfg.Batch {
-		ck.ParisHint = make([]int, len(c.hints))
-		ck.ClasHint = make([]int, len(c.hints))
-		for i, h := range c.hints {
-			ck.ParisHint[i], ck.ClasHint[i] = h.Paris, h.Classic
-		}
 	}
 	if c.cfg.TransportState != nil {
 		ck.Transport = c.cfg.TransportState()
 	}
 	for w, a := range accs {
-		ck.Workers[w] = snapshotAcc(a)
+		ck.Workers[w] = a.State()
 	}
 	return ck
 }
@@ -212,8 +169,12 @@ func sortedSigs(sigs map[netip.Addr]*sigSpan) []SigCheckpoint {
 	return out
 }
 
-// snapshotAcc serializes one accumulator.
-func snapshotAcc(a *Accumulator) AccState {
+// State snapshots the accumulator's partial statistics for serialization.
+// The accumulator must be quiescent (no concurrent Fold); the snapshot is
+// deterministic — address sets and destinations sorted, routes in
+// first-seen order — so two equal accumulators serialize to identical
+// bytes.
+func (a *Accumulator) State() AccState {
 	st := AccState{
 		Routes: a.routes, Reached: a.reached, Responses: a.responses, MidStars: a.midStars,
 		RoutesWithLoop: a.routesWithLoop, LoopInstances: a.loopInstances, ParisOnly: a.parisOnly,
@@ -255,11 +216,11 @@ func snapshotAcc(a *Accumulator) AccState {
 	return st
 }
 
-// restoreAcc rebuilds one accumulator from its snapshot: scalars and sets
-// load directly; the memo and graph layers are rebuilt by replaying the
-// interned routes, in first-seen order, through the same analysis code that
-// built them originally.
-func restoreAcc(st AccState) (*Accumulator, error) {
+// RestoreAccumulator rebuilds one accumulator from a State snapshot: scalars
+// and sets load directly; the memo and graph layers are rebuilt by replaying
+// the interned routes, in first-seen order, through the same analysis code
+// that built them originally. Checkpoint.Restore calls it per accumulator.
+func RestoreAccumulator(st AccState) (*Accumulator, error) {
 	a := NewAccumulator()
 	a.routes, a.reached, a.responses, a.midStars = st.Routes, st.Reached, st.Responses, st.MidStars
 	a.routesWithLoop, a.loopInstances, a.parisOnly = st.RoutesWithLoop, st.LoopInstances, st.ParisOnly
@@ -322,30 +283,13 @@ func restoreAcc(st AccState) (*Accumulator, error) {
 	return a, nil
 }
 
-// State snapshots the accumulator's partial statistics for serialization.
-// The accumulator must be quiescent (no concurrent Fold); the snapshot is
-// deterministic — address sets and destinations sorted, routes in
-// first-seen order — so two equal accumulators serialize to identical
-// bytes. The always-on daemon checkpoints through this, the campaign
-// through the Checkpoint wrapper below.
-func (a *Accumulator) State() AccState { return snapshotAcc(a) }
-
-// RestoreAccumulator rebuilds an accumulator from a State snapshot:
-// scalars and sets load directly, and the derived memo/graph layers are
-// rebuilt by replaying the interned routes through the original analysis
-// code (the same path Campaign.Resume uses).
-func RestoreAccumulator(st AccState) (*Accumulator, error) { return restoreAcc(st) }
-
 // Save streams the checkpoint to path in the binary format (see codec.go and
 // docs/checkpoint.md) on the one atomic write path: temp file, fsync,
 // rename, directory fsync, stale temp files swept. A kill mid-write leaves
 // the previous checkpoint intact, and nothing checkpoint-sized is ever held
 // in memory.
 func (ck *Checkpoint) Save(path string) error {
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("measure: cannot write checkpoint version %d, only %d", ck.Version, CheckpointVersion)
-	}
-	if err := ckpt.WriteFile(path, ckpt.KindCampaign, CheckpointVersion, ck.encode); err != nil {
+	if err := ckpt.WriteFile(path, ckpt.KindCampaign, CheckpointVersion, ck.Encode); err != nil {
 		return fmt.Errorf("measure: writing checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return nil
@@ -357,59 +301,70 @@ func (ck *Checkpoint) Save(path string) error {
 // another version.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	ck := new(Checkpoint)
-	if err := ckpt.ReadFile(path, ckpt.KindCampaign, CheckpointVersion, ck.decode); err != nil {
+	if err := ckpt.ReadFile(path, ckpt.KindCampaign, CheckpointVersion, ck.Decode); err != nil {
 		return nil, fmt.Errorf("measure: checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return ck, nil
 }
 
+// ErrDigest is Restore's refusal of a checkpoint written under another
+// configuration — the one refusal that says nothing is wrong with the file.
+var ErrDigest = errors.New("checkpoint digest does not match the configuration")
+
+// Restore is the one way back from a loaded body into a run: it validates
+// the body against the run that wants to continue from it — digest (the
+// run's RunDigest), destination count, accumulator count, a round cursor and
+// error budgets no run can have produced negative — and rebuilds the
+// accumulators by replay. What only one runtime knows stays with it: the
+// campaign's upper bound on the round cursor, the daemon's schedule section
+// and its policy for a file that fails here.
+func (ck *Checkpoint) Restore(digest uint64, dests, accs int) ([]*Accumulator, error) {
+	if ck.Digest != digest {
+		return nil, fmt.Errorf("measure: %w: checkpoint %#x, configuration %#x", ErrDigest, ck.Digest, digest)
+	}
+	if ck.NextRound < 0 {
+		return nil, fmt.Errorf("measure: checkpoint round cursor %d is negative", ck.NextRound)
+	}
+	if len(ck.Dests) != dests {
+		return nil, fmt.Errorf("measure: checkpoint for %d destinations, configuration has %d", len(ck.Dests), dests)
+	}
+	if len(ck.Workers) != accs {
+		return nil, fmt.Errorf("measure: checkpoint holds %d accumulators, configuration needs %d", len(ck.Workers), accs)
+	}
+	for i, r := range ck.Dests {
+		if r.ConsecFails < 0 {
+			return nil, fmt.Errorf("measure: checkpoint destination %d: %d consecutive failures", i, r.ConsecFails)
+		}
+	}
+	out := make([]*Accumulator, accs)
+	for w := range ck.Workers {
+		a, err := RestoreAccumulator(ck.Workers[w])
+		if err != nil {
+			return nil, fmt.Errorf("measure: worker %d: %w", w, err)
+		}
+		out[w] = a
+	}
+	return out, nil
+}
+
 // Resume loads a checkpoint into the campaign: the next RunContext call
 // continues from the checkpoint's round cursor with the restored
-// accumulators, error budgets, and batching hints. Resume validates the
-// config digest, so a checkpoint can only continue the campaign shape that
-// wrote it. The caller is responsible for restoring Checkpoint.Transport
-// into the transport before running.
+// accumulators, error budgets, and path hints. Restore validates the config
+// digest, so a checkpoint can only continue the campaign shape that wrote
+// it. The caller is responsible for restoring Checkpoint.Transport into the
+// transport before running.
 func (c *Campaign) Resume(ck *Checkpoint) error {
 	if !c.cfg.Stream {
 		return fmt.Errorf("measure: resume requires a streaming campaign")
 	}
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("measure: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
+	accs, err := ck.Restore(c.digest, len(c.cfg.Dests), c.cfg.Workers)
+	if err != nil {
+		return err
 	}
-	if d := c.configDigest(); ck.Digest != d {
-		return fmt.Errorf("measure: checkpoint digest %#x does not match campaign %#x", ck.Digest, d)
-	}
-	if ck.NextRound < 0 || ck.NextRound > c.cfg.Rounds {
+	if ck.NextRound > c.cfg.Rounds {
 		return fmt.Errorf("measure: checkpoint round cursor %d outside campaign rounds %d", ck.NextRound, c.cfg.Rounds)
 	}
-	if len(ck.Health) != len(c.cfg.Dests) {
-		return fmt.Errorf("measure: checkpoint health for %d destinations, campaign has %d", len(ck.Health), len(c.cfg.Dests))
-	}
-	if len(ck.Workers) != c.cfg.Workers {
-		return fmt.Errorf("measure: checkpoint for %d workers, campaign has %d", len(ck.Workers), c.cfg.Workers)
-	}
-	if c.cfg.Batch && (len(ck.ParisHint) != len(c.cfg.Dests) || len(ck.ClasHint) != len(c.cfg.Dests)) {
-		return fmt.Errorf("measure: checkpoint batching hints missing or missized")
-	}
-	rs := &resumeState{nextRound: ck.NextRound}
-	rs.health = make([]destHealth, len(ck.Health))
-	for i, h := range ck.Health {
-		rs.health[i] = destHealth{consecFails: h.ConsecFails, quarantined: h.Quarantined}
-	}
-	rs.accs = make([]*Accumulator, len(ck.Workers))
-	for w := range ck.Workers {
-		a, err := restoreAcc(ck.Workers[w])
-		if err != nil {
-			return fmt.Errorf("measure: worker %d: %w", w, err)
-		}
-		rs.accs[w] = a
-	}
-	if c.cfg.Batch {
-		rs.hints = make([]PathHints, len(ck.ParisHint))
-		for i := range rs.hints {
-			rs.hints[i] = PathHints{Paris: ck.ParisHint[i], Classic: ck.ClasHint[i]}
-		}
-	}
-	c.resume = rs
+	copy(c.runs, ck.Dests)
+	c.resume = &resumeState{nextRound: ck.NextRound, accs: accs}
 	return nil
 }

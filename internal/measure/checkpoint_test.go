@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -373,10 +374,132 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := LoadCheckpoint(filepath.Join(dir, "absent.ck")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing file: got %v, want ErrNotExist", err)
 	}
-	// A checkpoint struct of another version is never written as this one.
-	ck.Version = 2
-	if err := ck.Save(filepath.Join(dir, "v2.ck")); err == nil {
-		t.Error("Save wrote a version-2 struct in the version-3 layout")
+	// The previous binary version is refused by version, with no upgrade
+	// path: testdata/toy-v3.ck is the golden file of the version-3 layout.
+	if _, err := LoadCheckpoint(filepath.Join("testdata", "toy-v3.ck")); !errors.Is(err, ckpt.ErrVersion) {
+		t.Errorf("version-3 checkpoint: got %v, want ErrVersion", err)
+	}
+
+	// The digest covers the batch window, as the daemon's always has.
+	cfg4 := checkpointConfig(sc2, ckPath)
+	cfg4.BatchWindow = 5
+	windowed, err := NewCampaign(netsim.NewTransport(sc2.Net), cfg4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := windowed.Resume(ck); !errors.Is(err, ErrDigest) {
+		t.Errorf("Resume under another BatchWindow: got %v, want ErrDigest", err)
+	}
+
+	// A frame that verifies around a body no run can have written — a
+	// negative round cursor, a cursor past the campaign's end, a negative
+	// failure count — is refused by Restore, not resumed.
+	for name, tamper := range map[string]func(*Checkpoint){
+		"negative cursor":   func(c *Checkpoint) { c.NextRound = -1 },
+		"cursor past end":   func(c *Checkpoint) { c.NextRound = 9 },
+		"negative budget":   func(c *Checkpoint) { c.Dests[3].ConsecFails = -2 },
+		"missing dest":      func(c *Checkpoint) { c.Dests = c.Dests[1:] },
+		"extra accumulator": func(c *Checkpoint) { c.Workers = append(c.Workers, AccState{}) },
+	} {
+		bad := *ck
+		bad.Dests = slices.Clone(ck.Dests)
+		tamper(&bad)
+		if err := camp.Resume(&bad); err == nil || errors.Is(err, ErrDigest) {
+			t.Errorf("%s: Resume returned %v, want a refusal of the body", name, err)
+		}
+	}
+}
+
+// TestUnbatchedCampaignCheckpointsHints: the path hints ride every
+// checkpoint, not only a batched campaign's — a Prober sizes its routes from
+// them either way — so a halted and resumed unbatched campaign holds the
+// DestRun records it was halted with.
+func TestUnbatchedCampaignCheckpointsHints(t *testing.T) {
+	const dests, killAt = 20, 2
+	ckPath := filepath.Join(t.TempDir(), "unbatched.ck")
+	build := func() (*Campaign, *topo.Scenario) {
+		sc := topo.Generate(invarianceConfig(dests))
+		cfg := checkpointConfig(sc, ckPath)
+		cfg.Batch = false
+		camp, err := NewCampaign(netsim.NewTransport(sc.Net), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return camp, sc
+	}
+	halted, sc := build()
+	ctx, cancel := context.WithCancel(context.Background())
+	halted.cfg.RoundStart = func(r int) {
+		if r == killAt {
+			cancel()
+		}
+		sc.RoundStart(r)
+	}
+	if _, err := halted.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("halted run returned %v", err)
+	}
+	for i, r := range halted.runs {
+		if r.Hints.Paris == 0 || r.Hints.Classic == 0 {
+			t.Fatalf("destination %d has no hints after %d rounds: %+v", i, killAt, r)
+		}
+	}
+	ck, err := LoadCheckpoint(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, _ := build()
+	if err := resumed.Resume(ck); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed.runs, halted.runs) {
+		t.Errorf("resumed DestRuns differ from the halted campaign's:\nhalted:  %+v\nresumed: %+v", halted.runs, resumed.runs)
+	}
+}
+
+// TestDestRun pins the error budget's two transitions, the one place they
+// are written: a success resets the count and takes the new hints, the
+// quarantineAfter-th consecutive failure quarantines exactly once, and a
+// quarantined destination stays quarantined.
+func TestDestRun(t *testing.T) {
+	const fail, ok = false, true
+	for _, tc := range []struct {
+		name            string
+		after           int
+		pairs           []bool
+		wantFails       int
+		wantQuarantined bool
+		wantJust        int // how many Failed calls reported the quarantine
+	}{
+		{"fresh", 3, nil, 0, false, 0},
+		{"below the budget", 3, []bool{fail, fail}, 2, false, 0},
+		{"success resets", 3, []bool{fail, fail, ok, fail, fail}, 2, false, 0},
+		{"k-th in a row quarantines", 3, []bool{fail, ok, fail, fail, fail}, 3, true, 1},
+		{"quarantines once", 2, []bool{fail, fail, fail, fail}, 4, true, 1},
+		{"budget of one", 1, []bool{ok, fail}, 1, true, 1},
+		{"stays quarantined", 2, []bool{fail, fail, ok}, 0, true, 1},
+	} {
+		var r DestRun
+		just := 0
+		for i, succeeded := range tc.pairs {
+			if succeeded {
+				r.Succeeded(PathHints{Paris: i + 1, Classic: i + 2})
+				if r.Hints.Paris != i+1 || r.Hints.Classic != i+2 {
+					t.Errorf("%s: Succeeded left hints %+v", tc.name, r.Hints)
+				}
+				continue
+			}
+			hints := r.Hints
+			if r.Failed(tc.after) {
+				just++
+			}
+			if r.Hints != hints {
+				t.Errorf("%s: Failed changed the hints", tc.name)
+			}
+		}
+		if r.ConsecFails != tc.wantFails || r.Quarantined != tc.wantQuarantined || just != tc.wantJust {
+			t.Errorf("%s: %+v with %d quarantine reports, want fails=%d quarantined=%v reports=%d",
+				tc.name, r, just, tc.wantFails, tc.wantQuarantined, tc.wantJust)
+		}
 	}
 }
 
@@ -445,7 +568,7 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 	}
 }
 
-// goldenConfig is the toy campaign testdata/toy-v3.ck was written by: small
+// goldenConfig is the toy campaign testdata/toy-v4.ck was written by: small
 // enough to commit, large enough to meet a loop (so the per-cause map, the
 // loop address set and the signature spans are not all empty).
 func goldenConfig(path string) (*topo.Scenario, Config) {
@@ -457,7 +580,7 @@ func goldenConfig(path string) (*topo.Scenario, Config) {
 	return sc, cfg
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v3.ck from the current encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v4.ck from the current encoder")
 
 // TestCheckpointGolden pins the wire format: the toy campaign halted after
 // three rounds must write the committed file byte for byte, and the
@@ -466,7 +589,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v3.ck from t
 // (go test -run TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
 	const killAt = 3
-	golden := filepath.Join("testdata", "toy-v3.ck")
+	golden := filepath.Join("testdata", "toy-v4.ck")
 	ckPath := filepath.Join(t.TempDir(), "toy.ck")
 
 	sc, cfg := goldenConfig(ckPath)

@@ -23,7 +23,6 @@ import (
 // structure can occupy; the decoder checks every count against the bytes
 // that remain before allocating (ckpt.Decoder.Len).
 const (
-	minHealth   = 2  // ConsecFails, Quarantined
 	minAccState = 22 // 15 integers, 2 maps, 4 address sets, Dests
 	minCause    = 2  // cause, count
 	minDest     = 6  // address tag, SawLoop, SawCycle, 3 counts
@@ -32,36 +31,33 @@ const (
 	minSig      = 3  // address tag, LastRound, Rounds
 )
 
-func (ck *Checkpoint) encode(e *ckpt.Encoder) {
+// Encode appends the run body: a campaign checkpoint is exactly this, the
+// daemon's continues with its schedule section.
+func (ck *Checkpoint) Encode(e *ckpt.Encoder) {
 	e.U64(ck.Digest)
 	e.Int(int64(ck.NextRound))
-	e.Len(len(ck.Health))
-	for _, h := range ck.Health {
-		e.Int(int64(h.ConsecFails))
-		e.Bool(h.Quarantined)
-	}
-	encodeInts(e, ck.ParisHint)
-	encodeInts(e, ck.ClasHint)
 	e.Bytes(ck.Transport)
+	e.Len(len(ck.Dests))
+	for i := range ck.Dests {
+		ck.Dests[i].encode(e)
+	}
 	e.Len(len(ck.Workers))
 	for w := range ck.Workers {
 		ck.Workers[w].Encode(e)
 	}
 }
 
-func (ck *Checkpoint) decode(d *ckpt.Decoder) {
-	ck.Version = CheckpointVersion
+// Decode reads one run body written by Encode into ck, which must be zero.
+func (ck *Checkpoint) Decode(d *ckpt.Decoder) {
 	ck.Digest = d.U64()
 	ck.NextRound = int(d.Int())
-	if n := d.Len(minHealth); n > 0 {
-		ck.Health = make([]HealthState, n)
-		for i := range ck.Health {
-			ck.Health[i] = HealthState{ConsecFails: int(d.Int()), Quarantined: d.Bool()}
+	ck.Transport = d.Bytes()
+	if n := d.Len(minDestRun); n > 0 {
+		ck.Dests = make([]DestRun, n)
+		for i := range ck.Dests {
+			ck.Dests[i].decode(d)
 		}
 	}
-	ck.ParisHint = decodeInts(d)
-	ck.ClasHint = decodeInts(d)
-	ck.Transport = d.Bytes()
 	if n := d.Len(minAccState); n > 0 {
 		ck.Workers = make([]AccState, n)
 		for w := range ck.Workers {
@@ -70,8 +66,7 @@ func (ck *Checkpoint) decode(d *ckpt.Decoder) {
 	}
 }
 
-// Encode appends the accumulator state to a checkpoint body. The campaign
-// checkpoint writes one per worker, the daemon checkpoint exactly one.
+// Encode appends the accumulator state to a checkpoint body.
 func (st *AccState) Encode(e *ckpt.Encoder) {
 	for _, v := range []int{
 		st.Routes, st.Reached, st.Responses, st.MidStars,
@@ -149,25 +144,6 @@ func (st *AccState) Decode(d *ckpt.Decoder) {
 		dc.LoopSigs = decodeSigs(d)
 		dc.CycleSigs = decodeSigs(d)
 	}
-}
-
-func encodeInts(e *ckpt.Encoder, vs []int) {
-	e.Len(len(vs))
-	for _, v := range vs {
-		e.Int(int64(v))
-	}
-}
-
-func decodeInts(d *ckpt.Decoder) []int {
-	n := d.Len(1)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = int(d.Int())
-	}
-	return vs
 }
 
 func encodeAddrs(e *ckpt.Encoder, as []netip.Addr) {

@@ -16,23 +16,27 @@ import (
 // accepted, encodes the result again.
 func recodeCheckpoint(file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
-	if err := ckpt.Decode(file, ckpt.KindCampaign, CheckpointVersion, ck.decode); err != nil {
+	if err := ckpt.Decode(file, ckpt.KindCampaign, CheckpointVersion, ck.Decode); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	err := ckpt.Encode(&buf, ckpt.KindCampaign, CheckpointVersion, ck.encode)
+	err := ckpt.Encode(&buf, ckpt.KindCampaign, CheckpointVersion, ck.Encode)
 	return buf.Bytes(), err
 }
 
 // FuzzDecodeCheckpoint: the campaign checkpoint decoder is total on
 // arbitrary bytes (see ckpttest.Check for the properties). Seeded with the
-// golden toy checkpoint and its truncation ladder.
+// golden toy checkpoint and its truncation ladder, and with the previous
+// version's golden, whose body Check also wraps in a current frame: the old
+// layout read as the new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "toy-v3.ck"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"toy-v4.ck", "toy-v3.ck"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		ckpttest.Seed(f, golden)
 	}
-	ckpttest.Seed(f, golden)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ckpttest.Check(t, ckpt.KindCampaign, CheckpointVersion, data, recodeCheckpoint)
 	})

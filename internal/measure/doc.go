@@ -112,8 +112,12 @@
 // destination's error budget; after Config.QuarantineAfter consecutive
 // failed rounds the destination is quarantined and its remaining rounds are
 // recorded as Skipped pairs without probing. One successful pair resets the
-// budget. Failed and Skipped pairs fold into Stats.Robust (probed/failed/
-// skipped/quarantined accounting) and never touch the anomaly statistics.
+// budget. The budget lives in one place, DestRun (Succeeded, Failed), which
+// the campaign keeps per destination, the daemon embeds in its scheduler
+// entry, and both checkpoint as it is — so the two runtimes cannot disagree
+// on when a destination is quarantined. Failed and Skipped pairs (FailedPair,
+// SkippedPair) fold into Stats.Robust (probed/failed/skipped/quarantined
+// accounting) and never touch the anomaly statistics.
 // Config.FailFast restores the historical semantics: the first error aborts
 // the round and fails the campaign. Cancellation of the RunContext context
 // is always fatal-but-graceful: workers stop at the next destination, the
@@ -127,13 +131,14 @@
 // rounds: the per-worker accumulator partials (interned routes with full
 // hop data, scalar tallies, signature spans — the memo and graph layers are
 // rebuilt on load by replaying the interned routes through the same
-// analysis code), the per-destination error budgets, the batching path
-// hints, an opaque Config.TransportState payload, and the next round to
-// run. Files are written atomically (temp file + rename), so a kill leaves
+// analysis code), the per-destination DestRun records (error budget and
+// path hints), an opaque Config.TransportState payload, and the next round
+// to run. Files are written atomically (temp file + rename), so a kill leaves
 // either the previous or the new checkpoint, never a torn one. See the
 // Checkpoint type for the format and compatibility contract (documented in
-// docs/checkpoint.md); Resume validates a config digest so a checkpoint can
-// only continue the campaign shape that wrote it. A resumed streaming
+// docs/checkpoint.md); Resume goes through Checkpoint.Restore — the restore
+// path the daemon shares — which validates a config digest (RunDigest) so a
+// checkpoint can only continue the campaign shape that wrote it. A resumed streaming
 // campaign replays RoundStart for the completed rounds and produces
 // statistics byte-identical to the uninterrupted run whenever the
 // transport's dynamics are themselves replayable (see topo.Generate:

@@ -120,7 +120,7 @@ func referenceCheckpoint(t *testing.T, c *Campaign, res *Results) []byte {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "reference.ck")
-	if err := c.checkpoint(len(res.Rounds), accs, make([]destHealth, len(c.cfg.Dests))).Save(path); err != nil {
+	if err := c.checkpoint(len(res.Rounds), accs).Save(path); err != nil {
 		t.Fatal(err)
 	}
 	return readFile(t, path)

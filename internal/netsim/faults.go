@@ -91,11 +91,6 @@ type DestSchedule struct {
 	StallStart, StallLen         int
 }
 
-// Faulty reports whether the schedule afflicts the destination at all.
-func (s DestSchedule) Faulty() bool {
-	return s.Transient || s.Blackhole || s.Drop || s.Panic || s.Stall
-}
-
 // ScheduleFor resolves the plan for one destination. It is a pure function
 // of (Seed, dst), so tests derive expected failure counts from the same
 // schedules the transport enforces.

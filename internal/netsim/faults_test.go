@@ -65,7 +65,7 @@ func TestScheduleForDeterministic(t *testing.T) {
 		if a != b {
 			t.Fatalf("ScheduleFor(%v) not deterministic: %+v vs %+v", dst, a, b)
 		}
-		if a.Faulty() {
+		if a != (DestSchedule{}) {
 			anyFaulty = true
 		} else {
 			anyClean = true

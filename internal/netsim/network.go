@@ -269,17 +269,6 @@ func (n *Network) RouterAt(a netip.Addr) (*Router, bool) {
 	return n.nodes[id].router, true
 }
 
-// HostAt returns the host owning the given address.
-func (n *Network) HostAt(a netip.Addr) (*Host, bool) {
-	n.topoMu.RLock()
-	defer n.topoMu.RUnlock()
-	id := n.nodeOf(a)
-	if id < 0 || n.nodes[id].host == nil {
-		return nil, false
-	}
-	return n.nodes[id].host, true
-}
-
 // OnSend registers a hook invoked (outside any network lock) with the
 // running probe count and the serialized probe before each Exchange; the
 // hook must treat the probe as read-only and must itself be safe for

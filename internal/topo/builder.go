@@ -188,21 +188,6 @@ func (b *Builder) AttachHost(r *netsim.Router, name string, private bool) *netsi
 	return h
 }
 
-// InstallDestRoute installs /32 routes toward dest along a chain of routers:
-// path[i] forwards to the interface of path[i+1] created by their Link; the
-// caller supplies the hop interface for each step. Most callers use Chain or
-// the generator instead.
-func (b *Builder) InstallDestRoute(dest netip.Addr, steps []RouteStep) {
-	for _, s := range steps {
-		s.On.AddRoute(netsim.Route{
-			Prefix:   netip.PrefixFrom(dest, 32),
-			Hops:     s.Via,
-			Balance:  s.Balance,
-			FlowOpts: s.FlowOpts,
-		})
-	}
-}
-
 // RouteStep is one step of a destination route: router On forwards matching
 // packets to one of Via (balanced by Balance when several).
 type RouteStep struct {

@@ -105,16 +105,6 @@ func (p *Pacer) SetRate(rate float64) {
 	p.rate = rate
 }
 
-// Rate returns the current admission rate in probes per second.
-func (p *Pacer) Rate() float64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rate
-}
-
 // Waits reports how many Take calls blocked and for how long in total —
 // the backpressure observability the daemon's stats surface serves.
 func (p *Pacer) Waits() (int64, time.Duration) {

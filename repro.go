@@ -16,8 +16,7 @@
 //     campaign generator;
 //   - internal/tracer  — classic, Paris, and TCP traceroute engines;
 //   - internal/anomaly — loop/cycle/diamond detection and classification;
-//   - internal/measure — the Section 3/4 campaign engine and statistics;
-//   - internal/core    — the high-level workflow API.
+//   - internal/measure — the Section 3/4 campaign engine and statistics.
 //
 // Quick start (simulated network):
 //
@@ -32,15 +31,28 @@ package repro
 import (
 	"net/netip"
 
-	"repro/internal/core"
+	"repro/internal/anomaly"
 	"repro/internal/measure"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 	"repro/internal/tracer"
 )
 
-// Session is the high-level measurement API (see internal/core).
-type Session = core.Session
+// Session is the high-level measurement API: the paper's side-by-side
+// methodology, one destination at a time, with the study's probing shape
+// (measure.ProbeConfig's defaults). Not safe for concurrent use.
+type Session struct {
+	prober *measure.Prober
+	// pairs counts MeasurePair calls. Each is a new classic traceroute
+	// process with a new PID-derived source port, which the prober derives
+	// from the round it is told.
+	pairs int
+}
+
+// NewSession creates a session over any transport.
+func NewSession(tp tracer.Transport) *Session {
+	return &Session{prober: measure.NewProber(tp, measure.ProbeConfig{})}
+}
 
 // NewSimulatedSession generates a random Internet-like scenario with the
 // given seed and returns a measurement session over it together with the
@@ -50,7 +62,29 @@ func NewSimulatedSession(seed int64, destinations int) (*Session, []netip.Addr) 
 	cfg.Seed = seed
 	cfg.Destinations = destinations
 	sc := topo.Generate(cfg)
-	return core.NewSession(netsim.NewTransport(sc.Net)), sc.Dests
+	return NewSession(netsim.NewTransport(sc.Net)), sc.Dests
+}
+
+// PairResult is the outcome of one side-by-side measurement: both routes,
+// and every loop and cycle of the classic one with its cause attributed
+// against the Paris one (anomaly.PairClass; ParisOnly counts the loops only
+// Paris saw).
+type PairResult struct {
+	Paris, Classic *tracer.Route
+	anomaly.PairClass
+}
+
+// MeasurePair runs the paper's two-step measurement toward dest — a Paris
+// traceroute with an unchanging five-tuple, then a classic traceroute — and
+// classifies the anomalies.
+func (s *Session) MeasurePair(dest netip.Addr) (*PairResult, error) {
+	var hints measure.PathHints
+	p, err := s.prober.MeasurePair(dest, s.pairs, &hints)
+	s.pairs++
+	if err != nil {
+		return nil, err
+	}
+	return &PairResult{Paris: p.Paris, Classic: p.Classic, PairClass: anomaly.ClassifyPair(p.Classic, p.Paris)}, nil
 }
 
 // NewParisUDP returns the Paris traceroute engine (UDP probing, constant
