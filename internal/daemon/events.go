@@ -51,8 +51,11 @@ type Event struct {
 // channel drops the event for that subscriber and counts it, so a wedged
 // /events client cannot apply backpressure to the measurement loop.
 type eventHub struct {
-	mu      sync.Mutex
-	ring    []Event // ring[i%cap], valid for seq in (nextSeq-len, nextSeq]
+	mu sync.Mutex
+	// ring holds the event numbered Seq at ring[(Seq-1)%len], from the
+	// first publish on and wherever recovery put the cursor; a slot holding
+	// any other Seq (zero: never written) has nothing to replay.
+	ring    []Event
 	nextSeq int64
 	subs    map[int]chan Event
 	nextSub int
@@ -64,7 +67,7 @@ func newEventHub(ringCap int) *eventHub {
 	if ringCap < 1 {
 		ringCap = 1
 	}
-	return &eventHub{ring: make([]Event, 0, ringCap), subs: make(map[int]chan Event)}
+	return &eventHub{ring: make([]Event, ringCap), subs: make(map[int]chan Event)}
 }
 
 // publish assigns the next sequence number, buffers, and fans out.
@@ -76,11 +79,7 @@ func (h *eventHub) publish(e Event) {
 	}
 	h.nextSeq++
 	e.Seq = h.nextSeq
-	if len(h.ring) < cap(h.ring) {
-		h.ring = append(h.ring, e)
-	} else {
-		h.ring[int((e.Seq-1)%int64(cap(h.ring)))] = e
-	}
+	h.ring[(e.Seq-1)%int64(len(h.ring))] = e
 	for _, ch := range h.subs {
 		select {
 		case ch <- e:
@@ -101,11 +100,9 @@ func (h *eventHub) subscribe(since int64) (replay []Event, ch chan Event, cancel
 		close(ch)
 		return nil, ch, func() {}
 	}
-	for i := 0; i < len(h.ring); i++ {
-		// Oldest buffered seq is nextSeq-len+1; walk in seq order.
-		seq := h.nextSeq - int64(len(h.ring)) + 1 + int64(i)
-		e := h.ring[int((seq-1)%int64(cap(h.ring)))]
-		if e.Seq > since {
+	// The ring reaches back len events from the cursor; walk in seq order.
+	for seq := max(since, h.nextSeq-int64(len(h.ring)), 0) + 1; seq <= h.nextSeq; seq++ {
+		if e := h.ring[(seq-1)%int64(len(h.ring))]; e.Seq == seq {
 			replay = append(replay, e)
 		}
 	}

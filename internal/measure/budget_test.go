@@ -38,7 +38,7 @@ func newSteadyWorkerOn(tb testing.TB, gen topo.GenConfig) *steadyWorker {
 		tb.Fatal(err)
 	}
 	w := &steadyWorker{c: c, sc: sc, acc: NewAccumulator()}
-	w.ring = foldRing{acc: w.acc, prober: c.probers[0], every: c.cfg.FoldEvery}
+	w.ring = foldRing{acc: w.acc, prober: c.probers[0], every: c.foldEvery}
 	return w
 }
 

@@ -61,14 +61,6 @@ type Config struct {
 	// with statistics byte-identical to Analyze over retained results
 	// (see the package comment's streaming contract). Off by default.
 	Stream bool
-	// FoldEvery batches the streaming folds: each worker stages completed
-	// pairs in a small ring and folds K at a time, amortizing the
-	// accumulator's cold-map walks at small round counts. Zero selects
-	// DefaultFoldEvery; 1 folds every pair the moment it completes.
-	// Statistics are identical for every K — batching defers folds but
-	// never reorders them. Ignored unless Stream is set.
-	FoldEvery int
-
 	// FailFast restores the historical abort semantics: the first trace
 	// error any worker hits stops the round and fails the campaign. By
 	// default (false) the campaign degrades instead — see the package
@@ -138,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConsecutiveStars <= 0 {
 		c.MaxConsecutiveStars = 8
-	}
-	if c.FoldEvery <= 0 {
-		c.FoldEvery = DefaultFoldEvery
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -244,6 +233,9 @@ type Campaign struct {
 	// runs); the next RunContext consumes it and continues from its round
 	// cursor.
 	resume *resumeState
+	// foldEvery is the workers' fold-batch size: the constant, except in the
+	// tests that prove statistics do not depend on it.
+	foldEvery int
 }
 
 // resumeState carries a loaded checkpoint into the next RunContext call.
@@ -261,10 +253,11 @@ func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 		return nil, err
 	}
 	c := &Campaign{
-		cfg:     cfg,
-		probers: make([]*Prober, cfg.Workers),
-		plan:    workerPlan(cfg),
-		runs:    make([]DestRun, len(cfg.Dests)),
+		cfg:       cfg,
+		probers:   make([]*Prober, cfg.Workers),
+		plan:      workerPlan(cfg),
+		runs:      make([]DestRun, len(cfg.Dests)),
+		foldEvery: foldEvery,
 	}
 	pc := ProbeConfig{
 		MinTTL:              cfg.MinTTL,
@@ -407,7 +400,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 	if c.cfg.Stream {
 		rings = make([]foldRing, len(accs))
 		for w := range rings {
-			rings[w] = foldRing{acc: accs[w], prober: c.probers[w], every: c.cfg.FoldEvery}
+			rings[w] = foldRing{acc: accs[w], prober: c.probers[w], every: c.foldEvery}
 		}
 	}
 	canceled := false

@@ -39,7 +39,7 @@
 // With Config.Stream set, the campaign computes its statistics while it
 // probes instead of materializing every Pair: each worker owns one
 // Accumulator and folds every pair it measures as the pair completes —
-// staged through a small per-worker ring that folds Config.FoldEvery pairs
+// staged through a small per-worker ring that folds sixteen pairs
 // at a time (deferring folds for map locality, never reordering them).
 // Ownership does the synchronization — the worker plan is fixed
 // for the campaign's lifetime, so all of a destination's pairs flow

@@ -321,11 +321,12 @@ func TestPoisonedFailFastAbort(t *testing.T) {
 		ft := &nthBatchFailer{BatchTransport: netsim.NewTransport(sc.Net), n: 150}
 		c, err := NewCampaign(ft, Config{
 			Dests: sc.Dests, Rounds: 4, Workers: 1, RoundStart: sc.RoundStart, PortSeed: 42,
-			Batch: true, Stream: true, FailFast: true, FoldEvery: 1 << 20,
+			Batch: true, Stream: true, FailFast: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.foldEvery = 1 << 20
 		recycled := new(poisonCount)
 		if poisoned {
 			recycled = poison(c)

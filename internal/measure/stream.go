@@ -122,16 +122,17 @@ func note(sigs map[netip.Addr]*sigSpan, addr netip.Addr, round int) {
 	}
 }
 
-// DefaultFoldEvery is the per-worker fold-batch size the streaming campaign
-// uses when Config.FoldEvery is zero: completed pairs stage in a small ring
-// and fold K at a time, so the accumulator's interning maps are walked in
-// bursts while hot instead of once per trace while cold. This closes the
-// small-study locality gap the ROADMAP tracked (fold-as-you-go cost ~13%
-// extra wall at small round counts) without changing a single statistic:
-// batching only defers folds, it never reorders them, so the per-
-// destination nondecreasing-round contract — and with it byte-identical
-// Stats — holds for every K (TestCampaignStreamInvariance pins K=1 vs 16).
-const DefaultFoldEvery = 16
+// foldEvery is the per-worker fold-batch size of the streaming campaign:
+// completed pairs stage in a small ring and fold K at a time, so the
+// accumulator's interning maps are walked in bursts while hot instead of
+// once per trace while cold. This closes the small-study locality gap the
+// ROADMAP tracked (fold-as-you-go cost ~13% extra wall at small round
+// counts) without changing a single statistic: batching only defers folds,
+// it never reorders them, so the per-destination nondecreasing-round
+// contract — and with it byte-identical Stats — holds for every K
+// (TestCampaignStreamInvarianceFoldEvery pins K=1 against 2, 16 and 1<<20
+// through Campaign.foldEvery), which is why K is not an option.
+const foldEvery = 16
 
 // foldRing is one worker's staging buffer: completed pairs folded every at
 // a time, in completion order, into the worker's accumulator, their routes

@@ -14,7 +14,7 @@ import (
 // runStreamStats executes one campaign over a fresh copy of the
 // deterministic scenario with the streaming accumulators on or off and
 // returns the statistics either path yields.
-func runStreamStats(t *testing.T, stream, batch bool, shards, workers, dests, rounds, foldEvery int) *Stats {
+func runStreamStats(t *testing.T, stream, batch bool, shards, workers, dests, rounds, every int) *Stats {
 	t.Helper()
 	cfg := invarianceConfig(dests)
 	cfg.Shards = shards
@@ -28,10 +28,12 @@ func runStreamStats(t *testing.T, stream, batch bool, shards, workers, dests, ro
 		ShardOf:    sc.ShardOf,
 		Batch:      batch,
 		Stream:     stream,
-		FoldEvery:  foldEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if every > 0 {
+		camp.foldEvery = every
 	}
 	res, err := camp.Run()
 	if err != nil {
@@ -97,7 +99,7 @@ func TestCampaignStreamInvarianceFoldEvery(t *testing.T) {
 	for _, k := range []int{2, 16, 1 << 20} {
 		batched := runStreamStats(t, true, true, 1, 32, dests, rounds, k)
 		if !reflect.DeepEqual(immediate, batched) {
-			t.Errorf("FoldEvery=%d: campaign statistics differ from FoldEvery=1:\nK=1: %+v\nK=%d: %+v",
+			t.Errorf("foldEvery=%d: campaign statistics differ from foldEvery=1:\nK=1: %+v\nK=%d: %+v",
 				k, immediate, k, batched)
 		}
 	}

@@ -70,58 +70,37 @@ func (a *arena) copyOf(p []byte) []byte {
 func (a *arena) rewind() { a.off = 0 }
 
 // exchCtx carries the per-exchange state the forwarding walk threads through
-// its helpers: the probe's private RNG stream and, on the batch path, the
-// arena. The zero value (heap-allocated responses) is the sequential
-// Exchange configuration.
+// its helpers: the probe's private RNG stream, the arena every packet of the
+// exchange is carved from, and the virtual-clock layer. One is drawn from
+// ctxPool per batch and recycled probe to probe.
 type exchCtx struct {
-	rng prng
-	// arena serves response marshal buffers; nil falls back to the heap.
-	arena *arena
-	// dyn and clk are the virtual-clock layer for this exchange; both nil
-	// when dynamics are disabled. The clock is reset per probe — each
-	// exchange runs its own event loop (see vclock.go on why batches are
-	// not interleaved by virtual time).
-	dyn *dynamics
-	clk *vclock
-}
-
-// respBuf returns an arena buffer for a response packet of the given size,
-// or nil to let the packet marshaller allocate.
-func (c *exchCtx) respBuf(n int) []byte {
-	if c.arena == nil {
-		return nil
-	}
-	return c.arena.take(n)
-}
-
-// batchState is the pooled per-exchange scratch: the arena and the context
-// of a batch, and the virtual clock of either path, recycled through
-// batchPool.
-type batchState struct {
+	rng   prng
 	arena arena
-	clk   vclock
-	ctx   exchCtx
+	// dyn is the dynamics layer, nil when disabled; clk is this exchange's
+	// clock on it, reset per probe — each exchange keeps its own time (see
+	// vclock.go on why batches are not interleaved by virtual time).
+	dyn *dynamics
+	clk vclock
 }
 
-var batchPool = sync.Pool{New: func() any { return new(batchState) }}
+var ctxPool = sync.Pool{New: func() any { return new(exchCtx) }}
 
 // ExchangeBatch performs len(probes) probe/response exchanges as one unit of
 // work, writing the i-th outcome into out[i]; out must be at least as long
-// as probes. It is the amortized equivalent of calling Exchange once per
-// probe — and deterministically equal to it: the batch reserves one
-// contiguous block of the network's probe counter, so probe i derives
-// exactly the RNG stream (and OnSend hook count) it would have drawn as the
-// corresponding sequential Exchange.
+// as probes. It is the one entry into the forwarding walk — Exchange is a
+// batch of one — and deterministically equal to exchanging the probes one
+// at a time: the batch reserves one contiguous block of the network's probe
+// counter, so probe i derives exactly the RNG stream (and OnSend hook count)
+// it would have drawn alone.
 //
 // The topology read lock is held across the whole batch, and probe copies
 // plus originated responses are carved from a pooled arena instead of the
-// heap. Every probe walks the one path Exchange walks — per-visit config and
-// table loads — so a hook's, or another goroutine's, SetFaults or
-// RewriteRoutes is seen by the very next visit. See the package comment's
-// batch contract for the full determinism and ownership rules.
+// heap. Per-visit config and table loads mean a hook's, or another
+// goroutine's, SetFaults or RewriteRoutes is seen by the very next visit.
+// See the package comment's exchange contract for the full determinism,
+// hook and ownership rules.
 //
-// ExchangeBatch is safe for concurrent use alongside Exchange and other
-// batches.
+// ExchangeBatch is safe for concurrent use.
 func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 	if len(out) < len(probes) {
 		panic("netsim: ExchangeBatch result slice shorter than probe slice")
@@ -139,35 +118,29 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 	}
 	hooks := n.onSend
 
-	st := batchPool.Get().(*batchState)
-	defer batchPool.Put(st)
-	st.arena.rewind()
-	st.ctx = exchCtx{arena: &st.arena}
-	dy := n.dyn.Load()
-	var vround int64
-	if dy != nil {
-		vround = n.vround.Load()
-		st.ctx.dyn, st.ctx.clk = dy, &st.clk
-	}
+	ctx := ctxPool.Get().(*exchCtx)
+	defer ctxPool.Put(ctx)
+	ctx.arena.rewind()
+	// Loaded under the lock: the installed layer's link table covers every
+	// node registered so far.
+	ctx.dyn = n.dyn.Load()
+	vround := n.vround.Load()
 
 	for i, probe := range probes {
 		count := base + int64(i) + 1
-		// Hooks run under the topology read lock here (sequential
-		// Exchange releases it first): they may mutate router config
-		// and forwarding tables, but must not register topology.
 		for _, f := range hooks {
 			f(int(count), probe)
 		}
-		st.ctx.rng = prng{state: keyhash.Mix64(n.seed ^ keyhash.Mix64(uint64(count)))}
-		if dy != nil {
-			st.clk.reset(dy.probeStart(vround, probe))
+		ctx.rng = prng{state: keyhash.Mix64(n.seed ^ keyhash.Mix64(uint64(count)))}
+		if ctx.dyn != nil {
+			ctx.clk.reset(ctx.dyn.probeStart(vround, probe))
 		}
-		pkt := st.arena.copyOf(probe)
-		resp, steps, ok := n.run(&st.ctx, pkt, n.srcGW, false)
+		// Copy: forwarding mutates TTL/checksum/src in place.
+		resp, steps, ok := n.run(ctx, ctx.arena.copyOf(probe), n.srcGW, false)
 		out[i].Steps, out[i].OK = steps, ok
 		out[i].RTT = 0
-		if ok && dy != nil {
-			out[i].RTT = st.clk.elapsed()
+		if ok && ctx.dyn != nil {
+			out[i].RTT = ctx.clk.elapsed()
 		}
 		if ok {
 			out[i].Resp = append(out[i].Resp[:0], resp...)
@@ -176,6 +149,6 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 		}
 		// Everything this exchange carved from the arena is dead now
 		// that the response is copied out; reuse the space.
-		st.arena.rewind()
+		ctx.arena.rewind()
 	}
 }

@@ -55,8 +55,7 @@ func (h *Host) nextIPID() uint16 {
 
 // respond builds the host's response to the delivered packet (already
 // parsed into ih/payload by the forwarding engine), or returns nil if the
-// host stays silent. Response buffers come from ctx's arena when one is
-// installed (the batch path) and from the heap otherwise.
+// host stays silent. Response buffers come from ctx's arena.
 func (h *Host) respond(ctx *exchCtx, ih *packet.IPv4, payload, pkt []byte) []byte {
 	if h.Silent {
 		return nil
@@ -107,7 +106,7 @@ func (h *Host) respond(ctx *exchCtx, ih *packet.IPv4, payload, pkt []byte) []byt
 			Src:      h.Addr,
 			Dst:      ih.Src,
 		}
-		out, err := ip.MarshalInto(ctx.respBuf(ip.HeaderLen()+len(seg)), seg)
+		out, err := ip.MarshalInto(ctx.arena.take(ip.HeaderLen()+len(seg)), seg)
 		if err != nil {
 			return nil
 		}
@@ -129,7 +128,7 @@ func (h *Host) marshalICMP(ctx *exchCtx, m *packet.ICMP, dst netip.Addr) []byte 
 		Src:      h.Addr,
 		Dst:      dst,
 	}
-	out, err := packet.MarshalIPv4ICMPInto(ctx.respBuf(packet.IPv4ICMPLen(&ip, m)), &ip, m)
+	out, err := packet.MarshalIPv4ICMPInto(ctx.arena.take(packet.IPv4ICMPLen(&ip, m)), &ip, m)
 	if err != nil {
 		return nil
 	}

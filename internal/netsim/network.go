@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/keyhash"
 	"repro/internal/packet"
@@ -269,11 +268,15 @@ func (n *Network) RouterAt(a netip.Addr) (*Router, bool) {
 	return n.nodes[id].router, true
 }
 
-// OnSend registers a hook invoked (outside any network lock) with the
-// running probe count and the serialized probe before each Exchange; the
-// hook must treat the probe as read-only and must itself be safe for
-// concurrent invocation, since parallel exchanges call it in parallel.
-// Routing-change and forwarding-loop injection hang off this hook.
+// OnSend registers a hook invoked with the running probe count and the
+// serialized probe before each probe forwards; the hook must treat the probe
+// as read-only and must itself be safe for concurrent invocation, since
+// parallel exchanges call it in parallel. Routing-change and forwarding-loop
+// injection hang off this hook. Hooks run under the topology read lock: they
+// may rewrite routes and faults (RewriteRoutes, SetFaults — the very next
+// router visit sees the change), and must not register topology (AddRouter,
+// AddIface, AttachHost, SetSource and OnSend take the write lock and would
+// self-deadlock).
 func (n *Network) OnSend(f func(count int, probe []byte)) {
 	n.topoMu.Lock()
 	defer n.topoMu.Unlock()
@@ -316,54 +319,16 @@ func (p *prng) Intn(n int) int { return int(p.next() % uint64(n)) }
 // Exchange injects the serialized IPv4 probe at the source gateway and
 // simulates forwarding until a response packet reaches the source, the
 // probe is dropped, or the step guard trips. It returns the serialized
-// response and the total number of node traversals (a latency proxy).
-// ok is false when no response comes back (a star).
+// response, which the caller owns, and the total number of node traversals
+// (a latency proxy). ok is false when no response comes back (a star).
 //
-// Exchange is safe for concurrent use; concurrent calls forward in
+// Exchange is ExchangeBatch with one probe — there is one way into the
+// walk — so it is safe for concurrent use, and concurrent calls forward in
 // parallel under the topology read lock.
 func (n *Network) Exchange(probe []byte) (resp []byte, steps int, ok bool) {
-	resp, steps, _, ok = n.ExchangeV(probe)
-	return resp, steps, ok
-}
-
-// ExchangeV is Exchange plus the probe's virtual round-trip time: the
-// virtual-clock time elapsed between injection and the response reaching
-// the source. rtt is zero when no dynamics layer is installed
-// (SetDynamics) or when no response comes back.
-func (n *Network) ExchangeV(probe []byte) (resp []byte, steps int, rtt time.Duration, ok bool) {
-	count := n.probeCount.Add(1)
-	n.topoMu.RLock()
-	haveEntry := n.haveEntry
-	hooks := n.onSend
-	n.topoMu.RUnlock()
-	if !haveEntry {
-		panic("netsim: SetSource not called")
-	}
-	for _, f := range hooks {
-		f(int(count), probe)
-	}
-
-	ctx := exchCtx{rng: prng{state: keyhash.Mix64(n.seed ^ keyhash.Mix64(uint64(count)))}}
-	// Copy: forwarding mutates TTL/checksum/src in place.
-	pkt := append([]byte(nil), probe...)
-	n.topoMu.RLock()
-	defer n.topoMu.RUnlock()
-	// Loaded under the lock: the installed layer's link table covers every
-	// node registered so far.
-	if dy := n.dyn.Load(); dy != nil {
-		// Only the clock comes from the pooled state: the response of a
-		// sequential exchange is the caller's to keep, so it stays on the
-		// heap.
-		st := batchPool.Get().(*batchState)
-		defer batchPool.Put(st)
-		ctx.dyn, ctx.clk = dy, &st.clk
-		ctx.clk.reset(dy.probeStart(n.vround.Load(), probe))
-	}
-	resp, steps, ok = n.run(&ctx, pkt, n.srcGW, false)
-	if ok && ctx.clk != nil {
-		rtt = ctx.clk.elapsed()
-	}
-	return resp, steps, rtt, ok
+	var out [1]ExchangeResult
+	n.ExchangeBatch([][]byte{probe}, out[:])
+	return out[0].Resp, out[0].Steps, out[0].OK
 }
 
 // dstRef is a packet's destination address resolved against the registry,
@@ -397,7 +362,7 @@ func (n *Network) resolveDst(a netip.Addr) dstRef {
 // resolved against the registry, once per packet version (injection, host
 // response, originated ICMP) and threaded through the walk; a hop is then a
 // node-table index, an atomic config load and a compiled-table index. ctx
-// carries the probe's RNG stream and, on the batch path, the arena.
+// carries the probe's RNG stream, the arena and the virtual clock.
 func (n *Network) run(ctx *exchCtx, pkt []byte, at int32, originated bool) (resp []byte, steps int, ok bool) {
 	var hdr packet.IPv4
 	payload, err := packet.ParseIPv4Into(pkt, &hdr)
@@ -409,7 +374,7 @@ func (n *Network) run(ctx *exchCtx, pkt []byte, at int32, originated bool) (resp
 	// clock; every further traversal is charged where the packet moves
 	// (host handoff, loop bottom). Originated ICMP replies are built in
 	// place and charge nothing until they move.
-	if ctx.clk != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
+	if ctx.dyn != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
 		return nil, 0, false
 	}
 	for ; steps < n.maxSteps; steps++ {
@@ -436,7 +401,7 @@ func (n *Network) run(ctx *exchCtx, pkt []byte, at int32, originated bool) (resp
 				return nil, steps, false
 			}
 			dst = n.resolveDst(hdr.Dst)
-			if ctx.clk != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
+			if ctx.dyn != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
 				return nil, steps, false
 			}
 			continue
@@ -469,7 +434,7 @@ func (n *Network) run(ctx *exchCtx, pkt []byte, at int32, originated bool) (resp
 				return nil, steps, false
 			}
 			if rep == nil {
-				if ctx.clk != nil && !n.advanceClock(ctx, next, via, len(pkt)) {
+				if ctx.dyn != nil && !n.advanceClock(ctx, next, via, len(pkt)) {
 					return nil, steps, false
 				}
 				at, originated = next, false
@@ -639,7 +604,7 @@ func marshalFromRouter(ctx *exchCtx, r *Router, cfg *routerConfig, from, to neti
 		Src:      from,
 		Dst:      to,
 	}
-	out, err := packet.MarshalIPv4ICMPInto(ctx.respBuf(packet.IPv4ICMPLen(&ip, m)), &ip, m)
+	out, err := packet.MarshalIPv4ICMPInto(ctx.arena.take(packet.IPv4ICMPLen(&ip, m)), &ip, m)
 	if err != nil {
 		return nil
 	}
@@ -693,7 +658,7 @@ func routerRespondLocal(ctx *exchCtx, r *Router, cfg *routerConfig, local netip.
 			Src:      local,
 			Dst:      hdr.Src,
 		}
-		out, err := ip.MarshalInto(ctx.respBuf(ip.HeaderLen()+len(seg)), seg)
+		out, err := ip.MarshalInto(ctx.arena.take(ip.HeaderLen()+len(seg)), seg)
 		if err != nil {
 			return nil
 		}

@@ -61,27 +61,24 @@
 //   - Counters (the network probe counter, per-router IP ID and
 //     round-robin counters, per-host IP ID) are atomics.
 //
-// # Batch exchange contract
+// # Exchange contract
 //
-// ExchangeBatch(probes, out) is deterministically equivalent to calling
-// Exchange once per probe in slice order:
+// There is one way into the forwarding walk: ExchangeBatch(probes, out).
+// Exchange is a batch of one, and a batch is deterministically equivalent to
+// exchanging its probes one at a time in slice order:
 //
 //   - The batch reserves one contiguous block of the network probe counter
 //     up front, so probe i derives exactly the (seed, counter) SplitMix64
 //     stream — and OnSend hooks observe exactly the count — it would have
-//     as the corresponding sequential Exchange. Interleaving with other
-//     goroutines' exchanges permutes counter assignment across call sites
-//     but never within a batch.
-//   - OnSend hooks run between probes, before probe i forwards, exactly as
-//     in the sequential path — but under the topology read lock, which the
-//     batch holds across the whole call. Hooks may mutate router config and
-//     forwarding tables (the routing-dynamics gadgets do); they must not
-//     register topology (AddRouter, AddIface, AttachHost, OnSend would
-//     self-deadlock).
+//     alone. Interleaving with other goroutines' exchanges permutes counter
+//     assignment across call sites but never within a batch.
+//   - OnSend hooks run between probes, before probe i forwards, under the
+//     topology read lock the batch holds across the whole call; OnSend says
+//     what a hook may and may not do there.
 //   - Arena ownership: the probe copy and every originated response are
-//     carved from a pooled per-batch arena that is recycled probe to probe
-//     and batch to batch; no arena memory ever escapes ExchangeBatch. The
-//     final response is copied out with append-truncate into the caller's
+//     carved from a pooled arena that is recycled probe to probe and batch
+//     to batch; no arena memory ever escapes ExchangeBatch. The final
+//     response is copied out with append-truncate into the caller's
 //     out[i].Resp, so the caller owns (and should reuse) the result
 //     buffers, and a result is valid until the caller passes the same slot
 //     to another batch. Probes are read-only to the batch and may be
@@ -134,9 +131,9 @@
 // SetDynamics installs an optional virtual-clock layer (vclock.go): seeded
 // per-link propagation/bandwidth/queueing delays, background cross-traffic
 // load, and scheduled dynamics — route flaps, balancer weight churn, link
-// brownouts — that evolve on a virtual timeline advanced only by the event
-// loop, never by the wall clock. Exchanges then report virtual RTTs
-// (ExchangeV, ExchangeResult.RTT). The layer extends, rather than weakens,
+// brownouts — that evolve on a virtual timeline advanced only by the links a
+// packet crosses, never by the wall clock. Exchanges then report virtual RTTs
+// (ExchangeResult.RTT). The layer extends, rather than weakens,
 // the determinism contract: every dynamics draw is a pure function of
 // (dynamics seed, arrival-interface address, virtual time), and a probe's
 // virtual start time hashes the probe's own bytes off the current round

@@ -30,16 +30,12 @@ func NewTransport(n *Network) *Transport {
 	return &Transport{net: n, PerHop: 500 * time.Microsecond}
 }
 
-// Exchange implements the tracer Transport contract.
+// Exchange implements the tracer Transport contract: ExchangeBatch with one
+// probe, the caller owning the response.
 func (t *Transport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	resp, steps, rtt, ok := t.net.ExchangeV(probe)
-	if !ok {
-		return nil, 0, false
-	}
-	if rtt > 0 {
-		return resp, rtt, true
-	}
-	return resp, time.Duration(steps) * t.PerHop, true
+	var out [1]tracer.ProbeResult
+	t.ExchangeBatch([][]byte{probe}, out[:])
+	return out[0].Resp, out[0].RTT, out[0].OK
 }
 
 // exchPool recycles the []ExchangeResult bridges between the tracer-facing

@@ -12,9 +12,9 @@ import (
 // This file is the virtual-clock dynamics layer: seeded per-link latency,
 // load-dependent queueing, and scheduled dynamics (route flaps, balancer
 // weight churn, link brownouts) evolving on a virtual timeline that never
-// reads the wall clock. Time exists only inside an exchange's event loop
-// (vclock below): every link traversal schedules an arrival event and time
-// advances exclusively by popping the earliest scheduled event.
+// reads the wall clock. Time exists only inside an exchange (vclock below):
+// it starts at the probe's hashed start time and advances exclusively by the
+// delay of each link the packet crosses.
 //
 // # Determinism contract
 //
@@ -32,13 +32,13 @@ import (
 // re-evaluated functionally at each arrival — so concurrent probes at
 // different virtual times can never race on dynamics state.
 //
-// Each exchange runs its own event loop rather than sharing one per batch:
+// Each exchange keeps its own clock rather than sharing one per batch:
 // probes are independent by design (required for the schedule invariance
 // above), and interleaving exchanges by virtual arrival time would reorder
-// the routers' IP ID counters between the batched and sequential paths,
-// breaking ExchangeBatch's byte-identity contract. The queue is still a
-// real min-heap so future in-flight multiplicity (cross-traffic packets,
-// duplicated probes) slots in without restructuring.
+// the routers' IP ID counters between a batch and the same probes sent one
+// at a time, breaking ExchangeBatch's byte-identity contract. An exchange
+// has exactly one packet in flight at any moment — the probe, then the
+// response it drew — so its clock is two integers, not an event queue.
 
 // Dynamics configures the virtual-clock layer of a Network. The zero value
 // (and any value with all three intensities zero) disables it entirely:
@@ -238,7 +238,7 @@ func (dy *dynamics) paramsOf(k uint32, to int32) linkParams {
 // link into interface k (node `to`) when it departs at virtual time now:
 // propagation plus serialization (both Delay-scaled, time-invariant per
 // link) plus the load-driven queueing term (redrawn per burst bucket).
-// Always at least 1ns, so the event clock strictly advances.
+// Always at least 1ns, so the clock strictly advances.
 func (dy *dynamics) linkDelay(k uint32, to int32, now int64, pktLen int) int64 {
 	ns := 0.0
 	if dy.delay > 0 || dy.load > 0 {
@@ -303,83 +303,14 @@ func (dy *dynamics) probeStart(round int64, probe []byte) int64 {
 	return round*dy.roundDur + int64(keyhash.Mix64(h)%uint64(dy.roundDur))
 }
 
-// vevent is one scheduled arrival: a packet reaching interface key at
-// virtual time at. seq breaks ties deterministically in schedule order.
-type vevent struct {
-	at  int64
-	seq uint64
-	key uint32
-}
-
-// before is the heap order: earliest virtual time first, schedule order
-// breaking ties.
-func (e vevent) before(o vevent) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
-// vclock is one exchange's virtual event loop: a min-heap of scheduled
-// arrivals plus the current virtual time. Time never reads the wall clock
-// and advances only when step pops a scheduled event, so a simulated
-// round's 30 virtual seconds cost zero real ones.
-type vclock struct {
-	start int64
-	now   int64
-	seq   uint64
-	heap  []vevent
-}
+// vclock is one exchange's virtual clock: the probe's start time and the
+// current time. It never reads the wall clock and advances only when the
+// packet crosses a link (advanceClock), so a simulated round's 30 virtual
+// seconds cost zero real ones.
+type vclock struct{ start, now int64 }
 
 // reset rewinds the clock to a probe's virtual start time.
-func (c *vclock) reset(start int64) {
-	c.start, c.now, c.seq = start, start, 0
-	c.heap = c.heap[:0]
-}
-
-// schedule enqueues an arrival at interface key, delay ns from now.
-func (c *vclock) schedule(delay int64, key uint32) {
-	c.heap = append(c.heap, vevent{at: c.now + delay, seq: c.seq, key: key})
-	c.seq++
-	// Sift up.
-	for i := len(c.heap) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !c.heap[i].before(c.heap[p]) {
-			break
-		}
-		c.heap[i], c.heap[p] = c.heap[p], c.heap[i]
-		i = p
-	}
-}
-
-// step pops the earliest scheduled event and advances the clock to it.
-func (c *vclock) step() (vevent, bool) {
-	if len(c.heap) == 0 {
-		return vevent{}, false
-	}
-	ev := c.heap[0]
-	last := len(c.heap) - 1
-	c.heap[0] = c.heap[last]
-	c.heap = c.heap[:last]
-	// Sift down.
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(c.heap) && c.heap[l].before(c.heap[small]) {
-			small = l
-		}
-		if r < len(c.heap) && c.heap[r].before(c.heap[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		c.heap[i], c.heap[small] = c.heap[small], c.heap[i]
-		i = small
-	}
-	c.now = ev.at
-	return ev, true
-}
+func (c *vclock) reset(start int64) { c.start, c.now = start, start }
 
 // elapsed is the virtual time this exchange has consumed so far — the
 // probe's RTT once its response is delivered.
@@ -389,7 +320,7 @@ func (c *vclock) elapsed() time.Duration { return time.Duration(c.now - c.start)
 // virtual-clock dynamics layer. Like RandomPerPacket it is a setup-time
 // switch: set it before the first exchange, and never from an OnSend hook
 // (it takes the topology read lock). With dynamics installed, exchanges run
-// on the virtual event clock — per-link delays, queueing, flaps, churn, and
+// on the virtual clock — per-link delays, queueing, flaps, churn, and
 // brownouts all replay identically from Dynamics.Seed — and report virtual
 // RTTs; without, forwarding takes the historical instant path byte for byte.
 func (n *Network) SetDynamics(d Dynamics) {
@@ -415,12 +346,12 @@ func (n *Network) SetVirtualRound(r int) {
 	n.vround.Store(int64(r))
 }
 
-// advanceClock carries the packet across the link into node `to`: the
-// arrival is scheduled after the link's delay and the event loop steps to
-// it. via names the adjacency when nothing is registered there (to is
-// nodeNone; nil: nowhere at all): the link is keyed by its address either
-// way. It reports false when the link is browned out at arrival time and the
-// packet is lost. Called only on the dynamics path (ctx.clk non-nil).
+// advanceClock carries the packet across the link into node `to`: the clock
+// moves to the arrival, the link's delay after the departure. via names the
+// adjacency when nothing is registered there (to is nodeNone; nil: nowhere at
+// all): the link is keyed by its address either way. It reports false when
+// the link is browned out at arrival time and the packet is lost. Called only
+// on the dynamics path (ctx.dyn non-nil).
 func (n *Network) advanceClock(ctx *exchCtx, to int32, via *netip.Addr, pktLen int) bool {
 	var (
 		k  uint32
@@ -434,7 +365,6 @@ func (n *Network) advanceClock(ctx *exchCtx, to int32, via *netip.Addr, pktLen i
 	if !ok {
 		return true // no link to cross: the walk drops the packet itself
 	}
-	ctx.clk.schedule(ctx.dyn.linkDelay(k, to, ctx.clk.now, pktLen), k)
-	ev, _ := ctx.clk.step()
-	return !ctx.dyn.brownout(ev.key, ctx.clk.now)
+	ctx.clk.now += ctx.dyn.linkDelay(k, to, ctx.clk.now, pktLen)
+	return !ctx.dyn.brownout(k, ctx.clk.now)
 }

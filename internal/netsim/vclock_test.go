@@ -11,37 +11,6 @@ import (
 // tests: delay, load, and churn all active.
 var testDynamics = Dynamics{Seed: 99, Delay: 1, Load: 0.3, Churn: 0.5}
 
-func TestVClockHeapOrdering(t *testing.T) {
-	var c vclock
-	c.reset(100)
-	c.schedule(30, 3)
-	c.schedule(10, 1)
-	c.schedule(20, 2)
-	c.schedule(10, 4) // ties with key 1; schedule order breaks the tie
-	want := []struct {
-		at  int64
-		key uint32
-	}{{110, 1}, {110, 4}, {120, 2}, {130, 3}}
-	for i, w := range want {
-		ev, ok := c.step()
-		if !ok {
-			t.Fatalf("step %d: heap empty", i)
-		}
-		if ev.at != w.at || ev.key != w.key {
-			t.Fatalf("step %d: got (at=%d key=%d), want (at=%d key=%d)", i, ev.at, ev.key, w.at, w.key)
-		}
-		if c.now != w.at {
-			t.Fatalf("step %d: clock at %d, want %d", i, c.now, w.at)
-		}
-	}
-	if _, ok := c.step(); ok {
-		t.Fatal("heap should be empty")
-	}
-	if got := c.elapsed(); got != 30 {
-		t.Fatalf("elapsed = %d, want 30", got)
-	}
-}
-
 // TestDynamicsSeedDeterminism pins that two identically-built networks with
 // the same dynamics seed report identical virtual RTTs probe for probe, and
 // that a different dynamics seed reports different ones.

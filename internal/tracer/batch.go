@@ -29,7 +29,7 @@ type ProbeResult struct {
 // the per-exchange overhead. The semantics of the batch are exactly those of
 // len(probes) sequential Exchange calls in slice order (netsim guarantees
 // this byte-for-byte by reserving a contiguous probe-counter block; see the
-// netsim package comment's batch contract).
+// netsim package comment's exchange contract).
 type BatchTransport interface {
 	Transport
 	// ExchangeBatch exchanges probes[i] into out[i] for every i; out must
@@ -47,16 +47,15 @@ type BatchTransport interface {
 const DefaultBatchWindow = 8
 
 // Scratch holds what a worker reuses from trace to trace: the probe packets,
-// their match expectations, the exchange results whose response buffers the
-// transport refills in place, the per-TTL attempts, and the Routes given back
-// with Recycle. One Scratch serves one worker goroutine (it is not safe for
-// concurrent use) across every tracer and destination it probes. A trace
-// through a warmed Scratch allocates nothing but its Route, and not that
-// either when a recycled one is waiting; a caller that never recycles gets a
-// new Route per trace, as without a Scratch.
+// the exchange results whose response buffers the transport refills in place,
+// the per-TTL attempts, and the Routes given back with Recycle. One Scratch
+// serves one worker goroutine (it is not safe for concurrent use) across
+// every tracer and destination it probes. A trace through a warmed Scratch
+// allocates nothing but its Route, and not that either when a recycled one
+// is waiting; a caller that never recycles gets a new Route per trace, as
+// without a Scratch.
 type Scratch struct {
 	probes   [][]byte
-	exps     []expect
 	results  []ProbeResult
 	attempts []Hop
 	free     []*Route
@@ -70,9 +69,6 @@ func NewScratch() *Scratch { return &Scratch{} }
 func (s *Scratch) grow(n int) {
 	for len(s.probes) < n {
 		s.probes = append(s.probes, nil)
-	}
-	for len(s.exps) < n {
-		s.exps = append(s.exps, expect{})
 	}
 	for len(s.results) < n {
 		s.results = append(s.results, ProbeResult{})
@@ -185,12 +181,12 @@ func (e *engine) trace(sc *Scratch, ls *ladderState) error {
 		sc.grow(n)
 		for i, t := 0, ttl; t < ttl+w; t++ {
 			for a := 0; a < o.ProbesPerHop; a++ {
-				probe, exp, err := e.build(e, dest, t, probeIdx, sc.probes[i])
+				probe, err := e.build(e, dest, t, probeIdx, sc.probes[i])
 				probeIdx++
 				if err != nil {
 					return fmt.Errorf("tracer %s: building probe ttl=%d: %w", e.name, t, err)
 				}
-				sc.probes[i], sc.exps[i] = probe, exp
+				sc.probes[i] = probe
 				i++
 			}
 		}
@@ -199,7 +195,8 @@ func (e *engine) trace(sc *Scratch, ls *ladderState) error {
 
 		for k := 0; k < w; k++ {
 			for a := 0; a < o.ProbesPerHop; a++ {
-				r := &res[k*o.ProbesPerHop+a]
+				i := k*o.ProbesPerHop + a
+				r := &res[i]
 				if r.Err != nil {
 					// Results are consumed in TTL order, so the first failed
 					// exchange among the hops actually used aborts the trace
@@ -210,7 +207,7 @@ func (e *engine) trace(sc *Scratch, ls *ladderState) error {
 				}
 				h := Hop{TTL: ttl + k, ProbeTTL: -1}
 				if r.OK {
-					h = parseResponse(r.Resp, sc.exps[k*o.ProbesPerHop+a])
+					h = parseResponse(r.Resp, sc.probes[i])
 					h.TTL = ttl + k
 					h.RTT = r.RTT
 				}

@@ -3,9 +3,13 @@
 // Jacobson's tool and NetBSD traceroute 1.4a5), Toren-style tcptraceroute,
 // and Paris traceroute in its UDP, ICMP Echo and TCP variants.
 //
-// All engines share one Transport (the simulated network, or a live one) and
-// one response-matching pipeline; they differ only in how probe header
-// fields are varied — which is precisely the paper's point. Every hop record
+// All engines share one Transport (the simulated network, a live one, or a
+// replayed capture) and one response-matching pipeline; they differ only in
+// the probe bytes they build — how header fields are varied, which is
+// precisely the paper's point. No engine says how its responses are to be
+// recognised: parseResponse reads that off the probe's own bytes through
+// package flowkey, the one definition of which octets identify a probe, which
+// the live mux and the replay transport attribute by as well. Every hop record
 // carries the three Paris observables: the probe TTL quoted inside ICMP
 // errors, the response TTL, and the response IP ID (Section 2.2).
 //

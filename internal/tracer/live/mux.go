@@ -24,9 +24,10 @@
 // responses match on what the destination echoes back (Echo identifier and
 // sequence; TCP ports and acknowledged sequence number), falling back to
 // oldest-unanswered FIFO order when a discipline sends indistinguishable
-// probes (tcptraceroute's constant sequence number). Everything finer — the
-// per-discipline strict matching of Section 2.1 — stays in the tracer's
-// shared parseResponse pipeline, identical for simulated and live routes.
+// probes (tcptraceroute's constant sequence number). The rule is
+// internal/tracer/flowkey's, called directly, and the tracer decides
+// Hop.Mismatched with the same one: simulated, live and replayed routes are
+// held to one definition of "this response is that probe's".
 //
 // Timeouts, retries, and out-of-order, duplicate, or unrelated responses
 // are handled by the mux's deadline wheel: every in-flight probe carries
@@ -63,6 +64,7 @@ import (
 	"time"
 
 	"repro/internal/tracer"
+	"repro/internal/tracer/flowkey"
 )
 
 // This file is the demultiplexer: one raw socket pair, the whole fleet. A
@@ -201,7 +203,7 @@ type Mux struct {
 	closed bool
 	broken error // terminal failure: reopen budget exhausted, or Context done
 
-	byKey   map[matchKey]keyQueue
+	byKey   map[flowkey.Key]keyQueue
 	batches map[*muxBatch]struct{}
 	est     map[[4]byte]*rttEstimator
 
@@ -260,7 +262,7 @@ func (b *muxBatch) wakeWorker() {
 type muxSlot struct {
 	probe            []byte
 	dst              [4]byte
-	quoted, terminal matchKey
+	quoted, terminal flowkey.Key
 	// inQuoted and inTerminal say which of the slot's keys still hold a
 	// table reference to it, so resolving it removes exactly what is left.
 	inQuoted, inTerminal bool
@@ -349,7 +351,7 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 		sleepFn:    sleep,
 		capture:    cfg.Capture,
 		conn:       conn,
-		byKey:      make(map[matchKey]keyQueue),
+		byKey:      make(map[flowkey.Key]keyQueue),
 		batches:    make(map[*muxBatch]struct{}),
 		est:        make(map[[4]byte]*rttEstimator),
 		recv:       make([]Datagram, 64),
@@ -540,7 +542,7 @@ func (m *Mux) exchange(b *muxBatch, probes [][]byte) {
 		s := &b.slots[i]
 		s.probe = p
 		var ok bool
-		if s.quoted, s.terminal, s.inTerminal, ok = probeKeys(p); !ok {
+		if s.quoted, s.terminal, s.inTerminal, ok = flowkey.ProbeKeys(p); !ok {
 			s.resolved = true // unparseable: an immediate star
 			continue
 		}
@@ -722,7 +724,7 @@ func (m *Mux) turnLocked() {
 func (m *Mux) dispatchLocked(n int, now time.Time) {
 	for i := 0; i < n; i++ {
 		dg := &m.recv[i]
-		key, ok := respKey(dg.Buf[:dg.N])
+		key, ok := flowkey.RespKey(dg.Buf[:dg.N])
 		if !ok {
 			continue // unrelated traffic
 		}
@@ -777,7 +779,7 @@ func (m *Mux) resolveLocked(ref slotRef) {
 }
 
 // addRefLocked appends ref to k's FIFO.
-func (m *Mux) addRefLocked(k matchKey, ref slotRef) {
+func (m *Mux) addRefLocked(k flowkey.Key, ref slotRef) {
 	q, shared := m.byKey[k]
 	if !shared {
 		m.byKey[k] = keyQueue{first: ref}
@@ -789,7 +791,7 @@ func (m *Mux) addRefLocked(k matchKey, ref slotRef) {
 
 // shiftLocked removes the head of k's FIFO q, deleting the entry it
 // empties.
-func (m *Mux) shiftLocked(k matchKey, q keyQueue) {
+func (m *Mux) shiftLocked(k flowkey.Key, q keyQueue) {
 	if len(q.more) == 0 {
 		delete(m.byKey, k)
 		return
@@ -800,7 +802,7 @@ func (m *Mux) shiftLocked(k matchKey, q keyQueue) {
 }
 
 // dropRefLocked removes ref from k's FIFO, wherever in it ref stands.
-func (m *Mux) dropRefLocked(k matchKey, ref slotRef) {
+func (m *Mux) dropRefLocked(k flowkey.Key, ref slotRef) {
 	q := m.byKey[k]
 	if q.first == ref {
 		m.shiftLocked(k, q)
@@ -817,7 +819,7 @@ func (m *Mux) dropRefLocked(k matchKey, ref slotRef) {
 
 // popLocked resolves key to the oldest unanswered probe registered under
 // it, consuming the reference: the FIFO rule spans every batch in flight.
-func (m *Mux) popLocked(key matchKey) (slotRef, bool) {
+func (m *Mux) popLocked(key flowkey.Key) (slotRef, bool) {
 	q, ok := m.byKey[key]
 	if !ok {
 		return slotRef{}, false

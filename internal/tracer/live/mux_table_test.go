@@ -11,6 +11,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/topo"
 	"repro/internal/tracer"
+	"repro/internal/tracer/flowkey"
 )
 
 // Table invariants and the attribution boundary of the shared mux: what the
@@ -251,7 +252,7 @@ func (c *dispatchConn) Close() error                    { return nil }
 // terminal keys of several batches share the table, and the datagrams are
 // read by one worker on behalf of all three — and checks the
 // attribution boundary from outside: never a panic; a probe is answered
-// only by a datagram whose respKey byte-equals that very probe's quoted or
+// only by a datagram whose flowkey.RespKey byte-equals that very probe's quoted or
 // terminal key; a datagram answers at most as many probes as it was
 // delivered times; the table drains. The seeds are netsim's genuine
 // answers, forgeries that guess a flow identifier nearly right, quotes cut
@@ -315,7 +316,7 @@ func FuzzMuxDispatch(f *testing.F) {
 		m.Transport().ExchangeBatch(ladders[0], outs[0])
 		conn.wg.Wait()
 
-		key, keyed := respKey(dgram)
+		key, keyed := flowkey.RespKey(dgram)
 		answered := 0
 		for w := range ladders {
 			for i, r := range outs[w] {
@@ -326,7 +327,7 @@ func FuzzMuxDispatch(f *testing.F) {
 					continue
 				}
 				answered++
-				quoted, terminal, hasTerminal, _ := probeKeys(ladders[w][i])
+				quoted, terminal, hasTerminal, _ := flowkey.ProbeKeys(ladders[w][i])
 				if !keyed || (key != quoted && !(hasTerminal && key == terminal)) {
 					t.Fatalf("ladder %d probe %d credited with a datagram whose key (%+v, ok=%v) is neither its quoted key %+v nor its terminal key %+v (has one: %v)",
 						w, i, key, keyed, quoted, terminal, hasTerminal)

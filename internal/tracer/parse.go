@@ -1,39 +1,19 @@
 package tracer
 
 import (
-	"net/netip"
-
 	"repro/internal/packet"
+	"repro/internal/tracer/flowkey"
 )
 
-// expect describes how to recognise the response to one probe. The fields a
-// discipline fills in mirror the header fields it varies — the mechanism the
-// paper analyses in Section 2.1.
-type expect struct {
-	dest netip.Addr
-	// proto is the probe's transport protocol.
-	proto uint8
-	// For UDP probes.
-	udpSrcPort, udpDstPort uint16
-	udpChecksum            uint16 // Paris: match on checksum
-	matchUDPPort           bool   // classic: match on dst port
-	matchUDPChecksum       bool
-	// For ICMP Echo probes.
-	icmpID, icmpSeq uint16
-	matchICMPSeq    bool
-	// For TCP probes.
-	tcpSrcPort, tcpDstPort uint16
-	tcpSeq                 uint32
-	matchTCPSeq            bool
-	matchIPID              bool
-	ipID                   uint16 // tcptraceroute: match on the probe's IP ID
-}
-
-// parseResponse decodes a serialized response packet into a Hop and applies
-// strict probe/response matching against exp. Parsing stays on the stack
-// (the Into parser variants) — this runs once per exchange on the campaign
-// hot path.
-func parseResponse(resp []byte, exp expect) Hop {
+// parseResponse decodes a serialized response packet into a Hop: what the
+// tracer reads off a response (reply kind, quoted probe TTL, response TTL and
+// IP ID) from one parse of outer header, ICMP message and quoted header, all
+// on the stack — this runs once per exchange on the campaign hot path.
+// Whether the response answers probe at all is flowkey's rule (Section 2.1's
+// "unique value in the probe header", whichever octets the discipline keeps
+// it in): an ICMP error must quote the probe, a terminal reply must carry the
+// probe's terminal key.
+func parseResponse(resp, probe []byte) Hop {
 	h := Hop{ProbeTTL: -1}
 	var outer packet.IPv4
 	payload, err := packet.ParseIPv4Into(resp, &outer)
@@ -43,12 +23,13 @@ func parseResponse(resp []byte, exp expect) Hop {
 	h.Addr = outer.Src
 	h.RespTTL = int(outer.TTL)
 	h.IPID = outer.ID
+	// Not this probe's, until flowkey says it is.
+	h.Mismatched = true
 
 	switch outer.Protocol {
 	case packet.ProtoICMP:
 		var m packet.ICMP
 		if err := packet.ParseICMPInto(payload, &m); err != nil {
-			h.Mismatched = true
 			return h
 		}
 		switch m.Type {
@@ -67,34 +48,23 @@ func parseResponse(resp []byte, exp expect) Hop {
 			}
 		case packet.ICMPTypeEchoReply:
 			h.Kind = KindEchoReply
-			if exp.proto != packet.ProtoICMP || m.ID != exp.icmpID ||
-				(exp.matchICMPSeq && m.Seq != exp.icmpSeq) {
-				h.Mismatched = true
-			}
+			h.Mismatched = !answersTerminal(probe, &outer, payload)
 			return h
 		default:
-			h.Mismatched = true
 			return h
 		}
 		// Error message: inspect the quoted probe.
-		if !m.IsError() {
-			h.Mismatched = true
-			return h
-		}
 		var inner packet.IPv4
 		quoted, err := packet.ParseIPv4Into(m.Payload, &inner)
 		if err != nil {
-			h.Mismatched = true
 			return h
 		}
 		h.ProbeTTL = int(inner.TTL)
-		h.Mismatched = !matchQuoted(&inner, quoted, exp)
-		return h
+		h.Mismatched = !flowkey.Quotes(probe, &inner, quoted)
 
 	case packet.ProtoTCP:
 		var th packet.TCP
 		if _, _, err := packet.ParseTCPInto(payload, &th); err != nil {
-			h.Mismatched = true
 			return h
 		}
 		switch {
@@ -103,82 +73,18 @@ func parseResponse(resp []byte, exp expect) Hop {
 		case th.Flags&packet.TCPSyn != 0 && th.Flags&packet.TCPAck != 0:
 			h.Kind = KindTCPSynAck
 		default:
-			h.Mismatched = true
 			return h
 		}
-		if exp.proto != packet.ProtoTCP ||
-			th.SrcPort != exp.tcpDstPort || th.DstPort != exp.tcpSrcPort ||
-			(exp.matchTCPSeq && th.Ack != exp.tcpSeq+1) {
-			h.Mismatched = true
-		}
-		return h
-
-	default:
-		h.Mismatched = true
-		return h
+		h.Mismatched = !answersTerminal(probe, &outer, payload)
 	}
+	return h
 }
 
-// matchQuoted validates the quoted probe inside an ICMP error against the
-// expectation. This is where each discipline's "unique value in the probe
-// header" (Section 2.1) is checked.
-func matchQuoted(inner *packet.IPv4, transport []byte, exp expect) bool {
-	if inner.Protocol != exp.proto {
-		return false
-	}
-	if exp.dest.IsValid() && inner.Dst != exp.dest {
-		return false
-	}
-	switch exp.proto {
-	case packet.ProtoUDP:
-		var uh packet.UDP
-		if _, err := packet.ParseUDPInto(transport, &uh); err != nil {
-			return false
-		}
-		if uh.SrcPort != exp.udpSrcPort {
-			return false
-		}
-		if exp.matchUDPPort && uh.DstPort != exp.udpDstPort {
-			return false
-		}
-		if exp.matchUDPChecksum && uh.Checksum != exp.udpChecksum {
-			return false
-		}
-		if !exp.matchUDPPort && uh.DstPort != exp.udpDstPort {
-			return false
-		}
-		return true
-	case packet.ProtoICMP:
-		var m packet.ICMP
-		if err := packet.ParseICMPInto(transport, &m); err != nil {
-			return false
-		}
-		if m.Type != packet.ICMPTypeEchoRequest {
-			return false
-		}
-		if m.ID != exp.icmpID {
-			return false
-		}
-		if exp.matchICMPSeq && m.Seq != exp.icmpSeq {
-			return false
-		}
-		return true
-	case packet.ProtoTCP:
-		var th packet.TCP
-		if _, _, err := packet.ParseTCPInto(transport, &th); err != nil {
-			return false
-		}
-		if th.SrcPort != exp.tcpSrcPort || th.DstPort != exp.tcpDstPort {
-			return false
-		}
-		if exp.matchTCPSeq && th.Seq != exp.tcpSeq {
-			return false
-		}
-		if exp.matchIPID && inner.ID != exp.ipID {
-			return false
-		}
-		return true
-	default:
-		return false
-	}
+// answersTerminal reports whether the Echo Reply or TCP segment with outer
+// header h carries probe's terminal key. Built by value: a trace sees at most
+// one such answer.
+func answersTerminal(probe []byte, h *packet.IPv4, payload []byte) bool {
+	key, keyed := flowkey.RespKeyOf(h, payload)
+	_, terminal, hasTerminal, _ := flowkey.ProbeKeys(probe)
+	return keyed && hasTerminal && key == terminal
 }

@@ -20,6 +20,21 @@ const (
 	TCPTracerouteDstPort = 80
 )
 
+// wrap puts the IPv4 header around a probe's transport bytes, which is all a
+// builder has left to do once it has laid those out. Every discipline numbers
+// the IP ID with the probe; only tcptraceroute relies on it, having nothing
+// else in the quoted octets that varies.
+func (e *engine) wrap(buf []byte, dest netip.Addr, ttl, probeIdx int, proto uint8, transport []byte) ([]byte, error) {
+	return (&packet.IPv4{
+		TOS:      e.opts.TOS,
+		TTL:      uint8(ttl),
+		Protocol: proto,
+		ID:       uint16(probeIdx + 1),
+		Src:      e.src,
+		Dst:      dest,
+	}).MarshalInto(buf, transport)
+}
+
 // NewClassicUDP builds Jacobson-style classic traceroute with UDP probes:
 // the Destination Port — inside the first four transport octets, hence part
 // of the flow identifier — is incremented with every probe, so consecutive
@@ -31,32 +46,14 @@ func NewClassicUDP(tp Transport, opts Options) Tracer {
 	return e
 }
 
-func buildClassicUDP(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
-	srcPort, dstPort := e.opts.SrcPort, e.opts.DstPort+uint16(probeIdx)
-	uh := &packet.UDP{SrcPort: srcPort, DstPort: dstPort}
+func buildClassicUDP(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
+	uh := &packet.UDP{SrcPort: e.opts.SrcPort, DstPort: e.opts.DstPort + uint16(probeIdx)}
 	dgram, err := packet.MarshalUDPInto(e.dgram, e.src, dest, uh, e.payload)
 	if err != nil {
-		return nil, expect{}, err
+		return nil, err
 	}
 	e.dgram = dgram
-	pkt, err := (&packet.IPv4{
-		TOS:      e.opts.TOS,
-		TTL:      uint8(ttl),
-		Protocol: packet.ProtoUDP,
-		ID:       uint16(probeIdx + 1),
-		Src:      e.src,
-		Dst:      dest,
-	}).MarshalInto(buf, dgram)
-	if err != nil {
-		return nil, expect{}, err
-	}
-	return pkt, expect{
-		dest:         dest,
-		proto:        packet.ProtoUDP,
-		udpSrcPort:   srcPort,
-		udpDstPort:   dstPort,
-		matchUDPPort: true,
-	}, nil
+	return e.wrap(buf, dest, ttl, probeIdx, packet.ProtoUDP, dgram)
 }
 
 // NewParisUDP builds Paris traceroute with UDP probes: Source and
@@ -70,46 +67,27 @@ func NewParisUDP(tp Transport, opts Options) Tracer {
 	return newEngine("paris-udp", tp, opts, 10007, 20011, buildParisUDP)
 }
 
-func buildParisUDP(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
+func buildParisUDP(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
 	// Probe identifier: checksum = probeIdx+1 (never zero).
 	target := uint16(probeIdx + 1)
 	if target == 0 {
 		target = 1
 	}
-	srcPort, dstPort := e.opts.SrcPort, e.opts.DstPort
-	uh := &packet.UDP{SrcPort: srcPort, DstPort: dstPort}
+	uh := &packet.UDP{SrcPort: e.opts.SrcPort, DstPort: e.opts.DstPort}
 	payload, err := packet.CraftUDPPayloadInto(e.payload, e.src, dest, uh, target, e.opts.PayloadLen)
 	if err != nil {
-		return nil, expect{}, err
+		return nil, err
 	}
 	e.payload = payload
 	dgram, err := packet.MarshalUDPInto(e.dgram, e.src, dest, uh, payload)
 	if err != nil {
-		return nil, expect{}, err
+		return nil, err
 	}
 	e.dgram = dgram
 	if got := uint16(dgram[6])<<8 | uint16(dgram[7]); got != target {
-		return nil, expect{}, fmt.Errorf("tracer: crafted checksum %#04x, want %#04x", got, target)
+		return nil, fmt.Errorf("tracer: crafted checksum %#04x, want %#04x", got, target)
 	}
-	pkt, err := (&packet.IPv4{
-		TOS:      e.opts.TOS,
-		TTL:      uint8(ttl),
-		Protocol: packet.ProtoUDP,
-		ID:       uint16(probeIdx + 1),
-		Src:      e.src,
-		Dst:      dest,
-	}).MarshalInto(buf, dgram)
-	if err != nil {
-		return nil, expect{}, err
-	}
-	return pkt, expect{
-		dest:             dest,
-		proto:            packet.ProtoUDP,
-		udpSrcPort:       srcPort,
-		udpDstPort:       dstPort,
-		udpChecksum:      target,
-		matchUDPChecksum: true,
-	}, nil
+	return e.wrap(buf, dest, ttl, probeIdx, packet.ProtoUDP, dgram)
 }
 
 // NewClassicICMP builds classic traceroute with ICMP Echo probes: the
@@ -117,43 +95,13 @@ func buildParisUDP(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([
 // Checksum sits in the first four transport octets, i.e. in the flow
 // identifier.
 func NewClassicICMP(tp Transport, opts Options) Tracer {
-	opts = opts.withDefaults()
 	id := opts.ICMPID
 	if id == 0 {
 		id = 4321 // emulate the process ID
 	}
-	src := tp.Source()
 	return newEngine("classic-icmp", tp, opts, 0, 0,
-		func(_ *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
-			seq := uint16(probeIdx + 1)
-			m := &packet.ICMP{
-				Type:    packet.ICMPTypeEchoRequest,
-				ID:      id,
-				Seq:     seq,
-				Payload: make([]byte, opts.PayloadLen),
-			}
-			body, err := m.Marshal()
-			if err != nil {
-				return nil, expect{}, err
-			}
-			pkt, err := (&packet.IPv4{
-				TOS:      opts.TOS,
-				TTL:      uint8(ttl),
-				Protocol: packet.ProtoICMP,
-				ID:       uint16(probeIdx + 1),
-				Src:      src,
-				Dst:      dest,
-			}).MarshalInto(buf, body)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			return pkt, expect{
-				dest:         dest,
-				proto:        packet.ProtoICMP,
-				icmpID:       id,
-				icmpSeq:      seq,
-				matchICMPSeq: true,
-			}, nil
+		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
+			return e.echo(buf, dest, ttl, probeIdx, id, make([]byte, e.opts.PayloadLen))
 		})
 }
 
@@ -162,7 +110,6 @@ func NewClassicICMP(tp Transport, opts Options) Tracer {
 // compensate so the Checksum — the flow-identifying octets — stays constant
 // at Options.ICMPID (or a default).
 func NewParisICMP(tp Transport, opts Options) Tracer {
-	opts = opts.withDefaults()
 	target := opts.ICMPID
 	if target == 0 || target == 0xffff {
 		// Zero means "use the default"; all-ones is unreachable (it
@@ -170,85 +117,35 @@ func NewParisICMP(tp Transport, opts Options) Tracer {
 		// nonzero data), so it falls back to the default too.
 		target = 0xbeef // constant checksum: the flow identifier
 	}
-	src := tp.Source()
 	return newEngine("paris-icmp", tp, opts, 0, 0,
-		func(_ *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
-			seq := uint16(probeIdx + 1)
-			payload := make([]byte, opts.PayloadLen)
-			id, err := packet.CompensatingEchoID(seq, target, payload)
+		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
+			payload := make([]byte, e.opts.PayloadLen)
+			id, err := packet.CompensatingEchoID(uint16(probeIdx+1), target, payload)
 			if err != nil {
-				return nil, expect{}, err
+				return nil, err
 			}
-			m := &packet.ICMP{
-				Type:    packet.ICMPTypeEchoRequest,
-				ID:      id,
-				Seq:     seq,
-				Payload: payload,
-			}
-			body, err := m.Marshal()
-			if err != nil {
-				return nil, expect{}, err
-			}
-			pkt, err := (&packet.IPv4{
-				TOS:      opts.TOS,
-				TTL:      uint8(ttl),
-				Protocol: packet.ProtoICMP,
-				ID:       uint16(probeIdx + 1),
-				Src:      src,
-				Dst:      dest,
-			}).MarshalInto(buf, body)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			return pkt, expect{
-				dest:         dest,
-				proto:        packet.ProtoICMP,
-				icmpID:       id,
-				icmpSeq:      seq,
-				matchICMPSeq: true,
-			}, nil
+			return e.echo(buf, dest, ttl, probeIdx, id, payload)
 		})
+}
+
+// echo builds an Echo Request probe: the Sequence Number is the probe's, the
+// Identifier the discipline's choice.
+func (e *engine) echo(buf []byte, dest netip.Addr, ttl, probeIdx int, id uint16, payload []byte) ([]byte, error) {
+	m := &packet.ICMP{Type: packet.ICMPTypeEchoRequest, ID: id, Seq: uint16(probeIdx + 1), Payload: payload}
+	body, err := m.Marshal()
+	if err != nil {
+		return nil, err
+	}
+	return e.wrap(buf, dest, ttl, probeIdx, packet.ProtoICMP, body)
 }
 
 // NewParisTCP builds Paris traceroute with TCP probes: ports are constant
 // (the flow identifier lives in the first four octets — the ports), and the
 // Sequence Number, which sits in the second four octets, varies per probe.
 func NewParisTCP(tp Transport, opts Options) Tracer {
-	opts = opts.withDefaults()
-	src := tp.Source()
 	return newEngine("paris-tcp", tp, opts, 30021, TCPTracerouteDstPort,
-		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
-			srcPort, dstPort := e.opts.SrcPort, e.opts.DstPort
-			seq := uint32(probeIdx + 1)
-			seg, err := packet.MarshalTCP(src, dest, &packet.TCP{
-				SrcPort: srcPort,
-				DstPort: dstPort,
-				Seq:     seq,
-				Flags:   packet.TCPSyn,
-				Window:  65535,
-			}, nil)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			pkt, err := (&packet.IPv4{
-				TOS:      opts.TOS,
-				TTL:      uint8(ttl),
-				Protocol: packet.ProtoTCP,
-				ID:       uint16(probeIdx + 1),
-				Src:      src,
-				Dst:      dest,
-			}).MarshalInto(buf, seg)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			return pkt, expect{
-				dest:        dest,
-				proto:       packet.ProtoTCP,
-				tcpSrcPort:  srcPort,
-				tcpDstPort:  dstPort,
-				tcpSeq:      seq,
-				matchTCPSeq: true,
-			}, nil
+		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
+			return e.syn(buf, dest, ttl, probeIdx, uint32(probeIdx+1))
 		})
 }
 
@@ -257,41 +154,24 @@ func NewParisTCP(tp Transport, opts Options) Tracer {
 // Like Paris TCP it maintains a constant flow identifier; the paper notes
 // this but observes no prior work had examined the effect.
 func NewTCPTraceroute(tp Transport, opts Options) Tracer {
-	opts = opts.withDefaults()
-	src := tp.Source()
 	return newEngine("tcptraceroute", tp, opts, 31337, TCPTracerouteDstPort,
-		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, expect, error) {
-			srcPort, dstPort := e.opts.SrcPort, e.opts.DstPort
-			ipid := uint16(probeIdx + 1)
-			seg, err := packet.MarshalTCP(src, dest, &packet.TCP{
-				SrcPort: srcPort,
-				DstPort: dstPort,
-				Seq:     0x1000,
-				Flags:   packet.TCPSyn,
-				Window:  65535,
-			}, nil)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			pkt, err := (&packet.IPv4{
-				TOS:      opts.TOS,
-				TTL:      uint8(ttl),
-				Protocol: packet.ProtoTCP,
-				ID:       ipid,
-				Src:      src,
-				Dst:      dest,
-			}).MarshalInto(buf, seg)
-			if err != nil {
-				return nil, expect{}, err
-			}
-			return pkt, expect{
-				dest:       dest,
-				proto:      packet.ProtoTCP,
-				tcpSrcPort: srcPort,
-				tcpDstPort: dstPort,
-				tcpSeq:     0x1000,
-				matchIPID:  true,
-				ipID:       ipid,
-			}, nil
+		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
+			return e.syn(buf, dest, ttl, probeIdx, 0x1000)
 		})
+}
+
+// syn builds a TCP SYN probe on the engine's ports with the given Sequence
+// Number.
+func (e *engine) syn(buf []byte, dest netip.Addr, ttl, probeIdx int, seq uint32) ([]byte, error) {
+	seg, err := packet.MarshalTCP(e.src, dest, &packet.TCP{
+		SrcPort: e.opts.SrcPort,
+		DstPort: e.opts.DstPort,
+		Seq:     seq,
+		Flags:   packet.TCPSyn,
+		Window:  65535,
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.wrap(buf, dest, ttl, probeIdx, packet.ProtoTCP, seg)
 }

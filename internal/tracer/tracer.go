@@ -129,8 +129,8 @@ type Hop struct {
 	// IPID is the IP Identification of the response packet — the
 	// responding box's internal counter.
 	IPID uint16
-	// Mismatched is set when a response arrived but failed strict
-	// probe/response matching.
+	// Mismatched is set when a response arrived but is not this probe's,
+	// by the one attribution rule (package flowkey).
 	Mismatched bool
 }
 
@@ -405,10 +405,11 @@ type engine struct {
 }
 
 // proberFunc returns the serialized probe for the given TTL and global
-// probe index, plus the expectation used to match its response. buf, when
-// non-nil, offers a recycled buffer the probe may be marshaled into (the
-// returned probe then aliases it); the builder allocates otherwise.
-type proberFunc func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) (probe []byte, exp expect, err error)
+// probe index: the discipline's transport bytes inside engine.wrap's IPv4
+// header. Its response is recognised from those bytes alone (parseResponse).
+// buf, when non-nil, offers a recycled buffer the probe may be marshaled into
+// (the returned probe then aliases it); the builder allocates otherwise.
+type proberFunc func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) (probe []byte, err error)
 
 func newEngine(name string, tp Transport, opts Options, defSrc, defDst uint16, build proberFunc) *engine {
 	e := &engine{name: name, src: tp.Source(), opts: opts.withDefaults(),

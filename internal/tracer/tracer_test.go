@@ -37,7 +37,7 @@ func (c *captureTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) 
 func (c *captureTransport) Source() netip.Addr { return c.src }
 
 // timeExceededFrom builds a router's Time Exceeded response for the probe.
-func timeExceededFrom(t *testing.T, router netip.Addr, probe []byte, respTTL uint8, ipid uint16) []byte {
+func timeExceededFrom(t testing.TB, router netip.Addr, probe []byte, respTTL uint8, ipid uint16) []byte {
 	t.Helper()
 	// Quote the probe as if it arrived with TTL 1.
 	q := append([]byte(nil), probe...)
@@ -64,7 +64,7 @@ func timeExceededFrom(t *testing.T, router netip.Addr, probe []byte, respTTL uin
 	return resp
 }
 
-func portUnreachableFrom(t *testing.T, host netip.Addr, probe []byte) []byte {
+func portUnreachableFrom(t testing.TB, host netip.Addr, probe []byte) []byte {
 	t.Helper()
 	m, err := packet.DestUnreachable(packet.CodePortUnreachable, probe)
 	if err != nil {
@@ -406,6 +406,40 @@ func TestMismatchedResponseFlagged(t *testing.T) {
 	if !rt.Hops[0].Mismatched {
 		t.Error("response quoting a different probe was not flagged as mismatched")
 	}
+
+	// The stray every discipline must catch by its own identifier (Section
+	// 2.1): the answer to the neighbouring probe of the same trace, which
+	// differs from this one in that identifier and the TTL alone.
+	for _, d := range sixDisciplines {
+		t.Run(d.name, func(t *testing.T) {
+			tp := &captureTransport{src: tSrc}
+			tp.respond = func(int, []byte) []byte {
+				return timeExceededFrom(t, router(1), tp.probes[0], 250, 1)
+			}
+			rt, err := d.mk(tp, Options{MaxTTL: 2}).Trace(tDest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rt.Hops[0].Mismatched {
+				t.Error("the first probe's own answer was flagged as mismatched")
+			}
+			if !rt.Hops[1].Mismatched {
+				t.Error("the first probe's answer, delivered to the second, was not flagged as mismatched")
+			}
+		})
+	}
+}
+
+var sixDisciplines = []struct {
+	name string
+	mk   func(Transport, Options) Tracer
+}{
+	{"paris-udp", NewParisUDP},
+	{"paris-icmp", NewParisICMP},
+	{"paris-tcp", NewParisTCP},
+	{"classic-udp", NewClassicUDP},
+	{"classic-icmp", NewClassicICMP},
+	{"tcptraceroute", NewTCPTraceroute},
 }
 
 func TestHopObservables(t *testing.T) {
@@ -454,15 +488,11 @@ func TestProbesPerHopRecordsAll(t *testing.T) {
 func TestEchoReplyTerminatesICMPTrace(t *testing.T) {
 	tp := &captureTransport{src: tSrc}
 	tp.respond = func(i int, probe []byte) []byte {
-		hdr, payload, _ := packet.ParseIPv4(probe)
+		hdr, _, _ := packet.ParseIPv4(probe)
 		if hdr.TTL < 3 {
 			return timeExceededFrom(t, router(int(hdr.TTL)), probe, 250, 1)
 		}
-		m, _ := packet.ParseICMP(payload)
-		reply := &packet.ICMP{Type: packet.ICMPTypeEchoReply, ID: m.ID, Seq: m.Seq}
-		body, _ := reply.Marshal()
-		resp, _ := (&packet.IPv4{TTL: 60, Protocol: packet.ProtoICMP, Src: tDest, Dst: hdr.Src}).Marshal(body)
-		return resp
+		return terminalReplyTo(t, probe)
 	}
 	rt, err := NewParisICMP(tp, Options{MaxTTL: 30}).Trace(tDest)
 	if err != nil {
