@@ -3,14 +3,20 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/anomaly"
+	"repro/internal/cli"
+	"repro/internal/measure"
 	"repro/internal/pcap"
+	"repro/internal/topo"
 )
 
 // The tests re-execute the test binary as anomaly-study itself: with
@@ -18,9 +24,24 @@ import (
 // the tests, so exit codes and stderr are the shipped binary's.
 const asMainEnv = "ANOMALY_STUDY_TEST_AS_MAIN"
 
+// gadgetsEnv, set in a re-executed binary's environment, generates its
+// topology with the IP-ID-reading gadgets (zero-TTL pods and loopers) at 0.2
+// instead of their rare defaults, and without the gadgets whose forwarding
+// depends on how workers interleave (per-packet balancers, flapping and
+// flipping pods), so that runs at any worker count are byte-reproducible.
+const gadgetsEnv = "ANOMALY_STUDY_TEST_GADGETS"
+
 func TestMain(m *testing.M) {
 	if os.Getenv(asMainEnv) != "" {
 		simulateNetwork()
+		if os.Getenv(gadgetsEnv) != "" {
+			generate = func(t *cli.Topo) (*topo.Scenario, error) {
+				cfg, err := t.Config()
+				cfg.PZeroTTLPod, cfg.PLooperPod = 0.2, 0.2
+				cfg.PPerPacket, cfg.PPerPacketUnequal, cfg.PDiff2, cfg.PFlapDiamondPod, cfg.PFlipPod = 0, 0, 0, 0, 0
+				return topo.Generate(cfg), err
+			}
+		}
 		main()
 		return
 	}
@@ -29,8 +50,14 @@ func TestMain(m *testing.M) {
 
 func study(t *testing.T, args ...string) (stderr string, exit int) {
 	t.Helper()
+	return studyEnv(t, nil, args...)
+}
+
+// studyEnv is study with extra environment variables.
+func studyEnv(t *testing.T, env []string, args ...string) (stderr string, exit int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	cmd.Env = append(append(os.Environ(), asMainEnv+"=1"), env...)
 	var errb bytes.Buffer
 	cmd.Stderr = &errb
 	err := cmd.Run()
@@ -69,29 +96,56 @@ func TestResumeRefusesLegacyJSONCheckpoint(t *testing.T) {
 
 // TestHaltAndResume is the CI kill-and-resume step in miniature: the same
 // flags halted, then resumed from the binary checkpoint, write the
-// statistics of the uninterrupted run byte for byte.
+// statistics of the uninterrupted run byte for byte. The gadget rows arm the
+// two classification rules that read response IP IDs, which a checkpoint
+// does not store: resuming must not need them, at one worker or two.
 func TestHaltAndResume(t *testing.T) {
-	dir := t.TempDir()
-	ck, full, resumed := filepath.Join(dir, "study.ck"), filepath.Join(dir, "full.json"), filepath.Join(dir, "resumed.json")
-	for _, extra := range [][]string{
-		{"-stats-json", full},
-		{"-checkpoint", ck, "-halt-after", "2"},
-		{"-checkpoint", ck, "-resume", "-stats-json", resumed},
+	gadgetStudy := []string{"-dests", "60", "-rounds", "6", "-flips=false", "-seed", "7"}
+	for _, tc := range []struct {
+		name    string
+		env     []string
+		args    []string
+		haltAt  string
+		gadgets bool
+	}{
+		{"toy", nil, toyStudy, "2", false},
+		{"gadgets workers=1", []string{gadgetsEnv + "=1"}, append(gadgetStudy, "-workers", "1"), "3", true},
+		{"gadgets workers=2", []string{gadgetsEnv + "=1"}, append(gadgetStudy, "-workers", "2"), "3", true},
 	} {
-		if stderr, exit := study(t, append(toyStudy, extra...)...); exit != 0 {
-			t.Fatalf("%v: exit %d: %s", extra, exit, stderr)
-		}
-	}
-	a, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Error("resumed statistics differ from the uninterrupted run")
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ck, full, resumed := filepath.Join(dir, "study.ck"), filepath.Join(dir, "full.json"), filepath.Join(dir, "resumed.json")
+			for _, extra := range [][]string{
+				{"-stats-json", full},
+				{"-checkpoint", ck, "-halt-after", tc.haltAt},
+				{"-checkpoint", ck, "-resume", "-stats-json", resumed},
+			} {
+				if stderr, exit := studyEnv(t, tc.env, append(slices.Clone(tc.args), extra...)...); exit != 0 {
+					t.Fatalf("%v: exit %d: %s", extra, exit, stderr)
+				}
+			}
+			a, err := os.ReadFile(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Error("resumed statistics differ from the uninterrupted run")
+			}
+			if !tc.gadgets {
+				return
+			}
+			var st measure.Stats
+			if err := json.Unmarshal(a, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Loops.ByCause[anomaly.CauseZeroTTL] == 0 || st.Cycles.Instances == 0 {
+				t.Errorf("no zero-TTL loop or no cycle in this draw (loops %v, %d cycles): the IP ID rules are not exercised", st.Loops.ByCause, st.Cycles.Instances)
+			}
+		})
 	}
 }
 

@@ -159,17 +159,26 @@ func (e *Encoder) Bool(b bool) {
 	}
 }
 
-// U16 appends a fixed little-endian 16-bit value (IP IDs: uniformly spread,
-// so a varint would be longer).
-func (e *Encoder) U16(v uint16) {
-	e.room(2)
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
-}
-
 // U64 appends a fixed little-endian 64-bit value (hashes).
 func (e *Encoder) U64(v uint64) {
 	e.room(8)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+
+// U64s appends fixed little-endian 64-bit values back to back, with no count:
+// the caller's layout says how many there are. In memory and on disk a value
+// is the same eight bytes, so this is a copy through the buffer.
+func (e *Encoder) U64s(vs []uint64) {
+	for len(vs) > 0 {
+		if cap(e.buf)-len(e.buf) < 8 {
+			e.flush()
+		}
+		n := min(len(vs), (cap(e.buf)-len(e.buf))/8)
+		for _, v := range vs[:n] {
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+		}
+		vs = vs[n:]
+	}
 }
 
 // Addr appends an address: tag 0 for the invalid address (a star hop), tag 4
@@ -328,15 +337,6 @@ func (d *Decoder) Bool() bool {
 	return p[0] == 1
 }
 
-// U16 reads a fixed little-endian 16-bit value.
-func (d *Decoder) U16() uint16 {
-	p := d.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-
 // U64 reads a fixed little-endian 64-bit value.
 func (d *Decoder) U64() uint64 {
 	p := d.take(8)
@@ -344,6 +344,24 @@ func (d *Decoder) U64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(p)
+}
+
+// U64s reads n values written by Encoder.U64s into a fresh slice (nil when n
+// is 0), checking n against the bytes remaining before it allocates.
+func (d *Decoder) U64s(n int) []uint64 {
+	if n < 0 || n > (len(d.buf)-d.off)/8 {
+		d.corrupt("%d fixed 64-bit values overrun the body", n)
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	p := d.take(8 * n)
+	vs := make([]uint64, n)
+	for i := range vs {
+		vs[i] = binary.LittleEndian.Uint64(p[8*i:])
+	}
+	return vs
 }
 
 // Addr reads an address written by Encoder.Addr.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"net/netip"
+	"slices"
 	"testing"
 
 	. "repro/internal/ckpt"
@@ -35,6 +36,14 @@ var (
 	sampleAddr = netip.MustParseAddr("10.0.1.17")
 	// sampleBlob is longer than the encoder's buffer, so Bytes must chunk.
 	sampleBlob = bytes.Repeat([]byte("transport cursor "), 3*bufSize/17)
+	// sampleU64s is longer than the encoder's buffer too.
+	sampleU64s = func() []uint64 {
+		vs := make([]uint64, bufSize/4)
+		for i := range vs {
+			vs[i] = uint64(i) * 0x9e3779b97f4a7c15
+		}
+		return vs
+	}()
 )
 
 func encodeSample(e *Encoder) {
@@ -43,12 +52,13 @@ func encodeSample(e *Encoder) {
 	}
 	e.Bool(true)
 	e.Bool(false)
-	e.U16(0xbeef)
 	e.U64(0x0123456789abcdef)
 	e.Addr(sampleAddr)
 	e.Addr(netip.Addr{})
 	e.Bytes(sampleBlob)
 	e.Bytes(nil)
+	e.U64s(sampleU64s)
+	e.U64s(nil)
 	// Enough small fields to cross the buffer boundary many times.
 	e.Len(100_000)
 	for i := 0; i < 100_000; i++ {
@@ -66,9 +76,6 @@ func decodeSample(t *testing.T) func(*Decoder) {
 		if !d.Bool() || d.Bool() {
 			t.Error("Bool pair wrong")
 		}
-		if got := d.U16(); got != 0xbeef {
-			t.Errorf("U16 = %#x", got)
-		}
 		if got := d.U64(); got != 0x0123456789abcdef {
 			t.Errorf("U64 = %#x", got)
 		}
@@ -83,6 +90,12 @@ func decodeSample(t *testing.T) func(*Decoder) {
 		}
 		if got := d.Bytes(); got != nil {
 			t.Errorf("empty Bytes = %v, want nil", got)
+		}
+		if got := d.U64s(len(sampleU64s)); !slices.Equal(got, sampleU64s) {
+			t.Errorf("U64s: %d values, want %d", len(got), len(sampleU64s))
+		}
+		if got := d.U64s(0); got != nil {
+			t.Errorf("U64s(0) = %v, want nil", got)
 		}
 		n := d.Len(1)
 		for i := 0; i < n; i++ {
@@ -163,6 +176,7 @@ func TestDecoderRefusesNonCanonicalBodies(t *testing.T) {
 		{"address cut short", []byte{4, 1, 2}, func(d *Decoder) { d.Addr() }},
 		{"fixed field cut short", []byte{1, 2, 3}, func(d *Decoder) { d.U64() }},
 		{"byte string longer than the body", []byte{200, 1, 'x'}, func(d *Decoder) { d.Bytes() }},
+		{"fixed values longer than the body", make([]byte, 15), func(d *Decoder) { d.U64s(2) }},
 	} {
 		err := Decode(frame(KindCampaign, 3, tc.body), KindCampaign, 3, tc.read)
 		if !errors.Is(err, ErrCorrupt) {

@@ -37,6 +37,15 @@ func (t *Topo) Register(fs *flag.FlagSet, dests int) {
 
 // Generate builds the scenario the flags describe.
 func (t *Topo) Generate() (*topo.Scenario, error) {
+	cfg, err := t.Config()
+	if err != nil {
+		return nil, err
+	}
+	return topo.Generate(cfg), nil
+}
+
+// Config is the generator configuration the flags describe.
+func (t *Topo) Config() (topo.GenConfig, error) {
 	cfg := topo.DefaultGenConfig()
 	if t.Paper {
 		cfg = topo.PaperScaleConfig()
@@ -44,7 +53,7 @@ func (t *Topo) Generate() (*topo.Scenario, error) {
 		cfg.Destinations = t.Dests
 	}
 	if cfg.Destinations <= 0 {
-		return nil, Usagef("-dests must be positive, got %d", t.Dests)
+		return cfg, Usagef("-dests must be positive, got %d", t.Dests)
 	}
 	cfg.Seed = t.Seed
 	cfg.Shards = t.Shards
@@ -57,5 +66,5 @@ func (t *Topo) Generate() (*topo.Scenario, error) {
 	cfg.Load = t.Load
 	cfg.Churn = t.Churn
 	cfg.DynamicsSeed = t.DynamicsSeed
-	return topo.Generate(cfg), nil
+	return cfg, nil
 }

@@ -12,9 +12,10 @@ import (
 // CheckpointVersion gates the daemon checkpoint schema. Version 2 replaced
 // the JSON document with the binary format of internal/ckpt; version 3 is
 // the run body a campaign checkpoint is made of, followed by the daemon's
-// schedule section. An older file is quarantined like any other unreadable
-// checkpoint.
-const CheckpointVersion = 3
+// schedule section; version 4 is that body with interned hops written as
+// 8-byte cells (campaign version 5). An older file is quarantined like any
+// other unreadable checkpoint.
+const CheckpointVersion = 4
 
 // Checkpoint is the daemon's serialized resumable state: the run body it
 // shares with campaign checkpoints — digest, round cursor, opaque transport

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -80,18 +81,44 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v4.ck from the current encoder")
+
+// TestCheckpointGolden pins the daemon's wire format: the toy daemon's
+// checkpoint must be the committed file byte for byte (it holds no RTT and
+// no IP ID, so nothing in it varies run to run). A deliberate format change
+// bumps CheckpointVersion and regenerates the file (go test -run
+// TestCheckpointGolden -update).
+func TestCheckpointGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "toy-v4.ck")
+	got := toyCheckpoint(t)
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the toy daemon no longer writes %s (%d bytes written, %d committed): the wire format changed", golden, len(got), len(want))
+	}
+}
+
 // FuzzDecodeCheckpoint: the daemon checkpoint decoder is total on arbitrary
-// bytes (see ckpttest.Check for the properties). Seeded with a real toy
-// checkpoint and its truncation ladder, and with the previous version's
-// (testdata/toy-v2.ck), whose body Check also wraps in a current frame: the
-// old layout read as the new one.
+// bytes (see ckpttest.Check for the properties). Seeded with the toy
+// checkpoint and its truncation ladder, and with the two previous versions'
+// (testdata/toy-v3.ck, toy-v2.ck), whose bodies Check also wraps in a
+// current frame: the old layouts read as the new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	ckpttest.Seed(f, toyCheckpoint(f))
-	previous, err := os.ReadFile(filepath.Join("testdata", "toy-v2.ck"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"toy-v3.ck", "toy-v2.ck"} {
+		previous, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		ckpttest.Seed(f, previous)
 	}
-	ckpttest.Seed(f, previous)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ckpttest.Check(t, ckpt.KindDaemon, CheckpointVersion, data, recodeCheckpoint)
 	})

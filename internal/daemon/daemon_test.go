@@ -502,8 +502,9 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 // TestDaemonCorruptCheckpointStartsFresh: whatever is wrong with the file at
 // CheckpointPath — torn, foreign, flipped, or a version-1 JSON checkpoint
 // from before the binary format (testdata/legacy-v1.ck.json, written by the
-// last JSON build), or a version-2 file from before the shared run body
-// (testdata/toy-v2.ck, the last version-2 build's codec-test checkpoint) —
+// last JSON build), a version-2 file from before the shared run body
+// (testdata/toy-v2.ck, the last version-2 build's codec-test checkpoint) or
+// a version-3 one from before hop cells (testdata/toy-v3.ck, likewise) —
 // the daemon moves it to .corrupt, publishes a recovered
 // event that names the cause, and comes back measuring from round zero.
 func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
@@ -524,7 +525,11 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	previous, err := os.ReadFile(filepath.Join("testdata", "toy-v2.ck"))
+	v2, err := os.ReadFile(filepath.Join("testdata", "toy-v2.ck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "toy-v3.ck"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +545,8 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 		{"foreign", []byte("not a checkpoint at all"), ckpt.ErrBadMagic},
 		{"flipped bit", flipped, ckpt.ErrChecksum},
 		{"legacy v1 JSON", legacy, ckpt.ErrLegacyJSON},
-		{"version 2 binary", previous, ckpt.ErrVersion},
+		{"version 2 binary", v2, ckpt.ErrVersion},
+		{"version 3 binary", v3, ckpt.ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckPath := filepath.Join(t.TempDir(), "daemon.ck")
@@ -576,8 +582,9 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 
 // TestDaemonImpossibleCheckpointStartsFresh: a frame that verifies around a
 // body no daemon can have written — a negative round, a negative failure
-// count, a schedule table of another length — is unusable too: moved aside,
-// never resumed (a negative round would reach RoundStart).
+// count, a schedule table of another length, a destination folded twice — is
+// unusable too: moved aside, never resumed (a negative round would reach
+// RoundStart).
 func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 	good := filepath.Join(t.TempDir(), "good.ck")
 	cfg := testConfig(freeTopo(t, 4, 3, 0))
@@ -591,6 +598,10 @@ func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 		"negative round":  func(ck *Checkpoint) { ck.NextRound = -1 },
 		"negative budget": func(ck *Checkpoint) { ck.Dests[1].ConsecFails = -3 },
 		"short schedule":  func(ck *Checkpoint) { ck.Sched = ck.Sched[:3] },
+		"destination twice": func(ck *Checkpoint) {
+			st := &ck.Workers[0]
+			st.Dests = append([]measure.DestCheckpoint{st.Dests[0]}, st.Dests...)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ck, err := LoadCheckpoint(good)

@@ -10,7 +10,7 @@
 //
 // Only the primitives live here. Each caller keeps its own composition
 // (which words it folds, in what order, from what starting state), because
-// that composition is the draw: transcripts.golden, toy-v4.ck and every
+// that composition is the draw: transcripts.golden, toy-v5.ck and every
 // checkpoint digest already on disk pin it bit for bit. The functions are
 // small enough to inline — flow.Key.Hash, netsim's per-exchange prng and
 // tracer.Route.Fingerprint sit on the per-probe path.

@@ -14,9 +14,11 @@ import (
 const pairAllocBudget = 3
 
 // destHeapBudget is TestAccumulatorHeapPerDest's ceiling, bytes retained per
-// destination: the reading is 11.4 KB, three quarters of it interned routes
-// (72-byte hops). Diamond graphs kept as a map per address cost 23 KB more.
-const destHeapBudget = 16000
+// destination: the reading is 2.7 KB, its interned routes about a third of it
+// (8-byte hop cells under 32-byte memo headers). Routes interned as cloned
+// tracer.Routes (72-byte hops) and five maps per destination read 11.4 KB;
+// diamond graphs kept as a map per address cost 23 KB more.
+const destHeapBudget = 5000
 
 // heapLive is what the heap holds once everything unreachable is gone: two
 // collections, because a sync.Pool gives up its contents only over two.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/topo"
-	"repro/internal/tracer"
 )
 
 // steadyWorker is one campaign worker driven by hand, the way runRound
@@ -83,32 +82,22 @@ func TestPairAllocBudget(t *testing.T) {
 	}
 }
 
-// hopSlots counts the hop slots an accumulator's interned routes hold on to
-// and reports whether every slice among them is at its exact length.
+// hopSlots counts the hop cells an accumulator's destinations hold on to
+// and reports whether every cell array among them is at its exact length.
 func hopSlots(a *Accumulator) (slots int, exact bool) {
 	exact = true
-	count := func(hops []tracer.Hop) {
-		slots += cap(hops)
-		exact = exact && cap(hops) == len(hops)
-	}
 	for _, ds := range a.dests {
-		for _, m := range []map[uint64]*routeMemo{ds.classic, ds.paris} {
-			for _, mo := range m {
-				count(mo.rt.Hops)
-				for _, row := range mo.rt.All {
-					count(row)
-				}
-			}
-		}
+		slots += cap(ds.cells)
+		exact = exact && cap(ds.cells) == len(ds.cells)
 	}
 	return slots, exact
 }
 
 // TestInternedRoutesExactSize pins what an accumulator retains per interned
-// route: a copy at exact length, whether the route was folded live (traced
-// into a hint-sized or recycled, possibly longer, hop slice) or restored from
-// a checkpoint — so a resumed campaign holds exactly the hop slots the
-// uninterrupted one does.
+// route: one cell per hop in an array at exact length, whether the route was
+// folded live (traced into a hint-sized or recycled, possibly longer, hop
+// slice) or restored from a checkpoint — so a resumed campaign holds exactly
+// the hop cells the uninterrupted one does.
 func TestInternedRoutesExactSize(t *testing.T) {
 	w := newSteadyWorker(t, 80)
 	w.rounds(t, 5)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/netsim"
 	"repro/internal/topo"
+	"repro/internal/tracer"
 )
 
 // checkpointConfig is the campaign shape the resume tests run: streaming
@@ -375,9 +376,9 @@ func TestResumeValidation(t *testing.T) {
 		t.Errorf("missing file: got %v, want ErrNotExist", err)
 	}
 	// The previous binary version is refused by version, with no upgrade
-	// path: testdata/toy-v3.ck is the golden file of the version-3 layout.
-	if _, err := LoadCheckpoint(filepath.Join("testdata", "toy-v3.ck")); !errors.Is(err, ckpt.ErrVersion) {
-		t.Errorf("version-3 checkpoint: got %v, want ErrVersion", err)
+	// path: testdata/toy-v4.ck is the golden file of the version-4 layout.
+	if _, err := LoadCheckpoint(filepath.Join("testdata", "toy-v4.ck")); !errors.Is(err, ckpt.ErrVersion) {
+		t.Errorf("version-4 checkpoint: got %v, want ErrVersion", err)
 	}
 
 	// The digest covers the batch window, as the daemon's always has.
@@ -568,7 +569,7 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 	}
 }
 
-// goldenConfig is the toy campaign testdata/toy-v4.ck was written by: small
+// goldenConfig is the toy campaign testdata/toy-v5.ck was written by: small
 // enough to commit, large enough to meet a loop (so the per-cause map, the
 // loop address set and the signature spans are not all empty).
 func goldenConfig(path string) (*topo.Scenario, Config) {
@@ -580,7 +581,7 @@ func goldenConfig(path string) (*topo.Scenario, Config) {
 	return sc, cfg
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v4.ck from the current encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v5.ck from the current encoder")
 
 // TestCheckpointGolden pins the wire format: the toy campaign halted after
 // three rounds must write the committed file byte for byte, and the
@@ -589,7 +590,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v4.ck from t
 // (go test -run TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
 	const killAt = 3
-	golden := filepath.Join("testdata", "toy-v4.ck")
+	golden := filepath.Join("testdata", "toy-v5.ck")
 	ckPath := filepath.Join(t.TempDir(), "toy.ck")
 
 	sc, cfg := goldenConfig(ckPath)
@@ -659,21 +660,136 @@ func TestCheckpointGolden(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesAddresslessRespondingHop: the checkpoint codec can carry
-// a responding hop with no address (address tag 0 beside a reply kind), which
-// the diamond index cannot key. A file that says so is refused with an error
-// at restore, not answered with the index's panic.
-func TestRestoreRefusesAddresslessRespondingHop(t *testing.T) {
-	d := aAddr(200)
+// refusalState is a two-destination accumulator snapshot for the restore
+// refusal tests: each classic route loops on two addresses around a star, so
+// every list a restore checks the order of has two entries or more.
+func refusalState(t *testing.T) AccState {
+	t.Helper()
 	a := NewAccumulator()
-	a.Fold(&Pair{Dest: d, Classic: synthRoute(d, 1, 2, 3, 4), Paris: synthRoute(d, 1, 2, 3, 4)})
+	for _, d := range []netip.Addr{aAddr(200), aAddr(201)} {
+		a.Fold(&Pair{Dest: d, Classic: synthRoute(d, 1, 2, 2, -1, 3, 3, 4), Paris: synthRoute(d, 1, 2, 5, -1, 3, 6, 4)})
+	}
 	st := a.State()
+	if len(st.Dests) != 2 || len(st.Dests[0].LoopSigs) != 2 {
+		t.Fatalf("refusal state degenerate: %+v", st)
+	}
 	if _, err := RestoreAccumulator(st); err != nil {
 		t.Fatalf("untouched state refused: %v", err)
 	}
-	hop := &st.Dests[0].Routes[0].Route.Hops[1]
-	hop.Addr = netip.Addr{}
-	if _, err := RestoreAccumulator(st); err == nil || !strings.Contains(err.Error(), "not an IPv4 address") {
-		t.Errorf("responding hop without an address: got %v, want a refusal naming it", err)
+	return st
+}
+
+// TestRestoreRefusesDestinationTwice: a destination belongs to exactly one
+// accumulator, once. A body that lists it in two workers' states would be
+// merged twice (double-counting its diamonds and signatures), and a second
+// copy inside one state would silently replace the first; both are refused.
+func TestRestoreRefusesDestinationTwice(t *testing.T) {
+	st := refusalState(t)
+	ck := &Checkpoint{Workers: []AccState{st, st}}
+	if _, err := ck.Restore(0, 0, 2); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("one destination in two accumulators: got %v, want ErrCorrupt", err)
+	}
+	twice := st
+	twice.Dests = append(slices.Clone(st.Dests), st.Dests[0])
+	if _, err := RestoreAccumulator(twice); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("one destination twice in an accumulator: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRestoreRefusesUnsortedLists: State writes every set and list strictly
+// ascending; a restore refuses anything else instead of guessing.
+func TestRestoreRefusesUnsortedLists(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(st *AccState)
+	}{
+		{"destinations descending", func(st *AccState) { slices.Reverse(st.Dests) }},
+		{"address set descending", func(st *AccState) { slices.Reverse(st.Addrs) }},
+		{"address repeated", func(st *AccState) { st.LoopAddrs = append(st.LoopAddrs, st.LoopAddrs[len(st.LoopAddrs)-1]) }},
+		{"signatures descending", func(st *AccState) { slices.Reverse(st.Dests[1].LoopSigs) }},
+	} {
+		st := refusalState(t)
+		tc.edit(&st)
+		if _, err := RestoreAccumulator(st); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// TestRestoreRefusesAddresslessRespondingHop: a cell can say a hop responded
+// while leaving its has-address bit clear, which the diamond index cannot
+// key. A state that says so is refused with an error at restore, not
+// answered with the index's panic.
+func TestRestoreRefusesAddresslessRespondingHop(t *testing.T) {
+	st := refusalState(t)
+	cells := slices.Clone(st.Dests[0].Cells)
+	cells[0] &^= cellHasAddr | 0xffffffff
+	st.Dests[0].Cells = cells
+	if _, err := RestoreAccumulator(st); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "no address") {
+		t.Errorf("responding hop without an address: got %v, want ErrCorrupt naming it", err)
+	}
+}
+
+// TestRestoreRefusesNonCanonicalCells: one row per other way a hop cell can
+// differ from every cell packHop writes. Hop 0 of the first route responds;
+// hop 3 is a star.
+func TestRestoreRefusesNonCanonicalCells(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hop  int
+		edit func(uint64) uint64
+	}{
+		{"reserved bits set", 0, func(c uint64) uint64 { return c | 1<<62 }},
+		{"a star with an address", 3, func(c uint64) uint64 { return c | cellHasAddr | uint64(addrBits(aAddr(9))) }},
+		{"a star with address bytes", 3, func(c uint64) uint64 { return c | 9 }},
+		{"kind out of range", 0, func(c uint64) uint64 { return c&^cellKindMask | 9<<cellKindShift }},
+	} {
+		st := refusalState(t)
+		cells := slices.Clone(st.Dests[0].Cells)
+		cells[tc.hop] = tc.edit(cells[tc.hop])
+		st.Dests[0].Cells = cells
+		if _, err := RestoreAccumulator(st); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// TestCellsRoundTrip: every hop packHop accepts unpacks to itself up to RTT
+// and IP ID, and every hop it refuses is one no cell can hold.
+func TestCellsRoundTrip(t *testing.T) {
+	for _, h := range []tracer.Hop{
+		{TTL: 2, ProbeTTL: -1},
+		{TTL: 255, ProbeTTL: -1, Mismatched: true},
+		{TTL: 7, Addr: aAddr(1), RTT: 5, Kind: tracer.KindTimeExceeded, ProbeTTL: 0, RespTTL: 250, IPID: 9},
+		{TTL: 9, Addr: netip.IPv4Unspecified(), Kind: tracer.KindTCPSynAck, ProbeTTL: 127, RespTTL: 255},
+		{TTL: 3, Addr: netip.MustParseAddr("192.0.2.77"), Kind: tracer.KindHostUnreachable, ProbeTTL: -128, Mismatched: true},
+	} {
+		c, ok := packHop(&h)
+		if !ok {
+			t.Errorf("%+v: no cell", h)
+			continue
+		}
+		if err := checkCell(c); err != nil {
+			t.Errorf("%+v: packed to a non-canonical cell: %v", h, err)
+		}
+		want := h
+		want.RTT, want.IPID = 0, 0
+		if got := unpackHop(c); got != want {
+			t.Errorf("cell %#016x unpacks to %+v, want %+v", c, got, want)
+		}
+	}
+	for _, h := range []tracer.Hop{
+		{TTL: 256},
+		{TTL: 1, ProbeTTL: 128},
+		{TTL: 1, ProbeTTL: -129},
+		{TTL: 1, RespTTL: -1},
+		{TTL: 1, Kind: tracer.KindTCPSynAck + 1, Addr: aAddr(1)},
+		{TTL: 1, Addr: aAddr(1)}, // a star with an address
+		{TTL: 1, Kind: tracer.KindEchoReply},
+		{TTL: 1, Kind: tracer.KindEchoReply, Addr: netip.MustParseAddr("2001:db8::1")},
+	} {
+		if c, ok := packHop(&h); ok {
+			t.Errorf("%+v packed to cell %#016x", h, c)
+		}
 	}
 }

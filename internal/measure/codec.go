@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/ckpt"
@@ -26,8 +25,8 @@ const (
 	minAccState = 22 // 15 integers, 2 maps, 4 address sets, Dests
 	minCause    = 2  // cause, count
 	minDest     = 6  // address tag, SawLoop, SawCycle, 3 counts
-	minRoute    = 6  // Classic, 2 address tags, Halt, 2 counts
-	minHop      = 9  // 5 integers, address tag, IP ID, Mismatched
+	minRoute    = 4  // Classic, address tag, Halt, hop count
+	cellBytes   = 8  // one hop
 	minSig      = 3  // address tag, LastRound, Rounds
 )
 
@@ -92,14 +91,23 @@ func (st *AccState) Encode(e *ckpt.Encoder) {
 		e.Bool(dc.SawLoop)
 		e.Bool(dc.SawCycle)
 		e.Len(len(dc.Routes))
-		for j, rc := range dc.Routes {
-			if rc.Route == nil {
-				e.Fail(fmt.Errorf("measure: dest %v: route %d missing", dc.Dest, j))
+		cells := 0
+		for _, rc := range dc.Routes {
+			if rc.Hops < 0 {
+				e.Fail(fmt.Errorf("measure: dest %v: route of %d hops", dc.Dest, rc.Hops))
 				return
 			}
 			e.Bool(rc.Classic)
-			encodeRoute(e, rc.Route)
+			e.Addr(rc.Source)
+			e.Int(int64(rc.Halt))
+			e.Len(rc.Hops)
+			cells += rc.Hops
 		}
+		if cells != len(dc.Cells) {
+			e.Fail(fmt.Errorf("measure: dest %v: routes of %d hops over %d cells", dc.Dest, cells, len(dc.Cells)))
+			return
+		}
+		e.U64s(dc.Cells)
 		encodeSigs(e, dc.LoopSigs)
 		encodeSigs(e, dc.CycleSigs)
 	}
@@ -137,9 +145,12 @@ func (st *AccState) Decode(d *ckpt.Decoder) {
 		dc.SawCycle = d.Bool()
 		if nr := d.Len(minRoute); nr > 0 {
 			dc.Routes = make([]RouteCheckpoint, nr)
+			cells := 0
 			for j := range dc.Routes {
-				dc.Routes[j] = RouteCheckpoint{Classic: d.Bool(), Route: decodeRoute(d)}
+				dc.Routes[j] = RouteCheckpoint{Classic: d.Bool(), Source: d.Addr(), Halt: tracer.HaltReason(d.Int()), Hops: d.Len(cellBytes)}
+				cells += dc.Routes[j].Hops
 			}
+			dc.Cells = d.U64s(cells)
 		}
 		dc.LoopSigs = decodeSigs(d)
 		dc.CycleSigs = decodeSigs(d)
@@ -215,63 +226,4 @@ func decodeSigs(d *ckpt.Decoder) []SigCheckpoint {
 		sigs[i] = SigCheckpoint{Addr: d.Addr(), LastRound: int(d.Int()), Rounds: int(d.Int())}
 	}
 	return sigs
-}
-
-func encodeRoute(e *ckpt.Encoder, rt *tracer.Route) {
-	e.Addr(rt.Dest)
-	e.Addr(rt.Source)
-	e.Int(int64(rt.Halt))
-	encodeHops(e, rt.Hops)
-	e.Len(len(rt.All))
-	for _, row := range rt.All {
-		encodeHops(e, row)
-	}
-}
-
-func decodeRoute(d *ckpt.Decoder) *tracer.Route {
-	rt := &tracer.Route{Dest: d.Addr(), Source: d.Addr(), Halt: tracer.HaltReason(d.Int())}
-	rt.Hops = decodeHops(d)
-	if n := d.Len(1); n > 0 {
-		rt.All = make([][]tracer.Hop, n)
-		for i := range rt.All {
-			rt.All[i] = decodeHops(d)
-		}
-	}
-	return rt
-}
-
-func encodeHops(e *ckpt.Encoder, hops []tracer.Hop) {
-	e.Len(len(hops))
-	for i := range hops {
-		h := &hops[i]
-		e.Int(int64(h.TTL))
-		e.Addr(h.Addr)
-		e.Int(int64(h.RTT))
-		e.Int(int64(h.Kind))
-		e.Int(int64(h.ProbeTTL))
-		e.Int(int64(h.RespTTL))
-		e.U16(h.IPID)
-		e.Bool(h.Mismatched)
-	}
-}
-
-func decodeHops(d *ckpt.Decoder) []tracer.Hop {
-	n := d.Len(minHop)
-	if n == 0 {
-		return nil
-	}
-	hops := make([]tracer.Hop, n)
-	for i := range hops {
-		hops[i] = tracer.Hop{
-			TTL:        int(d.Int()),
-			Addr:       d.Addr(),
-			RTT:        time.Duration(d.Int()),
-			Kind:       tracer.ReplyKind(d.Int()),
-			ProbeTTL:   int(d.Int()),
-			RespTTL:    int(d.Int()),
-			IPID:       d.U16(),
-			Mismatched: d.Bool(),
-		}
-	}
-	return hops
 }

@@ -30,7 +30,7 @@ func recodeCheckpoint(file []byte) ([]byte, error) {
 // version's golden, whose body Check also wraps in a current frame: the old
 // layout read as the new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	for _, name := range []string{"toy-v4.ck", "toy-v3.ck"} {
+	for _, name := range []string{"toy-v5.ck", "toy-v4.ck"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

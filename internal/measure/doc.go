@@ -51,10 +51,11 @@
 //
 // Inside an accumulator, interning exploits round-over-round route
 // stability: each destination's distinct routes are keyed by
-// tracer.Route.Fingerprint and verified with Route.Equal against the
-// accumulator's own interned copy, so a fingerprint collision can only cost
-// speed, never correctness. Per-route work (loop/cycle detection, response
-// tallies, diamond-graph contribution) is memoized on the interned route;
+// tracer.Route.Fingerprint and verified, Route.Equal in place, against the
+// accumulator's own interned copy — a pointer-free header over 8-byte hop
+// cells — so a fingerprint collision can only cost speed, never
+// correctness. Per-route work (loop/cycle detection, response tallies,
+// diamond-graph contribution) is memoized on the interned route;
 // classic-vs-Paris classification is memoized per fingerprint pair.
 // Interning equality ignores per-exchange quantities (RTTs and response IP
 // IDs, which differ every round even on a stable path); RTT tallies fold
@@ -64,10 +65,10 @@
 // stable path therefore costs zero anomaly work per round, and campaign
 // memory is O(destinations + unique routes) — independent of the round
 // count — where materialized results grow O(destinations × rounds). A
-// destination's share is its interned routes, a few small maps and two
-// diamond indexes of a few hundred bytes, each a sorted set of
-// (head, tail, middle) triples (see stream.go's header for the reading and
-// the test that pins it).
+// destination's share is its interned routes' cells and headers, a few
+// sorted slices and two diamond indexes of a few hundred bytes, each a
+// sorted set of (head, tail, middle) triples (see stream.go's header for the
+// reading and the test that pins it).
 //
 // Streaming and materialize-then-Analyze produce byte-identical Stats (one
 // implementation, pinned by TestCampaignStreamInvariance).
@@ -78,9 +79,9 @@
 // accumulator keeps its own copy of anything it keeps. Concretely:
 //
 //   - Fold copies what it keeps. The first route seen with a fingerprint is
-//     interned as a tracer.Route.Clone — exact length, nothing shared — and
-//     Fold never retains the caller's Pair or routes, so they may be reused
-//     the moment it returns.
+//     interned as its hop cells, packed into the destination's cell array at
+//     exact length, and Fold never retains the caller's Pair or routes, so
+//     they may be reused the moment it returns.
 //   - The fold ring gives routes back. A streaming worker's ring recycles
 //     both routes of a pair into the worker's Prober right after folding it
 //     (Prober.Recycle); the worker's next traces refill those routes, so a
@@ -93,7 +94,7 @@
 //     abandoned mid-trace with its Prober; carrying routes back would need
 //     a lock or a channel the hot path does not otherwise have. It still
 //     gets the reusable tracers, hint-sized routes and exact-size interned
-//     copies through the same Prober.
+//     cells through the same Prober and accumulator.
 //
 // The poison suite (poison_test.go) scribbles over every route at the
 // moment it is recycled and requires statistics and checkpoints to match
@@ -128,8 +129,8 @@
 //
 // With Config.CheckpointPath set on a streaming campaign, the campaign
 // serializes its resumable state every Config.CheckpointEvery completed
-// rounds: the per-worker accumulator partials (interned routes with full
-// hop data, scalar tallies, signature spans — the memo and graph layers are
+// rounds: the per-worker accumulator partials (interned routes as their
+// hop cells, scalar tallies, signature spans — the memo and graph layers are
 // rebuilt on load by replaying the interned routes through the same
 // analysis code), the per-destination DestRun records (error budget and
 // path hints), an opaque Config.TransportState payload, and the next round

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -466,12 +467,11 @@ func TestPoisonedFingerprintCollision(t *testing.T) {
 			p := res.Rounds[r][i]
 			p.Paris, p.Classic = p.Paris.Clone(), p.Classic.Clone()
 			if ds := a.dests[p.Dest]; ds != nil {
-				if fp := p.Classic.Fingerprint(); ds.classic[fp] == nil {
-					for _, other := range ds.classic {
-						ds.classic[fp] = other
-						collisions++
-						break
-					}
+				if at, found := searchMemo(ds.classic, p.Classic.Fingerprint()); !found && len(ds.classic) > 0 {
+					planted := ds.classic[0]
+					planted.fp = p.Classic.Fingerprint()
+					ds.classic = slices.Insert(ds.classic, at, planted)
+					collisions++
 				}
 			}
 			a.Fold(&p)
