@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -71,6 +72,51 @@ func studyEnv(t *testing.T, env []string, args ...string) (stderr string, exit i
 }
 
 var toyStudy = []string{"-dests", "4", "-rounds", "4", "-workers", "1", "-flips=false", "-seed", "7"}
+
+var update = flag.Bool("update", false, "rewrite the testdata/ goldens from this build's output")
+
+// TestOutputGolden pins the report and the -stats-json of the one-worker,
+// flip-free study — the configuration whose statistics are a pure function of
+// the flags — on a static topology and with netsim's dynamics on. A change
+// that means to alter either rewrites the files with -update and shows the
+// diff; any other change must leave them byte-equal.
+func TestOutputGolden(t *testing.T) {
+	base := []string{"-dests", "120", "-rounds", "24", "-workers", "1", "-flips=false", "-seed", "7"}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"static", base},
+		{"dynamics", append(slices.Clone(base), "-delay", "1", "-load", "0.3", "-churn", "0.5")},
+	} {
+		statsJSON := filepath.Join(t.TempDir(), "stats.json")
+		cmd := exec.Command(os.Args[0], append(c.args, "-stats-json", statsJSON)...)
+		cmd.Env = append(os.Environ(), asMainEnv+"=1")
+		var errb bytes.Buffer
+		cmd.Stderr = &errb
+		stdout, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s: %v: %s", c.name, err, errb.String())
+		}
+		stats, err := os.ReadFile(statsJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for golden, got := range map[string][]byte{c.name + ".stdout": stdout, c.name + ".stats.json": stats} {
+			golden = filepath.Join("testdata", golden)
+			if *update {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want, err := os.ReadFile(golden); err != nil {
+				t.Errorf("%v (record with -update)", err)
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s differs from this build's output (rerun with -update to accept):\n%s", golden, got)
+			}
+		}
+	}
+}
 
 // TestResumeRefusesLegacyJSONCheckpoint: -resume on a version-2 JSON
 // checkpoint (the fixture is the last JSON build's output for toyStudy,

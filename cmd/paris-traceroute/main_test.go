@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,6 +16,10 @@ import (
 // asMainEnv set, TestMain runs main() on the process's arguments instead of
 // the tests, so output and exit codes are the shipped binary's.
 const asMainEnv = "PARIS_TRACEROUTE_TEST_AS_MAIN"
+
+var update = flag.Bool("update", false, "rewrite "+matrixGolden+" from this build's output")
+
+const matrixGolden = "testdata/matrix.golden"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(asMainEnv) != "" {
@@ -60,6 +67,53 @@ func TestBatchFlagChangesNoRoute(t *testing.T) {
 		if batched != plain {
 			t.Errorf("%v: -batch changed the output\nwithout:\n%s\nwith:\n%s", args, plain, batched)
 		}
+	}
+}
+
+// TestOutputGolden pins what the tool prints for every figure scenario under
+// every probing method, with -batch off and on (one golden section serves
+// both: -batch never changes a route), and for the multipath enumeration.
+// A change that means to alter this output rewrites the file with -update
+// and shows the diff; any other change must leave it byte-equal.
+func TestOutputGolden(t *testing.T) {
+	var runs [][]string
+	for _, s := range []string{"fig1", "fig3", "fig4", "fig5", "fig6"} {
+		for _, m := range []string{"paris-udp", "paris-icmp", "paris-tcp", "classic-udp", "classic-icmp", "tcptraceroute"} {
+			runs = append(runs, []string{"-scenario", s, "-method", m})
+		}
+	}
+	runs = append(runs, []string{"-scenario", "fig3", "-flows", "16"})
+
+	var got bytes.Buffer
+	for _, args := range runs {
+		out, stderr, exit := traceroute(t, args...)
+		if exit != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, exit, stderr)
+		}
+		fmt.Fprintf(&got, "== %s\n%s", strings.Join(args, " "), out)
+		if args[2] != "-method" {
+			continue
+		}
+		if batched, stderr, exit := traceroute(t, append(args, "-batch")...); exit != 0 || batched != out {
+			t.Errorf("%v -batch: exit %d, stderr %q, output differs from the unbatched run:\n%s", args, exit, stderr, batched)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(matrixGolden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(matrixGolden)
+	if err != nil {
+		t.Fatalf("%v (record with -update)", err)
+	}
+	if g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n"); !slices.Equal(g, w) {
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		t.Errorf("output differs from %s at line %d (rerun with -update to accept):\ngot  %q\nwant %q",
+			matrixGolden, i+1, g[min(i, len(g)-1)], w[min(i, len(w)-1)])
 	}
 }
 
