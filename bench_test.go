@@ -1,15 +1,16 @@
 // Benchmark harness: one benchmark per figure and quoted statistic of the
-// paper, plus ablations of the design choices called out in DESIGN.md.
+// paper, plus ablations of the design choices the paper argues for.
 // (Fig. 2's header-role table is generated by test code of its own, so its
 // benchmark sits with it in internal/tracer/fig2_test.go.)
 //
 // Statistic-bearing benchmarks attach their measured values as custom
 // metrics (b.ReportMetric), so `go test -bench=. -benchmem` regenerates the
-// paper's numbers alongside the timing data. EXPERIMENTS.md records a full
-// run.
+// paper's numbers alongside the timing data; the values they are compared
+// with are the paper column of the study's report (internal/measure/report.go).
 package repro
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/anomaly"
@@ -187,7 +188,7 @@ func campaignStats(b *testing.B) *measure.Stats {
 func BenchmarkLoopStatistics(b *testing.B) {
 	s := campaignStats(b)
 	for i := 0; i < b.N; i++ {
-		_ = measure.Rows(s)
+		measure.WriteReport(io.Discard, s, nil)
 	}
 	b.ReportMetric(pct(s.Loops.RoutesWithLoop, s.Routes), "loop_routes_pct")
 	b.ReportMetric(measure.CausePct(s.Loops.ByCause, anomaly.CausePerFlowLB), "perflow_pct")
@@ -202,7 +203,7 @@ func BenchmarkLoopStatistics(b *testing.B) {
 func BenchmarkCycleStatistics(b *testing.B) {
 	s := campaignStats(b)
 	for i := 0; i < b.N; i++ {
-		_ = measure.Rows(s)
+		measure.WriteReport(io.Discard, s, nil)
 	}
 	b.ReportMetric(pct(s.Cycles.RoutesWithCycle, s.Routes), "cycle_routes_pct")
 	b.ReportMetric(measure.CausePct(s.Cycles.ByCause, anomaly.CausePerFlowLB), "perflow_pct")
@@ -215,7 +216,7 @@ func BenchmarkCycleStatistics(b *testing.B) {
 func BenchmarkDiamondStatistics(b *testing.B) {
 	s := campaignStats(b)
 	for i := 0; i < b.N; i++ {
-		_ = measure.Rows(s)
+		measure.WriteReport(io.Discard, s, nil)
 	}
 	b.ReportMetric(pct(s.Diamonds.DestsWithDiamond, s.Dests), "diamond_dests_pct")
 	b.ReportMetric(pct(s.Diamonds.PerFlow, s.Diamonds.Total), "perflow_pct")
@@ -229,7 +230,7 @@ func pct(a, b int) float64 {
 	return 100 * float64(a) / float64(b)
 }
 
-// --- Ablations (DESIGN.md section 5) ---
+// --- Ablations ---
 
 // BenchmarkAblationFlowKey contrasts the paper's observed router behaviour
 // (hash the first four transport octets) with the textbook five-tuple:

@@ -8,6 +8,11 @@
 // the round count, which is how the full 5,000 × 556 study runs. The
 // full-scale study is available via `go run ./cmd/anomaly-study -paper`.
 //
+// One worker probes every destination in list order, so the mid-trace
+// path flips — drawn from the network-wide probe counter — land on the same
+// probes every run, and so does every statistic printed: two runs print
+// identical bytes.
+//
 // Run: go run ./examples/campaign
 package main
 
@@ -30,7 +35,7 @@ func main() {
 	camp, err := measure.NewCampaign(netsim.NewTransport(sc.Net), measure.Config{
 		Dests:      sc.Dests,
 		Rounds:     15,
-		Workers:    32,
+		Workers:    1,
 		RoundStart: sc.RoundStart,
 		PortSeed:   cfg.Seed,
 		Stream:     true,

@@ -24,11 +24,9 @@ type Loop struct {
 	AtEnd bool
 }
 
-// Signature returns the paper's loop signature (r, d).
-func (l Loop) Signature() Signature { return Signature{Addr: l.Addr, Dest: l.Dest} }
-
 // Cycle is an observed cycle: an address appearing at least twice in one
 // measured route, separated by at least one distinct address (Section 4.2).
+// Its signature is the pair (Addr, Dest).
 type Cycle struct {
 	Addr netip.Addr
 	Dest netip.Addr
@@ -39,19 +37,6 @@ type Cycle struct {
 	Period int
 }
 
-// Signature returns the paper's cycle signature (r, d).
-func (c Cycle) Signature() Signature { return Signature{Addr: c.Addr, Dest: c.Dest} }
-
-// Signature identifies an anomaly instance class: the paper counts distinct
-// (address, destination) pairs across measurement rounds.
-type Signature struct {
-	Addr netip.Addr
-	Dest netip.Addr
-}
-
-// String implements fmt.Stringer.
-func (s Signature) String() string { return fmt.Sprintf("(%s,%s)", s.Addr, s.Dest) }
-
 // Diamond is a diamond signature in a per-destination graph: a pair (h, t)
 // of addresses such that measured routes toward the destination contain
 // ...h, r_i, t... for at least two distinct r_i (Section 4.3).
@@ -60,15 +45,6 @@ type Diamond struct {
 	Dest       netip.Addr
 	// Mids are the distinct intermediate addresses observed (k >= 2).
 	Mids []netip.Addr
-}
-
-// Key identifies the diamond within its destination graph.
-func (d Diamond) Key() DiamondKey { return DiamondKey{Head: d.Head, Tail: d.Tail, Dest: d.Dest} }
-
-// DiamondKey is the comparable form of a diamond signature.
-type DiamondKey struct {
-	Head, Tail netip.Addr
-	Dest       netip.Addr
 }
 
 // FindLoops scans a measured route for loops. Stars never participate: the

@@ -41,11 +41,8 @@ func TestFindLoopsBasic(t *testing.T) {
 		t.Fatalf("loops = %v", loops)
 	}
 	l := loops[0]
-	if l.Addr != addr(3) || l.Start != 2 || l.Len != 2 || l.AtEnd {
+	if l.Addr != addr(3) || l.Dest != dst || l.Start != 2 || l.Len != 2 || l.AtEnd {
 		t.Errorf("loop = %+v", l)
-	}
-	if sig := l.Signature(); sig.Addr != addr(3) || sig.Dest != dst {
-		t.Errorf("signature = %v", sig)
 	}
 }
 
@@ -244,7 +241,7 @@ func TestClassifyCycleUnreachability(t *testing.T) {
 	rt := mkRoute(1, 2, 3, 2)
 	rt.Hops[3].Kind = tracer.KindNetUnreachable
 	c := FindCycles(rt)[0]
-	if got := ClassifyCycle(c, rt, nil); got != CauseUnreachability {
+	if got := ClassifyCycleDetected(c, rt, nil, false); got != CauseUnreachability {
 		t.Errorf("cause = %v, want unreachability", got)
 	}
 }
@@ -257,13 +254,13 @@ func TestClassifyCycleForwardingLoop(t *testing.T) {
 		rt.Hops[i].IPID = uint16(10 + i)
 	}
 	c := FindCycles(rt)[0]
-	if got := ClassifyCycle(c, rt, nil); got != CauseForwardingLoop {
+	if got := ClassifyCycleDetected(c, rt, nil, false); got != CauseForwardingLoop {
 		t.Errorf("cause = %v, want forwarding-loop", got)
 	}
 	// Wildly different IP IDs: periodicity alone is not enough.
 	rt.Hops[3].IPID = 50000
 	rt.Hops[5].IPID = 200
-	if got := ClassifyCycle(c, rt, nil); got == CauseForwardingLoop {
+	if got := ClassifyCycleDetected(c, rt, nil, false); got == CauseForwardingLoop {
 		t.Error("forwarding-loop fired with incoherent IP IDs")
 	}
 }
@@ -272,7 +269,7 @@ func TestClassifyCyclePerFlow(t *testing.T) {
 	classic := mkRoute(1, 2, 3, 2, 5)
 	paris := mkRoute(1, 2, 3, 4, 5)
 	c := FindCycles(classic)[0]
-	if got := ClassifyCycle(c, classic, paris); got != CausePerFlowLB {
+	if got := ClassifyCycleDetected(c, classic, FindCycles(paris), true); got != CausePerFlowLB {
 		t.Errorf("cause = %v, want per-flow-lb", got)
 	}
 }
@@ -325,7 +322,7 @@ func TestCauseStrings(t *testing.T) {
 }
 
 // pairClassReference recomputes a PairClass the pre-streaming way: one
-// ClassifyLoop/ClassifyCycle call per instance and the nested Paris-only
+// ClassifyLoop/ClassifyCycleDetected call per instance and the nested Paris-only
 // rescan. ClassifyPair must match it exactly.
 func pairClassReference(classic, paris *tracer.Route) PairClass {
 	pc := PairClass{Loops: FindLoops(classic), Cycles: FindCycles(classic)}
@@ -338,7 +335,7 @@ func pairClassReference(classic, paris *tracer.Route) PairClass {
 	if len(pc.Cycles) > 0 {
 		pc.CycleCauses = make([]Cause, len(pc.Cycles))
 		for i, c := range pc.Cycles {
-			pc.CycleCauses[i] = ClassifyCycle(c, classic, paris)
+			pc.CycleCauses[i] = ClassifyCycleDetected(c, classic, FindCycles(paris), true)
 		}
 	}
 	for _, l := range FindLoops(paris) {

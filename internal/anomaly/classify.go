@@ -160,7 +160,8 @@ func respTTLDecreasing(hops []tracer.Hop) bool {
 	return true
 }
 
-// ClassifyCycle attributes a cycle to a cause:
+// ClassifyCycleDetected attributes a cycle to a cause, given the paired
+// Paris trace's cycles (hasParis false when there is no paired trace):
 //
 //  1. unreachability: the second appearance is an !H/!N response ending
 //     the route;
@@ -170,16 +171,10 @@ func respTTLDecreasing(hops []tracer.Hop) bool {
 //  3. per-flow load balancing: the signature is absent from the paired
 //     Paris measurement;
 //  4. residual: per-packet load balancing or spoofed addresses.
-func ClassifyCycle(c Cycle, route, paris *tracer.Route) Cause {
-	if paris == nil {
-		return classifyCycle(c, route, nil, false)
-	}
-	return classifyCycle(c, route, FindCycles(paris), true)
-}
-
-// ClassifyCycleDetected is ClassifyCycle with the paired Paris detection
-// already in hand (see ClassifyLoopDetected); periodic cycles re-evaluate
-// their IP ID coherence against each round's route through it.
+//
+// Like ClassifyLoopDetected it takes the Paris detection already in hand;
+// periodic cycles re-evaluate their IP ID coherence against each round's
+// route through it.
 func ClassifyCycleDetected(c Cycle, route *tracer.Route, parisCycles []Cycle, hasParis bool) Cause {
 	return classifyCycle(c, route, parisCycles, hasParis)
 }

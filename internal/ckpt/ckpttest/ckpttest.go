@@ -29,14 +29,11 @@ func Frame(kind ckpt.Kind, version uint8, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
 }
 
-// Body strips the frame from a well-formed checkpoint file.
-func Body(file []byte) []byte { return file[HeaderLen : len(file)-trailerLen] }
-
 // Seed adds a real checkpoint file to the corpus: the file and its bare body,
 // then a truncation ladder of each (every length up to 64 bytes, where the
 // frame and the scalar fields sit, and 64 evenly spaced cuts after that).
 func Seed(f *testing.F, file []byte) {
-	for _, b := range [][]byte{file, Body(file)} {
+	for _, b := range [][]byte{file, file[HeaderLen : len(file)-trailerLen]} {
 		f.Add(b)
 		step := max(1, len(b)/64)
 		for n := 0; n < len(b); n++ {

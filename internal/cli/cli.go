@@ -17,16 +17,16 @@ import (
 
 // The exit-code contract, the same for every binary.
 const (
-	ExitOK = 0
-	// ExitFailure is a runtime failure: a trace error, a capture or
+	exitOK = 0
+	// exitFailure is a runtime failure: a trace error, a capture or
 	// checkpoint that cannot be used, a file that cannot be written.
-	ExitFailure = 1
-	// ExitUsage is a bad flag or flag combination, or a missing privilege
+	exitFailure = 1
+	// exitUsage is a bad flag or flag combination, or a missing privilege
 	// (raw sockets need root or CAP_NET_RAW): nothing was probed.
-	ExitUsage = 2
-	// ExitInterrupted is a run stopped by SIGINT or SIGTERM — after the
+	exitUsage = 2
+	// exitInterrupted is a run stopped by SIGINT or SIGTERM — after the
 	// drain on the first signal, at once on the second.
-	ExitInterrupted = 130
+	exitInterrupted = 130
 )
 
 var prog = filepath.Base(os.Args[0])
@@ -38,34 +38,34 @@ type usageError struct{ err error }
 func (e usageError) Error() string { return e.err.Error() }
 func (e usageError) Unwrap() error { return e.err }
 
-// Usagef is fmt.Errorf for an error that exits ExitUsage.
+// Usagef is fmt.Errorf for an error that exits with the usage code, 2.
 func Usagef(format string, a ...any) error {
 	return usageError{fmt.Errorf(format, a...)}
 }
 
-// ExitCode places err in the contract: nil is ExitOK, a Usagef error
-// ExitUsage, a cancelled context ExitInterrupted, anything else ExitFailure.
-func ExitCode(err error) int {
+// exitCode places err in the contract: nil is exitOK, a Usagef error
+// exitUsage, a cancelled context exitInterrupted, anything else exitFailure.
+func exitCode(err error) int {
 	var u usageError
 	switch {
 	case err == nil:
-		return ExitOK
+		return exitOK
 	case errors.As(err, &u):
-		return ExitUsage
+		return exitUsage
 	case errors.Is(err, context.Canceled):
-		return ExitInterrupted
+		return exitInterrupted
 	}
-	return ExitFailure
+	return exitFailure
 }
 
-// Exit reports err, if any, and ends the process with ExitCode(err). It is
+// Exit reports err, if any, and ends the process with exitCode(err). It is
 // the only exit of a binary's main besides flag parsing and the second
 // signal, so whatever main's run function deferred has run by now.
 func Exit(err error) {
 	if err != nil {
 		Logf("%v", err)
 	}
-	os.Exit(ExitCode(err))
+	os.Exit(exitCode(err))
 }
 
 // Logf writes one diagnostic line to stderr, prefixed with the program name.
@@ -76,7 +76,7 @@ func Logf(format string, a ...any) {
 // SignalContext returns the context a binary probes under. The first SIGINT
 // or SIGTERM cancels it: the run drains — finishes or abandons what is in
 // flight, writes its checkpoint, installs its capture — and exits
-// ExitInterrupted. A second signal during the drain exits ExitInterrupted
+// exitInterrupted. A second signal during the drain exits exitInterrupted
 // at once, without draining.
 func SignalContext() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -88,7 +88,7 @@ func SignalContext() context.Context {
 		cancel()
 		<-sigC
 		Logf("second signal: forced immediate exit")
-		os.Exit(ExitInterrupted)
+		os.Exit(exitInterrupted)
 	}()
 	return ctx
 }

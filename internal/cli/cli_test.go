@@ -65,8 +65,8 @@ func TestSecondSignalForcesExit(t *testing.T) {
 	}
 	err = cmd.Wait()
 	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != ExitInterrupted {
-		t.Fatalf("child ended with %v, want exit %d", err, ExitInterrupted)
+	if !errors.As(err, &ee) || ee.ExitCode() != exitInterrupted {
+		t.Fatalf("child ended with %v, want exit %d", err, exitInterrupted)
 	}
 	for _, want := range []string{"signal received; draining", "second signal: forced immediate exit"} {
 		if !strings.Contains(stderr.String(), want) {
@@ -80,14 +80,14 @@ func TestExitCode(t *testing.T) {
 		err  error
 		want int
 	}{
-		{nil, ExitOK},
-		{errors.New("trace failed"), ExitFailure},
-		{Usagef("-resume requires -checkpoint"), ExitUsage},
-		{fmt.Errorf("opening: %w", Usagef("no raw sockets")), ExitUsage},
-		{fmt.Errorf("interrupted: %w", context.Canceled), ExitInterrupted},
+		{nil, exitOK},
+		{errors.New("trace failed"), exitFailure},
+		{Usagef("-resume requires -checkpoint"), exitUsage},
+		{fmt.Errorf("opening: %w", Usagef("no raw sockets")), exitUsage},
+		{fmt.Errorf("interrupted: %w", context.Canceled), exitInterrupted},
 	} {
-		if got := ExitCode(c.err); got != c.want {
-			t.Errorf("ExitCode(%v) = %d, want %d", c.err, got, c.want)
+		if got := exitCode(c.err); got != c.want {
+			t.Errorf("exitCode(%v) = %d, want %d", c.err, got, c.want)
 		}
 	}
 }
@@ -140,8 +140,8 @@ func TestDests(t *testing.T) {
 		switch {
 		case c.err == "" && err != nil:
 			t.Errorf("%s: %v", c.name, err)
-		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err) || ExitCode(err) != ExitUsage):
-			t.Errorf("%s: error %v (exit %d), want a usage error containing %q", c.name, err, ExitCode(err), c.err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err) || exitCode(err) != exitUsage):
+			t.Errorf("%s: error %v (exit %d), want a usage error containing %q", c.name, err, exitCode(err), c.err)
 		case fmt.Sprint(got) != fmt.Sprint(c.want):
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 		}
@@ -176,8 +176,8 @@ func TestValidate(t *testing.T) {
 		switch {
 		case c.err == "" && err != nil:
 			t.Errorf("%q: %v", c.args, err)
-		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err) || ExitCode(err) != ExitUsage):
-			t.Errorf("%q: error %v (exit %d), want a usage error containing %q", c.args, err, ExitCode(err), c.err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err) || exitCode(err) != exitUsage):
+			t.Errorf("%q: error %v (exit %d), want a usage error containing %q", c.args, err, exitCode(err), c.err)
 		}
 	}
 }
@@ -206,7 +206,7 @@ func TestTopoGenerate(t *testing.T) {
 	if err != nil || len(sc.Dests) != 40 || len(sc.Nets) != 4 || !sc.Net.DynamicsEnabled() {
 		t.Fatalf("-dests 40 -shards 4 -delay 1: %v, %d dests over %d nets", err, len(sc.Dests), len(sc.Nets))
 	}
-	if _, err := parseTopo(t, "-dests", "0").Generate(); ExitCode(err) != ExitUsage {
+	if _, err := parseTopo(t, "-dests", "0").Generate(); exitCode(err) != exitUsage {
 		t.Errorf("-dests 0: %v, want a usage error", err)
 	}
 }
@@ -365,8 +365,8 @@ func TestCloseInstallsCompleteCapture(t *testing.T) {
 				break
 			}
 		}
-		if traceErr == nil || ExitCode(traceErr) != ExitFailure {
-			t.Fatalf("trace over a dead socket: %v (exit %d), want a runtime failure", traceErr, ExitCode(traceErr))
+		if traceErr == nil || exitCode(traceErr) != exitFailure {
+			t.Fatalf("trace over a dead socket: %v (exit %d), want a runtime failure", traceErr, exitCode(traceErr))
 		}
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
@@ -428,17 +428,17 @@ func TestOpenMuxFailures(t *testing.T) {
 	l.dial = func() (netip.Addr, live.PacketConn, error) {
 		return netip.Addr{}, nil, errors.New("socket: operation not permitted")
 	}
-	if _, err := l.OpenMux(context.Background(), nil); ExitCode(err) != ExitUsage || !strings.Contains(err.Error(), "operation not permitted") {
-		t.Errorf("no raw sockets: %v (exit %d), want a usage error saying why", err, ExitCode(err))
+	if _, err := l.OpenMux(context.Background(), nil); exitCode(err) != exitUsage || !strings.Contains(err.Error(), "operation not permitted") {
+		t.Errorf("no raw sockets: %v (exit %d), want a usage error saying why", err, exitCode(err))
 	}
 	l, _, _ = simLive(t)
 	l.dial = func() (netip.Addr, live.PacketConn, error) { return netip.Addr{}, nil, nil }
-	if _, err := l.OpenMux(context.Background(), nil); ExitCode(err) != ExitUsage || !strings.Contains(err.Error(), "live probing unavailable") {
-		t.Errorf("no IPv4 source: %v (exit %d), want a usage error", err, ExitCode(err))
+	if _, err := l.OpenMux(context.Background(), nil); exitCode(err) != exitUsage || !strings.Contains(err.Error(), "live probing unavailable") {
+		t.Errorf("no IPv4 source: %v (exit %d), want a usage error", err, exitCode(err))
 	}
 	l, _, _ = simLive(t, "-capture", filepath.Join(t.TempDir(), "no", "such", "dir", "run.pcap"))
-	if _, err := l.OpenMux(context.Background(), nil); ExitCode(err) != ExitFailure {
-		t.Errorf("unwritable capture path: %v (exit %d), want a runtime failure", err, ExitCode(err))
+	if _, err := l.OpenMux(context.Background(), nil); exitCode(err) != exitFailure {
+		t.Errorf("unwritable capture path: %v (exit %d), want a runtime failure", err, exitCode(err))
 	}
 }
 

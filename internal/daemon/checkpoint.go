@@ -9,13 +9,13 @@ import (
 	"repro/internal/measure"
 )
 
-// CheckpointVersion gates the daemon checkpoint schema. Version 2 replaced
+// checkpointVersion gates the daemon checkpoint schema. Version 2 replaced
 // the JSON document with the binary format of internal/ckpt; version 3 is
 // the run body a campaign checkpoint is made of, followed by the daemon's
 // schedule section; version 4 is that body with interned hops written as
 // 8-byte cells (campaign version 5). An older file is quarantined like any
 // other unreadable checkpoint.
-const CheckpointVersion = 4
+const checkpointVersion = 4
 
 // Checkpoint is the daemon's serialized resumable state: the run body it
 // shares with campaign checkpoints — digest, round cursor, opaque transport
@@ -71,7 +71,7 @@ const minDestState = 3 + 16 + 1
 // (internal/ckpt) on the one atomic write path, so a kill mid-write leaves
 // the previous checkpoint intact.
 func (ck *Checkpoint) Save(path string) error {
-	if err := ckpt.WriteFile(path, ckpt.KindDaemon, CheckpointVersion, ck.encode); err != nil {
+	if err := ckpt.WriteFile(path, ckpt.KindDaemon, checkpointVersion, ck.encode); err != nil {
 		return fmt.Errorf("daemon: writing checkpoint %s: %w", path, err)
 	}
 	return nil
@@ -114,12 +114,12 @@ func (ck *Checkpoint) decode(d *ckpt.Decoder) {
 	}
 }
 
-// LoadCheckpoint reads and decodes a daemon checkpoint. A missing file is
+// loadCheckpoint reads and decodes a daemon checkpoint. A missing file is
 // (nil, nil): the caller starts fresh. Any other failure says which way the
 // file is unusable (errors.Is against the ckpt.Err* values).
-func LoadCheckpoint(path string) (*Checkpoint, error) {
+func loadCheckpoint(path string) (*Checkpoint, error) {
 	ck := new(Checkpoint)
-	err := ckpt.ReadFile(path, ckpt.KindDaemon, CheckpointVersion, ck.decode)
+	err := ckpt.ReadFile(path, ckpt.KindDaemon, checkpointVersion, ck.decode)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -139,7 +139,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // statistics over a config edit is worse than making the operator pass
 // -fresh.
 func (d *Daemon) recover(path string) error {
-	ck, err := LoadCheckpoint(path)
+	ck, err := loadCheckpoint(path)
 	if err != nil {
 		return d.quarantineCorrupt(path, err)
 	}

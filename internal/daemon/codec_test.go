@@ -40,11 +40,11 @@ func toyCheckpoint(t testing.TB) []byte {
 // encodes the result again.
 func recodeCheckpoint(file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
-	if err := ckpt.Decode(file, ckpt.KindDaemon, CheckpointVersion, ck.decode); err != nil {
+	if err := ckpt.Decode(file, ckpt.KindDaemon, checkpointVersion, ck.decode); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	err := ckpt.Encode(&buf, ckpt.KindDaemon, CheckpointVersion, ck.encode)
+	err := ckpt.Encode(&buf, ckpt.KindDaemon, checkpointVersion, ck.encode)
 	return buf.Bytes(), err
 }
 
@@ -56,7 +56,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := LoadCheckpoint(path)
+	ck, err := loadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := ck.Save(again); err != nil {
 		t.Fatal(err)
 	}
-	ck2, err := LoadCheckpoint(again)
+	ck2, err := loadCheckpoint(again)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v4.ck from t
 // TestCheckpointGolden pins the daemon's wire format: the toy daemon's
 // checkpoint must be the committed file byte for byte (it holds no RTT and
 // no IP ID, so nothing in it varies run to run). A deliberate format change
-// bumps CheckpointVersion and regenerates the file (go test -run
+// bumps checkpointVersion and regenerates the file (go test -run
 // TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "toy-v4.ck")
@@ -120,6 +120,6 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		ckpttest.Seed(f, previous)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ckpttest.Check(t, ckpt.KindDaemon, CheckpointVersion, data, recodeCheckpoint)
+		ckpttest.Check(t, ckpt.KindDaemon, checkpointVersion, data, recodeCheckpoint)
 	})
 }

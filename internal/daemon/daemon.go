@@ -34,26 +34,14 @@ type Config struct {
 	// Workers sizes the supervised pool. Zero selects 4.
 	Workers int
 	// QueueCap bounds the jobs admitted per round; due work beyond it is
-	// shed by a seeded random-early lottery with aging (see shedScore) and
+	// shed by a random-early lottery with aging (see shedScore) and
 	// re-armed for the next round, so persistent overload rotates the
 	// victims instead of starving a fixed set. Zero selects 8*Workers.
 	QueueCap int
-	// ShedSeed seeds the shedding lottery; rounds are deterministic per
-	// (ShedSeed, round). Zero is a valid seed.
-	ShedSeed int64
 
 	// MaxWorkerRestarts caps how many times one worker slot is restarted
 	// after panics; beyond it the slot stays dead. Zero selects 8.
 	MaxWorkerRestarts int
-	// RestartBackoff is the base delay before restarting a panicked
-	// worker: restart k waits RestartBackoff << (k-1), capped by
-	// RestartBackoffMax. Zero selects 100ms.
-	RestartBackoff time.Duration
-	// RestartBackoffMax caps the restart backoff. Zero selects 5s.
-	RestartBackoffMax time.Duration
-	// QuarantineAfter is the per-destination error budget
-	// (measure.DestRun, as in a campaign). Zero selects 3.
-	QuarantineAfter int
 	// StallTimeout is the watchdog deadline per trace; a job that has
 	// neither completed nor panicked by then is abandoned and its worker
 	// replaced. Zero selects 30s; negative disables the watchdog.
@@ -86,11 +74,13 @@ type Config struct {
 	// served /stats (Stats.Robust.Mux). Nil leaves the field absent.
 	MuxHealth func() tracer.MuxHealth
 
-	// EventBuffer sizes the /events replay ring. Zero selects 256.
-	EventBuffer int
 	// Sleep replaces time.Sleep for restart backoff; tests inject a no-op.
 	Sleep func(time.Duration)
 }
+
+// eventBuffer is the /events replay ring's size: a subscriber resuming with
+// ?since= further back than this many events has missed the difference.
+const eventBuffer = 256
 
 func (c Config) withDefaults() Config {
 	if c.Period <= 0 {
@@ -108,23 +98,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxWorkerRestarts <= 0 {
 		c.MaxWorkerRestarts = 8
 	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 100 * time.Millisecond
-	}
-	if c.RestartBackoffMax <= 0 {
-		c.RestartBackoffMax = 5 * time.Second
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 3
-	}
 	if c.StallTimeout == 0 {
 		c.StallTimeout = 30 * time.Second
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
 	}
 	return c
 }
@@ -187,7 +165,7 @@ func New(cfg Config) (*Daemon, error) {
 		digest: measure.RunDigest(cfg.Dests, cfg.Probe),
 		acc:    measure.NewAccumulator(),
 		sched:  newScheduler(cfg.Dests, int64(cfg.Period)),
-		events: newEventHub(cfg.EventBuffer),
+		events: newEventHub(eventBuffer),
 		jobs:   make(chan *job, cfg.QueueCap),
 		stop:   make(chan struct{}),
 	}
@@ -256,7 +234,7 @@ func (d *Daemon) Tick() {
 	var shedList []*destSched
 	if len(runnable) > d.cfg.QueueCap {
 		n := len(runnable) - d.cfg.QueueCap
-		shedList = shedVictims(runnable, n, d.cfg.ShedSeed, round)
+		shedList = shedVictims(runnable, n, round)
 		victim := make(map[*destSched]bool, n)
 		for _, ds := range shedList {
 			victim[ds] = true
@@ -347,7 +325,7 @@ func (d *Daemon) enqueue(j *job) {
 func (d *Daemon) failLocked(ds *destSched, round int64) {
 	p := measure.FailedPair(ds.dest, int(round))
 	d.acc.Fold(&p)
-	if ds.Failed(d.cfg.QuarantineAfter) {
+	if ds.Failed() {
 		// eventHub has its own mutex and never takes d.mu, so publishing
 		// under d.mu is deadlock-free and keeps event order deterministic.
 		d.events.publish(Event{Round: round, Type: EventQuarantine, Dest: ds.dest,

@@ -175,13 +175,12 @@ func TestDaemonShedRearm(t *testing.T) {
 
 // shedPairs runs one daemon under persistent overload and returns each
 // destination's completed pair count.
-func shedPairs(t *testing.T, seed int64, rounds int) []int64 {
+func shedPairs(t *testing.T, rounds int) []int64 {
 	t.Helper()
 	sc := freeTopo(t, 10, 3, 0)
 	cfg := testConfig(sc)
 	cfg.Period = 1 // all 10 due every round
 	cfg.QueueCap = 2
-	cfg.ShedSeed = seed
 	d := mustNew(t, cfg)
 	defer d.Stop()
 	tick(d, rounds)
@@ -199,21 +198,21 @@ func shedPairs(t *testing.T, seed int64, rounds int) []int64 {
 // and requires the shedding lottery's aging to keep every destination
 // measuring. The old shed-head policy starved whichever destinations
 // sorted first, forever; with random-early shed plus aging no destination
-// may go unmeasured, and the schedule is reproducible per seed.
+// may go unmeasured, and the schedule is reproducible.
 func TestDaemonShedFairness(t *testing.T) {
 	const rounds = 40
-	pairs := shedPairs(t, 99, rounds)
+	pairs := shedPairs(t, rounds)
 	for i, p := range pairs {
 		if p == 0 {
 			t.Errorf("destination %d never measured a pair across %d overloaded rounds", i, rounds)
 		}
 	}
-	// Deterministic per (ShedSeed, round): an identical daemon over an
-	// identical topology repeats the exact dispatch schedule.
-	again := shedPairs(t, 99, rounds)
+	// Deterministic per round: an identical daemon over an identical
+	// topology repeats the exact dispatch schedule.
+	again := shedPairs(t, rounds)
 	for i := range pairs {
 		if pairs[i] != again[i] {
-			t.Fatalf("destination %d: %d pairs vs %d on identical seed — lottery not deterministic",
+			t.Fatalf("destination %d: %d pairs vs %d on an identical daemon — lottery not deterministic",
 				i, pairs[i], again[i])
 		}
 	}
@@ -295,7 +294,6 @@ func TestDaemonQuarantine(t *testing.T) {
 	plan := netsim.FaultPlan{Seed: 23, BlackholeEvery: 2, BlackholeStart: 0}
 	cfg.Transport = netsim.WrapFaults(sc.Transport(), plan)
 	cfg.Period = 1
-	cfg.QuarantineAfter = 2
 	d := mustNew(t, cfg)
 	defer d.Stop()
 
@@ -309,19 +307,19 @@ func TestDaemonQuarantine(t *testing.T) {
 		t.Fatalf("degenerate plan: %d/%d blackholed", blackholed, len(sc.Dests))
 	}
 
-	// Rounds 0 and 1 fail the blackholed dests (quarantined after the 2nd);
-	// every round after folds them as Skipped.
+	// Rounds 0 to 2 fail the blackholed dests (quarantined after the 3rd,
+	// measure's error budget); every round after folds them as Skipped.
 	tick(d, 5)
 	s := d.Snapshot()
 	healthy := len(sc.Dests) - blackholed
 	if s.Robust.Probed != 5*healthy {
 		t.Fatalf("probed %d, want %d", s.Robust.Probed, 5*healthy)
 	}
-	if s.Robust.Failed != 2*blackholed {
-		t.Fatalf("failed %d, want %d", s.Robust.Failed, 2*blackholed)
+	if s.Robust.Failed != 3*blackholed {
+		t.Fatalf("failed %d, want %d", s.Robust.Failed, 3*blackholed)
 	}
-	if s.Robust.Skipped != 3*blackholed {
-		t.Fatalf("skipped %d, want %d", s.Robust.Skipped, 3*blackholed)
+	if s.Robust.Skipped != 2*blackholed {
+		t.Fatalf("skipped %d, want %d", s.Robust.Skipped, 2*blackholed)
 	}
 	if s.Robust.QuarantinedDests != blackholed {
 		t.Fatalf("quarantined dests %d, want %d", s.Robust.QuarantinedDests, blackholed)
@@ -342,11 +340,11 @@ func TestDaemonQuarantine(t *testing.T) {
 	// One error budget, two runtimes: at period 1 the daemon probes every
 	// destination every round, so a campaign over the same faulty topology
 	// must fail, quarantine and skip the same destinations after the same
-	// number of pairs.
+	// number of pairs — both charge measure.DestRun, which holds the budget.
 	sc2 := freeTopo(t, 8, 17, 0)
 	camp, err := measure.NewCampaign(netsim.WrapFaults(sc2.Transport(), plan), measure.Config{
 		Dests: sc2.Dests, Rounds: 5, Workers: 3, RoundStart: sc2.RoundStart,
-		PortSeed: 42, Batch: true, Stream: true, QuarantineAfter: 2, Sleep: noSleep,
+		PortSeed: 42, Batch: true, Stream: true, Sleep: noSleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +442,6 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 		cfg := testConfig(sc)
 		cfg.Transport = netsim.WrapFaults(sc.Transport(), plan)
 		cfg.Period = 1
-		cfg.QuarantineAfter = 2
 		cfg.CheckpointPath = path
 		net := sc.Nets[0]
 		cfg.TransportState = func() json.RawMessage {
@@ -553,8 +550,8 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 			if err := os.WriteFile(ckPath, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := LoadCheckpoint(ckPath); !errors.Is(err, tc.cause) {
-				t.Fatalf("LoadCheckpoint: %v, want %v", err, tc.cause)
+			if _, err := loadCheckpoint(ckPath); !errors.Is(err, tc.cause) {
+				t.Fatalf("loadCheckpoint: %v, want %v", err, tc.cause)
 			}
 			sc := freeTopo(t, 4, 3, 0)
 			cfg := testConfig(sc)
@@ -604,7 +601,7 @@ func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			ck, err := LoadCheckpoint(good)
+			ck, err := loadCheckpoint(good)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -699,7 +696,7 @@ func TestDaemonStopWritesFinalCheckpoint(t *testing.T) {
 	if err := d.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	ck, err := LoadCheckpoint(ckPath)
+	ck, err := loadCheckpoint(ckPath)
 	if err != nil || ck == nil {
 		t.Fatalf("final checkpoint unreadable: %v", err)
 	}

@@ -34,7 +34,7 @@
 // the worker boundary: the in-flight job resolves as a Failed pair
 // (charging the destination's error budget), the worker goroutine dies, and
 // the supervisor restarts the slot after an exponential backoff
-// (RestartBackoff << restarts, capped). A slot that exhausts
+// (100ms << restarts, capped at 5s). A slot that exhausts
 // MaxWorkerRestarts stays dead; when every slot is dead the daemon degrades
 // to failing jobs immediately and /healthz goes red. The watchdog bounds
 // trace latency: a job that neither completes nor panics within

@@ -83,13 +83,12 @@ func TestHTTPEventsAfterRecovery(t *testing.T) {
 		cfg := testConfig(sc)
 		cfg.Transport = netsim.WrapFaults(sc.Transport(), netsim.FaultPlan{Seed: 23, BlackholeEvery: 3})
 		cfg.Period = 1
-		cfg.QuarantineAfter = 2
 		cfg.CheckpointPath = ckPath
 		return cfg
 	}
 	a := mustNew(t, build())
 	tick(a, 4) // no Stop: the per-round checkpoint is all the second life gets
-	ck, err := LoadCheckpoint(ckPath)
+	ck, err := loadCheckpoint(ckPath)
 	if err != nil || ck == nil {
 		t.Fatalf("first life left no checkpoint: %v", err)
 	}

@@ -33,9 +33,9 @@ func TestFinishDoesNotReadRoutesAfterFold(t *testing.T) {
 		cfg := testConfig(sc)
 		cfg.Period = 2
 		cfg.Workers = 1 // one probe order, so interned IP IDs — and the checkpoint — repeat
-		cfg.EventBuffer = 4096
 		cfg.CheckpointPath = filepath.Join(t.TempDir(), "finish.ck")
 		d := mustNew(t, cfg)
+		d.events = newEventHub(4096) // room for every event of the run
 		d.afterFold = afterFold
 		tick(d, 30)
 		sj, err := json.Marshal(d.Snapshot())

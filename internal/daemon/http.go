@@ -59,7 +59,7 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the event feed as server-sent events. ?since=N
 // replays the buffered events with Seq > N before the live tail, so a
 // reconnecting client resumes from its last seen cursor (bounded by the
-// ring: events older than EventBuffer entries are gone).
+// ring: events older than eventBuffer entries are gone).
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var since int64
 	if s := r.URL.Query().Get("since"); s != "" {

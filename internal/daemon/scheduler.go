@@ -82,14 +82,14 @@ func (s *scheduler) due(round int64) []*destSched {
 }
 
 // shedScore ranks one runnable destination as a shedding victim this round:
-// a deterministic per-(seed, round, idx) SplitMix64 draw — random-early
-// shed, so under persistent overload the victims rotate instead of always
-// being the head of the due ordering — downshifted 8 bits per round of
-// shed streak, so a destination shed k rounds running wins the next
-// lottery only against destinations 256^k times unluckier. Determinism per
-// (seed, round) keeps rounds reproducible and checkpoints exact.
-func shedScore(seed, round int64, ds *destSched) uint64 {
-	x := keyhash.Mix64(uint64(seed) ^ uint64(round)*keyhash.Golden64 ^ uint64(uint32(ds.idx))<<1)
+// a deterministic per-(round, idx) SplitMix64 draw — random-early shed, so
+// under persistent overload the victims rotate instead of always being the
+// head of the due ordering — downshifted 8 bits per round of shed streak, so
+// a destination shed k rounds running wins the next lottery only against
+// destinations 256^k times unluckier. Determinism per round keeps rounds
+// reproducible and checkpoints exact.
+func shedScore(round int64, ds *destSched) uint64 {
+	x := keyhash.Mix64(uint64(round)*keyhash.Golden64 ^ uint64(uint32(ds.idx))<<1)
 	shift := ds.ShedStreak * 8
 	if shift > 56 {
 		shift = 56
@@ -99,14 +99,14 @@ func shedScore(seed, round int64, ds *destSched) uint64 {
 
 // shedVictims picks the n destinations to shed from runnable: the n
 // highest scores (ties broken by list index, for full determinism).
-func shedVictims(runnable []*destSched, n int, seed, round int64) []*destSched {
+func shedVictims(runnable []*destSched, n int, round int64) []*destSched {
 	type cand struct {
 		ds    *destSched
 		score uint64
 	}
 	cands := make([]cand, len(runnable))
 	for i, ds := range runnable {
-		cands[i] = cand{ds, shedScore(seed, round, ds)}
+		cands[i] = cand{ds, shedScore(round, ds)}
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].score != cands[j].score {

@@ -35,10 +35,9 @@ func runSoak(t *testing.T, rounds int, ckPath string) (*Daemon, soakCounters) {
 	cfg.Workers = 4
 	cfg.QueueCap = 8
 	cfg.MaxWorkerRestarts = 64
-	cfg.QuarantineAfter = 3
 	cfg.CheckpointPath = ckPath
-	cfg.EventBuffer = 4096
 	d := mustNew(t, cfg)
+	d.events = newEventHub(4096) // room for every event of the soak
 	tick(d, rounds)
 
 	sj, err := json.Marshal(d.Snapshot())
@@ -136,7 +135,6 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 		cfg.Workers = 4
 		cfg.QueueCap = 8
 		cfg.MaxWorkerRestarts = 64
-		cfg.QuarantineAfter = 3
 		cfg.CheckpointPath = path
 		net := sc.Nets[0]
 		cfg.TransportState = func() json.RawMessage {
@@ -159,7 +157,7 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 	// Killed: no Stop, no drain — the checkpoint is everything.
 
 	// Quarantine state at kill time, straight from the checkpoint file.
-	ckA, err := LoadCheckpoint(ckPath)
+	ckA, err := loadCheckpoint(ckPath)
 	if err != nil {
 		t.Fatal(err)
 	}

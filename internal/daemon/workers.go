@@ -203,12 +203,19 @@ func (d *Daemon) onStall(j *job, prev int64) {
 	}
 }
 
+// A panicked slot's k-th restart waits restartBackoff << (k-1), capped at
+// restartBackoffMax.
+const (
+	restartBackoff    = 100 * time.Millisecond
+	restartBackoffMax = 5 * time.Second
+)
+
 // onWorkerPanic supervises a panicked worker slot. All accounting — the
 // panic tally, the restart pre-credit or the dead-slot/pool-death
 // transition — happens before the in-flight job (if any) resolves, so the
 // Tick that observes the job's failure also observes the counters that
 // explain it. The slot restarts after an exponential backoff
-// (RestartBackoff << restarts, capped) until it exhausts MaxWorkerRestarts
+// (restartBackoff << restarts, capped) until it exhausts MaxWorkerRestarts
 // and stays dead; when the last slot dies, queued jobs drain as immediate
 // failures and future dispatches fail inline, keeping Tick from hanging.
 func (d *Daemon) onWorkerPanic(id, gen int, r any, j *job) {
@@ -246,9 +253,9 @@ func (d *Daemon) onWorkerPanic(id, gen int, r any, j *job) {
 		}
 		return
 	}
-	backoff := d.cfg.RestartBackoff << gen
-	if backoff <= 0 || backoff > d.cfg.RestartBackoffMax {
-		backoff = d.cfg.RestartBackoffMax
+	backoff := restartBackoff << gen
+	if backoff <= 0 || backoff > restartBackoffMax {
+		backoff = restartBackoffMax
 	}
 	go func() {
 		d.sleep(backoff)

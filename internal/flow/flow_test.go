@@ -14,11 +14,11 @@ var (
 
 func udpPacket(t *testing.T, srcPort, dstPort uint16, tos uint8, payload []byte) []byte {
 	t.Helper()
-	dgram, err := packet.MarshalUDP(src, dst, &packet.UDP{SrcPort: srcPort, DstPort: dstPort}, payload)
+	dgram, err := packet.MarshalUDPInto(nil, src, dst, &packet.UDP{SrcPort: srcPort, DstPort: dstPort}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := (&packet.IPv4{TOS: tos, TTL: 7, Protocol: packet.ProtoUDP, Src: src, Dst: dst}).Marshal(dgram)
+	pkt, err := (&packet.IPv4{TOS: tos, TTL: 7, Protocol: packet.ProtoUDP, Src: src, Dst: dst}).MarshalInto(nil, dgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func icmpPacket(t *testing.T, id, seq uint16) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := (&packet.IPv4{TTL: 7, Protocol: packet.ProtoICMP, Src: src, Dst: dst}).Marshal(body)
+	pkt, err := (&packet.IPv4{TTL: 7, Protocol: packet.ProtoICMP, Src: src, Dst: dst}).MarshalInto(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestUDPChecksumOutsideFirstFourOctets(t *testing.T) {
 	opts := Options{Kind: KeyFirstFourOctets}
 	h := &packet.UDP{SrcPort: 10007, DstPort: 20011}
 	mk := func(target uint16) []byte {
-		payload, err := packet.CraftUDPPayload(src, dst, h, target, 12)
+		payload, err := packet.CraftUDPPayloadInto(nil, src, dst, h, target, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +87,11 @@ func TestUDPChecksumOutsideFirstFourOctets(t *testing.T) {
 
 func udpPacketWithPayload(t *testing.T, h *packet.UDP, payload []byte) []byte {
 	t.Helper()
-	dgram, err := packet.MarshalUDP(src, dst, h, payload)
+	dgram, err := packet.MarshalUDPInto(nil, src, dst, h, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := (&packet.IPv4{TTL: 7, Protocol: packet.ProtoUDP, Src: src, Dst: dst}).Marshal(dgram)
+	pkt, err := (&packet.IPv4{TTL: 7, Protocol: packet.ProtoUDP, Src: src, Dst: dst}).MarshalInto(nil, dgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,14 @@ func udpPacketWithPayload(t *testing.T, h *packet.UDP, payload []byte) []byte {
 // the key — classic ICMP traceroute's flaw.
 func TestICMPChecksumInsideFirstFourOctets(t *testing.T) {
 	opts := Options{Kind: KeyFirstFourOctets}
-	a := extract(t, icmpPacket(t, 4321, 1), opts)
+	first := icmpPacket(t, 4321, 1)
+	a := extract(t, first, opts)
 	b := extract(t, icmpPacket(t, 4321, 2), opts)
 	if a.Equal(b) {
 		t.Error("varying Echo Seq must change the flow key (checksum moves)")
 	}
 	// Paris ICMP: compensate with the identifier; key must be restored.
-	target := packet.EchoChecksum(packet.ICMPTypeEchoRequest, 0, 4321, 1, nil)
+	target := uint16(first[22])<<8 | uint16(first[23]) // its wire checksum
 	id2, err := packet.CompensatingEchoID(2, target, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +158,7 @@ func TestShortTransportStillKeyed(t *testing.T) {
 	// A quoted or malformed packet with fewer than four transport octets
 	// must still produce a key (real routers hash whatever is there).
 	body := []byte{0x12, 0x34}
-	pkt, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoUDP, Src: src, Dst: dst}).Marshal(body)
+	pkt, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoUDP, Src: src, Dst: dst}).MarshalInto(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}

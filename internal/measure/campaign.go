@@ -66,23 +66,6 @@ type Config struct {
 	// default (false) the campaign degrades instead — see the package
 	// comment's error-policy contract.
 	FailFast bool
-	// MaxAttempts bounds the tries per pair per round (the first try
-	// included) when a trace fails transiently; fatal errors are never
-	// retried. Zero selects 3. Ignored with FailFast.
-	MaxAttempts int
-	// RetryBackoff is the base delay before a retry: attempt k waits
-	// RetryBackoff << (k-1), capped by RetryBackoffMax and scaled by a
-	// jitter factor in [0.5, 1.5) seeded from (PortSeed, destination,
-	// round, attempt) — deterministic per campaign, decorrelated across
-	// destinations. Zero selects 100ms.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential backoff. Zero selects 2s.
-	RetryBackoffMax time.Duration
-	// QuarantineAfter is the per-destination error budget: after this many
-	// consecutive failed rounds the destination is quarantined — recorded
-	// as Skipped, never probed again this campaign. A successful pair
-	// resets the count. Zero selects 3. Ignored with FailFast.
-	QuarantineAfter int
 	// Sleep replaces time.Sleep for retry backoff waits; tests inject a
 	// recording no-op so retry schedules are asserted without real delays.
 	// Nil sleeps for real.
@@ -130,18 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConsecutiveStars <= 0 {
 		c.MaxConsecutiveStars = 8
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 2 * time.Second
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 3
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
@@ -534,27 +505,36 @@ func (c *Campaign) measureDest(ctx context.Context, w, round int, d netip.Addr, 
 	if err != nil && c.cfg.FailFast {
 		return Pair{}, err
 	}
-	for attempt := 1; err != nil && attempt < c.cfg.MaxAttempts && tracer.IsTransient(err) && ctx.Err() == nil; attempt++ {
+	for attempt := 1; err != nil && attempt < maxAttempts && tracer.IsTransient(err) && ctx.Err() == nil; attempt++ {
 		c.sleep(c.backoff(d, round, attempt))
 		p, err = c.probers[w].MeasurePair(d, round, &hints)
 	}
 	if err != nil {
-		run.Failed(c.cfg.QuarantineAfter)
+		run.Failed()
 		return FailedPair(d, round), nil
 	}
 	run.Succeeded(hints)
 	return p, nil
 }
 
+// The retry policy of a transiently failing pair: at most maxAttempts tries
+// per pair per round (the first included; fatal errors are never retried),
+// attempt k waiting retryBackoff << (k-1), capped at retryBackoffMax.
+const (
+	maxAttempts     = 3
+	retryBackoff    = 100 * time.Millisecond
+	retryBackoffMax = 2 * time.Second
+)
+
 // backoff is the delay before retry attempt k (1-based): exponential from
-// RetryBackoff, capped at RetryBackoffMax, scaled by a jitter factor in
+// retryBackoff, capped at retryBackoffMax, scaled by a jitter factor in
 // [0.5, 1.5) drawn from a SplitMix64 hash of (PortSeed, destination, round,
 // attempt) — deterministic for a campaign, decorrelated across destinations
 // so synchronized failures do not retry in lockstep.
 func (c *Campaign) backoff(d netip.Addr, round, attempt int) time.Duration {
-	delay := c.cfg.RetryBackoff << (attempt - 1)
-	if delay <= 0 || delay > c.cfg.RetryBackoffMax {
-		delay = c.cfg.RetryBackoffMax
+	delay := retryBackoff << (attempt - 1)
+	if delay <= 0 || delay > retryBackoffMax {
+		delay = retryBackoffMax
 	}
 	a := d.As4()
 	x := uint64(c.cfg.PortSeed)

@@ -52,7 +52,7 @@ import (
 // statistics stay correct; only its diamond-graph echo would be rebuilt one
 // round late after a resume.
 
-// CheckpointVersion is the schema version Save writes and Load accepts.
+// checkpointVersion is the schema version Save writes and Load accepts.
 // Version 2 added the accumulator RTT tallies (AccState.RTTSamples and
 // friends); version 3 replaced the JSON document with the binary format;
 // version 4 is the run body shared with the daemon (one DestRun per
@@ -60,7 +60,7 @@ import (
 // version 5 writes interned hops as the accumulator stores them, one 8-byte
 // cell each, without RTTs and IP IDs. Older files are refused, never resumed
 // with silently wrong statistics.
-const CheckpointVersion = 5
+const checkpointVersion = 5
 
 // Checkpoint is a run's serialized resumable state: all of a streaming
 // campaign's, and the body of the daemon's.
@@ -364,7 +364,7 @@ func (a *Accumulator) restoreDest(dc *DestCheckpoint, rt *tracer.Route) (*destSt
 // the previous checkpoint intact, and nothing checkpoint-sized is ever held
 // in memory.
 func (ck *Checkpoint) Save(path string) error {
-	if err := ckpt.WriteFile(path, ckpt.KindCampaign, CheckpointVersion, ck.Encode); err != nil {
+	if err := ckpt.WriteFile(path, ckpt.KindCampaign, checkpointVersion, ck.Encode); err != nil {
 		return fmt.Errorf("measure: writing checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return nil
@@ -376,7 +376,7 @@ func (ck *Checkpoint) Save(path string) error {
 // another version.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	ck := new(Checkpoint)
-	if err := ckpt.ReadFile(path, ckpt.KindCampaign, CheckpointVersion, ck.Decode); err != nil {
+	if err := ckpt.ReadFile(path, ckpt.KindCampaign, checkpointVersion, ck.Decode); err != nil {
 		return nil, fmt.Errorf("measure: checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return ck, nil

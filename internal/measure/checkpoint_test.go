@@ -232,9 +232,8 @@ func TestCheckpointCadence(t *testing.T) {
 // a resume and the accounting matches the uninterrupted faulty run.
 func TestCheckpointQuarantineSurvivesResume(t *testing.T) {
 	const (
-		dests, rounds   = 40, 8
-		killAt          = 4
-		quarantineAfter = 2
+		dests, rounds = 40, 8
+		killAt        = 4
 	)
 	plan := netsim.FaultPlan{Seed: 11, BlackholeEvery: 5}
 	dir := t.TempDir()
@@ -243,7 +242,6 @@ func TestCheckpointQuarantineSurvivesResume(t *testing.T) {
 		sc := topo.Generate(invarianceConfig(dests))
 		cfg := checkpointConfig(sc, path)
 		cfg.Rounds = rounds
-		cfg.QuarantineAfter = quarantineAfter
 		cfg.Sleep = func(time.Duration) {}
 		cfg.TransportState = transportState(sc.Net)
 		camp, err := NewCampaign(netsim.WrapFaults(netsim.NewTransport(sc.Net), plan), cfg)
@@ -465,19 +463,17 @@ func TestDestRun(t *testing.T) {
 	const fail, ok = false, true
 	for _, tc := range []struct {
 		name            string
-		after           int
 		pairs           []bool
 		wantFails       int
 		wantQuarantined bool
 		wantJust        int // how many Failed calls reported the quarantine
 	}{
-		{"fresh", 3, nil, 0, false, 0},
-		{"below the budget", 3, []bool{fail, fail}, 2, false, 0},
-		{"success resets", 3, []bool{fail, fail, ok, fail, fail}, 2, false, 0},
-		{"k-th in a row quarantines", 3, []bool{fail, ok, fail, fail, fail}, 3, true, 1},
-		{"quarantines once", 2, []bool{fail, fail, fail, fail}, 4, true, 1},
-		{"budget of one", 1, []bool{ok, fail}, 1, true, 1},
-		{"stays quarantined", 2, []bool{fail, fail, ok}, 0, true, 1},
+		{"fresh", nil, 0, false, 0},
+		{"below the budget", []bool{fail, fail}, 2, false, 0},
+		{"success resets", []bool{fail, fail, ok, fail, fail}, 2, false, 0},
+		{"k-th in a row quarantines", []bool{fail, ok, fail, fail, fail}, 3, true, 1},
+		{"quarantines once", []bool{fail, fail, fail, fail}, 4, true, 1},
+		{"stays quarantined", []bool{fail, fail, fail, ok}, 0, true, 1},
 	} {
 		var r DestRun
 		just := 0
@@ -490,7 +486,7 @@ func TestDestRun(t *testing.T) {
 				continue
 			}
 			hints := r.Hints
-			if r.Failed(tc.after) {
+			if r.Failed() {
 				just++
 			}
 			if r.Hints != hints {
@@ -586,7 +582,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v5.ck from t
 // TestCheckpointGolden pins the wire format: the toy campaign halted after
 // three rounds must write the committed file byte for byte, and the
 // committed file must resume to the uninterrupted run's statistics. A
-// deliberate format change bumps CheckpointVersion and regenerates the file
+// deliberate format change bumps checkpointVersion and regenerates the file
 // (go test -run TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
 	const killAt = 3

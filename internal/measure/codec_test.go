@@ -16,11 +16,11 @@ import (
 // accepted, encodes the result again.
 func recodeCheckpoint(file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
-	if err := ckpt.Decode(file, ckpt.KindCampaign, CheckpointVersion, ck.Decode); err != nil {
+	if err := ckpt.Decode(file, ckpt.KindCampaign, checkpointVersion, ck.Decode); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	err := ckpt.Encode(&buf, ckpt.KindCampaign, CheckpointVersion, ck.Encode)
+	err := ckpt.Encode(&buf, ckpt.KindCampaign, checkpointVersion, ck.Encode)
 	return buf.Bytes(), err
 }
 
@@ -38,7 +38,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		ckpttest.Seed(f, golden)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ckpttest.Check(t, ckpt.KindCampaign, CheckpointVersion, data, recodeCheckpoint)
+		ckpttest.Check(t, ckpt.KindCampaign, checkpointVersion, data, recodeCheckpoint)
 	})
 }
 
@@ -125,7 +125,7 @@ func BenchmarkAccStateEncode(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		w.n = 0
-		err := ckpt.Encode(&w, ckpt.KindCampaign, CheckpointVersion, func(e *ckpt.Encoder) {
+		err := ckpt.Encode(&w, ckpt.KindCampaign, checkpointVersion, func(e *ckpt.Encoder) {
 			for i := range ck.Workers {
 				ck.Workers[i].Encode(e)
 			}

@@ -105,15 +105,15 @@
 // A 556-round campaign on the real Internet meets failures a hermetic
 // simulation never shows, so by default the campaign degrades instead of
 // aborting. Transports classify their failures with the tracer taxonomy
-// (tracer.IsTransient); a pair whose trace fails transiently is retried up
-// to Config.MaxAttempts times with exponential, seeded-jitter backoff
-// (Config.RetryBackoff/RetryBackoffMax, waits through Config.Sleep so tests
-// inject a clock). A pair still failing — or failing fatally — is recorded
-// as an explicit Outcome Failed pair (no routes) and charges the
-// destination's error budget; after Config.QuarantineAfter consecutive
-// failed rounds the destination is quarantined and its remaining rounds are
-// recorded as Skipped pairs without probing. One successful pair resets the
-// budget. The budget lives in one place, DestRun (Succeeded, Failed), which
+// (tracer.IsTransient); a pair whose trace fails transiently is tried up to
+// three times with exponential, seeded-jitter backoff (100ms doubling,
+// capped at 2s; waits through Config.Sleep so tests inject a clock). A pair
+// still failing — or failing fatally — is recorded as an explicit Outcome
+// Failed pair (no routes) and charges the destination's error budget; after
+// three consecutive failed rounds the destination is quarantined and its
+// remaining rounds are recorded as Skipped pairs without probing. One
+// successful pair resets the budget. The budget lives in one place, DestRun
+// (Succeeded, Failed, and the quarantineAfter constant beside them), which
 // the campaign keeps per destination, the daemon embeds in its scheduler
 // entry, and both checkpoint as it is — so the two runtimes cannot disagree
 // on when a destination is quarantined. Failed and Skipped pairs (FailedPair,

@@ -94,6 +94,61 @@ func TestCampaignStopRules(t *testing.T) {
 	}
 }
 
+// TestMeasurePairClassifiesPerFlowLoop is Fig. 3 through the paper's pair
+// measurement: the classic half straddles the unequal branches for some
+// source ports and loops on E, a per-flow-balancing artifact; Paris never
+// loops.
+func TestMeasurePairClassifiesPerFlowLoop(t *testing.T) {
+	fig := topo.BuildFigure3(1)
+	p := NewProber(netsim.NewTransport(fig.Net), ProbeConfig{})
+	var hints PathHints
+
+	// Every round is a new classic process with a new source port; repeat
+	// until the loop shows, then check the classification.
+	found := false
+	for round := 0; round < 96 && !found; round++ {
+		pair, err := p.MeasurePair(fig.Dest.Addr, round, &hints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := anomaly.ClassifyPair(pair.Classic, pair.Paris)
+		if loops := anomaly.FindLoops(pair.Paris); len(loops) != 0 || pc.ParisOnly != 0 {
+			t.Fatalf("paris saw loops: %+v", loops)
+		}
+		for j, l := range pc.Loops {
+			found = true
+			if pc.LoopCauses[j] != anomaly.CausePerFlowLB {
+				t.Errorf("loop cause = %v, want per-flow-lb", pc.LoopCauses[j])
+			}
+			if l.Addr != fig.E {
+				t.Errorf("loop on %v, want E=%v", l.Addr, fig.E)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no classic loop over 96 pairs")
+	}
+}
+
+// TestMeasurePairZeroTTLSeenByBoth is Fig. 4 through the pair measurement:
+// zero-TTL forwarding is a router bug, not a flow artifact, so Paris sees the
+// loop too, on the same address.
+func TestMeasurePairZeroTTLSeenByBoth(t *testing.T) {
+	fig := topo.BuildFigure4(1)
+	var hints PathHints
+	pair, err := NewProber(netsim.NewTransport(fig.Net), ProbeConfig{}).MeasurePair(fig.Dest.Addr, 0, &hints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := anomaly.ClassifyPair(pair.Classic, pair.Paris)
+	if len(pc.Loops) != 1 || pc.LoopCauses[0] != anomaly.CauseZeroTTL {
+		t.Fatalf("classic loops = %+v causes = %v", pc.Loops, pc.LoopCauses)
+	}
+	if loops := anomaly.FindLoops(pair.Paris); len(loops) != 1 || pc.ParisOnly != 0 {
+		t.Fatalf("paris loops = %+v, %d of them paris-only", loops, pc.ParisOnly)
+	}
+}
+
 func TestPortForRange(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		d := netip.AddrFrom4([4]byte{172, 16, byte(i >> 8), byte(i)})
@@ -231,13 +286,13 @@ func TestReportRendering(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	rows := Rows(s)
-	if len(rows) != 21 {
-		t.Errorf("Rows = %d entries, want 21 (every quoted statistic)", len(rows))
+	table := rows(s)
+	if len(table) != 21 {
+		t.Errorf("rows = %d entries, want 21 (every quoted statistic)", len(table))
 	}
-	for _, r := range rows {
-		if r.Paper == 0 {
-			t.Errorf("row %q has no paper value", r.Name)
+	for _, r := range table {
+		if r.paper == 0 {
+			t.Errorf("row %q has no paper value", r.name)
 		}
 	}
 }

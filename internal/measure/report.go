@@ -9,98 +9,44 @@ import (
 	"repro/internal/asmap"
 )
 
-// PaperValues holds the statistics quoted in Section 4 of the paper, for
-// side-by-side reporting.
-type PaperValues struct {
-	LoopRoutesPct       float64
-	LoopDestsPct        float64
-	LoopAddrsPct        float64
-	LoopOneRoundSigPct  float64
-	LoopPerFlowPct      float64
-	LoopZeroTTLPct      float64
-	LoopUnreachPct      float64
-	LoopRewritePct      float64
-	LoopPerPacketPct    float64
-	LoopParisOnlyPct    float64
-	CycleRoutesPct      float64
-	CycleDestsPct       float64
-	CycleAddrsPct       float64
-	CycleOneRoundSigPct float64
-	CycleMeanRounds     float64
-	CyclePerFlowPct     float64
-	CycleFwdLoopPct     float64
-	CycleUnreachPct     float64
-	DiamondDestsPct     float64
-	DiamondTotal        int
-	DiamondPerFlowPct   float64
+// row is one paper-vs-measured comparison line.
+type row struct {
+	name            string
+	paper, measured float64
+	unit            string
 }
 
-// Paper returns the values quoted in the paper.
-func Paper() PaperValues {
-	return PaperValues{
-		LoopRoutesPct:       5.3,
-		LoopDestsPct:        18,
-		LoopAddrsPct:        6.3,
-		LoopOneRoundSigPct:  18,
-		LoopPerFlowPct:      87,
-		LoopZeroTTLPct:      6.9,
-		LoopUnreachPct:      1.2,
-		LoopRewritePct:      2.8,
-		LoopPerPacketPct:    2.5,
-		LoopParisOnlyPct:    0.25,
-		CycleRoutesPct:      0.84,
-		CycleDestsPct:       11,
-		CycleAddrsPct:       3.6,
-		CycleOneRoundSigPct: 30,
-		CycleMeanRounds:     6.8,
-		CyclePerFlowPct:     78,
-		CycleFwdLoopPct:     20,
-		CycleUnreachPct:     1.2,
-		DiamondDestsPct:     79,
-		DiamondTotal:        16385,
-		DiamondPerFlowPct:   64,
-	}
-}
-
-// Row is one paper-vs-measured comparison line.
-type Row struct {
-	Name     string
-	Paper    float64
-	Measured float64
-	Unit     string
-}
-
-// Rows renders the full comparison table from measured stats.
-func Rows(s *Stats) []Row {
-	p := Paper()
+// rows renders the full comparison table from measured stats. The paper
+// column holds the values Section 4 of the paper quotes.
+func rows(s *Stats) []row {
 	lp := func(c anomaly.Cause) float64 { return CausePct(s.Loops.ByCause, c) }
 	cp := func(c anomaly.Cause) float64 { return CausePct(s.Cycles.ByCause, c) }
 	parisOnlyPct := 0.0
 	if s.Loops.Instances > 0 {
 		parisOnlyPct = 100 * float64(s.Loops.ParisOnly) / float64(s.Loops.Instances)
 	}
-	return []Row{
-		{"loops: routes with >=1 loop", p.LoopRoutesPct, pct(s.Loops.RoutesWithLoop, s.Routes), "%"},
-		{"loops: destinations affected", p.LoopDestsPct, pct(s.Loops.DestsWithLoop, s.Dests), "%"},
-		{"loops: addresses in a loop", p.LoopAddrsPct, pct(s.Loops.AddrsInLoop, s.AddrsSeen), "%"},
-		{"loops: signatures seen in one round", p.LoopOneRoundSigPct, pct(s.Loops.OneRoundSignatures, s.Loops.Signatures), "%"},
-		{"loops: caused by per-flow LB", p.LoopPerFlowPct, lp(anomaly.CausePerFlowLB), "%"},
-		{"loops: caused by zero-TTL forwarding", p.LoopZeroTTLPct, lp(anomaly.CauseZeroTTL), "%"},
-		{"loops: caused by unreachability", p.LoopUnreachPct, lp(anomaly.CauseUnreachability), "%"},
-		{"loops: caused by address rewriting", p.LoopRewritePct, lp(anomaly.CauseAddressRewriting), "%"},
-		{"loops: residual (per-packet LB)", p.LoopPerPacketPct, lp(anomaly.CausePerPacketLB), "%"},
-		{"loops: seen only by Paris", p.LoopParisOnlyPct, parisOnlyPct, "%"},
-		{"cycles: routes with >=1 cycle", p.CycleRoutesPct, pct(s.Cycles.RoutesWithCycle, s.Routes), "%"},
-		{"cycles: destinations affected", p.CycleDestsPct, pct(s.Cycles.DestsWithCycle, s.Dests), "%"},
-		{"cycles: addresses in a cycle", p.CycleAddrsPct, pct(s.Cycles.AddrsInCycle, s.AddrsSeen), "%"},
-		{"cycles: signatures seen in one round", p.CycleOneRoundSigPct, pct(s.Cycles.OneRoundSignatures, s.Cycles.Signatures), "%"},
-		{"cycles: mean rounds per signature", p.CycleMeanRounds, s.Cycles.MeanRoundsPerSignature, "rounds"},
-		{"cycles: caused by per-flow LB", p.CyclePerFlowPct, cp(anomaly.CausePerFlowLB), "%"},
-		{"cycles: caused by forwarding loops", p.CycleFwdLoopPct, cp(anomaly.CauseForwardingLoop), "%"},
-		{"cycles: caused by unreachability", p.CycleUnreachPct, cp(anomaly.CauseUnreachability), "%"},
-		{"diamonds: destinations affected", p.DiamondDestsPct, pct(s.Diamonds.DestsWithDiamond, s.Dests), "%"},
-		{"diamonds: total count", float64(p.DiamondTotal), float64(s.Diamonds.Total), ""},
-		{"diamonds: caused by per-flow LB", p.DiamondPerFlowPct, pct(s.Diamonds.PerFlow, s.Diamonds.Total), "%"},
+	return []row{
+		{"loops: routes with >=1 loop", 5.3, pct(s.Loops.RoutesWithLoop, s.Routes), "%"},
+		{"loops: destinations affected", 18, pct(s.Loops.DestsWithLoop, s.Dests), "%"},
+		{"loops: addresses in a loop", 6.3, pct(s.Loops.AddrsInLoop, s.AddrsSeen), "%"},
+		{"loops: signatures seen in one round", 18, pct(s.Loops.OneRoundSignatures, s.Loops.Signatures), "%"},
+		{"loops: caused by per-flow LB", 87, lp(anomaly.CausePerFlowLB), "%"},
+		{"loops: caused by zero-TTL forwarding", 6.9, lp(anomaly.CauseZeroTTL), "%"},
+		{"loops: caused by unreachability", 1.2, lp(anomaly.CauseUnreachability), "%"},
+		{"loops: caused by address rewriting", 2.8, lp(anomaly.CauseAddressRewriting), "%"},
+		{"loops: residual (per-packet LB)", 2.5, lp(anomaly.CausePerPacketLB), "%"},
+		{"loops: seen only by Paris", 0.25, parisOnlyPct, "%"},
+		{"cycles: routes with >=1 cycle", 0.84, pct(s.Cycles.RoutesWithCycle, s.Routes), "%"},
+		{"cycles: destinations affected", 11, pct(s.Cycles.DestsWithCycle, s.Dests), "%"},
+		{"cycles: addresses in a cycle", 3.6, pct(s.Cycles.AddrsInCycle, s.AddrsSeen), "%"},
+		{"cycles: signatures seen in one round", 30, pct(s.Cycles.OneRoundSignatures, s.Cycles.Signatures), "%"},
+		{"cycles: mean rounds per signature", 6.8, s.Cycles.MeanRoundsPerSignature, "rounds"},
+		{"cycles: caused by per-flow LB", 78, cp(anomaly.CausePerFlowLB), "%"},
+		{"cycles: caused by forwarding loops", 20, cp(anomaly.CauseForwardingLoop), "%"},
+		{"cycles: caused by unreachability", 1.2, cp(anomaly.CauseUnreachability), "%"},
+		{"diamonds: destinations affected", 79, pct(s.Diamonds.DestsWithDiamond, s.Dests), "%"},
+		{"diamonds: total count", 16385, float64(s.Diamonds.Total), ""},
+		{"diamonds: caused by per-flow LB", 64, pct(s.Diamonds.PerFlow, s.Diamonds.Total), "%"},
 	}
 }
 
@@ -124,8 +70,7 @@ func WriteReport(w io.Writer, s *Stats, as *asmap.Table) {
 			cov.ASes, cov.TierOne, cov.Regional, cov.Unmapped)
 	}
 	fmt.Fprintf(w, "\n%-42s %10s %10s\n", "statistic", "paper", "measured")
-	for _, r := range Rows(s) {
-		unit := r.Unit
-		fmt.Fprintf(w, "%-42s %9.2f%-1s %9.2f%-1s\n", r.Name, r.Paper, unit, r.Measured, unit)
+	for _, r := range rows(s) {
+		fmt.Fprintf(w, "%-42s %9.2f%-1s %9.2f%-1s\n", r.name, r.paper, r.unit, r.measured, r.unit)
 	}
 }

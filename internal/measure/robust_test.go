@@ -40,22 +40,15 @@ func faultyCampaign(t *testing.T, dests, rounds int, plan netsim.FaultPlan, cfg 
 }
 
 // TestCampaignQuarantinesBlackholedDests pins the default error policy's
-// accounting exactly: a blackholed destination fails QuarantineAfter rounds
+// accounting exactly: a blackholed destination fails quarantineAfter rounds
 // (each after the full retry budget) and is then skipped for the rest of
 // the campaign, while every healthy destination is measured in full.
 func TestCampaignQuarantinesBlackholedDests(t *testing.T) {
-	const (
-		dests           = 60
-		rounds          = 6
-		quarantineAfter = 2
-		maxAttempts     = 3
-	)
+	const dests, rounds = 60, 6
 	plan := netsim.FaultPlan{Seed: 11, BlackholeEvery: 5}
 	camp, sc, ft, sleeps := faultyCampaign(t, dests, rounds, plan, Config{
-		Workers:         4,
-		Stream:          true,
-		MaxAttempts:     maxAttempts,
-		QuarantineAfter: quarantineAfter,
+		Workers: 4,
+		Stream:  true,
 	})
 	blackholed := 0
 	for _, d := range sc.Dests {
@@ -89,8 +82,8 @@ func TestCampaignQuarantinesBlackholedDests(t *testing.T) {
 		t.Errorf("Probed = %d (Routes %d), want %d", s.Robust.Probed, s.Routes, wantProbed)
 	}
 
-	// Each failed pair burned the full retry budget: MaxAttempts tries on
-	// the Paris trace, so MaxAttempts-1 backoff waits per failed pair and
+	// Each failed pair burned the full retry budget: maxAttempts tries on
+	// the Paris trace, so maxAttempts-1 backoff waits per failed pair and
 	// one injected error per try.
 	wantSleeps := wantFailed * (maxAttempts - 1)
 	if len(*sleeps) != wantSleeps {
@@ -163,7 +156,7 @@ func TestCampaignStreamAnalyzeParityWithFaults(t *testing.T) {
 	plan := netsim.FaultPlan{Seed: 11, BlackholeEvery: 5}
 	run := func(stream bool) *Stats {
 		camp, _, _, _ := faultyCampaign(t, dests, rounds, plan, Config{
-			Workers: 3, Stream: stream, QuarantineAfter: 2,
+			Workers: 3, Stream: stream,
 		})
 		res, err := camp.Run()
 		if err != nil {
@@ -245,7 +238,7 @@ func TestRunRoundLeaksNoGoroutines(t *testing.T) {
 		t.Fatal("expected FailFast error")
 	}
 
-	deg, _, _, _ := faultyCampaign(t, 20, 2, plan, Config{Workers: 8, Stream: true, QuarantineAfter: 1})
+	deg, _, _, _ := faultyCampaign(t, 20, quarantineAfter+1, plan, Config{Workers: 8, Stream: true})
 	if _, err := deg.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +271,8 @@ func TestRunRoundLeaksNoGoroutines(t *testing.T) {
 func TestBackoffSchedule(t *testing.T) {
 	sc := topo.Generate(invarianceConfig(4))
 	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
-		Dests:           sc.Dests,
-		RetryBackoff:    100 * time.Millisecond,
-		RetryBackoffMax: 400 * time.Millisecond,
-		PortSeed:        9,
+		Dests:    sc.Dests,
+		PortSeed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +284,8 @@ func TestBackoffSchedule(t *testing.T) {
 			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, got, again)
 		}
 		base := 100 * time.Millisecond << (attempt - 1)
-		if base <= 0 || base > 400*time.Millisecond {
-			base = 400 * time.Millisecond
+		if base <= 0 || base > 2*time.Second {
+			base = 2 * time.Second
 		}
 		lo := time.Duration(float64(base) * 0.5)
 		hi := time.Duration(float64(base) * 1.5)

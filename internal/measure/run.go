@@ -34,11 +34,17 @@ func (r *DestRun) Succeeded(h PathHints) {
 	r.Hints = h
 }
 
+// quarantineAfter is the per-destination error budget of every run, campaign
+// and daemon alike: this many failed pairs in a row quarantine the
+// destination — folded as Skipped, never probed again this run. A successful
+// pair resets the count. A FailFast campaign has no budget.
+const quarantineAfter = 3
+
 // Failed charges one failed pair (retries already spent) to the budget and
 // reports whether this failure is the one that exhausted it: the
 // quarantineAfter-th in a row quarantines the destination, once, and a
 // quarantined destination stays quarantined for the rest of the run.
-func (r *DestRun) Failed(quarantineAfter int) (justQuarantined bool) {
+func (r *DestRun) Failed() (justQuarantined bool) {
 	r.ConsecFails++
 	if r.Quarantined || r.ConsecFails < quarantineAfter {
 		return false

@@ -27,9 +27,6 @@ type Host struct {
 	// uses them to test stop conditions).
 	Silent bool
 
-	// icmpTTL is the initial TTL of packets the host originates, stored
-	// as an atomic so concurrent exchanges can read it locklessly.
-	icmpTTL atomic.Uint32
 	// ipID accumulates in 32 bits and is truncated to the 16-bit IP ID,
 	// which equals 16-bit modular increment per originated packet.
 	ipID atomic.Uint32
@@ -37,17 +34,12 @@ type Host struct {
 
 // NewHost creates a host answering at addr.
 func NewHost(name string, addr netip.Addr) *Host {
-	h := &Host{Name: name, Addr: addr}
-	h.icmpTTL.Store(64)
-	return h
+	return &Host{Name: name, Addr: addr}
 }
 
-// SetICMPTTL sets the initial TTL of packets the host originates. End hosts
+// hostTTL is the initial TTL of packets a host originates: end hosts
 // commonly use 64 where routers use 255.
-func (h *Host) SetICMPTTL(ttl uint8) *Host {
-	h.icmpTTL.Store(uint32(ttl))
-	return h
-}
+const hostTTL = 64
 
 func (h *Host) nextIPID() uint16 {
 	return uint16(h.ipID.Add(1))
@@ -100,7 +92,7 @@ func (h *Host) respond(ctx *exchCtx, ih *packet.IPv4, payload, pkt []byte) []byt
 			return nil
 		}
 		ip := packet.IPv4{
-			TTL:      h.ttl(),
+			TTL:      hostTTL,
 			Protocol: packet.ProtoTCP,
 			ID:       h.nextIPID(),
 			Src:      h.Addr,
@@ -116,13 +108,9 @@ func (h *Host) respond(ctx *exchCtx, ih *packet.IPv4, payload, pkt []byte) []byt
 	}
 }
 
-func (h *Host) ttl() uint8 {
-	return uint8(h.icmpTTL.Load())
-}
-
 func (h *Host) marshalICMP(ctx *exchCtx, m *packet.ICMP, dst netip.Addr) []byte {
 	ip := packet.IPv4{
-		TTL:      h.ttl(),
+		TTL:      hostTTL,
 		Protocol: packet.ProtoICMP,
 		ID:       h.nextIPID(),
 		Src:      h.Addr,

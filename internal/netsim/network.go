@@ -10,10 +10,10 @@ import (
 	"repro/internal/packet"
 )
 
-// DefaultMaxSteps bounds the number of node traversals a single injected
+// defaultMaxSteps bounds the number of node traversals a single injected
 // packet (and the response it triggers) may make. Packets caught in
 // forwarding loops normally die by TTL expiry long before this guard.
-const DefaultMaxSteps = 1024
+const defaultMaxSteps = 1024
 
 // Network is a simulated IPv4 network: a set of routers and hosts joined by
 // point-to-point adjacencies (NextHop.Via names the remote interface).
@@ -90,7 +90,7 @@ func New(seed int64) *Network {
 		srcGW:           nodeNone,
 		seed:            uint64(seed),
 		RandomPerPacket: true,
-		maxSteps:        DefaultMaxSteps,
+		maxSteps:        defaultMaxSteps,
 	}
 }
 
@@ -553,7 +553,7 @@ func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, nd *
 
 // quoteOf returns the RFC 792 quotation of the packet: its IP header plus
 // the first eight payload octets. The returned slice aliases pkt; callers
-// hand it to MarshalIPv4ICMP, which copies it out before returning.
+// hand it to MarshalIPv4ICMPInto, which copies it out before returning.
 func quoteOf(pkt []byte, hdr *packet.IPv4, payload []byte) []byte {
 	qn := 8
 	if len(payload) < qn {

@@ -50,11 +50,11 @@ func testNet(t *testing.T) (*Network, []*Router, *Host) {
 
 func udpProbe(t *testing.T, n *Network, dst netip.Addr, ttl uint8, srcPort, dstPort uint16) []byte {
 	t.Helper()
-	dgram, err := packet.MarshalUDP(n.Source(), dst, &packet.UDP{SrcPort: srcPort, DstPort: dstPort}, make([]byte, 12))
+	dgram, err := packet.MarshalUDPInto(nil, n.Source(), dst, &packet.UDP{SrcPort: srcPort, DstPort: dstPort}, make([]byte, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := (&packet.IPv4{TTL: ttl, Protocol: packet.ProtoUDP, Src: n.Source(), Dst: dst}).Marshal(dgram)
+	pkt, err := (&packet.IPv4{TTL: ttl, Protocol: packet.ProtoUDP, Src: n.Source(), Dst: dst}).MarshalInto(nil, dgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func parseResp(t *testing.T, resp []byte) (*packet.IPv4, *packet.ICMP) {
 	if h.Protocol != packet.ProtoICMP {
 		return h, nil
 	}
-	m, err := packet.ParseICMP(payload)
-	if err != nil {
+	m := new(packet.ICMP)
+	if err := packet.ParseICMPInto(payload, m); err != nil {
 		t.Fatalf("response ICMP: %v", err)
 	}
 	return h, m
@@ -142,7 +142,7 @@ func TestHostEchoReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := (&packet.IPv4{TTL: 20, Protocol: packet.ProtoICMP, Src: n.Source(), Dst: host.Addr}).Marshal(body)
+	pkt, err := (&packet.IPv4{TTL: 20, Protocol: packet.ProtoICMP, Src: n.Source(), Dst: host.Addr}).MarshalInto(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestHostTCPResponses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkt, err := (&packet.IPv4{TTL: 20, Protocol: packet.ProtoTCP, Src: n.Source(), Dst: host.Addr}).Marshal(seg)
+		pkt, err := (&packet.IPv4{TTL: 20, Protocol: packet.ProtoTCP, Src: n.Source(), Dst: host.Addr}).MarshalInto(nil, seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,8 +184,8 @@ func TestHostTCPResponses(t *testing.T) {
 		if err != nil || h.Protocol != packet.ProtoTCP {
 			t.Fatalf("port %d: response proto %d err %v", tc.port, h.Protocol, err)
 		}
-		th, _, _, err := packet.ParseTCP(payload)
-		if err != nil {
+		th := new(packet.TCP)
+		if _, _, err := packet.ParseTCPInto(payload, th); err != nil {
 			t.Fatal(err)
 		}
 		if th.Flags != tc.wantFlag {
@@ -379,7 +379,7 @@ func TestNoICMPAboutICMPErrors(t *testing.T) {
 	// Build an ICMP Time Exceeded packet destined somewhere unreachable
 	// past the network, expiring mid-path: the expiry router must stay
 	// silent rather than generate an error about an error.
-	inner, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoUDP, Src: n.Source(), Dst: host.Addr}).Marshal(make([]byte, 8))
+	inner, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoUDP, Src: n.Source(), Dst: host.Addr}).MarshalInto(nil, make([]byte, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestNoICMPAboutICMPErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoICMP, Src: n.Source(), Dst: host.Addr}).Marshal(body)
+	pkt, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoICMP, Src: n.Source(), Dst: host.Addr}).MarshalInto(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}

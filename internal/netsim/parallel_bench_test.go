@@ -24,7 +24,7 @@ func benchProbes(b *testing.B) (*netsim.Network, [][]byte) {
 	sc := topo.Generate(cfg)
 	probes := make([][]byte, len(sc.Dests))
 	for i, d := range sc.Dests {
-		dgram, err := packet.MarshalUDP(sc.Source, d, &packet.UDP{
+		dgram, err := packet.MarshalUDPInto(nil, sc.Source, d, &packet.UDP{
 			SrcPort: uint16(10000 + i), DstPort: 33435,
 		}, make([]byte, 12))
 		if err != nil {
@@ -32,7 +32,7 @@ func benchProbes(b *testing.B) (*netsim.Network, [][]byte) {
 		}
 		pkt, err := (&packet.IPv4{
 			TTL: 6, Protocol: packet.ProtoUDP, Src: sc.Source, Dst: d,
-		}).Marshal(dgram)
+		}).MarshalInto(nil, dgram)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func mkProbe(t testing.TB, kind probeKind, src, dst netip.Addr, ttl uint8, port 
 	switch kind {
 	case probeUDP:
 		proto = packet.ProtoUDP
-		body, err = packet.MarshalUDP(src, dst, &packet.UDP{SrcPort: port, DstPort: 33435}, make([]byte, 12))
+		body, err = packet.MarshalUDPInto(nil, src, dst, &packet.UDP{SrcPort: port, DstPort: 33435}, make([]byte, 12))
 	case probeEcho:
 		proto = packet.ProtoICMP
 		body, err = (&packet.ICMP{Type: packet.ICMPTypeEchoRequest, ID: port, Seq: uint16(ttl), Payload: make([]byte, 8)}).Marshal()
@@ -90,7 +90,7 @@ func mkProbe(t testing.TB, kind probeKind, src, dst netip.Addr, ttl uint8, port 
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := (&packet.IPv4{TTL: ttl, Protocol: proto, Src: src, Dst: dst}).Marshal(body)
+	pkt, err := (&packet.IPv4{TTL: ttl, Protocol: proto, Src: src, Dst: dst}).MarshalInto(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,15 +482,18 @@ func TestProbeToRouterInterface(t *testing.T) {
 			}
 			switch i {
 			case 0:
-				if m, err := packet.ParseICMP(payload); err != nil || m.Type != packet.ICMPTypeDestUnreachable || m.Code != packet.CodePortUnreachable {
+				m := new(packet.ICMP)
+				if err := packet.ParseICMPInto(payload, m); err != nil || m.Type != packet.ICMPTypeDestUnreachable || m.Code != packet.CodePortUnreachable {
 					t.Errorf("UDP probe: %+v %v, want port unreachable", m, err)
 				}
 			case 1:
-				if m, err := packet.ParseICMP(payload); err != nil || m.Type != packet.ICMPTypeEchoReply || m.ID != 2 {
+				m := new(packet.ICMP)
+				if err := packet.ParseICMPInto(payload, m); err != nil || m.Type != packet.ICMPTypeEchoReply || m.ID != 2 {
 					t.Errorf("echo probe: %+v %v, want echo reply id 2", m, err)
 				}
 			case 2:
-				if th, _, _, err := packet.ParseTCP(payload); err != nil || th.Flags != packet.TCPRst|packet.TCPAck || th.Ack != 8 {
+				th := new(packet.TCP)
+				if _, _, err := packet.ParseTCPInto(payload, th); err != nil || th.Flags != packet.TCPRst|packet.TCPAck || th.Ack != 8 {
 					t.Errorf("SYN probe: %+v %v, want RST+ACK acking 8", th, err)
 				}
 			}
@@ -525,8 +528,8 @@ func TestSlash32ForNonHostThenLPM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := packet.ParseICMP(payload)
-		if err != nil {
+		m := new(packet.ICMP)
+		if err := packet.ParseICMPInto(payload, m); err != nil {
 			t.Fatal(err)
 		}
 		if h.Src != lineIf(3) || m.Type != packet.ICMPTypeDestUnreachable || m.Code != packet.CodeNetUnreachable {

@@ -1,7 +1,7 @@
 // Package netsim is a deterministic packet-level IPv4 network simulator.
 //
-// It substitutes for the live Internet in the paper's measurement study
-// (see DESIGN.md, Substitutions). Probes are real serialized IPv4 packets;
+// It substitutes for the live Internet in the paper's measurement study.
+// Probes are real serialized IPv4 packets;
 // routers parse them, hash actual header octets for per-flow load balancing,
 // decrement real TTLs with incremental checksum updates, and quote the true
 // on-the-wire bytes in ICMP errors — so the tracers built on top cannot

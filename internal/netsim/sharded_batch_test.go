@@ -41,11 +41,11 @@ func shardedScenario(t *testing.T) (tracer.BatchTransport, []netip.Addr) {
 
 func shardProbe(t *testing.T, src, dst netip.Addr, ttl uint8) []byte {
 	t.Helper()
-	dgram, err := packet.MarshalUDP(src, dst, &packet.UDP{SrcPort: 10007, DstPort: 20011}, make([]byte, 12))
+	dgram, err := packet.MarshalUDPInto(nil, src, dst, &packet.UDP{SrcPort: 10007, DstPort: 20011}, make([]byte, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := (&packet.IPv4{TTL: ttl, Protocol: packet.ProtoUDP, Src: src, Dst: dst}).Marshal(dgram)
+	pkt, err := (&packet.IPv4{TTL: ttl, Protocol: packet.ProtoUDP, Src: src, Dst: dst}).MarshalInto(nil, dgram)
 	if err != nil {
 		t.Fatal(err)
 	}

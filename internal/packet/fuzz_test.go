@@ -92,7 +92,7 @@ func FuzzParseIPv4(f *testing.F) {
 		if len(payload) != h.PayloadLen {
 			t.Fatalf("payload length %d != parsed PayloadLen %d", len(payload), h.PayloadLen)
 		}
-		re, err := h.Marshal(payload)
+		re, err := h.MarshalInto(nil, payload)
 		if err != nil {
 			t.Fatalf("re-marshal of a parsed header failed: %v", err)
 		}
@@ -148,7 +148,7 @@ func FuzzParseICMPInto(f *testing.F) {
 		}
 		// Round-trip the quoted inner header the way a router would have
 		// built it: header + the quoted transport octets.
-		requote, err := inner.Marshal(quotedTransport)
+		requote, err := inner.MarshalInto(nil, quotedTransport)
 		if err != nil {
 			t.Fatalf("re-marshal of a parsed quoted header failed: %v", err)
 		}

@@ -14,17 +14,14 @@ const (
 
 // Destination Unreachable codes (RFC 792).
 const (
-	CodeNetUnreachable   = 0
-	CodeHostUnreachable  = 1
-	CodeProtoUnreachable = 2
-	CodePortUnreachable  = 3
+	CodeNetUnreachable  = 0
+	CodeHostUnreachable = 1
+	CodePortUnreachable = 3
 )
 
-// Time Exceeded codes.
-const (
-	CodeTTLExceeded      = 0
-	CodeFragReassexceded = 1
-)
+// CodeTTLExceeded is the Time Exceeded code for a TTL that ran out in
+// transit.
+const CodeTTLExceeded = 0
 
 // ICMPHeaderLen is the length of the fixed four-octet ICMP header plus the
 // four octets of type-specific data (rest of header).
@@ -61,27 +58,21 @@ func (m *ICMP) Marshal() ([]byte, error) {
 	return b, nil
 }
 
-// MarshalIPv4ICMP serializes the IPv4 header ip carrying the ICMP message m
-// as its entire payload, in a single allocation (where m.Marshal followed by
-// ip.Marshal would make two and copy the body twice). ip.Protocol should be
-// ProtoICMP. m.Payload may alias a live packet buffer: it is copied into the
-// output before this function returns. This is the response path of the
-// network simulator, hit once per ICMP error or echo reply it originates.
-func MarshalIPv4ICMP(ip *IPv4, m *ICMP) ([]byte, error) {
-	return MarshalIPv4ICMPInto(nil, ip, m)
-}
-
-// IPv4ICMPLen returns the serialized length of MarshalIPv4ICMP's output for
-// the given header and message, so callers carving the destination buffer
+// IPv4ICMPLen returns the serialized length of MarshalIPv4ICMPInto's output
+// for the given header and message, so callers carving the destination buffer
 // out of an arena can size it exactly.
 func IPv4ICMPLen(ip *IPv4, m *ICMP) int {
 	return ip.HeaderLen() + ICMPHeaderLen + len(m.Payload)
 }
 
-// MarshalIPv4ICMPInto is MarshalIPv4ICMP serializing into buf when it has
-// sufficient capacity (allocating otherwise). The returned packet aliases
-// buf in the reuse case; the simulator's batch arena supplies buf to take
-// response marshaling off the heap.
+// MarshalIPv4ICMPInto serializes the IPv4 header ip carrying the ICMP message
+// m as its entire payload, in a single buffer (where m.Marshal followed by
+// ip.MarshalInto would make two and copy the body twice): buf when it has
+// sufficient capacity, a fresh slice otherwise. ip.Protocol should be
+// ProtoICMP. m.Payload may alias a live packet buffer: it is copied into the
+// output before this function returns. This is the response path of the
+// network simulator, hit once per ICMP error or echo reply it originates; its
+// batch arena supplies buf to take response marshaling off the heap.
 func MarshalIPv4ICMPInto(buf []byte, ip *IPv4, m *ICMP) ([]byte, error) {
 	if err := ip.headerCheck(); err != nil {
 		return nil, err
@@ -104,20 +95,11 @@ func MarshalIPv4ICMPInto(buf []byte, ip *IPv4, m *ICMP) ([]byte, error) {
 	return b, nil
 }
 
-// ParseICMP decodes an ICMPv4 message.
-func ParseICMP(b []byte) (*ICMP, error) {
-	m := new(ICMP)
-	if err := ParseICMPInto(b, m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ParseICMPInto decodes an ICMPv4 message into m, avoiding the heap
-// allocation of ParseICMP. m is overwritten entirely; its Payload aliases b.
+// ParseICMPInto decodes an ICMPv4 message into m. m is overwritten entirely;
+// its Payload aliases b.
 func ParseICMPInto(b []byte, m *ICMP) error {
 	if len(b) < ICMPHeaderLen {
-		return ErrTruncated
+		return errTruncated
 	}
 	*m = ICMP{
 		Type:     b[0],
@@ -139,11 +121,11 @@ func VerifyICMPChecksum(msg []byte) bool {
 	return Checksum(msg) == 0
 }
 
-// EchoChecksum returns the checksum an Echo message with the given fields
+// echoChecksum returns the checksum an Echo message with the given fields
 // will carry on the wire. Classic traceroute varies Seq (and therefore this
 // checksum — the flow identifier); Paris traceroute picks ID so that the
 // checksum stays constant (see CompensatingEchoID).
-func EchoChecksum(typ, code uint8, id, seq uint16, payload []byte) uint16 {
+func echoChecksum(typ, code uint8, id, seq uint16, payload []byte) uint16 {
 	b := make([]byte, ICMPHeaderLen+len(payload))
 	b[0] = typ
 	b[1] = code
@@ -166,11 +148,11 @@ func CompensatingEchoID(seq, target uint16, payload []byte) (uint16, error) {
 	copy(b[8:], payload)
 	base := ^finish(sum(b)) // folded sum with id=seq=0
 	id := onesSub(onesSub(^target, base), seq)
-	got := EchoChecksum(ICMPTypeEchoRequest, 0, id, seq, payload)
+	got := echoChecksum(ICMPTypeEchoRequest, 0, id, seq, payload)
 	if got != target {
 		// One's-complement zero ambiguity (0x0000 vs 0xffff) can shift the
 		// result by one representation; nudge via the alternate zero.
-		if alt := onesAdd(id, 0xffff); EchoChecksum(ICMPTypeEchoRequest, 0, alt, seq, payload) == target {
+		if alt := onesAdd(id, 0xffff); echoChecksum(ICMPTypeEchoRequest, 0, alt, seq, payload) == target {
 			return alt, nil
 		}
 		return 0, fmt.Errorf("packet: cannot reach ICMP checksum %#04x with seq %#04x", target, seq)

@@ -15,9 +15,9 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 	if !VerifyICMPChecksum(b) {
 		t.Error("checksum does not verify")
 	}
-	g, err := ParseICMP(b)
-	if err != nil {
-		t.Fatalf("ParseICMP: %v", err)
+	g := new(ICMP)
+	if err := ParseICMPInto(b, g); err != nil {
+		t.Fatalf("ParseICMPInto: %v", err)
 	}
 	if g.Type != m.Type || g.ID != m.ID || g.Seq != m.Seq || !bytes.Equal(g.Payload, m.Payload) {
 		t.Errorf("got %+v, want %+v", g, m)
@@ -28,14 +28,14 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 }
 
 func TestParseICMPTruncated(t *testing.T) {
-	if _, err := ParseICMP(make([]byte, 7)); err != ErrTruncated {
-		t.Errorf("err = %v, want ErrTruncated", err)
+	if err := ParseICMPInto(make([]byte, 7), new(ICMP)); err != errTruncated {
+		t.Errorf("err = %v, want errTruncated", err)
 	}
 }
 
 func TestTimeExceededQuotesHeaderPlusEight(t *testing.T) {
 	inner, err := (&IPv4{TTL: 1, Protocol: ProtoUDP, ID: 99, Src: srcA, Dst: dstA}).
-		Marshal(append(make([]byte, 8), []byte("should be dropped from quote")...))
+		MarshalInto(nil, append(make([]byte, 8), []byte("should be dropped from quote")...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTimeExceededQuotesHeaderPlusEight(t *testing.T) {
 }
 
 func TestQuotePacketShorterThanEight(t *testing.T) {
-	inner, err := (&IPv4{TTL: 1, Protocol: ProtoICMP, Src: srcA, Dst: dstA}).Marshal([]byte{1, 2, 3})
+	inner, err := (&IPv4{TTL: 1, Protocol: ProtoICMP, Src: srcA, Dst: dstA}).MarshalInto(nil, []byte{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestQuotePacketShorterThanEight(t *testing.T) {
 }
 
 func TestDestUnreachableCodes(t *testing.T) {
-	inner, err := (&IPv4{TTL: 5, Protocol: ProtoUDP, Src: srcA, Dst: dstA}).Marshal(make([]byte, 8))
+	inner, err := (&IPv4{TTL: 5, Protocol: ProtoUDP, Src: srcA, Dst: dstA}).MarshalInto(nil, make([]byte, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCompensatingEchoID(t *testing.T) {
 			// Only the unreachable all-ones target may fail.
 			return target == 0xffff
 		}
-		return EchoChecksum(ICMPTypeEchoRequest, 0, id, seq, payload) == target
+		return echoChecksum(ICMPTypeEchoRequest, 0, id, seq, payload) == target
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)

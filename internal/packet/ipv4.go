@@ -18,9 +18,9 @@ const IPv4HeaderLen = 20
 
 // Common errors returned by the parsers in this package.
 var (
-	ErrTruncated  = errors.New("packet: truncated")
-	ErrBadVersion = errors.New("packet: not an IPv4 packet")
-	ErrBadLength  = errors.New("packet: inconsistent length fields")
+	errTruncated  = errors.New("packet: truncated")
+	errBadVersion = errors.New("packet: not an IPv4 packet")
+	errBadLength  = errors.New("packet: inconsistent length fields")
 )
 
 // IPv4 is a parsed IPv4 header. Options are preserved verbatim.
@@ -32,23 +32,17 @@ type IPv4 struct {
 	FragOff    uint16 // 13 bits, in 8-octet units
 	TTL        uint8
 	Protocol   uint8
-	Checksum   uint16 // as seen on the wire; recomputed by Marshal
+	Checksum   uint16 // as seen on the wire; recomputed by MarshalInto
 	Src, Dst   netip.Addr
 	Options    []byte
 	PayloadLen int // TotalLen minus header length, for convenience
 }
 
-// IPv4 flag bits.
-const (
-	FlagDF = 0x2 // don't fragment
-	FlagMF = 0x1 // more fragments
-)
-
 // HeaderLen returns the header length in bytes including options.
 func (h *IPv4) HeaderLen() int { return IPv4HeaderLen + len(h.Options) }
 
-// headerCheck validates the marshal preconditions shared by Marshal and
-// MarshalIPv4ICMP.
+// headerCheck validates the marshal preconditions shared by MarshalInto and
+// MarshalIPv4ICMPInto.
 func (h *IPv4) headerCheck() error {
 	if !h.Src.Is4() || !h.Dst.Is4() {
 		return fmt.Errorf("packet: IPv4 marshal requires v4 addresses, got src=%v dst=%v", h.Src, h.Dst)
@@ -81,17 +75,12 @@ func (h *IPv4) putHeader(b []byte, total int) {
 	put16(b[10:], Checksum(b[:hlen]))
 }
 
-// Marshal serializes the header followed by payload into a fresh slice,
-// computing TotalLen and the header checksum. Src and Dst must be valid
-// IPv4 addresses.
-func (h *IPv4) Marshal(payload []byte) ([]byte, error) {
-	return h.MarshalInto(nil, payload)
-}
-
-// MarshalInto is Marshal serializing into buf when it has sufficient
-// capacity (allocating a fresh slice otherwise). The returned packet aliases
-// buf in the reuse case; probe builders and the simulator's batch arena use
-// this to keep the marshal path allocation-free.
+// MarshalInto serializes the header followed by payload, computing TotalLen
+// and the header checksum, into buf when it has sufficient capacity
+// (allocating a fresh slice otherwise). Src and Dst must be valid IPv4
+// addresses. The returned packet aliases buf in the reuse case; probe
+// builders and the simulator's batch arena use this to keep the marshal path
+// allocation-free.
 func (h *IPv4) MarshalInto(buf, payload []byte) ([]byte, error) {
 	if err := h.headerCheck(); err != nil {
 		return nil, err
@@ -125,14 +114,14 @@ func ParseIPv4(b []byte) (*IPv4, []byte, error) {
 // once per hop.
 func ParseIPv4Into(b []byte, h *IPv4) ([]byte, error) {
 	if len(b) < IPv4HeaderLen {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	if b[0]>>4 != 4 {
-		return nil, ErrBadVersion
+		return nil, errBadVersion
 	}
 	hlen := int(b[0]&0x0f) * 4
 	if hlen < IPv4HeaderLen || len(b) < hlen {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	*h = IPv4{
 		TOS:      b[1],
@@ -151,7 +140,7 @@ func ParseIPv4Into(b []byte, h *IPv4) ([]byte, error) {
 	}
 	end := int(h.TotalLen)
 	if end < hlen {
-		return nil, ErrBadLength
+		return nil, errBadLength
 	}
 	if end > len(b) {
 		// Quoted packets inside ICMP errors are legitimately truncated to
@@ -167,7 +156,7 @@ func ParseIPv4Into(b []byte, h *IPv4) ([]byte, error) {
 // of the simulator's forwarding loop.
 func PatchTTL(pkt []byte, ttl uint8) error {
 	if len(pkt) < IPv4HeaderLen {
-		return ErrTruncated
+		return errTruncated
 	}
 	old := uint16(pkt[8]) << 8
 	pkt[8] = ttl
@@ -184,7 +173,7 @@ func PatchTTL(pkt []byte, ttl uint8) error {
 // NAT boxes that rewrite ICMP sources (Fig. 5 of the paper).
 func PatchSrc(pkt []byte, src netip.Addr) error {
 	if len(pkt) < IPv4HeaderLen {
-		return ErrTruncated
+		return errTruncated
 	}
 	if !src.Is4() {
 		return fmt.Errorf("packet: PatchSrc requires an IPv4 address, got %v", src)

@@ -14,7 +14,7 @@ var (
 
 func mustMarshalIP(t *testing.T, h *IPv4, payload []byte) []byte {
 	t.Helper()
-	b, err := h.Marshal(payload)
+	b, err := h.MarshalInto(nil, payload)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
@@ -25,7 +25,7 @@ func TestIPv4RoundTrip(t *testing.T) {
 	h := &IPv4{
 		TOS:      0x10,
 		ID:       0xbeef,
-		Flags:    FlagDF,
+		Flags:    0x2, // don't fragment
 		TTL:      17,
 		Protocol: ProtoUDP,
 		Src:      srcA,
@@ -77,35 +77,35 @@ func TestIPv4Options(t *testing.T) {
 }
 
 func TestIPv4MarshalErrors(t *testing.T) {
-	if _, err := (&IPv4{Src: srcA}).Marshal(nil); err == nil {
+	if _, err := (&IPv4{Src: srcA}).MarshalInto(nil, nil); err == nil {
 		t.Error("invalid dst accepted")
 	}
-	if _, err := (&IPv4{Src: srcA, Dst: dstA, Options: []byte{1}}).Marshal(nil); err == nil {
+	if _, err := (&IPv4{Src: srcA, Dst: dstA, Options: []byte{1}}).MarshalInto(nil, nil); err == nil {
 		t.Error("misaligned options accepted")
 	}
 	big := make([]byte, 0x10000)
-	if _, err := (&IPv4{Src: srcA, Dst: dstA}).Marshal(big); err == nil {
+	if _, err := (&IPv4{Src: srcA, Dst: dstA}).MarshalInto(nil, big); err == nil {
 		t.Error("oversized packet accepted")
 	}
 }
 
 func TestParseIPv4Errors(t *testing.T) {
-	if _, _, err := ParseIPv4(nil); err != ErrTruncated {
-		t.Errorf("nil: err = %v, want ErrTruncated", err)
+	if _, _, err := ParseIPv4(nil); err != errTruncated {
+		t.Errorf("nil: err = %v, want errTruncated", err)
 	}
-	if _, _, err := ParseIPv4(make([]byte, 19)); err != ErrTruncated {
-		t.Errorf("short: err = %v, want ErrTruncated", err)
+	if _, _, err := ParseIPv4(make([]byte, 19)); err != errTruncated {
+		t.Errorf("short: err = %v, want errTruncated", err)
 	}
 	v6 := make([]byte, 40)
 	v6[0] = 6 << 4
-	if _, _, err := ParseIPv4(v6); err != ErrBadVersion {
-		t.Errorf("v6: err = %v, want ErrBadVersion", err)
+	if _, _, err := ParseIPv4(v6); err != errBadVersion {
+		t.Errorf("v6: err = %v, want errBadVersion", err)
 	}
 	// IHL below minimum.
 	bad := mustMarshalIP(t, &IPv4{TTL: 1, Protocol: 17, Src: srcA, Dst: dstA}, nil)
 	bad[0] = 4<<4 | 4 // IHL = 16 bytes
-	if _, _, err := ParseIPv4(bad); err != ErrTruncated {
-		t.Errorf("bad IHL: err = %v, want ErrTruncated", err)
+	if _, _, err := ParseIPv4(bad); err != errTruncated {
+		t.Errorf("bad IHL: err = %v, want errTruncated", err)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestParseIPv4TruncatedQuote(t *testing.T) {
 
 func TestPatchTTLKeepsChecksumValid(t *testing.T) {
 	f := func(ttl0, ttl1 uint8, id uint16) bool {
-		pkt, err := (&IPv4{TTL: ttl0, ID: id, Protocol: ProtoUDP, Src: srcA, Dst: dstA}).Marshal([]byte{1, 2})
+		pkt, err := (&IPv4{TTL: ttl0, ID: id, Protocol: ProtoUDP, Src: srcA, Dst: dstA}).MarshalInto(nil, []byte{1, 2})
 		if err != nil {
 			return false
 		}
@@ -146,7 +146,7 @@ func TestPatchTTLKeepsChecksumValid(t *testing.T) {
 
 func TestPatchSrcKeepsChecksumValid(t *testing.T) {
 	f := func(a, b, c, d byte) bool {
-		pkt, err := (&IPv4{TTL: 3, Protocol: ProtoICMP, Src: srcA, Dst: dstA}).Marshal(nil)
+		pkt, err := (&IPv4{TTL: 3, Protocol: ProtoICMP, Src: srcA, Dst: dstA}).MarshalInto(nil, nil)
 		if err != nil {
 			return false
 		}

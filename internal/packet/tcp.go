@@ -5,17 +5,14 @@ import (
 	"net/netip"
 )
 
-// TCPHeaderLen is the length of a TCP header without options.
-const TCPHeaderLen = 20
+// tcpHeaderLen is the length of a TCP header without options.
+const tcpHeaderLen = 20
 
 // TCP control bits.
 const (
-	TCPFin = 1 << 0
 	TCPSyn = 1 << 1
 	TCPRst = 1 << 2
-	TCPPsh = 1 << 3
 	TCPAck = 1 << 4
-	TCPUrg = 1 << 5
 )
 
 // TCP is a parsed TCP header. Options are preserved verbatim.
@@ -32,7 +29,7 @@ type TCP struct {
 }
 
 // HeaderLen returns the header length in bytes including options.
-func (h *TCP) HeaderLen() int { return TCPHeaderLen + len(h.Options) }
+func (h *TCP) HeaderLen() int { return tcpHeaderLen + len(h.Options) }
 
 // MarshalTCP serializes a TCP segment (header + payload) with a correct
 // checksum over the IPv4 pseudo-header for src/dst.
@@ -62,31 +59,21 @@ func MarshalTCP(src, dst netip.Addr, h *TCP, payload []byte) ([]byte, error) {
 	return b, nil
 }
 
-// ParseTCP decodes the TCP header at the front of b. Quoted segments inside
-// ICMP errors are truncated to eight octets, which covers only ports and the
-// sequence number; ParseTCP accepts that and reports how much it parsed via
-// the Truncated return.
-func ParseTCP(b []byte) (h *TCP, payload []byte, truncated bool, err error) {
-	h = new(TCP)
-	payload, truncated, err = ParseTCPInto(b, h)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return h, payload, truncated, nil
-}
-
-// ParseTCPInto is ParseTCP decoding into h, avoiding the heap allocation.
-// h is overwritten entirely; payload and Options alias b.
+// ParseTCPInto decodes the TCP header at the front of b into h; h is
+// overwritten entirely, and payload and Options alias b. Quoted segments
+// inside ICMP errors are truncated to eight octets, which covers only ports
+// and the sequence number; ParseTCPInto accepts that and reports how much it
+// parsed via the truncated return.
 func ParseTCPInto(b []byte, h *TCP) (payload []byte, truncated bool, err error) {
 	if len(b) < 8 {
-		return nil, false, ErrTruncated
+		return nil, false, errTruncated
 	}
 	*h = TCP{
 		SrcPort: get16(b[0:]),
 		DstPort: get16(b[2:]),
 		Seq:     get32(b[4:]),
 	}
-	if len(b) < TCPHeaderLen {
+	if len(b) < tcpHeaderLen {
 		return nil, true, nil
 	}
 	h.Ack = get32(b[8:])
@@ -95,19 +82,19 @@ func ParseTCPInto(b []byte, h *TCP) (payload []byte, truncated bool, err error) 
 	h.Window = get16(b[14:])
 	h.Checksum = get16(b[16:])
 	h.Urgent = get16(b[18:])
-	if hlen < TCPHeaderLen || hlen > len(b) {
+	if hlen < tcpHeaderLen || hlen > len(b) {
 		return nil, true, nil
 	}
-	if hlen > TCPHeaderLen {
-		h.Options = b[TCPHeaderLen:hlen]
+	if hlen > tcpHeaderLen {
+		h.Options = b[tcpHeaderLen:hlen]
 	}
 	return b[hlen:], false, nil
 }
 
-// VerifyTCPChecksum reports whether the serialized segment's checksum is
+// verifyTCPChecksum reports whether the serialized segment's checksum is
 // valid for the given pseudo-header addresses.
-func VerifyTCPChecksum(src, dst netip.Addr, seg []byte) bool {
-	if len(seg) < TCPHeaderLen {
+func verifyTCPChecksum(src, dst netip.Addr, seg []byte) bool {
+	if len(seg) < tcpHeaderLen {
 		return false
 	}
 	s := pseudoHeaderSum(src, dst, ProtoTCP, len(seg))

@@ -21,12 +21,13 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MarshalTCP: %v", err)
 	}
-	if !VerifyTCPChecksum(srcA, dstA, seg) {
+	if !verifyTCPChecksum(srcA, dstA, seg) {
 		t.Error("checksum does not verify")
 	}
-	g, pl, trunc, err := ParseTCP(seg)
+	g := new(TCP)
+	pl, trunc, err := ParseTCPInto(seg, g)
 	if err != nil || trunc {
-		t.Fatalf("ParseTCP: err=%v trunc=%v", err, trunc)
+		t.Fatalf("ParseTCPInto: err=%v trunc=%v", err, trunc)
 	}
 	if g.SrcPort != h.SrcPort || g.DstPort != h.DstPort || g.Seq != h.Seq ||
 		g.Ack != h.Ack || g.Flags != h.Flags || g.Window != h.Window || g.Urgent != h.Urgent {
@@ -37,7 +38,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	// Corruption must break verification.
 	seg[5] ^= 0x40
-	if VerifyTCPChecksum(srcA, dstA, seg) {
+	if verifyTCPChecksum(srcA, dstA, seg) {
 		t.Error("corrupted segment still verifies")
 	}
 }
@@ -49,7 +50,8 @@ func TestTCPOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, trunc, err := ParseTCP(seg)
+	g := new(TCP)
+	_, trunc, err := ParseTCPInto(seg, g)
 	if err != nil || trunc {
 		t.Fatalf("err=%v trunc=%v", err, trunc)
 	}
@@ -77,9 +79,10 @@ func TestParseTCPQuotedEightOctets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _, trunc, err := ParseTCP(seg[:8])
+	h := new(TCP)
+	_, trunc, err := ParseTCPInto(seg[:8], h)
 	if err != nil {
-		t.Fatalf("ParseTCP: %v", err)
+		t.Fatalf("ParseTCPInto: %v", err)
 	}
 	if !trunc {
 		t.Error("eight-octet quote not marked truncated")
@@ -90,8 +93,8 @@ func TestParseTCPQuotedEightOctets(t *testing.T) {
 }
 
 func TestParseTCPTooShort(t *testing.T) {
-	if _, _, _, err := ParseTCP(make([]byte, 7)); err != ErrTruncated {
-		t.Errorf("err = %v, want ErrTruncated", err)
+	if _, _, err := ParseTCPInto(make([]byte, 7), new(TCP)); err != errTruncated {
+		t.Errorf("err = %v, want errTruncated", err)
 	}
 }
 
@@ -104,7 +107,7 @@ func TestTCPChecksumProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifyTCPChecksum(srcA, dstA, seg)
+		return verifyTCPChecksum(srcA, dstA, seg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)

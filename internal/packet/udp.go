@@ -5,8 +5,8 @@ import (
 	"net/netip"
 )
 
-// UDPHeaderLen is the length of a UDP header.
-const UDPHeaderLen = 8
+// udpHeaderLen is the length of a UDP header.
+const udpHeaderLen = 8
 
 // UDP is a parsed UDP header.
 type UDP struct {
@@ -16,18 +16,13 @@ type UDP struct {
 	Checksum uint16
 }
 
-// MarshalUDP serializes a UDP datagram (header + payload) with a correct
-// checksum over the IPv4 pseudo-header for src/dst.
-func MarshalUDP(src, dst netip.Addr, h *UDP, payload []byte) ([]byte, error) {
-	return MarshalUDPInto(nil, src, dst, h, payload)
-}
-
-// MarshalUDPInto is MarshalUDP serializing into buf when it has sufficient
-// capacity (allocating otherwise). The returned datagram aliases buf in the
-// reuse case; the UDP probe builders recycle their datagram scratch through
-// it across an entire trace.
+// MarshalUDPInto serializes a UDP datagram (header + payload) with a correct
+// checksum over the IPv4 pseudo-header for src/dst, into buf when it has
+// sufficient capacity (allocating otherwise). The returned datagram aliases
+// buf in the reuse case; the UDP probe builders recycle their datagram
+// scratch through it across an entire trace.
 func MarshalUDPInto(buf []byte, src, dst netip.Addr, h *UDP, payload []byte) ([]byte, error) {
-	length := UDPHeaderLen + len(payload)
+	length := udpHeaderLen + len(payload)
 	if length > 0xffff {
 		return nil, fmt.Errorf("packet: UDP datagram too large (%d bytes)", length)
 	}
@@ -44,24 +39,13 @@ func MarshalUDPInto(buf []byte, src, dst netip.Addr, h *UDP, payload []byte) ([]
 	return b, nil
 }
 
-// ParseUDP decodes the UDP header at the front of b and returns the payload
-// (aliasing b). Quoted datagrams inside ICMP errors may be truncated to the
-// first eight octets; the returned payload is then empty.
-func ParseUDP(b []byte) (*UDP, []byte, error) {
-	h := new(UDP)
-	payload, err := ParseUDPInto(b, h)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, payload, nil
-}
-
-// ParseUDPInto decodes the UDP header at the front of b into h, avoiding the
-// heap allocation of ParseUDP. h is overwritten entirely; the returned
-// payload aliases b.
+// ParseUDPInto decodes the UDP header at the front of b into h and returns
+// the payload (aliasing b); h is overwritten entirely. Quoted datagrams inside
+// ICMP errors may be truncated to the first eight octets; the returned payload
+// is then empty.
 func ParseUDPInto(b []byte, h *UDP) ([]byte, error) {
-	if len(b) < UDPHeaderLen {
-		return nil, ErrTruncated
+	if len(b) < udpHeaderLen {
+		return nil, errTruncated
 	}
 	*h = UDP{
 		SrcPort:  get16(b[0:]),
@@ -70,10 +54,10 @@ func ParseUDPInto(b []byte, h *UDP) ([]byte, error) {
 		Checksum: get16(b[6:]),
 	}
 	end := int(h.Length)
-	if end < UDPHeaderLen || end > len(b) {
+	if end < udpHeaderLen || end > len(b) {
 		end = len(b)
 	}
-	return b[UDPHeaderLen:end], nil
+	return b[udpHeaderLen:end], nil
 }
 
 // udpChecksum computes the UDP checksum of the serialized datagram dgram
@@ -89,7 +73,7 @@ func udpChecksum(src, dst netip.Addr, dgram []byte) uint16 {
 // valid for the given pseudo-header addresses. A wire checksum of zero means
 // "no checksum" and verifies trivially.
 func VerifyUDPChecksum(src, dst netip.Addr, dgram []byte) bool {
-	if len(dgram) < UDPHeaderLen {
+	if len(dgram) < udpHeaderLen {
 		return false
 	}
 	wire := get16(dgram[6:])
@@ -103,21 +87,15 @@ func VerifyUDPChecksum(src, dst netip.Addr, dgram []byte) bool {
 	return wire == want
 }
 
-// CraftUDPPayload returns a payload of length n (n >= 2) such that the UDP
-// datagram with header h sent from src to dst has exactly the checksum
+// CraftUDPPayloadInto returns a payload of length n (n >= 2) such that the
+// UDP datagram with header h sent from src to dst has exactly the checksum
 // target. This is Paris traceroute's UDP technique: the checksum becomes the
 // varying probe identifier while the ports — the flow identifier — stay
-// constant.
+// constant. The payload is written into buf when it has sufficient capacity
+// (allocating otherwise) and aliases buf in the reuse case.
 //
 // target must be nonzero: a zero UDP checksum means "not computed" and would
 // be rewritten to 0xffff on the wire, breaking probe matching.
-func CraftUDPPayload(src, dst netip.Addr, h *UDP, target uint16, n int) ([]byte, error) {
-	return CraftUDPPayloadInto(nil, src, dst, h, target, n)
-}
-
-// CraftUDPPayloadInto is CraftUDPPayload writing into buf when it has
-// sufficient capacity (allocating otherwise). The returned payload aliases
-// buf in the reuse case.
 func CraftUDPPayloadInto(buf []byte, src, dst netip.Addr, h *UDP, target uint16, n int) ([]byte, error) {
 	if target == 0 {
 		return nil, fmt.Errorf("packet: cannot craft a zero UDP checksum (means no-checksum on the wire)")
@@ -125,11 +103,11 @@ func CraftUDPPayloadInto(buf []byte, src, dst netip.Addr, h *UDP, target uint16,
 	if n < 2 {
 		return nil, fmt.Errorf("packet: need at least 2 payload bytes to absorb the checksum, got %d", n)
 	}
-	length := UDPHeaderLen + n
+	length := udpHeaderLen + n
 	// Sum of pseudo-header plus header (checksum field zero) plus the n-2
 	// trailing zero payload bytes; the first payload word x must satisfy
 	// finish(s + x) == target, i.e. x = ^target - fold(s) in one's complement.
-	var hdr [UDPHeaderLen]byte
+	var hdr [udpHeaderLen]byte
 	put16(hdr[0:], h.SrcPort)
 	put16(hdr[2:], h.DstPort)
 	put16(hdr[4:], uint16(length))

@@ -9,13 +9,14 @@ import (
 func TestUDPRoundTrip(t *testing.T) {
 	h := &UDP{SrcPort: 12345, DstPort: 33435}
 	payload := []byte("probe payload")
-	dgram, err := MarshalUDP(srcA, dstA, h, payload)
+	dgram, err := MarshalUDPInto(nil, srcA, dstA, h, payload)
 	if err != nil {
-		t.Fatalf("MarshalUDP: %v", err)
+		t.Fatalf("MarshalUDPInto: %v", err)
 	}
-	g, pl, err := ParseUDP(dgram)
+	g := new(UDP)
+	pl, err := ParseUDPInto(dgram, g)
 	if err != nil {
-		t.Fatalf("ParseUDP: %v", err)
+		t.Fatalf("ParseUDPInto: %v", err)
 	}
 	if g.SrcPort != h.SrcPort || g.DstPort != h.DstPort {
 		t.Errorf("ports = %d,%d want %d,%d", g.SrcPort, g.DstPort, h.SrcPort, h.DstPort)
@@ -37,7 +38,7 @@ func TestUDPRoundTrip(t *testing.T) {
 }
 
 func TestUDPChecksumZeroMeansNone(t *testing.T) {
-	dgram, err := MarshalUDP(srcA, dstA, &UDP{SrcPort: 1, DstPort: 2}, nil)
+	dgram, err := MarshalUDPInto(nil, srcA, dstA, &UDP{SrcPort: 1, DstPort: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +49,15 @@ func TestUDPChecksumZeroMeansNone(t *testing.T) {
 }
 
 func TestParseUDPTruncated(t *testing.T) {
-	if _, _, err := ParseUDP(make([]byte, 7)); err != ErrTruncated {
-		t.Errorf("err = %v, want ErrTruncated", err)
+	if _, err := ParseUDPInto(make([]byte, 7), new(UDP)); err != errTruncated {
+		t.Errorf("err = %v, want errTruncated", err)
 	}
 	// Quoted probes are clipped to eight octets: header only, no payload.
-	dgram, _ := MarshalUDP(srcA, dstA, &UDP{SrcPort: 7, DstPort: 9}, []byte("xxxx"))
-	h, pl, err := ParseUDP(dgram[:8])
+	dgram, _ := MarshalUDPInto(nil, srcA, dstA, &UDP{SrcPort: 7, DstPort: 9}, []byte("xxxx"))
+	h := new(UDP)
+	pl, err := ParseUDPInto(dgram[:8], h)
 	if err != nil {
-		t.Fatalf("ParseUDP(8 octets): %v", err)
+		t.Fatalf("ParseUDPInto(8 octets): %v", err)
 	}
 	if h.SrcPort != 7 || h.DstPort != 9 || len(pl) != 0 {
 		t.Errorf("got %+v payload %d bytes", h, len(pl))
@@ -74,11 +76,11 @@ func TestCraftUDPPayloadExact(t *testing.T) {
 		dst := netip.AddrFrom4([4]byte{d, c, bb, a})
 		h := &UDP{SrcPort: sp, DstPort: dp}
 		n := 2 + int(extra)%30
-		payload, err := CraftUDPPayload(src, dst, h, target, n)
+		payload, err := CraftUDPPayloadInto(nil, src, dst, h, target, n)
 		if err != nil {
 			return false
 		}
-		dgram, err := MarshalUDP(src, dst, h, payload)
+		dgram, err := MarshalUDPInto(nil, src, dst, h, payload)
 		if err != nil {
 			return false
 		}
@@ -92,10 +94,10 @@ func TestCraftUDPPayloadExact(t *testing.T) {
 
 func TestCraftUDPPayloadErrors(t *testing.T) {
 	h := &UDP{SrcPort: 1, DstPort: 2}
-	if _, err := CraftUDPPayload(srcA, dstA, h, 0, 8); err == nil {
+	if _, err := CraftUDPPayloadInto(nil, srcA, dstA, h, 0, 8); err == nil {
 		t.Error("zero target accepted")
 	}
-	if _, err := CraftUDPPayload(srcA, dstA, h, 7, 1); err == nil {
+	if _, err := CraftUDPPayloadInto(nil, srcA, dstA, h, 7, 1); err == nil {
 		t.Error("one-byte payload accepted")
 	}
 }
@@ -104,7 +106,7 @@ func TestCraftUDPPayloadDistinctTargetsDistinctPayloads(t *testing.T) {
 	h := &UDP{SrcPort: 10007, DstPort: 20011}
 	seen := map[uint16]bool{}
 	for target := uint16(1); target <= 200; target++ {
-		payload, err := CraftUDPPayload(srcA, dstA, h, target, 12)
+		payload, err := CraftUDPPayloadInto(nil, srcA, dstA, h, target, 12)
 		if err != nil {
 			t.Fatalf("target %d: %v", target, err)
 		}
@@ -119,7 +121,7 @@ func TestCraftUDPPayloadDistinctTargetsDistinctPayloads(t *testing.T) {
 func BenchmarkCraftUDPPayload(b *testing.B) {
 	h := &UDP{SrcPort: 10007, DstPort: 20011}
 	for i := 0; i < b.N; i++ {
-		if _, err := CraftUDPPayload(srcA, dstA, h, uint16(i%0xfffe)+1, 12); err != nil {
+		if _, err := CraftUDPPayloadInto(nil, srcA, dstA, h, uint16(i%0xfffe)+1, 12); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@
 // transport injects full headers via IP_HDRINCL and receives full headers
 // from the raw sockets), so captures use LINKTYPE_RAW — each record's
 // bytes start at the IP version nibble, no link-layer framing — and the
-// readers refuse every other link type (ErrLinkType) rather than hand
+// readers refuse every other link type (errLinkType) rather than hand
 // Ethernet frames to code that expects IP headers. Writers always emit the
 // nanosecond-resolution magic in little-endian byte order; readers accept
 // all four dialects (micro/nano × little/big endian).
@@ -28,20 +28,20 @@ import (
 )
 
 const (
-	// MagicNano and MagicMicro are the file magics for nanosecond- and
+	// magicNano and magicMicro are the file magics for nanosecond- and
 	// microsecond-resolution captures, as written in the file's own byte
 	// order (reading them "backwards" reveals a foreign-endian file).
-	MagicNano  = 0xa1b23c4d
-	MagicMicro = 0xa1b2c3d4
+	magicNano  = 0xa1b23c4d
+	magicMicro = 0xa1b2c3d4
 
-	// LinkTypeRaw is LINKTYPE_RAW: packet bytes begin at the IPv4/IPv6
+	// linkTypeRaw is LINKTYPE_RAW: packet bytes begin at the IPv4/IPv6
 	// header. The only link type written, and the only one read.
-	LinkTypeRaw = 101
+	linkTypeRaw = 101
 
-	// SnapLen is the capture length written into new files. Probes and
+	// snapLen is the capture length written into new files. Probes and
 	// responses are single datagrams well under one MTU, so nothing is
 	// ever truncated at this snap length.
-	SnapLen = 65535
+	snapLen = 65535
 
 	fileHeaderLen   = 24
 	recordHeaderLen = 16
@@ -55,9 +55,9 @@ const (
 // ends mid-structure (a torn write), and a well-formed capture of some
 // other link layer (an Ethernet capture from tcpdump, say).
 var (
-	ErrBadMagic  = errors.New("pcap: bad magic (not a pcap file)")
+	errBadMagic  = errors.New("pcap: bad magic (not a pcap file)")
 	ErrTruncated = errors.New("pcap: truncated file")
-	ErrLinkType  = errors.New("pcap: unsupported link type")
+	errLinkType  = errors.New("pcap: unsupported link type")
 )
 
 // Record is one captured packet: its capture timestamp and its bytes
@@ -79,12 +79,12 @@ type Writer struct {
 func NewWriter(w io.Writer) (*Writer, error) {
 	var hdr [fileHeaderLen]byte
 	le := binary.LittleEndian
-	le.PutUint32(hdr[0:], MagicNano)
+	le.PutUint32(hdr[0:], magicNano)
 	le.PutUint16(hdr[4:], 2) // version major
 	le.PutUint16(hdr[6:], 4) // version minor
 	// hdr[8:16]: thiszone and sigfigs, zero by convention.
-	le.PutUint32(hdr[16:], SnapLen)
-	le.PutUint32(hdr[20:], LinkTypeRaw)
+	le.PutUint32(hdr[16:], snapLen)
+	le.PutUint32(hdr[20:], linkTypeRaw)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: writing file header: %w", err)
 	}
@@ -93,10 +93,10 @@ func NewWriter(w io.Writer) (*Writer, error) {
 
 // WritePacket appends one record. The timestamp is split into Unix
 // seconds plus nanoseconds; data is written in full (callers never exceed
-// SnapLen, so incl_len == orig_len always).
+// snapLen, so incl_len == orig_len always).
 func (w *Writer) WritePacket(ts time.Time, data []byte) error {
-	if len(data) > SnapLen {
-		return fmt.Errorf("pcap: packet of %d bytes exceeds snap length %d", len(data), SnapLen)
+	if len(data) > snapLen {
+		return fmt.Errorf("pcap: packet of %d bytes exceeds snap length %d", len(data), snapLen)
 	}
 	le := binary.LittleEndian
 	le.PutUint32(w.buf[0:], uint32(ts.Unix()))
@@ -134,22 +134,22 @@ func (f format) u32(b []byte) uint32 {
 func parseFileHeader(hdr []byte) (format, error) {
 	var f format
 	switch magic := binary.LittleEndian.Uint32(hdr[0:]); magic {
-	case MagicNano:
+	case magicNano:
 		f.nano = true
-	case MagicMicro:
+	case magicMicro:
 	default:
 		f.bigEndian = true
 		switch magic := binary.BigEndian.Uint32(hdr[0:]); magic {
-		case MagicNano:
+		case magicNano:
 			f.nano = true
-		case MagicMicro:
+		case magicMicro:
 		default:
-			return format{}, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
+			return format{}, fmt.Errorf("%w: 0x%08x", errBadMagic, magic)
 		}
 	}
-	if lt := f.u32(hdr[20:]); lt != LinkTypeRaw {
+	if lt := f.u32(hdr[20:]); lt != linkTypeRaw {
 		return format{}, fmt.Errorf("%w: file has link type %d%s, need LINKTYPE_RAW (%d): records must start at the IP header, with no link-layer framing",
-			ErrLinkType, lt, linkTypeName(lt), LinkTypeRaw)
+			errLinkType, lt, linkTypeName(lt), linkTypeRaw)
 	}
 	return f, nil
 }
@@ -220,8 +220,8 @@ type Reader struct {
 	buf [recordHeaderLen]byte
 }
 
-// NewReader parses the global header. It returns ErrBadMagic for non-pcap
-// input, ErrTruncated for a header cut short and ErrLinkType for a capture
+// NewReader parses the global header. It returns errBadMagic for non-pcap
+// input, ErrTruncated for a header cut short and errLinkType for a capture
 // whose records do not start at the IP header.
 func NewReader(r io.Reader) (*Reader, error) {
 	var hdr [fileHeaderLen]byte

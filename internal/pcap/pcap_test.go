@@ -76,7 +76,7 @@ func readBoth(t testing.TB, data []byte) ([]Record, error) {
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("in-memory read failed with %v, streaming read with %v", err, wantErr)
 	}
-	for _, class := range []error{ErrBadMagic, ErrTruncated, ErrLinkType} {
+	for _, class := range []error{errBadMagic, ErrTruncated, errLinkType} {
 		if errors.Is(err, class) != errors.Is(wantErr, class) {
 			t.Fatalf("in-memory error %v and streaming error %v differ in class %v", err, wantErr, class)
 		}
@@ -178,8 +178,8 @@ func TestBadMagic(t *testing.T) {
 	for i := range junk {
 		junk[i] = 0xee
 	}
-	if _, err := readBoth(t, junk); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("got %v, want ErrBadMagic", err)
+	if _, err := readBoth(t, junk); !errors.Is(err, errBadMagic) {
+		t.Fatalf("got %v, want errBadMagic", err)
 	}
 }
 
@@ -218,7 +218,7 @@ func buildDialect(order binary.ByteOrder, magic, linkType, frac uint32) []byte {
 	order.PutUint32(hdr[0:], magic)
 	order.PutUint16(hdr[4:], 2)
 	order.PutUint16(hdr[6:], 4)
-	order.PutUint32(hdr[16:], SnapLen)
+	order.PutUint32(hdr[16:], snapLen)
 	order.PutUint32(hdr[20:], linkType)
 	buf.Write(hdr)
 	rec := make([]byte, recordHeaderLen)
@@ -240,9 +240,9 @@ func TestForeignDialects(t *testing.T) {
 		raw    []byte
 		wantTS time.Time
 	}{
-		{"big-endian-nano", buildDialect(binary.BigEndian, MagicNano, LinkTypeRaw, 123456789), time.Unix(1, 123456789)},
-		{"little-endian-micro", buildDialect(binary.LittleEndian, MagicMicro, LinkTypeRaw, 500), time.Unix(1, 500000)},
-		{"big-endian-micro", buildDialect(binary.BigEndian, MagicMicro, LinkTypeRaw, 999999), time.Unix(1, 999999000)},
+		{"big-endian-nano", buildDialect(binary.BigEndian, magicNano, linkTypeRaw, 123456789), time.Unix(1, 123456789)},
+		{"little-endian-micro", buildDialect(binary.LittleEndian, magicMicro, linkTypeRaw, 500), time.Unix(1, 500000)},
+		{"big-endian-micro", buildDialect(binary.BigEndian, magicMicro, linkTypeRaw, 999999), time.Unix(1, 999999000)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -275,13 +275,13 @@ func TestForeignDialects(t *testing.T) {
 // with an error naming the type found, in either byte order.
 func TestLinkTypeRefused(t *testing.T) {
 	for _, order := range []binary.ByteOrder{binary.LittleEndian, binary.BigEndian} {
-		_, err := readBoth(t, buildDialect(order, MagicMicro, 1, 0))
-		if !errors.Is(err, ErrLinkType) || !strings.Contains(err.Error(), "link type 1 (Ethernet)") {
-			t.Errorf("%v Ethernet capture: got %v, want ErrLinkType naming link type 1", order, err)
+		_, err := readBoth(t, buildDialect(order, magicMicro, 1, 0))
+		if !errors.Is(err, errLinkType) || !strings.Contains(err.Error(), "link type 1 (Ethernet)") {
+			t.Errorf("%v Ethernet capture: got %v, want errLinkType naming link type 1", order, err)
 		}
 	}
-	if _, err := readBoth(t, buildDialect(binary.LittleEndian, MagicNano, 147, 0)); !errors.Is(err, ErrLinkType) || !strings.Contains(err.Error(), "link type 147") {
-		t.Errorf("link type 147: got %v, want ErrLinkType naming it", err)
+	if _, err := readBoth(t, buildDialect(binary.LittleEndian, magicNano, 147, 0)); !errors.Is(err, errLinkType) || !strings.Contains(err.Error(), "link type 147") {
+		t.Errorf("link type 147: got %v, want errLinkType naming it", err)
 	}
 }
 
@@ -330,7 +330,7 @@ func TestWriterRejectsOversizedPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WritePacket(time.Unix(1, 0), make([]byte, SnapLen+1)); err == nil {
+	if err := w.WritePacket(time.Unix(1, 0), make([]byte, snapLen+1)); err == nil {
 		t.Fatal("packet above the snap length accepted")
 	}
 }
@@ -420,12 +420,12 @@ func FuzzReadPcap(f *testing.F) {
 	junk[0] ^= 0xff
 	f.Add(junk)
 	for _, order := range []binary.ByteOrder{binary.LittleEndian, binary.BigEndian} {
-		f.Add(buildDialect(order, MagicNano, LinkTypeRaw, 999_999_999))
-		f.Add(buildDialect(order, MagicNano, LinkTypeRaw, 1_000_000_000)) // fraction out of range
-		f.Add(buildDialect(order, MagicMicro, LinkTypeRaw, 999_999))
-		f.Add(buildDialect(order, MagicMicro, LinkTypeRaw, 1_000_000)) // fraction out of range
-		f.Add(buildDialect(order, MagicMicro, 1, 0))                   // Ethernet
-		big := buildDialect(order, MagicNano, LinkTypeRaw, 0)
+		f.Add(buildDialect(order, magicNano, linkTypeRaw, 999_999_999))
+		f.Add(buildDialect(order, magicNano, linkTypeRaw, 1_000_000_000)) // fraction out of range
+		f.Add(buildDialect(order, magicMicro, linkTypeRaw, 999_999))
+		f.Add(buildDialect(order, magicMicro, linkTypeRaw, 1_000_000)) // fraction out of range
+		f.Add(buildDialect(order, magicMicro, 1, 0))                   // Ethernet
+		big := buildDialect(order, magicNano, linkTypeRaw, 0)
 		order.PutUint32(big[fileHeaderLen+8:], maxRecordLen+1) // oversize incl_len
 		f.Add(big)
 	}

@@ -87,9 +87,9 @@ func (b *Builder) nextPriv() netip.Addr {
 	return netip.AddrFrom4([4]byte{192, 168, byte(c >> 8), byte(c & 0xff)})
 }
 
-// PrivatePrefix is the pool NAT-inside interfaces and hosts draw from; NAT
+// privatePrefix is the pool NAT-inside interfaces and hosts draw from; NAT
 // routers use it as their Inside prefix.
-var PrivatePrefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{192, 168, 0, 0}), 16)
+var privatePrefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{192, 168, 0, 0}), 16)
 
 // nextHostAddr allocates the next destination host address from 172.16/12.
 func (b *Builder) nextHostAddr() netip.Addr {
@@ -188,9 +188,9 @@ func (b *Builder) AttachHost(r *netsim.Router, name string, private bool) *netsi
 	return h
 }
 
-// RouteStep is one step of a destination route: router On forwards matching
+// routeStep is one step of a destination route: router On forwards matching
 // packets to one of Via (balanced by Balance when several).
-type RouteStep struct {
+type routeStep struct {
 	On       *netsim.Router
 	Via      []netsim.NextHop
 	Balance  netsim.Policy

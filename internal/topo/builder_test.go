@@ -42,8 +42,8 @@ func TestAddressPoolsDisjoint(t *testing.T) {
 		}
 	}
 	for _, a := range []netip.Addr{privA, privB} {
-		if !PrivatePrefix.Contains(a) {
-			t.Errorf("private address %v outside %v", a, PrivatePrefix)
+		if !privatePrefix.Contains(a) {
+			t.Errorf("private address %v outside %v", a, privatePrefix)
 		}
 	}
 	if !netip.PrefixFrom(netip.AddrFrom4([4]byte{172, 16, 0, 0}), 12).Contains(host.Addr) {
@@ -125,7 +125,7 @@ func TestAttachHostPrivate(t *testing.T) {
 	r := b.NewRouter("")
 	b.Link(b.Gateway, r)
 	h := b.AttachHost(r, "priv", true)
-	if !PrivatePrefix.Contains(h.Addr) {
+	if !privatePrefix.Contains(h.Addr) {
 		t.Errorf("private host at %v", h.Addr)
 	}
 	// The attachment route must exist on r.

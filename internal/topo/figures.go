@@ -188,7 +188,7 @@ func BuildFigure5(seed int64) *Figure5 {
 	b.LinkPrivate(n, bb) // hop 8 (private)
 	c := b.NewRouter("C")
 	b.LinkPrivate(bb, c) // hop 9 (private)
-	n.SetNAT(netsim.NAT{Public: n.Iface(0), Inside: PrivatePrefix})
+	n.SetNAT(netsim.NAT{Public: n.Iface(0), Inside: privatePrefix})
 	dest := b.AttachHost(c, "dest", true) // hop 10, private host
 
 	route(b.Gateway, dest.Addr, 0, flow.Options{}, chain[0].Iface(0))

@@ -267,7 +267,7 @@ const (
 
 // routeTemplate is the per-pod recipe for installing a destination route.
 type routeTemplate struct {
-	steps []RouteStep
+	steps []routeStep
 	leaf  *netsim.Router
 	nat   bool
 	flip  *flipState
@@ -419,11 +419,11 @@ func Generate(cfg GenConfig) *Scenario {
 			if tmpl.flip != nil {
 				gen.flipByDest[dst4(h.Addr.AsSlice())] = tmpl.flip
 			}
-			installStep(RouteStep{On: b.Gateway, Via: via(core[0].Iface(0))}, h.Addr)
+			installStep(routeStep{On: b.Gateway, Via: via(core[0].Iface(0))}, h.Addr)
 			for i := 0; i+1 < len(core); i++ {
-				installStep(RouteStep{On: core[i], Via: via(core[i+1].Iface(0))}, h.Addr)
+				installStep(routeStep{On: core[i], Via: via(core[i+1].Iface(0))}, h.Addr)
 			}
-			installStep(RouteStep{On: core[len(core)-1], Via: via(transit.Iface(0))}, h.Addr)
+			installStep(routeStep{On: core[len(core)-1], Via: via(transit.Iface(0))}, h.Addr)
 			for _, s := range tmpl.steps {
 				installStep(s, h.Addr)
 			}
@@ -514,7 +514,7 @@ func via(addrs ...netip.Addr) []netsim.NextHop {
 	return hops
 }
 
-func installStep(s RouteStep, dest netip.Addr) {
+func installStep(s routeStep, dest netip.Addr) {
 	s.On.AddRoute(netsim.Route{
 		Prefix:   netip.PrefixFrom(dest, 32),
 		Hops:     s.Via,
@@ -552,7 +552,7 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 			r := b.NewRouter("")
 			r.SetIPIDStride(uint16(1 + rng.Intn(7)))
 			b.Link(cur, r)
-			tmpl.steps = append(tmpl.steps, RouteStep{On: cur, Via: via(r.Iface(0))})
+			tmpl.steps = append(tmpl.steps, routeStep{On: cur, Via: via(r.Iface(0))})
 			cur = r
 		}
 	}
@@ -582,19 +582,19 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 				if i == 0 {
 					first = r.Iface(0)
 				} else {
-					tmpl.steps = append(tmpl.steps, RouteStep{On: prev, Via: via(r.Iface(0))})
+					tmpl.steps = append(tmpl.steps, routeStep{On: prev, Via: via(r.Iface(0))})
 				}
 				prev = r
 			}
 			b.Link(prev, exit)
-			tmpl.steps = append(tmpl.steps, RouteStep{On: prev, Via: via(exit.Iface(0))})
+			tmpl.steps = append(tmpl.steps, routeStep{On: prev, Via: via(exit.Iface(0))})
 			heads = append(heads, first)
 		}
 		policy := netsim.PerFlow
 		if perPacket {
 			policy = netsim.PerPacket
 		}
-		tmpl.steps = append(tmpl.steps, RouteStep{
+		tmpl.steps = append(tmpl.steps, routeStep{
 			On: cur, Via: via(heads...), Balance: policy,
 			FlowOpts: flow.Options{Kind: flow.KeyFirstFourOctets},
 		})
@@ -646,8 +646,8 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 	case podNAT, podMessyNAT:
 		nat := b.NewRouter("")
 		b.Link(cur, nat)
-		tmpl.steps = append(tmpl.steps, RouteStep{On: cur, Via: via(nat.Iface(0))})
-		nat.SetNAT(netsim.NAT{Public: nat.Iface(0), Inside: PrivatePrefix})
+		tmpl.steps = append(tmpl.steps, routeStep{On: cur, Via: via(nat.Iface(0))})
+		nat.SetNAT(netsim.NAT{Public: nat.Iface(0), Inside: privatePrefix})
 		cur = nat
 		for i := 0; i < 2; i++ {
 			r := b.NewRouter("")
@@ -659,7 +659,7 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 				ttls := []uint8{64, 255, 128}
 				r.SetICMPTTL(ttls[i%len(ttls)])
 			}
-			tmpl.steps = append(tmpl.steps, RouteStep{On: cur, Via: via(r.Iface(0))})
+			tmpl.steps = append(tmpl.steps, routeStep{On: cur, Via: via(r.Iface(0))})
 			cur = r
 		}
 		tmpl.nat = true
@@ -669,7 +669,7 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 		z := b.NewRouter("")
 		z.SetFaults(netsim.Faults{ZeroTTLForward: true})
 		b.Link(cur, z)
-		tmpl.steps = append(tmpl.steps, RouteStep{On: cur, Via: via(z.Iface(0))})
+		tmpl.steps = append(tmpl.steps, routeStep{On: cur, Via: via(z.Iface(0))})
 		cur = z
 		addChain(2) // the router answering twice, plus one more
 		g.sc.Truth.DestsBehindZeroTTL += nDest
@@ -755,7 +755,7 @@ func buildFlip(b *Builder, tmpl *routeTemplate, cur **netsim.Router, diff int) *
 	s := b.NewRouter("")
 	b.Link(entry, s)
 	b.Link(s, exit)
-	tmpl.steps = append(tmpl.steps, RouteStep{On: s, Via: via(exit.Iface(0))})
+	tmpl.steps = append(tmpl.steps, routeStep{On: s, Via: via(exit.Iface(0))})
 	// Long branch: 1+diff routers.
 	prev := entry
 	var longHead netip.Addr
@@ -765,14 +765,14 @@ func buildFlip(b *Builder, tmpl *routeTemplate, cur **netsim.Router, diff int) *
 		if i == 0 {
 			longHead = r.Iface(0)
 		} else {
-			tmpl.steps = append(tmpl.steps, RouteStep{On: prev, Via: via(r.Iface(0))})
+			tmpl.steps = append(tmpl.steps, routeStep{On: prev, Via: via(r.Iface(0))})
 		}
 		prev = r
 	}
 	b.Link(prev, exit)
-	tmpl.steps = append(tmpl.steps, RouteStep{On: prev, Via: via(exit.Iface(0))})
+	tmpl.steps = append(tmpl.steps, routeStep{On: prev, Via: via(exit.Iface(0))})
 	// Active route: short branch.
-	tmpl.steps = append(tmpl.steps, RouteStep{On: entry, Via: via(s.Iface(0))})
+	tmpl.steps = append(tmpl.steps, routeStep{On: entry, Via: via(s.Iface(0))})
 	*cur = exit
 	return &flipState{entry: entry, viaA: s.Iface(0), viaB: longHead, onA: true}
 }

@@ -215,7 +215,7 @@ func hostUnreachableFrom(t *testing.T, from netip.Addr, probe []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := (&packet.IPv4{TTL: 60, Protocol: packet.ProtoICMP, Src: from, Dst: hdr.Src}).Marshal(body)
+	resp, err := (&packet.IPv4{TTL: 60, Protocol: packet.ProtoICMP, Src: from, Dst: hdr.Src}).MarshalInto(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,18 @@ import (
 // classification survives any number of %w wrappings, so callers test with
 // IsTransient at whatever level they hold the error.
 
-// ErrTransient is the sentinel every transient transport error matches:
-// errors.Is(err, ErrTransient) reports whether a retry may succeed.
-var ErrTransient = errors.New("transient transport error")
+// errTransient is the sentinel every transient transport error matches:
+// errors.Is(err, errTransient) reports whether a retry may succeed.
+var errTransient = errors.New("transient transport error")
 
-// transientError carries an underlying error while matching ErrTransient.
+// transientError carries an underlying error while matching errTransient.
 type transientError struct{ err error }
 
 func (e *transientError) Error() string   { return e.err.Error() }
-func (e *transientError) Unwrap() []error { return []error{e.err, ErrTransient} }
+func (e *transientError) Unwrap() []error { return []error{e.err, errTransient} }
 
 // Transient marks err as transient: the returned error matches both err and
-// ErrTransient under errors.Is. A nil err returns nil; an already-transient
+// errTransient under errors.Is. A nil err returns nil; an already-transient
 // err is returned unchanged.
 func Transient(err error) error {
 	if err == nil || IsTransient(err) {
@@ -39,7 +39,7 @@ func Transient(err error) error {
 
 // IsTransient reports whether err is marked transient, through any chain of
 // %w wrappings.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
+func IsTransient(err error) bool { return errors.Is(err, errTransient) }
 
 // FallibleTransport is implemented by transports that can distinguish "no
 // response arrived" (ok=false, a star — a legitimate measurement) from "the

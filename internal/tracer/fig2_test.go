@@ -47,16 +47,16 @@ func probeFields(pkt []byte) (map[string]uint64, error) {
 	}
 	switch h.Protocol {
 	case packet.ProtoUDP:
-		u, _, err := packet.ParseUDP(payload)
-		if err != nil {
+		u := new(packet.UDP)
+		if _, err := packet.ParseUDPInto(payload, u); err != nil {
 			return nil, err
 		}
 		f["udp.sport"] = uint64(u.SrcPort)
 		f["udp.dport"] = uint64(u.DstPort)
 		f["udp.checksum"] = uint64(u.Checksum)
 	case packet.ProtoICMP:
-		m, err := packet.ParseICMP(payload)
-		if err != nil {
+		m := new(packet.ICMP)
+		if err := packet.ParseICMPInto(payload, m); err != nil {
 			return nil, err
 		}
 		f["icmp.type"] = uint64(m.Type)
@@ -65,8 +65,8 @@ func probeFields(pkt []byte) (map[string]uint64, error) {
 		f["icmp.id"] = uint64(m.ID)
 		f["icmp.seq"] = uint64(m.Seq)
 	case packet.ProtoTCP:
-		th, _, _, err := packet.ParseTCP(payload)
-		if err != nil {
+		th := new(packet.TCP)
+		if _, _, err := packet.ParseTCPInto(payload, th); err != nil {
 			return nil, err
 		}
 		f["tcp.sport"] = uint64(th.SrcPort)

@@ -119,7 +119,7 @@ func mustICMP(t testing.TB, m *packet.ICMP) []byte {
 func wrap(t testing.TB, to netip.Addr, proto uint8, body []byte) []byte {
 	t.Helper()
 	resp, err := (&packet.IPv4{TTL: 250, ID: 777, Protocol: proto,
-		Src: netip.AddrFrom4([4]byte{192, 0, 2, 9}), Dst: to}).Marshal(body)
+		Src: netip.AddrFrom4([4]byte{192, 0, 2, 9}), Dst: to}).MarshalInto(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}

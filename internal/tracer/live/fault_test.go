@@ -199,11 +199,11 @@ func TestLiveResultSlotErrReset(t *testing.T) {
 func buildProbe(t *testing.T, src, dst netip.Addr) []byte {
 	t.Helper()
 	uh := &packet.UDP{SrcPort: 33434, DstPort: 33435}
-	dgram, err := packet.MarshalUDP(src, dst, uh, []byte("probe-01"))
+	dgram, err := packet.MarshalUDPInto(nil, src, dst, uh, []byte("probe-01"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := (&packet.IPv4{TTL: 2, Protocol: packet.ProtoUDP, ID: 21, Src: src, Dst: dst}).Marshal(dgram)
+	probe, err := (&packet.IPv4{TTL: 2, Protocol: packet.ProtoUDP, ID: 21, Src: src, Dst: dst}).MarshalInto(nil, dgram)
 	if err != nil {
 		t.Fatal(err)
 	}

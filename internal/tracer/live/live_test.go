@@ -337,11 +337,11 @@ func buildJunkError(t *testing.T) []byte {
 	src := netip.AddrFrom4([4]byte{203, 0, 113, 7})
 	dst := netip.AddrFrom4([4]byte{203, 0, 113, 99})
 	uh := &packet.UDP{SrcPort: 4242, DstPort: 2424}
-	dgram, err := packet.MarshalUDP(src, dst, uh, []byte("junkjunk"))
+	dgram, err := packet.MarshalUDPInto(nil, src, dst, uh, []byte("junkjunk"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	quoted, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoUDP, ID: 999, Src: src, Dst: dst}).Marshal(dgram)
+	quoted, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoUDP, ID: 999, Src: src, Dst: dst}).MarshalInto(nil, dgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func buildJunkError(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := packet.MarshalIPv4ICMP(&packet.IPv4{
+	resp, err := packet.MarshalIPv4ICMPInto(nil, &packet.IPv4{
 		TTL: 61, Protocol: packet.ProtoICMP, ID: 1,
 		Src: netip.AddrFrom4([4]byte{198, 51, 100, 1}), Dst: src,
 	}, m)

@@ -23,7 +23,7 @@ import (
 // hop via an ICMP Port Unreachable quoting our probe, driven through
 // sendmmsg/recvmmsg on architectures that compile them in.
 func TestLiveLoopback(t *testing.T) {
-	if err := Available(); err != nil {
+	if err := available(); err != nil {
 		t.Skipf("raw sockets unavailable: %v", err)
 	}
 	lo := netip.AddrFrom4([4]byte{127, 0, 0, 1})
@@ -82,7 +82,7 @@ func TestLiveLoopback(t *testing.T) {
 // kernel-generated responses through a real raw socket pair, recorded,
 // re-served, and byte-compared.
 func TestLiveMuxLoopback(t *testing.T) {
-	if err := Available(); err != nil {
+	if err := available(); err != nil {
 		t.Skipf("raw sockets unavailable: %v", err)
 	}
 	const workers, rounds = 8, 2
@@ -198,7 +198,7 @@ func TestLiveMuxLoopback(t *testing.T) {
 // the privileged job with its neighbours (its name matches their -run
 // pattern) and skips without raw sockets like them.
 func TestLiveMuxLoopbackBatchAllocs(t *testing.T) {
-	if err := Available(); err != nil {
+	if err := available(); err != nil {
 		t.Skipf("raw sockets unavailable: %v", err)
 	}
 	if raceBuild {

@@ -47,10 +47,9 @@
 // tests against the simulator: ladders driven through a fake that replays
 // netsim-generated responses must produce tracer.Routes equal (in every
 // path observable) to the netsim transport's, including under injected
-// reorder, duplicate, and drop schedules. Available reports whether raw
-// sockets can be opened; NewMux returns a descriptive error when they
-// cannot, and callers are expected to fall back to the simulator or exit
-// cleanly.
+// reorder, duplicate, and drop schedules. NewMux returns a descriptive error
+// when raw sockets cannot be opened, and callers are expected to fall back
+// to the simulator or exit cleanly.
 package live
 
 import (
@@ -90,7 +89,7 @@ import (
 //     probe's deadline and retransmit spacing, clamped into
 //     [TimeoutFloor, Timeout].
 //   - Receive-pressure degradation: kernel drop counts (SO_RXQ_OVFL via
-//     the DropCounter seam) and sustained full-buffer read sweeps raise a
+//     the dropCounter seam) and sustained full-buffer read sweeps raise a
 //     degrade shift that widens every adaptive timeout toward the cap and
 //     fires OnPressure, which binaries wire to tracer.Pacer.SetRate so the
 //     probe rate backs off. Every event is counted, never silent.
@@ -134,7 +133,7 @@ type MuxConfig struct {
 	// in-flight probe of every worker fails with the context's error, and
 	// so does every later exchange. One context.AfterFunc (registered by
 	// NewMux, stopped by Close) does it and pops a blocked reader through
-	// the Waker seam, so it is prompt whatever the read deadline.
+	// the waker seam, so it is prompt whatever the read deadline.
 	Context context.Context
 	// Conn overrides the raw-socket layer — the test seam. Nil dials the
 	// platform's real raw sockets (Linux only, needs root/CAP_NET_RAW).
@@ -145,12 +144,6 @@ type MuxConfig struct {
 	// is what hermetic tests that do not exercise recovery want. It runs
 	// on the reader, outside the mux lock.
 	Redial func() (PacketConn, error)
-	// MaxReopens bounds both the redial attempts within one recovery
-	// incident and the consecutive incidents tolerated without a single
-	// successful read in between. Zero selects 3.
-	MaxReopens int
-	// MTU sizes receive buffers. Zero selects 1500.
-	MTU int
 	// OnPressure, when set, is invoked (outside the mux lock) every time
 	// the degradation level changes — up on detected receive pressure,
 	// down as clean read turns accumulate — with a health snapshot. It runs
@@ -178,8 +171,6 @@ type Mux struct {
 	timeout    time.Duration
 	floor      time.Duration
 	retries    int
-	maxReopens int
-	mtu        int
 	redial     func() (PacketConn, error)
 	onPressure func(tracer.MuxHealth)
 	sleepFn    func(time.Duration)
@@ -195,7 +186,7 @@ type Mux struct {
 	left   chan struct{} // made by a Close that finds a reader, closed by it on leaving
 	// armed is the read deadline the reader is currently blocked on (zero:
 	// nobody is in a read); a worker registering an earlier deadline wakes
-	// the conn through the Waker seam.
+	// the conn through the waker seam.
 	armed time.Time
 	// turn counts armed reads; an expiring turn spares the slots sent
 	// while its own read was under way (see expireLocked).
@@ -291,12 +282,17 @@ var (
 // adaptive timeouts by up to 1<<maxDegradeShift (still capped at Timeout);
 // lagPressureStreak consecutive full receive sweeps count as pressure even
 // without kernel drop counts; degradeDecayTurns clean read turns step the
-// degradation back down one level.
+// degradation back down one level. maxReopens bounds both the redial
+// attempts within one recovery incident and the consecutive incidents
+// tolerated without a single successful read in between. mtu sizes the
+// receive buffers.
 const (
 	maxDegradeShift   = 3
 	lagPressureStreak = 4
 	degradeDecayTurns = 64
 	reopenBackoffBase = 100 * time.Millisecond
+	maxReopens        = 3
+	mtu               = 1500
 )
 
 // NewMux opens a shared demultiplexer. It starts no goroutine: the workers
@@ -313,12 +309,6 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	}
 	if cfg.TimeoutFloor > cfg.Timeout {
 		cfg.TimeoutFloor = cfg.Timeout
-	}
-	if cfg.MaxReopens <= 0 {
-		cfg.MaxReopens = 3
-	}
-	if cfg.MTU <= 0 {
-		cfg.MTU = 1500
 	}
 	conn, redial := cfg.Conn, cfg.Redial
 	if conn == nil {
@@ -344,8 +334,6 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 		timeout:    cfg.Timeout,
 		floor:      cfg.TimeoutFloor,
 		retries:    cfg.Retries,
-		maxReopens: cfg.MaxReopens,
-		mtu:        cfg.MTU,
 		redial:     redial,
 		onPressure: cfg.OnPressure,
 		sleepFn:    sleep,
@@ -357,7 +345,7 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 		recv:       make([]Datagram, 64),
 	}
 	for i := range m.recv {
-		m.recv[i].Buf = make([]byte, m.mtu)
+		m.recv[i].Buf = make([]byte, mtu)
 	}
 	if ctx := cfg.Context; ctx != nil {
 		m.stopCancel = context.AfterFunc(ctx, func() { m.cancel(ctx.Err()) })
@@ -412,10 +400,10 @@ func (m *Mux) cancel(err error) {
 	}
 }
 
-// wakeConn pops a blocked ReadBatch out of a conn that has the Waker seam.
+// wakeConn pops a blocked ReadBatch out of a conn that has the waker seam.
 // Wake never blocks, so holding mu across it is fine.
 func wakeConn(conn PacketConn) {
-	if w, ok := conn.(Waker); ok {
+	if w, ok := conn.(waker); ok {
 		w.Wake()
 	}
 }
@@ -1015,7 +1003,7 @@ func (m *Mux) backoffRTOLocked(s *muxSlot, a int) time.Duration {
 // and reports whether the degradation level changed.
 func (m *Mux) pressureLocked(conn PacketConn) bool {
 	event := false
-	if dc, ok := conn.(DropCounter); ok {
+	if dc, ok := conn.(dropCounter); ok {
 		if d := dc.KernelDrops(); d > m.kdrops {
 			m.kdrops = d
 			event = true
@@ -1058,12 +1046,12 @@ func (m *Mux) reopenLocked(cause error) {
 		m.conn = nil
 		old.Close()
 	}
-	if m.incidentStreak > m.maxReopens {
+	if m.incidentStreak > maxReopens {
 		m.broken = fmt.Errorf("live: %d consecutive socket failures: %w", m.incidentStreak, cause)
 		m.failAllLocked(m.broken)
 		return
 	}
-	for attempt := 1; attempt <= m.maxReopens; attempt++ {
+	for attempt := 1; attempt <= maxReopens; attempt++ {
 		var (
 			c   PacketConn
 			err error
@@ -1081,7 +1069,7 @@ func (m *Mux) reopenLocked(cause error) {
 			m.resendAllLocked(m.now())
 			return
 		}
-		if attempt == m.maxReopens {
+		if attempt == maxReopens {
 			m.broken = fmt.Errorf("live: socket reopen failed after %d attempts (%v): %w", attempt, err, cause)
 			m.failAllLocked(m.broken)
 			return

@@ -266,7 +266,7 @@ func TestMuxCancelWithBlockedReader(t *testing.T) {
 		}
 	}
 	if conn.wakes.Load() == 0 {
-		t.Error("the blocked reader was not woken through the Waker seam")
+		t.Error("the blocked reader was not woken through the waker seam")
 	}
 	sent := conn.SendCount()
 	if r := <-exchangeAsync(m, probes[2]); !errors.Is(r.Err, context.Canceled) {

@@ -29,7 +29,7 @@ var (
 	_ tracer.Transport         = (*MuxTransport)(nil)
 	_ tracer.BatchTransport    = (*MuxTransport)(nil)
 	_ tracer.FallibleTransport = (*MuxTransport)(nil)
-	_ DropCounter              = (*SimConn)(nil)
+	_ dropCounter              = (*SimConn)(nil)
 )
 
 // muxTopo generates a schedule-free multi-destination topology: per-probe
@@ -296,9 +296,8 @@ func TestMuxReopenExhaustion(t *testing.T) {
 	fake.ReadErr = func(int) error { return errors.New("fake: persistent failure") }
 	m, err := NewMux(MuxConfig{
 		Source: sc.Net.Source(), Conn: fake,
-		Redial:     func() (PacketConn, error) { return nil, errors.New("fake: redial refused") },
-		MaxReopens: 2,
-		Sleep:      func(time.Duration) {},
+		Redial: func() (PacketConn, error) { return nil, errors.New("fake: redial refused") },
+		Sleep:  func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)

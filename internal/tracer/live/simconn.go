@@ -184,7 +184,7 @@ func (c *SimConn) Close() error {
 	return nil
 }
 
-// KernelDrops implements DropCounter for receive-pressure tests.
+// KernelDrops implements dropCounter for receive-pressure tests.
 func (c *SimConn) KernelDrops() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -32,7 +32,7 @@ var ErrTimeout = errors.New("live: receive timeout")
 // Concurrency contract, which lets an implementation keep per-direction
 // scratch without locking: WriteBatch calls are serialized by the caller
 // (the mux sends under its lock); one ReadBatch runs at a time, and
-// SetReadDeadline and the optional DropCounter are called only by that
+// SetReadDeadline and the optional dropCounter are called only by that
 // reader, between its reads (the mux's reader role); a WriteBatch may
 // overlap a ReadBatch. Wake and Close may be called from anywhere, at any
 // time.
@@ -46,7 +46,7 @@ type PacketConn interface {
 	// the deadline set by SetReadDeadline passes, then fills as many
 	// entries of dgs as are immediately ready (one recvmmsg sweep) and
 	// returns how many. A deadline expiry returns 0, ErrTimeout. A conn
-	// implementing Waker may also return 0, nil — a spurious wake-up;
+	// implementing waker may also return 0, nil — a spurious wake-up;
 	// callers must re-arm and read again rather than treat it as expiry.
 	ReadBatch(dgs []Datagram) (int, error)
 	// SetReadDeadline bounds subsequent ReadBatch calls. The zero time
@@ -56,7 +56,7 @@ type PacketConn interface {
 	Close() error
 }
 
-// Waker is the optional wake-up seam on a PacketConn: Wake makes a
+// waker is the optional wake-up seam on a PacketConn: Wake makes a
 // concurrently blocked ReadBatch return early with (0, nil) instead of
 // waiting out its full deadline. The shared mux uses it when a worker
 // registers probes whose deadline is earlier than the one the reader is
@@ -65,17 +65,17 @@ type PacketConn interface {
 // cancellation. Wake must be safe to call concurrently and must
 // never block. Conns without the seam merely detect such deadlines late —
 // correctness is unaffected, only timeout latency.
-type Waker interface {
+type waker interface {
 	Wake()
 }
 
-// DropCounter is the optional receive-pressure seam on a PacketConn:
+// dropCounter is the optional receive-pressure seam on a PacketConn:
 // KernelDrops reports the cumulative number of inbound datagrams the
 // kernel discarded because the socket receive queues were full
 // (SO_RXQ_OVFL on Linux), counted over the conn's lifetime. The mux polls
 // it after every read turn; any increase is a pressure event. Conns
 // without the seam (or platforms without the counter) simply contribute
 // no kernel-drop signal — read-lag detection still applies.
-type DropCounter interface {
+type dropCounter interface {
 	KernelDrops() uint64
 }

@@ -22,8 +22,8 @@ const soRXQOvfl = 40
 // replies, IPPROTO_TCP for RST/SYN-ACK terminals. Batches go through
 // sendmmsg/recvmmsg where the architecture support is compiled in
 // (mmsg_linux_*.go) and degrade to per-packet syscalls otherwise. A
-// self-pipe implements the Waker seam, and SO_RXQ_OVFL control messages
-// (mmsg path only) implement DropCounter.
+// self-pipe implements the waker seam, and SO_RXQ_OVFL control messages
+// (mmsg path only) implement dropCounter.
 type rawConn struct {
 	sendFD   int
 	icmpFD   int
@@ -87,9 +87,9 @@ func dialRaw() (PacketConn, error) {
 		wakeRd: pipe[0], wakeWr: pipe[1]}, nil
 }
 
-// Available reports whether this process can open the raw sockets the live
+// available reports whether this process can open the raw sockets the live
 // transport needs (nil means yes). It opens and immediately closes them.
-func Available() error {
+func available() error {
 	c, err := dialRaw()
 	if err != nil {
 		return err
@@ -118,7 +118,7 @@ func (c *rawConn) Close() error {
 	return e3
 }
 
-// Wake implements Waker: one byte down the self-pipe pops a blocked
+// Wake implements waker: one byte down the self-pipe pops a blocked
 // ReadBatch out of its poll with a spurious (0, nil). Nonblocking, so a
 // pipe already full of unconsumed wakes (the reader is about to wake
 // anyway) is a no-op.
@@ -131,7 +131,7 @@ func (c *rawConn) Wake() {
 	c.wakeMu.Unlock()
 }
 
-// KernelDrops implements DropCounter: the summed SO_RXQ_OVFL counters of
+// KernelDrops implements dropCounter: the summed SO_RXQ_OVFL counters of
 // both receive sockets, as of their latest recvmmsg sweeps. Called by the
 // one reader between its reads, like SetReadDeadline.
 func (c *rawConn) KernelDrops() uint64 { return c.rxICMP + c.rxTCP }
@@ -208,7 +208,7 @@ func (c *rawConn) ReadBatch(dgs []Datagram) (int, error) {
 		}
 		if !icmpReady && !tcpReady {
 			if woken {
-				// Spurious wake-up (Waker contract): the caller re-arms
+				// Spurious wake-up (waker contract): the caller re-arms
 				// with a fresh deadline instead of treating this as expiry.
 				return 0, nil
 			}

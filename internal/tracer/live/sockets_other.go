@@ -15,13 +15,6 @@ func dialRaw() (PacketConn, error) {
 	return nil, fmt.Errorf("live: raw-socket probing unsupported on %s", runtime.GOOS)
 }
 
-// Available reports whether this process can open raw sockets; never on
-// this platform.
-func Available() error {
-	_, err := dialRaw()
-	return err
-}
-
 // LocalIPv4 is unavailable off Linux.
 func LocalIPv4() (netip.Addr, error) {
 	return netip.Addr{}, fmt.Errorf("live: unsupported on %s", runtime.GOOS)

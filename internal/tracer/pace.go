@@ -24,8 +24,6 @@ type Pacer struct {
 	last   time.Time
 	now    func() time.Time
 	sleep  func(time.Duration)
-	waits  int64 // Take calls that had to wait
-	waited time.Duration
 }
 
 // NewPacer builds a pacer admitting rate probes per second with the given
@@ -67,8 +65,6 @@ func (p *Pacer) Take(n int) {
 	// concurrent Takes queue behind each other's debt instead of all
 	// sleeping for the same window and bursting together.
 	wait := time.Duration(-p.tokens / p.rate * float64(time.Second))
-	p.waits++
-	p.waited += wait
 	p.mu.Unlock()
 	p.sleep(wait)
 }
@@ -103,17 +99,6 @@ func (p *Pacer) SetRate(rate float64) {
 		p.last = p.now()
 	}
 	p.rate = rate
-}
-
-// Waits reports how many Take calls blocked and for how long in total —
-// the backpressure observability the daemon's stats surface serves.
-func (p *Pacer) Waits() (int64, time.Duration) {
-	if p == nil {
-		return 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.waits, p.waited
 }
 
 // PacedTransport wraps a Transport with a shared Pacer: every probe takes

@@ -38,10 +38,6 @@ func TestPacerBurstThenBlocks(t *testing.T) {
 	if len(c.slept) != 1 || c.slept[0] != 100*time.Millisecond {
 		t.Fatalf("slept %v, want one 100ms wait", c.slept)
 	}
-	waits, waited := p.Waits()
-	if waits != 1 || waited != 100*time.Millisecond {
-		t.Fatalf("Waits() = %d, %v", waits, waited)
-	}
 }
 
 func TestPacerRefill(t *testing.T) {
@@ -81,9 +77,6 @@ func TestPacerDisabledAndClamped(t *testing.T) {
 	}
 	var nilPacer *Pacer
 	nilPacer.Take(5) // nil-safe no-op
-	if w, _ := nilPacer.Waits(); w != 0 {
-		t.Fatal("nil pacer Waits")
-	}
 	// burst < 1 is raised to 1 so a whole token can ever accumulate.
 	p2 := NewPacer(10, 0, c.Now, c.Sleep)
 	p2.Take(1)

@@ -90,7 +90,7 @@ func terminalReplyTo(tb testing.TB, probe []byte) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	resp, err := (&packet.IPv4{TTL: 60, Protocol: h.Protocol, Src: h.Dst, Dst: h.Src}).Marshal(body)
+	resp, err := (&packet.IPv4{TTL: 60, Protocol: h.Protocol, Src: h.Dst, Dst: h.Src}).MarshalInto(nil, body)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -15,9 +15,13 @@ const (
 	// ClassicSrcPortBase: classic traceroute sets the Source Port to the
 	// process ID plus 32768.
 	ClassicSrcPortBase = 32768
-	// TCPTracerouteDstPort is tcptraceroute's default Destination Port,
+	// tcptracerouteDstPort is tcptraceroute's default Destination Port,
 	// emulating web traffic to traverse firewalls.
-	TCPTracerouteDstPort = 80
+	tcptracerouteDstPort = 80
+	// payloadLen is every UDP and ICMP probe's payload length, classic
+	// traceroute's default; Paris UDP needs two of its octets to absorb the
+	// checksum.
+	payloadLen = 12
 )
 
 // wrap puts the IPv4 header around a probe's transport bytes, which is all a
@@ -26,7 +30,6 @@ const (
 // else in the quoted octets that varies.
 func (e *engine) wrap(buf []byte, dest netip.Addr, ttl, probeIdx int, proto uint8, transport []byte) ([]byte, error) {
 	return (&packet.IPv4{
-		TOS:      e.opts.TOS,
 		TTL:      uint8(ttl),
 		Protocol: proto,
 		ID:       uint16(probeIdx + 1),
@@ -42,7 +45,7 @@ func (e *engine) wrap(buf []byte, dest netip.Addr, ttl, probeIdx int, proto uint
 func NewClassicUDP(tp Transport, opts Options) Tracer {
 	// The default source port emulates PID + 32768.
 	e := newEngine("classic-udp", tp, opts, ClassicSrcPortBase+1234, ClassicBaseDstPort, buildClassicUDP)
-	e.payload = make([]byte, e.opts.PayloadLen)
+	e.payload = make([]byte, payloadLen)
 	return e
 }
 
@@ -74,7 +77,7 @@ func buildParisUDP(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([
 		target = 1
 	}
 	uh := &packet.UDP{SrcPort: e.opts.SrcPort, DstPort: e.opts.DstPort}
-	payload, err := packet.CraftUDPPayloadInto(e.payload, e.src, dest, uh, target, e.opts.PayloadLen)
+	payload, err := packet.CraftUDPPayloadInto(e.payload, e.src, dest, uh, target, payloadLen)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +104,7 @@ func NewClassicICMP(tp Transport, opts Options) Tracer {
 	}
 	return newEngine("classic-icmp", tp, opts, 0, 0,
 		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
-			return e.echo(buf, dest, ttl, probeIdx, id, make([]byte, e.opts.PayloadLen))
+			return e.echo(buf, dest, ttl, probeIdx, id, make([]byte, payloadLen))
 		})
 }
 
@@ -119,7 +122,7 @@ func NewParisICMP(tp Transport, opts Options) Tracer {
 	}
 	return newEngine("paris-icmp", tp, opts, 0, 0,
 		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
-			payload := make([]byte, e.opts.PayloadLen)
+			payload := make([]byte, payloadLen)
 			id, err := packet.CompensatingEchoID(uint16(probeIdx+1), target, payload)
 			if err != nil {
 				return nil, err
@@ -143,7 +146,7 @@ func (e *engine) echo(buf []byte, dest netip.Addr, ttl, probeIdx int, id uint16,
 // (the flow identifier lives in the first four octets — the ports), and the
 // Sequence Number, which sits in the second four octets, varies per probe.
 func NewParisTCP(tp Transport, opts Options) Tracer {
-	return newEngine("paris-tcp", tp, opts, 30021, TCPTracerouteDstPort,
+	return newEngine("paris-tcp", tp, opts, 30021, tcptracerouteDstPort,
 		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
 			return e.syn(buf, dest, ttl, probeIdx, uint32(probeIdx+1))
 		})
@@ -154,7 +157,7 @@ func NewParisTCP(tp Transport, opts Options) Tracer {
 // Like Paris TCP it maintains a constant flow identifier; the paper notes
 // this but observes no prior work had examined the effect.
 func NewTCPTraceroute(tp Transport, opts Options) Tracer {
-	return newEngine("tcptraceroute", tp, opts, 31337, TCPTracerouteDstPort,
+	return newEngine("tcptraceroute", tp, opts, 31337, tcptracerouteDstPort,
 		func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) ([]byte, error) {
 			return e.syn(buf, dest, ttl, probeIdx, 0x1000)
 		})

@@ -18,29 +18,6 @@ type Transport interface {
 	Source() netip.Addr
 }
 
-// Method selects the probe transport protocol.
-type Method int
-
-const (
-	MethodUDP Method = iota
-	MethodICMP
-	MethodTCP
-)
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodUDP:
-		return "udp"
-	case MethodICMP:
-		return "icmp"
-	case MethodTCP:
-		return "tcp"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // ReplyKind classifies the response to a probe.
 type ReplyKind int
 
@@ -297,8 +274,6 @@ func (r *Route) Reached() bool { return r.Halt == HaltDestination }
 
 // Options configures a trace.
 type Options struct {
-	// Method selects UDP, ICMP Echo, or TCP probes. Default UDP.
-	Method Method
 	// MinTTL is the first TTL probed. The paper's study sets 2 to skip
 	// the university network. Default 1.
 	MinTTL int
@@ -319,12 +294,6 @@ type Options struct {
 	// ICMPID is the Echo Identifier for classic ICMP probes (classically
 	// the process ID). For Paris ICMP it is the checksum target.
 	ICMPID uint16
-	// TOS sets the IP Type of Service octet on probes.
-	TOS uint8
-	// PayloadLen is the probe payload length. Paris UDP needs >= 2 to
-	// absorb the checksum; default 12 mirrors classic traceroute's
-	// default packet length.
-	PayloadLen int
 	// Batch widens the ladder's window when the transport implements
 	// BatchTransport: the engine submits BatchWindow TTLs as one
 	// ExchangeBatch and truncates at the first terminal hop or star-run
@@ -358,9 +327,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxConsecutiveStars <= 0 {
 		o.MaxConsecutiveStars = 8
-	}
-	if o.PayloadLen < 2 {
-		o.PayloadLen = 12
 	}
 	return o
 }

@@ -57,7 +57,7 @@ func timeExceededFrom(t testing.TB, router netip.Addr, probe []byte, respTTL uin
 		t.Fatal(err)
 	}
 	resp, err := (&packet.IPv4{TTL: respTTL, ID: ipid, Protocol: packet.ProtoICMP,
-		Src: router, Dst: hdr.Src}).Marshal(body)
+		Src: router, Dst: hdr.Src}).MarshalInto(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func portUnreachableFrom(t testing.TB, host netip.Addr, probe []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := (&packet.IPv4{TTL: 60, Protocol: packet.ProtoICMP, Src: host, Dst: hdr.Src}).Marshal(body)
+	resp, err := (&packet.IPv4{TTL: 60, Protocol: packet.ProtoICMP, Src: host, Dst: hdr.Src}).MarshalInto(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func udpHeaderOf(t *testing.T, probe []byte) (*packet.IPv4, *packet.UDP) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, _, err := packet.ParseUDP(payload)
-	if err != nil {
+	u := new(packet.UDP)
+	if _, err := packet.ParseUDPInto(payload, u); err != nil {
 		t.Fatal(err)
 	}
 	return h, u
@@ -176,8 +176,8 @@ func TestClassicICMPVariesChecksum(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = h
-		m, err := packet.ParseICMP(payload)
-		if err != nil {
+		m := new(packet.ICMP)
+		if err := packet.ParseICMPInto(payload, m); err != nil {
 			t.Fatal(err)
 		}
 		sums[m.Checksum] = true
@@ -201,8 +201,8 @@ func TestParisICMPHoldsChecksum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := packet.ParseICMP(payload)
-		if err != nil {
+		m := new(packet.ICMP)
+		if err := packet.ParseICMPInto(payload, m); err != nil {
 			t.Fatal(err)
 		}
 		sums[m.Checksum] = true
@@ -232,11 +232,11 @@ func TestParisTCPVariesSeqHoldsPorts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, _, _, err := packet.ParseTCP(payload)
-		if err != nil {
+		th := new(packet.TCP)
+		if _, _, err := packet.ParseTCPInto(payload, th); err != nil {
 			t.Fatal(err)
 		}
-		if th.DstPort != TCPTracerouteDstPort {
+		if th.DstPort != tcptracerouteDstPort {
 			t.Errorf("dst port %d, want 80", th.DstPort)
 		}
 		seqs[th.Seq] = true
@@ -259,8 +259,8 @@ func TestTCPTracerouteVariesIPID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, _, _, err := packet.ParseTCP(payload)
-		if err != nil {
+		th := new(packet.TCP)
+		if _, _, err := packet.ParseTCPInto(payload, th); err != nil {
 			t.Fatal(err)
 		}
 		ids[h.ID] = true
@@ -368,7 +368,7 @@ func TestTraceHostUnreachableHalts(t *testing.T) {
 		}
 		body, _ := m.Marshal()
 		resp, _ := (&packet.IPv4{TTL: 60, Protocol: packet.ProtoICMP,
-			Src: router(3), Dst: hdr.Src}).Marshal(body)
+			Src: router(3), Dst: hdr.Src}).MarshalInto(nil, body)
 		return resp
 	}
 	rt, err := NewParisUDP(tp, Options{MaxTTL: 30}).Trace(tDest)
@@ -389,11 +389,11 @@ func TestMismatchedResponseFlagged(t *testing.T) {
 	tp.respond = func(i int, probe []byte) []byte {
 		// Quote a DIFFERENT probe: wrong UDP checksum inside the quote.
 		hdr, _, _ := packet.ParseIPv4(probe)
-		other, err := packet.MarshalUDP(hdr.Src, hdr.Dst, &packet.UDP{SrcPort: 1, DstPort: 2}, make([]byte, 4))
+		other, err := packet.MarshalUDPInto(nil, hdr.Src, hdr.Dst, &packet.UDP{SrcPort: 1, DstPort: 2}, make([]byte, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fake, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoUDP, Src: hdr.Src, Dst: hdr.Dst}).Marshal(other)
+		fake, err := (&packet.IPv4{TTL: 1, Protocol: packet.ProtoUDP, Src: hdr.Src, Dst: hdr.Dst}).MarshalInto(nil, other)
 		if err != nil {
 			t.Fatal(err)
 		}
