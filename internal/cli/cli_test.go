@@ -209,6 +209,22 @@ func TestTopoGenerate(t *testing.T) {
 	if _, err := parseTopo(t, "-dests", "0").Generate(); exitCode(err) != exitUsage {
 		t.Errorf("-dests 0: %v, want a usage error", err)
 	}
+	// Out-of-range dynamics intensities are refused, not clamped.
+	for _, args := range [][]string{
+		{"-delay", "-1"}, {"-delay", "NaN"}, {"-delay", "+Inf"},
+		{"-load", "-0.01"}, {"-load", "0.96"}, {"-load", "2"}, {"-load", "NaN"},
+		{"-churn", "-1"}, {"-churn", "1.01"}, {"-churn", "5"}, {"-churn", "NaN"},
+	} {
+		if _, err := parseTopo(t, args...).Config(); exitCode(err) != exitUsage || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: %v, want a usage error naming %s", args, err, args[0])
+		}
+	}
+	if cfg, err := parseTopo(t, "-load", "0.95", "-churn", "1").Config(); err != nil || cfg.Load != 0.95 || cfg.Churn != 1 {
+		t.Errorf("-load 0.95 -churn 1: %v, load %v churn %v, want the upper edges accepted", err, cfg.Load, cfg.Churn)
+	}
+	if cfg, err := parseTopo(t, "-delay", "0", "-load", "0", "-churn", "0").Config(); err != nil || cfg.Delay != 0 || cfg.Load != 0 || cfg.Churn != 0 {
+		t.Errorf("-delay 0 -load 0 -churn 0: %v, want the lower edges accepted", err)
+	}
 }
 
 // TestTransportStateRoundTrip: the probe-counter cursor a checkpoint carries

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"math"
 
 	"repro/internal/topo"
 )
@@ -54,6 +55,16 @@ func (t *Topo) Config() (topo.GenConfig, error) {
 	}
 	if cfg.Destinations <= 0 {
 		return cfg, Usagef("-dests must be positive, got %d", t.Dests)
+	}
+	// The comparisons are false for NaN, so NaN is refused with the rest.
+	if !(t.Delay >= 0 && !math.IsInf(t.Delay, 1)) {
+		return cfg, Usagef("-delay must be a finite scale >= 0, got %v", t.Delay)
+	}
+	if !(t.Load >= 0 && t.Load <= 0.95) {
+		return cfg, Usagef("-load must be in [0, 0.95], got %v", t.Load)
+	}
+	if !(t.Churn >= 0 && t.Churn <= 1) {
+		return cfg, Usagef("-churn must be in [0, 1], got %v", t.Churn)
 	}
 	cfg.Seed = t.Seed
 	cfg.Shards = t.Shards

@@ -29,10 +29,20 @@
 // aggregates, which fold as order-independent integer tallies — are
 // byte-identical across every worker count, shard count, batch switch,
 // and fold granularity (pinned by TestCampaignWorkerInvariance and
-// TestCampaignDynamicsInvariance, under -race). Mid-trace flips
-// (topo.GenConfig.FlipPerProbe) are the one sanctioned exception: they
-// draw from a per-probe stream whose interleaving is schedule-dependent,
-// so byte-reproducible runs disable them.
+// TestCampaignDynamicsInvariance, under -race).
+//
+// The default generated topology is not in that regime. Three of its
+// sources depend on the schedule: mid-trace flips
+// (topo.GenConfig.FlipPerProbe), which draw from a per-shard stream in
+// probe-arrival order; per-packet balancing and probabilistic drops, which
+// netsim seeds by the network's probe counter, reserved in arrival order;
+// and routers' and hosts' IP-ID counters, which advance in arrival order and
+// feed two classification rules. So today the invariant holds at one worker
+// (a resumed run also needs FlipPerProbe zero, since the flip stream is not
+// checkpointed) or on the schedule-free topology the invariance suites
+// build; at 32 workers two runs of the default topology differ in report
+// rows even with flips off. ROADMAP item 13 keys those draws by identity to
+// close the gap.
 //
 // # Streaming contract
 //

@@ -595,24 +595,30 @@ func ladderBatch(t testing.TB, src, dst netip.Addr) [][]byte {
 }
 
 // TestWalkStepBudget: a warmed 16-probe batch allocates nothing, with and
-// without an OnSend hook — one path, and nothing on it touches the heap.
+// without an OnSend hook and with the virtual-clock dynamics off and on —
+// one path, and nothing on it touches the heap.
 func TestWalkStepBudget(t *testing.T) {
 	for _, hooks := range []bool{false, true} {
-		l := newLine(19)
-		if hooks {
-			var seen int
-			l.net.OnSend(func(count int, probe []byte) { seen += len(probe) })
-		}
-		probes := ladderBatch(t, lineSrc, lineHost)
-		out := make([]netsim.ExchangeResult, len(probes))
-		l.net.ExchangeBatch(probes, out)
-		for i, r := range out {
-			if !r.OK {
-				t.Fatalf("hooks=%v: probe %d unanswered", hooks, i)
+		for _, dynamics := range []bool{false, true} {
+			l := newLine(19)
+			if hooks {
+				var seen int
+				l.net.OnSend(func(count int, probe []byte) { seen += len(probe) })
 			}
-		}
-		if allocs := testing.AllocsPerRun(200, func() { l.net.ExchangeBatch(probes, out) }); allocs != 0 {
-			t.Errorf("hooks=%v: %.1f allocations per warmed 16-probe batch, want 0", hooks, allocs)
+			if dynamics {
+				l.net.SetDynamics(netsim.Dynamics{Seed: 19, Delay: 1, Load: 0.3, Churn: 0.5})
+			}
+			probes := ladderBatch(t, lineSrc, lineHost)
+			out := make([]netsim.ExchangeResult, len(probes))
+			l.net.ExchangeBatch(probes, out)
+			for i, r := range out {
+				if !r.OK || dynamics != (r.RTT > 0) {
+					t.Fatalf("hooks=%v dynamics=%v: probe %d answered %v with virtual RTT %v", hooks, dynamics, i, r.OK, r.RTT)
+				}
+			}
+			if allocs := testing.AllocsPerRun(200, func() { l.net.ExchangeBatch(probes, out) }); allocs != 0 {
+				t.Errorf("hooks=%v dynamics=%v: %.1f allocations per warmed 16-probe batch, want 0", hooks, dynamics, allocs)
+			}
 		}
 	}
 }

@@ -58,7 +58,8 @@ type Dynamics struct {
 	// link carries that utilization of invisible traffic, inflating its
 	// queueing delay M/M/1-style (load/(1-load) of the link's mean
 	// service time), modulated per 100ms bucket by a seeded lognormal
-	// burst factor. 0 disables queueing.
+	// burst factor (σ 1, median 1), read from a 4,096-entry table of the
+	// lognormal's quantiles. 0 disables queueing.
 	Load float64
 	// Churn is the scheduled-dynamics rate in [0, 1]: it scales the
 	// per-window probabilities of route flaps (a router transiently
@@ -92,10 +93,13 @@ const (
 	sigmaBW         = 1.0
 
 	// Queueing: cross-traffic packets of crossPktBits drive the M/M/1
-	// term; the burst factor redraws per burstBucketNs of virtual time.
-	crossPktBits  = 8000.0
-	burstBucketNs = int64(100 * time.Millisecond)
-	sigmaBurst    = 1.0
+	// term; the burst factor redraws per burstBucketNs of virtual time
+	// from burstTable's burstTableSize lognormal quantiles.
+	crossPktBits   = 8000.0
+	burstBucketNs  = int64(100 * time.Millisecond)
+	sigmaBurst     = 1.0
+	burstTableBits = 12
+	burstTableSize = 1 << burstTableBits
 
 	// Scheduled dynamics: per-(link, window) activation probabilities,
 	// each scaled by Dynamics.Churn.
@@ -128,6 +132,9 @@ type dynamics struct {
 	roundDur int64
 	// qFactor is the precomputed M/M/1 intensity term load/(1-load).
 	qFactor float64
+	// Each purpose's stream base, Mix64(seed ^ salt): the first link of
+	// every linkHash chain, hashed once here instead of on every draw.
+	propBase, bwBase, burstBase, flapBase, brownBase, rotBase uint64
 	// links caches each link's time-invariant delay parameters, indexed by
 	// the receiving node's id and filled on first crossing. SetDynamics
 	// sizes it to the registry and registration grows it (both under
@@ -168,6 +175,13 @@ func compileDynamics(d Dynamics) *dynamics {
 		load:     d.Load,
 		churn:    d.Churn,
 		roundDur: int64(d.RoundDuration),
+
+		propBase:  keyhash.Mix64(d.Seed ^ saltProp),
+		bwBase:    keyhash.Mix64(d.Seed ^ saltBW),
+		burstBase: keyhash.Mix64(d.Seed ^ saltBurst),
+		flapBase:  keyhash.Mix64(d.Seed ^ saltFlap),
+		brownBase: keyhash.Mix64(d.Seed ^ saltBrown),
+		rotBase:   keyhash.Mix64(d.Seed ^ saltRot),
 	}
 	if dy.roundDur <= 0 {
 		dy.roundDur = defaultRoundDur
@@ -184,7 +198,10 @@ func u01(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 // stdNormal derives an approximately standard-normal sample from a hash by
 // summing six chained uniforms (Irwin–Hall, variance 1/2, rescaled). The
 // tails are clipped at ±3·sqrt(2), which is fine for delay modelling — the
-// lognormal transform below supplies the heavy tail.
+// lognormal transform below supplies the heavy tail. It serves only the two
+// per-link draws (propagation and bandwidth), which paramsOf caches, so its
+// seven hashes are paid once per link; the per-crossing burst reads
+// burstTable instead.
 func stdNormal(h uint64) float64 {
 	s := 0.0
 	x := h
@@ -195,14 +212,28 @@ func stdNormal(h uint64) float64 {
 	return (s - 3) * math.Sqrt2
 }
 
-// linkHash derives the per-link draw stream for one purpose (salt).
-func (dy *dynamics) linkHash(salt, k uint64) uint64 {
-	return keyhash.Mix64(keyhash.Mix64(dy.seed^salt) ^ k)
+// burstTable holds the queueing burst factor's distribution, lognormal with
+// shape sigmaBurst and median 1, as burstTableSize exact quantiles at the
+// bin midpoints: entry i is exp(sigmaBurst·Φ⁻¹((i+½)/burstTableSize)). The
+// top burstTableBits of a uniform hash pick an entry, so a draw is one
+// table load, and the tail reaches out to p = 1/(2·burstTableSize).
+var burstTable = func() (t [burstTableSize]float64) {
+	for i := range t {
+		p := (float64(i) + 0.5) / burstTableSize
+		t[i] = math.Exp(sigmaBurst * math.Sqrt2 * math.Erfinv(2*p-1))
+	}
+	return t
+}()
+
+// linkHash derives the per-link draw stream for one purpose, given that
+// purpose's stream base (dynamics.propBase and its siblings).
+func linkHash(base, k uint64) uint64 {
+	return keyhash.Mix64(base ^ k)
 }
 
 // windowHash derives the per-(link, time window) draw stream.
-func (dy *dynamics) windowHash(salt, k uint64, window int64) uint64 {
-	return keyhash.Mix64(dy.linkHash(salt, k) ^ uint64(window))
+func windowHash(base, k uint64, window int64) uint64 {
+	return keyhash.Mix64(linkHash(base, k) ^ uint64(window))
 }
 
 // linkParams is the time-invariant part of one link's delay model; it
@@ -224,8 +255,8 @@ func (dy *dynamics) paramsOf(k uint32, to int32) linkParams {
 		}
 	}
 	p := linkParams{
-		propNs:      dy.delay * basePropNs * math.Exp(sigmaProp*stdNormal(dy.linkHash(saltProp, uint64(k)))),
-		bwBitsPerNs: baseBWBitsPerNs * math.Exp(sigmaBW*stdNormal(dy.linkHash(saltBW, uint64(k)))),
+		propNs:      dy.delay * basePropNs * math.Exp(sigmaProp*stdNormal(linkHash(dy.propBase, uint64(k)))),
+		bwBitsPerNs: baseBWBitsPerNs * math.Exp(sigmaBW*stdNormal(linkHash(dy.bwBase, uint64(k)))),
 	}
 	if slot != nil {
 		slot.prop.Store(math.Float64bits(p.propNs))
@@ -237,8 +268,9 @@ func (dy *dynamics) paramsOf(k uint32, to int32) linkParams {
 // linkDelay is the virtual time a pktLen-byte packet spends crossing the
 // link into interface k (node `to`) when it departs at virtual time now:
 // propagation plus serialization (both Delay-scaled, time-invariant per
-// link) plus the load-driven queueing term (redrawn per burst bucket).
-// Always at least 1ns, so the clock strictly advances.
+// link) plus the load-driven queueing term (its burst factor redrawn per
+// burst bucket from burstTable). Always at least 1ns, so the clock strictly
+// advances.
 func (dy *dynamics) linkDelay(k uint32, to int32, now int64, pktLen int) int64 {
 	ns := 0.0
 	if dy.delay > 0 || dy.load > 0 {
@@ -247,7 +279,7 @@ func (dy *dynamics) linkDelay(k uint32, to int32, now int64, pktLen int) int64 {
 			ns += p.propNs + float64(pktLen*8)/p.bwBitsPerNs
 		}
 		if dy.load > 0 {
-			burst := math.Exp(sigmaBurst * stdNormal(dy.windowHash(saltBurst, uint64(k), now/burstBucketNs)))
+			burst := burstTable[windowHash(dy.burstBase, uint64(k), now/burstBucketNs)>>(64-burstTableBits)]
 			ns += dy.qFactor * (crossPktBits / p.bwBitsPerNs) * burst
 		}
 	}
@@ -265,7 +297,7 @@ func (dy *dynamics) flapActive(k uint32, now int64) bool {
 	if dy.churn <= 0 {
 		return false
 	}
-	return u01(dy.windowHash(saltFlap, uint64(k), now/flapWindowNs)) < flapProb*dy.churn
+	return u01(windowHash(dy.flapBase, uint64(k), now/flapWindowNs)) < flapProb*dy.churn
 }
 
 // brownout reports whether the link into interface k is browned out at
@@ -275,7 +307,7 @@ func (dy *dynamics) brownout(k uint32, now int64) bool {
 	if dy.churn <= 0 {
 		return false
 	}
-	return u01(dy.windowHash(saltBrown, uint64(k), now/brownWindowNs)) < brownProb*dy.churn
+	return u01(windowHash(dy.brownBase, uint64(k), now/brownWindowNs)) < brownProb*dy.churn
 }
 
 // weightRot is the equal-cost bucket rotation the router reached through
@@ -286,7 +318,7 @@ func (dy *dynamics) weightRot(k uint32, now int64) int {
 	if dy.churn <= 0 {
 		return 0
 	}
-	h := dy.windowHash(saltRot, uint64(k), now/rotWindowNs)
+	h := windowHash(dy.rotBase, uint64(k), now/rotWindowNs)
 	if u01(h) >= rotProb*dy.churn {
 		return 0
 	}
