@@ -24,12 +24,12 @@ import (
 // answers every probe, "dead" fails the socket on its third read.
 const simNetEnv = "ANOMALY_STUDY_TEST_SIM_NET"
 
-// simNet is the schedule-free topology behind simNetEnv: responses are pure
-// functions of the probe bytes, so every round sends the same datagrams.
+// simNet is the default topology behind simNetEnv: responses are pure
+// functions of the probe bytes, so a run sends the same datagrams every
+// time.
 func simNet() *topo.Scenario {
 	gc := topo.DefaultGenConfig()
 	gc.Seed, gc.Destinations = 23, 6
-	gc.FlipPerProbe, gc.PPerPacket, gc.PPerPacketUnequal = 0, 0, 0
 	return topo.Generate(gc)
 }
 

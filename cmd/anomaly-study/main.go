@@ -55,7 +55,7 @@ func main() {
 	fs := flag.CommandLine
 	o.topo.Register(fs, 500)
 	fs.IntVar(&o.topo.Shards, "shards", 1, "independent network shards the topology is partitioned across")
-	fs.BoolVar(&o.topo.Flips, "flips", true, "enable mid-trace path flips (disable for byte-reproducible resume)")
+	fs.BoolVar(&o.topo.Flips, "flips", true, "enable mid-trace path flips")
 	fs.BoolVar(&o.topo.Paper, "paper", false, "use the paper-scale configuration (5,000 destinations x 556 rounds)")
 	o.live.Register(fs, "live-dests", true)
 	fs.IntVar(&o.rounds, "rounds", 25, "number of measurement rounds")
@@ -105,7 +105,6 @@ func runStudy(o *options) (err error) {
 	}
 	var (
 		shared  tracer.Transport
-		restore = func(json.RawMessage) error { return nil }
 		finish  = func(*measure.Stats) {}
 		asNames *asmap.Table
 	)
@@ -151,8 +150,7 @@ func runStudy(o *options) (err error) {
 			fmt.Printf("ground truth: %+v\n\n", sc.Truth)
 		}
 		cfg.Dests, cfg.ShardOf, cfg.RoundStart = sc.Dests, sc.ShardOf, sc.RoundStart
-		cfg.TransportState = sc.TransportState
-		shared, restore, asNames = sc.Transport(), sc.RestoreTransportState, sc.AS
+		shared, asNames = sc.Transport(), sc.AS
 	}
 
 	halted := false
@@ -182,9 +180,6 @@ func runStudy(o *options) (err error) {
 	if o.resume {
 		ck, err := measure.LoadCheckpoint(o.checkpoint)
 		if err != nil {
-			return err
-		}
-		if err := restore(ck.Transport); err != nil {
 			return err
 		}
 		if err := camp.Resume(ck); err != nil {

@@ -27,9 +27,7 @@ const asMainEnv = "ANOMALY_STUDY_TEST_AS_MAIN"
 
 // gadgetsEnv, set in a re-executed binary's environment, generates its
 // topology with the IP-ID-reading gadgets (zero-TTL pods and loopers) at 0.2
-// instead of their rare defaults, and without the gadgets whose forwarding
-// depends on how workers interleave (per-packet balancers, flapping and
-// flipping pods), so that runs at any worker count are byte-reproducible.
+// instead of their rare defaults.
 const gadgetsEnv = "ANOMALY_STUDY_TEST_GADGETS"
 
 func TestMain(m *testing.M) {
@@ -39,7 +37,6 @@ func TestMain(m *testing.M) {
 			generate = func(t *cli.Topo) (*topo.Scenario, error) {
 				cfg, err := t.Config()
 				cfg.PZeroTTLPod, cfg.PLooperPod = 0.2, 0.2
-				cfg.PPerPacket, cfg.PPerPacketUnequal, cfg.PDiff2, cfg.PFlapDiamondPod, cfg.PFlipPod = 0, 0, 0, 0, 0
 				return topo.Generate(cfg), err
 			}
 		}
@@ -75,33 +72,44 @@ var toyStudy = []string{"-dests", "4", "-rounds", "4", "-workers", "1", "-flips=
 
 var update = flag.Bool("update", false, "rewrite the testdata/ goldens from this build's output")
 
-// TestOutputGolden pins the report and the -stats-json of the one-worker,
-// flip-free study — the configuration whose statistics are a pure function of
-// the flags — on a static topology and with netsim's dynamics on. A change
-// that means to alter either rewrites the files with -update and shows the
-// diff; any other change must leave them byte-equal.
+// studyOutput runs the re-executed binary with args plus -stats-json and
+// returns its stdout and the statistics file.
+func studyOutput(t *testing.T, args ...string) (stdout, stats []byte) {
+	t.Helper()
+	statsJSON := filepath.Join(t.TempDir(), "stats.json")
+	cmd := exec.Command(os.Args[0], append(slices.Clone(args), "-stats-json", statsJSON)...)
+	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	stdout, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%v: %v: %s", args, err, errb.String())
+	}
+	if stats, err = os.ReadFile(statsJSON); err != nil {
+		t.Fatal(err)
+	}
+	return stdout, stats
+}
+
+// TestOutputGolden pins the report and the -stats-json of the study: at the
+// shipped defaults (32 workers, flips on), and at one worker with flips off
+// on a static topology and with netsim's dynamics on. A change that means
+// to alter any of them rewrites the files with -update and shows the diff;
+// any other change must leave them byte-equal. The default run is also
+// halted after round 12 and resumed, and the resumed run must print the
+// golden itself.
 func TestOutputGolden(t *testing.T) {
 	base := []string{"-dests", "120", "-rounds", "24", "-workers", "1", "-flips=false", "-seed", "7"}
+	defaults := []string{"-dests", "120", "-rounds", "24", "-seed", "7"}
 	for _, c := range []struct {
 		name string
 		args []string
 	}{
+		{"default", defaults},
 		{"static", base},
 		{"dynamics", append(slices.Clone(base), "-delay", "1", "-load", "0.3", "-churn", "0.5")},
 	} {
-		statsJSON := filepath.Join(t.TempDir(), "stats.json")
-		cmd := exec.Command(os.Args[0], append(c.args, "-stats-json", statsJSON)...)
-		cmd.Env = append(os.Environ(), asMainEnv+"=1")
-		var errb bytes.Buffer
-		cmd.Stderr = &errb
-		stdout, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("%s: %v: %s", c.name, err, errb.String())
-		}
-		stats, err := os.ReadFile(statsJSON)
-		if err != nil {
-			t.Fatal(err)
-		}
+		stdout, stats := studyOutput(t, c.args...)
 		for golden, got := range map[string][]byte{c.name + ".stdout": stdout, c.name + ".stats.json": stats} {
 			golden = filepath.Join("testdata", golden)
 			if *update {
@@ -114,6 +122,19 @@ func TestOutputGolden(t *testing.T) {
 			} else if !bytes.Equal(got, want) {
 				t.Errorf("%s differs from this build's output (rerun with -update to accept):\n%s", golden, got)
 			}
+		}
+	}
+
+	ck := filepath.Join(t.TempDir(), "study.ck")
+	if stderr, exit := study(t, append(slices.Clone(defaults), "-checkpoint", ck, "-halt-after", "12")...); exit != 0 {
+		t.Fatalf("halt: exit %d: %s", exit, stderr)
+	}
+	stdout, stats := studyOutput(t, append(slices.Clone(defaults), "-checkpoint", ck, "-resume")...)
+	for golden, got := range map[string][]byte{"default.stdout": stdout, "default.stats.json": stats} {
+		if want, err := os.ReadFile(filepath.Join("testdata", golden)); err != nil {
+			t.Error(err)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("the default run halted after round 12 and resumed differs from %s:\n%s", golden, got)
 		}
 	}
 }
@@ -146,7 +167,7 @@ func TestResumeRefusesLegacyJSONCheckpoint(t *testing.T) {
 // two classification rules that read response IP IDs, which a checkpoint
 // does not store: resuming must not need them, at one worker or two.
 func TestHaltAndResume(t *testing.T) {
-	gadgetStudy := []string{"-dests", "60", "-rounds", "6", "-flips=false", "-seed", "7"}
+	gadgetStudy := []string{"-dests", "60", "-rounds", "6", "-seed", "7"}
 	for _, tc := range []struct {
 		name    string
 		env     []string

@@ -40,7 +40,7 @@ func run() (err error) {
 		lv cli.Live
 	)
 	tp.Register(flag.CommandLine, 200)
-	flag.BoolVar(&tp.Flips, "flips", true, "enable mid-trace path flips (disable for reproducible soaks)")
+	flag.BoolVar(&tp.Flips, "flips", true, "enable mid-trace path flips")
 	lv.Register(flag.CommandLine, "live-dests", false)
 	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address for /healthz /readyz /stats /events (empty: no HTTP)")
 	period := flag.Int("period", 5, "re-probe cadence in scheduler rounds")
@@ -126,8 +126,6 @@ func run() (err error) {
 				PanicEvery: *faultPanic, PanicStart: 3, PanicLen: 2,
 			})
 		}
-		cfg.TransportState = sc.TransportState
-		cfg.RestoreTransport = sc.RestoreTransportState
 	}
 	if pacer != nil {
 		cfg.Transport = tracer.NewPacedTransport(cfg.Transport, pacer)

@@ -8,10 +8,9 @@
 // the round count, which is how the full 5,000 × 556 study runs. The
 // full-scale study is available via `go run ./cmd/anomaly-study -paper`.
 //
-// One worker probes every destination in list order, so the mid-trace
-// path flips — drawn from the network-wide probe counter — land on the same
-// probes every run, and so does every statistic printed: two runs print
-// identical bytes.
+// Every draw the simulator makes — per-packet branches, drops, mid-trace
+// path flips — is keyed by the probe and the round, never by arrival order,
+// so eight workers print the same bytes as one, run after run.
 //
 // Run: go run ./examples/campaign
 package main
@@ -35,7 +34,7 @@ func main() {
 	camp, err := measure.NewCampaign(netsim.NewTransport(sc.Net), measure.Config{
 		Dests:      sc.Dests,
 		Rounds:     15,
-		Workers:    1,
+		Workers:    8,
 		RoundStart: sc.RoundStart,
 		PortSeed:   cfg.Seed,
 		Stream:     true,

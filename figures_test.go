@@ -28,6 +28,9 @@ func TestFigure1Probabilities(t *testing.T) {
 	missed7 := 0
 	ambiguous := 0
 	for i := 0; i < trials; i++ {
+		// Each trial is a round: identical probes in one round take the
+		// same per-packet branch.
+		fig.Net.SetVirtualRound(i)
 		tr := tracer.NewParisUDP(tp, tracer.Options{MaxTTL: 12, ProbesPerHop: 3})
 		rt, err := tr.Trace(fig.Dest.Addr)
 		if err != nil {

@@ -227,66 +227,12 @@ func TestTopoGenerate(t *testing.T) {
 	}
 }
 
-// TestTransportStateRoundTrip: the probe-counter cursor a checkpoint carries
-// rewinds a freshly generated scenario to where the saved one stood, and a
-// cursor taken over another shard count is refused.
-func TestTransportStateRoundTrip(t *testing.T) {
-	flags := []string{"-shards", "3", "-flips=false"}
-	sc, err := parseTopo(t, flags...).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tracer.NewParisUDP(sc.Transport(), tracer.Options{})
-	for _, d := range sc.Dests {
-		if _, err := tr.Trace(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	state := sc.TransportState()
-
-	fresh, err := parseTopo(t, flags...).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.RestoreTransportState(state); err != nil {
-		t.Fatal(err)
-	}
-	probed := 0
-	for i, n := range sc.Nets {
-		if got := fresh.Nets[i].ProbeCount(); got != n.ProbeCount() {
-			t.Errorf("shard %d: restored probe count %d, want %d", i, got, n.ProbeCount())
-		}
-		probed += n.ProbeCount()
-	}
-	if probed == 0 {
-		t.Fatal("no probe was counted; the round trip proves nothing")
-	}
-	if !bytes.Equal(fresh.TransportState(), state) {
-		t.Error("a restored scenario serializes a different cursor")
-	}
-	if err := fresh.RestoreTransportState(nil); err != nil {
-		t.Errorf("a checkpoint without a cursor: %v", err)
-	}
-
-	other, err := parseTopo(t, "-shards", "2").Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.RestoreTransportState(state); err == nil || !strings.Contains(err.Error(), "covers 3 shards, scenario has 2") {
-		t.Errorf("3-shard cursor into a 2-shard scenario: %v", err)
-	}
-	if err := other.RestoreTransportState([]byte("{")); err == nil {
-		t.Error("a torn cursor was accepted")
-	}
-}
-
 // simLive is a Live group parsed from args whose dial hook answers the mux
-// from a generated, schedule-free topology instead of raw sockets.
+// from a generated topology instead of raw sockets.
 func simLive(t *testing.T, args ...string) (*Live, *live.SimConn, *topo.Scenario) {
 	t.Helper()
 	gc := topo.DefaultGenConfig()
 	gc.Seed, gc.Destinations = 11, 8
-	gc.FlipPerProbe, gc.PPerPacket, gc.PPerPacketUnequal = 0, 0, 0
 	sc := topo.Generate(gc)
 	conn := &live.SimConn{Respond: func(probe []byte) ([]byte, bool) {
 		resp, _, ok := sc.Net.Exchange(probe)

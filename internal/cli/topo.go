@@ -69,8 +69,6 @@ func (t *Topo) Config() (topo.GenConfig, error) {
 	cfg.Seed = t.Seed
 	cfg.Shards = t.Shards
 	if !t.Flips {
-		// Mid-trace flips draw from an unreplayable per-probe stream; a
-		// flip-free topology is what makes a resumed run byte-reproducible.
 		cfg.FlipPerProbe = 0
 	}
 	cfg.Delay = t.Delay

@@ -62,8 +62,9 @@ type Config struct {
 	// (zero selects 1).
 	CheckpointPath  string
 	CheckpointEvery int
-	// TransportState and RestoreTransport persist and restore the opaque
-	// transport cursor (e.g. netsim probe counters) across restarts.
+	// TransportState and RestoreTransport persist and restore an opaque
+	// transport payload across restarts. netsim needs none to recover;
+	// bench/ carries its probe-count metric through them.
 	TransportState   func() json.RawMessage
 	RestoreTransport func(json.RawMessage) error
 	// FreshStart ignores an existing checkpoint instead of recovering.

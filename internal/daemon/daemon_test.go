@@ -19,9 +19,9 @@ import (
 )
 
 // The daemon tests run entirely on Tick — no wall-clock ticker, no sleeps.
-// Topologies are schedule-free (no mid-trace flips, no per-packet
-// balancing), so pair results are a pure function of the round and the
-// destination, and every counter asserted below is pinned exactly.
+// Topologies have no mid-trace flips and no per-packet balancing, so every
+// destination's routes hold still from round to round, and every counter
+// asserted below is pinned exactly.
 
 // neverStall is the test watchdog: a nil channel never fires.
 func neverStall(netip.Addr) <-chan time.Time { return nil }
@@ -29,8 +29,7 @@ func neverStall(netip.Addr) <-chan time.Time { return nil }
 // noSleep makes restart backoff instantaneous.
 func noSleep(time.Duration) {}
 
-// freeTopo generates a schedule-free topology: statistics depend only on
-// (seed, round, destination), never on worker interleaving.
+// freeTopo generates a topology whose routes hold still from round to round.
 func freeTopo(t testing.TB, dests int, seed int64, churn float64) *topo.Scenario {
 	t.Helper()
 	gc := topo.DefaultGenConfig()

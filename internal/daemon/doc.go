@@ -56,7 +56,7 @@
 // completed rounds on the atomic temp-file + rename path and auto-recovers
 // on startup: accumulator statistics, per-destination cadence and
 // quarantine state, cumulative supervision counters, and the opaque
-// transport cursor all survive a kill -9. A corrupt checkpoint is moved
+// transport payload (Config.TransportState) all survive a kill -9. A corrupt checkpoint is moved
 // aside (".corrupt") and the daemon starts fresh rather than refusing to
 // boot; a checkpoint for a different destination list or probing shape is
 // a hard error.

@@ -11,49 +11,18 @@ import (
 	"repro/internal/tracer"
 )
 
-// runBatchStats executes one campaign over a fresh copy of the
-// deterministic (schedule-independent) scenario, batched or not, across the
-// given shard count, and returns its normalized statistics.
-func runBatchStats(t *testing.T, batch bool, shards, workers, dests int) *Stats {
-	t.Helper()
-	cfg := invarianceConfig(dests)
-	cfg.Shards = shards
-	sc := topo.Generate(cfg)
-	camp, err := NewCampaign(sc.Transport(), Config{
-		Dests:      sc.Dests,
-		Rounds:     5,
-		Workers:    workers,
-		RoundStart: sc.RoundStart,
-		PortSeed:   42,
-		ShardOf:    sc.ShardOf,
-		Batch:      batch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Analyze(res)
-	sort.Slice(s.AllAddresses, func(i, j int) bool {
-		return s.AllAddresses[i].Less(s.AllAddresses[j])
-	})
-	return s
-}
-
 // TestCampaignBatchInvariance is the batching analogue of the worker- and
-// shard-invariance gates: on a topology whose forwarding is a pure function
-// of the probe bytes, routing every trace through the batched TTL ladder
-// must not move a single number in the Section 4 statistics — at one shard
-// and at four.
+// shard-invariance gates: routing every trace through the batched TTL
+// ladder must not move a single number in the Section 4 statistics — at one
+// shard and at four.
 func TestCampaignBatchInvariance(t *testing.T) {
-	const dests = 160
 	for _, shards := range []int{1, 4} {
-		seq := runBatchStats(t, false, shards, 32, dests)
-		bat := runBatchStats(t, true, shards, 32, dests)
+		cfg := studyConfig(160)
+		cfg.Shards = shards
+		seq := runStats(t, cfg, 32, false)
+		bat := runStats(t, cfg, 32, true)
 		if seq.Loops.Instances == 0 || seq.Diamonds.Total == 0 {
-			t.Fatalf("shards=%d: deterministic campaign saw no anomalies; invariance check degenerate", shards)
+			t.Fatalf("shards=%d: campaign saw no anomalies; invariance check degenerate", shards)
 		}
 		if !reflect.DeepEqual(seq, bat) {
 			t.Errorf("shards=%d: campaign statistics differ between batch off and on:\noff: %+v\non:  %+v",
@@ -67,7 +36,7 @@ func TestCampaignBatchInvariance(t *testing.T) {
 // sequential and the batched engine, across shard counts.
 func TestCampaignBatchRoutesIdentical(t *testing.T) {
 	run := func(batch bool, shards int) *Results {
-		cfg := invarianceConfig(80)
+		cfg := studyConfig(80)
 		cfg.Shards = shards
 		sc := topo.Generate(cfg)
 		camp, err := NewCampaign(sc.Transport(), Config{
@@ -143,9 +112,9 @@ func TestCampaignBatchFallback(t *testing.T) {
 		})
 		return s
 	}
-	scA := topo.Generate(invarianceConfig(60))
+	scA := topo.Generate(studyConfig(60))
 	want := run(scA.Transport(), false, scA)
-	scB := topo.Generate(invarianceConfig(60))
+	scB := topo.Generate(studyConfig(60))
 	got := run(nonBatchTransport{scB.Transport()}, true, scB)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("batch-configured campaign over a non-batching transport differs from sequential:\nwant: %+v\ngot:  %+v", want, got)

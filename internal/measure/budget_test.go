@@ -11,7 +11,7 @@ import (
 
 // steadyWorker is one campaign worker driven by hand, the way runRound
 // drives it — measureDest, then the fold ring — so a test can stop between
-// pairs: a batched, streamed, one-worker campaign over the schedule-free
+// pairs: a batched, streamed, one-worker campaign over the default
 // topology.
 type steadyWorker struct {
 	c     *Campaign
@@ -23,7 +23,7 @@ type steadyWorker struct {
 
 func newSteadyWorker(tb testing.TB, dests int) *steadyWorker {
 	tb.Helper()
-	return newSteadyWorkerOn(tb, invarianceConfig(dests))
+	return newSteadyWorkerOn(tb, studyConfig(dests))
 }
 
 // newSteadyWorkerOn is newSteadyWorker over any generated topology.
@@ -130,18 +130,17 @@ func TestInternedRoutesExactSize(t *testing.T) {
 // BenchmarkMeasurePairSteady is the study's unit of work at steady state:
 // one warmed worker over netsim, one pair per iteration (ns, allocations and
 // bytes per pair). flips=on is the default topology — per-packet balancers,
-// every rare-cause pod and the mid-trace flip hook on every probe — which is
-// what the binaries and the repository benchmark run; flips=off is the
-// schedule-free one the invariance suites use.
+// every rare-cause pod and the flip schedules — which is what the binaries
+// and the repository benchmark run; flips=off is the same with -flips=false.
 func BenchmarkMeasurePairSteady(b *testing.B) {
-	flipsOn := topo.DefaultGenConfig()
-	flipsOn.Destinations = 500
+	flipsOff := studyConfig(500)
+	flipsOff.FlipPerProbe = 0
 	for _, c := range []struct {
 		name string
 		gen  topo.GenConfig
 	}{
-		{"flips=off", invarianceConfig(500)},
-		{"flips=on", flipsOn},
+		{"flips=off", flipsOff},
+		{"flips=on", studyConfig(500)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			w := newSteadyWorkerOn(b, c.gen)

@@ -82,8 +82,9 @@ type Config struct {
 	CheckpointEvery int
 	// TransportState, when set, is invoked at each checkpoint and its
 	// payload stored verbatim in Checkpoint.Transport. The campaign never
-	// interprets it: binaries use it to persist transport cursors (e.g.
-	// netsim probe counters) and restore them before resuming.
+	// interprets it. netsim needs no cursor to resume (its draws are keyed
+	// by the probe), so no binary sets it; bench/ persists netsim's
+	// probe-count metric through it.
 	TransportState func() json.RawMessage
 
 	// TransportFor, when set, supplies per-worker transports: worker w

@@ -18,7 +18,7 @@ import (
 // checkpoint, and the body the daemon's checkpoint extends with its schedule
 // section. A checkpoint captures everything a run needs to continue after a
 // kill: the round cursor, the per-destination error budgets and path hints
-// (DestRun), an opaque transport cursor, and each accumulator's partial
+// (DestRun), an opaque transport payload, and each accumulator's partial
 // statistics. The accumulator state splits into two kinds — the scalar
 // tallies and address sets, which serialize verbatim, and the derived
 // memo/graph layers, which are NOT serialized: restore materializes each
@@ -71,8 +71,8 @@ type Checkpoint struct {
 	// NextRound is the first round the resumed run will run; rounds
 	// [0, NextRound) are fully folded into Workers.
 	NextRound int
-	// Transport is the opaque payload of Config.TransportState: transport
-	// cursors the run persists but never interprets.
+	// Transport is the opaque payload of Config.TransportState, which the
+	// run persists but never interprets.
 	Transport json.RawMessage `json:",omitempty"`
 	// Dests is the per-destination error budget and path hints, indexed
 	// like Config.Dests.

@@ -22,8 +22,8 @@ import (
 )
 
 // checkpointConfig is the campaign shape the resume tests run: streaming
-// and batched with one worker over a flip-free topology — the conditions
-// under which two plain runs are byte-identical, so any divergence after a
+// and batched with one worker. Two plain runs are byte-identical, and a
+// resume needs nothing beyond the checkpoint, so any divergence after a
 // resume is the checkpoint layer's fault and nothing else's.
 func checkpointConfig(sc *topo.Scenario, path string) Config {
 	return Config{
@@ -38,24 +38,6 @@ func checkpointConfig(sc *topo.Scenario, path string) Config {
 	}
 }
 
-// transportState captures a network's probe counter as the opaque
-// checkpoint payload, the way a binary would.
-func transportState(net *netsim.Network) func() json.RawMessage {
-	return func() json.RawMessage {
-		b, _ := json.Marshal(struct{ ProbeCount int }{net.ProbeCount()})
-		return b
-	}
-}
-
-func restoreTransport(t *testing.T, net *netsim.Network, raw json.RawMessage) {
-	t.Helper()
-	var st struct{ ProbeCount int }
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatalf("decoding transport state: %v", err)
-	}
-	net.SetProbeCount(st.ProbeCount)
-}
-
 // TestCheckpointResumeByteIdentical is the acceptance gate: a campaign
 // killed mid-study and resumed from its checkpoint — fresh process, fresh
 // scenario, restored transport cursor — produces final statistics
@@ -65,9 +47,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 
 	// Uninterrupted reference run.
-	scU := topo.Generate(invarianceConfig(dests))
+	scU := topo.Generate(studyConfig(dests))
 	cfgU := checkpointConfig(scU, filepath.Join(dir, "uninterrupted.ck"))
-	cfgU.TransportState = transportState(scU.Net)
 	campU, err := NewCampaign(netsim.NewTransport(scU.Net), cfgU)
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +64,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	// Interrupted run: the context is canceled as round killAt begins, so
 	// the checkpoint on disk covers exactly rounds [0, killAt).
 	ckPath := filepath.Join(dir, "interrupted.ck")
-	scI := topo.Generate(invarianceConfig(dests))
+	scI := topo.Generate(studyConfig(dests))
 	cfgI := checkpointConfig(scI, ckPath)
-	cfgI.TransportState = transportState(scI.Net)
 	ctx, cancel := context.WithCancel(context.Background())
 	inner := cfgI.RoundStart
 	cfgI.RoundStart = func(r int) {
@@ -111,14 +91,12 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if ck.NextRound != killAt {
 		t.Fatalf("checkpoint resumes at round %d, want %d", ck.NextRound, killAt)
 	}
-	scR := topo.Generate(invarianceConfig(dests))
+	scR := topo.Generate(studyConfig(dests))
 	cfgR := checkpointConfig(scR, filepath.Join(dir, "resumed.ck"))
-	cfgR.TransportState = transportState(scR.Net)
 	campR, err := NewCampaign(netsim.NewTransport(scR.Net), cfgR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restoreTransport(t, scR.Net, ck.Transport)
 	if err := campR.Resume(ck); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +128,7 @@ func TestCheckpointResumeFromFinal(t *testing.T) {
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "final.ck")
 
-	sc := topo.Generate(invarianceConfig(dests))
+	sc := topo.Generate(studyConfig(dests))
 	camp, err := NewCampaign(netsim.NewTransport(sc.Net), checkpointConfig(sc, ckPath))
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +145,7 @@ func TestCheckpointResumeFromFinal(t *testing.T) {
 	if ck.NextRound != 8 {
 		t.Fatalf("final checkpoint cursor = %d, want 8", ck.NextRound)
 	}
-	sc2 := topo.Generate(invarianceConfig(dests))
+	sc2 := topo.Generate(studyConfig(dests))
 	camp2, err := NewCampaign(netsim.NewTransport(sc2.Net), checkpointConfig(sc2, filepath.Join(dir, "re.ck")))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +170,7 @@ func TestCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "cadence.ck")
 
-	sc := topo.Generate(invarianceConfig(dests))
+	sc := topo.Generate(studyConfig(dests))
 	cfg := checkpointConfig(sc, ckPath)
 	cfg.CheckpointEvery = 3
 	var cursors []int
@@ -239,11 +217,10 @@ func TestCheckpointQuarantineSurvivesResume(t *testing.T) {
 	dir := t.TempDir()
 
 	build := func(path string) (*Campaign, *topo.Scenario) {
-		sc := topo.Generate(invarianceConfig(dests))
+		sc := topo.Generate(studyConfig(dests))
 		cfg := checkpointConfig(sc, path)
 		cfg.Rounds = rounds
 		cfg.Sleep = func(time.Duration) {}
-		cfg.TransportState = transportState(sc.Net)
 		camp, err := NewCampaign(netsim.WrapFaults(netsim.NewTransport(sc.Net), plan), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -278,8 +255,7 @@ func TestCheckpointQuarantineSurvivesResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	campR, scR := build(filepath.Join(dir, "r.ck"))
-	restoreTransport(t, scR.Net, ck.Transport)
+	campR, _ := build(filepath.Join(dir, "r.ck"))
 	// The faults wrapper's per-destination ordinals restart at zero in the
 	// resumed process, but a blackhole's schedule is position-independent
 	// from BlackholeStart 0, so the policy outcome is identical.
@@ -302,7 +278,7 @@ func TestResumeValidation(t *testing.T) {
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "v.ck")
 
-	sc := topo.Generate(invarianceConfig(dests))
+	sc := topo.Generate(studyConfig(dests))
 	camp, err := NewCampaign(netsim.NewTransport(sc.Net), checkpointConfig(sc, ckPath))
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +292,7 @@ func TestResumeValidation(t *testing.T) {
 	}
 
 	// Different port seed → different digest → refused.
-	sc2 := topo.Generate(invarianceConfig(dests))
+	sc2 := topo.Generate(studyConfig(dests))
 	cfg2 := checkpointConfig(sc2, ckPath)
 	cfg2.PortSeed = 43
 	other, err := NewCampaign(netsim.NewTransport(sc2.Net), cfg2)
@@ -417,7 +393,7 @@ func TestUnbatchedCampaignCheckpointsHints(t *testing.T) {
 	const dests, killAt = 20, 2
 	ckPath := filepath.Join(t.TempDir(), "unbatched.ck")
 	build := func() (*Campaign, *topo.Scenario) {
-		sc := topo.Generate(invarianceConfig(dests))
+		sc := topo.Generate(studyConfig(dests))
 		cfg := checkpointConfig(sc, ckPath)
 		cfg.Batch = false
 		camp, err := NewCampaign(netsim.NewTransport(sc.Net), cfg)
@@ -521,7 +497,7 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 	const dests = 30
 	run := func(dir string) []byte {
 		ckPath := filepath.Join(dir, "d.ck")
-		sc := topo.Generate(invarianceConfig(dests))
+		sc := topo.Generate(studyConfig(dests))
 		camp, err := NewCampaign(netsim.NewTransport(sc.Net), checkpointConfig(sc, ckPath))
 		if err != nil {
 			t.Fatal(err)
@@ -567,13 +543,25 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 
 // goldenConfig is the toy campaign testdata/toy-v5.ck was written by: small
 // enough to commit, large enough to meet a loop (so the per-cause map, the
-// loop address set and the signature spans are not all empty).
+// loop address set and the signature spans are not all empty). Its topology
+// is the one the file was recorded over — per-packet diamonds, diff-2 and
+// looper cycles, zero-TTL pods and flips off — so the committed bytes stay
+// put.
 func goldenConfig(path string) (*topo.Scenario, Config) {
-	sc := topo.Generate(invarianceConfig(24))
+	gen := studyConfig(24)
+	gen.PPerPacket, gen.PPerPacketUnequal, gen.PDiff2 = 0, 0, 0
+	gen.PZeroTTLPod, gen.PLooperPod, gen.PFlapDiamondPod = 0, 0, 0
+	gen.PFlipPod, gen.FlipPerProbe = 0, 0
+	sc := topo.Generate(gen)
 	cfg := checkpointConfig(sc, path)
 	cfg.Rounds = 6
 	cfg.CheckpointEvery = 3
-	cfg.TransportState = transportState(sc.Net)
+	// The file carries the probe-count metric as its opaque transport
+	// payload, as the binaries' checkpoints did when it was recorded.
+	cfg.TransportState = func() json.RawMessage {
+		b, _ := json.Marshal(struct{ ProbeCount int }{sc.Net.ProbeCount()})
+		return b
+	}
 	return sc, cfg
 }
 
@@ -634,7 +622,6 @@ func TestCheckpointGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restoreTransport(t, scR.Net, ck.Transport)
 	if err := campR.Resume(ck); err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 func benchCheckpoint(b *testing.B) *Checkpoint {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.ck")
-	sc := topo.Generate(invarianceConfig(200))
+	sc := topo.Generate(studyConfig(200))
 	cfg := checkpointConfig(sc, path)
 	cfg.Workers = 2
 	cfg.CheckpointEvery = cfg.Rounds

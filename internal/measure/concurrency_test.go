@@ -10,41 +10,31 @@ import (
 	"repro/internal/topo"
 )
 
-// invarianceConfig is a campaign topology whose statistics cannot depend on
-// probe interleaving: per-flow balancing only (forwarding is a pure
-// function of the probe bytes), and no gadget whose *classification*
-// consults schedule-dependent observables (IP IDs). Zero-TTL loops,
-// diff-2/looper cycles, and per-probe flips are excluded for that reason;
-// NAT rewriting, unequal per-flow diamonds, and round-driven flaps stay in,
-// so the campaign still produces loops, unreachability, and diamonds.
-func invarianceConfig(dests int) topo.GenConfig {
+// studyConfig is the topology the binaries ship, at the given size: the
+// default generator configuration with every gadget armed — per-packet
+// diamonds, zero-TTL pods, loopers, flaps and flips.
+func studyConfig(dests int) topo.GenConfig {
 	cfg := topo.DefaultGenConfig()
 	cfg.Destinations = dests
-	cfg.PPerPacket = 0
-	cfg.PPerPacketUnequal = 0
-	cfg.PZeroTTLPod = 0
-	cfg.PDiff2 = 0
-	cfg.PLooperPod = 0
-	cfg.PFlapDiamondPod = 0
-	cfg.PFlipPod = 0
-	cfg.FlipPerProbe = 0
 	return cfg
 }
 
-// runStats executes one campaign with the given worker count over a fresh
-// copy of the deterministic scenario and returns its normalized statistics.
-func runStats(t *testing.T, workers, dests int) *Stats {
+// runStats executes one five-round campaign over a fresh scenario generated
+// from cfg and returns its normalized statistics.
+func runStats(t *testing.T, cfg topo.GenConfig, workers int, batch bool) *Stats {
 	t.Helper()
-	// Fresh scenario per run: router/host IP ID counters and flap RNG
-	// state are per-network, and the comparison needs both runs to start
-	// from the same initial state.
-	sc := topo.Generate(invarianceConfig(dests))
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+	sc := topo.Generate(cfg)
+	if cfg.Shards > 1 && len(sc.Nets) != cfg.Shards {
+		t.Fatalf("Generate built %d shard networks, want %d", len(sc.Nets), cfg.Shards)
+	}
+	camp, err := NewCampaign(sc.Transport(), Config{
 		Dests:      sc.Dests,
 		Rounds:     5,
 		Workers:    workers,
 		RoundStart: sc.RoundStart,
 		PortSeed:   42,
+		ShardOf:    sc.ShardOf,
+		Batch:      batch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,23 +52,38 @@ func runStats(t *testing.T, workers, dests int) *Stats {
 	return s
 }
 
-// TestCampaignWorkerInvariance is the determinism gate on the concurrent
-// forwarding engine: over a deterministic topology, the full campaign
-// statistics must be identical whether one worker probes every destination
-// or 32 workers probe in parallel.
+// TestCampaignWorkerInvariance is the house invariant at the configuration
+// the binaries ship: over the default topology, every gadget armed, the
+// full campaign statistics are identical at 1 and 32 workers, on one
+// network and on four shards, with the batched ladder off and on. A last
+// pair raises the flip rate until schedules toggle inside traces.
 func TestCampaignWorkerInvariance(t *testing.T) {
 	const dests = 160
-	seq := runStats(t, 1, dests)
-	par := runStats(t, 32, dests)
-
-	if seq.Loops.Instances == 0 {
-		t.Fatal("deterministic campaign saw no loops at all; invariance check degenerate")
+	ref := runStats(t, studyConfig(dests), 1, false)
+	if ref.Loops.Instances == 0 || ref.Cycles.Instances == 0 || ref.Diamonds.Total == 0 {
+		t.Fatal("campaign saw no loops, cycles or diamonds; invariance check degenerate")
 	}
-	if seq.Diamonds.Total == 0 {
-		t.Fatal("deterministic campaign saw no diamonds; invariance check degenerate")
+	for _, workers := range []int{1, 32} {
+		for _, shards := range []int{1, 4} {
+			for _, batch := range []bool{false, true} {
+				if workers == 1 && shards == 1 && !batch {
+					continue
+				}
+				cfg := studyConfig(dests)
+				cfg.Shards = shards
+				if got := runStats(t, cfg, workers, batch); !reflect.DeepEqual(ref, got) {
+					t.Errorf("workers=%d shards=%d batch=%v: statistics differ from one worker on one network:\nref: %+v\ngot: %+v",
+						workers, shards, batch, ref, got)
+				}
+			}
+		}
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("campaign statistics differ between Workers=1 and Workers=32:\nseq: %+v\npar: %+v", seq, par)
+	flips := studyConfig(dests)
+	flips.FlipPerProbe = 0.01
+	seq := runStats(t, flips, 1, false)
+	flips.Shards = 4
+	if par := runStats(t, flips, 32, true); !reflect.DeepEqual(seq, par) {
+		t.Errorf("flips armed: statistics differ between one worker and 32 workers on four shards:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
 
@@ -86,7 +91,7 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 // per-destination measured routes themselves must match hop for hop.
 func TestCampaignRoutesIdenticalAcrossWorkers(t *testing.T) {
 	run := func(workers int) *Results {
-		sc := topo.Generate(invarianceConfig(80))
+		sc := topo.Generate(studyConfig(80))
 		camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
 			Dests:      sc.Dests,
 			Rounds:     2,

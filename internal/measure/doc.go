@@ -21,28 +21,18 @@
 // # Determinism contract
 //
 // Campaign statistics are a deterministic function of (topology seed,
-// campaign config) whenever the transport's per-probe behaviour is a pure
-// function of the probe bytes — netsim's schedule-free regime (per-flow
-// balancing, no per-probe hooks; with or without the virtual-clock
-// dynamics layer, whose draws are keyed by probe bytes and virtual time,
-// never by schedule). Under that regime the Stats — including the RTT
-// aggregates, which fold as order-independent integer tallies — are
-// byte-identical across every worker count, shard count, batch switch,
-// and fold granularity (pinned by TestCampaignWorkerInvariance and
-// TestCampaignDynamicsInvariance, under -race).
-//
-// The default generated topology is not in that regime. Three of its
-// sources depend on the schedule: mid-trace flips
-// (topo.GenConfig.FlipPerProbe), which draw from a per-shard stream in
-// probe-arrival order; per-packet balancing and probabilistic drops, which
-// netsim seeds by the network's probe counter, reserved in arrival order;
-// and routers' and hosts' IP-ID counters, which advance in arrival order and
-// feed two classification rules. So today the invariant holds at one worker
-// (a resumed run also needs FlipPerProbe zero, since the flip stream is not
-// checkpointed) or on the schedule-free topology the invariance suites
-// build; at 32 workers two runs of the default topology differ in report
-// rows even with flips off. ROADMAP item 13 keys those draws by identity to
-// close the gap.
+// campaign config) over netsim: every draw the simulator makes — per-packet
+// spreading, probabilistic drops, a round's mid-trace flip schedule, the
+// virtual-clock dynamics — is keyed by (seed, virtual round, the probe's
+// bytes or position), never by arrival order (see the netsim package's
+// determinism contract). The one arrival-order observable left, the IP IDs
+// routers and hosts stamp, feeds two classification rules only as deltas
+// within one route under a gap bound concurrency cannot reach. So the Stats
+// — including the RTT aggregates, which fold as order-independent integer
+// tallies — are byte-identical across every worker count, shard count,
+// batch switch, fold granularity and halt-and-resume, on the default
+// topology with every gadget armed (pinned by TestCampaignWorkerInvariance
+// and TestCampaignDynamicsInvariance, under -race).
 //
 // # Streaming contract
 //
@@ -151,9 +141,5 @@
 // path the daemon shares — which validates a config digest (RunDigest) so a
 // checkpoint can only continue the campaign shape that wrote it. A resumed streaming
 // campaign replays RoundStart for the completed rounds and produces
-// statistics byte-identical to the uninterrupted run whenever the
-// transport's dynamics are themselves replayable (see topo.Generate:
-// FlipPerProbe must be zero) and the campaign runs one worker per
-// shard-free run or any worker count with schedule-free topologies (the
-// same conditions under which two plain runs are byte-identical).
+// statistics byte-identical to the uninterrupted run at any worker count.
 package measure

@@ -8,14 +8,14 @@ import (
 	"repro/internal/topo"
 )
 
-// dynamicsConfig is the schedule-free invariance topology with the full
+// dynamicsConfig is the default topology with the full
 // virtual-clock dynamics layer armed: per-link delay, background load, and
 // scheduled churn. Every dynamics draw is a pure function of (dynamics
 // seed, link, virtual time) and probe start times hash the probe bytes, so
 // statistics must stay byte-identical at any worker, shard, or batch
 // setting — the same invariance bar the static topology meets.
 func dynamicsConfig(dests, shards int) topo.GenConfig {
-	cfg := invarianceConfig(dests)
+	cfg := studyConfig(dests)
 	cfg.Shards = shards
 	cfg.Delay = 1
 	cfg.Load = 0.3
@@ -104,7 +104,7 @@ func TestCampaignDynamicsInvariance(t *testing.T) {
 // campaigns differ only where the virtual clock is allowed to reach
 // (RTTs, and churn-driven route effects), never in the campaign shape.
 func TestCampaignDynamicsOffNoRTT(t *testing.T) {
-	sc := topo.Generate(invarianceConfig(40))
+	sc := topo.Generate(studyConfig(40))
 	camp, err := NewCampaign(sc.Transport(), Config{
 		Dests:      sc.Dests,
 		Rounds:     2,

@@ -130,6 +130,40 @@ func TestMeasurePairClassifiesPerFlowLoop(t *testing.T) {
 	}
 }
 
+// TestMeasurePairFlipSeenByOneTrace: a flip schedule resolves by probe
+// position, and the classic and Paris traces of a pair sit at different
+// positions, so a toggle can land inside one trace and not the other — the
+// mechanism behind the loops the paper saw only by Paris. On a topology
+// whose only gadget is the flip, toggling often, some pair carries a loop
+// or cycle in exactly one of its two routes.
+func TestMeasurePairFlipSeenByOneTrace(t *testing.T) {
+	cfg := topo.DefaultGenConfig()
+	cfg.Destinations = 60
+	cfg.PPodDiamond, cfg.PLooperPod = 0, 0
+	cfg.PNATPod, cfg.PMessyNATPod, cfg.PZeroTTLPod, cfg.PFlapPod, cfg.PFlapDiamondPod = 0, 0, 0, 0, 0
+	cfg.PFlipPod, cfg.FlipPerProbe = 1, 0.05
+	sc := topo.Generate(cfg)
+	p := NewProber(netsim.NewTransport(sc.Net), ProbeConfig{})
+	anomalous := func(rt *tracer.Route) bool {
+		return len(anomaly.FindLoops(rt))+len(anomaly.FindCycles(rt)) > 0
+	}
+	hints := make([]PathHints, len(sc.Dests))
+	for round := 0; round < 20; round++ {
+		sc.RoundStart(round)
+		for i, d := range sc.Dests {
+			pair, err := p.MeasurePair(d, round, &hints[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if anomalous(pair.Classic) != anomalous(pair.Paris) {
+				return
+			}
+			p.Recycle(&pair)
+		}
+	}
+	t.Fatal("no pair over 20 rounds had the flip's loop or cycle in exactly one route")
+}
+
 // TestMeasurePairZeroTTLSeenByBoth is Fig. 4 through the pair measurement:
 // zero-TTL forwarding is a router bug, not a flow artifact, so Paris sees the
 // loop too, on the same address.

@@ -76,10 +76,8 @@ func poison(c *Campaign) *poisonCount {
 	return n
 }
 
-// shardedScenario is the default topology — per-packet flips, zero-TTL pods,
-// loopers and all — cut into four shards: with four shard-affine workers each
-// shard's network only ever sees one worker, so even the schedule-dependent
-// gadgets are reproducible run to run at four workers.
+// shardedScenario is the default topology — per-packet diamonds, flips,
+// zero-TTL pods, loopers and all — cut into four shards.
 func shardedScenario(dests int) *topo.Scenario {
 	g := topo.DefaultGenConfig()
 	g.Destinations = dests
@@ -316,7 +314,7 @@ func (f *nthBatchFailer) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 func TestPoisonedFailFastAbort(t *testing.T) {
 	const dests = 60
 	run := func(poisoned bool) *Stats {
-		sc := topo.Generate(invarianceConfig(dests))
+		sc := topo.Generate(studyConfig(dests))
 		// Two or more batches per pair: the 150th falls in round 0's second
 		// half or in round 1, with dozens of pairs staged either way.
 		ft := &nthBatchFailer{BatchTransport: netsim.NewTransport(sc.Net), n: 150}
@@ -364,7 +362,7 @@ func TestPoisonedFailFastAbort(t *testing.T) {
 // first seen after a resume intern with other IP IDs.)
 func TestPoisonedResume(t *testing.T) {
 	const dests, killAt = 60, 3
-	scM := topo.Generate(invarianceConfig(dests))
+	scM := topo.Generate(studyConfig(dests))
 	cfgM := checkpointConfig(scM, "")
 	cfgM.Stream = false
 	mat, err := NewCampaign(netsim.NewTransport(scM.Net), cfgM)
@@ -380,9 +378,8 @@ func TestPoisonedResume(t *testing.T) {
 	killAndResume := func(poisoned bool) (*Stats, []byte) {
 		dir := t.TempDir()
 		ckPath := filepath.Join(dir, "killed.ck")
-		scI := topo.Generate(invarianceConfig(dests))
+		scI := topo.Generate(studyConfig(dests))
 		cfgI := checkpointConfig(scI, ckPath)
-		cfgI.TransportState = transportState(scI.Net)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		cfgI.RoundStart = func(r int) {
@@ -406,13 +403,12 @@ func TestPoisonedResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scR := topo.Generate(invarianceConfig(dests))
+		scR := topo.Generate(studyConfig(dests))
 		finalPath := filepath.Join(dir, "resumed.ck")
 		resumed, err := NewCampaign(netsim.NewTransport(scR.Net), checkpointConfig(scR, finalPath))
 		if err != nil {
 			t.Fatal(err)
 		}
-		restoreTransport(t, scR.Net, ck.Transport)
 		if err := resumed.Resume(ck); err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +443,7 @@ func TestPoisonedResume(t *testing.T) {
 // it right after the fold must change nothing, and the statistics must be
 // the ones an accumulator without collisions computes.
 func TestPoisonedFingerprintCollision(t *testing.T) {
-	sc := topo.Generate(invarianceConfig(80))
+	sc := topo.Generate(studyConfig(80))
 	c, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Rounds: 5, Workers: 4, RoundStart: sc.RoundStart, PortSeed: 42, Batch: true,
 	})

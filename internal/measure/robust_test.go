@@ -13,12 +13,12 @@ import (
 	"repro/internal/topo"
 )
 
-// faultyCampaign builds a streaming campaign over a fresh deterministic
+// faultyCampaign builds a streaming campaign over a fresh default
 // scenario with the given fault plan afflicted on its transport. The
 // returned sleeps slice records every backoff wait (no real sleeping).
 func faultyCampaign(t *testing.T, dests, rounds int, plan netsim.FaultPlan, cfg Config) (*Campaign, *topo.Scenario, *netsim.FaultTransport, *[]time.Duration) {
 	t.Helper()
-	sc := topo.Generate(invarianceConfig(dests))
+	sc := topo.Generate(studyConfig(dests))
 	ft := netsim.WrapFaults(netsim.NewTransport(sc.Net), plan)
 	sleeps := new([]time.Duration)
 	cfg.Dests = sc.Dests
@@ -131,7 +131,7 @@ func TestCampaignRetriesRideOutTransientWindow(t *testing.T) {
 
 	// The dropped-then-retried probes never reached the simulated network,
 	// so the statistics must match a fault-free campaign exactly.
-	clean := topo.Generate(invarianceConfig(dests))
+	clean := topo.Generate(studyConfig(dests))
 	cc, err := NewCampaign(netsim.NewTransport(clean.Net), Config{
 		Dests: clean.Dests, Rounds: rounds, Workers: 4,
 		RoundStart: clean.RoundStart, PortSeed: 42, Stream: true,
@@ -200,7 +200,7 @@ func TestCampaignFailFastAborts(t *testing.T) {
 // the interrupted round and surfaces ctx.Err alongside the partial results.
 func TestCampaignContextCancel(t *testing.T) {
 	const cancelAt = 2
-	sc := topo.Generate(invarianceConfig(30))
+	sc := topo.Generate(studyConfig(30))
 	ctx, cancel := context.WithCancel(context.Background())
 	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
 		Dests:   sc.Dests,
@@ -269,7 +269,7 @@ func TestRunRoundLeaksNoGoroutines(t *testing.T) {
 // TestBackoffSchedule pins the retry delay computation: deterministic,
 // exponential, jittered within [0.5, 1.5), capped.
 func TestBackoffSchedule(t *testing.T) {
-	sc := topo.Generate(invarianceConfig(4))
+	sc := topo.Generate(studyConfig(4))
 	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
 		Dests:    sc.Dests,
 		PortSeed: 9,

@@ -2,63 +2,25 @@ package measure
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/topo"
 )
 
-// runShardStats executes one campaign over a deterministic scenario
-// partitioned across the given number of shards and returns its normalized
-// statistics. The topology config is the same schedule-independent one the
-// worker-invariance test uses, so any difference between shard counts is a
-// sharding bug, not probe-interleaving noise.
-func runShardStats(t *testing.T, shards, workers, dests int) *Stats {
-	t.Helper()
-	cfg := invarianceConfig(dests)
-	cfg.Shards = shards
-	sc := topo.Generate(cfg)
-	if shards > 1 && len(sc.Nets) != shards {
-		t.Fatalf("Generate built %d shard networks, want %d", len(sc.Nets), shards)
-	}
-	camp, err := NewCampaign(sc.Transport(), Config{
-		Dests:      sc.Dests,
-		Rounds:     5,
-		Workers:    workers,
-		RoundStart: sc.RoundStart,
-		PortSeed:   42,
-		ShardOf:    sc.ShardOf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Analyze(res)
-	sort.Slice(s.AllAddresses, func(i, j int) bool {
-		return s.AllAddresses[i].Less(s.AllAddresses[j])
-	})
-	return s
-}
-
 // TestCampaignShardInvariance is the partitioning analogue of the worker-
-// invariance gate: a deterministic topology measured as one network must
-// yield byte-identical anomaly statistics when partitioned across four
+// invariance gate: a topology measured as one network must yield
+// byte-identical anomaly statistics when partitioned across four
 // independent shards. Per the paper, each destination's anomaly behaviour
 // is determined by its own pod's gadgets, so distributing pods across
 // shards must not move a single number in the Section 4 tables.
 func TestCampaignShardInvariance(t *testing.T) {
-	const dests = 160
-	one := runShardStats(t, 1, 32, dests)
-	four := runShardStats(t, 4, 32, dests)
+	cfg := studyConfig(160)
+	one := runStats(t, cfg, 32, false)
+	cfg.Shards = 4
+	four := runStats(t, cfg, 32, false)
 
-	if one.Loops.Instances == 0 {
-		t.Fatal("deterministic campaign saw no loops at all; invariance check degenerate")
-	}
-	if one.Diamonds.Total == 0 {
-		t.Fatal("deterministic campaign saw no diamonds; invariance check degenerate")
+	if one.Loops.Instances == 0 || one.Diamonds.Total == 0 {
+		t.Fatal("campaign saw no loops or no diamonds; invariance check degenerate")
 	}
 	if !reflect.DeepEqual(one, four) {
 		t.Errorf("campaign statistics differ between Shards=1 and Shards=4:\none:  %+v\nfour: %+v", one, four)
@@ -71,7 +33,7 @@ func TestCampaignShardInvariance(t *testing.T) {
 // runs with fewer workers than shards (whole-shard round-robin fallback).
 func TestCampaignShardRoutesIdentical(t *testing.T) {
 	run := func(shards, workers int) *Results {
-		cfg := invarianceConfig(80)
+		cfg := studyConfig(80)
 		cfg.Shards = shards
 		sc := topo.Generate(cfg)
 		camp, err := NewCampaign(sc.Transport(), Config{
@@ -111,7 +73,7 @@ func TestCampaignShardRoutesIdentical(t *testing.T) {
 // shards, every destination is planned exactly once, and empty workers are
 // tolerated.
 func TestWorkerPlanShardAffine(t *testing.T) {
-	cfg := invarianceConfig(160)
+	cfg := studyConfig(160)
 	cfg.Shards = 4
 	sc := topo.Generate(cfg)
 	c, err := NewCampaign(sc.Transport(), Config{

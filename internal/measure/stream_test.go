@@ -11,12 +11,12 @@ import (
 	"repro/internal/tracer"
 )
 
-// runStreamStats executes one campaign over a fresh copy of the
-// deterministic scenario with the streaming accumulators on or off and
-// returns the statistics either path yields.
+// runStreamStats executes one campaign over a fresh copy of the default
+// scenario with the streaming accumulators on or off and returns the
+// statistics either path yields.
 func runStreamStats(t *testing.T, stream, batch bool, shards, workers, dests, rounds, every int) *Stats {
 	t.Helper()
-	cfg := invarianceConfig(dests)
+	cfg := studyConfig(dests)
 	cfg.Shards = shards
 	sc := topo.Generate(cfg)
 	camp, err := NewCampaign(sc.Transport(), Config{
@@ -69,7 +69,7 @@ func TestCampaignStreamInvariance(t *testing.T) {
 			mat := runStreamStats(t, false, batch, shards, 32, dests, rounds, 0)
 			str := runStreamStats(t, true, batch, shards, 32, dests, rounds, 0)
 			if mat.Loops.Instances == 0 || mat.Diamonds.Total == 0 {
-				t.Fatalf("shards=%d batch=%v: deterministic campaign saw no anomalies; invariance check degenerate", shards, batch)
+				t.Fatalf("shards=%d batch=%v: campaign saw no anomalies; invariance check degenerate", shards, batch)
 			}
 			if !reflect.DeepEqual(mat, str) {
 				t.Errorf("shards=%d batch=%v: campaign statistics differ between materialized Analyze and streaming:\nanalyze: %+v\nstream:  %+v",
@@ -92,7 +92,7 @@ func TestCampaignStreamInvarianceFoldEvery(t *testing.T) {
 	)
 	immediate := runStreamStats(t, true, true, 1, 32, dests, rounds, 1)
 	if immediate.Loops.Instances == 0 {
-		t.Fatal("deterministic campaign saw no anomalies; invariance check degenerate")
+		t.Fatal("campaign saw no anomalies; invariance check degenerate")
 	}
 	// A worker's per-round share is dests/32 = 3 pairs, so K=16 spans
 	// rounds and K=1<<20 defers everything to the final flush.
@@ -106,9 +106,8 @@ func TestCampaignStreamInvarianceFoldEvery(t *testing.T) {
 }
 
 // TestCampaignStreamInvarianceFullGadgets repeats the gate on the default
-// topology — zero-TTL pods, loopers, per-packet flips and all — which is
-// schedule-dependent, so one worker keeps the probe order (and with it
-// every IP ID) reproducible. This is the end-to-end check that the
+// topology with the IP-ID-consulting gadgets boosted, at one worker, so
+// every IP ID is reproducible too. This is the end-to-end check that the
 // accumulator's per-round re-evaluation of the IP-ID-consulting rules
 // matches what Analyze computes over retained pairs.
 func TestCampaignStreamInvarianceFullGadgets(t *testing.T) {

@@ -74,7 +74,14 @@ func (a *arena) rewind() { a.off = 0 }
 // exchange is carved from, and the virtual-clock layer. One is drawn from
 // ctxPool per batch and recycled probe to probe.
 type exchCtx struct {
-	rng   prng
+	// rng is the probe's stream, seeded from (key, probe bytes) by stream
+	// on the exchange's first draw; seeded says whether it has been.
+	rng    prng
+	seeded bool
+	// key is the network seed folded with the virtual round, fixed for the
+	// batch; probe is the bytes the current exchange was handed.
+	key   uint64
+	probe []byte
 	arena arena
 	// dyn is the dynamics layer, nil when disabled; clk is this exchange's
 	// clock on it, reset per probe — each exchange keeps its own time (see
@@ -83,22 +90,31 @@ type exchCtx struct {
 	clk vclock
 }
 
+// stream returns the exchange's random stream, a pure function of (network
+// seed, virtual round, probe bytes). It is seeded lazily: most exchanges
+// draw nothing (no per-packet balancer, no drop fault on their path), and
+// those never hash their probe.
+func (c *exchCtx) stream() *prng {
+	if !c.seeded {
+		c.rng, c.seeded = prng{state: keyhash.Mix64(keyhash.FNV1a(c.key, c.probe))}, true
+	}
+	return &c.rng
+}
+
 var ctxPool = sync.Pool{New: func() any { return new(exchCtx) }}
 
 // ExchangeBatch performs len(probes) probe/response exchanges as one unit of
 // work, writing the i-th outcome into out[i]; out must be at least as long
 // as probes. It is the one entry into the forwarding walk — Exchange is a
-// batch of one — and deterministically equal to exchanging the probes one
-// at a time: the batch reserves one contiguous block of the network's probe
-// counter, so probe i derives exactly the RNG stream (and OnSend hook count)
-// it would have drawn alone.
+// batch of one — and equal to exchanging the probes one at a time in any
+// order: every draw is keyed by the probe itself (see the package comment's
+// determinism contract), so nothing depends on which probe went first.
 //
 // The topology read lock is held across the whole batch, and probe copies
 // plus originated responses are carved from a pooled arena instead of the
-// heap. Per-visit config and table loads mean a hook's, or another
-// goroutine's, SetFaults or RewriteRoutes is seen by the very next visit.
-// See the package comment's exchange contract for the full determinism,
-// hook and ownership rules.
+// heap. Per-visit config and table loads mean another goroutine's SetFaults
+// or route mutation is seen by the very next visit. See the package
+// comment's exchange contract for the ownership rules.
 //
 // ExchangeBatch is safe for concurrent use.
 func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
@@ -108,15 +124,13 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 	if len(probes) == 0 {
 		return
 	}
-	nn := int64(len(probes))
-	base := n.probeCount.Add(nn) - nn
+	n.probeCount.Add(int64(len(probes)))
 
 	n.topoMu.RLock()
 	defer n.topoMu.RUnlock()
 	if !n.haveEntry {
 		panic("netsim: SetSource not called")
 	}
-	hooks := n.onSend
 
 	ctx := ctxPool.Get().(*exchCtx)
 	defer ctxPool.Put(ctx)
@@ -125,13 +139,10 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 	// node registered so far.
 	ctx.dyn = n.dyn.Load()
 	vround := n.vround.Load()
+	ctx.key = n.seed ^ keyhash.Mix64(uint64(vround))
 
 	for i, probe := range probes {
-		count := base + int64(i) + 1
-		for _, f := range hooks {
-			f(int(count), probe)
-		}
-		ctx.rng = prng{state: keyhash.Mix64(n.seed ^ keyhash.Mix64(uint64(count)))}
+		ctx.probe, ctx.seeded = probe, false
 		if ctx.dyn != nil {
 			ctx.clk.reset(ctx.dyn.probeStart(vround, probe))
 		}
@@ -151,4 +162,5 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 		// that the response is copied out; reuse the space.
 		ctx.arena.rewind()
 	}
+	ctx.probe = nil
 }

@@ -3,13 +3,15 @@ package netsim
 import (
 	"bytes"
 	"net/netip"
+	"sync"
 	"testing"
+
+	"repro/internal/packet"
 )
 
 // batchTestNet is testNet plus randomized behaviour (a probabilistic drop
 // fault on r2), so the equality tests below cover the per-probe RNG seeding:
-// batch probe i must draw exactly the stream sequential Exchange i draws,
-// which only holds if the contiguous counter-block reservation is correct.
+// a probe draws the same stream however and whenever it is exchanged.
 func batchTestNet(t *testing.T) (*Network, []*Router, *Host) {
 	n, rs, h := testNet(t)
 	rs[2].SetFaults(Faults{DropProbability: 0.3})
@@ -26,14 +28,38 @@ func ladderProbes(t *testing.T, n *Network, dst netip.Addr, maxTTL int) [][]byte
 	return probes
 }
 
+// withoutIPID is a response with its IP ID and header checksum zeroed: the
+// two bytes a responding box's arrival-order counter writes, and the one
+// observable the determinism rule leaves out.
+func withoutIPID(resp []byte) []byte {
+	r := append([]byte(nil), resp...)
+	if len(r) >= 12 {
+		r[4], r[5], r[10], r[11] = 0, 0, 0, 0
+	}
+	return r
+}
+
 // TestExchangeBatchMatchesSequential drives two identical networks — one
 // probe by probe through Exchange, the other through a single ExchangeBatch
 // — and requires byte-identical responses, steps, and ok flags, including
-// the RNG-driven drops.
+// the RNG-driven drops. The same probes exchanged in reverse order and
+// spread across four goroutines must give the same results too, IP IDs
+// aside: every draw is keyed by the probe, not by when it arrives.
 func TestExchangeBatchMatchesSequential(t *testing.T) {
 	seqNet, _, host := batchTestNet(t)
 	batNet, _, _ := batchTestNet(t)
 	probes := ladderProbes(t, seqNet, host.Addr, 8)
+	for ttl := range 8 { // a second attempt per TTL: a fresh IP ID draws afresh
+		dgram, err := packet.MarshalUDPInto(nil, seqNet.Source(), host.Addr, &packet.UDP{SrcPort: 10007, DstPort: 20011}, make([]byte, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := (&packet.IPv4{TTL: uint8(1 + ttl), ID: 2, Protocol: packet.ProtoUDP, Src: seqNet.Source(), Dst: host.Addr}).MarshalInto(nil, dgram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes = append(probes, p)
+	}
 
 	out := make([]ExchangeResult, len(probes))
 	batNet.ExchangeBatch(probes, out)
@@ -59,41 +85,40 @@ func TestExchangeBatchMatchesSequential(t *testing.T) {
 	if got, want := batNet.ProbeCount(), seqNet.ProbeCount(); got != want {
 		t.Errorf("batch network counted %d probes, sequential %d", got, want)
 	}
-}
 
-// TestExchangeBatchHookInterleaving registers an OnSend hook that flips a
-// router's Silent fault at one specific probe count, and checks the batch
-// applies it between probes exactly as the sequential path does (hook i runs
-// before probe i forwards, and per-visit config loads see the flip).
-func TestExchangeBatchHookInterleaving(t *testing.T) {
-	const flipAt = 4
-	arm := func(n *Network, rs []*Router) {
-		n.OnSend(func(count int, probe []byte) {
-			if count == flipAt {
-				rs[1].SetFaults(Faults{Silent: true})
+	// Reversed, one exchange each, on a fresh network.
+	revNet, _, _ := batchTestNet(t)
+	rev := make([]ExchangeResult, len(probes))
+	for i := len(probes) - 1; i >= 0; i-- {
+		revNet.ExchangeBatch(probes[i:i+1], rev[i:i+1])
+	}
+	// Four goroutines, each a strided batch, on another.
+	parNet, _, _ := batchTestNet(t)
+	par := make([]ExchangeResult, len(probes))
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var mine [][]byte
+			for i := g; i < len(probes); i += 4 {
+				mine = append(mine, probes[i])
 			}
-		})
+			res := make([]ExchangeResult, len(mine))
+			parNet.ExchangeBatch(mine, res)
+			for k, i := 0, g; i < len(probes); k, i = k+1, i+4 {
+				par[i] = res[k]
+			}
+		}()
 	}
-	seqNet, seqRs, host := testNet(t)
-	arm(seqNet, seqRs)
-	batNet, batRs, _ := testNet(t)
-	arm(batNet, batRs)
-
-	// TTL 2 expires at r1 (rs[1]): probes from flipAt on get no answer.
-	probes := make([][]byte, 8)
-	for i := range probes {
-		probes[i] = udpProbe(t, seqNet, host.Addr, 2, 10007, 20011)
-	}
-	out := make([]ExchangeResult, len(probes))
-	batNet.ExchangeBatch(probes, out)
-	for i, p := range probes {
-		resp, steps, ok := seqNet.Exchange(p)
-		if ok != out[i].OK || steps != out[i].Steps || !bytes.Equal(resp, out[i].Resp) {
-			t.Errorf("probe %d: batch diverged from sequential across the hook flip (ok %v vs %v)",
-				i, out[i].OK, ok)
-		}
-		if wantOK := i+1 < flipAt; ok != wantOK {
-			t.Errorf("probe %d: ok=%v, want %v (flip at count %d)", i, ok, wantOK, flipAt)
+	wg.Wait()
+	for name, got := range map[string][]ExchangeResult{"reversed": rev, "4 goroutines": par} {
+		for i := range probes {
+			if got[i].OK != out[i].OK || got[i].Steps != out[i].Steps ||
+				!bytes.Equal(withoutIPID(got[i].Resp), withoutIPID(out[i].Resp)) {
+				t.Errorf("%s: probe %d: ok=%v steps=%d resp %x, forward ok=%v steps=%d resp %x",
+					name, i, got[i].OK, got[i].Steps, got[i].Resp, out[i].OK, out[i].Steps, out[i].Resp)
+			}
 		}
 	}
 }

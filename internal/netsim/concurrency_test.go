@@ -14,20 +14,6 @@ import (
 	"repro/internal/tracer"
 )
 
-// deterministicConfig returns a campaign topology whose forwarding is a
-// pure function of the probe bytes: per-flow balancing only, no random
-// per-packet spreading, no drop faults, no per-probe routing flips. Traces
-// through it must be bit-identical no matter how many run concurrently.
-func deterministicConfig(dests int) topo.GenConfig {
-	cfg := topo.DefaultGenConfig()
-	cfg.Destinations = dests
-	cfg.PPerPacket = 0
-	cfg.PPerPacketUnequal = 0
-	cfg.PFlipPod = 0
-	cfg.FlipPerProbe = 0
-	return cfg
-}
-
 // traceSummary is the schedule-independent view of a route: everything a
 // trace records except IP IDs and RTTs, which depend on the global arrival
 // order at shared routers (as they do on real hardware).
@@ -63,12 +49,16 @@ func (a traceSummary) equal(b traceSummary) bool {
 	return true
 }
 
-// TestConcurrentTracesMatchSequential traces every destination once
-// sequentially, then again from N concurrent goroutines (distinct
+// TestConcurrentTracesMatchSequential traces every destination of the
+// shipped topology (per-packet diamonds, drops and flip schedules included)
+// once sequentially, then again from N concurrent goroutines (distinct
 // destinations each), and asserts the measured routes are identical. Run
 // under -race this is also the engine's data-race gate.
 func TestConcurrentTracesMatchSequential(t *testing.T) {
-	sc := topo.Generate(deterministicConfig(96))
+	cfg := topo.DefaultGenConfig()
+	cfg.Destinations = 96
+	sc := topo.Generate(cfg)
+	sc.RoundStart(0)
 	tp := netsim.NewTransport(sc.Net)
 
 	opts := tracer.Options{MinTTL: 2, MaxTTL: 39}
@@ -114,9 +104,10 @@ func TestConcurrentTracesMatchSequential(t *testing.T) {
 }
 
 // TestConcurrentExchangesWithRoutingDynamics hammers one network from many
-// goroutines while routing changes (flips, flaps, transient loops) are
-// injected, to give -race a mutation-heavy schedule. Results are not
-// checked beyond liveness: every exchange must terminate.
+// goroutines while a ninth publishes round after round of routing changes
+// (flip schedules, flaps, transient loops), to give -race a mutation-heavy
+// schedule. Results are not checked beyond liveness: every exchange must
+// terminate.
 func TestConcurrentExchangesWithRoutingDynamics(t *testing.T) {
 	cfg := topo.DefaultGenConfig()
 	cfg.Destinations = 60
@@ -125,6 +116,20 @@ func TestConcurrentExchangesWithRoutingDynamics(t *testing.T) {
 	sc := topo.Generate(cfg)
 	tp := netsim.NewTransport(sc.Net)
 
+	stop := make(chan struct{})
+	var rounds sync.WaitGroup
+	rounds.Add(1)
+	go func() {
+		defer rounds.Done()
+		for r := 0; ; r++ {
+			select {
+			case <-stop:
+				return
+			default:
+				sc.RoundStart(r)
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -143,4 +148,6 @@ func TestConcurrentExchangesWithRoutingDynamics(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	rounds.Wait()
 }

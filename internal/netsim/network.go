@@ -30,7 +30,7 @@ const defaultMaxSteps = 1024
 // package comment for the full concurrency model and determinism contract.
 type Network struct {
 	// topoMu guards the topology registry. Building (AddRouter, AddIface,
-	// AttachHost, SetSource, OnSend) takes the write lock; Exchange holds
+	// AttachHost, SetSource) takes the write lock; Exchange holds
 	// the read lock for the whole forwarding walk, so topology mutation
 	// never races a packet in flight while exchanges proceed in parallel
 	// with each other.
@@ -58,39 +58,36 @@ type Network struct {
 	srcGW     int32      // node the source's packets enter through
 	haveEntry bool
 
-	// seed fixes all randomized behaviour. Each Exchange derives its own
-	// SplitMix64 stream from (seed, probe counter), so random draws never
-	// contend on a shared generator.
+	// seed fixes all randomized behaviour. Each exchange derives its own
+	// SplitMix64 stream from (seed, virtual round, probe bytes), so random
+	// draws never contend on a shared generator nor depend on arrival order.
 	seed uint64
-	// RandomPerPacket selects random spreading for PerPacket balancers;
-	// when false, routers round-robin deterministically. Set it before
-	// the first Exchange; it is read locklessly on the hot path.
-	RandomPerPacket bool
 
 	maxSteps int
 
 	// dyn is the compiled virtual-clock dynamics layer (nil when
 	// disabled), published atomically like a routerConfig snapshot so
 	// SetDynamics never races an exchange. vround is the current virtual
-	// round base; RoundStart hooks advance it between rounds. See
+	// round, which keys every exchange's stream and, with dynamics, its
+	// start time; RoundStart hooks advance it between rounds. See
 	// vclock.go for the model and its determinism contract.
 	dyn    atomic.Pointer[dynamics]
 	vround atomic.Int64
 
+	// probeCount is a metric only: no draw reads it.
 	probeCount atomic.Int64
-	onSend     []func(count int, probe []byte)
 }
 
 // New creates an empty network. seed fixes all randomized behaviour
-// (per-packet balancing, probabilistic drops), keeping runs reproducible.
+// (per-packet balancing, probabilistic drops, flip positions), keeping runs
+// reproducible.
 func New(seed int64) *Network {
 	return &Network{
-		ids:             make(map[uint32]int32),
-		srcNode:         nodeNone,
-		srcGW:           nodeNone,
-		seed:            uint64(seed),
-		RandomPerPacket: true,
-		maxSteps:        defaultMaxSteps,
+		ids:      make(map[uint32]int32),
+		srcNode:  nodeNone,
+		srcGW:    nodeNone,
+		seed:     uint64(seed),
+		maxSteps: defaultMaxSteps,
 	}
 }
 
@@ -268,39 +265,20 @@ func (n *Network) RouterAt(a netip.Addr) (*Router, bool) {
 	return n.nodes[id].router, true
 }
 
-// OnSend registers a hook invoked with the running probe count and the
-// serialized probe before each probe forwards; the hook must treat the probe
-// as read-only and must itself be safe for concurrent invocation, since
-// parallel exchanges call it in parallel. Routing-change and forwarding-loop
-// injection hang off this hook. Hooks run under the topology read lock: they
-// may rewrite routes and faults (RewriteRoutes, SetFaults — the very next
-// router visit sees the change), and must not register topology (AddRouter,
-// AddIface, AttachHost, SetSource and OnSend take the write lock and would
-// self-deadlock).
-func (n *Network) OnSend(f func(count int, probe []byte)) {
-	n.topoMu.Lock()
-	defer n.topoMu.Unlock()
-	n.onSend = append(n.onSend, f)
-}
-
 // ProbeCount returns the number of probes injected so far.
 func (n *Network) ProbeCount() int {
 	return int(n.probeCount.Load())
 }
 
-// SetProbeCount restores the probe counter, e.g. when resuming a
-// checkpointed campaign: per-exchange randomness is seeded by this counter,
-// so restoring it replays the exact per-probe random stream the interrupted
-// run would have drawn. Call it only while no exchanges are in flight.
+// SetProbeCount sets the probe counter. The counter is a metric: no draw
+// reads it, so setting it changes nothing a probe observes.
 func (n *Network) SetProbeCount(c int) {
 	n.probeCount.Store(int64(c))
 }
 
-// prng is a tiny lock-free SplitMix64 stream private to one exchange. It
-// replaces the shared *rand.Rand the old single-lock engine serialized on:
-// each Exchange seeds its own stream from (network seed, probe counter), so
-// random behaviour stays reproducible for a given probe order without any
-// cross-exchange coordination.
+// prng is a tiny lock-free SplitMix64 stream private to one exchange,
+// seeded from the probe itself (exchCtx.stream), so random behaviour is
+// reproducible without any cross-exchange coordination.
 type prng struct{ state uint64 }
 
 func (p *prng) next() uint64 {
@@ -520,22 +498,25 @@ func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, nd *
 		}
 		return nodeNone, nil, originateUnreachable(ctx, r, cfg, nd.addr(), pkt, hdr, payload), false
 	}
-	if cfg.faults.DropProbability > 0 && !originated && ctx.rng.Float64() < cfg.faults.DropProbability {
+	if cfg.faults.DropProbability > 0 && !originated && ctx.stream().Float64() < cfg.faults.DropProbability {
 		return nodeNone, nil, nil, true
 	}
 	// A single next hop is in the compiled table; only an entry to balance
 	// (or the rare hop below that needs its address) reads the Route.
 	next, i := t.next[e], 0
 	if next < nodeNone {
-		var hopRng *prng
-		if n.RandomPerPacket {
-			hopRng = &ctx.rng
-		}
 		var err error
-		if i, err = r.selectHop(&t.entries[e], hdr, payload, hopRng, rot); err != nil {
+		if i, err = r.selectHop(&t.entries[e], hdr, payload, ctx, rot); err != nil {
 			return nodeNone, nil, nil, true
 		}
 		next = t.hops[-2-next+int32(i)]
+	}
+	// A mid-trace routing change, resolved from the probe's own position
+	// like a flap from its virtual time. Responses, addressed to the
+	// source, are never redirected.
+	if fl := cfg.faults.Flip; fl != nil && isTransitProbe && !dst.source &&
+		t.entries[e].Hops[i].Via == fl.From && fl.toggled(flipPosition(n.seed, hdr, payload)) {
+		return n.nodeOf(fl.To), &fl.To, nil, false
 	}
 	// NAT egress rewriting (Fig. 5): packets whose source lies inside the
 	// NAT prefix leaving for an outside adjacency get the public address.

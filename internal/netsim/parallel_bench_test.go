@@ -69,38 +69,32 @@ func BenchmarkExchangeParallel(b *testing.B) {
 
 // BenchmarkExchangeLadder is the walk as the study drives it: one 16-probe
 // TTL ladder per ExchangeBatch, toward rotating destinations of a
-// 500-destination campaign topology, with an OnSend hook registered or not
-// (the binaries always have one: the flip gadget) and dynamics off or on.
-// ns/probe is the per-probe cost; allocs/op must stay 0 (TestWalkStepBudget).
+// 500-destination campaign topology with its first round's flip schedules
+// published, dynamics off or on. ns/probe is the per-probe cost; allocs/op
+// must stay 0 (TestWalkStepBudget).
 func BenchmarkExchangeLadder(b *testing.B) {
-	for _, hooks := range []string{"off", "on"} {
-		for _, dynamics := range []string{"off", "on"} {
-			b.Run("hooks="+hooks+"/dynamics="+dynamics, func(b *testing.B) {
-				cfg := topo.DefaultGenConfig()
-				cfg.FlipPerProbe = 0 // the hook below stands in for the flip gadget
-				if dynamics == "on" {
-					cfg.Delay, cfg.Load, cfg.Churn = 1, 0.3, 0.5
-				}
-				sc := topo.Generate(cfg)
-				if hooks == "on" {
-					var seen atomic.Uint64
-					sc.Net.OnSend(func(count int, probe []byte) { seen.Add(uint64(probe[8])) })
-				}
-				ladders := make([][][]byte, len(sc.Dests))
-				for i, d := range sc.Dests {
-					ladders[i] = ladderBatch(b, sc.Source, d)
-				}
-				out := make([]netsim.ExchangeResult, 16)
-				for _, l := range ladders { // compile every table, size every buffer
-					sc.Net.ExchangeBatch(l, out)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sc.Net.ExchangeBatch(ladders[i%len(ladders)], out)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*16), "ns/probe")
-			})
-		}
+	for _, dynamics := range []string{"off", "on"} {
+		b.Run("dynamics="+dynamics, func(b *testing.B) {
+			cfg := topo.DefaultGenConfig()
+			if dynamics == "on" {
+				cfg.Delay, cfg.Load, cfg.Churn = 1, 0.3, 0.5
+			}
+			sc := topo.Generate(cfg)
+			sc.RoundStart(0)
+			ladders := make([][][]byte, len(sc.Dests))
+			for i, d := range sc.Dests {
+				ladders[i] = ladderBatch(b, sc.Source, d)
+			}
+			out := make([]netsim.ExchangeResult, 16)
+			for _, l := range ladders { // compile every table, size every buffer
+				sc.Net.ExchangeBatch(l, out)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.Net.ExchangeBatch(ladders[i%len(ladders)], out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*16), "ns/probe")
+		})
 	}
 }

@@ -182,7 +182,7 @@ func TestLateRegistrationMatchesFreshBuild(t *testing.T) {
 
 		// Full-TTL probes to the first host: every router forwards (and
 		// compiles), only the host originates, so no router state differs
-		// from the build that skips this — bar the probe counter.
+		// from the build that skips this.
 		warm := [][]byte{
 			mkProbe(t, probeUDP, lineSrc, lineHost, 64, 1),
 			mkProbe(t, probeEcho, lineSrc, lineHost, 64, 2),
@@ -198,8 +198,6 @@ func TestLateRegistrationMatchesFreshBuild(t *testing.T) {
 			if o := exchangeAll(l.net, warm[3:], batch)[0]; !strings.HasPrefix(o, "ok=false steps=4 ") {
 				t.Fatalf("probe toward the unregistered router: %s, want a drop at step 4", o)
 			}
-		} else {
-			l.net.SetProbeCount(len(warm))
 		}
 
 		l.net.AddRouter(r4)
@@ -271,65 +269,79 @@ func flipNet() (*line, func(toB bool) netsim.Route) {
 	}
 }
 
-// TestHookMutationSeenByNextProbe is the flip gadget: an OnSend hook that
-// rewrites a table or a fault set in the middle of a batch must be seen by
-// the very probe it runs before, on both paths.
-func TestHookMutationSeenByNextProbe(t *testing.T) {
-	const flipAt = 4
-	// after is who answers TTL 3 once the hook has run (the zero Addr: no
-	// one); before it, r2 does.
-	mutators := []struct {
-		name   string
-		mutate func(l *line, host func(bool) netsim.Route)
-		after  netip.Addr
-	}{
-		{"RewriteRoutes", func(l *line, host func(bool) netsim.Route) {
-			l.rs[1].RewriteRoutes(func(rt netsim.Route) netsim.Route {
-				if rt.Prefix == host32(lineHost) {
-					return host(true)
-				}
-				return rt
-			})
-		}, lineIf(13)},
-		{"SetRoutes", func(l *line, host func(bool) netsim.Route) {
-			l.rs[1].SetRoutes([]netsim.Route{host(true), {Prefix: anyDst, Hops: via1(lineIf(1))}})
-		}, lineIf(13)},
-		{"SetFaults", func(l *line, host func(bool) netsim.Route) {
-			l.rs[2].SetFaults(netsim.Faults{Silent: true})
-		}, netip.Addr{}},
+// flipProbe is attempt id of one trace's UDP probe toward the line's host:
+// the IP ID is the attempt number, as tracers set it.
+func flipProbe(t *testing.T, ttl uint8, id uint16) []byte {
+	t.Helper()
+	dgram, err := packet.MarshalUDPInto(nil, lineSrc, lineHost, &packet.UDP{SrcPort: 10007, DstPort: 33435}, make([]byte, 12))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range mutators {
+	pkt, err := (&packet.IPv4{TTL: ttl, ID: id, Protocol: packet.ProtoUDP, Src: lineSrc, Dst: lineHost}).MarshalInto(nil, dgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkt
+}
+
+// answeredBy is the source address of an exchangeAll outcome's response,
+// or the zero Addr for a star.
+func answeredBy(t *testing.T, outcome string) netip.Addr {
+	t.Helper()
+	if !strings.HasPrefix(outcome, "ok=true") {
+		return netip.Addr{}
+	}
+	h, _, err := packet.ParseIPv4(mustHex(t, outcome))
+	if err != nil {
+		t.Fatalf("%s: %v", outcome, err)
+	}
+	return h.Src
+}
+
+// TestFlipScheduleByPosition is the flip gadget: one trace's probes sit at
+// consecutive positions, those at or before a toggle take From and later
+// ones take To, and Base inverts that — in a batch and one by one.
+func TestFlipScheduleByPosition(t *testing.T) {
+	for _, base := range []bool{false, true} {
 		for _, batch := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/batch=%v", m.name, batch), func(t *testing.T) {
-				l, host := flipNet()
-				l.net.OnSend(func(count int, probe []byte) {
-					if count == flipAt {
-						m.mutate(l, host)
-					}
-				})
-				// TTL 3 expires on whichever branch r1 currently uses.
+			t.Run(fmt.Sprintf("base=%v/batch=%v", base, batch), func(t *testing.T) {
+				l, _ := flipNet()
+				// TTL 3 expires on whichever branch r1 hands the probe to.
 				probes := make([][]byte, 8)
 				for i := range probes {
-					probes[i] = mkProbe(t, probeUDP, lineSrc, lineHost, 3, 10007)
+					probes[i] = flipProbe(t, 3, uint16(i+1))
 				}
+				l.rs[1].SetFaults(netsim.Faults{Flip: &netsim.FlipSchedule{
+					From: lineIf(3), To: lineIf(13), Base: base,
+					Toggles: []uint32{l.net.FlipPosition(probes[3])},
+				}})
 				for i, o := range exchangeAll(l.net, probes, batch) {
 					want := lineIf(3)
-					if i+1 >= flipAt {
-						want = m.after
+					if (i > 3) != base {
+						want = lineIf(13)
 					}
-					var got netip.Addr
-					if strings.HasPrefix(o, "ok=true") {
-						h, _, err := packet.ParseIPv4(mustHex(t, o))
-						if err != nil {
-							t.Fatalf("probe %d: %s: %v", i, o, err)
-						}
-						got = h.Src
-					}
-					if got != want {
-						t.Errorf("probe %d answered by %v, want %v (the hook fires before probe %d)", i, got, want, flipAt-1)
+					if got := answeredBy(t, o); got != want {
+						t.Errorf("attempt %d answered by %v, want %v (toggle after attempt 4)", i+1, got, want)
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestFlipNeverRedirectsResponses: a schedule toggled everywhere whose From
+// is r1's way back to the source redirects no response — the ICMP error
+// returning from r2 still arrives — while the probes themselves, handed to
+// another next hop, are not redirected either.
+func TestFlipNeverRedirectsResponses(t *testing.T) {
+	l, _ := flipNet()
+	// r2b's default route leads back to r1: a redirected response would
+	// ping-pong until it died.
+	l.rs[1].SetFaults(netsim.Faults{Flip: &netsim.FlipSchedule{From: lineIf(1), To: lineIf(13), Base: true}})
+	probes := [][]byte{flipProbe(t, 3, 1), flipProbe(t, 3, 2)}
+	for i, o := range exchangeAll(l.net, probes, true) {
+		if got := answeredBy(t, o); got != lineIf(3) {
+			t.Errorf("attempt %d answered by %v, want r2 (%v)", i+1, got, lineIf(3))
 		}
 	}
 }
@@ -366,12 +378,7 @@ func TestConcurrentFlipsDuringExchanges(t *testing.T) {
 			default:
 			}
 			toB := i%2 == 0
-			l.rs[1].RewriteRoutes(func(rt netsim.Route) netsim.Route {
-				if rt.Prefix == host32(lineHost) {
-					return host(toB)
-				}
-				return rt
-			})
+			l.rs[1].SetRoutes([]netsim.Route{host(toB), {Prefix: anyDst, Hops: via1(lineIf(1))}})
 			l.rs[2].SetFaults(netsim.Faults{Silent: i%3 == 0})
 		}
 	}()
@@ -594,31 +601,25 @@ func ladderBatch(t testing.TB, src, dst netip.Addr) [][]byte {
 	return probes
 }
 
-// TestWalkStepBudget: a warmed 16-probe batch allocates nothing, with and
-// without an OnSend hook and with the virtual-clock dynamics off and on —
-// one path, and nothing on it touches the heap.
+// TestWalkStepBudget: a warmed 16-probe batch allocates nothing, with the
+// virtual-clock dynamics off and on — one path, and nothing on it touches
+// the heap.
 func TestWalkStepBudget(t *testing.T) {
-	for _, hooks := range []bool{false, true} {
-		for _, dynamics := range []bool{false, true} {
-			l := newLine(19)
-			if hooks {
-				var seen int
-				l.net.OnSend(func(count int, probe []byte) { seen += len(probe) })
+	for _, dynamics := range []bool{false, true} {
+		l := newLine(19)
+		if dynamics {
+			l.net.SetDynamics(netsim.Dynamics{Seed: 19, Delay: 1, Load: 0.3, Churn: 0.5})
+		}
+		probes := ladderBatch(t, lineSrc, lineHost)
+		out := make([]netsim.ExchangeResult, len(probes))
+		l.net.ExchangeBatch(probes, out)
+		for i, r := range out {
+			if !r.OK || dynamics != (r.RTT > 0) {
+				t.Fatalf("dynamics=%v: probe %d answered %v with virtual RTT %v", dynamics, i, r.OK, r.RTT)
 			}
-			if dynamics {
-				l.net.SetDynamics(netsim.Dynamics{Seed: 19, Delay: 1, Load: 0.3, Churn: 0.5})
-			}
-			probes := ladderBatch(t, lineSrc, lineHost)
-			out := make([]netsim.ExchangeResult, len(probes))
-			l.net.ExchangeBatch(probes, out)
-			for i, r := range out {
-				if !r.OK || dynamics != (r.RTT > 0) {
-					t.Fatalf("hooks=%v dynamics=%v: probe %d answered %v with virtual RTT %v", hooks, dynamics, i, r.OK, r.RTT)
-				}
-			}
-			if allocs := testing.AllocsPerRun(200, func() { l.net.ExchangeBatch(probes, out) }); allocs != 0 {
-				t.Errorf("hooks=%v dynamics=%v: %.1f allocations per warmed 16-probe batch, want 0", hooks, dynamics, allocs)
-			}
+		}
+		if allocs := testing.AllocsPerRun(200, func() { l.net.ExchangeBatch(probes, out) }); allocs != 0 {
+			t.Errorf("dynamics=%v: %.1f allocations per warmed 16-probe batch, want 0", dynamics, allocs)
 		}
 	}
 }

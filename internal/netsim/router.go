@@ -35,8 +35,8 @@
 //     address -> id map is consulted only to resolve something — a packet's
 //     destination once per packet version, a forwarding table when it is
 //     compiled — never per hop. The registry is guarded by an RWMutex.
-//     Registration (AddRouter, AddIface, AttachHost, SetSource, OnSend)
-//     takes the write lock and bumps a topology generation; every Exchange
+//     Registration (AddRouter, AddIface, AttachHost, SetSource) takes the
+//     write lock and bumps a topology generation; every Exchange
 //     holds only the read lock, so packets in flight exclude topology
 //     registration but not each other. Registering after the first exchange
 //     stays legal.
@@ -44,45 +44,34 @@
 //     IP ID stride) lives in an immutable snapshot behind an atomic
 //     pointer. The forwarding loop loads it once per router visit;
 //     SetFaults and friends publish a fresh snapshot, so routing dynamics
-//     (flaps, transient loops, mid-trace flips) can be injected while
-//     probes are in flight without a lock.
+//     (flaps, transient loops, a round's flip schedule) can be installed
+//     between rounds without a lock.
 //   - Forwarding tables publish an immutable compiled snapshot behind an
 //     atomic pointer, exactly like the config snapshot: the entry list with
 //     every next hop resolved to a node id, the /32 entries toward hosts
 //     indexed by host id, the lookup result for the source address, and the
 //     topology generation all of that was resolved at. The per-visit lookup
 //     is lock-free and hash-free: slice loads. Route mutation (AddRoute,
-//     SetRoutes, RewriteRoutes) serializes on a per-router mutex and
+//     SetRoutes) serializes on a per-router mutex and
 //     invalidates the snapshot; the next visit — under the topology read
 //     lock, which keeps the registry still — rebuilds it once, as it does
 //     for a snapshot whose generation a registration has since outdated.
 //     Entries are never mutated in place, so indexes into a published
 //     snapshot stay valid indefinitely.
-//   - Counters (the network probe counter, per-router IP ID and
-//     round-robin counters, per-host IP ID) are atomics.
+//   - Counters (the network probe counter, per-router and per-host IP ID)
+//     are atomics.
 //
 // # Exchange contract
 //
 // There is one way into the forwarding walk: ExchangeBatch(probes, out).
-// Exchange is a batch of one, and a batch is deterministically equivalent to
-// exchanging its probes one at a time in slice order:
-//
-//   - The batch reserves one contiguous block of the network probe counter
-//     up front, so probe i derives exactly the (seed, counter) SplitMix64
-//     stream — and OnSend hooks observe exactly the count — it would have
-//     alone. Interleaving with other goroutines' exchanges permutes counter
-//     assignment across call sites but never within a batch.
-//   - OnSend hooks run between probes, before probe i forwards, under the
-//     topology read lock the batch holds across the whole call; OnSend says
-//     what a hook may and may not do there.
-//   - Arena ownership: the probe copy and every originated response are
-//     carved from a pooled arena that is recycled probe to probe and batch
-//     to batch; no arena memory ever escapes ExchangeBatch. The final
-//     response is copied out with append-truncate into the caller's
-//     out[i].Resp, so the caller owns (and should reuse) the result
-//     buffers, and a result is valid until the caller passes the same slot
-//     to another batch. Probes are read-only to the batch and may be
-//     recycled by the caller once the call returns.
+// Exchange is a batch of one. Arena ownership: the probe copy and every
+// originated response are carved from a pooled arena that is recycled probe
+// to probe and batch to batch; no arena memory ever escapes ExchangeBatch.
+// The final response is copied out with append-truncate into the caller's
+// out[i].Resp, so the caller owns (and should reuse) the result buffers, and
+// a result is valid until the caller passes the same slot to another batch.
+// Probes are read-only to the batch and may be recycled by the caller once
+// the call returns.
 //
 // # Shard ownership
 //
@@ -99,32 +88,32 @@
 // shard, with identical interface addresses, which keeps measured routes
 // independent of the shard count; the replicas are distinct Router objects
 // with their own IP ID counters, so spine IP IDs advance per shard rather
-// than globally (schedule-free statistics are unaffected; see the
-// determinism contract below).
+// than globally (statistics are unaffected; see the determinism contract
+// below). Every shard network gets the same seed, so the shard count is
+// invisible to every draw.
 //
 // # Determinism contract
 //
-// All randomized behaviour (random per-packet spreading, probabilistic
-// drops) derives from a per-exchange SplitMix64 stream seeded with
-// (network seed, probe counter); there is no shared random generator.
-// Consequences:
+// One rule: every draw is a pure function of (network seed, virtual round,
+// the packet's own bytes or position), never of the order probes arrive in.
+// Per-packet spreading and probabilistic drops draw from a per-exchange
+// SplitMix64 stream seeded from (seed, round, probe bytes); a round's flip
+// schedule (FlipSchedule) is resolved from the probe's position, which its
+// bytes give; the dynamics layer keys its draws by (seed, link, virtual
+// time). So a trace is the same at any worker, shard or batch setting, and
+// a resumed run needs no cursor. Identical probes sent in one round take
+// the same per-packet branch; a probe's IP ID (its attempt number) is what
+// makes retries and repeated attempts draw afresh.
 //
-//   - A fully deterministic topology (per-flow and per-destination
-//     balancing only, no drop faults, no per-probe hooks) yields
-//     bit-identical traces for a given probe, regardless of how many
-//     exchanges run concurrently: the forwarding decision is a pure
-//     function of the probe bytes. Campaign statistics are then identical
-//     for 1 and for 32 workers (asserted by TestCampaignWorkerInvariance).
-//   - Deterministic round-robin (RandomPerPacket = false) and every other
-//     counter-driven observable (IP IDs) depend on the arrival order of
-//     probes at each router, exactly as on a real router shared by
-//     concurrent measurement processes.
-//   - With randomness in play, a sequential run is reproducible seed-for-
-//     seed: probe counter values — and hence per-exchange random streams —
-//     are assigned in submission order. Concurrent runs draw the same
-//     per-probe streams but interleave counter assignment by schedule,
-//     which is the regime the paper's own parallel campaign operates in;
-//     figure-level statistics are schedule-free in expectation.
+// What the rule leaves out is the IP ID a router or host stamps on what it
+// originates: a per-box atomic counter, advanced in arrival order as on a
+// real router shared by concurrent measurements. The classifier reads IP
+// IDs only as the delta between two responses of one route, and only
+// against a gap bound of 1,024 (internal/anomaly); concurrent probing moves
+// a delta by at most the handful of other traces crossing that box in
+// between, far inside the bound, so verdicts — and statistics — do not
+// move. The invariance suites in internal/measure pin this at the shipped
+// configuration.
 //
 // # Virtual-clock dynamics
 //
@@ -137,9 +126,7 @@
 // the determinism contract: every dynamics draw is a pure function of
 // (dynamics seed, arrival-interface address, virtual time), and a probe's
 // virtual start time hashes the probe's own bytes off the current round
-// base — never the probe counter — so with dynamics enabled, same-seed
-// campaign statistics remain byte-identical at any shard, worker, or batch
-// setting. With dynamics disabled (the default), the instant-and-static
+// base. With dynamics disabled (the default), the instant-and-static
 // forwarding path is untouched byte for byte.
 package netsim
 
@@ -150,6 +137,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/flow"
+	"repro/internal/keyhash"
 	"repro/internal/packet"
 )
 
@@ -202,7 +190,8 @@ type Route struct {
 }
 
 // Faults configures deliberate misbehaviours of a router, each mapping to a
-// cause in the paper's anomaly taxonomy.
+// cause in the paper's anomaly taxonomy. It is copied into every router's
+// config snapshot, so anything large hangs off a pointer.
 type Faults struct {
 	// Silent suppresses all ICMP generation: probes expiring here appear
 	// as stars ('*') in traceroute output.
@@ -230,6 +219,62 @@ type Faults struct {
 	// upstream router makes packets ping-pong until their TTL expires,
 	// producing the paper's "truly cyclic routes" (Section 4.2.1).
 	ForwardOverride netip.Addr
+	// Flip, when set, is this round's mid-trace routing change at the
+	// router (see FlipSchedule).
+	Flip *FlipSchedule
+}
+
+// FlipSpan bounds the positions of one round's flip schedule. A transit
+// probe's position is a hash of its destination and first two transport
+// octets (the source port) mod FlipSpan/2, plus its IP ID, which tracers
+// set to the probe's index within its trace plus one. So each trace starts
+// at one hashed position and advances one per probe, and every trace of up
+// to FlipSpan/2 probes lies within [0, FlipSpan). The span is about the
+// number of probes a campaign round sends a flip pod (six destinations,
+// two traces each), so a schedule toggling each position with probability
+// p changes a pod's path between rounds about as often as toggling per
+// probe would.
+const FlipSpan = 128
+
+// FlipSchedule is one round of a mid-trace routing change — the paper's
+// "routing change ... between the time S receives the response to its probe
+// with TTL 8 and the time that it emits the probe with TTL 9". While
+// toggled, a transit probe the forwarding table hands to From goes to To
+// instead. The state is a function of the probe's position alone: Base is
+// the state at position 0, and a probe at position p sees every toggle
+// below p. Two traces of one destination with different source ports sit at
+// different positions, so they can see different states.
+type FlipSchedule struct {
+	From, To netip.Addr
+	Base     bool
+	// Toggles lists, ascending, the positions where the state toggles.
+	Toggles []uint32
+}
+
+// toggled reports whether a probe at position pos is redirected.
+func (s *FlipSchedule) toggled(pos uint32) bool {
+	on := s.Base
+	for _, t := range s.Toggles {
+		if t >= pos {
+			break
+		}
+		on = !on
+	}
+	return on
+}
+
+// saltFlip keys flip positions apart from every other seeded draw.
+const saltFlip = 0xf11b
+
+// flipPosition is a transit probe's position on a flip schedule.
+func flipPosition(seed uint64, hdr *packet.IPv4, payload []byte) uint32 {
+	var port uint64
+	if len(payload) >= 2 {
+		port = uint64(payload[0])<<8 | uint64(payload[1])
+	}
+	d, _ := a4(hdr.Dst)
+	h := keyhash.Mix64(seed ^ saltFlip ^ uint64(d)<<16 ^ port)
+	return uint32(h%(FlipSpan/2)) + uint32(hdr.ID)
 }
 
 // NAT configures source-address rewriting. A router with a valid NAT acts
@@ -298,10 +343,6 @@ type Router struct {
 	// IP ID of every packet it originates, "usually incremented for each
 	// packet sent" (Section 2.2).
 	ipID atomic.Uint32
-
-	// perPacketCounter drives round-robin PerPacket balancing when the
-	// network is configured for deterministic (non-random) spreading.
-	perPacketCounter atomic.Uint64
 
 	// mu serializes config writers (read-modify-write of the snapshot).
 	mu sync.Mutex
@@ -386,22 +427,7 @@ func (r *Router) AddRoute(rt Route) *Router {
 	return r
 }
 
-// RewriteRoutes applies f to every forwarding-table entry, replacing each
-// with its return value. Routing-change injection (mid-trace flips,
-// transient forwarding loops) uses this to mutate tables atomically.
-func (r *Router) RewriteRoutes(f func(Route) Route) {
-	r.tableMu.Lock()
-	defer r.tableMu.Unlock()
-	fresh := make([]Route, 0, len(r.table))
-	for _, rt := range r.table {
-		fresh = append(fresh, f(rt))
-	}
-	r.table = fresh
-	r.snap.Store(nil)
-}
-
-// SetRoutes replaces the entire forwarding table (used by routing-change
-// injection between or during traces).
+// SetRoutes replaces the entire forwarding table.
 func (r *Router) SetRoutes(rts []Route) {
 	r.tableMu.Lock()
 	defer r.tableMu.Unlock()
@@ -550,12 +576,12 @@ func (t *routerTable) lookup(d *dstRef, dst netip.Addr) int32 {
 
 // selectHop chooses one of the route's equal-cost next hops — its index in
 // rt.Hops — for the packet with the given parsed header and transport
-// payload. rng is nil for deterministic round-robin PerPacket spreading. rot
+// payload; PerPacket spreading draws from the exchange's stream. rot
 // is the virtual-clock weight-churn rotation (0 outside churn windows): it
 // offsets the hashed bucket of the flow-keyed policies, remapping flows to
 // different next hops without perturbing the hash itself — weight churn in
 // real routers likewise remaps buckets while the flow key stays stable.
-func (r *Router) selectHop(rt *Route, hdr *packet.IPv4, payload []byte, rng *prng, rot int) (int, error) {
+func (r *Router) selectHop(rt *Route, hdr *packet.IPv4, payload []byte, ctx *exchCtx, rot int) (int, error) {
 	n := len(rt.Hops)
 	if n == 0 {
 		return 0, fmt.Errorf("netsim: route %v on %s has no next hops", rt.Prefix, r.Name)
@@ -571,10 +597,7 @@ func (r *Router) selectHop(rt *Route, hdr *packet.IPv4, payload []byte, rng *prn
 		}
 		return (k.Bucket(n) + rot) % n, nil
 	case PerPacket:
-		if rng != nil {
-			return rng.Intn(n), nil
-		}
-		return int((r.perPacketCounter.Add(1) - 1) % uint64(n)), nil
+		return ctx.stream().Intn(n), nil
 	case PerDestination:
 		k, err := flow.FromParsed(hdr, payload, flow.Options{Kind: flow.KeyDestination})
 		if err != nil {

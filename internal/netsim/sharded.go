@@ -91,8 +91,8 @@ var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
 // ExchangeBatch implements the tracer BatchTransport contract over the
 // shards: the batch is grouped by destination shard and fanned out as one
-// sub-batch per shard, preserving submission order within each shard (the
-// order that fixes each shard's probe-counter block). The common case — a
+// sub-batch per shard, preserving submission order within each shard. The
+// common case — a
 // TTL ladder toward a single destination, hence a single shard — dispatches
 // directly with no grouping at all.
 func (t *ShardedTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {

@@ -13,11 +13,12 @@ import (
 	"repro/internal/tracer"
 )
 
-// shardedScenario generates a deterministic 2-shard topology and returns
-// its transport plus one destination per shard.
+// shardedScenario generates a 2-shard topology and returns its transport
+// plus one destination per shard.
 func shardedScenario(t *testing.T) (tracer.BatchTransport, []netip.Addr) {
 	t.Helper()
-	cfg := deterministicConfig(24)
+	cfg := topo.DefaultGenConfig()
+	cfg.Destinations = 24
 	cfg.Shards = 2
 	sc := topo.Generate(cfg)
 	bt, ok := sc.Transport().(tracer.BatchTransport)

@@ -141,13 +141,18 @@ var transcriptTopologies = []struct {
 	}},
 	{"gen200-flips", func(dyn bool) transcriptWorld {
 		cfg := topo.DefaultGenConfig()
-		// The calibrated rate flips a path every 20,000 probes; the
-		// transcript wants the flip gadget to actually fire mid-ladder.
+		// The calibrated rate toggles a schedule about once in 160 rounds;
+		// the transcript wants the flip gadget to actually fire mid-ladder.
 		cfg.FlipPerProbe = 0.01
 		return generatedWorld(cfg, dyn)
 	}},
 	{"gen200-invariant", func(dyn bool) transcriptWorld {
-		return generatedWorld(deterministicConfig(200), dyn)
+		// Per-flow balancing only and no flips: the forwarding no
+		// per-exchange draw touches.
+		cfg := topo.DefaultGenConfig()
+		cfg.PPerPacket, cfg.PPerPacketUnequal = 0, 0
+		cfg.PFlipPod, cfg.FlipPerProbe = 0, 0
+		return generatedWorld(cfg, dyn)
 	}},
 }
 

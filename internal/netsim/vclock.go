@@ -23,11 +23,9 @@ import (
 // key the topology registry uses — so link parameters are identical across
 // shard replicas by construction (topo replicates the spine with identical
 // interface addresses). A probe's virtual start time is derived from the
-// current round base plus a hash of the probe's own bytes, never from the
-// network probe counter or the per-exchange RNG: counter and RNG values are
-// schedule-dependent under concurrency, and consulting either would break
-// the house invariant that campaign statistics are byte-identical at any
-// shard/worker/batch setting. For the same reason the dynamics never mutate
+// current round base plus a hash of the probe's own bytes — the package's
+// one determinism rule, which keeps campaign statistics byte-identical at
+// any shard/worker/batch setting. For the same reason the dynamics never mutate
 // router state — a flapped router is not reconfigured, its flap is
 // re-evaluated functionally at each arrival — so concurrent probes at
 // different virtual times can never race on dynamics state.
@@ -43,7 +41,7 @@ import (
 // Dynamics configures the virtual-clock layer of a Network. The zero value
 // (and any value with all three intensities zero) disables it entirely:
 // forwarding then takes the historical instant-and-static path, byte for
-// byte. Set it before probing begins (SetDynamics), like RandomPerPacket.
+// byte. Set it before probing begins (SetDynamics).
 type Dynamics struct {
 	// Seed fixes every per-link draw and every dynamics schedule. Two
 	// networks configured with the same seed replay identical delays,
@@ -327,9 +325,9 @@ func (dy *dynamics) weightRot(k uint32, now int64) int {
 
 // probeStart places a probe on the virtual timeline: the round base plus a
 // seeded hash of the probe's own bytes, uniform within the round duration.
-// Hashing the probe bytes (not the probe counter) keeps start times — and
-// with them every dynamics draw the probe observes — invariant to worker,
-// shard, and batch scheduling.
+// Hashing the probe bytes keeps start times — and with them every dynamics
+// draw the probe observes — invariant to worker, shard, and batch
+// scheduling.
 func (dy *dynamics) probeStart(round int64, probe []byte) int64 {
 	h := keyhash.FNV1a(dy.seed^saltStart, probe)
 	return round*dy.roundDur + int64(keyhash.Mix64(h)%uint64(dy.roundDur))
@@ -349,9 +347,8 @@ func (c *vclock) reset(start int64) { c.start, c.now = start, start }
 func (c *vclock) elapsed() time.Duration { return time.Duration(c.now - c.start) }
 
 // SetDynamics installs (or, with a disabled config, removes) the network's
-// virtual-clock dynamics layer. Like RandomPerPacket it is a setup-time
-// switch: set it before the first exchange, and never from an OnSend hook
-// (it takes the topology read lock). With dynamics installed, exchanges run
+// virtual-clock dynamics layer. It is a setup-time switch: set it before
+// the first exchange. With dynamics installed, exchanges run
 // on the virtual clock — per-link delays, queueing, flaps, churn, and
 // brownouts all replay identically from Dynamics.Seed — and report virtual
 // RTTs; without, forwarding takes the historical instant path byte for byte.
@@ -368,12 +365,12 @@ func (n *Network) SetDynamics(d Dynamics) {
 // DynamicsEnabled reports whether a dynamics layer is installed.
 func (n *Network) DynamicsEnabled() bool { return n.dyn.Load() != nil }
 
-// SetVirtualRound advances the virtual clock's round base: probes injected
-// afterwards start within round r's virtual time span. Campaign drivers
-// call it from their RoundStart hook (topo.Generate wires this up), which
-// runs between rounds with no exchange in flight; a resumed campaign
-// replays RoundStart for completed rounds, so the base is restored
-// automatically. A no-op signal with dynamics disabled.
+// SetVirtualRound advances the virtual round: probes injected afterwards
+// draw their per-exchange stream under round r, and with dynamics start
+// within round r's virtual time span. Campaign drivers call it from their
+// RoundStart hook (topo.Generate wires this up), which runs between rounds
+// with no exchange in flight; a resumed campaign replays RoundStart for
+// completed rounds, so the round is restored automatically.
 func (n *Network) SetVirtualRound(r int) {
 	n.vround.Store(int64(r))
 }

@@ -19,16 +19,19 @@
 // campaign-level invariance tests pin that statistics are byte-identical
 // across shard counts.
 //
-// Scenario.RoundStart is the between-rounds hook: it advances the
-// virtual-clock round (netsim.Network.SetVirtualRound) on every shard, then
-// draws the inter-round routing dynamics — router flaps per FlapProbability
-// and loop toggles per LoopProbability — from a dedicated seeded stream. It
-// runs on the campaign goroutine between round barriers, never concurrently
-// with probing. The virtual-clock knobs (Delay, Load, Churn, DynamicsSeed)
-// install a netsim.Dynamics with one shared seed on all shards, so dynamics
-// draws — keyed by (seed, link, virtual time) — agree across shardings.
+// Every shard network gets the same netsim seed, so a probe draws the same
+// per-exchange stream in whichever shard routes it.
 //
-// The one sanctioned departure from reproducibility is FlipPerProbe, whose
-// draws interleave with probe schedule; byte-reproducible campaigns leave
-// it zero (see the measure package's determinism contract).
+// Scenario.RoundStart is the between-rounds hook: it advances the virtual
+// round (netsim.Network.SetVirtualRound) on every shard, draws the
+// inter-round routing dynamics — router flaps per FlapProbability and loop
+// toggles per LoopProbability — from a dedicated seeded stream, and
+// publishes each flip pod's netsim.FlipSchedule for the round. A schedule
+// is a pure function of (seed, pod, round), its starting state carried from
+// round 0, so RoundStart(r) publishes the same schedule whether or not the
+// rounds before it ran. It runs on the campaign goroutine between round
+// barriers, never concurrently with probing. The virtual-clock knobs
+// (Delay, Load, Churn, DynamicsSeed) install a netsim.Dynamics with one
+// shared seed on all shards, so dynamics draws — keyed by (seed, link,
+// virtual time) — agree across shardings.
 package topo

@@ -191,10 +191,11 @@ func TestFigure1FalseLinksAndMissingNodes(t *testing.T) {
 
 	// With random per-packet balancing and one probe per hop, hop 7 and
 	// hop 8 responders are independent coin flips between the branches;
-	// over many traces both the A-then-D and B-then-C orders (false
-	// links) must appear.
+	// over many traces, one a round, both the A-then-D and B-then-C
+	// orders (false links) must appear.
 	sawFalseAD, sawFalseBC := false, false
 	for i := 0; i < 200; i++ {
+		fig.Net.SetVirtualRound(i)
 		tr := tracer.NewParisUDP(tp, tracer.Options{MaxTTL: 15})
 		rt := traceWith(t, tr, fig.Dest.Addr)
 		addrs := rt.Addresses()

@@ -1,15 +1,13 @@
 package topo
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sync"
 
 	"repro/internal/asmap"
 	"repro/internal/flow"
+	"repro/internal/keyhash"
 	"repro/internal/netsim"
 	"repro/internal/tracer"
 )
@@ -93,11 +91,12 @@ type GenConfig struct {
 	PMessyNATPod float64
 
 	// PFlipPod gives a pod two parallel paths of different length;
-	// during the campaign, each probe toward a flip pod's destination
-	// flips the active path with FlipPerProbe probability, reproducing
-	// routing changes in the middle of a traceroute (the rare one-round
-	// signatures, and the loops "seen only by Paris"). Half the flip
-	// pods differ by one hop (loop-shaped), half by two (cycle-shaped).
+	// during the campaign, each probe position of a round's flip schedule
+	// (netsim.FlipSchedule) flips the active path with FlipPerProbe
+	// probability, reproducing routing changes in the middle of a
+	// traceroute (the rare one-round signatures, and the loops "seen only
+	// by Paris"). Half the flip pods differ by one hop (loop-shaped), half
+	// by two (cycle-shaped).
 	PFlipPod     float64
 	FlipPerProbe float64
 
@@ -181,7 +180,8 @@ type Scenario struct {
 	AS      *asmap.Table
 
 	// RoundStart applies inter-round routing dynamics (flaps, transient
-	// forwarding loops). Call it before each measurement round.
+	// forwarding loops, the round's flip schedules) and advances every
+	// shard's virtual round. Call it before each measurement round.
 	RoundStart func(round int)
 
 	// Truth records the gadget ground truth for validation.
@@ -196,43 +196,6 @@ func (sc *Scenario) Transport() tracer.Transport {
 		return netsim.NewTransport(sc.Net)
 	}
 	return netsim.NewShardedTransport(sc.Nets, sc.ShardOf)
-}
-
-// TransportState serializes each shard network's probe counter — the only
-// transport cursor a resumed campaign or a recovered daemon needs to replay
-// the per-packet schedules exactly. Its shape is measure.Config's and
-// daemon.Config's TransportState hook.
-func (sc *Scenario) TransportState() json.RawMessage {
-	counts := make([]int, len(sc.Nets))
-	for i, n := range sc.Nets {
-		counts[i] = n.ProbeCount()
-	}
-	b, err := json.Marshal(struct{ ProbeCounts []int }{counts})
-	if err != nil {
-		return nil
-	}
-	return b
-}
-
-// RestoreTransportState rewinds each shard network to the probe counter a
-// checkpoint carries, before probing resumes. An empty payload (a
-// checkpoint written without the hook) restores nothing; one taken over a
-// different shard count is refused.
-func (sc *Scenario) RestoreTransportState(raw json.RawMessage) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	var st struct{ ProbeCounts []int }
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("checkpoint transport state: %w", err)
-	}
-	if len(st.ProbeCounts) != len(sc.Nets) {
-		return fmt.Errorf("checkpoint transport state covers %d shards, scenario has %d", len(st.ProbeCounts), len(sc.Nets))
-	}
-	for i, n := range sc.Nets {
-		n.SetProbeCount(st.ProbeCounts[i])
-	}
-	return nil
 }
 
 // Truth counts the anomaly gadgets the generator placed.
@@ -270,7 +233,6 @@ type routeTemplate struct {
 	steps []routeStep
 	leaf  *netsim.Router
 	nat   bool
-	flip  *flipState
 }
 
 // Generate builds a random scenario from cfg.
@@ -302,14 +264,9 @@ func Generate(cfg GenConfig) *Scenario {
 	pool := newAddrPool()
 	builders := make([]*Builder, shards)
 	for s := range builders {
-		// Shard 0 keeps the historical network seed so unsharded runs
-		// reproduce bit for bit; later shards get decorrelated
-		// per-exchange random streams.
-		netSeed := cfg.Seed ^ 0x5eed
-		if s > 0 {
-			netSeed ^= int64(s) * 0x9e3779b9
-		}
-		builders[s] = newPooledBuilder(netSeed, pool)
+		// One seed for every shard: a probe draws the same stream in
+		// whichever shard routes it, so the shard count is invisible.
+		builders[s] = newPooledBuilder(cfg.Seed^0x5eed, pool)
 	}
 	b0 := builders[0]
 	sc := &Scenario{Net: b0.Net, Source: b0.Source, AS: &asmap.Table{}}
@@ -354,10 +311,7 @@ func Generate(cfg GenConfig) *Scenario {
 		b.pool = pool
 	}
 
-	gen := &generator{
-		cfg: cfg, rng: rng, sc: sc,
-		flipByDest: make(map[uint32]*flipState),
-	}
+	gen := &generator{cfg: cfg, rng: rng, sc: sc}
 
 	destsLeft := cfg.Destinations
 	for p := 0; destsLeft > 0; p++ {
@@ -416,9 +370,6 @@ func Generate(cfg GenConfig) *Scenario {
 				sc.ShardOf[h.Addr] = si
 			}
 			sc.AS.Add(netip.PrefixFrom(h.Addr, 32), asn)
-			if tmpl.flip != nil {
-				gen.flipByDest[dst4(h.Addr.AsSlice())] = tmpl.flip
-			}
 			installStep(routeStep{On: b.Gateway, Via: via(core[0].Iface(0))}, h.Addr)
 			for i := 0; i+1 < len(core); i++ {
 				installStep(routeStep{On: core[i], Via: via(core[i+1].Iface(0))}, h.Addr)
@@ -451,15 +402,16 @@ func Generate(cfg GenConfig) *Scenario {
 	}
 
 	// Inter-round dynamics.
-	flapRouters := gen.flapRouters
-	looperPairs := gen.looperPairs
+	flapRouters, loopers, flips := gen.flapRouters, gen.loopers, gen.flips
+	if cfg.FlipPerProbe <= 0 {
+		flips = nil
+	}
 	nets := sc.Nets
 	dynRng := rand.New(rand.NewSource(cfg.Seed ^ 0x0ddba11))
 	sc.RoundStart = func(round int) {
-		// Advance the virtual clock's round base on every shard first: a
-		// harmless atomic store when dynamics are off, and the hook runs
-		// between rounds with no exchange in flight, so probes of round r
-		// always start within round r's virtual span.
+		// Advance the virtual round on every shard first: it keys every
+		// exchange's stream, and the hook runs between rounds with no
+		// exchange in flight, so probes of round r always draw under r.
 		for _, net := range nets {
 			net.SetVirtualRound(round)
 		}
@@ -467,40 +419,22 @@ func Generate(cfg GenConfig) *Scenario {
 			flapped := dynRng.Float64() < cfg.FlapProbability
 			f.SetFaults(netsim.Faults{Unreachable: flapped})
 		}
-		for _, pair := range looperPairs {
-			setLooped(pair, dynRng.Float64() < cfg.LoopProbability)
+		for _, lp := range loopers {
+			lp.looped = dynRng.Float64() < cfg.LoopProbability
+			lp.child.SetFaults(lp.faults())
 		}
-	}
-	// Mid-trace routing changes: each probe toward a flip pod's
-	// destination may flip that pod's active path, so the change lands
-	// in the middle of the traceroute currently probing it — the
-	// paper's "routing change ... between the time S receives the
-	// response to its probe with TTL 8 and the time that it emits the
-	// probe with TTL 9".
-	if flips := gen.flipByDest; len(flips) > 0 && cfg.FlipPerProbe > 0 {
-		// One hook (with its own rng and mutex) per shard network: a flip
-		// pod's destination is routable only in its own shard, so each
-		// flipState is reached by exactly one shard's hook.
-		for s, net := range sc.Nets {
-			flipRng := rand.New(rand.NewSource(cfg.Seed ^ 0xf11b ^ int64(s)<<20))
-			mu := new(sync.Mutex)
-			net.OnSend(func(count int, probe []byte) {
-				if len(probe) < 20 {
-					return
-				}
-				fs, ok := flips[dst4(probe[16:20])]
-				if !ok {
-					return
-				}
-				// One mutex covers both the rng draw and the flip: probes
-				// now run concurrently, and flipState's bookkeeping (onA)
-				// is not safe to mutate from two hooks at once.
-				mu.Lock()
-				if flipRng.Float64() < cfg.FlipPerProbe {
-					fs.flip()
-				}
-				mu.Unlock()
-			})
+		// Mid-trace routing changes: the round's flip schedule lands a
+		// change in the middle of whichever traces straddle a toggle —
+		// the paper's "routing change ... between the time S receives the
+		// response to its probe with TTL 8 and the time that it emits the
+		// probe with TTL 9".
+		for _, fs := range flips {
+			var f netsim.Faults
+			if fs.loop != nil {
+				f = fs.loop.faults()
+			}
+			f.Flip = fs.schedule(round, cfg.FlipPerProbe)
+			fs.entry.SetFaults(f)
 		}
 	}
 	return sc
@@ -530,15 +464,9 @@ type generator struct {
 	sc  *Scenario
 
 	flapRouters []*netsim.Router
-	looperPairs [][2]*netsim.Router
-	// flipByDest is keyed by dst4 of the destination: the flip hook runs
-	// for every probe of the study, so its key is four bytes, not an Addr.
-	flipByDest map[uint32]*flipState
+	loopers     []*looper
+	flips       []*flipState
 }
-
-// dst4 is the flip table's key: the four octets of an IPv4 address, as they
-// sit in a probe's destination field.
-func dst4(b []byte) uint32 { return binary.BigEndian.Uint32(b) }
 
 // buildPod assembles one pod's routers into b (the pod's shard) and returns
 // its route template.
@@ -698,15 +626,22 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 				drawDiamond()
 			}
 		}
+		var lp *looper
 		if rng.Float64() < cfg.PLooperPod {
 			parent := cur
 			addChain(1)
-			g.looperPairs = append(g.looperPairs, [2]*netsim.Router{parent, cur})
+			lp = &looper{parent: parent, child: cur}
+			g.loopers = append(g.loopers, lp)
 			g.sc.Truth.DestsOnLooperPods += nDest
 		}
 		if rng.Float64() < cfg.PFlipPod {
 			diff := 1 + rng.Intn(2) // loop-shaped or cycle-shaped
-			tmpl.flip = buildFlip(b, &tmpl, &cur, diff)
+			fs := buildFlip(b, &tmpl, &cur, diff)
+			// The flip's entry is the looper's child when the pod drew
+			// both: one router, one Faults carrying both gadgets.
+			fs.loop = lp
+			fs.key = keyhash.Mix64(uint64(cfg.Seed) ^ saltFlips ^ keyhash.Mix64(uint64(len(g.flips))))
+			g.flips = append(g.flips, fs)
 			g.sc.Truth.DestsOnFlipPods += nDest
 		}
 		addChain(1)
@@ -716,31 +651,53 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 	return tmpl
 }
 
-// flipState holds a mid-trace routing-change gadget: an entry router whose
-// pod routes alternate between two parallel next hops of different lengths.
+// flipState is a mid-trace routing-change gadget: an entry router whose pod
+// routes run over the short branch (from), redirected to a longer parallel
+// one (to) wherever the round's netsim.FlipSchedule is toggled.
 type flipState struct {
-	entry      *netsim.Router
-	viaA, viaB netip.Addr
-	onA        bool
+	entry    *netsim.Router
+	from, to netip.Addr
+	// loop is the looper whose child is entry, if the pod drew both.
+	loop *looper
+	// key seeds the toggle draws. base is the state at position 0 of round
+	// next, the round the draws have been carried to.
+	key  uint64
+	next int
+	base bool
 }
 
-func (f *flipState) flip() {
-	from, to := f.viaB, f.viaA
-	if f.onA {
-		from, to = f.viaA, f.viaB
+// saltFlips keys the flips' toggle draws apart from the generator's other
+// seeded draws.
+const saltFlips = 0xf11b
+
+// schedule is the flip's schedule for round r. The state at position 0
+// carries over from the end of round r-1; it is carried forward from round
+// 0, or from the last round asked for when r does not precede it, so a
+// resumed run reaches the same schedule with no cursor.
+func (fs *flipState) schedule(r int, p float64) *netsim.FlipSchedule {
+	if r < fs.next {
+		fs.next, fs.base = 0, false
 	}
-	f.entry.RewriteRoutes(func(rt netsim.Route) netsim.Route {
-		hops := make([]netsim.NextHop, len(rt.Hops))
-		copy(hops, rt.Hops)
-		for i := range hops {
-			if hops[i].Via == from {
-				hops[i].Via = to
-			}
+	for ; fs.next < r; fs.next++ {
+		if len(fs.toggles(fs.next, p))%2 == 1 {
+			fs.base = !fs.base
 		}
-		rt.Hops = hops
-		return rt
-	})
-	f.onA = !f.onA
+	}
+	return &netsim.FlipSchedule{From: fs.from, To: fs.to, Base: fs.base, Toggles: fs.toggles(r, p)}
+}
+
+// toggles draws round r's toggle positions, ascending: each of the
+// schedule's netsim.FlipSpan positions toggles with probability p, a pure
+// function of (key, r, position).
+func (fs *flipState) toggles(r int, p float64) []uint32 {
+	var out []uint32
+	k := fs.key ^ keyhash.Mix64(uint64(r))
+	for pos := uint32(0); pos < netsim.FlipSpan; pos++ {
+		if float64(keyhash.Mix64(k^uint64(pos))>>11)/(1<<53) < p {
+			out = append(out, pos)
+		}
+	}
+	return out
 }
 
 // buildFlip constructs two parallel chains (lengths 1 and 1+diff) between
@@ -774,20 +731,24 @@ func buildFlip(b *Builder, tmpl *routeTemplate, cur **netsim.Router, diff int) *
 	// Active route: short branch.
 	tmpl.steps = append(tmpl.steps, routeStep{On: entry, Via: via(s.Iface(0))})
 	*cur = exit
-	return &flipState{entry: entry, viaA: s.Iface(0), viaB: longHead, onA: true}
+	return &flipState{entry: entry, from: s.Iface(0), to: longHead}
 }
 
-// setLooped installs or removes a transient forwarding loop between a pod
-// router pair via the child's forwarding override: when looped, every
-// transit packet at the child bounces back to the parent, which forwards it
-// down again — packets ping-pong until TTL expiry.
-func setLooped(pair [2]*netsim.Router, looped bool) {
-	parent, child := pair[0], pair[1]
+// looper is a transient forwarding-loop gadget between a pod router pair:
+// when looped, every transit packet at child bounces back to parent, which
+// forwards it down again — packets ping-pong until TTL expiry.
+type looper struct {
+	parent, child *netsim.Router
+	looped        bool
+}
+
+// faults is the child's fault set for the round: the override when looped.
+func (lp *looper) faults() netsim.Faults {
 	var f netsim.Faults
-	if looped {
-		f.ForwardOverride = parent.Iface(0)
+	if lp.looped {
+		f.ForwardOverride = lp.parent.Iface(0)
 	}
-	child.SetFaults(f)
+	return f
 }
 
 func maxInt(a, b int) int {

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -143,5 +145,47 @@ func TestGeneratedRouteLengthsReasonable(t *testing.T) {
 		if n := len(rt.Hops); n < 5 || n > 30 {
 			t.Errorf("route to %v has %d hops; topology out of shape", d, n)
 		}
+	}
+}
+
+// TestFlipScheduleReachedDirectly: a round's flip schedules are a function
+// of the round, not of the rounds a run passed through — RoundStart(r)
+// called cold, as in a resumed run, publishes what rounds 0..r-1 and then r
+// publish. Flaps, loopers (sequential draws, which a resume replays) and
+// per-packet diamonds are off, so flips are all that changes with the round.
+func TestFlipScheduleReachedDirectly(t *testing.T) {
+	cfg := DefaultGenConfig()
+	cfg.Destinations = 120
+	cfg.PFlipPod, cfg.FlipPerProbe = 0.5, 0.01
+	cfg.PFlapPod, cfg.PFlapDiamondPod, cfg.PLooperPod, cfg.PPerPacket = 0, 0, 0, 0
+	const r = 9
+	routes := func(rounds ...int) []string {
+		sc := Generate(cfg)
+		for _, round := range rounds {
+			sc.RoundStart(round)
+		}
+		tp := netsim.NewTransport(sc.Net)
+		var out []string
+		for _, d := range sc.Dests {
+			for f := 0; f < 16; f++ {
+				rt, err := tracer.NewParisUDP(tp, tracer.Options{MaxTTL: 39, SrcPort: uint16(10000 + f*97)}).Trace(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, fmt.Sprint(rt.Addresses()))
+			}
+		}
+		return out
+	}
+	direct := routes(r)
+	var rounds []int
+	for i := 0; i <= r; i++ {
+		rounds = append(rounds, i)
+	}
+	if via := routes(rounds...); !slices.Equal(direct, via) {
+		t.Error("RoundStart(r) cold and after rounds 0..r-1 publish different flip schedules")
+	}
+	if slices.Equal(direct, routes(r-1)) {
+		t.Error("rounds r-1 and r traced identically: no flip toggled, the check is degenerate")
 	}
 }

@@ -55,7 +55,7 @@ func (r *ladderRecorder) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 }
 
 // recordLadder returns the n probes of discipline mk's first window toward
-// destination di of a schedule-free topology, and netsim's answer to each,
+// destination di of the default topology, and netsim's answer to each,
 // keyed by probe bytes.
 func recordLadder(tb testing.TB, mk func(tracer.Transport, tracer.Options) tracer.Tracer, di, n int) (src netip.Addr, probes [][]byte, answers map[string][]byte) {
 	tb.Helper()

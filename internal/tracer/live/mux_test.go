@@ -19,8 +19,8 @@ import (
 // many workers: N workers trace disjoint destination slices concurrently
 // through ONE Mux over ONE SimConn, and every route must be
 // identical (tracer.Route.Equal) to a sequential baseline over an
-// identically-built network. The topologies are schedule-free — responses
-// are pure functions of the probe bytes — so worker interleaving cannot
+// identically-built network. netsim's responses are pure functions of the
+// probe bytes and the round, IP IDs aside — so worker interleaving cannot
 // legitimately change a route, and any divergence is a mux attribution
 // bug. Everything runs on the fake's virtual clock: no sleeps, no
 // privileges, race-detector clean.
@@ -32,18 +32,14 @@ var (
 	_ dropCounter              = (*SimConn)(nil)
 )
 
-// muxTopo generates a schedule-free multi-destination topology: per-probe
-// randomness (mid-trace flips, per-packet balancing) is zeroed, so every
-// response is a pure function of the probe bytes and replaying probes in
-// any order or multiplicity yields identical routes.
+// muxTopo generates the default multi-destination topology, per-packet
+// diamonds included: every draw is keyed by the probe bytes, so replaying
+// probes in any order or multiplicity yields identical routes.
 func muxTopo(t testing.TB, dests int, seed int64) *topo.Scenario {
 	t.Helper()
 	gc := topo.DefaultGenConfig()
 	gc.Seed = seed
 	gc.Destinations = dests
-	gc.FlipPerProbe = 0
-	gc.PPerPacket = 0
-	gc.PPerPacketUnequal = 0
 	return topo.Generate(gc)
 }
 

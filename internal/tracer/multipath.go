@@ -12,10 +12,10 @@ import (
 //   - EnumeratePaths: the "algorithms to automatically find all interfaces
 //     of a given load balancer", by tracing many distinct flows;
 //   - ClassifyBalancer: distinguishing per-flow from per-packet load
-//     balancing, by repeating a single flow and observing whether the path
-//     stays put.
+//     balancing, by repeating a single flow's probes at each hop and
+//     observing whether the answering address stays put.
 //
-// Both build one Paris tracer and re-aim it per flow.
+// Both run Paris traces whose flow they choose.
 
 // PathSet is the result of multipath enumeration toward one destination.
 type PathSet struct {
@@ -121,30 +121,38 @@ func (k BalancerKind) String() string {
 }
 
 // ClassifyBalancer distinguishes per-flow from per-packet load balancing
-// toward dest. It repeats one flow `repeats` times (same five-tuple: any
-// path change must be per-packet; repeats <= 0 selects 4), then samples
-// `flows` distinct flows (path changes there with a stable single flow
-// indicate per-flow balancing).
+// toward dest. It traces one flow with `repeats` probes per hop (same
+// five-tuple, distinct probe identifiers: a hop answering from two addresses
+// is per-packet; repeats <= 0 selects 4), then samples `flows` distinct
+// flows (path changes there with a stable single flow indicate per-flow
+// balancing).
 func ClassifyBalancer(tp Transport, opts Options, dest netip.Addr, flows, repeats int) (BalancerKind, error) {
 	if repeats <= 0 {
 		repeats = 4
 	}
-	tr := NewParisUDP(tp, opts)
-	// Step 1: one flow, repeated.
+	// Step 1: one flow, repeated at every hop.
+	one := opts
+	one.ProbesPerHop = repeats
+	tr := NewParisUDP(tp, one)
 	tr.Aim(10007, 20011, opts.PathHint)
-	single := make(map[string]bool)
-	for r := 0; r < repeats; r++ {
-		rt, err := tr.Trace(dest)
-		if err != nil {
-			return BalancerNone, fmt.Errorf("tracer: repeat %d: %w", r, err)
-		}
-		single[pathKey(rt)] = true
+	rt, err := tr.Trace(dest)
+	if err != nil {
+		return BalancerNone, fmt.Errorf("tracer: repeated flow: %w", err)
 	}
-	if len(single) > 1 {
-		return BalancerPerPacket, nil
+	for _, attempts := range rt.All {
+		var seen netip.Addr
+		for _, h := range attempts {
+			if h.Star() {
+				continue
+			}
+			if seen.IsValid() && h.Addr != seen {
+				return BalancerPerPacket, nil
+			}
+			seen = h.Addr
+		}
 	}
 	// Step 2: distinct flows.
-	ps, err := enumeratePaths(tr, opts.PathHint, dest, flows)
+	ps, err := enumeratePaths(NewParisUDP(tp, opts), opts.PathHint, dest, flows)
 	if err != nil {
 		return BalancerNone, err
 	}

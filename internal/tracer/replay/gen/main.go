@@ -95,9 +95,9 @@ func main() {
 
 // generate captures one recipe's study and installs its corpus triplet.
 func generate(outDir string, r recipe) error {
-	// The same schedule-free topology construction the differential tests
-	// use: responses are pure functions of probe bytes, so replaying the
-	// capture under any interleaving reproduces the routes.
+	// The topology the committed corpus was recorded over: per-packet
+	// balancing and flips off, so every round answers the same probe the
+	// same way and the capture replays under any interleaving.
 	gc := topo.DefaultGenConfig()
 	gc.Seed = r.seed
 	gc.Destinations = r.dests

@@ -25,17 +25,14 @@ import (
 // the very clock readings their RTTs use, so a replayed RTT is the
 // original RTT, not an approximation of it.
 
-// replayTopo mirrors the live package's muxTopo: per-probe randomness is
-// zeroed so responses are pure functions of probe bytes and replaying in
-// any interleaving yields the same routes.
+// replayTopo mirrors the live package's muxTopo: the default topology,
+// whose responses are pure functions of probe bytes, so replaying in any
+// interleaving yields the same routes.
 func replayTopo(t testing.TB, dests int, seed int64) *topo.Scenario {
 	t.Helper()
 	gc := topo.DefaultGenConfig()
 	gc.Seed = seed
 	gc.Destinations = dests
-	gc.FlipPerProbe = 0
-	gc.PPerPacket = 0
-	gc.PPerPacketUnequal = 0
 	return topo.Generate(gc)
 }
 
