@@ -45,34 +45,12 @@ func traceroute(t *testing.T, args ...string) (stdout, stderr string, exit int) 
 	return outb.String(), errb.String(), 0
 }
 
-// TestBatchFlagChangesNoRoute: -batch only widens the ladder's window, so
-// what the tool prints is the same with and without it — through the
-// simulator (fig3's loop under classic UDP) and replaying a committed
-// capture (the corpus' per-trace one; the other two hold campaigns, whose
-// flows a single trace does not send).
-func TestBatchFlagChangesNoRoute(t *testing.T) {
-	capture := filepath.Join("..", "..", "internal", "tracer", "replay", "testdata", "corpus", "reorder-tcptraceroute.pcap")
-	for _, args := range [][]string{
-		{"-scenario", "fig3", "-method", "classic-udp"},
-		{"-replay", capture, "-method", "tcptraceroute", "-retries", "0"},
-	} {
-		plain, stderr, exit := traceroute(t, args...)
-		if exit != 0 || !strings.Contains(plain, "halt: destination") {
-			t.Fatalf("%v: exit %d, stdout %q, stderr %q", args, exit, plain, stderr)
-		}
-		batched, stderr, exit := traceroute(t, append(args, "-batch")...)
-		if exit != 0 {
-			t.Fatalf("%v -batch: exit %d, stderr %q", args, exit, stderr)
-		}
-		if batched != plain {
-			t.Errorf("%v: -batch changed the output\nwithout:\n%s\nwith:\n%s", args, plain, batched)
-		}
-	}
-}
-
 // TestOutputGolden pins what the tool prints for every figure scenario under
-// every probing method, with -batch off and on (one golden section serves
-// both: -batch never changes a route), and for the multipath enumeration.
+// every probing method, for the multipath enumeration, and for a replay of
+// the corpus' per-trace capture (the other two corpus captures hold
+// campaigns, whose flows a single trace does not send). Every -method run is
+// also made with -batch against the same section: -batch only widens the
+// ladder's window, so it never changes a route.
 // A change that means to alter this output rewrites the file with -update
 // and shows the diff; any other change must leave it byte-equal.
 func TestOutputGolden(t *testing.T) {
@@ -82,7 +60,10 @@ func TestOutputGolden(t *testing.T) {
 			runs = append(runs, []string{"-scenario", s, "-method", m})
 		}
 	}
-	runs = append(runs, []string{"-scenario", "fig3", "-flows", "16"})
+	runs = append(runs,
+		[]string{"-scenario", "fig3", "-flows", "16"},
+		[]string{"-replay", filepath.Join("..", "..", "internal", "tracer", "replay", "testdata", "corpus", "reorder-tcptraceroute.pcap"),
+			"-method", "tcptraceroute", "-retries", "0"})
 
 	var got bytes.Buffer
 	for _, args := range runs {

@@ -30,7 +30,10 @@
 // that flow's exchanges, chained in capture order: serving pops the chain's
 // head. A terminal key (echo id+seq, TCP ports+ack), which deliberately
 // omits the destination and so can span flows, maps to a registration FIFO
-// that exists only while loading.
+// that exists only while loading. Once loaded, the table and the exchanges
+// never change: serving takes no lock, and its only per-probe write is the
+// flow's head, popped by compare-and-swap so that racing pops serve each
+// exchange exactly once.
 //
 // Consecutive identical outbound occurrences of one quoted key fold into a
 // single exchange while the transmission count stays within the captured
@@ -76,7 +79,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/packet"
@@ -124,25 +127,28 @@ const (
 // tracer.BatchTransport, and tracer.FallibleTransport, and is safe for
 // concurrent use by campaign workers: flow keys embed the destination, and
 // each destination's exchanges are served in capture order regardless of
-// how traces interleave across workers.
+// how traces interleave across workers. Serving takes no lock: once
+// FromRecords returns only the flows' heads and the served count change,
+// and a head is popped by compare-and-swap, so racing pops serve each
+// exchange once.
 //
 // A Transport keeps the records it was loaded from — the probes it checks
 // requests against and the responses it returns are their bytes — and
 // treats them as read-only; so must its callers.
 type Transport struct {
-	src netip.Addr
+	// Immutable once FromRecords returns. flows is the one key table. A
+	// quoted key maps to its flow's slot in heads; a terminal key (used
+	// only while loading) to its slot in loader.fifos. Key.Kind keeps the
+	// two namespaces apart.
+	src   netip.Addr
+	flows map[flowkey.Key]int32
+	slabs [][]exchange
+	total int // exchanges reconstructed
+	junk  int // records bound to no exchange at load time
+	dests []netip.Addr
 
-	mu sync.Mutex
-	// flows is the one key table. A quoted key maps to its flow's slot in
-	// heads; a terminal key (used only while loading) to its slot in
-	// loader.fifos. Key.Kind keeps the two namespaces apart.
-	flows  map[flowkey.Key]int32
-	heads  []int32 // per quoted flow: the next exchange to serve; -1: exhausted
-	slabs  [][]exchange
-	total  int // exchanges reconstructed
-	served int
-	junk   int // records bound to no exchange at load time
-	dests  []netip.Addr
+	heads  []atomic.Int32 // per quoted flow: the next exchange to serve; -1: exhausted
+	served atomic.Int64
 }
 
 func (t *Transport) exchange(i int32) *exchange {
@@ -288,7 +294,7 @@ func (l *loader) probe(ts int64, pkt []byte, quoted, terminal flowkey.Key, hasTe
 	if !known {
 		flow = int32(len(t.heads))
 		t.flows[quoted] = flow
-		t.heads = append(t.heads, -1)
+		t.heads = append(t.heads, atomic.Int32{}) // set below: a new flow's exchange is its head
 		l.quoted = append(l.quoted, quotedLoad{tail: -1})
 		if !l.seenDst[quoted.Dst] {
 			l.seenDst[quoted.Dst] = true
@@ -317,7 +323,7 @@ func (l *loader) probe(ts int64, pkt []byte, quoted, terminal flowkey.Key, hasTe
 	if q.tail >= 0 {
 		t.exchange(q.tail).next = idx
 	} else {
-		t.heads[flow] = idx
+		t.heads[flow].Store(idx)
 	}
 	*q = quotedLoad{tail: idx, tx: 1, run: l.run, lastTS: ts}
 	if hasTerminal {
@@ -387,32 +393,24 @@ func (t *Transport) Source() netip.Addr { return t.src }
 // Destinations returns the captured probe destinations in first-seen
 // order — the -replay flag's fallback when no destination list is given.
 func (t *Transport) Destinations() []netip.Addr {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]netip.Addr(nil), t.dests...)
 }
 
 // Exchanges reports how many probe conversations the capture reconstructs.
 func (t *Transport) Exchanges() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.total
 }
 
 // Leftover reports captured exchanges not yet served — nonzero after a
 // replayed campaign means it probed less than the captured one did.
 func (t *Transport) Leftover() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total - t.served
+	return t.total - int(t.served.Load())
 }
 
 // Junk reports captured records that bound to no exchange at load time:
 // unrelated traffic, duplicates, and responses past the timeout — the
 // traffic the live demultiplexer also discarded.
 func (t *Transport) Junk() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.junk
 }
 
@@ -428,9 +426,11 @@ func (t *Transport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
 // by design — a mismatch means the replayed campaign diverged from the
 // captured one, and retrying cannot help.
 func (t *Transport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.exchangeLocked(probe)
+	resp, rtt, ok, err := t.serve(probe)
+	if err == nil {
+		t.served.Add(1)
+	}
+	return resp, rtt, ok, err
 }
 
 // ExchangeBatch implements tracer.BatchTransport with the append-truncate
@@ -439,8 +439,7 @@ func (t *Transport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	if len(out) < len(probes) {
 		panic("replay: ExchangeBatch result slice shorter than probe slice")
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	served := 0
 	for i, p := range probes {
 		out[i].OK = false
 		out[i].RTT = 0
@@ -448,11 +447,12 @@ func (t *Transport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 		if out[i].Resp != nil {
 			out[i].Resp = out[i].Resp[:0]
 		}
-		resp, rtt, ok, err := t.exchangeLocked(p)
+		resp, rtt, ok, err := t.serve(p)
 		if err != nil {
 			out[i].Err = err
 			continue
 		}
+		served++
 		if !ok {
 			continue
 		}
@@ -460,27 +460,38 @@ func (t *Transport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 		out[i].RTT = rtt
 		out[i].OK = true
 	}
+	t.served.Add(int64(served))
 }
 
-func (t *Transport) exchangeLocked(probe []byte) ([]byte, time.Duration, bool, error) {
+// serve pops the next captured exchange of probe's flow and checks it
+// against probe. The caller counts what it served into t.served.
+func (t *Transport) serve(probe []byte) ([]byte, time.Duration, bool, error) {
 	quoted, _, _, ok := flowkey.ProbeKeys(probe)
 	if !ok {
 		return nil, 0, false, fmt.Errorf("replay: unparseable probe (%d bytes)", len(probe))
 	}
-	flow, known := t.flows[quoted]
-	if !known || t.heads[flow] < 0 {
+	h := int32(-1)
+	if flow, known := t.flows[quoted]; known {
+		// Pop the head. A lost race means another pop took h: retry on
+		// the head it left, so each exchange is served exactly once.
+		head := &t.heads[flow]
+		for h = head.Load(); h >= 0; h = head.Load() {
+			if head.CompareAndSwap(h, t.exchange(h).next) {
+				break
+			}
+		}
+	}
+	if h < 0 {
 		return nil, 0, false, fmt.Errorf(
 			"replay: probe %s not in capture (flow already exhausted or never probed): the replayed campaign diverges from the captured one",
 			describe(probe))
 	}
-	e := t.exchange(t.heads[flow])
-	t.heads[flow] = e.next
+	e := t.exchange(h)
 	if !bytes.Equal(e.probe, probe) {
 		return nil, 0, false, fmt.Errorf(
 			"replay: probe/capture mismatch for %s: captured %s with equal flow key but different bytes",
 			describe(probe), describe(e.probe))
 	}
-	t.served++
 	if e.resp == nil {
 		// A captured star: the virtual clock elapses the original timeout
 		// instantly.
