@@ -45,6 +45,31 @@ func traceroute(t *testing.T, args ...string) (stdout, stderr string, exit int) 
 	return outb.String(), errb.String(), 0
 }
 
+// TestBatchFlagChangesNoRoute: -batch only widens the ladder's window, so
+// what the tool prints is the same with and without it — through the
+// simulator (fig3's loop under classic UDP) and replaying a committed
+// capture (the corpus' per-trace one; the other two hold campaigns, whose
+// flows a single trace does not send).
+func TestBatchFlagChangesNoRoute(t *testing.T) {
+	capture := filepath.Join("..", "..", "internal", "tracer", "replay", "testdata", "corpus", "reorder-tcptraceroute.pcap")
+	for _, args := range [][]string{
+		{"-scenario", "fig3", "-method", "classic-udp"},
+		{"-replay", capture, "-method", "tcptraceroute", "-retries", "0"},
+	} {
+		plain, stderr, exit := traceroute(t, args...)
+		if exit != 0 || !strings.Contains(plain, "halt: destination") {
+			t.Fatalf("%v: exit %d, stdout %q, stderr %q", args, exit, plain, stderr)
+		}
+		batched, stderr, exit := traceroute(t, append(args, "-batch")...)
+		if exit != 0 {
+			t.Fatalf("%v -batch: exit %d, stderr %q", args, exit, stderr)
+		}
+		if batched != plain {
+			t.Errorf("%v: -batch changed the output\nwithout:\n%s\nwith:\n%s", args, plain, batched)
+		}
+	}
+}
+
 // TestOutputGolden pins what the tool prints for every figure scenario under
 // every probing method, for the multipath enumeration, and for a replay of
 // the corpus' per-trace capture (the other two corpus captures hold
