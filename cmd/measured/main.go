@@ -49,7 +49,7 @@ func run() (err error) {
 	queueCap := flag.Int("queue-cap", 0, "per-round job admission bound; overflow is shed oldest-first (0: 8*workers)")
 	rate := flag.Float64("rate", 0, "aggregate probe rate cap in probes/second (0: unpaced)")
 	burst := flag.Int("burst", 64, "probe pacer burst capacity")
-	stallTimeout := flag.Duration("stall-timeout", 30*time.Second, "watchdog deadline per trace; stalled traces are abandoned")
+	stallTimeout := flag.Duration("stall-timeout", 30*time.Second, "watchdog deadline from a round's dispatch, queue wait included; stalled traces are abandoned")
 	maxRestarts := flag.Int("max-restarts", 8, "panic restarts per worker slot before it stays dead")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file for continuous checkpointing and startup auto-recovery")
 	checkpointEvery := flag.Int("checkpoint-every", 1, "write the checkpoint every N completed rounds")

@@ -42,15 +42,17 @@ type Config struct {
 	// MaxWorkerRestarts caps how many times one worker slot is restarted
 	// after panics; beyond it the slot stays dead. Zero selects 8.
 	MaxWorkerRestarts int
-	// StallTimeout is the watchdog deadline per trace; a job that has
-	// neither completed nor panicked by then is abandoned and its worker
-	// replaced. Zero selects 30s; negative disables the watchdog.
+	// StallTimeout is the watchdog deadline, counted from the moment a
+	// round dispatches its jobs, queue wait included: a job that has
+	// neither completed nor panicked by then is abandoned and a worker
+	// wedged on it replaced. Zero selects 30s; negative disables the
+	// watchdog.
 	StallTimeout time.Duration
-	// Watchdog overrides the stall deadline source: called once per
-	// dispatched job, its channel firing declares the job stalled. Tests
-	// inject deterministic watchdogs here (a nil channel never fires);
-	// nil Watchdog uses a StallTimeout timer.
-	Watchdog func(dest netip.Addr) <-chan time.Time
+	// Watchdog overrides the stall deadline source: called once per Tick
+	// with the round number, its channel firing declares every unresolved
+	// job of the round stalled. Tests inject deterministic watchdogs here
+	// (a nil channel never fires); nil Watchdog uses a StallTimeout timer.
+	Watchdog func(round int64) <-chan time.Time
 
 	// RoundStart, when set, runs at the top of every round with the round
 	// number — the virtual-clock dynamics hook (topo.Scenario.RoundStart).
@@ -251,18 +253,31 @@ func (d *Daemon) Tick() {
 		runnable = kept
 		d.shed += int64(n)
 	}
-	poolDead := d.poolDead
-	jobs := make([]*job, 0, len(runnable))
+	// The jobs are queued under mu, so a pool dying concurrently drains
+	// them deterministically (its drain and these sends serialize). The
+	// slice never grows past its capacity: every queued job stays put.
+	var wg sync.WaitGroup
+	jobs := make([]job, 0, len(runnable))
 	for _, ds := range runnable {
-		if poolDead {
+		if d.poolDead {
 			// Degraded terminal state: no worker can run anything, so
 			// the job fails immediately instead of hanging the round.
 			d.failLocked(ds, round)
 			continue
 		}
-		ds.inFlight = true
 		ds.ShedStreak = 0
-		jobs = append(jobs, &job{ds: ds, dest: ds.dest, round: round, hints: ds.Hints, done: make(chan struct{})})
+		jobs = append(jobs, job{ds: ds, round: round, hints: ds.Hints, wg: &wg})
+		wg.Add(1)
+		select {
+		case d.jobs <- &jobs[len(jobs)-1]:
+		default:
+			// Unreachable: admission bounds a round's jobs by QueueCap
+			// and every round leaves the queue empty (a stalled one
+			// drains the jobs it discarded); fail rather than block.
+			jobs = jobs[:len(jobs)-1]
+			wg.Done()
+			d.failLocked(ds, round)
+		}
 	}
 	d.mu.Unlock()
 
@@ -271,13 +286,30 @@ func (d *Daemon) Tick() {
 			Detail: "queue over capacity; re-armed for next round"})
 	}
 
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		d.enqueue(j)
-		go d.supervise(j, &wg)
+	// One watchdog for the whole round: when it fires, every job still
+	// unresolved is discarded, and the discards resolve the round. The
+	// jobs discarded while queued are then drained, so they cost the next
+	// round no queue room.
+	var stall <-chan time.Time
+	if d.cfg.Watchdog != nil {
+		stall = d.cfg.Watchdog(round)
+	} else if d.cfg.StallTimeout > 0 {
+		stall = time.After(d.cfg.StallTimeout)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-stall:
+		for i := range jobs {
+			d.discard(&jobs[i])
+		}
+		<-done
+		d.drainJobs()
+	}
 
 	d.mu.Lock()
 	d.round = round + 1
@@ -298,26 +330,6 @@ func (d *Daemon) Tick() {
 		}
 	}
 	d.ready.Store(true)
-}
-
-// enqueue hands a job to the pool. The queue has QueueCap capacity and
-// admission already bounded this round's jobs, so the send never blocks;
-// the check-and-send runs under mu so a pool dying concurrently can drain
-// deterministically (its drain and this send serialize).
-func (d *Daemon) enqueue(j *job) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.poolDead {
-		d.resolveFailed(j, fmt.Errorf("daemon: worker pool dead"))
-		return
-	}
-	select {
-	case d.jobs <- j:
-	default:
-		// Unreachable by construction (admission <= QueueCap and the
-		// queue drains every round); resolve rather than deadlock.
-		d.resolveFailed(j, fmt.Errorf("daemon: job queue full"))
-	}
 }
 
 // failLocked folds one failed pair for ds — its trace erred, stalled or

@@ -24,7 +24,7 @@ import (
 // asserted below is pinned exactly.
 
 // neverStall is the test watchdog: a nil channel never fires.
-func neverStall(netip.Addr) <-chan time.Time { return nil }
+func neverStall(int64) <-chan time.Time { return nil }
 
 // noSleep makes restart backoff instantaneous.
 func noSleep(time.Duration) {}
@@ -358,76 +358,103 @@ func TestDaemonQuarantine(t *testing.T) {
 	}
 }
 
+// TestDaemonWatchdogStall drives both discard paths under the one
+// per-round watchdog: a job a wedged worker is running, and a job still
+// queued behind it.
 func TestDaemonWatchdogStall(t *testing.T) {
-	sc := freeTopo(t, 6, 19, 0)
 	plan := netsim.FaultPlan{Seed: 31, StallEvery: 3, StallStart: 0, StallLen: 1}
-	ft := netsim.WrapFaults(sc.Transport(), plan)
-
-	stalled := map[netip.Addr]bool{}
-	for _, dst := range sc.Dests {
+	var stalled, healthy []netip.Addr
+	for _, dst := range freeTopo(t, 6, 19, 0).Dests {
 		if plan.ScheduleFor(dst).Stall {
-			stalled[dst] = true
+			stalled = append(stalled, dst)
+		} else {
+			healthy = append(healthy, dst)
 		}
 	}
-	if len(stalled) == 0 {
-		t.Fatal("degenerate plan: no stalled destinations")
+	if len(stalled) == 0 || len(healthy) == 0 {
+		t.Fatalf("degenerate plan: %d of 6 destinations stall", len(stalled))
 	}
 
-	// The watchdog seam: stalled destinations get a controllable channel,
-	// everyone else never stalls out. The test fires the watchdog only
-	// after the transport reports the worker parked, so the discard path
-	// (not the before-claim path) is exercised deterministically.
-	wd := make(chan time.Time)
-	cfg := testConfig(sc)
-	cfg.Transport = ft
-	cfg.Workers = len(stalled) + 1 // wedged workers never block the rest
-	cfg.Watchdog = func(dst netip.Addr) <-chan time.Time {
-		if stalled[dst] {
-			return wd
-		}
-		return nil
-	}
-	d := mustNew(t, cfg)
-	defer d.Stop()
+	for _, tc := range []struct {
+		name    string
+		dests   []netip.Addr
+		workers int
+		// wedged exchanges and folded pairs when the watchdog fires, and
+		// the jobs it then discards.
+		wedged, probed, discarded int
+	}{
+		// Wedged workers never block the rest: every healthy job is done
+		// when the watchdog fires, and it discards exactly the running,
+		// wedged ones.
+		{"running", append(append([]netip.Addr{}, healthy...), stalled...), len(stalled) + 1,
+			len(stalled), len(healthy), len(stalled)},
+		// One worker, wedged on the first destination: the rest of the
+		// round is still queued and is discarded unclaimed, so only the
+		// wedged job is handed a replacement worker.
+		{"pending", append(append([]netip.Addr{}, stalled...), healthy...), 1,
+			1, 0, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := freeTopo(t, 6, 19, 0)
+			ft := netsim.WrapFaults(sc.Transport(), plan)
+			wd := make(chan time.Time)
+			cfg := testConfig(sc)
+			cfg.Dests = tc.dests
+			cfg.Transport = ft
+			cfg.Workers = tc.workers
+			cfg.Watchdog = func(round int64) <-chan time.Time {
+				if round == 0 {
+					return wd
+				}
+				return nil
+			}
+			d := mustNew(t, cfg)
+			defer d.Stop()
+			pool := runtime.NumGoroutine()
 
-	tickDone := make(chan struct{})
-	go func() {
-		d.Tick()
-		close(tickDone)
-	}()
-	// Wait (without sleeping) until every stalled destination's worker is
-	// parked in the transport, then fire their watchdogs.
-	for ft.InjectedStalls() < len(stalled) {
-		runtime.Gosched()
-	}
-	for range stalled {
-		wd <- time.Time{}
-	}
-	<-tickDone
+			tickDone := make(chan struct{})
+			go func() {
+				d.Tick()
+				close(tickDone)
+			}()
+			// Wait (without sleeping) until the wedged workers are parked
+			// in the transport and everything else has folded, then fire
+			// the round's watchdog once.
+			for ft.InjectedStalls() < tc.wedged || d.Snapshot().Robust.Probed < tc.probed {
+				runtime.Gosched()
+			}
+			wd <- time.Time{}
+			<-tickDone
 
-	s := d.Snapshot()
-	if s.Robust.WatchdogStalls != len(stalled) {
-		t.Fatalf("stalls %d, want %d", s.Robust.WatchdogStalls, len(stalled))
-	}
-	if s.Robust.Failed != len(stalled) {
-		t.Fatalf("failed %d, want %d", s.Robust.Failed, len(stalled))
-	}
-	if s.Robust.Probed != 6-len(stalled) {
-		t.Fatalf("probed %d, want %d", s.Robust.Probed, 6-len(stalled))
-	}
-	if h := d.Health(); h.Status != "ok" {
-		t.Fatalf("health %+v, want ok (replacements keep the pool whole)", h)
-	}
+			s := d.Snapshot()
+			if s.Robust.WatchdogStalls != tc.discarded || s.Robust.Failed != tc.discarded {
+				t.Fatalf("stalls %d failed %d, want %d each", s.Robust.WatchdogStalls, s.Robust.Failed, tc.discarded)
+			}
+			if s.Robust.Probed != tc.probed || ft.InjectedStalls() != tc.wedged {
+				t.Fatalf("probed %d wedged %d, want %d/%d", s.Robust.Probed, ft.InjectedStalls(), tc.probed, tc.wedged)
+			}
+			if h := d.Health(); h.Status != "ok" || h.WorkersAlive != tc.workers {
+				t.Fatalf("health %+v, want ok with %d alive (replacements keep the pool whole)", h, tc.workers)
+			}
 
-	// Unwedge the parked goroutines; their late results are discarded and
-	// the stalled destinations succeed on their retry round (their stall
-	// window is a single exchange, already consumed by the wedged probe).
-	ft.ReleaseStalls()
-	tick(d, 3)
-	if s := d.Snapshot(); s.Robust.Probed != 6+6-len(stalled) {
-		// Round 3 re-probes everything: the healthy dests hit their
-		// period, the stalled ones their failure re-arm.
-		t.Fatalf("probed %d after release, want %d", s.Robust.Probed, 12-len(stalled))
+			// Unwedge the parked goroutines; their late results are
+			// discarded and every destination measures on round 3: the
+			// healthy ones hit their period, the failed ones their
+			// failure re-arm.
+			ft.ReleaseStalls()
+			tick(d, 3)
+			if s := d.Snapshot(); s.Robust.Probed != tc.probed+6 || s.Robust.Failed != tc.discarded {
+				t.Fatalf("probed %d failed %d after release, want %d/%d", s.Robust.Probed, s.Robust.Failed, tc.probed+6, tc.discarded)
+			}
+			// The released goroutines exit; one worker per slot is left.
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > pool {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines, want %d: a discard spawned a worker nobody replaced", runtime.NumGoroutine(), pool)
+				}
+				runtime.Gosched()
+			}
+		})
 	}
 }
 

@@ -30,22 +30,27 @@
 //
 // # Supervision
 //
-// Workers are long-lived goroutines. A panic inside a trace is recovered at
-// the worker boundary: the in-flight job resolves as a Failed pair
-// (charging the destination's error budget), the worker goroutine dies, and
-// the supervisor restarts the slot after an exponential backoff
-// (100ms << restarts, capped at 5s). A slot that exhausts
+// Workers are long-lived goroutines, and per pair they do what a campaign
+// worker does: trace, fold, recycle. A round's jobs live in one slice and
+// Tick waits for them with one WaitGroup; nothing else is created per job.
+// A panic inside a trace is recovered at the worker boundary: the in-flight
+// job resolves as a Failed pair (charging the destination's error budget),
+// the worker goroutine dies, and the slot restarts after an exponential
+// backoff (100ms << restarts, capped at 5s). A slot that exhausts
 // MaxWorkerRestarts stays dead; when every slot is dead the daemon degrades
-// to failing jobs immediately and /healthz goes red. The watchdog bounds
-// trace latency: a job that neither completes nor panics within
-// StallTimeout is declared stalled, its (eventual) result is discarded, a
-// replacement worker takes the wedged one's slot, and the wedged goroutine
-// exits on its own when the transport finally unblocks.
+// to failing jobs immediately and /healthz goes red. The watchdog bounds a
+// round's latency with one StallTimeout timer, started when the round
+// dispatches: when it fires, every job still unresolved is declared
+// stalled — a queued one is dropped unclaimed, a running one's (eventual)
+// result is discarded and a replacement worker takes the wedged one's
+// slot — and the wedged goroutine exits on its own when the transport
+// finally unblocks.
 //
 // # Statistics
 //
-// Completed pairs fold into one streaming measure.Accumulator under the
-// daemon mutex, so /stats serves a consistent mid-flight snapshot: a
+// The worker that measured a pair folds it into the one streaming
+// measure.Accumulator under the daemon mutex and then gives its routes back
+// to its own Prober, so /stats serves a consistent mid-flight snapshot: a
 // measure.Stats produced by the same Merge the campaign uses, with the
 // supervision counters stamped into Stats.Robust (Shed, WorkerRestarts,
 // WatchdogStalls, DeadWorkers).

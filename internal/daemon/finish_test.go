@@ -14,13 +14,14 @@ import (
 	"repro/internal/tracer"
 )
 
-// TestFinishDoesNotReadRoutesAfterFold guards the point a recycling daemon
-// would give routes back at: the moment Fold returns. One run counts, at that
-// point, the loops and cycles of every pair from the routes themselves; its
-// twin scribbles over both routes there. Statistics, the route-change and
-// anomaly events (counts included) and the final checkpoint must not differ —
-// Fold copies what the accumulator keeps, and everything finish does
-// afterwards works from the FoldResult.
+// TestFinishDoesNotReadRoutesAfterFold guards the point the daemon gives
+// routes back at: the moment Fold returns, after which the worker recycles
+// them into its Prober for its next traces. One run counts, at that point,
+// the loops and cycles of every pair from the routes themselves; its twin
+// scribbles over both routes there. Statistics, the route-change and anomaly
+// events (counts included) and the final checkpoint must not differ — Fold
+// copies what the accumulator keeps, and everything finish does afterwards
+// works from the FoldResult.
 func TestFinishDoesNotReadRoutesAfterFold(t *testing.T) {
 	type key struct {
 		dest  netip.Addr
@@ -46,7 +47,7 @@ func TestFinishDoesNotReadRoutesAfterFold(t *testing.T) {
 		cancel()
 		for _, e := range replay {
 			if e.Type == EventRouteChange || e.Type == EventAnomaly {
-				e.Seq = 0 // supervisors publish in whatever order they are scheduled
+				e.Seq = 0 // workers publish in whatever order they are scheduled
 				events = append(events, e)
 			}
 		}

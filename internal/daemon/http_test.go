@@ -199,8 +199,8 @@ func TestStatsSnapshotsNotTorn(t *testing.T) {
 }
 
 // TestDaemonNoGoroutineLeaks cycles the daemon through start/tick/stop and
-// asserts the goroutine count returns to baseline — workers, supervisors,
-// restart goroutines, and event subscribers all drain on Stop.
+// asserts the goroutine count returns to baseline — workers, restart
+// goroutines, and event subscribers all drain on Stop.
 func TestDaemonNoGoroutineLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for cycle := 0; cycle < 5; cycle++ {

@@ -10,8 +10,9 @@ import (
 
 // destSched is one destination's scheduler state, guarded by the daemon
 // mutex. A dispatched job carries a copy of the path hints to its worker and
-// finish writes the new ones back, so no worker touches this struct (and a
-// destination is never in flight twice — inFlight gates re-dispatch).
+// finish writes the new ones back under the mutex. Tick resolves every job
+// it dispatched before it returns, so a destination is never in flight
+// twice.
 type destSched struct {
 	// DestRun is the error budget and the path hints carried between the
 	// destination's pairs — the record a campaign keeps too — and DestState
@@ -20,8 +21,6 @@ type destSched struct {
 	DestState
 	dest netip.Addr
 	idx  int
-	// inFlight marks a dispatched, unresolved job.
-	inFlight bool
 }
 
 // DestState is one destination's cadence: what the scheduler keeps per
@@ -64,11 +63,11 @@ func newScheduler(dests []netip.Addr, period int64) *scheduler {
 }
 
 // due lists the destinations runnable in round, oldest due first (ties in
-// list order), excluding in-flight ones. Caller holds the daemon mutex.
+// list order). Caller holds the daemon mutex.
 func (s *scheduler) due(round int64) []*destSched {
 	var out []*destSched
 	for _, ds := range s.dests {
-		if !ds.inFlight && ds.NextDue <= round {
+		if ds.NextDue <= round {
 			out = append(out, ds)
 		}
 	}

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,16 +16,16 @@ import (
 //	   │                      │
 //	   └──────────CAS──────────┴────────────────▶ discarded (watchdog)
 //
-// A worker whose resolution CAS fails knows the watchdog already discarded
-// its job and handed the slot to a replacement — it exits without touching
-// the supervision counters. A watchdog that discards a still-pending job
-// knows no worker ever claimed it, so no replacement is spawned.
+// Whoever wins the resolution CAS finishes the job: it folds the outcome,
+// updates the supervision counters and calls the round's WaitGroup Done, in
+// that order. A worker whose resolution CAS fails knows the watchdog already
+// discarded its job and handed the slot to a replacement — it exits without
+// touching anything. A watchdog that discards a still-pending job knows no
+// worker ever claimed it, so no replacement is spawned.
 //
-// Every supervision counter (panics, restarts, stalls, folds) is updated
-// strictly before the job's done channel closes, and Tick only returns once
-// every dispatched job's done closed — so the counters a test (or a
-// checkpoint) reads at the Tick boundary are deterministic, not a race
-// against supervision goroutines still settling.
+// Tick only returns once every dispatched job is Done, so the counters a
+// test (or a checkpoint) reads at the Tick boundary are deterministic, not a
+// race against a worker still settling.
 const (
 	jsPending   int64 = 0 // on the queue, unclaimed
 	jsRunning   int64 = 1 // claimed; wid and gen are packed above the phase
@@ -41,25 +40,21 @@ func jsPhase(v int64) int64 { return v & 0xff }
 func jsWid(v int64) int     { return int((v >> 8) & 0xffffff) }
 func jsGen(v int64) int     { return int(v >> 32) }
 
-// job is one dispatched trace. done is closed exactly once, by whoever CASed
-// the state to jsDone; every field below done is written before that close
-// and read only after it.
+// job is one dispatched trace, an element of its round's job slice. Tick
+// writes every field but state before queueing it; wg is the round's.
 type job struct {
 	ds    *destSched
-	dest  netip.Addr
 	round int64
 	hints measure.PathHints
 	state atomic.Int64
-	done  chan struct{}
-
-	pair measure.Pair
-	err  error
+	wg    *sync.WaitGroup
 }
 
 // worker is one supervised pool goroutine. id names the slot; gen counts the
 // panic restarts the slot has consumed. The goroutine owns one Prober (the
-// scratch buffers are not concurrency-safe) and exits on Stop, on being
-// replaced after a stall, or — after a panic — into onWorkerPanic, which
+// scratch buffers are not concurrency-safe), finishes every job it wins and
+// gives the routes back to that Prober, and exits on Stop, on being replaced
+// after a stall, or — after a panic in a trace — into onWorkerPanic, which
 // accounts for the death and restarts the slot.
 func (d *Daemon) worker(id, gen int) {
 	var cur *job
@@ -69,7 +64,12 @@ func (d *Daemon) worker(id, gen int) {
 		if r == nil {
 			return
 		}
-		if cur != nil && !cur.state.CompareAndSwap(curRun, jsDone) {
+		if cur == nil {
+			// Not a trace: finish (Fold) or the pool itself is broken,
+			// and no job is left to resolve as failed.
+			panic(r)
+		}
+		if !cur.state.CompareAndSwap(curRun, jsDone) {
 			// The watchdog discarded the job mid-run and a replacement
 			// worker owns this slot; the panicked goroutine vanishes
 			// without touching the supervision counters.
@@ -91,49 +91,18 @@ func (d *Daemon) worker(id, gen int) {
 			}
 			cur, curRun = j, run
 			hints := j.hints
-			pair, err := prober.MeasurePair(j.dest, int(j.round), &hints)
-			if !j.state.CompareAndSwap(run, jsDone) {
+			pair, err := prober.MeasurePair(j.ds.dest, int(j.round), &hints)
+			won := j.state.CompareAndSwap(run, jsDone)
+			cur = nil
+			if !won {
 				// Discarded mid-run: the slot belongs to a replacement
 				// worker now, so this goroutine exits with its late
 				// result dropped on the floor.
 				return
 			}
-			j.pair, j.err, j.hints = pair, err, hints
-			close(j.done)
-			cur = nil
-		}
-	}
-}
-
-// supervise waits for one dispatched job to resolve or stall. The watchdog
-// channel comes from the Watchdog seam when set (tests; a nil channel never
-// fires), otherwise from a StallTimeout timer.
-func (d *Daemon) supervise(j *job, wg *sync.WaitGroup) {
-	defer wg.Done()
-	var stallC <-chan time.Time
-	if d.cfg.Watchdog != nil {
-		stallC = d.cfg.Watchdog(j.dest)
-	} else if d.cfg.StallTimeout > 0 {
-		t := time.NewTimer(d.cfg.StallTimeout)
-		defer t.Stop()
-		stallC = t.C
-	}
-	select {
-	case <-j.done:
-		d.finish(j)
-	case <-stallC:
-		for {
-			v := j.state.Load()
-			if jsPhase(v) == jsDone {
-				// The worker won the race; take the result.
-				<-j.done
-				d.finish(j)
-				return
-			}
-			if j.state.CompareAndSwap(v, jsDiscarded) {
-				d.onStall(j, v)
-				return
-			}
+			d.finish(j, &pair, err, hints)
+			prober.Recycle(&pair)
+			j.wg.Done()
 		}
 	}
 }
@@ -143,28 +112,23 @@ func (d *Daemon) supervise(j *job, wg *sync.WaitGroup) {
 // fingerprint next round (immediate re-exploration), failure per the error
 // budget.
 //
-// Route lifetime: the pair crossed from its worker to this goroutine and the
-// worker may since have been abandoned mid-trace, so the daemon never gives
-// routes back to a Prober. Should that change, Fold is the last reader: it
-// copies what the accumulator keeps, everything after it — cadence, events —
-// works from the FoldResult, and the job's route pointers are cleared right
-// there (TestFinishDoesNotReadRoutesAfterFold poisons them at that point).
-func (d *Daemon) finish(j *job) {
+// Route lifetime: the worker gives the pair's routes back to its Prober as
+// soon as finish returns, so Fold is the last reader. It copies what the
+// accumulator keeps; everything after it — cadence, events — works from the
+// FoldResult (TestFinishDoesNotReadRoutesAfterFold poisons the routes there).
+func (d *Daemon) finish(j *job, pair *measure.Pair, err error, hints measure.PathHints) {
 	d.mu.Lock()
-	ds := j.ds
-	ds.inFlight = false
-	round := j.round
-	if j.err != nil {
+	ds, round := j.ds, j.round
+	if err != nil {
 		d.failLocked(ds, round)
 		d.mu.Unlock()
 		return
 	}
-	fr := d.acc.Fold(&j.pair)
+	fr := d.acc.Fold(pair)
 	if d.afterFold != nil {
-		d.afterFold(&j.pair)
+		d.afterFold(pair)
 	}
-	j.pair.Paris, j.pair.Classic = nil, nil
-	ds.Succeeded(j.hints)
+	ds.Succeeded(hints)
 	ds.Pairs++
 	changed := ds.Seen && fr.Paris != ds.ParisFP
 	ds.ParisFP, ds.ClassicFP = fr.Paris, fr.Classic
@@ -176,30 +140,41 @@ func (d *Daemon) finish(j *job) {
 	}
 	d.mu.Unlock()
 	if changed {
-		d.events.publish(Event{Round: round, Type: EventRouteChange, Dest: j.dest,
+		d.events.publish(Event{Round: round, Type: EventRouteChange, Dest: ds.dest,
 			Detail: "paris route fingerprint changed; re-exploring next round",
 			Loops:  fr.Loops, Cycles: fr.Cycles})
 		if fr.Loops+fr.Cycles > 0 {
-			d.events.publish(Event{Round: round, Type: EventAnomaly, Dest: j.dest,
+			d.events.publish(Event{Round: round, Type: EventAnomaly, Dest: ds.dest,
 				Detail: "anomalies on changed route", Loops: fr.Loops, Cycles: fr.Cycles})
 		}
 	}
 }
 
-// onStall records a watchdog-abandoned job: the pair fails, the destination
-// is charged, and — when a worker was actually wedged on the trace — a
-// replacement worker takes its slot immediately. The wedged goroutine exits
-// on its own when its transport finally unblocks (its resolution CAS fails).
-func (d *Daemon) onStall(j *job, prev int64) {
-	d.mu.Lock()
-	d.stalls++
-	j.ds.inFlight = false
-	d.failLocked(j.ds, j.round)
-	d.mu.Unlock()
-	d.events.publish(Event{Round: j.round, Type: EventStall, Dest: j.dest,
-		Detail: "trace exceeded stall deadline; job abandoned"})
-	if jsPhase(prev) == jsRunning && !d.stopped.Load() {
-		go d.worker(jsWid(prev), jsGen(prev))
+// discard is the watchdog's verdict on one job of a stalled round. A job a
+// worker or a failure path already resolved is left alone; otherwise the job
+// is abandoned: the pair fails, the destination is charged, and — when a
+// worker was actually wedged on the trace — a replacement worker takes its
+// slot immediately. The wedged goroutine exits on its own when its transport
+// finally unblocks (its resolution CAS fails).
+func (d *Daemon) discard(j *job) {
+	for {
+		v := j.state.Load()
+		if p := jsPhase(v); p == jsDone || p == jsDiscarded {
+			return
+		}
+		if j.state.CompareAndSwap(v, jsDiscarded) {
+			d.mu.Lock()
+			d.stalls++
+			d.failLocked(j.ds, j.round)
+			d.mu.Unlock()
+			d.events.publish(Event{Round: j.round, Type: EventStall, Dest: j.ds.dest,
+				Detail: "trace exceeded stall deadline; job abandoned"})
+			if jsPhase(v) == jsRunning && !d.stopped.Load() {
+				go d.worker(jsWid(v), jsGen(v))
+			}
+			j.wg.Done()
+			return
+		}
 	}
 }
 
@@ -212,9 +187,9 @@ const (
 
 // onWorkerPanic supervises a panicked worker slot. All accounting — the
 // panic tally, the restart pre-credit or the dead-slot/pool-death
-// transition — happens before the in-flight job (if any) resolves, so the
-// Tick that observes the job's failure also observes the counters that
-// explain it. The slot restarts after an exponential backoff
+// transition — happens before the in-flight job folds as failed and is
+// Done, so the Tick that observes the job's failure also observes the
+// counters that explain it. The slot restarts after an exponential backoff
 // (restartBackoff << restarts, capped) until it exhausts MaxWorkerRestarts
 // and stays dead; when the last slot dies, queued jobs drain as immediate
 // failures and future dispatches fail inline, keeping Tick from hanging.
@@ -243,10 +218,10 @@ func (d *Daemon) onWorkerPanic(id, gen int, r any, j *job) {
 		d.events.publish(Event{Round: round, Type: EventWorkerDead,
 			Detail: fmt.Sprintf("worker %d dead after %d restarts", id, gen)})
 	}
-	if j != nil {
-		j.err = fmt.Errorf("daemon: worker panic during trace to %v: %v", j.dest, r)
-		close(j.done)
-	}
+	d.mu.Lock()
+	d.failLocked(j.ds, j.round)
+	d.mu.Unlock()
+	j.wg.Done()
 	if dead {
 		if poolDead {
 			d.drainJobs()
@@ -268,24 +243,24 @@ func (d *Daemon) onWorkerPanic(id, gen int, r any, j *job) {
 	}()
 }
 
-// drainJobs fails every queued job after the pool dies, so supervisors (and
-// through them Tick) resolve instead of waiting forever.
+// drainJobs empties the queue, failing every job still pending. The pool's
+// death calls it so Tick resolves instead of waiting forever; it holds mu,
+// so it and Tick's queueing serialize and a job is either drained here or
+// failed inline by Tick. A stalled round calls it once every job is
+// resolved, to clear out the ones discarded while queued.
 func (d *Daemon) drainJobs() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for {
 		select {
 		case j := <-d.jobs:
-			d.resolveFailed(j, fmt.Errorf("daemon: worker pool dead"))
+			// A job the watchdog discarded is left alone.
+			if j.state.CompareAndSwap(jsPending, jsDone) {
+				d.failLocked(j.ds, j.round)
+				j.wg.Done()
+			}
 		default:
 			return
 		}
-	}
-}
-
-// resolveFailed resolves a never-run job as an error, unless a worker or
-// the watchdog already owns it.
-func (d *Daemon) resolveFailed(j *job, err error) {
-	if j.state.CompareAndSwap(jsPending, jsDone) {
-		j.err = err
-		close(j.done)
 	}
 }

@@ -89,12 +89,10 @@
 //   - Retained Results never do. Without Config.Stream every route of
 //     Results.Rounds is the caller's for good, and Analyze over them copies
 //     what it interns like any other fold.
-//   - The daemon never does. Its pairs cross from a pool worker to the
-//     supervising goroutine that folds them, and a stalled worker can be
-//     abandoned mid-trace with its Prober; carrying routes back would need
-//     a lock or a channel the hot path does not otherwise have. It still
-//     gets the reusable tracers, hint-sized routes and exact-size interned
-//     cells through the same Prober and accumulator.
+//   - The daemon's workers give routes back too. The pool worker that
+//     traced a pair folds it and recycles its routes into its own Prober; a
+//     worker the watchdog abandons mid-trace never folds, so it never
+//     recycles either.
 //
 // The poison suite (poison_test.go) scribbles over every route at the
 // moment it is recycled and requires statistics and checkpoints to match

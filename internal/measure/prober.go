@@ -61,8 +61,7 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 //
 // The routes of a returned Pair belong to the caller. A caller that is done
 // with them — everything it keeps copied out — may hand them back with
-// Recycle; one that retains pairs (Results.Rounds) or passes them to another
-// goroutine (the daemon) simply never does.
+// Recycle; one that retains pairs (Results.Rounds) simply never does.
 type Prober struct {
 	seed           int64
 	scratch        *tracer.Scratch
