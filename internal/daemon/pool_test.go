@@ -15,6 +15,7 @@ import (
 // poolConfig is a daemon over n static destinations, every one due every
 // round and all of them admitted.
 func poolConfig(t *testing.T, n int) Config {
+	t.Helper()
 	sc := freeTopo(t, n, 5, 0)
 	cfg := testConfig(sc)
 	cfg.Period = 1

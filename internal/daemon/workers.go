@@ -65,8 +65,8 @@ func (d *Daemon) worker(id, gen int) {
 			return
 		}
 		if cur == nil {
-			// Not a trace: finish (Fold) or the pool itself is broken,
-			// and no job is left to resolve as failed.
+			// Not from a trace (Fold in finish, say): no job is left
+			// to fail, so the panic is a bug and is re-raised.
 			panic(r)
 		}
 		if !cur.state.CompareAndSwap(curRun, jsDone) {
