@@ -89,8 +89,8 @@ func BenchmarkFig4ZeroTTL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, l := range anomaly.FindLoops(rt) {
-			if anomaly.ClassifyLoop(l, rt, nil) == anomaly.CauseZeroTTL {
+		for _, c := range anomaly.ClassifyPair(rt, nil).LoopCauses {
+			if c == anomaly.CauseZeroTTL {
 				hits++
 			}
 		}
@@ -109,8 +109,8 @@ func BenchmarkFig5NAT(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, l := range anomaly.FindLoops(rt) {
-			if anomaly.ClassifyLoop(l, rt, nil) == anomaly.CauseAddressRewriting {
+		for _, c := range anomaly.ClassifyPair(rt, nil).LoopCauses {
+			if c == anomaly.CauseAddressRewriting {
 				hits++
 			}
 		}

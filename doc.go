@@ -6,9 +6,10 @@
 // simulator, raw sockets, or a capture of an earlier live run.
 //
 // The root package exports nothing. What runs is under cmd/ (the study, the
-// single-trace tool, the daemon, the topology generator) and examples/
-// (one miniature per paper section); docs/ holds the checkpoint, daemon, live
-// and replay contracts, and the README lists the internal/ packages. The
+// single-trace tool, the daemon, the topology generator); one miniature per
+// paper section is an Example function of the package it demonstrates
+// (tracer, anomaly, measure). docs/ holds the checkpoint, daemon, live and
+// replay contracts, and the README lists the internal/ packages. The
 // root's own tests are the paper's figure and statistic benchmarks
 // (bench_test.go, figures_test.go) and the surface ledger (surface_test.go),
 // which keeps every exported identifier of the module either used by another

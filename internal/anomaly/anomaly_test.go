@@ -161,6 +161,15 @@ func TestGraphRouteCount(t *testing.T) {
 
 // --- Classification ---
 
+// loopCause attributes l on route, paired with paris (nil: no paired trace).
+func loopCause(l Loop, route, paris *tracer.Route) Cause {
+	var parisLoops []Loop
+	if paris != nil {
+		parisLoops = FindLoops(paris)
+	}
+	return ClassifyLoopDetected(l, route, parisLoops, paris != nil)
+}
+
 func TestClassifyLoopZeroTTL(t *testing.T) {
 	rt := mkRoute(1, 2, 2, 3)
 	rt.Hops[1].ProbeTTL = 0
@@ -168,13 +177,13 @@ func TestClassifyLoopZeroTTL(t *testing.T) {
 	rt.Hops[1].IPID = 100
 	rt.Hops[2].IPID = 103
 	l := FindLoops(rt)[0]
-	if got := ClassifyLoop(l, rt, nil); got != CauseZeroTTL {
+	if got := loopCause(l, rt, nil); got != CauseZeroTTL {
 		t.Errorf("cause = %v, want zero-ttl", got)
 	}
 	// If the IP IDs come from clearly different boxes, the rule must not
 	// fire.
 	rt.Hops[2].IPID = 40000
-	if got := ClassifyLoop(l, rt, nil); got == CauseZeroTTL {
+	if got := loopCause(l, rt, nil); got == CauseZeroTTL {
 		t.Error("zero-ttl fired despite incoherent IP IDs")
 	}
 }
@@ -183,7 +192,7 @@ func TestClassifyLoopUnreachability(t *testing.T) {
 	rt := mkRoute(1, 2, 3, 3)
 	rt.Hops[3].Kind = tracer.KindHostUnreachable
 	l := FindLoops(rt)[0]
-	if got := ClassifyLoop(l, rt, nil); got != CauseUnreachability {
+	if got := loopCause(l, rt, nil); got != CauseUnreachability {
 		t.Errorf("cause = %v, want unreachability", got)
 	}
 }
@@ -194,14 +203,14 @@ func TestClassifyLoopAddressRewriting(t *testing.T) {
 	rt.Hops[3].RespTTL = 248
 	rt.Hops[4].RespTTL = 247
 	l := FindLoops(rt)[0]
-	if got := ClassifyLoop(l, rt, nil); got != CauseAddressRewriting {
+	if got := loopCause(l, rt, nil); got != CauseAddressRewriting {
 		t.Errorf("cause = %v, want address-rewriting", got)
 	}
 	// Constant response TTL: a single router answering twice, not a NAT.
 	rt.Hops[3].RespTTL = 249
 	rt.Hops[4].RespTTL = 249
 	rt.Hops[2].RespTTL = 249
-	if got := ClassifyLoop(l, rt, nil); got == CauseAddressRewriting {
+	if got := loopCause(l, rt, nil); got == CauseAddressRewriting {
 		t.Error("rewriting fired despite flat response TTLs")
 	}
 }
@@ -210,16 +219,16 @@ func TestClassifyLoopPerFlowViaDifferencing(t *testing.T) {
 	classic := mkRoute(1, 2, 3, 3, 4)
 	paris := mkRoute(1, 2, 3, 5, 4) // no loop
 	l := FindLoops(classic)[0]
-	if got := ClassifyLoop(l, classic, paris); got != CausePerFlowLB {
+	if got := loopCause(l, classic, paris); got != CausePerFlowLB {
 		t.Errorf("cause = %v, want per-flow-lb", got)
 	}
 	// Same loop present in the Paris trace: cannot be per-flow.
 	paris2 := mkRoute(1, 2, 3, 3, 4)
-	if got := ClassifyLoop(l, classic, paris2); got != CausePerPacketLB {
+	if got := loopCause(l, classic, paris2); got != CausePerPacketLB {
 		t.Errorf("cause = %v, want per-packet residual", got)
 	}
 	// No paired trace at all: residual.
-	if got := ClassifyLoop(l, classic, nil); got != CausePerPacketLB {
+	if got := loopCause(l, classic, nil); got != CausePerPacketLB {
 		t.Errorf("cause = %v, want per-packet residual", got)
 	}
 }
@@ -232,7 +241,7 @@ func TestClassifyLoopOrderingZeroTTLBeforeDifferencing(t *testing.T) {
 	classic.Hops[2].IPID = 6
 	paris := mkRoute(1, 2, 3) // loop absent from paris too
 	l := FindLoops(classic)[0]
-	if got := ClassifyLoop(l, classic, paris); got != CauseZeroTTL {
+	if got := loopCause(l, classic, paris); got != CauseZeroTTL {
 		t.Errorf("cause = %v; the conclusive zero-TTL evidence must win", got)
 	}
 }
@@ -322,14 +331,14 @@ func TestCauseStrings(t *testing.T) {
 }
 
 // pairClassReference recomputes a PairClass the pre-streaming way: one
-// ClassifyLoop/ClassifyCycleDetected call per instance and the nested Paris-only
+// ClassifyLoopDetected/ClassifyCycleDetected call per instance and the nested Paris-only
 // rescan. ClassifyPair must match it exactly.
 func pairClassReference(classic, paris *tracer.Route) PairClass {
 	pc := PairClass{Loops: FindLoops(classic), Cycles: FindCycles(classic)}
 	if len(pc.Loops) > 0 {
 		pc.LoopCauses = make([]Cause, len(pc.Loops))
 		for i, l := range pc.Loops {
-			pc.LoopCauses[i] = ClassifyLoop(l, classic, paris)
+			pc.LoopCauses[i] = loopCause(l, classic, paris)
 		}
 	}
 	if len(pc.Cycles) > 0 {

@@ -70,8 +70,8 @@ func ipidClose(a, b uint16, maxGap uint16) bool {
 // attributed to one router.
 const maxIPIDGap = 1024
 
-// ClassifyLoop attributes a loop to a cause, applying the paper's checks in
-// order of conclusiveness:
+// ClassifyLoopDetected attributes a loop to a cause, applying the paper's
+// checks in order of conclusiveness:
 //
 //  1. zero-TTL forwarding: quoted probe TTL 0 then 1, same IP ID source;
 //  2. unreachability: the loop ends the route with an !H/!N response;
@@ -80,21 +80,14 @@ const maxIPIDGap = 1024
 //     Paris measurement;
 //  5. residual: per-packet load balancing (unverifiable, as in the paper).
 //
-// paris may be nil when no paired trace exists; differencing then cannot
-// fire and residual load-balancing loops classify as per-packet.
-func ClassifyLoop(l Loop, route, paris *tracer.Route) Cause {
-	if paris == nil {
-		return classifyLoop(l, route, nil, false)
-	}
-	return classifyLoop(l, route, FindLoops(paris), true)
-}
-
-// ClassifyLoopDetected is ClassifyLoop with the paired Paris detection
-// already in hand: streaming accumulators memoize FindLoops per interned
-// route and classify many instances against one detection pass. It is also
-// how the accumulator re-evaluates a zero-TTL candidate against the
-// current round's route: the rule's IP ID coherence check is the one loop
-// observable that changes between exchanges of one path.
+// parisLoops is the paired Paris route's detection, already in hand:
+// streaming accumulators memoize FindLoops per interned route and classify
+// many instances against one detection pass. hasParis is false when no
+// paired trace exists; differencing then cannot fire and residual
+// load-balancing loops classify as per-packet. It is also how the
+// accumulator re-evaluates a zero-TTL candidate against the current round's
+// route: the rule's IP ID coherence check is the one loop observable that
+// changes between exchanges of one path.
 func ClassifyLoopDetected(l Loop, route *tracer.Route, parisLoops []Loop, hasParis bool) Cause {
 	return classifyLoop(l, route, parisLoops, hasParis)
 }
@@ -264,7 +257,7 @@ type PairClass struct {
 
 // ClassifyPair detects and classifies every anomaly of a paired
 // classic/Paris measurement in one call. paris may be nil (see
-// ClassifyLoop).
+// ClassifyLoopDetected).
 func ClassifyPair(classic, paris *tracer.Route) PairClass {
 	var parisLoops []Loop
 	var parisCycles []Cycle

@@ -26,13 +26,8 @@ func toyCheckpoint(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	tick(d, 4)
-	if err := d.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stop(t, d)
+	file := readFile(t, path)
 	return file
 }
 
@@ -56,10 +51,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := mustLoad(t, path)
 	if ck.NextRound != 4 || len(ck.Dests) != 6 || ck.Dests[0].Hints.Paris == 0 ||
 		len(ck.Sched) != 6 || !ck.Sched[0].Seen || ck.Sched[0].ParisFP == 0 || len(ck.Workers) != 1 ||
 		ck.Workers[0].Routes == 0 || len(ck.Workers[0].Dests) != 6 || string(ck.Transport) != `{"ProbeCounts":[7]}` {
@@ -69,10 +61,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := ck.Save(again); err != nil {
 		t.Fatal(err)
 	}
-	ck2, err := loadCheckpoint(again)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck2 := mustLoad(t, again)
 	if !reflect.DeepEqual(ck, ck2) {
 		t.Error("checkpoint changed across save and load")
 	}
@@ -96,10 +85,7 @@ func TestCheckpointGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readFile(t, golden)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("the toy daemon no longer writes %s (%d bytes written, %d committed): the wire format changed", golden, len(got), len(want))
 	}

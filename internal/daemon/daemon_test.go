@@ -15,6 +15,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/measure"
 	"repro/internal/netsim"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 )
 
@@ -29,15 +30,12 @@ func neverStall(int64) <-chan time.Time { return nil }
 // noSleep makes restart backoff instantaneous.
 func noSleep(time.Duration) {}
 
-// freeTopo generates a topology whose routes hold still from round to round.
+// freeTopo generates simtest's free topology, whose routes hold still from
+// round to round unless churn is armed.
 func freeTopo(t testing.TB, dests int, seed int64, churn float64) *topo.Scenario {
 	t.Helper()
-	gc := topo.DefaultGenConfig()
+	gc := simtest.Free(dests)
 	gc.Seed = seed
-	gc.Destinations = dests
-	gc.FlipPerProbe = 0
-	gc.PPerPacket = 0
-	gc.PPerPacketUnequal = 0
 	if churn > 0 {
 		gc.Delay = 1
 		gc.Churn = churn
@@ -66,6 +64,34 @@ func mustNew(t *testing.T, cfg Config) *Daemon {
 		t.Fatalf("New: %v", err)
 	}
 	return d
+}
+
+// readFile is os.ReadFile for a test: a missing file fails it.
+func readFile(t testing.TB, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// mustLoad is loadCheckpoint for a test: a file that does not load fails it.
+func mustLoad(t testing.TB, path string) *Checkpoint {
+	t.Helper()
+	ck, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck
+}
+
+// stop stops d; a failed final checkpoint fails the test.
+func stop(t testing.TB, d *Daemon) {
+	t.Helper()
+	if err := d.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
 }
 
 func tick(d *Daemon, n int) {
@@ -98,40 +124,6 @@ func TestDaemonCadence(t *testing.T) {
 	}
 	if h := d.Health(); h.Status != "ok" || h.WorkersAlive != 3 {
 		t.Fatalf("health %+v, want ok with 3 workers", h)
-	}
-}
-
-func TestDaemonStatsMatchCampaign(t *testing.T) {
-	// Period 1 makes the daemon probe every destination every round —
-	// exactly a campaign. The folded statistics must agree with the
-	// campaign over an identical fresh topology.
-	const rounds = 5
-	sc := freeTopo(t, 16, 11, 0)
-	cfg := testConfig(sc)
-	cfg.Period = 1
-	d := mustNew(t, cfg)
-	defer d.Stop()
-	tick(d, rounds)
-	got := d.Snapshot()
-
-	sc2 := freeTopo(t, 16, 11, 0)
-	camp, err := measure.NewCampaign(sc2.Transport(), measure.Config{
-		Dests: sc2.Dests, Rounds: rounds, Workers: 3,
-		RoundStart: sc2.RoundStart, PortSeed: 42, Batch: true, Stream: true,
-	})
-	if err != nil {
-		t.Fatalf("NewCampaign: %v", err)
-	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatalf("campaign: %v", err)
-	}
-	want := res.Stats
-
-	gj, _ := json.Marshal(got)
-	wj, _ := json.Marshal(want)
-	if string(gj) != string(wj) {
-		t.Fatalf("daemon stats diverge from campaign:\ndaemon:   %s\ncampaign: %s", gj, wj)
 	}
 }
 
@@ -537,25 +529,11 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	cfg.CheckpointPath = good
 	d := mustNew(t, cfg)
 	d.Tick()
-	if err := d.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	valid, err := os.ReadFile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-v1.ck.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := os.ReadFile(filepath.Join("testdata", "toy-v2.ck"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3, err := os.ReadFile(filepath.Join("testdata", "toy-v3.ck"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	stop(t, d)
+	valid := readFile(t, good)
+	legacy := readFile(t, filepath.Join("testdata", "legacy-v1.ck.json"))
+	v2 := readFile(t, filepath.Join("testdata", "toy-v2.ck"))
+	v3 := readFile(t, filepath.Join("testdata", "toy-v3.ck"))
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/2] ^= 1
 
@@ -614,9 +592,7 @@ func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 	cfg.CheckpointPath = good
 	d := mustNew(t, cfg)
 	tick(d, 2)
-	if err := d.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	stop(t, d)
 	for name, tamper := range map[string]func(*Checkpoint){
 		"negative round":  func(ck *Checkpoint) { ck.NextRound = -1 },
 		"negative budget": func(ck *Checkpoint) { ck.Dests[1].ConsecFails = -3 },
@@ -627,10 +603,7 @@ func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			ck, err := loadCheckpoint(good)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ck := mustLoad(t, good)
 			tamper(ck)
 			ckPath := filepath.Join(t.TempDir(), "daemon.ck")
 			if err := ck.Save(ckPath); err != nil {
@@ -666,9 +639,7 @@ func TestDaemonRecoversUnderSpelledOutDefaults(t *testing.T) {
 	cfg.CheckpointPath = ckPath
 	d := mustNew(t, cfg)
 	tick(d, 3)
-	if err := d.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	stop(t, d)
 
 	cfg2 := testConfig(freeTopo(t, 4, 3, 0))
 	cfg2.Probe = measure.ProbeConfig{MinTTL: 2, MaxTTL: 39, MaxConsecutiveStars: 8}
@@ -690,9 +661,7 @@ func TestDaemonCheckpointDigestMismatch(t *testing.T) {
 	cfg.CheckpointPath = ckPath
 	d := mustNew(t, cfg)
 	d.Tick()
-	if err := d.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
+	stop(t, d)
 
 	// A different destination list must be refused, not silently merged.
 	sc2 := freeTopo(t, 5, 3, 0)
@@ -719,9 +688,7 @@ func TestDaemonStopWritesFinalCheckpoint(t *testing.T) {
 	if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint written before Stop despite CheckpointEvery: %v", err)
 	}
-	if err := d.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
+	stop(t, d)
 	ck, err := loadCheckpoint(ckPath)
 	if err != nil || ck == nil {
 		t.Fatalf("final checkpoint unreadable: %v", err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/netip"
-	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -61,13 +60,8 @@ func TestFinishDoesNotReadRoutesAfterFold(t *testing.T) {
 			}
 			return a.Type < b.Type
 		})
-		if err := d.Stop(); err != nil {
-			t.Fatal(err)
-		}
-		ck, err = os.ReadFile(cfg.CheckpointPath)
-		if err != nil {
-			t.Fatal(err)
-		}
+		stop(t, d)
+		ck = readFile(t, cfg.CheckpointPath)
 		return string(sj), events, ck
 	}
 

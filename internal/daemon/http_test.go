@@ -210,9 +210,7 @@ func TestDaemonNoGoroutineLeaks(t *testing.T) {
 		// Hold a live event subscription over the ticks; Stop must close it.
 		_, ch, cancel := d.events.subscribe(0)
 		tick(d, 3)
-		if err := d.Stop(); err != nil {
-			t.Fatalf("Stop: %v", err)
-		}
+		stop(t, d)
 		for range ch { // drains and ends when closeAll closed the channel
 		}
 		cancel()

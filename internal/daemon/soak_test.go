@@ -157,10 +157,7 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 	// Killed: no Stop, no drain — the checkpoint is everything.
 
 	// Quarantine state at kill time, straight from the checkpoint file.
-	ckA, err := loadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckA := mustLoad(t, ckPath)
 	quarantined := 0
 	for _, dsSt := range ckA.Dests {
 		if dsSt.Quarantined {

@@ -7,7 +7,7 @@ import (
 	"runtime/metrics"
 	"testing"
 
-	"repro/internal/topo"
+	"repro/internal/simtest"
 )
 
 // pairAllocBudget is TestPairAllocBudget's ceiling, allocations per pair.
@@ -37,8 +37,7 @@ func heapLive() uint64 {
 // heap once it is dropped. It lives on the !race side of the budget split:
 // the race detector's shadow allocations are not the program's.
 func TestAccumulatorHeapPerDest(t *testing.T) {
-	gen := topo.DefaultGenConfig()
-	gen.Destinations = 300
+	gen := simtest.Default(300)
 	w := newSteadyWorkerOn(t, gen)
 	w.rounds(t, 12)
 	w.ring.flush()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 )
 
@@ -23,19 +24,16 @@ type steadyWorker struct {
 
 func newSteadyWorker(tb testing.TB, dests int) *steadyWorker {
 	tb.Helper()
-	return newSteadyWorkerOn(tb, studyConfig(dests))
+	return newSteadyWorkerOn(tb, simtest.Default(dests))
 }
 
 // newSteadyWorkerOn is newSteadyWorker over any generated topology.
 func newSteadyWorkerOn(tb testing.TB, gen topo.GenConfig) *steadyWorker {
 	tb.Helper()
 	sc := topo.Generate(gen)
-	c, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+	c := newCampaign(tb, netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Workers: 1, PortSeed: 42, Batch: true, Stream: true,
 	})
-	if err != nil {
-		tb.Fatal(err)
-	}
 	w := &steadyWorker{c: c, sc: sc, acc: NewAccumulator()}
 	w.ring = foldRing{acc: w.acc, prober: c.probers[0], every: c.foldEvery}
 	return w
@@ -114,10 +112,7 @@ func TestInternedRoutesExactSize(t *testing.T) {
 	if err := w.c.checkpoint(w.round, []*Accumulator{w.acc}).Save(path); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := mustLoad(t, path)
 	restored, err := RestoreAccumulator(ck.Workers[0])
 	if err != nil {
 		t.Fatal(err)
@@ -133,14 +128,14 @@ func TestInternedRoutesExactSize(t *testing.T) {
 // every rare-cause pod and the flip schedules — which is what the binaries
 // and the repository benchmark run; flips=off is the same with -flips=false.
 func BenchmarkMeasurePairSteady(b *testing.B) {
-	flipsOff := studyConfig(500)
+	flipsOff := simtest.Default(500)
 	flipsOff.FlipPerProbe = 0
 	for _, c := range []struct {
 		name string
 		gen  topo.GenConfig
 	}{
 		{"flips=off", flipsOff},
-		{"flips=on", studyConfig(500)},
+		{"flips=on", simtest.Default(500)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			w := newSteadyWorkerOn(b, c.gen)
@@ -161,8 +156,7 @@ func BenchmarkMeasurePairSteady(b *testing.B) {
 // classified. One round of the flips-on topology, folded into a fresh
 // accumulator each time it wraps.
 func BenchmarkFoldFirstSight(b *testing.B) {
-	gen := topo.DefaultGenConfig()
-	gen.Destinations = 500
+	gen := simtest.Default(500)
 	w := newSteadyWorkerOn(b, gen)
 	w.sc.RoundStart(0)
 	pairs := make([]Pair, len(w.sc.Dests))

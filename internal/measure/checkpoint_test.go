@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/netsim"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
 )
@@ -38,130 +39,6 @@ func checkpointConfig(sc *topo.Scenario, path string) Config {
 	}
 }
 
-// TestCheckpointResumeByteIdentical is the acceptance gate: a campaign
-// killed mid-study and resumed from its checkpoint — fresh process, fresh
-// scenario, restored transport cursor — produces final statistics
-// byte-identical to the uninterrupted run.
-func TestCheckpointResumeByteIdentical(t *testing.T) {
-	const dests, killAt = 60, 4
-	dir := t.TempDir()
-
-	// Uninterrupted reference run.
-	scU := topo.Generate(studyConfig(dests))
-	cfgU := checkpointConfig(scU, filepath.Join(dir, "uninterrupted.ck"))
-	campU, err := NewCampaign(netsim.NewTransport(scU.Net), cfgU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resU, err := campU.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resU.Stats.Loops.Instances == 0 || resU.Stats.Diamonds.Total == 0 {
-		t.Fatal("reference campaign degenerate")
-	}
-
-	// Interrupted run: the context is canceled as round killAt begins, so
-	// the checkpoint on disk covers exactly rounds [0, killAt).
-	ckPath := filepath.Join(dir, "interrupted.ck")
-	scI := topo.Generate(studyConfig(dests))
-	cfgI := checkpointConfig(scI, ckPath)
-	ctx, cancel := context.WithCancel(context.Background())
-	inner := cfgI.RoundStart
-	cfgI.RoundStart = func(r int) {
-		if r == killAt {
-			cancel()
-		}
-		inner(r)
-	}
-	campI, err := NewCampaign(netsim.NewTransport(scI.Net), cfgI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := campI.RunContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
-	}
-
-	// Resume in a "fresh process": new scenario, new campaign, transport
-	// cursor restored from the checkpoint's opaque payload.
-	ck, err := LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.NextRound != killAt {
-		t.Fatalf("checkpoint resumes at round %d, want %d", ck.NextRound, killAt)
-	}
-	scR := topo.Generate(studyConfig(dests))
-	cfgR := checkpointConfig(scR, filepath.Join(dir, "resumed.ck"))
-	campR, err := NewCampaign(netsim.NewTransport(scR.Net), cfgR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := campR.Resume(ck); err != nil {
-		t.Fatal(err)
-	}
-	resR, err := campR.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(resU.Stats, resR.Stats) {
-		t.Errorf("resumed stats differ from uninterrupted stats:\nuninterrupted: %+v\nresumed:       %+v", resU.Stats, resR.Stats)
-	}
-	ju, err := json.Marshal(resU.Stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr, err := json.Marshal(resR.Stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ju) != string(jr) {
-		t.Error("resumed stats JSON not byte-identical to uninterrupted run")
-	}
-}
-
-// TestCheckpointResumeFromFinal: the final checkpoint (NextRound == Rounds)
-// resumes to a no-op run whose merged statistics still match.
-func TestCheckpointResumeFromFinal(t *testing.T) {
-	const dests = 40
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "final.ck")
-
-	sc := topo.Generate(studyConfig(dests))
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), checkpointConfig(sc, ckPath))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ck, err := LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.NextRound != 8 {
-		t.Fatalf("final checkpoint cursor = %d, want 8", ck.NextRound)
-	}
-	sc2 := topo.Generate(studyConfig(dests))
-	camp2, err := NewCampaign(netsim.NewTransport(sc2.Net), checkpointConfig(sc2, filepath.Join(dir, "re.ck")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := camp2.Resume(ck); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := camp2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Stats, res2.Stats) {
-		t.Error("stats merged from a final checkpoint differ from the original run")
-	}
-}
-
 // TestCheckpointCadence: CheckpointEvery > 1 writes only at its boundaries
 // (plus the final round), so the cursor on disk is always a multiple of the
 // cadence or the campaign end.
@@ -170,7 +47,7 @@ func TestCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "cadence.ck")
 
-	sc := topo.Generate(studyConfig(dests))
+	sc := topo.Generate(simtest.Default(dests))
 	cfg := checkpointConfig(sc, ckPath)
 	cfg.CheckpointEvery = 3
 	var cursors []int
@@ -183,23 +60,14 @@ func TestCheckpointCadence(t *testing.T) {
 		}
 		inner(r)
 	}
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := camp.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), cfg))
 	// Cursor seen at the start of each round r: no file until 3 rounds
 	// (indices 0-2) completed, then 3 until 6 completed, then 6.
 	want := []int{-1, -1, -1, 3, 3, 3, 6, 6}
 	if !reflect.DeepEqual(cursors, want) {
 		t.Fatalf("checkpoint cursors per round = %v, want %v", cursors, want)
 	}
-	ck, err := LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := mustLoad(t, ckPath)
 	if ck.NextRound != 8 {
 		t.Fatalf("final cursor = %d, want 8", ck.NextRound)
 	}
@@ -217,22 +85,15 @@ func TestCheckpointQuarantineSurvivesResume(t *testing.T) {
 	dir := t.TempDir()
 
 	build := func(path string) (*Campaign, *topo.Scenario) {
-		sc := topo.Generate(studyConfig(dests))
+		sc := topo.Generate(simtest.Default(dests))
 		cfg := checkpointConfig(sc, path)
 		cfg.Rounds = rounds
 		cfg.Sleep = func(time.Duration) {}
-		camp, err := NewCampaign(netsim.WrapFaults(netsim.NewTransport(sc.Net), plan), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return camp, sc
+		return newCampaign(t, netsim.WrapFaults(netsim.NewTransport(sc.Net), plan), cfg), sc
 	}
 
 	campU, _ := build(filepath.Join(dir, "u.ck"))
-	resU, err := campU.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resU := mustRun(t, campU)
 	if resU.Stats.Robust.QuarantinedDests == 0 {
 		t.Fatal("degenerate: no quarantines in reference run")
 	}
@@ -251,10 +112,7 @@ func TestCheckpointQuarantineSurvivesResume(t *testing.T) {
 		t.Fatalf("interrupted run returned %v", err)
 	}
 
-	ck, err := LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := mustLoad(t, ckPath)
 	campR, _ := build(filepath.Join(dir, "r.ck"))
 	// The faults wrapper's per-destination ordinals restart at zero in the
 	// resumed process, but a blackhole's schedule is position-independent
@@ -262,10 +120,7 @@ func TestCheckpointQuarantineSurvivesResume(t *testing.T) {
 	if err := campR.Resume(ck); err != nil {
 		t.Fatal(err)
 	}
-	resR, err := campR.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resR := mustRun(t, campR)
 	if !reflect.DeepEqual(resU.Stats, resR.Stats) {
 		t.Errorf("faulty resumed stats differ:\nuninterrupted: %+v\nresumed:       %+v", resU.Stats, resR.Stats)
 	}
@@ -278,27 +133,16 @@ func TestResumeValidation(t *testing.T) {
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "v.ck")
 
-	sc := topo.Generate(studyConfig(dests))
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), checkpointConfig(sc, ckPath))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := camp.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := topo.Generate(simtest.Default(dests))
+	camp := newCampaign(t, netsim.NewTransport(sc.Net), checkpointConfig(sc, ckPath))
+	mustRun(t, camp)
+	ck := mustLoad(t, ckPath)
 
 	// Different port seed → different digest → refused.
-	sc2 := topo.Generate(studyConfig(dests))
+	sc2 := topo.Generate(simtest.Default(dests))
 	cfg2 := checkpointConfig(sc2, ckPath)
 	cfg2.PortSeed = 43
-	other, err := NewCampaign(netsim.NewTransport(sc2.Net), cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := newCampaign(t, netsim.NewTransport(sc2.Net), cfg2)
 	if err := other.Resume(ck); err == nil {
 		t.Error("Resume accepted a checkpoint from a different campaign config")
 	}
@@ -306,19 +150,13 @@ func TestResumeValidation(t *testing.T) {
 	// Non-streaming campaign → refused.
 	cfg3 := checkpointConfig(sc2, ckPath)
 	cfg3.Stream = false
-	mat, err := NewCampaign(netsim.NewTransport(sc2.Net), cfg3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mat := newCampaign(t, netsim.NewTransport(sc2.Net), cfg3)
 	if err := mat.Resume(ck); err == nil {
 		t.Error("Resume accepted a checkpoint on a non-streaming campaign")
 	}
 
 	// Unknown version → refused at load, whatever the rest of the file says.
-	raw, err := os.ReadFile(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := readFile(t, ckPath)
 	load := func(name string, data []byte) error {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -358,10 +196,7 @@ func TestResumeValidation(t *testing.T) {
 	// The digest covers the batch window, as the daemon's always has.
 	cfg4 := checkpointConfig(sc2, ckPath)
 	cfg4.BatchWindow = 5
-	windowed, err := NewCampaign(netsim.NewTransport(sc2.Net), cfg4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	windowed := newCampaign(t, netsim.NewTransport(sc2.Net), cfg4)
 	if err := windowed.Resume(ck); !errors.Is(err, ErrDigest) {
 		t.Errorf("Resume under another BatchWindow: got %v, want ErrDigest", err)
 	}
@@ -393,14 +228,10 @@ func TestUnbatchedCampaignCheckpointsHints(t *testing.T) {
 	const dests, killAt = 20, 2
 	ckPath := filepath.Join(t.TempDir(), "unbatched.ck")
 	build := func() (*Campaign, *topo.Scenario) {
-		sc := topo.Generate(studyConfig(dests))
+		sc := topo.Generate(simtest.Default(dests))
 		cfg := checkpointConfig(sc, ckPath)
 		cfg.Batch = false
-		camp, err := NewCampaign(netsim.NewTransport(sc.Net), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return camp, sc
+		return newCampaign(t, netsim.NewTransport(sc.Net), cfg), sc
 	}
 	halted, sc := build()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -418,10 +249,7 @@ func TestUnbatchedCampaignCheckpointsHints(t *testing.T) {
 			t.Fatalf("destination %d has no hints after %d rounds: %+v", i, killAt, r)
 		}
 	}
-	ck, err := LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := mustLoad(t, ckPath)
 	resumed, _ := build()
 	if err := resumed.Resume(ck); err != nil {
 		t.Fatal(err)
@@ -497,18 +325,9 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 	const dests = 30
 	run := func(dir string) []byte {
 		ckPath := filepath.Join(dir, "d.ck")
-		sc := topo.Generate(studyConfig(dests))
-		camp, err := NewCampaign(netsim.NewTransport(sc.Net), checkpointConfig(sc, ckPath))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := camp.Run(); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(ckPath)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc := topo.Generate(simtest.Default(dests))
+		mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), checkpointConfig(sc, ckPath)))
+		b := readFile(t, ckPath)
 		return b
 	}
 	dir := t.TempDir()
@@ -517,10 +336,7 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 		t.Error("identical campaigns wrote different checkpoint bytes")
 	}
 
-	ck, err := LoadCheckpoint(filepath.Join(dir, "d.ck"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := mustLoad(t, filepath.Join(dir, "d.ck"))
 	again := filepath.Join(dir, "again.ck")
 	if err := ck.Save(again); err != nil {
 		t.Fatal(err)
@@ -548,7 +364,7 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 // looper cycles, zero-TTL pods and flips off — so the committed bytes stay
 // put.
 func goldenConfig(path string) (*topo.Scenario, Config) {
-	gen := studyConfig(24)
+	gen := simtest.Default(24)
 	gen.PPerPacket, gen.PPerPacketUnequal, gen.PDiff2 = 0, 0, 0
 	gen.PZeroTTLPod, gen.PLooperPod, gen.PFlapDiamondPod = 0, 0, 0
 	gen.PFlipPod, gen.FlipPerProbe = 0, 0
@@ -586,58 +402,33 @@ func TestCheckpointGolden(t *testing.T) {
 		}
 		inner(r)
 	}
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	camp := newCampaign(t, netsim.NewTransport(sc.Net), cfg)
 	if _, err := camp.RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("halted run returned %v", err)
 	}
-	got, err := os.ReadFile(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readFile(t, ckPath)
 	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readFile(t, golden)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("Save no longer reproduces %s (%d bytes written, %d committed): the wire format changed", golden, len(got), len(want))
 	}
 
-	ck, err := LoadCheckpoint(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := mustLoad(t, golden)
 	if ck.NextRound != killAt || len(ck.Workers) != 1 || ck.Workers[0].LoopInstances == 0 {
 		t.Fatalf("golden checkpoint degenerate: NextRound=%d workers=%d", ck.NextRound, len(ck.Workers))
 	}
 	scR, cfgR := goldenConfig(filepath.Join(t.TempDir(), "resumed.ck"))
-	campR, err := NewCampaign(netsim.NewTransport(scR.Net), cfgR)
-	if err != nil {
-		t.Fatal(err)
-	}
+	campR := newCampaign(t, netsim.NewTransport(scR.Net), cfgR)
 	if err := campR.Resume(ck); err != nil {
 		t.Fatal(err)
 	}
-	resR, err := campR.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resR := mustRun(t, campR)
 	scU, cfgU := goldenConfig("")
-	campU, err := NewCampaign(netsim.NewTransport(scU.Net), cfgU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resU, err := campU.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resU := mustRun(t, newCampaign(t, netsim.NewTransport(scU.Net), cfgU))
 	if !reflect.DeepEqual(resU.Stats, resR.Stats) {
 		t.Errorf("resuming the golden checkpoint diverges from the uninterrupted run:\nuninterrupted: %+v\nresumed:       %+v", resU.Stats, resR.Stats)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/ckpt/ckpttest"
 	"repro/internal/netsim"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 )
 
@@ -48,21 +49,12 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 func benchCheckpoint(b *testing.B) *Checkpoint {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.ck")
-	sc := topo.Generate(studyConfig(200))
+	sc := topo.Generate(simtest.Default(200))
 	cfg := checkpointConfig(sc, path)
 	cfg.Workers = 2
 	cfg.CheckpointEvery = cfg.Rounds
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := camp.Run(); err != nil {
-		b.Fatal(err)
-	}
-	ck, err := LoadCheckpoint(path)
-	if err != nil {
-		b.Fatal(err)
-	}
+	mustRun(b, newCampaign(b, netsim.NewTransport(sc.Net), cfg))
+	ck := mustLoad(b, path)
 	return ck
 }
 

@@ -31,8 +31,8 @@
 // — including the RTT aggregates, which fold as order-independent integer
 // tallies — are byte-identical across every worker count, shard count,
 // batch switch, fold granularity and halt-and-resume, on the default
-// topology with every gadget armed (pinned by TestCampaignWorkerInvariance
-// and TestCampaignDynamicsInvariance, under -race).
+// topology with every gadget armed (pinned by simtest's TestHouseInvariant,
+// under -race).
 //
 // # Streaming contract
 //
@@ -71,7 +71,7 @@
 // reading and the test that pins it).
 //
 // Streaming and materialize-then-Analyze produce byte-identical Stats (one
-// implementation, pinned by TestCampaignStreamInvariance).
+// implementation, pinned by simtest's TestHouseInvariant).
 //
 // # Route ownership
 //

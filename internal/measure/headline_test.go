@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/netsim"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 )
 
@@ -18,23 +19,15 @@ import (
 //  3. classic per-destination graphs contain diamonds toward most
 //     destinations; the per-flow share vanishes from Paris graphs.
 func TestHeadlineDirectionalClaims(t *testing.T) {
-	cfg := topo.DefaultGenConfig()
-	cfg.Destinations = 400
+	cfg := simtest.Default(400)
 	sc := topo.Generate(cfg)
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+	res := mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), Config{
 		Dests:      sc.Dests,
 		Rounds:     10,
 		Workers:    16,
 		RoundStart: sc.RoundStart,
 		PortSeed:   cfg.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	s := Analyze(res)
 
 	// (1) Loop prevalence in the paper's regime: a few percent of classic

@@ -8,14 +8,34 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/netsim"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
 )
 
+// newCampaign is NewCampaign for a test: a refused configuration fails it.
+func newCampaign(tb testing.TB, tp tracer.Transport, cfg Config) *Campaign {
+	tb.Helper()
+	c, err := NewCampaign(tp, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// mustRun runs c to its last round.
+func mustRun(tb testing.TB, c *Campaign) *Results {
+	tb.Helper()
+	res, err := c.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func smallScenario(t *testing.T, dests int) *topo.Scenario {
 	t.Helper()
-	cfg := topo.DefaultGenConfig()
-	cfg.Destinations = dests
+	cfg := simtest.Default(dests)
 	cfg.Seed = 7
 	return topo.Generate(cfg)
 }
@@ -23,7 +43,7 @@ func smallScenario(t *testing.T, dests int) *topo.Scenario {
 func TestCampaignShape(t *testing.T) {
 	sc := smallScenario(t, 40)
 	rounds := 0
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+	res := mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), Config{
 		Dests:   sc.Dests,
 		Rounds:  3,
 		Workers: 4,
@@ -35,14 +55,7 @@ func TestCampaignShape(t *testing.T) {
 			sc.RoundStart(r)
 		},
 		PortSeed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	if rounds != 3 || len(res.Rounds) != 3 {
 		t.Fatalf("rounds = %d / %d", rounds, len(res.Rounds))
 	}
@@ -73,16 +86,9 @@ func TestCampaignEmptyDestsRejected(t *testing.T) {
 
 func TestCampaignStopRules(t *testing.T) {
 	sc := smallScenario(t, 20)
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+	res := mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Rounds: 1, Workers: 2, PortSeed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	for _, p := range res.Rounds[0] {
 		// Paper rules: min TTL 2, max 39 hops.
 		if len(p.Paris.Hops) > 0 && p.Paris.Hops[0].TTL != 2 {
@@ -137,8 +143,7 @@ func TestMeasurePairClassifiesPerFlowLoop(t *testing.T) {
 // whose only gadget is the flip, toggling often, some pair carries a loop
 // or cycle in exactly one of its two routes.
 func TestMeasurePairFlipSeenByOneTrace(t *testing.T) {
-	cfg := topo.DefaultGenConfig()
-	cfg.Destinations = 60
+	cfg := simtest.Default(60)
 	cfg.PPodDiamond, cfg.PLooperPod = 0, 0
 	cfg.PNATPod, cfg.PMessyNATPod, cfg.PZeroTTLPod, cfg.PFlapPod, cfg.PFlapDiamondPod = 0, 0, 0, 0, 0
 	cfg.PFlipPod, cfg.FlipPerProbe = 1, 0.05
@@ -296,16 +301,9 @@ func TestAnalyzeDiamonds(t *testing.T) {
 
 func TestReportRendering(t *testing.T) {
 	sc := smallScenario(t, 30)
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+	res := mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Rounds: 2, Workers: 4, RoundStart: sc.RoundStart, PortSeed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	s := Analyze(res)
 	var buf bytes.Buffer
 	WriteReport(&buf, s, sc.AS)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
 )
@@ -76,14 +77,11 @@ func poison(c *Campaign) *poisonCount {
 	return n
 }
 
-// shardedScenario is the default topology — per-packet diamonds, flips,
-// zero-TTL pods, loopers and all — cut into four shards.
+// shardedScenario is simtest's gadgets topology — per-packet diamonds,
+// flips, zero-TTL pods and loopers boosted — cut into four shards.
 func shardedScenario(dests int) *topo.Scenario {
-	g := topo.DefaultGenConfig()
-	g.Destinations = dests
+	g := simtest.Gadgets(dests)
 	g.Shards = 4
-	g.PZeroTTLPod = 0.2
-	g.PLooperPod = 0.2
 	return topo.Generate(g)
 }
 
@@ -125,13 +123,23 @@ func referenceCheckpoint(t *testing.T, c *Campaign, res *Results) []byte {
 	return readFile(t, path)
 }
 
-func readFile(t *testing.T, path string) []byte {
-	t.Helper()
+func readFile(tb testing.TB, path string) []byte {
+	tb.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return b
+}
+
+// mustLoad is LoadCheckpoint for a test: a file that does not load fails it.
+func mustLoad(tb testing.TB, path string) *Checkpoint {
+	tb.Helper()
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ck
 }
 
 // cloneRounds deep-copies retained results.
@@ -158,10 +166,7 @@ func comparePoisoned(t *testing.T, scenario func() *topo.Scenario, transport fun
 	build := func(stream bool, ckPath string) *Campaign {
 		sc := scenario()
 		tp := transport(sc)
-		c, err := NewCampaign(tp, config(sc, stream, ckPath))
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newCampaign(t, tp, config(sc, stream, ckPath))
 		if prep != nil {
 			prep(c, tp)
 		}
@@ -169,10 +174,7 @@ func comparePoisoned(t *testing.T, scenario func() *topo.Scenario, transport fun
 	}
 
 	mat := build(false, "")
-	resM, err := mat.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resM := mustRun(t, mat)
 	kept := cloneRounds(resM.Rounds)
 	want := Analyze(resM)
 	if want.Loops.Instances == 0 || want.Diamonds.Total == 0 {
@@ -182,10 +184,7 @@ func comparePoisoned(t *testing.T, scenario func() *topo.Scenario, transport fun
 	ckPath := filepath.Join(t.TempDir(), "poisoned.ck")
 	str := build(true, ckPath)
 	recycled := poison(str)
-	resS, err := str.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resS := mustRun(t, str)
 	if recycled.pairs != want.Routes {
 		t.Errorf("%d pairs recycled, want every one of the %d measured", recycled.pairs, want.Routes)
 	}
@@ -200,9 +199,7 @@ func comparePoisoned(t *testing.T, scenario func() *topo.Scenario, transport fun
 	// valid however long the campaign keeps measuring through the same
 	// workers.
 	poison(mat)
-	if _, err := mat.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, mat)
 	if !reflect.DeepEqual(resM.Rounds, kept) {
 		t.Error("retained Results.Rounds changed after the campaign measured on")
 	}
@@ -314,17 +311,14 @@ func (f *nthBatchFailer) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 func TestPoisonedFailFastAbort(t *testing.T) {
 	const dests = 60
 	run := func(poisoned bool) *Stats {
-		sc := topo.Generate(studyConfig(dests))
+		sc := topo.Generate(simtest.Default(dests))
 		// Two or more batches per pair: the 150th falls in round 0's second
 		// half or in round 1, with dozens of pairs staged either way.
 		ft := &nthBatchFailer{BatchTransport: netsim.NewTransport(sc.Net), n: 150}
-		c, err := NewCampaign(ft, Config{
+		c := newCampaign(t, ft, Config{
 			Dests: sc.Dests, Rounds: 4, Workers: 1, RoundStart: sc.RoundStart, PortSeed: 42,
 			Batch: true, Stream: true, FailFast: true,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		c.foldEvery = 1 << 20
 		recycled := new(poisonCount)
 		if poisoned {
@@ -362,23 +356,16 @@ func TestPoisonedFailFastAbort(t *testing.T) {
 // first seen after a resume intern with other IP IDs.)
 func TestPoisonedResume(t *testing.T) {
 	const dests, killAt = 60, 3
-	scM := topo.Generate(studyConfig(dests))
+	scM := topo.Generate(simtest.Default(dests))
 	cfgM := checkpointConfig(scM, "")
 	cfgM.Stream = false
-	mat, err := NewCampaign(netsim.NewTransport(scM.Net), cfgM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resM, err := mat.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resM := mustRun(t, newCampaign(t, netsim.NewTransport(scM.Net), cfgM))
 	want := Analyze(resM)
 
 	killAndResume := func(poisoned bool) (*Stats, []byte) {
 		dir := t.TempDir()
 		ckPath := filepath.Join(dir, "killed.ck")
-		scI := topo.Generate(studyConfig(dests))
+		scI := topo.Generate(simtest.Default(dests))
 		cfgI := checkpointConfig(scI, ckPath)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -388,10 +375,7 @@ func TestPoisonedResume(t *testing.T) {
 			}
 			scI.RoundStart(r)
 		}
-		killed, err := NewCampaign(netsim.NewTransport(scI.Net), cfgI)
-		if err != nil {
-			t.Fatal(err)
-		}
+		killed := newCampaign(t, netsim.NewTransport(scI.Net), cfgI)
 		if poisoned {
 			poison(killed)
 		}
@@ -399,16 +383,10 @@ func TestPoisonedResume(t *testing.T) {
 			t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 		}
 
-		ck, err := LoadCheckpoint(ckPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scR := topo.Generate(studyConfig(dests))
+		ck := mustLoad(t, ckPath)
+		scR := topo.Generate(simtest.Default(dests))
 		finalPath := filepath.Join(dir, "resumed.ck")
-		resumed, err := NewCampaign(netsim.NewTransport(scR.Net), checkpointConfig(scR, finalPath))
-		if err != nil {
-			t.Fatal(err)
-		}
+		resumed := newCampaign(t, netsim.NewTransport(scR.Net), checkpointConfig(scR, finalPath))
 		if err := resumed.Resume(ck); err != nil {
 			t.Fatal(err)
 		}
@@ -416,10 +394,7 @@ func TestPoisonedResume(t *testing.T) {
 		if poisoned {
 			recycled = poison(resumed)
 		}
-		res, err := resumed.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, resumed)
 		if poisoned && recycled.pairs != (cfgM.Rounds-killAt)*dests {
 			t.Errorf("%d pairs recycled after the resume, want %d", recycled.pairs, (cfgM.Rounds-killAt)*dests)
 		}
@@ -443,17 +418,10 @@ func TestPoisonedResume(t *testing.T) {
 // it right after the fold must change nothing, and the statistics must be
 // the ones an accumulator without collisions computes.
 func TestPoisonedFingerprintCollision(t *testing.T) {
-	sc := topo.Generate(studyConfig(80))
-	c, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+	sc := topo.Generate(simtest.Default(80))
+	res := mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Rounds: 5, Workers: 4, RoundStart: sc.RoundStart, PortSeed: 42, Batch: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	want := Analyze(res)
 
 	a := NewAccumulator()

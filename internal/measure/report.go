@@ -9,11 +9,24 @@ import (
 	"repro/internal/asmap"
 )
 
-// row is one paper-vs-measured comparison line.
+// row is one paper-vs-measured comparison line. Its unit is "%", a word,
+// or empty for a count.
 type row struct {
 	name            string
 	paper, measured float64
 	unit            string
+}
+
+// cell renders one value of r: a percentage, a quantity followed by its
+// word unit, or a count as an integer.
+func (r row) cell(v float64) string {
+	switch r.unit {
+	case "":
+		return fmt.Sprintf("%.0f", v)
+	case "%":
+		return fmt.Sprintf("%.2f%%", v)
+	}
+	return fmt.Sprintf("%.2f %s", v, r.unit)
 }
 
 // rows renders the full comparison table from measured stats. The paper
@@ -69,8 +82,8 @@ func WriteReport(w io.Writer, s *Stats, as *asmap.Table) {
 		fmt.Fprintf(w, "AS coverage: %d ASes (%d tier-1, %d regional), %d unmapped addresses\n",
 			cov.ASes, cov.TierOne, cov.Regional, cov.Unmapped)
 	}
-	fmt.Fprintf(w, "\n%-42s %10s %10s\n", "statistic", "paper", "measured")
+	fmt.Fprintf(w, "\n%-42s %12s %12s\n", "statistic", "paper", "measured")
 	for _, r := range rows(s) {
-		fmt.Fprintf(w, "%-42s %9.2f%-1s %9.2f%-1s\n", r.name, r.paper, r.unit, r.measured, r.unit)
+		fmt.Fprintf(w, "%-42s %12s %12s\n", r.name, r.cell(r.paper), r.cell(r.measured))
 	}
 }

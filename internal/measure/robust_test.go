@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 )
 
@@ -18,7 +19,7 @@ import (
 // returned sleeps slice records every backoff wait (no real sleeping).
 func faultyCampaign(t *testing.T, dests, rounds int, plan netsim.FaultPlan, cfg Config) (*Campaign, *topo.Scenario, *netsim.FaultTransport, *[]time.Duration) {
 	t.Helper()
-	sc := topo.Generate(studyConfig(dests))
+	sc := topo.Generate(simtest.Default(dests))
 	ft := netsim.WrapFaults(netsim.NewTransport(sc.Net), plan)
 	sleeps := new([]time.Duration)
 	cfg.Dests = sc.Dests
@@ -32,10 +33,7 @@ func faultyCampaign(t *testing.T, dests, rounds int, plan netsim.FaultPlan, cfg 
 		defer mu.Unlock()
 		*sleeps = append(*sleeps, d)
 	}
-	camp, err := NewCampaign(ft, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	camp := newCampaign(t, ft, cfg)
 	return camp, sc, ft, sleeps
 }
 
@@ -60,10 +58,7 @@ func TestCampaignQuarantinesBlackholedDests(t *testing.T) {
 		t.Fatalf("degenerate plan: %d of %d destinations blackholed", blackholed, len(sc.Dests))
 	}
 
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, camp)
 	s := res.Stats
 
 	wantFailed := blackholed * quarantineAfter
@@ -113,10 +108,7 @@ func TestCampaignRetriesRideOutTransientWindow(t *testing.T) {
 		Workers: 4,
 		Stream:  true,
 	})
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, camp)
 	s := res.Stats
 	if s.Robust.Failed != 0 || s.Robust.Skipped != 0 || s.Robust.QuarantinedDests != 0 {
 		t.Fatalf("retries did not ride out the window: %+v", s.Robust)
@@ -131,48 +123,13 @@ func TestCampaignRetriesRideOutTransientWindow(t *testing.T) {
 
 	// The dropped-then-retried probes never reached the simulated network,
 	// so the statistics must match a fault-free campaign exactly.
-	clean := topo.Generate(studyConfig(dests))
-	cc, err := NewCampaign(netsim.NewTransport(clean.Net), Config{
+	clean := topo.Generate(simtest.Default(dests))
+	cres := mustRun(t, newCampaign(t, netsim.NewTransport(clean.Net), Config{
 		Dests: clean.Dests, Rounds: rounds, Workers: 4,
 		RoundStart: clean.RoundStart, PortSeed: 42, Stream: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := cc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	if !reflect.DeepEqual(s, cres.Stats) {
 		t.Errorf("faulted-but-retried stats differ from fault-free stats:\nfaulted: %+v\nclean:   %+v", s, cres.Stats)
-	}
-}
-
-// TestCampaignStreamAnalyzeParityWithFaults pins that a degraded campaign's
-// streaming statistics equal materialize-then-Analyze over the same faults:
-// Failed/Skipped pairs flow through both paths identically.
-func TestCampaignStreamAnalyzeParityWithFaults(t *testing.T) {
-	const dests, rounds = 40, 5
-	plan := netsim.FaultPlan{Seed: 11, BlackholeEvery: 5}
-	run := func(stream bool) *Stats {
-		camp, _, _, _ := faultyCampaign(t, dests, rounds, plan, Config{
-			Workers: 3, Stream: stream,
-		})
-		res, err := camp.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stream {
-			return res.Stats
-		}
-		return Analyze(res)
-	}
-	st, mat := run(true), run(false)
-	if st.Robust.Failed == 0 {
-		t.Fatal("degenerate: no failures injected")
-	}
-	if !reflect.DeepEqual(st, mat) {
-		t.Errorf("streaming and Analyze disagree under faults:\nstream:  %+v\nanalyze: %+v", st, mat)
 	}
 }
 
@@ -200,9 +157,9 @@ func TestCampaignFailFastAborts(t *testing.T) {
 // the interrupted round and surfaces ctx.Err alongside the partial results.
 func TestCampaignContextCancel(t *testing.T) {
 	const cancelAt = 2
-	sc := topo.Generate(studyConfig(30))
+	sc := topo.Generate(simtest.Default(30))
 	ctx, cancel := context.WithCancel(context.Background())
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+	camp := newCampaign(t, netsim.NewTransport(sc.Net), Config{
 		Dests:   sc.Dests,
 		Rounds:  6,
 		Workers: 4,
@@ -214,9 +171,6 @@ func TestCampaignContextCancel(t *testing.T) {
 		},
 		PortSeed: 42,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := camp.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext error = %v, want context.Canceled", err)
@@ -239,9 +193,7 @@ func TestRunRoundLeaksNoGoroutines(t *testing.T) {
 	}
 
 	deg, _, _, _ := faultyCampaign(t, 20, quarantineAfter+1, plan, Config{Workers: 8, Stream: true})
-	if _, err := deg.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, deg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -269,14 +221,11 @@ func TestRunRoundLeaksNoGoroutines(t *testing.T) {
 // TestBackoffSchedule pins the retry delay computation: deterministic,
 // exponential, jittered within [0.5, 1.5), capped.
 func TestBackoffSchedule(t *testing.T) {
-	sc := topo.Generate(studyConfig(4))
-	camp, err := NewCampaign(netsim.NewTransport(sc.Net), Config{
+	sc := topo.Generate(simtest.Default(4))
+	camp := newCampaign(t, netsim.NewTransport(sc.Net), Config{
 		Dests:    sc.Dests,
 		PortSeed: 9,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	d := sc.Dests[0]
 	for attempt := 1; attempt <= 6; attempt++ {
 		got := camp.backoff(d, 3, attempt)

@@ -163,7 +163,7 @@ type Stats struct {
 // It feeds every pair, in round order, through one streaming Accumulator —
 // the same one a Config.Stream campaign folds into per worker — and merges
 // it. It is the serial reference the streaming path is held to
-// (TestCampaignStreamInvariance, the route-poison suite); the binaries
+// (simtest's TestHouseInvariant, the route-poison suite); the binaries
 // always stream.
 func Analyze(res *Results) *Stats {
 	a := NewAccumulator()

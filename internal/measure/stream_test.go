@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/anomaly"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
 )
@@ -16,10 +17,10 @@ import (
 // statistics either path yields.
 func runStreamStats(t *testing.T, stream, batch bool, shards, workers, dests, rounds, every int) *Stats {
 	t.Helper()
-	cfg := studyConfig(dests)
+	cfg := simtest.Default(dests)
 	cfg.Shards = shards
 	sc := topo.Generate(cfg)
-	camp, err := NewCampaign(sc.Transport(), Config{
+	camp := newCampaign(t, sc.Transport(), Config{
 		Dests:      sc.Dests,
 		Rounds:     rounds,
 		Workers:    workers,
@@ -29,16 +30,10 @@ func runStreamStats(t *testing.T, stream, batch bool, shards, workers, dests, ro
 		Batch:      batch,
 		Stream:     stream,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if every > 0 {
 		camp.foldEvery = every
 	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, camp)
 	if stream {
 		if res.Rounds != nil {
 			t.Fatalf("streaming campaign retained %d rounds of pairs", len(res.Rounds))
@@ -52,31 +47,6 @@ func runStreamStats(t *testing.T, stream, batch bool, shards, workers, dests, ro
 		t.Fatal("materializing campaign returned streamed Stats")
 	}
 	return Analyze(res)
-}
-
-// TestCampaignStreamInvariance is the streaming analogue of the worker-,
-// shard- and batch-invariance gates: folding pairs into per-worker
-// accumulators as they complete must produce byte-identical Stats —
-// including AllAddresses order — to materializing every pair and running
-// Analyze, at one shard and four, with the batched ladder off and on.
-func TestCampaignStreamInvariance(t *testing.T) {
-	const (
-		dests  = 120
-		rounds = 5
-	)
-	for _, shards := range []int{1, 4} {
-		for _, batch := range []bool{false, true} {
-			mat := runStreamStats(t, false, batch, shards, 32, dests, rounds, 0)
-			str := runStreamStats(t, true, batch, shards, 32, dests, rounds, 0)
-			if mat.Loops.Instances == 0 || mat.Diamonds.Total == 0 {
-				t.Fatalf("shards=%d batch=%v: campaign saw no anomalies; invariance check degenerate", shards, batch)
-			}
-			if !reflect.DeepEqual(mat, str) {
-				t.Errorf("shards=%d batch=%v: campaign statistics differ between materialized Analyze and streaming:\nanalyze: %+v\nstream:  %+v",
-					shards, batch, mat, str)
-			}
-		}
-	}
 }
 
 // TestCampaignStreamInvarianceFoldEvery pins the fold-batching contract:
@@ -102,51 +72,6 @@ func TestCampaignStreamInvarianceFoldEvery(t *testing.T) {
 			t.Errorf("foldEvery=%d: campaign statistics differ from foldEvery=1:\nK=1: %+v\nK=%d: %+v",
 				k, immediate, k, batched)
 		}
-	}
-}
-
-// TestCampaignStreamInvarianceFullGadgets repeats the gate on the default
-// topology with the IP-ID-consulting gadgets boosted, at one worker, so
-// every IP ID is reproducible too. This is the end-to-end check that the
-// accumulator's per-round re-evaluation of the IP-ID-consulting rules
-// matches what Analyze computes over retained pairs.
-func TestCampaignStreamInvarianceFullGadgets(t *testing.T) {
-	run := func(stream bool) *Stats {
-		cfg := topo.DefaultGenConfig()
-		cfg.Destinations = 200
-		// Boost the rare IP-ID-consulting gadgets (zero-TTL pods, loopers)
-		// so this small draw actually contains the rules under test.
-		cfg.PZeroTTLPod = 0.2
-		cfg.PLooperPod = 0.2
-		sc := topo.Generate(cfg)
-		camp, err := NewCampaign(sc.Transport(), Config{
-			Dests:      sc.Dests,
-			Rounds:     6,
-			Workers:    1,
-			RoundStart: sc.RoundStart,
-			PortSeed:   42,
-			Batch:      true,
-			Stream:     stream,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := camp.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stream {
-			return res.Stats
-		}
-		return Analyze(res)
-	}
-	mat := run(false)
-	str := run(true)
-	if mat.Loops.ByCause[anomaly.CauseZeroTTL] == 0 {
-		t.Error("no zero-TTL loops in this draw; the IP ID re-evaluation path is not covered")
-	}
-	if !reflect.DeepEqual(mat, str) {
-		t.Errorf("full-gadget campaign statistics differ between materialized Analyze and streaming:\nanalyze: %+v\nstream:  %+v", mat, str)
 	}
 }
 
@@ -278,13 +203,7 @@ func (p *portTap) Exchange(probe []byte) ([]byte, time.Duration, bool) {
 func TestCampaignParisPortPlan(t *testing.T) {
 	sc := smallScenario(t, 20)
 	tap := &portTap{Transport: sc.Transport(), ports: make(map[netip.Addr]map[[2]uint16]bool)}
-	camp, err := NewCampaign(tap, Config{Dests: sc.Dests, Rounds: 2, Workers: 1, PortSeed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := camp.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, newCampaign(t, tap, Config{Dests: sc.Dests, Rounds: 2, Workers: 1, PortSeed: 99}))
 	for _, d := range sc.Dests {
 		src, dst := portFor(99, d, 0x517e), portFor(99, d, 0xd057)
 		if src < 10000 || src >= 60000 || dst < 10000 || dst >= 60000 {

@@ -1,0 +1,309 @@
+package simtest_test
+
+import (
+	"context"
+	"errors"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/anomaly"
+	"repro/internal/daemon"
+	"repro/internal/measure"
+	"repro/internal/netsim"
+	"repro/internal/pcap"
+	"repro/internal/simtest"
+	"repro/internal/topo"
+	"repro/internal/tracer"
+	"repro/internal/tracer/live"
+	"repro/internal/tracer/replay"
+)
+
+// The house invariant, in one table: over each scenario, one reference run
+// (one worker, one shard, unbatched, materialized then Analyze, over netsim)
+// and a row per axis the statistics must not depend on. Every row renders
+// to the reference's -stats-json bytes, and every row that retains its
+// pairs measured every route Equal to the reference's. A new axis is one
+// more row.
+
+// dests × rounds is no multiple of the fold ring's sixteen pairs, so the
+// one-worker stream row folds a partial ring at the end.
+const (
+	dests    = 50
+	rounds   = 4
+	portSeed = 42
+)
+
+// scenario is one topology the table runs, with the fault plan its netsim
+// transport is wrapped in (the live rows, which answer from the network
+// itself, do not run under one) and what its reference must contain for
+// the rows to test anything.
+type scenario struct {
+	name   string
+	gen    topo.GenConfig
+	faults *netsim.FaultPlan
+	holds  func(*measure.Stats) bool
+}
+
+func anomalies(s *measure.Stats) bool {
+	return s.Loops.Instances > 0 && s.Cycles.Instances > 0 && s.Diamonds.Total > 0
+}
+
+var scenarios = []scenario{
+	{name: "default", gen: simtest.Default(dests), holds: anomalies},
+	{name: "dynamics", gen: simtest.Dynamics(dests), holds: func(s *measure.Stats) bool {
+		// Virtual-clock RTTs, not netsim's static 500 µs per hop.
+		return anomalies(s) && s.RTT.Samples > 0 && s.RTT.MinNs%500_000 != 0
+	}},
+	{name: "flips", gen: simtest.Flips(dests), holds: anomalies},
+	{name: "gadgets", gen: simtest.Gadgets(dests), holds: func(s *measure.Stats) bool {
+		return anomalies(s) && s.Loops.ByCause[anomaly.CauseZeroTTL] > 0
+	}},
+	{name: "free", gen: simtest.Free(dests), holds: func(s *measure.Stats) bool {
+		return s.Loops.Instances > 0 && s.Diamonds.Total > 0
+	}},
+	{name: "blackholes", gen: simtest.Default(dests), faults: &netsim.FaultPlan{Seed: 11, BlackholeEvery: 5},
+		holds: func(s *measure.Stats) bool { return anomalies(s) && s.Robust.Failed > 0 && s.Robust.Skipped > 0 }},
+}
+
+// shape is how a campaign row probes.
+type shape struct {
+	workers, shards int
+	batch, stream   bool
+}
+
+// outcome is what a row measured: its statistics and, if it kept them,
+// its pairs.
+type outcome struct {
+	stats *measure.Stats
+	pairs [][]measure.Pair
+}
+
+func noSleep(time.Duration) {}
+
+// build generates a fresh copy of sc cut into shards and its transport.
+func (sc scenario) build(shards int) (*topo.Scenario, tracer.Transport) {
+	g := sc.gen
+	g.Shards = shards
+	s := topo.Generate(g)
+	var tp tracer.Transport = s.Transport()
+	if sc.faults != nil {
+		tp = netsim.WrapFaults(tp, *sc.faults)
+	}
+	return s, tp
+}
+
+// config is the campaign every row runs, in the given shape, over s.
+func config(s *topo.Scenario, sh shape) measure.Config {
+	return measure.Config{
+		Dests: s.Dests, Rounds: rounds, Workers: sh.workers, RoundStart: s.RoundStart, ShardOf: s.ShardOf,
+		PortSeed: portSeed, Batch: sh.batch, Stream: sh.stream, Sleep: noSleep,
+	}
+}
+
+// finish runs camp and returns what it measured.
+func finish(t *testing.T, camp *measure.Campaign, err error) outcome {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := camp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats != nil {
+		return outcome{stats: res.Stats}
+	}
+	return outcome{stats: measure.Analyze(res), pairs: res.Rounds}
+}
+
+// campaign is one run of sc in shape sh over netsim.
+func campaign(t *testing.T, sc scenario, sh shape) outcome {
+	s, tp := sc.build(sh.shards)
+	camp, err := measure.NewCampaign(tp, config(s, sh))
+	return finish(t, camp, err)
+}
+
+// haltResume halts a checkpointing campaign as round k begins, then
+// resumes it from the checkpoint over a fresh copy of the scenario.
+func haltResume(t *testing.T, sc scenario, k int) outcome {
+	sh := shape{workers: 4, shards: 1, batch: true, stream: true}
+	ck := filepath.Join(t.TempDir(), "halt.ck")
+	s, tp := sc.build(1)
+	cfg := config(s, sh)
+	cfg.CheckpointPath = ck
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.RoundStart = func(r int) {
+		if r == k {
+			cancel()
+		}
+		s.RoundStart(r)
+	}
+	camp, err := measure.NewCampaign(tp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := camp.RunContext(ctx); (k < rounds) != errors.Is(err, context.Canceled) {
+		t.Fatalf("halt at round %d: run returned %v", k, err)
+	}
+	ckp, err := measure.LoadCheckpoint(ck)
+	if err != nil || ckp.NextRound != k {
+		t.Fatalf("halting at round %d left no checkpoint that resumes there: %v", k, err)
+	}
+	s, tp = sc.build(1)
+	cfg = config(s, sh)
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "resumed.ck")
+	camp, err = measure.NewCampaign(tp, cfg)
+	if err == nil {
+		err = camp.Resume(ckp)
+	}
+	return finish(t, camp, err)
+}
+
+// daemonRun ticks the daemon at period 1, every destination admitted, for
+// the campaign's rounds: a campaign by another scheduler.
+func daemonRun(t *testing.T, sc scenario) outcome {
+	s, tp := sc.build(1)
+	d, err := daemon.New(daemon.Config{
+		Dests: s.Dests, Transport: tp, RoundStart: s.RoundStart,
+		Probe:  measure.ProbeConfig{PortSeed: portSeed, Batch: true},
+		Period: 1, Workers: 4, QueueCap: len(s.Dests),
+		Watchdog: func(int64) <-chan time.Time { return nil }, Sleep: noSleep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	for range rounds {
+		d.Tick()
+	}
+	return outcome{stats: d.Snapshot()}
+}
+
+// muxRun runs an 8-worker campaign through one live.Mux over a SimConn
+// replaying the scenario's network under sched, captured to path.
+func muxRun(t *testing.T, sc scenario, sched live.SimSchedule, retries int, path string) outcome {
+	s, _ := sc.build(1)
+	capture, err := pcap.CreateCapture(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := live.NewMux(live.MuxConfig{
+		Source: s.Net.Source(), Conn: &live.SimConn{Respond: simtest.Responder(s.Net), Sched: sched},
+		Retries: retries, Capture: capture, Sleep: noSleep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config(s, shape{workers: 8, batch: true})
+	cfg.TransportFor = func(int) tracer.Transport { return m.Transport() }
+	camp, err := measure.NewCampaign(nil, cfg)
+	out := finish(t, camp, err)
+	if h := m.Health(); h.InFlight != 0 {
+		t.Errorf("%d probes still in flight after the campaign", h.InFlight)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := capture.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// replayRun serves the capture at path to the same campaign. A capture
+// without duplicates holds no junk.
+func replayRun(t *testing.T, sc scenario, path string, retries int, dups bool) outcome {
+	rt, err := replay.Open(path, replay.Config{Retries: retries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := sc.build(1)
+	cfg := config(s, shape{workers: 8, batch: true})
+	cfg.RoundStart = nil
+	cfg.TransportFor = func(int) tracer.Transport { return rt }
+	camp, err := measure.NewCampaign(nil, cfg)
+	out := finish(t, camp, err)
+	if l := rt.Leftover(); l != 0 {
+		t.Errorf("replay left %d captured exchanges unserved", l)
+	}
+	if j := rt.Junk(); j != 0 && !dups {
+		t.Errorf("%d junk records in a capture without duplicates", j)
+	}
+	return out
+}
+
+// withoutRTT drops the RTT tallies: the mux times exchanges on the wall
+// clock, not on netsim's.
+func withoutRTT(o outcome) outcome {
+	s := *o.stats
+	s.RTT = measure.RTTStats{}
+	return outcome{&s, o.pairs}
+}
+
+func TestHouseInvariant(t *testing.T) {
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			t.Parallel()
+			ref := campaign(t, sc, shape{workers: 1, shards: 1})
+			if !sc.holds(ref.stats) {
+				t.Fatalf("reference run is degenerate for this scenario: %s", simtest.JSON(ref.stats))
+			}
+			// row holds what run measures to want's statistics and, if it
+			// kept its pairs, to the reference's routes.
+			row := func(name string, want *measure.Stats, run func(t *testing.T) outcome) {
+				t.Run(name, func(t *testing.T) {
+					got := run(t)
+					if d := simtest.Diff(want, got.stats); d != "" {
+						t.Errorf("statistics differ from the reference at %s", d)
+					}
+					for r := range got.pairs {
+						for i, g := range got.pairs[r] {
+							w := ref.pairs[r][i]
+							if g.Dest != w.Dest || g.Outcome != w.Outcome || !g.Paris.Equal(w.Paris) || !g.Classic.Equal(w.Classic) {
+								t.Fatalf("round %d dest %v: routes differ from the reference", r, w.Dest)
+							}
+						}
+					}
+				})
+			}
+			for name, sh := range map[string]shape{
+				"workers=8":                        {workers: 8},
+				"workers=32":                       {workers: 32},
+				"shards=4":                         {workers: 2, shards: 4},
+				"batch":                            {workers: 1, batch: true},
+				"stream":                           {workers: 1, stream: true},
+				"workers=32,shards=4,batch,stream": {workers: 32, shards: 4, batch: true, stream: true},
+			} {
+				row(name, ref.stats, func(t *testing.T) outcome { return campaign(t, sc, sh) })
+			}
+			row("halt-mid", ref.stats, func(t *testing.T) outcome { return haltResume(t, sc, rounds/2) })
+			row("halt-final", ref.stats, func(t *testing.T) outcome { return haltResume(t, sc, rounds) })
+			row("daemon", ref.stats, func(t *testing.T) outcome { return daemonRun(t, sc) })
+			if sc.faults != nil {
+				return
+			}
+			for _, m := range []struct {
+				name    string
+				sched   live.SimSchedule
+				retries int
+			}{
+				{"clean", live.SimSchedule{}, 0},
+				{"reorder+dup", live.SimSchedule{Reorder: true, Dup: func(ord int) bool { return ord%3 == 0 }}, 1},
+			} {
+				var captured outcome
+				path := filepath.Join(t.TempDir(), m.name+".pcap")
+				row("mux/"+m.name, withoutRTT(ref).stats, func(t *testing.T) outcome {
+					captured = muxRun(t, sc, m.sched, m.retries, path)
+					return withoutRTT(captured)
+				})
+				if captured.stats != nil {
+					row("replay/"+m.name, captured.stats, func(t *testing.T) outcome {
+						return replayRun(t, sc, path, m.retries, m.sched.Dup != nil)
+					})
+				}
+			}
+		})
+	}
+}

@@ -6,9 +6,9 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/pcap"
+	"repro/internal/simtest"
 	"repro/internal/tracer"
 )
 
@@ -45,7 +45,7 @@ func TestMuxCaptureSurvivesSocketRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	responder := netsimResponder(sc.Net)
+	responder := simtest.Responder(sc.Net)
 	fake1 := &SimConn{Respond: responder}
 	fake1.ReadErr = func(call int) error {
 		if call == 0 {
@@ -55,7 +55,7 @@ func TestMuxCaptureSurvivesSocketRecovery(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var conns []*SimConn
-	m, err := NewMux(MuxConfig{
+	m := openFakeMux(t, MuxConfig{
 		Source: sc.Net.Source(), Conn: fake1, Capture: cap,
 		Redial: func() (PacketConn, error) {
 			mu.Lock()
@@ -64,17 +64,11 @@ func TestMuxCaptureSurvivesSocketRecovery(t *testing.T) {
 			conns = append(conns, c)
 			return c, nil
 		},
-		Sleep: func(time.Duration) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := muxTraceAll(t, m, sc, workers)
 	h := m.Health()
 	assertMuxDrained(t, m)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeMux(t, m)
 	if h.Reopens != 1 {
 		t.Fatalf("reopens=%d, want 1 — scenario did not exercise recovery", h.Reopens)
 	}
@@ -118,7 +112,7 @@ func TestCaptureSurvivesContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	responder := netsimResponder(sc.Net)
+	responder := simtest.Responder(sc.Net)
 	calls := 0
 	// Answer the first window normally, then go silent and cancel: the
 	// transport is left waiting on probes that will never resolve except

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/simtest"
 	"repro/internal/tracer"
 )
 
@@ -26,10 +27,7 @@ import (
 func TestLiveTransientSendFaultDeferred(t *testing.T) {
 	const seed = 7
 	net1, dest1 := scenarios[1].build(seed)
-	want, err := tracer.NewParisUDP(netsim.NewTransport(net1), tracer.Options{}).Trace(dest1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := parisTrace(t, netsim.NewTransport(net1), tracer.Options{}, dest1)
 
 	mux, fake, dest := newFakeMux(t, scenarios[1].build, seed, SimSchedule{}, 0)
 	fake.WriteErr = func(call, n int) (int, error) {
@@ -38,10 +36,7 @@ func TestLiveTransientSendFaultDeferred(t *testing.T) {
 		}
 		return n, nil
 	}
-	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{Batch: true}).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parisTrace(t, mux.Transport(), tracer.Options{Batch: true}, dest)
 	assertMuxDrained(t, mux)
 	if !got.Equal(want) {
 		t.Errorf("ENOBUFS tail changed the route\ngot:  %v\nwant: %v", got.Addresses(), want.Addresses())
@@ -57,10 +52,7 @@ func TestLiveTransientSendFaultDeferred(t *testing.T) {
 func TestLiveTransientSendFaultExhausted(t *testing.T) {
 	mux, fake, dest := newFakeMux(t, scenarios[1].build, 5, SimSchedule{}, 0)
 	fake.WriteErr = func(call, n int) (int, error) { return 0, syscall.EINTR }
-	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{Batch: true}).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parisTrace(t, mux.Transport(), tracer.Options{Batch: true}, dest)
 	assertMuxDrained(t, mux)
 	if got.Halt != tracer.HaltStars {
 		t.Fatalf("halt = %v, want stars", got.Halt)
@@ -125,7 +117,7 @@ func TestLiveContextCancel(t *testing.T) {
 		net2, dest := scenarios[1].build(5)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		fake := &SimConn{Respond: netsimResponder(net2)}
+		fake := &SimConn{Respond: simtest.Responder(net2)}
 		mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake, Context: ctx})
 		awaitCancel(mux)
 		_, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{}).Trace(dest)
@@ -164,7 +156,7 @@ func TestLiveContextCancel(t *testing.T) {
 // exchange.
 func TestLiveResultSlotErrReset(t *testing.T) {
 	net2, dest := scenarios[1].build(5)
-	fake := &SimConn{Respond: netsimResponder(net2)}
+	fake := &SimConn{Respond: simtest.Responder(net2)}
 	mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake})
 	tp := mux.Transport()
 	probe := buildProbe(t, net2.Source(), dest)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
 )
@@ -66,27 +67,18 @@ var methods = []struct {
 	{"tcptraceroute", tracer.NewTCPTraceroute, true},
 }
 
-// netsimResponder replays probes through net, exactly as the simulator
-// transport would answer them.
-func netsimResponder(net *netsim.Network) func([]byte) ([]byte, bool) {
-	return func(probe []byte) ([]byte, bool) {
-		resp, _, ok := net.Exchange(probe)
-		return resp, ok
-	}
-}
-
 // newFakeMux opens a mux over a SimConn backed by a fresh copy of the
 // scenario; the tests below trace through one handle of it. A redial
 // back-off never sleeps.
 func newFakeMux(t *testing.T, build func(int64) (*netsim.Network, netip.Addr), seed int64, sched SimSchedule, retries int) (*Mux, *SimConn, netip.Addr) {
 	t.Helper()
 	net, dest := build(seed)
-	fake := &SimConn{Respond: netsimResponder(net), Sched: sched}
+	fake := &SimConn{Respond: simtest.Responder(net), Sched: sched}
 	return openFakeMux(t, MuxConfig{Source: net.Source(), Conn: fake, Retries: retries}), fake, dest
 }
 
 // openFakeMux is NewMux for a hermetic test: no sleeping, closed with the test.
-func openFakeMux(t *testing.T, cfg MuxConfig) *Mux {
+func openFakeMux(t testing.TB, cfg MuxConfig) *Mux {
 	t.Helper()
 	cfg.Sleep = func(time.Duration) {}
 	m, err := NewMux(cfg)
@@ -95,6 +87,25 @@ func openFakeMux(t *testing.T, cfg MuxConfig) *Mux {
 	}
 	t.Cleanup(func() { m.Close() })
 	return m
+}
+
+// closeMux closes m; an error fails the test.
+func closeMux(t testing.TB, m *Mux) {
+	t.Helper()
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// parisTrace is one Paris UDP trace toward dest over tp; an error fails
+// the test.
+func parisTrace(t testing.TB, tp tracer.Transport, opts tracer.Options, dest netip.Addr) *tracer.Route {
+	t.Helper()
+	rt, err := tracer.NewParisUDP(tp, opts).Trace(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
 }
 
 // awaitCancel returns once m has seen its Context end. The AfterFunc that
@@ -222,13 +233,10 @@ func TestLiveSequentialExchange(t *testing.T) {
 func TestLiveSilentHopStar(t *testing.T) {
 	const seed, silentTTL = 3, 5
 	net1, dest1 := scenarios[1].build(seed)
-	want, err := tracer.NewParisUDP(netsim.NewTransport(net1), tracer.Options{}).Trace(dest1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := parisTrace(t, netsim.NewTransport(net1), tracer.Options{}, dest1)
 
 	net2, dest := scenarios[1].build(seed)
-	inner := netsimResponder(net2)
+	inner := simtest.Responder(net2)
 	fake := &SimConn{Respond: func(probe []byte) ([]byte, bool) {
 		var h packet.IPv4
 		if _, err := packet.ParseIPv4Into(probe, &h); err == nil && int(h.TTL) == silentTTL {
@@ -240,10 +248,7 @@ func TestLiveSilentHopStar(t *testing.T) {
 		return inner(probe)
 	}}
 	mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake, Retries: 1})
-	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{Batch: true}).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parisTrace(t, mux.Transport(), tracer.Options{Batch: true}, dest)
 	assertMuxDrained(t, mux)
 	if len(got.Hops) != len(want.Hops) || got.Halt != want.Halt {
 		t.Fatalf("route shape changed: got %d hops halt %v, want %d hops halt %v",
@@ -271,10 +276,7 @@ func TestLiveRetriesExhausted(t *testing.T) {
 	const retries = 2
 	mux, fake, dest := newFakeMux(t, scenarios[1].build, 5,
 		SimSchedule{Drop: func(int, []byte) bool { return true }}, retries)
-	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{}).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parisTrace(t, mux.Transport(), tracer.Options{}, dest)
 	assertMuxDrained(t, mux)
 	if got.Halt != tracer.HaltStars {
 		t.Fatalf("halt = %v, want stars", got.Halt)
@@ -300,13 +302,10 @@ func TestLiveRetriesExhausted(t *testing.T) {
 func TestLiveUnrelatedTrafficIgnored(t *testing.T) {
 	const seed = 13
 	net1, dest1 := scenarios[1].build(seed)
-	want, err := tracer.NewParisUDP(netsim.NewTransport(net1), tracer.Options{}).Trace(dest1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := parisTrace(t, netsim.NewTransport(net1), tracer.Options{}, dest1)
 
 	net2, dest := scenarios[1].build(seed)
-	inner := netsimResponder(net2)
+	inner := simtest.Responder(net2)
 	junkQuote := buildJunkError(t)
 	fake := &SimConn{}
 	fake.Respond = func(probe []byte) ([]byte, bool) {
@@ -320,10 +319,7 @@ func TestLiveUnrelatedTrafficIgnored(t *testing.T) {
 		return resp, ok
 	}
 	mux := openFakeMux(t, MuxConfig{Source: net2.Source(), Conn: fake})
-	got, err := tracer.NewParisUDP(mux.Transport(), tracer.Options{Batch: true}).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parisTrace(t, mux.Transport(), tracer.Options{Batch: true}, dest)
 	assertMuxDrained(t, mux)
 	if !got.Equal(want) {
 		t.Errorf("junk traffic changed the route\ngot:  %v\nwant: %v", got.Addresses(), want.Addresses())
@@ -367,14 +363,8 @@ func TestLiveScratchReuse(t *testing.T) {
 	sc := tracer.NewScratch()
 	mux, _, dest := newFakeMux(t, scenarios[1].build, seed, SimSchedule{}, 0)
 	opts := tracer.Options{Batch: true, Scratch: sc}
-	first, err := tracer.NewParisUDP(mux.Transport(), opts).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := tracer.NewParisUDP(mux.Transport(), opts).Trace(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := parisTrace(t, mux.Transport(), opts, dest)
+	second := parisTrace(t, mux.Transport(), opts, dest)
 	assertMuxDrained(t, mux)
 	if !first.Equal(second) {
 		t.Error("second trace through the same Scratch changed the measured route")

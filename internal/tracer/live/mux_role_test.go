@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/simtest"
 	"repro/internal/tracer"
 )
 
@@ -146,10 +147,7 @@ func hourMux(t *testing.T, cfg MuxConfig) (*Mux, *blockConn, [][]byte, map[strin
 	src, probes, answers := recordLadder(t, tracer.NewParisUDP, 0, 4)
 	conn := newBlockConn()
 	cfg.Source, cfg.Conn, cfg.Timeout = src, conn, time.Hour
-	m, err := NewMux(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := openFakeMux(t, cfg)
 	return m, conn, probes, answers
 }
 
@@ -232,17 +230,13 @@ func TestMuxCloseWithBlockedReader(t *testing.T) {
 	}
 	reader, follower := readerAndFollower(m, conn, probes)
 
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeMux(t, m)
 	for _, ch := range []<-chan tracer.ProbeResult{reader, follower} {
 		if r := <-ch; !errors.Is(r.Err, errMuxClosed) {
 			t.Fatalf("exchange cut short by Close: %+v, want the closed error", r)
 		}
 	}
-	if err := m.Close(); err != nil { // idempotent, and nothing left to wait for
-		t.Fatal(err)
-	}
+	closeMux(t, m) // idempotent, and nothing left to wait for
 	assertMuxDrained(t, m)
 	if n := settleGoroutines(before); n > before {
 		t.Fatalf("%d goroutines after Close, %d before NewMux", n, before)
@@ -322,22 +316,18 @@ func TestMuxEarlierDeadlineWakesReader(t *testing.T) {
 func TestMuxPanickingCallbackFreesRole(t *testing.T) {
 	sc := muxTopo(t, 2, 37)
 	fake := &SimConn{}
-	inner := netsimResponder(sc.Net)
+	inner := simtest.Responder(sc.Net)
 	fake.Respond = func(probe []byte) ([]byte, bool) {
 		fake.KDrops += 3 // fake.mu is held by WriteBatch here
 		return inner(probe)
 	}
 	var calls atomic.Int32
-	m, err := NewMux(MuxConfig{Source: sc.Net.Source(), Conn: fake,
+	m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake,
 		OnPressure: func(tracer.MuxHealth) {
 			if calls.Add(1) == 1 {
 				panic("pressure callback gave up")
 			}
 		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
 	var panicked any
 	func() {
 		defer func() { panicked = recover() }()
@@ -348,10 +338,7 @@ func TestMuxPanickingCallbackFreesRole(t *testing.T) {
 	}
 	assertMuxDrained(t, m)
 	want := muxBaseline(t, muxTopo(t, 2, 37))
-	got, err := tracer.NewParisUDP(m.Transport(), tracer.Options{Batch: true}).Trace(sc.Dests[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parisTrace(t, m.Transport(), tracer.Options{Batch: true}, sc.Dests[1])
 	if !got.Equal(want[1]) {
 		t.Errorf("route traced after the panic differs from the baseline")
 	}
@@ -366,7 +353,7 @@ func TestMuxRedialKeepsFollowersProbes(t *testing.T) {
 	const seed, dests = 29, 2
 	want := muxBaseline(t, muxTopo(t, dests, seed))
 	sc := muxTopo(t, dests, seed)
-	responder := netsimResponder(sc.Net)
+	responder := simtest.Responder(sc.Net)
 	dead := &SimConn{Respond: responder,
 		ReadErr: func(int) error { return errors.New("fake: network down") }}
 	var (
@@ -374,8 +361,8 @@ func TestMuxRedialKeepsFollowersProbes(t *testing.T) {
 		follower = make(chan *tracer.Route, 1)
 		fresh    = &SimConn{Respond: responder}
 	)
-	m, err := NewMux(MuxConfig{
-		Source: sc.Net.Source(), Conn: dead, Sleep: func(time.Duration) {},
+	m = openFakeMux(t, MuxConfig{
+		Source: sc.Net.Source(), Conn: dead,
 		Redial: func() (PacketConn, error) {
 			stranded := m.Health().InFlight
 			go func() {
@@ -391,14 +378,7 @@ func TestMuxRedialKeepsFollowersProbes(t *testing.T) {
 			return fresh, nil
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	got, err := tracer.NewParisUDP(m.Transport(), tracer.Options{Batch: true}).Trace(sc.Dests[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := parisTrace(t, m.Transport(), tracer.Options{Batch: true}, sc.Dests[0])
 	if !got.Equal(want[0]) {
 		t.Error("reader's route differs after the redial")
 	}
@@ -448,7 +428,7 @@ func (c *parkingConn) ReadBatch(dgs []Datagram) (int, error) {
 func TestMuxExpirySparesProbesSentDuringTheRead(t *testing.T) {
 	sc := muxTopo(t, 2, 61)
 	silent := sc.Dests[0].As4()
-	inner := netsimResponder(sc.Net)
+	inner := simtest.Responder(sc.Net)
 	conn := &parkingConn{parked: make(chan struct{}), release: make(chan struct{}),
 		SimConn: &SimConn{Respond: func(probe []byte) ([]byte, bool) {
 			if [4]byte(probe[16:20]) == silent {
@@ -456,11 +436,7 @@ func TestMuxExpirySparesProbesSentDuringTheRead(t *testing.T) {
 			}
 			return inner(probe)
 		}}}
-	m, err := NewMux(MuxConfig{Source: sc.Net.Source(), Conn: conn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: conn})
 
 	_, toSilent, _ := recordLadderIn(t, sc, tracer.NewParisUDP, 0, 1)
 	_, toSampled, _ := recordLadderIn(t, sc, tracer.NewParisUDP, 1, 2)
@@ -513,7 +489,7 @@ func TestMuxLossySendCountExact(t *testing.T) {
 	var (
 		drops, silent int
 		attempted     = make(map[string]bool)
-		inner         = netsimResponder(sc.Net)
+		inner         = simtest.Responder(sc.Net)
 	)
 	fake := &SimConn{
 		Respond: func(probe []byte) ([]byte, bool) { // fake.mu is held here
@@ -535,11 +511,7 @@ func TestMuxLossySendCountExact(t *testing.T) {
 			drops++
 			return true
 		}}}
-	m, err := NewMux(MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: 1})
 	var probes atomic.Int64
 	got := muxTraceAllVia(t, sc, workers, func() tracer.Transport {
 		return countingTransport{m.Transport(), &probes}

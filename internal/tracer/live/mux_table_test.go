@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
 	"repro/internal/tracer/flowkey"
@@ -137,11 +138,7 @@ func TestMuxExchangeAllocs(t *testing.T) {
 	for _, d := range ladderDisciplines {
 		t.Run(d.name, func(t *testing.T) {
 			src, probes, answers := recordLadder(t, d.mk, 0, 16)
-			m, err := NewMux(MuxConfig{Source: src, Conn: &loopConn{answers: answers}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
+			m := openFakeMux(t, MuxConfig{Source: src, Conn: &loopConn{answers: answers}})
 			tp := m.Transport()
 			out := make([]tracer.ProbeResult, len(probes))
 			exchange := func() {
@@ -170,13 +167,9 @@ func TestMuxExchangeAllocs(t *testing.T) {
 // slices and all.
 func TestMuxSharedKeyTableDrains(t *testing.T) {
 	sc := muxTopo(t, 8, 53)
-	fake := &SimConn{Respond: netsimResponder(sc.Net),
+	fake := &SimConn{Respond: simtest.Responder(sc.Net),
 		Sched: SimSchedule{Reorder: true, Dup: func(int) bool { return true }}}
-	m, err := NewMux(MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -301,11 +294,7 @@ func FuzzMuxDispatch(f *testing.F) {
 			conn.deliver = append(conn.deliver, dgram)
 		}
 		delivered := len(conn.deliver)
-		m, err := NewMux(MuxConfig{Source: src, Conn: conn})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
+		m := openFakeMux(t, MuxConfig{Source: src, Conn: conn})
 		outs := make([][]tracer.ProbeResult, len(ladders))
 		for w := range ladders {
 			outs[w] = make([]tracer.ProbeResult, perLadder)
@@ -362,11 +351,7 @@ func BenchmarkMuxExchange(b *testing.B) {
 					answers[p] = resp
 				}
 			}
-			m, err := NewMux(MuxConfig{Source: src, Conn: &loopConn{answers: answers}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
+			m := openFakeMux(b, MuxConfig{Source: src, Conn: &loopConn{answers: answers}})
 			b.ReportAllocs()
 			b.ResetTimer()
 			var wg sync.WaitGroup

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/measure"
 	"repro/internal/netsim"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
 )
@@ -32,14 +32,13 @@ var (
 	_ dropCounter              = (*SimConn)(nil)
 )
 
-// muxTopo generates the default multi-destination topology, per-packet
-// diamonds included: every draw is keyed by the probe bytes, so replaying
-// probes in any order or multiplicity yields identical routes.
+// muxTopo generates simtest's default topology, per-packet diamonds
+// included: every draw is keyed by the probe bytes, so replaying probes in
+// any order or multiplicity yields identical routes.
 func muxTopo(t testing.TB, dests int, seed int64) *topo.Scenario {
 	t.Helper()
-	gc := topo.DefaultGenConfig()
+	gc := simtest.Default(dests)
 	gc.Seed = seed
-	gc.Destinations = dests
 	return topo.Generate(gc)
 }
 
@@ -50,10 +49,7 @@ func muxBaseline(t *testing.T, sc *topo.Scenario) []*tracer.Route {
 	tp := netsim.NewTransport(sc.Net)
 	want := make([]*tracer.Route, len(sc.Dests))
 	for i, d := range sc.Dests {
-		r, err := tracer.NewParisUDP(tp, tracer.Options{}).Trace(d)
-		if err != nil {
-			t.Fatalf("baseline %v: %v", d, err)
-		}
+		r := parisTrace(t, tp, tracer.Options{}, d)
 		want[i] = r
 	}
 	return want
@@ -137,17 +133,12 @@ func TestMuxMultiWorkerDifferential(t *testing.T) {
 	want := muxBaseline(t, muxTopo(t, dests, seed))
 	for _, sch := range schedules {
 		sc := muxTopo(t, dests, seed)
-		fake := &SimConn{Respond: netsimResponder(sc.Net), Sched: sch.sched()}
-		m, err := NewMux(MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: sch.retries})
-		if err != nil {
-			t.Fatalf("%s: NewMux: %v", sch.name, err)
-		}
+		fake := &SimConn{Respond: simtest.Responder(sc.Net), Sched: sch.sched()}
+		m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: sch.retries})
 		got := muxTraceAll(t, m, sc, workers)
 		h := m.Health()
 		assertMuxDrained(t, m)
-		if err := m.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", sch.name, err)
-		}
+		closeMux(t, m)
 		for i := range got {
 			if !got[i].Equal(want[i]) {
 				t.Errorf("%s: dest %v: mux route differs from sequential baseline\ngot:  halt=%v hops=%v\nwant: halt=%v hops=%v",
@@ -169,57 +160,6 @@ func TestMuxMultiWorkerDifferential(t *testing.T) {
 	}
 }
 
-// TestMuxCampaignDifferential runs a full measure.Campaign with 8 workers,
-// each holding its own MuxTransport over one shared mux (the -live wiring),
-// against a single-worker campaign over the plain simulator transport. The
-// materialized pairs must agree route for route.
-func TestMuxCampaignDifferential(t *testing.T) {
-	const seed, rounds, workers, dests = 23, 2, 8, 16
-	sc1 := muxTopo(t, dests, seed)
-	camp1, err := measure.NewCampaign(netsim.NewTransport(sc1.Net), measure.Config{
-		Dests: sc1.Dests, Rounds: rounds, Workers: 1, PortSeed: 42, Batch: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := camp1.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sc2 := muxTopo(t, dests, seed)
-	fake := &SimConn{Respond: netsimResponder(sc2.Net)}
-	m, err := NewMux(MuxConfig{Source: sc2.Net.Source(), Conn: fake, Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	camp2, err := measure.NewCampaign(nil, measure.Config{
-		Dests: sc2.Dests, Rounds: rounds, Workers: workers, PortSeed: 42, Batch: true,
-		TransportFor: func(int) tracer.Transport { return m.Transport() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := camp2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMuxDrained(t, m)
-
-	for r := range res1.Rounds {
-		for i := range res1.Rounds[r] {
-			p1, p2 := res1.Rounds[r][i], res2.Rounds[r][i]
-			if p1.Outcome != p2.Outcome {
-				t.Fatalf("round %d dest %v: outcome %v vs %v", r, p1.Dest, p1.Outcome, p2.Outcome)
-			}
-			if !p2.Paris.Equal(p1.Paris) || !p2.Classic.Equal(p1.Classic) {
-				t.Errorf("round %d dest %v: mux campaign pair differs from baseline", r, p1.Dest)
-			}
-		}
-	}
-}
-
 // TestMuxSocketFailureRecovery kills the socket under a multi-worker
 // campaign-style trace set: the first read on the original conn fails
 // fatally, the mux must redial and re-send every in-flight probe on the
@@ -229,7 +169,7 @@ func TestMuxSocketFailureRecovery(t *testing.T) {
 	const seed, workers, dests = 29, 4, 8
 	want := muxBaseline(t, muxTopo(t, dests, seed))
 	sc := muxTopo(t, dests, seed)
-	responder := netsimResponder(sc.Net)
+	responder := simtest.Responder(sc.Net)
 	fake1 := &SimConn{Respond: responder}
 	fake1.ReadErr = func(call int) error {
 		if call == 0 {
@@ -242,7 +182,7 @@ func TestMuxSocketFailureRecovery(t *testing.T) {
 		redials int
 		conns   []*SimConn
 	)
-	m, err := NewMux(MuxConfig{
+	m := openFakeMux(t, MuxConfig{
 		Source: sc.Net.Source(), Conn: fake1,
 		Redial: func() (PacketConn, error) {
 			mu.Lock()
@@ -252,17 +192,11 @@ func TestMuxSocketFailureRecovery(t *testing.T) {
 			conns = append(conns, c)
 			return c, nil
 		},
-		Sleep: func(time.Duration) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := muxTraceAll(t, m, sc, workers)
 	h := m.Health()
 	assertMuxDrained(t, m)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeMux(t, m)
 	for i := range got {
 		if !got[i].Equal(want[i]) {
 			t.Errorf("dest %v: route differs after socket recovery", sc.Dests[i])
@@ -288,17 +222,12 @@ func TestMuxSocketFailureRecovery(t *testing.T) {
 // itself broken, and subsequent exchanges must fail fast.
 func TestMuxReopenExhaustion(t *testing.T) {
 	sc := muxTopo(t, 2, 31)
-	fake := &SimConn{Respond: netsimResponder(sc.Net)}
+	fake := &SimConn{Respond: simtest.Responder(sc.Net)}
 	fake.ReadErr = func(int) error { return errors.New("fake: persistent failure") }
-	m, err := NewMux(MuxConfig{
+	m := openFakeMux(t, MuxConfig{
 		Source: sc.Net.Source(), Conn: fake,
 		Redial: func() (PacketConn, error) { return nil, errors.New("fake: redial refused") },
-		Sleep:  func(time.Duration) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
 	if _, err := tracer.NewParisUDP(m.Transport(), tracer.Options{Batch: true}).Trace(sc.Dests[0]); err == nil {
 		t.Fatal("trace over a dead socket succeeded")
 	}
@@ -322,21 +251,14 @@ func TestMuxLifecycleNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		fake := &SimConn{Respond: func([]byte) ([]byte, bool) { return nil, false }}
-		m, err := NewMux(MuxConfig{Source: src, Conn: fake})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := openFakeMux(t, MuxConfig{Source: src, Conn: fake})
 		// A silent network stars every hop; the trace halts on the
 		// consecutive-star rule, exercising register/expire/unregister.
 		if _, err := tracer.NewParisUDP(m.Transport(), tracer.Options{Batch: true}).Trace(dest); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Close(); err != nil { // idempotent
-			t.Fatal(err)
-		}
+		closeMux(t, m)
+		closeMux(t, m) // idempotent
 	}
 	// Every exchange ran on this goroutine, so the count must settle
 	// without sleeping; scheduling slack is absorbed by a yield loop and a
@@ -401,7 +323,7 @@ func TestMuxPressureStateMachine(t *testing.T) {
 func TestMuxPressureCallback(t *testing.T) {
 	sc := muxTopo(t, 2, 37)
 	fake := &SimConn{}
-	inner := netsimResponder(sc.Net)
+	inner := simtest.Responder(sc.Net)
 	fake.Respond = func(probe []byte) ([]byte, bool) {
 		fake.KDrops += 3 // fake.mu is held by WriteBatch here
 		return inner(probe)
@@ -410,22 +332,17 @@ func TestMuxPressureCallback(t *testing.T) {
 		mu        sync.Mutex
 		snapshots []tracer.MuxHealth
 	)
-	m, err := NewMux(MuxConfig{Source: sc.Net.Source(), Conn: fake,
+	m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake,
 		OnPressure: func(h tracer.MuxHealth) {
 			mu.Lock()
 			snapshots = append(snapshots, h)
 			mu.Unlock()
 		}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := tracer.NewParisUDP(m.Transport(), tracer.Options{Batch: true}).Trace(sc.Dests[0]); err != nil {
 		t.Fatal(err)
 	}
 	h := m.Health()
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeMux(t, m)
 	if h.PressureEvents == 0 || h.KernelDrops == 0 {
 		t.Fatalf("kernel drops went unnoticed: %+v", h)
 	}
@@ -452,17 +369,12 @@ func TestMuxPressureCallback(t *testing.T) {
 func TestMuxAdaptiveTimeoutClamps(t *testing.T) {
 	const floor, cap = 50 * time.Millisecond, time.Second
 	sc := muxTopo(t, 4, 41)
-	fake := &SimConn{Respond: netsimResponder(sc.Net)}
-	m, err := NewMux(MuxConfig{Source: sc.Net.Source(), Conn: fake,
+	fake := &SimConn{Respond: simtest.Responder(sc.Net)}
+	m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake,
 		Timeout: cap, TimeoutFloor: floor})
-	if err != nil {
-		t.Fatal(err)
-	}
 	muxTraceAll(t, m, sc, 2)
 	h := m.Health()
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeMux(t, m)
 	if h.Destinations == 0 {
 		t.Fatal("no destination collected an RTT sample on a clean trace")
 	}
@@ -476,7 +388,7 @@ func TestMuxAdaptiveTimeoutClamps(t *testing.T) {
 	// receive a sample.
 	sc2 := muxTopo(t, 4, 41)
 	seen := make(map[string]bool)
-	fake2 := &SimConn{Respond: netsimResponder(sc2.Net),
+	fake2 := &SimConn{Respond: simtest.Responder(sc2.Net),
 		Sched: SimSchedule{Drop: func(_ int, probe []byte) bool {
 			if seen[string(probe)] {
 				return false
@@ -484,10 +396,7 @@ func TestMuxAdaptiveTimeoutClamps(t *testing.T) {
 			seen[string(probe)] = true
 			return true
 		}}}
-	m2, err := NewMux(MuxConfig{Source: sc2.Net.Source(), Conn: fake2, Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := openFakeMux(t, MuxConfig{Source: sc2.Net.Source(), Conn: fake2, Retries: 1})
 	muxTraceAll(t, m2, sc2, 2)
 	h2 := m2.Health()
 	if err := m2.Close(); err != nil {
@@ -504,20 +413,12 @@ func TestMuxAdaptiveTimeoutClamps(t *testing.T) {
 func TestMuxRetriesExhausted(t *testing.T) {
 	const retries = 2
 	sc := muxTopo(t, 1, 43)
-	fake := &SimConn{Respond: netsimResponder(sc.Net),
+	fake := &SimConn{Respond: simtest.Responder(sc.Net),
 		Sched: SimSchedule{Drop: func(int, []byte) bool { return true }}}
-	m, err := NewMux(MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: retries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tracer.NewParisUDP(m.Transport(), tracer.Options{Batch: true}).Trace(sc.Dests[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: retries})
+	got := parisTrace(t, m.Transport(), tracer.Options{Batch: true}, sc.Dests[0])
 	assertMuxDrained(t, m)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeMux(t, m)
 	if got.Halt != tracer.HaltStars {
 		t.Fatalf("halt = %v, want stars", got.Halt)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/pcap"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer/live"
 	"repro/internal/tracer/replay"
@@ -29,7 +30,7 @@ func lossyCapture(tb testing.TB) (stats []byte, path string, sc *topo.Scenario) 
 		Dup:  func(ord int) bool { return ord%50 == 7 },
 	}
 	captured, path := captureCampaign(tb, sc, sched, loadRetries, loadWorkers, loadRounds)
-	return statsJSON(tb, captured), path, sc
+	return simtest.JSON(captured), path, sc
 }
 
 func readCapture(tb testing.TB, path string) []pcap.Record {
@@ -39,6 +40,17 @@ func readCapture(tb testing.TB, path string) []pcap.Record {
 		tb.Fatal(err)
 	}
 	return recs
+}
+
+// fromRecords is replay.FromRecords for a test: records that do not load
+// fail it.
+func fromRecords(tb testing.TB, recs []pcap.Record, cfg replay.Config) *replay.Transport {
+	tb.Helper()
+	rt, err := replay.FromRecords(recs, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rt
 }
 
 // retainedPerRecord reports the heap bytes still reachable from what build
@@ -78,10 +90,7 @@ func BenchmarkFromRecords(b *testing.B) {
 	recs := readCapture(b, path)
 	cfg := replay.Config{Retries: loadRetries}
 	retained := retainedPerRecord(len(recs), func() any {
-		rt, err := replay.FromRecords(recs, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rt := fromRecords(b, recs, cfg)
 		return rt
 	})
 	b.ResetTimer()
@@ -102,10 +111,7 @@ func BenchmarkOpen(b *testing.B) {
 	records := len(readCapture(b, path))
 	cfg := replay.Config{Retries: loadRetries}
 	retained := retainedPerRecord(records, func() any {
-		rt, err := replay.Open(path, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rt := open(b, path, cfg)
 		return rt
 	})
 	b.ResetTimer()
@@ -129,10 +135,7 @@ func BenchmarkServe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rt, err := replay.Open(path, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rt := open(b, path, cfg)
 		b.StartTimer()
 		replayCampaign(b, rt, sc, loadWorkers, loadRounds)
 		if l := rt.Leftover(); l != 0 {
@@ -194,14 +197,11 @@ func TestFromRecordsLeavesRecordsAlone(t *testing.T) {
 	}
 	before := digest()
 	for i := 0; i < 2; i++ {
-		rt, err := replay.FromRecords(recs, replay.Config{Retries: loadRetries})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := fromRecords(t, recs, replay.Config{Retries: loadRetries})
 		if digest() != before {
 			t.Fatalf("transport %d: FromRecords modified its input records", i)
 		}
-		got := statsJSON(t, replayCampaign(t, rt, sc, loadWorkers, loadRounds))
+		got := simtest.JSON(replayCampaign(t, rt, sc, loadWorkers, loadRounds))
 		if !bytes.Equal(got, want) {
 			t.Errorf("transport %d over the shared records diverges from the captured campaign", i)
 		}

@@ -1,17 +1,17 @@
 package replay_test
 
 import (
-	"bytes"
-	"encoding/json"
+	"net/netip"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/measure"
-	"repro/internal/netsim"
 	"repro/internal/pcap"
+	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
 	"repro/internal/tracer/live"
@@ -25,79 +25,51 @@ import (
 // the very clock readings their RTTs use, so a replayed RTT is the
 // original RTT, not an approximation of it.
 
-// replayTopo mirrors the live package's muxTopo: the default topology,
-// whose responses are pure functions of probe bytes, so replaying in any
-// interleaving yields the same routes.
+// replayTopo is simtest's default topology, whose responses are pure
+// functions of probe bytes, so replaying in any interleaving yields the
+// same routes.
 func replayTopo(t testing.TB, dests int, seed int64) *topo.Scenario {
 	t.Helper()
-	gc := topo.DefaultGenConfig()
+	gc := simtest.Default(dests)
 	gc.Seed = seed
-	gc.Destinations = dests
 	return topo.Generate(gc)
 }
 
-func responder(net *netsim.Network) func([]byte) ([]byte, bool) {
-	return func(probe []byte) ([]byte, bool) {
-		resp, _, ok := net.Exchange(probe)
-		return resp, ok
-	}
-}
-
-// statsJSON renders Stats in the same canonical form the anomaly-study
-// binary persists, so "byte-identical" means what a user would diff.
-func statsJSON(t testing.TB, s *measure.Stats) []byte {
+// capture drives traffic through one shared mux, over a SimConn replaying
+// sc under sched, with a capture tap, and returns the capture's path. drive
+// gets a new handle on the mux from each call of handle.
+func capture(t testing.TB, sc *topo.Scenario, sched live.SimSchedule, retries int, drive func(handle func() tracer.Transport)) string {
 	t.Helper()
-	b, err := json.MarshalIndent(s, "", "  ")
+	path := filepath.Join(t.TempDir(), "capture.pcap")
+	c, err := pcap.CreateCapture(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(b, '\n')
-}
-
-// captureCampaign runs a streamed multi-worker campaign through one shared
-// mux with a capture tap, and returns its stats and the capture path.
-func captureCampaign(t testing.TB, sc *topo.Scenario, sched live.SimSchedule, retries, workers, rounds int) (*measure.Stats, string) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "campaign.pcap")
-	cap, err := pcap.CreateCapture(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake := &live.SimConn{Respond: responder(sc.Net), Sched: sched}
 	m, err := live.NewMux(live.MuxConfig{
-		Source: sc.Net.Source(), Conn: fake, Retries: retries, Capture: cap,
+		Source: sc.Net.Source(), Conn: &live.SimConn{Respond: simtest.Responder(sc.Net), Sched: sched},
+		Retries: retries, Capture: c,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp, err := measure.NewCampaign(nil, measure.Config{
-		Dests: sc.Dests, Rounds: rounds, Workers: workers, PortSeed: 42,
-		Batch: true, Stream: true,
-		TransportFor: func(int) tracer.Transport { return m.Transport() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	drive(func() tracer.Transport { return m.Transport() })
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cap.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return res.Stats, path
+	return path
 }
 
-// replayCampaign re-runs the same campaign shape over the capture.
-func replayCampaign(t testing.TB, rt *replay.Transport, sc *topo.Scenario, workers, rounds int) *measure.Stats {
+// runCampaign runs the suite's streamed, batched campaign over sc's
+// destinations, each worker on a transport from tp.
+func runCampaign(t testing.TB, sc *topo.Scenario, workers, rounds int, tp func() tracer.Transport) *measure.Stats {
 	t.Helper()
 	camp, err := measure.NewCampaign(nil, measure.Config{
 		Dests: sc.Dests, Rounds: rounds, Workers: workers, PortSeed: 42,
 		Batch: true, Stream: true,
-		TransportFor: func(int) tracer.Transport { return rt },
+		TransportFor: func(int) tracer.Transport { return tp() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,44 +81,28 @@ func replayCampaign(t testing.TB, rt *replay.Transport, sc *topo.Scenario, worke
 	return res.Stats
 }
 
-// TestReplayByteIdenticalStats is the tentpole acceptance test: an
-// 8-worker campaign captured through the shared mux, replayed offline with
-// the same configuration, must reproduce the streamed statistics byte for
-// byte — RTT sums included.
-func TestReplayByteIdenticalStats(t *testing.T) {
-	const seed, dests, workers, rounds = 23, 16, 8, 2
-	sc := replayTopo(t, dests, seed)
-	want, path := captureCampaign(t, sc, live.SimSchedule{}, 1, workers, rounds)
+// captureCampaign runs the campaign through one shared mux with a capture
+// tap, and returns its stats and the capture path.
+func captureCampaign(t testing.TB, sc *topo.Scenario, sched live.SimSchedule, retries, workers, rounds int) (stats *measure.Stats, path string) {
+	path = capture(t, sc, sched, retries, func(handle func() tracer.Transport) {
+		stats = runCampaign(t, sc, workers, rounds, handle)
+	})
+	return stats, path
+}
 
-	rt, err := replay.Open(path, replay.Config{Retries: 1})
+// replayCampaign re-runs the same campaign over the capture.
+func replayCampaign(t testing.TB, rt *replay.Transport, sc *topo.Scenario, workers, rounds int) *measure.Stats {
+	return runCampaign(t, sc, workers, rounds, func() tracer.Transport { return rt })
+}
+
+// open is replay.Open for a test: a capture that does not load fails it.
+func open(t testing.TB, path string, cfg replay.Config) *replay.Transport {
+	t.Helper()
+	rt, err := replay.Open(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Source(); got != sc.Net.Source() {
-		t.Fatalf("inferred source %v, want %v", got, sc.Net.Source())
-	}
-	rdests := rt.Destinations()
-	seen := make(map[string]bool, len(rdests))
-	for _, d := range rdests {
-		seen[d.String()] = true
-	}
-	for _, d := range sc.Dests {
-		if !seen[d.String()] {
-			t.Fatalf("capture lost destination %v", d)
-		}
-	}
-
-	got := replayCampaign(t, rt, sc, workers, rounds)
-	if !bytes.Equal(statsJSON(t, got), statsJSON(t, want)) {
-		t.Fatalf("replayed stats diverge from the captured campaign\ngot:  %s\nwant: %s",
-			statsJSON(t, got), statsJSON(t, want))
-	}
-	if l := rt.Leftover(); l != 0 {
-		t.Errorf("%d captured exchanges never served — replay under-probed", l)
-	}
-	if j := rt.Junk(); j != 0 {
-		t.Errorf("%d junk records in a clean capture", j)
-	}
+	return rt
 }
 
 // TestReplayRetransmitFolding drives the folding rule: under a
@@ -170,14 +126,17 @@ func TestReplayRetransmitFolding(t *testing.T) {
 	}}
 	want, path := captureCampaign(t, sc, sched, 1, workers, rounds)
 
-	rt, err := replay.Open(path, replay.Config{Retries: 1})
-	if err != nil {
-		t.Fatal(err)
+	rt := open(t, path, replay.Config{Retries: 1})
+	if got := rt.Source(); got != sc.Net.Source() {
+		t.Fatalf("inferred source %v, want %v", got, sc.Net.Source())
+	}
+	if got := rt.Destinations(); !slices.Equal(slices.SortedFunc(slices.Values(got), netip.Addr.Compare),
+		slices.SortedFunc(slices.Values(sc.Dests), netip.Addr.Compare)) {
+		t.Fatalf("capture holds destinations %v, want %v", got, sc.Dests)
 	}
 	got := replayCampaign(t, rt, sc, workers, rounds)
-	if !bytes.Equal(statsJSON(t, got), statsJSON(t, want)) {
-		t.Fatalf("stats diverge under retransmit folding\ngot:  %s\nwant: %s",
-			statsJSON(t, got), statsJSON(t, want))
+	if d := simtest.Diff(want, got); d != "" {
+		t.Fatalf("stats diverge under retransmit folding at %s", d)
 	}
 	if l := rt.Leftover(); l != 0 {
 		t.Errorf("%d captured exchanges never served", l)
@@ -193,35 +152,17 @@ func TestReplayRetransmitFolding(t *testing.T) {
 func TestReplayTCPReorderFIFO(t *testing.T) {
 	const seed, dests = 31, 4
 	sc := replayTopo(t, dests, seed)
-	path := filepath.Join(t.TempDir(), "tcp.pcap")
-	cap, err := pcap.CreateCapture(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake := &live.SimConn{Respond: responder(sc.Net), Sched: live.SimSchedule{Reorder: true}}
-	m, err := live.NewMux(live.MuxConfig{Source: sc.Net.Source(), Conn: fake, Capture: cap})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := make([]*tracer.Route, len(sc.Dests))
-	for i, d := range sc.Dests {
-		r, err := tracer.NewTCPTraceroute(m.Transport(), tracer.Options{Batch: true}).Trace(d)
-		if err != nil {
-			t.Fatalf("capture trace %v: %v", d, err)
+	path := capture(t, sc, live.SimSchedule{Reorder: true}, 0, func(handle func() tracer.Transport) {
+		for i, d := range sc.Dests {
+			r, err := tracer.NewTCPTraceroute(handle(), tracer.Options{Batch: true}).Trace(d)
+			if err != nil {
+				t.Fatalf("capture trace %v: %v", d, err)
+			}
+			want[i] = r
 		}
-		want[i] = r
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cap.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rt, err := replay.Open(path, replay.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
+	rt := open(t, path, replay.Config{})
 	for i, d := range sc.Dests {
 		got, err := tracer.NewTCPTraceroute(rt, tracer.Options{Batch: true}).Trace(d)
 		if err != nil {
@@ -249,10 +190,7 @@ func TestReplayDivergenceIsLoud(t *testing.T) {
 
 	// A probe from a differently-seeded campaign: its flow key was never
 	// captured.
-	rt, err := replay.Open(path, replay.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := open(t, path, replay.Config{})
 	other := replayTopo(t, dests, seed+1)
 	foreign := buildProbe(t, other)
 	if _, _, _, err := rt.ExchangeErr(foreign); err == nil {
@@ -262,25 +200,16 @@ func TestReplayDivergenceIsLoud(t *testing.T) {
 	// Same flow key, different bytes: mutate a captured probe's TTL (the
 	// flow key covers addresses, protocol, IP ID, and the first transport
 	// words — not the TTL), and the byte-strict check must reject it.
-	recs, err := pcap.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readCapture(t, path)
 	mutated := append([]byte(nil), recs[0].Data...)
 	mutated[8] = 77 // TTL
-	rt2, err := replay.Open(path, replay.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt2 := open(t, path, replay.Config{})
 	if _, _, _, err := rt2.ExchangeErr(mutated); err == nil {
 		t.Fatal("byte-mutated probe served despite the mismatch")
 	}
 
 	// Exhaustion: replay the campaign fully, then ask for one more.
-	rt3, err := replay.Open(path, replay.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt3 := open(t, path, replay.Config{})
 	replayCampaign(t, rt3, sc, 2, 1)
 	if _, _, _, err := rt3.ExchangeErr(append([]byte(nil), recs[0].Data...)); err == nil {
 		t.Fatal("exhausted flow served an extra exchange")
@@ -298,21 +227,11 @@ func TestReplayDivergenceIsLoud(t *testing.T) {
 // well-formed probe for a foreign topology.
 func buildProbe(t *testing.T, sc *topo.Scenario) []byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "one.pcap")
-	cap, err := pcap.CreateCapture(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake := &live.SimConn{Respond: responder(sc.Net)}
-	m, err := live.NewMux(live.MuxConfig{Source: sc.Net.Source(), Conn: fake, Capture: cap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tracer.NewParisUDP(m.Transport(), tracer.Options{Batch: true}).Trace(sc.Dests[0]); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	cap.Close()
+	path := capture(t, sc, live.SimSchedule{}, 0, func(handle func() tracer.Transport) {
+		if _, err := tracer.NewParisUDP(handle(), tracer.Options{Batch: true}).Trace(sc.Dests[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
 	recs, err := pcap.ReadFile(path)
 	if err != nil || len(recs) == 0 {
 		t.Fatalf("probe capture: %d recs, %v", len(recs), err)
@@ -327,16 +246,10 @@ func TestReplayTimeoutGuard(t *testing.T) {
 	const seed = 41
 	sc := replayTopo(t, 1, seed)
 	_, path := captureCampaign(t, sc, live.SimSchedule{}, 0, 1, 1)
-	recs, err := pcap.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readCapture(t, path)
 	// Push every inbound record an hour into the future; probes keep their
 	// stamps. Every response is now hopelessly late.
-	rt0, err := replay.FromRecords(recs, replay.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt0 := fromRecords(t, recs, replay.Config{})
 	src := rt0.Source()
 	late := make([]pcap.Record, len(recs))
 	for i, r := range recs {
@@ -345,18 +258,12 @@ func TestReplayTimeoutGuard(t *testing.T) {
 			late[i].TS = r.TS.Add(time.Hour)
 		}
 	}
-	rt, err := replay.FromRecords(late, replay.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := fromRecords(t, late, replay.Config{})
 	if rt.Junk() == 0 {
 		t.Fatal("hour-late responses were bound instead of junked")
 	}
 	// And a generous timeout accepts them again.
-	rt2, err := replay.FromRecords(late, replay.Config{Timeout: 2 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt2 := fromRecords(t, late, replay.Config{Timeout: 2 * time.Hour})
 	if rt2.Junk() != 0 {
 		t.Fatalf("junk=%d with a 2h timeout", rt2.Junk())
 	}

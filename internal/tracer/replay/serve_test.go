@@ -33,10 +33,7 @@ func serveOf(resp []byte, rtt time.Duration) served {
 // identifier, the same value engine.wrap writes into the IP ID.
 func parisChain(t *testing.T, recs []pcap.Record) ([]byte, []served) {
 	t.Helper()
-	rt, err := replay.FromRecords(recs, replay.Config{Retries: loadRetries})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := fromRecords(t, recs, replay.Config{Retries: loadRetries})
 	src := rt.Source()
 	for _, r := range recs {
 		p := r.Data
@@ -71,10 +68,7 @@ func TestRacingPopsExactlyOnce(t *testing.T) {
 
 	// A second transport over the same records: its responses alias the
 	// same capture bytes, so they compare by identity with the chain.
-	rt, err := replay.FromRecords(recs, replay.Config{Retries: loadRetries})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := fromRecords(t, recs, replay.Config{Retries: loadRetries})
 	var (
 		start = make(chan struct{})
 		wg    sync.WaitGroup
@@ -151,10 +145,7 @@ func TestServeAllocs(t *testing.T) {
 // the probes they served.
 func serveFirstRound(t *testing.T, recs []pcap.Record) (allocs uint64, matched int) {
 	t.Helper()
-	rt, err := replay.FromRecords(recs, replay.Config{Retries: loadRetries})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := fromRecords(t, recs, replay.Config{Retries: loadRetries})
 	// Each flow's first outbound record is its head, so the first
 	// occurrence of every distinct probe is one round's worth of matches.
 	src := rt.Source()

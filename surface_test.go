@@ -10,7 +10,8 @@ package repro
 //
 // The scan is syntactic (go/parser only): a name counts as used where a file
 // that imports its package selects it (pkg.Name). Methods and struct fields
-// are out of its reach.
+// are out of its reach. The same scan keeps test support out of the
+// program: no non-test file may import a package of testSupport.
 //
 //	go test -run TestSurface -v .   # also prints every name with its users
 
@@ -38,6 +39,12 @@ var surfaceReasons = map[string]bool{
 	"wire": true, // a wire, JSON or checkpoint type
 	"type": true, // the type of a value another package receives
 	"test": true, // test support
+}
+
+// testSupport lists the packages only _test.go files may import.
+var testSupport = map[string]bool{
+	"repro/internal/ckpt/ckpttest": true,
+	"repro/internal/simtest":       true,
 }
 
 // scanSurface parses every non-test Go file under the module root. It
@@ -70,6 +77,9 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 			imports := map[string]string{}
 			for _, im := range f.Imports {
 				ip, _ := strconv.Unquote(im.Path.Value)
+				if testSupport[ip] {
+					t.Errorf("%s imports the test-support package %s: only _test.go files may", filepath.Join(p, e.Name()), ip)
+				}
 				if strings.HasPrefix(ip, "repro/") {
 					name := path.Base(ip)
 					if im.Name != nil {
