@@ -12,22 +12,19 @@ import (
 	"repro/internal/tracer"
 )
 
-// runStreamStats executes one campaign over a fresh copy of the default
-// scenario with the streaming accumulators on or off and returns the
-// statistics either path yields.
-func runStreamStats(t *testing.T, stream, batch bool, shards, workers, dests, rounds, every int) *Stats {
+// runStreamStats executes one batched campaign over a fresh copy of the
+// default scenario with the streaming accumulators on or off and returns
+// the statistics either path yields.
+func runStreamStats(t *testing.T, stream bool, workers, dests, rounds, every int) *Stats {
 	t.Helper()
-	cfg := simtest.Default(dests)
-	cfg.Shards = shards
-	sc := topo.Generate(cfg)
+	sc := topo.Generate(simtest.Default(dests))
 	camp := newCampaign(t, sc.Transport(), Config{
 		Dests:      sc.Dests,
 		Rounds:     rounds,
 		Workers:    workers,
 		RoundStart: sc.RoundStart,
 		PortSeed:   42,
-		ShardOf:    sc.ShardOf,
-		Batch:      batch,
+		Batch:      true,
 		Stream:     stream,
 	})
 	if every > 0 {
@@ -60,14 +57,14 @@ func TestCampaignStreamInvarianceFoldEvery(t *testing.T) {
 		dests  = 96
 		rounds = 4
 	)
-	immediate := runStreamStats(t, true, true, 1, 32, dests, rounds, 1)
+	immediate := runStreamStats(t, true, 32, dests, rounds, 1)
 	if immediate.Loops.Instances == 0 {
 		t.Fatal("campaign saw no anomalies; invariance check degenerate")
 	}
 	// A worker's per-round share is dests/32 = 3 pairs, so K=16 spans
 	// rounds and K=1<<20 defers everything to the final flush.
 	for _, k := range []int{2, 16, 1 << 20} {
-		batched := runStreamStats(t, true, true, 1, 32, dests, rounds, k)
+		batched := runStreamStats(t, true, 32, dests, rounds, k)
 		if !reflect.DeepEqual(immediate, batched) {
 			t.Errorf("foldEvery=%d: campaign statistics differ from foldEvery=1:\nK=1: %+v\nK=%d: %+v",
 				k, immediate, k, batched)
@@ -79,7 +76,7 @@ func TestCampaignStreamInvarianceFoldEvery(t *testing.T) {
 // paths emit AllAddresses ascending without any caller-side sort.
 func TestAnalyzeAllAddressesSorted(t *testing.T) {
 	for _, stream := range []bool{false, true} {
-		s := runStreamStats(t, stream, true, 1, 8, 60, 3, 0)
+		s := runStreamStats(t, stream, 8, 60, 3, 0)
 		if len(s.AllAddresses) == 0 {
 			t.Fatal("campaign discovered no addresses")
 		}
