@@ -243,12 +243,22 @@ func simLive(t *testing.T, args ...string) (*Live, *live.SimConn, *topo.Scenario
 	return l, conn, sc
 }
 
+// readPcap reads every record of the pcap at path.
+func readPcap(path string) ([]pcap.Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return pcap.ReadAll(f)
+}
+
 // checkCapture asserts the pcap at path is complete: readable to its end,
 // holding every datagram the conn saw sent and answers besides, and loadable
 // by the replay transport.
 func checkCapture(t *testing.T, path string, conn *live.SimConn, src netip.Addr) {
 	t.Helper()
-	recs, err := pcap.ReadFile(path)
+	recs, err := readPcap(path)
 	if err != nil {
 		t.Fatalf("the installed capture is not readable: %v", err)
 	}
@@ -287,7 +297,7 @@ func TestCloseInstallsCompleteCapture(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if recs, err := pcap.ReadFile(path); err != nil || len(recs) != 0 {
+		if recs, err := readPcap(path); err != nil || len(recs) != 0 {
 			t.Errorf("before Close the path holds %d records (%v), want the empty capture", len(recs), err)
 		}
 		if err := m.Close(); err != nil {

@@ -123,23 +123,25 @@ func ParseIPv4Into(b []byte, h *IPv4) ([]byte, error) {
 	if hlen < IPv4HeaderLen || len(b) < hlen {
 		return nil, errTruncated
 	}
-	*h = IPv4{
-		TOS:      b[1],
-		TotalLen: get16(b[2:]),
-		ID:       get16(b[4:]),
-		Flags:    b[6] >> 5,
-		FragOff:  get16(b[6:]) & 0x1fff,
-		TTL:      b[8],
-		Protocol: b[9],
-		Checksum: get16(b[10:]),
-		Src:      netip.AddrFrom4([4]byte(b[12:16])),
-		Dst:      netip.AddrFrom4([4]byte(b[16:20])),
-	}
+	// Field by field: a composite literal copied into *h costs a block
+	// copy per parse, and this runs once per packet on every path.
+	h.TOS = b[1]
+	h.TotalLen = get16(b[2:])
+	h.ID = get16(b[4:])
+	h.Flags = b[6] >> 5
+	h.FragOff = get16(b[6:]) & 0x1fff
+	h.TTL = b[8]
+	h.Protocol = b[9]
+	h.Checksum = get16(b[10:])
+	h.Src = netip.AddrFrom4([4]byte(b[12:16]))
+	h.Dst = netip.AddrFrom4([4]byte(b[16:20]))
+	h.Options = nil
 	if hlen > IPv4HeaderLen {
 		h.Options = b[IPv4HeaderLen:hlen]
 	}
 	end := int(h.TotalLen)
 	if end < hlen {
+		h.PayloadLen = 0
 		return nil, errBadLength
 	}
 	if end > len(b) {

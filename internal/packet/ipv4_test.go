@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -73,6 +74,44 @@ func TestIPv4Options(t *testing.T) {
 	}
 	if !bytes.Equal(pl, []byte{1, 2, 3}) {
 		t.Errorf("payload = %x", pl)
+	}
+}
+
+// TestParseIPv4IntoOverwrites holds ParseIPv4Into to "h is overwritten
+// entirely": a header reused from a packet that had options and a payload
+// keeps neither after parsing a plain one, nor after a bad total length.
+func TestParseIPv4IntoOverwrites(t *testing.T) {
+	withOpts := mustMarshalIP(t, &IPv4{
+		TTL: 1, Protocol: ProtoICMP, Src: srcA, Dst: dstA,
+		Options: []byte{0x94, 0x04, 0x00, 0x00},
+	}, []byte{1, 2, 3})
+	plain := &IPv4{TTL: 9, Protocol: ProtoUDP, Src: dstA, Dst: srcA}
+	plainPkt := mustMarshalIP(t, plain, nil)
+	badLen := append([]byte(nil), plainPkt...)
+	badLen[2], badLen[3] = 0, 4 // TotalLen below the header length
+
+	for _, c := range []struct {
+		name    string
+		pkt     []byte
+		wantErr error
+	}{{"plain", plainPkt, nil}, {"bad-length", badLen, errBadLength}} {
+		var h IPv4
+		if _, err := ParseIPv4Into(withOpts, &h); err != nil || h.Options == nil || h.PayloadLen != 3 {
+			t.Fatalf("setup: options %x, payload %d, err %v", h.Options, h.PayloadLen, err)
+		}
+		if _, err := ParseIPv4Into(c.pkt, &h); err != c.wantErr {
+			t.Fatalf("%s: err %v, want %v", c.name, err, c.wantErr)
+		}
+		if h.Options != nil || h.PayloadLen != 0 {
+			t.Errorf("%s: options %x and payload length %d survived from the previous packet", c.name, h.Options, h.PayloadLen)
+		}
+		if c.wantErr == nil {
+			want := *plain
+			want.TotalLen, want.Checksum = h.TotalLen, h.Checksum
+			if !reflect.DeepEqual(h, want) {
+				t.Errorf("%s: parsed %+v, want %+v", c.name, h, want)
+			}
+		}
 	}
 }
 

@@ -14,8 +14,10 @@
 // all four dialects (micro/nano × little/big endian).
 //
 // There are two readers over one set of header decoders. Reader streams:
-// one record at a time, each freshly allocated. ReadFile and ReadAll load:
-// one read of the whole input, and records that are sub-slices of it.
+// one record at a time, each freshly allocated. Scanner frames a capture
+// already in memory: one record at a time, each a sub-slice of the input,
+// with no allocation at all; ReadAll reads its input whole and collects
+// what a Scanner frames. A record's timestamp is Unix nanoseconds.
 package pcap
 
 import (
@@ -23,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 )
 
@@ -63,7 +64,7 @@ var (
 // Record is one captured packet: its capture timestamp and its bytes
 // starting at the IP header (LINKTYPE_RAW).
 type Record struct {
-	TS   time.Time
+	TS   int64 // Unix nanoseconds
 	Data []byte
 }
 
@@ -171,27 +172,28 @@ func linkTypeName(lt uint32) string {
 }
 
 // recordHeader decodes one record header (hdr holds exactly recordHeaderLen
-// bytes) into the capture timestamp and the number of data bytes that
-// follow, refusing impossible values: a capture length above maxRecordLen
-// or a sub-second fraction of a second or more.
-func (f format) recordHeader(hdr []byte) (ts time.Time, incl int, err error) {
+// bytes) into the capture timestamp, Unix nanoseconds, and the number of
+// data bytes that follow, refusing impossible values: a capture length above
+// maxRecordLen or a sub-second fraction of a second or more.
+func (f format) recordHeader(hdr []byte) (ts int64, incl int, err error) {
 	frac := f.u32(hdr[4:])
 	n := f.u32(hdr[8:])
 	if n > maxRecordLen {
-		return time.Time{}, 0, fmt.Errorf("pcap: record claims %d bytes captured (max %d): corrupt header", n, maxRecordLen)
+		return 0, 0, fmt.Errorf("pcap: record claims %d bytes captured (max %d): corrupt header", n, maxRecordLen)
 	}
 	nsec := int64(frac)
 	if f.nano {
 		if frac >= 1e9 {
-			return time.Time{}, 0, fmt.Errorf("pcap: record timestamp has %d nanoseconds: corrupt header", frac)
+			return 0, 0, fmt.Errorf("pcap: record timestamp has %d nanoseconds: corrupt header", frac)
 		}
 	} else {
 		if frac >= 1e6 {
-			return time.Time{}, 0, fmt.Errorf("pcap: record timestamp has %d microseconds: corrupt header", frac)
+			return 0, 0, fmt.Errorf("pcap: record timestamp has %d microseconds: corrupt header", frac)
 		}
 		nsec *= 1000
 	}
-	return time.Unix(int64(f.u32(hdr[0:])), nsec), int(n), nil
+	// A uint32 of seconds times 1e9 stays below 2^63: no overflow.
+	return int64(f.u32(hdr[0:]))*1e9 + nsec, int(n), nil
 }
 
 // The truncation errors, shared so a torn file reads the same through
@@ -212,8 +214,8 @@ func errShortRecordData(n, incl int) error {
 }
 
 // Reader iterates the records of a pcap stream in capture order, holding
-// one record at a time. To load a whole capture use ReadFile or ReadAll,
-// which read the input once and slice it.
+// one record at a time. For a capture already in memory use Scanner, which
+// slices it instead of copying.
 type Reader struct {
 	r   io.Reader
 	f   format
@@ -265,13 +267,23 @@ func (r *Reader) Next() (Record, error) {
 	return Record{TS: ts, Data: data}, nil
 }
 
-// parse decodes a whole capture held in memory: the same header decoders
-// and the same errors as the streaming Reader, but every Record's Data is a
-// sub-slice of b — capacity clipped to its length, so an append to one
-// record reallocates instead of overwriting its neighbour — and the only
-// allocation is the record slice. On an error the complete records before
-// it are returned with it.
-func parse(b []byte) ([]Record, error) {
+// Scanner frames the records of a capture held in memory, in capture order:
+// the same header decoders and the same errors as the streaming Reader, but
+// each Record's Data is a sub-slice of the input — capacity clipped to its
+// length, so an append to one record reallocates instead of overwriting its
+// neighbour — and framing allocates nothing. Treat the Data as read-only, or
+// copy it.
+type Scanner struct {
+	b   []byte
+	off int // start of the next record header
+	f   format
+	rec Record
+	err error
+}
+
+// NewScanner decodes b's file header, with the errors of NewReader, and
+// returns a Scanner positioned before the first record.
+func NewScanner(b []byte) (*Scanner, error) {
 	if len(b) < fileHeaderLen {
 		return nil, errShortFileHeader(len(b))
 	}
@@ -279,57 +291,58 @@ func parse(b []byte) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A counting walk over the length fields alone sizes the slice exactly
-	// for a well-formed file (and never too small for any other).
-	n := 0
-	for i := fileHeaderLen; len(b)-i >= recordHeaderLen; n++ {
-		incl := f.u32(b[i+8:])
-		if incl > maxRecordLen {
-			break
-		}
-		i += recordHeaderLen + int(incl)
-	}
-	recs := make([]Record, 0, n)
-	for i := fileHeaderLen; i < len(b); {
-		if len(b)-i < recordHeaderLen {
-			return recs, errShortRecordHeader(len(b) - i)
-		}
-		ts, incl, err := f.recordHeader(b[i : i+recordHeaderLen])
-		if err != nil {
-			return recs, err
-		}
-		i += recordHeaderLen
-		if len(b)-i < incl {
-			return recs, errShortRecordData(len(b)-i, incl)
-		}
-		recs = append(recs, Record{TS: ts, Data: b[i : i+incl : i+incl]})
-		i += incl
-	}
-	return recs, nil
+	return &Scanner{b: b, off: fileHeaderLen, f: f}, nil
 }
 
-// ReadAll reads r to its end and decodes it as one capture. The records
-// share the one buffer read: treat their Data as read-only, or copy it.
+// Next frames the next record, which Record then returns. It reports false
+// at the end of the input and at the first corrupt or truncated record,
+// which Err then returns; the records framed before it are complete.
+func (s *Scanner) Next() bool {
+	rest := s.b[s.off:]
+	if s.err != nil || len(rest) == 0 {
+		return false
+	}
+	if len(rest) < recordHeaderLen {
+		s.err = errShortRecordHeader(len(rest))
+		return false
+	}
+	ts, incl, err := s.f.recordHeader(rest[:recordHeaderLen])
+	if err != nil {
+		s.err = err
+		return false
+	}
+	rest = rest[recordHeaderLen:]
+	if len(rest) < incl {
+		s.err = errShortRecordData(len(rest), incl)
+		return false
+	}
+	s.rec = Record{TS: ts, Data: rest[:incl:incl]}
+	s.off += recordHeaderLen + incl
+	return true
+}
+
+// Record returns the record the last successful Next framed.
+func (s *Scanner) Record() Record { return s.rec }
+
+// Err returns the error that ended the scan, or nil at a clean end.
+func (s *Scanner) Err() error { return s.err }
+
+// ReadAll reads r to its end and collects every record a Scanner frames
+// from it. The records share the one buffer read: treat their Data as
+// read-only, or copy it. On an error the complete records before it are
+// returned with it.
 func ReadAll(r io.Reader) ([]Record, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("pcap: reading capture: %w", err)
 	}
-	return parse(b)
-}
-
-// ReadFile reads every record of the pcap file at path with one read of
-// the file. The records share that one buffer: treat their Data as
-// read-only, or copy it. Errors name the file; with ErrTruncated the
-// complete records before the tear are returned too.
-func ReadFile(path string) ([]Record, error) {
-	b, err := os.ReadFile(path)
+	s, err := NewScanner(b)
 	if err != nil {
 		return nil, err
 	}
-	recs, err := parse(b)
-	if err != nil {
-		return recs, fmt.Errorf("%s: %w", path, err)
+	var recs []Record
+	for s.Next() {
+		recs = append(recs, s.Record())
 	}
-	return recs, nil
+	return recs, s.Err()
 }

@@ -39,13 +39,13 @@ func writeSample(t *testing.T) ([]byte, []Record) {
 		if err := w.WritePacket(ts, pkt); err != nil {
 			t.Fatalf("WritePacket %d: %v", i, err)
 		}
-		want = append(want, Record{TS: ts, Data: append([]byte(nil), pkt...)})
+		want = append(want, Record{TS: ts.UnixNano(), Data: append([]byte(nil), pkt...)})
 	}
 	return buf.Bytes(), want
 }
 
 // stream drains data through the streaming Reader — the reference the
-// in-memory path is compared against.
+// in-memory readers are compared against.
 func stream(data []byte) ([]Record, error) {
 	rd, err := NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -64,51 +64,93 @@ func stream(data []byte) ([]Record, error) {
 	}
 }
 
-// readBoth reads data through the streaming Reader and through the
-// in-memory path and fails unless the two agree record for record and error
-// for error, and the in-memory records are clipped sub-slices of data (so
-// the in-memory path allocates the record slice and nothing per record). It
-// returns the in-memory result.
-func readBoth(t testing.TB, data []byte) ([]Record, error) {
+// scan drains data through a Scanner, one record at a time, and checks that
+// a finished scan stays finished: Next keeps reporting false and Err keeps
+// its error.
+func scan(t testing.TB, data []byte) ([]Record, error) {
+	t.Helper()
+	s, err := NewScanner(data)
+	if err != nil {
+		return nil, err
+	}
+	var recs []Record
+	for s.Next() {
+		recs = append(recs, s.Record())
+	}
+	if err := s.Err(); s.Next() || s.Err() != err {
+		t.Fatalf("a finished scan framed again, or its error changed from %v to %v", err, s.Err())
+	}
+	return recs, s.Err()
+}
+
+// readAll3 reads data through the streaming Reader, through ReadAll and
+// through a Scanner and fails unless the three agree record for record and
+// error for error, and the in-memory records are clipped sub-slices of data
+// (so framing allocates nothing per record). It returns ReadAll's result.
+func readAll3(t testing.TB, data []byte) ([]Record, error) {
 	t.Helper()
 	want, wantErr := stream(data)
-	got, err := parse(data)
-	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("in-memory read failed with %v, streaming read with %v", err, wantErr)
-	}
-	for _, class := range []error{errBadMagic, ErrTruncated, errLinkType} {
-		if errors.Is(err, class) != errors.Is(wantErr, class) {
-			t.Fatalf("in-memory error %v and streaming error %v differ in class %v", err, wantErr, class)
+	got, err := ReadAll(bytes.NewReader(data))
+	scanned, scanErr := scan(t, data)
+	for _, c := range []struct {
+		name string
+		recs []Record
+		err  error
+		// aliased: the records are sub-slices of data itself, not of a
+		// copy of it.
+		aliased bool
+	}{{"ReadAll", got, err, false}, {"Scanner", scanned, scanErr, true}} {
+		if (c.err == nil) != (wantErr == nil) || (c.err != nil && c.err.Error() != wantErr.Error()) {
+			t.Fatalf("%s failed with %v, streaming read with %v", c.name, c.err, wantErr)
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("in-memory read returned %d records, streaming read %d (error: %v)", len(got), len(want), err)
-	}
-	off := fileHeaderLen
-	for i := range got {
-		if !got[i].TS.Equal(want[i].TS) || !bytes.Equal(got[i].Data, want[i].Data) {
-			t.Fatalf("record %d: in-memory (%v, %x), streaming (%v, %x)", i, got[i].TS, got[i].Data, want[i].TS, want[i].Data)
+		for _, class := range []error{errBadMagic, ErrTruncated, errLinkType} {
+			if errors.Is(c.err, class) != errors.Is(wantErr, class) {
+				t.Fatalf("%s error %v and streaming error %v differ in class %v", c.name, c.err, wantErr, class)
+			}
 		}
-		if len(got[i].Data) > maxRecordLen {
-			t.Fatalf("record of %d bytes escaped the length bound", len(got[i].Data))
+		if len(c.recs) != len(want) {
+			t.Fatalf("%s returned %d records, streaming read %d (error: %v)", c.name, len(c.recs), len(want), c.err)
 		}
-		// No per-record allocation: the record is the input's own bytes,
-		// clipped so that an append cannot reach the next record.
-		off += recordHeaderLen
-		if len(got[i].Data) > 0 && &got[i].Data[0] != &data[off] {
-			t.Fatalf("record %d does not alias the input at offset %d", i, off)
+		off := fileHeaderLen
+		for i, r := range c.recs {
+			if r.TS != want[i].TS || !bytes.Equal(r.Data, want[i].Data) {
+				t.Fatalf("%s record %d: (%v, %x), streaming (%v, %x)", c.name, i, r.TS, r.Data, want[i].TS, want[i].Data)
+			}
+			if len(r.Data) > maxRecordLen {
+				t.Fatalf("record of %d bytes escaped the length bound", len(r.Data))
+			}
+			// No per-record allocation: the record is the input's own
+			// bytes, clipped so that an append cannot reach the next record.
+			off += recordHeaderLen
+			if c.aliased && len(r.Data) > 0 && &r.Data[0] != &data[off] {
+				t.Fatalf("%s record %d does not alias the input at offset %d", c.name, i, off)
+			}
+			if cap(r.Data) != len(r.Data) {
+				t.Fatalf("%s record %d: cap %d over len %d: an append would overwrite the next record", c.name, i, cap(r.Data), len(r.Data))
+			}
+			off += len(r.Data)
 		}
-		if cap(got[i].Data) != len(got[i].Data) {
-			t.Fatalf("record %d: cap %d over len %d: an append would overwrite the next record", i, cap(got[i].Data), len(got[i].Data))
-		}
-		off += len(got[i].Data)
 	}
 	return got, err
 }
 
+// readFile reads the capture at path whole.
+func readFile(t *testing.T, path string) []Record {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := readAll3(t, b)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return recs
+}
+
 func TestRoundTrip(t *testing.T) {
 	raw, want := writeSample(t)
-	got, err := readBoth(t, raw)
+	got, err := readAll3(t, raw)
 	if err != nil {
 		t.Fatalf("ReadAll: %v", err)
 	}
@@ -116,7 +158,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("got %d records, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if !got[i].TS.Equal(want[i].TS) {
+		if got[i].TS != want[i].TS {
 			t.Errorf("record %d: ts %v, want %v (nanosecond magic must preserve full resolution)",
 				i, got[i].TS, want[i].TS)
 		}
@@ -164,7 +206,7 @@ func TestEmptyCaptureIsValid(t *testing.T) {
 	if _, err := NewWriter(&buf); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := readBoth(t, buf.Bytes())
+	recs, err := readAll3(t, buf.Bytes())
 	if err != nil {
 		t.Fatalf("header-only capture must read cleanly: %v", err)
 	}
@@ -178,7 +220,7 @@ func TestBadMagic(t *testing.T) {
 	for i := range junk {
 		junk[i] = 0xee
 	}
-	if _, err := readBoth(t, junk); !errors.Is(err, errBadMagic) {
+	if _, err := readAll3(t, junk); !errors.Is(err, errBadMagic) {
 		t.Fatalf("got %v, want errBadMagic", err)
 	}
 }
@@ -197,7 +239,7 @@ func TestTruncation(t *testing.T) {
 	}
 	for _, c := range cuts {
 		t.Run(c.name, func(t *testing.T) {
-			recs, err := readBoth(t, raw[:c.at])
+			recs, err := readAll3(t, raw[:c.at])
 			if !errors.Is(err, ErrTruncated) {
 				t.Fatalf("cut at %d: got %v, want ErrTruncated", c.at, err)
 			}
@@ -238,11 +280,11 @@ func TestForeignDialects(t *testing.T) {
 	cases := []struct {
 		name   string
 		raw    []byte
-		wantTS time.Time
+		wantTS int64
 	}{
-		{"big-endian-nano", buildDialect(binary.BigEndian, magicNano, linkTypeRaw, 123456789), time.Unix(1, 123456789)},
-		{"little-endian-micro", buildDialect(binary.LittleEndian, magicMicro, linkTypeRaw, 500), time.Unix(1, 500000)},
-		{"big-endian-micro", buildDialect(binary.BigEndian, magicMicro, linkTypeRaw, 999999), time.Unix(1, 999999000)},
+		{"big-endian-nano", buildDialect(binary.BigEndian, magicNano, linkTypeRaw, 123456789), 1_123_456_789},
+		{"little-endian-micro", buildDialect(binary.LittleEndian, magicMicro, linkTypeRaw, 500), 1_000_500_000},
+		{"big-endian-micro", buildDialect(binary.BigEndian, magicMicro, linkTypeRaw, 999999), 1_999_999_000},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -254,7 +296,7 @@ func TestForeignDialects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rec.TS.Equal(c.wantTS) {
+			if rec.TS != c.wantTS {
 				t.Errorf("ts %v, want %v", rec.TS, c.wantTS)
 			}
 			if !bytes.Equal(rec.Data, []byte{0xde, 0xad}) {
@@ -263,7 +305,7 @@ func TestForeignDialects(t *testing.T) {
 			if _, err := rd.Next(); err != io.EOF {
 				t.Errorf("after last record: %v, want io.EOF", err)
 			}
-			if recs, err := readBoth(t, c.raw); err != nil || len(recs) != 1 {
+			if recs, err := readAll3(t, c.raw); err != nil || len(recs) != 1 {
 				t.Errorf("in-memory read: %d records, %v", len(recs), err)
 			}
 		})
@@ -275,12 +317,12 @@ func TestForeignDialects(t *testing.T) {
 // with an error naming the type found, in either byte order.
 func TestLinkTypeRefused(t *testing.T) {
 	for _, order := range []binary.ByteOrder{binary.LittleEndian, binary.BigEndian} {
-		_, err := readBoth(t, buildDialect(order, magicMicro, 1, 0))
+		_, err := readAll3(t, buildDialect(order, magicMicro, 1, 0))
 		if !errors.Is(err, errLinkType) || !strings.Contains(err.Error(), "link type 1 (Ethernet)") {
 			t.Errorf("%v Ethernet capture: got %v, want errLinkType naming link type 1", order, err)
 		}
 	}
-	if _, err := readBoth(t, buildDialect(binary.LittleEndian, magicNano, 147, 0)); !errors.Is(err, errLinkType) || !strings.Contains(err.Error(), "link type 147") {
+	if _, err := readAll3(t, buildDialect(binary.LittleEndian, magicNano, 147, 0)); !errors.Is(err, errLinkType) || !strings.Contains(err.Error(), "link type 147") {
 		t.Errorf("link type 147: got %v, want errLinkType naming it", err)
 	}
 }
@@ -317,10 +359,10 @@ func TestCorruptHeadersRejected(t *testing.T) {
 		binary.LittleEndian.PutUint32(raw[fileHeaderLen+8:], incl)
 		return raw
 	}
-	if _, err := readBoth(t, forge(2_000_000_000, 1)); err == nil {
+	if _, err := readAll3(t, forge(2_000_000_000, 1)); err == nil {
 		t.Error("2e9 nanoseconds accepted")
 	}
-	if _, err := readBoth(t, forge(0, maxRecordLen+1)); err == nil {
+	if _, err := readAll3(t, forge(0, maxRecordLen+1)); err == nil {
 		t.Error("oversized incl_len accepted")
 	}
 }
@@ -343,9 +385,8 @@ func TestCaptureSink(t *testing.T) {
 	}
 	// The empty capture is installed immediately — a process killed before
 	// Close leaves a readable file, and a bad path fails before probing.
-	recs, err := ReadFile(path)
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("freshly created capture: recs=%d err=%v, want an empty valid pcap", len(recs), err)
+	if recs := readFile(t, path); len(recs) != 0 {
+		t.Fatalf("freshly created capture holds %d records, want an empty valid pcap", len(recs))
 	}
 
 	probe := []byte{0x45, 0x00, 0x00, 0x1c, 0x00, 0x01}
@@ -357,7 +398,7 @@ func TestCaptureSink(t *testing.T) {
 		t.Fatalf("Count = %d, want 2", c.Count())
 	}
 	// Nothing beyond the header hits disk before Close.
-	if recs, _ := ReadFile(path); len(recs) != 0 {
+	if recs := readFile(t, path); len(recs) != 0 {
 		t.Fatalf("%d records on disk before Close", len(recs))
 	}
 	if err := c.Close(); err != nil {
@@ -372,17 +413,14 @@ func TestCaptureSink(t *testing.T) {
 		t.Fatalf("Count grew to %d after Close", c.Count())
 	}
 
-	recs, err = ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readFile(t, path)
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
 	if !bytes.Equal(recs[0].Data, probe) || !bytes.Equal(recs[1].Data, resp) {
 		t.Fatal("record bytes do not match the captured packets")
 	}
-	if got := recs[1].TS.Sub(recs[0].TS); got != 3*time.Millisecond {
+	if got := time.Duration(recs[1].TS - recs[0].TS); got != 3*time.Millisecond {
 		t.Fatalf("timestamp delta %v, want 3ms", got)
 	}
 	// The atomic install leaves no temp droppings next to the capture.
@@ -401,11 +439,11 @@ func TestCreateCaptureBadPath(t *testing.T) {
 	}
 }
 
-// FuzzReadPcap asserts that neither reader panics or over-allocates on
+// FuzzReadPcap asserts that no reader panics or over-allocates on
 // arbitrary input — capture files cross trust boundaries (anyone can hand
-// one to -replay) — and that the two are one reader: every input reads the
-// same through the streaming Reader and through the in-memory path, records
-// and errors alike, in all four dialects.
+// one to -replay) — and that the three are one reader: every input reads the
+// same through the streaming Reader, through ReadAll and through a Scanner,
+// records and errors alike, in all four dialects.
 func FuzzReadPcap(f *testing.F) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
@@ -430,18 +468,17 @@ func FuzzReadPcap(f *testing.F) {
 		f.Add(big)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := readBoth(t, data)
+		_, err := readAll3(t, data)
 		if err == nil && len(data) < fileHeaderLen {
 			t.Fatalf("accepted a %d-byte input as a pcap file", len(data))
 		}
 	})
 }
 
-// BenchmarkReadFile: loading a capture the size of a small campaign (records
-// of 28 and 56 bytes alternating, a UDP probe and the ICMP error that quotes
-// it) in one read. retained-B/record is the record slice plus the file's own
-// bytes — there is nothing else.
-func BenchmarkReadFile(b *testing.B) {
+// BenchmarkScan: framing a capture the size of a small campaign (records of
+// 28 and 56 bytes alternating, a UDP probe and the ICMP error that quotes
+// it) already in memory — the first stage of loading a capture for replay.
+func BenchmarkScan(b *testing.B) {
 	const records = 200_000
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -455,34 +492,27 @@ func BenchmarkReadFile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	path := filepath.Join(b.TempDir(), "bench.pcap")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	buf = bytes.Buffer{} // not part of what a loaded capture retains
+	raw := buf.Bytes()
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	recs, err := ReadFile(path)
-	if err != nil || len(recs) != records {
-		b.Fatalf("%d records, %v", len(recs), err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(recs)
-	retained := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / records
-
+	var start runtime.MemStats
+	runtime.ReadMemStats(&start)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadFile(path); err != nil {
+		s, err := NewScanner(raw)
+		if err != nil {
 			b.Fatal(err)
+		}
+		n := 0
+		for s.Next() {
+			n++
+		}
+		if s.Err() != nil || n != records {
+			b.Fatalf("%d records, %v", n, s.Err())
 		}
 	}
 	var end runtime.MemStats
 	runtime.ReadMemStats(&end)
 	n := float64(b.N) * records
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
-	b.ReportMetric(float64(end.Mallocs-after.Mallocs)/n, "allocs/record")
-	b.ReportMetric(retained, "retained-B/record")
+	b.ReportMetric(float64(end.Mallocs-start.Mallocs)/n, "allocs/record")
 }

@@ -1,8 +1,10 @@
 package live
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -23,7 +25,11 @@ func readCapture(t *testing.T, c *pcap.Capture, path string) []pcap.Record {
 	if err := c.Close(); err != nil {
 		t.Fatalf("capture close: %v", err)
 	}
-	recs, err := pcap.ReadFile(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := pcap.ReadAll(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("capture at %s does not parse: %v", path, err)
 	}

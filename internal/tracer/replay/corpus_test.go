@@ -3,8 +3,10 @@ package replay_test
 import (
 	"bytes"
 	"encoding/json"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,5 +61,36 @@ func TestCorpus(t *testing.T) {
 				t.Errorf("%d captured exchanges never served — replay under-consumed the capture", l)
 			}
 		})
+	}
+}
+
+// TestCorpusLoad pins what loading each corpus capture reconstructs: its
+// exchanges, its junk and its destinations in first-seen order. The drop
+// capture is also pinned without its retry budget, where every retransmit
+// is an exchange of its own.
+func TestCorpusLoad(t *testing.T) {
+	dests := func(lastOctets ...int) []netip.Addr {
+		var as []netip.Addr
+		for _, o := range lastOctets {
+			as = append(as, netip.AddrFrom4([4]byte{172, 16, 0, byte(o)}))
+		}
+		return as
+	}
+	for _, c := range []struct {
+		name            string
+		retries         int
+		exchanges, junk int
+		dests           []netip.Addr
+	}{
+		{"clean-paris-udp", 0, 636, 0, dests(10, 11, 12, 1, 2, 3, 4, 5, 6, 7, 8, 9)},
+		{"drop-retry-paris-udp", 1, 468, 0, dests(5, 6, 7, 8, 1, 2, 3, 4)},
+		{"drop-retry-paris-udp", 0, 830, 0, dests(5, 6, 7, 8, 1, 2, 3, 4)},
+		{"reorder-tcptraceroute", 0, 64, 4, dests(1, 2, 3, 4)},
+	} {
+		rt := open(t, filepath.Join("testdata", "corpus", c.name+".pcap"), replay.Config{Retries: c.retries})
+		if rt.Exchanges() != c.exchanges || rt.Junk() != c.junk || !slices.Equal(rt.Destinations(), c.dests) {
+			t.Errorf("%s at retries %d: %d exchanges, %d junk, destinations %v; want %d, %d, %v",
+				c.name, c.retries, rt.Exchanges(), rt.Junk(), rt.Destinations(), c.exchanges, c.junk, c.dests)
+		}
 	}
 }

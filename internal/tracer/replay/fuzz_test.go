@@ -10,10 +10,10 @@ import (
 	"repro/internal/tracer/replay"
 )
 
-// FuzzReplayServe drives arbitrary capture bytes through pcap, FromRecords
-// and serving, with a probe sequence drawn from the capture's own outbound
-// records: each byte of seq picks a record (b>>1) and a path (b&1: the
-// one-probe ExchangeErr or ExchangeBatch). Whatever the input, nothing
+// FuzzReplayServe drives arbitrary capture bytes through the load Open runs
+// and through serving, with a probe sequence drawn from the capture's own
+// outbound records: each byte of seq picks a record (b>>1) and a path (b&1:
+// the one-probe ExchangeErr or ExchangeBatch). Whatever the input, nothing
 // panics, the exchanges not yet served are exactly the Leftover count, and
 // a flow drained of its exchanges answers only with the loud error. The
 // seeds are the corpus captures cut to their first records, small enough
@@ -24,28 +24,21 @@ func FuzzReplayServe(f *testing.F) {
 		f.Fatalf("no corpus captures: %v", err)
 	}
 	for _, p := range paths {
-		recs := readCapture(f, p)
-		var buf bytes.Buffer
-		w, err := pcap.NewWriter(&buf)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for _, r := range recs[:min(len(recs), 40)] {
-			if err := w.WritePacket(r.TS, r.Data); err != nil {
-				f.Fatal(err)
-			}
-		}
-		f.Add(buf.Bytes(), []byte{0, 1, 2, 3, 0, 1, 64, 65, 255})
+		_, recs := readCapture(f, p)
+		f.Add(encode(f, recs[:min(len(recs), 40)]), []byte{0, 1, 2, 3, 0, 1, 64, 65, 255})
 	}
 	f.Fuzz(func(t *testing.T, capture, seq []byte) {
+		rt, err := replay.Load(capture, replay.Config{})
+		if err != nil {
+			return
+		}
+		// A capture that loads frames cleanly, and loads as the reference
+		// reconstructs it.
 		recs, err := pcap.ReadAll(bytes.NewReader(capture))
 		if err != nil {
-			return
+			t.Fatalf("loaded a capture pcap cannot read: %v", err)
 		}
-		rt, err := replay.FromRecords(recs, replay.Config{})
-		if err != nil {
-			return
-		}
+		checkReference(t, rt, recs, replay.Config{})
 		var probes [][]byte
 		for _, r := range recs {
 			if probeFrom(r.Data, rt.Source()) {

@@ -3,8 +3,12 @@ package replay_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pcap"
 	"repro/internal/simtest"
@@ -33,20 +37,39 @@ func lossyCapture(tb testing.TB) (stats []byte, path string, sc *topo.Scenario) 
 	return simtest.JSON(captured), path, sc
 }
 
-func readCapture(tb testing.TB, path string) []pcap.Record {
+// readCapture reads the capture at path, both whole and as its records.
+func readCapture(tb testing.TB, path string) (raw []byte, recs []pcap.Record) {
 	tb.Helper()
-	recs, err := pcap.ReadFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return recs
+	if recs, err = pcap.ReadAll(bytes.NewReader(raw)); err != nil {
+		tb.Fatal(err)
+	}
+	return raw, recs
 }
 
-// fromRecords is replay.FromRecords for a test: records that do not load
-// fail it.
-func fromRecords(tb testing.TB, recs []pcap.Record, cfg replay.Config) *replay.Transport {
+// encode writes recs as a capture.
+func encode(tb testing.TB, recs []pcap.Record) []byte {
 	tb.Helper()
-	rt, err := replay.FromRecords(recs, cfg)
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.WritePacket(time.Unix(0, r.TS), r.Data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// load is replay.Load for a test: a capture that does not load fails it.
+func load(tb testing.TB, raw []byte, cfg replay.Config) *replay.Transport {
+	tb.Helper()
+	rt, err := replay.Load(raw, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -82,21 +105,20 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
-// BenchmarkFromRecords: exchange reconstruction alone, from records already
-// in memory. retained-B/record is what the Transport holds beyond the
+// BenchmarkLoad: exchange reconstruction alone, from a capture already in
+// memory. retained-B/record is what the Transport holds beyond the
 // capture's own bytes.
-func BenchmarkFromRecords(b *testing.B) {
+func BenchmarkLoad(b *testing.B) {
 	_, path, _ := lossyCapture(b)
-	recs := readCapture(b, path)
+	raw, recs := readCapture(b, path)
 	cfg := replay.Config{Retries: loadRetries}
 	retained := retainedPerRecord(len(recs), func() any {
-		rt := fromRecords(b, recs, cfg)
-		return rt
+		return load(b, raw, cfg)
 	})
 	b.ResetTimer()
 	m := mallocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := replay.FromRecords(recs, cfg); err != nil {
+		if _, err := replay.Load(raw, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,11 +130,12 @@ func BenchmarkFromRecords(b *testing.B) {
 // read plus reconstruction. retained-B/record includes the capture's bytes.
 func BenchmarkOpen(b *testing.B) {
 	_, path, _ := lossyCapture(b)
-	records := len(readCapture(b, path))
+	_, recs := readCapture(b, path)
+	records := len(recs)
+	recs = nil // not part of what an opened capture retains
 	cfg := replay.Config{Retries: loadRetries}
 	retained := retainedPerRecord(records, func() any {
-		rt := open(b, path, cfg)
-		return rt
+		return open(b, path, cfg)
 	})
 	b.ResetTimer()
 	m := mallocs()
@@ -147,69 +170,99 @@ func BenchmarkServe(b *testing.B) {
 }
 
 // TestLoadAllocBudget pins the load path's allocation counts, which are
-// stable where timings are not: reading a capture allocates a constant
-// number of times however many records it holds, and reconstruction
-// allocates per slab and per table growth step, never per packet.
+// stable where timings are not: framing a capture allocates nothing, and
+// Open allocates per slab, per block of the parse stage and per table growth
+// step, never per packet.
 func TestLoadAllocBudget(t *testing.T) {
 	_, path, _ := lossyCapture(t)
-	recs := readCapture(t, path)
+	raw, recs := readCapture(t, path)
 	n := float64(len(recs))
 	if n < 10000 {
 		t.Fatalf("fixture holds only %v records: too few for a per-record budget to mean anything", n)
 	}
-	read := testing.AllocsPerRun(3, func() {
-		if _, err := pcap.ReadFile(path); err != nil {
+	scan := testing.AllocsPerRun(3, func() {
+		s, err := pcap.NewScanner(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s.Next() {
+		}
+		if s.Err() != nil {
+			t.Fatal(s.Err())
+		}
+	})
+	if scan > 1 {
+		t.Errorf("pcap.Scanner: %v allocations for %v records, want the Scanner's own at most", scan, n)
+	}
+	opened := testing.AllocsPerRun(3, func() {
+		if _, err := replay.Open(path, replay.Config{Retries: loadRetries}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if read/n > 0.01 {
-		t.Errorf("pcap.ReadFile: %v allocations for %v records (%.4f/record, budget 0.01)", read, n, read/n)
+	if opened/n > 0.05 {
+		t.Errorf("replay.Open: %v allocations for %v records (%.4f/record, budget 0.05)", opened, n, opened/n)
 	}
-	load := testing.AllocsPerRun(3, func() {
-		if _, err := replay.FromRecords(recs, replay.Config{Retries: loadRetries}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if load/n > 0.05 {
-		t.Errorf("replay.FromRecords: %v allocations for %v records (%.4f/record, budget 0.05)", load, n, load/n)
-	}
-	t.Logf("%v records: ReadFile %.5f allocs/record, FromRecords %.5f allocs/record", n, read/n, load/n)
+	t.Logf("%v records: Scanner %v allocs, Open %.5f allocs/record", n, scan, opened/n)
 }
 
-// TestFromRecordsLeavesRecordsAlone pins the read-only half of the aliasing
-// contract: loading and serving write to neither the record slice nor the
-// packet bytes, so two Transports built from one []Record — both aliasing
-// the same capture bytes — serve the same campaign, the captured one.
-func TestFromRecordsLeavesRecordsAlone(t *testing.T) {
+// TestLoadLeavesBytesAlone pins the read-only half of the aliasing contract:
+// loading and serving never write to the capture's bytes, so two Transports
+// loaded from one buffer serve the same campaign, the captured one.
+func TestLoadLeavesBytesAlone(t *testing.T) {
 	want, path, sc := lossyCapture(t)
-	recs := readCapture(t, path)
-	digest := func() [sha256.Size]byte {
-		h := sha256.New()
-		for _, r := range recs {
-			ts, err := r.TS.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.Write(ts)
-			h.Write(r.Data)
-		}
-		return [sha256.Size]byte(h.Sum(nil))
-	}
-	before := digest()
+	raw, _ := readCapture(t, path)
+	before := sha256.Sum256(raw)
 	for i := 0; i < 2; i++ {
-		rt := fromRecords(t, recs, replay.Config{Retries: loadRetries})
-		if digest() != before {
-			t.Fatalf("transport %d: FromRecords modified its input records", i)
+		rt := load(t, raw, replay.Config{Retries: loadRetries})
+		if sha256.Sum256(raw) != before {
+			t.Fatalf("transport %d: loading modified the capture", i)
 		}
 		got := simtest.JSON(replayCampaign(t, rt, sc, loadWorkers, loadRounds))
 		if !bytes.Equal(got, want) {
-			t.Errorf("transport %d over the shared records diverges from the captured campaign", i)
+			t.Errorf("transport %d over the shared capture diverges from the captured campaign", i)
 		}
 		if l := rt.Leftover(); l != 0 {
 			t.Errorf("transport %d: %d captured exchanges never served", i, l)
 		}
-		if digest() != before {
-			t.Fatalf("transport %d: serving modified the records it aliases", i)
+		if sha256.Sum256(raw) != before {
+			t.Fatalf("transport %d: serving modified the capture it aliases", i)
+		}
+	}
+}
+
+// TestOpenLeavesNoGoroutine: Open joins its parse stage however the load
+// ends — a capture loaded, a torn one refused (the stage ran to the tear),
+// and one that does not begin with a probe.
+func TestOpenLeavesNoGoroutine(t *testing.T) {
+	raw, recs := readCapture(t, filepath.Join("testdata", "corpus", "clean-paris-udp.pcap"))
+	noProbe := encode(t, append([]pcap.Record{{TS: recs[0].TS, Data: []byte{0x45}}}, recs...))
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name, want string // want: a substring of the error; empty: success
+		raw        []byte
+	}{
+		{"loaded", "", raw},
+		{"torn", "complete records precede the tear", raw[:len(raw)-3]},
+		{"no-probe", "does not begin with a probe", noProbe},
+	} {
+		path := filepath.Join(dir, c.name+".pcap")
+		if err := os.WriteFile(path, c.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		for range 20 {
+			_, err := replay.Open(path, replay.Config{})
+			if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
+				t.Fatalf("%s: Open error %v, want %q", c.name, err, c.want)
+			}
+		}
+		// A joined goroutine may still be on its way out: give it a moment.
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%s: %d goroutines after 20 opens, %d before\n%s", c.name, runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -200,7 +200,7 @@ func TestReplayDivergenceIsLoud(t *testing.T) {
 	// Same flow key, different bytes: mutate a captured probe's TTL (the
 	// flow key covers addresses, protocol, IP ID, and the first transport
 	// words — not the TTL), and the byte-strict check must reject it.
-	recs := readCapture(t, path)
+	_, recs := readCapture(t, path)
 	mutated := append([]byte(nil), recs[0].Data...)
 	mutated[8] = 77 // TTL
 	rt2 := open(t, path, replay.Config{})
@@ -232,9 +232,9 @@ func buildProbe(t *testing.T, sc *topo.Scenario) []byte {
 			t.Fatal(err)
 		}
 	})
-	recs, err := pcap.ReadFile(path)
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("probe capture: %d recs, %v", len(recs), err)
+	_, recs := readCapture(t, path)
+	if len(recs) == 0 {
+		t.Fatal("the probe capture is empty")
 	}
 	return append([]byte(nil), recs[0].Data...)
 }
@@ -246,24 +246,24 @@ func TestReplayTimeoutGuard(t *testing.T) {
 	const seed = 41
 	sc := replayTopo(t, 1, seed)
 	_, path := captureCampaign(t, sc, live.SimSchedule{}, 0, 1, 1)
-	recs := readCapture(t, path)
+	raw, recs := readCapture(t, path)
 	// Push every inbound record an hour into the future; probes keep their
 	// stamps. Every response is now hopelessly late.
-	rt0 := fromRecords(t, recs, replay.Config{})
-	src := rt0.Source()
+	src := load(t, raw, replay.Config{}).Source()
 	late := make([]pcap.Record, len(recs))
 	for i, r := range recs {
 		late[i] = r
 		if !probeFrom(r.Data, src) {
-			late[i].TS = r.TS.Add(time.Hour)
+			late[i].TS = r.TS + int64(time.Hour)
 		}
 	}
-	rt := fromRecords(t, late, replay.Config{})
+	lateRaw := encode(t, late)
+	rt := load(t, lateRaw, replay.Config{})
 	if rt.Junk() == 0 {
 		t.Fatal("hour-late responses were bound instead of junked")
 	}
 	// And a generous timeout accepts them again.
-	rt2 := fromRecords(t, late, replay.Config{Timeout: 2 * time.Hour})
+	rt2 := load(t, lateRaw, replay.Config{Timeout: 2 * time.Hour})
 	if rt2.Junk() != 0 {
 		t.Fatalf("junk=%d with a 2h timeout", rt2.Junk())
 	}

@@ -27,13 +27,13 @@ func serveOf(resp []byte, rtt time.Duration) served {
 	return served{&resp[0], rtt}
 }
 
-// parisChain returns the first Paris UDP probe in recs whose flow chains
-// one exchange per captured round, with that chain as a sequential drain of
-// a fresh transport serves it. A Paris UDP probe's checksum is its probe
+// parisChain returns the first Paris UDP probe in recs, the records of the
+// capture raw, whose flow chains one exchange per captured round, with that
+// chain as a sequential drain of a fresh transport serves it. A Paris UDP probe's checksum is its probe
 // identifier, the same value engine.wrap writes into the IP ID.
-func parisChain(t *testing.T, recs []pcap.Record) ([]byte, []served) {
+func parisChain(t *testing.T, raw []byte, recs []pcap.Record) ([]byte, []served) {
 	t.Helper()
-	rt := fromRecords(t, recs, replay.Config{Retries: loadRetries})
+	rt := load(t, raw, replay.Config{Retries: loadRetries})
 	src := rt.Source()
 	for _, r := range recs {
 		p := r.Data
@@ -63,12 +63,12 @@ func parisChain(t *testing.T, recs []pcap.Record) ([]byte, []served) {
 func TestRacingPopsExactlyOnce(t *testing.T) {
 	const goroutines = 8
 	_, path, _ := lossyCapture(t)
-	recs := readCapture(t, path)
-	probe, chain := parisChain(t, recs)
+	raw, recs := readCapture(t, path)
+	probe, chain := parisChain(t, raw, recs)
 
-	// A second transport over the same records: its responses alias the
-	// same capture bytes, so they compare by identity with the chain.
-	rt := fromRecords(t, recs, replay.Config{Retries: loadRetries})
+	// A second transport over the same bytes: its responses alias the same
+	// capture, so they compare by identity with the chain.
+	rt := load(t, raw, replay.Config{Retries: loadRetries})
 	var (
 		start = make(chan struct{})
 		wg    sync.WaitGroup
@@ -129,23 +129,23 @@ func TestServeAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	_, path, _ := lossyCapture(t)
-	recs := readCapture(t, path)
+	raw, recs := readCapture(t, path)
 	var allocs uint64
 	var matched int
 	for attempt := 1; attempt <= 3; attempt++ {
-		if allocs, matched = serveFirstRound(t, recs); allocs == 0 {
+		if allocs, matched = serveFirstRound(t, raw, recs); allocs == 0 {
 			return
 		}
 	}
 	t.Errorf("ExchangeBatch: %d allocations over %d matched probes, want 0", allocs, matched)
 }
 
-// serveFirstRound serves the first occurrence of every captured probe in
-// batches of 16 and reports the allocations made after the first batch, and
-// the probes they served.
-func serveFirstRound(t *testing.T, recs []pcap.Record) (allocs uint64, matched int) {
+// serveFirstRound serves the first occurrence of every probe of the capture
+// raw, whose records are recs, in batches of 16 and reports the allocations
+// made after the first batch, and the probes they served.
+func serveFirstRound(t *testing.T, raw []byte, recs []pcap.Record) (allocs uint64, matched int) {
 	t.Helper()
-	rt := fromRecords(t, recs, replay.Config{Retries: loadRetries})
+	rt := load(t, raw, replay.Config{Retries: loadRetries})
 	// Each flow's first outbound record is its head, so the first
 	// occurrence of every distinct probe is one round's worth of matches.
 	src := rt.Source()
