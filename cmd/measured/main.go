@@ -46,7 +46,7 @@ func run() (err error) {
 	period := flag.Int("period", 5, "re-probe cadence in scheduler rounds")
 	interval := flag.Duration("interval", time.Second, "wall-clock pause between scheduler rounds")
 	workers := flag.Int("workers", 4, "supervised probing workers")
-	queueCap := flag.Int("queue-cap", 0, "per-round job admission bound; overflow is shed oldest-first (0: 8*workers)")
+	queueCap := flag.Int("queue-cap", 0, "per-round job admission bound; overflow is shed by seeded lottery with aging (0: 8*workers)")
 	rate := flag.Float64("rate", 0, "aggregate probe rate cap in probes/second (0: unpaced)")
 	burst := flag.Int("burst", 64, "probe pacer burst capacity")
 	stallTimeout := flag.Duration("stall-timeout", 30*time.Second, "watchdog deadline from a round's dispatch, queue wait included; stalled traces are abandoned")

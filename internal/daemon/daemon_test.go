@@ -630,8 +630,8 @@ func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 
 // TestDaemonRecoversUnderSpelledOutDefaults: the digest covers the probing
 // the daemon does, not how its configuration spells it — a restart that
-// writes the default TTL policy out recovers the checkpoint written under
-// the zero values.
+// writes the default MinTTL out recovers the checkpoint written under the
+// zero value.
 func TestDaemonRecoversUnderSpelledOutDefaults(t *testing.T) {
 	ckPath := filepath.Join(t.TempDir(), "daemon.ck")
 	cfg := testConfig(freeTopo(t, 4, 3, 0))
@@ -642,7 +642,7 @@ func TestDaemonRecoversUnderSpelledOutDefaults(t *testing.T) {
 	stop(t, d)
 
 	cfg2 := testConfig(freeTopo(t, 4, 3, 0))
-	cfg2.Probe = measure.ProbeConfig{MinTTL: 2, MaxTTL: 39, MaxConsecutiveStars: 8}
+	cfg2.Probe = measure.ProbeConfig{MinTTL: 2}
 	cfg2.CheckpointPath = ckPath
 	d2, err := New(cfg2)
 	if err != nil {

@@ -40,7 +40,6 @@ func TestAccumulatorHeapPerDest(t *testing.T) {
 	gen := simtest.Default(300)
 	w := newSteadyWorkerOn(t, gen)
 	w.rounds(t, 12)
-	w.ring.flush()
 	acc, dests := w.acc, len(w.acc.dests)
 	w = nil
 	with := heapLive()

@@ -11,14 +11,12 @@ import (
 )
 
 // steadyWorker is one campaign worker driven by hand, the way runRound
-// drives it — measureDest, then the fold ring — so a test can stop between
-// pairs: a batched, streamed, one-worker campaign over the default
-// topology.
+// drives it — measureDest, Fold, Recycle — so a test can stop between pairs:
+// a batched, streamed, one-worker campaign over the default topology.
 type steadyWorker struct {
 	c     *Campaign
 	sc    *topo.Scenario
 	acc   *Accumulator
-	ring  foldRing
 	round int
 }
 
@@ -34,12 +32,10 @@ func newSteadyWorkerOn(tb testing.TB, gen topo.GenConfig) *steadyWorker {
 	c := newCampaign(tb, netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Workers: 1, PortSeed: 42, Batch: true, Stream: true,
 	})
-	w := &steadyWorker{c: c, sc: sc, acc: NewAccumulator()}
-	w.ring = foldRing{acc: w.acc, prober: c.probers[0], every: c.foldEvery}
-	return w
+	return &steadyWorker{c: c, sc: sc, acc: NewAccumulator()}
 }
 
-// pair measures and stages the next pair, opening a new round when the list
+// pair measures and folds the next pair, opening a new round when the list
 // wraps.
 func (w *steadyWorker) pair(tb testing.TB, i int) {
 	idx := i % len(w.sc.Dests)
@@ -51,7 +47,8 @@ func (w *steadyWorker) pair(tb testing.TB, i int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w.ring.push(p)
+	w.acc.Fold(&p)
+	w.c.probers[0].Recycle(&p)
 }
 
 // rounds runs n whole rounds.
@@ -63,7 +60,7 @@ func (w *steadyWorker) rounds(tb testing.TB, n int) {
 
 // TestPairAllocBudget is the study's steady-state budget: once a worker's
 // buffers, route pool and interned routes are warm, a pair — two traces, the
-// staging, the fold, netsim's own forwarding included — stays within three
+// fold, the recycling, netsim's own forwarding included — stays within three
 // allocations. The tracer's share is zero (the tracer package's
 // TestTraceSteadyStateAllocs); what remains is a classic route seen for the
 // first time, which the accumulator copies and analyzes once — forty rounds
@@ -99,7 +96,6 @@ func hopSlots(a *Accumulator) (slots int, exact bool) {
 func TestInternedRoutesExactSize(t *testing.T) {
 	w := newSteadyWorker(t, 80)
 	w.rounds(t, 5)
-	w.ring.flush()
 	live, exact := hopSlots(w.acc)
 	if !exact {
 		t.Error("a live accumulator interned a route with spare capacity")

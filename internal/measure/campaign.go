@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -23,12 +24,9 @@ type Config struct {
 	// Workers is the number of parallel probing processes (the paper
 	// launches 32, each probing 1/32 of the list).
 	Workers int
-	// MinTTL skips the local network (the paper sets 2).
+	// MinTTL skips the local network (the paper sets 2). Traces stop at
+	// the paper's 39 hops or 8 consecutive stars.
 	MinTTL int
-	// MaxTTL bounds traces (the paper: no trace extends beyond 39 hops).
-	MaxTTL int
-	// MaxConsecutiveStars halts a trace (the paper: 8).
-	MaxConsecutiveStars int
 	// RoundStart, if set, is invoked before each round with the round
 	// number (routing dynamics injection).
 	RoundStart func(round int)
@@ -44,15 +42,12 @@ type Config struct {
 	// are never shared across a worker's round. Nil keeps the paper's
 	// contiguous 1/Workers slicing.
 	ShardOf map[netip.Addr]int
-	// Batch widens every trace's TTL ladder to a window of BatchWindow
-	// TTLs when the transport batches (tracer.BatchTransport); each
-	// destination feeds its previous round's path length back as the next
-	// round's window hint. Off, or over a transport without batching, the
-	// window is one TTL. Off by default.
+	// Batch widens every trace's TTL ladder to a window of
+	// tracer.DefaultBatchWindow TTLs when the transport batches
+	// (tracer.BatchTransport); each destination feeds its previous round's
+	// path length back as the next round's window hint. Off, or over a
+	// transport without batching, the window is one TTL. Off by default.
 	Batch bool
-	// BatchWindow overrides the TTL-window per batch (0: tracer
-	// default). Ignored unless Batch is set.
-	BatchWindow int
 	// Stream folds each completed pair into a per-worker Accumulator the
 	// moment it is measured instead of retaining it; Run then merges the
 	// workers' partials once at campaign end and returns them in
@@ -71,10 +66,11 @@ type Config struct {
 	// Nil sleeps for real.
 	Sleep func(time.Duration)
 
-	// CheckpointPath, when set on a streaming campaign, persists a
-	// resumable checkpoint to this path after every CheckpointEvery
-	// completed rounds (atomic temp-file + rename). See the package
-	// comment's checkpointing contract and the Checkpoint type.
+	// CheckpointPath, when set, persists a resumable checkpoint to this
+	// path after every CheckpointEvery completed rounds (atomic temp-file +
+	// rename). Only a streaming campaign checkpoints: NewCampaign refuses
+	// it without Stream. See the package comment's checkpointing contract
+	// and the Checkpoint type.
 	CheckpointPath string
 	// CheckpointEvery is the checkpoint cadence in completed rounds. Zero
 	// selects 1 (every round) — with it, the checkpoint on disk at any
@@ -108,12 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinTTL <= 0 {
 		c.MinTTL = 2
-	}
-	if c.MaxTTL <= 0 {
-		c.MaxTTL = 39
-	}
-	if c.MaxConsecutiveStars <= 0 {
-		c.MaxConsecutiveStars = 8
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
@@ -205,9 +195,6 @@ type Campaign struct {
 	// runs); the next RunContext consumes it and continues from its round
 	// cursor.
 	resume *resumeState
-	// foldEvery is the workers' fold-batch size: the constant, except in the
-	// tests that prove statistics do not depend on it.
-	foldEvery int
 }
 
 // resumeState carries a loaded checkpoint into the next RunContext call.
@@ -224,21 +211,16 @@ func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 	if err := ValidateDests(cfg.Dests); err != nil {
 		return nil, err
 	}
+	if cfg.CheckpointPath != "" && !cfg.Stream {
+		return nil, errors.New("measure: CheckpointPath requires Stream (only a streaming campaign checkpoints)")
+	}
 	c := &Campaign{
-		cfg:       cfg,
-		probers:   make([]*Prober, cfg.Workers),
-		plan:      workerPlan(cfg),
-		runs:      make([]DestRun, len(cfg.Dests)),
-		foldEvery: foldEvery,
+		cfg:     cfg,
+		probers: make([]*Prober, cfg.Workers),
+		plan:    workerPlan(cfg),
+		runs:    make([]DestRun, len(cfg.Dests)),
 	}
-	pc := ProbeConfig{
-		MinTTL:              cfg.MinTTL,
-		MaxTTL:              cfg.MaxTTL,
-		MaxConsecutiveStars: cfg.MaxConsecutiveStars,
-		PortSeed:            cfg.PortSeed,
-		Batch:               cfg.Batch,
-		BatchWindow:         cfg.BatchWindow,
-	}
+	pc := ProbeConfig{MinTTL: cfg.MinTTL, PortSeed: cfg.PortSeed, Batch: cfg.Batch}
 	stream := uint64(0)
 	if cfg.Stream {
 		stream = 1
@@ -368,13 +350,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 			c.runs[i] = DestRun{Hints: c.runs[i].Hints}
 		}
 	}
-	var rings []foldRing
-	if c.cfg.Stream {
-		rings = make([]foldRing, len(accs))
-		for w := range rings {
-			rings[w] = foldRing{acc: accs[w], prober: c.probers[w], every: c.foldEvery}
-		}
-	}
 	canceled := false
 	for r := start; r < c.cfg.Rounds; r++ {
 		if ctx.Err() != nil {
@@ -384,7 +359,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 		if c.cfg.RoundStart != nil {
 			c.cfg.RoundStart(r)
 		}
-		pairs, err := c.runRound(ctx, r, rings)
+		pairs, err := c.runRound(ctx, r, accs)
 		if err != nil {
 			return nil, err
 		}
@@ -399,15 +374,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 		if !c.cfg.Stream {
 			res.Rounds = append(res.Rounds, pairs)
 		}
-		if c.cfg.Stream && c.cfg.CheckpointPath != "" &&
-			((r+1)%c.cfg.CheckpointEvery == 0 || r == c.cfg.Rounds-1) {
-			// Drain the fold rings first: between rounds the caller
-			// goroutine holds the happens-before edge from wg.Wait, so
-			// the flush is race-free and the accumulators hold exactly
-			// the completed rounds.
-			for w := range rings {
-				rings[w].flush()
-			}
+		if c.cfg.CheckpointPath != "" && ((r+1)%c.cfg.CheckpointEvery == 0 || r == c.cfg.Rounds-1) {
 			ck := c.checkpoint(r+1, accs)
 			if err := ck.Save(c.cfg.CheckpointPath); err != nil {
 				return nil, fmt.Errorf("measure: checkpoint after round %d: %w", r, err)
@@ -415,12 +382,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 		}
 	}
 	if c.cfg.Stream {
-		// Drain the per-worker fold rings before the partials meet: a ring
-		// is only ever touched by its worker, and the final round's
-		// wg.Wait makes these flushes race-free on the caller goroutine.
-		for w := range rings {
-			rings[w].flush()
-		}
 		res.Stats = Merge(c.cfg.Rounds, len(c.cfg.Dests), accs...)
 	}
 	if canceled {
@@ -432,21 +393,20 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 // runRound measures every destination once with Workers parallel workers,
 // each holding its planned share of the list (the paper's 32 processes each
 // probe 1/32 of the destinations; sharded campaigns use shard-affine
-// shares). With rings non-nil (streaming), worker w stages each pair in
-// rings[w], which folds it into the worker's accumulator and gives its
-// routes back to the worker's Prober; nothing is retained. Otherwise the
-// pairs are collected into a slice and their routes are the caller's for
-// good. Under the default error policy
+// shares). With accs non-nil (streaming), worker w folds each pair into
+// accs[w] and gives its routes back to its Prober before it measures the
+// next; nothing is retained. Otherwise the pairs are collected into a slice
+// and their routes are the caller's for good. Under the default error policy
 // measureDest absorbs failures into Failed/Skipped pairs and runRound never
 // errors; with FailFast the first error any worker hits aborts the whole
 // round — a stop channel closed under a sync.Once halts the remaining
 // workers at their next destination instead of letting them probe out their
 // slices silently. Context cancellation stops workers the same way in both
 // modes, without an error of its own (the caller reads ctx.Err()).
-func (c *Campaign) runRound(ctx context.Context, round int, rings []foldRing) ([]Pair, error) {
+func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator) ([]Pair, error) {
 	dests := c.cfg.Dests
 	var out []Pair
-	if rings == nil {
+	if accs == nil {
 		out = make([]Pair, len(dests))
 	}
 	var (
@@ -478,8 +438,9 @@ func (c *Campaign) runRound(ctx context.Context, round int, rings []foldRing) ([
 					})
 					return
 				}
-				if rings != nil {
-					rings[w].push(p)
+				if accs != nil {
+					accs[w].Fold(&p)
+					c.probers[w].Recycle(&p)
 				} else {
 					out[i] = p
 				}

@@ -136,10 +136,9 @@ type SigCheckpoint struct {
 	Rounds    int
 }
 
-// checkpoint snapshots the campaign after nextRound-1 completed. Caller
-// must have flushed the fold rings (RunContext checkpoints only between
-// rounds, where the wg.Wait edge makes the accumulators and the DestRuns
-// quiescent).
+// checkpoint snapshots the campaign after nextRound-1 completed. RunContext
+// calls it only between rounds, where the wg.Wait edge makes the
+// accumulators and the DestRuns quiescent.
 func (c *Campaign) checkpoint(nextRound int, accs []*Accumulator) *Checkpoint {
 	ck := &Checkpoint{
 		Digest:    c.digest,

@@ -39,6 +39,17 @@ func checkpointConfig(sc *topo.Scenario, path string) Config {
 	}
 }
 
+// TestCheckpointPathRequiresStream: only a streaming campaign checkpoints,
+// so NewCampaign refuses a checkpoint path it would silently never write.
+func TestCheckpointPathRequiresStream(t *testing.T) {
+	sc := topo.Generate(simtest.Default(4))
+	cfg := checkpointConfig(sc, filepath.Join(t.TempDir(), "never.ck"))
+	cfg.Stream = false
+	if c, err := NewCampaign(netsim.NewTransport(sc.Net), cfg); err == nil || c != nil {
+		t.Fatalf("NewCampaign accepted CheckpointPath without Stream: campaign %v, err %v", c, err)
+	}
+}
+
 // TestCheckpointCadence: CheckpointEvery > 1 writes only at its boundaries
 // (plus the final round), so the cursor on disk is always a multiple of the
 // cadence or the campaign end.
@@ -148,7 +159,7 @@ func TestResumeValidation(t *testing.T) {
 	}
 
 	// Non-streaming campaign → refused.
-	cfg3 := checkpointConfig(sc2, ckPath)
+	cfg3 := checkpointConfig(sc2, "")
 	cfg3.Stream = false
 	mat := newCampaign(t, netsim.NewTransport(sc2.Net), cfg3)
 	if err := mat.Resume(ck); err == nil {
@@ -191,14 +202,6 @@ func TestResumeValidation(t *testing.T) {
 	// path: testdata/toy-v4.ck is the golden file of the version-4 layout.
 	if _, err := LoadCheckpoint(filepath.Join("testdata", "toy-v4.ck")); !errors.Is(err, ckpt.ErrVersion) {
 		t.Errorf("version-4 checkpoint: got %v, want ErrVersion", err)
-	}
-
-	// The digest covers the batch window, as the daemon's always has.
-	cfg4 := checkpointConfig(sc2, ckPath)
-	cfg4.BatchWindow = 5
-	windowed := newCampaign(t, netsim.NewTransport(sc2.Net), cfg4)
-	if err := windowed.Resume(ck); !errors.Is(err, ErrDigest) {
-		t.Errorf("Resume under another BatchWindow: got %v, want ErrDigest", err)
 	}
 
 	// A frame that verifies around a body no run can have written — a

@@ -12,9 +12,8 @@
 // the transport — which must be safe for concurrent use, as both netsim
 // and the live transport are — and nothing else: the Prober (its two
 // tracers, scratch buffers and route pool), retry state, and (when
-// streaming) the statistics accumulator and its fold ring are all
-// per-worker or per-destination and owned by the one worker that probes
-// them. Rounds are separated by a WaitGroup barrier; RoundStart
+// streaming) the statistics accumulator are all per-worker or
+// per-destination and owned by the one worker that probes them. Rounds are separated by a WaitGroup barrier; RoundStart
 // hooks, checkpoints, and the final Merge all run on the campaign
 // goroutine between rounds, where every accumulator is quiescent.
 //
@@ -30,7 +29,7 @@
 // within one route under a gap bound concurrency cannot reach. So the Stats
 // — including the RTT aggregates, which fold as order-independent integer
 // tallies — are byte-identical across every worker count, shard count,
-// batch switch, fold granularity and halt-and-resume, on the default
+// batch switch and halt-and-resume, on the default
 // topology with every gadget armed (pinned by simtest's TestHouseInvariant,
 // under -race).
 //
@@ -38,10 +37,8 @@
 //
 // With Config.Stream set, the campaign computes its statistics while it
 // probes instead of materializing every Pair: each worker owns one
-// Accumulator and folds every pair it measures as the pair completes —
-// staged through a small per-worker ring that folds sixteen pairs
-// at a time (deferring folds for map locality, never reordering them).
-// Ownership does the synchronization — the worker plan is fixed
+// Accumulator and folds every pair it measures as the pair completes,
+// before it measures the next. Ownership does the synchronization — the worker plan is fixed
 // for the campaign's lifetime, so all of a destination's pairs flow
 // through the one worker that owns the destination, in round order, and no
 // accumulator (nor any per-destination state inside it) is ever touched by
@@ -75,24 +72,24 @@
 //
 // # Route ownership
 //
-// A route belongs to the worker that traced it until it is folded; the
-// accumulator keeps its own copy of anything it keeps. Concretely:
+// One rule holds in both runtimes: the worker that traced a pair folds it
+// and gives its routes back at once. A route belongs to that worker until
+// it is folded; the accumulator keeps its own copy of anything it keeps.
+// Concretely:
 //
 //   - Fold copies what it keeps. The first route seen with a fingerprint is
 //     interned as its hop cells, packed into the destination's cell array at
 //     exact length, and Fold never retains the caller's Pair or routes, so
 //     they may be reused the moment it returns.
-//   - The fold ring gives routes back. A streaming worker's ring recycles
-//     both routes of a pair into the worker's Prober right after folding it
-//     (Prober.Recycle); the worker's next traces refill those routes, so a
-//     steady-state pair allocates nothing of its own.
+//   - The worker gives routes back. A streaming campaign worker, and the
+//     daemon's pool worker, recycles both routes of a pair into its own
+//     Prober (Prober.Recycle) right after folding it, before it measures
+//     the next pair; its next traces refill those routes, so a
+//     steady-state pair allocates nothing of its own. A daemon worker the
+//     watchdog abandons mid-trace never folds, so it never recycles either.
 //   - Retained Results never do. Without Config.Stream every route of
 //     Results.Rounds is the caller's for good, and Analyze over them copies
 //     what it interns like any other fold.
-//   - The daemon's workers give routes back too. The pool worker that
-//     traced a pair folds it and recycles its routes into its own Prober; a
-//     worker the watchdog abandons mid-trace never folds, so it never
-//     recycles either.
 //
 // The poison suite (poison_test.go) scribbles over every route at the
 // moment it is recycled and requires statistics and checkpoints to match

@@ -222,7 +222,7 @@ func TestPoisonedProbesPerHop3(t *testing.T) {
 		func(c *Campaign, tp tracer.Transport) {
 			for w := range c.probers {
 				c.probers[w] = newProber(tp, c.cfg.PortSeed, tracer.Options{
-					MinTTL: c.cfg.MinTTL, MaxTTL: c.cfg.MaxTTL, MaxConsecutiveStars: c.cfg.MaxConsecutiveStars,
+					MinTTL: c.cfg.MinTTL, MaxTTL: maxTTL, MaxConsecutiveStars: maxStars,
 					Batch: true, ProbesPerHop: 3,
 				})
 			}
@@ -286,14 +286,21 @@ func TestPoisonedRetryAfterClassicFailure(t *testing.T) {
 }
 
 // nthBatchFailer fails one whole batch, the n-th it carries, with a fatal
-// error.
+// error. Up to that batch it counts the runs of consecutive batches toward
+// one destination: one worker's pairs each probe one destination, unlike
+// the pair before, so the pairs completed before the failure are runs - 1.
 type nthBatchFailer struct {
 	tracer.BatchTransport
 	n, calls int
+	runs     int
+	last     netip.Addr
 }
 
 func (f *nthBatchFailer) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	f.calls++
+	if dst := netip.AddrFrom4([4]byte(probes[0][16:20])); f.calls <= f.n && dst != f.last {
+		f.runs, f.last = f.runs+1, dst
+	}
 	if f.calls == f.n {
 		for i := range probes {
 			out[i] = tracer.ProbeResult{Err: errors.New("injected batch failure")}
@@ -303,23 +310,22 @@ func (f *nthBatchFailer) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 	f.BatchTransport.ExchangeBatch(probes, out)
 }
 
-// TestPoisonedFailFastAbort aborts a FailFast campaign mid-round with pairs
-// still staged in the ring, then runs the same campaign again: the staged
-// routes are dropped, never given back, and the rerun — through the same
-// worker and its pool — must match an unpoisoned twin put through the same
-// two runs.
+// TestPoisonedFailFastAbort aborts a FailFast campaign mid-round, then runs
+// the same campaign again: every pair the aborted run completed was folded
+// and given back the moment it was measured, the pair the abort cut short
+// gives back no whole pair, and the rerun — through the same worker and its
+// pool — must match an unpoisoned twin put through the same two runs.
 func TestPoisonedFailFastAbort(t *testing.T) {
 	const dests = 60
 	run := func(poisoned bool) *Stats {
 		sc := topo.Generate(simtest.Default(dests))
 		// Two or more batches per pair: the 150th falls in round 0's second
-		// half or in round 1, with dozens of pairs staged either way.
+		// half or in round 1, dozens of pairs completed either way.
 		ft := &nthBatchFailer{BatchTransport: netsim.NewTransport(sc.Net), n: 150}
 		c := newCampaign(t, ft, Config{
 			Dests: sc.Dests, Rounds: 4, Workers: 1, RoundStart: sc.RoundStart, PortSeed: 42,
 			Batch: true, Stream: true, FailFast: true,
 		})
-		c.foldEvery = 1 << 20
 		recycled := new(poisonCount)
 		if poisoned {
 			recycled = poison(c)
@@ -327,9 +333,12 @@ func TestPoisonedFailFastAbort(t *testing.T) {
 		if _, err := c.Run(); err == nil || ft.calls != ft.n {
 			t.Fatalf("first run: err %v after %d batches, want an abort on batch %d", err, ft.calls, ft.n)
 		}
-		if recycled.pairs != 0 {
-			t.Fatalf("%d pairs given back by an aborted run that never folded", recycled.pairs)
+		if measured := ft.runs - 1; measured < dests/2 {
+			t.Fatalf("%d pairs completed before the abort, want dozens", measured)
+		} else if poisoned && recycled.pairs != measured {
+			t.Fatalf("%d pairs given back by the aborted run, want the %d it completed", recycled.pairs, measured)
 		}
+		recycled.pairs = 0
 		res, err := c.Run()
 		if err != nil {
 			t.Fatalf("rerun: %v", err)

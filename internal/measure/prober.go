@@ -23,33 +23,30 @@ type PathHints struct {
 
 // ProbeConfig is the probing shape a Prober applies to every pair; the
 // fields mirror the campaign Config's probing subset and share its
-// defaults.
+// defaults. Every trace stops at the paper's 39 hops or 8 consecutive
+// stars.
 type ProbeConfig struct {
 	// MinTTL skips the local network (the paper sets 2). Zero selects 2.
 	MinTTL int
-	// MaxTTL bounds traces (the paper: 39). Zero selects 39.
-	MaxTTL int
-	// MaxConsecutiveStars halts a trace (the paper: 8). Zero selects 8.
-	MaxConsecutiveStars int
 	// PortSeed derives the per-destination Paris flow identifiers and the
 	// classic tracer's per-(round, destination) pseudo-PID source port.
 	PortSeed int64
-	// Batch widens the TTL ladder's window when the transport batches
-	// (tracer.BatchTransport); see tracer.Options.Batch.
+	// Batch widens the TTL ladder's window to tracer.DefaultBatchWindow
+	// when the transport batches (tracer.BatchTransport); see
+	// tracer.Options.Batch.
 	Batch bool
-	// BatchWindow overrides the TTL window per batch (0: tracer default).
-	BatchWindow int
 }
+
+// The paper's trace bounds (Section 3): no trace extends beyond 39 hops, and
+// eight consecutive stars end one.
+const (
+	maxTTL   = 39
+	maxStars = 8
+)
 
 func (c ProbeConfig) withDefaults() ProbeConfig {
 	if c.MinTTL <= 0 {
 		c.MinTTL = 2
-	}
-	if c.MaxTTL <= 0 {
-		c.MaxTTL = 39
-	}
-	if c.MaxConsecutiveStars <= 0 {
-		c.MaxConsecutiveStars = 8
 	}
 	return c
 }
@@ -76,10 +73,9 @@ func NewProber(tp tracer.Transport, cfg ProbeConfig) *Prober {
 	cfg = cfg.withDefaults()
 	return newProber(tp, cfg.PortSeed, tracer.Options{
 		MinTTL:              cfg.MinTTL,
-		MaxTTL:              cfg.MaxTTL,
-		MaxConsecutiveStars: cfg.MaxConsecutiveStars,
+		MaxTTL:              maxTTL,
+		MaxConsecutiveStars: maxStars,
 		Batch:               cfg.Batch,
-		BatchWindow:         cfg.BatchWindow,
 	})
 }
 

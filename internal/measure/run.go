@@ -115,12 +115,12 @@ func RunDigest(dests []netip.Addr, probe ProbeConfig, extras ...uint64) uint64 {
 		mix(uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3]))
 	}
 	mix(uint64(probe.MinTTL))
-	mix(uint64(probe.MaxTTL))
-	mix(uint64(probe.MaxConsecutiveStars))
+	mix(maxTTL)
+	mix(maxStars)
 	mix(uint64(probe.PortSeed))
 	if probe.Batch {
 		mix(1)
-		mix(uint64(probe.BatchWindow))
+		mix(0) // the window word: 0 is the tracer's default, as checkpoints on disk hash it
 	} else {
 		mix(0) // the window only exists on a batched ladder
 	}

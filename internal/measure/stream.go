@@ -10,7 +10,9 @@ import (
 
 // This file is the streaming statistics engine: an Accumulator folds
 // completed pairs into partial Section 4 statistics the moment they are
-// measured, so a campaign never has to retain its routes. Memory is
+// measured — the worker that traced a pair folds it and gives its routes
+// back before it traces the next — so a campaign never has to retain its
+// routes. Memory is
 // O(destinations + unique routes) — independent of the round count — where
 // the old materialize-then-Analyze pipeline held every Pair of every round
 // (O(destinations × rounds)). What a destination costs: about 2.7 KB a dozen
@@ -264,51 +266,6 @@ func (ds *destState) remember(memos *[]routeMemo, i int, fp uint64, rt *tracer.R
 		mo.anoms = uint32(len(ds.anoms))
 	}
 	*memos = slices.Insert(*memos, i, mo)
-}
-
-// foldEvery is the per-worker fold-batch size of the streaming campaign:
-// completed pairs stage in a small ring and fold K at a time, so the
-// accumulator's interning maps are walked in bursts while hot instead of
-// once per trace while cold. This closes the small-study locality gap the
-// ROADMAP tracked (fold-as-you-go cost ~13% extra wall at small round
-// counts) without changing a single statistic: batching only defers folds,
-// it never reorders them, so the per-destination nondecreasing-round
-// contract — and with it byte-identical Stats — holds for every K
-// (TestCampaignStreamInvarianceFoldEvery pins K=1 against 2, 16 and 1<<20
-// through Campaign.foldEvery), which is why K is not an option.
-const foldEvery = 16
-
-// foldRing is one worker's staging buffer: completed pairs folded every at
-// a time, in completion order, into the worker's accumulator, their routes
-// then given back to the worker's Prober. A ring belongs to exactly one
-// worker across all rounds (the same ownership rule as the accumulator and
-// the Prober it joins) and must be flushed before Merge reads partials.
-type foldRing struct {
-	acc    *Accumulator
-	prober *Prober
-	every  int
-	buf    []Pair
-}
-
-// push stages one completed pair, folding the whole ring once every are
-// waiting.
-func (r *foldRing) push(p Pair) {
-	r.buf = append(r.buf, p)
-	if len(r.buf) >= r.every {
-		r.flush()
-	}
-}
-
-// flush folds every staged pair, in order, and empties the ring. Fold keeps
-// nothing of a pair's routes, so each goes back to the Prober that traced it
-// the moment its pair is folded: the next traces refill those routes, and a
-// steady-state round allocates none.
-func (r *foldRing) flush() {
-	for i := range r.buf {
-		r.acc.Fold(&r.buf[i])
-		r.prober.Recycle(&r.buf[i])
-	}
-	r.buf = r.buf[:0]
 }
 
 // Accumulator folds completed pairs into partial campaign statistics. It is

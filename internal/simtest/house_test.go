@@ -26,8 +26,6 @@ import (
 // pairs measured every route Equal to the reference's. A new axis is one
 // more row.
 
-// dests × rounds is no multiple of the fold ring's sixteen pairs, so the
-// one-worker stream row folds a partial ring at the end.
 const (
 	dests    = 50
 	rounds   = 4

@@ -267,34 +267,6 @@ func TestLiveSilentHopStar(t *testing.T) {
 	}
 }
 
-// TestLiveRetriesExhausted drops every response to an unbatched trace, whose
-// ladder submits one TTL at a time: the wheel must re-send each probe
-// exactly Retries times before starring it, and the ladder must halt on the
-// consecutive-star rule having probed not one TTL more. (The batched window
-// is TestMuxRetriesExhausted's.)
-func TestLiveRetriesExhausted(t *testing.T) {
-	const retries = 2
-	mux, fake, dest := newFakeMux(t, scenarios[1].build, 5,
-		SimSchedule{Drop: func(int, []byte) bool { return true }}, retries)
-	got := parisTrace(t, mux.Transport(), tracer.Options{}, dest)
-	assertMuxDrained(t, mux)
-	if got.Halt != tracer.HaltStars {
-		t.Fatalf("halt = %v, want stars", got.Halt)
-	}
-	if len(got.Hops) != 8 { // default MaxConsecutiveStars
-		t.Fatalf("got %d hops, want 8 (the star run)", len(got.Hops))
-	}
-	for _, h := range got.Hops {
-		if !h.Star() {
-			t.Fatalf("hop %d responded under a drop-everything schedule", h.TTL)
-		}
-	}
-	// Eight one-TTL windows, each probe sent 1 + retries times.
-	if want := 8 * (1 + retries); fake.SendCount() != want {
-		t.Errorf("sent %d probes, want %d (8 probes x %d attempts)", fake.SendCount(), want, 1+retries)
-	}
-}
-
 // TestLiveUnrelatedTrafficIgnored floods the receive path with traffic that
 // must never match: our own outbound probes (as a loopback capture would
 // deliver them), ICMP errors quoting someone else's flow, and unparseable

@@ -407,22 +407,40 @@ func TestMuxAdaptiveTimeoutClamps(t *testing.T) {
 	}
 }
 
-// TestMuxRetriesExhausted pins the wheel's attempt accounting over a batched
-// window: under a drop-everything schedule every probe is sent exactly
-// 1+Retries times and stars cleanly.
+// TestMuxRetriesExhausted pins the wheel's attempt accounting under a
+// drop-everything schedule, with one-TTL windows (an unbatched ladder) and
+// with a batched window: the wheel re-sends each probe exactly Retries times
+// before starring it, and the ladder halts on the consecutive-star rule
+// having probed not one TTL more.
 func TestMuxRetriesExhausted(t *testing.T) {
 	const retries = 2
-	sc := muxTopo(t, 1, 43)
-	fake := &SimConn{Respond: simtest.Responder(sc.Net),
-		Sched: SimSchedule{Drop: func(int, []byte) bool { return true }}}
-	m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: retries})
-	got := parisTrace(t, m.Transport(), tracer.Options{Batch: true}, sc.Dests[0])
-	assertMuxDrained(t, m)
-	closeMux(t, m)
-	if got.Halt != tracer.HaltStars {
-		t.Fatalf("halt = %v, want stars", got.Halt)
-	}
-	if want := 8 * (1 + retries); fake.SendCount() != want {
-		t.Errorf("sent %d probes, want %d (8 probes x %d attempts)", fake.SendCount(), want, 1+retries)
+	for _, row := range []struct {
+		name  string
+		batch bool
+	}{{"window=1", false}, {"batched", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			sc := muxTopo(t, 1, 43)
+			fake := &SimConn{Respond: simtest.Responder(sc.Net),
+				Sched: SimSchedule{Drop: func(int, []byte) bool { return true }}}
+			m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: retries})
+			got := parisTrace(t, m.Transport(), tracer.Options{Batch: row.batch}, sc.Dests[0])
+			assertMuxDrained(t, m)
+			closeMux(t, m)
+			if got.Halt != tracer.HaltStars {
+				t.Fatalf("halt = %v, want stars", got.Halt)
+			}
+			if len(got.Hops) != 8 { // default MaxConsecutiveStars
+				t.Fatalf("got %d hops, want 8 (the star run)", len(got.Hops))
+			}
+			for _, h := range got.Hops {
+				if !h.Star() {
+					t.Fatalf("hop %d responded under a drop-everything schedule", h.TTL)
+				}
+			}
+			// Eight probes, one per TTL of the star run, each sent 1 + retries times.
+			if want := 8 * (1 + retries); fake.SendCount() != want {
+				t.Errorf("sent %d probes, want %d (8 probes x %d attempts)", fake.SendCount(), want, 1+retries)
+			}
+		})
 	}
 }

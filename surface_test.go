@@ -11,7 +11,11 @@ package repro
 // The scan is syntactic (go/parser only): a name counts as used where a file
 // that imports its package selects it (pkg.Name). Methods and struct fields
 // are out of its reach. The same scan keeps test support out of the
-// program: no non-test file may import a package of testSupport.
+// program: no non-test file may import a package of testSupport. It also
+// holds netsim's one determinism rule — every draw keyed by (seed, round,
+// probe), nothing hooked into the forwarding walk in arrival order: no
+// non-test file may name forwardingHook at all, whether it declares it (a
+// function, method, interface method or field) or selects it (a call).
 //
 //	go test -run TestSurface -v .   # also prints every name with its users
 
@@ -40,6 +44,10 @@ var surfaceReasons = map[string]bool{
 	"type": true, // the type of a value another package receives
 	"test": true, // test support
 }
+
+// forwardingHook is the name of the hook the flip gadget once used to run
+// inside netsim's forwarding walk.
+const forwardingHook = "OnSend"
 
 // testSupport lists the packages only _test.go files may import.
 var testSupport = map[string]bool{
@@ -89,6 +97,9 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == forwardingHook {
+					t.Errorf("%s: %s hooks into the forwarding walk; netsim draws are keyed by (seed, round, probe), never by arrival order", fset.Position(id.Pos()), id.Name)
+				}
 				if sel, ok := n.(*ast.SelectorExpr); ok {
 					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
 						key := imports[x.Name] + "." + sel.Sel.Name
