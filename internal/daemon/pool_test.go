@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/tracer"
 )
@@ -25,7 +24,7 @@ func poolConfig(t *testing.T, n int) Config {
 
 // goroutineWatch records the most goroutines alive at any exchange.
 type goroutineWatch struct {
-	tracer.BatchTransport
+	tracer.Transport
 	peak atomic.Int64
 }
 
@@ -39,14 +38,9 @@ func (w *goroutineWatch) note() {
 	}
 }
 
-func (w *goroutineWatch) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	w.note()
-	return w.BatchTransport.Exchange(probe)
-}
-
 func (w *goroutineWatch) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	w.note()
-	w.BatchTransport.ExchangeBatch(probes, out)
+	w.Transport.ExchangeBatch(probes, out)
 }
 
 // TestTickGoroutinesConstant: the goroutines alive during a Tick do not grow
@@ -54,7 +48,7 @@ func (w *goroutineWatch) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 func TestTickGoroutinesConstant(t *testing.T) {
 	const dests = 200
 	cfg := poolConfig(t, dests)
-	w := &goroutineWatch{BatchTransport: cfg.Transport.(tracer.BatchTransport)}
+	w := &goroutineWatch{Transport: cfg.Transport}
 	cfg.Transport = w
 	d := mustNew(t, cfg)
 	defer d.Stop()

@@ -43,10 +43,9 @@ type Config struct {
 	// contiguous 1/Workers slicing.
 	ShardOf map[netip.Addr]int
 	// Batch widens every trace's TTL ladder to a window of
-	// tracer.DefaultBatchWindow TTLs when the transport batches
-	// (tracer.BatchTransport); each destination feeds its previous round's
-	// path length back as the next round's window hint. Off, or over a
-	// transport without batching, the window is one TTL. Off by default.
+	// tracer.DefaultBatchWindow TTLs; each destination feeds its previous
+	// round's path length back as the next round's window hint. Off, the
+	// window is one TTL. Off by default.
 	Batch bool
 	// Stream folds each completed pair into a per-worker Accumulator the
 	// moment it is measured instead of retaining it; Run then merges the

@@ -234,7 +234,7 @@ func TestPoisonedProbesPerHop3(t *testing.T) {
 // succeeded — so the retry path gives a finished Paris route back and
 // measures the pair again.
 type classicFailer struct {
-	tracer.BatchTransport
+	tracer.Transport
 	seed int64
 
 	mu     sync.Mutex
@@ -257,7 +257,7 @@ func (c *classicFailer) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult)
 			return
 		}
 	}
-	c.BatchTransport.ExchangeBatch(probes, out)
+	c.Transport.ExchangeBatch(probes, out)
 }
 
 // TestPoisonedRetryAfterClassicFailure covers the retry path where the Paris
@@ -266,7 +266,7 @@ func TestPoisonedRetryAfterClassicFailure(t *testing.T) {
 	var failers []*classicFailer
 	lones := comparePoisoned(t, func() *topo.Scenario { return shardedScenario(120) },
 		func(sc *topo.Scenario) tracer.Transport {
-			f := &classicFailer{BatchTransport: sc.Transport().(tracer.BatchTransport), seed: 42, failed: make(map[netip.Addr]bool)}
+			f := &classicFailer{Transport: sc.Transport(), seed: 42, failed: make(map[netip.Addr]bool)}
 			failers = append(failers, f)
 			return f
 		},
@@ -290,7 +290,7 @@ func TestPoisonedRetryAfterClassicFailure(t *testing.T) {
 // one destination: one worker's pairs each probe one destination, unlike
 // the pair before, so the pairs completed before the failure are runs - 1.
 type nthBatchFailer struct {
-	tracer.BatchTransport
+	tracer.Transport
 	n, calls int
 	runs     int
 	last     netip.Addr
@@ -307,7 +307,7 @@ func (f *nthBatchFailer) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 		}
 		return
 	}
-	f.BatchTransport.ExchangeBatch(probes, out)
+	f.Transport.ExchangeBatch(probes, out)
 }
 
 // TestPoisonedFailFastAbort aborts a FailFast campaign mid-round, then runs
@@ -321,7 +321,7 @@ func TestPoisonedFailFastAbort(t *testing.T) {
 		sc := topo.Generate(simtest.Default(dests))
 		// Two or more batches per pair: the 150th falls in round 0's second
 		// half or in round 1, dozens of pairs completed either way.
-		ft := &nthBatchFailer{BatchTransport: netsim.NewTransport(sc.Net), n: 150}
+		ft := &nthBatchFailer{Transport: netsim.NewTransport(sc.Net), n: 150}
 		c := newCampaign(t, ft, Config{
 			Dests: sc.Dests, Rounds: 4, Workers: 1, RoundStart: sc.RoundStart, PortSeed: 42,
 			Batch: true, Stream: true, FailFast: true,

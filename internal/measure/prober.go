@@ -31,9 +31,8 @@ type ProbeConfig struct {
 	// PortSeed derives the per-destination Paris flow identifiers and the
 	// classic tracer's per-(round, destination) pseudo-PID source port.
 	PortSeed int64
-	// Batch widens the TTL ladder's window to tracer.DefaultBatchWindow
-	// when the transport batches (tracer.BatchTransport); see
-	// tracer.Options.Batch.
+	// Batch widens the TTL ladder's window to tracer.DefaultBatchWindow;
+	// see tracer.Options.Batch.
 	Batch bool
 }
 

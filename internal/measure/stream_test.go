@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/simtest"
@@ -156,13 +155,15 @@ type portTap struct {
 	ports map[netip.Addr]map[[2]uint16]bool
 }
 
-func (p *portTap) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	dst := netip.AddrFrom4([4]byte(probe[16:20]))
-	if p.ports[dst] == nil {
-		p.ports[dst] = make(map[[2]uint16]bool)
+func (p *portTap) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
+	for _, probe := range probes {
+		dst := netip.AddrFrom4([4]byte(probe[16:20]))
+		if p.ports[dst] == nil {
+			p.ports[dst] = make(map[[2]uint16]bool)
+		}
+		p.ports[dst][[2]uint16{uint16(probe[20])<<8 | uint16(probe[21]), uint16(probe[22])<<8 | uint16(probe[23])}] = true
 	}
-	p.ports[dst][[2]uint16{uint16(probe[20])<<8 | uint16(probe[21]), uint16(probe[22])<<8 | uint16(probe[23])}] = true
-	return p.Transport.Exchange(probe)
+	p.Transport.ExchangeBatch(probes, out)
 }
 
 // TestCampaignParisPortPlan pins the Paris flow-identifier derivation on the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"time"
 
 	"repro/internal/keyhash"
 	"repro/internal/tracer"
@@ -146,18 +145,16 @@ type destFaults struct {
 	ordinal int
 }
 
-// FaultTransport wraps any tracer transport with a FaultPlan. It implements
-// tracer.Transport, tracer.BatchTransport (batched exchanges pass the
-// unafflicted probes through the inner transport's batch path in order), and
-// tracer.FallibleTransport (injected transient errors surface through
-// ExchangeErr and ProbeResult.Err with the tracer taxonomy).
+// FaultTransport wraps any tracer transport with a FaultPlan. Its batches
+// pass the unafflicted probes to the inner transport in order; an injected
+// transient error surfaces in the probe's ProbeResult.Err with the tracer
+// taxonomy.
 //
 // FaultTransport is safe for concurrent use; the per-destination ordinal
 // counters are guarded by one mutex, which is off the forwarding hot path
 // (one map access per probe).
 type FaultTransport struct {
 	inner tracer.Transport
-	batch tracer.BatchTransport // inner's batch path (tracer.AsBatch)
 	plan  FaultPlan
 
 	mu    sync.Mutex
@@ -172,9 +169,8 @@ type FaultTransport struct {
 
 // WrapFaults afflicts tp with the plan's fault schedules.
 func WrapFaults(tp tracer.Transport, plan FaultPlan) *FaultTransport {
-	bt, _ := tracer.AsBatch(tp)
 	return &FaultTransport{
-		inner: tp, batch: bt, plan: plan,
+		inner: tp, plan: plan,
 		dests:  make(map[uint32]*destFaults),
 		stallC: make(chan struct{}),
 	}
@@ -274,38 +270,9 @@ func errFor(probe []byte) error {
 	return tracer.Transient(fmt.Errorf("netsim: injected fault toward %v", netip.AddrFrom4([4]byte(probe[16:20]))))
 }
 
-// Exchange implements tracer.Transport: injected errors degrade to stars,
-// matching the interface's no-error contract. Fault-aware callers use
-// ExchangeErr or the batch path.
-func (t *FaultTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	resp, rtt, ok, err := t.ExchangeErr(probe)
-	if err != nil {
-		return nil, 0, false
-	}
-	return resp, rtt, ok
-}
-
-// ExchangeErr implements tracer.FallibleTransport.
-func (t *FaultTransport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, error) {
-	switch t.decide(probe) {
-	case faultErr:
-		return nil, 0, false, errFor(probe)
-	case faultStar:
-		return nil, 0, false, nil
-	case faultPanic:
-		panicFor(probe)
-	case faultStall:
-		t.stall()
-		return nil, 0, false, nil
-	}
-	resp, rtt, ok := t.inner.Exchange(probe)
-	return resp, rtt, ok, nil
-}
-
-// ExchangeBatch implements tracer.BatchTransport: afflicted probes resolve
-// in place (Err for injected errors, a star for drops) and the remainder
-// passes through the inner transport's batch path (tracer.AsBatch) in
-// submission order.
+// ExchangeBatch implements tracer.Transport: afflicted probes resolve in
+// place (Err for injected errors, a star for drops) and the remainder passes
+// through the inner transport in submission order.
 func (t *FaultTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	if len(out) < len(probes) {
 		panic("netsim: ExchangeBatch result slice shorter than probe slice")
@@ -318,10 +285,11 @@ func (t *FaultTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 		switch kinds[i] {
 		case faultPanic:
 			// Panic at the probe's position, before later probes consume
-			// ordinals — the same point the sequential path panics at.
+			// ordinals — the same point a run of one-probe batches panics
+			// at.
 			panicFor(p)
 		case faultStall:
-			// Wedge here, like the sequential path; once released the
+			// Wedge here, as a one-probe batch would; once released the
 			// probe resolves as a silent drop.
 			t.stall()
 			kinds[i] = faultStar
@@ -349,14 +317,14 @@ func (t *FaultTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 		return
 	}
 	if len(pass) == len(probes) {
-		t.batch.ExchangeBatch(probes, out)
+		t.inner.ExchangeBatch(probes, out)
 		return
 	}
 	sub := make([]tracer.ProbeResult, len(pass))
 	for j, i := range idxs {
 		sub[j] = tracer.ProbeResult{Resp: out[i].Resp[:0:cap(out[i].Resp)]}
 	}
-	t.batch.ExchangeBatch(pass, sub)
+	t.inner.ExchangeBatch(pass, sub)
 	for j, i := range idxs {
 		out[i] = sub[j]
 	}

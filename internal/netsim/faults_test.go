@@ -12,35 +12,30 @@ import (
 var errStale = errors.New("stale error from a recycled slot")
 
 // stubTransport answers every probe affirmatively and records what reached
-// it, so tests can observe exactly which probes the fault layer forwarded.
+// it, and in how many batches, so tests can observe exactly which probes the
+// fault layer forwarded.
 type stubTransport struct {
-	src  netip.Addr
-	seen [][]byte
+	src     netip.Addr
+	seen    [][]byte
+	batches int
 }
 
-func (s *stubTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	cp := append([]byte(nil), probe...)
-	s.seen = append(s.seen, cp)
-	return []byte{0xAB}, time.Millisecond, true
+func (s *stubTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
+	s.batches++
+	for i, p := range probes {
+		s.seen = append(s.seen, append([]byte(nil), p...))
+		out[i] = tracer.ProbeResult{Resp: append(out[i].Resp[:0], 0xAB), RTT: time.Millisecond, OK: true}
+	}
 }
 
 func (s *stubTransport) Source() netip.Addr { return s.src }
 
-// stubBatchTransport adds the batch path on top of stubTransport.
-type stubBatchTransport struct {
-	stubTransport
-	batches int
-}
-
-func (s *stubBatchTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
-	s.batches++
-	for i, p := range probes {
-		resp, rtt, ok := s.Exchange(p)
-		out[i].Resp = append(out[i].Resp[:0], resp...)
-		out[i].RTT = rtt
-		out[i].OK = ok
-		out[i].Err = nil
-	}
+// exchangeOne exchanges one probe as a batch of one and returns its result,
+// failure included.
+func exchangeOne(tp tracer.Transport, probe []byte) tracer.ProbeResult {
+	out := make([]tracer.ProbeResult, 1)
+	tp.ExchangeBatch([][]byte{probe}, out)
+	return out[0]
 }
 
 func probeFor(dst netip.Addr) []byte {
@@ -94,18 +89,18 @@ func TestFaultTransientWindow(t *testing.T) {
 	probe := probeFor(dst)
 	wantErr := []bool{false, true, true, false, false}
 	for ord, want := range wantErr {
-		resp, _, ok, err := ft.ExchangeErr(probe)
-		if (err != nil) != want {
-			t.Fatalf("ordinal %d: err=%v, want error=%v", ord, err, want)
+		r := exchangeOne(ft, probe)
+		if (r.Err != nil) != want {
+			t.Fatalf("ordinal %d: err=%v, want error=%v", ord, r.Err, want)
 		}
-		if err != nil {
-			if !tracer.IsTransient(err) {
-				t.Fatalf("ordinal %d: injected error not transient: %v", ord, err)
+		if r.Err != nil {
+			if !tracer.IsTransient(r.Err) {
+				t.Fatalf("ordinal %d: injected error not transient: %v", ord, r.Err)
 			}
-			if ok || resp != nil {
-				t.Fatalf("ordinal %d: errored exchange leaked ok=%v resp=%v", ord, ok, resp)
+			if r.OK || len(r.Resp) != 0 {
+				t.Fatalf("ordinal %d: errored exchange leaked ok=%v resp=%v", ord, r.OK, r.Resp)
 			}
-		} else if !ok {
+		} else if !r.OK {
 			t.Fatalf("ordinal %d: clean exchange did not succeed", ord)
 		}
 	}
@@ -119,7 +114,7 @@ func TestFaultBlackholePersists(t *testing.T) {
 	ft := WrapFaults(&stubTransport{}, FaultPlan{Seed: 1, BlackholeEvery: 1, BlackholeStart: 2})
 	probe := probeFor(dst)
 	for ord := 0; ord < 10; ord++ {
-		_, _, _, err := ft.ExchangeErr(probe)
+		err := exchangeOne(ft, probe).Err
 		want := ord >= 2
 		if (err != nil) != want {
 			t.Fatalf("ordinal %d: err=%v, want error=%v", ord, err, want)
@@ -137,14 +132,14 @@ func TestFaultDropBurstIsStarNotError(t *testing.T) {
 	probe := probeFor(dst)
 	wantStar := []bool{false, true, true, false}
 	for ord, want := range wantStar {
-		resp, _, ok, err := ft.ExchangeErr(probe)
-		if err != nil {
-			t.Fatalf("ordinal %d: drop produced an error: %v", ord, err)
+		r := exchangeOne(ft, probe)
+		if r.Err != nil {
+			t.Fatalf("ordinal %d: drop produced an error: %v", ord, r.Err)
 		}
-		if ok == want {
-			t.Fatalf("ordinal %d: ok=%v, want star=%v", ord, ok, want)
+		if r.OK == want {
+			t.Fatalf("ordinal %d: ok=%v, want star=%v", ord, r.OK, want)
 		}
-		if want && resp != nil {
+		if want && len(r.Resp) != 0 {
 			t.Fatalf("ordinal %d: star carried a response", ord)
 		}
 	}
@@ -157,12 +152,18 @@ func TestFaultDropBurstIsStarNotError(t *testing.T) {
 	}
 }
 
+// TestFaultExchangeDegradesErrorToStar holds the single-probe error rule:
+// tracer.Exchange, which has no error channel, reads an injected failure as
+// a star, while ExchangeBatch reports it in ProbeResult.Err.
 func TestFaultExchangeDegradesErrorToStar(t *testing.T) {
 	dst := netip.AddrFrom4([4]byte{10, 0, 0, 4})
 	ft := WrapFaults(&stubTransport{}, FaultPlan{Seed: 1, BlackholeEvery: 1})
-	resp, rtt, ok := ft.Exchange(probeFor(dst))
+	resp, rtt, ok := tracer.Exchange(ft, probeFor(dst))
 	if ok || resp != nil || rtt != 0 {
 		t.Fatalf("Exchange over blackhole returned resp=%v rtt=%v ok=%v, want star", resp, rtt, ok)
+	}
+	if r := exchangeOne(ft, probeFor(dst)); r.Err == nil || !tracer.IsTransient(r.Err) || r.OK {
+		t.Fatalf("ExchangeBatch over blackhole returned %+v, want a transient Err", r)
 	}
 }
 
@@ -182,7 +183,7 @@ func TestFaultBatchSubsetPassthrough(t *testing.T) {
 	if len(faulted) < 2 || len(clean) < 2 {
 		t.Fatalf("seed 3 did not split destinations (faulted=%d clean=%d)", len(faulted), len(clean))
 	}
-	inner := &stubBatchTransport{}
+	inner := &stubTransport{}
 	ft := WrapFaults(inner, plan)
 	order := []netip.Addr{clean[0], faulted[0], clean[1], faulted[1]}
 	probes := make([][]byte, len(order))
@@ -223,7 +224,7 @@ func TestFaultBatchSubsetPassthrough(t *testing.T) {
 }
 
 func TestFaultBatchAllFaultedSkipsInner(t *testing.T) {
-	inner := &stubBatchTransport{}
+	inner := &stubTransport{}
 	ft := WrapFaults(inner, FaultPlan{Seed: 1, BlackholeEvery: 1})
 	probes := [][]byte{probeFor(netip.AddrFrom4([4]byte{10, 0, 0, 9}))}
 	out := make([]tracer.ProbeResult, 1)
@@ -240,7 +241,7 @@ func TestFaultBatchStaleSlotReset(t *testing.T) {
 	// A result slot recycled from a previous batch (Scratch) must not leak
 	// its old Err/Resp/OK into a later drop or clean exchange.
 	dst := netip.AddrFrom4([4]byte{10, 0, 0, 5})
-	inner := &stubBatchTransport{}
+	inner := &stubTransport{}
 	ft := WrapFaults(inner, FaultPlan{Seed: 1, DropEvery: 1, DropStart: 0, DropLen: 1})
 	probes := [][]byte{probeFor(dst)}
 	out := []tracer.ProbeResult{{Resp: []byte{1, 2, 3}, OK: true, RTT: time.Second, Err: tracer.Transient(errStale)}}
@@ -261,7 +262,7 @@ func TestFaultPanicWindow(t *testing.T) {
 	probe := probeFor(dst)
 
 	// Ordinal 0: clean.
-	if _, _, _, err := ft.ExchangeErr(probe); err != nil {
+	if err := exchangeOne(ft, probe).Err; err != nil {
 		t.Fatalf("ordinal 0: %v", err)
 	}
 	// Ordinals 1 and 2: the window panics, consuming the ordinal first.
@@ -272,14 +273,14 @@ func TestFaultPanicWindow(t *testing.T) {
 					t.Fatalf("ordinal %d did not panic", ord)
 				}
 			}()
-			ft.ExchangeErr(probe)
+			exchangeOne(ft, probe)
 		}()
 	}
 	if ft.InjectedPanics() != 2 {
 		t.Fatalf("injected panics %d, want 2", ft.InjectedPanics())
 	}
 	// Ordinal 3: past the window, clean again.
-	if _, _, ok := ft.Exchange(probe); !ok {
+	if !exchangeOne(ft, probe).OK {
 		t.Fatal("ordinal 3 should pass through")
 	}
 	if len(inner.seen) != 2 {
@@ -289,10 +290,10 @@ func TestFaultPanicWindow(t *testing.T) {
 
 func TestFaultBatchPanicAtPosition(t *testing.T) {
 	// A panic inside a batch must fire at the afflicted probe's position,
-	// before later probes consume ordinals — identical to the sequential
-	// path, so batch and per-probe campaigns agree on fault accounting.
+	// before later probes consume ordinals — identical to a run of one-probe
+	// batches, so batched and unbatched campaigns agree on fault accounting.
 	dst := netip.AddrFrom4([4]byte{10, 0, 0, 7})
-	inner := &stubBatchTransport{}
+	inner := &stubTransport{}
 	ft := WrapFaults(inner, FaultPlan{Seed: 1, PanicEvery: 1, PanicStart: 1, PanicLen: 1})
 	probes := [][]byte{probeFor(dst), probeFor(dst), probeFor(dst)}
 	out := make([]tracer.ProbeResult, 3)
@@ -308,7 +309,7 @@ func TestFaultBatchPanicAtPosition(t *testing.T) {
 	if got := ft.InjectedPanics(); got != 1 {
 		t.Fatalf("injected panics %d, want 1", got)
 	}
-	if _, _, _, err := ft.ExchangeErr(probeFor(dst)); err != nil {
+	if err := exchangeOne(ft, probeFor(dst)).Err; err != nil {
 		t.Fatalf("ordinal 2 after the window should be clean: %v", err)
 	}
 }
@@ -325,8 +326,8 @@ func TestFaultStallParksUntilRelease(t *testing.T) {
 	}
 	got := make(chan result)
 	go func() {
-		_, _, ok, err := ft.ExchangeErr(probe)
-		got <- result{ok, err}
+		r := exchangeOne(ft, probe)
+		got <- result{r.OK, r.Err}
 	}()
 	// The exchange is parked: the ordinal is consumed (the stall counter
 	// ticks) but no result arrives until release.
@@ -346,8 +347,8 @@ func TestFaultStallParksUntilRelease(t *testing.T) {
 	// After release, later stall-window hits fall straight through as
 	// drops, and ReleaseStalls is idempotent.
 	ft.ReleaseStalls()
-	if _, _, ok, err := ft.ExchangeErr(probe); err != nil || !ok {
-		t.Fatalf("ordinal 1 outside the window should pass: ok=%v err=%v", ok, err)
+	if r := exchangeOne(ft, probe); r.Err != nil || !r.OK {
+		t.Fatalf("ordinal 1 outside the window should pass: ok=%v err=%v", r.OK, r.Err)
 	}
 	if len(inner.seen) != 1 {
 		t.Fatalf("inner saw %d probes, want 1", len(inner.seen))

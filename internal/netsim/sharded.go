@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"time"
 
 	"repro/internal/tracer"
 )
@@ -62,13 +61,6 @@ func NewShardedTransport(nets []*Network, shardOf map[netip.Addr]int) *ShardedTr
 	return t
 }
 
-// Exchange implements the tracer Transport contract: it reads the probe's
-// destination address straight from the serialized IPv4 header and hands
-// the probe to that destination's shard.
-func (t *ShardedTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	return t.shards[t.shardIdx(probe)].Exchange(probe)
-}
-
 // shardIdx maps a serialized probe to the shard owning its destination.
 func (t *ShardedTransport) shardIdx(probe []byte) int {
 	if len(probe) >= 20 {
@@ -89,7 +81,7 @@ type shardScratch struct {
 
 var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
-// ExchangeBatch implements the tracer BatchTransport contract over the
+// ExchangeBatch implements the tracer Transport contract over the
 // shards: the batch is grouped by destination shard and fanned out as one
 // sub-batch per shard, preserving submission order within each shard. The
 // common case — a

@@ -15,16 +15,13 @@ import (
 
 // shardedScenario generates a 2-shard topology and returns its transport
 // plus one destination per shard.
-func shardedScenario(t *testing.T) (tracer.BatchTransport, []netip.Addr) {
+func shardedScenario(t *testing.T) (tracer.Transport, []netip.Addr) {
 	t.Helper()
 	cfg := topo.DefaultGenConfig()
 	cfg.Destinations = 24
 	cfg.Shards = 2
 	sc := topo.Generate(cfg)
-	bt, ok := sc.Transport().(tracer.BatchTransport)
-	if !ok {
-		t.Fatal("sharded scenario transport does not implement BatchTransport")
-	}
+	bt := sc.Transport()
 	var d0, d1 netip.Addr
 	for _, d := range sc.Dests {
 		if sc.ShardOf[d] == 0 && !d0.IsValid() {
@@ -72,7 +69,7 @@ func TestShardedExchangeBatchMixedShards(t *testing.T) {
 	bt.ExchangeBatch(probes, out)
 
 	for i, p := range probes {
-		resp, rtt, ok := seqTP.Exchange(p)
+		resp, rtt, ok := tracer.Exchange(seqTP, p)
 		if ok != out[i].OK || rtt != out[i].RTT {
 			t.Errorf("probe %d (dest %v): batch (ok=%v rtt=%v) vs sequential (ok=%v rtt=%v)",
 				i, dests[i%2], out[i].OK, out[i].RTT, ok, rtt)

@@ -53,15 +53,6 @@ func (t *transcriptTransport) record(resp []byte, steps int, rtt time.Duration, 
 	t.n++
 }
 
-func (t *transcriptTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	resp, steps, rtt, ok := t.net.ExchangeV(probe)
-	t.record(resp, steps, rtt, ok)
-	if ok && rtt == 0 {
-		rtt = time.Duration(steps) * 500 * time.Microsecond
-	}
-	return resp, rtt, ok
-}
-
 func (t *transcriptTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	for len(t.res) < len(probes) {
 		t.res = append(t.res, netsim.ExchangeResult{})

@@ -8,11 +8,11 @@ import (
 	"repro/internal/tracer"
 )
 
-// Transport adapts a Network to the tracer.Transport and
-// tracer.BatchTransport interfaces: synchronous probe/response exchanges
-// with a synthetic RTT proportional to the number of node traversals — or,
-// when the network has a virtual-clock dynamics layer installed
-// (Network.SetDynamics), the probe's virtual round-trip time.
+// Transport adapts a Network to the tracer.Transport interface: synchronous
+// probe/response exchanges with a synthetic RTT proportional to the number
+// of node traversals — or, when the network has a virtual-clock dynamics
+// layer installed (Network.SetDynamics), the probe's virtual round-trip
+// time.
 //
 // Transport is safe for concurrent use: exchanges forward in parallel
 // (see the package comment's concurrency model), so one Transport can be
@@ -30,12 +30,9 @@ func NewTransport(n *Network) *Transport {
 	return &Transport{net: n, PerHop: 500 * time.Microsecond}
 }
 
-// Exchange implements the tracer Transport contract: ExchangeBatch with one
-// probe, the caller owning the response.
+// Exchange is tracer.Exchange over t, for bench/.
 func (t *Transport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	var out [1]tracer.ProbeResult
-	t.ExchangeBatch([][]byte{probe}, out[:])
-	return out[0].Resp, out[0].RTT, out[0].OK
+	return tracer.Exchange(t, probe)
 }
 
 // exchPool recycles the []ExchangeResult bridges between the tracer-facing
@@ -44,7 +41,7 @@ func (t *Transport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
 // scratch is pooled, so pooled entries never alias caller memory.
 var exchPool = sync.Pool{New: func() any { return new([]ExchangeResult) }}
 
-// ExchangeBatch implements the tracer BatchTransport contract. Each
+// ExchangeBatch implements the tracer Transport contract. Each
 // out[i].Resp buffer is seeded into the network batch call (which refills it
 // with append-truncate) and handed back, so the caller's buffers recycle
 // across batches with no copying layer in between.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net/netip"
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -28,16 +27,19 @@ type tapTransport struct {
 	add   func([]byte)
 }
 
-func (tp *tapTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	tp.add(probe)
-	resp, rtt, ok := tp.inner.Exchange(probe)
-	if ok {
-		tp.add(resp)
-		if _, payload, err := packet.ParseIPv4(resp); err == nil {
-			tp.add(payload)
+func (tp *tapTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
+	for _, probe := range probes {
+		tp.add(probe)
+	}
+	tp.inner.ExchangeBatch(probes, out)
+	for _, r := range out[:len(probes)] {
+		if r.OK {
+			tp.add(r.Resp)
+			if _, payload, err := packet.ParseIPv4(r.Resp); err == nil {
+				tp.add(payload)
+			}
 		}
 	}
-	return resp, rtt, ok
 }
 
 func (tp *tapTransport) Source() netip.Addr { return tp.inner.Source() }

@@ -24,20 +24,32 @@ type ProbeResult struct {
 	Err error
 }
 
-// BatchTransport is implemented by transports that can carry a whole batch
-// of probes — a TTL ladder toward one destination — in one call, amortizing
-// the per-exchange overhead. The semantics of the batch are exactly those of
-// len(probes) sequential Exchange calls in slice order (netsim guarantees
-// this byte-for-byte by reserving a contiguous probe-counter block; see the
-// netsim package comment's exchange contract).
-type BatchTransport interface {
-	Transport
-	// ExchangeBatch exchanges probes[i] into out[i] for every i; out must
-	// be at least as long as probes. Implementations refill out[i].Resp
-	// with append-truncate, so callers reusing one result slice across
-	// batches amortize the response buffers too.
-	ExchangeBatch(probes [][]byte, out []ProbeResult)
+// Exchange sends one probe through tp as a batch of one and returns its
+// response, the caller owning the buffer. A failed exchange (ProbeResult.Err)
+// counts as a star here; a caller that must tell the two apart calls
+// ExchangeBatch and reads Err.
+func Exchange(tp Transport, probe []byte) ([]byte, time.Duration, bool) {
+	var out [1]ProbeResult
+	tp.ExchangeBatch([][]byte{probe}, out[:])
+	if r := out[0]; r.OK && r.Err == nil {
+		return r.Resp, r.RTT, true
+	}
+	return nil, 0, false
 }
+
+// BatchTransport and FallibleTransport are the single-probe interfaces of
+// the earlier transport contract. Only bench/ names them; no program code
+// asks for either.
+type (
+	BatchTransport interface {
+		Transport
+		Exchange(probe []byte) (resp []byte, rtt time.Duration, ok bool)
+	}
+	FallibleTransport interface {
+		Transport
+		ExchangeErr(probe []byte) (resp []byte, rtt time.Duration, ok bool, err error)
+	}
+)
 
 // DefaultBatchWindow is the TTL-window submitted per batch when the trace
 // has no path-length hint. Windows bound the overshoot a batched ladder
@@ -107,59 +119,20 @@ func (s *Scratch) route(o *Options) *Route {
 	return &Route{Hops: make([]Hop, 0, max(0, min(n, o.MaxTTL-o.MinTTL+1)))}
 }
 
-// perProbe is the batch path of a transport that has none: the probes are
-// exchanged one at a time in slice order, through ExchangeErr when the
-// transport is fallible, so a failed exchange lands in its ProbeResult.Err
-// instead of reading as a star.
-type perProbe struct {
-	Transport
-	fall FallibleTransport // nil when the transport cannot fail
-}
-
-func (p perProbe) ExchangeBatch(probes [][]byte, out []ProbeResult) {
-	for i, probe := range probes {
-		r := &out[i]
-		var resp []byte
-		if p.fall != nil {
-			resp, r.RTT, r.OK, r.Err = p.fall.ExchangeErr(probe)
-		} else {
-			resp, r.RTT, r.OK = p.Exchange(probe)
-			r.Err = nil
-		}
-		r.OK = r.OK && r.Err == nil
-		r.Resp = r.Resp[:0]
-		if r.OK {
-			r.Resp = append(r.Resp, resp...)
-		}
-	}
-}
-
-// AsBatch returns tp's batch path, and whether it is tp's own: tp itself when
-// it implements BatchTransport, else the per-probe loop above. It is the one
-// place that decides between the two; the ladder and the wrapping transports
-// (PacedTransport, netsim.FaultTransport) ask it once, at construction.
-func AsBatch(tp Transport) (bt BatchTransport, native bool) {
-	if bt, ok := tp.(BatchTransport); ok {
-		return bt, true
-	}
-	fall, _ := tp.(FallibleTransport)
-	return perProbe{tp, fall}, false
-}
-
 // trace is the TTL ladder, the only one: it builds a window of whole TTLs
 // (every attempt of each), submits them as one ExchangeBatch, and consumes
 // the results in TTL order through ladderState, truncating at the first
 // terminal hop or star-run boundary. Options.Batch only chooses the window:
-// one TTL when it is off or the transport has no batch path of its own (so
-// not one probe goes out past the halting hop), BatchWindow TTLs otherwise,
-// the first window sized by the path hint. Against a transport whose
-// responses are a pure function of the probe bytes the Route is the same at
-// every window; TestTraceBatchedMatchesSequential enforces that.
+// one TTL when it is off (so not one probe goes out past the halting hop),
+// BatchWindow TTLs when it is on, the first window sized by the path hint.
+// Against a transport whose responses are a pure function of the probe
+// bytes the Route is the same at every window;
+// TestTraceBatchedMatchesSequential enforces that.
 func (e *engine) trace(sc *Scratch, ls *ladderState) error {
 	o, dest := ls.opts, ls.rt.Dest
 
 	window, next := 1, 1
-	if o.Batch && e.native {
+	if o.Batch {
 		if window = o.BatchWindow; window <= 0 {
 			window = DefaultBatchWindow
 		}
@@ -191,7 +164,7 @@ func (e *engine) trace(sc *Scratch, ls *ladderState) error {
 			}
 		}
 		res := sc.results[:n]
-		e.bt.ExchangeBatch(sc.probes[:n], res)
+		e.tp.ExchangeBatch(sc.probes[:n], res)
 
 		for k := 0; k < w; k++ {
 			for a := 0; a < o.ProbesPerHop; a++ {

@@ -7,53 +7,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/packet"
 )
 
-// batchCaptureTransport extends the scripted captureTransport with the
-// BatchTransport contract, recording the size of every batch submitted.
-type batchCaptureTransport struct {
-	captureTransport
-	batches []int
-}
-
-func (b *batchCaptureTransport) ExchangeBatch(probes [][]byte, out []ProbeResult) {
-	b.batches = append(b.batches, len(probes))
-	for i, p := range probes {
-		resp, rtt, ok := b.Exchange(p)
-		out[i].OK = ok
-		out[i].RTT = rtt
-		if ok {
-			out[i].Resp = append(out[i].Resp[:0], resp...)
-		} else {
-			out[i].Resp = out[i].Resp[:0]
-		}
-	}
-}
-
-// scriptedBatchChain is scriptedChain's batching twin: Time Exceeded from
-// router(i) below hop n, Port Unreachable from the destination at hop n and
-// beyond.
-func scriptedBatchChain(t *testing.T, n int) *batchCaptureTransport {
-	tp := &batchCaptureTransport{captureTransport: captureTransport{src: tSrc}}
-	tp.respond = func(i int, probe []byte) []byte {
-		hdr, _, err := packet.ParseIPv4(probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hop := int(hdr.TTL)
-		if hop < n {
-			return timeExceededFrom(t, router(hop), probe, 255-uint8(hop), uint16(i+1))
-		}
-		return portUnreachableFrom(t, tDest, probe)
-	}
-	return tp
-}
-
-// failingChain is a scripted chain that cannot batch and can fail: the
-// exchange of probe number failAt returns errScripted instead of a response.
+// failingChain is a scripted chain that can fail: the exchange of probe
+// number failAt reports errScripted in its ProbeResult.Err instead of a
+// response.
 type failingChain struct {
 	*captureTransport
 	failAt int
@@ -61,20 +21,19 @@ type failingChain struct {
 
 var errScripted = errors.New("scripted exchange failure")
 
-func (f failingChain) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, error) {
-	if len(f.probes) == f.failAt {
-		f.probes = append(f.probes, append([]byte(nil), probe...))
-		return nil, 0, false, errScripted
+func (f failingChain) ExchangeBatch(probes [][]byte, out []ProbeResult) {
+	first := len(f.probes)
+	f.captureTransport.ExchangeBatch(probes, out)
+	if k := f.failAt - first; k >= 0 && k < len(probes) {
+		out[k] = ProbeResult{Resp: out[k].Resp[:0], Err: errScripted}
 	}
-	resp, rtt, ok := f.Exchange(probe)
-	return resp, rtt, ok, nil
 }
 
 // TestTraceBatchedMatchesSequential sweeps window sizes, hints, and probes
 // per hop, requiring the ladder to produce at every window a Route identical
-// hop for hop (and attempt for attempt) to the one it produces over a
-// transport that cannot batch, one TTL at a time; and a failed exchange to
-// end the trace at its TTL either way.
+// hop for hop (and attempt for attempt) to the one it produces unbatched,
+// one TTL at a time; and a failed exchange to end the trace at its TTL
+// either way.
 func TestTraceBatchedMatchesSequential(t *testing.T) {
 	const pathLen = 9
 	mk := func(batch bool, window, hint, probesPerHop int) *Route {
@@ -82,13 +41,7 @@ func TestTraceBatchedMatchesSequential(t *testing.T) {
 			MaxTTL: 20, ProbesPerHop: probesPerHop,
 			Batch: batch, BatchWindow: window, PathHint: hint,
 		}
-		var tp Transport
-		if batch {
-			tp = scriptedBatchChain(t, pathLen)
-		} else {
-			tp = scriptedChain(t, pathLen)
-		}
-		rt, err := NewParisUDP(tp, opts).Trace(tDest)
+		rt, err := NewParisUDP(scriptedChain(t, pathLen), opts).Trace(tDest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +66,13 @@ func TestTraceBatchedMatchesSequential(t *testing.T) {
 
 	// The second of three attempts at TTL 4 fails. A window is whole TTLs, so
 	// the third attempt still goes out before the error ends the trace — and
-	// nothing past that TTL does, batching asked for or not.
+	// nothing past that TTL does, batching asked for or not: the batched
+	// windows are two TTLs wide, so the failing TTL closes the second one and
+	// a third window would show.
 	const failTTL, perHop = 4, 3
 	for _, batch := range []bool{false, true} {
 		tp := failingChain{scriptedChain(t, pathLen), (failTTL-1)*perHop + 1}
-		rt, err := NewParisUDP(tp, Options{MaxTTL: 20, ProbesPerHop: perHop, Batch: batch}).Trace(tDest)
+		rt, err := NewParisUDP(tp, Options{MaxTTL: 20, ProbesPerHop: perHop, Batch: batch, BatchWindow: 2}).Trace(tDest)
 		if rt != nil || !errors.Is(err, errScripted) {
 			t.Fatalf("batch=%v: route %v, error %v; want no route and the scripted failure", batch, rt, err)
 		}
@@ -137,7 +92,7 @@ func TestTraceBatchedMatchesSequential(t *testing.T) {
 func TestTraceBatchedScratchReuse(t *testing.T) {
 	const pathLen = 7
 	sc := NewScratch()
-	tp := scriptedBatchChain(t, pathLen)
+	tp := scriptedChain(t, pathLen)
 	opts := Options{MaxTTL: 30, Batch: true, PathHint: pathLen, Scratch: sc}
 	first, err := NewParisUDP(tp, opts).Trace(tDest)
 	if err != nil {
@@ -176,28 +131,6 @@ func sameHops(a, b []Hop) bool {
 		}
 	}
 	return true
-}
-
-// TestTraceBatchFallback sets Options.Batch against a transport that does
-// not implement BatchTransport and expects the ladder to stay at one TTL a
-// window, producing the same route with no probe past the terminal hop.
-func TestTraceBatchFallback(t *testing.T) {
-	const pathLen = 6
-	want, err := NewParisUDP(scriptedChain(t, pathLen), Options{MaxTTL: 20}).Trace(tDest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := scriptedChain(t, pathLen) // captureTransport: no ExchangeBatch method
-	got, err := NewParisUDP(tp, Options{MaxTTL: 20, Batch: true}).Trace(tDest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("batch-requested trace over a non-batching transport differs from sequential\ngot:  %+v\nwant: %+v", got, want)
-	}
-	if len(tp.probes) != pathLen {
-		t.Errorf("fallback sent %d probes, want %d", len(tp.probes), pathLen)
-	}
 }
 
 // hostUnreachableFrom builds a Destination Unreachable (!H) response.

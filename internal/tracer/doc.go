@@ -38,15 +38,15 @@
 //
 // # One ladder
 //
-// There is one TTL ladder (engine.trace) and every exchange goes through
-// ExchangeBatch: a transport's own when it implements BatchTransport, the
-// per-probe loop AsBatch wraps around it otherwise. Options.Batch only
-// chooses the ladder's window: BatchWindow TTLs (the first window sized by
-// PathHint) when it is set and the transport batches, one TTL otherwise, so
-// an unbatched trace never sends a probe past its halting hop. The contract
-// is strict equivalence — the Route is byte-identical at every window
-// (netsim pins this under its dynamics layer too), so the window is purely a
-// throughput decision.
+// There is one TTL ladder (engine.trace), and every transport has one
+// exchange method, ExchangeBatch; the free function Exchange is a batch of
+// one. A probe that failed outright says so in its ProbeResult.Err, and
+// only there. Options.Batch only chooses the ladder's window: BatchWindow
+// TTLs (the first window sized by PathHint) when it is set, one TTL
+// otherwise, so an unbatched trace never sends a probe past its halting
+// hop. The contract is strict equivalence — the Route is byte-identical at
+// every window (netsim pins this under its dynamics layer too), so the
+// window is purely a throughput decision.
 //
 // A window is whole TTLs. With ProbesPerHop == 1 (every campaign, the
 // daemon, every golden) the unbatched probe sequence on the wire is one

@@ -1,9 +1,6 @@
 package tracer
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // This file is the error taxonomy shared by every transport: the paper's
 // campaign only works on the real Internet if the measurement layer can tell
@@ -16,6 +13,12 @@ import (
 // probe-build failures, closed sockets, cancellation — is fatal. The
 // classification survives any number of %w wrappings, so callers test with
 // IsTransient at whatever level they hold the error.
+//
+// A transport reports a failed probe in one place, the probe's
+// ProbeResult.Err, apart from a star (OK false, Err nil): the probe went out
+// and nothing came back, which is a measurement. The ladder ends a trace on
+// the first Err among the hops it consumes; the free function Exchange,
+// which has no error channel, counts a failure as a star.
 
 // errTransient is the sentinel every transient transport error matches:
 // errors.Is(err, errTransient) reports whether a retry may succeed.
@@ -40,19 +43,3 @@ func Transient(err error) error {
 // IsTransient reports whether err is marked transient, through any chain of
 // %w wrappings.
 func IsTransient(err error) bool { return errors.Is(err, errTransient) }
-
-// FallibleTransport is implemented by transports that can distinguish "no
-// response arrived" (ok=false, a star — a legitimate measurement) from "the
-// exchange itself failed" (err != nil — nothing was measured). The per-probe
-// batch path (AsBatch) prefers ExchangeErr when a transport offers it, so
-// transport faults surface as trace errors carrying the taxonomy above
-// instead of silently recording stars; plain Transports keep the historical
-// ok=false semantics.
-type FallibleTransport interface {
-	Transport
-	// ExchangeErr is Exchange with the failure channel explicit. err and
-	// ok are mutually exclusive: a non-nil err means the probe was not
-	// measured (resp and ok are meaningless), and the error is transient
-	// iff IsTransient reports so.
-	ExchangeErr(probe []byte) (resp []byte, rtt time.Duration, ok bool, err error)
-}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/packet"
 )
@@ -191,9 +190,11 @@ type recordingTransport struct {
 	probes [][]byte
 }
 
-func (r *recordingTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	r.probes = append(r.probes, append([]byte(nil), probe...))
-	return nil, 0, false
+func (r *recordingTransport) ExchangeBatch(probes [][]byte, out []ProbeResult) {
+	for i, probe := range probes {
+		r.probes = append(r.probes, append([]byte(nil), probe...))
+		out[i] = ProbeResult{}
+	}
 }
 
 func (r *recordingTransport) Source() netip.Addr { return r.src }

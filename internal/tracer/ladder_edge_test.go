@@ -8,15 +8,14 @@ import (
 )
 
 // Edge cases of the windowed ladder that the differential sweeps do not
-// pin: a star run whose halt lands exactly on a window boundary, a path
-// hint that overshoots MaxTTL, and every batch option set over a transport
-// that cannot batch.
+// pin: a star run whose halt lands exactly on a window boundary and a path
+// hint that overshoots MaxTTL.
 
 // scriptedDeadEnd answers Time Exceeded below hop silentFrom and nothing
 // from there on — a path that never terminates, so only the star-run rule
 // can halt the trace.
-func scriptedDeadEnd(t *testing.T, silentFrom int) *batchCaptureTransport {
-	tp := &batchCaptureTransport{captureTransport: captureTransport{src: tSrc}}
+func scriptedDeadEnd(t *testing.T, silentFrom int) *captureTransport {
+	tp := &captureTransport{src: tSrc}
 	tp.respond = func(i int, probe []byte) []byte {
 		hdr, _, err := packet.ParseIPv4(probe)
 		if err != nil {
@@ -94,35 +93,5 @@ func TestTraceBatchedPathHintBeyondMaxTTL(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tp.batches, []int{maxTTL}) {
 		t.Errorf("batches = %v, want a single clamped batch of %d", tp.batches, maxTTL)
-	}
-}
-
-// TestTraceBatchFallbackWithBatchOptions points every batch option —
-// window, hint, scratch, multiple probes per hop — at a transport that
-// implements only Transport: the ladder must stay at one TTL a window,
-// match the unbatched route exactly, and send not one probe more.
-func TestTraceBatchFallbackWithBatchOptions(t *testing.T) {
-	const pathLen = 6
-	base := Options{MaxTTL: 20, ProbesPerHop: 2}
-	want, err := NewParisUDP(scriptedChain(t, pathLen), base).Trace(tDest)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts := base
-	opts.Batch = true
-	opts.BatchWindow = 4
-	opts.PathHint = 3
-	opts.Scratch = NewScratch()
-	tp := scriptedChain(t, pathLen) // captureTransport: no ExchangeBatch method
-	got, err := NewParisUDP(tp, opts).Trace(tDest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("fallback trace with batch options differs from sequential\ngot:  %+v\nwant: %+v", got, want)
-	}
-	if wantProbes := pathLen * base.ProbesPerHop; len(tp.probes) != wantProbes {
-		t.Errorf("fallback sent %d probes, want %d (no window overshoot on the sequential path)", len(tp.probes), wantProbes)
 	}
 }

@@ -125,9 +125,16 @@ func awaitCancel(m *Mux) {
 	}
 }
 
-// exchangeOnly hides a handle's ExchangeBatch, so the tracer reaches the mux
-// one ExchangeErr at a time.
-type exchangeOnly struct{ tracer.FallibleTransport }
+// exchangeOnly splits every window into one-probe exchanges through the
+// handle's Exchange, so the mux never holds two probes of a ladder at once.
+type exchangeOnly struct{ *MuxTransport }
+
+func (e exchangeOnly) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
+	for i, p := range probes {
+		resp, rtt, ok := e.Exchange(p)
+		out[i] = tracer.ProbeResult{Resp: append(out[i].Resp[:0], resp...), RTT: rtt, OK: ok}
+	}
+}
 
 // TestLiveDifferentialAgainstNetsim is the package's acceptance test:
 // ladders driven through the fake socket replaying netsim responses must
@@ -203,9 +210,8 @@ func TestLiveDifferentialAgainstNetsim(t *testing.T) {
 	}
 }
 
-// TestLiveSequentialExchange hides the handle's ExchangeBatch, so the ladder
-// reaches the mux through the tracer's per-probe path — one
-// MuxTransport.ExchangeErr per probe — and requires the same route as the
+// TestLiveSequentialExchange cuts the ladder's windows into single probes —
+// one MuxTransport.Exchange per probe — and requires the same route as the
 // simulator, for every discipline.
 func TestLiveSequentialExchange(t *testing.T) {
 	const seed = 11
@@ -216,7 +222,7 @@ func TestLiveSequentialExchange(t *testing.T) {
 			t.Fatal(err)
 		}
 		mux, _, dest := newFakeMux(t, scenarios[1].build, seed, SimSchedule{}, 0)
-		got, err := m.mk(exchangeOnly{mux.Transport()}, tracer.Options{}).Trace(dest)
+		got, err := m.mk(exchangeOnly{mux.Transport()}, tracer.Options{Batch: true}).Trace(dest)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -256,9 +256,6 @@ type probeRecorder struct {
 }
 
 func (r *probeRecorder) Source() netip.Addr { return r.src }
-func (r *probeRecorder) Exchange([]byte) ([]byte, time.Duration, bool) {
-	return nil, 0, false
-}
 func (r *probeRecorder) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	for i := range out[:len(probes)] {
 		out[i] = tracer.ProbeResult{}

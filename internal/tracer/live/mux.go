@@ -1,10 +1,10 @@
 // Package live carries the repository's probing engines onto the real
 // network: one transport, the Mux, whose MuxTransport handles implement
-// tracer.Transport / BatchTransport / FallibleTransport over raw IPv4
-// sockets, sending whole TTL-ladder windows with one sendmmsg and reading
-// responses back with recvmmsg, so the batched amortization the simulator
-// path earned applies unchanged to live measurement. A single trace is a mux
-// with one handle; a campaign gives every worker a handle on the same mux.
+// tracer.Transport over raw IPv4 sockets, sending whole TTL-ladder windows
+// with one sendmmsg and reading responses back with recvmmsg, so the batched
+// amortization the simulator path earned applies unchanged to live
+// measurement. A single trace is a mux with one handle; a campaign gives
+// every worker a handle on the same mux.
 //
 // # Response-matching contract
 //
@@ -408,9 +408,9 @@ func wakeConn(conn PacketConn) {
 	}
 }
 
-// Transport returns a tracer.Transport / tracer.BatchTransport /
-// tracer.FallibleTransport handle over the mux. Handles are safe for
-// concurrent use; a campaign may give every worker its own or share one.
+// Transport returns a tracer.Transport handle over the mux; a probe the mux
+// could not exchange reports its error in ProbeResult.Err. Handles are safe
+// for concurrent use; a campaign may give every worker its own or share one.
 // A worker with a handle of its own exchanges without allocating.
 func (m *Mux) Transport() *MuxTransport { return &MuxTransport{m: m} }
 
@@ -425,28 +425,12 @@ type MuxTransport struct {
 // Source implements tracer.Transport.
 func (t *MuxTransport) Source() netip.Addr { return t.m.src }
 
-// Exchange implements tracer.Transport: a batch of one. Per-probe faults
-// degrade to stars; use ExchangeErr to observe them.
+// Exchange is tracer.Exchange over t, for bench/.
 func (t *MuxTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	resp, rtt, ok, _ := t.ExchangeErr(probe)
-	return resp, rtt, ok
+	return tracer.Exchange(t, probe)
 }
 
-// ExchangeErr implements tracer.FallibleTransport.
-func (t *MuxTransport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, error) {
-	probes := [1][]byte{probe}
-	var out [1]tracer.ProbeResult
-	t.ExchangeBatch(probes[:], out[:])
-	if out[0].Err != nil {
-		return nil, 0, false, out[0].Err
-	}
-	if !out[0].OK {
-		return nil, 0, false, nil
-	}
-	return out[0].Resp, out[0].RTT, true, nil
-}
-
-// ExchangeBatch implements tracer.BatchTransport. Concurrent calls, on one
+// ExchangeBatch implements tracer.Transport. Concurrent calls, on one
 // handle or many, interleave freely: the mux attributes every response by
 // flow identifier across all in-flight batches. out[i].Resp is refilled with
 // append-truncate, so callers recycling one result slice across batches

@@ -26,10 +26,8 @@ import (
 // privileges, race-detector clean.
 
 var (
-	_ tracer.Transport         = (*MuxTransport)(nil)
-	_ tracer.BatchTransport    = (*MuxTransport)(nil)
-	_ tracer.FallibleTransport = (*MuxTransport)(nil)
-	_ dropCounter              = (*SimConn)(nil)
+	_ tracer.Transport = (*MuxTransport)(nil)
+	_ dropCounter      = (*SimConn)(nil)
 )
 
 // muxTopo generates simtest's default topology, per-packet diamonds
@@ -233,7 +231,9 @@ func TestMuxReopenExhaustion(t *testing.T) {
 	}
 	// The mux is broken: the next exchange fails immediately, without
 	// touching the (dead) socket layer.
-	if _, _, _, err := m.Transport().ExchangeErr([]byte{0xde, 0xad}); err == nil {
+	out := make([]tracer.ProbeResult, 1)
+	m.Transport().ExchangeBatch([][]byte{{0xde, 0xad}}, out)
+	if out[0].Err == nil {
 		t.Fatal("exchange against a broken mux returned no error")
 	}
 	if h := m.Health(); h.InFlight != 0 {

@@ -9,9 +9,9 @@ import (
 // This file is the global probe pacer: a token-bucket shared by every
 // worker of a measurement process, wrapped around any Transport, so the
 // aggregate probe rate is a first-class knob instead of an accident of
-// worker count. The always-on daemon (internal/daemon) installs one over
-// both the netsim and the live transports; clock and sleep seams keep the
-// bucket fully testable without wall time.
+// worker count. cmd/measured wraps its transport in one when -rate is
+// positive, whether that transport is netsim or the live mux; clock and
+// sleep seams keep the bucket fully testable without wall time.
 
 // Pacer is a token-bucket rate limiter over probes. One Pacer is shared by
 // all goroutines probing through the transports it wraps; Take blocks until
@@ -102,12 +102,9 @@ func (p *Pacer) SetRate(rate float64) {
 }
 
 // PacedTransport wraps a Transport with a shared Pacer: every probe takes
-// one token before reaching the inner transport. It forwards the batching
-// and fallible capabilities the inner transport offers, so pacing composes
-// with the batched ladder and the error-policy layer unchanged.
+// one token before reaching the inner transport.
 type PacedTransport struct {
 	inner Transport
-	batch BatchTransport // inner's batch path (AsBatch)
 	pacer *Pacer
 }
 
@@ -115,36 +112,18 @@ type PacedTransport struct {
 // Several transports may share one Pacer — that is the point: the bucket
 // then caps the whole process's aggregate probe rate.
 func NewPacedTransport(tp Transport, p *Pacer) *PacedTransport {
-	bt, _ := AsBatch(tp)
-	return &PacedTransport{inner: tp, batch: bt, pacer: p}
+	return &PacedTransport{inner: tp, pacer: p}
 }
 
-// Exchange implements Transport.
-func (t *PacedTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	t.pacer.Take(1)
-	return t.inner.Exchange(probe)
-}
-
-// ExchangeErr implements FallibleTransport when the inner transport does;
-// otherwise it degrades to the no-error contract like FaultTransport.
-func (t *PacedTransport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, error) {
-	t.pacer.Take(1)
-	if ft, ok := t.inner.(FallibleTransport); ok {
-		return ft.ExchangeErr(probe)
-	}
-	resp, rtt, ok := t.inner.Exchange(probe)
-	return resp, rtt, ok, nil
-}
-
-// ExchangeBatch implements BatchTransport: the whole window takes its
-// tokens in one call, pacing batches at the same aggregate rate as
-// sequential probes, then goes through the inner transport's batch path.
+// ExchangeBatch implements Transport: the whole window takes its tokens in
+// one call, pacing batches at the same aggregate rate as single probes,
+// then goes to the inner transport.
 func (t *PacedTransport) ExchangeBatch(probes [][]byte, out []ProbeResult) {
 	if len(out) < len(probes) {
 		panic("tracer: ExchangeBatch result slice shorter than probe slice")
 	}
 	t.pacer.Take(len(probes))
-	t.batch.ExchangeBatch(probes, out)
+	t.inner.ExchangeBatch(probes, out)
 }
 
 // Source implements Transport.

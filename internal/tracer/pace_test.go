@@ -89,51 +89,47 @@ func TestPacerDisabledAndClamped(t *testing.T) {
 // could parse a destination; the counting transport ignores it.
 func paceProbe() []byte { return make([]byte, 28) }
 
+// countingTransport counts the batches and probes it is handed and answers
+// none of them.
 type countingTransport struct {
-	exchanges, batches int
+	probes, batches int
 }
 
-func (c *countingTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	c.exchanges++
-	return nil, 0, false
-}
-
-func (c *countingTransport) Source() netip.Addr { return netip.MustParseAddr("10.0.0.1") }
-
-type countingBatchTransport struct {
-	countingTransport
-}
-
-func (c *countingBatchTransport) ExchangeBatch(probes [][]byte, out []ProbeResult) {
+func (c *countingTransport) ExchangeBatch(probes [][]byte, out []ProbeResult) {
 	c.batches++
+	c.probes += len(probes)
 	for i := range probes {
 		out[i] = ProbeResult{}
 	}
 }
+
+func (c *countingTransport) Source() netip.Addr { return netip.MustParseAddr("10.0.0.1") }
 
 func TestPacedTransportTakesPerProbe(t *testing.T) {
 	c := newFakeClock()
 	inner := &countingTransport{}
 	pt := NewPacedTransport(inner, NewPacer(1000, 2, c.Now, c.Sleep))
 
-	pt.Exchange(paceProbe())
-	pt.Exchange(paceProbe())
-	pt.Exchange(paceProbe()) // third probe exceeds the burst of 2
-	if inner.exchanges != 3 {
-		t.Fatalf("inner exchanges %d, want 3", inner.exchanges)
+	Exchange(pt, paceProbe())
+	Exchange(pt, paceProbe())
+	Exchange(pt, paceProbe()) // third probe exceeds the burst of 2
+	if inner.probes != 3 {
+		t.Fatalf("inner exchanges %d, want 3", inner.probes)
 	}
 	if len(c.slept) != 1 {
 		t.Fatalf("slept %v, want exactly one wait", c.slept)
 	}
-	// ExchangeErr degrades gracefully over a non-fallible inner transport.
-	if _, _, _, err := pt.ExchangeErr(paceProbe()); err != nil {
-		t.Fatalf("ExchangeErr: %v", err)
+	// Pacing adds no failure of its own.
+	out := make([]ProbeResult, 1)
+	pt.ExchangeBatch([][]byte{paceProbe()}, out)
+	if out[0].Err != nil {
+		t.Fatalf("ExchangeBatch: %v", out[0].Err)
 	}
 }
 
 func TestPacedTransportBatchSingleTake(t *testing.T) {
 	c := newFakeClock()
-	inner := &countingBatchTransport{}
+	inner := &countingTransport{}
 	pt := NewPacedTransport(inner, NewPacer(100, 4, c.Now, c.Sleep))
 
 	probes := [][]byte{paceProbe(), paceProbe(), paceProbe(), paceProbe(), paceProbe(), paceProbe()}
@@ -145,18 +141,6 @@ func TestPacedTransportBatchSingleTake(t *testing.T) {
 	// 6 tokens against a burst of 4: one wait for the 2-token deficit.
 	if len(c.slept) != 1 || c.slept[0] != 20*time.Millisecond {
 		t.Fatalf("slept %v, want one 20ms wait", c.slept)
-	}
-}
-
-func TestPacedTransportBatchFallback(t *testing.T) {
-	c := newFakeClock()
-	inner := &countingTransport{} // no batch support
-	pt := NewPacedTransport(inner, NewPacer(1000, 100, c.Now, c.Sleep))
-	probes := [][]byte{paceProbe(), paceProbe()}
-	out := make([]ProbeResult, 2)
-	pt.ExchangeBatch(probes, out)
-	if inner.exchanges != 2 {
-		t.Fatalf("fallback exchanges %d, want 2", inner.exchanges)
 	}
 	if pt.Source() != inner.Source() {
 		t.Fatal("Source not forwarded")

@@ -12,8 +12,9 @@ import (
 
 // FuzzReplayServe drives arbitrary capture bytes through the load Open runs
 // and through serving, with a probe sequence drawn from the capture's own
-// outbound records: each byte of seq picks a record (b>>1) and a path (b&1:
-// the one-probe ExchangeErr or ExchangeBatch). Whatever the input, nothing
+// outbound records: each byte of seq picks a record (b>>1) and a result slot
+// (b&1: the slot the previous serve filled, stale response and error
+// included, or a fresh one). Whatever the input, nothing
 // panics, the exchanges not yet served are exactly the Leftover count, and
 // a flow drained of its exchanges answers only with the loud error. The
 // seeds are the corpus captures cut to their first records, small enough
@@ -47,13 +48,12 @@ func FuzzReplayServe(f *testing.F) {
 		}
 		served := 0
 		out := make([]tracer.ProbeResult, 1)
-		serve := func(p []byte, batch bool) (resp []byte, ok bool, err error) {
-			if batch {
-				rt.ExchangeBatch([][]byte{p}, out)
-				resp, ok, err = out[0].Resp, out[0].OK, out[0].Err
-			} else {
-				resp, _, ok, err = rt.ExchangeErr(p)
+		serve := func(p []byte, recycled bool) (resp []byte, ok bool, err error) {
+			if !recycled {
+				out = make([]tracer.ProbeResult, 1)
 			}
+			rt.ExchangeBatch([][]byte{p}, out)
+			resp, ok, err = out[0].Resp, out[0].OK, out[0].Err
 			if err == nil {
 				served++
 			}

@@ -145,9 +145,8 @@ func (c *chunked[T]) add(bound int) int32 {
 	return i
 }
 
-// Transport serves a loaded capture. It implements tracer.Transport,
-// tracer.BatchTransport, and tracer.FallibleTransport, and is safe for
-// concurrent use by campaign workers: flow keys embed the destination, and
+// Transport serves a loaded capture. It implements tracer.Transport and is
+// safe for concurrent use by campaign workers: flow keys embed the destination, and
 // each destination's exchanges are served in capture order regardless of
 // how traces interleave across workers. Serving takes no lock: once Open
 // returns only the flows' heads and the served count change, and a head is
@@ -197,27 +196,16 @@ func (t *Transport) Junk() int {
 	return t.junk
 }
 
-// Exchange implements tracer.Transport. Mismatches degrade to stars; use
-// ExchangeErr (as the campaign's fault-aware engines do) to observe them.
+// Exchange is tracer.Exchange over t, for bench/.
 func (t *Transport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	resp, rtt, ok, _ := t.ExchangeErr(probe)
-	return resp, rtt, ok
+	return tracer.Exchange(t, probe)
 }
 
-// ExchangeErr implements tracer.FallibleTransport: serve the next captured
-// exchange for this probe's flow key. The error is fatal (non-transient)
-// by design — a mismatch means the replayed campaign diverged from the
-// captured one, and retrying cannot help.
-func (t *Transport) ExchangeErr(probe []byte) ([]byte, time.Duration, bool, error) {
-	resp, rtt, ok, err := t.serve(probe)
-	if err == nil {
-		t.served.Add(1)
-	}
-	return resp, rtt, ok, err
-}
-
-// ExchangeBatch implements tracer.BatchTransport with the append-truncate
-// refill contract.
+// ExchangeBatch implements tracer.Transport with the append-truncate refill
+// contract: each probe is served the next captured exchange of its flow key.
+// A probe that does not match it fails with a fatal (non-transient) error in
+// its ProbeResult.Err — the replayed campaign diverged from the captured
+// one, and retrying cannot help.
 func (t *Transport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	if len(out) < len(probes) {
 		panic("replay: ExchangeBatch result slice shorter than probe slice")

@@ -193,7 +193,7 @@ func TestReplayDivergenceIsLoud(t *testing.T) {
 	rt := open(t, path, replay.Config{})
 	other := replayTopo(t, dests, seed+1)
 	foreign := buildProbe(t, other)
-	if _, _, _, err := rt.ExchangeErr(foreign); err == nil {
+	if exchangeOne(rt, foreign).Err == nil {
 		t.Fatal("foreign probe served from an unrelated capture")
 	}
 
@@ -204,20 +204,21 @@ func TestReplayDivergenceIsLoud(t *testing.T) {
 	mutated := append([]byte(nil), recs[0].Data...)
 	mutated[8] = 77 // TTL
 	rt2 := open(t, path, replay.Config{})
-	if _, _, _, err := rt2.ExchangeErr(mutated); err == nil {
+	if exchangeOne(rt2, mutated).Err == nil {
 		t.Fatal("byte-mutated probe served despite the mismatch")
 	}
 
 	// Exhaustion: replay the campaign fully, then ask for one more.
 	rt3 := open(t, path, replay.Config{})
 	replayCampaign(t, rt3, sc, 2, 1)
-	if _, _, _, err := rt3.ExchangeErr(append([]byte(nil), recs[0].Data...)); err == nil {
+	if exchangeOne(rt3, append([]byte(nil), recs[0].Data...)).Err == nil {
 		t.Fatal("exhausted flow served an extra exchange")
 	}
-	// The batch path surfaces the same error per probe.
-	out := make([]tracer.ProbeResult, 1)
+	// A result slot recycled from an answered probe surfaces the same error
+	// and keeps none of the old answer.
+	out := []tracer.ProbeResult{{Resp: []byte{1, 2, 3}, RTT: time.Second, OK: true}}
 	rt3.ExchangeBatch([][]byte{append([]byte(nil), recs[0].Data...)}, out)
-	if out[0].Err == nil || out[0].OK {
+	if out[0].Err == nil || out[0].OK || len(out[0].Resp) != 0 {
 		t.Fatal("ExchangeBatch hid the divergence error")
 	}
 }

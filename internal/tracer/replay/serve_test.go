@@ -12,19 +12,20 @@ import (
 	"repro/internal/tracer/replay"
 )
 
-// served is one exchange as a caller sees it: the response's first byte
-// names the capture record it aliases, so two serves of one exchange compare
-// equal and two exchanges never do (a star has no response and RTT 0).
+// served is one exchange as a caller sees it: its response bytes and RTT.
+// Two serves of one exchange compare equal, and two exchanges of one flow
+// do not: each response carries its responder's IP ID, which advances with
+// every response the responder sends (a star has no response and RTT 0).
 type served struct {
-	resp *byte
+	resp string
 	rtt  time.Duration
 }
 
-func serveOf(resp []byte, rtt time.Duration) served {
-	if len(resp) == 0 {
-		return served{rtt: rtt}
-	}
-	return served{&resp[0], rtt}
+// exchangeOne serves probe as a batch of one.
+func exchangeOne(rt *replay.Transport, probe []byte) tracer.ProbeResult {
+	out := make([]tracer.ProbeResult, 1)
+	rt.ExchangeBatch([][]byte{probe}, out)
+	return out[0]
 }
 
 // parisChain returns the first Paris UDP probe in recs, the records of the
@@ -42,11 +43,11 @@ func parisChain(t *testing.T, raw []byte, recs []pcap.Record) ([]byte, []served)
 		}
 		var chain []served
 		for {
-			resp, rtt, _, err := rt.ExchangeErr(p)
-			if err != nil {
+			r := exchangeOne(rt, p)
+			if r.Err != nil {
 				break
 			}
-			chain = append(chain, serveOf(resp, rtt))
+			chain = append(chain, served{string(r.Resp), r.RTT})
 		}
 		if len(chain) == loadRounds {
 			return p, chain
@@ -66,8 +67,7 @@ func TestRacingPopsExactlyOnce(t *testing.T) {
 	raw, recs := readCapture(t, path)
 	probe, chain := parisChain(t, raw, recs)
 
-	// A second transport over the same bytes: its responses alias the same
-	// capture, so they compare by identity with the chain.
+	// A second transport over the same bytes serves the same chain.
 	rt := load(t, raw, replay.Config{Retries: loadRetries})
 	var (
 		start = make(chan struct{})
@@ -80,11 +80,11 @@ func TestRacingPopsExactlyOnce(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for {
-				resp, rtt, _, err := rt.ExchangeErr(probe)
-				if err != nil {
+				r := exchangeOne(rt, probe)
+				if r.Err != nil {
 					return
 				}
-				got[g] = append(got[g], serveOf(resp, rtt))
+				got[g] = append(got[g], served{string(r.Resp), r.RTT})
 			}
 		}()
 	}
@@ -107,7 +107,7 @@ func TestRacingPopsExactlyOnce(t *testing.T) {
 	if n != len(chain) {
 		t.Errorf("%d goroutines were served %d exchanges; the flow chains %d", goroutines, n, len(chain))
 	}
-	if _, _, _, err := rt.ExchangeErr(probe); err == nil || !strings.Contains(err.Error(), "not in capture") {
+	if err := exchangeOne(rt, probe).Err; err == nil || !strings.Contains(err.Error(), "not in capture") {
 		t.Errorf("exhausted flow: err = %v, want the \"not in capture\" divergence error", err)
 	}
 	if l, untouched := rt.Leftover(), rt.Exchanges()-len(chain); l != untouched {

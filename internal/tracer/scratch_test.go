@@ -17,21 +17,12 @@ type nullTransport struct {
 
 func (n *nullTransport) Source() netip.Addr { return tSrc }
 
-func (n *nullTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	resp := n.answers[probe[8]]
-	return resp, time.Millisecond, resp != nil
-}
-
 func (n *nullTransport) ExchangeBatch(probes [][]byte, out []ProbeResult) {
 	for i, p := range probes {
 		resp := n.answers[p[8]]
 		out[i] = ProbeResult{Resp: append(out[i].Resp[:0], resp...), RTT: time.Millisecond, OK: resp != nil}
 	}
 }
-
-// sequentialOnly hides a transport's ExchangeBatch, leaving the ladder the
-// per-probe path.
-type sequentialOnly struct{ Transport }
 
 // recordNull traces once over a scripted chain of pathLen hops with the tracer
 // mk builds and returns the answers as a nullTransport.
@@ -50,8 +41,7 @@ func recordNull(t *testing.T, mk func(Transport, Options) Tracer, opts Options, 
 
 // TestTraceSteadyStateAllocs is the budget the Scratch comment promises: a
 // reused tracer whose routes come back through Recycle allocates nothing per
-// trace — Batch on or off, over a transport that batches or one probe at a
-// time over one that cannot, Paris or classic — and the route it refills is
+// trace — Batch on or off, Paris or classic — and the route it refills is
 // the route a fresh trace would have returned.
 func TestTraceSteadyStateAllocs(t *testing.T) {
 	const pathLen = 11
@@ -62,14 +52,9 @@ func TestTraceSteadyStateAllocs(t *testing.T) {
 		{"paris-udp", NewParisUDP},
 		{"classic-udp", NewClassicUDP},
 	} {
-		for _, mode := range []struct{ batch, perProbe bool }{{true, false}, {false, false}, {false, true}} {
-			batch := mode.batch
+		for _, batch := range []bool{true, false} {
 			opts := Options{MinTTL: 2, MaxTTL: 39, SrcPort: 40001, DstPort: 40002}
-			null := recordNull(t, tc.mk, opts, pathLen)
-			var tp Transport = null
-			if mode.perProbe {
-				tp = sequentialOnly{null}
-			}
+			tp := recordNull(t, tc.mk, opts, pathLen)
 			want, err := tc.mk(tp, opts).Trace(tDest)
 			if err != nil {
 				t.Fatal(err)
@@ -94,10 +79,10 @@ func TestTraceSteadyStateAllocs(t *testing.T) {
 			trace() // warm the Scratch: buffers grown, one route in the pool
 			allocs := testing.AllocsPerRun(100, trace)
 			if allocs != 0 {
-				t.Errorf("%s %+v: %v allocs per steady-state trace, want 0", tc.name, mode, allocs)
+				t.Errorf("%s batch=%v: %v allocs per steady-state trace, want 0", tc.name, batch, allocs)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %+v: recycled route differs from a fresh trace\ngot:  %+v\nwant: %+v", tc.name, mode, got, want)
+				t.Errorf("%s batch=%v: recycled route differs from a fresh trace\ngot:  %+v\nwant: %+v", tc.name, batch, got, want)
 			}
 		}
 	}
@@ -156,7 +141,7 @@ func TestScratchRecycle(t *testing.T) {
 	// ProbesPerHop > 1: All aliases a per-trace backing array, so the route
 	// is left alone by Recycle and stays valid afterwards.
 	opts3 := Options{MaxTTL: 20, ProbesPerHop: 3, Batch: true, Scratch: NewScratch()}
-	tr3 := NewParisUDP(scriptedBatchChain(t, pathLen), opts3)
+	tr3 := NewParisUDP(scriptedChain(t, pathLen), opts3)
 	a, err := tr3.Trace(tDest)
 	if err != nil {
 		t.Fatal(err)

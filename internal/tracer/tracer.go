@@ -9,11 +9,19 @@ import (
 )
 
 // Transport carries serialized IPv4 probes to the network under measurement
-// and returns the serialized response packet, if any.
+// and returns the serialized response packets, if any. A caller with one
+// probe uses the free function Exchange.
 type Transport interface {
-	// Exchange sends one probe and blocks until its response arrives or
-	// the transport-level timeout passes (ok=false: a star).
-	Exchange(probe []byte) (resp []byte, rtt time.Duration, ok bool)
+	// ExchangeBatch exchanges probes[i] into out[i] for every i, with the
+	// semantics of len(probes) single exchanges in slice order (netsim
+	// guarantees this byte for byte by reserving a contiguous probe-counter
+	// block; see the netsim package comment's exchange contract), and
+	// blocks until each probe has its response, has timed out (OK false: a
+	// star) or has failed (Err). out must be at least as long as probes.
+	// Implementations refill out[i].Resp with append-truncate, so callers
+	// reusing one result slice across batches amortize the response
+	// buffers too.
+	ExchangeBatch(probes [][]byte, out []ProbeResult)
 	// Source returns the local address probes are sent from.
 	Source() netip.Addr
 }
@@ -294,11 +302,9 @@ type Options struct {
 	// ICMPID is the Echo Identifier for classic ICMP probes (classically
 	// the process ID). For Paris ICMP it is the checksum target.
 	ICMPID uint16
-	// Batch widens the ladder's window when the transport implements
-	// BatchTransport: the engine submits BatchWindow TTLs as one
-	// ExchangeBatch and truncates at the first terminal hop or star-run
-	// boundary. Off, or over a transport without batching, the window is
-	// one TTL. Off by default.
+	// Batch widens the ladder's window: the engine submits BatchWindow
+	// TTLs as one ExchangeBatch and truncates at the first terminal hop or
+	// star-run boundary. Off, the window is one TTL. Off by default.
 	Batch bool
 	// BatchWindow is the number of TTLs submitted per batch (0 selects
 	// DefaultBatchWindow). Ignored unless Batch is set.
@@ -355,14 +361,11 @@ type Tracer interface {
 
 // engine is the shared trace loop; each discipline supplies a prober.
 type engine struct {
-	name string
-	// bt is the transport's batch path (AsBatch); native says it is the
-	// transport's own, so a window wider than one TTL is worth submitting.
-	bt     BatchTransport
-	native bool
-	src    netip.Addr
-	opts   Options
-	build  proberFunc
+	name  string
+	tp    Transport
+	src   netip.Addr
+	opts  Options
+	build proberFunc
 	// defSrc and defDst are the discipline's historical default ports.
 	defSrc, defDst uint16
 	// payload and dgram are the UDP builders' scratch, recycled across
@@ -378,9 +381,8 @@ type engine struct {
 type proberFunc func(e *engine, dest netip.Addr, ttl, probeIdx int, buf []byte) (probe []byte, err error)
 
 func newEngine(name string, tp Transport, opts Options, defSrc, defDst uint16, build proberFunc) *engine {
-	e := &engine{name: name, src: tp.Source(), opts: opts.withDefaults(),
+	e := &engine{name: name, tp: tp, src: tp.Source(), opts: opts.withDefaults(),
 		build: build, defSrc: defSrc, defDst: defDst}
-	e.bt, e.native = AsBatch(tp)
 	e.Aim(opts.SrcPort, opts.DstPort, opts.PathHint)
 	return e
 }

@@ -13,25 +13,30 @@ var (
 	tDest = netip.AddrFrom4([4]byte{172, 16, 0, 1})
 )
 
-// captureTransport records probes and answers them from a script.
+// captureTransport records probes, and the size of every batch submitted,
+// and answers them from a script.
 type captureTransport struct {
-	src    netip.Addr
-	probes [][]byte
+	src     netip.Addr
+	probes  [][]byte
+	batches []int
 	// respond builds the response for the i-th probe (nil = star).
 	respond func(i int, probe []byte) []byte
 }
 
-func (c *captureTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
-	i := len(c.probes)
-	c.probes = append(c.probes, append([]byte(nil), probe...))
-	if c.respond == nil {
-		return nil, 0, false
+func (c *captureTransport) ExchangeBatch(probes [][]byte, out []ProbeResult) {
+	c.batches = append(c.batches, len(probes))
+	for k, probe := range probes {
+		i := len(c.probes)
+		c.probes = append(c.probes, append([]byte(nil), probe...))
+		var r []byte
+		if c.respond != nil {
+			r = c.respond(i, probe)
+		}
+		out[k] = ProbeResult{Resp: append(out[k].Resp[:0], r...)}
+		if r != nil {
+			out[k].RTT, out[k].OK = time.Millisecond, true
+		}
 	}
-	r := c.respond(i, probe)
-	if r == nil {
-		return nil, 0, false
-	}
-	return r, time.Millisecond, true
 }
 
 func (c *captureTransport) Source() netip.Addr { return c.src }

@@ -17,6 +17,13 @@ package repro
 // non-test file may name forwardingHook at all, whether it declares it (a
 // function, method, interface method or field) or selects it (a call).
 //
+// It also holds the one probing path, in every Go file, tests included:
+// there is one TTL ladder (engine.trace), every transport batches, and the
+// one live transport is the mux. No file may declare (as a function, method,
+// type, constant, variable, field or interface method) a name in
+// deletedPaths, the names the second ladder and the per-probe adapter went
+// by, nor select live.New or live.Config, the deleted second live transport.
+//
 //	go test -run TestSurface -v .   # also prints every name with its users
 
 import (
@@ -49,16 +56,65 @@ var surfaceReasons = map[string]bool{
 // inside netsim's forwarding walk.
 const forwardingHook = "OnSend"
 
+// deletedPaths maps the names of deleted second probing paths to what they
+// were.
+var deletedPaths = map[string]string{
+	"traceSequential": "the second TTL ladder",
+	"AsBatch":         "the run-time check for a transport without a batch path",
+	"perProbe":        "the per-probe loop around a transport without a batch path",
+}
+
+// deletedLive are the live package's selectors of its deleted second
+// transport.
+var deletedLive = map[string]bool{"New": true, "Config": true}
+
+// checkProbingPath fails on a declaration named in deletedPaths and on a
+// selector of deletedLive through the live package (or anything called
+// live).
+func checkProbingPath(t *testing.T, fset *token.FileSet, f *ast.File) {
+	liveName := "live"
+	for _, im := range f.Imports {
+		if ip, _ := strconv.Unquote(im.Path.Value); ip == "repro/internal/tracer/live" && im.Name != nil {
+			liveName = im.Name.Name
+		}
+	}
+	declared := func(ids ...*ast.Ident) {
+		for _, id := range ids {
+			if what := deletedPaths[id.Name]; what != "" {
+				t.Errorf("%s: %s declares %s, the name of %s: there is one TTL ladder and every transport batches", fset.Position(id.Pos()), f.Name.Name, id.Name, what)
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			declared(n.Name)
+		case *ast.TypeSpec:
+			declared(n.Name)
+		case *ast.ValueSpec:
+			declared(n.Names...)
+		case *ast.Field:
+			declared(n.Names...)
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && (x.Name == "live" || x.Name == liveName) && deletedLive[n.Sel.Name] {
+				t.Errorf("%s: %s.%s is the deleted second live transport: the one live transport is live.Mux", fset.Position(n.Pos()), x.Name, n.Sel.Name)
+			}
+		}
+		return true
+	})
+}
+
 // testSupport lists the packages only _test.go files may import.
 var testSupport = map[string]bool{
 	"repro/internal/ckpt/ckpttest": true,
 	"repro/internal/simtest":       true,
 }
 
-// scanSurface parses every non-test Go file under the module root. It
-// returns each library package's exported top-level identifiers, keyed
-// "importpath.Name", and for each such key the import paths of the packages
-// whose files select it.
+// scanSurface parses every Go file under the module root outside testdata
+// and hidden directories, holding each to checkProbingPath. Of the non-test
+// files it returns each library package's exported top-level identifiers,
+// keyed "importpath.Name", and for each such key the import paths of the
+// packages whose files select it.
 func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]string) {
 	exports, namedBy = map[string]bool{}, map[string][]string{}
 	fset := token.NewFileSet()
@@ -75,12 +131,16 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 			return err
 		}
 		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 				continue
 			}
 			f, err := parser.ParseFile(fset, filepath.Join(p, e.Name()), nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
+			}
+			checkProbingPath(t, fset, f)
+			if strings.HasSuffix(e.Name(), "_test.go") {
+				continue
 			}
 			imports := map[string]string{}
 			for _, im := range f.Imports {
