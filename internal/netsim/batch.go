@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/keyhash"
+	"repro/internal/packet"
 )
 
 // ExchangeResult is the outcome of one probe/response exchange within an
@@ -71,13 +73,15 @@ func (a *arena) rewind() { a.off = 0 }
 
 // exchCtx carries the per-exchange state the forwarding walk threads through
 // its helpers: the probe's private RNG stream, the arena every packet of the
-// exchange is carved from, and the virtual-clock layer. One is drawn from
-// ctxPool per batch and recycled probe to probe.
+// exchange is carved from, the virtual-clock layer, and the forward ladder.
+// One is drawn from ctxPool per batch and recycled probe to probe.
 type exchCtx struct {
 	// rng is the probe's stream, seeded from (key, probe bytes) by stream
-	// on the exchange's first draw; seeded says whether it has been.
+	// on the exchange's first draw; seeded says whether it has been. draws
+	// counts the draws: a forwarding decision that drew is not pure.
 	rng    prng
 	seeded bool
+	draws  int
 	// key is the network seed folded with the virtual round, fixed for the
 	// batch; probe is the bytes the current exchange was handed.
 	key   uint64
@@ -88,6 +92,17 @@ type exchCtx struct {
 	// vclock.go on why batches are not interleaved by virtual time).
 	dyn *dynamics
 	clk vclock
+
+	// share says the exchange may resume on the ladder and replay return
+	// memos: no dynamics layer, and epoch, read as the exchange starts, is
+	// even. fwd classifies routerForward's last decision for both.
+	share bool
+	epoch uint64
+	fwd   fwdKind
+	lad   ladder
+	// skipFwd and skipRet count the steps this batch's shortcuts skipped,
+	// for the network's tally.
+	skipFwd, skipRet int
 }
 
 // stream returns the exchange's random stream, a pure function of (network
@@ -95,6 +110,7 @@ type exchCtx struct {
 // draw nothing (no per-packet balancer, no drop fault on their path), and
 // those never hash their probe.
 func (c *exchCtx) stream() *prng {
+	c.draws++
 	if !c.seeded {
 		c.rng, c.seeded = prng{state: keyhash.Mix64(keyhash.FNV1a(c.key, c.probe))}, true
 	}
@@ -102,6 +118,99 @@ func (c *exchCtx) stream() *prng {
 }
 
 var ctxPool = sync.Pool{New: func() any { return new(exchCtx) }}
+
+// fwdKind classifies a forwarding decision by what it depends on besides the
+// router's configuration and table, which the epoch covers.
+type fwdKind uint8
+
+const (
+	// fwdImpure: the packet's position, the stream, a rewrite, a zero TTL.
+	fwdImpure fwdKind = iota
+	// fwdFlow: the flow key, so it holds for one flow toward a destination.
+	fwdFlow
+	// fwdPure: the destination alone.
+	fwdPure
+)
+
+// maxLadder bounds a ladder's depth; a probe that goes deeper walks on from
+// the deepest recorded hop.
+const maxLadder = 64
+
+// ladder is the forward path the probes of a batch toward one destination
+// share — the Paris premise: one flow identifier, one path. nodes[k] is the
+// node a probe reaches at hop k+1 (nodes[0] is the source gateway), each
+// reached from the one before through a pure decision made on a TTL of 2 or
+// more. Every hop serves the flow that started the ladder (owner: its first
+// four transport octets); other flows use nodes[:shared], which ends at the
+// first per-flow balancer. A ladder is keyed by its network, epoch and key,
+// and starts afresh when a probe differs in any of them.
+type ladder struct {
+	net       *Network
+	epoch     uint64
+	key       ladderKey
+	owner     uint64
+	owned     bool   // the probe being walked is the owner's
+	dst       dstRef // the destination, resolved once per ladder
+	n, shared int
+	nodes     [maxLadder]int32
+}
+
+// ladderKey is the header a flow key hashes, less the transport octets
+// (flow.FromParsed).
+type ladderKey struct {
+	src, dst   uint32
+	tos, proto uint8
+}
+
+// transportKey packs a payload's first four octets and how many there are.
+func transportKey(payload []byte) uint64 {
+	k := uint64(min(len(payload), 4)) << 32
+	for i, b := range payload[:min(len(payload), 4)] {
+		k |= uint64(b) << (8 * i)
+	}
+	return k
+}
+
+// place keys the ladder to a probe and returns the probe's resolved
+// destination and the deepest hop its TTL reaches on the ladder, where its
+// walk resumes.
+func (l *ladder) place(n *Network, epoch uint64, hdr *packet.IPv4, payload []byte) (dstRef, int) {
+	src, _ := a4(hdr.Src)
+	dst, _ := a4(hdr.Dst)
+	k, flow := ladderKey{src, dst, hdr.TOS, hdr.Protocol}, transportKey(payload)
+	if l.net != n || l.epoch != epoch || l.key != k {
+		l.net, l.epoch, l.key, l.owner = n, epoch, k, flow
+		l.dst = n.resolveDst(hdr.Dst)
+		l.nodes[0], l.n, l.shared = n.srcGW, 1, 1
+	}
+	l.owned = flow == l.owner
+	usable := l.shared
+	if l.owned {
+		usable = l.n
+	}
+	return l.dst, min(int(hdr.TTL), usable)
+}
+
+// extend records next as the node after hop steps+1 when the probe walked
+// there from the ladder's frontier through a decision that holds for it,
+// and reports whether the probe is still on the ladder.
+func (l *ladder) extend(steps int, next int32, kind fwdKind) bool {
+	switch {
+	case steps+1 != l.n || l.n == maxLadder || kind == fwdImpure:
+		return false
+	case !l.owned && (kind == fwdFlow || l.shared < l.n):
+		return false // a hop the owner's flow may reach differently
+	case kind == fwdPure && l.shared == l.n:
+		l.shared++
+	}
+	l.nodes[l.n] = next
+	l.n++
+	return true
+}
+
+// walkTally counts the steps exchanges reported and those the shortcuts
+// skipped: forward on the ladder, back from return memos.
+type walkTally struct{ steps, fwd, ret atomic.Int64 }
 
 // ExchangeBatch performs len(probes) probe/response exchanges as one unit of
 // work, writing the i-th outcome into out[i]; out must be at least as long
@@ -112,9 +221,10 @@ var ctxPool = sync.Pool{New: func() any { return new(exchCtx) }}
 //
 // The topology read lock is held across the whole batch, and probe copies
 // plus originated responses are carved from a pooled arena instead of the
-// heap. Per-visit config and table loads mean another goroutine's SetFaults
-// or route mutation is seen by the very next visit. See the package
-// comment's exchange contract for the ownership rules.
+// heap. Another goroutine's SetFaults, route mutation or SetDynamics is seen
+// by every exchange that starts after the mutation returns. See the package
+// comment's exchange contract for the ownership rules and for when a walk
+// is resumed or replayed.
 //
 // ExchangeBatch is safe for concurrent use.
 func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
@@ -140,14 +250,19 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 	ctx.dyn = n.dyn.Load()
 	vround := n.vround.Load()
 	ctx.key = n.seed ^ keyhash.Mix64(uint64(vround))
+	// A ladder lives for one batch: the probes of a trace window.
+	ctx.share, ctx.skipFwd, ctx.skipRet, ctx.lad.net = false, 0, 0, nil
 
 	for i, probe := range probes {
 		ctx.probe, ctx.seeded = probe, false
 		if ctx.dyn != nil {
 			ctx.clk.reset(ctx.dyn.probeStart(vround, probe))
+		} else {
+			ctx.epoch = n.epoch.Load()
+			ctx.share = ctx.epoch&1 == 0 && !n.plain
 		}
 		// Copy: forwarding mutates TTL/checksum/src in place.
-		resp, steps, ok := n.run(ctx, ctx.arena.copyOf(probe), n.srcGW, false)
+		resp, steps, ok := n.run(ctx, ctx.arena.copyOf(probe))
 		out[i].Steps, out[i].OK = steps, ok
 		out[i].RTT = 0
 		if ok && ctx.dyn != nil {
@@ -163,4 +278,11 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 		ctx.arena.rewind()
 	}
 	ctx.probe = nil
+	if t := n.tally; t != nil {
+		for i := range probes {
+			t.steps.Add(int64(out[i].Steps))
+		}
+		t.fwd.Add(int64(ctx.skipFwd))
+		t.ret.Add(int64(ctx.skipRet))
+	}
 }

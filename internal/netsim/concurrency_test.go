@@ -151,3 +151,86 @@ func TestConcurrentExchangesWithRoutingDynamics(t *testing.T) {
 	close(stop)
 	rounds.Wait()
 }
+
+// TestConcurrentTracesUnderMutation traces every destination from eight
+// goroutines while a ninth keeps republishing, unchanged, the forwarding
+// table of every router the routes cross, and removing a dynamics layer
+// that is not there. Each mutation retires the ladders and return memos in
+// flight, so the walks keep switching between their shortcuts and the plain
+// walk, and the routes must still be the sequential ones. Under -race this
+// is the gate of the epoch that retires them.
+func TestConcurrentTracesUnderMutation(t *testing.T) {
+	cfg := topo.DefaultGenConfig()
+	cfg.Destinations = 96
+	sc := topo.Generate(cfg)
+	sc.RoundStart(0)
+	tp := netsim.NewTransport(sc.Net)
+	opts := tracer.Options{MinTTL: 2, MaxTTL: 39, Batch: true}
+
+	want := make([]traceSummary, len(sc.Dests))
+	var routers []*netsim.Router
+	seen := map[*netsim.Router]bool{}
+	for i, d := range sc.Dests {
+		rt, err := tracer.NewParisUDP(tp, opts).Trace(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = summarize(rt)
+		for _, h := range rt.Hops {
+			if r, ok := sc.Net.RouterAt(h.Addr); ok && !seen[r] {
+				seen[r] = true
+				routers = append(routers, r)
+			}
+		}
+	}
+
+	stop := make(chan struct{})
+	var mutator sync.WaitGroup
+	mutator.Add(1)
+	go func() {
+		defer mutator.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r := routers[i%len(routers)]
+			r.SetRoutes(r.Routes())
+			if i%16 == 0 {
+				sc.Net.SetDynamics(netsim.Dynamics{})
+			}
+		}
+	}()
+	const workers = 8
+	got := make([]traceSummary, len(sc.Dests))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				for i := w; i < len(sc.Dests); i += workers {
+					rt, err := tracer.NewParisUDP(tp, opts).Trace(sc.Dests[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if pass > 0 && !summarize(rt).equal(got[i]) {
+						t.Errorf("dest %v: pass %d traced another route than pass 0", sc.Dests[i], pass)
+					}
+					got[i] = summarize(rt)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	mutator.Wait()
+	for i := range want {
+		if !want[i].equal(got[i]) {
+			t.Errorf("dest %v: trace under mutation diverged from sequential\nseq: %v\ngot: %v",
+				sc.Dests[i], want[i].addrs, got[i].addrs)
+		}
+	}
+}

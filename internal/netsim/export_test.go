@@ -24,3 +24,17 @@ func (n *Network) FlipPosition(probe []byte) uint32 {
 	}
 	return flipPosition(n.seed, &hdr, payload)
 }
+
+// WalkPlain turns both walk shortcuts off: every probe walks from the
+// source gateway and every reply all the way back. Call it before the first
+// exchange.
+func (n *Network) WalkPlain() { n.plain = true }
+
+// CountWalks starts a tally of the network's exchanges and returns its
+// reader: the steps they reported, and how many of those the forward ladder
+// and the return memos skipped. Call it before the first exchange.
+func (n *Network) CountWalks() func() (steps, fwd, ret int64) {
+	t := new(walkTally)
+	n.tally = t
+	return func() (int64, int64, int64) { return t.steps.Load(), t.fwd.Load(), t.ret.Load() }
+}

@@ -76,6 +76,18 @@ type Network struct {
 
 	// probeCount is a metric only: no draw reads it.
 	probeCount atomic.Int64
+
+	// epoch counts the changes a resumed or replayed walk could observe
+	// (see ladder and netNode.ret): it goes odd, then even, around every
+	// router config publication, route mutation and SetDynamics, and
+	// advances by two at every registration. A ladder or return memo is
+	// used only at the even epoch it was recorded at.
+	epoch atomic.Uint64
+
+	// plain turns both shortcuts off, and tally, when set, counts what they
+	// skip: test seams (export_test.go), set before the first exchange.
+	plain bool
+	tally *walkTally
 }
 
 // New creates an empty network. seed fixes all randomized behaviour
@@ -106,6 +118,11 @@ type netNode struct {
 	key    uint32 // the interface address, as a4 gives it
 	hostID int32  // -1 unless host is set
 	hostGW int32
+	// ret is the return memo of the replies this node originates: the epoch
+	// (top 40 bits), the steps from origination to delivery (16 bits) and
+	// the TTL the reply reaches the source with (8 bits), recorded by the
+	// last reply that got back over plain hops only (see Network.replay).
+	ret atomic.Uint64
 }
 
 // addr returns the node's interface address.
@@ -185,11 +202,19 @@ func (n *Network) AddRouter(r *Router) *Router {
 // holds this network's node ids, so the shard rule is enforced here: one
 // Router, one Network.
 func (n *Network) adoptLocked(r *Router) {
-	if r.net != nil && r.net != n {
+	if cur := r.net.Load(); cur != nil && cur != n {
 		panic(fmt.Sprintf("netsim: router %s is already registered in another Network; the shard rule gives a router to exactly one shard's Network (replicate it instead)", r.Name))
 	}
-	r.net = n
+	r.net.Store(n)
+	n.registeredLocked()
+}
+
+// registeredLocked outdates what was resolved against the registry before a
+// registration: compiled tables (gen), ladders and return memos (epoch).
+// The write lock keeps every exchange out, so the epoch moves by two at once.
+func (n *Network) registeredLocked() {
 	n.gen++
+	n.epoch.Add(2)
 }
 
 func (n *Network) registerIfaceLocked(r *Router, a netip.Addr) {
@@ -231,7 +256,7 @@ func (n *Network) AttachHost(h *Host, gateway netip.Addr) *Host {
 		n.hosts++
 	}
 	nd.host, nd.hostGW = h, gw
-	n.gen++
+	n.registeredLocked()
 	return h
 }
 
@@ -244,7 +269,7 @@ func (n *Network) SetSource(src, gateway netip.Addr) {
 	n.srcNode = n.internAddrLocked(src)
 	n.srcGW = n.internAddrLocked(gateway)
 	n.haveEntry = true
-	n.gen++
+	n.registeredLocked()
 }
 
 // Source returns the measurement source address.
@@ -334,20 +359,40 @@ func (n *Network) resolveDst(a netip.Addr) dstRef {
 	return d
 }
 
-// run is the forwarding engine. pkt is located at node `at` (or originates
-// at the router owning it when originated is true). Must be called with
-// n.topoMu read-held. The IPv4 header is parsed, and its destination
-// resolved against the registry, once per packet version (injection, host
-// response, originated ICMP) and threaded through the walk; a hop is then a
-// node-table index, an atomic config load and a compiled-table index. ctx
-// carries the probe's RNG stream, the arena and the virtual clock.
-func (n *Network) run(ctx *exchCtx, pkt []byte, at int32, originated bool) (resp []byte, steps int, ok bool) {
+// run is the forwarding engine: it injects probe pkt at the source gateway
+// and walks it, and whatever it draws, until a response reaches the source.
+// Must be called with n.topoMu read-held. The IPv4 header is parsed, and its
+// destination resolved against the registry, once per packet version
+// (injection, host response, originated ICMP) and threaded through the walk;
+// a hop is then a node-table index, an atomic config load and a
+// compiled-table index. ctx carries the probe's RNG stream, the arena, the
+// virtual clock and the forward ladder.
+//
+// With ctx.share set, the probe resumes at the deepest ladder hop its TTL
+// reaches, and a reply replays its originator's return memo; the walk keeps
+// both up to date as it goes (probe: the packet is the probe, on the ladder;
+// ret: the node whose reply is in flight, retAt its step of origination,
+// while every hop since was plain).
+func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool) {
 	var hdr packet.IPv4
 	payload, err := packet.ParseIPv4Into(pkt, &hdr)
 	if err != nil {
 		return nil, 0, false
 	}
-	dst := n.resolveDst(hdr.Dst)
+	at, originated := n.srcGW, false
+	probe, ret, retAt := ctx.share, nodeNone, 0
+	var dst dstRef
+	if ctx.share {
+		var h int
+		dst, h = ctx.lad.place(n, ctx.epoch, &hdr, payload)
+		// One patch leaves the checksum h-1 decrements would (RFC 1624).
+		if h > 1 && packet.PatchTTL(pkt, hdr.TTL-uint8(h-1)) == nil {
+			at, steps, hdr.TTL = ctx.lad.nodes[h-1], h-1, hdr.TTL-uint8(h-1)
+			ctx.skipFwd += h - 1
+		}
+	} else {
+		dst = n.resolveDst(hdr.Dst)
+	}
 	// Injection crosses the first link (source → gateway) on the virtual
 	// clock; every further traversal is charged where the packet moves
 	// (host handoff, loop bottom). Originated ICMP replies are built in
@@ -358,6 +403,9 @@ func (n *Network) run(ctx *exchCtx, pkt []byte, at int32, originated bool) (resp
 	for ; steps < n.maxSteps; steps++ {
 		// Final delivery to the measurement source.
 		if at == n.srcNode && dst.source {
+			if ret >= 0 {
+				n.nodes[ret].ret.Store(ctx.epoch<<24 | uint64(steps-retAt)<<8 | uint64(hdr.TTL))
+			}
 			return pkt, steps, true
 		}
 		if at < 0 {
@@ -374,7 +422,13 @@ func (n *Network) run(ctx *exchCtx, pkt []byte, at int32, originated bool) (resp
 			if r == nil {
 				return nil, steps, false
 			}
-			pkt, at, originated = r, nd.hostGW, false
+			if ret = nodeNone; ctx.share && hdr.Src == n.source {
+				if s, ok := n.replay(ctx, at, r, steps); ok {
+					return r, s, true
+				}
+				ret, retAt = at, steps
+			}
+			pkt, at, originated, probe = r, nd.hostGW, false, false
 			if payload, err = packet.ParseIPv4Into(pkt, &hdr); err != nil {
 				return nil, steps, false
 			}
@@ -415,19 +469,50 @@ func (n *Network) run(ctx *exchCtx, pkt []byte, at int32, originated bool) (resp
 				if ctx.dyn != nil && !n.advanceClock(ctx, next, via, len(pkt)) {
 					return nil, steps, false
 				}
+				if probe {
+					probe = ctx.lad.extend(steps, next, ctx.fwd)
+				}
+				if ctx.fwd != fwdPure {
+					ret = nodeNone
+				}
 				at, originated = next, false
 				continue
 			}
 			reply = rep
 		}
 		// The router originated a packet of its own: a new packet version.
-		pkt, originated = reply, true
+		// A reply goes to the triggering packet's source: to the measurement
+		// source, it takes the path every reply from here takes.
+		if ret = nodeNone; ctx.share && hdr.Src == n.source {
+			if s, ok := n.replay(ctx, at, reply, steps); ok {
+				return reply, s, true
+			}
+			ret, retAt = at, steps
+		}
+		pkt, originated, probe = reply, true, false
 		if payload, err = packet.ParseIPv4Into(pkt, &hdr); err != nil {
 			return nil, steps, false
 		}
 		dst = n.resolveDst(hdr.Dst)
 	}
 	return nil, steps, false
+}
+
+// epochMask keeps the epoch bits a return memo holds.
+const epochMask = 1<<40 - 1
+
+// replay delivers a reply node originated at step steps from the node's
+// return memo, as the plain walk it records would: the TTL patched to its
+// arrival value (one patch, the checksum of every decrement) and the steps
+// added. It reports false when the memo is from another epoch, or unset.
+func (n *Network) replay(ctx *exchCtx, node int32, pkt []byte, steps int) (int, bool) {
+	w := n.nodes[node].ret.Load()
+	hops := int(w>>8) & 0xffff
+	if w>>24 != ctx.epoch&epochMask || hops == 0 || steps+hops >= n.maxSteps || packet.PatchTTL(pkt, uint8(w)) != nil {
+		return 0, false
+	}
+	ctx.skipRet += hops - 1 // all but the visit that originated it
+	return steps + hops, true
 }
 
 // routerTTLCheck applies TTL processing for a transit packet arriving at
@@ -470,7 +555,14 @@ func routerTTLCheck(ctx *exchCtx, r *Router, cfg *routerConfig, nd *netNode, pkt
 // otherwise the packet moves to node next. When nothing is registered there
 // (next is nodeNone) via is the adjacency's address, which still keys the
 // link on the virtual clock.
+//
+// A move also leaves its fwdKind in ctx.fwd (under ctx.share): pure for a
+// single next hop or a per-destination pick, flow for a per-flow pick,
+// impure when it drew, redirected (ForwardOverride, a flip schedule's
+// router), rewrote (NAT) or forwarded a zero TTL, or leads to no node.
 func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, nd *netNode, dst *dstRef, pkt []byte, hdr *packet.IPv4, payload []byte, originated bool) (next int32, via *netip.Addr, reply []byte, dropped bool) {
+	ctx.fwd = fwdImpure
+	draws := ctx.draws
 	isTransitProbe := !originated
 	if cfg.faults.Unreachable && isTransitProbe {
 		return nodeNone, nil, originateUnreachable(ctx, r, cfg, nd.addr(), pkt, hdr, payload), false
@@ -503,20 +595,26 @@ func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, nd *
 	}
 	// A single next hop is in the compiled table; only an entry to balance
 	// (or the rare hop below that needs its address) reads the Route.
-	next, i := t.next[e], 0
+	next, i, kind := t.next[e], 0, fwdPure
 	if next < nodeNone {
+		rt := &t.entries[e]
 		var err error
-		if i, err = r.selectHop(&t.entries[e], hdr, payload, ctx, rot); err != nil {
+		if i, err = r.selectHop(rt, hdr, payload, ctx, rot); err != nil {
 			return nodeNone, nil, nil, true
 		}
 		next = t.hops[-2-next+int32(i)]
+		if rt.Balance != PerDestination {
+			kind = fwdFlow // or impure, below, if per-packet spreading drew
+		}
 	}
 	// A mid-trace routing change, resolved from the probe's own position
 	// like a flap from its virtual time. Responses, addressed to the
 	// source, are never redirected.
-	if fl := cfg.faults.Flip; fl != nil && isTransitProbe && !dst.source &&
-		t.entries[e].Hops[i].Via == fl.From && fl.toggled(flipPosition(n.seed, hdr, payload)) {
-		return n.nodeOf(fl.To), &fl.To, nil, false
+	if fl := cfg.faults.Flip; fl != nil && isTransitProbe && !dst.source {
+		if t.entries[e].Hops[i].Via == fl.From && fl.toggled(flipPosition(n.seed, hdr, payload)) {
+			return n.nodeOf(fl.To), &fl.To, nil, false
+		}
+		kind = fwdImpure
 	}
 	// NAT egress rewriting (Fig. 5): packets whose source lies inside the
 	// NAT prefix leaving for an outside adjacency get the public address.
@@ -528,6 +626,12 @@ func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, nd *
 				hdr.Src = nat.Public
 			}
 		}
+	}
+	if ctx.share {
+		if ctx.draws != draws || nat.Enabled() || next < 0 || !originated && hdr.TTL == 0 {
+			kind = fwdImpure
+		}
+		ctx.fwd = kind
 	}
 	return next, via, nil, false
 }

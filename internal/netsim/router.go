@@ -45,7 +45,9 @@
 //     pointer. The forwarding loop loads it once per router visit;
 //     SetFaults and friends publish a fresh snapshot, so routing dynamics
 //     (flaps, transient loops, a round's flip schedule) can be installed
-//     between rounds without a lock.
+//     between rounds without a lock. A mutation is seen by every exchange
+//     that starts after the mutation returns; one in flight meanwhile may
+//     see it at some visits and not at others.
 //   - Forwarding tables publish an immutable compiled snapshot behind an
 //     atomic pointer, exactly like the config snapshot: the entry list with
 //     every next hop resolved to a node id, the /32 entries toward hosts
@@ -58,8 +60,31 @@
 //     for a snapshot whose generation a registration has since outdated.
 //     Entries are never mutated in place, so indexes into a published
 //     snapshot stay valid indefinitely.
-//   - Counters (the network probe counter, per-router and per-host IP ID)
-//     are atomics.
+//   - Counters (the network probe counter, per-router and per-host IP ID,
+//     the epoch below) and the per-node return memos are atomics.
+//
+// # Resumed and replayed walks
+//
+// A batched trace's walks are linear in its path length, not quadratic: the
+// Paris premise is that every probe of a trace follows one forward path.
+// Within one ExchangeBatch, the probes toward one destination share a
+// forward ladder, and a probe resumes at the deepest hop that earlier probes
+// of the batch reached through pure decisions — a TTL of 2 or more on
+// arrival, no draw from the stream, no flip schedule, ForwardOverride or NAT
+// at the router, and a per-flow balancer's pick only for the flow that
+// started the ladder (the first probe's four transport octets). Its TTL is
+// patched once and its Steps start at that hop. A reply to the measurement
+// source is replayed from a one-word memo on the node that originated it,
+// recorded by a reply from there that came back over plain hops only (each a
+// TTL decrement from 2 or more, by a single-hop or per-destination route,
+// with no draw, ForwardOverride or NAT): its TTL is patched to the arrival
+// value and the return hops are added to its Steps. The hops either shortcut
+// skips draw nothing and stamp no IP ID, so bytes, Steps, OK and RTT are
+// those of the plain walk. Neither shortcut runs while a dynamics layer is
+// installed, where every traversal advances the probe's own clock. Both are
+// keyed by the network's epoch, which every registration, config
+// publication, route mutation and SetDynamics advances, so a mutation is
+// seen by every exchange that starts after the mutation returns.
 //
 // # Exchange contract
 //
@@ -103,7 +128,9 @@
 // time). So a trace is the same at any worker, shard or batch setting, and
 // a resumed run needs no cursor. Identical probes sent in one round take
 // the same per-packet branch; a probe's IP ID (its attempt number) is what
-// makes retries and repeated attempts draw afresh.
+// makes retries and repeated attempts draw afresh. The walk's shortcuts
+// (above) skip only hops that draw nothing, so they leave every draw as it
+// was.
 //
 // What the rule leaves out is the IP ID a router or host stamps on what it
 // originates: a per-box atomic counter, advanced in arrival order as on a
@@ -318,8 +345,9 @@ type Router struct {
 
 	// net is the one Network this router is registered in, set (under that
 	// network's write lock) by its first AddRouter/AddIface; the compiled
-	// forwarding table holds that network's node and host ids.
-	net *Network
+	// forwarding table holds that network's node and host ids. The mutators
+	// load it without that lock to bump the network's epoch.
+	net atomic.Pointer[Network]
 
 	// config is the atomically-published behavioural snapshot; see
 	// routerConfig.
@@ -375,9 +403,20 @@ func (r *Router) NumIfaces() int { return len(r.ifaces) }
 func (r *Router) updateConfig(f func(*routerConfig)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.bumpEpoch()
+	defer r.bumpEpoch()
 	cfg := *r.config.Load()
 	f(&cfg)
 	r.config.Store(&cfg)
+}
+
+// bumpEpoch advances the epoch of the network r is registered in, if any.
+// Mutators call it before and after their change, so the epoch is odd while
+// the change is in flight and has moved on once it returns (Network.epoch).
+func (r *Router) bumpEpoch() {
+	if n := r.net.Load(); n != nil {
+		n.epoch.Add(1)
+	}
 }
 
 // routerTable is the immutable compiled forwarding table: the route entries
@@ -422,6 +461,8 @@ type routerTable struct {
 func (r *Router) AddRoute(rt Route) *Router {
 	r.tableMu.Lock()
 	defer r.tableMu.Unlock()
+	r.bumpEpoch()
+	defer r.bumpEpoch()
 	r.table = append(r.table, rt)
 	r.snap.Store(nil)
 	return r
@@ -431,6 +472,8 @@ func (r *Router) AddRoute(rt Route) *Router {
 func (r *Router) SetRoutes(rts []Route) {
 	r.tableMu.Lock()
 	defer r.tableMu.Unlock()
+	r.bumpEpoch()
+	defer r.bumpEpoch()
 	r.table = append([]Route(nil), rts...)
 	r.snap.Store(nil)
 }

@@ -356,6 +356,8 @@ func (n *Network) SetDynamics(d Dynamics) {
 	dy := compileDynamics(d)
 	n.topoMu.RLock()
 	defer n.topoMu.RUnlock()
+	n.epoch.Add(1)
+	defer n.epoch.Add(1)
 	if dy != nil {
 		dy.links = make([]linkSlot, len(n.nodes))
 	}

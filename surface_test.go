@@ -17,6 +17,15 @@ package repro
 // non-test file may name forwardingHook at all, whether it declares it (a
 // function, method, interface method or field) or selects it (a call).
 //
+// Two more rules hold the non-test files outside bench/. The packages whose
+// output is a pure function of (seed, config) — netsim, measure and anomaly
+// — neither read the wall clock (time.Now) nor import math/rand; topo, which
+// draws the topology, is the exception. And there is one attribution rule:
+// which header octets say a response answers a probe is
+// internal/tracer/flowkey's to decide, so no file names the tracer's deleted
+// second copy (matchQuoted, matchUDPChecksum, a type expect) and the alias
+// file internal/tracer/live/match.go does not exist.
+//
 // It also holds the one probing path, in every Go file, tests included:
 // there is one TTL ladder (engine.trace), every transport batches, and the
 // one live transport is the mux. No file may declare (as a function, method,
@@ -104,6 +113,57 @@ func checkProbingPath(t *testing.T, fset *token.FileSet, f *ast.File) {
 	})
 }
 
+// purePackages are the packages whose non-test files may neither call
+// time.Now nor import math/rand.
+var purePackages = map[string]bool{
+	"repro/internal/netsim":  true,
+	"repro/internal/measure": true,
+	"repro/internal/anomaly": true,
+}
+
+// deletedAttribution are the identifiers of the tracer's deleted second
+// attribution rule: the quoted-header check and its UDP checksum test. Its
+// expectation struct was a type named expect.
+var deletedAttribution = map[string]bool{"matchQuoted": true, "matchUDPChecksum": true}
+
+// deletedMatchFile is the file the mux once reached flowkey through.
+const deletedMatchFile = "internal/tracer/live/match.go"
+
+// checkProgramRules holds a non-test file of package pkg, outside bench/, to
+// the determinism rule of the pure packages and to the one attribution
+// rule.
+func checkProgramRules(t *testing.T, fset *token.FileSet, pkg string, f *ast.File) {
+	pure, timeName := purePackages[pkg], ""
+	for _, im := range f.Imports {
+		switch ip, _ := strconv.Unquote(im.Path.Value); {
+		case pure && (ip == "math/rand" || ip == "math/rand/v2"):
+			t.Errorf("%s: %s imports %s; its draws are keyed by (seed, round, probe), never by a shared generator", fset.Position(im.Pos()), pkg, ip)
+		case ip == "time":
+			timeName = "time"
+			if im.Name != nil {
+				timeName = im.Name.Name
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if deletedAttribution[n.Name] {
+				t.Errorf("%s: %s is the deleted second attribution rule: internal/tracer/flowkey decides which response answers a probe", fset.Position(n.Pos()), n.Name)
+			}
+		case *ast.TypeSpec:
+			if n.Name.Name == "expect" {
+				t.Errorf("%s: type expect is the deleted second attribution rule: internal/tracer/flowkey decides which response answers a probe", fset.Position(n.Pos()))
+			}
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && pure && x.Name == timeName && n.Sel.Name == "Now" {
+				t.Errorf("%s: %s reads the wall clock; its output is a pure function of (seed, config)", fset.Position(n.Pos()), pkg)
+			}
+		}
+		return true
+	})
+}
+
 // testSupport lists the packages only _test.go files may import.
 var testSupport = map[string]bool{
 	"repro/internal/ckpt/ckpttest": true,
@@ -142,6 +202,10 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 			if strings.HasSuffix(e.Name(), "_test.go") {
 				continue
 			}
+			inBench := pkg == "repro/bench" || strings.HasPrefix(pkg, "repro/bench/")
+			if !inBench {
+				checkProgramRules(t, fset, pkg, f)
+			}
 			imports := map[string]string{}
 			for _, im := range f.Imports {
 				ip, _ := strconv.Unquote(im.Path.Value)
@@ -170,7 +234,7 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 				}
 				return true
 			})
-			if f.Name.Name == "main" || pkg == "repro/bench" || strings.HasPrefix(pkg, "repro/bench/") {
+			if f.Name.Name == "main" || inBench {
 				continue
 			}
 			for _, decl := range f.Decls {
@@ -208,6 +272,9 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 // TestSurface holds the module's exports to the ledger.
 func TestSurface(t *testing.T) {
 	exports, namedBy := scanSurface(t)
+	if _, err := os.Stat(deletedMatchFile); err == nil {
+		t.Errorf("%s exists: the mux reaches internal/tracer/flowkey directly", deletedMatchFile)
+	}
 
 	listed := map[string]string{}
 	f, err := os.Open(surfaceList)
