@@ -90,19 +90,26 @@ type exchCtx struct {
 	// dyn is the dynamics layer, nil when disabled; clk is this exchange's
 	// clock on it, reset per probe — each exchange keeps its own time (see
 	// vclock.go on why batches are not interleaved by virtual time).
-	dyn *dynamics
-	clk vclock
+	// scratch holds the draws of a link into an unregistered adjacency,
+	// which has no slot of its own.
+	dyn     *dynamics
+	clk     vclock
+	scratch linkSlot
 
 	// share says the exchange may resume on the ladder and replay return
-	// memos: no dynamics layer, and epoch, read as the exchange starts, is
-	// even. fwd classifies routerForward's last decision for both.
+	// memos: epoch, read as the exchange starts, is even. fwd classifies
+	// routerForward's last decision for both, and rot is the rotation it
+	// balanced under (-1: it did not balance).
 	share bool
 	epoch uint64
 	fwd   fwdKind
+	rot   int8
 	lad   ladder
 	// skipFwd and skipRet count the steps this batch's shortcuts skipped,
-	// for the network's tally.
+	// and handed, by cause, the walks they gave back to the plain walk (or
+	// lost), all for the network's tally.
 	skipFwd, skipRet int
+	handed           [numHandovers]int
 }
 
 // stream returns the exchange's random stream, a pure function of (network
@@ -143,7 +150,10 @@ const maxLadder = 64
 // more. Every hop serves the flow that started the ladder (owner: its first
 // four transport octets); other flows use nodes[:shared], which ends at the
 // first per-flow balancer. A ladder is keyed by its network, epoch and key,
-// and starts afresh when a probe differs in any of them.
+// and starts afresh when a probe differs in any of them. Under dynamics,
+// rots[k] is the rotation nodes[k] balanced under on the way to nodes[k+1]
+// (-1: a single next hop), which a probe at another virtual time must meet
+// again to climb past it (Network.climb).
 type ladder struct {
 	net       *Network
 	epoch     uint64
@@ -153,6 +163,7 @@ type ladder struct {
 	dst       dstRef // the destination, resolved once per ladder
 	n, shared int
 	nodes     [maxLadder]int32
+	rots      [maxLadder]int8
 }
 
 // ladderKey is the header a flow key hashes, less the transport octets
@@ -193,8 +204,9 @@ func (l *ladder) place(n *Network, epoch uint64, hdr *packet.IPv4, payload []byt
 
 // extend records next as the node after hop steps+1 when the probe walked
 // there from the ladder's frontier through a decision that holds for it,
-// and reports whether the probe is still on the ladder.
-func (l *ladder) extend(steps int, next int32, kind fwdKind) bool {
+// made under rotation rot, and reports whether the probe is still on the
+// ladder.
+func (l *ladder) extend(steps int, next int32, kind fwdKind, rot int8) bool {
 	switch {
 	case steps+1 != l.n || l.n == maxLadder || kind == fwdImpure:
 		return false
@@ -203,14 +215,32 @@ func (l *ladder) extend(steps int, next int32, kind fwdKind) bool {
 	case kind == fwdPure && l.shared == l.n:
 		l.shared++
 	}
+	l.rots[l.n-1] = rot
 	l.nodes[l.n] = next
 	l.n++
 	return true
 }
 
+// The causes for which a shortcut under dynamics hands its walk back at a
+// skipped hop, or loses the packet there: the ladder's climb meets a flap,
+// another rotation or a brownout; a reply's replay meets a flap or a
+// brownout.
+const (
+	handLadderFlap = iota
+	handLadderRot
+	handLadderBrown
+	handMemoFlap
+	handMemoBrown
+	numHandovers
+)
+
 // walkTally counts the steps exchanges reported and those the shortcuts
-// skipped: forward on the ladder, back from return memos.
-type walkTally struct{ steps, fwd, ret atomic.Int64 }
+// skipped: forward on the ladder, back from return memos; and the walks the
+// shortcuts handed back under dynamics, by cause.
+type walkTally struct {
+	steps, fwd, ret atomic.Int64
+	handed          [numHandovers]atomic.Int64
+}
 
 // ExchangeBatch performs len(probes) probe/response exchanges as one unit of
 // work, writing the i-th outcome into out[i]; out must be at least as long
@@ -251,16 +281,15 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 	vround := n.vround.Load()
 	ctx.key = n.seed ^ keyhash.Mix64(uint64(vround))
 	// A ladder lives for one batch: the probes of a trace window.
-	ctx.share, ctx.skipFwd, ctx.skipRet, ctx.lad.net = false, 0, 0, nil
+	ctx.skipFwd, ctx.skipRet, ctx.handed, ctx.lad.net = 0, 0, [numHandovers]int{}, nil
 
 	for i, probe := range probes {
 		ctx.probe, ctx.seeded = probe, false
 		if ctx.dyn != nil {
 			ctx.clk.reset(ctx.dyn.probeStart(vround, probe))
-		} else {
-			ctx.epoch = n.epoch.Load()
-			ctx.share = ctx.epoch&1 == 0 && !n.plain
 		}
+		ctx.epoch = n.epoch.Load()
+		ctx.share = ctx.epoch&1 == 0 && !n.plain
 		// Copy: forwarding mutates TTL/checksum/src in place.
 		resp, steps, ok := n.run(ctx, ctx.arena.copyOf(probe))
 		out[i].Steps, out[i].OK = steps, ok
@@ -284,5 +313,8 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 		}
 		t.fwd.Add(int64(ctx.skipFwd))
 		t.ret.Add(int64(ctx.skipRet))
+		for c, k := range ctx.handed {
+			t.handed[c].Add(int64(k))
+		}
 	}
 }

@@ -154,15 +154,26 @@ func TestConcurrentExchangesWithRoutingDynamics(t *testing.T) {
 
 // TestConcurrentTracesUnderMutation traces every destination from eight
 // goroutines while a ninth keeps republishing, unchanged, the forwarding
-// table of every router the routes cross, and removing a dynamics layer
-// that is not there. Each mutation retires the ladders and return memos in
-// flight, so the walks keep switching between their shortcuts and the plain
-// walk, and the routes must still be the sequential ones. Under -race this
-// is the gate of the epoch that retires them.
+// table of every router the routes cross, and reinstalling the dynamics
+// layer the network already has (none, or a full one). Each mutation
+// retires the ladders and return memos in flight, so the walks keep
+// switching between their shortcuts and the plain walk, and the routes must
+// still be the sequential ones. Under -race this is the gate of the epoch
+// that retires them.
 func TestConcurrentTracesUnderMutation(t *testing.T) {
+	for name, dyn := range map[string]netsim.Dynamics{
+		"static":   {},
+		"dynamics": {Seed: 9, Delay: 1, Load: 0.3, Churn: 0.5},
+	} {
+		t.Run(name, func(t *testing.T) { tracesUnderMutation(t, dyn) })
+	}
+}
+
+func tracesUnderMutation(t *testing.T, dyn netsim.Dynamics) {
 	cfg := topo.DefaultGenConfig()
 	cfg.Destinations = 96
 	sc := topo.Generate(cfg)
+	sc.Net.SetDynamics(dyn)
 	sc.RoundStart(0)
 	tp := netsim.NewTransport(sc.Net)
 	opts := tracer.Options{MinTTL: 2, MaxTTL: 39, Batch: true}
@@ -198,7 +209,7 @@ func TestConcurrentTracesUnderMutation(t *testing.T) {
 			r := routers[i%len(routers)]
 			r.SetRoutes(r.Routes())
 			if i%16 == 0 {
-				sc.Net.SetDynamics(netsim.Dynamics{})
+				sc.Net.SetDynamics(dyn)
 			}
 		}
 	}()

@@ -34,7 +34,31 @@ func (n *Network) WalkPlain() { n.plain = true }
 // reader: the steps they reported, and how many of those the forward ladder
 // and the return memos skipped. Call it before the first exchange.
 func (n *Network) CountWalks() func() (steps, fwd, ret int64) {
-	t := new(walkTally)
-	n.tally = t
+	t := n.countWalks()
 	return func() (int64, int64, int64) { return t.steps.Load(), t.fwd.Load(), t.ret.Load() }
+}
+
+// Handovers counts, by cause, the walks the shortcuts gave back to the plain
+// walk under dynamics — the ladder's climb at a flap or another rotation,
+// a reply's replay at a flap — and the packets they lost to a brownout.
+type Handovers struct{ LadderFlap, LadderRot, LadderBrown, MemoFlap, MemoBrown int64 }
+
+// CountHandovers is CountWalks' sibling: it reads the same tally's
+// handovers. Call it before the first exchange.
+func (n *Network) CountHandovers() func() Handovers {
+	t := n.countWalks()
+	return func() Handovers {
+		return Handovers{
+			t.handed[handLadderFlap].Load(), t.handed[handLadderRot].Load(), t.handed[handLadderBrown].Load(),
+			t.handed[handMemoFlap].Load(), t.handed[handMemoBrown].Load(),
+		}
+	}
+}
+
+// countWalks returns the network's tally, starting it on first use.
+func (n *Network) countWalks() *walkTally {
+	if n.tally == nil {
+		n.tally = new(walkTally)
+	}
+	return n.tally
 }

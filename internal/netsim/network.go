@@ -369,10 +369,12 @@ func (n *Network) resolveDst(a netip.Addr) dstRef {
 // virtual clock and the forward ladder.
 //
 // With ctx.share set, the probe resumes at the deepest ladder hop its TTL
-// reaches, and a reply replays its originator's return memo; the walk keeps
-// both up to date as it goes (probe: the packet is the probe, on the ladder;
-// ret: the node whose reply is in flight, retAt its step of origination,
-// while every hop since was plain).
+// reaches (under dynamics, the deepest its own clock lets it climb to), and
+// a reply to the source replays its originator's return memo (under
+// dynamics, the up words of the nodes on its way); the walk keeps them up to
+// date as it goes (probe: the packet is the probe, on the ladder; ret: the
+// node whose reply is in flight, retAt its step of origination, while every
+// hop since was plain).
 func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool) {
 	var hdr packet.IPv4
 	payload, err := packet.ParseIPv4Into(pkt, &hdr)
@@ -382,25 +384,32 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 	at, originated := n.srcGW, false
 	probe, ret, retAt := ctx.share, nodeNone, 0
 	var dst dstRef
+	hop := 1
 	if ctx.share {
-		var h int
-		dst, h = ctx.lad.place(n, ctx.epoch, &hdr, payload)
-		// One patch leaves the checksum h-1 decrements would (RFC 1624).
-		if h > 1 && packet.PatchTTL(pkt, hdr.TTL-uint8(h-1)) == nil {
-			at, steps, hdr.TTL = ctx.lad.nodes[h-1], h-1, hdr.TTL-uint8(h-1)
-			ctx.skipFwd += h - 1
-		}
+		dst, hop = ctx.lad.place(n, ctx.epoch, &hdr, payload)
 	} else {
 		dst = n.resolveDst(hdr.Dst)
 	}
 	// Injection crosses the first link (source → gateway) on the virtual
 	// clock; every further traversal is charged where the packet moves
-	// (host handoff, loop bottom). Originated ICMP replies are built in
-	// place and charge nothing until they move.
-	if ctx.dyn != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
-		return nil, 0, false
+	// (ladder climb, host handoff, loop bottom, replay). Originated ICMP
+	// replies are built in place and charge nothing until they move.
+	if ctx.dyn != nil {
+		if !n.advanceClock(ctx, at, nil, len(pkt)) {
+			return nil, 0, false
+		}
+		if hop > 1 {
+			if hop, ok = n.climb(ctx, hop, len(pkt)); !ok {
+				return nil, hop - 1, false
+			}
+		}
 	}
-	for ; steps < n.maxSteps; steps++ {
+	// One patch leaves the checksum hop-1 decrements would (RFC 1624).
+	if hop > 1 && packet.PatchTTL(pkt, hdr.TTL-uint8(hop-1)) == nil {
+		at, steps, hdr.TTL = ctx.lad.nodes[hop-1], hop-1, hdr.TTL-uint8(hop-1)
+		ctx.skipFwd += hop - 1
+	}
+	for steps < n.maxSteps {
 		// Final delivery to the measurement source.
 		if at == n.srcNode && dst.source {
 			if ret >= 0 {
@@ -422,7 +431,8 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 			if r == nil {
 				return nil, steps, false
 			}
-			if ret = nodeNone; ctx.share && hdr.Src == n.source {
+			toSrc := ctx.share && hdr.Src == n.source
+			if ret = nodeNone; toSrc && ctx.dyn == nil {
 				if s, ok := n.replay(ctx, at, r, steps); ok {
 					return r, s, true
 				}
@@ -435,6 +445,12 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 			dst = n.resolveDst(hdr.Dst)
 			if ctx.dyn != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
 				return nil, steps, false
+			}
+			steps++
+			if toSrc && ctx.dyn != nil {
+				if resp, done := n.replayUp(ctx, &at, &steps, &originated, pkt, &hdr); done {
+					return resp, steps, resp != nil
+				}
 			}
 			continue
 		}
@@ -461,21 +477,27 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 		}
 		if reply == nil {
 			// Forwarding decision.
-			next, via, rep, dropped := n.routerForward(ctx, r, cfg, nd, &dst, pkt, &hdr, payload, originated)
+			next, via, rep, dropped := n.routerForward(ctx, r, cfg, at, &dst, pkt, &hdr, payload, originated)
 			if dropped {
 				return nil, steps, false
 			}
 			if rep == nil {
-				if ctx.dyn != nil && !n.advanceClock(ctx, next, via, len(pkt)) {
-					return nil, steps, false
+				if ctx.dyn != nil {
+					if ctx.share && dst.source && ctx.fwd == fwdPure && ctx.rot < 0 {
+						n.markUp(ctx, at, next, !originated)
+					}
+					if !n.advanceClock(ctx, next, via, len(pkt)) {
+						return nil, steps, false
+					}
 				}
 				if probe {
-					probe = ctx.lad.extend(steps, next, ctx.fwd)
+					probe = ctx.lad.extend(steps, next, ctx.fwd, ctx.rot)
 				}
 				if ctx.fwd != fwdPure {
 					ret = nodeNone
 				}
 				at, originated = next, false
+				steps++
 				continue
 			}
 			reply = rep
@@ -483,7 +505,8 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 		// The router originated a packet of its own: a new packet version.
 		// A reply goes to the triggering packet's source: to the measurement
 		// source, it takes the path every reply from here takes.
-		if ret = nodeNone; ctx.share && hdr.Src == n.source {
+		toSrc := ctx.share && hdr.Src == n.source
+		if ret = nodeNone; toSrc && ctx.dyn == nil {
 			if s, ok := n.replay(ctx, at, reply, steps); ok {
 				return reply, s, true
 			}
@@ -494,8 +517,42 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 			return nil, steps, false
 		}
 		dst = n.resolveDst(hdr.Dst)
+		steps++ // the reply leaves from the node that originated it
+		if toSrc && ctx.dyn != nil {
+			if resp, done := n.replayUp(ctx, &at, &steps, &originated, pkt, &hdr); done {
+				return resp, steps, resp != nil
+			}
+		}
 	}
 	return nil, steps, false
+}
+
+// climb carries a probe the ladder places at hop h up from the source
+// gateway on its own virtual clock, as the plain walk would: at each hop
+// below h it re-checks the probe's time-dependent draws — a flap at the
+// node and, where the node balanced, the rotation the ladder recorded — and
+// charges the link to the next node. It returns the hop the walk resumes
+// at: h, or the first whose draw differs, which the plain walk then takes
+// from its arrival there. ok is false when a link on the way is browned
+// out: the probe is lost, leaving the hop returned.
+func (n *Network) climb(ctx *exchCtx, h, pktLen int) (hop int, ok bool) {
+	dy, l := ctx.dyn, &ctx.lad
+	for j := 0; j < h-1; j++ {
+		s := n.link(ctx, l.nodes[j])
+		if dy.flapActive(s, ctx.clk.now) {
+			ctx.handed[handLadderFlap]++
+			return j + 1, true
+		}
+		if rot := l.rots[j]; rot >= 0 && dy.weightRot(s, ctx.clk.now) != int(rot) {
+			ctx.handed[handLadderRot]++
+			return j + 1, true
+		}
+		if !n.advanceClock(ctx, l.nodes[j+1], nil, pktLen) {
+			ctx.handed[handLadderBrown]++
+			return j + 1, false
+		}
+	}
+	return h, true
 }
 
 // epochMask keeps the epoch bits a return memo holds.
@@ -505,6 +562,7 @@ const epochMask = 1<<40 - 1
 // return memo, as the plain walk it records would: the TTL patched to its
 // arrival value (one patch, the checksum of every decrement) and the steps
 // added. It reports false when the memo is from another epoch, or unset.
+// Without dynamics only; replayUp is its counterpart under dynamics.
 func (n *Network) replay(ctx *exchCtx, node int32, pkt []byte, steps int) (int, bool) {
 	w := n.nodes[node].ret.Load()
 	hops := int(w>>8) & 0xffff
@@ -513,6 +571,79 @@ func (n *Network) replay(ctx *exchCtx, node int32, pkt []byte, steps int) (int, 
 	}
 	ctx.skipRet += hops - 1 // all but the visit that originated it
 	return steps + hops, true
+}
+
+// upTransit marks an up word recorded by a reply in transit. A router
+// treats its own replies more leniently than transit traffic (no TTL
+// check, fault or flap applies to them), so only such a word serves a reply
+// in transit; either serves one leaving the node that originated it.
+const upTransit = 1 << 31
+
+// markUp records, in node at's up word, that a reply to the source moves
+// from there to next at this epoch, in transit or not (see linkSlot). A word
+// is written only when it changes, and never to demote a transit word.
+func (n *Network) markUp(ctx *exchCtx, at, next int32, transit bool) {
+	w := uint64(uint32(ctx.epoch))<<32 | uint64(uint32(next))
+	if transit {
+		w |= upTransit
+	}
+	up := &ctx.dyn.links[at].up
+	if cur := up.Load(); cur != w && (transit || cur>>32 != w>>32) {
+		up.Store(w)
+	}
+}
+
+// replayUp carries a reply to the source along the up words of the nodes it
+// reaches, starting from the walk's state (at, steps, originated) and
+// keeping it as the plain walk would: every move charges the link on the
+// reply's clock, and a router the reply transits must see it arrive with a
+// TTL of 2 or more and have no flap active. done reports the reply delivered
+// (resp is pkt) or lost on a browned-out link (resp is nil), with *steps the
+// plain walk's. Otherwise the walk takes over where the replay stopped — at
+// a node whose up word is from another epoch or unset, a flap or a low TTL —
+// with the TTL patched to its arrival there.
+func (n *Network) replayUp(ctx *exchCtx, at *int32, steps *int, originated *bool, pkt []byte, hdr *packet.IPv4) (resp []byte, done bool) {
+	dy, epoch := ctx.dyn, uint32(ctx.epoch)
+	cur, s, transit, ttl := *at, *steps, !*originated, hdr.TTL
+	for {
+		if transit && cur == n.srcNode {
+			resp, done = pkt, true
+			break
+		}
+		if cur < 0 || s+1 >= n.maxSteps {
+			break
+		}
+		link := n.link(ctx, cur)
+		w := link.up.Load()
+		if uint32(w>>32) != epoch || transit && w&upTransit == 0 {
+			break
+		}
+		if transit {
+			if ttl < 2 {
+				break
+			}
+			if dy.flapActive(link, ctx.clk.now) {
+				ctx.handed[handMemoFlap]++
+				break
+			}
+		}
+		next := int32(uint32(w) &^ upTransit)
+		if !n.advanceClock(ctx, next, nil, len(pkt)) {
+			ctx.handed[handMemoBrown]++
+			done = true
+			break
+		}
+		if transit {
+			ttl--
+		}
+		cur, s, transit = next, s+1, true
+	}
+	ctx.skipRet += s - *steps
+	*at, *steps, *originated = cur, s, !transit
+	if ttl != hdr.TTL && packet.PatchTTL(pkt, ttl) == nil {
+		hdr.TTL = ttl
+	}
+	return resp, done
 }
 
 // routerTTLCheck applies TTL processing for a transit packet arriving at
@@ -560,23 +691,24 @@ func routerTTLCheck(ctx *exchCtx, r *Router, cfg *routerConfig, nd *netNode, pkt
 // single next hop or a per-destination pick, flow for a per-flow pick,
 // impure when it drew, redirected (ForwardOverride, a flip schedule's
 // router), rewrote (NAT) or forwarded a zero TTL, or leads to no node.
-func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, nd *netNode, dst *dstRef, pkt []byte, hdr *packet.IPv4, payload []byte, originated bool) (next int32, via *netip.Addr, reply []byte, dropped bool) {
-	ctx.fwd = fwdImpure
+func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, at int32, dst *dstRef, pkt []byte, hdr *packet.IPv4, payload []byte, originated bool) (next int32, via *netip.Addr, reply []byte, dropped bool) {
+	ctx.fwd, ctx.rot = fwdImpure, -1
 	draws := ctx.draws
+	nd := &n.nodes[at]
 	isTransitProbe := !originated
 	if cfg.faults.Unreachable && isTransitProbe {
 		return nodeNone, nil, originateUnreachable(ctx, r, cfg, nd.addr(), pkt, hdr, payload), false
 	}
 	// Scheduled dynamics at this router, evaluated functionally from the
-	// arrival interface and the virtual arrival time (never from router
-	// state, which concurrent probes at different virtual times share).
-	var rot int
+	// arrival link and the virtual arrival time (never from router state,
+	// which concurrent probes at different virtual times share).
+	var link *linkSlot
 	if ctx.dyn != nil {
-		if isTransitProbe && ctx.dyn.flapActive(nd.key, ctx.clk.now) {
+		link = n.link(ctx, at)
+		if isTransitProbe && ctx.dyn.flapActive(link, ctx.clk.now) {
 			// Route flap: transit routes transiently withdrawn.
 			return nodeNone, nil, originateUnreachable(ctx, r, cfg, nd.addr(), pkt, hdr, payload), false
 		}
-		rot = ctx.dyn.weightRot(nd.key, ctx.clk.now)
 	}
 	if cfg.faults.ForwardOverride.IsValid() && !originated {
 		// The transient-loop gadget is rare enough to resolve per use.
@@ -598,6 +730,11 @@ func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, nd *
 	next, i, kind := t.next[e], 0, fwdPure
 	if next < nodeNone {
 		rt := &t.entries[e]
+		rot := 0
+		if link != nil {
+			rot = ctx.dyn.weightRot(link, ctx.clk.now)
+		}
+		ctx.rot = int8(rot)
 		var err error
 		if i, err = r.selectHop(rt, hdr, payload, ctx, rot); err != nil {
 			return nodeNone, nil, nil, true

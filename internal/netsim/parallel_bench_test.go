@@ -70,8 +70,11 @@ func BenchmarkExchangeParallel(b *testing.B) {
 // BenchmarkExchangeLadder is the walk as the study drives it: one 16-probe
 // TTL ladder per ExchangeBatch, toward rotating destinations of a
 // 500-destination campaign topology with its first round's flip schedules
-// published, dynamics off or on. ns/probe is the per-probe cost; allocs/op
-// must stay 0 (TestWalkStepBudget).
+// published, dynamics off or on. Both shortcuts run either way: with
+// dynamics on, a skipped hop still charges its link and re-checks the
+// probe's flap, rotation and brownout draws, so the difference between the
+// two is the dynamics layer itself. ns/probe is the per-probe cost;
+// allocs/op must stay 0 (TestWalkStepBudget).
 func BenchmarkExchangeLadder(b *testing.B) {
 	for _, dynamics := range []string{"off", "on"} {
 		b.Run("dynamics="+dynamics, func(b *testing.B) {

@@ -61,7 +61,8 @@
 //     Entries are never mutated in place, so indexes into a published
 //     snapshot stay valid indefinitely.
 //   - Counters (the network probe counter, per-router and per-host IP ID,
-//     the epoch below) and the per-node return memos are atomics.
+//     the epoch below), the per-node return memos and, under dynamics, the
+//     per-node up words and link draws are atomics.
 //
 // # Resumed and replayed walks
 //
@@ -80,11 +81,30 @@
 // with no draw, ForwardOverride or NAT): its TTL is patched to the arrival
 // value and the return hops are added to its Steps. The hops either shortcut
 // skips draw nothing and stamp no IP ID, so bytes, Steps, OK and RTT are
-// those of the plain walk. Neither shortcut runs while a dynamics layer is
-// installed, where every traversal advances the probe's own clock. Both are
-// keyed by the network's epoch, which every registration, config
-// publication, route mutation and SetDynamics advances, so a mutation is
-// seen by every exchange that starts after the mutation returns.
+// those of the plain walk.
+//
+// Under dynamics the shortcuts skip only a hop's static work: the TTL
+// patch, config load, table lookup and balancer hash. The packet's own clock
+// still crosses every link. A resumed probe is charged the injection link,
+// then climbs the ladder: at each node below its hop it checks that no flap
+// is active and, where the node balanced, that the rotation is the one the
+// ladder recorded, and is charged the link to the next node. A reply to the
+// source follows the up words of the nodes it reaches instead of one memo.
+// A node's up word names the node a reply to the source moves to next; the
+// walk writes it on each plain hop, and under dynamics only a single next
+// hop is plain (a per-destination pick moves with the rotation). A word a
+// node's own reply wrote serves only the replies it originates, which skip
+// the checks transit traffic meets. The replay
+// charges each link, and at each router the reply transits it checks the
+// TTL and that no flap is active. At the first check that fails, or at a
+// stale up word, the packet goes back to the plain walk in the plain walk's
+// state: node, Steps and clock, with the TTL patched once. A browned-out
+// link loses the packet, with the Steps the plain walk reports.
+//
+// Both shortcuts are keyed by the network's epoch, which every
+// registration, config publication, route mutation and SetDynamics
+// advances, so a mutation is seen by every exchange that starts after the
+// mutation returns.
 //
 // # Exchange contract
 //

@@ -126,25 +126,44 @@ type dynamics struct {
 	seed     uint64
 	delay    float64
 	load     float64
-	churn    float64
 	roundDur int64
 	// qFactor is the precomputed M/M/1 intensity term load/(1-load).
 	qFactor float64
 	// Each purpose's stream base, Mix64(seed ^ salt): the first link of
 	// every linkHash chain, hashed once here instead of on every draw.
 	propBase, bwBase, burstBase, flapBase, brownBase, rotBase uint64
-	// links caches each link's time-invariant delay parameters, indexed by
-	// the receiving node's id and filled on first crossing. SetDynamics
-	// sizes it to the registry and registration grows it (both under
-	// topoMu), so it lasts as long as this layer is installed.
+	// flapThr, brownThr and rotThr are the churn-scaled window
+	// probabilities p as integer thresholds ceil(p·2^53): h>>11 < thr
+	// decides exactly as u01(h) < p does (both sides are exact: h>>11 is
+	// an integer below 2^53, and p·2^53 only moves p's exponent). Zero
+	// when Churn is.
+	flapThr, brownThr, rotThr uint64
+	// links holds each link's time-invariant draws, indexed by the
+	// receiving node's id and filled on first use (Network.link).
+	// SetDynamics sizes it to the registry and registration grows it (both
+	// under topoMu), so it lasts as long as this layer is installed.
 	links []linkSlot
 }
 
-// linkSlot is one link's cached linkParams as float bits, drawn by whichever
-// exchange crosses the link first. The parameters are a pure function of
-// (seed, link address), so racing fills store the same bits; bw is never
-// zero once drawn, which is what marks the slot filled.
-type linkSlot struct{ prop, bw atomic.Uint64 }
+// linkSlot is everything about the link into one node that does not depend
+// on virtual time, drawn by whichever exchange uses the link first: the
+// propagation delay (Delay-scaled), the bandwidth and the queueing term
+// qFactor·(crossPktBits/bw) as float bits, and the link's four per-purpose
+// hashes linkHash(base, k), so that a window's draw is the one Mix64 of
+// windowHash. They are a pure function of (seed, link address), so racing
+// fills store the same bits; bw, stored last and never zero, marks the slot
+// filled.
+//
+// up is not a draw: it is the return walk's memo at this node — the epoch
+// (top 32 bits), whether a reply in transit wrote it (upTransit) and the
+// node (low 31 bits) a reply to the source moves to from here — recorded by
+// the walk on each plain hop of such a reply and followed by
+// Network.replayUp.
+type linkSlot struct {
+	prop, bw, queue         atomic.Uint64
+	burst, flap, brown, rot atomic.Uint64
+	up                      atomic.Uint64
+}
 
 // compileDynamics clamps and precomputes a Dynamics value; nil when
 // disabled.
@@ -171,7 +190,6 @@ func compileDynamics(d Dynamics) *dynamics {
 		seed:     d.Seed,
 		delay:    d.Delay,
 		load:     d.Load,
-		churn:    d.Churn,
 		roundDur: int64(d.RoundDuration),
 
 		propBase:  keyhash.Mix64(d.Seed ^ saltProp),
@@ -180,6 +198,10 @@ func compileDynamics(d Dynamics) *dynamics {
 		flapBase:  keyhash.Mix64(d.Seed ^ saltFlap),
 		brownBase: keyhash.Mix64(d.Seed ^ saltBrown),
 		rotBase:   keyhash.Mix64(d.Seed ^ saltRot),
+
+		flapThr:  threshold(flapProb * d.Churn),
+		brownThr: threshold(brownProb * d.Churn),
+		rotThr:   threshold(rotProb * d.Churn),
 	}
 	if dy.roundDur <= 0 {
 		dy.roundDur = defaultRoundDur
@@ -190,6 +212,9 @@ func compileDynamics(d Dynamics) *dynamics {
 	return dy
 }
 
+// threshold is the integer form ceil(p·2^53) of a probability p in [0, 1].
+func threshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
 // u01 maps a hash to a uniform sample in [0, 1).
 func u01(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
@@ -197,8 +222,8 @@ func u01(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 // summing six chained uniforms (Irwin–Hall, variance 1/2, rescaled). The
 // tails are clipped at ±3·sqrt(2), which is fine for delay modelling — the
 // lognormal transform below supplies the heavy tail. It serves only the two
-// per-link draws (propagation and bandwidth), which paramsOf caches, so its
-// seven hashes are paid once per link; the per-crossing burst reads
+// per-link draws (propagation and bandwidth), which a linkSlot caches, so
+// its seven hashes are paid once per link; the per-crossing burst reads
 // burstTable instead.
 func stdNormal(h uint64) float64 {
 	s := 0.0
@@ -229,57 +254,38 @@ func linkHash(base, k uint64) uint64 {
 	return keyhash.Mix64(base ^ k)
 }
 
-// windowHash derives the per-(link, time window) draw stream.
-func windowHash(base, k uint64, window int64) uint64 {
-	return keyhash.Mix64(linkHash(base, k) ^ uint64(window))
+// windowHash derives the per-(link, time window) draw stream from the link's
+// hash for that purpose (a linkSlot field).
+func windowHash(link uint64, window int64) uint64 {
+	return keyhash.Mix64(link ^ uint64(window))
 }
 
-// linkParams is the time-invariant part of one link's delay model; it
-// depends only on (seed, link).
-type linkParams struct {
-	propNs      float64 // propagation delay, already Delay-scaled
-	bwBitsPerNs float64 // serialization bandwidth
+// fill draws the link into interface k into s.
+func (dy *dynamics) fill(s *linkSlot, k uint32) {
+	prop := dy.delay * basePropNs * math.Exp(sigmaProp*stdNormal(linkHash(dy.propBase, uint64(k))))
+	bw := baseBWBitsPerNs * math.Exp(sigmaBW*stdNormal(linkHash(dy.bwBase, uint64(k))))
+	s.prop.Store(math.Float64bits(prop))
+	s.queue.Store(math.Float64bits(dy.qFactor * (crossPktBits / bw)))
+	s.burst.Store(linkHash(dy.burstBase, uint64(k)))
+	s.flap.Store(linkHash(dy.flapBase, uint64(k)))
+	s.brown.Store(linkHash(dy.brownBase, uint64(k)))
+	s.rot.Store(linkHash(dy.rotBase, uint64(k)))
+	s.bw.Store(math.Float64bits(bw))
 }
 
-// paramsOf draws (or recalls) the propagation delay and bandwidth of the
-// link into interface k. The draws hash the address key; the node id `to`
-// (nodeNone for an unregistered adjacency) only locates the cache slot.
-func (dy *dynamics) paramsOf(k uint32, to int32) linkParams {
-	var slot *linkSlot
-	if to >= 0 {
-		slot = &dy.links[to]
-		if bw := slot.bw.Load(); bw != 0 {
-			return linkParams{propNs: math.Float64frombits(slot.prop.Load()), bwBitsPerNs: math.Float64frombits(bw)}
-		}
-	}
-	p := linkParams{
-		propNs:      dy.delay * basePropNs * math.Exp(sigmaProp*stdNormal(linkHash(dy.propBase, uint64(k)))),
-		bwBitsPerNs: baseBWBitsPerNs * math.Exp(sigmaBW*stdNormal(linkHash(dy.bwBase, uint64(k)))),
-	}
-	if slot != nil {
-		slot.prop.Store(math.Float64bits(p.propNs))
-		slot.bw.Store(math.Float64bits(p.bwBitsPerNs))
-	}
-	return p
-}
-
-// linkDelay is the virtual time a pktLen-byte packet spends crossing the
-// link into interface k (node `to`) when it departs at virtual time now:
-// propagation plus serialization (both Delay-scaled, time-invariant per
-// link) plus the load-driven queueing term (its burst factor redrawn per
-// burst bucket from burstTable). Always at least 1ns, so the clock strictly
-// advances.
-func (dy *dynamics) linkDelay(k uint32, to int32, now int64, pktLen int) int64 {
+// linkDelay is the virtual time a pktLen-byte packet spends crossing link s
+// when it departs at virtual time now: propagation plus serialization (both
+// Delay-scaled, time-invariant per link) plus the load-driven queueing term
+// (its burst factor redrawn per burst bucket from burstTable). Always at
+// least 1ns, so the clock strictly advances.
+func (dy *dynamics) linkDelay(s *linkSlot, now int64, pktLen int) int64 {
 	ns := 0.0
-	if dy.delay > 0 || dy.load > 0 {
-		p := dy.paramsOf(k, to)
-		if dy.delay > 0 {
-			ns += p.propNs + float64(pktLen*8)/p.bwBitsPerNs
-		}
-		if dy.load > 0 {
-			burst := burstTable[windowHash(dy.burstBase, uint64(k), now/burstBucketNs)>>(64-burstTableBits)]
-			ns += dy.qFactor * (crossPktBits / p.bwBitsPerNs) * burst
-		}
+	if dy.delay > 0 {
+		ns += math.Float64frombits(s.prop.Load()) + float64(pktLen*8)/math.Float64frombits(s.bw.Load())
+	}
+	if dy.load > 0 {
+		burst := burstTable[windowHash(s.burst.Load(), now/burstBucketNs)>>(64-burstTableBits)]
+		ns += math.Float64frombits(s.queue.Load()) * burst
 	}
 	if ns < 1 {
 		ns = 1
@@ -287,37 +293,31 @@ func (dy *dynamics) linkDelay(k uint32, to int32, now int64, pktLen int) int64 {
 	return int64(ns)
 }
 
-// flapActive reports whether the router reached through interface k has
+// flapActive reports whether the router reached through link s has
 // transiently withdrawn its transit routes at virtual time now: it then
 // answers transit probes with Destination Unreachable, the paper's
 // "unreachability message" dynamic, for the duration of the flap window.
-func (dy *dynamics) flapActive(k uint32, now int64) bool {
-	if dy.churn <= 0 {
-		return false
-	}
-	return u01(windowHash(dy.flapBase, uint64(k), now/flapWindowNs)) < flapProb*dy.churn
+func (dy *dynamics) flapActive(s *linkSlot, now int64) bool {
+	return dy.flapThr != 0 && windowHash(s.flap.Load(), now/flapWindowNs)>>11 < dy.flapThr
 }
 
-// brownout reports whether the link into interface k is browned out at
-// virtual time now: every packet arriving on it during the window is
-// dropped, producing mid-route stars (and lost responses).
-func (dy *dynamics) brownout(k uint32, now int64) bool {
-	if dy.churn <= 0 {
-		return false
-	}
-	return u01(windowHash(dy.brownBase, uint64(k), now/brownWindowNs)) < brownProb*dy.churn
+// brownout reports whether link s is browned out at virtual time now: every
+// packet arriving on it during the window is dropped, producing mid-route
+// stars (and lost responses).
+func (dy *dynamics) brownout(s *linkSlot, now int64) bool {
+	return dy.brownThr != 0 && windowHash(s.brown.Load(), now/brownWindowNs)>>11 < dy.brownThr
 }
 
 // weightRot is the equal-cost bucket rotation the router reached through
-// interface k applies at virtual time now: load-balancer weight churn
-// remaps flow buckets to different next hops window over window, without
-// touching the forwarding table. 0 means no rotation this window.
-func (dy *dynamics) weightRot(k uint32, now int64) int {
-	if dy.churn <= 0 {
+// link s applies at virtual time now: load-balancer weight churn remaps flow
+// buckets to different next hops window over window, without touching the
+// forwarding table. 0 means no rotation this window.
+func (dy *dynamics) weightRot(s *linkSlot, now int64) int {
+	if dy.rotThr == 0 {
 		return 0
 	}
-	h := windowHash(dy.rotBase, uint64(k), now/rotWindowNs)
-	if u01(h) >= rotProb*dy.churn {
+	h := windowHash(s.rot.Load(), now/rotWindowNs)
+	if h>>11 >= dy.rotThr {
 		return 0
 	}
 	return 1 + int(keyhash.Mix64(h)%15)
@@ -377,25 +377,36 @@ func (n *Network) SetVirtualRound(r int) {
 	n.vround.Store(int64(r))
 }
 
+// link returns the slot of the link into node to, drawing it on first use.
+// Called only on the dynamics path, with to registered.
+func (n *Network) link(ctx *exchCtx, to int32) *linkSlot {
+	s := &ctx.dyn.links[to]
+	if s.bw.Load() == 0 {
+		ctx.dyn.fill(s, n.nodes[to].key)
+	}
+	return s
+}
+
 // advanceClock carries the packet across the link into node `to`: the clock
 // moves to the arrival, the link's delay after the departure. via names the
 // adjacency when nothing is registered there (to is nodeNone; nil: nowhere at
-// all): the link is keyed by its address either way. It reports false when
-// the link is browned out at arrival time and the packet is lost. Called only
-// on the dynamics path (ctx.dyn non-nil).
+// all): the link is keyed by its address either way, drawn into the
+// exchange's scratch slot. It reports false when the link is browned out at
+// arrival time and the packet is lost. Called only on the dynamics path
+// (ctx.dyn non-nil).
 func (n *Network) advanceClock(ctx *exchCtx, to int32, via *netip.Addr, pktLen int) bool {
-	var (
-		k  uint32
-		ok bool
-	)
+	var s *linkSlot
 	if to >= 0 {
-		k, ok = n.nodes[to].key, true
+		s = n.link(ctx, to)
 	} else if via != nil {
-		k, ok = a4(*via)
+		if k, ok := a4(*via); ok {
+			s = &ctx.scratch
+			ctx.dyn.fill(s, k)
+		}
 	}
-	if !ok {
+	if s == nil {
 		return true // no link to cross: the walk drops the packet itself
 	}
-	ctx.clk.now += ctx.dyn.linkDelay(k, to, ctx.clk.now, pktLen)
-	return !ctx.dyn.brownout(k, ctx.clk.now)
+	ctx.clk.now += ctx.dyn.linkDelay(s, ctx.clk.now, pktLen)
+	return !ctx.dyn.brownout(s, ctx.clk.now)
 }

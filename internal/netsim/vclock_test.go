@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,7 +217,9 @@ func TestDynamicsRoundsSeparateTimelines(t *testing.T) {
 // Mix64 chained from seed^salt through the link key (and the window),
 // per-link parameters are Irwin–Hall lognormals, and a probe's start hashes
 // its bytes. Only linkDelay's burst factor reads burstTable, and it reads
-// the entry the same window hash selects.
+// the entry the same window hash selects. A link slot's cached hashes,
+// parameters and queue term must equal the closed forms, and the decisions
+// drawn through the slot's integer thresholds the float comparisons.
 func TestDynamicsDrawsOracle(t *testing.T) {
 	mix := keyhash.Mix64
 	oldLink := func(seed, salt, k uint64) uint64 { return mix(mix(seed^salt) ^ k) }
@@ -249,46 +252,50 @@ func TestDynamicsDrawsOracle(t *testing.T) {
 			{Seed: seed, Delay: 2.5, Churn: 1, RoundDuration: 7 * time.Second},
 		} {
 			dy := compileDynamics(cfg)
-			dy.links = make([]linkSlot, 1)
+			f64 := math.Float64frombits
 			for _, k := range keys {
 				prop := dy.delay * basePropNs * math.Exp(sigmaProp*irwinHall(oldLink(seed, saltProp, k)))
 				bw := baseBWBitsPerNs * math.Exp(sigmaBW*irwinHall(oldLink(seed, saltBW, k)))
-				dy.links[0] = linkSlot{}
-				for _, to := range []int32{nodeNone, 0, 0} { // uncached, filling, cached
-					if p := dy.paramsOf(uint32(k), to); p.propNs != prop || p.bwBitsPerNs != bw {
-						t.Fatalf("seed %#x key %#x to %d: paramsOf %+v, want {%v %v}", seed, k, to, p, prop, bw)
-					}
+				var s linkSlot
+				dy.fill(&s, uint32(k))
+				if f64(s.prop.Load()) != prop || f64(s.bw.Load()) != bw || f64(s.queue.Load()) != dy.qFactor*(crossPktBits/bw) {
+					t.Fatalf("seed %#x key %#x: slot prop/bw/queue %v/%v/%v, want %v/%v/%v", seed, k,
+						f64(s.prop.Load()), f64(s.bw.Load()), f64(s.queue.Load()), prop, bw, dy.qFactor*(crossPktBits/bw))
+				}
+				if s.burst.Load() != oldLink(seed, saltBurst, k) || s.flap.Load() != oldLink(seed, saltFlap, k) ||
+					s.brown.Load() != oldLink(seed, saltBrown, k) || s.rot.Load() != oldLink(seed, saltRot, k) {
+					t.Fatalf("seed %#x key %#x: a cached link hash moved", seed, k)
 				}
 				for _, now := range times {
 					burstH := oldWindow(seed, saltBurst, k, now/burstBucketNs)
-					if got := windowHash(dy.burstBase, k, now/burstBucketNs); got != burstH {
+					if got := windowHash(s.burst.Load(), now/burstBucketNs); got != burstH {
 						t.Fatalf("seed %#x key %#x at %d: burst window hash %#x, want %#x", seed, k, now, got, burstH)
 					}
 					ns := prop + float64(100*8)/bw
 					if dy.load > 0 {
 						ns += dy.qFactor * (crossPktBits / bw) * burstTable[burstH>>52]
 					}
-					if got := dy.linkDelay(uint32(k), 0, now, 100); got != int64(max(ns, 1)) {
+					if got := dy.linkDelay(&s, now, 100); got != int64(max(ns, 1)) {
 						t.Fatalf("seed %#x key %#x at %d: linkDelay %d, want %d", seed, k, now, got, int64(max(ns, 1)))
 					}
 
 					flapH := oldWindow(seed, saltFlap, k, now/flapWindowNs)
 					brownH := oldWindow(seed, saltBrown, k, now/brownWindowNs)
 					rotH := oldWindow(seed, saltRot, k, now/rotWindowNs)
-					if windowHash(dy.flapBase, k, now/flapWindowNs) != flapH ||
-						windowHash(dy.brownBase, k, now/brownWindowNs) != brownH ||
-						windowHash(dy.rotBase, k, now/rotWindowNs) != rotH {
+					if windowHash(s.flap.Load(), now/flapWindowNs) != flapH ||
+						windowHash(s.brown.Load(), now/brownWindowNs) != brownH ||
+						windowHash(s.rot.Load(), now/rotWindowNs) != rotH {
 						t.Fatalf("seed %#x key %#x at %d: a churn window hash moved", seed, k, now)
 					}
-					flap := float64(flapH>>11)/(1<<53) < flapProb*dy.churn
-					brown := float64(brownH>>11)/(1<<53) < brownProb*dy.churn
+					flap := float64(flapH>>11)/(1<<53) < flapProb*cfg.Churn
+					brown := float64(brownH>>11)/(1<<53) < brownProb*cfg.Churn
 					rot := 0
-					if float64(rotH>>11)/(1<<53) < rotProb*dy.churn {
+					if float64(rotH>>11)/(1<<53) < rotProb*cfg.Churn {
 						rot = 1 + int(mix(rotH)%15)
 					}
-					if dy.flapActive(uint32(k), now) != flap || dy.brownout(uint32(k), now) != brown || dy.weightRot(uint32(k), now) != rot {
+					if dy.flapActive(&s, now) != flap || dy.brownout(&s, now) != brown || dy.weightRot(&s, now) != rot {
 						t.Fatalf("seed %#x key %#x at %d: flap/brownout/rotation %v/%v/%d, want %v/%v/%d", seed, k, now,
-							dy.flapActive(uint32(k), now), dy.brownout(uint32(k), now), dy.weightRot(uint32(k), now), flap, brown, rot)
+							dy.flapActive(&s, now), dy.brownout(&s, now), dy.weightRot(&s, now), flap, brown, rot)
 					}
 					if flap {
 						flaps++
@@ -315,6 +322,65 @@ func TestDynamicsDrawsOracle(t *testing.T) {
 		t.Fatal("no weight rotation fired over the grid; the rotation branch went unchecked")
 	}
 	t.Logf("grid fired %d flaps, %d brownouts, %d rotations", flaps, browns, rots)
+}
+
+// unmix64 inverts keyhash.Mix64 (SplitMix64's finalizer: each xorshift and
+// each odd multiplier undoes), so a test can choose the hash a draw sees.
+func unmix64(y uint64) uint64 {
+	inv := func(a uint64) uint64 { // Newton's iteration for a^-1 mod 2^64
+		x := a
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	x := y ^ y>>31 ^ y>>62
+	x *= inv(0x94d049bb133111eb)
+	x ^= x>>27 ^ x>>54
+	x *= inv(0xbf58476d1ce4e5b9)
+	x ^= x>>30 ^ x>>60
+	return x - keyhash.Golden64
+}
+
+// TestDynamicsThresholdBoundaries holds the integer form of the flap,
+// brownout and rotation tests, h>>11 < ceil(p·2^53), to the float form
+// u01(h) < p on either side of the threshold, at three churn rates: a slot
+// hash is chosen (through unmix64) so that the window's draw lands exactly
+// on ceil(p·2^53)-1 or ceil(p·2^53) in its top 53 bits.
+func TestDynamicsThresholdBoundaries(t *testing.T) {
+	const now = 123*int64(time.Second) + 456
+	for _, churn := range []float64{0.3, 0.5, 1} {
+		dy := compileDynamics(Dynamics{Seed: 1, Churn: churn})
+		for _, c := range []struct {
+			name   string
+			p      float64
+			window int64
+			hash   func(*linkSlot) *atomic.Uint64
+			fires  func(*linkSlot) bool
+		}{
+			{"flap", flapProb * churn, now / flapWindowNs, func(s *linkSlot) *atomic.Uint64 { return &s.flap },
+				func(s *linkSlot) bool { return dy.flapActive(s, now) }},
+			{"brownout", brownProb * churn, now / brownWindowNs, func(s *linkSlot) *atomic.Uint64 { return &s.brown },
+				func(s *linkSlot) bool { return dy.brownout(s, now) }},
+			{"rotation", rotProb * churn, now / rotWindowNs, func(s *linkSlot) *atomic.Uint64 { return &s.rot },
+				func(s *linkSlot) bool { return dy.weightRot(s, now) != 0 }},
+		} {
+			thr := uint64(math.Ceil(c.p * (1 << 53)))
+			for _, top := range []uint64{thr - 1, thr} {
+				for _, low := range []uint64{0, 1, 0x7ff} {
+					h := top<<11 | low
+					var s linkSlot
+					c.hash(&s).Store(unmix64(h) ^ uint64(c.window))
+					if windowHash(c.hash(&s).Load(), c.window) != h {
+						t.Fatalf("unmix64 does not invert Mix64 at %#x", h)
+					}
+					if got, want := c.fires(&s), u01(h) < c.p; got != want || got != (top < thr) {
+						t.Errorf("churn %v %s: h>>11 = ceil(p·2^53)%+d: fires %v, u01(h) < p says %v", churn, c.name, int64(top)-int64(thr), got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestBurstTable pins the burst factor's table: sorted quantiles of a

@@ -33,6 +33,17 @@ package repro
 // deletedPaths, the names the second ladder and the per-probe adapter went
 // by, nor select live.New or live.Config, the deleted second live transport.
 //
+// Two more "one X" decisions are held the same way. One front end: the
+// binaries parse the live flags, open the mux, arm the capture and take
+// their signals through internal/cli, so no non-test file under cmd/
+// declares a name of the copies it replaced (liveDestinations,
+// probeCounters) or selects live.NewMux, pcap.CreateCapture or
+// signal.Notify. One run state: campaign and daemon keep one
+// per-destination record, digest, checkpoint body and restore path, so no
+// Go file outside bench/, tests included, declares configDigest,
+// destHealth or HealthState, or imports repro/internal/core, and that
+// directory does not exist.
+//
 //	go test -run TestSurface -v .   # also prints every name with its users
 
 import (
@@ -87,29 +98,102 @@ func checkProbingPath(t *testing.T, fset *token.FileSet, f *ast.File) {
 			liveName = im.Name.Name
 		}
 	}
-	declared := func(ids ...*ast.Ident) {
-		for _, id := range ids {
-			if what := deletedPaths[id.Name]; what != "" {
-				t.Errorf("%s: %s declares %s, the name of %s: there is one TTL ladder and every transport batches", fset.Position(id.Pos()), f.Name.Name, id.Name, what)
-			}
+	declaredIdents(f, func(id *ast.Ident) {
+		if what := deletedPaths[id.Name]; what != "" {
+			t.Errorf("%s: %s declares %s, the name of %s: there is one TTL ladder and every transport batches", fset.Position(id.Pos()), f.Name.Name, id.Name, what)
 		}
-	}
+	})
 	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			declared(n.Name)
-		case *ast.TypeSpec:
-			declared(n.Name)
-		case *ast.ValueSpec:
-			declared(n.Names...)
-		case *ast.Field:
-			declared(n.Names...)
-		case *ast.SelectorExpr:
+		if n, ok := n.(*ast.SelectorExpr); ok {
 			if x, ok := n.X.(*ast.Ident); ok && (x.Name == "live" || x.Name == liveName) && deletedLive[n.Sel.Name] {
 				t.Errorf("%s: %s.%s is the deleted second live transport: the one live transport is live.Mux", fset.Position(n.Pos()), x.Name, n.Sel.Name)
 			}
 		}
 		return true
+	})
+}
+
+// declaredIdents calls fn with every name f declares: functions, methods,
+// types, constants, variables, fields and interface methods.
+func declaredIdents(f *ast.File, fn func(*ast.Ident)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			fn(n.Name)
+		case *ast.TypeSpec:
+			fn(n.Name)
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				fn(id)
+			}
+		case *ast.Field:
+			for _, id := range n.Names {
+				fn(id)
+			}
+		}
+		return true
+	})
+}
+
+// secondFrontEnd are the names of the binaries' copies of the front end.
+var secondFrontEnd = map[string]bool{"liveDestinations": true, "probeCounters": true}
+
+// frontEndCalls are, by import path, the selectors only internal/cli may
+// use among the binaries: opening the mux, creating the capture, taking
+// signals.
+var frontEndCalls = map[string]string{
+	"repro/internal/tracer/live": "NewMux",
+	"repro/internal/pcap":        "CreateCapture",
+	"os/signal":                  "Notify",
+}
+
+// checkOneFrontEnd holds a non-test file under cmd/ to the one front end:
+// it declares no name of secondFrontEnd and selects none of frontEndCalls,
+// whether through the package's own name or the name the file imports it
+// by.
+func checkOneFrontEnd(t *testing.T, fset *token.FileSet, f *ast.File) {
+	calls := map[string]string{} // package name as written -> the selector refused
+	for ip, sel := range frontEndCalls {
+		calls[path.Base(ip)] = sel
+	}
+	for _, im := range f.Imports {
+		if ip, _ := strconv.Unquote(im.Path.Value); frontEndCalls[ip] != "" && im.Name != nil {
+			calls[im.Name.Name] = frontEndCalls[ip]
+		}
+	}
+	declaredIdents(f, func(id *ast.Ident) {
+		if secondFrontEnd[id.Name] {
+			t.Errorf("%s: %s declares %s, a name of a binary's own front end: the binaries share internal/cli", fset.Position(id.Pos()), f.Name.Name, id.Name)
+		}
+	})
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok && calls[x.Name] == sel.Sel.Name {
+				t.Errorf("%s: %s.%s under cmd/: the binaries open the mux and the capture, and take their signals, through internal/cli", fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
+			}
+		}
+		return true
+	})
+}
+
+// secondRunState are the names of the run state's deleted copies, and
+// deletedCore the package that held a third pair measurement.
+var (
+	secondRunState = map[string]bool{"configDigest": true, "destHealth": true, "HealthState": true}
+	deletedCore    = "repro/internal/core"
+)
+
+// checkOneRunState holds a Go file outside bench/ to the one run state.
+func checkOneRunState(t *testing.T, fset *token.FileSet, f *ast.File) {
+	for _, im := range f.Imports {
+		if ip, _ := strconv.Unquote(im.Path.Value); ip == deletedCore {
+			t.Errorf("%s: imports %s: campaign and daemon share measure's run state", fset.Position(im.Pos()), ip)
+		}
+	}
+	declaredIdents(f, func(id *ast.Ident) {
+		if secondRunState[id.Name] {
+			t.Errorf("%s: %s declares %s, a name of a second run state: campaign and daemon share measure.DestRun, measure.RunDigest and measure.Checkpoint", fset.Position(id.Pos()), f.Name.Name, id.Name)
+		}
 	})
 }
 
@@ -171,7 +255,9 @@ var testSupport = map[string]bool{
 }
 
 // scanSurface parses every Go file under the module root outside testdata
-// and hidden directories, holding each to checkProbingPath. Of the non-test
+// and hidden directories, holding each to checkProbingPath, each outside
+// bench/ to checkOneRunState, and each non-test file under cmd/ to
+// checkOneFrontEnd. Of the non-test
 // files it returns each library package's exported top-level identifiers,
 // keyed "importpath.Name", and for each such key the import paths of the
 // packages whose files select it.
@@ -199,12 +285,18 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 				return err
 			}
 			checkProbingPath(t, fset, f)
+			inBench := pkg == "repro/bench" || strings.HasPrefix(pkg, "repro/bench/")
+			if !inBench {
+				checkOneRunState(t, fset, f)
+			}
 			if strings.HasSuffix(e.Name(), "_test.go") {
 				continue
 			}
-			inBench := pkg == "repro/bench" || strings.HasPrefix(pkg, "repro/bench/")
 			if !inBench {
 				checkProgramRules(t, fset, pkg, f)
+			}
+			if strings.HasPrefix(pkg, "repro/cmd/") {
+				checkOneFrontEnd(t, fset, f)
 			}
 			imports := map[string]string{}
 			for _, im := range f.Imports {
@@ -274,6 +366,9 @@ func TestSurface(t *testing.T) {
 	exports, namedBy := scanSurface(t)
 	if _, err := os.Stat(deletedMatchFile); err == nil {
 		t.Errorf("%s exists: the mux reaches internal/tracer/flowkey directly", deletedMatchFile)
+	}
+	if _, err := os.Stat(strings.TrimPrefix(deletedCore, "repro/")); err == nil {
+		t.Errorf("%s exists: campaign and daemon share measure's run state", deletedCore)
 	}
 
 	listed := map[string]string{}
