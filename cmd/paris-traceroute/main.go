@@ -102,9 +102,9 @@ func run() (err error) {
 // traceAll traces every destination through one tracer and prints the
 // routes, a blank line between them.
 func traceAll(ctx context.Context, tp tracer.Transport, dests []netip.Addr, method string, batch bool) error {
-	tr, err := buildTracer(method, tp, batch)
+	tr, err := tracer.New(method, tp, tracer.Options{Batch: batch})
 	if err != nil {
-		return err
+		return cli.Usagef("unknown method %q", method)
 	}
 	for i, d := range dests {
 		rt, err := tr.Trace(d)
@@ -209,25 +209,5 @@ func buildScenario(name string, seed int64, shards int) (tracer.Transport, netip
 		return sc.Transport(), dest, nil
 	default:
 		return nil, netip.Addr{}, cli.Usagef("unknown scenario %q", name)
-	}
-}
-
-func buildTracer(method string, tp tracer.Transport, batch bool) (tracer.Tracer, error) {
-	opts := tracer.Options{Batch: batch}
-	switch method {
-	case "paris-udp":
-		return tracer.NewParisUDP(tp, opts), nil
-	case "paris-icmp":
-		return tracer.NewParisICMP(tp, opts), nil
-	case "paris-tcp":
-		return tracer.NewParisTCP(tp, opts), nil
-	case "classic-udp":
-		return tracer.NewClassicUDP(tp, opts), nil
-	case "classic-icmp":
-		return tracer.NewClassicICMP(tp, opts), nil
-	case "tcptraceroute":
-		return tracer.NewTCPTraceroute(tp, opts), nil
-	default:
-		return nil, cli.Usagef("unknown method %q", method)
 	}
 }

@@ -27,8 +27,8 @@ type Host struct {
 	// uses them to test stop conditions).
 	Silent bool
 
-	// ipID accumulates in 32 bits and is truncated to the 16-bit IP ID,
-	// which equals 16-bit modular increment per originated packet.
+	// ipID is the host's IP ID counter, stamped by its origin (a stride of
+	// one) into every packet it originates.
 	ipID atomic.Uint32
 }
 
@@ -41,25 +41,68 @@ func NewHost(name string, addr netip.Addr) *Host {
 // commonly use 64 where routers use 255.
 const hostTTL = 64
 
-func (h *Host) nextIPID() uint16 {
-	return uint16(h.ipID.Add(1))
+// origin is a box as the source of the packets it originates — every
+// response in the network: the address they leave from, their initial TTL,
+// the box's IP ID counter and its stride per packet, and whether the box is
+// silent. A host and a router differ only in these values: a host
+// originates with hostTTL and a stride of one, a router with what its
+// config says (routerOrigin).
+type origin struct {
+	src    netip.Addr
+	ttl    uint8
+	ipID   *atomic.Uint32
+	stride uint16
+	silent bool
 }
 
-// respond builds the host's response to the delivered packet (already
-// parsed into ih/payload by the forwarding engine), or returns nil if the
-// host stays silent. Response buffers come from ctx's arena.
-func (h *Host) respond(ctx *exchCtx, ih *packet.IPv4, payload, pkt []byte) []byte {
-	if h.Silent {
+// nextIPID advances the counter by the stride and returns the IP ID to
+// stamp: the counter accumulates in 32 bits and is truncated, which equals
+// 16-bit modular addition per originated packet, "usually incremented for
+// each packet sent" (Section 2.2).
+func (o *origin) nextIPID() uint16 {
+	return uint16(o.ipID.Add(uint32(o.stride)))
+}
+
+// stamp sets ip to the IPv4 header of a packet o originates toward dst:
+// o's source address, initial TTL and next IP ID. It reports false, and
+// leaves ip and the counter alone, when o is silent: a silent box
+// originates nothing.
+func (o *origin) stamp(ip *packet.IPv4, proto uint8, dst netip.Addr) bool {
+	if o.silent {
+		return false
+	}
+	*ip = packet.IPv4{TTL: o.ttl, Protocol: proto, ID: o.nextIPID(), Src: o.src, Dst: dst}
+	return true
+}
+
+// icmp serializes the ICMP message m from o to dst into ctx's arena, or
+// returns nil when o is silent.
+func (o *origin) icmp(ctx *exchCtx, dst netip.Addr, m *packet.ICMP) []byte {
+	var ip packet.IPv4
+	if !o.stamp(&ip, packet.ProtoICMP, dst) {
 		return nil
 	}
-	switch ih.Protocol {
+	out, err := packet.MarshalIPv4ICMPInto(ctx.arena.take(packet.IPv4ICMPLen(&ip, m)), &ip, m)
+	if err != nil {
+		return nil
+	}
+	return out
+}
+
+// answer builds o's response to a packet addressed to it, already parsed
+// into hdr and payload by the walk: a UDP probe draws Port Unreachable, an
+// Echo Request an Echo Reply, and a TCP SYN a RST+ACK, or a SYN+ACK on a
+// port in open (a router passes nil). Anything else, or a silent o, draws
+// nothing (nil).
+func (o *origin) answer(ctx *exchCtx, open map[uint16]bool, hdr *packet.IPv4, payload, pkt []byte) []byte {
+	switch hdr.Protocol {
 	case packet.ProtoUDP:
 		m := packet.ICMP{
 			Type:    packet.ICMPTypeDestUnreachable,
 			Code:    packet.CodePortUnreachable,
-			Payload: quoteOf(pkt, ih, payload),
+			Payload: quoteOf(pkt, hdr, payload),
 		}
-		return h.marshalICMP(ctx, &m, ih.Src)
+		return o.icmp(ctx, hdr.Src, &m)
 	case packet.ProtoICMP:
 		var m packet.ICMP
 		if err := packet.ParseICMPInto(payload, &m); err != nil || m.Type != packet.ICMPTypeEchoRequest {
@@ -71,17 +114,21 @@ func (h *Host) respond(ctx *exchCtx, ih *packet.IPv4, payload, pkt []byte) []byt
 			Seq:     m.Seq,
 			Payload: m.Payload, // copied out by MarshalIPv4ICMPInto
 		}
-		return h.marshalICMP(ctx, &reply, ih.Src)
+		return o.icmp(ctx, hdr.Src, &reply)
 	case packet.ProtoTCP:
 		var th packet.TCP
 		if _, _, err := packet.ParseTCPInto(payload, &th); err != nil {
 			return nil
 		}
+		var ip packet.IPv4
+		if !o.stamp(&ip, packet.ProtoTCP, hdr.Src) {
+			return nil
+		}
 		flags := uint8(packet.TCPRst | packet.TCPAck)
-		if h.OpenTCPPorts[th.DstPort] {
+		if open[th.DstPort] {
 			flags = packet.TCPSyn | packet.TCPAck
 		}
-		seg, err := packet.MarshalTCP(h.Addr, ih.Src, &packet.TCP{
+		seg, err := packet.MarshalTCP(o.src, hdr.Src, &packet.TCP{
 			SrcPort: th.DstPort,
 			DstPort: th.SrcPort,
 			Ack:     th.Seq + 1,
@@ -91,34 +138,11 @@ func (h *Host) respond(ctx *exchCtx, ih *packet.IPv4, payload, pkt []byte) []byt
 		if err != nil {
 			return nil
 		}
-		ip := packet.IPv4{
-			TTL:      hostTTL,
-			Protocol: packet.ProtoTCP,
-			ID:       h.nextIPID(),
-			Src:      h.Addr,
-			Dst:      ih.Src,
-		}
 		out, err := ip.MarshalInto(ctx.arena.take(ip.HeaderLen()+len(seg)), seg)
 		if err != nil {
 			return nil
 		}
 		return out
-	default:
-		return nil
 	}
-}
-
-func (h *Host) marshalICMP(ctx *exchCtx, m *packet.ICMP, dst netip.Addr) []byte {
-	ip := packet.IPv4{
-		TTL:      hostTTL,
-		Protocol: packet.ProtoICMP,
-		ID:       h.nextIPID(),
-		Src:      h.Addr,
-		Dst:      dst,
-	}
-	out, err := packet.MarshalIPv4ICMPInto(ctx.arena.take(packet.IPv4ICMPLen(&ip, m)), &ip, m)
-	if err != nil {
-		return nil
-	}
-	return out
+	return nil
 }

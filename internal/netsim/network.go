@@ -422,89 +422,67 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 		}
 		nd := &n.nodes[at]
 
-		// Delivery to a host.
+		var reply []byte
 		if h := nd.host; h != nil {
+			// Delivery to a host.
 			if dst.node != at {
 				return nil, steps, false // mis-delivered; drop
 			}
-			r := h.respond(ctx, &hdr, payload, pkt)
+			o := origin{h.Addr, hostTTL, &h.ipID, 1, h.Silent}
+			if reply = o.answer(ctx, h.OpenTCPPorts, &hdr, payload, pkt); reply == nil {
+				return nil, steps, false
+			}
+		} else {
+			r := nd.router
 			if r == nil {
-				return nil, steps, false
+				return nil, steps, false // dangling adjacency
 			}
-			toSrc := ctx.share && hdr.Src == n.source
-			if ret = nodeNone; toSrc && ctx.dyn == nil {
-				if s, ok := n.replay(ctx, at, r, steps); ok {
-					return r, s, true
+			cfg := r.config.Load()
+			switch {
+			case !originated && dst.router == r:
+				// Packet addressed to one of the router's own interfaces: the
+				// router answers like a host (intermediate hops are pingable).
+				o := routerOrigin(r, cfg, hdr.Dst)
+				if reply = o.answer(ctx, nil, &hdr, payload, pkt); reply == nil {
+					return nil, steps, false
 				}
-				ret, retAt = at, steps
-			}
-			pkt, at, originated, probe = r, nd.hostGW, false, false
-			if payload, err = packet.ParseIPv4Into(pkt, &hdr); err != nil {
-				return nil, steps, false
-			}
-			dst = n.resolveDst(hdr.Dst)
-			if ctx.dyn != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
-				return nil, steps, false
-			}
-			steps++
-			if toSrc && ctx.dyn != nil {
-				if resp, done := n.replayUp(ctx, &at, &steps, &originated, pkt, &hdr); done {
-					return resp, steps, resp != nil
+			case !originated:
+				var done bool
+				if done, reply = routerTTLCheck(ctx, r, cfg, nd, pkt, &hdr, payload); done && reply == nil {
+					return nil, steps, false
 				}
 			}
-			continue
-		}
-
-		r := nd.router
-		if r == nil {
-			return nil, steps, false // dangling adjacency
-		}
-		cfg := r.config.Load()
-
-		var reply []byte
-		switch {
-		case !originated && dst.router == r:
-			// Packet addressed to one of the router's own interfaces: the
-			// router behaves like a host (intermediate hops are pingable).
-			if reply = routerRespondLocal(ctx, r, cfg, hdr.Dst, &hdr, payload, pkt); reply == nil {
-				return nil, steps, false
-			}
-		case !originated:
-			var done bool
-			if done, reply = routerTTLCheck(ctx, r, cfg, nd, pkt, &hdr, payload); done && reply == nil {
-				return nil, steps, false
-			}
-		}
-		if reply == nil {
-			// Forwarding decision.
-			next, via, rep, dropped := n.routerForward(ctx, r, cfg, at, &dst, pkt, &hdr, payload, originated)
-			if dropped {
-				return nil, steps, false
-			}
-			if rep == nil {
-				if ctx.dyn != nil {
-					if ctx.share && dst.source && ctx.fwd == fwdPure && ctx.rot < 0 {
-						n.markUp(ctx, at, next, !originated)
+			if reply == nil {
+				// Forwarding decision.
+				next, via, rep, dropped := n.routerForward(ctx, r, cfg, at, &dst, pkt, &hdr, payload, originated)
+				if dropped {
+					return nil, steps, false
+				}
+				if rep == nil {
+					if ctx.dyn != nil {
+						if ctx.share && dst.source && ctx.fwd == fwdPure && ctx.rot < 0 {
+							n.markUp(ctx, at, next, !originated)
+						}
+						if !n.advanceClock(ctx, next, via, len(pkt)) {
+							return nil, steps, false
+						}
 					}
-					if !n.advanceClock(ctx, next, via, len(pkt)) {
-						return nil, steps, false
+					if probe {
+						probe = ctx.lad.extend(steps, next, ctx.fwd, ctx.rot)
 					}
+					if ctx.fwd != fwdPure {
+						ret = nodeNone
+					}
+					at, originated = next, false
+					steps++
+					continue
 				}
-				if probe {
-					probe = ctx.lad.extend(steps, next, ctx.fwd, ctx.rot)
-				}
-				if ctx.fwd != fwdPure {
-					ret = nodeNone
-				}
-				at, originated = next, false
-				steps++
-				continue
+				reply = rep
 			}
-			reply = rep
 		}
-		// The router originated a packet of its own: a new packet version.
-		// A reply goes to the triggering packet's source: to the measurement
-		// source, it takes the path every reply from here takes.
+		// The host or router originated a packet of its own: a new packet
+		// version. A reply goes to the triggering packet's source: to the
+		// measurement source, it takes the path every reply from here takes.
 		toSrc := ctx.share && hdr.Src == n.source
 		if ret = nodeNone; toSrc && ctx.dyn == nil {
 			if s, ok := n.replay(ctx, at, reply, steps); ok {
@@ -517,7 +495,14 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 			return nil, steps, false
 		}
 		dst = n.resolveDst(hdr.Dst)
-		steps++ // the reply leaves from the node that originated it
+		// A router's reply leaves from the node that originated it; a host's
+		// first crosses the link to its gateway, and arrives there in transit.
+		if nd.host != nil {
+			if at, originated = nd.hostGW, false; ctx.dyn != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
+				return nil, steps, false
+			}
+		}
+		steps++
 		if toSrc && ctx.dyn != nil {
 			if resp, done := n.replayUp(ctx, &at, &steps, &originated, pkt, &hdr); done {
 				return resp, steps, resp != nil
@@ -652,24 +637,16 @@ func (n *Network) replayUp(ctx *exchCtx, at *int32, steps *int, originated *bool
 // nil for a silent drop.
 func routerTTLCheck(ctx *exchCtx, r *Router, cfg *routerConfig, nd *netNode, pkt []byte, hdr *packet.IPv4, payload []byte) (done bool, reply []byte) {
 	switch {
-	case hdr.TTL == 0:
-		// Arrived already dead (zero-TTL forwarded upstream): quote TTL 0.
-		if cfg.faults.Silent {
+	case hdr.TTL == 1 && cfg.faults.ZeroTTLForward:
+		// The Fig. 4 misbehaviour: forward with TTL 0.
+		if err := packet.PatchTTL(pkt, 0); err != nil {
 			return true, nil
 		}
-		return true, originateTimeExceeded(ctx, r, cfg, nd.addr(), pkt, hdr, payload)
-	case hdr.TTL == 1:
-		if cfg.faults.ZeroTTLForward {
-			// The Fig. 4 misbehaviour: forward with TTL 0.
-			if err := packet.PatchTTL(pkt, 0); err != nil {
-				return true, nil
-			}
-			hdr.TTL = 0
-			return false, nil
-		}
-		if cfg.faults.Silent {
-			return true, nil
-		}
+		hdr.TTL = 0
+		return false, nil
+	case hdr.TTL <= 1:
+		// Expired here, or arrived already dead (zero-TTL forwarded
+		// upstream), in which case the quote carries TTL 0.
 		return true, originateTimeExceeded(ctx, r, cfg, nd.addr(), pkt, hdr, payload)
 	default:
 		if err := packet.PatchTTL(pkt, hdr.TTL-1); err != nil {
@@ -796,98 +773,32 @@ func originateTimeExceeded(ctx *exchCtx, r *Router, cfg *routerConfig, at netip.
 		Code:    packet.CodeTTLExceeded,
 		Payload: quoteOf(pkt, hdr, payload),
 	}
-	return marshalFromRouter(ctx, r, cfg, at, hdr.Src, &m)
+	o := routerOrigin(r, cfg, at)
+	return o.icmp(ctx, hdr.Src, &m)
 }
 
+// originateUnreachable builds the serialized ICMP Destination Unreachable
+// response for pkt, which router r refuses to forward from interface at:
+// network unreachable when it has no route, host unreachable (or the
+// configured code) under the Unreachable fault.
 func originateUnreachable(ctx *exchCtx, r *Router, cfg *routerConfig, at netip.Addr, pkt []byte, hdr *packet.IPv4, payload []byte) []byte {
-	faults := cfg.faults
-	if faults.Silent || isICMPError(hdr, payload) {
+	if isICMPError(hdr, payload) {
 		return nil
 	}
-	code := faults.UnreachableCode
-	if !faults.Unreachable && code == 0 {
+	code := cfg.faults.UnreachableCode
+	if code == 0 {
 		code = packet.CodeNetUnreachable // no route: network unreachable
-	} else if faults.Unreachable && faults.UnreachableCode == 0 {
-		code = packet.CodeHostUnreachable
+		if cfg.faults.Unreachable {
+			code = packet.CodeHostUnreachable
+		}
 	}
 	m := packet.ICMP{
 		Type:    packet.ICMPTypeDestUnreachable,
 		Code:    code,
 		Payload: quoteOf(pkt, hdr, payload),
 	}
-	return marshalFromRouter(ctx, r, cfg, at, hdr.Src, &m)
-}
-
-func marshalFromRouter(ctx *exchCtx, r *Router, cfg *routerConfig, from, to netip.Addr, m *packet.ICMP) []byte {
-	ip := packet.IPv4{
-		TTL:      cfg.icmpTTL,
-		Protocol: packet.ProtoICMP,
-		ID:       r.nextIPID(cfg),
-		Src:      from,
-		Dst:      to,
-	}
-	out, err := packet.MarshalIPv4ICMPInto(ctx.arena.take(packet.IPv4ICMPLen(&ip, m)), &ip, m)
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
-// routerRespondLocal answers a probe addressed to the router itself.
-func routerRespondLocal(ctx *exchCtx, r *Router, cfg *routerConfig, local netip.Addr, hdr *packet.IPv4, payload, pkt []byte) []byte {
-	if cfg.faults.Silent {
-		return nil
-	}
-	switch hdr.Protocol {
-	case packet.ProtoUDP:
-		m := packet.ICMP{
-			Type:    packet.ICMPTypeDestUnreachable,
-			Code:    packet.CodePortUnreachable,
-			Payload: quoteOf(pkt, hdr, payload),
-		}
-		return marshalFromRouter(ctx, r, cfg, local, hdr.Src, &m)
-	case packet.ProtoICMP:
-		var em packet.ICMP
-		if err := packet.ParseICMPInto(payload, &em); err != nil || em.Type != packet.ICMPTypeEchoRequest {
-			return nil
-		}
-		reply := packet.ICMP{
-			Type:    packet.ICMPTypeEchoReply,
-			ID:      em.ID,
-			Seq:     em.Seq,
-			Payload: em.Payload, // copied out by MarshalIPv4ICMPInto
-		}
-		return marshalFromRouter(ctx, r, cfg, local, hdr.Src, &reply)
-	case packet.ProtoTCP:
-		var th packet.TCP
-		if _, _, err := packet.ParseTCPInto(payload, &th); err != nil {
-			return nil
-		}
-		seg, err := packet.MarshalTCP(local, hdr.Src, &packet.TCP{
-			SrcPort: th.DstPort,
-			DstPort: th.SrcPort,
-			Ack:     th.Seq + 1,
-			Flags:   packet.TCPRst | packet.TCPAck,
-			Window:  65535,
-		}, nil)
-		if err != nil {
-			return nil
-		}
-		ip := packet.IPv4{
-			TTL:      cfg.icmpTTL,
-			Protocol: packet.ProtoTCP,
-			ID:       r.nextIPID(cfg),
-			Src:      local,
-			Dst:      hdr.Src,
-		}
-		out, err := ip.MarshalInto(ctx.arena.take(ip.HeaderLen()+len(seg)), seg)
-		if err != nil {
-			return nil
-		}
-		return out
-	default:
-		return nil
-	}
+	o := routerOrigin(r, cfg, at)
+	return o.icmp(ctx, hdr.Src, &m)
 }
 
 // isICMPError reports whether the parsed packet is an ICMP error message

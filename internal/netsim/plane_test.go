@@ -508,6 +508,105 @@ func TestProbeToRouterInterface(t *testing.T) {
 	})
 }
 
+// TestOriginStamps probes a host and a router interface of one line with
+// each probe kind and reads what the box stamps on its answer: the source
+// address, the initial TTL (the arrival TTL plus the routers the answer
+// crosses on its way back), the IP ID step from the box's previous answer,
+// and the answer's ICMP type/code or TCP flags. The router originates with
+// TTL 128 and IP ID stride 5, the host with its 64 and 1, and port 80 is
+// open on the host only. Silenced, either box answers nothing, and its next
+// answer shows that its counter did not move meanwhile.
+func TestOriginStamps(t *testing.T) {
+	icmpAnswer := func(typ, code uint8) string { return fmt.Sprintf("icmp type=%d code=%d", typ, code) }
+	tcpAnswer := func(flags uint8) string { return fmt.Sprintf("tcp flags=%#02x", flags) }
+	portUnreach := icmpAnswer(packet.ICMPTypeDestUnreachable, packet.CodePortUnreachable)
+	echoReply := icmpAnswer(packet.ICMPTypeEchoReply, 0)
+	forEachMode(t, func(t *testing.T, dyn, batch bool) {
+		l := newLine(23)
+		if dyn {
+			l.net.SetDynamics(netsim.Dynamics{Seed: 9, Delay: 1})
+		}
+		r2 := lineIf(3)
+		l.rs[0].AddRoute(netsim.Route{Prefix: host32(r2), Hops: via1(lineIf(2))})
+		l.rs[1].AddRoute(netsim.Route{Prefix: host32(r2), Hops: via1(r2)})
+		l.rs[2].SetICMPTTL(128).SetIPIDStride(5)
+		l.host.OpenTCPPorts = map[uint16]bool{80: true}
+		boxes := []struct {
+			name    string
+			addr    netip.Addr
+			ttl     int    // the initial TTL the box stamps
+			back    int    // the routers its answers cross to the source
+			stride  uint16 // its IP ID step per originated packet
+			answers [3]string
+			silence func(on bool)
+		}{
+			{"host", lineHost, 64, 4, 1,
+				[3]string{portUnreach, echoReply, tcpAnswer(packet.TCPSyn | packet.TCPAck)},
+				func(on bool) { l.host.Silent = on }},
+			{"router", r2, 128, 2, 5,
+				[3]string{portUnreach, echoReply, tcpAnswer(packet.TCPRst | packet.TCPAck)},
+				func(on bool) { l.rs[2].SetFaults(netsim.Faults{Silent: on}) }},
+		}
+		kinds := [3]string{"udp", "echo", "syn"}
+		for _, b := range boxes {
+			var last uint16
+			answered := false
+			probe := func(kind probeKind, port uint16) {
+				t.Helper()
+				o := exchangeAll(l.net, [][]byte{mkProbe(t, kind, lineSrc, b.addr, 64, port)}, batch)[0]
+				if !strings.HasPrefix(o, "ok=true") {
+					t.Fatalf("%s %s probe: %s, want an answer", b.name, kinds[kind], o)
+				}
+				h, payload, err := packet.ParseIPv4(mustHex(t, o))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got string
+				switch h.Protocol {
+				case packet.ProtoICMP:
+					m := new(packet.ICMP)
+					if err := packet.ParseICMPInto(payload, m); err != nil {
+						t.Fatal(err)
+					}
+					got = icmpAnswer(m.Type, m.Code)
+				case packet.ProtoTCP:
+					th := new(packet.TCP)
+					if _, _, err := packet.ParseTCPInto(payload, th); err != nil {
+						t.Fatal(err)
+					}
+					got = tcpAnswer(th.Flags)
+				}
+				if got != b.answers[kind] {
+					t.Errorf("%s %s probe: answered %s, want %s", b.name, kinds[kind], got, b.answers[kind])
+				}
+				if h.Src != b.addr {
+					t.Errorf("%s %s probe: answered from %v, want %v", b.name, kinds[kind], h.Src, b.addr)
+				}
+				if ttl := int(h.TTL) + b.back; ttl != b.ttl {
+					t.Errorf("%s %s probe: initial TTL %d (%d on arrival), want %d", b.name, kinds[kind], ttl, h.TTL, b.ttl)
+				}
+				if step := h.ID - last; answered && step != b.stride {
+					t.Errorf("%s %s probe: IP ID %d, %d after the previous answer, want a step of %d", b.name, kinds[kind], h.ID, step, b.stride)
+				}
+				last, answered = h.ID, true
+			}
+			for kind := probeUDP; kind <= probeSYN; kind++ {
+				probe(kind, 100)
+				probe(kind, 101)
+			}
+			b.silence(true)
+			for kind := probeUDP; kind <= probeSYN; kind++ {
+				o := exchangeAll(l.net, [][]byte{mkProbe(t, kind, lineSrc, b.addr, 64, 102)}, batch)[0]
+				if !strings.HasPrefix(o, "ok=false") {
+					t.Errorf("silent %s %s probe: %s, want a star", b.name, kinds[kind], o)
+				}
+			}
+			b.silence(false)
+			probe(probeUDP, 103)
+		}
+	})
+}
+
 // TestSlash32ForNonHostThenLPM routes a packet whose destination is no
 // registered host: a /32 entry wins where there is one, the longest covering
 // prefix otherwise, and with neither the router answers net-unreachable.

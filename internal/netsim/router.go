@@ -23,6 +23,13 @@
 //   - transient forwarding loops and mid-trace routing changes
 //     (cycle causes, Section 4.2.1).
 //
+// Hosts, and routers addressed directly, answer UDP, Echo and TCP SYN
+// probes the way the paper's pingable destinations do. A host or router
+// originates every packet — such an answer, a Time Exceeded, an unreachable
+// — through its origin (host.go): the source address, initial TTL and IP ID
+// it stamps, and whether it is silent. The two kinds of box differ only in
+// those values.
+//
 // # Concurrency model
 //
 // Network.Exchange is safe for concurrent use, and concurrent exchanges
@@ -153,14 +160,14 @@
 // was.
 //
 // What the rule leaves out is the IP ID a router or host stamps on what it
-// originates: a per-box atomic counter, advanced in arrival order as on a
-// real router shared by concurrent measurements. The classifier reads IP
-// IDs only as the delta between two responses of one route, and only
-// against a gap bound of 1,024 (internal/anomaly); concurrent probing moves
-// a delta by at most the handful of other traces crossing that box in
-// between, far inside the bound, so verdicts — and statistics — do not
-// move. The invariance suites in internal/measure pin this at the shipped
-// configuration.
+// originates: a per-box atomic counter, advanced by origin.nextIPID in
+// arrival order as on a real router shared by concurrent measurements. The
+// classifier reads IP IDs only as the delta between two responses of one
+// route, and only against a gap bound of 1,024 (internal/anomaly);
+// concurrent probing moves a delta by at most the handful of other traces
+// crossing that box in between, far inside the bound, so verdicts — and
+// statistics — do not move. The invariance suites in internal/measure pin
+// this at the shipped configuration.
 //
 // # Virtual-clock dynamics
 //
@@ -387,9 +394,10 @@ type Router struct {
 	// per-visit hot path free of locks and shared counters.
 	snap atomic.Pointer[routerTable]
 
-	// ipID is the router's internal counter stamped (mod 2^16) into the
-	// IP ID of every packet it originates, "usually incremented for each
-	// packet sent" (Section 2.2).
+	// ipID is the router's IP ID counter, stamped (mod 2^16) by its origin
+	// (routerOrigin, a stride of the config's ipIDStride) into every packet
+	// it originates, "usually incremented for each packet sent" (Section
+	// 2.2).
 	ipID atomic.Uint32
 
 	// mu serializes config writers (read-modify-write of the snapshot).
@@ -600,11 +608,11 @@ func (r *Router) SetIPIDStride(stride uint16) *Router {
 	return r
 }
 
-// nextIPID advances and returns the router's IP ID counter. The counter
-// accumulates in 32 bits and is truncated, which equals 16-bit modular
-// addition per originated packet.
-func (r *Router) nextIPID(cfg *routerConfig) uint16 {
-	return uint16(r.ipID.Add(uint32(cfg.ipIDStride)))
+// routerOrigin is router r, under config snapshot cfg, as the source of a
+// packet it originates from interface address from: the snapshot's initial
+// ICMP TTL, IP ID stride and silence.
+func routerOrigin(r *Router, cfg *routerConfig, from netip.Addr) origin {
+	return origin{from, cfg.icmpTTL, &r.ipID, cfg.ipIDStride, cfg.faults.Silent}
 }
 
 // lookup performs longest-prefix match for a resolved destination and

@@ -16,18 +16,18 @@ import (
 //
 // Transport is safe for concurrent use: exchanges forward in parallel
 // (see the package comment's concurrency model), so one Transport can be
-// shared by all of a campaign's workers. Set PerHop before handing the
-// transport to concurrent tracers.
+// shared by all of a campaign's workers.
 type Transport struct {
 	net *Network
-	// PerHop is the synthetic one-way per-node latency used to derive
-	// RTTs. Zero selects a 500µs default.
-	PerHop time.Duration
 }
+
+// perHop is the synthetic one-way per-node latency a static network's RTTs
+// are derived from: RTT = Steps × perHop.
+const perHop = 500 * time.Microsecond
 
 // NewTransport wraps the network for use by tracers.
 func NewTransport(n *Network) *Transport {
-	return &Transport{net: n, PerHop: 500 * time.Microsecond}
+	return &Transport{net: n}
 }
 
 // Exchange is tracer.Exchange over t, for bench/.
@@ -67,7 +67,7 @@ func (t *Transport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 		case res[i].OK && res[i].RTT > 0:
 			out[i].RTT = res[i].RTT
 		case res[i].OK:
-			out[i].RTT = time.Duration(res[i].Steps) * t.PerHop
+			out[i].RTT = time.Duration(res[i].Steps) * perHop
 		default:
 			out[i].RTT = 0
 		}

@@ -118,12 +118,12 @@ func TestDynamicsChurnProducesStars(t *testing.T) {
 	}
 }
 
-// TestRouteRTTLadder pins the tentpole's RTT plumbing end to end through
+// TestRouteRTTLadder pins the RTT plumbing end to end through
 // the tracer: with dynamics on, every responding hop of a traced Route
 // carries a positive virtual RTT, strictly increasing along the TTL ladder
 // (per-link propagation is time-invariant, so deeper probes always travel
-// strictly longer); with dynamics off and the synthetic per-hop latency
-// zeroed, every RTT field is exactly zero.
+// strictly longer); with dynamics off the virtual RTT is exactly zero and
+// the transport reports the synthetic Steps × 500µs.
 func TestRouteRTTLadder(t *testing.T) {
 	t.Run("dynamics on", func(t *testing.T) {
 		n, _, host := testNet(t)
@@ -155,14 +155,14 @@ func TestRouteRTTLadder(t *testing.T) {
 	t.Run("dynamics off", func(t *testing.T) {
 		n, _, host := testNet(t)
 		tp := NewTransport(n)
-		tp.PerHop = 0 // suppress the synthetic steps-derived RTT too
-		rt, err := tracer.NewParisUDP(tp, tracer.Options{}).Trace(host.Addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, h := range rt.Hops {
-			if h.RTT != 0 {
-				t.Fatalf("hop %d: RTT %v, want exactly 0 with dynamics off", i, h.RTT)
+		for ttl := uint8(1); ttl <= 8; ttl++ {
+			probe := udpProbe(t, n, host.Addr, ttl, 111, 222)
+			_, steps, vrtt, ok := n.ExchangeV(probe)
+			if !ok || vrtt != 0 {
+				t.Fatalf("ttl %d: answered %v with virtual RTT %v, want exactly 0 with dynamics off", ttl, ok, vrtt)
+			}
+			if _, rtt, ok := tp.Exchange(probe); !ok || rtt != time.Duration(steps)*500*time.Microsecond {
+				t.Fatalf("ttl %d: transport RTT %v, want %d steps × 500µs", ttl, rtt, steps)
 			}
 		}
 	})

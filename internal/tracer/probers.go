@@ -24,6 +24,27 @@ const (
 	payloadLen = 12
 )
 
+// methods are the probing disciplines by name, each the Name of the Tracer
+// its constructor builds.
+var methods = map[string]func(Transport, Options) Tracer{
+	"paris-udp":     NewParisUDP,
+	"paris-icmp":    NewParisICMP,
+	"paris-tcp":     NewParisTCP,
+	"classic-udp":   NewClassicUDP,
+	"classic-icmp":  NewClassicICMP,
+	"tcptraceroute": NewTCPTraceroute,
+}
+
+// New builds the Tracer of the named probing method ("paris-udp",
+// "tcptraceroute", ...), the discipline whose Name that is.
+func New(method string, tp Transport, opts Options) (Tracer, error) {
+	mk, ok := methods[method]
+	if !ok {
+		return nil, fmt.Errorf("tracer: unknown method %q", method)
+	}
+	return mk(tp, opts), nil
+}
+
 // wrap puts the IPv4 header around a probe's transport bytes, which is all a
 // builder has left to do once it has laid those out. Every discipline numbers
 // the IP ID with the probe; only tcptraceroute relies on it, having nothing

@@ -38,16 +38,6 @@ type Spec struct {
 	Retries int `json:"retries,omitempty"`
 }
 
-// methods maps Spec.Method to its tracer constructor.
-var methods = map[string]func(tracer.Transport, tracer.Options) tracer.Tracer{
-	"paris-udp":     tracer.NewParisUDP,
-	"paris-icmp":    tracer.NewParisICMP,
-	"paris-tcp":     tracer.NewParisTCP,
-	"classic-udp":   tracer.NewClassicUDP,
-	"classic-icmp":  tracer.NewClassicICMP,
-	"tcptraceroute": tracer.NewTCPTraceroute,
-}
-
 // RunSpec executes a spec over the given transports — tpFor(w) is worker
 // w's transport, exactly the campaign's TransportFor seam — and returns
 // the canonical output bytes the corpus goldens pin: indented JSON with a
@@ -80,14 +70,13 @@ func RunSpec(spec Spec, tpFor func(int) tracer.Transport) ([]byte, error) {
 		}
 		return canonicalJSON(res.Stats)
 	case "traces":
-		mk, ok := methods[spec.Method]
-		if !ok {
-			return nil, fmt.Errorf("replay: spec %q: unknown method %q", spec.Name, spec.Method)
+		tr, err := tracer.New(spec.Method, tpFor(0), tracer.Options{Batch: true})
+		if err != nil {
+			return nil, fmt.Errorf("replay: spec %q: %w", spec.Name, err)
 		}
-		tp := tpFor(0)
 		routes := make([]*tracer.Route, len(dests))
 		for i, d := range dests {
-			r, err := mk(tp, tracer.Options{Batch: true}).Trace(d)
+			r, err := tr.Trace(d)
 			if err != nil {
 				return nil, fmt.Errorf("replay: spec %q trace %v: %w", spec.Name, d, err)
 			}

@@ -126,6 +126,27 @@ func udpHeaderOf(t *testing.T, probe []byte) (*packet.IPv4, *packet.UDP) {
 	return h, u
 }
 
+// TestNewByMethodName: New knows the six probing methods by the Name of
+// the Tracer each builds, and refuses any other name.
+func TestNewByMethodName(t *testing.T) {
+	names := []string{"paris-udp", "paris-icmp", "paris-tcp", "classic-udp", "classic-icmp", "tcptraceroute"}
+	if len(methods) != len(names) {
+		t.Errorf("%d methods, want %d", len(methods), len(names))
+	}
+	for _, name := range names {
+		tr, err := New(name, &captureTransport{src: tSrc}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Name() != name {
+			t.Errorf("New(%q) builds a tracer named %q", name, tr.Name())
+		}
+	}
+	if tr, err := New("paris-udp6", &captureTransport{src: tSrc}, Options{}); err == nil || tr != nil {
+		t.Errorf("New of an unknown method: %v, %v; want an error", tr, err)
+	}
+}
+
 func TestClassicUDPVariesDstPort(t *testing.T) {
 	tp := scriptedChain(t, 5)
 	tr := NewClassicUDP(tp, Options{MaxTTL: 10})

@@ -42,7 +42,10 @@ package repro
 // per-destination record, digest, checkpoint body and restore path, so no
 // Go file outside bench/, tests included, declares configDigest,
 // destHealth or HealthState, or imports repro/internal/core, and that
-// directory does not exist.
+// directory does not exist. One origin: netsim's hosts and routers stamp
+// what they originate (source address, TTL, IP ID) through one origin, so
+// no non-test file of netsim declares routerRespondLocal, marshalFromRouter
+// or marshalICMP, or a method respond or nextIPID on Host or Router.
 //
 //	go test -run TestSurface -v .   # also prints every name with its users
 
@@ -248,6 +251,39 @@ func checkProgramRules(t *testing.T, fset *token.FileSet, pkg string, f *ast.Fil
 	})
 }
 
+// deletedOrigins are the names of netsim's deleted copies of the way a box
+// originates a packet, and deletedBoxMethods the methods Host and Router
+// stamped with: a box originates through its origin (origin.nextIPID,
+// origin.icmp, origin.answer).
+var (
+	deletedOrigins    = map[string]bool{"routerRespondLocal": true, "marshalFromRouter": true, "marshalICMP": true}
+	deletedBoxMethods = map[string]bool{"respond": true, "nextIPID": true}
+)
+
+// checkOneOrigin holds a non-test file of netsim to one origin: it declares
+// no name of deletedOrigins and no method of deletedBoxMethods on Host or
+// Router.
+func checkOneOrigin(t *testing.T, fset *token.FileSet, f *ast.File) {
+	declaredIdents(f, func(id *ast.Ident) {
+		if deletedOrigins[id.Name] {
+			t.Errorf("%s: netsim declares %s, a copy of how a box originates a packet: hosts and routers originate through origin", fset.Position(id.Pos()), id.Name)
+		}
+	})
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil || !deletedBoxMethods[fd.Name.Name] {
+			continue
+		}
+		recv := fd.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if id, ok := recv.(*ast.Ident); ok && (id.Name == "Host" || id.Name == "Router") {
+			t.Errorf("%s: netsim declares %s.%s: hosts and routers originate through origin", fset.Position(fd.Name.Pos()), id.Name, fd.Name.Name)
+		}
+	}
+}
+
 // testSupport lists the packages only _test.go files may import.
 var testSupport = map[string]bool{
 	"repro/internal/ckpt/ckpttest": true,
@@ -256,8 +292,8 @@ var testSupport = map[string]bool{
 
 // scanSurface parses every Go file under the module root outside testdata
 // and hidden directories, holding each to checkProbingPath, each outside
-// bench/ to checkOneRunState, and each non-test file under cmd/ to
-// checkOneFrontEnd. Of the non-test
+// bench/ to checkOneRunState, each non-test file under cmd/ to
+// checkOneFrontEnd, and each of netsim to checkOneOrigin. Of the non-test
 // files it returns each library package's exported top-level identifiers,
 // keyed "importpath.Name", and for each such key the import paths of the
 // packages whose files select it.
@@ -294,6 +330,9 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 			}
 			if !inBench {
 				checkProgramRules(t, fset, pkg, f)
+			}
+			if pkg == "repro/internal/netsim" {
+				checkOneOrigin(t, fset, f)
 			}
 			if strings.HasPrefix(pkg, "repro/cmd/") {
 				checkOneFrontEnd(t, fset, f)
