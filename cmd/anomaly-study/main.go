@@ -54,7 +54,6 @@ func main() {
 	var o options
 	fs := flag.CommandLine
 	o.topo.Register(fs, 500)
-	fs.IntVar(&o.topo.Shards, "shards", 1, "independent network shards the topology is partitioned across")
 	fs.BoolVar(&o.topo.Flips, "flips", true, "enable mid-trace path flips")
 	fs.BoolVar(&o.topo.Paper, "paper", false, "use the paper-scale configuration (5,000 destinations x 556 rounds)")
 	o.live.Register(fs, "live-dests", true)
@@ -149,7 +148,7 @@ func runStudy(o *options) (err error) {
 		if o.truth {
 			fmt.Printf("ground truth: %+v\n\n", sc.Truth)
 		}
-		cfg.Dests, cfg.ShardOf, cfg.RoundStart = sc.Dests, sc.ShardOf, sc.RoundStart
+		cfg.Dests, cfg.RoundStart = sc.Dests, sc.RoundStart
 		shared, asNames = sc.Transport(), sc.AS
 	}
 

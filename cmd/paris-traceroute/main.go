@@ -33,7 +33,6 @@ func run() (err error) {
 	scenario := flag.String("scenario", "fig3", "topology: fig1, fig3, fig4, fig5, fig6, random")
 	method := flag.String("method", "paris-udp", "probing method")
 	flows := flag.Int("flows", 1, "number of flows (>1 enables multipath enumeration)")
-	shards := flag.Int("shards", 1, "network shards for the random scenario")
 	batch := flag.Bool("batch", false, "submit the TTL ladder as batched exchanges")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
@@ -81,7 +80,7 @@ func run() (err error) {
 		}
 	default:
 		var dest netip.Addr
-		if tp, dest, err = buildScenario(*scenario, *seed, *shards); err != nil {
+		if tp, dest, err = buildScenario(*scenario, *seed); err != nil {
 			return err
 		}
 		dests = []netip.Addr{dest}
@@ -174,7 +173,7 @@ func enumerate(tp tracer.Transport, dest netip.Addr, flows int) error {
 	return nil
 }
 
-func buildScenario(name string, seed int64, shards int) (tracer.Transport, netip.Addr, error) {
+func buildScenario(name string, seed int64) (tracer.Transport, netip.Addr, error) {
 	switch name {
 	case "fig1":
 		f := topo.BuildFigure1(seed, netsim.PerFlow)
@@ -195,18 +194,8 @@ func buildScenario(name string, seed int64, shards int) (tracer.Transport, netip
 		cfg := topo.DefaultGenConfig()
 		cfg.Seed = seed
 		cfg.Destinations = 50
-		cfg.Shards = shards
 		sc := topo.Generate(cfg)
-		dest := sc.Dests[0]
-		// Sharded runs trace a destination off a nonzero shard, so the
-		// sharded dispatch path is actually exercised.
-		for _, d := range sc.Dests {
-			if sc.ShardOf[d] > 0 {
-				dest = d
-				break
-			}
-		}
-		return sc.Transport(), dest, nil
+		return sc.Transport(), sc.Dests[0], nil
 	default:
 		return nil, netip.Addr{}, cli.Usagef("unknown scenario %q", name)
 	}

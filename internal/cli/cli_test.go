@@ -189,7 +189,6 @@ func parseTopo(t *testing.T, args ...string) *Topo {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	tp.Register(fs, 30)
-	fs.IntVar(&tp.Shards, "shards", 1, "")
 	fs.BoolVar(&tp.Flips, "flips", true, "")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -199,12 +198,12 @@ func parseTopo(t *testing.T, args ...string) *Topo {
 
 func TestTopoGenerate(t *testing.T) {
 	sc, err := parseTopo(t).Generate()
-	if err != nil || len(sc.Dests) != 30 || len(sc.Nets) != 1 {
-		t.Fatalf("defaults: %v, %d dests over %d nets, want 30 over 1", err, len(sc.Dests), len(sc.Nets))
+	if err != nil || len(sc.Dests) != 30 || sc.Net.DynamicsEnabled() {
+		t.Fatalf("defaults: %v, %d dests, want 30 with dynamics off", err, len(sc.Dests))
 	}
-	sc, err = parseTopo(t, "-dests", "40", "-shards", "4", "-delay", "1").Generate()
-	if err != nil || len(sc.Dests) != 40 || len(sc.Nets) != 4 || !sc.Net.DynamicsEnabled() {
-		t.Fatalf("-dests 40 -shards 4 -delay 1: %v, %d dests over %d nets", err, len(sc.Dests), len(sc.Nets))
+	sc, err = parseTopo(t, "-dests", "40", "-delay", "1").Generate()
+	if err != nil || len(sc.Dests) != 40 || !sc.Net.DynamicsEnabled() {
+		t.Fatalf("-dests 40 -delay 1: %v, %d dests, want 40 with dynamics on", err, len(sc.Dests))
 	}
 	if _, err := parseTopo(t, "-dests", "0").Generate(); exitCode(err) != exitUsage {
 		t.Errorf("-dests 0: %v, want a usage error", err)

@@ -16,18 +16,17 @@ type Topo struct {
 	Churn        float64
 	DynamicsSeed int64
 
-	// Shards, Flips and Paper have a flag (-shards, -flips, -paper) only in
-	// the binaries that offer the choice; those bind the field themselves
-	// after Register, which sets the value everyone else runs with.
-	Shards int
-	Flips  bool
-	Paper  bool
+	// Flips and Paper have a flag (-flips, -paper) only in the binaries
+	// that offer the choice; those bind the field themselves after
+	// Register, which sets the value everyone else runs with.
+	Flips bool
+	Paper bool
 }
 
 // Register declares the group's flags on fs; dests is the binary's own
 // default for -dests.
 func (t *Topo) Register(fs *flag.FlagSet, dests int) {
-	t.Shards, t.Flips = 1, true
+	t.Flips = true
 	fs.IntVar(&t.Dests, "dests", dests, "number of simulated destinations")
 	fs.Int64Var(&t.Seed, "seed", 42, "topology, port and dynamics seed")
 	fs.Float64Var(&t.Delay, "delay", 0, "virtual-clock per-link delay scale (1 = calibrated; 0 disables)")
@@ -67,7 +66,6 @@ func (t *Topo) Config() (topo.GenConfig, error) {
 		return cfg, Usagef("-churn must be in [0, 1], got %v", t.Churn)
 	}
 	cfg.Seed = t.Seed
-	cfg.Shards = t.Shards
 	if !t.Flips {
 		cfg.FlipPerProbe = 0
 	}

@@ -461,7 +461,7 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 		cfg.Transport = netsim.WrapFaults(sc.Transport(), plan)
 		cfg.Period = 1
 		cfg.CheckpointPath = path
-		net := sc.Nets[0]
+		net := sc.Net
 		cfg.TransportState = func() json.RawMessage {
 			b, _ := json.Marshal(struct{ Count int }{net.ProbeCount()})
 			return b

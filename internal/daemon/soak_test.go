@@ -136,7 +136,7 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 		cfg.QueueCap = 8
 		cfg.MaxWorkerRestarts = 64
 		cfg.CheckpointPath = path
-		net := sc.Nets[0]
+		net := sc.Net
 		cfg.TransportState = func() json.RawMessage {
 			b, _ := json.Marshal(struct{ Count int }{net.ProbeCount()})
 			return b

@@ -6,7 +6,7 @@
 // fingerprint are each a pure function of the identity they are keyed on
 // (seed, destination, round, link, probe bytes) and never of the order the
 // schedule happened to visit them in — which is what keeps statistics
-// byte-identical across worker, shard and batch settings.
+// byte-identical across worker and batch settings.
 //
 // Only the primitives live here. Each caller keeps its own composition
 // (which words it folds, in what order, from what starting state), because

@@ -34,13 +34,10 @@ type Config struct {
 	// paper picks source/destination ports at random in
 	// [10000, 60000] per destination.
 	PortSeed int64
-	// ShardOf, when the transport is sharded (topo.GenConfig.Shards > 1),
-	// maps each destination to its shard index. The campaign then assigns
-	// workers shard-affine destination slices: as long as there are at
-	// least as many workers as shards, no worker ever probes two shards,
-	// so the per-shard networks (and the cache lines of their routers)
-	// are never shared across a worker's round. Nil keeps the paper's
-	// contiguous 1/Workers slicing.
+	// ShardOf must be empty: NewCampaign refuses a map, so a setting is
+	// never silently ignored. It outlives network sharding only because
+	// bench/ still sets it (to topo.Scenario.ShardOf, always nil); it goes
+	// with bench/'s next edit.
 	ShardOf map[netip.Addr]int
 	// Batch widens every trace's TTL ladder to a window of
 	// tracer.DefaultBatchWindow TTLs; each destination feeds its previous
@@ -177,7 +174,7 @@ type Campaign struct {
 	// a Prober never crosses goroutines.
 	probers []*Prober
 	// plan[w] lists the destination indices worker w probes each round;
-	// computed once at construction (shard-affine when ShardOf is set).
+	// computed once at construction.
 	plan [][]int
 	// digest is the campaign's RunDigest, which a checkpoint must match to
 	// resume it: beyond the destinations and the probing, the statistics
@@ -213,6 +210,9 @@ func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 	if cfg.CheckpointPath != "" && !cfg.Stream {
 		return nil, errors.New("measure: CheckpointPath requires Stream (only a streaming campaign checkpoints)")
 	}
+	if len(cfg.ShardOf) > 0 {
+		return nil, errors.New("measure: ShardOf must be empty (the network is not sharded)")
+	}
 	c := &Campaign{
 		cfg:     cfg,
 		probers: make([]*Prober, cfg.Workers),
@@ -240,67 +240,20 @@ func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 	return c, nil
 }
 
-// workerPlan partitions the destination indices among the workers. Without
-// a shard map this is the paper's contiguous 1/Workers slicing. With one,
-// indices are first grouped by shard (stable within a shard, preserving
-// list order): when Workers >= shards each shard gets its own contiguous
-// block of workers sized W/S (the first W mod S shards getting one extra),
-// so no two shards ever share a worker; with fewer workers than shards,
-// whole shards are dealt round-robin so each still belongs to one worker.
+// workerPlan partitions the destination indices among the workers: the
+// paper's contiguous 1/Workers slicing, maximally even, so the plan is a
+// function of (Dests, Workers) alone. Trailing workers plan nothing when
+// there are more workers than destinations.
 func workerPlan(cfg Config) [][]int {
 	plan := make([][]int, cfg.Workers)
-	if cfg.ShardOf == nil {
-		all := make([]int, len(cfg.Dests))
-		for i := range all {
-			all[i] = i
-		}
-		for w, c := range chunk(all, cfg.Workers) {
-			plan[w] = c
-		}
-		return plan
-	}
-	maxShard := 0
-	for _, s := range cfg.ShardOf {
-		if s > maxShard {
-			maxShard = s
-		}
-	}
-	byShard := make([][]int, maxShard+1)
-	for i, d := range cfg.Dests {
-		s := cfg.ShardOf[d] // absent destinations group into shard 0
-		byShard[s] = append(byShard[s], i)
-	}
-	if cfg.Workers < len(byShard) {
-		for s, idxs := range byShard {
-			w := s % cfg.Workers
-			plan[w] = append(plan[w], idxs...)
-		}
-		return plan
-	}
-	w := 0
-	for s, idxs := range byShard {
-		k := cfg.Workers / len(byShard)
-		if s < cfg.Workers%len(byShard) {
-			k++
-		}
-		for _, c := range chunk(idxs, k) {
-			plan[w] = append(plan[w], c...)
-			w++
+	for w := range plan {
+		lo := w * len(cfg.Dests) / cfg.Workers
+		hi := (w + 1) * len(cfg.Dests) / cfg.Workers
+		for i := lo; i < hi; i++ {
+			plan[w] = append(plan[w], i)
 		}
 	}
 	return plan
-}
-
-// chunk splits idxs into k contiguous, maximally even pieces (the paper's
-// 1/Workers slicing); trailing pieces may be empty when k > len(idxs).
-func chunk(idxs []int, k int) [][]int {
-	out := make([][]int, k)
-	for j := 0; j < k; j++ {
-		lo := j * len(idxs) / k
-		hi := (j + 1) * len(idxs) / k
-		out[j] = idxs[lo:hi]
-	}
-	return out
 }
 
 // portFor derives the stable per-destination Paris flow ports in the
@@ -391,16 +344,15 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 
 // runRound measures every destination once with Workers parallel workers,
 // each holding its planned share of the list (the paper's 32 processes each
-// probe 1/32 of the destinations; sharded campaigns use shard-affine
-// shares). With accs non-nil (streaming), worker w folds each pair into
-// accs[w] and gives its routes back to its Prober before it measures the
-// next; nothing is retained. Otherwise the pairs are collected into a slice
-// and their routes are the caller's for good. Under the default error policy
-// measureDest absorbs failures into Failed/Skipped pairs and runRound never
-// errors; with FailFast the first error any worker hits aborts the whole
-// round — a stop channel closed under a sync.Once halts the remaining
-// workers at their next destination instead of letting them probe out their
-// slices silently. Context cancellation stops workers the same way in both
+// probe 1/32 of the destinations). With accs non-nil (streaming), worker w
+// folds each pair into accs[w] and gives its routes back to its Prober
+// before it measures the next; nothing is retained. Otherwise the pairs are
+// collected into a slice and their routes are the caller's for good. Under
+// the default error policy measureDest absorbs failures into Failed/Skipped
+// pairs and runRound never errors; with FailFast the first error any worker
+// hits aborts the whole round — a stop channel closed under a sync.Once
+// halts the remaining workers at their next destination instead of letting
+// them probe out their slices silently. Context cancellation stops workers the same way in both
 // modes, without an error of its own (the caller reads ctx.Err()).
 func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator) ([]Pair, error) {
 	dests := c.cfg.Dests

@@ -158,6 +158,18 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("Resume accepted a checkpoint from a different campaign config")
 	}
 
+	// The worker plan is a function of (Dests, Workers), so a checkpoint
+	// written at 4 workers is refused by an 8-worker campaign.
+	sc4 := topo.Generate(simtest.Default(dests))
+	cfg4 := checkpointConfig(sc4, filepath.Join(dir, "w4.ck"))
+	cfg4.Workers = 4
+	mustRun(t, newCampaign(t, netsim.NewTransport(sc4.Net), cfg4))
+	cfg8 := checkpointConfig(sc2, "")
+	cfg8.Workers = 8
+	if err := newCampaign(t, netsim.NewTransport(sc2.Net), cfg8).Resume(mustLoad(t, cfg4.CheckpointPath)); !errors.Is(err, ErrDigest) {
+		t.Errorf("8 workers resuming a 4-worker checkpoint: got %v, want ErrDigest", err)
+	}
+
 	// Non-streaming campaign → refused.
 	cfg3 := checkpointConfig(sc2, "")
 	cfg3.Stream = false

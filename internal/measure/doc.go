@@ -7,15 +7,16 @@
 //
 // A campaign partitions its destination list across Config.Workers
 // goroutines with a worker plan that is a pure function of the
-// configuration: each destination belongs to exactly one worker (shard-
-// affine when Config.ShardOf is set) for the whole campaign. Workers share
-// the transport — which must be safe for concurrent use, as both netsim
-// and the live transport are — and nothing else: the Prober (its two
-// tracers, scratch buffers and route pool), retry state, and (when
-// streaming) the statistics accumulator are all per-worker or
-// per-destination and owned by the one worker that probes them. Rounds are separated by a WaitGroup barrier; RoundStart
-// hooks, checkpoints, and the final Merge all run on the campaign
-// goroutine between rounds, where every accumulator is quiescent.
+// configuration, the paper's contiguous 1/Workers slicing: each destination
+// belongs to exactly one worker for the whole campaign. Workers share the
+// transport — which must be safe for concurrent use, as both netsim and the
+// live transport are — and nothing else: the Prober (its two tracers,
+// scratch buffers and route pool), retry state, and (when streaming) the
+// statistics accumulator are all per-worker or per-destination and owned by
+// the one worker that probes them. Rounds are separated by a WaitGroup
+// barrier; RoundStart hooks, checkpoints, and the final Merge all run on
+// the campaign goroutine between rounds, where every accumulator is
+// quiescent.
 //
 // # Determinism contract
 //
@@ -28,8 +29,8 @@
 // routers and hosts stamp, feeds two classification rules only as deltas
 // within one route under a gap bound concurrency cannot reach. So the Stats
 // — including the RTT aggregates, which fold as order-independent integer
-// tallies — are byte-identical across every worker count, shard count,
-// batch switch and halt-and-resume, on the default
+// tallies — are byte-identical across every worker count, batch switch
+// and halt-and-resume, on the default
 // topology with every gadget armed (pinned by simtest's TestHouseInvariant,
 // under -race).
 //

@@ -346,3 +346,36 @@ func TestCampaignDuplicateDestsRejected(t *testing.T) {
 		t.Error("duplicate destination accepted: per-destination statistics assume one owner per address")
 	}
 }
+
+// TestWorkerPlan checks the paper's 1/Workers slicing directly: every
+// destination is planned exactly once, each worker's slice is contiguous in
+// list order, and more workers than destinations leave the extra workers
+// empty.
+func TestWorkerPlan(t *testing.T) {
+	sc := smallScenario(t, 20)
+	for _, workers := range []int{32, 6, 2} {
+		c := newCampaign(t, netsim.NewTransport(sc.Net), Config{Dests: sc.Dests, Workers: workers, PortSeed: 1})
+		next := 0
+		for w, idxs := range c.plan {
+			for _, i := range idxs {
+				if i != next {
+					t.Fatalf("workers=%d: worker %d plans index %d, want %d", workers, w, i, next)
+				}
+				next++
+			}
+		}
+		if next != len(sc.Dests) {
+			t.Fatalf("workers=%d: plan covers %d of %d destinations", workers, next, len(sc.Dests))
+		}
+	}
+}
+
+// TestCampaignShardOfRejected: the network is never sharded, so a shard map
+// is refused rather than ignored.
+func TestCampaignShardOfRejected(t *testing.T) {
+	sc := smallScenario(t, 10)
+	cfg := Config{Dests: sc.Dests, ShardOf: map[netip.Addr]int{sc.Dests[0]: 1}}
+	if _, err := NewCampaign(netsim.NewTransport(sc.Net), cfg); err == nil {
+		t.Error("a non-empty ShardOf was accepted")
+	}
+}

@@ -77,13 +77,9 @@ func poison(c *Campaign) *poisonCount {
 	return n
 }
 
-// shardedScenario is simtest's gadgets topology — per-packet diamonds,
-// flips, zero-TTL pods and loopers boosted — cut into four shards.
-func shardedScenario(dests int) *topo.Scenario {
-	g := simtest.Gadgets(dests)
-	g.Shards = 4
-	return topo.Generate(g)
-}
+// gadgetsScenario is simtest's gadgets topology: per-packet diamonds,
+// flips, zero-TTL pods and loopers boosted.
+func gadgetsScenario(dests int) *topo.Scenario { return topo.Generate(simtest.Gadgets(dests)) }
 
 func poisonConfig(sc *topo.Scenario, stream bool, ckPath string) Config {
 	cfg := Config{
@@ -92,7 +88,6 @@ func poisonConfig(sc *topo.Scenario, stream bool, ckPath string) Config {
 		Workers:    4,
 		RoundStart: sc.RoundStart,
 		PortSeed:   42,
-		ShardOf:    sc.ShardOf,
 		Batch:      true,
 		Stream:     stream,
 	}
@@ -206,19 +201,17 @@ func comparePoisoned(t *testing.T, scenario func() *topo.Scenario, transport fun
 	return recycled.lones
 }
 
-func shardedTransport(sc *topo.Scenario) tracer.Transport { return sc.Transport() }
-
 // TestPoisonedStreamMatchesAnalyze is the suite's main gate: streamed,
 // batched, four workers, flips on.
 func TestPoisonedStreamMatchesAnalyze(t *testing.T) {
-	comparePoisoned(t, func() *topo.Scenario { return shardedScenario(200) }, shardedTransport, poisonConfig, nil)
+	comparePoisoned(t, func() *topo.Scenario { return gadgetsScenario(200) }, (*topo.Scenario).Transport, poisonConfig, nil)
 }
 
 // TestPoisonedProbesPerHop3 repeats it with three probes per hop: such routes
 // carry an All table whose rows alias a per-trace backing array, Scratch
 // leaves them to the collector, and the accumulator's copy must be deep.
 func TestPoisonedProbesPerHop3(t *testing.T) {
-	comparePoisoned(t, func() *topo.Scenario { return shardedScenario(120) }, shardedTransport, poisonConfig,
+	comparePoisoned(t, func() *topo.Scenario { return gadgetsScenario(120) }, (*topo.Scenario).Transport, poisonConfig,
 		func(c *Campaign, tp tracer.Transport) {
 			for w := range c.probers {
 				c.probers[w] = newProber(tp, c.cfg.PortSeed, tracer.Options{
@@ -264,7 +257,7 @@ func (c *classicFailer) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult)
 // trace succeeded and the classic one failed.
 func TestPoisonedRetryAfterClassicFailure(t *testing.T) {
 	var failers []*classicFailer
-	lones := comparePoisoned(t, func() *topo.Scenario { return shardedScenario(120) },
+	lones := comparePoisoned(t, func() *topo.Scenario { return gadgetsScenario(120) },
 		func(sc *topo.Scenario) tracer.Transport {
 			f := &classicFailer{Transport: sc.Transport(), seed: 42, failed: make(map[netip.Addr]bool)}
 			failers = append(failers, f)

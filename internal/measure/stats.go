@@ -119,7 +119,7 @@ type RobustStats struct {
 // transports) contribute nothing, so Samples is 0 on a dynamics-off
 // simulated campaign with the synthetic per-hop latency disabled.
 // Tallies are integer nanoseconds folded in any order, so the aggregate
-// is invariant to worker, shard, and batch scheduling like every other
+// is invariant to worker and batch scheduling like every other
 // statistic.
 type RTTStats struct {
 	// Samples counts hop RTT observations across both tracers.

@@ -199,11 +199,10 @@ func (n *Network) AddRouter(r *Router) *Router {
 }
 
 // adoptLocked binds r to this network. A router's compiled forwarding table
-// holds this network's node ids, so the shard rule is enforced here: one
-// Router, one Network.
+// holds this network's node ids, so one Router belongs to one Network.
 func (n *Network) adoptLocked(r *Router) {
 	if cur := r.net.Load(); cur != nil && cur != n {
-		panic(fmt.Sprintf("netsim: router %s is already registered in another Network; the shard rule gives a router to exactly one shard's Network (replicate it instead)", r.Name))
+		panic(fmt.Sprintf("netsim: router %s is already registered in another Network; a router's compiled table holds one network's node ids", r.Name))
 	}
 	r.net.Store(n)
 	n.registeredLocked()

@@ -681,8 +681,8 @@ func TestRouterBelongsToOneNetwork(t *testing.T) {
 			netsim.New(1).AddRouter(r)
 			defer func() {
 				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, "spine") || !strings.Contains(msg, "shard rule") {
-					t.Errorf("panic %q, want one naming the router and the shard rule", msg)
+				if !strings.Contains(msg, "spine") || !strings.Contains(msg, "another Network") {
+					t.Errorf("panic %q, want one naming the router and its other Network", msg)
 				}
 			}()
 			register(netsim.New(2), r)

@@ -125,24 +125,9 @@
 // Probes are read-only to the batch and may be recycled by the caller once
 // the call returns.
 //
-// # Shard ownership
-//
-// Beyond one concurrent Network, campaigns scale out horizontally by
-// partitioning a topology across several fully independent Networks
-// (topo.GenConfig.Shards, dispatched by ShardedTransport). The shard rule:
-// a router or host belongs to exactly one shard's Network, and cross-shard
-// addresses are unroutable by construction — no shard's forwarding tables
-// name an interface registered in another shard, so no lock, counter, or
-// cache line is ever shared between shards. For routers the rule is
-// enforced: a Router's compiled table holds its Network's node ids, so
-// AddRouter and AddIface panic on a Router already registered in another
-// Network. Only the spine (gateway, core, transit routers) is replicated per
-// shard, with identical interface addresses, which keeps measured routes
-// independent of the shard count; the replicas are distinct Router objects
-// with their own IP ID counters, so spine IP IDs advance per shard rather
-// than globally (statistics are unaffected; see the determinism contract
-// below). Every shard network gets the same seed, so the shard count is
-// invisible to every draw.
+// A Router belongs to one Network: its compiled table holds that network's
+// node ids, so AddRouter and AddIface panic on a Router already registered
+// in another Network.
 //
 // # Determinism contract
 //
@@ -152,7 +137,7 @@
 // SplitMix64 stream seeded from (seed, round, probe bytes); a round's flip
 // schedule (FlipSchedule) is resolved from the probe's position, which its
 // bytes give; the dynamics layer keys its draws by (seed, link, virtual
-// time). So a trace is the same at any worker, shard or batch setting, and
+// time). So a trace is the same at any worker or batch setting, and
 // a resumed run needs no cursor. Identical probes sent in one round take
 // the same per-packet branch; a probe's IP ID (its attempt number) is what
 // makes retries and repeated attempts draw afresh. The walk's shortcuts

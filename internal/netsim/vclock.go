@@ -20,12 +20,10 @@ import (
 //
 // Everything here is a pure function of (dynamics seed, link key, virtual
 // time). Link keys are the receiving interface's 4-byte address — the same
-// key the topology registry uses — so link parameters are identical across
-// shard replicas by construction (topo replicates the spine with identical
-// interface addresses). A probe's virtual start time is derived from the
-// current round base plus a hash of the probe's own bytes — the package's
-// one determinism rule, which keeps campaign statistics byte-identical at
-// any shard/worker/batch setting. For the same reason the dynamics never mutate
+// key the topology registry uses. A probe's virtual start time is derived
+// from the current round base plus a hash of the probe's own bytes — the
+// package's one determinism rule, which keeps campaign statistics
+// byte-identical at any worker/batch setting. For the same reason the dynamics never mutate
 // router state — a flapped router is not reconfigured, its flap is
 // re-evaluated functionally at each arrival — so concurrent probes at
 // different virtual times can never race on dynamics state.
@@ -326,8 +324,7 @@ func (dy *dynamics) weightRot(s *linkSlot, now int64) int {
 // probeStart places a probe on the virtual timeline: the round base plus a
 // seeded hash of the probe's own bytes, uniform within the round duration.
 // Hashing the probe bytes keeps start times — and with them every dynamics
-// draw the probe observes — invariant to worker, shard, and batch
-// scheduling.
+// draw the probe observes — invariant to worker and batch scheduling.
 func (dy *dynamics) probeStart(round int64, probe []byte) int64 {
 	h := keyhash.FNV1a(dy.seed^saltStart, probe)
 	return round*dy.roundDur + int64(keyhash.Mix64(h)%uint64(dy.roundDur))

@@ -20,7 +20,7 @@ import (
 )
 
 // The house invariant, in one table: over each scenario, one reference run
-// (one worker, one shard, unbatched, materialized then Analyze, over netsim)
+// (one worker, unbatched, materialized then Analyze, over netsim)
 // and a row per axis the statistics must not depend on. Every row renders
 // to the reference's -stats-json bytes, and every row that retains its
 // pairs measured every route Equal to the reference's. A new axis is one
@@ -66,8 +66,8 @@ var scenarios = []scenario{
 
 // shape is how a campaign row probes.
 type shape struct {
-	workers, shards int
-	batch, stream   bool
+	workers       int
+	batch, stream bool
 }
 
 // outcome is what a row measured: its statistics and, if it kept them,
@@ -79,11 +79,9 @@ type outcome struct {
 
 func noSleep(time.Duration) {}
 
-// build generates a fresh copy of sc cut into shards and its transport.
-func (sc scenario) build(shards int) (*topo.Scenario, tracer.Transport) {
-	g := sc.gen
-	g.Shards = shards
-	s := topo.Generate(g)
+// build generates a fresh copy of sc and its transport.
+func (sc scenario) build() (*topo.Scenario, tracer.Transport) {
+	s := topo.Generate(sc.gen)
 	var tp tracer.Transport = s.Transport()
 	if sc.faults != nil {
 		tp = netsim.WrapFaults(tp, *sc.faults)
@@ -94,7 +92,7 @@ func (sc scenario) build(shards int) (*topo.Scenario, tracer.Transport) {
 // config is the campaign every row runs, in the given shape, over s.
 func config(s *topo.Scenario, sh shape) measure.Config {
 	return measure.Config{
-		Dests: s.Dests, Rounds: rounds, Workers: sh.workers, RoundStart: s.RoundStart, ShardOf: s.ShardOf,
+		Dests: s.Dests, Rounds: rounds, Workers: sh.workers, RoundStart: s.RoundStart,
 		PortSeed: portSeed, Batch: sh.batch, Stream: sh.stream, Sleep: noSleep,
 	}
 }
@@ -117,7 +115,7 @@ func finish(t *testing.T, camp *measure.Campaign, err error) outcome {
 
 // campaign is one run of sc in shape sh over netsim.
 func campaign(t *testing.T, sc scenario, sh shape) outcome {
-	s, tp := sc.build(sh.shards)
+	s, tp := sc.build()
 	camp, err := measure.NewCampaign(tp, config(s, sh))
 	return finish(t, camp, err)
 }
@@ -125,9 +123,9 @@ func campaign(t *testing.T, sc scenario, sh shape) outcome {
 // haltResume halts a checkpointing campaign as round k begins, then
 // resumes it from the checkpoint over a fresh copy of the scenario.
 func haltResume(t *testing.T, sc scenario, k int) outcome {
-	sh := shape{workers: 4, shards: 1, batch: true, stream: true}
+	sh := shape{workers: 4, batch: true, stream: true}
 	ck := filepath.Join(t.TempDir(), "halt.ck")
-	s, tp := sc.build(1)
+	s, tp := sc.build()
 	cfg := config(s, sh)
 	cfg.CheckpointPath = ck
 	ctx, cancel := context.WithCancel(context.Background())
@@ -149,7 +147,7 @@ func haltResume(t *testing.T, sc scenario, k int) outcome {
 	if err != nil || ckp.NextRound != k {
 		t.Fatalf("halting at round %d left no checkpoint that resumes there: %v", k, err)
 	}
-	s, tp = sc.build(1)
+	s, tp = sc.build()
 	cfg = config(s, sh)
 	cfg.CheckpointPath = filepath.Join(t.TempDir(), "resumed.ck")
 	camp, err = measure.NewCampaign(tp, cfg)
@@ -162,7 +160,7 @@ func haltResume(t *testing.T, sc scenario, k int) outcome {
 // daemonRun ticks the daemon at period 1, every destination admitted, for
 // the campaign's rounds: a campaign by another scheduler.
 func daemonRun(t *testing.T, sc scenario) outcome {
-	s, tp := sc.build(1)
+	s, tp := sc.build()
 	d, err := daemon.New(daemon.Config{
 		Dests: s.Dests, Transport: tp, RoundStart: s.RoundStart,
 		Probe:  measure.ProbeConfig{PortSeed: portSeed, Batch: true},
@@ -182,7 +180,7 @@ func daemonRun(t *testing.T, sc scenario) outcome {
 // muxRun runs an 8-worker campaign through one live.Mux over a SimConn
 // replaying the scenario's network under sched, captured to path.
 func muxRun(t *testing.T, sc scenario, sched live.SimSchedule, retries int, path string) outcome {
-	s, _ := sc.build(1)
+	s, _ := sc.build()
 	capture, err := pcap.CreateCapture(path)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +215,7 @@ func replayRun(t *testing.T, sc scenario, path string, retries int, dups bool) o
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := sc.build(1)
+	s, _ := sc.build()
 	cfg := config(s, shape{workers: 8, batch: true})
 	cfg.RoundStart = nil
 	cfg.TransportFor = func(int) tracer.Transport { return rt }
@@ -244,7 +242,7 @@ func TestHouseInvariant(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			ref := campaign(t, sc, shape{workers: 1, shards: 1})
+			ref := campaign(t, sc, shape{workers: 1})
 			if !sc.holds(ref.stats) {
 				t.Fatalf("reference run is degenerate for this scenario: %s", simtest.JSON(ref.stats))
 			}
@@ -267,12 +265,11 @@ func TestHouseInvariant(t *testing.T) {
 				})
 			}
 			for name, sh := range map[string]shape{
-				"workers=8":                        {workers: 8},
-				"workers=32":                       {workers: 32},
-				"shards=4":                         {workers: 2, shards: 4},
-				"batch":                            {workers: 1, batch: true},
-				"stream":                           {workers: 1, stream: true},
-				"workers=32,shards=4,batch,stream": {workers: 32, shards: 4, batch: true, stream: true},
+				"workers=8":               {workers: 8},
+				"workers=32":              {workers: 32},
+				"batch":                   {workers: 1, batch: true},
+				"stream":                  {workers: 1, stream: true},
+				"workers=32,batch,stream": {workers: 32, batch: true, stream: true},
 			} {
 				row(name, ref.stats, func(t *testing.T) outcome { return campaign(t, sc, sh) })
 			}

@@ -8,7 +8,7 @@
 // daemon, live and replay can import it without a cycle. Its own test file
 // holds TestHouseInvariant, the one table that proves the house invariant:
 // the statistics depend only on (seed, config), whatever the workers,
-// shards, batching, streaming, resume point or transport. Only _test.go
+// batching, streaming, resume point or transport. Only _test.go
 // files may import this package; TestSurface in the module root refuses
 // any other importer.
 package simtest

@@ -8,25 +8,6 @@ import (
 	"repro/internal/netsim"
 )
 
-// addrPool holds the allocation counters a Builder draws addresses and
-// router names from. Sharded generation hands one pool to several builders
-// (one per shard network) so a destination keeps the same address no matter
-// how many shards the topology is partitioned into; a pool copy can also be
-// used to replay an allocation sequence, which is how the per-shard spine
-// replicas end up with identical interface addresses.
-type addrPool struct {
-	pubCounter  uint32
-	privCounter uint32
-	hostCounter uint32
-	routerSeq   int
-}
-
-// newAddrPool returns a pool with the conventional starting points.
-func newAddrPool() *addrPool {
-	// Skip 10.0.0.0/24: the source and gateway live there.
-	return &addrPool{pubCounter: 255}
-}
-
 // Builder assembles a network incrementally, allocating addresses from
 // disjoint pools: 10/8 for public router interfaces, 192.168/16 for
 // NAT-inside interfaces, 172.16/12 for destination hosts.
@@ -38,22 +19,21 @@ type Builder struct {
 	// Gateway is the source's first-hop router.
 	Gateway *netsim.Router
 
-	pool *addrPool
+	// The last address drawn from each pool, and the routers created.
+	pubCounter  uint32
+	privCounter uint32
+	hostCounter uint32
+	routerSeq   int
 }
 
 // NewBuilder creates a network seeded for reproducibility, with the
 // measurement source and its gateway router already wired.
 func NewBuilder(seed int64) *Builder {
-	return newPooledBuilder(seed, newAddrPool())
-}
-
-// newPooledBuilder is NewBuilder drawing addresses from a caller-supplied
-// (possibly shared) pool.
-func newPooledBuilder(seed int64, pool *addrPool) *Builder {
 	b := &Builder{
 		Net:    netsim.New(seed),
 		Source: netip.AddrFrom4([4]byte{10, 0, 0, 1}),
-		pool:   pool,
+		// Skip 10.0.0.0/24: the source and gateway live there.
+		pubCounter: 255,
 	}
 	gwIf := netip.AddrFrom4([4]byte{10, 0, 0, 254})
 	b.Gateway = netsim.NewRouter("gw", gwIf)
@@ -69,8 +49,8 @@ func newPooledBuilder(seed int64, pool *addrPool) *Builder {
 
 // nextPub allocates the next public interface address from 10.0.1.0 up.
 func (b *Builder) nextPub() netip.Addr {
-	b.pool.pubCounter++
-	c := b.pool.pubCounter
+	b.pubCounter++
+	c := b.pubCounter
 	if c >= 1<<24-2 {
 		panic("topo: public address pool exhausted")
 	}
@@ -79,8 +59,8 @@ func (b *Builder) nextPub() netip.Addr {
 
 // nextPriv allocates the next NAT-inside interface address from 192.168/16.
 func (b *Builder) nextPriv() netip.Addr {
-	b.pool.privCounter++
-	c := b.pool.privCounter
+	b.privCounter++
+	c := b.privCounter
 	if c >= 1<<16-2 {
 		panic("topo: private address pool exhausted")
 	}
@@ -93,8 +73,8 @@ var privatePrefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{192, 168, 0, 0}), 1
 
 // nextHostAddr allocates the next destination host address from 172.16/12.
 func (b *Builder) nextHostAddr() netip.Addr {
-	b.pool.hostCounter++
-	c := b.pool.hostCounter
+	b.hostCounter++
+	c := b.hostCounter
 	if c >= 1<<20-2 {
 		panic("topo: host address pool exhausted")
 	}
@@ -104,9 +84,9 @@ func (b *Builder) nextHostAddr() netip.Addr {
 // NewRouter creates and registers a router with no interfaces yet; Link
 // grows it one adjacency at a time.
 func (b *Builder) NewRouter(name string) *netsim.Router {
-	b.pool.routerSeq++
+	b.routerSeq++
 	if name == "" {
-		name = fmt.Sprintf("r%d", b.pool.routerSeq)
+		name = fmt.Sprintf("r%d", b.routerSeq)
 	}
 	r := netsim.NewRouter(name)
 	b.Net.AddRouter(r)
@@ -176,7 +156,7 @@ func (b *Builder) AttachHost(r *netsim.Router, name string, private bool) *netsi
 		rIf = b.nextPub()
 	}
 	if name == "" {
-		name = fmt.Sprintf("h%d", b.pool.hostCounter)
+		name = fmt.Sprintf("h%d", b.hostCounter)
 	}
 	h := netsim.NewHost(name, addr)
 	b.Net.AddIface(r, rIf)

@@ -11,27 +11,15 @@
 // run. All randomness flows from GenConfig.Seed through dedicated
 // sub-streams, so enabling one feature never perturbs the draws of another.
 //
-// Sharding (GenConfig.Shards) splits the destination space across replica
-// networks for parallel campaigns without changing what is measured: spine
-// routers are replicated with identical interface addresses and pod
-// interfaces are allocated from a shared pool in pod order, so every
-// (link, address) a probe can observe is the same at any shard count. The
-// campaign-level invariance tests pin that statistics are byte-identical
-// across shard counts.
-//
-// Every shard network gets the same netsim seed, so a probe draws the same
-// per-exchange stream in whichever shard routes it.
-//
 // Scenario.RoundStart is the between-rounds hook: it advances the virtual
-// round (netsim.Network.SetVirtualRound) on every shard, draws the
-// inter-round routing dynamics — router flaps per FlapProbability and loop
-// toggles per LoopProbability — from a dedicated seeded stream, and
-// publishes each flip pod's netsim.FlipSchedule for the round. A schedule
+// round (netsim.Network.SetVirtualRound), draws the inter-round routing
+// dynamics — router flaps per FlapProbability and loop toggles per
+// LoopProbability — from a dedicated seeded stream, and publishes each flip
+// pod's netsim.FlipSchedule for the round. A schedule
 // is a pure function of (seed, pod, round), its starting state carried from
 // round 0, so RoundStart(r) publishes the same schedule whether or not the
 // rounds before it ran. It runs on the campaign goroutine between round
 // barriers, never concurrently with probing. The virtual-clock knobs
-// (Delay, Load, Churn, DynamicsSeed) install a netsim.Dynamics with one
-// shared seed on all shards, so dynamics draws — keyed by (seed, link,
-// virtual time) — agree across shardings.
+// (Delay, Load, Churn, DynamicsSeed) install a netsim.Dynamics, whose draws
+// are keyed by (seed, link, virtual time).
 package topo

@@ -23,15 +23,6 @@ import (
 type GenConfig struct {
 	Seed         int64
 	Destinations int
-	// Shards partitions the topology across that many fully independent
-	// netsim.Network instances: the gateway/core/transit spine is
-	// replicated once per shard (with identical interface addresses, so
-	// measured routes do not depend on the shard count) and pods are
-	// distributed round-robin by pod — not by destination — so pod-level
-	// anomaly correlation survives partitioning. 0 or 1 builds the
-	// classic single network. A destination's route exists only in its
-	// own shard: cross-shard addresses are unroutable by construction.
-	Shards int
 	// DestsPerPod is the number of destinations attached to a regular
 	// stub pod; pods share their access path, so anomalies on it repeat
 	// across the pod's destinations. Rare-cause pods (NAT, zero-TTL,
@@ -109,9 +100,6 @@ type GenConfig struct {
 	// the scheduled-dynamics rate (route flaps, balancer weight churn,
 	// link brownouts) in [0, 1]. All zero — the default — leaves the
 	// simulator on its historical instant-and-static path, byte for byte.
-	// Every shard network receives the same dynamics configuration, and
-	// the generated RoundStart hook advances the virtual round on every
-	// shard, so virtual time stays aligned across shardings.
 	Delay, Load, Churn float64
 	// DynamicsSeed fixes the dynamics layer's draws independently of the
 	// topology seed; 0 derives it from Seed.
@@ -166,37 +154,29 @@ func PaperScaleConfig() GenConfig {
 
 // Scenario is a generated measurement universe.
 type Scenario struct {
-	// Net is the single simulated network, or shard 0 of a sharded
-	// scenario (which still answers probes toward its own pods only).
+	// Net is the simulated network.
 	Net *netsim.Network
-	// Nets lists every shard network (length 1 when unsharded). The
-	// shards are fully independent: no router, host, or lock is shared.
+	// Nets is always []*netsim.Network{Net}. Only bench/ reads it, a
+	// leftover of network sharding that goes with bench/'s next edit.
 	Nets   []*netsim.Network
 	Source netip.Addr
 	Dests  []netip.Addr
-	// ShardOf maps each destination to the index of the shard network
-	// that routes it. Nil when the scenario is unsharded.
+	// ShardOf is always nil. Only bench/ reads it, passing it on to
+	// measure.Config.ShardOf; it goes with bench/'s next edit.
 	ShardOf map[netip.Addr]int
 	AS      *asmap.Table
 
 	// RoundStart applies inter-round routing dynamics (flaps, transient
-	// forwarding loops, the round's flip schedules) and advances every
-	// shard's virtual round. Call it before each measurement round.
+	// forwarding loops, the round's flip schedules) and advances the
+	// network's virtual round. Call it before each measurement round.
 	RoundStart func(round int)
 
 	// Truth records the gadget ground truth for validation.
 	Truth Truth
 }
 
-// Transport returns a probe transport covering every destination: the plain
-// network transport when unsharded, or a sharded transport dispatching each
-// probe to its destination's shard without locking.
-func (sc *Scenario) Transport() tracer.Transport {
-	if len(sc.Nets) <= 1 {
-		return netsim.NewTransport(sc.Net)
-	}
-	return netsim.NewShardedTransport(sc.Nets, sc.ShardOf)
-}
+// Transport returns a probe transport over the scenario's network.
+func (sc *Scenario) Transport() tracer.Transport { return netsim.NewTransport(sc.Net) }
 
 // Truth counts the anomaly gadgets the generator placed.
 type Truth struct {
@@ -255,71 +235,30 @@ func Generate(cfg GenConfig) *Scenario {
 	if cfg.FlapPodDests <= 0 {
 		cfg.FlapPodDests = 3
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pool := newAddrPool()
-	builders := make([]*Builder, shards)
-	for s := range builders {
-		// One seed for every shard: a probe draws the same stream in
-		// whichever shard routes it, so the shard count is invisible.
-		builders[s] = newPooledBuilder(cfg.Seed^0x5eed, pool)
-	}
-	b0 := builders[0]
-	sc := &Scenario{Net: b0.Net, Source: b0.Source, AS: &asmap.Table{}}
-	for _, b := range builders {
-		sc.Nets = append(sc.Nets, b.Net)
-	}
-	if shards > 1 {
-		sc.ShardOf = make(map[netip.Addr]int, cfg.Destinations)
-	}
+	b := NewBuilder(cfg.Seed ^ 0x5eed)
+	sc := &Scenario{Net: b.Net, Nets: []*netsim.Network{b.Net}, Source: b.Source, AS: &asmap.Table{}}
 
 	// AS registry: core is tier-1, transits regional, pods stubs.
 	sc.AS.RegisterAS(asmap.AS{Number: 1, Name: "core-t1", Tier: asmap.TierOne})
 	sc.AS.Add(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, 0}), 12), 1)
 
-	// Gateway/core/transit spine, replicated once per shard. Every
-	// replica is built from the same pool state, so interface addresses —
-	// and therefore measured routes — are identical regardless of the
-	// shard count; only shard 0 advances the shared pool for real.
-	type spine struct {
-		core     []*netsim.Router
-		transits []*netsim.Router
-	}
-	spines := make([]spine, shards)
-	spineStart := *pool
-	for s, b := range builders {
-		if s > 0 {
-			replay := spineStart
-			b.pool = &replay
-		}
-		core := b.Chain(b.Gateway, cfg.CoreLen)
-		transits := make([]*netsim.Router, cfg.Transits)
-		for i := range transits {
-			transits[i] = b.NewRouter(fmt.Sprintf("t%d", i))
-			b.Link(core[len(core)-1], transits[i])
-			if s == 0 {
-				asn := 10 + i
-				sc.AS.RegisterAS(asmap.AS{Number: asn, Name: fmt.Sprintf("transit-%d", i), Tier: asmap.TierRegional})
-				sc.AS.Add(netip.PrefixFrom(transits[i].Iface(0), 32), asn)
-			}
-		}
-		spines[s] = spine{core: core, transits: transits}
-		b.pool = pool
+	// Gateway/core/transit spine.
+	core := b.Chain(b.Gateway, cfg.CoreLen)
+	transits := make([]*netsim.Router, cfg.Transits)
+	for i := range transits {
+		transits[i] = b.NewRouter(fmt.Sprintf("t%d", i))
+		b.Link(core[len(core)-1], transits[i])
+		asn := 10 + i
+		sc.AS.RegisterAS(asmap.AS{Number: asn, Name: fmt.Sprintf("transit-%d", i), Tier: asmap.TierRegional})
+		sc.AS.Add(netip.PrefixFrom(transits[i].Iface(0), 32), asn)
 	}
 
 	gen := &generator{cfg: cfg, rng: rng, sc: sc}
 
 	destsLeft := cfg.Destinations
 	for p := 0; destsLeft > 0; p++ {
-		// Round-robin by pod, not by destination: a pod's gadgets stay
-		// together, so pod-level anomaly correlation survives sharding.
-		si := p % shards
-		b := builders[si]
-		core, transits := spines[si].core, spines[si].transits
 		transit := transits[rng.Intn(len(transits))]
 
 		kind := podRegular
@@ -366,9 +305,6 @@ func Generate(cfg GenConfig) *Scenario {
 		for d := 0; d < nDest; d++ {
 			h := b.AttachHost(tmpl.leaf, "", tmpl.nat)
 			sc.Dests = append(sc.Dests, h.Addr)
-			if sc.ShardOf != nil {
-				sc.ShardOf[h.Addr] = si
-			}
 			sc.AS.Add(netip.PrefixFrom(h.Addr, 32), asn)
 			installStep(routeStep{On: b.Gateway, Via: via(core[0].Iface(0))}, h.Addr)
 			for i := 0; i+1 < len(core); i++ {
@@ -380,25 +316,21 @@ func Generate(cfg GenConfig) *Scenario {
 			}
 		}
 	}
-	sc.Truth.Routers = pool.routerSeq
+	sc.Truth.Routers = b.routerSeq
 
-	// Virtual-clock dynamics: install the (identical) compiled layer on
-	// every shard network. With all intensities zero SetDynamics stores
+	// Virtual-clock dynamics. With all intensities zero SetDynamics stores
 	// nil and the forwarding path is untouched.
 	if cfg.Delay > 0 || cfg.Load > 0 || cfg.Churn > 0 {
 		dseed := cfg.DynamicsSeed
 		if dseed == 0 {
 			dseed = cfg.Seed ^ 0x7ea1
 		}
-		dyn := netsim.Dynamics{
+		b.Net.SetDynamics(netsim.Dynamics{
 			Seed:  uint64(dseed),
 			Delay: cfg.Delay,
 			Load:  cfg.Load,
 			Churn: cfg.Churn,
-		}
-		for _, net := range sc.Nets {
-			net.SetDynamics(dyn)
-		}
+		})
 	}
 
 	// Inter-round dynamics.
@@ -406,15 +338,13 @@ func Generate(cfg GenConfig) *Scenario {
 	if cfg.FlipPerProbe <= 0 {
 		flips = nil
 	}
-	nets := sc.Nets
+	net := b.Net
 	dynRng := rand.New(rand.NewSource(cfg.Seed ^ 0x0ddba11))
 	sc.RoundStart = func(round int) {
-		// Advance the virtual round on every shard first: it keys every
-		// exchange's stream, and the hook runs between rounds with no
-		// exchange in flight, so probes of round r always draw under r.
-		for _, net := range nets {
-			net.SetVirtualRound(round)
-		}
+		// Advance the virtual round first: it keys every exchange's
+		// stream, and the hook runs between rounds with no exchange in
+		// flight, so probes of round r always draw under r.
+		net.SetVirtualRound(round)
 		for _, f := range flapRouters {
 			flapped := dynRng.Float64() < cfg.FlapProbability
 			f.SetFaults(netsim.Faults{Unreachable: flapped})
@@ -468,8 +398,8 @@ type generator struct {
 	flips       []*flipState
 }
 
-// buildPod assembles one pod's routers into b (the pod's shard) and returns
-// its route template.
+// buildPod assembles one pod's routers into b and returns its route
+// template.
 func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDest int) routeTemplate {
 	cfg, rng := g.cfg, g.rng
 	var tmpl routeTemplate
