@@ -87,6 +87,12 @@ func runStudy(o *options) (err error) {
 	if err := o.live.Validate(flag.CommandLine, "checkpoint", "resume"); err != nil {
 		return err
 	}
+	if err := cli.AtLeast(flag.CommandLine, 1, "rounds", "workers", "checkpoint-every"); err != nil {
+		return err
+	}
+	if err := cli.AtLeast(flag.CommandLine, 0, "halt-after"); err != nil {
+		return err
+	}
 	if o.resume && o.checkpoint == "" {
 		return cli.Usagef("-resume requires -checkpoint")
 	}

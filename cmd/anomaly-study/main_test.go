@@ -93,26 +93,31 @@ func studyOutput(t *testing.T, args ...string) (stdout, stats []byte) {
 
 // TestOutputGolden pins the report and the -stats-json of the study: at the
 // shipped defaults (32 workers, flips on), and at one worker with flips off
-// on a static topology and with netsim's dynamics on. A change that means
-// to alter any of them rewrites the files with -update and shows the diff;
-// any other change must leave them byte-equal. The default run is also
-// halted after round 12 and resumed, and the resumed run must print the
-// golden itself.
+// on a static topology, with netsim's dynamics on, and with -truth. A change
+// that means to alter any of them rewrites the files with -update and shows
+// the diff; any other change must leave them byte-equal. -truth prints the
+// generator's ground truth ahead of the report and moves no statistic, so
+// its -stats-json must equal the static run's golden. The default run is
+// also halted after round 12 and resumed, and the resumed run must print
+// the golden itself.
 func TestOutputGolden(t *testing.T) {
 	base := []string{"-dests", "120", "-rounds", "24", "-workers", "1", "-flips=false", "-seed", "7"}
 	defaults := []string{"-dests", "120", "-rounds", "24", "-seed", "7"}
 	for _, c := range []struct {
-		name string
-		args []string
+		name, stats string // the goldens of stdout and of -stats-json
+		args        []string
 	}{
-		{"default", defaults},
-		{"static", base},
-		{"dynamics", append(slices.Clone(base), "-delay", "1", "-load", "0.3", "-churn", "0.5")},
+		{"default", "default", defaults},
+		{"static", "static", base},
+		{"dynamics", "dynamics", append(slices.Clone(base), "-delay", "1", "-load", "0.3", "-churn", "0.5")},
+		{"truth", "static", append(slices.Clone(base), "-truth")},
 	} {
 		stdout, stats := studyOutput(t, c.args...)
-		for golden, got := range map[string][]byte{c.name + ".stdout": stdout, c.name + ".stats.json": stats} {
+		for golden, got := range map[string][]byte{c.name + ".stdout": stdout, c.stats + ".stats.json": stats} {
+			// -update writes a golden only from the row it is named after.
+			write := *update && strings.HasPrefix(golden, c.name+".")
 			golden = filepath.Join("testdata", golden)
-			if *update {
+			if write {
 				if err := os.WriteFile(golden, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -135,6 +140,20 @@ func TestOutputGolden(t *testing.T) {
 			t.Error(err)
 		} else if !bytes.Equal(got, want) {
 			t.Errorf("the default run halted after round 12 and resumed differs from %s:\n%s", golden, got)
+		}
+	}
+}
+
+// TestRefusesOutOfRangeCounts: a count below its floor exits 2 naming the
+// flag instead of running with a default in its place.
+func TestRefusesOutOfRangeCounts(t *testing.T) {
+	for _, c := range [][]string{
+		{"-rounds", "-3"}, {"-rounds", "0"}, {"-workers", "-2"}, {"-workers", "0"},
+		{"-checkpoint-every", "-4"}, {"-halt-after", "-1"}, {"-retries", "-1"},
+	} {
+		stderr, exit := study(t, append(slices.Clone(toyStudy), c...)...)
+		if want := c[0] + " must be at least"; exit != 2 || !strings.Contains(stderr, want) {
+			t.Errorf("%v: exit %d, stderr %q, want exit 2 and %q", c, exit, stderr, want)
 		}
 	}
 }

@@ -65,6 +65,13 @@ func run() (err error) {
 	if err := lv.Validate(flag.CommandLine); err != nil {
 		return err
 	}
+	if err := cli.AtLeast(flag.CommandLine, 1, "period", "workers", "checkpoint-every"); err != nil {
+		return err
+	}
+	if err := cli.AtLeast(flag.CommandLine, 0, "queue-cap", "burst", "max-restarts", "max-rounds",
+		"fault-transient-every", "fault-drop-every", "fault-panic-every"); err != nil {
+		return err
+	}
 	ctx := cli.SignalContext()
 
 	cfg := daemon.Config{

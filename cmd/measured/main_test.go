@@ -51,6 +51,22 @@ func TestCaptureRequiresLive(t *testing.T) {
 	}
 }
 
+// TestRefusesOutOfRangeCounts: a count below its floor exits 2 naming the
+// flag instead of running with a default in its place.
+func TestRefusesOutOfRangeCounts(t *testing.T) {
+	base := []string{"-dests", "20", "-seed", "7", "-flips=false", "-interval", "1ms", "-max-rounds", "2", "-listen", ""}
+	for _, c := range [][]string{
+		{"-period", "-1"}, {"-period", "0"}, {"-workers", "-3"}, {"-checkpoint-every", "-4"},
+		{"-queue-cap", "-1"}, {"-burst", "-1"}, {"-max-restarts", "-1"}, {"-retries", "-1"},
+		{"-fault-transient-every", "-1"}, {"-fault-drop-every", "-1"}, {"-fault-panic-every", "-1"},
+	} {
+		stderr, exit := measured(t, append(append([]string{}, base...), c...)...)
+		if want := c[0] + " must be at least"; exit != 2 || !strings.Contains(stderr, want) {
+			t.Errorf("%v: exit %d, stderr %q, want exit 2 and %q", c, exit, stderr, want)
+		}
+	}
+}
+
 // TestRecoversFromCheckpoint is the daemon-soak job in miniature: a bounded
 // run checkpoints every round, and a second process started on the same file
 // announces the round it recovered at instead of starting from zero.

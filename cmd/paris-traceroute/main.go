@@ -40,6 +40,9 @@ func run() (err error) {
 	if err := lv.Validate(flag.CommandLine); err != nil {
 		return err
 	}
+	if err := cli.AtLeast(flag.CommandLine, 1, "flows"); err != nil {
+		return err
+	}
 	var (
 		ctx    = context.Background()
 		tp     tracer.Transport

@@ -131,3 +131,14 @@ func TestRetryBackoffFlagIsGone(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q: want exit 2 naming the unknown flag", exit, stderr)
 	}
 }
+
+// TestRefusesOutOfRangeCounts: a count below its floor exits 2 naming the
+// flag instead of running with a default in its place.
+func TestRefusesOutOfRangeCounts(t *testing.T) {
+	for _, c := range [][]string{{"-flows", "-3"}, {"-flows", "0"}, {"-retries", "-1"}} {
+		_, stderr, exit := traceroute(t, append([]string{"-scenario", "fig3"}, c...)...)
+		if want := c[0] + " must be at least"; exit != 2 || !strings.Contains(stderr, want) {
+			t.Errorf("%v: exit %d, stderr %q, want exit 2 and %q", c, exit, stderr, want)
+		}
+	}
+}

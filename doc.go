@@ -11,7 +11,10 @@
 // (tracer, anomaly, measure). docs/ holds the checkpoint, daemon, live and
 // replay contracts, and the README lists the internal/ packages. The
 // root's own tests are the paper's figure and statistic benchmarks
-// (bench_test.go, figures_test.go) and the surface ledger (surface_test.go),
-// which keeps every exported identifier of the module either used by another
-// package or listed in testdata/surface.txt with a reason.
+// (bench_test.go, figures_test.go) and two ledgers (surface_test.go): one
+// keeps every exported identifier of the module either used by another
+// package or listed in testdata/surface.txt with a reason, and one keeps
+// each "one X" decision (one TTL ladder, one live transport, one front end,
+// one run state, one attribution rule, one origin) to the callers
+// testdata/callsites.txt lists for its primitives.
 package repro

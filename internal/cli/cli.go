@@ -8,6 +8,7 @@ package cli
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/signal"
@@ -41,6 +42,18 @@ func (e usageError) Unwrap() error { return e.err }
 // Usagef is fmt.Errorf for an error that exits with the usage code, 2.
 func Usagef(format string, a ...any) error {
 	return usageError{fmt.Errorf(format, a...)}
+}
+
+// AtLeast refuses, naming the flag, the first of the int flags names of fs
+// whose value is below floor: a count out of range is the user's to fix,
+// not the binary's to replace with a default.
+func AtLeast(fs *flag.FlagSet, floor int, names ...string) error {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < floor {
+			return Usagef("-%s must be at least %d, got %d", name, floor, v)
+		}
+	}
+	return nil
 }
 
 // exitCode places err in the contract: nil is exitOK, a Usagef error

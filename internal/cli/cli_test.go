@@ -164,6 +164,7 @@ func TestValidate(t *testing.T) {
 		{"-rounds 3 -checkpoint f -resume", ""},
 		{"-live -live-dests 192.0.2.1 -capture run.pcap -checkpoint f -resume", ""},
 		{"-capture run.pcap", "-capture requires -live"},
+		{"-retries -1", "-retries must be at least 0, got -1"},
 		{"-replay run.pcap", ""},
 		{"-replay run.pcap -rounds 3 -retries 0 -live-dests 192.0.2.1", ""},
 		{"-replay run.pcap -live", "-replay is an offline mode and excludes -live"},

@@ -50,11 +50,14 @@ func (l *Live) Register(fs *flag.FlagSet, listFlag string, replay bool) {
 	}
 }
 
-// Validate refuses, naming the flag, the combinations that cannot mean
-// anything: -capture without -live, and -replay together with -live,
-// -capture or any flag in offline — the ones the binary cannot honour
-// without a network or a simulator behind it.
+// Validate refuses, naming the flag, a negative -retries and the
+// combinations that cannot mean anything: -capture without -live, and
+// -replay together with -live, -capture or any flag in offline — the ones
+// the binary cannot honour without a network or a simulator behind it.
 func (l *Live) Validate(fs *flag.FlagSet, offline ...string) error {
+	if err := AtLeast(fs, 0, "retries"); err != nil {
+		return err
+	}
 	if l.Capture != "" && !l.On && l.Replay == "" {
 		return Usagef("-capture requires -live (the simulator is already replayable from its seed)")
 	}

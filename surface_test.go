@@ -11,46 +11,27 @@ package repro
 // The scan is syntactic (go/parser only): a name counts as used where a file
 // that imports its package selects it (pkg.Name). Methods and struct fields
 // are out of its reach. The same scan keeps test support out of the
-// program: no non-test file may import a package of testSupport. It also
-// holds netsim's one determinism rule — every draw keyed by (seed, round,
-// probe), nothing hooked into the forwarding walk in arrival order: no
-// non-test file may name forwardingHook at all, whether it declares it (a
-// function, method, interface method or field) or selects it (a call).
+// program: no non-test file may import a package of testSupport.
 //
 // Two more rules hold the non-test files outside bench/. The packages whose
 // output is a pure function of (seed, config) — netsim, measure and anomaly
 // — neither read the wall clock (time.Now) nor import math/rand; topo, which
-// draws the topology, is the exception. And there is one attribution rule:
-// which header octets say a response answers a probe is
-// internal/tracer/flowkey's to decide, so no file names the tracer's deleted
-// second copy (matchQuoted, matchUDPChecksum, a type expect) and the alias
-// file internal/tracer/live/match.go does not exist.
+// draws the topology, is the exception. And netsim's draws are keyed by
+// (seed, round, probe), never by arrival order, so no struct netsim declares
+// has a field of func type: nothing can hook into the forwarding walk.
 //
-// It also holds the one probing path, in every Go file, tests included:
-// there is one TTL ladder (engine.trace), every transport batches, and the
-// one live transport is the mux. No file may declare (as a function, method,
-// type, constant, variable, field or interface method) a name in
-// deletedPaths, the names the second ladder and the per-probe adapter went
-// by, nor select live.New or live.Config, the deleted second live transport.
-//
-// Two more "one X" decisions are held the same way. One front end: the
-// binaries parse the live flags, open the mux, arm the capture and take
-// their signals through internal/cli, so no non-test file under cmd/
-// declares a name of the copies it replaced (liveDestinations,
-// probeCounters) or selects live.NewMux, pcap.CreateCapture or
-// signal.Notify. One run state: campaign and daemon keep one
-// per-destination record, digest, checkpoint body and restore path, so no
-// Go file outside bench/, tests included, declares configDigest,
-// destHealth or HealthState, or imports repro/internal/core, and that
-// directory does not exist. One origin: netsim's hosts and routers stamp
-// what they originate (source address, TTL, IP ID) through one origin, so
-// no non-test file of netsim declares routerRespondLocal, marshalFromRouter
-// or marshalICMP, or a method respond or nextIPID on Host or Router.
+// The call-site ledger, testdata/callsites.txt, holds the same files to
+// every "one X" decision — one TTL ladder, one live transport, one front
+// end, one run state, one attribution rule, one origin — as the functions
+// allowed to name each primitive the decision rests on. A function that names
+// a primitive fails unless the ledger lists it, whatever it is called, and so
+// does a listed function that no longer names it (readLedger has the format).
 //
 //	go test -run TestSurface -v .   # also prints every name with its users
+//	                                # and every primitive with its callers
 
 import (
-	"bufio"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -65,7 +46,10 @@ import (
 	"testing"
 )
 
-const surfaceList = "testdata/surface.txt"
+const (
+	surfaceList  = "testdata/surface.txt"
+	callsiteList = "testdata/callsites.txt"
+)
 
 // surfaceReasons is the fixed set of reasons an unused export may stay.
 var surfaceReasons = map[string]bool{
@@ -73,131 +57,6 @@ var surfaceReasons = map[string]bool{
 	"wire": true, // a wire, JSON or checkpoint type
 	"type": true, // the type of a value another package receives
 	"test": true, // test support
-}
-
-// forwardingHook is the name of the hook the flip gadget once used to run
-// inside netsim's forwarding walk.
-const forwardingHook = "OnSend"
-
-// deletedPaths maps the names of deleted second probing paths to what they
-// were.
-var deletedPaths = map[string]string{
-	"traceSequential": "the second TTL ladder",
-	"AsBatch":         "the run-time check for a transport without a batch path",
-	"perProbe":        "the per-probe loop around a transport without a batch path",
-}
-
-// deletedLive are the live package's selectors of its deleted second
-// transport.
-var deletedLive = map[string]bool{"New": true, "Config": true}
-
-// checkProbingPath fails on a declaration named in deletedPaths and on a
-// selector of deletedLive through the live package (or anything called
-// live).
-func checkProbingPath(t *testing.T, fset *token.FileSet, f *ast.File) {
-	liveName := "live"
-	for _, im := range f.Imports {
-		if ip, _ := strconv.Unquote(im.Path.Value); ip == "repro/internal/tracer/live" && im.Name != nil {
-			liveName = im.Name.Name
-		}
-	}
-	declaredIdents(f, func(id *ast.Ident) {
-		if what := deletedPaths[id.Name]; what != "" {
-			t.Errorf("%s: %s declares %s, the name of %s: there is one TTL ladder and every transport batches", fset.Position(id.Pos()), f.Name.Name, id.Name, what)
-		}
-	})
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n, ok := n.(*ast.SelectorExpr); ok {
-			if x, ok := n.X.(*ast.Ident); ok && (x.Name == "live" || x.Name == liveName) && deletedLive[n.Sel.Name] {
-				t.Errorf("%s: %s.%s is the deleted second live transport: the one live transport is live.Mux", fset.Position(n.Pos()), x.Name, n.Sel.Name)
-			}
-		}
-		return true
-	})
-}
-
-// declaredIdents calls fn with every name f declares: functions, methods,
-// types, constants, variables, fields and interface methods.
-func declaredIdents(f *ast.File, fn func(*ast.Ident)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			fn(n.Name)
-		case *ast.TypeSpec:
-			fn(n.Name)
-		case *ast.ValueSpec:
-			for _, id := range n.Names {
-				fn(id)
-			}
-		case *ast.Field:
-			for _, id := range n.Names {
-				fn(id)
-			}
-		}
-		return true
-	})
-}
-
-// secondFrontEnd are the names of the binaries' copies of the front end.
-var secondFrontEnd = map[string]bool{"liveDestinations": true, "probeCounters": true}
-
-// frontEndCalls are, by import path, the selectors only internal/cli may
-// use among the binaries: opening the mux, creating the capture, taking
-// signals.
-var frontEndCalls = map[string]string{
-	"repro/internal/tracer/live": "NewMux",
-	"repro/internal/pcap":        "CreateCapture",
-	"os/signal":                  "Notify",
-}
-
-// checkOneFrontEnd holds a non-test file under cmd/ to the one front end:
-// it declares no name of secondFrontEnd and selects none of frontEndCalls,
-// whether through the package's own name or the name the file imports it
-// by.
-func checkOneFrontEnd(t *testing.T, fset *token.FileSet, f *ast.File) {
-	calls := map[string]string{} // package name as written -> the selector refused
-	for ip, sel := range frontEndCalls {
-		calls[path.Base(ip)] = sel
-	}
-	for _, im := range f.Imports {
-		if ip, _ := strconv.Unquote(im.Path.Value); frontEndCalls[ip] != "" && im.Name != nil {
-			calls[im.Name.Name] = frontEndCalls[ip]
-		}
-	}
-	declaredIdents(f, func(id *ast.Ident) {
-		if secondFrontEnd[id.Name] {
-			t.Errorf("%s: %s declares %s, a name of a binary's own front end: the binaries share internal/cli", fset.Position(id.Pos()), f.Name.Name, id.Name)
-		}
-	})
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok && calls[x.Name] == sel.Sel.Name {
-				t.Errorf("%s: %s.%s under cmd/: the binaries open the mux and the capture, and take their signals, through internal/cli", fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
-			}
-		}
-		return true
-	})
-}
-
-// secondRunState are the names of the run state's deleted copies, and
-// deletedCore the package that held a third pair measurement.
-var (
-	secondRunState = map[string]bool{"configDigest": true, "destHealth": true, "HealthState": true}
-	deletedCore    = "repro/internal/core"
-)
-
-// checkOneRunState holds a Go file outside bench/ to the one run state.
-func checkOneRunState(t *testing.T, fset *token.FileSet, f *ast.File) {
-	for _, im := range f.Imports {
-		if ip, _ := strconv.Unquote(im.Path.Value); ip == deletedCore {
-			t.Errorf("%s: imports %s: campaign and daemon share measure's run state", fset.Position(im.Pos()), ip)
-		}
-	}
-	declaredIdents(f, func(id *ast.Ident) {
-		if secondRunState[id.Name] {
-			t.Errorf("%s: %s declares %s, a name of a second run state: campaign and daemon share measure.DestRun, measure.RunDigest and measure.Checkpoint", fset.Position(id.Pos()), f.Name.Name, id.Name)
-		}
-	})
 }
 
 // purePackages are the packages whose non-test files may neither call
@@ -208,23 +67,15 @@ var purePackages = map[string]bool{
 	"repro/internal/anomaly": true,
 }
 
-// deletedAttribution are the identifiers of the tracer's deleted second
-// attribution rule: the quoted-header check and its UDP checksum test. Its
-// expectation struct was a type named expect.
-var deletedAttribution = map[string]bool{"matchQuoted": true, "matchUDPChecksum": true}
-
-// deletedMatchFile is the file the mux once reached flowkey through.
-const deletedMatchFile = "internal/tracer/live/match.go"
-
 // checkProgramRules holds a non-test file of package pkg, outside bench/, to
-// the determinism rule of the pure packages and to the one attribution
-// rule.
-func checkProgramRules(t *testing.T, fset *token.FileSet, pkg string, f *ast.File) {
+// the determinism rule: the pure packages neither import math/rand nor read
+// the wall clock, and netsim declares no struct field of func type.
+func checkProgramRules(errorf func(string, ...any), fset *token.FileSet, pkg string, f *ast.File) {
 	pure, timeName := purePackages[pkg], ""
 	for _, im := range f.Imports {
 		switch ip, _ := strconv.Unquote(im.Path.Value); {
 		case pure && (ip == "math/rand" || ip == "math/rand/v2"):
-			t.Errorf("%s: %s imports %s; its draws are keyed by (seed, round, probe), never by a shared generator", fset.Position(im.Pos()), pkg, ip)
+			errorf("%s: %s imports %s; its draws are keyed by (seed, round, probe), never by a shared generator", fset.Position(im.Pos()), pkg, ip)
 		case ip == "time":
 			timeName = "time"
 			if im.Name != nil {
@@ -234,54 +85,19 @@ func checkProgramRules(t *testing.T, fset *token.FileSet, pkg string, f *ast.Fil
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.Ident:
-			if deletedAttribution[n.Name] {
-				t.Errorf("%s: %s is the deleted second attribution rule: internal/tracer/flowkey decides which response answers a probe", fset.Position(n.Pos()), n.Name)
-			}
-		case *ast.TypeSpec:
-			if n.Name.Name == "expect" {
-				t.Errorf("%s: type expect is the deleted second attribution rule: internal/tracer/flowkey decides which response answers a probe", fset.Position(n.Pos()))
+		case *ast.StructType:
+			for _, field := range n.Fields.List {
+				if _, ok := field.Type.(*ast.FuncType); ok && pkg == "repro/internal/netsim" {
+					errorf("%s: a netsim struct holds a func, a hook into the forwarding walk; netsim draws are keyed by (seed, round, probe), never by arrival order", fset.Position(field.Pos()))
+				}
 			}
 		case *ast.SelectorExpr:
 			if x, ok := n.X.(*ast.Ident); ok && pure && x.Name == timeName && n.Sel.Name == "Now" {
-				t.Errorf("%s: %s reads the wall clock; its output is a pure function of (seed, config)", fset.Position(n.Pos()), pkg)
+				errorf("%s: %s reads the wall clock; its output is a pure function of (seed, config)", fset.Position(n.Pos()), pkg)
 			}
 		}
 		return true
 	})
-}
-
-// deletedOrigins are the names of netsim's deleted copies of the way a box
-// originates a packet, and deletedBoxMethods the methods Host and Router
-// stamped with: a box originates through its origin (origin.nextIPID,
-// origin.icmp, origin.answer).
-var (
-	deletedOrigins    = map[string]bool{"routerRespondLocal": true, "marshalFromRouter": true, "marshalICMP": true}
-	deletedBoxMethods = map[string]bool{"respond": true, "nextIPID": true}
-)
-
-// checkOneOrigin holds a non-test file of netsim to one origin: it declares
-// no name of deletedOrigins and no method of deletedBoxMethods on Host or
-// Router.
-func checkOneOrigin(t *testing.T, fset *token.FileSet, f *ast.File) {
-	declaredIdents(f, func(id *ast.Ident) {
-		if deletedOrigins[id.Name] {
-			t.Errorf("%s: netsim declares %s, a copy of how a box originates a packet: hosts and routers originate through origin", fset.Position(id.Pos()), id.Name)
-		}
-	})
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Recv == nil || !deletedBoxMethods[fd.Name.Name] {
-			continue
-		}
-		recv := fd.Recv.List[0].Type
-		if star, ok := recv.(*ast.StarExpr); ok {
-			recv = star.X
-		}
-		if id, ok := recv.(*ast.Ident); ok && (id.Name == "Host" || id.Name == "Router") {
-			t.Errorf("%s: netsim declares %s.%s: hosts and routers originate through origin", fset.Position(fd.Name.Pos()), id.Name, fd.Name.Name)
-		}
-	}
 }
 
 // testSupport lists the packages only _test.go files may import.
@@ -290,15 +106,157 @@ var testSupport = map[string]bool{
 	"repro/internal/simtest":       true,
 }
 
-// scanSurface parses every Go file under the module root outside testdata
-// and hidden directories, holding each to checkProbingPath, each outside
-// bench/ to checkOneRunState, each non-test file under cmd/ to
-// checkOneFrontEnd, and each of netsim to checkOneOrigin. Of the non-test
-// files it returns each library package's exported top-level identifiers,
-// keyed "importpath.Name", and for each such key the import paths of the
-// packages whose files select it.
-func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]string) {
-	exports, namedBy = map[string]bool{}, map[string][]string{}
+// ledger is the call-site ledger: for each primitive, the callers allowed to
+// name it. Packages are named by import path, less "repro/internal/" or
+// "repro/" (cmd/measured, tracer/live, os/signal).
+type ledger map[string]map[string]bool
+
+// readList calls fn with the number and text of each line of the file name
+// that is not blank once a '#' comment is cut.
+func readList(t *testing.T, name string, fn func(line int, text string)) {
+	b, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range strings.Split(string(b), "\n") {
+		if text, _, _ = strings.Cut(text, "#"); strings.TrimSpace(text) != "" {
+			fn(i+1, text)
+		}
+	}
+}
+
+// readLedger reads callsiteList. Each line is "primitive ...: caller ...".
+// A primitive is pkg.Name, a selector through an import of pkg or a bare call
+// inside pkg, or .Name, a method or field selected on anything. A caller is
+// the top-level declaration that names the primitive: pkg.Func, or
+// pkg.Type.Method for a method of Type.
+func readLedger(t *testing.T) ledger {
+	l := ledger{}
+	readList(t, callsiteList, func(line int, text string) {
+		prims, callers, _ := strings.Cut(text, ":")
+		if len(strings.Fields(prims)) == 0 || len(strings.Fields(callers)) == 0 {
+			t.Errorf("%s:%d: want \"primitive ...: caller ...\", got %q", callsiteList, line, text)
+		}
+		for _, p := range strings.Fields(prims) {
+			if l[p] != nil {
+				t.Errorf("%s:%d: %s is listed twice", callsiteList, line, p)
+			}
+			l[p] = map[string]bool{}
+			for _, c := range strings.Fields(callers) {
+				l[p][c] = true
+			}
+		}
+	})
+	return l
+}
+
+// ledgerPkg is how the ledger names the package with import path ip.
+func ledgerPkg(ip string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(ip, "repro/internal/"), "repro/")
+}
+
+// fileImports maps the name each import of f is selected by to its path.
+func fileImports(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, im := range f.Imports {
+		ip, _ := strconv.Unquote(im.Path.Value)
+		name := path.Base(ip)
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = ip
+	}
+	return imports
+}
+
+// declName is how the ledger names top-level declaration d as a caller:
+// Func, Type.Method, or the first name a type, var or const declaration
+// declares.
+func declName(d ast.Decl) string {
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			return d.Name.Name
+		}
+		recv := "" // the first identifier: T in T, *T, T[K] and *T[K, V]
+		ast.Inspect(d.Recv.List[0].Type, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && recv == "" {
+				recv = id.Name
+			}
+			return recv == ""
+		})
+		return recv + "." + d.Name.Name
+	case *ast.GenDecl:
+		for _, s := range d.Specs {
+			switch s := s.(type) {
+			case *ast.TypeSpec:
+				return s.Name.Name
+			case *ast.ValueSpec:
+				return s.Names[0].Name
+			}
+		}
+	}
+	return ""
+}
+
+// collect records in found, for each primitive of l that a top-level
+// declaration of f (a file of package pkg) names, the declaration as a
+// caller and the first place it names the primitive.
+func (l ledger) collect(fset *token.FileSet, pkg string, f *ast.File, found map[string]map[string]token.Position) {
+	imports := fileImports(f)
+	for _, d := range f.Decls {
+		caller := ledgerPkg(pkg) + "." + declName(d)
+		ast.Inspect(d, func(n ast.Node) bool {
+			prim := ""
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				prim = "." + n.Sel.Name
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					prim = ledgerPkg(imports[x.Name]) + prim
+				}
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok {
+					prim = ledgerPkg(pkg) + "." + id.Name
+				}
+			}
+			if l[prim] != nil && found[prim] == nil {
+				found[prim] = map[string]token.Position{}
+			}
+			if _, seen := found[prim][caller]; l[prim] != nil && !seen {
+				found[prim][caller] = fset.Position(n.Pos())
+			}
+			return true
+		})
+	}
+}
+
+// check returns a line for each caller in found that l does not list and
+// for each caller l lists that found does not hold.
+func (l ledger) check(found map[string]map[string]token.Position) []string {
+	var bad []string
+	for _, prim := range slices.Sorted(maps.Keys(l)) {
+		for _, caller := range slices.Sorted(maps.Keys(found[prim])) {
+			if !l[prim][caller] {
+				bad = append(bad, fmt.Sprintf("%s: %s names %s, but %s does not list it as a caller: go through a listed one, or add it to the ledger with the reason", found[prim][caller], caller, prim, callsiteList))
+			}
+		}
+		for _, caller := range slices.Sorted(maps.Keys(l[prim])) {
+			if _, ok := found[prim][caller]; !ok {
+				bad = append(bad, fmt.Sprintf("%s lists %s as a caller of %s, but it does not name it: remove it from the line", callsiteList, caller, prim))
+			}
+		}
+	}
+	return bad
+}
+
+// scanSurface parses every non-test Go file under the module root outside
+// testdata and hidden directories, and holds each outside bench/ to
+// checkProgramRules and the call-site ledger l. It returns each library
+// package's exported top-level identifiers, keyed "importpath.Name"; for
+// each such key the import paths of the packages whose files select it; and
+// the callers of each primitive of l.
+func scanSurface(t *testing.T, l ledger) (exports map[string]bool, namedBy map[string][]string, found map[string]map[string]token.Position) {
+	exports, namedBy, found = map[string]bool{}, map[string][]string{}, map[string]map[string]token.Position{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -313,50 +271,27 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 			return err
 		}
 		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 				continue
 			}
 			f, err := parser.ParseFile(fset, filepath.Join(p, e.Name()), nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
-			checkProbingPath(t, fset, f)
 			inBench := pkg == "repro/bench" || strings.HasPrefix(pkg, "repro/bench/")
 			if !inBench {
-				checkOneRunState(t, fset, f)
+				checkProgramRules(t.Errorf, fset, pkg, f)
+				l.collect(fset, pkg, f, found)
 			}
-			if strings.HasSuffix(e.Name(), "_test.go") {
-				continue
-			}
-			if !inBench {
-				checkProgramRules(t, fset, pkg, f)
-			}
-			if pkg == "repro/internal/netsim" {
-				checkOneOrigin(t, fset, f)
-			}
-			if strings.HasPrefix(pkg, "repro/cmd/") {
-				checkOneFrontEnd(t, fset, f)
-			}
-			imports := map[string]string{}
-			for _, im := range f.Imports {
-				ip, _ := strconv.Unquote(im.Path.Value)
+			imports := fileImports(f)
+			for _, ip := range imports {
 				if testSupport[ip] {
 					t.Errorf("%s imports the test-support package %s: only _test.go files may", filepath.Join(p, e.Name()), ip)
 				}
-				if strings.HasPrefix(ip, "repro/") {
-					name := path.Base(ip)
-					if im.Name != nil {
-						name = im.Name.Name
-					}
-					imports[name] = ip
-				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name == forwardingHook {
-					t.Errorf("%s: %s hooks into the forwarding walk; netsim draws are keyed by (seed, round, probe), never by arrival order", fset.Position(id.Pos()), id.Name)
-				}
 				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					if x, ok := sel.X.(*ast.Ident); ok && strings.HasPrefix(imports[x.Name], "repro/") {
 						key := imports[x.Name] + "." + sel.Sel.Name
 						if !slices.Contains(namedBy[key], pkg) {
 							namedBy[key] = append(namedBy[key], pkg)
@@ -397,43 +332,34 @@ func scanSurface(t *testing.T) (exports map[string]bool, namedBy map[string][]st
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exports, namedBy
+	return exports, namedBy, found
 }
 
-// TestSurface holds the module's exports to the ledger.
+// TestSurface holds the module's exports to the surface ledger and its call
+// sites to the call-site ledger.
 func TestSurface(t *testing.T) {
-	exports, namedBy := scanSurface(t)
-	if _, err := os.Stat(deletedMatchFile); err == nil {
-		t.Errorf("%s exists: the mux reaches internal/tracer/flowkey directly", deletedMatchFile)
+	l := readLedger(t)
+	exports, namedBy, found := scanSurface(t, l)
+	for _, bad := range l.check(found) {
+		t.Error(bad)
 	}
-	if _, err := os.Stat(strings.TrimPrefix(deletedCore, "repro/")); err == nil {
-		t.Errorf("%s exists: campaign and daemon share measure's run state", deletedCore)
+	if testing.Verbose() {
+		for _, prim := range slices.Sorted(maps.Keys(l)) {
+			t.Logf("%-50s %s", prim, strings.Join(slices.Sorted(maps.Keys(found[prim])), " "))
+		}
 	}
 
 	listed := map[string]string{}
-	f, err := os.Open(surfaceList)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for line := 1; sc.Scan(); line++ {
-		text, _, _ := strings.Cut(sc.Text(), "#")
-		fields := strings.Fields(text)
-		switch {
-		case len(fields) == 0:
-			continue
+	readList(t, surfaceList, func(line int, text string) {
+		switch fields := strings.Fields(text); {
 		case len(fields) != 2 || !surfaceReasons[fields[1]]:
-			t.Errorf("%s:%d: want \"importpath.Name reason\" with reason one of enum, wire, type, test; got %q", surfaceList, line, sc.Text())
+			t.Errorf("%s:%d: want \"importpath.Name reason\" with reason one of enum, wire, type, test; got %q", surfaceList, line, text)
 		case listed[fields[0]] != "":
 			t.Errorf("%s:%d: %s is listed twice", surfaceList, line, fields[0])
 		default:
 			listed[fields[0]] = fields[1]
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	unused := 0
 	for _, name := range slices.Sorted(maps.Keys(exports)) {
@@ -457,4 +383,44 @@ func TestSurface(t *testing.T) {
 		}
 	}
 	t.Logf("%d exported top-level identifiers, %d named by no other package's non-test code, %d listed", len(exports), unused, len(listed))
+}
+
+// TestSurfaceCatchesRenamedCopies plants second copies of "one X" decisions,
+// each under a name no earlier rule knew, and requires TestSurface's rules
+// to report each: a call site as a caller the ledger does not list, a
+// netsim hook as a func field. Every caller the ledger lists must be
+// reported as stale where the sources hold none of them.
+func TestSurfaceCatchesRenamedCopies(t *testing.T) {
+	l := readLedger(t)
+	for _, c := range []struct{ pkg, src, want string }{
+		{"repro/internal/tracer", "func (e *engine) stepwise() { e.build(e) }", "tracer.engine.stepwise names .build, but"},
+		{"repro/internal/tracer/live", "func (c *rawTransport) send() { c.conn.WriteBatch(c.out) }", "tracer/live.rawTransport.send names .WriteBatch, but"},
+		{"repro/cmd/measured", `import "os/signal"; func ownSignals(c chan os.Signal) { signal.Notify(c) }`, "cmd/measured.ownSignals names os/signal.Notify, but"},
+		{"repro/internal/daemon", `import "repro/internal/measure"; func configHash(cfg Config) uint64 { return measure.RunDigest(cfg.Dests, cfg.Probe) }`, "daemon.configHash names measure.RunDigest, but"},
+		{"repro/internal/daemon", "func probeAgain(d *Daemon, j job) { d.prober.MeasurePair(j.dest, 0, nil) }", "daemon.probeAgain names .MeasurePair, but"},
+		{"repro/internal/tracer", `import "repro/internal/packet"; func quotedMatches(b []byte, m *packet.ICMP) bool { return packet.ParseICMPInto(b, m) == nil }`, "tracer.quotedMatches names packet.ParseICMPInto, but"},
+		{"repro/internal/netsim", `import "repro/internal/packet"; func stampAgain(ip *packet.IPv4, m *packet.ICMP) { packet.MarshalIPv4ICMPInto(nil, ip, m) }`, "netsim.stampAgain names packet.MarshalIPv4ICMPInto, but"},
+		{"repro/internal/netsim", "type tapped struct{ tap func([]byte) }", "a netsim struct holds a func"},
+	} {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "plant.go", "package p\n"+c.src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		checkProgramRules(func(format string, a ...any) { got = append(got, fmt.Sprintf(format, a...)) }, fset, c.pkg, f)
+		found := map[string]map[string]token.Position{}
+		l.collect(fset, c.pkg, f, found)
+		got = append(got, l.check(found)...)
+		if !slices.ContainsFunc(got, func(s string) bool { return strings.Contains(s, c.want) }) {
+			t.Errorf("%s: %s: no report %q among:\n%s", c.pkg, c.src, c.want, strings.Join(got, "\n"))
+		}
+	}
+	callers := 0
+	for _, cs := range l {
+		callers += len(cs)
+	}
+	if stale := l.check(nil); len(stale) != callers || !slices.ContainsFunc(stale, func(s string) bool { return strings.Contains(s, "lists tracer.engine.trace as a caller of .build") }) {
+		t.Errorf("with no sources, the ledger's %d callers should each be reported stale; got:\n%s", callers, strings.Join(stale, "\n"))
+	}
 }
