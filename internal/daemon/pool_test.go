@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/simtest"
 	"repro/internal/tracer"
 )
 
@@ -68,7 +69,7 @@ func TestTickGoroutinesConstant(t *testing.T) {
 
 // TestTickAllocs pins a warmed Tick's allocations per dispatched pair.
 func TestTickAllocs(t *testing.T) {
-	if raceBuild {
+	if simtest.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const dests = 200

@@ -7,26 +7,8 @@ import (
 
 	"repro/internal/keyhash"
 	"repro/internal/packet"
+	"repro/internal/tracer"
 )
-
-// ExchangeResult is the outcome of one probe/response exchange within an
-// ExchangeBatch call. Resp is written with append-truncate into whatever
-// storage the caller left in the field, so a caller that reuses one result
-// slice across batches pays for each response buffer exactly once.
-type ExchangeResult struct {
-	// Resp is the serialized response packet (empty when OK is false).
-	// The buffer is owned by the caller and recycled in place.
-	Resp []byte
-	// Steps is the number of node traversals, the latency proxy Exchange
-	// reports.
-	Steps int
-	// RTT is the probe's virtual round-trip time when the network has a
-	// dynamics layer installed (SetDynamics); zero otherwise, and zero
-	// when OK is false.
-	RTT time.Duration
-	// OK is false when no response made it back to the source (a star).
-	OK bool
-}
 
 // arena is the bump allocator serving one batch's transient packet buffers:
 // the mutable probe copy and every ICMP error, echo reply, or TCP reset a
@@ -242,12 +224,19 @@ type walkTally struct {
 	handed          [numHandovers]atomic.Int64
 }
 
+// perHop is the synthetic one-way per-node latency a response's RTT is
+// derived from when the network has no dynamics layer: RTT = Steps × perHop.
+const perHop = 500 * time.Microsecond
+
 // ExchangeBatch performs len(probes) probe/response exchanges as one unit of
-// work, writing the i-th outcome into out[i]; out must be at least as long
-// as probes. It is the one entry into the forwarding walk — Exchange is a
-// batch of one — and equal to exchanging the probes one at a time in any
-// order: every draw is keyed by the probe itself (see the package comment's
-// determinism contract), so nothing depends on which probe went first.
+// work, writing the i-th outcome into out[i] through its writers (Answer or
+// Star); out must be at least as long as probes. A response's RTT is its
+// virtual round-trip time when the network has a dynamics layer installed
+// (SetDynamics) and that time is positive, and Steps × 500 µs otherwise. It
+// is the one entry into the forwarding walk — Exchange is a batch of one —
+// and equal to exchanging the probes one at a time in any order: every draw
+// is keyed by the probe itself (see the package comment's determinism
+// contract), so nothing depends on which probe went first.
 //
 // The topology read lock is held across the whole batch, and probe copies
 // plus originated responses are carved from a pooled arena instead of the
@@ -257,7 +246,13 @@ type walkTally struct {
 // is resumed or replayed.
 //
 // ExchangeBatch is safe for concurrent use.
-func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
+func (n *Network) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
+	n.exchange(probes, out, nil)
+}
+
+// exchange is ExchangeBatch that also reports each probe's node traversals
+// in steps[i] when steps is not nil.
+func (n *Network) exchange(probes [][]byte, out []tracer.ProbeResult, steps []int) {
 	if len(out) < len(probes) {
 		panic("netsim: ExchangeBatch result slice shorter than probe slice")
 	}
@@ -283,6 +278,7 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 	// A ladder lives for one batch: the probes of a trace window.
 	ctx.skipFwd, ctx.skipRet, ctx.handed, ctx.lad.net = 0, 0, [numHandovers]int{}, nil
 
+	walked := 0
 	for i, probe := range probes {
 		ctx.probe, ctx.seeded = probe, false
 		if ctx.dyn != nil {
@@ -291,16 +287,19 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 		ctx.epoch = n.epoch.Load()
 		ctx.share = ctx.epoch&1 == 0 && !n.plain
 		// Copy: forwarding mutates TTL/checksum/src in place.
-		resp, steps, ok := n.run(ctx, ctx.arena.copyOf(probe))
-		out[i].Steps, out[i].OK = steps, ok
-		out[i].RTT = 0
-		if ok && ctx.dyn != nil {
-			out[i].RTT = ctx.clk.elapsed()
+		resp, s, ok := n.run(ctx, ctx.arena.copyOf(probe))
+		walked += s
+		if steps != nil {
+			steps[i] = s
 		}
 		if ok {
-			out[i].Resp = append(out[i].Resp[:0], resp...)
-		} else if out[i].Resp != nil {
-			out[i].Resp = out[i].Resp[:0]
+			rtt := time.Duration(s) * perHop
+			if ctx.dyn != nil && ctx.clk.elapsed() > 0 {
+				rtt = ctx.clk.elapsed()
+			}
+			out[i].Answer(resp, rtt)
+		} else {
+			out[i].Star()
 		}
 		// Everything this exchange carved from the arena is dead now
 		// that the response is copied out; reuse the space.
@@ -308,9 +307,7 @@ func (n *Network) ExchangeBatch(probes [][]byte, out []ExchangeResult) {
 	}
 	ctx.probe = nil
 	if t := n.tally; t != nil {
-		for i := range probes {
-			t.steps.Add(int64(out[i].Steps))
-		}
+		t.steps.Add(int64(walked))
 		t.fwd.Add(int64(ctx.skipFwd))
 		t.ret.Add(int64(ctx.skipRet))
 		for c, k := range ctx.handed {

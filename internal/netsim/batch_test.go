@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/tracer"
 )
 
 // batchTestNet is testNet plus randomized behaviour (a probabilistic drop
@@ -61,15 +62,16 @@ func TestExchangeBatchMatchesSequential(t *testing.T) {
 		probes = append(probes, p)
 	}
 
-	out := make([]ExchangeResult, len(probes))
-	batNet.ExchangeBatch(probes, out)
+	out := make([]tracer.ProbeResult, len(probes))
+	outSteps := make([]int, len(probes))
+	batNet.exchange(probes, out, outSteps)
 
 	sawDrop := false
 	for i, p := range probes {
 		resp, steps, ok := seqNet.Exchange(p)
-		if ok != out[i].OK || steps != out[i].Steps {
+		if ok != out[i].OK || steps != outSteps[i] {
 			t.Errorf("probe %d: batch (ok=%v steps=%d) vs sequential (ok=%v steps=%d)",
-				i, out[i].OK, out[i].Steps, ok, steps)
+				i, out[i].OK, outSteps[i], ok, steps)
 		}
 		if ok && !bytes.Equal(resp, out[i].Resp) {
 			t.Errorf("probe %d: batch response differs from sequential\nbatch: %x\nseq:   %x",
@@ -88,13 +90,13 @@ func TestExchangeBatchMatchesSequential(t *testing.T) {
 
 	// Reversed, one exchange each, on a fresh network.
 	revNet, _, _ := batchTestNet(t)
-	rev := make([]ExchangeResult, len(probes))
+	rev, revSteps := make([]tracer.ProbeResult, len(probes)), make([]int, len(probes))
 	for i := len(probes) - 1; i >= 0; i-- {
-		revNet.ExchangeBatch(probes[i:i+1], rev[i:i+1])
+		revNet.exchange(probes[i:i+1], rev[i:i+1], revSteps[i:i+1])
 	}
 	// Four goroutines, each a strided batch, on another.
 	parNet, _, _ := batchTestNet(t)
-	par := make([]ExchangeResult, len(probes))
+	par, parSteps := make([]tracer.ProbeResult, len(probes)), make([]int, len(probes))
 	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)
@@ -104,20 +106,24 @@ func TestExchangeBatchMatchesSequential(t *testing.T) {
 			for i := g; i < len(probes); i += 4 {
 				mine = append(mine, probes[i])
 			}
-			res := make([]ExchangeResult, len(mine))
-			parNet.ExchangeBatch(mine, res)
+			res, steps := make([]tracer.ProbeResult, len(mine)), make([]int, len(mine))
+			parNet.exchange(mine, res, steps)
 			for k, i := 0, g; i < len(probes); k, i = k+1, i+4 {
-				par[i] = res[k]
+				par[i], parSteps[i] = res[k], steps[k]
 			}
 		}()
 	}
 	wg.Wait()
-	for name, got := range map[string][]ExchangeResult{"reversed": rev, "4 goroutines": par} {
-		for i := range probes {
-			if got[i].OK != out[i].OK || got[i].Steps != out[i].Steps ||
-				!bytes.Equal(withoutIPID(got[i].Resp), withoutIPID(out[i].Resp)) {
+	for _, run := range []struct {
+		name  string
+		got   []tracer.ProbeResult
+		steps []int
+	}{{"reversed", rev, revSteps}, {"4 goroutines", par, parSteps}} {
+		for i, g := range run.got {
+			if g.OK != out[i].OK || run.steps[i] != outSteps[i] ||
+				!bytes.Equal(withoutIPID(g.Resp), withoutIPID(out[i].Resp)) {
 				t.Errorf("%s: probe %d: ok=%v steps=%d resp %x, forward ok=%v steps=%d resp %x",
-					name, i, got[i].OK, got[i].Steps, got[i].Resp, out[i].OK, out[i].Steps, out[i].Resp)
+					run.name, i, g.OK, run.steps[i], g.Resp, out[i].OK, outSteps[i], out[i].Resp)
 			}
 		}
 	}
@@ -129,14 +135,17 @@ func TestExchangeBatchMatchesSequential(t *testing.T) {
 func TestExchangeBatchReusesResultBuffers(t *testing.T) {
 	n, _, host := testNet(t)
 	probes := ladderProbes(t, n, host.Addr, 5)
-	out := make([]ExchangeResult, len(probes))
+	out := make([]tracer.ProbeResult, len(probes))
 	n.ExchangeBatch(probes, out)
 
 	first := make([][]byte, len(out))
-	caps := make([]int, len(out))
+	bufs := make([]*byte, len(out))
 	for i := range out {
+		if !out[i].OK {
+			t.Fatalf("probe %d: first batch got no response", i)
+		}
 		first[i] = append([]byte(nil), out[i].Resp...)
-		caps[i] = cap(out[i].Resp)
+		bufs[i] = &out[i].Resp[0]
 	}
 	n.ExchangeBatch(probes, out)
 	for i := range out {
@@ -146,11 +155,11 @@ func TestExchangeBatchReusesResultBuffers(t *testing.T) {
 		// Deterministic topology, but the responding boxes advance their
 		// IP ID counters between batches: everything but the IP ID and
 		// its checksum must match, and the buffer must be recycled.
-		if len(out[i].Resp) != len(first[i]) {
-			t.Errorf("probe %d: second batch response length %d, first %d", i, len(out[i].Resp), len(first[i]))
+		if !bytes.Equal(withoutIPID(out[i].Resp), withoutIPID(first[i])) {
+			t.Errorf("probe %d: second batch response %x, first %x", i, out[i].Resp, first[i])
 		}
-		if cap(out[i].Resp) != caps[i] {
-			t.Errorf("probe %d: response buffer reallocated (cap %d -> %d)", i, caps[i], cap(out[i].Resp))
+		if &out[i].Resp[0] != bufs[i] {
+			t.Errorf("probe %d: response buffer reallocated", i)
 		}
 	}
 }

@@ -4,15 +4,24 @@ import (
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/tracer"
 )
 
-// ExchangeV is Exchange plus the probe's virtual round-trip time
-// (ExchangeResult.RTT; zero without a dynamics layer or a response): the
-// one-probe form the tests hold a whole batch against, probe for probe.
+// ExchangeV is Exchange plus the RTT the network reports (the virtual
+// round-trip time under dynamics, Steps × 500 µs otherwise; zero without a
+// response): the one-probe form the tests hold a whole batch against,
+// probe for probe.
 func (n *Network) ExchangeV(probe []byte) (resp []byte, steps int, rtt time.Duration, ok bool) {
-	var out [1]ExchangeResult
-	n.ExchangeBatch([][]byte{probe}, out[:])
-	return out[0].Resp, out[0].Steps, out[0].RTT, out[0].OK
+	var out [1]tracer.ProbeResult
+	var s [1]int
+	n.exchange([][]byte{probe}, out[:], s[:])
+	return out[0].Resp, s[0], out[0].RTT, out[0].OK
+}
+
+// ExchangeSteps is ExchangeBatch that also reports each probe's node
+// traversals in steps[i].
+func (n *Network) ExchangeSteps(probes [][]byte, out []tracer.ProbeResult, steps []int) {
+	n.exchange(probes, out, steps)
 }
 
 // FlipPosition is the probe's position on a flip schedule in this network.

@@ -277,12 +277,10 @@ func (t *FaultTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 	if len(out) < len(probes) {
 		panic("netsim: ExchangeBatch result slice shorter than probe slice")
 	}
-	kinds := make([]faultKind, len(probes))
 	pass := make([][]byte, 0, len(probes))
 	idxs := make([]int, 0, len(probes))
 	for i, p := range probes {
-		kinds[i] = t.decide(p)
-		switch kinds[i] {
+		switch t.decide(p) {
 		case faultPanic:
 			// Panic at the probe's position, before later probes consume
 			// ordinals — the same point a run of one-probe batches panics
@@ -292,25 +290,14 @@ func (t *FaultTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 			// Wedge here, as a one-probe batch would; once released the
 			// probe resolves as a silent drop.
 			t.stall()
-			kinds[i] = faultStar
-		case faultNone:
+			fallthrough
+		case faultStar:
+			out[i].Star()
+		case faultErr:
+			out[i].Fail(errFor(p))
+		default:
 			pass = append(pass, p)
 			idxs = append(idxs, i)
-		}
-	}
-	for i := range probes {
-		if kinds[i] == faultNone {
-			continue
-		}
-		if out[i].Resp != nil {
-			out[i].Resp = out[i].Resp[:0]
-		}
-		out[i].RTT = 0
-		out[i].OK = false
-		if kinds[i] == faultErr {
-			out[i].Err = errFor(probes[i])
-		} else {
-			out[i].Err = nil
 		}
 	}
 	if len(pass) == 0 {
@@ -320,9 +307,10 @@ func (t *FaultTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult
 		t.inner.ExchangeBatch(probes, out)
 		return
 	}
+	// The passing slots move, buffers and all, into a sub-batch and back.
 	sub := make([]tracer.ProbeResult, len(pass))
 	for j, i := range idxs {
-		sub[j] = tracer.ProbeResult{Resp: out[i].Resp[:0:cap(out[i].Resp)]}
+		sub[j] = out[i]
 	}
 	t.inner.ExchangeBatch(pass, sub)
 	for j, i := range idxs {

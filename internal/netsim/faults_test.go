@@ -9,8 +9,6 @@ import (
 	"repro/internal/tracer"
 )
 
-var errStale = errors.New("stale error from a recycled slot")
-
 // stubTransport answers every probe affirmatively and records what reached
 // it, and in how many batches, so tests can observe exactly which probes the
 // fault layer forwarded.
@@ -24,7 +22,7 @@ func (s *stubTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult)
 	s.batches++
 	for i, p := range probes {
 		s.seen = append(s.seen, append([]byte(nil), p...))
-		out[i] = tracer.ProbeResult{Resp: append(out[i].Resp[:0], 0xAB), RTT: time.Millisecond, OK: true}
+		out[i].Answer([]byte{0xAB}, time.Millisecond)
 	}
 }
 
@@ -244,7 +242,8 @@ func TestFaultBatchStaleSlotReset(t *testing.T) {
 	inner := &stubTransport{}
 	ft := WrapFaults(inner, FaultPlan{Seed: 1, DropEvery: 1, DropStart: 0, DropLen: 1})
 	probes := [][]byte{probeFor(dst)}
-	out := []tracer.ProbeResult{{Resp: []byte{1, 2, 3}, OK: true, RTT: time.Second, Err: tracer.Transient(errStale)}}
+	stale := tracer.Transient(errors.New("stale error from a recycled slot"))
+	out := []tracer.ProbeResult{{Resp: []byte{1, 2, 3}, OK: true, RTT: time.Second, Err: stale}}
 	ft.ExchangeBatch(probes, out) // ordinal 0: drop
 	if out[0].Err != nil || out[0].OK || len(out[0].Resp) != 0 || out[0].RTT != 0 {
 		t.Fatalf("dropped slot not fully reset: %+v", out[0])

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/keyhash"
 	"repro/internal/packet"
+	"repro/internal/tracer"
 )
 
 // defaultMaxSteps bounds the number of node traversals a single injected
@@ -328,9 +329,10 @@ func (p *prng) Intn(n int) int { return int(p.next() % uint64(n)) }
 // walk — so it is safe for concurrent use, and concurrent calls forward in
 // parallel under the topology read lock.
 func (n *Network) Exchange(probe []byte) (resp []byte, steps int, ok bool) {
-	var out [1]ExchangeResult
-	n.ExchangeBatch([][]byte{probe}, out[:])
-	return out[0].Resp, out[0].Steps, out[0].OK
+	var out [1]tracer.ProbeResult
+	var s [1]int
+	n.exchange([][]byte{probe}, out[:], s[:])
+	return out[0].Resp, s[0], out[0].OK
 }
 
 // dstRef is a packet's destination address resolved against the registry,

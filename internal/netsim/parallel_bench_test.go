@@ -12,6 +12,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/topo"
+	"repro/internal/tracer"
 )
 
 // benchProbes builds one mid-trace UDP probe (TTL 6: expires in the pod,
@@ -88,7 +89,7 @@ func BenchmarkExchangeLadder(b *testing.B) {
 			for i, d := range sc.Dests {
 				ladders[i] = ladderBatch(b, sc.Source, d)
 			}
-			out := make([]netsim.ExchangeResult, 16)
+			out := make([]tracer.ProbeResult, 16)
 			for _, l := range ladders { // compile every table, size every buffer
 				sc.Net.ExchangeBatch(l, out)
 			}

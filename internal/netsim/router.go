@@ -119,9 +119,11 @@
 // Exchange is a batch of one. Arena ownership: the probe copy and every
 // originated response are carved from a pooled arena that is recycled probe
 // to probe and batch to batch; no arena memory ever escapes ExchangeBatch.
-// The final response is copied out with append-truncate into the caller's
-// out[i].Resp, so the caller owns (and should reuse) the result buffers, and
-// a result is valid until the caller passes the same slot to another batch.
+// The results are the tracer's own slots (tracer.ProbeResult), written
+// through their writers: the final response is copied into the caller's
+// out[i].Resp buffer, so the caller owns (and should reuse) the result
+// buffers, and a result is valid until the caller passes the same slot to
+// another batch. Exchange reports a probe's Steps beside its slot.
 // Probes are read-only to the batch and may be recycled by the caller once
 // the call returns.
 //
@@ -161,11 +163,11 @@
 // load, and scheduled dynamics — route flaps, balancer weight churn, link
 // brownouts — that evolve on a virtual timeline advanced only by the links a
 // packet crosses, never by the wall clock. Exchanges then report virtual RTTs
-// (ExchangeResult.RTT). The layer extends, rather than weakens,
-// the determinism contract: every dynamics draw is a pure function of
-// (dynamics seed, arrival-interface address, virtual time), and a probe's
-// virtual start time hashes the probe's own bytes off the current round
-// base. With dynamics disabled (the default), the instant-and-static
+// (ProbeResult.RTT) instead of Steps × 500 µs. The layer extends, rather
+// than weakens, the determinism contract: every dynamics draw is a pure
+// function of (dynamics seed, arrival-interface address, virtual time), and
+// a probe's virtual start time hashes the probe's own bytes off the current
+// round base. With dynamics disabled (the default), the instant-and-static
 // forwarding path is untouched byte for byte.
 package netsim
 

@@ -37,11 +37,10 @@ type logTransport struct {
 }
 
 func (t *logTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
-	res := make([]netsim.ExchangeResult, len(probes))
-	t.net.ExchangeBatch(probes, res)
-	for i, r := range res {
-		t.log = append(t.log, exchange{bytes.Clone(probes[i]), r.Resp, r.Steps, r.RTT, r.OK})
-		out[i] = tracer.ProbeResult{Resp: bytes.Clone(r.Resp), RTT: r.RTT, OK: r.OK}
+	steps := make([]int, len(probes))
+	t.net.ExchangeSteps(probes, out, steps)
+	for i, r := range out[:len(probes)] {
+		t.log = append(t.log, exchange{bytes.Clone(probes[i]), bytes.Clone(r.Resp), steps[i], r.RTT, r.OK})
 	}
 }
 

@@ -32,12 +32,14 @@ const transcriptGolden = "testdata/transcripts.golden"
 
 // transcriptTransport records everything the network hands back — response
 // bytes, Steps, OK, RTT — while passing the tracer what netsim.Transport
-// would.
+// would. Without dynamics the RTT is hashed as 0: the goldens hold the
+// virtual RTT, and Steps already determines the static one.
 type transcriptTransport struct {
-	net *netsim.Network
-	h   hash.Hash
-	n   int
-	res []netsim.ExchangeResult
+	net    *netsim.Network
+	static bool
+	h      hash.Hash
+	n      int
+	steps  []int
 }
 
 func (t *transcriptTransport) record(resp []byte, steps int, rtt time.Duration, ok bool) {
@@ -54,18 +56,16 @@ func (t *transcriptTransport) record(resp []byte, steps int, rtt time.Duration, 
 }
 
 func (t *transcriptTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
-	for len(t.res) < len(probes) {
-		t.res = append(t.res, netsim.ExchangeResult{})
+	for len(t.steps) < len(probes) {
+		t.steps = append(t.steps, 0)
 	}
-	res := t.res[:len(probes)]
-	t.net.ExchangeBatch(probes, res)
-	for i, r := range res {
-		t.record(r.Resp, r.Steps, r.RTT, r.OK)
+	t.net.ExchangeSteps(probes, out, t.steps)
+	for i, r := range out[:len(probes)] {
 		rtt := r.RTT
-		if r.OK && rtt == 0 {
-			rtt = time.Duration(r.Steps) * 500 * time.Microsecond
+		if t.static {
+			rtt = 0
 		}
-		out[i] = tracer.ProbeResult{Resp: append(out[i].Resp[:0], r.Resp...), RTT: rtt, OK: r.OK}
+		t.record(r.Resp, t.steps[i], rtt, r.OK)
 	}
 }
 
@@ -78,13 +78,14 @@ type transcriptWorld struct {
 	net        *netsim.Network
 	dests      []netip.Addr
 	roundStart func(int)
+	dyn        bool
 }
 
 func figureWorld(net *netsim.Network, dest *netsim.Host, dyn bool) transcriptWorld {
 	if dyn {
 		net.SetDynamics(transcriptDynamics)
 	}
-	return transcriptWorld{net: net, dests: []netip.Addr{dest.Addr}, roundStart: net.SetVirtualRound}
+	return transcriptWorld{net: net, dests: []netip.Addr{dest.Addr}, roundStart: net.SetVirtualRound, dyn: dyn}
 }
 
 func generatedWorld(cfg topo.GenConfig, dyn bool) transcriptWorld {
@@ -93,7 +94,7 @@ func generatedWorld(cfg topo.GenConfig, dyn bool) transcriptWorld {
 		cfg.Delay, cfg.Load, cfg.Churn = transcriptDynamics.Delay, transcriptDynamics.Load, transcriptDynamics.Churn
 	}
 	sc := topo.Generate(cfg)
-	return transcriptWorld{net: sc.Net, dests: sc.Dests, roundStart: sc.RoundStart}
+	return transcriptWorld{net: sc.Net, dests: sc.Dests, roundStart: sc.RoundStart, dyn: dyn}
 }
 
 // transcriptTopologies builds each topology fresh: responses carry IP IDs,
@@ -164,7 +165,7 @@ var transcriptMethods = []struct {
 // answered and the number of exchanges behind it.
 func runTranscript(t *testing.T, w transcriptWorld, batch bool) (string, int) {
 	t.Helper()
-	tp := &transcriptTransport{net: w.net, h: sha256.New()}
+	tp := &transcriptTransport{net: w.net, static: !w.dyn, h: sha256.New()}
 	opts := tracer.Options{MinTTL: 1, MaxTTL: 39, Batch: batch}
 	for round := 0; round < 2; round++ {
 		w.roundStart(round)

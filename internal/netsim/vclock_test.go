@@ -83,10 +83,11 @@ func TestDynamicsBatchMatchesSequential(t *testing.T) {
 	}
 
 	batchNet, probes2 := build()
-	out := make([]ExchangeResult, len(probes2))
-	batchNet.ExchangeBatch(probes2, out)
+	out := make([]tracer.ProbeResult, len(probes2))
+	steps := make([]int, len(probes2))
+	batchNet.exchange(probes2, out, steps)
 	for i := range out {
-		got := outcome{string(out[i].Resp), out[i].Steps, out[i].RTT, out[i].OK}
+		got := outcome{string(out[i].Resp), steps[i], out[i].RTT, out[i].OK}
 		if got != seq[i] {
 			t.Fatalf("probe %d: batch %+v != sequential %+v", i, got, seq[i])
 		}
@@ -122,8 +123,8 @@ func TestDynamicsChurnProducesStars(t *testing.T) {
 // the tracer: with dynamics on, every responding hop of a traced Route
 // carries a positive virtual RTT, strictly increasing along the TTL ladder
 // (per-link propagation is time-invariant, so deeper probes always travel
-// strictly longer); with dynamics off the virtual RTT is exactly zero and
-// the transport reports the synthetic Steps × 500µs.
+// strictly longer); with dynamics off the network and the transport both
+// report the synthetic Steps × 500µs.
 func TestRouteRTTLadder(t *testing.T) {
 	t.Run("dynamics on", func(t *testing.T) {
 		n, _, host := testNet(t)
@@ -157,28 +158,15 @@ func TestRouteRTTLadder(t *testing.T) {
 		tp := NewTransport(n)
 		for ttl := uint8(1); ttl <= 8; ttl++ {
 			probe := udpProbe(t, n, host.Addr, ttl, 111, 222)
-			_, steps, vrtt, ok := n.ExchangeV(probe)
-			if !ok || vrtt != 0 {
-				t.Fatalf("ttl %d: answered %v with virtual RTT %v, want exactly 0 with dynamics off", ttl, ok, vrtt)
+			_, steps, nrtt, ok := n.ExchangeV(probe)
+			if want := time.Duration(steps) * 500 * time.Microsecond; !ok || nrtt != want {
+				t.Fatalf("ttl %d: network answered %v with RTT %v, want %d steps × 500µs", ttl, ok, nrtt, steps)
 			}
 			if _, rtt, ok := tp.Exchange(probe); !ok || rtt != time.Duration(steps)*500*time.Microsecond {
 				t.Fatalf("ttl %d: transport RTT %v, want %d steps × 500µs", ttl, rtt, steps)
 			}
 		}
 	})
-}
-
-// TestExchangeVZeroWithoutDynamics pins that the rtt return is exactly zero
-// on the historical path.
-func TestExchangeVZeroWithoutDynamics(t *testing.T) {
-	n, _, host := testNet(t)
-	_, _, rtt, ok := n.ExchangeV(udpProbe(t, n, host.Addr, 2, 111, 222))
-	if !ok {
-		t.Fatal("no response")
-	}
-	if rtt != 0 {
-		t.Fatalf("rtt = %v, want 0 without dynamics", rtt)
-	}
 }
 
 // TestDynamicsRoundsSeparateTimelines pins SetVirtualRound: the same probe

@@ -5,12 +5,14 @@
 // -stats-json.
 //
 // It imports only topo and netsim, so the in-package tests of measure,
-// daemon, live and replay can import it without a cycle. Its own test file
-// holds TestHouseInvariant, the one table that proves the house invariant:
+// daemon, live and replay can import it without a cycle. Its own tests
+// hold TestHouseInvariant, the one table that proves the house invariant:
 // the statistics depend only on (seed, config), whatever the workers,
-// batching, streaming, resume point or transport. Only _test.go
-// files may import this package; TestSurface in the module root refuses
-// any other importer.
+// batching, streaming, resume point or transport; and TestStaleSlots, the
+// one table that holds every transport to writing each result slot whole.
+// It also holds Race, the one race-detector flag the allocation pins read.
+// Only _test.go files may import this package; TestSurface in the module
+// root refuses any other importer.
 package simtest
 
 import (

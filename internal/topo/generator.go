@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 
 	"repro/internal/asmap"
 	"repro/internal/flow"
@@ -415,6 +416,16 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 		}
 	}
 
+	// behind adds the pod's destinations to a DestsBehind* count, once
+	// however many of the pod's diamonds qualify.
+	var counted []*int
+	behind := func(n *int) {
+		if !slices.Contains(counted, n) {
+			counted = append(counted, n)
+			*n += nDest
+		}
+	}
+
 	// addDiamond inserts an equal-cost diamond: `width` branches of one
 	// router each, except branch 0 which is longer by unequalDiff.
 	// width <= 0 samples from the configured distribution.
@@ -458,15 +469,15 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 		})
 		cur = exit
 		g.sc.Truth.Diamonds++
-		g.sc.Truth.DestsBehindDiamond += nDest
+		behind(&g.sc.Truth.DestsBehindDiamond)
 		if perPacket {
-			g.sc.Truth.DestsBehindPerPacket += nDest
+			behind(&g.sc.Truth.DestsBehindPerPacket)
 		}
 		switch unequalDiff {
 		case 1:
-			g.sc.Truth.DestsBehindUnequal += nDest
+			behind(&g.sc.Truth.DestsBehindUnequal)
 		case 2:
-			g.sc.Truth.DestsBehindDiff2 += nDest
+			behind(&g.sc.Truth.DestsBehindDiff2)
 		}
 		return exit
 	}

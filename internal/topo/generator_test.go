@@ -67,8 +67,15 @@ func TestGenerateTruthConsistent(t *testing.T) {
 	if tr.Pods == 0 || tr.Routers == 0 {
 		t.Fatalf("empty truth: %+v", tr)
 	}
-	if tr.DestsBehindDiamond > 2*len(sc.Dests) {
-		t.Errorf("diamond dest count out of range: %+v", tr)
+	// A pod with two diamonds counts its destinations once per field.
+	for name, n := range map[string]int{
+		"diamond": tr.DestsBehindDiamond, "unequal": tr.DestsBehindUnequal,
+		"diff2": tr.DestsBehindDiff2, "per-packet": tr.DestsBehindPerPacket,
+		"nat": tr.DestsBehindNAT, "zero-ttl": tr.DestsBehindZeroTTL,
+	} {
+		if n > len(sc.Dests) {
+			t.Errorf("%d destinations behind a %s gadget, of %d: %+v", n, name, len(sc.Dests), tr)
+		}
 	}
 	if tr.DestsBehindUnequal+tr.DestsBehindDiff2 > tr.DestsBehindDiamond {
 		t.Errorf("unequal counts exceed diamond count: %+v", tr)

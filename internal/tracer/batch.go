@@ -5,7 +5,10 @@ import (
 	"time"
 )
 
-// ProbeResult is the outcome of one probe within a batched exchange.
+// ProbeResult is the outcome of one probe within a batched exchange. A
+// transport writes a slot only through its three writers — Answer, Star
+// and Fail — each of which sets every field, so a slot recycled from an
+// earlier batch keeps nothing of it but its response buffer.
 type ProbeResult struct {
 	// Resp is the serialized response packet (empty when OK is false).
 	// The buffer is owned by the transport's caller and recycled in
@@ -24,17 +27,32 @@ type ProbeResult struct {
 	Err error
 }
 
+// Answer records resp, arriving after rtt, copying it into the slot's own
+// buffer.
+func (r *ProbeResult) Answer(resp []byte, rtt time.Duration) {
+	r.Resp = append(r.Resp[:0], resp...)
+	r.RTT, r.OK, r.Err = rtt, true, nil
+}
+
+// Star records that no response arrived.
+func (r *ProbeResult) Star() {
+	r.Resp, r.RTT, r.OK, r.Err = r.Resp[:0], 0, false, nil
+}
+
+// Fail records that the exchange failed outright with err.
+func (r *ProbeResult) Fail(err error) {
+	r.Star()
+	r.Err = err
+}
+
 // Exchange sends one probe through tp as a batch of one and returns its
 // response, the caller owning the buffer. A failed exchange (ProbeResult.Err)
-// counts as a star here; a caller that must tell the two apart calls
-// ExchangeBatch and reads Err.
+// counts as a star here — its slot holds no bytes and no RTT either; a
+// caller that must tell the two apart calls ExchangeBatch and reads Err.
 func Exchange(tp Transport, probe []byte) ([]byte, time.Duration, bool) {
 	var out [1]ProbeResult
 	tp.ExchangeBatch([][]byte{probe}, out[:])
-	if r := out[0]; r.OK && r.Err == nil {
-		return r.Resp, r.RTT, true
-	}
-	return nil, 0, false
+	return out[0].Resp, out[0].RTT, out[0].OK
 }
 
 // BatchTransport and FallibleTransport are the single-probe interfaces of

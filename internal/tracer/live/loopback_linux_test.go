@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/measure"
 	"repro/internal/pcap"
+	"repro/internal/simtest"
 	"repro/internal/tracer"
 	"repro/internal/tracer/replay"
 )
@@ -201,7 +202,7 @@ func TestLiveMuxLoopbackBatchAllocs(t *testing.T) {
 	if err := available(); err != nil {
 		t.Skipf("raw sockets unavailable: %v", err)
 	}
-	if raceBuild {
+	if simtest.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	lo := netip.AddrFrom4([4]byte{127, 0, 0, 1})

@@ -432,10 +432,10 @@ func (t *MuxTransport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
 
 // ExchangeBatch implements tracer.Transport. Concurrent calls, on one
 // handle or many, interleave freely: the mux attributes every response by
-// flow identifier across all in-flight batches. out[i].Resp is refilled with
-// append-truncate, so callers recycling one result slice across batches
-// (tracer.Scratch) amortize the response buffers exactly as they do against
-// the simulator.
+// flow identifier across all in-flight batches. Each slot is written
+// through its writers, which keep its response buffer, so callers recycling
+// one result slice across batches (tracer.Scratch) amortize the response
+// buffers exactly as they do against the simulator.
 func (t *MuxTransport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	if len(out) < len(probes) {
 		panic("live: ExchangeBatch result slice shorter than probe slice")
@@ -502,15 +502,14 @@ func (m *Mux) exchange(b *muxBatch, probes [][]byte) {
 	defer m.mu.Unlock()
 	if ferr := m.fatalLocked(); ferr != nil {
 		for i := range probes {
-			resetResult(&out[i])
-			out[i].Err = ferr
+			out[i].Fail(ferr)
 		}
 		return
 	}
 	b.refs = b.refs[:0]
 	var last *muxSlot // the slot registered before this one
 	for i, p := range probes {
-		resetResult(&out[i])
+		out[i].Star()
 		s := &b.slots[i]
 		s.probe = p
 		var ok bool
@@ -618,17 +617,6 @@ func (m *Mux) fatalLocked() error {
 	return m.broken
 }
 
-// resetResult restores a recycled ProbeResult to its pre-exchange state,
-// keeping the response buffer for append-truncate reuse.
-func resetResult(r *tracer.ProbeResult) {
-	r.OK = false
-	r.RTT = 0
-	r.Err = nil
-	if r.Resp != nil {
-		r.Resp = r.Resp[:0]
-	}
-}
-
 // turnLocked is one turn of the wheel, run by the worker holding the reader
 // role: read until the earliest wheel deadline, dispatch, expire, recover.
 func (m *Mux) turnLocked() {
@@ -706,9 +694,7 @@ func (m *Mux) dispatchLocked(n int, now time.Time) {
 		}
 		s := &ref.b.slots[ref.i]
 		out := &ref.b.out[ref.i]
-		out.Resp = append(out.Resp[:0], dg.Buf[:dg.N]...)
-		out.RTT = now.Sub(s.sentAt)
-		out.OK = true
+		out.Answer(dg.Buf[:dg.N], now.Sub(s.sentAt))
 		if s.attempts == 1 && !s.noSample {
 			// Karn's rule: only first-transmission responses feed the
 			// estimator.
@@ -849,7 +835,7 @@ func (m *Mux) expireLocked(dl, now time.Time) {
 			}
 			switch {
 			case s.err != nil:
-				b.out[i].Err = s.err
+				b.out[i].Fail(s.err)
 				m.resolveLocked(slotRef{b, i})
 			case s.attempts > m.retries:
 				m.resolveLocked(slotRef{b, i}) // a star: OK stays false
@@ -1103,7 +1089,7 @@ func (m *Mux) failAllLocked(err error) {
 func (m *Mux) failLocked(b *muxBatch, err error) {
 	for i := range b.slots {
 		if !b.slots[i].resolved {
-			b.out[i].Err = err
+			b.out[i].Fail(err)
 			m.resolveLocked(slotRef{b, i})
 		}
 	}

@@ -132,7 +132,7 @@ var ladderDisciplines = []struct {
 // discipline with one key per probe (UDP) and two with a terminal key as
 // well (ICMP, TCP).
 func TestMuxExchangeAllocs(t *testing.T) {
-	if raceBuild {
+	if simtest.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	for _, d := range ladderDisciplines {

@@ -201,35 +201,27 @@ func (t *Transport) Exchange(probe []byte) ([]byte, time.Duration, bool) {
 	return tracer.Exchange(t, probe)
 }
 
-// ExchangeBatch implements tracer.Transport with the append-truncate refill
-// contract: each probe is served the next captured exchange of its flow key.
-// A probe that does not match it fails with a fatal (non-transient) error in
-// its ProbeResult.Err — the replayed campaign diverged from the captured
-// one, and retrying cannot help.
+// ExchangeBatch implements tracer.Transport: each probe is served the next
+// captured exchange of its flow key. A probe that does not match it fails
+// with a fatal (non-transient) error in its ProbeResult.Err — the replayed
+// campaign diverged from the captured one, and retrying cannot help.
 func (t *Transport) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult) {
 	if len(out) < len(probes) {
 		panic("replay: ExchangeBatch result slice shorter than probe slice")
 	}
 	served := 0
 	for i, p := range probes {
-		out[i].OK = false
-		out[i].RTT = 0
-		out[i].Err = nil
-		if out[i].Resp != nil {
-			out[i].Resp = out[i].Resp[:0]
-		}
 		resp, rtt, ok, err := t.serve(p)
-		if err != nil {
-			out[i].Err = err
+		switch {
+		case err != nil:
+			out[i].Fail(err)
 			continue
+		case ok:
+			out[i].Answer(resp, rtt)
+		default:
+			out[i].Star()
 		}
 		served++
-		if !ok {
-			continue
-		}
-		out[i].Resp = append(out[i].Resp[:0], resp...)
-		out[i].RTT = rtt
-		out[i].OK = true
 	}
 	t.served.Add(int64(served))
 }

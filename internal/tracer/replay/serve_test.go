@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/pcap"
+	"repro/internal/simtest"
 	"repro/internal/tracer"
 	"repro/internal/tracer/replay"
 )
@@ -125,7 +126,7 @@ func TestRacingPopsExactlyOnce(t *testing.T) {
 // retried on a fresh transport; an allocation on the serving path shows in
 // every attempt.
 func TestServeAllocs(t *testing.T) {
-	if raceBuild {
+	if simtest.Race {
 		t.Skip("the race detector allocates on its own account")
 	}
 	_, path, _ := lossyCapture(t)

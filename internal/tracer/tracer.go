@@ -13,12 +13,12 @@ import (
 // probe uses the free function Exchange.
 type Transport interface {
 	// ExchangeBatch exchanges probes[i] into out[i] for every i, with the
-	// semantics of len(probes) single exchanges in slice order (netsim
-	// guarantees this byte for byte by reserving a contiguous probe-counter
-	// block; see the netsim package comment's exchange contract), and
-	// blocks until each probe has its response, has timed out (OK false: a
-	// star) or has failed (Err). out must be at least as long as probes.
-	// Implementations refill out[i].Resp with append-truncate, so callers
+	// semantics of len(probes) single exchanges in slice order (see the
+	// netsim package comment's exchange contract), and blocks until each
+	// probe has its response, has timed out (OK false: a star) or has
+	// failed (Err). out must be at least as long as probes.
+	// Implementations write each slot through ProbeResult's writers
+	// (Answer, Star, Fail), which keep its response buffer, so callers
 	// reusing one result slice across batches amortize the response
 	// buffers too.
 	ExchangeBatch(probes [][]byte, out []ProbeResult)
