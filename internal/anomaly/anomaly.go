@@ -225,13 +225,39 @@ func (g *Graph) Add(rt *tracer.Route) {
 	}
 }
 
-// diamond reports whether at least two middles were seen between head and
-// tail: the search lands on the pair's first triple, so the pair is a
-// diamond exactly when the next triple is the pair's too.
-func (g *Graph) diamond(head, tail netip.Addr) bool {
-	first := triple{h: addrKey(head), t: addrKey(tail)}
+// Triples is the number of distinct triples merged in. The index is an
+// insert-only set, so an unchanged count means an unchanged graph: a caller
+// caching something derived from the graph can use it as a version.
+func (g *Graph) Triples() int { return len(g.triples) }
+
+// diamond reports whether at least two middles were seen between the head
+// and tail of first, a triple with middle 0: the search lands on the pair's
+// first triple, so the pair is a diamond exactly when the next triple is the
+// pair's too.
+func (g *Graph) diamond(first triple) bool {
 	at, _ := g.search(first)
 	return at+1 < len(g.triples) && g.triples[at+1].ht() == first.ht()
+}
+
+// CountDiamonds is Diamonds and ClassifyDiamond without the diamonds: how
+// many the graph holds, and how many of them ClassifyDiamond attributes to
+// per-flow load balancing against parisGraph (none when parisGraph is nil).
+// It allocates nothing.
+func (g *Graph) CountDiamonds(parisGraph *Graph) (total, perFlow int) {
+	for ts := g.triples; len(ts) > 0; {
+		n := 1
+		for n < len(ts) && ts[n].ht() == ts[0].ht() {
+			n++
+		}
+		if n >= 2 {
+			total++
+			if parisGraph != nil && !parisGraph.diamond(triple{h: ts[0].h, t: ts[0].t}) {
+				perFlow++
+			}
+		}
+		ts = ts[n:]
+	}
+	return total, perFlow
 }
 
 // Diamonds enumerates the diamond signatures of the graph: (h, t) pairs

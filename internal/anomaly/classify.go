@@ -314,7 +314,7 @@ func ClassifyPairDetected(loops []Loop, cycles []Cycle, parisLoops []Loop, paris
 // residual the paper attributes mostly to per-packet load balancing (or to
 // true topology visible through it).
 func ClassifyDiamond(d Diamond, parisGraph *Graph) Cause {
-	if parisGraph == nil || parisGraph.diamond(d.Head, d.Tail) {
+	if parisGraph == nil || parisGraph.diamond(triple{h: addrKey(d.Head), t: addrKey(d.Tail)}) {
 		return CausePerPacketLB
 	}
 	return CausePerFlowLB

@@ -143,8 +143,8 @@ func randomRoutes(rng *rand.Rand) []*tracer.Route {
 
 // TestGraphMatchesOracle drives the triple index and the map-of-maps graph
 // it replaced with the same seeded route sets and demands the same answers:
-// diamond sets, ClassifyDiamond verdicts against the paired Paris graph,
-// idempotence below Routes, nothing allocated by a re-add — and, for every
+// diamond sets, ClassifyDiamond verdicts against the paired Paris graph, the
+// same tallies from CountDiamonds with nothing allocated, idempotence below Routes, nothing allocated by a re-add — and, for every
 // route drawn, FindCycles against its two-map form.
 func TestGraphMatchesOracle(t *testing.T) {
 	diamonds, perFlow, cycles := 0, 0, 0
@@ -181,16 +181,27 @@ func TestGraphMatchesOracle(t *testing.T) {
 		if g, w := pg.Diamonds(), po.diamonds(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("seed %d: paris diamonds\n got %+v\nwant %+v", seed, g, w)
 		}
+		seedPerFlow := 0
 		for _, d := range got {
 			if g, w := ClassifyDiamond(d, pg), oracleClassifyDiamond(d, po); g != w {
 				t.Fatalf("seed %d: ClassifyDiamond(%v -> %v) = %v, oracle %v", seed, d.Head, d.Tail, g, w)
 			} else if g == CausePerFlowLB {
-				perFlow++
+				seedPerFlow++
 			}
 			if g := ClassifyDiamond(d, nil); g != oracleClassifyDiamond(d, nil) {
 				t.Fatalf("seed %d: ClassifyDiamond against no Paris graph = %v", seed, g)
 			}
 		}
+		if n, pf := cg.CountDiamonds(pg); n != len(got) || pf != seedPerFlow {
+			t.Fatalf("seed %d: CountDiamonds = (%d, %d), Diamonds and ClassifyDiamond say (%d, %d)", seed, n, pf, len(got), seedPerFlow)
+		}
+		if n, pf := pg.CountDiamonds(nil); n != len(po.diamonds()) || pf != 0 {
+			t.Fatalf("seed %d: Paris CountDiamonds(nil) = (%d, %d), want (%d, 0)", seed, n, pf, len(po.diamonds()))
+		}
+		if a := testing.AllocsPerRun(1, func() { cg.CountDiamonds(pg) }); a != 0 {
+			t.Fatalf("seed %d: CountDiamonds allocated %.0f times", seed, a)
+		}
+		perFlow += seedPerFlow
 		diamonds += len(got)
 
 		before := slices.Clone(cg.triples)

@@ -389,23 +389,22 @@ func (d *Daemon) Stop() error {
 // measure.Stats a streaming campaign would produce over the pairs folded so
 // far, with the daemon's supervision counters stamped into Stats.Robust.
 // The merge runs under the daemon mutex, so the snapshot always lands on a
-// fold boundary.
+// fold boundary. The mux health is read before the mutex is taken: the mux
+// holds its own lock for it, and the field is stamped, never merged.
 func (d *Daemon) Snapshot() *measure.Stats {
+	var mux *tracer.MuxHealth
+	if d.cfg.MuxHealth != nil {
+		h := d.cfg.MuxHealth()
+		mux = &h
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.snapshotLocked()
-}
-
-func (d *Daemon) snapshotLocked() *measure.Stats {
 	s := measure.Merge(int(d.round), len(d.cfg.Dests), d.acc)
 	s.Robust.Shed = int(d.shed)
 	s.Robust.WorkerRestarts = int(d.restarts)
 	s.Robust.WatchdogStalls = int(d.stalls)
 	s.Robust.DeadWorkers = d.deadWorkers
-	if d.cfg.MuxHealth != nil {
-		h := d.cfg.MuxHealth()
-		s.Robust.Mux = &h
-	}
+	s.Robust.Mux = mux
 	return s
 }
 

@@ -697,3 +697,46 @@ func TestDaemonStopWritesFinalCheckpoint(t *testing.T) {
 		t.Fatalf("final checkpoint at round %d, want 2", ck.NextRound)
 	}
 }
+
+// TestCheckpointFailureEvent: a checkpoint write that fails publishes one
+// checkpoint event per due tick and shows in Health; one that succeeds
+// publishes nothing (a success event would renumber every later event).
+func TestCheckpointFailureEvent(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		dir    func(t *testing.T) string
+		failed bool
+	}{
+		{"missing directory", func(t *testing.T) string { return filepath.Join(t.TempDir(), "missing") }, true},
+		{"writable", func(t *testing.T) string { return t.TempDir() }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(freeTopo(t, 4, 3, 0))
+			cfg.CheckpointPath = filepath.Join(tc.dir(t), "daemon.ck")
+			cfg.CheckpointEvery = 2
+			d := mustNew(t, cfg)
+			defer d.Stop()
+			for round := 1; round <= 6; round++ {
+				d.Tick()
+				replay, _, cancel := d.events.subscribe(0)
+				cancel()
+				got := 0
+				for _, e := range replay {
+					if e.Type == EventCheckpoint {
+						got++
+					}
+				}
+				want := 0
+				if tc.failed {
+					want = round / cfg.CheckpointEvery
+				}
+				if got != want {
+					t.Fatalf("after round %d: %d checkpoint events, want %d", round, got, want)
+				}
+			}
+			if h := d.Health(); (h.CheckpointError != "") != tc.failed || (h.Status == "degraded") != tc.failed {
+				t.Fatalf("health %+v, checkpoint failing: %v", h, tc.failed)
+			}
+		})
+	}
+}

@@ -26,7 +26,7 @@ const (
 	EventWorkerDead EventType = "worker-dead"
 	// EventQuarantine: a destination exhausted its error budget.
 	EventQuarantine EventType = "quarantine"
-	// EventCheckpoint: a checkpoint was written (or failed to write).
+	// EventCheckpoint: a checkpoint write failed.
 	EventCheckpoint EventType = "checkpoint"
 	// EventRecovered: startup resumed from a checkpoint.
 	EventRecovered EventType = "recovered"

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/measure"
+	"repro/internal/tracer"
 )
 
 func TestHTTPHealthAndReady(t *testing.T) {
@@ -134,12 +136,16 @@ func TestHTTPEventsSSE(t *testing.T) {
 // TestStatsSnapshotsNotTorn hammers /stats (through the real handler) while
 // the daemon ticks, asserting every served snapshot lands on a fold
 // boundary: the internally consistent invariants below cannot hold on a
-// torn read. Run under -race this also proves the accumulator is never read
-// concurrently with a fold.
+// torn read. Every round also writes a checkpoint, encoded outside the
+// daemon mutex from arrays the accumulator shares with it. Run under -race
+// this also proves the accumulator is never read concurrently with a fold,
+// and that a /stats read never writes what a checkpoint being encoded reads.
 func TestStatsSnapshotsNotTorn(t *testing.T) {
 	sc := freeTopo(t, 16, 9, 0)
 	cfg := testConfig(sc)
 	cfg.Period = 1 // fold work every round
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "daemon.ck")
+	cfg.CheckpointEvery = 1
 	d := mustNew(t, cfg)
 	defer d.Stop()
 	srv := httptest.NewServer(d.Handler())
@@ -195,6 +201,31 @@ func TestStatsSnapshotsNotTorn(t *testing.T) {
 	wg.Wait()
 	if s := d.Snapshot(); s.Robust.Probed != 16*rounds {
 		t.Fatalf("probed %d, want %d", s.Robust.Probed, 16*rounds)
+	}
+	if h := d.Health(); h.CheckpointError != "" {
+		t.Fatalf("checkpoint failed: %s", h.CheckpointError)
+	}
+}
+
+// TestSnapshotReadsMuxHealthUnlocked: the mux takes its own lock to report
+// its health, so Snapshot asks for it before taking the daemon's, and still
+// stamps it onto the statistics it serves.
+func TestSnapshotReadsMuxHealthUnlocked(t *testing.T) {
+	cfg := testConfig(freeTopo(t, 4, 3, 0))
+	var d *Daemon
+	cfg.MuxHealth = func() tracer.MuxHealth {
+		if !d.mu.TryLock() {
+			t.Error("MuxHealth called with the daemon mutex held")
+		} else {
+			d.mu.Unlock()
+		}
+		return tracer.MuxHealth{InFlight: 7}
+	}
+	d = mustNew(t, cfg)
+	defer d.Stop()
+	tick(d, 1)
+	if s := d.Snapshot(); s.Robust.Mux == nil || s.Robust.Mux.InFlight != 7 {
+		t.Fatalf("snapshot mux health %+v, want InFlight 7", s.Robust.Mux)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 const pairAllocBudget = 3
 
 // destHeapBudget is TestAccumulatorHeapPerDest's ceiling, bytes retained per
-// destination: the reading is 2.7 KB, its interned routes about a third of it
+// destination: the reading is 2.8 KB, its interned routes about a third of it
 // (8-byte hop cells under 32-byte memo headers). Routes interned as cloned
 // tracer.Routes (72-byte hops) and five maps per destination read 11.4 KB;
 // diamond graphs kept as a map per address cost 23 KB more.
@@ -50,5 +50,31 @@ func TestAccumulatorHeapPerDest(t *testing.T) {
 	t.Logf("%d bytes retained per destination (%d destinations)", perDest, dests)
 	if perDest > destHeapBudget {
 		t.Errorf("%d bytes retained per destination, budget %d", perDest, destHeapBudget)
+	}
+}
+
+// TestReadAllocs pins what a read of an accumulator costs when nothing was
+// folded since the last one: the sorted views and diamond tallies are
+// current, so Merge and State allocate a constant number of objects, not
+// one or more per destination. It lives on the !race side of the budget
+// split, like TestAccumulatorHeapPerDest.
+func TestReadAllocs(t *testing.T) {
+	reads := func(dests int) (merge, state float64) {
+		w := newSteadyWorker(t, dests)
+		w.rounds(t, 5)
+		Merge(5, dests, w.acc)
+		w.acc.State()
+		merge = testing.AllocsPerRun(5, func() { Merge(5, dests, w.acc) })
+		state = testing.AllocsPerRun(5, func() { w.acc.State() })
+		return merge, state
+	}
+	m100, s100 := reads(100)
+	m400, s400 := reads(400)
+	t.Logf("Merge: %.0f allocations at 100 destinations, %.0f at 400; State: %.0f, %.0f", m100, m400, s100, s400)
+	if m400 > m100+2 {
+		t.Errorf("Merge allocates %.0f objects at 400 destinations, %.0f at 100", m400, m100)
+	}
+	if s400 > s100+2 {
+		t.Errorf("State allocates %.0f objects at 400 destinations, %.0f at 100", s400, s100)
 	}
 }

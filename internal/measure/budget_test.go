@@ -174,3 +174,39 @@ func BenchmarkFoldFirstSight(b *testing.B) {
 		acc.Fold(&pairs[k])
 	}
 }
+
+// benchReads warms a worker over 5,000 destinations of the flips-on topology
+// and then, per iteration, folds one more round off the clock and times
+// read: what a daemon's /stats request (Merge) or checkpoint (State) pays
+// under its lock after a round of steady-state folds.
+func benchReads(b *testing.B, read func(w *steadyWorker)) {
+	w := newSteadyWorker(b, 5000)
+	w.rounds(b, 5)
+	read(w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w.rounds(b, 1)
+		b.StartTimer()
+		read(w)
+	}
+}
+
+// The reads' results, kept so that the compiler cannot drop the calls.
+var (
+	mergeSink *Stats
+	stateSink AccState
+)
+
+// BenchmarkMergeSteady is one Merge of a warmed 5,000-destination
+// accumulator, one round folded since the last.
+func BenchmarkMergeSteady(b *testing.B) {
+	benchReads(b, func(w *steadyWorker) { mergeSink = Merge(w.round, len(w.sc.Dests), w.acc) })
+}
+
+// BenchmarkStateSteady is one State of a warmed 5,000-destination
+// accumulator, one round folded since the last.
+func BenchmarkStateSteady(b *testing.B) {
+	benchReads(b, func(w *steadyWorker) { stateSink = w.acc.State() })
+}

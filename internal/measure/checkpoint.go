@@ -155,25 +155,21 @@ func (c *Campaign) checkpoint(nextRound int, accs []*Accumulator) *Checkpoint {
 	return ck
 }
 
-// sortedAddrs flattens an address set ascending.
-func sortedAddrs(set map[netip.Addr]bool) []netip.Addr {
-	if len(set) == 0 {
+// carve returns the next n elements of *buf, at exact capacity, and moves
+// *buf past them: nil for n = 0.
+func carve[T any](buf *[]T, n int) []T {
+	if n == 0 {
 		return nil
 	}
-	out := make([]netip.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	slices.SortFunc(out, netip.Addr.Compare)
+	out := (*buf)[:n:n]
+	*buf = (*buf)[n:]
 	return out
 }
 
-// sigCheckpoints copies signature spans, already sorted by address.
-func sigCheckpoints(sigs []sigSpan) []SigCheckpoint {
-	if len(sigs) == 0 {
-		return nil
-	}
-	out := make([]SigCheckpoint, len(sigs))
+// sigCheckpoints copies signature spans, already sorted by address, into the
+// next len(sigs) elements of *buf.
+func sigCheckpoints(sigs []sigSpan, buf *[]SigCheckpoint) []SigCheckpoint {
+	out := carve(buf, len(sigs))
 	for i, sp := range sigs {
 		out[i] = SigCheckpoint{Addr: sp.addr, LastRound: sp.lastRound, Rounds: sp.rounds}
 	}
@@ -181,16 +177,15 @@ func sigCheckpoints(sigs []sigSpan) []SigCheckpoint {
 }
 
 // checkpoint snapshots one destination's state: its routes in first-seen
-// order over the cells as stored.
-func (ds *destState) checkpoint() DestCheckpoint {
+// order over the cells as stored. Its routes and signature spans are carved
+// from routes and sigs, shared by every destination of one State.
+func (ds *destState) checkpoint(routes *[]RouteCheckpoint, sigs *[]SigCheckpoint) DestCheckpoint {
 	dc := DestCheckpoint{
 		Dest: ds.dest(), SawLoop: ds.sawLoop, SawCycle: ds.sawCycle,
 		Cells:     ds.cells,
-		LoopSigs:  sigCheckpoints(ds.loopSigs),
-		CycleSigs: sigCheckpoints(ds.cycleSigs),
-	}
-	if n := len(ds.classic) + len(ds.paris); n > 0 {
-		dc.Routes = make([]RouteCheckpoint, n)
+		Routes:    carve(routes, len(ds.classic)+len(ds.paris)),
+		LoopSigs:  sigCheckpoints(ds.loopSigs, sigs),
+		CycleSigs: sigCheckpoints(ds.cycleSigs, sigs),
 	}
 	for _, m := range [...]struct {
 		memos   []routeMemo
@@ -209,11 +204,13 @@ func (ds *destState) checkpoint() DestCheckpoint {
 }
 
 // State snapshots the accumulator's partial statistics for serialization.
-// The accumulator must be quiescent (no concurrent Fold); the snapshot is
-// deterministic — address sets and destinations sorted, routes in
-// first-seen order — so two equal accumulators serialize to identical
-// bytes. Its Cells arrays are the accumulator's own (interned cells are
-// never rewritten, so later folds cannot change a snapshot).
+// The accumulator must be quiescent (no concurrent Fold or read); the
+// snapshot is deterministic — address sets and destinations ascending,
+// routes in first-seen order — so two equal accumulators serialize to
+// identical bytes. It shares what the accumulator never writes again: the
+// address sets are its sorted views and the Cells arrays its interned cells,
+// so later folds cannot change a snapshot. The destinations' routes and
+// signature spans are copied, into one array of each.
 func (a *Accumulator) State() AccState {
 	st := AccState{
 		Routes: a.routes, Reached: a.reached, Responses: a.responses, MidStars: a.midStars,
@@ -223,21 +220,24 @@ func (a *Accumulator) State() AccState {
 		RTTSamples: a.rttSamples, RTTSum: a.rttSum, RTTMin: a.rttMin, RTTMax: a.rttMax,
 		LoopByCause:  maps.Clone(a.loopByCause),
 		CycleByCause: maps.Clone(a.cycleByCause),
-		Addrs:        sortedAddrs(a.addrs),
-		LoopAddrs:    sortedAddrs(a.loopAddrs),
-		CycleAddrs:   sortedAddrs(a.cycleAddrs),
-		SkippedDests: sortedAddrs(a.skippedDests),
+		Addrs:        a.addrs.sorted(),
+		LoopAddrs:    a.loopAddrs.sorted(),
+		CycleAddrs:   a.cycleAddrs.sorted(),
+		SkippedDests: a.skippedDests.sorted(),
 	}
-	if len(a.dests) > 0 {
-		dests := make([]netip.Addr, 0, len(a.dests))
-		for d := range a.dests {
-			dests = append(dests, d)
-		}
-		slices.SortFunc(dests, netip.Addr.Compare)
-		st.Dests = make([]DestCheckpoint, len(dests))
-		for i, d := range dests {
-			st.Dests[i] = a.dests[d].checkpoint()
-		}
+	dests := a.sortedDests()
+	if len(dests) == 0 {
+		return st
+	}
+	nr, ns := 0, 0
+	for _, ds := range dests {
+		nr += len(ds.classic) + len(ds.paris)
+		ns += len(ds.loopSigs) + len(ds.cycleSigs)
+	}
+	routes, sigs := make([]RouteCheckpoint, nr), make([]SigCheckpoint, ns)
+	st.Dests = make([]DestCheckpoint, len(dests))
+	for i, ds := range dests {
+		st.Dests[i] = ds.checkpoint(&routes, &sigs)
 	}
 	return st
 }
@@ -260,22 +260,27 @@ func ascending(n int, addr func(int) netip.Addr) bool {
 }
 
 // RestoreAccumulator rebuilds one accumulator from a State snapshot: scalars
-// and sets load directly; the memo and graph layers are rebuilt by replaying
-// the interned routes, in first-seen order, through the same analysis code
-// that built them originally. A snapshot no accumulator can have written — a
-// set or list out of strictly ascending order, a non-canonical cell — is
-// refused with ckpt.ErrCorrupt. Checkpoint.Restore calls it per accumulator.
+// load directly, and the ascending address sets and destination list become
+// the accumulator's sorted views as they are (the accumulator adopts them,
+// and the snapshot's Cells, so the caller must not write them afterwards);
+// the memo and graph layers are rebuilt by replaying the interned routes, in
+// first-seen order, through the same analysis code that built them
+// originally, and the diamonds are counted. A snapshot no accumulator can
+// have written — a set or list out of strictly ascending order, a
+// non-canonical cell — is refused with ckpt.ErrCorrupt. Checkpoint.Restore
+// calls it per accumulator.
 func RestoreAccumulator(st AccState) (*Accumulator, error) {
 	a := NewAccumulator()
 	for _, s := range []struct {
-		set   map[netip.Addr]bool
+		set   *addrSet
 		addrs []netip.Addr
-	}{{a.addrs, st.Addrs}, {a.loopAddrs, st.LoopAddrs}, {a.cycleAddrs, st.CycleAddrs}, {a.skippedDests, st.SkippedDests}} {
+	}{{&a.addrs, st.Addrs}, {&a.loopAddrs, st.LoopAddrs}, {&a.cycleAddrs, st.CycleAddrs}, {&a.skippedDests, st.SkippedDests}} {
 		if !ascending(len(s.addrs), func(i int) netip.Addr { return s.addrs[i] }) {
 			return nil, errCorrupt("address set not strictly ascending")
 		}
+		s.set.view, s.set.read = s.addrs, true
 		for _, ad := range s.addrs {
-			s.set[ad] = true
+			s.set.has[ad] = struct{}{}
 		}
 	}
 	if !ascending(len(st.Dests), func(i int) netip.Addr { return st.Dests[i].Dest }) {
@@ -289,14 +294,26 @@ func RestoreAccumulator(st AccState) (*Accumulator, error) {
 	maps.Copy(a.loopByCause, st.LoopByCause)
 	maps.Copy(a.cycleByCause, st.CycleByCause)
 	var rt tracer.Route
+	if len(st.Dests) > 0 {
+		a.destView = make([]*destState, len(st.Dests))
+	}
 	for i := range st.Dests {
 		dc := &st.Dests[i]
 		ds, err := a.restoreDest(dc, &rt)
 		if err != nil {
 			return nil, fmt.Errorf("measure: checkpoint dest %v: %w", dc.Dest, err)
 		}
-		a.dests[dc.Dest] = ds
+		a.dests[dc.Dest], a.destView[i] = ds, ds
+		if ds.sawLoop {
+			a.destsWithLoop++
+		}
+		if ds.sawCycle {
+			a.destsWithCycle++
+		}
+		a.loopSigs.addSpans(ds.loopSigs)
+		a.cycleSigs.addSpans(ds.cycleSigs)
 	}
+	a.tallyDirty()
 	return a, nil
 }
 

@@ -71,6 +71,42 @@
 // Streaming and materialize-then-Analyze produce byte-identical Stats (one
 // implementation, pinned by simtest's TestHouseInvariant).
 //
+// # Reading an accumulator
+//
+// Merge and State read an accumulator without rebuilding it, so that a
+// read costs what was folded since the last one, not the accumulator's
+// size: the daemon reads its one accumulator under the lock its folds take,
+// four times a second for /stats and at every checkpoint. Three views are
+// kept current for that:
+//
+//   - Address sets (every responder, loop and cycle addresses, quarantined
+//     destinations) keep an ascending view. An address first seen since the
+//     last read waits in a short list; a read sorts that list and merges it
+//     into a new view. Before the first read no list is kept, and that read
+//     sorts the whole set, so a campaign read once, at its end, pays no more
+//     than it did. Merge unions the accumulators' views in one walk, k at
+//     once, with no map; State emits the views as they are.
+//   - Destinations keep an ascending view the same way, which State walks,
+//     filling every destination's routes and signature spans from one array
+//     of each.
+//   - What Merge reads per destination is kept as running totals: the
+//     destinations that showed a loop or a cycle, the signature spans, and
+//     the diamond tallies (classic diamonds, the per-flow ones among them,
+//     Paris diamonds). A diamond index is an insert-only set, so its size
+//     moves exactly when it does: a destination whose graph grew is marked
+//     dirty and listed, and the next read recounts the diamonds of only the
+//     listed destinations, with a walk that allocates nothing
+//     (anomaly.Graph.CountDiamonds).
+//
+// A view is never written once made — a read that merges new entries makes a
+// new one — so a snapshot may share it: State hands out the address views
+// and the interned cells, and the daemon encodes a checkpoint outside its
+// lock while /stats reads go on. RestoreAccumulator adopts a snapshot's
+// ascending lists as the views and counts the diamonds, so the first read
+// after a recovery is as cheap as any other. Reads change no statistic:
+// TestReadsDoNotMoveStatistics holds an accumulator read after every round,
+// and restored halfway, to one read once, byte for byte.
+//
 // # Route ownership
 //
 // One rule holds in both runtimes: the worker that traced a pair folds it

@@ -15,7 +15,7 @@ import (
 // routes. Memory is
 // O(destinations + unique routes) — independent of the round count — where
 // the old materialize-then-Analyze pipeline held every Pair of every round
-// (O(destinations × rounds)). What a destination costs: about 2.7 KB a dozen
+// (O(destinations × rounds)). What a destination costs: about 2.8 KB a dozen
 // rounds into the default topology (TestAccumulatorHeapPerDest holds it under
 // 5 KB). Its eight or so interned routes are 32-byte memo headers over one
 // array of 8-byte hop cells (cell.go) — about 90 hops, 0.7 KB, where a cloned
@@ -135,8 +135,151 @@ type destState struct {
 	causes                   []anomaly.Cause
 	classicGraph, parisGraph anomaly.Graph
 	loopSigs, cycleSigs      []sigSpan // by address
-	sawLoop, sawCycle        bool
+	// diamonds is the graphs' diamond tally as of the last count; dirty
+	// marks a destination whose graphs grew since, listed in
+	// Accumulator.dirty for the next read to recount.
+	diamonds                 diamondTally
+	sawLoop, sawCycle, dirty bool
 }
+
+// diamondTally is what Merge reads of a destination's diamond graphs: its
+// classic diamonds, the per-flow ones among them, and its Paris diamonds.
+type diamondTally struct{ total, perFlow, paris uint32 }
+
+// diamondTotals sums diamond tallies: destinations with a classic diamond,
+// classic diamonds, the per-flow ones among them, Paris diamonds.
+type diamondTotals struct{ dests, total, perFlow, paris int }
+
+// add adds sign times the tally t.
+func (s *diamondTotals) add(t *diamondTally, sign int) {
+	if t.total > 0 {
+		s.dests += sign
+	}
+	s.total += sign * int(t.total)
+	s.perFlow += sign * int(t.perFlow)
+	s.paris += sign * int(t.paris)
+}
+
+// retally recounts the diamonds of ds, whose graphs have grown since its
+// tally was taken, and moves the accumulator's totals with it.
+func (a *Accumulator) retally(ds *destState) {
+	a.diamonds.add(&ds.diamonds, -1)
+	total, perFlow := ds.classicGraph.CountDiamonds(&ds.parisGraph)
+	paris, _ := ds.parisGraph.CountDiamonds(nil)
+	ds.diamonds = diamondTally{uint32(total), uint32(perFlow), uint32(paris)}
+	ds.dirty = false
+	a.diamonds.add(&ds.diamonds, 1)
+}
+
+// sigTotals sums a kind of signature span over an accumulator's
+// destinations: the spans, those seen in one round, and their rounds.
+type sigTotals struct{ spans, oneRound, rounds int }
+
+// addSpans adds restored spans.
+func (t *sigTotals) addSpans(sigs []sigSpan) {
+	t.spans += len(sigs)
+	for _, sp := range sigs {
+		if sp.rounds == 1 {
+			t.oneRound++
+		}
+		t.rounds += sp.rounds
+	}
+}
+
+// addrSet is an address set that reads back ascending without a sort per
+// read. Its view is ascending and never written once made, so a snapshot may
+// share it; an address first seen since the last read waits in fresh, and
+// the next read sorts those and merges them into a new view. Until the first
+// read every address is fresh, so fresh is not kept: that read sorts the
+// whole set, as an accumulator read only at its end (a campaign's) needs.
+type addrSet struct {
+	has         map[netip.Addr]struct{}
+	view, fresh []netip.Addr
+	read        bool
+}
+
+func newAddrSet() addrSet { return addrSet{has: make(map[netip.Addr]struct{})} }
+
+func (s *addrSet) add(ad netip.Addr) {
+	// One map operation, not a lookup and then an insert: this runs for
+	// every responding hop of every route seen for the first time.
+	n := len(s.has)
+	s.has[ad] = struct{}{}
+	if len(s.has) > n && s.read {
+		s.fresh = append(s.fresh, ad)
+	}
+}
+
+// sorted merges the fresh addresses into the view and returns it.
+func (s *addrSet) sorted() []netip.Addr {
+	if !s.read {
+		s.read = true
+		s.fresh = make([]netip.Addr, 0, len(s.has))
+		for ad := range s.has {
+			s.fresh = append(s.fresh, ad)
+		}
+	}
+	if len(s.fresh) > 0 {
+		slices.SortFunc(s.fresh, netip.Addr.Compare)
+		_, s.view = union(netip.Addr.Compare, true, s.view, s.fresh)
+		s.fresh = nil
+	}
+	return s.view
+}
+
+// union counts the distinct elements of ascending lists (each without
+// repeats) and, when keep is set, returns them ascending in a new array (nil
+// when there are none) whose capacity is the lists' total length. It takes
+// whole runs at a time: the list with the least head gives up every element
+// below the other lists' heads, found by bisection, so one list is one copy
+// and a few additions to a long list are a few bisections. It advances the
+// lists it is given.
+func union[T any](cmp func(T, T) int, keep bool, lists ...[]T) (n int, out []T) {
+	if keep {
+		total := 0
+		for _, l := range lists {
+			total += len(l)
+		}
+		if total > 0 {
+			out = make([]T, 0, total)
+		}
+	}
+	for {
+		least := -1
+		for i, l := range lists {
+			if len(l) > 0 && (least < 0 || cmp(l[0], lists[least][0]) < 0) {
+				least = i
+			}
+		}
+		if least < 0 {
+			return n, out
+		}
+		run := lists[least]
+		for i, l := range lists {
+			if i != least && len(l) > 0 {
+				k, _ := slices.BinarySearchFunc(run, l[0], cmp)
+				run = run[:k]
+			}
+		}
+		if len(run) == 0 {
+			// Another list's head equals the least one: take it once.
+			run = lists[least][:1]
+			for i, l := range lists {
+				if len(l) > 0 && cmp(l[0], run[0]) == 0 {
+					lists[i] = l[1:]
+				}
+			}
+		} else {
+			lists[least] = lists[least][len(run):]
+		}
+		n += len(run)
+		if keep {
+			out = append(out, run...)
+		}
+	}
+}
+
+func compareDests(a, b *destState) int { return a.dest().Compare(b.dest()) }
 
 func newDestState(dest netip.Addr) *destState {
 	return &destState{classicGraph: anomaly.Graph{Dest: dest}, parisGraph: anomaly.Graph{Dest: dest}}
@@ -173,18 +316,25 @@ func searchPair(ps []pairMemo, classic, paris uint64) (int, bool) {
 	return lo, lo < len(ps) && ps[lo].classic == classic && ps[lo].paris == paris
 }
 
-// note records one observation of a signature in a round; repeated
-// instances in the same round collapse, matching the per-round signature
-// sets Analyze historically kept.
-func note(sigs *[]sigSpan, addr netip.Addr, round int) {
+// note records one observation of a signature in a round, and counts it in
+// t; repeated instances in the same round collapse, matching the per-round
+// signature sets Analyze historically kept.
+func (t *sigTotals) note(sigs *[]sigSpan, addr netip.Addr, round int) {
 	i, found := slices.BinarySearchFunc(*sigs, addr, func(sp sigSpan, a netip.Addr) int { return sp.addr.Compare(a) })
 	if !found {
 		*sigs = slices.Insert(*sigs, i, sigSpan{addr: addr, lastRound: round, rounds: 1})
+		t.spans++
+		t.oneRound++
+		t.rounds++
 		return
 	}
 	if sp := &(*sigs)[i]; sp.lastRound != round {
 		sp.lastRound = round
 		sp.rounds++
+		t.rounds++
+		if sp.rounds == 2 {
+			t.oneRound--
+		}
 	}
 }
 
@@ -269,10 +419,11 @@ func (ds *destState) remember(memos *[]routeMemo, i int, fp uint64, rt *tracer.R
 }
 
 // Accumulator folds completed pairs into partial campaign statistics. It is
-// not safe for concurrent use: a streaming campaign gives each worker its
-// own Accumulator, every destination's pairs flow through the single worker
-// that owns it (in round order), and the partials meet only in Merge after
-// the last round. Analyze folds retained results through one, serially.
+// not safe for concurrent use, reads included: Merge and State bring its
+// sorted views up to date. A streaming campaign gives each worker its own
+// Accumulator, every destination's pairs flow through the single worker that
+// owns it (in round order), and the partials meet only in Merge after the
+// last round. Analyze folds retained results through one, serially.
 type Accumulator struct {
 	routes, reached, responses, midStars int
 
@@ -288,16 +439,28 @@ type Accumulator struct {
 	routesWithCycle, cycleInstances          int
 	loopByCause, cycleByCause                map[anomaly.Cause]int
 
-	addrs, loopAddrs, cycleAddrs map[netip.Addr]bool
+	addrs, loopAddrs, cycleAddrs addrSet
 
 	dests map[netip.Addr]*destState
+	// destView holds the destinations ascending by address as of the last
+	// read, and freshDests those first folded since (sortedDests).
+	destView, freshDests []*destState
+
+	// What Merge reads of the destinations, kept as running totals so that
+	// a read walks none of them: those that ever showed a loop or a cycle,
+	// the signature spans, and the diamond tallies. A destination whose
+	// graphs grew since its tally was taken waits in dirty (tallyDirty).
+	destsWithLoop, destsWithCycle int
+	loopSigs, cycleSigs           sigTotals
+	diamonds                      diamondTotals
+	dirty                         []*destState
 
 	// failed and skipped tally the error policy's non-measured pairs;
 	// skippedDests marks destinations with at least one Skipped pair
 	// (the quarantined set, derivable purely from the folded pairs so
 	// streaming and Analyze stay byte-identical).
 	failed, skipped int
-	skippedDests    map[netip.Addr]bool
+	skippedDests    addrSet
 }
 
 // NewAccumulator returns an empty accumulator.
@@ -305,12 +468,32 @@ func NewAccumulator() *Accumulator {
 	return &Accumulator{
 		loopByCause:  make(map[anomaly.Cause]int),
 		cycleByCause: make(map[anomaly.Cause]int),
-		addrs:        make(map[netip.Addr]bool),
-		loopAddrs:    make(map[netip.Addr]bool),
-		cycleAddrs:   make(map[netip.Addr]bool),
+		addrs:        newAddrSet(),
+		loopAddrs:    newAddrSet(),
+		cycleAddrs:   newAddrSet(),
 		dests:        make(map[netip.Addr]*destState),
-		skippedDests: make(map[netip.Addr]bool),
+		skippedDests: newAddrSet(),
 	}
+}
+
+// tallyDirty recounts the diamonds of every destination whose graphs grew
+// since the last read.
+func (a *Accumulator) tallyDirty() {
+	for _, ds := range a.dirty {
+		a.retally(ds)
+	}
+	a.dirty = a.dirty[:0]
+}
+
+// sortedDests merges the destinations first folded since the last read into
+// the view and returns it.
+func (a *Accumulator) sortedDests() []*destState {
+	if len(a.freshDests) > 0 {
+		slices.SortFunc(a.freshDests, compareDests)
+		_, a.destView = union(compareDests, true, a.destView, a.freshDests)
+		a.freshDests = nil
+	}
+	return a.destView
 }
 
 // analyzeRoute computes one route's statistics from scratch: detection,
@@ -327,7 +510,7 @@ func (a *Accumulator) analyzeRoute(rt *tracer.Route, classic bool, ds *destState
 		if !h.Star() {
 			lastResp = i
 			st.responses++
-			a.addrs[h.Addr] = true
+			a.addrs.add(h.Addr)
 		}
 	}
 	if classic {
@@ -339,9 +522,18 @@ func (a *Accumulator) analyzeRoute(rt *tracer.Route, classic bool, ds *destState
 				st.midStars++
 			}
 		}
-		ds.classicGraph.Add(rt)
-	} else {
-		ds.parisGraph.Add(rt)
+	}
+	g := &ds.parisGraph
+	if classic {
+		g = &ds.classicGraph
+	}
+	// The graphs are insert-only sets: a graph that kept its size kept its
+	// diamonds.
+	n := g.Triples()
+	g.Add(rt)
+	if g.Triples() > n && !ds.dirty {
+		ds.dirty = true
+		a.dirty = append(a.dirty, ds)
 	}
 	return st
 }
@@ -457,13 +649,14 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 		return FoldResult{}
 	case OutcomeSkipped:
 		a.skipped++
-		a.skippedDests[p.Dest] = true
+		a.skippedDests.add(p.Dest)
 		return FoldResult{}
 	}
 	ds := a.dests[p.Dest]
 	if ds == nil {
 		ds = newDestState(p.Dest)
 		a.dests[p.Dest] = ds
+		a.freshDests = append(a.freshDests, ds)
 	}
 
 	cfp := p.Classic.Fingerprint()
@@ -483,11 +676,14 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 
 	if len(cs.loops) > 0 {
 		a.routesWithLoop++
-		ds.sawLoop = true
+		if !ds.sawLoop {
+			ds.sawLoop = true
+			a.destsWithLoop++
+		}
 	}
 	for i, l := range cs.loops {
 		a.loopInstances++
-		a.loopAddrs[l.Addr] = true
+		a.loopAddrs.add(l.Addr)
 		cause := loopCauses[i]
 		if anomaly.LoopConsultsIPID(l, p.Classic) {
 			// The zero-TTL rule reads IP IDs, the one loop observable
@@ -497,17 +693,20 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 			cause = anomaly.ClassifyLoopDetected(l, p.Classic, ps.loops, true)
 		}
 		a.loopByCause[cause]++
-		note(&ds.loopSigs, l.Addr, round)
+		a.loopSigs.note(&ds.loopSigs, l.Addr, round)
 	}
 	a.parisOnly += parisOnly
 
 	if len(cs.cycles) > 0 {
 		a.routesWithCycle++
-		ds.sawCycle = true
+		if !ds.sawCycle {
+			ds.sawCycle = true
+			a.destsWithCycle++
+		}
 	}
 	for i, c := range cs.cycles {
 		a.cycleInstances++
-		a.cycleAddrs[c.Addr] = true
+		a.cycleAddrs.add(c.Addr)
 		cause := cycleCauses[i]
 		if anomaly.CycleConsultsIPID(c) {
 			// Periodic cycles check IP ID coherence per round (Section
@@ -515,7 +714,7 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 			cause = anomaly.ClassifyCycleDetected(c, p.Classic, ps.cycles, true)
 		}
 		a.cycleByCause[cause]++
-		note(&ds.cycleSigs, c.Addr, round)
+		a.cycleSigs.note(&ds.cycleSigs, c.Addr, round)
 	}
 	return FoldResult{
 		Paris: pfp, Classic: cfp,
@@ -529,8 +728,12 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 // code). rounds and dests are the campaign dimensions (per-accumulator
 // counts cannot reconstruct them). Every merged quantity is a sum or a set
 // union and each destination lives in exactly one accumulator, so the
-// result is independent of both accumulator order and map iteration order;
-// AllAddresses is sorted, making the whole Stats deterministic.
+// result is independent of accumulator order; AllAddresses is ascending,
+// making the whole Stats deterministic. Merge reads each accumulator's
+// sorted address views and running totals, so what it costs beyond the
+// address union is what was folded since the last read: newly seen
+// addresses are merged into the views, and only destinations whose graphs
+// grew have their diamonds recounted.
 func Merge(rounds, dests int, accs ...*Accumulator) *Stats {
 	s := &Stats{
 		Rounds: rounds,
@@ -538,9 +741,7 @@ func Merge(rounds, dests int, accs ...*Accumulator) *Stats {
 		Loops:  LoopStats{ByCause: make(map[anomaly.Cause]int)},
 		Cycles: CycleStats{ByCause: make(map[anomaly.Cause]int)},
 	}
-	addrs := make(map[netip.Addr]bool)
-	loopAddrs := make(map[netip.Addr]bool)
-	cycleAddrs := make(map[netip.Addr]bool)
+	var addrs, loopAddrs, cycleAddrs [][]netip.Addr
 	reached := 0
 	cycleRounds := 0
 	for _, a := range accs {
@@ -563,7 +764,7 @@ func Merge(rounds, dests int, accs ...*Accumulator) *Stats {
 		}
 		s.Robust.Failed += a.failed
 		s.Robust.Skipped += a.skipped
-		s.Robust.QuarantinedDests += len(a.skippedDests)
+		s.Robust.QuarantinedDests += len(a.skippedDests.has)
 
 		s.Loops.Instances += a.loopInstances
 		s.Loops.RoutesWithLoop += a.routesWithLoop
@@ -576,59 +777,26 @@ func Merge(rounds, dests int, accs ...*Accumulator) *Stats {
 		for c, n := range a.cycleByCause {
 			s.Cycles.ByCause[c] += n
 		}
-		for ad := range a.addrs {
-			addrs[ad] = true
-		}
-		for ad := range a.loopAddrs {
-			loopAddrs[ad] = true
-		}
-		for ad := range a.cycleAddrs {
-			cycleAddrs[ad] = true
-		}
+		addrs = append(addrs, a.addrs.sorted())
+		loopAddrs = append(loopAddrs, a.loopAddrs.sorted())
+		cycleAddrs = append(cycleAddrs, a.cycleAddrs.sorted())
 
-		for _, ds := range a.dests {
-			if ds.sawLoop {
-				s.Loops.DestsWithLoop++
-			}
-			if ds.sawCycle {
-				s.Cycles.DestsWithCycle++
-			}
-			s.Loops.Signatures += len(ds.loopSigs)
-			for _, sp := range ds.loopSigs {
-				if sp.rounds == 1 {
-					s.Loops.OneRoundSignatures++
-				}
-			}
-			s.Cycles.Signatures += len(ds.cycleSigs)
-			for _, sp := range ds.cycleSigs {
-				if sp.rounds == 1 {
-					s.Cycles.OneRoundSignatures++
-				}
-				cycleRounds += sp.rounds
-			}
-			dd := ds.classicGraph.Diamonds()
-			if len(dd) > 0 {
-				s.Diamonds.DestsWithDiamond++
-			}
-			s.Diamonds.Total += len(dd)
-			for _, d := range dd {
-				if anomaly.ClassifyDiamond(d, &ds.parisGraph) == anomaly.CausePerFlowLB {
-					s.Diamonds.PerFlow++
-				}
-			}
-			s.Diamonds.ParisTotal += len(ds.parisGraph.Diamonds())
-		}
+		a.tallyDirty()
+		s.Loops.DestsWithLoop += a.destsWithLoop
+		s.Cycles.DestsWithCycle += a.destsWithCycle
+		s.Loops.Signatures += a.loopSigs.spans
+		s.Loops.OneRoundSignatures += a.loopSigs.oneRound
+		s.Cycles.Signatures += a.cycleSigs.spans
+		s.Cycles.OneRoundSignatures += a.cycleSigs.oneRound
+		cycleRounds += a.cycleSigs.rounds
+		s.Diamonds.DestsWithDiamond += a.diamonds.dests
+		s.Diamonds.Total += a.diamonds.total
+		s.Diamonds.PerFlow += a.diamonds.perFlow
+		s.Diamonds.ParisTotal += a.diamonds.paris
 	}
-	s.AddrsSeen = len(addrs)
-	if len(addrs) > 0 {
-		s.AllAddresses = make([]netip.Addr, 0, len(addrs))
-		for ad := range addrs {
-			s.AllAddresses = append(s.AllAddresses, ad)
-		}
-		slices.SortFunc(s.AllAddresses, netip.Addr.Compare)
-	}
-	s.Loops.AddrsInLoop = len(loopAddrs)
-	s.Cycles.AddrsInCycle = len(cycleAddrs)
+	s.AddrsSeen, s.AllAddresses = union(netip.Addr.Compare, true, addrs...)
+	s.Loops.AddrsInLoop, _ = union(netip.Addr.Compare, false, loopAddrs...)
+	s.Cycles.AddrsInCycle, _ = union(netip.Addr.Compare, false, cycleAddrs...)
 	s.Robust.Probed = s.Routes
 	if s.Routes > 0 {
 		s.ReachedPct = pct(reached, s.Routes)

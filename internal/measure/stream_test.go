@@ -1,11 +1,14 @@
 package measure
 
 import (
+	"bytes"
+	"context"
 	"net/netip"
 	"reflect"
 	"testing"
 
 	"repro/internal/anomaly"
+	"repro/internal/ckpt"
 	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
@@ -145,6 +148,71 @@ func TestMergeSplitMatchesSingle(t *testing.T) {
 	}
 	if one.Loops.Instances == 0 || one.Cycles.Instances == 0 {
 		t.Fatal("synthetic pairs produced no anomalies; merge check degenerate")
+	}
+}
+
+// encodeState is an accumulator state as a checkpoint body carries it.
+func encodeState(t *testing.T, st AccState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ckpt.Encode(&buf, ckpt.KindCampaign, checkpointVersion, st.Encode); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadsDoNotMoveStatistics: a read (Merge, State) brings an
+// accumulator's sorted views and diamond tallies up to date, and must leave
+// what it reports exactly as if nothing had been read before. Over twelve
+// rounds of the flips-on topology, accumulator a is read after every round
+// and replaced by its own restored snapshot after round 6; b folds the same
+// pairs and is read once, at the end. Their statistics and encoded states
+// must be equal. The same pairs split across two workers (one read every
+// round, one never) must merge to the same statistics in either order.
+func TestReadsDoNotMoveStatistics(t *testing.T) {
+	const rounds = 12
+	w := newSteadyWorkerOn(t, simtest.Default(300))
+	n := len(w.sc.Dests)
+	a, b := NewAccumulator(), NewAccumulator()
+	split := [2]*Accumulator{NewAccumulator(), NewAccumulator()}
+	for r := 0; r < rounds; r++ {
+		w.sc.RoundStart(r)
+		for i, d := range w.sc.Dests {
+			p, err := w.c.measureDest(context.Background(), 0, r, d, &w.c.runs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Fold(&p)
+			b.Fold(&p)
+			split[i%2].Fold(&p)
+			w.c.probers[0].Recycle(&p)
+		}
+		Merge(r+1, n, a)
+		Merge(r+1, n, split[0])
+		encodeState(t, a.State())
+		if r == 6 {
+			restored, err := RestoreAccumulator(a.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			a = restored
+		}
+	}
+	want := Merge(rounds, n, b)
+	if d := simtest.Diff(want, Merge(rounds, n, a)); d != "" {
+		t.Errorf("statistics of the accumulator read every round differ from one read once: %s", d)
+	}
+	if !bytes.Equal(encodeState(t, a.State()), encodeState(t, b.State())) {
+		t.Error("encoded states of the accumulator read every round and the one read once differ")
+	}
+	if d := simtest.Diff(want, Merge(rounds, n, split[0], split[1])); d != "" {
+		t.Errorf("two-worker split differs from one accumulator: %s", d)
+	}
+	if d := simtest.Diff(Merge(rounds, n, split[0], split[1]), Merge(rounds, n, split[1], split[0])); d != "" {
+		t.Errorf("merge depends on accumulator order: %s", d)
+	}
+	if want.Diamonds.PerFlow == 0 || want.Diamonds.ParisTotal == 0 || want.Loops.AddrsInLoop == 0 || want.Cycles.AddrsInCycle == 0 {
+		t.Fatalf("degenerate campaign: %+v", want)
 	}
 }
 
