@@ -2,15 +2,17 @@
 // (measure.Checkpoint) and the daemon (daemon.Checkpoint): one frame, one set
 // of primitives, one atomic write path. The two checkpoint kinds lay their
 // fields out with the Encoder and read them back with the Decoder; both embed
-// the same measure.AccState body.
+// accumulator bodies (measure.AccState), which measure.Accumulator.State
+// appends into one buffer in these same primitives and DecodeBody reads back.
 //
 // Frame (docs/checkpoint.md has the byte-level tables):
 //
 //	magic "PTCK" | kind | version | body ... | body length u64 | CRC-32C u32
 //
-// The body is streamed through a fixed 64 KiB buffer into the writer — a
-// checkpoint is never materialized in memory — so its length and checksum
-// trail it. The checksum covers every preceding byte of the file.
+// The body is streamed through a fixed 64 KiB buffer into the writer, so its
+// length and checksum trail it. Most of it is accumulator bodies, and each of
+// those is one buffer already, about the size of the file. The checksum
+// covers every preceding byte of the file.
 //
 // Every value has exactly one encoding (minimal varints, 0/1 booleans, 0/4
 // address tags), so decode followed by encode reproduces an accepted file
@@ -81,7 +83,9 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Encoder appends primitives to a checkpoint body. Errors are sticky: after
-// the first failure every call is a no-op and Encode returns the error.
+// the first failure every call is a no-op and Encode returns the error. It
+// writes no addresses and no runs of fixed values: only accumulator bodies
+// hold those, and measure.Accumulator.State writes them itself.
 type Encoder struct {
 	w   io.Writer
 	buf []byte
@@ -137,17 +141,18 @@ func (e *Encoder) Fail(err error) {
 	}
 }
 
-// uvarint appends an unsigned varint, the base of Int and Len.
-func (e *Encoder) uvarint(v uint64) {
+// Int appends a zigzag varint (binary.AppendVarint): small magnitudes of
+// either sign stay short.
+func (e *Encoder) Int(v int64) {
 	e.room(maxField)
-	e.buf = binary.AppendUvarint(e.buf, v)
+	e.buf = binary.AppendVarint(e.buf, v)
 }
 
-// Int appends a zigzag varint: small magnitudes of either sign stay short.
-func (e *Encoder) Int(v int64) { e.uvarint(uint64(v<<1) ^ uint64(v>>63)) }
-
 // Len appends a count or length prefix.
-func (e *Encoder) Len(n int) { e.uvarint(uint64(n)) }
+func (e *Encoder) Len(n int) {
+	e.room(maxField)
+	e.buf = binary.AppendUvarint(e.buf, uint64(n))
+}
 
 // Bool appends one byte, 0 or 1.
 func (e *Encoder) Bool(b bool) {
@@ -163,37 +168,6 @@ func (e *Encoder) Bool(b bool) {
 func (e *Encoder) U64(v uint64) {
 	e.room(8)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
-
-// U64s appends fixed little-endian 64-bit values back to back, with no count:
-// the caller's layout says how many there are. In memory and on disk a value
-// is the same eight bytes, so this is a copy through the buffer.
-func (e *Encoder) U64s(vs []uint64) {
-	for len(vs) > 0 {
-		if cap(e.buf)-len(e.buf) < 8 {
-			e.flush()
-		}
-		n := min(len(vs), (cap(e.buf)-len(e.buf))/8)
-		for _, v := range vs[:n] {
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-		}
-		vs = vs[n:]
-	}
-}
-
-// Addr appends an address: tag 0 for the invalid address (a star hop), tag 4
-// followed by the four bytes of an IPv4 address.
-func (e *Encoder) Addr(a netip.Addr) {
-	e.room(5)
-	switch {
-	case !a.IsValid():
-		e.buf = append(e.buf, 0)
-	case a.Is4():
-		b := a.As4()
-		e.buf = append(e.buf, 4, b[0], b[1], b[2], b[3])
-	default:
-		e.Fail(fmt.Errorf("ckpt: cannot encode non-IPv4 address %v", a))
-	}
 }
 
 // Bytes appends a length-prefixed opaque byte string.
@@ -215,7 +189,9 @@ func (e *Encoder) Bytes(p []byte) {
 type Decoder struct {
 	buf []byte
 	off int
-	err error
+	// base is buf's offset in what the caller decodes, for error messages.
+	base int
+	err  error
 }
 
 // Decode verifies data's frame — magic, kind, version, length, checksum, in
@@ -250,7 +226,18 @@ func Decode(data []byte, kind Kind, version uint8, body func(*Decoder)) error {
 	if crc32.Checksum(data[:end+8], castagnoli) != binary.LittleEndian.Uint32(data[end+8:]) {
 		return ErrChecksum
 	}
-	d := &Decoder{buf: data[headerLen:end]}
+	return decode(data[headerLen:end], headerLen, body)
+}
+
+// DecodeBody calls body to read the fields of a bare body — one written
+// without a frame, as measure.Accumulator.State writes an accumulator — and
+// requires it to consume data exactly.
+func DecodeBody(data []byte, body func(*Decoder)) error {
+	return decode(data, 0, body)
+}
+
+func decode(data []byte, base int, body func(*Decoder)) error {
+	d := &Decoder{buf: data, base: base}
 	body(d)
 	if d.err == nil && d.off != len(d.buf) {
 		d.corrupt("%d bytes after the last field", len(d.buf)-d.off)
@@ -278,7 +265,7 @@ func (d *Decoder) Fail(err error) {
 }
 
 func (d *Decoder) corrupt(format string, args ...any) {
-	d.Fail(fmt.Errorf("%w: at byte %d: %s", ErrCorrupt, headerLen+d.off, fmt.Sprintf(format, args...)))
+	d.Fail(fmt.Errorf("%w: at byte %d: %s", ErrCorrupt, d.base+d.off, fmt.Sprintf(format, args...)))
 }
 
 // take returns the next n bytes, or nil after recording the overrun.
@@ -346,8 +333,9 @@ func (d *Decoder) U64() uint64 {
 	return binary.LittleEndian.Uint64(p)
 }
 
-// U64s reads n values written by Encoder.U64s into a fresh slice (nil when n
-// is 0), checking n against the bytes remaining before it allocates.
+// U64s reads n fixed little-endian 64-bit values, as an accumulator body
+// holds its hop cells (measure.Accumulator.State), into a fresh slice (nil
+// when n is 0), checking n against the bytes remaining before it allocates.
 func (d *Decoder) U64s(n int) []uint64 {
 	if n < 0 || n > (len(d.buf)-d.off)/8 {
 		d.corrupt("%d fixed 64-bit values overrun the body", n)
@@ -364,7 +352,9 @@ func (d *Decoder) U64s(n int) []uint64 {
 	return vs
 }
 
-// Addr reads an address written by Encoder.Addr.
+// Addr reads an address as an accumulator body holds it
+// (measure.Accumulator.State): tag 0 for none, tag 4 and four bytes for
+// IPv4.
 func (d *Decoder) Addr() netip.Addr {
 	tag := d.take(1)
 	if tag == nil {
@@ -384,12 +374,12 @@ func (d *Decoder) Addr() netip.Addr {
 	return netip.Addr{}
 }
 
-// Bytes reads a length-prefixed byte string into a fresh slice (nil when
-// empty).
+// Bytes reads a length-prefixed byte string (nil when empty). It is a slice
+// of the data being decoded, not a copy.
 func (d *Decoder) Bytes() []byte {
 	n := d.Len(1)
 	if n == 0 {
 		return nil
 	}
-	return append([]byte(nil), d.take(n)...)
+	return d.take(n)[:n:n]
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 
 	. "repro/internal/ckpt"
@@ -36,7 +38,7 @@ var (
 	sampleAddr = netip.MustParseAddr("10.0.1.17")
 	// sampleBlob is longer than the encoder's buffer, so Bytes must chunk.
 	sampleBlob = bytes.Repeat([]byte("transport cursor "), 3*bufSize/17)
-	// sampleU64s is longer than the encoder's buffer too.
+	// sampleU64s is a run of fixed values longer than the encoder's buffer.
 	sampleU64s = func() []uint64 {
 		vs := make([]uint64, bufSize/4)
 		for i := range vs {
@@ -53,12 +55,8 @@ func encodeSample(e *Encoder) {
 	e.Bool(true)
 	e.Bool(false)
 	e.U64(0x0123456789abcdef)
-	e.Addr(sampleAddr)
-	e.Addr(netip.Addr{})
 	e.Bytes(sampleBlob)
 	e.Bytes(nil)
-	e.U64s(sampleU64s)
-	e.U64s(nil)
 	// Enough small fields to cross the buffer boundary many times.
 	e.Len(100_000)
 	for i := 0; i < 100_000; i++ {
@@ -79,23 +77,11 @@ func decodeSample(t *testing.T) func(*Decoder) {
 		if got := d.U64(); got != 0x0123456789abcdef {
 			t.Errorf("U64 = %#x", got)
 		}
-		if got := d.Addr(); got != sampleAddr {
-			t.Errorf("Addr = %v", got)
-		}
-		if got := d.Addr(); got.IsValid() {
-			t.Errorf("invalid Addr decoded as %v", got)
-		}
 		if got := d.Bytes(); !bytes.Equal(got, sampleBlob) {
 			t.Errorf("Bytes: %d bytes, want %d", len(got), len(sampleBlob))
 		}
 		if got := d.Bytes(); got != nil {
 			t.Errorf("empty Bytes = %v, want nil", got)
-		}
-		if got := d.U64s(len(sampleU64s)); !slices.Equal(got, sampleU64s) {
-			t.Errorf("U64s: %d values, want %d", len(got), len(sampleU64s))
-		}
-		if got := d.U64s(0); got != nil {
-			t.Errorf("U64s(0) = %v, want nil", got)
 		}
 		n := d.Len(1)
 		for i := 0; i < n; i++ {
@@ -121,6 +107,39 @@ func TestRoundTripStreams(t *testing.T) {
 	err := Decode(w.Bytes(), KindCampaign, 3, func(d *Decoder) { d.Int() })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("partial read returned %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeBody: a bare body — addresses and fixed values included, which
+// only accumulator bodies hold — decodes with no frame around it, and must
+// be read to its last byte.
+func TestDecodeBody(t *testing.T) {
+	a4 := sampleAddr.As4()
+	body := append([]byte{4}, a4[:]...)
+	body = append(body, 0)
+	for _, v := range sampleU64s {
+		body = binary.LittleEndian.AppendUint64(body, v)
+	}
+	read := func(d *Decoder) {
+		if got := d.Addr(); got != sampleAddr {
+			t.Errorf("Addr = %v", got)
+		}
+		if got := d.Addr(); got.IsValid() {
+			t.Errorf("invalid Addr decoded as %v", got)
+		}
+		if got := d.U64s(len(sampleU64s)); !slices.Equal(got, sampleU64s) {
+			t.Errorf("U64s: %d values, want %d", len(got), len(sampleU64s))
+		}
+		if got := d.U64s(0); got != nil {
+			t.Errorf("U64s(0) = %v, want nil", got)
+		}
+	}
+	if err := DecodeBody(body, read); err != nil {
+		t.Fatal(err)
+	}
+	err := DecodeBody(append(body, 0), read)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("at byte %d", len(body))) {
+		t.Errorf("a byte after the last field: got %v, want ErrCorrupt at byte %d", err, len(body))
 	}
 }
 
@@ -222,12 +241,13 @@ func TestLenBoundsAllocation(t *testing.T) {
 
 func TestEncoderErrorsAreSticky(t *testing.T) {
 	var buf bytes.Buffer
+	failed := errors.New("a field with no encoding")
 	err := Encode(&buf, KindCampaign, 3, func(e *Encoder) {
-		e.Addr(netip.MustParseAddr("2001:db8::1"))
+		e.Fail(failed)
 		e.Int(7)
 	})
-	if err == nil {
-		t.Fatal("an IPv6 address must fail the encode")
+	if !errors.Is(err, failed) {
+		t.Fatalf("got %v, want the first failure", err)
 	}
 	if buf.Len() != 0 {
 		t.Errorf("%d bytes written after the encode failed", buf.Len())

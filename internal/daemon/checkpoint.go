@@ -13,17 +13,18 @@ import (
 // the JSON document with the binary format of internal/ckpt; version 3 is
 // the run body a campaign checkpoint is made of, followed by the daemon's
 // schedule section; version 4 is that body with interned hops written as
-// 8-byte cells (campaign version 5). An older file is quarantined like any
-// other unreadable checkpoint.
-const checkpointVersion = 4
+// 8-byte cells (campaign version 5); version 5 is the body with its
+// accumulator length-prefixed (campaign version 6) and a schedule entry
+// without the seen flag and the classic fingerprint. An older file is
+// quarantined like any other unreadable checkpoint.
+const checkpointVersion = 5
 
 // Checkpoint is the daemon's serialized resumable state: the run body it
 // shares with campaign checkpoints — digest, round cursor, opaque transport
 // cursor, per-destination error budgets and path hints, and the folded
 // statistics as Workers[0], the daemon's one accumulator — then what only a
 // scheduler has: the cumulative supervision counters, the event cursor and
-// the per-destination cadence table. The struct still marshals with
-// encoding/json for inspection; files are binary.
+// the per-destination cadence table.
 type Checkpoint struct {
 	measure.Checkpoint
 	// Cumulative supervision counters, restored so /stats survives a
@@ -36,16 +37,22 @@ type Checkpoint struct {
 	Sched []DestState
 }
 
-// checkpointLocked snapshots the daemon between rounds. Caller holds d.mu
-// with no jobs in flight (Tick checkpoints after wg.Wait), so the
-// accumulator and the scheduler table are quiescent.
-func (d *Daemon) checkpointLocked() *Checkpoint {
+// checkpointLocked snapshots the daemon between rounds and returns the
+// save that writes the snapshot to CheckpointPath. Caller holds d.mu with no
+// jobs in flight (Tick checkpoints after wg.Wait), so the accumulator and
+// the scheduler table are quiescent, and runs the save after releasing it:
+// the save encodes the accumulator's hop cells, most of the file, through
+// the write Accumulator.State returned, which needs no lock.
+func (d *Daemon) checkpointLocked() (save func() error) {
+	write, err := d.acc.State()
+	if err != nil {
+		return func() error { return fmt.Errorf("daemon: checkpoint: %w", err) }
+	}
 	ck := &Checkpoint{
 		Checkpoint: measure.Checkpoint{
 			Digest:    d.digest,
 			NextRound: int(d.round),
 			Dests:     make([]measure.DestRun, len(d.sched.dests)),
-			Workers:   []measure.AccState{d.acc.State()},
 		},
 		Shed:     d.shed,
 		Restarts: d.restarts,
@@ -60,12 +67,16 @@ func (d *Daemon) checkpointLocked() *Checkpoint {
 	if d.cfg.TransportState != nil {
 		ck.Transport = d.cfg.TransportState()
 	}
-	return ck
+	path := d.cfg.CheckpointPath
+	return func() error {
+		ck.Workers = []measure.AccState{write()}
+		return ck.Save(path)
+	}
 }
 
 // minDestState is the fewest bytes one DestState occupies on disk: three
-// integers, two fixed 8-byte fingerprints, one boolean.
-const minDestState = 3 + 16 + 1
+// integers and a fixed 8-byte fingerprint.
+const minDestState = 3 + 8
 
 // Save streams the checkpoint to path in the shared binary format
 // (internal/ckpt) on the one atomic write path, so a kill mid-write leaves
@@ -86,9 +97,7 @@ func (ck *Checkpoint) encode(e *ckpt.Encoder) {
 	for i := range ck.Sched {
 		st := &ck.Sched[i]
 		e.Int(st.NextDue)
-		e.Bool(st.Seen)
 		e.U64(st.ParisFP)
-		e.U64(st.ClassicFP)
 		e.Int(st.Pairs)
 		e.Int(int64(st.ShedStreak))
 	}
@@ -104,9 +113,7 @@ func (ck *Checkpoint) decode(d *ckpt.Decoder) {
 		for i := range ck.Sched {
 			ck.Sched[i] = DestState{
 				NextDue:    d.Int(),
-				Seen:       d.Bool(),
 				ParisFP:    d.U64(),
-				ClassicFP:  d.U64(),
 				Pairs:      d.Int(),
 				ShedStreak: int(d.Int()),
 			}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/ckpt/ckpttest"
+	"repro/internal/measure"
 )
 
 // toyCheckpoint runs a small daemon for a few rounds and returns the
@@ -32,11 +33,19 @@ func toyCheckpoint(t testing.TB) []byte {
 }
 
 // recodeCheckpoint decodes a daemon checkpoint file and, if it is accepted,
-// encodes the result again.
-func recodeCheckpoint(file []byte) ([]byte, error) {
+// restores every worker body in it and encodes the file again. A body the
+// restore accepts must be what the restored accumulator writes.
+func recodeCheckpoint(t *testing.T, file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
 	if err := ckpt.Decode(file, ckpt.KindDaemon, checkpointVersion, ck.decode); err != nil {
 		return nil, err
+	}
+	for w, st := range ck.Workers {
+		if a, err := measure.RestoreAccumulator(st); err == nil {
+			if write, err := a.State(); err != nil || !bytes.Equal(write(), st) {
+				t.Fatalf("worker %d: a restored %d-byte body writes back different bytes (%v)", w, len(st), err)
+			}
+		}
 	}
 	var buf bytes.Buffer
 	err := ckpt.Encode(&buf, ckpt.KindDaemon, checkpointVersion, ck.encode)
@@ -53,9 +62,23 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	ck := mustLoad(t, path)
 	if ck.NextRound != 4 || len(ck.Dests) != 6 || ck.Dests[0].Hints.Paris == 0 ||
-		len(ck.Sched) != 6 || !ck.Sched[0].Seen || ck.Sched[0].ParisFP == 0 || len(ck.Workers) != 1 ||
-		ck.Workers[0].Routes == 0 || len(ck.Workers[0].Dests) != 6 || string(ck.Transport) != `{"ProbeCounts":[7]}` {
+		len(ck.Sched) != 6 || ck.Sched[0].Pairs == 0 || ck.Sched[0].ParisFP == 0 || len(ck.Workers) != 1 ||
+		string(ck.Transport) != `{"ProbeCounts":[7]}` {
 		t.Fatalf("toy checkpoint degenerate or misdecoded: %+v", ck)
+	}
+	if a, err := measure.RestoreAccumulator(ck.Workers[0]); err != nil || measure.Merge(4, 6, a).Routes == 0 {
+		t.Fatalf("toy checkpoint's accumulator degenerate or refused: %v", err)
+	}
+	// Every destination was measured, so the body holds all six, and the
+	// restored accumulator must write that body back: one that lost a
+	// destination would write a shorter one.
+	for i := range ck.Sched {
+		if ck.Sched[i].Pairs == 0 {
+			t.Fatalf("toy checkpoint: destination %d never measured", i)
+		}
+	}
+	if again, err := recodeCheckpoint(t, file); err != nil || !bytes.Equal(again, file) {
+		t.Fatalf("toy checkpoint with its accumulator restored does not write back the same file (%v)", err)
 	}
 	again := filepath.Join(t.TempDir(), "again.ck")
 	if err := ck.Save(again); err != nil {
@@ -70,7 +93,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v4.ck from the current encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v5.ck from the current encoder")
 
 // TestCheckpointGolden pins the daemon's wire format: the toy daemon's
 // checkpoint must be the committed file byte for byte (it holds no RTT and
@@ -78,7 +101,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v4.ck from t
 // bumps checkpointVersion and regenerates the file (go test -run
 // TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "toy-v4.ck")
+	golden := filepath.Join("testdata", "toy-v5.ck")
 	got := toyCheckpoint(t)
 	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
@@ -92,13 +115,14 @@ func TestCheckpointGolden(t *testing.T) {
 }
 
 // FuzzDecodeCheckpoint: the daemon checkpoint decoder is total on arbitrary
-// bytes (see ckpttest.Check for the properties). Seeded with the toy
-// checkpoint and its truncation ladder, and with the two previous versions'
-// (testdata/toy-v3.ck, toy-v2.ck), whose bodies Check also wraps in a
-// current frame: the old layouts read as the new one.
+// bytes (see ckpttest.Check for the properties), and so is the restore of
+// the accumulator body it slices out. Seeded with the toy checkpoint and its
+// truncation ladder, and with the previous versions' (testdata/toy-v4.ck,
+// toy-v3.ck, toy-v2.ck), whose bodies Check also wraps in a current frame:
+// the old layouts read as the new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	ckpttest.Seed(f, toyCheckpoint(f))
-	for _, name := range []string{"toy-v3.ck", "toy-v2.ck"} {
+	for _, name := range []string{"toy-v4.ck", "toy-v3.ck", "toy-v2.ck"} {
 		previous, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -106,6 +130,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		ckpttest.Seed(f, previous)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ckpttest.Check(t, ckpt.KindDaemon, checkpointVersion, data, recodeCheckpoint)
+		ckpttest.Check(t, ckpt.KindDaemon, checkpointVersion, data, func(file []byte) ([]byte, error) {
+			return recodeCheckpoint(t, file)
+		})
 	})
 }

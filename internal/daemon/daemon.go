@@ -313,14 +313,13 @@ func (d *Daemon) Tick() {
 
 	d.mu.Lock()
 	d.round = round + 1
-	ckDue := d.cfg.CheckpointPath != "" && int(d.round)%d.cfg.CheckpointEvery == 0
-	var ck *Checkpoint
-	if ckDue {
-		ck = d.checkpointLocked()
+	var save func() error
+	if d.cfg.CheckpointPath != "" && int(d.round)%d.cfg.CheckpointEvery == 0 {
+		save = d.checkpointLocked()
 	}
 	d.mu.Unlock()
-	if ck != nil {
-		err := ck.Save(d.cfg.CheckpointPath)
+	if save != nil {
+		err := save()
 		d.mu.Lock()
 		d.lastCkErr = err
 		d.mu.Unlock()
@@ -376,9 +375,9 @@ func (d *Daemon) Stop() error {
 		close(d.stop)
 		if d.cfg.CheckpointPath != "" {
 			d.mu.Lock()
-			ck := d.checkpointLocked()
+			save := d.checkpointLocked()
 			d.mu.Unlock()
-			err = ck.Save(d.cfg.CheckpointPath)
+			err = save()
 		}
 		d.events.closeAll()
 	})
@@ -419,13 +418,17 @@ type Health struct {
 	WorkersAlive, WorkersDead int
 	// CheckpointError carries the last checkpoint write failure, if any.
 	CheckpointError string `json:",omitempty"`
+	// EventsDropped counts the events an /events subscriber never got
+	// because its buffer was full (a client reading too slowly), summed
+	// over subscribers since the daemon started.
+	EventsDropped int64
 }
 
 // Health returns the current liveness summary.
 func (d *Daemon) Health() Health {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	h := Health{Round: d.round, WorkersAlive: d.workersAlive, WorkersDead: d.deadWorkers}
+	h := Health{Round: d.round, WorkersAlive: d.workersAlive, WorkersDead: d.deadWorkers, EventsDropped: d.events.droppedCount()}
 	if d.lastCkErr != nil {
 		h.CheckpointError = d.lastCkErr.Error()
 	}

@@ -519,8 +519,9 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 // from before the binary format (testdata/legacy-v1.ck.json, written by the
 // last JSON build), a version-2 file from before the shared run body
 // (testdata/toy-v2.ck, the last version-2 build's codec-test checkpoint) or
-// a version-3 one from before hop cells (testdata/toy-v3.ck, likewise) —
-// the daemon moves it to .corrupt, publishes a recovered
+// a version-3 one from before hop cells (testdata/toy-v3.ck, likewise) or a
+// version-4 one from before length-prefixed accumulator bodies
+// (testdata/toy-v4.ck, likewise) — the daemon moves it to .corrupt, publishes a recovered
 // event that names the cause, and comes back measuring from round zero.
 func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	good := filepath.Join(t.TempDir(), "good.ck")
@@ -534,6 +535,7 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	legacy := readFile(t, filepath.Join("testdata", "legacy-v1.ck.json"))
 	v2 := readFile(t, filepath.Join("testdata", "toy-v2.ck"))
 	v3 := readFile(t, filepath.Join("testdata", "toy-v3.ck"))
+	v4 := readFile(t, filepath.Join("testdata", "toy-v4.ck"))
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/2] ^= 1
 
@@ -548,6 +550,7 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 		{"legacy v1 JSON", legacy, ckpt.ErrLegacyJSON},
 		{"version 2 binary", v2, ckpt.ErrVersion},
 		{"version 3 binary", v3, ckpt.ErrVersion},
+		{"version 4 binary", v4, ckpt.ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckPath := filepath.Join(t.TempDir(), "daemon.ck")
@@ -583,9 +586,9 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 
 // TestDaemonImpossibleCheckpointStartsFresh: a frame that verifies around a
 // body no daemon can have written — a negative round, a negative failure
-// count, a schedule table of another length, a destination folded twice — is
-// unusable too: moved aside, never resumed (a negative round would reach
-// RoundStart).
+// count, a schedule table of another length, an accumulator body its restore
+// refuses — is unusable too: moved aside, never resumed (a negative round
+// would reach RoundStart).
 func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 	good := filepath.Join(t.TempDir(), "good.ck")
 	cfg := testConfig(freeTopo(t, 4, 3, 0))
@@ -597,9 +600,8 @@ func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 		"negative round":  func(ck *Checkpoint) { ck.NextRound = -1 },
 		"negative budget": func(ck *Checkpoint) { ck.Dests[1].ConsecFails = -3 },
 		"short schedule":  func(ck *Checkpoint) { ck.Sched = ck.Sched[:3] },
-		"destination twice": func(ck *Checkpoint) {
-			st := &ck.Workers[0]
-			st.Dests = append([]measure.DestCheckpoint{st.Dests[0]}, st.Dests...)
+		"worker body with a trailing byte": func(ck *Checkpoint) {
+			ck.Workers[0] = append(bytes.Clone(ck.Workers[0]), 0)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

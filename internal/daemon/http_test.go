@@ -75,6 +75,28 @@ func TestHTTPHealthAndReady(t *testing.T) {
 	}
 }
 
+// TestHealthReportsDroppedEvents: an /events subscriber that stops reading
+// loses what overflows its buffer, and /healthz says how many.
+func TestHealthReportsDroppedEvents(t *testing.T) {
+	d := mustNew(t, testConfig(freeTopo(t, 2, 3, 0)))
+	defer d.Stop()
+	_, ch, cancel := d.events.subscribe(0)
+	defer cancel()
+	const extra = 5
+	for i := 0; i < cap(ch)+extra; i++ {
+		d.events.publish(Event{Type: EventAnomaly})
+	}
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var h Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatalf("decode /healthz: %v", err)
+	}
+	if h.EventsDropped != extra || len(ch) != cap(ch) {
+		t.Fatalf("/healthz EventsDropped = %d with %d of %d buffered, want %d", h.EventsDropped, len(ch), cap(ch), extra)
+	}
+}
+
 func TestHTTPEventsSSE(t *testing.T) {
 	sc := freeTopo(t, 10, 3, 0)
 	cfg := testConfig(sc)

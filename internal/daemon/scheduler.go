@@ -29,14 +29,11 @@ type destSched struct {
 type DestState struct {
 	// NextDue is the earliest round the destination may be probed in.
 	NextDue int64
-	// Seen is true once a pair completed; the first completion never
-	// counts as a route change.
-	Seen bool `json:",omitempty"`
-	// ParisFP and ClassicFP are the last completed pair's route
-	// fingerprints — the interned identity the re-exploration trigger
-	// compares against.
-	ParisFP, ClassicFP uint64 `json:",omitempty"`
-	// Pairs counts completed (OK) pairs, for observability.
+	// ParisFP is the last completed pair's Paris route fingerprint — the
+	// interned identity the re-exploration trigger compares against.
+	ParisFP uint64 `json:",omitempty"`
+	// Pairs counts completed (OK) pairs; the first completion never counts
+	// as a route change.
 	Pairs int64 `json:",omitempty"`
 	// ShedStreak counts consecutive rounds this destination was shed by
 	// admission without being dispatched in between; the victim-selection

@@ -129,10 +129,9 @@ func (d *Daemon) finish(j *job, pair *measure.Pair, err error, hints measure.Pat
 		d.afterFold(pair)
 	}
 	ds.Succeeded(hints)
+	changed := ds.Pairs > 0 && fr.Paris != ds.ParisFP
 	ds.Pairs++
-	changed := ds.Seen && fr.Paris != ds.ParisFP
-	ds.ParisFP, ds.ClassicFP = fr.Paris, fr.Classic
-	ds.Seen = true
+	ds.ParisFP = fr.Paris
 	if changed {
 		ds.NextDue = round + 1
 	} else {

@@ -63,9 +63,9 @@ func TestReadAllocs(t *testing.T) {
 		w := newSteadyWorker(t, dests)
 		w.rounds(t, 5)
 		Merge(5, dests, w.acc)
-		w.acc.State()
+		mustState(t, w.acc)
 		merge = testing.AllocsPerRun(5, func() { Merge(5, dests, w.acc) })
-		state = testing.AllocsPerRun(5, func() { w.acc.State() })
+		state = testing.AllocsPerRun(5, func() { mustState(t, w.acc) })
 		return merge, state
 	}
 	m100, s100 := reads(100)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/simtest"
@@ -105,11 +106,14 @@ func TestInternedRoutesExactSize(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "exact.ck")
-	if err := w.c.checkpoint(w.round, []*Accumulator{w.acc}).Save(path); err != nil {
+	ck, err := w.c.checkpoint(w.round, []*Accumulator{w.acc})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ck := mustLoad(t, path)
-	restored, err := RestoreAccumulator(ck.Workers[0])
+	if err := ck.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreAccumulator(mustLoad(t, path).Workers[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +209,23 @@ func BenchmarkMergeSteady(b *testing.B) {
 	benchReads(b, func(w *steadyWorker) { mergeSink = Merge(w.round, len(w.sc.Dests), w.acc) })
 }
 
-// BenchmarkStateSteady is one State of a warmed 5,000-destination
-// accumulator, one round folded since the last.
+// BenchmarkStateSteady is one checkpoint body of a warmed 5,000-destination
+// accumulator, one round folded since the last: State and the write it
+// returns, which together read the accumulator and encode the body.
+// locked-ns/op is State alone, what a daemon's checkpoint holds its lock
+// for.
 func BenchmarkStateSteady(b *testing.B) {
-	benchReads(b, func(w *steadyWorker) { stateSink = w.acc.State() })
+	var locked time.Duration
+	calls := 0
+	benchReads(b, func(w *steadyWorker) {
+		start := time.Now()
+		write, err := w.acc.State()
+		locked += time.Since(start)
+		calls++
+		if err != nil {
+			b.Fatal(err)
+		}
+		stateSink = write()
+	})
+	b.ReportMetric(float64(locked.Nanoseconds())/float64(calls), "locked-ns/op")
 }

@@ -327,8 +327,11 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 			res.Rounds = append(res.Rounds, pairs)
 		}
 		if c.cfg.CheckpointPath != "" && ((r+1)%c.cfg.CheckpointEvery == 0 || r == c.cfg.Rounds-1) {
-			ck := c.checkpoint(r+1, accs)
-			if err := ck.Save(c.cfg.CheckpointPath); err != nil {
+			ck, err := c.checkpoint(r+1, accs)
+			if err == nil {
+				err = ck.Save(c.cfg.CheckpointPath)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("measure: checkpoint after round %d: %w", r, err)
 			}
 		}

@@ -210,10 +210,13 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := LoadCheckpoint(filepath.Join(dir, "absent.ck")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing file: got %v, want ErrNotExist", err)
 	}
-	// The previous binary version is refused by version, with no upgrade
-	// path: testdata/toy-v4.ck is the golden file of the version-4 layout.
-	if _, err := LoadCheckpoint(filepath.Join("testdata", "toy-v4.ck")); !errors.Is(err, ckpt.ErrVersion) {
-		t.Errorf("version-4 checkpoint: got %v, want ErrVersion", err)
+	// The previous binary versions are refused by version, with no upgrade
+	// path: testdata/toy-v5.ck and toy-v4.ck are the golden files of those
+	// layouts.
+	for _, name := range []string{"toy-v5.ck", "toy-v4.ck"} {
+		if _, err := LoadCheckpoint(filepath.Join("testdata", name)); !errors.Is(err, ckpt.ErrVersion) {
+			t.Errorf("%s: got %v, want ErrVersion", name, err)
+		}
 	}
 
 	// A frame that verifies around a body no run can have written — a
@@ -366,13 +369,13 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(acc.State(), st) {
+		if !bytes.Equal(mustState(t, acc), st) {
 			t.Errorf("worker %d: restored accumulator snapshots to a different state", w)
 		}
 	}
 }
 
-// goldenConfig is the toy campaign testdata/toy-v5.ck was written by: small
+// goldenConfig is the toy campaign testdata/toy-v6.ck was written by: small
 // enough to commit, large enough to meet a loop (so the per-cause map, the
 // loop address set and the signature spans are not all empty). Its topology
 // is the one the file was recorded over — per-packet diamonds, diff-2 and
@@ -396,7 +399,7 @@ func goldenConfig(path string) (*topo.Scenario, Config) {
 	return sc, cfg
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v5.ck from the current encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v6.ck from the current encoder")
 
 // TestCheckpointGolden pins the wire format: the toy campaign halted after
 // three rounds must write the committed file byte for byte, and the
@@ -405,7 +408,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v5.ck from t
 // (go test -run TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
 	const killAt = 3
-	golden := filepath.Join("testdata", "toy-v5.ck")
+	golden := filepath.Join("testdata", "toy-v6.ck")
 	ckPath := filepath.Join(t.TempDir(), "toy.ck")
 
 	sc, cfg := goldenConfig(ckPath)
@@ -433,8 +436,11 @@ func TestCheckpointGolden(t *testing.T) {
 	}
 
 	ck := mustLoad(t, golden)
-	if ck.NextRound != killAt || len(ck.Workers) != 1 || ck.Workers[0].LoopInstances == 0 {
+	if ck.NextRound != killAt || len(ck.Workers) != 1 {
 		t.Fatalf("golden checkpoint degenerate: NextRound=%d workers=%d", ck.NextRound, len(ck.Workers))
+	}
+	if a, err := RestoreAccumulator(ck.Workers[0]); err != nil || a.loopInstances == 0 {
+		t.Fatalf("golden checkpoint's accumulator degenerate or refused: %v", err)
 	}
 	scR, cfgR := goldenConfig(filepath.Join(t.TempDir(), "resumed.ck"))
 	campR := newCampaign(t, netsim.NewTransport(scR.Net), cfgR)
@@ -449,23 +455,24 @@ func TestCheckpointGolden(t *testing.T) {
 	}
 }
 
-// refusalState is a two-destination accumulator snapshot for the restore
+// refusalAcc is a two-destination accumulator, read once, for the restore
 // refusal tests: each classic route loops on two addresses around a star, so
-// every list a restore checks the order of has two entries or more.
-func refusalState(t *testing.T) AccState {
+// every list a restore checks the order of has two entries or more. A test
+// corrupts it in place and State writes the corruption as it is: the views
+// are current, so State takes them as they stand.
+func refusalAcc(t *testing.T) *Accumulator {
 	t.Helper()
 	a := NewAccumulator()
 	for _, d := range []netip.Addr{aAddr(200), aAddr(201)} {
 		a.Fold(&Pair{Dest: d, Classic: synthRoute(d, 1, 2, 2, -1, 3, 3, 4), Paris: synthRoute(d, 1, 2, 5, -1, 3, 6, 4)})
 	}
-	st := a.State()
-	if len(st.Dests) != 2 || len(st.Dests[0].LoopSigs) != 2 {
-		t.Fatalf("refusal state degenerate: %+v", st)
-	}
-	if _, err := RestoreAccumulator(st); err != nil {
+	if _, err := RestoreAccumulator(mustState(t, a)); err != nil {
 		t.Fatalf("untouched state refused: %v", err)
 	}
-	return st
+	if len(a.destView) != 2 || len(a.destView[0].loopSigs) != 2 {
+		t.Fatalf("refusal accumulator degenerate: %d destinations", len(a.destView))
+	}
+	return a
 }
 
 // TestRestoreRefusesDestinationTwice: a destination belongs to exactly one
@@ -473,14 +480,14 @@ func refusalState(t *testing.T) AccState {
 // merged twice (double-counting its diamonds and signatures), and a second
 // copy inside one state would silently replace the first; both are refused.
 func TestRestoreRefusesDestinationTwice(t *testing.T) {
-	st := refusalState(t)
+	a := refusalAcc(t)
+	st := mustState(t, a)
 	ck := &Checkpoint{Workers: []AccState{st, st}}
 	if _, err := ck.Restore(0, 0, 2); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("one destination in two accumulators: got %v, want ErrCorrupt", err)
 	}
-	twice := st
-	twice.Dests = append(slices.Clone(st.Dests), st.Dests[0])
-	if _, err := RestoreAccumulator(twice); !errors.Is(err, ckpt.ErrCorrupt) {
+	a.destView = slices.Insert(slices.Clone(a.destView), 0, a.destView[0])
+	if _, err := RestoreAccumulator(mustState(t, a)); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("one destination twice in an accumulator: got %v, want ErrCorrupt", err)
 	}
 }
@@ -490,19 +497,89 @@ func TestRestoreRefusesDestinationTwice(t *testing.T) {
 func TestRestoreRefusesUnsortedLists(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		edit func(st *AccState)
+		edit func(a *Accumulator)
 	}{
-		{"destinations descending", func(st *AccState) { slices.Reverse(st.Dests) }},
-		{"address set descending", func(st *AccState) { slices.Reverse(st.Addrs) }},
-		{"address repeated", func(st *AccState) { st.LoopAddrs = append(st.LoopAddrs, st.LoopAddrs[len(st.LoopAddrs)-1]) }},
-		{"signatures descending", func(st *AccState) { slices.Reverse(st.Dests[1].LoopSigs) }},
+		{"destinations descending", func(a *Accumulator) { slices.Reverse(a.destView) }},
+		{"address set descending", func(a *Accumulator) { slices.Reverse(a.addrs.view) }},
+		{"address repeated", func(a *Accumulator) {
+			v := a.loopAddrs.view
+			a.loopAddrs.view = append(slices.Clip(v), v[len(v)-1])
+		}},
+		{"signatures descending", func(a *Accumulator) { slices.Reverse(a.destView[1].loopSigs) }},
 	} {
-		st := refusalState(t)
-		tc.edit(&st)
-		if _, err := RestoreAccumulator(st); !errors.Is(err, ckpt.ErrCorrupt) {
+		a := refusalAcc(t)
+		tc.edit(a)
+		if _, err := RestoreAccumulator(mustState(t, a)); !errors.Is(err, ckpt.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
 		}
 	}
+}
+
+// TestRestoreRefusesHopAddressOutsideSet: every responding hop's address is
+// in the accumulator's address set, so a body whose set lacks one is refused
+// (the replay would add it, and the restored accumulator would write back
+// another body).
+func TestRestoreRefusesHopAddressOutsideSet(t *testing.T) {
+	a := refusalAcc(t)
+	gone := a.addrs.view[0]
+	a.addrs.view = a.addrs.view[1:]
+	delete(a.addrs.has, gone)
+	if _, err := RestoreAccumulator(mustState(t, a)); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), gone.String()) {
+		t.Errorf("hop address %v left out of the set: got %v, want ErrCorrupt naming it", gone, err)
+	}
+}
+
+// TestRestoreRefusesWhatStateCannotWrite: a halt reason no
+// tracer.HaltReason has, a route interned twice and per-cause tallies out of
+// ascending cause order are refused. The accumulator is corrupted in place
+// for the first two; State cannot write the third, so its body is written by
+// hand.
+func TestRestoreRefusesWhatStateCannotWrite(t *testing.T) {
+	a := refusalAcc(t)
+	a.destView[0].classic[0].halt = uint8(tracer.HaltMaxTTL) + 1
+	if _, err := RestoreAccumulator(mustState(t, a)); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("halt reason past HaltMaxTTL: got %v, want ErrCorrupt", err)
+	}
+
+	a = refusalAcc(t)
+	ds := a.destView[0]
+	mo := ds.classic[0]
+	ds.cells = append(slices.Clone(ds.cells), ds.cells[mo.off:int(mo.off)+int(mo.hops)]...)
+	mo.seq, mo.off = uint32(len(ds.classic)+len(ds.paris)), uint32(len(ds.cells)-int(mo.hops))
+	ds.classic = append(slices.Clone(ds.classic), mo)
+	if _, err := RestoreAccumulator(mustState(t, a)); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "collides") {
+		t.Errorf("a route interned twice: got %v, want ErrCorrupt naming the collision", err)
+	}
+
+	// 15 zero tallies; loop causes 2 then 1 (zigzag 4 and 2), one each;
+	// no cycle causes, no addresses, no destinations.
+	body := append(make([]byte, 15), 2, 4, 2, 2, 2, 0, 0, 0, 0, 0, 0)
+	if _, err := RestoreAccumulator(body); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("causes descending: got %v, want ErrCorrupt", err)
+	}
+	body[16], body[18] = 2, 4 // causes 1 then 2
+	if _, err := RestoreAccumulator(body); err != nil {
+		t.Errorf("the same body with causes ascending: %v", err)
+	}
+}
+
+// TestStateRefusesIPv6: a body has no encoding for an IPv6 address, so State
+// fails rather than write one.
+func TestStateRefusesIPv6(t *testing.T) {
+	a := NewAccumulator()
+	p := SkippedPair(netip.MustParseAddr("2001:db8::1"), 0)
+	a.Fold(&p)
+	if write, err := a.State(); err == nil || !strings.Contains(err.Error(), "2001:db8::1") {
+		t.Errorf("State of a quarantined IPv6 destination: write %v, error %v", write != nil, err)
+	}
+}
+
+// editCell rewrites hop i of a's first destination (hop 0 of its first route
+// responds; hop 3 is a star).
+func editCell(a *Accumulator, i int, edit func(uint64) uint64) {
+	ds := a.destView[0]
+	ds.cells = slices.Clone(ds.cells)
+	ds.cells[i] = edit(ds.cells[i])
 }
 
 // TestRestoreRefusesAddresslessRespondingHop: a cell can say a hop responded
@@ -510,18 +587,15 @@ func TestRestoreRefusesUnsortedLists(t *testing.T) {
 // key. A state that says so is refused with an error at restore, not
 // answered with the index's panic.
 func TestRestoreRefusesAddresslessRespondingHop(t *testing.T) {
-	st := refusalState(t)
-	cells := slices.Clone(st.Dests[0].Cells)
-	cells[0] &^= cellHasAddr | 0xffffffff
-	st.Dests[0].Cells = cells
-	if _, err := RestoreAccumulator(st); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "no address") {
+	a := refusalAcc(t)
+	editCell(a, 0, func(c uint64) uint64 { return c &^ (cellHasAddr | 0xffffffff) })
+	if _, err := RestoreAccumulator(mustState(t, a)); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "no address") {
 		t.Errorf("responding hop without an address: got %v, want ErrCorrupt naming it", err)
 	}
 }
 
 // TestRestoreRefusesNonCanonicalCells: one row per other way a hop cell can
-// differ from every cell packHop writes. Hop 0 of the first route responds;
-// hop 3 is a star.
+// differ from every cell packHop writes.
 func TestRestoreRefusesNonCanonicalCells(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -533,11 +607,9 @@ func TestRestoreRefusesNonCanonicalCells(t *testing.T) {
 		{"a star with address bytes", 3, func(c uint64) uint64 { return c | 9 }},
 		{"kind out of range", 0, func(c uint64) uint64 { return c&^cellKindMask | 9<<cellKindShift }},
 	} {
-		st := refusalState(t)
-		cells := slices.Clone(st.Dests[0].Cells)
-		cells[tc.hop] = tc.edit(cells[tc.hop])
-		st.Dests[0].Cells = cells
-		if _, err := RestoreAccumulator(st); !errors.Is(err, ckpt.ErrCorrupt) {
+		a := refusalAcc(t)
+		editCell(a, tc.hop, tc.edit)
+		if _, err := RestoreAccumulator(mustState(t, a)); !errors.Is(err, ckpt.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
 		}
 	}

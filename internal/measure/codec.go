@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -10,28 +11,46 @@ import (
 	"repro/internal/tracer"
 )
 
-// This file lays Checkpoint and AccState out in the internal/ckpt wire
-// format. Fields are written in declaration order: every integer a zigzag
-// varint, every slice a count followed by its elements, per-cause maps as
-// (cause, count) pairs in ascending cause order — so equal states give equal
-// bytes, and a decoded state encodes back to the bytes it came from.
-// docs/checkpoint.md has the layout tables; the golden file under testdata/
-// pins it.
+// This file lays a checkpoint out in the internal/ckpt wire format: the run
+// body (Checkpoint) through ckpt's Encoder and Decoder, and each
+// accumulator's body (AccState) straight from and into the accumulator —
+// State appends it in ckpt's primitive encodings, and RestoreAccumulator
+// reads it back with a ckpt.Decoder. Fields are written in a fixed order:
+// every integer a zigzag varint, every list a count followed by its
+// elements, per-cause maps as (cause, count) pairs in ascending cause order
+// — so equal accumulators give equal bytes, and a restored one writes back
+// the body it came from. docs/checkpoint.md has the layout tables; the
+// golden file under testdata/ pins it.
+//
+// The body's encoder is the one place outside ckpt that writes ckpt's
+// primitives, and it does so on purpose: the Encoder streams through a
+// buffer it flushes, and a body is one buffer appended in two phases
+// (State), so it appends them itself — integers with encoding/binary's
+// varints, which are ckpt's, and booleans and addresses with appendBool and
+// appendAddr. Their decoders stay ckpt's (Decoder.Bool, Addr, U64s), and the
+// golden files pin that the two sides agree.
 //
 // The min* constants are the fewest bytes one element of each repeated
 // structure can occupy; the decoder checks every count against the bytes
-// that remain before allocating (ckpt.Decoder.Len).
+// that remain before allocating (ckpt.Decoder.Len). The max* constants are
+// the most, which State sizes its buffer by.
 const (
-	minAccState = 22 // 15 integers, 2 maps, 4 address sets, Dests
-	minCause    = 2  // cause, count
-	minDest     = 6  // address tag, SawLoop, SawCycle, 3 counts
-	minRoute    = 4  // Classic, address tag, Halt, hop count
-	cellBytes   = 8  // one hop
-	minSig      = 3  // address tag, LastRound, Rounds
+	minCause  = 2 // cause, count
+	minDest   = 6 // address tag, SawLoop, SawCycle, 3 counts
+	minRoute  = 4 // Classic, address tag, Halt, hop count
+	cellBytes = 8 // one hop
+	minSig    = 3 // address tag, LastRound, Rounds
+
+	maxVarint = binary.MaxVarintLen64
+	maxAddr   = 5
+	maxDest   = maxAddr + 2 + 3*maxVarint
+	maxRoute  = 1 + maxAddr + 2 + 3 // Halt is a byte and Hops 16 bits (routeMemo)
+	maxSig    = maxAddr + 2*maxVarint
 )
 
 // Encode appends the run body: a campaign checkpoint is exactly this, the
-// daemon's continues with its schedule section.
+// daemon's continues with its schedule section. Each worker's accumulator
+// body is written as State made it, length-prefixed.
 func (ck *Checkpoint) Encode(e *ckpt.Encoder) {
 	e.U64(ck.Digest)
 	e.Int(int64(ck.NextRound))
@@ -41,12 +60,14 @@ func (ck *Checkpoint) Encode(e *ckpt.Encoder) {
 		ck.Dests[i].encode(e)
 	}
 	e.Len(len(ck.Workers))
-	for w := range ck.Workers {
-		ck.Workers[w].Encode(e)
+	for _, st := range ck.Workers {
+		e.Bytes(st)
 	}
 }
 
 // Decode reads one run body written by Encode into ck, which must be zero.
+// The worker bodies are sliced out of the data as they are; Restore decodes
+// them.
 func (ck *Checkpoint) Decode(d *ckpt.Decoder) {
 	ck.Digest = d.U64()
 	ck.NextRound = int(d.Int())
@@ -57,173 +78,344 @@ func (ck *Checkpoint) Decode(d *ckpt.Decoder) {
 			ck.Dests[i].decode(d)
 		}
 	}
-	if n := d.Len(minAccState); n > 0 {
+	if n := d.Len(1); n > 0 {
 		ck.Workers = make([]AccState, n)
 		for w := range ck.Workers {
-			ck.Workers[w].Decode(d)
+			ck.Workers[w] = d.Bytes()
 		}
 	}
 }
 
-// Encode appends the accumulator state to a checkpoint body.
-func (st *AccState) Encode(e *ckpt.Encoder) {
-	for _, v := range []int{
-		st.Routes, st.Reached, st.Responses, st.MidStars,
-		st.RoutesWithLoop, st.LoopInstances, st.ParisOnly,
-		st.RoutesWithCycle, st.CycleInstances,
-		st.Failed, st.Skipped, st.RTTSamples,
+// State snapshots the accumulator's partial statistics for its checkpoint
+// body and returns the function that writes the body. The accumulator must
+// be quiescent (no concurrent Fold or read) while State runs, which is when
+// everything that changes in place is written; write may run after it
+// moves on, because all it adds is each destination's hop cells, which the
+// accumulator never rewrites once stored, so a caller can release its lock
+// before the bulk of the body is copied. The
+// body is deterministic — address sets and destinations ascending, each
+// destination's routes in first-seen order — so two equal accumulators give
+// identical bytes. An IPv6 address has no encoding and fails it.
+func (a *Accumulator) State() (write func() AccState, err error) {
+	sets := [...][]netip.Addr{a.addrs.sorted(), a.loopAddrs.sorted(), a.cycleAddrs.sorted(), a.skippedDests.sorted()}
+	dests := a.sortedDests()
+	size := (15+2+len(sets)+1)*maxVarint + 2*maxVarint*(len(a.loopByCause)+len(a.cycleByCause))
+	for _, s := range sets {
+		size += maxAddr * len(s)
+	}
+	most, ncells := 0, 0
+	for _, ds := range dests {
+		n := len(ds.classic) + len(ds.paris)
+		most, ncells = max(most, n), ncells+len(ds.cells)
+		size += maxDest + maxRoute*n + maxSig*(len(ds.loopSigs)+len(ds.cycleSigs))
+	}
+	head := make([]byte, 0, size)
+	for _, v := range [...]int{
+		a.routes, a.reached, a.responses, a.midStars,
+		a.routesWithLoop, a.loopInstances, a.parisOnly,
+		a.routesWithCycle, a.cycleInstances,
+		a.failed, a.skipped, a.rttSamples,
 	} {
-		e.Int(int64(v))
+		head = binary.AppendVarint(head, int64(v))
 	}
-	e.Int(st.RTTSum)
-	e.Int(st.RTTMin)
-	e.Int(st.RTTMax)
-	encodeCauses(e, st.LoopByCause)
-	encodeCauses(e, st.CycleByCause)
-	encodeAddrs(e, st.Addrs)
-	encodeAddrs(e, st.LoopAddrs)
-	encodeAddrs(e, st.CycleAddrs)
-	encodeAddrs(e, st.SkippedDests)
-	e.Len(len(st.Dests))
-	for i := range st.Dests {
-		dc := &st.Dests[i]
-		e.Addr(dc.Dest)
-		e.Bool(dc.SawLoop)
-		e.Bool(dc.SawCycle)
-		e.Len(len(dc.Routes))
-		cells := 0
-		for _, rc := range dc.Routes {
-			if rc.Hops < 0 {
-				e.Fail(fmt.Errorf("measure: dest %v: route of %d hops", dc.Dest, rc.Hops))
-				return
+	head = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(head, a.rttSum), a.rttMin), a.rttMax)
+	head = appendCauses(appendCauses(head, a.loopByCause), a.cycleByCause)
+	for _, s := range sets {
+		head = binary.AppendUvarint(head, uint64(len(s)))
+		for _, ad := range s {
+			if ad.Is6() {
+				return nil, fmt.Errorf("measure: cannot checkpoint address %v: not IPv4", ad)
 			}
-			e.Bool(rc.Classic)
-			e.Addr(rc.Source)
-			e.Int(int64(rc.Halt))
-			e.Len(rc.Hops)
-			cells += rc.Hops
+			head = appendAddr(head, ad)
 		}
-		if cells != len(dc.Cells) {
-			e.Fail(fmt.Errorf("measure: dest %v: routes of %d hops over %d cells", dc.Dest, cells, len(dc.Cells)))
-			return
+	}
+	head = binary.AppendUvarint(head, uint64(len(dests)))
+	// cuts[i] is where destination i's cells go in head, and the cells.
+	cuts := make([]cellCut, len(dests))
+	order := make([]uint32, most)
+	for i, ds := range dests {
+		if ds.dest().Is6() {
+			return nil, fmt.Errorf("measure: cannot checkpoint destination %v: not IPv4", ds.dest())
 		}
-		e.U64s(dc.Cells)
-		encodeSigs(e, dc.LoopSigs)
-		encodeSigs(e, dc.CycleSigs)
+		head = appendRoutes(head, ds, order)
+		cuts[i] = cellCut{at: len(head), cells: ds.cells}
+		head = appendSigs(appendSigs(head, ds.loopSigs), ds.cycleSigs)
 	}
-}
-
-// Decode reads one accumulator state written by Encode into st, which must
-// be zero.
-func (st *AccState) Decode(d *ckpt.Decoder) {
-	for _, p := range []*int{
-		&st.Routes, &st.Reached, &st.Responses, &st.MidStars,
-		&st.RoutesWithLoop, &st.LoopInstances, &st.ParisOnly,
-		&st.RoutesWithCycle, &st.CycleInstances,
-		&st.Failed, &st.Skipped, &st.RTTSamples,
-	} {
-		*p = int(d.Int())
-	}
-	st.RTTSum = d.Int()
-	st.RTTMin = d.Int()
-	st.RTTMax = d.Int()
-	st.LoopByCause = decodeCauses(d)
-	st.CycleByCause = decodeCauses(d)
-	st.Addrs = decodeAddrs(d)
-	st.LoopAddrs = decodeAddrs(d)
-	st.CycleAddrs = decodeAddrs(d)
-	st.SkippedDests = decodeAddrs(d)
-	n := d.Len(minDest)
-	if n == 0 {
-		return
-	}
-	st.Dests = make([]DestCheckpoint, n)
-	for i := range st.Dests {
-		dc := &st.Dests[i]
-		dc.Dest = d.Addr()
-		dc.SawLoop = d.Bool()
-		dc.SawCycle = d.Bool()
-		if nr := d.Len(minRoute); nr > 0 {
-			dc.Routes = make([]RouteCheckpoint, nr)
-			cells := 0
-			for j := range dc.Routes {
-				dc.Routes[j] = RouteCheckpoint{Classic: d.Bool(), Source: d.Addr(), Halt: tracer.HaltReason(d.Int()), Hops: d.Len(cellBytes)}
-				cells += dc.Routes[j].Hops
+	return func() AccState {
+		b := make([]byte, 0, len(head)+cellBytes*ncells)
+		from := 0
+		for _, c := range cuts {
+			b = append(b, head[from:c.at]...)
+			for _, v := range c.cells {
+				b = binary.LittleEndian.AppendUint64(b, v)
 			}
-			dc.Cells = d.U64s(cells)
+			from = c.at
 		}
-		dc.LoopSigs = decodeSigs(d)
-		dc.CycleSigs = decodeSigs(d)
-	}
+		return append(b, head[from:]...)
+	}, nil
 }
 
-func encodeAddrs(e *ckpt.Encoder, as []netip.Addr) {
-	e.Len(len(as))
-	for _, a := range as {
-		e.Addr(a)
-	}
+// cellCut is one destination's hop cells as State found them, and the
+// offset in its body where they go.
+type cellCut struct {
+	at    int
+	cells []uint64
 }
 
-func decodeAddrs(d *ckpt.Decoder) []netip.Addr {
-	n := d.Len(1)
-	if n == 0 {
-		return nil
+// appendRoutes appends what precedes one destination's cells: its address
+// and flags, and its routes in first-seen order, with order (at least as
+// long as the destination has routes) as scratch.
+func appendRoutes(b []byte, ds *destState, order []uint32) []byte {
+	b = appendAddr(b, ds.dest())
+	b = appendBool(appendBool(b, ds.sawLoop), ds.sawCycle)
+	nc := len(ds.classic)
+	for i := range ds.classic {
+		order[ds.classic[i].seq] = uint32(i)
 	}
-	as := make([]netip.Addr, n)
-	for i := range as {
-		as[i] = d.Addr()
+	for i := range ds.paris {
+		order[ds.paris[i].seq] = uint32(nc + i)
 	}
-	return as
+	b = binary.AppendUvarint(b, uint64(nc+len(ds.paris)))
+	for _, k := range order[:nc+len(ds.paris)] {
+		classic := int(k) < nc
+		var mo *routeMemo
+		if classic {
+			mo = &ds.classic[k]
+		} else {
+			mo = &ds.paris[int(k)-nc]
+		}
+		b = appendBool(b, classic)
+		if mo.flags&memoSource != 0 {
+			b = binary.LittleEndian.AppendUint32(append(b, 4), mo.src)
+		} else {
+			b = append(b, 0)
+		}
+		b = binary.AppendUvarint(binary.AppendVarint(b, int64(mo.halt)), uint64(mo.hops))
+	}
+	return b
 }
 
-func encodeCauses(e *ckpt.Encoder, m map[anomaly.Cause]int) {
+// appendBool and appendAddr write ckpt's boolean and address encodings
+// (docs/checkpoint.md); an integer is binary.AppendVarint, a count
+// binary.AppendUvarint, as ckpt.Encoder writes them.
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// appendAddr appends an address that is not IPv6.
+func appendAddr(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(b, 0)
+	}
+	a4 := a.As4()
+	return append(b, 4, a4[0], a4[1], a4[2], a4[3])
+}
+
+func appendCauses(b []byte, m map[anomaly.Cause]int) []byte {
 	causes := make([]anomaly.Cause, 0, len(m))
 	for c := range m {
 		causes = append(causes, c)
 	}
 	slices.Sort(causes)
-	e.Len(len(causes))
+	b = binary.AppendUvarint(b, uint64(len(causes)))
 	for _, c := range causes {
-		e.Int(int64(c))
-		e.Int(int64(m[c]))
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(c)), int64(m[c]))
+	}
+	return b
+}
+
+func appendSigs(b []byte, sigs []sigSpan) []byte {
+	b = binary.AppendUvarint(b, uint64(len(sigs)))
+	for _, sp := range sigs {
+		b = binary.AppendVarint(binary.AppendVarint(appendAddr(b, sp.addr), int64(sp.lastRound)), int64(sp.rounds))
+	}
+	return b
+}
+
+// errCorrupt wraps ckpt.ErrCorrupt for a body no accumulator can have
+// written.
+func errCorrupt(format string, args ...any) error {
+	return fmt.Errorf("measure: checkpoint %w: "+format, append([]any{ckpt.ErrCorrupt}, args...)...)
+}
+
+// RestoreAccumulator rebuilds one accumulator from the body State wrote:
+// scalars load directly, and the ascending address sets and destination
+// list become the accumulator's sorted views as they are; the memo and graph
+// layers are rebuilt by replaying the interned routes, in first-seen order,
+// through the same analysis code that built them originally, and the
+// diamonds are counted. A body no accumulator can have written — not a
+// canonical encoding read to its last byte, a set or list out of strictly
+// ascending order, a route no memo holds or one colliding with an earlier
+// one, a non-canonical cell, a hop address missing from the address set —
+// is refused with ckpt.ErrCorrupt. Checkpoint.Restore calls it per
+// accumulator.
+func RestoreAccumulator(st AccState) (*Accumulator, error) {
+	a := NewAccumulator()
+	if err := ckpt.DecodeBody(st, a.decode); err != nil {
+		return nil, err
+	}
+	a.tallyDirty()
+	return a, nil
+}
+
+// decode reads a body into a, which must be new. The decoder's errors are
+// sticky and turn every later read into a zero value, so each step only has
+// to stay in bounds once one has failed.
+func (a *Accumulator) decode(d *ckpt.Decoder) {
+	for _, p := range [...]*int{
+		&a.routes, &a.reached, &a.responses, &a.midStars,
+		&a.routesWithLoop, &a.loopInstances, &a.parisOnly,
+		&a.routesWithCycle, &a.cycleInstances,
+		&a.failed, &a.skipped, &a.rttSamples,
+	} {
+		*p = int(d.Int())
+	}
+	a.rttSum, a.rttMin, a.rttMax = d.Int(), d.Int(), d.Int()
+	decodeCauses(d, a.loopByCause)
+	decodeCauses(d, a.cycleByCause)
+	for _, s := range [...]*addrSet{&a.addrs, &a.loopAddrs, &a.cycleAddrs, &a.skippedDests} {
+		s.decode(d)
+	}
+	n := d.Len(minDest)
+	if n > 0 {
+		a.destView = make([]*destState, 0, n)
+	}
+	var rt tracer.Route
+	var routes []routeHeader
+	for range n {
+		ds := a.decodeDest(d, &rt, &routes)
+		if ds == nil {
+			return
+		}
+		if k := len(a.destView); k > 0 && a.destView[k-1].dest().Compare(ds.dest()) >= 0 {
+			d.Fail(errCorrupt("destinations not strictly ascending"))
+			return
+		}
+		a.dests[ds.dest()] = ds
+		a.destView = append(a.destView, ds)
+		if ds.sawLoop {
+			a.destsWithLoop++
+		}
+		if ds.sawCycle {
+			a.destsWithCycle++
+		}
+		a.loopSigs.addSpans(ds.loopSigs)
+		a.cycleSigs.addSpans(ds.cycleSigs)
+	}
+	// The replay adds every responding hop's address to the set it has
+	// read; State only writes sets that hold them all already.
+	if len(a.addrs.fresh) > 0 {
+		d.Fail(errCorrupt("hop address %v missing from the address set", a.addrs.fresh[0]))
 	}
 }
 
-// decodeCauses always returns a map, as Accumulator.State does. Causes out
-// of ascending order are refused: they would not encode back to the same
-// bytes.
-func decodeCauses(d *ckpt.Decoder) map[anomaly.Cause]int {
+// decodeCauses reads a per-cause map into m. Causes out of ascending order
+// are refused: they would not encode back to the same bytes.
+func decodeCauses(d *ckpt.Decoder, m map[anomaly.Cause]int) {
 	n := d.Len(minCause)
-	m := make(map[anomaly.Cause]int, n)
 	var prev anomaly.Cause
 	for i := 0; i < n; i++ {
 		c := anomaly.Cause(d.Int())
 		if i > 0 && c <= prev {
-			d.Fail(fmt.Errorf("%w: cause %d after cause %d", ckpt.ErrCorrupt, c, prev))
-			break
+			d.Fail(errCorrupt("cause %d after cause %d", c, prev))
+			return
 		}
 		m[c], prev = int(d.Int()), c
 	}
-	return m
 }
 
-func encodeSigs(e *ckpt.Encoder, sigs []SigCheckpoint) {
-	e.Len(len(sigs))
-	for _, sg := range sigs {
-		e.Addr(sg.Addr)
-		e.Int(int64(sg.LastRound))
-		e.Int(int64(sg.Rounds))
+// decode reads a set State wrote, strictly ascending, and adopts it as the
+// view.
+func (s *addrSet) decode(d *ckpt.Decoder) {
+	s.read = true
+	if n := d.Len(1); n > 0 {
+		s.view = make([]netip.Addr, n)
+	}
+	for i := range s.view {
+		s.view[i] = d.Addr()
+		if i > 0 && s.view[i-1].Compare(s.view[i]) >= 0 {
+			d.Fail(errCorrupt("address set not strictly ascending"))
+			return
+		}
+		s.has[s.view[i]] = struct{}{}
 	}
 }
 
-func decodeSigs(d *ckpt.Decoder) []SigCheckpoint {
+// routeHeader is an interned route as a body lists it: the route-level
+// observables of tracer.Route.Equal (the destination is the enclosing one)
+// and how many of the destination's cells are its hops.
+type routeHeader struct {
+	classic bool
+	source  netip.Addr
+	halt    tracer.HaltReason
+	hops    int
+}
+
+// decodeDest reads one destination, or returns nil once d has failed: the
+// route headers into routes, scratch shared by every destination, then the
+// cells, which the destination adopts, and each route materialized from
+// them into rt, one reusable route, and interned through analyzeRoute, so
+// the memos and graphs are rebuilt by the code that built them.
+func (a *Accumulator) decodeDest(d *ckpt.Decoder, rt *tracer.Route, routes *[]routeHeader) *destState {
+	ds := newDestState(d.Addr())
+	ds.sawLoop, ds.sawCycle = d.Bool(), d.Bool()
+	hs, total := (*routes)[:0], 0
+	for range d.Len(minRoute) {
+		h := routeHeader{classic: d.Bool(), source: d.Addr(), halt: tracer.HaltReason(d.Int()), hops: d.Len(cellBytes)}
+		if h.halt < 0 || h.halt > tracer.HaltMaxTTL || h.hops > maxRouteHops {
+			d.Fail(errCorrupt("dest %v: route %d: halt reason %d, %d hops", ds.dest(), len(hs), h.halt, h.hops))
+			return nil
+		}
+		hs, total = append(hs, h), total+h.hops
+	}
+	*routes = hs
+	if ds.cells = d.U64s(total); len(ds.cells) != total {
+		return nil
+	}
+	off := 0
+	for i, h := range hs {
+		*rt = tracer.Route{Dest: ds.dest(), Source: h.source, Halt: h.halt, Hops: rt.Hops[:0]}
+		for k, c := range ds.cells[off : off+h.hops] {
+			if err := checkCell(c); err != nil {
+				d.Fail(fmt.Errorf("measure: checkpoint dest %v: route %d: hop %d: %w", ds.dest(), i, k, err))
+				return nil
+			}
+			rt.Hops = append(rt.Hops, unpackHop(c))
+		}
+		memos := &ds.paris
+		if h.classic {
+			memos = &ds.classic
+		}
+		fp := rt.Fingerprint()
+		at, found := searchMemo(*memos, fp)
+		if found {
+			d.Fail(errCorrupt("dest %v: route %d collides with an earlier one", ds.dest(), i))
+			return nil
+		}
+		ds.remember(memos, at, fp, rt, off, a.analyzeRoute(rt, h.classic, ds))
+		off += h.hops
+	}
+	ds.loopSigs = decodeSigs(d)
+	ds.cycleSigs = decodeSigs(d)
+	return ds
+}
+
+// decodeSigs reads signature spans, strictly ascending by address.
+func decodeSigs(d *ckpt.Decoder) []sigSpan {
 	n := d.Len(minSig)
 	if n == 0 {
 		return nil
 	}
-	sigs := make([]SigCheckpoint, n)
+	sigs := make([]sigSpan, n)
 	for i := range sigs {
-		sigs[i] = SigCheckpoint{Addr: d.Addr(), LastRound: int(d.Int()), Rounds: int(d.Int())}
+		sigs[i] = sigSpan{addr: d.Addr(), lastRound: int(d.Int()), rounds: int(d.Int())}
+		if i > 0 && sigs[i-1].addr.Compare(sigs[i].addr) >= 0 {
+			d.Fail(errCorrupt("signatures not strictly ascending"))
+			return nil
+		}
 	}
 	return sigs
 }

@@ -14,11 +14,17 @@ import (
 )
 
 // recodeCheckpoint decodes a campaign checkpoint file and, if it is
-// accepted, encodes the result again.
-func recodeCheckpoint(file []byte) ([]byte, error) {
+// accepted, restores every worker body in it and encodes the file again. A
+// body the restore accepts must be what the restored accumulator writes.
+func recodeCheckpoint(t *testing.T, file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
 	if err := ckpt.Decode(file, ckpt.KindCampaign, checkpointVersion, ck.Decode); err != nil {
 		return nil, err
+	}
+	for w, st := range ck.Workers {
+		if a, err := RestoreAccumulator(st); err == nil && !bytes.Equal(mustState(t, a), st) {
+			t.Fatalf("worker %d: a restored %d-byte body writes back different bytes", w, len(st))
+		}
 	}
 	var buf bytes.Buffer
 	err := ckpt.Encode(&buf, ckpt.KindCampaign, checkpointVersion, ck.Encode)
@@ -26,12 +32,13 @@ func recodeCheckpoint(file []byte) ([]byte, error) {
 }
 
 // FuzzDecodeCheckpoint: the campaign checkpoint decoder is total on
-// arbitrary bytes (see ckpttest.Check for the properties). Seeded with the
-// golden toy checkpoint and its truncation ladder, and with the previous
-// version's golden, whose body Check also wraps in a current frame: the old
-// layout read as the new one.
+// arbitrary bytes (see ckpttest.Check for the properties), and so is the
+// restore of every accumulator body it slices out. Seeded with the golden
+// toy checkpoint and its truncation ladder, and with the previous versions'
+// goldens, whose bodies Check also wraps in a current frame: the old layouts
+// read as the new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	for _, name := range []string{"toy-v5.ck", "toy-v4.ck"} {
+	for _, name := range []string{"toy-v6.ck", "toy-v5.ck", "toy-v4.ck"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -39,7 +46,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		ckpttest.Seed(f, golden)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ckpttest.Check(t, ckpt.KindCampaign, checkpointVersion, data, recodeCheckpoint)
+		ckpttest.Check(t, ckpt.KindCampaign, checkpointVersion, data, func(file []byte) ([]byte, error) {
+			return recodeCheckpoint(t, file)
+		})
 	})
 }
 
@@ -83,8 +92,8 @@ func BenchmarkCheckpointSave(b *testing.B) {
 }
 
 // BenchmarkCheckpointLoad is what a resume reads back: file read, frame
-// verification, decode (not the accumulator replay, which
-// RestoreAccumulator does afterwards).
+// verification and the run body, whose worker bodies it slices out (not the
+// accumulator replay, which RestoreAccumulator does afterwards).
 func BenchmarkCheckpointLoad(b *testing.B) {
 	ck := benchCheckpoint(b)
 	path := filepath.Join(b.TempDir(), "load.ck")
@@ -100,31 +109,23 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 	reportFileSize(b, path)
 }
 
-// countWriter discards what it is given and counts it.
-type countWriter struct{ n int64 }
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-// BenchmarkAccStateEncode is the codec alone — every worker's AccState
-// through the encoder into a discarding writer, no file system — so a change
-// in ns/op here is the field layout's, not the disk's.
+// BenchmarkAccStateEncode is the accumulator codec alone: State of every
+// worker's accumulator, restored from the benchmark checkpoint, with no
+// frame and no file system — so a change in ns/op here is the body layout's
+// and its encoder's, not the disk's.
 func BenchmarkAccStateEncode(b *testing.B) {
 	ck := benchCheckpoint(b)
-	var w countWriter
+	accs, err := ck.Restore(ck.Digest, len(ck.Dests), len(ck.Workers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := 0
 	b.ReportAllocs()
 	for b.Loop() {
-		w.n = 0
-		err := ckpt.Encode(&w, ckpt.KindCampaign, checkpointVersion, func(e *ckpt.Encoder) {
-			for i := range ck.Workers {
-				ck.Workers[i].Encode(e)
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
+		n = 0
+		for _, a := range accs {
+			n += len(mustState(b, a))
 		}
 	}
-	b.ReportMetric(float64(w.n), "bytes/checkpoint")
+	b.ReportMetric(float64(n), "bytes/checkpoint")
 }

@@ -87,8 +87,7 @@
 //     than it did. Merge unions the accumulators' views in one walk, k at
 //     once, with no map; State emits the views as they are.
 //   - Destinations keep an ascending view the same way, which State walks,
-//     filling every destination's routes and signature spans from one array
-//     of each.
+//     appending each destination to the body in order.
 //   - What Merge reads per destination is kept as running totals: the
 //     destinations that showed a loop or a cycle, the signature spans, and
 //     the diamond tallies (classic diamonds, the per-flow ones among them,
@@ -98,12 +97,15 @@
 //     listed destinations, with a walk that allocates nothing
 //     (anomaly.Graph.CountDiamonds).
 //
-// A view is never written once made — a read that merges new entries makes a
-// new one — so a snapshot may share it: State hands out the address views
-// and the interned cells, and the daemon encodes a checkpoint outside its
-// lock while /stats reads go on. RestoreAccumulator adopts a snapshot's
-// ascending lists as the views and counts the diamonds, so the first read
-// after a recovery is as cheap as any other. Reads change no statistic:
+// A read that merges new entries into a view makes a new one, which is how
+// a merge of two ascending lists comes out; nothing outside the accumulator
+// holds a view, since State copies what it reads into the body. The one
+// thing State leaves for later is each destination's hop cells, which a
+// fold never rewrites once stored: State encodes the rest under the
+// daemon's lock and notes the cells, and the write it returns copies them
+// into the body after the lock is released. RestoreAccumulator decodes a body's ascending lists
+// into the views and counts the diamonds, so the first read after a
+// recovery is as cheap as any other. Reads change no statistic:
 // TestReadsDoNotMoveStatistics holds an accumulator read after every round,
 // and restored halfway, to one read once, byte for byte.
 //

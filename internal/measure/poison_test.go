@@ -112,7 +112,11 @@ func referenceCheckpoint(t *testing.T, c *Campaign, res *Results) []byte {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "reference.ck")
-	if err := c.checkpoint(len(res.Rounds), accs).Save(path); err != nil {
+	ck, err := c.checkpoint(len(res.Rounds), accs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	return readFile(t, path)

@@ -127,8 +127,10 @@ type sigSpan struct {
 type destState struct {
 	classic, paris []routeMemo // by fingerprint
 	// cells holds every interned route's hops, route after route in
-	// first-seen order. It is only ever replaced, never written in place,
-	// so a snapshot (State) may share it.
+	// first-seen order. It grows by replacement at exact length
+	// (appendCells), so a destination keeps no spare capacity, and a cell
+	// once stored is never rewritten, so the write State returns can copy
+	// the cells it noted after the accumulator has moved on.
 	cells                    []uint64
 	anoms                    []routeAnoms
 	pairs                    []pairMemo // by (classic, paris)
@@ -187,9 +189,9 @@ func (t *sigTotals) addSpans(sigs []sigSpan) {
 }
 
 // addrSet is an address set that reads back ascending without a sort per
-// read. Its view is ascending and never written once made, so a snapshot may
-// share it; an address first seen since the last read waits in fresh, and
-// the next read sorts those and merges them into a new view. Until the first
+// read. Its view is ascending; an address first seen since the last read
+// waits in fresh, and the next read sorts those and merges them into a new
+// view (union: nothing outside the accumulator holds the old one). Until the first
 // read every address is fresh, so fresh is not kept: that read sorts the
 // whole set, as an accumulator read only at its end (a campaign's) needs.
 type addrSet struct {
@@ -420,7 +422,8 @@ func (ds *destState) remember(memos *[]routeMemo, i int, fp uint64, rt *tracer.R
 
 // Accumulator folds completed pairs into partial campaign statistics. It is
 // not safe for concurrent use, reads included: Merge and State bring its
-// sorted views up to date. A streaming campaign gives each worker its own
+// sorted views up to date (the write State returns is not a read: it may
+// run concurrently with anything). A streaming campaign gives each worker its own
 // Accumulator, every destination's pairs flow through the single worker that
 // owns it (in round order), and the partials meet only in Merge after the
 // last round. Analyze folds retained results through one, serially.
@@ -620,13 +623,14 @@ func (a *Accumulator) foldRTT(rt *tracer.Route) {
 	}
 }
 
-// FoldResult is what Fold learned about the pair on the way: the two route
-// fingerprints and the loop and cycle instances on either route, all zero for
-// a Failed or Skipped pair. Callers that react to a fold (the daemon's
-// route-change events) work from it and need not read the routes again.
+// FoldResult is what Fold learned about the pair on the way: the Paris
+// route's fingerprint and the loop and cycle instances on either route, all
+// zero for a Failed or Skipped pair. Callers that react to a fold (the
+// daemon's route-change events) work from it and need not read the routes
+// again.
 type FoldResult struct {
-	Paris, Classic uint64
-	Loops, Cycles  int
+	Paris         uint64
+	Loops, Cycles int
 }
 
 // Fold merges one completed pair into the partial statistics, attributing
@@ -717,7 +721,7 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 		a.cycleSigs.note(&ds.cycleSigs, c.Addr, round)
 	}
 	return FoldResult{
-		Paris: pfp, Classic: cfp,
+		Paris:  pfp,
 		Loops:  len(cs.loops) + len(ps.loops),
 		Cycles: len(cs.cycles) + len(ps.cycles),
 	}

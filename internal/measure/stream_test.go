@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/anomaly"
-	"repro/internal/ckpt"
 	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
@@ -151,14 +150,14 @@ func TestMergeSplitMatchesSingle(t *testing.T) {
 	}
 }
 
-// encodeState is an accumulator state as a checkpoint body carries it.
-func encodeState(t *testing.T, st AccState) []byte {
+// mustState is a's checkpoint body.
+func mustState(t testing.TB, a *Accumulator) AccState {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := ckpt.Encode(&buf, ckpt.KindCampaign, checkpointVersion, st.Encode); err != nil {
+	write, err := a.State()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return write()
 }
 
 // TestReadsDoNotMoveStatistics: a read (Merge, State) brings an
@@ -168,12 +167,16 @@ func encodeState(t *testing.T, st AccState) []byte {
 // and replaced by its own restored snapshot after round 6; b folds the same
 // pairs and is read once, at the end. Their statistics and encoded states
 // must be equal. The same pairs split across two workers (one read every
-// round, one never) must merge to the same statistics in either order.
+// round, one never) must merge to the same statistics in either order. And a
+// body State snapshots after round 3 but writes only after a has folded
+// rounds 4 to 6 must be the body written at once.
 func TestReadsDoNotMoveStatistics(t *testing.T) {
 	const rounds = 12
 	w := newSteadyWorkerOn(t, simtest.Default(300))
 	n := len(w.sc.Dests)
 	a, b := NewAccumulator(), NewAccumulator()
+	var late func() AccState
+	var at3 AccState
 	split := [2]*Accumulator{NewAccumulator(), NewAccumulator()}
 	for r := 0; r < rounds; r++ {
 		w.sc.RoundStart(r)
@@ -189,20 +192,30 @@ func TestReadsDoNotMoveStatistics(t *testing.T) {
 		}
 		Merge(r+1, n, a)
 		Merge(r+1, n, split[0])
-		encodeState(t, a.State())
+		mustState(t, a)
+		if r == 3 {
+			var err error
+			if late, err = a.State(); err != nil {
+				t.Fatal(err)
+			}
+			at3 = mustState(t, a)
+		}
 		if r == 6 {
-			restored, err := RestoreAccumulator(a.State())
+			restored, err := RestoreAccumulator(mustState(t, a))
 			if err != nil {
 				t.Fatal(err)
 			}
 			a = restored
 		}
 	}
+	if !bytes.Equal(late(), at3) {
+		t.Error("a body written after later folds differs from the one written when State ran")
+	}
 	want := Merge(rounds, n, b)
 	if d := simtest.Diff(want, Merge(rounds, n, a)); d != "" {
 		t.Errorf("statistics of the accumulator read every round differ from one read once: %s", d)
 	}
-	if !bytes.Equal(encodeState(t, a.State()), encodeState(t, b.State())) {
+	if !bytes.Equal(mustState(t, a), mustState(t, b)) {
 		t.Error("encoded states of the accumulator read every round and the one read once differ")
 	}
 	if d := simtest.Diff(want, Merge(rounds, n, split[0], split[1])); d != "" {

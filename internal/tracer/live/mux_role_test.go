@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,28 +206,61 @@ func TestMuxReaderResolvesFollower(t *testing.T) {
 	assertMuxDrained(t, m)
 }
 
-// settleGoroutines yields until the goroutine count is back to want, which
-// exited goroutines reach without any sleeping.
-func settleGoroutines(want int) int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 1000 && n > want; i++ {
-		runtime.Gosched()
-		n = runtime.NumGoroutine()
+// liveGoroutines returns the goroutines, other than the caller, with a frame
+// in this package — what a mux can have started or left blocked — by ID, so
+// a check against an earlier call counts nothing the rest of the process
+// starts or winds down, and no goroutine that was already there.
+func liveGoroutines() map[string]bool {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
 	}
-	return n
+	out := make(map[string]bool)
+	// Each stack is a "goroutine N [state]:" header and its frames, the
+	// caller's first; a blank line separates them.
+	for i, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if f := strings.Fields(g); i > 0 && len(f) > 1 && strings.Contains(g, "repro/internal/tracer/live.") {
+			out[f[1]] = true
+		}
+	}
+	return out
+}
+
+// newLiveGoroutines yields until every goroutine of this package not in
+// before has exited, which an exited one reaches without any sleeping, and
+// returns how many have not.
+func newLiveGoroutines(before map[string]bool) int {
+	extra := 0
+	for i := 0; i < 1000; i++ {
+		extra = 0
+		for id := range liveGoroutines() {
+			if !before[id] {
+				extra++
+			}
+		}
+		if extra == 0 {
+			break
+		}
+		runtime.Gosched()
+	}
+	return extra
 }
 
 // TestMuxCloseWithBlockedReader: NewMux starts no goroutine (with or
 // without a Context); Close with a worker blocked in the read returns, that
 // worker's exchange fails with the closed error, and nothing is left
-// running.
+// running. Only this package's goroutines are counted, each by ID, so one
+// that another test left winding down can neither fail the check nor hide a
+// leak from it.
 func TestMuxCloseWithBlockedReader(t *testing.T) {
-	before := settleGoroutines(0) // other tests' finished workers first
+	before := liveGoroutines()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m, conn, probes, _ := hourMux(t, MuxConfig{Context: ctx})
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("NewMux left %d goroutines running, %d before it", n, before)
+	if n := newLiveGoroutines(before); n > 0 {
+		t.Fatalf("NewMux left %d goroutines running", n)
 	}
 	reader, follower := readerAndFollower(m, conn, probes)
 
@@ -238,8 +272,8 @@ func TestMuxCloseWithBlockedReader(t *testing.T) {
 	}
 	closeMux(t, m) // idempotent, and nothing left to wait for
 	assertMuxDrained(t, m)
-	if n := settleGoroutines(before); n > before {
-		t.Fatalf("%d goroutines after Close, %d before NewMux", n, before)
+	if n := newLiveGoroutines(before); n > 0 {
+		t.Fatalf("%d goroutines of this package still running after Close", n)
 	}
 }
 
