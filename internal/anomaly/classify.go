@@ -89,10 +89,6 @@ const maxIPIDGap = 1024
 // route: the rule's IP ID coherence check is the one loop observable that
 // changes between exchanges of one path.
 func ClassifyLoopDetected(l Loop, route *tracer.Route, parisLoops []Loop, hasParis bool) Cause {
-	return classifyLoop(l, route, parisLoops, hasParis)
-}
-
-func classifyLoop(l Loop, route *tracer.Route, parisLoops []Loop, hasParis bool) Cause {
 	hops := route.Hops
 	first := hops[l.Start]
 	second := hops[l.Start+1]
@@ -169,10 +165,6 @@ func respTTLDecreasing(hops []tracer.Hop) bool {
 // periodic cycles re-evaluate their IP ID coherence against each round's
 // route through it.
 func ClassifyCycleDetected(c Cycle, route *tracer.Route, parisCycles []Cycle, hasParis bool) Cause {
-	return classifyCycle(c, route, parisCycles, hasParis)
-}
-
-func classifyCycle(c Cycle, route *tracer.Route, parisCycles []Cycle, hasParis bool) Cause {
 	hops := route.Hops
 
 	// Unreachability: some appearance of the cycling address (typically
@@ -280,13 +272,13 @@ func ClassifyPairDetected(loops []Loop, cycles []Cycle, parisLoops []Loop, paris
 	if len(loops) > 0 {
 		pc.LoopCauses = make([]Cause, len(loops))
 		for i, l := range loops {
-			pc.LoopCauses[i] = classifyLoop(l, classic, parisLoops, hasParis)
+			pc.LoopCauses[i] = ClassifyLoopDetected(l, classic, parisLoops, hasParis)
 		}
 	}
 	if len(cycles) > 0 {
 		pc.CycleCauses = make([]Cause, len(cycles))
 		for i, c := range cycles {
-			pc.CycleCauses[i] = classifyCycle(c, classic, parisCycles, hasParis)
+			pc.CycleCauses[i] = ClassifyCycleDetected(c, classic, parisCycles, hasParis)
 		}
 	}
 	if len(parisLoops) > 0 {

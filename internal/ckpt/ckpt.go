@@ -2,17 +2,19 @@
 // (measure.Checkpoint) and the daemon (daemon.Checkpoint): one frame, one set
 // of primitives, one atomic write path. The two checkpoint kinds lay their
 // fields out with the Encoder and read them back with the Decoder; both embed
-// accumulator bodies (measure.AccState), which measure.Accumulator.State
-// appends into one buffer in these same primitives and DecodeBody reads back.
+// accumulator bodies (measure.AccState), whose head measure.Accumulator.State
+// appends with these same primitives' append forms (AppendBool, AppendAddr)
+// and DecodeBody reads back.
 //
 // Frame (docs/checkpoint.md has the byte-level tables):
 //
 //	magic "PTCK" | kind | version | body ... | body length u64 | CRC-32C u32
 //
 // The body is streamed through a fixed 64 KiB buffer into the writer, so its
-// length and checksum trail it. Most of it is accumulator bodies, and each of
-// those is one buffer already, about the size of the file. The checksum
-// covers every preceding byte of the file.
+// length and checksum trail it. Most of it is accumulator bodies, whose hop
+// cells are streamed through that buffer too (Raw, U64), so nothing the size
+// of the file is held in memory. The checksum covers every preceding byte of
+// the file.
 //
 // Every value has exactly one encoding (minimal varints, 0/1 booleans, 0/4
 // address tags), so decode followed by encode reproduces an accepted file
@@ -84,8 +86,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Encoder appends primitives to a checkpoint body. Errors are sticky: after
 // the first failure every call is a no-op and Encode returns the error. It
-// writes no addresses and no runs of fixed values: only accumulator bodies
-// hold those, and measure.Accumulator.State writes them itself.
+// writes no addresses: only an accumulator body holds them, in the head
+// measure.Accumulator.State appends (AppendAddr), which Raw streams.
 type Encoder struct {
 	w   io.Writer
 	buf []byte
@@ -154,17 +156,36 @@ func (e *Encoder) Len(n int) {
 	e.buf = binary.AppendUvarint(e.buf, uint64(n))
 }
 
-// Bool appends one byte, 0 or 1.
+// Bool appends a boolean (AppendBool).
 func (e *Encoder) Bool(b bool) {
 	e.room(1)
-	if b {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
+	e.buf = AppendBool(e.buf, b)
 }
 
-// U64 appends a fixed little-endian 64-bit value (hashes).
+// AppendBool appends a boolean's one encoding: one byte, 0 or 1.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// AppendAddr appends an address that is not IPv6 (its As4 panics on one):
+// tag 0 for none, or AppendIPv4 of its four bytes.
+func AppendAddr(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(b, 0)
+	}
+	return AppendIPv4(b, a.As4())
+}
+
+// AppendIPv4 appends an IPv4 address given as its four bytes: tag 4, then
+// the bytes.
+func AppendIPv4(b []byte, a4 [4]byte) []byte {
+	return append(b, 4, a4[0], a4[1], a4[2], a4[3])
+}
+
+// U64 appends a fixed little-endian 64-bit value (hashes, hop cells).
 func (e *Encoder) U64(v uint64) {
 	e.room(8)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
@@ -173,6 +194,12 @@ func (e *Encoder) U64(v uint64) {
 // Bytes appends a length-prefixed opaque byte string.
 func (e *Encoder) Bytes(p []byte) {
 	e.Len(len(p))
+	e.Raw(p)
+}
+
+// Raw appends p as it is: a run of a body whose length prefix is written
+// already (measure.Checkpoint.Encode streams an accumulator body in runs).
+func (e *Encoder) Raw(p []byte) {
 	for len(p) > 0 {
 		if len(e.buf) == cap(e.buf) {
 			e.flush()
@@ -352,25 +379,18 @@ func (d *Decoder) U64s(n int) []uint64 {
 	return vs
 }
 
-// Addr reads an address as an accumulator body holds it
-// (measure.Accumulator.State): tag 0 for none, tag 4 and four bytes for
-// IPv4.
+// Addr reads an address AppendAddr or AppendIPv4 wrote: tag 0 for none, tag
+// 4 and four bytes for IPv4.
 func (d *Decoder) Addr() netip.Addr {
-	tag := d.take(1)
-	if tag == nil {
-		return netip.Addr{}
-	}
-	switch tag[0] {
-	case 0:
-		return netip.Addr{}
-	case 4:
-		p := d.take(4)
-		if p == nil {
-			return netip.Addr{}
+	switch tag := d.take(1); {
+	case tag == nil || tag[0] == 0:
+	case tag[0] == 4:
+		if p := d.take(4); p != nil {
+			return netip.AddrFrom4([4]byte(p))
 		}
-		return netip.AddrFrom4([4]byte(p))
+	default:
+		d.corrupt("address tag %#x", tag[0])
 	}
-	d.corrupt("address tag %#x", tag[0])
 	return netip.Addr{}
 }
 

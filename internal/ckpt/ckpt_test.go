@@ -57,11 +57,28 @@ func encodeSample(e *Encoder) {
 	e.U64(0x0123456789abcdef)
 	e.Bytes(sampleBlob)
 	e.Bytes(nil)
+	// A byte string streamed in runs, as an accumulator body is: its length
+	// prefix, then runs of it and fixed values between them.
+	e.Len(len(sampleRuns()))
+	e.Raw(sampleBlob[:7])
+	for _, v := range sampleU64s {
+		e.U64(v)
+	}
+	e.Raw(sampleBlob[7:])
 	// Enough small fields to cross the buffer boundary many times.
 	e.Len(100_000)
 	for i := 0; i < 100_000; i++ {
 		e.Int(int64(i))
 	}
+}
+
+// sampleRuns is what encodeSample streams in runs, as one byte string.
+func sampleRuns() []byte {
+	b := slices.Clone(sampleBlob[:7])
+	for _, v := range sampleU64s {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return append(b, sampleBlob[7:]...)
 }
 
 func decodeSample(t *testing.T) func(*Decoder) {
@@ -82,6 +99,9 @@ func decodeSample(t *testing.T) func(*Decoder) {
 		}
 		if got := d.Bytes(); got != nil {
 			t.Errorf("empty Bytes = %v, want nil", got)
+		}
+		if got := d.Bytes(); !bytes.Equal(got, sampleRuns()) {
+			t.Errorf("Bytes streamed in runs: %d bytes, want %d", len(got), len(sampleRuns()))
 		}
 		n := d.Len(1)
 		for i := 0; i < n; i++ {
@@ -112,11 +132,14 @@ func TestRoundTripStreams(t *testing.T) {
 
 // TestDecodeBody: a bare body — addresses and fixed values included, which
 // only accumulator bodies hold — decodes with no frame around it, and must
-// be read to its last byte.
+// be read to its last byte. Its addresses and booleans are written with the
+// append forms, byte for byte the encodings the decoder reads.
 func TestDecodeBody(t *testing.T) {
 	a4 := sampleAddr.As4()
-	body := append([]byte{4}, a4[:]...)
-	body = append(body, 0)
+	body := AppendBool(AppendBool(AppendIPv4(AppendAddr(AppendAddr(nil, sampleAddr), netip.Addr{}), a4), true), false)
+	if want := []byte{4, 10, 0, 1, 17, 0, 4, 10, 0, 1, 17, 1, 0}; !bytes.Equal(body, want) {
+		t.Fatalf("append forms wrote %x, want %x", body, want)
+	}
 	for _, v := range sampleU64s {
 		body = binary.LittleEndian.AppendUint64(body, v)
 	}
@@ -126,6 +149,12 @@ func TestDecodeBody(t *testing.T) {
 		}
 		if got := d.Addr(); got.IsValid() {
 			t.Errorf("invalid Addr decoded as %v", got)
+		}
+		if got := d.Addr(); got != sampleAddr {
+			t.Errorf("Addr of AppendIPv4 = %v", got)
+		}
+		if !d.Bool() || d.Bool() {
+			t.Error("Bool pair of AppendBool wrong")
 		}
 		if got := d.U64s(len(sampleU64s)); !slices.Equal(got, sampleU64s) {
 			t.Errorf("U64s: %d values, want %d", len(got), len(sampleU64s))

@@ -37,22 +37,22 @@ type Checkpoint struct {
 	Sched []DestState
 }
 
-// checkpointLocked snapshots the daemon between rounds and returns the
-// save that writes the snapshot to CheckpointPath. Caller holds d.mu with no
-// jobs in flight (Tick checkpoints after wg.Wait), so the accumulator and
-// the scheduler table are quiescent, and runs the save after releasing it:
-// the save encodes the accumulator's hop cells, most of the file, through
-// the write Accumulator.State returned, which needs no lock.
-func (d *Daemon) checkpointLocked() (save func() error) {
-	write, err := d.acc.State()
+// checkpointLocked snapshots the daemon between rounds. Caller holds d.mu
+// with no jobs in flight (Tick checkpoints after wg.Wait), so the
+// accumulator and the scheduler table are quiescent, and saves the snapshot
+// after releasing it: Save streams the accumulator's hop cells, most of the
+// file, from the cells Accumulator.State noted, which needs no lock.
+func (d *Daemon) checkpointLocked() (*Checkpoint, error) {
+	st, err := d.acc.State()
 	if err != nil {
-		return func() error { return fmt.Errorf("daemon: checkpoint: %w", err) }
+		return nil, fmt.Errorf("daemon: checkpoint: %w", err)
 	}
 	ck := &Checkpoint{
 		Checkpoint: measure.Checkpoint{
 			Digest:    d.digest,
 			NextRound: int(d.round),
 			Dests:     make([]measure.DestRun, len(d.sched.dests)),
+			Workers:   []measure.AccState{st},
 		},
 		Shed:     d.shed,
 		Restarts: d.restarts,
@@ -67,11 +67,7 @@ func (d *Daemon) checkpointLocked() (save func() error) {
 	if d.cfg.TransportState != nil {
 		ck.Transport = d.cfg.TransportState()
 	}
-	path := d.cfg.CheckpointPath
-	return func() error {
-		ck.Workers = []measure.AccState{write()}
-		return ck.Save(path)
-	}
+	return ck, nil
 }
 
 // minDestState is the fewest bytes one DestState occupies on disk: three
@@ -94,8 +90,7 @@ func (ck *Checkpoint) encode(e *ckpt.Encoder) {
 		e.Int(v)
 	}
 	e.Len(len(ck.Sched))
-	for i := range ck.Sched {
-		st := &ck.Sched[i]
+	for _, st := range ck.Sched {
 		e.Int(st.NextDue)
 		e.U64(st.ParisFP)
 		e.Int(st.Pairs)
@@ -111,12 +106,7 @@ func (ck *Checkpoint) decode(d *ckpt.Decoder) {
 	if n := d.Len(minDestState); n > 0 {
 		ck.Sched = make([]DestState, n)
 		for i := range ck.Sched {
-			ck.Sched[i] = DestState{
-				NextDue:    d.Int(),
-				ParisFP:    d.U64(),
-				Pairs:      d.Int(),
-				ShedStreak: int(d.Int()),
-			}
+			ck.Sched[i] = DestState{NextDue: d.Int(), ParisFP: d.U64(), Pairs: d.Int(), ShedStreak: int(d.Int())}
 		}
 	}
 }
@@ -157,18 +147,14 @@ func (d *Daemon) recover(path string) error {
 	if errors.Is(err, measure.ErrDigest) {
 		return fmt.Errorf("daemon: %w (pass FreshStart to discard)", err)
 	}
-	if err == nil && len(ck.Sched) != len(d.cfg.Dests) {
-		err = fmt.Errorf("daemon: checkpoint schedules %d destinations, configuration has %d", len(ck.Sched), len(d.cfg.Dests))
+	if err == nil {
+		err = ck.checkSched(len(d.cfg.Dests))
 	}
 	if err != nil {
 		return d.quarantineCorrupt(path, err)
 	}
-	d.acc = accs[0]
-	d.round = int64(ck.NextRound)
-	d.shed = ck.Shed
-	d.restarts = ck.Restarts
-	d.stalls = ck.Stalls
-	d.panics = ck.Panics
+	d.acc, d.round = accs[0], int64(ck.NextRound)
+	d.shed, d.restarts, d.stalls, d.panics = ck.Shed, ck.Restarts, ck.Stalls, ck.Panics
 	d.events.setSeq(ck.EventSeq)
 	for i, ds := range d.sched.dests {
 		ds.DestRun, ds.DestState = ck.Dests[i], ck.Sched[i]
@@ -180,6 +166,22 @@ func (d *Daemon) recover(path string) error {
 	}
 	d.recovered = true
 	d.recoveredAt = d.round
+	return nil
+}
+
+// checkSched refuses a schedule table no daemon writes: one not of the
+// configuration's length, or an entry with a negative due round, pair count
+// or shed streak. recover and the FuzzDecodeCheckpoint property both call
+// it, so a body the fuzz target accepts is one recovery accepts.
+func (ck *Checkpoint) checkSched(dests int) error {
+	if len(ck.Sched) != dests {
+		return fmt.Errorf("daemon: checkpoint schedules %d destinations, configuration has %d", len(ck.Sched), dests)
+	}
+	for i, st := range ck.Sched {
+		if st.NextDue < 0 || st.Pairs < 0 || st.ShedStreak < 0 {
+			return fmt.Errorf("daemon: checkpoint destination %d: due round %d, %d pairs, shed streak %d", i, st.NextDue, st.Pairs, st.ShedStreak)
+		}
+	}
 	return nil
 }
 

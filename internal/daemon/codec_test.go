@@ -32,18 +32,26 @@ func toyCheckpoint(t testing.TB) []byte {
 	return file
 }
 
-// recodeCheckpoint decodes a daemon checkpoint file and, if it is accepted,
-// restores every worker body in it and encodes the file again. A body the
-// restore accepts must be what the restored accumulator writes.
+// recodeCheckpoint decodes a daemon checkpoint file and, if it is accepted
+// — it decodes, and its schedule is one recovery accepts (checkSched), on
+// which the scheduler's shed lottery is then run — encodes it again, with
+// every worker body the restore accepts replaced by what the restored
+// accumulator writes: such a body must write back the same bytes.
 func recodeCheckpoint(t *testing.T, file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
 	if err := ckpt.Decode(file, ckpt.KindDaemon, checkpointVersion, ck.decode); err != nil {
 		return nil, err
 	}
+	if err := ck.checkSched(len(ck.Dests)); err != nil {
+		return nil, err
+	}
+	for i := range ck.Sched {
+		shedScore(ck.Sched[i].NextDue, &destSched{DestState: ck.Sched[i], idx: i})
+	}
 	for w, st := range ck.Workers {
 		if a, err := measure.RestoreAccumulator(st); err == nil {
-			if write, err := a.State(); err != nil || !bytes.Equal(write(), st) {
-				t.Fatalf("worker %d: a restored %d-byte body writes back different bytes (%v)", w, len(st), err)
+			if ck.Workers[w], err = a.State(); err != nil {
+				t.Fatalf("worker %d: a restored body cannot be written back: %v", w, err)
 			}
 		}
 	}
@@ -115,13 +123,18 @@ func TestCheckpointGolden(t *testing.T) {
 }
 
 // FuzzDecodeCheckpoint: the daemon checkpoint decoder is total on arbitrary
-// bytes (see ckpttest.Check for the properties), and so is the restore of
-// the accumulator body it slices out. Seeded with the toy checkpoint and its
-// truncation ladder, and with the previous versions' (testdata/toy-v4.ck,
-// toy-v3.ck, toy-v2.ck), whose bodies Check also wraps in a current frame:
-// the old layouts read as the new one.
+// bytes (see ckpttest.Check for the properties), and so are recovery's
+// schedule checks and the restore of the accumulator body it slices out.
+// Seeded with the toy checkpoint and its truncation ladder, with the files
+// of TestDaemonImpossibleCheckpointStartsFresh's schedule rows, and with the
+// previous versions' (testdata/toy-v4.ck, toy-v3.ck, toy-v2.ck), whose
+// bodies Check also wraps in a current frame: the old layouts read as the
+// new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	ckpttest.Seed(f, toyCheckpoint(f))
+	for _, file := range impossibleSchedules(f) {
+		ckpttest.Seed(f, file)
+	}
 	for _, name := range []string{"toy-v4.ck", "toy-v3.ck", "toy-v2.ck"} {
 		previous, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

@@ -313,13 +313,17 @@ func (d *Daemon) Tick() {
 
 	d.mu.Lock()
 	d.round = round + 1
-	var save func() error
-	if d.cfg.CheckpointPath != "" && int(d.round)%d.cfg.CheckpointEvery == 0 {
-		save = d.checkpointLocked()
+	var ck *Checkpoint
+	var err error
+	save := d.cfg.CheckpointPath != "" && int(d.round)%d.cfg.CheckpointEvery == 0
+	if save {
+		ck, err = d.checkpointLocked()
 	}
 	d.mu.Unlock()
-	if save != nil {
-		err := save()
+	if save {
+		if err == nil {
+			err = ck.Save(d.cfg.CheckpointPath)
+		}
 		d.mu.Lock()
 		d.lastCkErr = err
 		d.mu.Unlock()
@@ -375,9 +379,12 @@ func (d *Daemon) Stop() error {
 		close(d.stop)
 		if d.cfg.CheckpointPath != "" {
 			d.mu.Lock()
-			save := d.checkpointLocked()
+			var ck *Checkpoint
+			ck, err = d.checkpointLocked()
 			d.mu.Unlock()
-			err = save()
+			if err == nil {
+				err = ck.Save(d.cfg.CheckpointPath)
+			}
 		}
 		d.events.closeAll()
 	})

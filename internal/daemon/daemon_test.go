@@ -184,6 +184,20 @@ func shedPairs(t *testing.T, rounds int) []int64 {
 	return pairs
 }
 
+// TestShedScoreCapsStreak: a shed streak past 7 scores as 7 — the draw
+// shifted down 56 bits — however large, instead of a shift past 64 bits or
+// one overflowed negative.
+func TestShedScoreCapsStreak(t *testing.T) {
+	for _, round := range []int64{0, 1, 555} {
+		capped := shedScore(round, &destSched{DestState: DestState{ShedStreak: 7}, idx: 3})
+		for _, streak := range []int{8, 1 << 30, 1 << 60} {
+			if got := shedScore(round, &destSched{DestState: DestState{ShedStreak: streak}, idx: 3}); got != capped {
+				t.Errorf("round %d: streak %d scores %#x, want %#x (streak 7)", round, streak, got, capped)
+			}
+		}
+	}
+}
+
 // TestDaemonShedFairness holds the daemon under permanent overload —
 // every destination due every round, a queue admitting a fifth of them —
 // and requires the shedding lottery's aging to keep every destination
@@ -584,29 +598,117 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	}
 }
 
-// TestDaemonImpossibleCheckpointStartsFresh: a frame that verifies around a
-// body no daemon can have written — a negative round, a negative failure
-// count, a schedule table of another length, an accumulator body its restore
-// refuses — is unusable too: moved aside, never resumed (a negative round
-// would reach RoundStart).
-func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
+// goodCheckpoint is the checkpoint of a four-destination daemon ticked
+// twice.
+func goodCheckpoint(t testing.TB) string {
+	t.Helper()
 	good := filepath.Join(t.TempDir(), "good.ck")
 	cfg := testConfig(freeTopo(t, 4, 3, 0))
 	cfg.CheckpointPath = good
-	d := mustNew(t, cfg)
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tick(d, 2)
 	stop(t, d)
-	for name, tamper := range map[string]func(*Checkpoint){
-		"negative round":  func(ck *Checkpoint) { ck.NextRound = -1 },
-		"negative budget": func(ck *Checkpoint) { ck.Dests[1].ConsecFails = -3 },
-		"short schedule":  func(ck *Checkpoint) { ck.Sched = ck.Sched[:3] },
-		"worker body with a trailing byte": func(ck *Checkpoint) {
-			ck.Workers[0] = append(bytes.Clone(ck.Workers[0]), 0)
+	return good
+}
+
+// scheduleTampers are the schedule entries no daemon writes, each set on
+// every destination. A negative shed streak due now, resumed, would reach
+// the shed lottery's shift at the first Tick that sheds, a panic under d.mu.
+var scheduleTampers = map[string]func(*DestState){
+	"negative due round":  func(st *DestState) { st.NextDue = -1 },
+	"negative pair count": func(st *DestState) { st.Pairs = -1 },
+	"negative shed streak": func(st *DestState) {
+		st.NextDue, st.ShedStreak = 0, -1
+	},
+}
+
+// impossibleSchedules are goodCheckpoint's file with each scheduleTampers
+// row applied, the fuzz seeds of the class.
+func impossibleSchedules(t testing.TB) (files [][]byte) {
+	good := goodCheckpoint(t)
+	for _, tamper := range scheduleTampers {
+		ck := mustLoad(t, good)
+		for i := range ck.Sched {
+			tamper(&ck.Sched[i])
+		}
+		var buf bytes.Buffer
+		if err := ckpt.Encode(&buf, ckpt.KindDaemon, checkpointVersion, ck.encode); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, buf.Bytes())
+	}
+	return files
+}
+
+// withTrailingByte is st as a file holds it with one more byte after it:
+// st alone in a campaign frame, whose run body ends with the worker body
+// (docs/checkpoint.md), read back with ckpt's primitives, and the longer
+// body framed and loaded the same way.
+func withTrailingByte(t *testing.T, st measure.AccState) measure.AccState {
+	t.Helper()
+	var file bytes.Buffer
+	if err := ckpt.Encode(&file, ckpt.KindCampaign, 0, (&measure.Checkpoint{Workers: []measure.AccState{st}}).Encode); err != nil {
+		t.Fatal(err)
+	}
+	var body []byte
+	if err := ckpt.Decode(file.Bytes(), ckpt.KindCampaign, 0, func(d *ckpt.Decoder) {
+		d.U64()
+		d.Int()
+		d.Bytes()
+		d.Len(1)
+		d.Len(1)
+		body = d.Bytes()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	file.Reset()
+	if err := ckpt.Encode(&file, ckpt.KindCampaign, 0, func(e *ckpt.Encoder) {
+		e.U64(0)
+		e.Int(0)
+		e.Bytes(nil)
+		e.Len(0)
+		e.Len(1)
+		e.Bytes(append(body, 0))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ck := new(measure.Checkpoint)
+	if err := ckpt.Decode(file.Bytes(), ckpt.KindCampaign, 0, ck.Decode); err != nil {
+		t.Fatal(err)
+	}
+	return ck.Workers[0]
+}
+
+// TestDaemonImpossibleCheckpointStartsFresh: a frame that verifies around a
+// body no daemon can have written — a negative round, a negative failure
+// count, a schedule table of another length, a schedule entry with a
+// negative due round, pair count or shed streak, an accumulator body its
+// restore refuses — is unusable too: moved aside, never resumed (a negative
+// round would reach RoundStart, a negative shed streak a negative shift).
+func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
+	good := goodCheckpoint(t)
+	tampers := map[string]func(*testing.T, *Checkpoint){
+		"negative round":  func(_ *testing.T, ck *Checkpoint) { ck.NextRound = -1 },
+		"negative budget": func(_ *testing.T, ck *Checkpoint) { ck.Dests[1].ConsecFails = -3 },
+		"short schedule":  func(_ *testing.T, ck *Checkpoint) { ck.Sched = ck.Sched[:3] },
+		"worker body with a trailing byte": func(t *testing.T, ck *Checkpoint) {
+			ck.Workers[0] = withTrailingByte(t, ck.Workers[0])
 		},
-	} {
+	}
+	for name, tamper := range scheduleTampers {
+		tampers[name] = func(_ *testing.T, ck *Checkpoint) {
+			for i := range ck.Sched {
+				tamper(&ck.Sched[i])
+			}
+		}
+	}
+	for name, tamper := range tampers {
 		t.Run(name, func(t *testing.T) {
 			ck := mustLoad(t, good)
-			tamper(ck)
+			tamper(t, ck)
 			ckPath := filepath.Join(t.TempDir(), "daemon.ck")
 			if err := ck.Save(ckPath); err != nil {
 				t.Fatal(err)

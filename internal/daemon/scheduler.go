@@ -80,17 +80,14 @@ func (s *scheduler) due(round int64) []*destSched {
 // shedScore ranks one runnable destination as a shedding victim this round:
 // a deterministic per-(round, idx) SplitMix64 draw — random-early shed, so
 // under persistent overload the victims rotate instead of always being the
-// head of the due ordering — downshifted 8 bits per round of shed streak, so
-// a destination shed k rounds running wins the next lottery only against
-// destinations 256^k times unluckier. Determinism per round keeps rounds
+// head of the due ordering — downshifted 8 bits per round of shed streak
+// (at most seven rounds' worth, so the shift stays below 64 however long the
+// streak), so a destination shed k rounds running wins the next lottery only
+// against destinations 256^k times unluckier. Determinism per round keeps rounds
 // reproducible and checkpoints exact.
 func shedScore(round int64, ds *destSched) uint64 {
 	x := keyhash.Mix64(uint64(round)*keyhash.Golden64 ^ uint64(uint32(ds.idx))<<1)
-	shift := ds.ShedStreak * 8
-	if shift > 56 {
-		shift = 56
-	}
-	return x >> shift
+	return x >> (min(ds.ShedStreak, 7) * 8)
 }
 
 // shedVictims picks the n destinations to shed from runnable: the n

@@ -78,3 +78,27 @@ func TestReadAllocs(t *testing.T) {
 		t.Errorf("State allocates %.0f objects at 400 destinations, %.0f at 100", s400, s100)
 	}
 }
+
+// TestSaveAllocatesNoBody pins that a checkpoint never holds its body twice:
+// State and the body's streamed write (Checkpoint.Encode, framed, to
+// io.Discard) of a steady accumulator, twelve rounds in and one folded since
+// its last read, allocate under half the body's encoded size. State encodes the head and
+// notes the hop cells, which the write streams through the frame's buffer;
+// a write that built the body in a buffer of its own allocates more than
+// the body. It lives on the !race side of the budget split, like
+// TestAccumulatorHeapPerDest.
+func TestSaveAllocatesNoBody(t *testing.T) {
+	w := newSteadyWorker(t, 1000)
+	w.rounds(t, 11)
+	encodeState(t, w.acc)
+	w.rounds(t, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := encodeState(t, w.acc)
+	runtime.ReadMemStats(&after)
+	got, size := after.TotalAlloc-before.TotalAlloc, st.size()
+	t.Logf("State and its write allocated %d bytes for a %d-byte body", got, size)
+	if got >= uint64(size/2) {
+		t.Errorf("State and its write allocated %d bytes, budget half the %d-byte body", got, size)
+	}
+}

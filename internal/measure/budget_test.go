@@ -2,10 +2,12 @@ package measure
 
 import (
 	"context"
+	"io"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/netsim"
 	"repro/internal/simtest"
 	"repro/internal/topo"
@@ -210,8 +212,8 @@ func BenchmarkMergeSteady(b *testing.B) {
 }
 
 // BenchmarkStateSteady is one checkpoint body of a warmed 5,000-destination
-// accumulator, one round folded since the last: State and the write it
-// returns, which together read the accumulator and encode the body.
+// accumulator, one round folded since the last: State and the body's
+// streamed write, which together read the accumulator and encode the body.
 // locked-ns/op is State alone, what a daemon's checkpoint holds its lock
 // for.
 func BenchmarkStateSteady(b *testing.B) {
@@ -219,13 +221,34 @@ func BenchmarkStateSteady(b *testing.B) {
 	calls := 0
 	benchReads(b, func(w *steadyWorker) {
 		start := time.Now()
-		write, err := w.acc.State()
+		st, err := w.acc.State()
 		locked += time.Since(start)
 		calls++
 		if err != nil {
 			b.Fatal(err)
 		}
-		stateSink = write()
+		stateSink = encoded(b, st)
 	})
 	b.ReportMetric(float64(locked.Nanoseconds())/float64(calls), "locked-ns/op")
+}
+
+// encodeState is State of a and its body's streamed write.
+func encodeState(tb testing.TB, a *Accumulator) AccState {
+	tb.Helper()
+	st, err := a.State()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return encoded(tb, st)
+}
+
+// encoded writes st as Checkpoint.Encode does, framed as a one-worker
+// campaign checkpoint, to io.Discard, and returns it.
+func encoded(tb testing.TB, st AccState) AccState {
+	tb.Helper()
+	ck := &Checkpoint{Workers: []AccState{st}}
+	if err := ckpt.Encode(io.Discard, ckpt.KindCampaign, checkpointVersion, ck.Encode); err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }

@@ -48,9 +48,13 @@ func addrBits(a netip.Addr) uint32 {
 
 // bitsAddr inverts addrBits.
 func bitsAddr(v uint32) netip.Addr {
-	var b [4]byte
+	return netip.AddrFrom4(addr4(v))
+}
+
+// addr4 is the four bytes of the IPv4 address addrBits packed into v.
+func addr4(v uint32) (b [4]byte) {
 	binary.LittleEndian.PutUint32(b[:], v)
-	return netip.AddrFrom4(b)
+	return b
 }
 
 // packHop returns h's cell, or false when no canonical cell holds it: a field

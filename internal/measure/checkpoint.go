@@ -40,7 +40,7 @@ import (
 // On disk a checkpoint is the binary format of internal/ckpt, laid out by
 // codec.go. Checkpoint is the run body as it is read and written; each
 // accumulator in it is already its encoded body (AccState), which State
-// writes straight from the accumulator and RestoreAccumulator reads straight
+// encodes straight from the accumulator and RestoreAccumulator reads straight
 // back into a new one, so there is no second in-memory schema between an
 // accumulator and its bytes.
 //
@@ -85,8 +85,14 @@ type Checkpoint struct {
 }
 
 // AccState is one worker accumulator's partial statistics as its checkpoint
-// body: the bytes Accumulator.State writes (codec.go, docs/checkpoint.md).
-type AccState []byte
+// body (codec.go, docs/checkpoint.md). Accumulator.State returns it as the
+// head it encoded and the hop cells it noted, which Checkpoint.Encode
+// streams into place; a body read from a file is one run of bytes, the
+// head, with no cells noted.
+type AccState struct {
+	head  []byte
+	cells []cellCut
+}
 
 // checkpoint snapshots the campaign after nextRound-1 completed. RunContext
 // calls it only between rounds, where the wg.Wait edge makes the
@@ -102,11 +108,11 @@ func (c *Campaign) checkpoint(nextRound int, accs []*Accumulator) (*Checkpoint, 
 		ck.Transport = c.cfg.TransportState()
 	}
 	for w, a := range accs {
-		write, err := a.State()
+		st, err := a.State()
 		if err != nil {
 			return nil, err
 		}
-		ck.Workers[w] = write()
+		ck.Workers[w] = st
 	}
 	return ck, nil
 }
@@ -114,8 +120,9 @@ func (c *Campaign) checkpoint(nextRound int, accs []*Accumulator) (*Checkpoint, 
 // Save streams the checkpoint to path in the binary format (see codec.go and
 // docs/checkpoint.md) on the one atomic write path: temp file, fsync,
 // rename, directory fsync, stale temp files swept. A kill mid-write leaves
-// the previous checkpoint intact. The frame streams, but each accumulator
-// body in it is one buffer already, about the size of the file.
+// the previous checkpoint intact. The frame streams, and so do the hop
+// cells of each accumulator body in it, so nothing the size of the file is
+// held in memory.
 func (ck *Checkpoint) Save(path string) error {
 	if err := ckpt.WriteFile(path, ckpt.KindCampaign, checkpointVersion, ck.Encode); err != nil {
 		return fmt.Errorf("measure: writing checkpoint %s: %w", filepath.Base(path), err)

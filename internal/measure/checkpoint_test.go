@@ -369,7 +369,7 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(mustState(t, acc), st) {
+		if !bytes.Equal(mustState(t, acc).head, st.head) {
 			t.Errorf("worker %d: restored accumulator snapshots to a different state", w)
 		}
 	}
@@ -554,11 +554,11 @@ func TestRestoreRefusesWhatStateCannotWrite(t *testing.T) {
 	// 15 zero tallies; loop causes 2 then 1 (zigzag 4 and 2), one each;
 	// no cycle causes, no addresses, no destinations.
 	body := append(make([]byte, 15), 2, 4, 2, 2, 2, 0, 0, 0, 0, 0, 0)
-	if _, err := RestoreAccumulator(body); !errors.Is(err, ckpt.ErrCorrupt) {
+	if _, err := RestoreAccumulator(AccState{head: body}); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("causes descending: got %v, want ErrCorrupt", err)
 	}
 	body[16], body[18] = 2, 4 // causes 1 then 2
-	if _, err := RestoreAccumulator(body); err != nil {
+	if _, err := RestoreAccumulator(AccState{head: body}); err != nil {
 		t.Errorf("the same body with causes ascending: %v", err)
 	}
 }
@@ -569,8 +569,24 @@ func TestStateRefusesIPv6(t *testing.T) {
 	a := NewAccumulator()
 	p := SkippedPair(netip.MustParseAddr("2001:db8::1"), 0)
 	a.Fold(&p)
-	if write, err := a.State(); err == nil || !strings.Contains(err.Error(), "2001:db8::1") {
-		t.Errorf("State of a quarantined IPv6 destination: write %v, error %v", write != nil, err)
+	if _, err := a.State(); err == nil || !strings.Contains(err.Error(), "2001:db8::1") {
+		t.Errorf("State of a quarantined IPv6 destination: error %v", err)
+	}
+}
+
+// TestRestoreRefusesUnwrittenBody: a body State returned holds its hop cells
+// only as noted, for Checkpoint.Encode to put in place, so a restore before
+// it is written is refused; the same body written restores.
+func TestRestoreRefusesUnwrittenBody(t *testing.T) {
+	st, err := refusalAcc(t).State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreAccumulator(st); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "noted cells") {
+		t.Errorf("a body with noted cells: got %v, want ErrCorrupt naming them", err)
+	}
+	if _, err := RestoreAccumulator(written(t, st)); err != nil {
+		t.Errorf("the same body written: %v", err)
 	}
 }
 

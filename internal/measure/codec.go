@@ -14,21 +14,21 @@ import (
 // This file lays a checkpoint out in the internal/ckpt wire format: the run
 // body (Checkpoint) through ckpt's Encoder and Decoder, and each
 // accumulator's body (AccState) straight from and into the accumulator —
-// State appends it in ckpt's primitive encodings, and RestoreAccumulator
-// reads it back with a ckpt.Decoder. Fields are written in a fixed order:
+// State appends it with ckpt's primitives, and RestoreAccumulator reads it
+// back with a ckpt.Decoder. Fields are written in a fixed order:
 // every integer a zigzag varint, every list a count followed by its
 // elements, per-cause maps as (cause, count) pairs in ascending cause order
 // — so equal accumulators give equal bytes, and a restored one writes back
 // the body it came from. docs/checkpoint.md has the layout tables; the
 // golden file under testdata/ pins it.
 //
-// The body's encoder is the one place outside ckpt that writes ckpt's
-// primitives, and it does so on purpose: the Encoder streams through a
-// buffer it flushes, and a body is one buffer appended in two phases
-// (State), so it appends them itself — integers with encoding/binary's
-// varints, which are ckpt's, and booleans and addresses with appendBool and
-// appendAddr. Their decoders stay ckpt's (Decoder.Bool, Addr, U64s), and the
-// golden files pin that the two sides agree.
+// A body is encoded in two phases. State appends everything but the hop
+// cells to one buffer, the head — integers with encoding/binary's varints,
+// which are ckpt's, and booleans and addresses with ckpt's append forms
+// (AppendBool, AppendAddr, AppendIPv4) — and notes where each destination's
+// cells go. Checkpoint.Encode then streams the head's runs and the noted
+// cells through the frame's buffer (ckpt.Encoder.Raw, U64), so the body is
+// never one buffer in memory.
 //
 // The min* constants are the fewest bytes one element of each repeated
 // structure can occupy; the decoder checks every count against the bytes
@@ -50,7 +50,7 @@ const (
 
 // Encode appends the run body: a campaign checkpoint is exactly this, the
 // daemon's continues with its schedule section. Each worker's accumulator
-// body is written as State made it, length-prefixed.
+// body is written length-prefixed, its noted cells streamed in place.
 func (ck *Checkpoint) Encode(e *ckpt.Encoder) {
 	e.U64(ck.Digest)
 	e.Int(int64(ck.NextRound))
@@ -61,8 +61,32 @@ func (ck *Checkpoint) Encode(e *ckpt.Encoder) {
 	}
 	e.Len(len(ck.Workers))
 	for _, st := range ck.Workers {
-		e.Bytes(st)
+		st.encode(e)
 	}
+}
+
+// encode writes the body length-prefixed: the head's runs with the cells
+// noted between them, read only now and copied into e's buffer.
+func (st AccState) encode(e *ckpt.Encoder) {
+	e.Len(st.size())
+	from := 0
+	for _, c := range st.cells {
+		e.Raw(st.head[from:c.at])
+		for _, v := range c.cells {
+			e.U64(v)
+		}
+		from = c.at
+	}
+	e.Raw(st.head[from:])
+}
+
+// size is the body's length, its noted cells included.
+func (st AccState) size() int {
+	n := len(st.head)
+	for _, c := range st.cells {
+		n += cellBytes * len(c.cells)
+	}
+	return n
 }
 
 // Decode reads one run body written by Encode into ck, which must be zero.
@@ -81,32 +105,32 @@ func (ck *Checkpoint) Decode(d *ckpt.Decoder) {
 	if n := d.Len(1); n > 0 {
 		ck.Workers = make([]AccState, n)
 		for w := range ck.Workers {
-			ck.Workers[w] = d.Bytes()
+			ck.Workers[w] = AccState{head: d.Bytes()}
 		}
 	}
 }
 
-// State snapshots the accumulator's partial statistics for its checkpoint
-// body and returns the function that writes the body. The accumulator must
-// be quiescent (no concurrent Fold or read) while State runs, which is when
-// everything that changes in place is written; write may run after it
-// moves on, because all it adds is each destination's hop cells, which the
-// accumulator never rewrites once stored, so a caller can release its lock
-// before the bulk of the body is copied. The
+// State snapshots the accumulator's partial statistics as its checkpoint
+// body. The accumulator must be quiescent (no concurrent Fold or read) while
+// State runs, which is when everything that changes in place is encoded
+// into the body's head. Each destination's hop cells are only noted:
+// Checkpoint.Encode copies them into the file later, which may be after the
+// accumulator moves on, because it never rewrites a cell once stored — so a
+// caller can release its lock before the bulk of the body is written. The
 // body is deterministic — address sets and destinations ascending, each
 // destination's routes in first-seen order — so two equal accumulators give
 // identical bytes. An IPv6 address has no encoding and fails it.
-func (a *Accumulator) State() (write func() AccState, err error) {
+func (a *Accumulator) State() (AccState, error) {
 	sets := [...][]netip.Addr{a.addrs.sorted(), a.loopAddrs.sorted(), a.cycleAddrs.sorted(), a.skippedDests.sorted()}
 	dests := a.sortedDests()
 	size := (15+2+len(sets)+1)*maxVarint + 2*maxVarint*(len(a.loopByCause)+len(a.cycleByCause))
 	for _, s := range sets {
 		size += maxAddr * len(s)
 	}
-	most, ncells := 0, 0
+	most := 0
 	for _, ds := range dests {
 		n := len(ds.classic) + len(ds.paris)
-		most, ncells = max(most, n), ncells+len(ds.cells)
+		most = max(most, n)
 		size += maxDest + maxRoute*n + maxSig*(len(ds.loopSigs)+len(ds.cycleSigs))
 	}
 	head := make([]byte, 0, size)
@@ -124,9 +148,9 @@ func (a *Accumulator) State() (write func() AccState, err error) {
 		head = binary.AppendUvarint(head, uint64(len(s)))
 		for _, ad := range s {
 			if ad.Is6() {
-				return nil, fmt.Errorf("measure: cannot checkpoint address %v: not IPv4", ad)
+				return AccState{}, fmt.Errorf("measure: cannot checkpoint address %v: not IPv4", ad)
 			}
-			head = appendAddr(head, ad)
+			head = ckpt.AppendAddr(head, ad)
 		}
 	}
 	head = binary.AppendUvarint(head, uint64(len(dests)))
@@ -135,24 +159,13 @@ func (a *Accumulator) State() (write func() AccState, err error) {
 	order := make([]uint32, most)
 	for i, ds := range dests {
 		if ds.dest().Is6() {
-			return nil, fmt.Errorf("measure: cannot checkpoint destination %v: not IPv4", ds.dest())
+			return AccState{}, fmt.Errorf("measure: cannot checkpoint destination %v: not IPv4", ds.dest())
 		}
 		head = appendRoutes(head, ds, order)
 		cuts[i] = cellCut{at: len(head), cells: ds.cells}
 		head = appendSigs(appendSigs(head, ds.loopSigs), ds.cycleSigs)
 	}
-	return func() AccState {
-		b := make([]byte, 0, len(head)+cellBytes*ncells)
-		from := 0
-		for _, c := range cuts {
-			b = append(b, head[from:c.at]...)
-			for _, v := range c.cells {
-				b = binary.LittleEndian.AppendUint64(b, v)
-			}
-			from = c.at
-		}
-		return append(b, head[from:]...)
-	}, nil
+	return AccState{head: head, cells: cuts}, nil
 }
 
 // cellCut is one destination's hop cells as State found them, and the
@@ -166,8 +179,8 @@ type cellCut struct {
 // and flags, and its routes in first-seen order, with order (at least as
 // long as the destination has routes) as scratch.
 func appendRoutes(b []byte, ds *destState, order []uint32) []byte {
-	b = appendAddr(b, ds.dest())
-	b = appendBool(appendBool(b, ds.sawLoop), ds.sawCycle)
+	b = ckpt.AppendAddr(b, ds.dest())
+	b = ckpt.AppendBool(ckpt.AppendBool(b, ds.sawLoop), ds.sawCycle)
 	nc := len(ds.classic)
 	for i := range ds.classic {
 		order[ds.classic[i].seq] = uint32(i)
@@ -184,34 +197,15 @@ func appendRoutes(b []byte, ds *destState, order []uint32) []byte {
 		} else {
 			mo = &ds.paris[int(k)-nc]
 		}
-		b = appendBool(b, classic)
+		b = ckpt.AppendBool(b, classic)
 		if mo.flags&memoSource != 0 {
-			b = binary.LittleEndian.AppendUint32(append(b, 4), mo.src)
+			b = ckpt.AppendIPv4(b, addr4(mo.src))
 		} else {
-			b = append(b, 0)
+			b = ckpt.AppendAddr(b, netip.Addr{})
 		}
 		b = binary.AppendUvarint(binary.AppendVarint(b, int64(mo.halt)), uint64(mo.hops))
 	}
 	return b
-}
-
-// appendBool and appendAddr write ckpt's boolean and address encodings
-// (docs/checkpoint.md); an integer is binary.AppendVarint, a count
-// binary.AppendUvarint, as ckpt.Encoder writes them.
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// appendAddr appends an address that is not IPv6.
-func appendAddr(b []byte, a netip.Addr) []byte {
-	if !a.IsValid() {
-		return append(b, 0)
-	}
-	a4 := a.As4()
-	return append(b, 4, a4[0], a4[1], a4[2], a4[3])
 }
 
 func appendCauses(b []byte, m map[anomaly.Cause]int) []byte {
@@ -230,7 +224,7 @@ func appendCauses(b []byte, m map[anomaly.Cause]int) []byte {
 func appendSigs(b []byte, sigs []sigSpan) []byte {
 	b = binary.AppendUvarint(b, uint64(len(sigs)))
 	for _, sp := range sigs {
-		b = binary.AppendVarint(binary.AppendVarint(appendAddr(b, sp.addr), int64(sp.lastRound)), int64(sp.rounds))
+		b = binary.AppendVarint(binary.AppendVarint(ckpt.AppendAddr(b, sp.addr), int64(sp.lastRound)), int64(sp.rounds))
 	}
 	return b
 }
@@ -250,11 +244,15 @@ func errCorrupt(format string, args ...any) error {
 // canonical encoding read to its last byte, a set or list out of strictly
 // ascending order, a route no memo holds or one colliding with an earlier
 // one, a non-canonical cell, a hop address missing from the address set —
-// is refused with ckpt.ErrCorrupt. Checkpoint.Restore calls it per
-// accumulator.
+// is refused with ckpt.ErrCorrupt. So is a body State returned that still
+// holds noted cells: it is restored once written, as a file holds it.
+// Checkpoint.Restore calls it per accumulator.
 func RestoreAccumulator(st AccState) (*Accumulator, error) {
+	if st.cells != nil {
+		return nil, errCorrupt("body with noted cells, not yet written")
+	}
 	a := NewAccumulator()
-	if err := ckpt.DecodeBody(st, a.decode); err != nil {
+	if err := ckpt.DecodeBody(st.head, a.decode); err != nil {
 		return nil, err
 	}
 	a.tallyDirty()

@@ -102,8 +102,8 @@
 // holds a view, since State copies what it reads into the body. The one
 // thing State leaves for later is each destination's hop cells, which a
 // fold never rewrites once stored: State encodes the rest under the
-// daemon's lock and notes the cells, and the write it returns copies them
-// into the body after the lock is released. RestoreAccumulator decodes a body's ascending lists
+// daemon's lock and notes the cells, and Checkpoint.Encode streams them into
+// the file after the lock is released. RestoreAccumulator decodes a body's ascending lists
 // into the views and counts the diamonds, so the first read after a
 // recovery is as cheap as any other. Reads change no statistic:
 // TestReadsDoNotMoveStatistics holds an accumulator read after every round,

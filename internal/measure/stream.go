@@ -129,8 +129,8 @@ type destState struct {
 	// cells holds every interned route's hops, route after route in
 	// first-seen order. It grows by replacement at exact length
 	// (appendCells), so a destination keeps no spare capacity, and a cell
-	// once stored is never rewritten, so the write State returns can copy
-	// the cells it noted after the accumulator has moved on.
+	// once stored is never rewritten, so Checkpoint.Encode can stream the
+	// cells State noted after the accumulator has moved on.
 	cells                    []uint64
 	anoms                    []routeAnoms
 	pairs                    []pairMemo // by (classic, paris)
@@ -422,8 +422,8 @@ func (ds *destState) remember(memos *[]routeMemo, i int, fp uint64, rt *tracer.R
 
 // Accumulator folds completed pairs into partial campaign statistics. It is
 // not safe for concurrent use, reads included: Merge and State bring its
-// sorted views up to date (the write State returns is not a read: it may
-// run concurrently with anything). A streaming campaign gives each worker its own
+// sorted views up to date (streaming the cells of a body State returned is
+// not a read: Checkpoint.Encode may run concurrently with anything). A streaming campaign gives each worker its own
 // Accumulator, every destination's pairs flow through the single worker that
 // owns it (in round order), and the partials meet only in Merge after the
 // last round. Analyze folds retained results through one, serially.

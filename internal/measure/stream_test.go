@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/anomaly"
+	"repro/internal/ckpt"
 	"repro/internal/simtest"
 	"repro/internal/topo"
 	"repro/internal/tracer"
@@ -150,14 +151,31 @@ func TestMergeSplitMatchesSingle(t *testing.T) {
 	}
 }
 
-// mustState is a's checkpoint body.
+// mustState is a's checkpoint body as a file holds it: State's, written.
 func mustState(t testing.TB, a *Accumulator) AccState {
 	t.Helper()
-	write, err := a.State()
+	st, err := a.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return write()
+	return written(t, st)
+}
+
+// written is a body State returned as a file holds it: framed with its
+// noted cells streamed into place (Checkpoint.Encode) and read back, one run
+// of bytes.
+func written(t testing.TB, st AccState) AccState {
+	t.Helper()
+	var file bytes.Buffer
+	file.Grow(st.size() + 64)
+	if err := ckpt.Encode(&file, ckpt.KindCampaign, checkpointVersion, (&Checkpoint{Workers: []AccState{st}}).Encode); err != nil {
+		t.Fatal(err)
+	}
+	back := new(Checkpoint)
+	if err := ckpt.Decode(file.Bytes(), ckpt.KindCampaign, checkpointVersion, back.Decode); err != nil {
+		t.Fatal(err)
+	}
+	return back.Workers[0]
 }
 
 // TestReadsDoNotMoveStatistics: a read (Merge, State) brings an
@@ -175,8 +193,7 @@ func TestReadsDoNotMoveStatistics(t *testing.T) {
 	w := newSteadyWorkerOn(t, simtest.Default(300))
 	n := len(w.sc.Dests)
 	a, b := NewAccumulator(), NewAccumulator()
-	var late func() AccState
-	var at3 AccState
+	var late, at3 AccState
 	split := [2]*Accumulator{NewAccumulator(), NewAccumulator()}
 	for r := 0; r < rounds; r++ {
 		w.sc.RoundStart(r)
@@ -208,14 +225,14 @@ func TestReadsDoNotMoveStatistics(t *testing.T) {
 			a = restored
 		}
 	}
-	if !bytes.Equal(late(), at3) {
+	if !bytes.Equal(written(t, late).head, at3.head) {
 		t.Error("a body written after later folds differs from the one written when State ran")
 	}
 	want := Merge(rounds, n, b)
 	if d := simtest.Diff(want, Merge(rounds, n, a)); d != "" {
 		t.Errorf("statistics of the accumulator read every round differ from one read once: %s", d)
 	}
-	if !bytes.Equal(mustState(t, a), mustState(t, b)) {
+	if !bytes.Equal(mustState(t, a).head, mustState(t, b).head) {
 		t.Error("encoded states of the accumulator read every round and the one read once differ")
 	}
 	if d := simtest.Diff(want, Merge(rounds, n, split[0], split[1])); d != "" {

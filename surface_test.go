@@ -400,6 +400,8 @@ func TestSurfaceCatchesRenamedCopies(t *testing.T) {
 		{"repro/internal/daemon", "func probeAgain(d *Daemon, j job) { d.prober.MeasurePair(j.dest, 0, nil) }", "daemon.probeAgain names .MeasurePair, but"},
 		{"repro/internal/tracer", `import "repro/internal/packet"; func quotedMatches(b []byte, m *packet.ICMP) bool { return packet.ParseICMPInto(b, m) == nil }`, "tracer.quotedMatches names packet.ParseICMPInto, but"},
 		{"repro/internal/netsim", `import "repro/internal/packet"; func stampAgain(ip *packet.IPv4, m *packet.ICMP) { packet.MarshalIPv4ICMPInto(nil, ip, m) }`, "netsim.stampAgain names packet.MarshalIPv4ICMPInto, but"},
+		{"repro/internal/measure", `import "repro/internal/ckpt"; func appendFlags(b []byte, loop, cycle bool) []byte { return ckpt.AppendBool(ckpt.AppendBool(b, loop), cycle) }`, "measure.appendFlags names ckpt.AppendBool, but"},
+		{"repro/internal/daemon", `import "repro/internal/ckpt"; func (ck *Checkpoint) encodeDest(b []byte, d netip.Addr) []byte { return ckpt.AppendAddr(b, d) }`, "daemon.Checkpoint.encodeDest names ckpt.AppendAddr, but"},
 		{"repro/internal/netsim", "type tapped struct{ tap func([]byte) }", "a netsim struct holds a func"},
 	} {
 		fset := token.NewFileSet()
