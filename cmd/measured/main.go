@@ -1,7 +1,8 @@
 // Command measured is the always-on measurement service: the paper's paired
 // classic/Paris probing run as a long-lived daemon (internal/daemon) instead
 // of a one-shot campaign. It owns per-destination probing cadence (periodic
-// re-probe, immediate re-exploration when a route's fingerprint changes),
+// re-probe, immediate re-exploration when a destination shows a Paris route
+// it has never shown, not when a balancer draws another of its known ones),
 // survives worker panics and wedged transports, sheds load explicitly when
 // the due queue exceeds capacity, serves health/stats/events over HTTP, and
 // checkpoints continuously so a kill -9 resumes where it left off. It probes

@@ -15,9 +15,11 @@ import (
 // schedule section; version 4 is that body with interned hops written as
 // 8-byte cells (campaign version 5); version 5 is the body with its
 // accumulator length-prefixed (campaign version 6) and a schedule entry
-// without the seen flag and the classic fingerprint. An older file is
-// quarantined like any other unreadable checkpoint.
-const checkpointVersion = 5
+// without the seen flag and the classic fingerprint; version 6 is a schedule
+// entry without the Paris fingerprint, since a route change is judged
+// against the accumulator's interned routes. An older file is quarantined
+// like any other unreadable checkpoint.
+const checkpointVersion = 6
 
 // Checkpoint is the daemon's serialized resumable state: the run body it
 // shares with campaign checkpoints — digest, round cursor, opaque transport
@@ -71,8 +73,8 @@ func (d *Daemon) checkpointLocked() (*Checkpoint, error) {
 }
 
 // minDestState is the fewest bytes one DestState occupies on disk: three
-// integers and a fixed 8-byte fingerprint.
-const minDestState = 3 + 8
+// integers.
+const minDestState = 3
 
 // Save streams the checkpoint to path in the shared binary format
 // (internal/ckpt) on the one atomic write path, so a kill mid-write leaves
@@ -92,7 +94,6 @@ func (ck *Checkpoint) encode(e *ckpt.Encoder) {
 	e.Len(len(ck.Sched))
 	for _, st := range ck.Sched {
 		e.Int(st.NextDue)
-		e.U64(st.ParisFP)
 		e.Int(st.Pairs)
 		e.Int(int64(st.ShedStreak))
 	}
@@ -106,7 +107,7 @@ func (ck *Checkpoint) decode(d *ckpt.Decoder) {
 	if n := d.Len(minDestState); n > 0 {
 		ck.Sched = make([]DestState, n)
 		for i := range ck.Sched {
-			ck.Sched[i] = DestState{NextDue: d.Int(), ParisFP: d.U64(), Pairs: d.Int(), ShedStreak: int(d.Int())}
+			ck.Sched[i] = DestState{NextDue: d.Int(), Pairs: d.Int(), ShedStreak: int(d.Int())}
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	ck := mustLoad(t, path)
 	if ck.NextRound != 4 || len(ck.Dests) != 6 || ck.Dests[0].Hints.Paris == 0 ||
-		len(ck.Sched) != 6 || ck.Sched[0].Pairs == 0 || ck.Sched[0].ParisFP == 0 || len(ck.Workers) != 1 ||
+		len(ck.Sched) != 6 || ck.Sched[0].Pairs == 0 || len(ck.Workers) != 1 ||
 		string(ck.Transport) != `{"ProbeCounts":[7]}` {
 		t.Fatalf("toy checkpoint degenerate or misdecoded: %+v", ck)
 	}
@@ -101,7 +101,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v5.ck from the current encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v6.ck from the current encoder")
 
 // TestCheckpointGolden pins the daemon's wire format: the toy daemon's
 // checkpoint must be the committed file byte for byte (it holds no RTT and
@@ -109,7 +109,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v5.ck from t
 // bumps checkpointVersion and regenerates the file (go test -run
 // TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "toy-v5.ck")
+	golden := filepath.Join("testdata", "toy-v6.ck")
 	got := toyCheckpoint(t)
 	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
@@ -127,7 +127,7 @@ func TestCheckpointGolden(t *testing.T) {
 // schedule checks and the restore of the accumulator body it slices out.
 // Seeded with the toy checkpoint and its truncation ladder, with the files
 // of TestDaemonImpossibleCheckpointStartsFresh's schedule rows, and with the
-// previous versions' (testdata/toy-v4.ck, toy-v3.ck, toy-v2.ck), whose
+// previous versions' (testdata/toy-v5.ck, toy-v4.ck, toy-v3.ck, toy-v2.ck), whose
 // bodies Check also wraps in a current frame: the old layouts read as the
 // new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
@@ -135,7 +135,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, file := range impossibleSchedules(f) {
 		ckpttest.Seed(f, file)
 	}
-	for _, name := range []string{"toy-v4.ck", "toy-v3.ck", "toy-v2.ck"} {
+	for _, name := range []string{"toy-v5.ck", "toy-v4.ck", "toy-v3.ck", "toy-v2.ck"} {
 		previous, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

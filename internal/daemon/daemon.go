@@ -25,8 +25,8 @@ type Config struct {
 	Probe measure.ProbeConfig
 
 	// Period is the re-probe cadence in scheduler rounds; a destination
-	// whose route changed is re-armed for the next round instead. Zero
-	// selects 5.
+	// whose pair showed a Paris route new to it is re-armed for the next
+	// round instead. Zero selects 5.
 	Period int
 	// Interval is Run's wall-clock pause between rounds. Zero selects 1s.
 	// Tests bypass it entirely by calling Tick directly.

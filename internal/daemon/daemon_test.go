@@ -535,8 +535,10 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 // (testdata/toy-v2.ck, the last version-2 build's codec-test checkpoint) or
 // a version-3 one from before hop cells (testdata/toy-v3.ck, likewise) or a
 // version-4 one from before length-prefixed accumulator bodies
-// (testdata/toy-v4.ck, likewise) — the daemon moves it to .corrupt, publishes a recovered
-// event that names the cause, and comes back measuring from round zero.
+// (testdata/toy-v4.ck, likewise) or a version-5 one whose schedule still
+// carries the Paris fingerprint (testdata/toy-v5.ck, likewise) — the daemon
+// moves it to .corrupt, publishes a recovered event that names the cause,
+// and comes back measuring from round zero.
 func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	good := filepath.Join(t.TempDir(), "good.ck")
 	sc := freeTopo(t, 4, 3, 0)
@@ -550,6 +552,7 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	v2 := readFile(t, filepath.Join("testdata", "toy-v2.ck"))
 	v3 := readFile(t, filepath.Join("testdata", "toy-v3.ck"))
 	v4 := readFile(t, filepath.Join("testdata", "toy-v4.ck"))
+	v5 := readFile(t, filepath.Join("testdata", "toy-v5.ck"))
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/2] ^= 1
 
@@ -565,6 +568,7 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 		{"version 2 binary", v2, ckpt.ErrVersion},
 		{"version 3 binary", v3, ckpt.ErrVersion},
 		{"version 4 binary", v4, ckpt.ErrVersion},
+		{"version 5 binary", v5, ckpt.ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckPath := filepath.Join(t.TempDir(), "daemon.ck")

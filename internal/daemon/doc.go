@@ -23,10 +23,14 @@
 // # Cadence
 //
 // A destination is re-probed every Period rounds. When a completed pair's
-// Paris route fingerprint differs from the previous one, the destination is
-// re-armed for the next round instead (immediate re-exploration) and a
-// route-change event is published; anomalies observed on the new route ride
-// along in the event.
+// Paris route is new to the destination — not among the routes the
+// accumulator has interned for it (measure.FoldResult.NewParis) — the
+// destination is re-armed for the next round instead (immediate
+// re-exploration) and a route-change event is published; anomalies observed
+// on the pair ride along in the event. A route it has shown before is load
+// balancing, not a path change (DTRACK's rule: Cunha et al., SIGCOMM 2011),
+// so a destination behind a per-packet balancer, or a flip between known
+// paths, waits its Period like a stable one.
 //
 // # Supervision
 //

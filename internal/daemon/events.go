@@ -9,10 +9,13 @@ import (
 type EventType string
 
 const (
-	// EventRouteChange: a destination's Paris route fingerprint changed;
-	// the destination was re-armed for immediate re-exploration.
+	// EventRouteChange: a destination showed a Paris route it had never
+	// shown before (not one of its known routes, which a balancer's draw
+	// or a flip back is); the destination was re-armed for immediate
+	// re-exploration.
 	EventRouteChange EventType = "route-change"
-	// EventAnomaly: the newly observed route carries loops or cycles.
+	// EventAnomaly: the pair that showed a new route carries loops or
+	// cycles.
 	EventAnomaly EventType = "anomaly"
 	// EventShed: the scheduler shed a due job under overload.
 	EventShed EventType = "shed"

@@ -29,11 +29,9 @@ type destSched struct {
 type DestState struct {
 	// NextDue is the earliest round the destination may be probed in.
 	NextDue int64
-	// ParisFP is the last completed pair's Paris route fingerprint — the
-	// interned identity the re-exploration trigger compares against.
-	ParisFP uint64 `json:",omitempty"`
 	// Pairs counts completed (OK) pairs; the first completion never counts
-	// as a route change.
+	// as a route change. Which routes the destination has shown is the
+	// accumulator's: its interned routes, checkpointed with it.
 	Pairs int64 `json:",omitempty"`
 	// ShedStreak counts consecutive rounds this destination was shed by
 	// admission without being dispatched in between; the victim-selection

@@ -108,9 +108,11 @@ func (d *Daemon) worker(id, gen int) {
 }
 
 // finish folds a resolved job's outcome into the accumulator and re-arms the
-// destination's cadence: success every Period rounds, a changed Paris route
-// fingerprint next round (immediate re-exploration), failure per the error
-// budget.
+// destination's cadence: success every Period rounds, a Paris route new to
+// the destination next round (immediate re-exploration), failure per the
+// error budget. A route the destination has shown before — a per-packet
+// balancer's draw, or a flip back to a known path — is load balancing, not
+// a path change (DTRACK's rule), and waits its Period like any other pair.
 //
 // Route lifetime: the worker gives the pair's routes back to its Prober as
 // soon as finish returns, so Fold is the last reader. It copies what the
@@ -129,9 +131,8 @@ func (d *Daemon) finish(j *job, pair *measure.Pair, err error, hints measure.Pat
 		d.afterFold(pair)
 	}
 	ds.Succeeded(hints)
-	changed := ds.Pairs > 0 && fr.Paris != ds.ParisFP
+	changed := ds.Pairs > 0 && fr.NewParis
 	ds.Pairs++
-	ds.ParisFP = fr.Paris
 	if changed {
 		ds.NextDue = round + 1
 	} else {
@@ -140,11 +141,11 @@ func (d *Daemon) finish(j *job, pair *measure.Pair, err error, hints measure.Pat
 	d.mu.Unlock()
 	if changed {
 		d.events.publish(Event{Round: round, Type: EventRouteChange, Dest: ds.dest,
-			Detail: "paris route fingerprint changed; re-exploring next round",
+			Detail: "paris route new to this destination; re-exploring next round",
 			Loops:  fr.Loops, Cycles: fr.Cycles})
 		if fr.Loops+fr.Cycles > 0 {
 			d.events.publish(Event{Round: round, Type: EventAnomaly, Dest: ds.dest,
-				Detail: "anomalies on changed route", Loops: fr.Loops, Cycles: fr.Cycles})
+				Detail: "anomalies on new route", Loops: fr.Loops, Cycles: fr.Cycles})
 		}
 	}
 }

@@ -574,6 +574,50 @@ func TestStateRefusesIPv6(t *testing.T) {
 	}
 }
 
+// TestStateSizesHeadExactly: State allocates its head at exactly the length
+// it writes, over a campaign with every gadget armed and over an accumulator
+// whose hop count and rounds take two-byte varints and whose route carries a
+// source address.
+func TestStateSizesHeadExactly(t *testing.T) {
+	sc := topo.Generate(simtest.Gadgets(60))
+	res := mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), Config{
+		Dests: sc.Dests, Rounds: 4, Workers: 2, RoundStart: sc.RoundStart, PortSeed: 42, Batch: true,
+	}))
+	campaign := NewAccumulator()
+	for r := range res.Rounds {
+		for i := range res.Rounds[r] {
+			campaign.Fold(&res.Rounds[r][i])
+		}
+	}
+
+	long := NewAccumulator()
+	d := netip.AddrFrom4([4]byte{172, 16, 0, 1})
+	spec := make([]int, 200) // 200 hops: a two-byte hop count
+	for i := range spec {
+		spec[i] = i%100 + 1 // every address twice: cycles
+	}
+	spec[100] = 100 // and a loop where the two runs meet
+	// Rounds from 1000 on take two-byte varints.
+	for round := 1000; round < 1003; round++ {
+		classic, paris := synthRoute(d, spec...), synthRoute(d, 1, 2, 3)
+		classic.Source, paris.Halt = aAddr(250), tracer.HaltStars
+		long.Fold(&Pair{Dest: d, Round: round, Classic: classic, Paris: paris})
+	}
+	if len(long.dests[d].loopSigs) == 0 || len(long.dests[d].cycleSigs) == 0 {
+		t.Fatal("the long route carries no loop or cycle signature")
+	}
+
+	for name, a := range map[string]*Accumulator{"gadgets campaign": campaign, "long route": long} {
+		st, err := a.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.head) != cap(st.head) {
+			t.Errorf("%s: State wrote a %d-byte head into %d bytes", name, len(st.head), cap(st.head))
+		}
+	}
+}
+
 // TestRestoreRefusesUnwrittenBody: a body State returned holds its hop cells
 // only as noted, for Checkpoint.Encode to put in place, so a restore before
 // it is written is refused; the same body written restores.

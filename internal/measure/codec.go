@@ -3,6 +3,7 @@ package measure
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"slices"
 
@@ -32,21 +33,22 @@ import (
 //
 // The min* constants are the fewest bytes one element of each repeated
 // structure can occupy; the decoder checks every count against the bytes
-// that remain before allocating (ckpt.Decoder.Len). The max* constants are
-// the most, which State sizes its buffer by.
+// that remain before allocating (ckpt.Decoder.Len). State allocates its
+// head at exactly its length: each *Size function, and routeMemo.size, sits
+// beside the append function whose bytes it counts.
 const (
 	minCause  = 2 // cause, count
 	minDest   = 6 // address tag, SawLoop, SawCycle, 3 counts
 	minRoute  = 4 // Classic, address tag, Halt, hop count
 	cellBytes = 8 // one hop
 	minSig    = 3 // address tag, LastRound, Rounds
-
-	maxVarint = binary.MaxVarintLen64
-	maxAddr   = 5
-	maxDest   = maxAddr + 2 + 3*maxVarint
-	maxRoute  = 1 + maxAddr + 2 + 3 // Halt is a byte and Hops 16 bits (routeMemo)
-	maxSig    = maxAddr + 2*maxVarint
+	addrBytes = 5 // a present IPv4 address: tag and four bytes
 )
+
+// uvarintSize is the length of binary.AppendUvarint's encoding of v, and
+// varintSize that of binary.AppendVarint's.
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func varintSize(v int64) int   { return uvarintSize(uint64(v<<1) ^ uint64(v>>63)) }
 
 // Encode appends the run body: a campaign checkpoint is exactly this, the
 // daemon's continues with its schedule section. Each worker's accumulator
@@ -121,28 +123,32 @@ func (ck *Checkpoint) Decode(d *ckpt.Decoder) {
 // destination's routes in first-seen order — so two equal accumulators give
 // identical bytes. An IPv6 address has no encoding and fails it.
 func (a *Accumulator) State() (AccState, error) {
+	scalars := [...]int64{
+		int64(a.routes), int64(a.reached), int64(a.responses), int64(a.midStars),
+		int64(a.routesWithLoop), int64(a.loopInstances), int64(a.parisOnly),
+		int64(a.routesWithCycle), int64(a.cycleInstances),
+		int64(a.failed), int64(a.skipped), int64(a.rttSamples),
+		a.rttSum, a.rttMin, a.rttMax,
+	}
 	sets := [...][]netip.Addr{a.addrs.sorted(), a.loopAddrs.sorted(), a.cycleAddrs.sorted(), a.skippedDests.sorted()}
 	dests := a.sortedDests()
-	size := (15+2+len(sets)+1)*maxVarint + 2*maxVarint*(len(a.loopByCause)+len(a.cycleByCause))
+	size := causesSize(a.loopByCause) + causesSize(a.cycleByCause) + uvarintSize(uint64(len(dests))) + a.memoBytes
+	for _, v := range scalars {
+		size += varintSize(v)
+	}
 	for _, s := range sets {
-		size += maxAddr * len(s)
+		size += uvarintSize(uint64(len(s))) + addrBytes*len(s)
 	}
 	most := 0
 	for _, ds := range dests {
 		n := len(ds.classic) + len(ds.paris)
 		most = max(most, n)
-		size += maxDest + maxRoute*n + maxSig*(len(ds.loopSigs)+len(ds.cycleSigs))
+		size += addrBytes + 2 + uvarintSize(uint64(n)) + sigsSize(ds.loopSigs) + sigsSize(ds.cycleSigs)
 	}
 	head := make([]byte, 0, size)
-	for _, v := range [...]int{
-		a.routes, a.reached, a.responses, a.midStars,
-		a.routesWithLoop, a.loopInstances, a.parisOnly,
-		a.routesWithCycle, a.cycleInstances,
-		a.failed, a.skipped, a.rttSamples,
-	} {
-		head = binary.AppendVarint(head, int64(v))
+	for _, v := range scalars {
+		head = binary.AppendVarint(head, v)
 	}
-	head = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(head, a.rttSum), a.rttMin), a.rttMax)
 	head = appendCauses(appendCauses(head, a.loopByCause), a.cycleByCause)
 	for _, s := range sets {
 		head = binary.AppendUvarint(head, uint64(len(s)))
@@ -208,6 +214,15 @@ func appendRoutes(b []byte, ds *destState, order []uint32) []byte {
 	return b
 }
 
+// size is the length of the route header appendRoutes writes for mo.
+func (mo *routeMemo) size() int {
+	n := 2 + varintSize(int64(mo.halt)) + uvarintSize(uint64(mo.hops))
+	if mo.flags&memoSource != 0 {
+		n += addrBytes - 1
+	}
+	return n
+}
+
 func appendCauses(b []byte, m map[anomaly.Cause]int) []byte {
 	causes := make([]anomaly.Cause, 0, len(m))
 	for c := range m {
@@ -219,6 +234,22 @@ func appendCauses(b []byte, m map[anomaly.Cause]int) []byte {
 		b = binary.AppendVarint(binary.AppendVarint(b, int64(c)), int64(m[c]))
 	}
 	return b
+}
+
+func causesSize(m map[anomaly.Cause]int) int {
+	n := uvarintSize(uint64(len(m)))
+	for c, k := range m {
+		n += varintSize(int64(c)) + varintSize(int64(k))
+	}
+	return n
+}
+
+func sigsSize(sigs []sigSpan) int {
+	n := uvarintSize(uint64(len(sigs)))
+	for _, sp := range sigs {
+		n += addrBytes + varintSize(int64(sp.lastRound)) + varintSize(int64(sp.rounds))
+	}
+	return n
 }
 
 func appendSigs(b []byte, sigs []sigSpan) []byte {
@@ -393,7 +424,7 @@ func (a *Accumulator) decodeDest(d *ckpt.Decoder, rt *tracer.Route, routes *[]ro
 			d.Fail(errCorrupt("dest %v: route %d collides with an earlier one", ds.dest(), i))
 			return nil
 		}
-		ds.remember(memos, at, fp, rt, off, a.analyzeRoute(rt, h.classic, ds))
+		a.remember(ds, memos, at, fp, rt, off, a.analyzeRoute(rt, h.classic, ds))
 		off += h.hops
 	}
 	ds.loopSigs = decodeSigs(d)

@@ -399,8 +399,9 @@ func appendCells(cells []uint64, hops []tracer.Hop) ([]uint64, bool) {
 }
 
 // remember inserts the memo of rt — analyzed as st, its cells already at
-// ds.cells[off:] — at index i of memos, where its fingerprint fp sorts.
-func (ds *destState) remember(memos *[]routeMemo, i int, fp uint64, rt *tracer.Route, off int, st routeStats) {
+// ds.cells[off:] — at index i of memos, where its fingerprint fp sorts, and
+// counts the bytes its header takes in a State body.
+func (a *Accumulator) remember(ds *destState, memos *[]routeMemo, i int, fp uint64, rt *tracer.Route, off int, st routeStats) {
 	mo := routeMemo{
 		fp:        fp,
 		off:       uint32(off),
@@ -418,6 +419,7 @@ func (ds *destState) remember(memos *[]routeMemo, i int, fp uint64, rt *tracer.R
 		mo.anoms = uint32(len(ds.anoms))
 	}
 	*memos = slices.Insert(*memos, i, mo)
+	a.memoBytes += mo.size()
 }
 
 // Accumulator folds completed pairs into partial campaign statistics. It is
@@ -445,6 +447,10 @@ type Accumulator struct {
 	addrs, loopAddrs, cycleAddrs addrSet
 
 	dests map[netip.Addr]*destState
+	// memoBytes is the length of every interned route's header in a State
+	// body (routeMemo.size), so State sizes its head without a walk of
+	// the memos.
+	memoBytes int
 	// destView holds the destinations ascending by address as of the last
 	// read, and freshDests those first folded since (sortedDests).
 	destView, freshDests []*destState
@@ -541,15 +547,16 @@ func (a *Accumulator) analyzeRoute(rt *tracer.Route, classic bool, ds *destState
 	return st
 }
 
-// intern returns rt's statistics and whether they are memoized: read off the
-// memo when rt's fingerprint is interned with equal contents, otherwise
-// analyzed and — the fingerprint being new — interned by packing rt's hops
-// into the destination's cells (rt itself is never retained). It reports
-// false for a fingerprint collision (fingerprint present, contents unequal)
-// and for a route no memo holds (see packHop and representable); the caller
-// then classifies the pair without memoization — every side effect of
+// intern returns rt's statistics, whether they are memoized and whether rt
+// was already known: read off the memo when rt's fingerprint is interned
+// with equal contents (memoized and known), otherwise analyzed and — the
+// fingerprint being new — interned by packing rt's hops into the
+// destination's cells (rt itself is never retained). It reports neither for
+// a fingerprint collision (fingerprint present, contents unequal) nor for a
+// route no memo holds (see packHop and representable); the caller then
+// classifies the pair without memoization — every side effect of
 // analyzeRoute is idempotent, so correctness is unaffected.
-func (a *Accumulator) intern(ds *destState, classic bool, rt *tracer.Route, fp uint64) (routeStats, bool) {
+func (a *Accumulator) intern(ds *destState, classic bool, rt *tracer.Route, fp uint64) (st routeStats, memoized, known bool) {
 	memos := &ds.paris
 	if classic {
 		memos = &ds.classic
@@ -557,22 +564,22 @@ func (a *Accumulator) intern(ds *destState, classic bool, rt *tracer.Route, fp u
 	i, found := searchMemo(*memos, fp)
 	if found {
 		if mo := &(*memos)[i]; ds.matches(mo, rt) {
-			return ds.stats(mo), true
+			return ds.stats(mo), true, true
 		}
-		return a.analyzeRoute(rt, classic, ds), false
+		return a.analyzeRoute(rt, classic, ds), false, false
 	}
-	st := a.analyzeRoute(rt, classic, ds)
+	st = a.analyzeRoute(rt, classic, ds)
 	if !representable(rt, ds.dest()) {
-		return st, false
+		return st, false, false
 	}
 	off := len(ds.cells)
 	cells, ok := appendCells(ds.cells, rt.Hops)
 	if !ok {
-		return st, false
+		return st, false, false
 	}
 	ds.cells = cells
-	ds.remember(memos, i, fp, rt, off, st)
-	return st, true
+	a.remember(ds, memos, i, fp, rt, off, st)
+	return st, true, false
 }
 
 // classify returns the pair's loop and cycle causes and its Paris-only loop
@@ -623,13 +630,15 @@ func (a *Accumulator) foldRTT(rt *tracer.Route) {
 	}
 }
 
-// FoldResult is what Fold learned about the pair on the way: the Paris
-// route's fingerprint and the loop and cycle instances on either route, all
-// zero for a Failed or Skipped pair. Callers that react to a fold (the
-// daemon's route-change events) work from it and need not read the routes
-// again.
+// FoldResult is what Fold learned about the pair on the way: whether its
+// Paris route is new to the destination — not already interned for it with
+// equal contents, which a destination's first route, a fingerprint
+// collision and a route no memo holds all are — and the loop and cycle
+// instances on either route, all zero for a Failed or Skipped pair. Callers
+// that react to a fold (the daemon's re-exploration and route-change
+// events) work from it and need not read the routes again.
 type FoldResult struct {
-	Paris         uint64
+	NewParis      bool
 	Loops, Cycles int
 }
 
@@ -665,8 +674,8 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 
 	cfp := p.Classic.Fingerprint()
 	pfp := p.Paris.Fingerprint()
-	cs, cok := a.intern(ds, true, p.Classic, cfp)
-	ps, pok := a.intern(ds, false, p.Paris, pfp)
+	cs, cok, _ := a.intern(ds, true, p.Classic, cfp)
+	ps, pok, pknown := a.intern(ds, false, p.Paris, pfp)
 	loopCauses, cycleCauses, parisOnly := ds.classify(&cs, &ps, p.Classic, cfp, pfp, cok && pok)
 
 	a.routes++
@@ -721,9 +730,9 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 		a.cycleSigs.note(&ds.cycleSigs, c.Addr, round)
 	}
 	return FoldResult{
-		Paris:  pfp,
-		Loops:  len(cs.loops) + len(ps.loops),
-		Cycles: len(cs.cycles) + len(ps.cycles),
+		NewParis: !pknown,
+		Loops:    len(cs.loops) + len(ps.loops),
+		Cycles:   len(cs.cycles) + len(ps.cycles),
 	}
 }
 

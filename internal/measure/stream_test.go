@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/anomaly"
@@ -111,6 +112,66 @@ func TestAccumulatorInterning(t *testing.T) {
 	if len(ds.classic) != 2 || len(ds.paris) != 1 || len(ds.pairs) != 2 {
 		t.Errorf("after route change: classic=%d paris=%d pairs=%d, want 2, 1, 2",
 			len(ds.classic), len(ds.paris), len(ds.pairs))
+	}
+}
+
+// TestFoldNewParis: FoldResult.NewParis is set exactly when the pair's
+// Paris route is not already interned for its destination with equal
+// contents. Each step folds one pair into the same accumulator, in order.
+func TestFoldNewParis(t *testing.T) {
+	d := netip.AddrFrom4([4]byte{172, 16, 0, 1})
+	a := NewAccumulator()
+	classicA, classicB := synthRoute(d, 1, 2, 2, 3), synthRoute(d, 1, 5, 5, 3)
+	paris1, paris2, paris3 := synthRoute(d, 1, 2, 4, 3), synthRoute(d, 1, 6, 4, 3), synthRoute(d, 1, 7, 4, 3)
+	// plant interns a copy of paris1's memo under rt's fingerprint, so rt's
+	// fingerprint is present with unequal contents.
+	plant := func(rt *tracer.Route) {
+		ds := a.dests[d]
+		at, found := searchMemo(ds.paris, rt.Fingerprint())
+		if found {
+			t.Fatal("route already interned; nothing to collide with")
+		}
+		planted := ds.paris[0]
+		planted.fp = rt.Fingerprint()
+		ds.paris = slices.Insert(ds.paris, at, planted)
+	}
+	badHalt := synthRoute(d, 1, 8, 4, 3)
+	badHalt.Halt = tracer.HaltMaxTTL + 1 // no memo header holds it
+	noCell := synthRoute(d, 1, 9, 4, 3)
+	noCell.Hops[0].TTL = 300 // no canonical cell holds it
+	for i, step := range []struct {
+		name           string
+		before         func()
+		classic, paris *tracer.Route
+		want           bool
+	}{
+		{"first pair", nil, classicA, paris1, true},
+		{"interned route repeats", nil, classicA, paris1, false},
+		{"new classic route alone", nil, classicB, paris1, false},
+		{"second paris route", nil, classicA, paris2, true},
+		{"back to a known route", nil, classicB, paris1, false},
+		{"known again", nil, classicA, paris2, false},
+		{"fingerprint collision", func() { plant(paris3) }, classicA, paris3, true},
+		{"collision is never interned", nil, classicA, paris3, true},
+		{"halt the memo refuses", nil, classicA, badHalt, true},
+		{"refused halt again", nil, classicA, badHalt, true},
+		{"hop the cells refuse", nil, classicA, noCell, true},
+		{"refused hop again", nil, classicA, noCell, true},
+		{"a known route after all of them", nil, classicB, paris2, false},
+	} {
+		if step.before != nil {
+			step.before()
+		}
+		p := Pair{Dest: d, Round: i, Classic: step.classic.Clone(), Paris: step.paris.Clone()}
+		if got := a.Fold(&p).NewParis; got != step.want {
+			t.Errorf("step %d (%s): NewParis %v, want %v", i, step.name, got, step.want)
+		}
+	}
+	if ds := a.dests[d]; len(ds.paris) != 3 || len(ds.classic) != 2 {
+		t.Errorf("interned %d paris routes (the planted memo among them) and %d classic, want 3 and 2", len(ds.paris), len(ds.classic))
+	}
+	if fr := a.Fold(&Pair{Dest: d, Round: 99, Outcome: OutcomeFailed}); fr.NewParis {
+		t.Error("a failed pair reports a new route")
 	}
 }
 
