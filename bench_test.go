@@ -170,6 +170,7 @@ func campaignStats(b *testing.B) *measure.Stats {
 		Workers:    32,
 		RoundStart: sc.RoundStart,
 		PortSeed:   cfg.Seed,
+		Stream:     true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -178,7 +179,7 @@ func campaignStats(b *testing.B) *measure.Stats {
 	if err != nil {
 		b.Fatal(err)
 	}
-	campaignCache = measure.Analyze(res)
+	campaignCache = res.Stats
 	return campaignCache
 }
 

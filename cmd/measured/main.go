@@ -77,7 +77,6 @@ func run() (err error) {
 
 	cfg := daemon.Config{
 		Period:            *period,
-		Interval:          *interval,
 		Workers:           *workers,
 		QueueCap:          *queueCap,
 		MaxWorkerRestarts: *maxRestarts,
@@ -172,15 +171,17 @@ func run() (err error) {
 	return err
 }
 
-// drive runs the daemon: forever on the production loop, or for a bounded
-// number of rounds with -max-rounds (the deterministic soak configuration).
+// drive is the daemon's one loop: a round every interval until ctx is done
+// or, with -max-rounds (the deterministic soak configuration), until the
+// daemon's round count, which a recovery carries over, reaches it; then it
+// stops the daemon, final checkpoint included.
 func drive(ctx context.Context, d *daemon.Daemon, maxRounds int, interval time.Duration) error {
-	if maxRounds <= 0 {
-		return d.Run(ctx)
+	done := func() bool {
+		return ctx.Err() != nil || maxRounds > 0 && d.Round() >= int64(maxRounds)
 	}
-	for d.Round() < int64(maxRounds) && ctx.Err() == nil {
+	for !done() {
 		d.Tick()
-		if d.Round() >= int64(maxRounds) {
+		if done() {
 			break
 		}
 		select {

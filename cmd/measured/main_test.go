@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // The tests re-execute the test binary as measured itself: with asMainEnv
@@ -85,5 +90,69 @@ func TestRecoversFromCheckpoint(t *testing.T) {
 	stderr, exit = measured(t, append(soak, "-fresh")...)
 	if exit != 0 || strings.Contains(stderr, "recovered from") {
 		t.Fatalf("-fresh: exit %d, stderr %q: want the checkpoint ignored", exit, stderr)
+	}
+}
+
+// TestUnboundedRunDrainsOnSignal drives the production loop, the one without
+// -max-rounds: once the daemon has checkpointed a round, SIGTERM drains it —
+// exit 130, the report on stdout — and a restart on the same file recovers
+// past round 0.
+func TestUnboundedRunDrainsOnSignal(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "loop.ck")
+	args := []string{"-dests", "20", "-interval", "1ms", "-checkpoint", ck, "-listen", ""}
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	deadline := time.After(30 * time.Second)
+	fail := func(what string) {
+		cmd.Process.Kill()
+		<-exited
+		t.Fatalf("%s within 30s; stderr %q", what, stderr.String())
+	}
+	for {
+		if _, err := os.Stat(ck); err == nil {
+			break
+		}
+		select {
+		case err := <-exited:
+			t.Fatalf("exited (%v) before its first checkpoint; stderr %q", err, stderr.String())
+		case <-deadline:
+			fail("no checkpoint")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	select {
+	case err = <-exited:
+	case <-deadline:
+		fail("no exit after SIGTERM")
+	}
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 130 {
+		t.Fatalf("ended with %v, want exit 130; stderr %q", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "signal received; draining") {
+		t.Errorf("stderr %q does not say the signal was received", stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "loops: routes with >=1 loop") {
+		t.Errorf("stdout %q holds no report", stdout.String())
+	}
+
+	errs, exit := measured(t, append(args, "-max-rounds", "1")...)
+	m := regexp.MustCompile(`recovered from ` + regexp.QuoteMeta(ck) + ` at round (\d+)`).FindStringSubmatch(errs)
+	if exit != 0 || m == nil {
+		t.Fatalf("restart: exit %d, stderr %q: want a recovery and exit 0", exit, errs)
+	}
+	if n, _ := strconv.Atoi(m[1]); n < 1 {
+		t.Errorf("restart recovered at round %d, want at least 1", n)
 	}
 }

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/netip"
@@ -28,9 +27,6 @@ type Config struct {
 	// whose pair showed a Paris route new to it is re-armed for the next
 	// round instead. Zero selects 5.
 	Period int
-	// Interval is Run's wall-clock pause between rounds. Zero selects 1s.
-	// Tests bypass it entirely by calling Tick directly.
-	Interval time.Duration
 	// Workers sizes the supervised pool. Zero selects 4.
 	Workers int
 	// QueueCap bounds the jobs admitted per round; due work beyond it is
@@ -89,9 +85,6 @@ func (c Config) withDefaults() Config {
 	if c.Period <= 0 {
 		c.Period = 5
 	}
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
@@ -111,7 +104,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Daemon is the always-on measurement service. Create with New, drive with
-// Run (production) or Tick (tests and embedders), end with Stop.
+// Tick, one scheduler round per call, end with Stop. The caller paces the
+// rounds (cmd/measured on a wall-clock interval; tests back to back).
 type Daemon struct {
 	cfg Config
 	tp  tracer.Transport
@@ -209,8 +203,8 @@ func (d *Daemon) Recovered() (bool, int64) {
 // QueueCap is shed, and the remainder is dispatched to the worker pool.
 // Tick returns when every dispatched job has completed, panicked, or been
 // stalled out by the watchdog, with the round's checkpoint (if due)
-// written. Tick must not be called concurrently with itself or Stop — Run
-// serializes it; tests call it from one goroutine.
+// written. Tick must not be called concurrently with itself or Stop: the
+// caller drives both from one goroutine.
 func (d *Daemon) Tick() {
 	d.mu.Lock()
 	round := d.round
@@ -350,27 +344,11 @@ func (d *Daemon) failLocked(ds *destSched, round int64) {
 	ds.NextDue = round + d.sched.period
 }
 
-// Run drives Tick on the configured wall-clock Interval until ctx is done,
-// then stops the daemon (final checkpoint included).
-func (d *Daemon) Run(ctx context.Context) error {
-	for {
-		if ctx.Err() != nil {
-			return d.Stop()
-		}
-		d.Tick()
-		select {
-		case <-ctx.Done():
-			return d.Stop()
-		case <-time.After(d.cfg.Interval):
-		}
-	}
-}
-
 // Stop ends the daemon: workers drain at their next queue read, event
 // subscribers are closed, and a final checkpoint is written when
 // configured. Wedged (stalled) worker goroutines exit on their own when
 // their transport unblocks. Safe to call more than once; must not race
-// Tick (Run serializes them).
+// Tick.
 func (d *Daemon) Stop() error {
 	var err error
 	d.stopOnce.Do(func() {

@@ -30,6 +30,10 @@ func neverStall(int64) <-chan time.Time { return nil }
 // noSleep makes restart backoff instantaneous.
 func noSleep(time.Duration) {}
 
+// daemonPkg is what a daemon can have started or left blocked: goroutines
+// with a frame in this package (simtest.Goroutines).
+const daemonPkg = "repro/internal/daemon"
+
 // freeTopo generates simtest's free topology, whose routes hold still from
 // round to round unless churn is armed.
 func freeTopo(t testing.TB, dests int, seed int64, churn float64) *topo.Scenario {
@@ -414,9 +418,9 @@ func TestDaemonWatchdogStall(t *testing.T) {
 				}
 				return nil
 			}
+			before := simtest.Goroutines(daemonPkg)
 			d := mustNew(t, cfg)
 			defer d.Stop()
-			pool := runtime.NumGoroutine()
 
 			tickDone := make(chan struct{})
 			go func() {
@@ -454,11 +458,14 @@ func TestDaemonWatchdogStall(t *testing.T) {
 			}
 			// The released goroutines exit; one worker per slot is left.
 			deadline := time.Now().Add(10 * time.Second)
-			for runtime.NumGoroutine() > pool {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines, want %d: a discard spawned a worker nobody replaced", runtime.NumGoroutine(), pool)
+			for {
+				n := simtest.NewGoroutines(daemonPkg, before, tc.workers)
+				if n <= tc.workers {
+					break
 				}
-				runtime.Gosched()
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines started, want %d: a discard spawned a worker nobody replaced", n, tc.workers)
+				}
 			}
 		})
 	}

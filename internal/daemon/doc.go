@@ -15,10 +15,11 @@
 //	dispatch   := remaining jobs go to the worker pool; Tick waits until
 //	              every job completes, sheds, or is stalled out
 //
-// Production drives Tick from a wall-clock ticker (Run); tests drive it
-// directly, so the whole service — supervision, shedding, recovery — is
-// exercised without a single sleep. Virtual-clock network dynamics
-// (netsim.Dynamics) plug in through RoundStart exactly as in the campaign.
+// The caller paces the rounds: cmd/measured calls Tick on a wall-clock
+// interval, tests call it back to back, so the whole service — supervision,
+// shedding, recovery — is exercised without a single sleep. Virtual-clock
+// network dynamics (netsim.Dynamics) plug in through RoundStart exactly as
+// in the campaign.
 //
 // # Cadence
 //

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/measure"
+	"repro/internal/simtest"
 	"repro/internal/tracer"
 )
 
@@ -252,10 +253,12 @@ func TestSnapshotReadsMuxHealthUnlocked(t *testing.T) {
 }
 
 // TestDaemonNoGoroutineLeaks cycles the daemon through start/tick/stop and
-// asserts the goroutine count returns to baseline — workers, restart
-// goroutines, and event subscribers all drain on Stop.
+// asserts that every goroutine of this package it started has exited —
+// workers, restart goroutines, and event subscribers all drain on Stop.
+// Goroutines are counted by ID (simtest.Goroutines), so one another test
+// left winding down can neither fail the check nor hide a leak from it.
 func TestDaemonNoGoroutineLeaks(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	before := simtest.Goroutines(daemonPkg)
 	for cycle := 0; cycle < 5; cycle++ {
 		sc := freeTopo(t, 8, int64(cycle)+1, 0)
 		cfg := testConfig(sc)
@@ -271,12 +274,14 @@ func TestDaemonNoGoroutineLeaks(t *testing.T) {
 	// Workers park on a select; give the scheduler a bounded grace window
 	// (no sleeps: just yields) to collect them.
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline+2 {
+	for {
+		n := simtest.NewGoroutines(daemonPkg, before, 0)
+		if n == 0 {
+			break
+		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: %d -> %d\n%s", baseline,
-				runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d goroutines leaked\n%s", n, buf[:runtime.Stack(buf, true)])
 		}
-		runtime.Gosched()
 	}
 }

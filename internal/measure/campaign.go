@@ -44,13 +44,13 @@ type Config struct {
 	// round's path length back as the next round's window hint. Off, the
 	// window is one TTL. Off by default.
 	Batch bool
-	// Stream folds each completed pair into a per-worker Accumulator the
-	// moment it is measured instead of retaining it; Run then merges the
-	// workers' partials once at campaign end and returns them in
-	// Results.Stats, leaving Results.Rounds nil. Campaign memory becomes
-	// O(destinations + unique routes), independent of the round count,
-	// with statistics byte-identical to Analyze over retained results
-	// (see the package comment's streaming contract). Off by default.
+	// Stream gives each pair's routes back to the worker's Prober once the
+	// pair is folded, so campaign memory is O(destinations + unique
+	// routes), independent of the round count. Off, the pairs are also
+	// kept in Results.Rounds, and their routes are the caller's. Either
+	// way every pair is folded as it is measured and Results.Stats holds
+	// the statistics (see the package comment's fold contract). Off by
+	// default.
 	Stream bool
 	// FailFast restores the historical abort semantics: the first trace
 	// error any worker hits stops the round and fails the campaign. By
@@ -148,18 +148,14 @@ type Pair struct {
 	Outcome Outcome
 }
 
-// Results collects a campaign's output. Without Config.Stream, Rounds
-// holds every measured pair; with it, pairs are folded into per-worker
-// accumulators as they complete and never retained, so Rounds stays nil
-// and Stats carries the merged statistics.
+// Results collects a campaign's output: the statistics of every pair it
+// folded and, without Config.Stream, the pairs themselves.
 type Results struct {
 	Config Config
 	// Rounds[r] lists the pairs measured in round r, one per
 	// destination. Nil when the campaign streamed.
 	Rounds [][]Pair
-	// Stats is the streaming campaign's output: identical to Analyze
-	// over the same pairs had they been retained. Nil when the campaign
-	// materialized (run Analyze on Rounds instead).
+	// Stats merges the workers' accumulators.
 	Stats *Stats
 }
 
@@ -178,8 +174,8 @@ type Campaign struct {
 	plan [][]int
 	// digest is the campaign's RunDigest, which a checkpoint must match to
 	// resume it: beyond the destinations and the probing, the statistics
-	// depend on how many rounds it runs, how the list is split among
-	// workers, and whether it streams at all.
+	// depend on how many rounds it runs and how the list is split among
+	// workers.
 	digest uint64
 	// runs holds each destination's error budget and previous ladder
 	// lengths; the next round sizes its routes — and, batched, its first
@@ -220,11 +216,9 @@ func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 		runs:    make([]DestRun, len(cfg.Dests)),
 	}
 	pc := ProbeConfig{MinTTL: cfg.MinTTL, PortSeed: cfg.PortSeed, Batch: cfg.Batch}
-	stream := uint64(0)
-	if cfg.Stream {
-		stream = 1
-	}
-	c.digest = RunDigest(cfg.Dests, pc, uint64(cfg.Rounds), uint64(cfg.Workers), stream)
+	// The trailing 1 is the stream switch every checkpoint on disk hashes:
+	// only a streaming campaign checkpoints or resumes.
+	c.digest = RunDigest(cfg.Dests, pc, uint64(cfg.Rounds), uint64(cfg.Workers), 1)
 	for w := range c.probers {
 		wtp := tp
 		if cfg.TransportFor != nil {
@@ -267,37 +261,35 @@ func portFor(seed int64, dest netip.Addr, salt uint64) uint16 {
 	return uint16(10000 + x%50000)
 }
 
-// Run executes every round and returns the collected results: the retained
-// pairs, or, with Config.Stream, the merged statistics of per-worker
-// accumulators that consumed each pair as it completed. Run may be called
-// repeatedly; a streaming run starts from fresh accumulators each time
-// (unless Resume loaded a checkpoint first). Run is RunContext with a
-// background context.
+// Run executes every round and returns the collected results: the merged
+// statistics of the per-worker accumulators that folded each pair as it
+// completed, and, without Config.Stream, the pairs. Run may be called
+// repeatedly; a run starts from fresh accumulators each time (unless Resume
+// loaded a checkpoint first). Run is RunContext with a background context.
 func (c *Campaign) Run() (*Results, error) { return c.RunContext(context.Background()) }
 
 // RunContext is Run with prompt cancellation: when ctx is canceled the
 // workers stop at their next destination, the interrupted round is never
 // checkpointed, and RunContext returns the context's error together with
-// the partial results measured so far (a streaming campaign still merges
-// its partials into advisory Stats — callers wanting only complete rounds
-// should resume from the checkpoint instead).
+// the partial results measured so far (the partials still merge into
+// advisory Stats — callers wanting only complete rounds should resume from
+// the checkpoint instead).
 func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 	res := &Results{Config: c.cfg}
 	var accs []*Accumulator
-	if c.cfg.Stream {
-		accs = make([]*Accumulator, c.cfg.Workers)
-		for w := range accs {
-			accs[w] = NewAccumulator()
-		}
-	}
 	start := 0
 	if rs := c.resume; rs != nil {
 		c.resume = nil
 		start, accs = rs.nextRound, rs.accs
 		ReplayRounds(c.cfg.RoundStart, start)
 	} else {
-		// A run that resumes nothing starts with every error budget whole;
-		// the ladder hints of an earlier Run stay useful.
+		// A run that resumes nothing starts from fresh accumulators with
+		// every error budget whole; the ladder hints of an earlier Run stay
+		// useful.
+		accs = make([]*Accumulator, c.cfg.Workers)
+		for w := range accs {
+			accs[w] = NewAccumulator()
+		}
 		for i := range c.runs {
 			c.runs[i] = DestRun{Hints: c.runs[i].Hints}
 		}
@@ -336,9 +328,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 			}
 		}
 	}
-	if c.cfg.Stream {
-		res.Stats = Merge(c.cfg.Rounds, len(c.cfg.Dests), accs...)
-	}
+	res.Stats = Merge(c.cfg.Rounds, len(c.cfg.Dests), accs...)
 	if canceled {
 		return res, ctx.Err()
 	}
@@ -347,20 +337,21 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 
 // runRound measures every destination once with Workers parallel workers,
 // each holding its planned share of the list (the paper's 32 processes each
-// probe 1/32 of the destinations). With accs non-nil (streaming), worker w
-// folds each pair into accs[w] and gives its routes back to its Prober
-// before it measures the next; nothing is retained. Otherwise the pairs are
-// collected into a slice and their routes are the caller's for good. Under
-// the default error policy measureDest absorbs failures into Failed/Skipped
-// pairs and runRound never errors; with FailFast the first error any worker
-// hits aborts the whole round — a stop channel closed under a sync.Once
-// halts the remaining workers at their next destination instead of letting
-// them probe out their slices silently. Context cancellation stops workers the same way in both
-// modes, without an error of its own (the caller reads ctx.Err()).
+// probe 1/32 of the destinations). Worker w folds each pair into accs[w]
+// before it measures the next. With Config.Stream it then gives the pair's
+// routes back to its Prober and nothing is retained; otherwise the pairs
+// are collected into a slice and their routes are the caller's for good.
+// Under the default error policy measureDest absorbs failures into
+// Failed/Skipped pairs and runRound never errors; with FailFast the first
+// error any worker hits aborts the whole round — a stop channel closed under
+// a sync.Once halts the remaining workers at their next destination instead
+// of letting them probe out their slices silently. Context cancellation
+// stops workers the same way in both modes, without an error of its own (the
+// caller reads ctx.Err()).
 func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator) ([]Pair, error) {
 	dests := c.cfg.Dests
 	var out []Pair
-	if accs == nil {
+	if !c.cfg.Stream {
 		out = make([]Pair, len(dests))
 	}
 	var (
@@ -392,8 +383,8 @@ func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator)
 					})
 					return
 				}
-				if accs != nil {
-					accs[w].Fold(&p)
+				accs[w].Fold(&p)
+				if c.cfg.Stream {
 					c.probers[w].Recycle(&p)
 				} else {
 					out[i] = p

@@ -11,8 +11,8 @@
 // belongs to exactly one worker for the whole campaign. Workers share the
 // transport — which must be safe for concurrent use, as both netsim and the
 // live transport are — and nothing else: the Prober (its two tracers,
-// scratch buffers and route pool), retry state, and (when streaming) the
-// statistics accumulator are all per-worker or per-destination and owned by
+// scratch buffers and route pool), retry state, and the statistics
+// accumulator are all per-worker or per-destination and owned by
 // the one worker that probes them. Rounds are separated by a WaitGroup
 // barrier; RoundStart hooks, checkpoints, and the final Merge all run on
 // the campaign goroutine between rounds, where every accumulator is
@@ -34,18 +34,21 @@
 // topology with every gadget armed (pinned by simtest's TestHouseInvariant,
 // under -race).
 //
-// # Streaming contract
+// # Fold contract
 //
-// With Config.Stream set, the campaign computes its statistics while it
-// probes instead of materializing every Pair: each worker owns one
+// A campaign computes its statistics while it probes: each worker owns one
 // Accumulator and folds every pair it measures as the pair completes,
-// before it measures the next. Ownership does the synchronization — the worker plan is fixed
-// for the campaign's lifetime, so all of a destination's pairs flow
-// through the one worker that owns the destination, in round order, and no
-// accumulator (nor any per-destination state inside it) is ever touched by
-// two goroutines. The partials meet exactly once, in Merge after the last
-// round, on the caller's goroutine (the per-round WaitGroup provides the
-// happens-before edge).
+// before it measures the next. Accumulator.Fold is the one way a pair
+// enters the statistics; no path analyzes retained pairs afterwards.
+// Ownership does the synchronization — the worker plan is fixed for the
+// campaign's lifetime, so all of a destination's pairs flow through the one
+// worker that owns the destination, in round order, and no accumulator (nor
+// any per-destination state inside it) is ever touched by two goroutines.
+// The partials meet exactly once, in Merge after the last round, on the
+// caller's goroutine (the per-round WaitGroup provides the happens-before
+// edge). Config.Stream only decides what happens to a pair after its fold:
+// its routes go back to the worker (Stream), or the pair is also kept in
+// Results.Rounds.
 //
 // Inside an accumulator, interning exploits round-over-round route
 // stability: each destination's distinct routes are keyed by
@@ -62,14 +65,11 @@
 // against each round's route, keeping the statistics byte-identical. A
 // stable path therefore costs zero anomaly work per round, and campaign
 // memory is O(destinations + unique routes) — independent of the round
-// count — where materialized results grow O(destinations × rounds). A
+// count — where retained results grow O(destinations × rounds). A
 // destination's share is its interned routes' cells and headers, a few
 // sorted slices and two diamond indexes of a few hundred bytes, each a
 // sorted set of (head, tail, middle) triples (see stream.go's header for the
 // reading and the test that pins it).
-//
-// Streaming and materialize-then-Analyze produce byte-identical Stats (one
-// implementation, pinned by simtest's TestHouseInvariant).
 //
 // # Reading an accumulator
 //
@@ -112,9 +112,9 @@
 // # Route ownership
 //
 // One rule holds in both runtimes: the worker that traced a pair folds it
-// and gives its routes back at once. A route belongs to that worker until
-// it is folded; the accumulator keeps its own copy of anything it keeps.
-// Concretely:
+// at once and, unless the campaign retains its pairs, gives its routes
+// back. A route belongs to that worker until it is folded; the accumulator
+// keeps its own copy of anything it keeps. Concretely:
 //
 //   - Fold copies what it keeps. The first route seen with a fingerprint is
 //     interned as its hop cells, packed into the destination's cell array at
@@ -126,13 +126,13 @@
 //     the next pair; its next traces refill those routes, so a
 //     steady-state pair allocates nothing of its own. A daemon worker the
 //     watchdog abandons mid-trace never folds, so it never recycles either.
-//   - Retained Results never do. Without Config.Stream every route of
-//     Results.Rounds is the caller's for good, and Analyze over them copies
-//     what it interns like any other fold.
+//   - Retained pairs are never given back. Without Config.Stream the
+//     worker folds each pair and keeps it in Results.Rounds instead, where
+//     its routes are the caller's for good.
 //
 // The poison suite (poison_test.go) scribbles over every route at the
 // moment it is recycled and requires statistics and checkpoints to match
-// the never-recycling Stream=false + Analyze path byte for byte.
+// the never-recycling Stream=false campaign's byte for byte.
 //
 // # Error policy
 //

@@ -28,7 +28,7 @@ func TestHeadlineDirectionalClaims(t *testing.T) {
 		RoundStart: sc.RoundStart,
 		PortSeed:   cfg.Seed,
 	}))
-	s := Analyze(res)
+	s := res.Stats
 
 	// (1) Loop prevalence in the paper's regime: a few percent of classic
 	// routes, an order of magnitude fewer for Paris.

@@ -207,7 +207,20 @@ func TestPortForRange(t *testing.T) {
 	}
 }
 
-// synthetic route helpers for Analyze tests
+// foldResults folds hand-built results the way a one-worker campaign
+// would — every pair through one accumulator, in round order — and merges
+// it.
+func foldResults(res *Results) *Stats {
+	a := NewAccumulator()
+	for r := range res.Rounds {
+		for i := range res.Rounds[r] {
+			a.Fold(&res.Rounds[r][i])
+		}
+	}
+	return Merge(len(res.Rounds), len(res.Config.Dests), a)
+}
+
+// synthetic route helpers for the fold tests
 func aAddr(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}) }
 
 func synthRoute(dest netip.Addr, spec ...int) *tracer.Route {
@@ -242,7 +255,7 @@ func TestAnalyzeSyntheticCounts(t *testing.T) {
 			{Dest: d2, Round: 1, Classic: synthRoute(d2, 1, 5, 6, 5, 7), Paris: synthRoute(d2, 1, 5, 6, 8, 7)},
 		},
 	}}
-	s := Analyze(res)
+	s := foldResults(res)
 	if s.Routes != 4 || s.Rounds != 2 || s.Dests != 2 {
 		t.Fatalf("bookkeeping: %+v", s)
 	}
@@ -274,7 +287,7 @@ func TestAnalyzeMidStars(t *testing.T) {
 			Classic: synthRoute(d, 1, -1, 3, -1, -1), // one mid star, two trailing
 			Paris:   synthRoute(d, 1, 3)},
 	}}}
-	s := Analyze(res)
+	s := foldResults(res)
 	if s.MidStars != 1 {
 		t.Errorf("MidStars = %d, want 1 (trailing stars excluded)", s.MidStars)
 	}
@@ -287,7 +300,7 @@ func TestAnalyzeDiamonds(t *testing.T) {
 		{{Dest: d, Round: 0, Classic: synthRoute(d, 1, 2, 4), Paris: synthRoute(d, 1, 2, 4)}},
 		{{Dest: d, Round: 1, Classic: synthRoute(d, 1, 3, 4), Paris: synthRoute(d, 1, 2, 4)}},
 	}}
-	s := Analyze(res)
+	s := foldResults(res)
 	if s.Diamonds.Total != 1 || s.Diamonds.DestsWithDiamond != 1 {
 		t.Fatalf("diamonds: %+v", s.Diamonds)
 	}
@@ -304,7 +317,7 @@ func TestReportRendering(t *testing.T) {
 	res := mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Rounds: 2, Workers: 4, RoundStart: sc.RoundStart, PortSeed: 1,
 	}))
-	s := Analyze(res)
+	s := res.Stats
 	var buf bytes.Buffer
 	WriteReport(&buf, s, sc.AS)
 	out := buf.String()

@@ -25,7 +25,8 @@ import (
 // accumulator that kept a pointer instead of a copy, a ring that folds after
 // recycling, a retry that reuses a half-built pair — turns into wrong
 // statistics or a wrong checkpoint instead of a silent aliasing bug. The
-// reference is always the path that never recycles: Stream=false + Analyze.
+// reference is always the campaign that never recycles: Stream=false, its
+// pairs retained.
 
 var poisonHop = tracer.Hop{
 	TTL: -1, Addr: netip.AddrFrom4([4]byte{255, 255, 255, 255}), RTT: -12345,
@@ -155,7 +156,7 @@ func cloneRounds(rounds [][]Pair) [][]Pair {
 }
 
 // comparePoisoned runs the campaign config describes twice over fresh
-// scenarios — materialized and untouched, streamed and poisoned — and
+// scenarios — retaining and untouched, streamed and poisoned — and
 // requires the same Stats and the same final checkpoint, byte for byte. prep,
 // when non-nil, adjusts each campaign before it runs. It returns how many
 // lone Paris routes the poisoned run gave back.
@@ -175,7 +176,7 @@ func comparePoisoned(t *testing.T, scenario func() *topo.Scenario, transport fun
 	mat := build(false, "")
 	resM := mustRun(t, mat)
 	kept := cloneRounds(resM.Rounds)
-	want := Analyze(resM)
+	want := resM.Stats
 	if want.Loops.Instances == 0 || want.Diamonds.Total == 0 {
 		t.Fatal("reference campaign saw no anomalies; comparison degenerate")
 	}
@@ -188,13 +189,13 @@ func comparePoisoned(t *testing.T, scenario func() *topo.Scenario, transport fun
 		t.Errorf("%d pairs recycled, want every one of the %d measured", recycled.pairs, want.Routes)
 	}
 	if !reflect.DeepEqual(resS.Stats, want) {
-		t.Errorf("poisoned streamed stats differ from Analyze over retained results:\nstream:  %+v\nanalyze: %+v", resS.Stats, want)
+		t.Errorf("poisoned streamed stats differ from the retaining run's:\nstream: %+v\nretain: %+v", resS.Stats, want)
 	}
 	if got, ref := readFile(t, ckPath), referenceCheckpoint(t, str, resM); !bytes.Equal(got, ref) {
 		t.Errorf("poisoned streamed checkpoint (%d bytes) differs from the one rebuilt from retained results (%d bytes)", len(got), len(ref))
 	}
 
-	// The materialized campaign never gives a route back: its results stay
+	// The retaining campaign never gives a route back: its results stay
 	// valid however long the campaign keeps measuring through the same
 	// workers.
 	poison(mat)
@@ -366,7 +367,7 @@ func TestPoisonedResume(t *testing.T) {
 	cfgM := checkpointConfig(scM, "")
 	cfgM.Stream = false
 	resM := mustRun(t, newCampaign(t, netsim.NewTransport(scM.Net), cfgM))
-	want := Analyze(resM)
+	want := resM.Stats
 
 	killAndResume := func(poisoned bool) (*Stats, []byte) {
 		dir := t.TempDir()
@@ -409,14 +410,14 @@ func TestPoisonedResume(t *testing.T) {
 	cleanStats, cleanCk := killAndResume(false)
 	gotStats, gotCk := killAndResume(true)
 	if !reflect.DeepEqual(cleanStats, want) || !reflect.DeepEqual(gotStats, want) {
-		t.Errorf("kill+resume stats differ from Analyze over the retained uninterrupted run:\npoisoned: %+v\nclean:    %+v\nanalyze:  %+v", gotStats, cleanStats, want)
+		t.Errorf("kill+resume stats differ from the retaining uninterrupted run's:\npoisoned: %+v\nclean:    %+v\nretain:   %+v", gotStats, cleanStats, want)
 	}
 	if !bytes.Equal(gotCk, cleanCk) {
 		t.Errorf("poisoned kill+resume checkpoint (%d bytes) differs from the unpoisoned one (%d bytes)", len(gotCk), len(cleanCk))
 	}
 }
 
-// TestPoisonedFingerprintCollision drives foldAt's collision branch — a
+// TestPoisonedFingerprintCollision drives Fold's collision branch — a
 // fingerprint already interned for an unequal route, which no real route
 // pair is known to produce — by planting each new classic route's
 // fingerprint over another route's memo just before the fold. A collided
@@ -428,7 +429,7 @@ func TestPoisonedFingerprintCollision(t *testing.T) {
 	res := mustRun(t, newCampaign(t, netsim.NewTransport(sc.Net), Config{
 		Dests: sc.Dests, Rounds: 5, Workers: 4, RoundStart: sc.RoundStart, PortSeed: 42, Batch: true,
 	}))
-	want := Analyze(res)
+	want := res.Stats
 
 	a := NewAccumulator()
 	collisions := 0
@@ -453,6 +454,6 @@ func TestPoisonedFingerprintCollision(t *testing.T) {
 		t.Fatal("no classic route changed between rounds; the collision branch was not reached")
 	}
 	if got := Merge(len(res.Rounds), len(sc.Dests), a); !reflect.DeepEqual(got, want) {
-		t.Errorf("statistics with %d planted collisions, poisoned after each fold, differ from Analyze:\ngot:  %+v\nwant: %+v", collisions, got, want)
+		t.Errorf("statistics with %d planted collisions, poisoned after each fold, differ from the campaign's:\ngot:  %+v\nwant: %+v", collisions, got, want)
 	}
 }

@@ -178,6 +178,9 @@ func TestCampaignContextCancel(t *testing.T) {
 	if res == nil || len(res.Rounds) != cancelAt {
 		t.Fatalf("canceled campaign retained %d complete rounds, want %d", len(res.Rounds), cancelAt)
 	}
+	if res.Stats == nil || res.Stats.Routes != cancelAt*len(sc.Dests) {
+		t.Fatalf("canceled campaign's advisory Stats %+v, want the %d pairs of its complete rounds", res.Stats, cancelAt*len(sc.Dests))
+	}
 }
 
 // TestRunRoundLeaksNoGoroutines guards the worker-error paths in both

@@ -77,8 +77,8 @@ type RobustStats struct {
 	// quarantined by the error budget when the round reached it.
 	Skipped int
 	// QuarantinedDests counts destinations with at least one Skipped
-	// pair — derivable purely from the folded pairs, so streaming and
-	// materialize-then-Analyze agree byte for byte.
+	// pair — derivable purely from the folded pairs, so it merges like
+	// every other tally whatever the worker count.
 	QuarantinedDests int
 
 	// The remaining fields are the always-on daemon's degraded-mode
@@ -157,22 +157,6 @@ type Stats struct {
 	// order (Merge sorts them), so reports and AS-coverage output are
 	// reproducible run to run.
 	AllAddresses []netip.Addr
-}
-
-// Analyze computes the paper's statistics over retained campaign results.
-// It feeds every pair, in round order, through one streaming Accumulator —
-// the same one a Config.Stream campaign folds into per worker — and merges
-// it. It is the serial reference the streaming path is held to
-// (simtest's TestHouseInvariant, the route-poison suite); the binaries
-// always stream.
-func Analyze(res *Results) *Stats {
-	a := NewAccumulator()
-	for r := range res.Rounds {
-		for i := range res.Rounds[r] {
-			a.foldAt(&res.Rounds[r][i], r)
-		}
-	}
-	return Merge(len(res.Rounds), len(res.Config.Dests), a)
 }
 
 // pct returns 100*a/b.

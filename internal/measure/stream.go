@@ -8,14 +8,13 @@ import (
 	"repro/internal/tracer"
 )
 
-// This file is the streaming statistics engine: an Accumulator folds
-// completed pairs into partial Section 4 statistics the moment they are
-// measured — the worker that traced a pair folds it and gives its routes
-// back before it traces the next — so a campaign never has to retain its
-// routes. Memory is
-// O(destinations + unique routes) — independent of the round count — where
-// the old materialize-then-Analyze pipeline held every Pair of every round
-// (O(destinations × rounds)). What a destination costs: about 2.8 KB a dozen
+// This file is the one statistics engine: an Accumulator folds completed
+// pairs into partial Section 4 statistics the moment they are measured — the
+// worker that traced a pair folds it before it traces the next, and a
+// streaming one gives its routes back — so a campaign never has to retain
+// its routes. Memory is O(destinations + unique routes) — independent of the
+// round count — where retaining every Pair of every round costs
+// O(destinations × rounds). What a destination costs: about 2.8 KB a dozen
 // rounds into the default topology (TestAccumulatorHeapPerDest holds it under
 // 5 KB). Its eight or so interned routes are 32-byte memo headers over one
 // array of 8-byte hop cells (cell.go) — about 90 hops, 0.7 KB, where a cloned
@@ -319,8 +318,8 @@ func searchPair(ps []pairMemo, classic, paris uint64) (int, bool) {
 }
 
 // note records one observation of a signature in a round, and counts it in
-// t; repeated instances in the same round collapse, matching the per-round
-// signature sets Analyze historically kept.
+// t; repeated instances in the same round collapse, so a signature counts
+// the distinct rounds it was observed in.
 func (t *sigTotals) note(sigs *[]sigSpan, addr netip.Addr, round int) {
 	i, found := slices.BinarySearchFunc(*sigs, addr, func(sp sigSpan, a netip.Addr) int { return sp.addr.Compare(a) })
 	if !found {
@@ -425,10 +424,10 @@ func (a *Accumulator) remember(ds *destState, memos *[]routeMemo, i int, fp uint
 // Accumulator folds completed pairs into partial campaign statistics. It is
 // not safe for concurrent use, reads included: Merge and State bring its
 // sorted views up to date (streaming the cells of a body State returned is
-// not a read: Checkpoint.Encode may run concurrently with anything). A streaming campaign gives each worker its own
-// Accumulator, every destination's pairs flow through the single worker that
-// owns it (in round order), and the partials meet only in Merge after the
-// last round. Analyze folds retained results through one, serially.
+// not a read: Checkpoint.Encode may run concurrently with anything). A
+// campaign gives each worker its own Accumulator, every destination's pairs
+// flow through the single worker that owns it (in round order), and the
+// partials meet only in Merge after the last round.
 type Accumulator struct {
 	routes, reached, responses, midStars int
 
@@ -466,8 +465,8 @@ type Accumulator struct {
 
 	// failed and skipped tally the error policy's non-measured pairs;
 	// skippedDests marks destinations with at least one Skipped pair
-	// (the quarantined set, derivable purely from the folded pairs so
-	// streaming and Analyze stay byte-identical).
+	// (the quarantined set, derivable purely from the folded pairs, so
+	// a merge or a restore needs nothing else).
 	failed, skipped int
 	skippedDests    addrSet
 }
@@ -647,13 +646,8 @@ type FoldResult struct {
 // the same Accumulator in nondecreasing round order; pairs for different
 // destinations may interleave arbitrarily. Fold never retains p or its
 // routes — it copies what it keeps — so the caller may reuse or recycle them
-// as soon as it returns.
-func (a *Accumulator) Fold(p *Pair) FoldResult { return a.foldAt(p, p.Round) }
-
-// foldAt is Fold with the round attribution explicit: Analyze passes the
-// round slice index, so hand-built Results are counted the way they always
-// were even when the Pair.Round fields were never populated.
-func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
+// as soon as it returns. Fold is the one way a pair enters the statistics.
+func (a *Accumulator) Fold(p *Pair) FoldResult {
 	switch p.Outcome {
 	case OutcomeFailed:
 		// Nothing was measured: the pair counts toward the robustness
@@ -706,7 +700,7 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 			cause = anomaly.ClassifyLoopDetected(l, p.Classic, ps.loops, true)
 		}
 		a.loopByCause[cause]++
-		a.loopSigs.note(&ds.loopSigs, l.Addr, round)
+		a.loopSigs.note(&ds.loopSigs, l.Addr, p.Round)
 	}
 	a.parisOnly += parisOnly
 
@@ -727,7 +721,7 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 			cause = anomaly.ClassifyCycleDetected(c, p.Classic, ps.cycles, true)
 		}
 		a.cycleByCause[cause]++
-		a.cycleSigs.note(&ds.cycleSigs, c.Addr, round)
+		a.cycleSigs.note(&ds.cycleSigs, c.Addr, p.Round)
 	}
 	return FoldResult{
 		NewParis: !pknown,
@@ -736,9 +730,8 @@ func (a *Accumulator) foldAt(p *Pair, round int) FoldResult {
 	}
 }
 
-// Merge combines per-worker accumulators into the campaign-wide Stats —
-// the same struct Analyze produces over retained results (they share this
-// code). rounds and dests are the campaign dimensions (per-accumulator
+// Merge combines per-worker accumulators into the campaign-wide Stats.
+// rounds and dests are the campaign dimensions (per-accumulator
 // counts cannot reconstruct them). Every merged quantity is a sum or a set
 // union and each destination lives in exactly one accumulator, so the
 // result is independent of accumulator order; AllAddresses is ascending,

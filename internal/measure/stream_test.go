@@ -16,9 +16,8 @@ import (
 )
 
 // runStreamStats executes one batched, eight-worker, three-round campaign
-// over a fresh 60-destination copy of the default scenario with the
-// streaming accumulators on or off and returns the statistics either path
-// yields.
+// over a fresh 60-destination copy of the default scenario, streaming or
+// retaining its pairs, and returns its statistics.
 func runStreamStats(t *testing.T, stream bool) *Stats {
 	t.Helper()
 	sc := topo.Generate(simtest.Default(60))
@@ -32,23 +31,20 @@ func runStreamStats(t *testing.T, stream bool) *Stats {
 		Stream:     stream,
 	})
 	res := mustRun(t, camp)
-	if stream {
-		if res.Rounds != nil {
-			t.Fatalf("streaming campaign retained %d rounds of pairs", len(res.Rounds))
-		}
-		if res.Stats == nil {
-			t.Fatal("streaming campaign returned no Stats")
-		}
-		return res.Stats
+	if res.Stats == nil {
+		t.Fatalf("stream=%v: campaign returned no Stats", stream)
 	}
-	if res.Stats != nil {
-		t.Fatal("materializing campaign returned streamed Stats")
+	if stream && res.Rounds != nil {
+		t.Fatalf("streaming campaign retained %d rounds of pairs", len(res.Rounds))
 	}
-	return Analyze(res)
+	if !stream && len(res.Rounds) != 3 {
+		t.Fatalf("retaining campaign kept %d rounds of pairs, want 3", len(res.Rounds))
+	}
+	return res.Stats
 }
 
 // TestAnalyzeAllAddressesSorted pins the deterministic report order: both
-// paths emit AllAddresses ascending without any caller-side sort.
+// modes emit AllAddresses ascending without any caller-side sort.
 func TestAnalyzeAllAddressesSorted(t *testing.T) {
 	for _, stream := range []bool{false, true} {
 		s := runStreamStats(t, stream)
@@ -364,8 +360,8 @@ func obsHop(ttl, a, probeTTL, respTTL int, ipid uint16) tracer.Hop {
 // same path measured twice interns to one route, but round 0 carries
 // coherent IP IDs (zero-TTL loop / forwarding-loop cycle) and round 1
 // incoherent ones (falling through to per-flow differencing), and the
-// ByCause tallies must reflect each round's own IP IDs — exactly what a
-// materialized Analyze computes.
+// ByCause tallies must reflect each round's own IP IDs, as if each route
+// were classified afresh.
 func TestAccumulatorIPIDRulesPerRound(t *testing.T) {
 	d := netip.AddrFrom4([4]byte{172, 16, 0, 1})
 

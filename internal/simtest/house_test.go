@@ -20,7 +20,7 @@ import (
 )
 
 // The house invariant, in one table: over each scenario, one reference run
-// (one worker, unbatched, materialized then Analyze, over netsim)
+// (one worker, unbatched, its pairs retained, over netsim)
 // and a row per axis the statistics must not depend on. Every row renders
 // to the reference's -stats-json bytes, and every row that retains its
 // pairs measured every route Equal to the reference's. A new axis is one
@@ -107,10 +107,7 @@ func finish(t *testing.T, camp *measure.Campaign, err error) outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats != nil {
-		return outcome{stats: res.Stats}
-	}
-	return outcome{stats: measure.Analyze(res), pairs: res.Rounds}
+	return outcome{stats: res.Stats, pairs: res.Rounds}
 }
 
 // campaign is one run of sc in shape sh over netsim.

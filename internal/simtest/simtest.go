@@ -10,7 +10,9 @@
 // the statistics depend only on (seed, config), whatever the workers,
 // batching, streaming, resume point or transport; and TestStaleSlots, the
 // one table that holds every transport to writing each result slot whole.
-// It also holds Race, the one race-detector flag the allocation pins read.
+// It also holds Race, the one race-detector flag the allocation pins read,
+// and Goroutines, which counts one package's goroutines by ID for the
+// goroutine-leak checks of the mux and the daemon.
 // Only _test.go files may import this package; TestSurface in the module
 // root refuses any other importer.
 package simtest
@@ -19,6 +21,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"strings"
 
 	"repro/internal/netsim"
 	"repro/internal/topo"
@@ -103,5 +107,47 @@ func Diff(want, got any) string {
 		if i >= len(wl) || i >= len(gl) || !bytes.Equal(wl[i], gl[i]) {
 			return fmt.Sprintf("line %d: want %s, got %s", i+1, line(wl, i), line(gl, i))
 		}
+	}
+}
+
+// Goroutines returns the goroutines, other than the caller, with a frame in
+// package pkg (an import path) — what pkg's code can have started or left
+// blocked — by ID, so a check against an earlier call counts nothing the
+// rest of the process starts or winds down, and no goroutine that was
+// already there.
+func Goroutines(pkg string) map[string]bool {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	out := make(map[string]bool)
+	// Each stack is a "goroutine N [state]:" header and its frames, the
+	// caller's first; a blank line separates them.
+	for i, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if f := strings.Fields(g); i > 0 && len(f) > 1 && strings.Contains(g, pkg+".") {
+			out[f[1]] = true
+		}
+	}
+	return out
+}
+
+// NewGoroutines yields until at most keep goroutines of pkg not in before
+// are left, which goroutines that exit reach without any sleeping, and
+// returns how many are. It gives up after 1,000 counts; a caller with a
+// longer window calls it again.
+func NewGoroutines(pkg string, before map[string]bool, keep int) int {
+	for i := 1; ; i++ {
+		extra := 0
+		for id := range Goroutines(pkg) {
+			if !before[id] {
+				extra++
+			}
+		}
+		if extra <= keep || i == 1000 {
+			return extra
+		}
+		runtime.Gosched()
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,47 +205,9 @@ func TestMuxReaderResolvesFollower(t *testing.T) {
 	assertMuxDrained(t, m)
 }
 
-// liveGoroutines returns the goroutines, other than the caller, with a frame
-// in this package — what a mux can have started or left blocked — by ID, so
-// a check against an earlier call counts nothing the rest of the process
-// starts or winds down, and no goroutine that was already there.
-func liveGoroutines() map[string]bool {
-	buf := make([]byte, 64<<10)
-	n := runtime.Stack(buf, true)
-	for n == len(buf) {
-		buf = make([]byte, 2*len(buf))
-		n = runtime.Stack(buf, true)
-	}
-	out := make(map[string]bool)
-	// Each stack is a "goroutine N [state]:" header and its frames, the
-	// caller's first; a blank line separates them.
-	for i, g := range strings.Split(string(buf[:n]), "\n\n") {
-		if f := strings.Fields(g); i > 0 && len(f) > 1 && strings.Contains(g, "repro/internal/tracer/live.") {
-			out[f[1]] = true
-		}
-	}
-	return out
-}
-
-// newLiveGoroutines yields until every goroutine of this package not in
-// before has exited, which an exited one reaches without any sleeping, and
-// returns how many have not.
-func newLiveGoroutines(before map[string]bool) int {
-	extra := 0
-	for i := 0; i < 1000; i++ {
-		extra = 0
-		for id := range liveGoroutines() {
-			if !before[id] {
-				extra++
-			}
-		}
-		if extra == 0 {
-			break
-		}
-		runtime.Gosched()
-	}
-	return extra
-}
+// livePkg is what a mux can have started or left blocked: goroutines with
+// a frame in this package.
+const livePkg = "repro/internal/tracer/live"
 
 // TestMuxCloseWithBlockedReader: NewMux starts no goroutine (with or
 // without a Context); Close with a worker blocked in the read returns, that
@@ -255,11 +216,11 @@ func newLiveGoroutines(before map[string]bool) int {
 // that another test left winding down can neither fail the check nor hide a
 // leak from it.
 func TestMuxCloseWithBlockedReader(t *testing.T) {
-	before := liveGoroutines()
+	before := simtest.Goroutines(livePkg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m, conn, probes, _ := hourMux(t, MuxConfig{Context: ctx})
-	if n := newLiveGoroutines(before); n > 0 {
+	if n := simtest.NewGoroutines(livePkg, before, 0); n > 0 {
 		t.Fatalf("NewMux left %d goroutines running", n)
 	}
 	reader, follower := readerAndFollower(m, conn, probes)
@@ -272,7 +233,7 @@ func TestMuxCloseWithBlockedReader(t *testing.T) {
 	}
 	closeMux(t, m) // idempotent, and nothing left to wait for
 	assertMuxDrained(t, m)
-	if n := newLiveGoroutines(before); n > 0 {
+	if n := simtest.NewGoroutines(livePkg, before, 0); n > 0 {
 		t.Fatalf("%d goroutines of this package still running after Close", n)
 	}
 }

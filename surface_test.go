@@ -398,6 +398,7 @@ func TestSurfaceCatchesRenamedCopies(t *testing.T) {
 		{"repro/cmd/measured", `import "os/signal"; func ownSignals(c chan os.Signal) { signal.Notify(c) }`, "cmd/measured.ownSignals names os/signal.Notify, but"},
 		{"repro/internal/daemon", `import "repro/internal/measure"; func configHash(cfg Config) uint64 { return measure.RunDigest(cfg.Dests, cfg.Probe) }`, "daemon.configHash names measure.RunDigest, but"},
 		{"repro/internal/daemon", "func probeAgain(d *Daemon, j job) { d.prober.MeasurePair(j.dest, 0, nil) }", "daemon.probeAgain names .MeasurePair, but"},
+		{"repro/internal/measure", "func analyze(a *Accumulator, ps []Pair) { for i := range ps { a.Fold(&ps[i]) } }", "measure.analyze names .Fold, but"},
 		{"repro/internal/tracer", `import "repro/internal/packet"; func quotedMatches(b []byte, m *packet.ICMP) bool { return packet.ParseICMPInto(b, m) == nil }`, "tracer.quotedMatches names packet.ParseICMPInto, but"},
 		{"repro/internal/netsim", `import "repro/internal/packet"; func stampAgain(ip *packet.IPv4, m *packet.ICMP) { packet.MarshalIPv4ICMPInto(nil, ip, m) }`, "netsim.stampAgain names packet.MarshalIPv4ICMPInto, but"},
 		{"repro/internal/measure", `import "repro/internal/ckpt"; func appendFlags(b []byte, loop, cycle bool) []byte { return ckpt.AppendBool(ckpt.AppendBool(b, loop), cycle) }`, "measure.appendFlags names ckpt.AppendBool, but"},
