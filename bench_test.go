@@ -89,7 +89,7 @@ func BenchmarkFig4ZeroTTL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range anomaly.ClassifyPair(rt, nil).LoopCauses {
+		for _, c := range anomaly.ClassifyPair(rt, rt).LoopCauses {
 			if c == anomaly.CauseZeroTTL {
 				hits++
 			}
@@ -109,7 +109,7 @@ func BenchmarkFig5NAT(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range anomaly.ClassifyPair(rt, nil).LoopCauses {
+		for _, c := range anomaly.ClassifyPair(rt, rt).LoopCauses {
 			if c == anomaly.CauseAddressRewriting {
 				hits++
 			}

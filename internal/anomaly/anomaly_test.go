@@ -161,13 +161,10 @@ func TestGraphRouteCount(t *testing.T) {
 
 // --- Classification ---
 
-// loopCause attributes l on route, paired with paris (nil: no paired trace).
+// loopCause attributes l on route, paired with paris. The rules that fire
+// before differencing are tested with the route as its own pair.
 func loopCause(l Loop, route, paris *tracer.Route) Cause {
-	var parisLoops []Loop
-	if paris != nil {
-		parisLoops = FindLoops(paris)
-	}
-	return ClassifyLoopDetected(l, route, parisLoops, paris != nil)
+	return ClassifyLoopDetected(l, route, FindLoops(paris))
 }
 
 func TestClassifyLoopZeroTTL(t *testing.T) {
@@ -177,13 +174,13 @@ func TestClassifyLoopZeroTTL(t *testing.T) {
 	rt.Hops[1].IPID = 100
 	rt.Hops[2].IPID = 103
 	l := FindLoops(rt)[0]
-	if got := loopCause(l, rt, nil); got != CauseZeroTTL {
+	if got := loopCause(l, rt, rt); got != CauseZeroTTL {
 		t.Errorf("cause = %v, want zero-ttl", got)
 	}
 	// If the IP IDs come from clearly different boxes, the rule must not
 	// fire.
 	rt.Hops[2].IPID = 40000
-	if got := loopCause(l, rt, nil); got == CauseZeroTTL {
+	if got := loopCause(l, rt, rt); got == CauseZeroTTL {
 		t.Error("zero-ttl fired despite incoherent IP IDs")
 	}
 }
@@ -192,7 +189,7 @@ func TestClassifyLoopUnreachability(t *testing.T) {
 	rt := mkRoute(1, 2, 3, 3)
 	rt.Hops[3].Kind = tracer.KindHostUnreachable
 	l := FindLoops(rt)[0]
-	if got := loopCause(l, rt, nil); got != CauseUnreachability {
+	if got := loopCause(l, rt, rt); got != CauseUnreachability {
 		t.Errorf("cause = %v, want unreachability", got)
 	}
 }
@@ -203,14 +200,14 @@ func TestClassifyLoopAddressRewriting(t *testing.T) {
 	rt.Hops[3].RespTTL = 248
 	rt.Hops[4].RespTTL = 247
 	l := FindLoops(rt)[0]
-	if got := loopCause(l, rt, nil); got != CauseAddressRewriting {
+	if got := loopCause(l, rt, rt); got != CauseAddressRewriting {
 		t.Errorf("cause = %v, want address-rewriting", got)
 	}
 	// Constant response TTL: a single router answering twice, not a NAT.
 	rt.Hops[3].RespTTL = 249
 	rt.Hops[4].RespTTL = 249
 	rt.Hops[2].RespTTL = 249
-	if got := loopCause(l, rt, nil); got == CauseAddressRewriting {
+	if got := loopCause(l, rt, rt); got == CauseAddressRewriting {
 		t.Error("rewriting fired despite flat response TTLs")
 	}
 }
@@ -225,10 +222,6 @@ func TestClassifyLoopPerFlowViaDifferencing(t *testing.T) {
 	// Same loop present in the Paris trace: cannot be per-flow.
 	paris2 := mkRoute(1, 2, 3, 3, 4)
 	if got := loopCause(l, classic, paris2); got != CausePerPacketLB {
-		t.Errorf("cause = %v, want per-packet residual", got)
-	}
-	// No paired trace at all: residual.
-	if got := loopCause(l, classic, nil); got != CausePerPacketLB {
 		t.Errorf("cause = %v, want per-packet residual", got)
 	}
 }
@@ -250,7 +243,7 @@ func TestClassifyCycleUnreachability(t *testing.T) {
 	rt := mkRoute(1, 2, 3, 2)
 	rt.Hops[3].Kind = tracer.KindNetUnreachable
 	c := FindCycles(rt)[0]
-	if got := ClassifyCycleDetected(c, rt, nil, false); got != CauseUnreachability {
+	if got := ClassifyCycleDetected(c, rt, FindCycles(rt)); got != CauseUnreachability {
 		t.Errorf("cause = %v, want unreachability", got)
 	}
 }
@@ -263,13 +256,13 @@ func TestClassifyCycleForwardingLoop(t *testing.T) {
 		rt.Hops[i].IPID = uint16(10 + i)
 	}
 	c := FindCycles(rt)[0]
-	if got := ClassifyCycleDetected(c, rt, nil, false); got != CauseForwardingLoop {
+	if got := ClassifyCycleDetected(c, rt, FindCycles(rt)); got != CauseForwardingLoop {
 		t.Errorf("cause = %v, want forwarding-loop", got)
 	}
 	// Wildly different IP IDs: periodicity alone is not enough.
 	rt.Hops[3].IPID = 50000
 	rt.Hops[5].IPID = 200
-	if got := ClassifyCycleDetected(c, rt, nil, false); got == CauseForwardingLoop {
+	if got := ClassifyCycleDetected(c, rt, FindCycles(rt)); got == CauseForwardingLoop {
 		t.Error("forwarding-loop fired with incoherent IP IDs")
 	}
 }
@@ -278,7 +271,7 @@ func TestClassifyCyclePerFlow(t *testing.T) {
 	classic := mkRoute(1, 2, 3, 2, 5)
 	paris := mkRoute(1, 2, 3, 4, 5)
 	c := FindCycles(classic)[0]
-	if got := ClassifyCycleDetected(c, classic, FindCycles(paris), true); got != CausePerFlowLB {
+	if got := ClassifyCycleDetected(c, classic, FindCycles(paris)); got != CausePerFlowLB {
 		t.Errorf("cause = %v, want per-flow-lb", got)
 	}
 }
@@ -344,7 +337,7 @@ func pairClassReference(classic, paris *tracer.Route) PairClass {
 	if len(pc.Cycles) > 0 {
 		pc.CycleCauses = make([]Cause, len(pc.Cycles))
 		for i, c := range pc.Cycles {
-			pc.CycleCauses[i] = ClassifyCycleDetected(c, classic, FindCycles(paris), true)
+			pc.CycleCauses[i] = ClassifyCycleDetected(c, classic, FindCycles(paris))
 		}
 	}
 	for _, l := range FindLoops(paris) {
@@ -396,17 +389,6 @@ func TestClassifyPairMatchesPerInstance(t *testing.T) {
 				t.Errorf("%s: cycle %d cause = %v, want %v", tc.name, i, got.CycleCauses[i], want.CycleCauses[i])
 			}
 		}
-	}
-}
-
-func TestClassifyPairNilParis(t *testing.T) {
-	classic := mkRoute(1, 2, 2, 3)
-	pc := ClassifyPair(classic, nil)
-	if len(pc.Loops) != 1 || pc.LoopCauses[0] != CausePerPacketLB {
-		t.Errorf("nil paris: %+v — differencing must not fire, residual per-packet", pc)
-	}
-	if pc.ParisOnly != 0 {
-		t.Errorf("nil paris counted %d paris-only loops", pc.ParisOnly)
 	}
 }
 

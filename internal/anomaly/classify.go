@@ -82,13 +82,11 @@ const maxIPIDGap = 1024
 //
 // parisLoops is the paired Paris route's detection, already in hand:
 // streaming accumulators memoize FindLoops per interned route and classify
-// many instances against one detection pass. hasParis is false when no
-// paired trace exists; differencing then cannot fire and residual
-// load-balancing loops classify as per-packet. It is also how the
+// many instances against one detection pass. It is also how the
 // accumulator re-evaluates a zero-TTL candidate against the current round's
 // route: the rule's IP ID coherence check is the one loop observable that
 // changes between exchanges of one path.
-func ClassifyLoopDetected(l Loop, route *tracer.Route, parisLoops []Loop, hasParis bool) Cause {
+func ClassifyLoopDetected(l Loop, route *tracer.Route, parisLoops []Loop) Cause {
 	hops := route.Hops
 	first := hops[l.Start]
 	second := hops[l.Start+1]
@@ -119,7 +117,7 @@ func ClassifyLoopDetected(l Loop, route *tracer.Route, parisLoops []Loop, hasPar
 
 	// Per-flow load balancing: gone when the flow identifier is held
 	// constant.
-	if hasParis && !loopsContain(parisLoops, l.Addr) {
+	if !loopsContain(parisLoops, l.Addr) {
 		return CausePerFlowLB
 	}
 	return CausePerPacketLB
@@ -150,7 +148,7 @@ func respTTLDecreasing(hops []tracer.Hop) bool {
 }
 
 // ClassifyCycleDetected attributes a cycle to a cause, given the paired
-// Paris trace's cycles (hasParis false when there is no paired trace):
+// Paris trace's cycles:
 //
 //  1. unreachability: the second appearance is an !H/!N response ending
 //     the route;
@@ -164,7 +162,7 @@ func respTTLDecreasing(hops []tracer.Hop) bool {
 // Like ClassifyLoopDetected it takes the Paris detection already in hand;
 // periodic cycles re-evaluate their IP ID coherence against each round's
 // route through it.
-func ClassifyCycleDetected(c Cycle, route *tracer.Route, parisCycles []Cycle, hasParis bool) Cause {
+func ClassifyCycleDetected(c Cycle, route *tracer.Route, parisCycles []Cycle) Cause {
 	hops := route.Hops
 
 	// Unreachability: some appearance of the cycling address (typically
@@ -183,7 +181,7 @@ func ClassifyCycleDetected(c Cycle, route *tracer.Route, parisCycles []Cycle, ha
 		return CauseForwardingLoop
 	}
 
-	if hasParis && !cyclesContain(parisCycles, c.Addr) {
+	if !cyclesContain(parisCycles, c.Addr) {
 		return CausePerFlowLB
 	}
 	return CausePerPacketLB
@@ -248,17 +246,10 @@ type PairClass struct {
 }
 
 // ClassifyPair detects and classifies every anomaly of a paired
-// classic/Paris measurement in one call. paris may be nil (see
-// ClassifyLoopDetected).
+// classic/Paris measurement in one call.
 func ClassifyPair(classic, paris *tracer.Route) PairClass {
-	var parisLoops []Loop
-	var parisCycles []Cycle
-	if paris != nil {
-		parisLoops = FindLoops(paris)
-		parisCycles = FindCycles(paris)
-	}
 	return ClassifyPairDetected(FindLoops(classic), FindCycles(classic),
-		parisLoops, parisCycles, classic, paris != nil)
+		FindLoops(paris), FindCycles(paris), classic)
 }
 
 // ClassifyPairDetected is ClassifyPair with all four detection passes
@@ -267,18 +258,18 @@ func ClassifyPair(classic, paris *tracer.Route) PairClass {
 // side of the pair actually changed. Each detection pass is consulted once:
 // Paris-only matching builds the classic loop-address set a single time
 // instead of rescanning the classic loops per Paris instance.
-func ClassifyPairDetected(loops []Loop, cycles []Cycle, parisLoops []Loop, parisCycles []Cycle, classic *tracer.Route, hasParis bool) PairClass {
+func ClassifyPairDetected(loops []Loop, cycles []Cycle, parisLoops []Loop, parisCycles []Cycle, classic *tracer.Route) PairClass {
 	pc := PairClass{Loops: loops, Cycles: cycles}
 	if len(loops) > 0 {
 		pc.LoopCauses = make([]Cause, len(loops))
 		for i, l := range loops {
-			pc.LoopCauses[i] = ClassifyLoopDetected(l, classic, parisLoops, hasParis)
+			pc.LoopCauses[i] = ClassifyLoopDetected(l, classic, parisLoops)
 		}
 	}
 	if len(cycles) > 0 {
 		pc.CycleCauses = make([]Cause, len(cycles))
 		for i, c := range cycles {
-			pc.CycleCauses[i] = ClassifyCycleDetected(c, classic, parisCycles, hasParis)
+			pc.CycleCauses[i] = ClassifyCycleDetected(c, classic, parisCycles)
 		}
 	}
 	if len(parisLoops) > 0 {

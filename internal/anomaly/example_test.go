@@ -26,7 +26,8 @@ func trace(tp tracer.Transport, dest netip.Addr, port uint16) *tracer.Route {
 
 // showLoops prints a route with the observables Paris traceroute adds
 // (probe TTL, response TTL, IP ID), then each loop on it with the cause the
-// classifier attributes; paris is the paired Paris route, or nil.
+// classifier attributes; paris is the paired Paris route (a Paris trace is
+// its own pair).
 func showLoops(name string, rt, paris *tracer.Route) {
 	fmt.Printf("== %s ==\n", name)
 	for _, h := range rt.Hops {
@@ -61,9 +62,11 @@ func Example_loophunt() {
 	}
 
 	fig4 := topo.BuildFigure4(7)
-	showLoops("Fig. 4: loop from zero-TTL forwarding", trace(netsim.NewTransport(fig4.Net), fig4.Dest.Addr, 0), nil)
+	rt4 := trace(netsim.NewTransport(fig4.Net), fig4.Dest.Addr, 0)
+	showLoops("Fig. 4: loop from zero-TTL forwarding", rt4, rt4)
 	fig5 := topo.BuildFigure5(7)
-	showLoops("Fig. 5: loop from NAT address rewriting", trace(netsim.NewTransport(fig5.Net), fig5.Dest.Addr, 0), nil)
+	rt5 := trace(netsim.NewTransport(fig5.Net), fig5.Dest.Addr, 0)
+	showLoops("Fig. 5: loop from NAT address rewriting", rt5, rt5)
 
 	// A plain chain whose third router cannot forward: Time Exceeded for
 	// the probe that expires there, Destination Unreachable (!H) for the
@@ -78,7 +81,8 @@ func Example_loophunt() {
 		})
 	}
 	chain[2].SetFaults(netsim.Faults{Unreachable: true})
-	showLoops("Unreachability: Time Exceeded then !H from one router", trace(netsim.NewTransport(b.Net), dest.Addr, 0), nil)
+	rtU := trace(netsim.NewTransport(b.Net), dest.Addr, 0)
+	showLoops("Unreachability: Time Exceeded then !H from one router", rtU, rtU)
 	// Output:
 	// == Fig. 3: loop from per-flow load balancing ==
 	//    1  10.0.0.254  1.000 ms  resp-ttl=255 ipid=2

@@ -10,8 +10,9 @@
 //
 //	due        := every destination whose NextDue <= round (oldest first)
 //	quarantine := folded as Skipped pairs, re-armed, never probed
-//	shed       := if len(due) > QueueCap, the oldest-due overflow is shed
-//	              (re-armed for the next round) — explicit shed-oldest
+//	shed       := if len(due) > QueueCap, the overflow is shed by a seeded
+//	              lottery with aging (shedVictims) and re-armed for the
+//	              next round; see docs/daemon.md, "Load shedding"
 //	dispatch   := remaining jobs go to the worker pool; Tick waits until
 //	              every job completes, sheds, or is stalled out
 //

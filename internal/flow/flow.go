@@ -42,16 +42,15 @@ func (k KeyKind) String() string {
 // Options tunes flow-key extraction.
 type Options struct {
 	Kind KeyKind
-	// IncludeTOS adds the IP Type of Service octet to the key. The paper
-	// lists TOS among the fields some routers use.
-	IncludeTOS bool
 }
 
 // Key is a flow identifier extracted from a packet. Two packets with equal
 // Keys are guaranteed to take the same path through any per-flow balancer
 // configured with the same Options.
 type Key struct {
-	raw [14]byte // src(4) dst(4) proto(1) tos(1) transport(4)
+	// src(4) dst(4) proto(1) zero(1) transport(4). The zero octet keeps
+	// every balancer's hash, and so every simulated route, as it is.
+	raw [14]byte
 	n   int
 }
 
@@ -84,9 +83,6 @@ func FromParsed(h *packet.IPv4, payload []byte, opts Options) (Key, error) {
 		copy(k.raw[0:4], src[:])
 		copy(k.raw[4:8], dst[:])
 		k.raw[8] = h.Protocol
-		if opts.IncludeTOS {
-			k.raw[9] = h.TOS
-		}
 		k.n = 10
 		if opts.Kind == KeyFiveTuple && h.Protocol == packet.ProtoICMP {
 			// No ports to add.

@@ -598,7 +598,7 @@ func (ds *destState) classify(cs, ps *routeStats, classic *tracer.Route, cfp, pf
 			return causes[:nl], causes[nl:], int(pm.parisOnly)
 		}
 	}
-	pc := anomaly.ClassifyPairDetected(cs.loops, cs.cycles, ps.loops, ps.cycles, classic, true)
+	pc := anomaly.ClassifyPairDetected(cs.loops, cs.cycles, ps.loops, ps.cycles, classic)
 	if memoable {
 		off := len(ds.causes)
 		ds.causes = append(append(ds.causes, pc.LoopCauses...), pc.CycleCauses...)
@@ -697,7 +697,7 @@ func (a *Accumulator) Fold(p *Pair) FoldResult {
 			// excluded from interning equality; re-evaluate against this
 			// round's route. The quoted-TTL pattern gating this is rare,
 			// so stable paths still skip all classification work.
-			cause = anomaly.ClassifyLoopDetected(l, p.Classic, ps.loops, true)
+			cause = anomaly.ClassifyLoopDetected(l, p.Classic, ps.loops)
 		}
 		a.loopByCause[cause]++
 		a.loopSigs.note(&ds.loopSigs, l.Addr, p.Round)
@@ -718,7 +718,7 @@ func (a *Accumulator) Fold(p *Pair) FoldResult {
 		if anomaly.CycleConsultsIPID(c) {
 			// Periodic cycles check IP ID coherence per round (Section
 			// 4.2.1) — same reasoning as the loop override above.
-			cause = anomaly.ClassifyCycleDetected(c, p.Classic, ps.cycles, true)
+			cause = anomaly.ClassifyCycleDetected(c, p.Classic, ps.cycles)
 		}
 		a.cycleByCause[cause]++
 		a.cycleSigs.note(&ds.cycleSigs, c.Addr, p.Round)

@@ -64,10 +64,6 @@ type Dynamics struct {
 	// (all packets arriving on a link dropped for the window). 0 disables
 	// scheduled dynamics.
 	Churn float64
-	// RoundDuration is the virtual time one campaign round spans; probes
-	// of round r start at uniformly hashed offsets within
-	// [r*RoundDuration, (r+1)*RoundDuration). 0 selects 30s.
-	RoundDuration time.Duration
 }
 
 // Enabled reports whether any dynamics term is active.
@@ -76,7 +72,10 @@ func (d Dynamics) Enabled() bool { return d.Delay > 0 || d.Load > 0 || d.Churn >
 // Calibration constants of the dynamics models. All times are virtual
 // nanoseconds.
 const (
-	defaultRoundDur = int64(30 * time.Second)
+	// roundDur is the virtual time one campaign round spans; probes of
+	// round r start at uniformly hashed offsets within
+	// [r*roundDur, (r+1)*roundDur).
+	roundDur = int64(30 * time.Second)
 
 	// Per-link propagation delay: lognormal, median basePropNs, shape
 	// sigmaProp — long-tailed like measured one-way link delays.
@@ -121,10 +120,9 @@ const (
 // dynamics is the compiled, immutable form of a Dynamics configuration,
 // published behind Network.dyn exactly like a routerConfig snapshot.
 type dynamics struct {
-	seed     uint64
-	delay    float64
-	load     float64
-	roundDur int64
+	seed  uint64
+	delay float64
+	load  float64
 	// qFactor is the precomputed M/M/1 intensity term load/(1-load).
 	qFactor float64
 	// Each purpose's stream base, Mix64(seed ^ salt): the first link of
@@ -185,10 +183,9 @@ func compileDynamics(d Dynamics) *dynamics {
 		d.Delay = 0
 	}
 	dy := &dynamics{
-		seed:     d.Seed,
-		delay:    d.Delay,
-		load:     d.Load,
-		roundDur: int64(d.RoundDuration),
+		seed:  d.Seed,
+		delay: d.Delay,
+		load:  d.Load,
 
 		propBase:  keyhash.Mix64(d.Seed ^ saltProp),
 		bwBase:    keyhash.Mix64(d.Seed ^ saltBW),
@@ -200,9 +197,6 @@ func compileDynamics(d Dynamics) *dynamics {
 		flapThr:  threshold(flapProb * d.Churn),
 		brownThr: threshold(brownProb * d.Churn),
 		rotThr:   threshold(rotProb * d.Churn),
-	}
-	if dy.roundDur <= 0 {
-		dy.roundDur = defaultRoundDur
 	}
 	if dy.load > 0 {
 		dy.qFactor = dy.load / (1 - dy.load)
@@ -327,7 +321,7 @@ func (dy *dynamics) weightRot(s *linkSlot, now int64) int {
 // draw the probe observes — invariant to worker and batch scheduling.
 func (dy *dynamics) probeStart(round int64, probe []byte) int64 {
 	h := keyhash.FNV1a(dy.seed^saltStart, probe)
-	return round*dy.roundDur + int64(keyhash.Mix64(h)%uint64(dy.roundDur))
+	return round*roundDur + int64(keyhash.Mix64(h)%uint64(roundDur))
 }
 
 // vclock is one exchange's virtual clock: the probe's start time and the

@@ -237,7 +237,7 @@ func TestDynamicsDrawsOracle(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 7, 99, 0x9e3779b97f4a7c15} {
 		for _, cfg := range []Dynamics{
 			{Seed: seed, Delay: 1, Load: 0.3, Churn: 0.5},
-			{Seed: seed, Delay: 2.5, Churn: 1, RoundDuration: 7 * time.Second},
+			{Seed: seed, Delay: 2.5, Churn: 1},
 		} {
 			dy := compileDynamics(cfg)
 			f64 := math.Float64frombits
@@ -298,7 +298,7 @@ func TestDynamicsDrawsOracle(t *testing.T) {
 			}
 			for round := int64(0); round < 600; round += 111 {
 				for _, p := range probes {
-					want := round*dy.roundDur + int64(mix(keyhash.FNV1a(seed^saltStart, p))%uint64(dy.roundDur))
+					want := round*roundDur + int64(mix(keyhash.FNV1a(seed^saltStart, p))%uint64(roundDur))
 					if got := dy.probeStart(round, p); got != want {
 						t.Fatalf("seed %#x round %d probe %x: start %d, want %d", seed, round, p, got, want)
 					}

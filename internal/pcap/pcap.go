@@ -13,14 +13,15 @@
 // nanosecond-resolution magic in little-endian byte order; readers accept
 // all four dialects (micro/nano × little/big endian).
 //
-// There are two readers over one set of header decoders. Reader streams:
-// one record at a time, each freshly allocated. Scanner frames a capture
-// already in memory: one record at a time, each a sub-slice of the input,
-// with no allocation at all; ReadAll reads its input whole and collects
-// what a Scanner frames. A record's timestamp is Unix nanoseconds.
+// There is one framer, Scanner: it frames a capture already in memory, one
+// record at a time, each a sub-slice of the input, with no allocation at
+// all. Reader and ReadAll read their input whole and frame it with a
+// Scanner; Reader hands out each record as a copy, ReadAll collects the
+// sub-slices. A record's timestamp is Unix nanoseconds.
 package pcap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -131,7 +132,7 @@ func (f format) u32(b []byte) uint32 {
 // fileHeaderLen bytes), detecting byte order and timestamp resolution from
 // the magic. Every record this package returns is documented to start at
 // the IP header, so any link type but LINKTYPE_RAW is refused here, once,
-// for the streaming and the in-memory reader alike.
+// for every reader.
 func parseFileHeader(hdr []byte) (format, error) {
 	var f format
 	switch magic := binary.LittleEndian.Uint32(hdr[0:]); magic {
@@ -196,80 +197,8 @@ func (f format) recordHeader(hdr []byte) (ts int64, incl int, err error) {
 	return int64(f.u32(hdr[0:]))*1e9 + nsec, int(n), nil
 }
 
-// The truncation errors, shared so a torn file reads the same through
-// either reader.
-func errShortFileHeader(n int) error {
-	if n == 0 {
-		return fmt.Errorf("%w: empty input", ErrTruncated)
-	}
-	return fmt.Errorf("%w: file header is %d bytes, need %d", ErrTruncated, n, fileHeaderLen)
-}
-
-func errShortRecordHeader(n int) error {
-	return fmt.Errorf("%w: record header cut at %d of %d bytes", ErrTruncated, n, recordHeaderLen)
-}
-
-func errShortRecordData(n, incl int) error {
-	return fmt.Errorf("%w: record data cut at %d of %d bytes", ErrTruncated, n, incl)
-}
-
-// Reader iterates the records of a pcap stream in capture order, holding
-// one record at a time. For a capture already in memory use Scanner, which
-// slices it instead of copying.
-type Reader struct {
-	r   io.Reader
-	f   format
-	buf [recordHeaderLen]byte
-}
-
-// NewReader parses the global header. It returns errBadMagic for non-pcap
-// input, ErrTruncated for a header cut short and errLinkType for a capture
-// whose records do not start at the IP header.
-func NewReader(r io.Reader) (*Reader, error) {
-	var hdr [fileHeaderLen]byte
-	if n, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			return nil, errShortFileHeader(n)
-		}
-		return nil, fmt.Errorf("pcap: reading file header: %w", err)
-	}
-	f, err := parseFileHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{r: r, f: f}, nil
-}
-
-// Next returns the next record, io.EOF at a clean end of stream, or
-// ErrTruncated if the stream ends inside a record. The returned Data is
-// freshly allocated and owned by the caller.
-func (r *Reader) Next() (Record, error) {
-	if n, err := io.ReadFull(r.r, r.buf[:]); err != nil {
-		if n == 0 && err == io.EOF {
-			return Record{}, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			return Record{}, errShortRecordHeader(n)
-		}
-		return Record{}, fmt.Errorf("pcap: reading record header: %w", err)
-	}
-	ts, incl, err := r.f.recordHeader(r.buf[:])
-	if err != nil {
-		return Record{}, err
-	}
-	data := make([]byte, incl)
-	if n, err := io.ReadFull(r.r, data); err != nil {
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			return Record{}, errShortRecordData(n, incl)
-		}
-		return Record{}, fmt.Errorf("pcap: reading record data: %w", err)
-	}
-	return Record{TS: ts, Data: data}, nil
-}
-
-// Scanner frames the records of a capture held in memory, in capture order:
-// the same header decoders and the same errors as the streaming Reader, but
-// each Record's Data is a sub-slice of the input — capacity clipped to its
+// Scanner frames the records of a capture held in memory, in capture order.
+// Each Record's Data is a sub-slice of the input — capacity clipped to its
 // length, so an append to one record reallocates instead of overwriting its
 // neighbour — and framing allocates nothing. Treat the Data as read-only, or
 // copy it.
@@ -281,11 +210,16 @@ type Scanner struct {
 	err error
 }
 
-// NewScanner decodes b's file header, with the errors of NewReader, and
-// returns a Scanner positioned before the first record.
+// NewScanner decodes b's file header and returns a Scanner positioned
+// before the first record. It returns errBadMagic for non-pcap input,
+// ErrTruncated for a header cut short and errLinkType for a capture whose
+// records do not start at the IP header.
 func NewScanner(b []byte) (*Scanner, error) {
+	if len(b) == 0 {
+		return nil, fmt.Errorf("%w: empty input", ErrTruncated)
+	}
 	if len(b) < fileHeaderLen {
-		return nil, errShortFileHeader(len(b))
+		return nil, fmt.Errorf("%w: file header is %d bytes, need %d", ErrTruncated, len(b), fileHeaderLen)
 	}
 	f, err := parseFileHeader(b[:fileHeaderLen])
 	if err != nil {
@@ -303,7 +237,7 @@ func (s *Scanner) Next() bool {
 		return false
 	}
 	if len(rest) < recordHeaderLen {
-		s.err = errShortRecordHeader(len(rest))
+		s.err = fmt.Errorf("%w: record header cut at %d of %d bytes", ErrTruncated, len(rest), recordHeaderLen)
 		return false
 	}
 	ts, incl, err := s.f.recordHeader(rest[:recordHeaderLen])
@@ -313,7 +247,7 @@ func (s *Scanner) Next() bool {
 	}
 	rest = rest[recordHeaderLen:]
 	if len(rest) < incl {
-		s.err = errShortRecordData(len(rest), incl)
+		s.err = fmt.Errorf("%w: record data cut at %d of %d bytes", ErrTruncated, len(rest), incl)
 		return false
 	}
 	s.rec = Record{TS: ts, Data: rest[:incl:incl]}
@@ -327,22 +261,56 @@ func (s *Scanner) Record() Record { return s.rec }
 // Err returns the error that ended the scan, or nil at a clean end.
 func (s *Scanner) Err() error { return s.err }
 
+// Reader iterates the records of a pcap stream in capture order. It reads
+// the stream whole when made and frames it with a Scanner.
+type Reader struct {
+	s *Scanner
+}
+
+// NewReader reads r to its end and decodes the file header, with the
+// errors of NewScanner.
+func NewReader(r io.Reader) (*Reader, error) {
+	// io.Copy lets a source that knows its length (a bytes.Reader, say)
+	// write itself in one piece, where io.ReadAll would grow and copy its
+	// buffer step by step.
+	var b bytes.Buffer
+	if _, err := io.Copy(&b, r); err != nil {
+		return nil, fmt.Errorf("pcap: reading capture: %w", err)
+	}
+	s, err := NewScanner(b.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	return &Reader{s: s}, nil
+}
+
+// Next returns the next record, io.EOF at a clean end of stream, or the
+// Scanner's error (ErrTruncated if the stream ends inside a record). The
+// returned Data is a copy, owned by the caller.
+func (r *Reader) Next() (Record, error) {
+	if !r.s.Next() {
+		if err := r.s.Err(); err != nil {
+			return Record{}, err
+		}
+		return Record{}, io.EOF
+	}
+	rec := r.s.Record()
+	rec.Data = bytes.Clone(rec.Data)
+	return rec, nil
+}
+
 // ReadAll reads r to its end and collects every record a Scanner frames
 // from it. The records share the one buffer read: treat their Data as
 // read-only, or copy it. On an error the complete records before it are
 // returned with it.
 func ReadAll(r io.Reader) ([]Record, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("pcap: reading capture: %w", err)
-	}
-	s, err := NewScanner(b)
+	rd, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	var recs []Record
-	for s.Next() {
-		recs = append(recs, s.Record())
+	for rd.s.Next() {
+		recs = append(recs, rd.s.Record())
 	}
-	return recs, s.Err()
+	return recs, rd.s.Err()
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // samplePackets are small but realistic LINKTYPE_RAW payloads: each starts
@@ -44,9 +45,10 @@ func writeSample(t *testing.T) ([]byte, []Record) {
 	return buf.Bytes(), want
 }
 
-// stream drains data through the streaming Reader — the reference the
-// in-memory readers are compared against.
-func stream(data []byte) ([]Record, error) {
+// stream drains data through a Reader and checks that every record it hands
+// out is a copy: no record's Data lies in the buffer the Reader framed.
+func stream(t testing.TB, data []byte) ([]Record, error) {
+	t.Helper()
 	rd, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
@@ -60,8 +62,20 @@ func stream(data []byte) ([]Record, error) {
 		if err != nil {
 			return recs, err
 		}
+		if len(rec.Data) > 0 && inBuffer(rd.s.b, &rec.Data[0]) {
+			t.Fatalf("Reader record %d aliases its framing buffer", len(recs))
+		}
 		recs = append(recs, rec)
 	}
+}
+
+// inBuffer reports whether p points into b.
+func inBuffer(b []byte, p *byte) bool {
+	if len(b) == 0 {
+		return false
+	}
+	base, at := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(p))
+	return at >= base && at-base < uintptr(len(b))
 }
 
 // scan drains data through a Scanner, one record at a time, and checks that
@@ -83,13 +97,13 @@ func scan(t testing.TB, data []byte) ([]Record, error) {
 	return recs, s.Err()
 }
 
-// readAll3 reads data through the streaming Reader, through ReadAll and
-// through a Scanner and fails unless the three agree record for record and
-// error for error, and the in-memory records are clipped sub-slices of data
-// (so framing allocates nothing per record). It returns ReadAll's result.
+// readAll3 reads data through a Reader, through ReadAll and through a
+// Scanner and fails unless the three agree record for record and error for
+// error, and the framed records are clipped sub-slices of their buffer (so
+// framing allocates nothing per record). It returns ReadAll's result.
 func readAll3(t testing.TB, data []byte) ([]Record, error) {
 	t.Helper()
-	want, wantErr := stream(data)
+	want, wantErr := stream(t, data)
 	got, err := ReadAll(bytes.NewReader(data))
 	scanned, scanErr := scan(t, data)
 	for _, c := range []struct {
@@ -101,20 +115,20 @@ func readAll3(t testing.TB, data []byte) ([]Record, error) {
 		aliased bool
 	}{{"ReadAll", got, err, false}, {"Scanner", scanned, scanErr, true}} {
 		if (c.err == nil) != (wantErr == nil) || (c.err != nil && c.err.Error() != wantErr.Error()) {
-			t.Fatalf("%s failed with %v, streaming read with %v", c.name, c.err, wantErr)
+			t.Fatalf("%s failed with %v, Reader with %v", c.name, c.err, wantErr)
 		}
 		for _, class := range []error{errBadMagic, ErrTruncated, errLinkType} {
 			if errors.Is(c.err, class) != errors.Is(wantErr, class) {
-				t.Fatalf("%s error %v and streaming error %v differ in class %v", c.name, c.err, wantErr, class)
+				t.Fatalf("%s error %v and Reader error %v differ in class %v", c.name, c.err, wantErr, class)
 			}
 		}
 		if len(c.recs) != len(want) {
-			t.Fatalf("%s returned %d records, streaming read %d (error: %v)", c.name, len(c.recs), len(want), c.err)
+			t.Fatalf("%s returned %d records, Reader %d (error: %v)", c.name, len(c.recs), len(want), c.err)
 		}
 		off := fileHeaderLen
 		for i, r := range c.recs {
 			if r.TS != want[i].TS || !bytes.Equal(r.Data, want[i].Data) {
-				t.Fatalf("%s record %d: (%v, %x), streaming (%v, %x)", c.name, i, r.TS, r.Data, want[i].TS, want[i].Data)
+				t.Fatalf("%s record %d: (%v, %x), Reader (%v, %x)", c.name, i, r.TS, r.Data, want[i].TS, want[i].Data)
 			}
 			if len(r.Data) > maxRecordLen {
 				t.Fatalf("record of %d bytes escaped the length bound", len(r.Data))
@@ -442,7 +456,7 @@ func TestCreateCaptureBadPath(t *testing.T) {
 // FuzzReadPcap asserts that no reader panics or over-allocates on
 // arbitrary input — capture files cross trust boundaries (anyone can hand
 // one to -replay) — and that the three are one reader: every input reads the
-// same through the streaming Reader, through ReadAll and through a Scanner,
+// same through a Reader, through ReadAll and through a Scanner,
 // records and errors alike, in all four dialects.
 func FuzzReadPcap(f *testing.F) {
 	var buf bytes.Buffer

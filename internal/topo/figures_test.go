@@ -80,7 +80,8 @@ func TestFigure4ZeroTTLLoop(t *testing.T) {
 	if h1.ProbeTTL != 0 || h2.ProbeTTL != 1 {
 		t.Fatalf("probe TTLs = %d,%d; want 0,1", h1.ProbeTTL, h2.ProbeTTL)
 	}
-	if got := anomaly.ClassifyPair(rt, nil).LoopCauses[0]; got != anomaly.CauseZeroTTL {
+	// The route is its own pair: the zero-TTL rule fires before differencing.
+	if got := anomaly.ClassifyPair(rt, rt).LoopCauses[0]; got != anomaly.CauseZeroTTL {
 		t.Fatalf("classified as %v, want zero-ttl-forwarding", got)
 	}
 	// F itself never appears: it forwards every TTL-expiring probe.
@@ -129,7 +130,8 @@ func TestFigure5NATLoop(t *testing.T) {
 		t.Fatalf("response TTL did not keep decreasing at the host hop: %d then %d",
 			prev.RespTTL, last.RespTTL)
 	}
-	if got := anomaly.ClassifyPair(rt, nil).LoopCauses[0]; got != anomaly.CauseAddressRewriting {
+	// The route is its own pair: the rewriting rule fires before differencing.
+	if got := anomaly.ClassifyPair(rt, rt).LoopCauses[0]; got != anomaly.CauseAddressRewriting {
 		t.Fatalf("classified as %v, want address-rewriting", got)
 	}
 }

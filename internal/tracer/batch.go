@@ -142,7 +142,8 @@ func (s *Scratch) route(o *Options) *Route {
 // the results in TTL order through ladderState, truncating at the first
 // terminal hop or star-run boundary. Options.Batch only chooses the window:
 // one TTL when it is off (so not one probe goes out past the halting hop),
-// BatchWindow TTLs when it is on, the first window sized by the path hint.
+// DefaultBatchWindow TTLs when it is on, the first window sized by the path
+// hint.
 // Against a transport whose responses are a pure function of the probe
 // bytes the Route is the same at every window;
 // TestTraceBatchedMatchesSequential enforces that.
@@ -151,9 +152,7 @@ func (e *engine) trace(sc *Scratch, ls *ladderState) error {
 
 	window, next := 1, 1
 	if o.Batch {
-		if window = o.BatchWindow; window <= 0 {
-			window = DefaultBatchWindow
-		}
+		window = DefaultBatchWindow
 		// The first window takes the path-length hint, so a stable route is
 		// probed in exactly one batch with no overshoot past the terminal hop.
 		if next = window; o.PathHint > 0 {

@@ -29,17 +29,18 @@ func (f failingChain) ExchangeBatch(probes [][]byte, out []ProbeResult) {
 	}
 }
 
-// TestTraceBatchedMatchesSequential sweeps window sizes, hints, and probes
-// per hop, requiring the ladder to produce at every window a Route identical
+// TestTraceBatchedMatchesSequential sweeps first-window sizes (the path
+// hint) and probes per hop, requiring the ladder to produce at every window a
+// Route identical
 // hop for hop (and attempt for attempt) to the one it produces unbatched,
 // one TTL at a time; and a failed exchange to end the trace at its TTL
 // either way.
 func TestTraceBatchedMatchesSequential(t *testing.T) {
 	const pathLen = 9
-	mk := func(batch bool, window, hint, probesPerHop int) *Route {
+	mk := func(batch bool, hint, probesPerHop int) *Route {
 		opts := Options{
 			MaxTTL: 20, ProbesPerHop: probesPerHop,
-			Batch: batch, BatchWindow: window, PathHint: hint,
+			Batch: batch, PathHint: hint,
 		}
 		rt, err := NewParisUDP(scriptedChain(t, pathLen), opts).Trace(tDest)
 		if err != nil {
@@ -48,31 +49,29 @@ func TestTraceBatchedMatchesSequential(t *testing.T) {
 		return rt
 	}
 	for _, probes := range []int{1, 3} {
-		want := mk(false, 0, 0, probes)
+		want := mk(false, 0, probes)
 		if len(want.Hops) != pathLen || want.Halt != HaltDestination {
 			t.Fatalf("sequential baseline: %d hops halt %v, want %d hops destination",
 				len(want.Hops), want.Halt, pathLen)
 		}
-		for _, window := range []int{0, 1, 3, 8, 100} {
-			for _, hint := range []int{0, pathLen, pathLen - 4, pathLen + 5} {
-				got := mk(true, window, hint, probes)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("probes=%d window=%d hint=%d: batched route differs from sequential\ngot:  %+v\nwant: %+v",
-						probes, window, hint, got, want)
-				}
+		for _, hint := range []int{0, 1, 3, pathLen - 4, pathLen, pathLen + 5, 100} {
+			got := mk(true, hint, probes)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("probes=%d hint=%d: batched route differs from sequential\ngot:  %+v\nwant: %+v",
+					probes, hint, got, want)
 			}
 		}
 	}
 
 	// The second of three attempts at TTL 4 fails. A window is whole TTLs, so
 	// the third attempt still goes out before the error ends the trace — and
-	// nothing past that TTL does, batching asked for or not: the batched
-	// windows are two TTLs wide, so the failing TTL closes the second one and
-	// a third window would show.
+	// nothing past that TTL does, batching asked for or not: the path hint
+	// makes the first batched window end at the failing TTL, so a second
+	// window would show.
 	const failTTL, perHop = 4, 3
 	for _, batch := range []bool{false, true} {
 		tp := failingChain{scriptedChain(t, pathLen), (failTTL-1)*perHop + 1}
-		rt, err := NewParisUDP(tp, Options{MaxTTL: 20, ProbesPerHop: perHop, Batch: batch, BatchWindow: 2}).Trace(tDest)
+		rt, err := NewParisUDP(tp, Options{MaxTTL: 20, ProbesPerHop: perHop, Batch: batch, PathHint: failTTL}).Trace(tDest)
 		if rt != nil || !errors.Is(err, errScripted) {
 			t.Fatalf("batch=%v: route %v, error %v; want no route and the scripted failure", batch, rt, err)
 		}

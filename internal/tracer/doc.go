@@ -42,9 +42,9 @@
 // exchange method, ExchangeBatch; the free function Exchange is a batch of
 // one. Every transport writes a result slot through ProbeResult's three
 // writers, Answer, Star and Fail. A probe that failed outright says so in
-// its ProbeResult.Err, and only there. Options.Batch only chooses the ladder's window: BatchWindow
-// TTLs (the first window sized by PathHint) when it is set, one TTL
-// otherwise, so an unbatched trace never sends a probe past its halting
+// its ProbeResult.Err, and only there. Options.Batch only chooses the
+// ladder's window: DefaultBatchWindow TTLs (the first window sized by
+// PathHint) when it is set, one TTL otherwise, so an unbatched trace never sends a probe past its halting
 // hop. The contract is strict equivalence — the Route is byte-identical at
 // every window (netsim pins this under its dynamics layer too), so the
 // window is purely a throughput decision.

@@ -36,8 +36,8 @@ func scriptedDeadEnd(t *testing.T, silentFrom int) *captureTransport {
 func TestTraceBatchedStarRunAtWindowBoundary(t *testing.T) {
 	const (
 		silentFrom = 5 // TTLs 1-4 respond; 5 and beyond never do
-		window     = 4
-		stars      = 4 // star run 5..8 ends exactly at window [5-8]'s edge
+		hint       = silentFrom - 1
+		stars      = DefaultBatchWindow // star run 5..12 ends exactly at window [5-12]'s edge
 	)
 	opts := Options{MaxTTL: 30, MaxConsecutiveStars: stars}
 	want, err := NewParisUDP(scriptedDeadEnd(t, silentFrom), opts).Trace(tDest)
@@ -51,7 +51,7 @@ func TestTraceBatchedStarRunAtWindowBoundary(t *testing.T) {
 
 	bopts := opts
 	bopts.Batch = true
-	bopts.BatchWindow = window
+	bopts.PathHint = hint
 	tp := scriptedDeadEnd(t, silentFrom)
 	got, err := NewParisUDP(tp, bopts).Trace(tDest)
 	if err != nil {
@@ -60,8 +60,8 @@ func TestTraceBatchedStarRunAtWindowBoundary(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("batched route differs from sequential at a boundary-aligned star run\ngot:  %+v\nwant: %+v", got, want)
 	}
-	if !reflect.DeepEqual(tp.batches, []int{window, window}) {
-		t.Errorf("batches = %v, want [%d %d]: the star-run halt must not submit a third window", tp.batches, window, window)
+	if !reflect.DeepEqual(tp.batches, []int{hint, DefaultBatchWindow}) {
+		t.Errorf("batches = %v, want [%d %d]: the star-run halt must not submit a third window", tp.batches, hint, DefaultBatchWindow)
 	}
 }
 

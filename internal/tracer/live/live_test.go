@@ -177,9 +177,10 @@ func TestLiveDifferentialAgainstNetsim(t *testing.T) {
 			}}
 		}, 1, false},
 	}
-	// Batch off is the ladder at a window of one TTL, over the same mux.
+	// Batch off is the ladder at a window of one TTL, over the same mux; the
+	// path hints vary the first batched window.
 	ladders := []tracer.Options{
-		{Batch: true}, {Batch: true, BatchWindow: 1}, {Batch: true, BatchWindow: 4}, {},
+		{Batch: true}, {Batch: true, PathHint: 1}, {Batch: true, PathHint: 4}, {},
 	}
 	for _, sc := range scenarios {
 		for _, m := range methods {
@@ -196,12 +197,12 @@ func TestLiveDifferentialAgainstNetsim(t *testing.T) {
 					mux, _, dest := newFakeMux(t, sc.build, seed, sch.sched(), sch.retries)
 					got, err := m.mk(mux.Transport(), opts).Trace(dest)
 					if err != nil {
-						t.Fatalf("%s/%s/%s batch=%v w=%d: %v", sc.name, m.name, sch.name, opts.Batch, opts.BatchWindow, err)
+						t.Fatalf("%s/%s/%s batch=%v hint=%d: %v", sc.name, m.name, sch.name, opts.Batch, opts.PathHint, err)
 					}
 					assertMuxDrained(t, mux)
 					if !got.Equal(want) {
-						t.Errorf("%s/%s/%s batch=%v w=%d: live route differs from netsim\ngot:  halt=%v hops=%v\nwant: halt=%v hops=%v",
-							sc.name, m.name, sch.name, opts.Batch, opts.BatchWindow,
+						t.Errorf("%s/%s/%s batch=%v hint=%d: live route differs from netsim\ngot:  halt=%v hops=%v\nwant: halt=%v hops=%v",
+							sc.name, m.name, sch.name, opts.Batch, opts.PathHint,
 							got.Halt, got.Addresses(), want.Halt, want.Addresses())
 					}
 				}

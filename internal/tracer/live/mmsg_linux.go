@@ -9,11 +9,8 @@ import (
 
 // The batch syscalls. The Go standard library's frozen syscall tables
 // predate sendmmsg (and lack recvmmsg on some architectures), so the
-// numbers live in sysnum_linux_*.go per architecture; architectures
-// without an entry compile the mmsg_linux_fallback.go stubs and take the
-// per-packet path in sockets_linux.go instead.
-
-const haveMmsg = true
+// numbers live in sysnum_linux_*.go per architecture; every other platform
+// compiles sockets_other.go, which refuses raw-socket probing.
 
 // mmsghdr mirrors struct mmsghdr on 64-bit Linux: a msghdr plus the
 // returned datagram length, padded to 8 bytes.
@@ -131,23 +128,18 @@ type pollFD struct {
 
 const pollIn = 0x1
 
-// waitReadable blocks via ppoll until one of the two sockets (or the wake
-// pipe, when wakeFD >= 0) is readable or the timeout elapses (nil: wait
-// forever). Unlike select(2) this carries no FD_SETSIZE ceiling, so
-// descriptors above 1024 — routine in a process that opens one Transport
-// per campaign worker — work unchanged.
+// waitReadable blocks via ppoll until one of the two sockets or the wake
+// pipe is readable or the timeout elapses (nil: wait forever). ppoll
+// carries no FD_SETSIZE ceiling, so descriptors above 1024 — routine in a
+// process that opens one Transport per campaign worker — work unchanged.
 func waitReadable(fd1, fd2, wakeFD int, tmo *syscall.Timespec) (r1, r2, woke bool, err error) {
 	pfds := [3]pollFD{
 		{fd: int32(fd1), events: pollIn},
 		{fd: int32(fd2), events: pollIn},
 		{fd: int32(wakeFD), events: pollIn},
 	}
-	nfds := uintptr(3)
-	if wakeFD < 0 {
-		nfds = 2
-	}
 	n, _, errno := syscall.Syscall6(sysPpoll,
-		uintptr(unsafe.Pointer(&pfds[0])), nfds,
+		uintptr(unsafe.Pointer(&pfds[0])), uintptr(len(pfds)),
 		uintptr(unsafe.Pointer(tmo)), 0, 0, 0)
 	if errno != 0 {
 		return false, false, false, errno
@@ -156,5 +148,5 @@ func waitReadable(fd1, fd2, wakeFD int, tmo *syscall.Timespec) (r1, r2, woke boo
 		return false, false, false, nil
 	}
 	return pfds[0].revents&pollIn != 0, pfds[1].revents&pollIn != 0,
-		nfds == 3 && pfds[2].revents&pollIn != 0, nil
+		pfds[2].revents&pollIn != 0, nil
 }

@@ -40,10 +40,11 @@
 // # Privileges and the socket seam
 //
 // The syscall layer sits behind the PacketConn interface (sockets.go). The
-// real implementation needs root or CAP_NET_RAW, exists on Linux only, and
-// is exercised by an opt-in loopback test; everything above the seam — the
-// batching, demultiplexing, timeout, retry, and buffer-recycling logic —
-// runs identically over an in-process fake and is pinned by differential
+// real implementation needs root or CAP_NET_RAW, exists on linux/amd64 and
+// linux/arm64 only, and is exercised by an opt-in loopback test (its
+// receive path also by unprivileged tests over UDP sockets); everything
+// above the seam — the batching, demultiplexing, timeout, retry, and
+// buffer-recycling logic — runs identically over an in-process fake and is pinned by differential
 // tests against the simulator: ladders driven through a fake that replays
 // netsim-generated responses must produce tracer.Routes equal (in every
 // path observable) to the netsim transport's, including under injected
@@ -136,7 +137,8 @@ type MuxConfig struct {
 	// the waker seam, so it is prompt whatever the read deadline.
 	Context context.Context
 	// Conn overrides the raw-socket layer — the test seam. Nil dials the
-	// platform's real raw sockets (Linux only, needs root/CAP_NET_RAW).
+	// platform's real raw sockets (linux/amd64 and linux/arm64 only, needs
+	// root/CAP_NET_RAW).
 	Conn PacketConn
 	// Redial re-opens the socket layer after a fatal receive error. Nil
 	// with a nil Conn selects dialRaw; nil with an injected Conn leaves

@@ -67,7 +67,7 @@ func recordLadder(tb testing.TB, mk func(tracer.Transport, tracer.Options) trace
 func recordLadderIn(tb testing.TB, sc *topo.Scenario, mk func(tracer.Transport, tracer.Options) tracer.Tracer, di, n int) (src netip.Addr, probes [][]byte, answers map[string][]byte) {
 	tb.Helper()
 	rec := &ladderRecorder{Transport: netsim.NewTransport(sc.Net), answers: make(map[string][]byte)}
-	if _, err := mk(rec, tracer.Options{Batch: true, BatchWindow: n}).Trace(sc.Dests[di]); err != nil {
+	if _, err := mk(rec, tracer.Options{Batch: true, PathHint: n}).Trace(sc.Dests[di]); err != nil {
 		tb.Fatal(err)
 	}
 	if len(rec.probes) != n || len(rec.answers) != n {

@@ -24,9 +24,9 @@ var ErrTimeout = errors.New("live: receive timeout")
 
 // PacketConn is the syscall seam under the live transport: everything the
 // batching, demultiplexing, timeout and retry logic needs from the kernel,
-// and nothing else. The real implementation (dialRaw, Linux only) backs it
-// with raw sockets and the sendmmsg/recvmmsg batch syscalls; tests back it
-// with an in-process fake that can reorder, drop, duplicate and delay
+// and nothing else. The real implementation (dialRaw, linux/amd64 and
+// linux/arm64 only) backs it with raw sockets and the sendmmsg/recvmmsg
+// batch syscalls; tests back it with an in-process fake that can reorder, drop, duplicate and delay
 // responses, which is what lets the entire live path run hermetically.
 //
 // Concurrency contract, which lets an implementation keep per-direction
@@ -38,7 +38,7 @@ var ErrTimeout = errors.New("live: receive timeout")
 // time.
 type PacketConn interface {
 	// WriteBatch sends every datagram, in order, in as few syscalls as the
-	// platform allows (one sendmmsg per call on Linux). It returns the
+	// platform allows (one sendmmsg per call on the raw sockets). It returns the
 	// number of datagrams sent; n < len(dgs) only alongside a non-nil
 	// error.
 	WriteBatch(dgs []Datagram) (int, error)

@@ -1,4 +1,4 @@
-//go:build linux
+//go:build linux && (amd64 || arm64)
 
 package live
 
@@ -20,10 +20,9 @@ const soRXQOvfl = 40
 // rawConn is the real PacketConn: an IP_HDRINCL raw socket for injection
 // and two shared raw receive sockets — IPPROTO_ICMP for errors and echo
 // replies, IPPROTO_TCP for RST/SYN-ACK terminals. Batches go through
-// sendmmsg/recvmmsg where the architecture support is compiled in
-// (mmsg_linux_*.go) and degrade to per-packet syscalls otherwise. A
-// self-pipe implements the waker seam, and SO_RXQ_OVFL control messages
-// (mmsg path only) implement dropCounter.
+// sendmmsg and recvmmsg, waits through ppoll (mmsg_linux.go). A self-pipe
+// implements the waker seam, and SO_RXQ_OVFL control messages implement
+// dropCounter.
 type rawConn struct {
 	sendFD   int
 	icmpFD   int
@@ -142,46 +141,29 @@ func (c *rawConn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
-// WriteBatch implements PacketConn: sendmmsg where supported (resuming
-// after partial acceptance, so n < len(dgs) is only ever returned alongside
-// an error, as the seam contract requires), a Sendto loop otherwise.
+// WriteBatch implements PacketConn through sendmmsg, resuming after partial
+// acceptance, so n < len(dgs) is only ever returned alongside an error, as
+// the seam contract requires.
 func (c *rawConn) WriteBatch(dgs []Datagram) (int, error) {
 	sent := 0
 	for sent < len(dgs) {
-		if haveMmsg {
-			n, err := sendmmsg(c.sendFD, dgs[sent:], &c.tx)
-			if n > 0 {
-				// Partial acceptance (e.g. transient ENOBUFS mid-batch):
-				// resume with the unsent tail rather than reporting the
-				// probes as sent-or-failed wholesale.
-				sent += n
-				continue
-			}
-			if err == syscall.EINTR {
-				continue
-			}
-			if err != nil && err != syscall.ENOSYS {
-				return sent, fmt.Errorf("live: sendmmsg: %w", err)
-			}
-			// ENOSYS (kernel without the syscall): per-packet below.
+		n, err := sendmmsg(c.sendFD, dgs[sent:], &c.tx)
+		switch {
+		case n > 0:
+			// Partial acceptance (e.g. transient ENOBUFS mid-batch):
+			// resume with the unsent tail rather than reporting the
+			// probes as sent-or-failed wholesale.
+			sent += n
+		case err != syscall.EINTR:
+			return sent, fmt.Errorf("live: sendmmsg: %w", err)
 		}
-		dg := &dgs[sent]
-		sa := &syscall.SockaddrInet4{Addr: dg.Dst}
-		if err := syscall.Sendto(c.sendFD, dg.Buf, 0, sa); err != nil {
-			if err == syscall.EINTR {
-				continue
-			}
-			return sent, fmt.Errorf("live: sendto %v: %w", netip.AddrFrom4(dg.Dst), err)
-		}
-		sent++
 	}
 	return sent, nil
 }
 
-// ReadBatch implements PacketConn: wait on both receive sockets until the
-// deadline (ppoll on architectures with the batch syscalls compiled in,
-// bounds-checked select otherwise), then drain whatever is ready with one
-// recvmmsg sweep per socket.
+// ReadBatch implements PacketConn: ppoll both receive sockets and the wake
+// pipe until the deadline, then drain whatever is ready with one recvmmsg
+// sweep per socket.
 func (c *rawConn) ReadBatch(dgs []Datagram) (int, error) {
 	if len(dgs) == 0 {
 		return 0, nil
@@ -248,48 +230,27 @@ func (c *rawConn) drainWake() {
 	}
 }
 
-// drain reads every immediately-available datagram from fd: one recvmmsg
-// where supported, a nonblocking Recvfrom loop otherwise. The recvmmsg
-// path also harvests each sweep's SO_RXQ_OVFL overflow counter into the
-// per-socket drop tallies.
+// drain reads every immediately-available datagram from fd with one
+// recvmmsg sweep (retried on EINTR) and harvests the sweep's SO_RXQ_OVFL
+// overflow counter into fd's drop tally.
 func (c *rawConn) drain(fd int, dgs []Datagram) (int, error) {
-	if haveMmsg {
+	for {
 		n, ovfl, err := recvmmsg(fd, dgs, &c.rx)
-		if ovfl > 0 {
-			switch fd {
-			case c.icmpFD:
-				if v := uint64(ovfl); v > c.rxICMP {
-					c.rxICMP = v
-				}
-			case c.tcpFD:
-				if v := uint64(ovfl); v > c.rxTCP {
-					c.rxTCP = v
-				}
-			}
+		tally := &c.rxICMP
+		if fd == c.tcpFD {
+			tally = &c.rxTCP
 		}
-		if err == nil || n > 0 {
+		*tally = max(*tally, uint64(ovfl))
+		switch err {
+		case nil:
 			return n, nil
-		}
-		if err == syscall.EAGAIN {
+		case syscall.EAGAIN:
 			return 0, nil
-		}
-	}
-	filled := 0
-	for filled < len(dgs) {
-		n, _, err := syscall.Recvfrom(fd, dgs[filled].Buf, syscall.MSG_DONTWAIT)
-		if err == syscall.EAGAIN || err == syscall.EWOULDBLOCK {
-			break
-		}
-		if err == syscall.EINTR {
+		case syscall.EINTR:
 			continue
 		}
-		if err != nil {
-			return filled, fmt.Errorf("live: recvfrom: %w", err)
-		}
-		dgs[filled].N = n
-		filled++
+		return 0, fmt.Errorf("live: recvmmsg: %w", err)
 	}
-	return filled, nil
 }
 
 // LocalIPv4 guesses the host's primary IPv4 address by opening a UDP socket

@@ -146,3 +146,73 @@ func TestPacedTransportBatchSingleTake(t *testing.T) {
 		t.Fatal("Source not forwarded")
 	}
 }
+
+// TestPacerSetRate pins the retuning knob cmd/measured's -rate backs off
+// with under mux pressure: a new rate governs refills from the call on,
+// tokens accrued before it are kept up to the burst, 0 disables pacing, and
+// re-enabling credits nothing for the time pacing was off.
+func TestPacerSetRate(t *testing.T) {
+	drained := func(rate float64) (*fakeClock, *Pacer) {
+		c := newFakeClock()
+		p := NewPacer(rate, 5, c.Now, c.Sleep)
+		p.Take(5)
+		return c, p
+	}
+	wait := func(c *fakeClock, p *Pacer, n int) time.Duration {
+		before := c.asleep
+		p.Take(n)
+		return c.asleep - before
+	}
+
+	t.Run("halved rate doubles the wait", func(t *testing.T) {
+		c, p := drained(10)
+		full := wait(c, p, 1)
+		c, p = drained(10)
+		p.SetRate(5)
+		if half := wait(c, p, 1); full != 100*time.Millisecond || half != 2*full {
+			t.Errorf("waits %v at rate 10 and %v at 5, want 100ms and twice that", full, half)
+		}
+	})
+
+	t.Run("accrued tokens kept", func(t *testing.T) {
+		c, p := drained(10)
+		c.now = c.now.Add(200 * time.Millisecond) // 2 tokens at the old rate
+		p.SetRate(1)
+		if w := wait(c, p, 2); w != 0 {
+			t.Errorf("the 2 tokens accrued at the old rate waited %v", w)
+		}
+		if w := wait(c, p, 1); w != time.Second {
+			t.Errorf("the next token waited %v, want 1s at the new rate", w)
+		}
+	})
+
+	t.Run("accrued tokens capped at the burst", func(t *testing.T) {
+		c, p := drained(10)
+		c.now = c.now.Add(time.Minute) // 600 tokens at the old rate
+		p.SetRate(1)
+		if w := wait(c, p, 5); w != 0 {
+			t.Errorf("a full bucket waited %v", w)
+		}
+		if w := wait(c, p, 1); w != time.Second {
+			t.Errorf("the token past the burst waited %v, want 1s", w)
+		}
+	})
+
+	t.Run("rate 0 disables", func(t *testing.T) {
+		c, p := drained(10)
+		p.SetRate(0)
+		if w := wait(c, p, 1000); w != 0 {
+			t.Errorf("disabled pacer waited %v", w)
+		}
+	})
+
+	t.Run("re-enabling credits nothing for the time off", func(t *testing.T) {
+		c, p := drained(10)
+		p.SetRate(0)
+		c.now = c.now.Add(time.Minute)
+		p.SetRate(10)
+		if w := wait(c, p, 1); w != 100*time.Millisecond {
+			t.Errorf("first token after re-enabling waited %v, want 100ms from the drained bucket", w)
+		}
+	})
+}

@@ -302,13 +302,11 @@ type Options struct {
 	// ICMPID is the Echo Identifier for classic ICMP probes (classically
 	// the process ID). For Paris ICMP it is the checksum target.
 	ICMPID uint16
-	// Batch widens the ladder's window: the engine submits BatchWindow
-	// TTLs as one ExchangeBatch and truncates at the first terminal hop or
-	// star-run boundary. Off, the window is one TTL. Off by default.
+	// Batch widens the ladder's window: the engine submits
+	// DefaultBatchWindow TTLs (the first window PathHint TTLs, when set) as
+	// one ExchangeBatch and truncates at the first terminal hop or star-run
+	// boundary. Off, the window is one TTL. Off by default.
 	Batch bool
-	// BatchWindow is the number of TTLs submitted per batch (0 selects
-	// DefaultBatchWindow). Ignored unless Batch is set.
-	BatchWindow int
 	// PathHint is the expected ladder length (in TTLs), typically the
 	// previous round's len(Route.Hops) for the same destination. It sizes
 	// the route's hop slice and, when batching, the first window: a
