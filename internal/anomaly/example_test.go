@@ -85,50 +85,50 @@ func Example_loophunt() {
 	showLoops("Unreachability: Time Exceeded then !H from one router", rtU, rtU)
 	// Output:
 	// == Fig. 3: loop from per-flow load balancing ==
-	//    1  10.0.0.254  1.000 ms  resp-ttl=255 ipid=2
-	//    2  10.0.1.1  2.000 ms  resp-ttl=254 ipid=2
-	//    3  10.0.1.3  3.000 ms  resp-ttl=253 ipid=2
-	//    4  10.0.1.5  4.000 ms  resp-ttl=252 ipid=2
-	//    5  10.0.1.7  5.000 ms  resp-ttl=251 ipid=2
-	//    6  10.0.1.9  6.000 ms  resp-ttl=250 ipid=2
-	//    7  10.0.1.13  7.000 ms  resp-ttl=249 ipid=2
-	//    8  10.0.1.17  8.000 ms  resp-ttl=248 ipid=2
-	//    9  10.0.1.17  8.500 ms  resp-ttl=248 ipid=3
-	//   10  172.16.0.1  8.500 ms  resp-ttl=56 ipid=2
+	//    1  10.0.0.254  1.000 ms  resp-ttl=255 ipid=33560
+	//    2  10.0.1.1  2.000 ms  resp-ttl=254 ipid=7440
+	//    3  10.0.1.3  3.000 ms  resp-ttl=253 ipid=19353
+	//    4  10.0.1.5  4.000 ms  resp-ttl=252 ipid=27459
+	//    5  10.0.1.7  5.000 ms  resp-ttl=251 ipid=61067
+	//    6  10.0.1.9  6.000 ms  resp-ttl=250 ipid=41161
+	//    7  10.0.1.13  7.000 ms  resp-ttl=249 ipid=53349
+	//    8  10.0.1.17  8.000 ms  resp-ttl=248 ipid=61239
+	//    9  10.0.1.17  8.500 ms  resp-ttl=248 ipid=61240
+	//   10  172.16.0.1  8.500 ms  resp-ttl=56 ipid=41799
 	//   loop on 10.0.1.17 (len 2, at-end=false) -> cause: per-flow-lb
 	//
 	// == Fig. 4: loop from zero-TTL forwarding ==
-	//    1  10.0.0.254  1.000 ms  resp-ttl=255 ipid=1
-	//    2  10.0.1.1  2.000 ms  resp-ttl=254 ipid=1
-	//    3  10.0.1.3  3.000 ms  resp-ttl=253 ipid=1
-	//    4  10.0.1.5  4.000 ms  resp-ttl=252 ipid=1
-	//    5  10.0.1.7  5.000 ms  resp-ttl=251 ipid=1
-	//    6  10.0.1.9  6.000 ms  resp-ttl=250 ipid=1
-	//    7  10.0.1.13  8.000 ms  resp-ttl=248 ipid=1   <- quoted probe TTL 0
-	//    8  10.0.1.13  8.000 ms  resp-ttl=248 ipid=2
-	//    9  10.0.1.15  9.000 ms  resp-ttl=247 ipid=1
-	//   10  172.16.0.1  9.500 ms  resp-ttl=55 ipid=1
+	//    1  10.0.0.254  1.000 ms  resp-ttl=255 ipid=33581
+	//    2  10.0.1.1  2.000 ms  resp-ttl=254 ipid=7461
+	//    3  10.0.1.3  3.000 ms  resp-ttl=253 ipid=19374
+	//    4  10.0.1.5  4.000 ms  resp-ttl=252 ipid=27480
+	//    5  10.0.1.7  5.000 ms  resp-ttl=251 ipid=61088
+	//    6  10.0.1.9  6.000 ms  resp-ttl=250 ipid=59555
+	//    7  10.0.1.13  8.000 ms  resp-ttl=248 ipid=38400   <- quoted probe TTL 0
+	//    8  10.0.1.13  8.000 ms  resp-ttl=248 ipid=38401
+	//    9  10.0.1.15  9.000 ms  resp-ttl=247 ipid=53372
+	//   10  172.16.0.1  9.500 ms  resp-ttl=55 ipid=41820
 	//   loop on 10.0.1.13 (len 2, at-end=false) -> cause: zero-ttl-forwarding
 	//
 	// == Fig. 5: loop from NAT address rewriting ==
-	//    1  10.0.0.254  1.000 ms  resp-ttl=255 ipid=1
-	//    2  10.0.1.1  2.000 ms  resp-ttl=254 ipid=1
-	//    3  10.0.1.3  3.000 ms  resp-ttl=253 ipid=1
-	//    4  10.0.1.5  4.000 ms  resp-ttl=252 ipid=1
-	//    5  10.0.1.7  5.000 ms  resp-ttl=251 ipid=1
-	//    6  10.0.1.9  6.000 ms  resp-ttl=250 ipid=1
-	//    7  10.0.1.11  7.000 ms  resp-ttl=249 ipid=1
-	//    8  10.0.1.11  8.000 ms  resp-ttl=248 ipid=1
-	//    9  10.0.1.11  9.000 ms  resp-ttl=247 ipid=1
-	//   10  10.0.1.11  9.500 ms  resp-ttl=55 ipid=1
+	//    1  10.0.0.254  1.000 ms  resp-ttl=255 ipid=33598
+	//    2  10.0.1.1  2.000 ms  resp-ttl=254 ipid=7478
+	//    3  10.0.1.3  3.000 ms  resp-ttl=253 ipid=19391
+	//    4  10.0.1.5  4.000 ms  resp-ttl=252 ipid=27497
+	//    5  10.0.1.7  5.000 ms  resp-ttl=251 ipid=61105
+	//    6  10.0.1.9  6.000 ms  resp-ttl=250 ipid=38416
+	//    7  10.0.1.11  7.000 ms  resp-ttl=249 ipid=8399
+	//    8  10.0.1.11  8.000 ms  resp-ttl=248 ipid=53388
+	//    9  10.0.1.11  9.000 ms  resp-ttl=247 ipid=47353
+	//   10  10.0.1.11  9.500 ms  resp-ttl=55 ipid=41837
 	//   loop on 10.0.1.11 (len 4, at-end=true) -> cause: address-rewriting
 	//
 	// == Unreachability: Time Exceeded then !H from one router ==
-	//    1  10.0.0.254  1.000 ms  resp-ttl=255 ipid=1
-	//    2  10.0.1.1  2.000 ms  resp-ttl=254 ipid=1
-	//    3  10.0.1.3  3.000 ms  resp-ttl=253 ipid=1
-	//    4  10.0.1.5  4.000 ms  resp-ttl=252 ipid=1
-	//    5  10.0.1.5  4.000 ms  !H  resp-ttl=252 ipid=2
+	//    1  10.0.0.254  1.000 ms  resp-ttl=255 ipid=33581
+	//    2  10.0.1.1  2.000 ms  resp-ttl=254 ipid=7461
+	//    3  10.0.1.3  3.000 ms  resp-ttl=253 ipid=19374
+	//    4  10.0.1.5  4.000 ms  resp-ttl=252 ipid=27480
+	//    5  10.0.1.5  4.000 ms  !H  resp-ttl=252 ipid=27481
 	//   loop on 10.0.1.5 (len 2, at-end=true) -> cause: unreachability
 }
 

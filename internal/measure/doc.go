@@ -25,12 +25,11 @@
 // spreading, probabilistic drops, a round's mid-trace flip schedule, the
 // virtual-clock dynamics — is keyed by (seed, virtual round, the probe's
 // bytes or position), never by arrival order (see the netsim package's
-// determinism contract). The one arrival-order observable left, the IP IDs
-// routers and hosts stamp, feeds two classification rules only as deltas
-// within one route under a gap bound concurrency cannot reach. So the Stats
-// — including the RTT aggregates, which fold as order-independent integer
-// tallies — are byte-identical across every worker count, batch switch
-// and halt-and-resume, on the default
+// determinism contract), and so is every IP ID a router or host stamps,
+// which two classification rules read. So the Stats — including the RTT
+// aggregates, which fold as order-independent integer tallies — are
+// byte-identical across every worker count, batch switch and
+// halt-and-resume, on the default
 // topology with every gadget armed (pinned by simtest's TestHouseInvariant,
 // under -race).
 //

@@ -358,9 +358,7 @@ func TestPoisonedFailFastAbort(t *testing.T) {
 // TestPoisonedResume kills a streamed campaign mid-study and resumes it from
 // its checkpoint, poisoned before and after: the statistics are those of the
 // retained, uninterrupted run, and the final checkpoint is, byte for byte,
-// the one an unpoisoned kill and resume writes. (It is not the uninterrupted
-// run's: responders' IP ID counters are not part of a checkpoint, so routes
-// first seen after a resume intern with other IP IDs.)
+// the one an unpoisoned kill and resume writes.
 func TestPoisonedResume(t *testing.T) {
 	const dests, killAt = 60, 3
 	scM := topo.Generate(simtest.Default(dests))

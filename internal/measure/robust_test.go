@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -183,11 +182,15 @@ func TestCampaignContextCancel(t *testing.T) {
 	}
 }
 
+// measurePkg is this package's import path, which simtest.Goroutines counts
+// goroutines by.
+const measurePkg = "repro/internal/measure"
+
 // TestRunRoundLeaksNoGoroutines guards the worker-error paths in both
 // policies: after a FailFast abort, a degraded completion, and a canceled
 // run, every worker goroutine must have exited.
 func TestRunRoundLeaksNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := simtest.Goroutines(measurePkg)
 	plan := netsim.FaultPlan{Seed: 1, BlackholeEvery: 1}
 
 	ff, _, _, _ := faultyCampaign(t, 20, 2, plan, Config{Workers: 8, FailFast: true})
@@ -205,19 +208,18 @@ func TestRunRoundLeaksNoGoroutines(t *testing.T) {
 		t.Fatalf("pre-canceled run returned %v", err)
 	}
 
-	// Workers exit through wg.Wait before Run returns, so any residue is a
-	// leak. The three runs above launched 24 workers; tolerate a couple of
-	// unrelated runtime goroutines (finalizers, race-detector helpers)
-	// while still catching any stuck worker, and allow scheduler lag
-	// before declaring a leak.
-	for i := 0; ; i++ {
-		if runtime.NumGoroutine() <= base+2 {
+	// Workers exit through wg.Wait before Run returns, so any goroutine of
+	// this package left is a leak. The three runs above launched 24
+	// workers; a joined one may still be on its way out, so allow
+	// scheduler lag before declaring a leak.
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		n := simtest.NewGoroutines(measurePkg, base, 0)
+		if n == 0 {
 			break
 		}
-		if i >= 2000 {
-			t.Fatalf("goroutines leaked: %d before, %d after", base, runtime.NumGoroutine())
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines of this package leaked", n)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

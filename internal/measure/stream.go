@@ -37,10 +37,10 @@ import (
 // zero anomaly work, zero allocations.
 //
 // Fingerprints and equality deliberately ignore RTTs and response IP IDs:
-// both change on every exchange even when the path did not (each
-// responder's IP ID counter advances per reply), and keying on them would
-// make every round's route "unique", degrading memory right back to
-// O(destinations × rounds). So the cells do not keep them either. The only
+// both change on every exchange even when the path did not (a responder's
+// IP ID steps with the probe's index and moves with the round), and keying
+// on them would make every round's route "unique", degrading memory right
+// back to O(destinations × rounds). So the cells do not keep them either. The only
 // two classification rules that read IP IDs — the zero-TTL loop check and
 // periodic-cycle counter coherence — are gated on path-stable patterns
 // (quoted-TTL 0-then-1, periodicity), so Fold re-evaluates exactly those

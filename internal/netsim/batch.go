@@ -64,11 +64,11 @@ type exchCtx struct {
 	rng    prng
 	seeded bool
 	draws  int
-	// key is the network seed folded with the virtual round, fixed for the
-	// batch; probe is the bytes the current exchange was handed.
-	key   uint64
-	probe []byte
-	arena arena
+	// seed is the network's, key it folded with the virtual round (fixed
+	// for the batch), probe the bytes the current exchange was handed.
+	seed, key uint64
+	probe     []byte
+	arena     arena
 	// dyn is the dynamics layer, nil when disabled; clk is this exchange's
 	// clock on it, reset per probe — each exchange keeps its own time (see
 	// vclock.go on why batches are not interleaved by virtual time).
@@ -274,7 +274,7 @@ func (n *Network) exchange(probes [][]byte, out []tracer.ProbeResult, steps []in
 	// node registered so far.
 	ctx.dyn = n.dyn.Load()
 	vround := n.vround.Load()
-	ctx.key = n.seed ^ keyhash.Mix64(uint64(vround))
+	ctx.seed, ctx.key = n.seed, n.seed^keyhash.Mix64(uint64(vround))
 	// A ladder lives for one batch: the probes of a trace window.
 	ctx.skipFwd, ctx.skipRet, ctx.handed, ctx.lad.net = 0, 0, [numHandovers]int{}, nil
 

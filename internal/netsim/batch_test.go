@@ -29,23 +29,12 @@ func ladderProbes(t *testing.T, n *Network, dst netip.Addr, maxTTL int) [][]byte
 	return probes
 }
 
-// withoutIPID is a response with its IP ID and header checksum zeroed: the
-// two bytes a responding box's arrival-order counter writes, and the one
-// observable the determinism rule leaves out.
-func withoutIPID(resp []byte) []byte {
-	r := append([]byte(nil), resp...)
-	if len(r) >= 12 {
-		r[4], r[5], r[10], r[11] = 0, 0, 0, 0
-	}
-	return r
-}
-
 // TestExchangeBatchMatchesSequential drives two identical networks — one
 // probe by probe through Exchange, the other through a single ExchangeBatch
 // — and requires byte-identical responses, steps, and ok flags, including
 // the RNG-driven drops. The same probes exchanged in reverse order and
 // spread across four goroutines must give the same results too, IP IDs
-// aside: every draw is keyed by the probe, not by when it arrives.
+// included: every draw is keyed by the probe, not by when it arrives.
 func TestExchangeBatchMatchesSequential(t *testing.T) {
 	seqNet, _, host := batchTestNet(t)
 	batNet, _, _ := batchTestNet(t)
@@ -121,7 +110,7 @@ func TestExchangeBatchMatchesSequential(t *testing.T) {
 	}{{"reversed", rev, revSteps}, {"4 goroutines", par, parSteps}} {
 		for i, g := range run.got {
 			if g.OK != out[i].OK || run.steps[i] != outSteps[i] ||
-				!bytes.Equal(withoutIPID(g.Resp), withoutIPID(out[i].Resp)) {
+				!bytes.Equal(g.Resp, out[i].Resp) {
 				t.Errorf("%s: probe %d: ok=%v steps=%d resp %x, forward ok=%v steps=%d resp %x",
 					run.name, i, g.OK, run.steps[i], g.Resp, out[i].OK, outSteps[i], out[i].Resp)
 			}
@@ -152,10 +141,9 @@ func TestExchangeBatchReusesResultBuffers(t *testing.T) {
 		if !out[i].OK {
 			t.Fatalf("probe %d: second batch got no response", i)
 		}
-		// Deterministic topology, but the responding boxes advance their
-		// IP ID counters between batches: everything but the IP ID and
-		// its checksum must match, and the buffer must be recycled.
-		if !bytes.Equal(withoutIPID(out[i].Resp), withoutIPID(first[i])) {
+		// The same probes in the same round draw the same responses, byte
+		// for byte, into the recycled buffers.
+		if !bytes.Equal(out[i].Resp, first[i]) {
 			t.Errorf("probe %d: second batch response %x, first %x", i, out[i].Resp, first[i])
 		}
 		if &out[i].Resp[0] != bufs[i] {

@@ -24,14 +24,15 @@ func (n *Network) ExchangeSteps(probes [][]byte, out []tracer.ProbeResult, steps
 	n.exchange(probes, out, steps)
 }
 
-// FlipPosition is the probe's position on a flip schedule in this network.
-func (n *Network) FlipPosition(probe []byte) uint32 {
+// Position is the probe's position in this network: on a flip schedule,
+// and in the IP IDs of the boxes that answer it.
+func (n *Network) Position(probe []byte) uint32 {
 	var hdr packet.IPv4
 	payload, err := packet.ParseIPv4Into(probe, &hdr)
 	if err != nil {
 		panic(err)
 	}
-	return flipPosition(n.seed, &hdr, payload)
+	return position(n.seed, &hdr, payload)
 }
 
 // WalkPlain turns both walk shortcuts off: every probe walks from the

@@ -2,8 +2,8 @@ package netsim
 
 import (
 	"net/netip"
-	"sync/atomic"
 
+	"repro/internal/keyhash"
 	"repro/internal/packet"
 )
 
@@ -27,14 +27,14 @@ type Host struct {
 	// uses them to test stop conditions).
 	Silent bool
 
-	// ipID is the host's IP ID counter, stamped by its origin (a stride of
-	// one) into every packet it originates.
-	ipID atomic.Uint32
+	// key keys the IP IDs the host stamps (ipID), derived from its name as
+	// a router's is (Router.key).
+	key uint64
 }
 
 // NewHost creates a host answering at addr.
 func NewHost(name string, addr netip.Addr) *Host {
-	return &Host{Name: name, Addr: addr}
+	return &Host{Name: name, Addr: addr, key: keyhash.FNV1a(keyhash.FNVOffset64, []byte(name))}
 }
 
 // hostTTL is the initial TTL of packets a host originates: end hosts
@@ -43,35 +43,33 @@ const hostTTL = 64
 
 // origin is a box as the source of the packets it originates — every
 // response in the network: the address they leave from, their initial TTL,
-// the box's IP ID counter and its stride per packet, and whether the box is
-// silent. A host and a router differ only in these values: a host
-// originates with hostTTL and a stride of one, a router with what its
-// config says (routerOrigin).
+// the IP ID they carry, and whether the box is silent. A host and a router
+// differ only in these values: a host originates with hostTTL and an IP ID
+// stride of one, a router with what its config says (routerOrigin).
 type origin struct {
 	src    netip.Addr
 	ttl    uint8
-	ipID   *atomic.Uint32
-	stride uint16
+	id     uint16
 	silent bool
 }
 
-// nextIPID advances the counter by the stride and returns the IP ID to
-// stamp: the counter accumulates in 32 bits and is truncated, which equals
-// 16-bit modular addition per originated packet, "usually incremented for
-// each packet sent" (Section 2.2).
-func (o *origin) nextIPID() uint16 {
-	return uint16(o.ipID.Add(uint32(o.stride)))
+// ipID is the IP ID the box keyed box stamps on its answer to the packet
+// hdr, payload: a base drawn from (seed, virtual round, box) plus stride
+// times the packet's position, which advances by one per probe of a trace
+// — "usually incremented for each packet sent" (Section 2.2), whatever the
+// order probes arrive in.
+func ipID(ctx *exchCtx, box uint64, stride uint16, hdr *packet.IPv4, payload []byte) uint16 {
+	return uint16(keyhash.Mix64(ctx.key^box)) + stride*uint16(position(ctx.seed, hdr, payload))
 }
 
 // stamp sets ip to the IPv4 header of a packet o originates toward dst:
-// o's source address, initial TTL and next IP ID. It reports false, and
-// leaves ip and the counter alone, when o is silent: a silent box
-// originates nothing.
+// o's source address, initial TTL and IP ID. It reports false, and leaves
+// ip alone, when o is silent: a silent box originates nothing.
 func (o *origin) stamp(ip *packet.IPv4, proto uint8, dst netip.Addr) bool {
 	if o.silent {
 		return false
 	}
-	*ip = packet.IPv4{TTL: o.ttl, Protocol: proto, ID: o.nextIPID(), Src: o.src, Dst: dst}
+	*ip = packet.IPv4{TTL: o.ttl, Protocol: proto, ID: o.id, Src: o.src, Dst: dst}
 	return true
 }
 

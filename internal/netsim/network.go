@@ -429,7 +429,7 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 			if dst.node != at {
 				return nil, steps, false // mis-delivered; drop
 			}
-			o := origin{h.Addr, hostTTL, &h.ipID, 1, h.Silent}
+			o := origin{h.Addr, hostTTL, ipID(ctx, h.key, 1, &hdr, payload), h.Silent}
 			if reply = o.answer(ctx, h.OpenTCPPorts, &hdr, payload, pkt); reply == nil {
 				return nil, steps, false
 			}
@@ -443,7 +443,7 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 			case !originated && dst.router == r:
 				// Packet addressed to one of the router's own interfaces: the
 				// router answers like a host (intermediate hops are pingable).
-				o := routerOrigin(r, cfg, hdr.Dst)
+				o := routerOrigin(ctx, r, cfg, hdr.Dst, &hdr, payload)
 				if reply = o.answer(ctx, nil, &hdr, payload, pkt); reply == nil {
 					return nil, steps, false
 				}
@@ -726,7 +726,7 @@ func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, at i
 	// like a flap from its virtual time. Responses, addressed to the
 	// source, are never redirected.
 	if fl := cfg.faults.Flip; fl != nil && isTransitProbe && !dst.source {
-		if t.entries[e].Hops[i].Via == fl.From && fl.toggled(flipPosition(n.seed, hdr, payload)) {
+		if t.entries[e].Hops[i].Via == fl.From && fl.toggled(position(ctx.seed, hdr, payload)) {
 			return n.nodeOf(fl.To), &fl.To, nil, false
 		}
 		kind = fwdImpure
@@ -774,7 +774,7 @@ func originateTimeExceeded(ctx *exchCtx, r *Router, cfg *routerConfig, at netip.
 		Code:    packet.CodeTTLExceeded,
 		Payload: quoteOf(pkt, hdr, payload),
 	}
-	o := routerOrigin(r, cfg, at)
+	o := routerOrigin(ctx, r, cfg, at, hdr, payload)
 	return o.icmp(ctx, hdr.Src, &m)
 }
 
@@ -798,7 +798,7 @@ func originateUnreachable(ctx *exchCtx, r *Router, cfg *routerConfig, at netip.A
 		Code:    code,
 		Payload: quoteOf(pkt, hdr, payload),
 	}
-	o := routerOrigin(r, cfg, at)
+	o := routerOrigin(ctx, r, cfg, at, hdr, payload)
 	return o.icmp(ctx, hdr.Src, &m)
 }
 

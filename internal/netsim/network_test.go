@@ -341,20 +341,40 @@ func TestNATRewritesICMPSource(t *testing.T) {
 	}
 }
 
+// TestIPIDStride: a router's answers to consecutive probes of one trace
+// (IP IDs 1, 2, 3: each probe's index plus one) step by its stride, the same
+// probe sent again draws the same IP ID, and another router answering the
+// same probes stamps other IP IDs.
 func TestIPIDStride(t *testing.T) {
 	n, routers, host := testNet(t)
 	routers[0].SetIPIDStride(5)
-	var ids []uint16
-	for i := 0; i < 3; i++ {
-		resp, _, ok := n.Exchange(udpProbe(t, n, host.Addr, 1, 1, 2))
+	answer := func(ttl uint8, id uint16) uint16 {
+		t.Helper()
+		h, payload, err := packet.ParseIPv4(udpProbe(t, n, host.Addr, ttl, 1, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.ID = id
+		probe, err := h.MarshalInto(nil, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, _, ok := n.Exchange(probe)
 		if !ok {
 			t.Fatal("no response")
 		}
-		h, _ := parseResp(t, resp)
-		ids = append(ids, h.ID)
+		rh, _ := parseResp(t, resp)
+		return rh.ID
 	}
+	ids := []uint16{answer(1, 1), answer(1, 2), answer(1, 3)}
 	if ids[1]-ids[0] != 5 || ids[2]-ids[1] != 5 {
 		t.Errorf("IP IDs %v, want stride 5", ids)
+	}
+	if again := answer(1, 2); again != ids[1] {
+		t.Errorf("the second probe sent again drew IP ID %d, want %d", again, ids[1])
+	}
+	if other := answer(2, 1); other == ids[0] {
+		t.Errorf("routers %s and %s both answered the first probe with IP ID %d", routers[0].Name, routers[1].Name, other)
 	}
 }
 

@@ -98,6 +98,22 @@ func mkProbe(t testing.TB, kind probeKind, src, dst netip.Addr, ttl uint8, port 
 	return pkt
 }
 
+// withIPID is pkt with IP ID id, which tracers set to a probe's index in
+// its trace plus one.
+func withIPID(t testing.TB, pkt []byte, id uint16) []byte {
+	t.Helper()
+	h, payload, err := packet.ParseIPv4(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ID = id
+	out, err := h.MarshalInto(nil, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // ladder is a TTL ladder of every probe kind toward dst.
 func ladder(t testing.TB, src, dst netip.Addr, maxTTL int) [][]byte {
 	t.Helper()
@@ -314,7 +330,7 @@ func TestFlipScheduleByPosition(t *testing.T) {
 				}
 				l.rs[1].SetFaults(netsim.Faults{Flip: &netsim.FlipSchedule{
 					From: lineIf(3), To: lineIf(13), Base: base,
-					Toggles: []uint32{l.net.FlipPosition(probes[3])},
+					Toggles: []uint32{l.net.Position(probes[3])},
 				}})
 				for i, o := range exchangeAll(l.net, probes, batch) {
 					want := lineIf(3)
@@ -512,11 +528,13 @@ func TestProbeToRouterInterface(t *testing.T) {
 // TestOriginStamps probes a host and a router interface of one line with
 // each probe kind and reads what the box stamps on its answer: the source
 // address, the initial TTL (the arrival TTL plus the routers the answer
-// crosses on its way back), the IP ID step from the box's previous answer,
-// and the answer's ICMP type/code or TCP flags. The router originates with
-// TTL 128 and IP ID stride 5, the host with its 64 and 1, and port 80 is
-// open on the host only. Silenced, either box answers nothing, and its next
-// answer shows that its counter did not move meanwhile.
+// crosses on its way back), the IP IDs, and the answer's ICMP type/code or
+// TCP flags. Each kind sends the first two probes of a trace (IP IDs 1 and
+// 2), whose answers must step by the box's stride, then the second again,
+// whose answer must repeat its IP ID. The router originates with TTL 128 and
+// IP ID stride 5, the host with its 64 and 1, and port 80 is open on the
+// host only. Silenced, either box answers nothing, and then answers the
+// first probe with the IP ID it did before.
 func TestOriginStamps(t *testing.T) {
 	icmpAnswer := func(typ, code uint8) string { return fmt.Sprintf("icmp type=%d code=%d", typ, code) }
 	tcpAnswer := func(flags uint8) string { return fmt.Sprintf("tcp flags=%#02x", flags) }
@@ -550,11 +568,9 @@ func TestOriginStamps(t *testing.T) {
 		}
 		kinds := [3]string{"udp", "echo", "syn"}
 		for _, b := range boxes {
-			var last uint16
-			answered := false
-			probe := func(kind probeKind, port uint16) {
+			probe := func(kind probeKind, id uint16) uint16 {
 				t.Helper()
-				o := exchangeAll(l.net, [][]byte{mkProbe(t, kind, lineSrc, b.addr, 64, port)}, batch)[0]
+				o := exchangeAll(l.net, [][]byte{withIPID(t, mkProbe(t, kind, lineSrc, b.addr, 64, 100), id)}, batch)[0]
 				if !strings.HasPrefix(o, "ok=true") {
 					t.Fatalf("%s %s probe: %s, want an answer", b.name, kinds[kind], o)
 				}
@@ -586,24 +602,32 @@ func TestOriginStamps(t *testing.T) {
 				if ttl := int(h.TTL) + b.back; ttl != b.ttl {
 					t.Errorf("%s %s probe: initial TTL %d (%d on arrival), want %d", b.name, kinds[kind], ttl, h.TTL, b.ttl)
 				}
-				if step := h.ID - last; answered && step != b.stride {
-					t.Errorf("%s %s probe: IP ID %d, %d after the previous answer, want a step of %d", b.name, kinds[kind], h.ID, step, b.stride)
-				}
-				last, answered = h.ID, true
+				return h.ID
 			}
+			var first uint16
 			for kind := probeUDP; kind <= probeSYN; kind++ {
-				probe(kind, 100)
-				probe(kind, 101)
+				one, two := probe(kind, 1), probe(kind, 2)
+				if two-one != b.stride {
+					t.Errorf("%s %s probes: IP IDs %d then %d, want a step of %d", b.name, kinds[kind], one, two, b.stride)
+				}
+				if again := probe(kind, 2); again != two {
+					t.Errorf("%s %s probe sent again: IP ID %d, want %d as the first time", b.name, kinds[kind], again, two)
+				}
+				if kind == probeUDP {
+					first = one
+				}
 			}
 			b.silence(true)
 			for kind := probeUDP; kind <= probeSYN; kind++ {
-				o := exchangeAll(l.net, [][]byte{mkProbe(t, kind, lineSrc, b.addr, 64, 102)}, batch)[0]
+				o := exchangeAll(l.net, [][]byte{mkProbe(t, kind, lineSrc, b.addr, 64, 100)}, batch)[0]
 				if !strings.HasPrefix(o, "ok=false") {
 					t.Errorf("silent %s %s probe: %s, want a star", b.name, kinds[kind], o)
 				}
 			}
 			b.silence(false)
-			probe(probeUDP, 103)
+			if id := probe(probeUDP, 1); id != first {
+				t.Errorf("%s after its silence: IP ID %d, want %d as before it", b.name, id, first)
+			}
 		}
 	})
 }

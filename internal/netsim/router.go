@@ -18,7 +18,7 @@
 //     (the "unreachability message" loop cause, Section 4.1.1);
 //   - NAT boxes that rewrite the Source Address of ICMP messages
 //     originating inside their subnetwork (Fig. 5);
-//   - per-router IP ID counters and configurable initial response TTLs,
+//   - per-router IP ID sequences and configurable initial response TTLs,
 //     the two observables Paris traceroute adds (Section 2.2);
 //   - transient forwarding loops and mid-trace routing changes
 //     (cycle causes, Section 4.2.1).
@@ -67,9 +67,9 @@
 //     for a snapshot whose generation a registration has since outdated.
 //     Entries are never mutated in place, so indexes into a published
 //     snapshot stay valid indefinitely.
-//   - Counters (the network probe counter, per-router and per-host IP ID,
-//     the epoch below), the per-node return memos and, under dynamics, the
-//     per-node up words and link draws are atomics.
+//   - Counters (the network probe counter, the epoch below), the per-node
+//     return memos and, under dynamics, the per-node up words and link
+//     draws are atomics.
 //
 // # Resumed and replayed walks
 //
@@ -138,23 +138,15 @@
 // Per-packet spreading and probabilistic drops draw from a per-exchange
 // SplitMix64 stream seeded from (seed, round, probe bytes); a round's flip
 // schedule (FlipSchedule) is resolved from the probe's position, which its
-// bytes give; the dynamics layer keys its draws by (seed, link, virtual
-// time). So a trace is the same at any worker or batch setting, and
-// a resumed run needs no cursor. Identical probes sent in one round take
-// the same per-packet branch; a probe's IP ID (its attempt number) is what
+// bytes give; the IP ID a box stamps is keyed by (seed, round, box) and
+// stepped by that position (ipID); the dynamics layer keys its draws by
+// (seed, link, virtual time). So the packets on the wire are the same at
+// any worker or batch setting, and a resumed run needs no cursor.
+// Identical probes sent in one round take the same per-packet branch and
+// draw the same answer; a probe's IP ID (its index in its trace) is what
 // makes retries and repeated attempts draw afresh. The walk's shortcuts
 // (above) skip only hops that draw nothing, so they leave every draw as it
 // was.
-//
-// What the rule leaves out is the IP ID a router or host stamps on what it
-// originates: a per-box atomic counter, advanced by origin.nextIPID in
-// arrival order as on a real router shared by concurrent measurements. The
-// classifier reads IP IDs only as the delta between two responses of one
-// route, and only against a gap bound of 1,024 (internal/anomaly);
-// concurrent probing moves a delta by at most the handful of other traces
-// crossing that box in between, far inside the bound, so verdicts — and
-// statistics — do not move. The invariance suites in internal/measure pin
-// this at the shipped configuration.
 //
 // # Virtual-clock dynamics
 //
@@ -265,8 +257,8 @@ type Faults struct {
 	Flip *FlipSchedule
 }
 
-// FlipSpan bounds the positions of one round's flip schedule. A transit
-// probe's position is a hash of its destination and first two transport
+// FlipSpan bounds the positions of one round's flip schedule. A probe's
+// position (position) is a hash of its destination and first two transport
 // octets (the source port) mod FlipSpan/2, plus its IP ID, which tracers
 // set to the probe's index within its trace plus one. So each trace starts
 // at one hashed position and advances one per probe, and every trace of up
@@ -304,11 +296,12 @@ func (s *FlipSchedule) toggled(pos uint32) bool {
 	return on
 }
 
-// saltFlip keys flip positions apart from every other seeded draw.
+// saltFlip keys positions apart from every other seeded draw.
 const saltFlip = 0xf11b
 
-// flipPosition is a transit probe's position on a flip schedule.
-func flipPosition(seed uint64, hdr *packet.IPv4, payload []byte) uint32 {
+// position is a probe's position: where it sits on a flip schedule, and
+// how far the IP IDs of a box's answer to it have stepped (ipID).
+func position(seed uint64, hdr *packet.IPv4, payload []byte) uint32 {
 	var port uint64
 	if len(payload) >= 2 {
 		port = uint64(payload[0])<<8 | uint64(payload[1])
@@ -341,9 +334,9 @@ type routerConfig struct {
 	// Most routers use 255 (Section 4.1.1); some stacks use 64 or 128.
 	icmpTTL uint8
 
-	// ipIDStride is the counter increment per originated packet; real
-	// routers also emit non-measurement traffic, so strides >1 model a
-	// busy box.
+	// ipIDStride is the IP ID step between the answers to consecutive
+	// probes of a trace; real routers also emit non-measurement traffic,
+	// so strides >1 model a busy box.
 	ipIDStride uint16
 }
 
@@ -381,11 +374,11 @@ type Router struct {
 	// per-visit hot path free of locks and shared counters.
 	snap atomic.Pointer[routerTable]
 
-	// ipID is the router's IP ID counter, stamped (mod 2^16) by its origin
-	// (routerOrigin, a stride of the config's ipIDStride) into every packet
-	// it originates, "usually incremented for each packet sent" (Section
-	// 2.2).
-	ipID atomic.Uint32
+	// key keys the IP IDs the router stamps (ipID): the FNV-1a of its name,
+	// shared by all its interfaces (one router, one IP ID sequence, which
+	// alias resolution relies on) and kept as the topology grows around it.
+	// Boxes of one name share it, so a topology names its boxes apart.
+	key uint64
 
 	// mu serializes config writers (read-modify-write of the snapshot).
 	mu sync.Mutex
@@ -397,6 +390,7 @@ func NewRouter(name string, ifaces ...netip.Addr) *Router {
 	r := &Router{
 		Name:   name,
 		ifaces: append([]netip.Addr(nil), ifaces...),
+		key:    keyhash.FNV1a(keyhash.FNVOffset64, []byte(name)),
 	}
 	r.config.Store(&routerConfig{icmpTTL: 255, ipIDStride: 1})
 	return r
@@ -586,7 +580,8 @@ func (r *Router) SetICMPTTL(ttl uint8) *Router {
 	return r
 }
 
-// SetIPIDStride sets the per-packet increment of the router's IP ID counter.
+// SetIPIDStride sets the step between the router's IP IDs in its answers to
+// consecutive probes of a trace.
 func (r *Router) SetIPIDStride(stride uint16) *Router {
 	if stride == 0 {
 		stride = 1
@@ -596,10 +591,11 @@ func (r *Router) SetIPIDStride(stride uint16) *Router {
 }
 
 // routerOrigin is router r, under config snapshot cfg, as the source of a
-// packet it originates from interface address from: the snapshot's initial
-// ICMP TTL, IP ID stride and silence.
-func routerOrigin(r *Router, cfg *routerConfig, from netip.Addr) origin {
-	return origin{from, cfg.icmpTTL, &r.ipID, cfg.ipIDStride, cfg.faults.Silent}
+// packet it originates from interface address from in answer to the packet
+// hdr, payload: the snapshot's initial ICMP TTL and silence, and the IP ID
+// its stride gives.
+func routerOrigin(ctx *exchCtx, r *Router, cfg *routerConfig, from netip.Addr, hdr *packet.IPv4, payload []byte) origin {
+	return origin{from, cfg.icmpTTL, ipID(ctx, r.key, cfg.ipIDStride, hdr, payload), cfg.faults.Silent}
 }
 
 // lookup performs longest-prefix match for a resolved destination and

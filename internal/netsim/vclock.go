@@ -30,11 +30,9 @@ import (
 //
 // Each exchange keeps its own clock rather than sharing one per batch:
 // probes are independent by design (required for the schedule invariance
-// above), and interleaving exchanges by virtual arrival time would reorder
-// the routers' IP ID counters between a batch and the same probes sent one
-// at a time, breaking ExchangeBatch's byte-identity contract. An exchange
-// has exactly one packet in flight at any moment — the probe, then the
-// response it drew — so its clock is two integers, not an event queue.
+// above). An exchange has exactly one packet in flight at any moment — the
+// probe, then the response it drew — so its clock is two integers, not an
+// event queue.
 
 // Dynamics configures the virtual-clock layer of a Network. The zero value
 // (and any value with all three intensities zero) disables it entirely:

@@ -8,8 +8,10 @@
 // daemon, live and replay can import it without a cycle. Its own tests
 // hold TestHouseInvariant, the one table that proves the house invariant:
 // the statistics depend only on (seed, config), whatever the workers,
-// batching, streaming, resume point or transport; and TestStaleSlots, the
-// one table that holds every transport to writing each result slot whole.
+// batching, streaming, resume point or transport; TestWireIndependentOfWorkers,
+// which holds netsim's probes and responses themselves, byte for byte, to
+// the same at any worker count; and TestStaleSlots, the one table that
+// holds every transport to writing each result slot whole.
 // It also holds Race, the one race-detector flag the allocation pins read,
 // and Goroutines, which counts one package's goroutines by ID for the
 // goroutine-leak checks of the mux and the daemon.

@@ -16,6 +16,16 @@ import (
 	"repro/internal/tracer/replay"
 )
 
+// available reports whether this process can open the raw sockets the live
+// transport needs (nil means yes). It opens and immediately closes them.
+func available() error {
+	c, err := dialRaw()
+	if err != nil {
+		return err
+	}
+	return c.Close()
+}
+
 // TestLiveLoopback exercises the real raw-socket path end to end where the
 // environment permits it (root or CAP_NET_RAW; CI runs it in a privileged
 // job, everywhere else it skips cleanly), as a single trace runs it — one

@@ -31,13 +31,10 @@ type mmsgScratch struct {
 	ctrl []byte                     // receive only
 }
 
-// grow sizes the scratch for an n-datagram batch.
+// grow sizes the headers both directions use for an n-datagram batch.
 func (s *mmsgScratch) grow(n int) {
 	if cap(s.vec) < n {
-		s.vec = make([]mmsghdr, n)
-		s.iovs = make([]syscall.Iovec, n)
-		s.sas = make([]syscall.RawSockaddrInet4, n)
-		s.ctrl = make([]byte, n*recvCtrlSpace)
+		s.vec, s.iovs = make([]mmsghdr, n), make([]syscall.Iovec, n)
 	}
 	s.vec, s.iovs = s.vec[:n], s.iovs[:n]
 }
@@ -46,6 +43,9 @@ func (s *mmsgScratch) grow(n int) {
 // kernel accepted.
 func sendmmsg(fd int, dgs []Datagram, sc *mmsgScratch) (int, error) {
 	sc.grow(len(dgs))
+	if len(sc.sas) < len(dgs) {
+		sc.sas = make([]syscall.RawSockaddrInet4, len(dgs))
+	}
 	vec, iovs, sas := sc.vec, sc.iovs, sc.sas
 	for i := range dgs {
 		iovs[i].Base = &dgs[i].Buf[0]
@@ -76,6 +76,9 @@ const recvCtrlSpace = 48
 // every datagram once the option is enabled — or 0 when none arrived.
 func recvmmsg(fd int, dgs []Datagram, sc *mmsgScratch) (int, uint32, error) {
 	sc.grow(len(dgs))
+	if len(sc.ctrl) < len(dgs)*recvCtrlSpace {
+		sc.ctrl = make([]byte, len(dgs)*recvCtrlSpace)
+	}
 	vec, iovs, ctrl := sc.vec, sc.iovs, sc.ctrl
 	for i := range dgs {
 		iovs[i].Base = &dgs[i].Buf[0]

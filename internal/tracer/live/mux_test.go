@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -248,7 +247,7 @@ func TestMuxReopenExhaustion(t *testing.T) {
 func TestMuxLifecycleNoGoroutineLeak(t *testing.T) {
 	dest := netip.AddrFrom4([4]byte{198, 51, 100, 9})
 	src := netip.AddrFrom4([4]byte{192, 0, 2, 1})
-	before := runtime.NumGoroutine()
+	before := simtest.Goroutines(livePkg)
 	for i := 0; i < 50; i++ {
 		fake := &SimConn{Respond: func([]byte) ([]byte, bool) { return nil, false }}
 		m := openFakeMux(t, MuxConfig{Source: src, Conn: fake})
@@ -260,14 +259,10 @@ func TestMuxLifecycleNoGoroutineLeak(t *testing.T) {
 		closeMux(t, m)
 		closeMux(t, m) // idempotent
 	}
-	// Every exchange ran on this goroutine, so the count must settle
-	// without sleeping; scheduling slack is absorbed by a yield loop and a
-	// small tolerance.
-	for i := 0; i < 100 && runtime.NumGoroutine() > before+2; i++ {
-		runtime.Gosched()
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutines grew from %d to %d across 50 mux lifecycles", before, after)
+	// Every exchange ran on this goroutine, so no goroutine of this
+	// package may be left, and the count settles without sleeping.
+	if n := simtest.NewGoroutines(livePkg, before, 0); n > 0 {
+		t.Fatalf("%d goroutines of this package left across 50 mux lifecycles", n)
 	}
 }
 

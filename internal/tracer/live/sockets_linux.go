@@ -86,16 +86,6 @@ func dialRaw() (PacketConn, error) {
 		wakeRd: pipe[0], wakeWr: pipe[1]}, nil
 }
 
-// available reports whether this process can open the raw sockets the live
-// transport needs (nil means yes). It opens and immediately closes them.
-func available() error {
-	c, err := dialRaw()
-	if err != nil {
-		return err
-	}
-	return c.Close()
-}
-
 // Close implements PacketConn.
 func (c *rawConn) Close() error {
 	c.wakeMu.Lock()

@@ -230,6 +230,10 @@ func TestLoadLeavesBytesAlone(t *testing.T) {
 	}
 }
 
+// replayPkg is the import path of the package under test, which
+// simtest.Goroutines counts goroutines by.
+const replayPkg = "repro/internal/tracer/replay"
+
 // TestOpenLeavesNoGoroutine: Open joins its parse stage however the load
 // ends — a capture loaded, a torn one refused (the stage ran to the tear),
 // and one that does not begin with a probe.
@@ -249,7 +253,7 @@ func TestOpenLeavesNoGoroutine(t *testing.T) {
 		if err := os.WriteFile(path, c.raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		before := runtime.NumGoroutine()
+		before := simtest.Goroutines(replayPkg)
 		for range 20 {
 			_, err := replay.Open(path, replay.Config{})
 			if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
@@ -257,12 +261,15 @@ func TestOpenLeavesNoGoroutine(t *testing.T) {
 			}
 		}
 		// A joined goroutine may still be on its way out: give it a moment.
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		for deadline := time.Now().Add(2 * time.Second); ; {
+			n := simtest.NewGoroutines(replayPkg, before, 0)
+			if n == 0 {
+				break
+			}
 			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<16)
-				t.Fatalf("%s: %d goroutines after 20 opens, %d before\n%s", c.name, runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				t.Fatalf("%s: %d goroutines of this package left after 20 opens\n%s", c.name, n, buf[:runtime.Stack(buf, true)])
 			}
-			time.Sleep(time.Millisecond)
 		}
 	}
 }
