@@ -1,27 +1,29 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
 	"repro/internal/measure"
+	"repro/internal/simtest"
 	"repro/internal/topo"
-	"repro/internal/tracer"
 	"repro/internal/tracer/live"
 )
 
-// simNetEnv makes the re-executed binary's -live mode probe a generated
-// topology through live.SimConn instead of the host's raw sockets: "ok"
-// answers every probe, "dead" fails the socket on its third read.
+// simNetEnv makes the re-executed binary's -live mode probe a simulated
+// network through cli.Dial and a live.SimConn instead of the host's raw
+// sockets: "ok" answers every probe from simNet, "dead" fails the socket on
+// its third read, and a corpus recipe's name answers as that recipe records.
 const simNetEnv = "ANOMALY_STUDY_TEST_SIM_NET"
 
 // simNet is the default topology behind simNetEnv: responses are pure
@@ -47,25 +49,19 @@ func simulateNetwork() {
 	if mode == "" {
 		return
 	}
-	openMux = func(l *cli.Live, ctx context.Context, _ func(tracer.MuxHealth)) (*cli.Mux, error) {
-		sc := simNet()
-		conn := &live.SimConn{Respond: func(probe []byte) ([]byte, bool) {
-			resp, _, ok := sc.Net.Exchange(probe)
-			return resp, ok
-		}}
-		if mode == "dead" {
-			conn.ReadErr = func(call int) error {
-				if call >= 2 {
-					return errors.New("socket gone")
-				}
-				return nil
+	sc, conn := simNet(), &live.SimConn{}
+	if i := slices.IndexFunc(recipes, func(r recipe) bool { return r.name == mode }); i >= 0 {
+		sc, conn.Sched = recipes[i].scenario(), recipes[i].sched()
+	} else if mode == "dead" {
+		conn.ReadErr = func(call int) error {
+			if call >= 2 {
+				return errors.New("socket gone")
 			}
+			return nil
 		}
-		m, err := live.NewMux(live.MuxConfig{
-			Source: sc.Net.Source(), Conn: countingConn{conn}, Context: ctx, Retries: l.Retries,
-		})
-		return &cli.Mux{Mux: m}, err
 	}
+	conn.Respond = simtest.Responder(sc.Net)
+	cli.Dial = func() (netip.Addr, live.PacketConn, error) { return sc.Net.Source(), countingConn{conn}, nil }
 }
 
 // liveStudy runs the binary in -live mode over the simulated network, one TTL
@@ -73,12 +69,8 @@ func simulateNetwork() {
 // round overshoots paths whose length it does not know yet).
 func liveStudy(t *testing.T, mode string, args ...string) (stderr string, exit int) {
 	t.Helper()
-	var dests []string
-	for _, d := range simNet().Dests {
-		dests = append(dests, d.String())
-	}
 	t.Setenv(simNetEnv, mode)
-	return study(t, append([]string{"-live", "-live-dests", strings.Join(dests, ","), "-workers", "2", "-retries", "0", "-batch=false"}, args...)...)
+	return study(t, append([]string{"-live", "-live-dests", joinDests(simNet().Dests), "-workers", "2", "-retries", "0", "-batch=false"}, args...)...)
 }
 
 func datagramsSent(t *testing.T, stderr string) int {
@@ -169,7 +161,7 @@ func TestLiveExitCodes(t *testing.T) {
 // and records nothing, so the flags that need a cursor or a network are
 // refused by name instead of being ignored.
 func TestReplayRefusesOnlineFlags(t *testing.T) {
-	capture := filepath.Join("..", "..", "internal", "tracer", "replay", "testdata", "corpus", "clean-paris-udp.pcap")
+	capture := recipes[0].capture()
 	for _, c := range []struct {
 		flag string
 		args []string

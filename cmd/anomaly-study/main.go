@@ -42,10 +42,6 @@ type options struct {
 	haltAfter        int
 }
 
-// openMux is (*cli.Live).OpenMux except in the re-executed tests, which
-// answer the mux from a simulated network instead of raw sockets.
-var openMux = (*cli.Live).OpenMux
-
 // generate is (*cli.Topo).Generate except in the re-executed tests, which
 // may arm the rare-cause gadgets a flag does not reach.
 var generate = (*cli.Topo).Generate
@@ -134,7 +130,7 @@ func runStudy(o *options) (err error) {
 			return err
 		}
 		var m *cli.Mux
-		if m, err = openMux(&o.live, ctx, nil); err != nil {
+		if m, err = o.live.OpenMux(ctx, nil); err != nil {
 			return err
 		}
 		defer m.CloseInto(&err)

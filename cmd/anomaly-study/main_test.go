@@ -73,7 +73,8 @@ var toyStudy = []string{"-dests", "4", "-rounds", "4", "-workers", "1", "-flips=
 var update = flag.Bool("update", false, "rewrite the testdata/ goldens from this build's output")
 
 // studyOutput runs the re-executed binary with args plus -stats-json and
-// returns its stdout and the statistics file.
+// returns its stdout and the statistics file. A replay that left captured
+// exchanges unserved fails the test: it did not replay the captured run.
 func studyOutput(t *testing.T, args ...string) (stdout, stats []byte) {
 	t.Helper()
 	statsJSON := filepath.Join(t.TempDir(), "stats.json")
@@ -82,7 +83,7 @@ func studyOutput(t *testing.T, args ...string) (stdout, stats []byte) {
 	var errb bytes.Buffer
 	cmd.Stderr = &errb
 	stdout, err := cmd.Output()
-	if err != nil {
+	if err != nil || strings.Contains(errb.String(), "diverges from the captured one") {
 		t.Fatalf("%v: %v: %s", args, err, errb.String())
 	}
 	if stats, err = os.ReadFile(statsJSON); err != nil {
@@ -93,13 +94,14 @@ func studyOutput(t *testing.T, args ...string) (stdout, stats []byte) {
 
 // TestOutputGolden pins the report and the -stats-json of the study: at the
 // shipped defaults (32 workers, flips on), and at one worker with flips off
-// on a static topology, with netsim's dynamics on, and with -truth. A change
-// that means to alter any of them rewrites the files with -update and shows
-// the diff; any other change must leave them byte-equal. -truth prints the
-// generator's ground truth ahead of the report and moves no statistic, so
-// its -stats-json must equal the static run's golden. The default run is
-// also halted after round 12 and resumed, and the resumed run must print
-// the golden itself.
+// on a static topology, with netsim's dynamics on, and with -truth; and of
+// -replay of each campaign capture of the replay corpus, under the flags it
+// was recorded with (TestRecordCorpus). A change that means to alter any of
+// them rewrites the files with -update and shows the diff; any other change
+// must leave them byte-equal. -truth prints the generator's ground truth
+// ahead of the report and moves no statistic, so its -stats-json must equal
+// the static run's golden. The default run is also halted after round 12
+// and resumed, and the resumed run must print the golden itself.
 func TestOutputGolden(t *testing.T) {
 	base := []string{"-dests", "120", "-rounds", "24", "-workers", "1", "-flips=false", "-seed", "7"}
 	defaults := []string{"-dests", "120", "-rounds", "24", "-seed", "7"}
@@ -111,6 +113,8 @@ func TestOutputGolden(t *testing.T) {
 		{"static", "static", base},
 		{"dynamics", "dynamics", append(slices.Clone(base), "-delay", "1", "-load", "0.3", "-churn", "0.5")},
 		{"truth", "static", append(slices.Clone(base), "-truth")},
+		{recipes[0].golden, recipes[0].golden, append(recipes[0].args(), "-replay", recipes[0].capture())},
+		{recipes[1].golden, recipes[1].golden, append(recipes[1].args(), "-replay", recipes[1].capture())},
 	} {
 		stdout, stats := studyOutput(t, c.args...)
 		for golden, got := range map[string][]byte{c.name + ".stdout": stdout, c.stats + ".stats.json": stats} {
@@ -241,7 +245,7 @@ func TestHaltAndResume(t *testing.T) {
 // (not as "does not begin with a probe"), and a torn file reports how many
 // complete records precede the tear.
 func TestReplayRefusesUnusableCaptures(t *testing.T) {
-	good, err := os.ReadFile(filepath.Join("..", "..", "internal", "tracer", "replay", "testdata", "corpus", "clean-paris-udp.pcap"))
+	good, err := os.ReadFile(recipes[0].capture())
 	if err != nil {
 		t.Fatal(err)
 	}

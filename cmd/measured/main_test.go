@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"net/netip"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,12 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/cli"
+	"repro/internal/simtest"
+	"repro/internal/topo"
+	"repro/internal/tracer/live"
+	"repro/internal/tracer/replay"
 )
 
 // The tests re-execute the test binary as measured itself: with asMainEnv
@@ -19,8 +27,30 @@ import (
 // so exit codes and stderr are the shipped binary's.
 const asMainEnv = "MEASURED_TEST_AS_MAIN"
 
+// simNetEnv, set in a re-executed binary's environment, makes its -live mode
+// probe simNet through cli.Dial and a live.SimConn instead of the host's raw
+// sockets.
+const simNetEnv = "MEASURED_TEST_SIM_NET"
+
+// measured records no capture of the replay corpus; the flag is declared so
+// that go test ./cmd/... -run TestRecordCorpus -record reaches the binaries
+// that do.
+var _ = flag.Bool("record", false, "re-record the replay corpus (no capture is recorded here)")
+
+// simNet is the topology behind simNetEnv.
+func simNet() *topo.Scenario {
+	gc := topo.DefaultGenConfig()
+	gc.Seed, gc.Destinations = 29, 6
+	return topo.Generate(gc)
+}
+
 func TestMain(m *testing.M) {
 	if os.Getenv(asMainEnv) != "" {
+		if os.Getenv(simNetEnv) != "" {
+			sc := simNet()
+			conn := &live.SimConn{Respond: simtest.Responder(sc.Net)}
+			cli.Dial = func() (netip.Addr, live.PacketConn, error) { return sc.Net.Source(), conn, nil }
+		}
 		main()
 		return
 	}
@@ -53,6 +83,30 @@ func TestCaptureRequiresLive(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err == nil {
 		t.Error("the refused run created the capture file")
+	}
+}
+
+// TestLiveCapture: the daemon probes -live over the simulated network, runs
+// its rounds and installs a capture of them that replay loads whole: every
+// destination probed, no record it cannot place.
+func TestLiveCapture(t *testing.T) {
+	var dests []string
+	for _, d := range simNet().Dests {
+		dests = append(dests, d.String())
+	}
+	path := filepath.Join(t.TempDir(), "run.pcap")
+	t.Setenv(simNetEnv, "1")
+	stderr, exit := measured(t, "-live", "-live-dests", strings.Join(dests, ","), "-capture", path, "-retries", "0",
+		"-period", "1", "-workers", "2", "-interval", "1ms", "-max-rounds", "2", "-listen", "")
+	if exit != 0 || !strings.Contains(stderr, "record(s) written to "+path) {
+		t.Fatalf("exit %d, stderr %q: want exit 0 and the capture installed", exit, stderr)
+	}
+	rt, err := replay.Open(path, replay.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Destinations(); len(got) != len(dests) || rt.Junk() != 0 {
+		t.Errorf("the capture probes %v with %d junk record(s), want all of %v and none", got, rt.Junk(), dests)
 	}
 }
 

@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"net/netip"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
+	"repro/internal/simtest"
+	"repro/internal/topo"
+	"repro/internal/tracer/live"
 )
 
 // The tests re-execute the test binary as paris-traceroute itself: with
@@ -17,12 +23,40 @@ import (
 // the tests, so output and exit codes are the shipped binary's.
 const asMainEnv = "PARIS_TRACEROUTE_TEST_AS_MAIN"
 
-var update = flag.Bool("update", false, "rewrite "+matrixGolden+" from this build's output")
+// simNetEnv, set in a re-executed binary's environment, makes its -live mode
+// probe reorderNet through cli.Dial and a live.SimConn that delivers
+// responses newest-first, instead of the host's raw sockets.
+const simNetEnv = "PARIS_TRACEROUTE_TEST_SIM_NET"
 
-const matrixGolden = "testdata/matrix.golden"
+var (
+	update = flag.Bool("update", false, "rewrite "+matrixGolden+" from this build's output")
+	record = flag.Bool("record", false, "re-record "+reorderCapture+" from a -live run")
+)
+
+const (
+	matrixGolden = "testdata/matrix.golden"
+	// reorderCapture is the replay corpus' per-trace capture: constant-
+	// sequence TCP probes under reordered arrival, which pins the
+	// oldest-unanswered attribution.
+	reorderCapture = "../../internal/tracer/replay/testdata/corpus/reorder-tcptraceroute.pcap"
+)
+
+// reorderNet is the network reorderCapture is recorded over: four
+// destinations, with per-packet balancing and flips off so that a probe is
+// answered the same way whenever it is sent.
+func reorderNet() *topo.Scenario {
+	gc := simtest.Free(4)
+	gc.Seed = 107
+	return topo.Generate(gc)
+}
 
 func TestMain(m *testing.M) {
 	if os.Getenv(asMainEnv) != "" {
+		if os.Getenv(simNetEnv) != "" {
+			sc := reorderNet()
+			conn := &live.SimConn{Respond: simtest.Responder(sc.Net), Sched: live.SimSchedule{Reorder: true}}
+			cli.Dial = func() (netip.Addr, live.PacketConn, error) { return sc.Net.Source(), conn, nil }
+		}
 		main()
 		return
 	}
@@ -51,10 +85,9 @@ func traceroute(t *testing.T, args ...string) (stdout, stderr string, exit int) 
 // capture (the corpus' per-trace one; the other two hold campaigns, whose
 // flows a single trace does not send).
 func TestBatchFlagChangesNoRoute(t *testing.T) {
-	capture := filepath.Join("..", "..", "internal", "tracer", "replay", "testdata", "corpus", "reorder-tcptraceroute.pcap")
 	for _, args := range [][]string{
 		{"-scenario", "fig3", "-method", "classic-udp"},
-		{"-replay", capture, "-method", "tcptraceroute", "-retries", "0"},
+		{"-replay", reorderCapture, "-method", "tcptraceroute", "-retries", "0"},
 	} {
 		plain, stderr, exit := traceroute(t, args...)
 		if exit != 0 || !strings.Contains(plain, "halt: destination") {
@@ -87,8 +120,7 @@ func TestOutputGolden(t *testing.T) {
 	}
 	runs = append(runs,
 		[]string{"-scenario", "fig3", "-flows", "16"},
-		[]string{"-replay", filepath.Join("..", "..", "internal", "tracer", "replay", "testdata", "corpus", "reorder-tcptraceroute.pcap"),
-			"-method", "tcptraceroute", "-retries", "0"})
+		[]string{"-replay", reorderCapture, "-method", "tcptraceroute", "-retries", "0"})
 
 	var got bytes.Buffer
 	for _, args := range runs {
@@ -120,6 +152,49 @@ func TestOutputGolden(t *testing.T) {
 		}
 		t.Errorf("output differs from %s at line %d (rerun with -update to accept):\ngot  %q\nwant %q",
 			matrixGolden, i+1, g[min(i, len(g)-1)], w[min(i, len(w)-1)])
+	}
+}
+
+// TestRecordCorpus records reorderCapture with the binary that replays it:
+// -live -capture over reorderNet, then -replay of the fresh capture under
+// the same flags. The capture is installed only if the replay printed what
+// the live run printed, less the live run's "mux:" health line, and served
+// every exchange the capture holds. Capture timestamps are the wall clock,
+// so a re-record never reproduces the committed bytes: it runs only under
+// -record, and TestOutputGolden -update then rewrites the replay's section
+// of the golden.
+func TestRecordCorpus(t *testing.T) {
+	if !*record {
+		t.Skip("re-records the replay corpus only under -record")
+	}
+	var dests []string
+	for _, d := range reorderNet().Dests {
+		dests = append(dests, d.String())
+	}
+	fresh := filepath.Join(t.TempDir(), "reorder-tcptraceroute.pcap")
+	flags := []string{"-method", "tcptraceroute", "-batch", "-retries", "0"}
+	t.Setenv(simNetEnv, "1")
+	liveOut, stderr, exit := traceroute(t, append([]string{"-live", "-dest", strings.Join(dests, ","), "-capture", fresh}, flags...)...)
+	if exit != 0 {
+		t.Fatalf("live run: exit %d: %s", exit, stderr)
+	}
+	t.Setenv(simNetEnv, "")
+	replayOut, stderr, exit := traceroute(t, append([]string{"-replay", fresh}, flags...)...)
+	// Reordering delivers answers the live mux discarded, and the capture
+	// holds them as junk; an exchange never served is what would mean the
+	// replay is not the captured run.
+	if exit != 0 || (stderr != "" && !strings.Contains(stderr, "replay: 0 captured exchange(s) never served")) {
+		t.Fatalf("replay: exit %d: %s", exit, stderr)
+	}
+	if routes, _, ok := strings.Cut(liveOut, "\nmux: "); !ok || routes != replayOut {
+		t.Fatalf("the replay diverges from the live run; not installing %s\nlive:\n%s\nreplayed:\n%s", reorderCapture, liveOut, replayOut)
+	}
+	raw, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(reorderCapture, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

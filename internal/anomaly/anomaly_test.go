@@ -210,6 +210,13 @@ func TestClassifyLoopAddressRewriting(t *testing.T) {
 	if got := loopCause(l, rt, rt); got == CauseAddressRewriting {
 		t.Error("rewriting fired despite flat response TTLs")
 	}
+	// The shortest loop, two hops, is rewriting too when its response TTL
+	// falls.
+	rt = mkRoute(1, 2, 3, 3, 4)
+	rt.Hops[3].RespTTL = 246
+	if l := FindLoops(rt)[0]; l.Len != 2 || loopCause(l, rt, rt) != CauseAddressRewriting {
+		t.Errorf("two-hop loop %+v with a falling response TTL: cause %v, want address-rewriting", l, loopCause(l, rt, rt))
+	}
 }
 
 func TestClassifyLoopPerFlowViaDifferencing(t *testing.T) {
@@ -312,6 +319,12 @@ func TestIPIDCloseWraparound(t *testing.T) {
 	}
 	if ipidClose(0, 2000, maxIPIDGap) {
 		t.Error("oversized gap accepted")
+	}
+	if !ipidClose(0xffff, maxIPIDGap-1, maxIPIDGap) {
+		t.Error("a gap of exactly maxIPIDGap rejected")
+	}
+	if ipidClose(0xffff, maxIPIDGap, maxIPIDGap) {
+		t.Error("a gap of maxIPIDGap+1 accepted")
 	}
 }
 

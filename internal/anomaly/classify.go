@@ -134,12 +134,9 @@ func loopsContain(loops []Loop, addr netip.Addr) bool {
 }
 
 // respTTLDecreasing reports whether response TTLs strictly decrease across
-// the hops (allowing single-step decrements only, the NAT gradient).
+// the hops, a loop's span: one address at every hop, so no star.
 func respTTLDecreasing(hops []tracer.Hop) bool {
 	for i := 1; i < len(hops); i++ {
-		if hops[i].Star() || hops[i-1].Star() {
-			return false
-		}
 		if hops[i].RespTTL >= hops[i-1].RespTTL {
 			return false
 		}

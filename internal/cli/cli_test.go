@@ -227,7 +227,14 @@ func TestTopoGenerate(t *testing.T) {
 	}
 }
 
-// simLive is a Live group parsed from args whose dial hook answers the mux
+// dialing points Dial at dial for the rest of the test.
+func dialing(t *testing.T, dial func() (netip.Addr, live.PacketConn, error)) {
+	saved := Dial
+	Dial = dial
+	t.Cleanup(func() { Dial = saved })
+}
+
+// simLive is a Live group parsed from args, with Dial answering the mux
 // from a generated topology instead of raw sockets.
 func simLive(t *testing.T, args ...string) (*Live, *live.SimConn, *topo.Scenario) {
 	t.Helper()
@@ -239,7 +246,7 @@ func simLive(t *testing.T, args ...string) (*Live, *live.SimConn, *topo.Scenario
 		return resp, ok
 	}}
 	l, _ := parseLive(t, "live-dests", append([]string{"-live", "-retries", "0"}, args...)...)
-	l.dial = func() (netip.Addr, live.PacketConn, error) { return sc.Net.Source(), conn, nil }
+	dialing(t, func() (netip.Addr, live.PacketConn, error) { return sc.Net.Source(), conn, nil })
 	return l, conn, sc
 }
 
@@ -397,14 +404,14 @@ func TestCloseInstallsCompleteCapture(t *testing.T) {
 // path is a runtime failure (1) — and neither leaves a mux behind.
 func TestOpenMuxFailures(t *testing.T) {
 	l, _, _ := simLive(t)
-	l.dial = func() (netip.Addr, live.PacketConn, error) {
+	dialing(t, func() (netip.Addr, live.PacketConn, error) {
 		return netip.Addr{}, nil, errors.New("socket: operation not permitted")
-	}
+	})
 	if _, err := l.OpenMux(context.Background(), nil); exitCode(err) != exitUsage || !strings.Contains(err.Error(), "operation not permitted") {
 		t.Errorf("no raw sockets: %v (exit %d), want a usage error saying why", err, exitCode(err))
 	}
 	l, _, _ = simLive(t)
-	l.dial = func() (netip.Addr, live.PacketConn, error) { return netip.Addr{}, nil, nil }
+	dialing(t, func() (netip.Addr, live.PacketConn, error) { return netip.Addr{}, nil, nil })
 	if _, err := l.OpenMux(context.Background(), nil); exitCode(err) != exitUsage || !strings.Contains(err.Error(), "live probing unavailable") {
 		t.Errorf("no IPv4 source: %v (exit %d), want a usage error", err, exitCode(err))
 	}

@@ -28,9 +28,16 @@ type Live struct {
 	// listFlag is the name List is registered under: -live-dests, or
 	// paris-traceroute's -dest.
 	listFlag string
-	// dial is how the hermetic tests reach live.MuxConfig.Conn. Nil probes
-	// from live.LocalIPv4 over the host's raw sockets.
-	dial func() (netip.Addr, live.PacketConn, error)
+}
+
+// Dial picks the source address and the socket OpenMux probes over: the
+// host's raw sockets (a nil conn, which live.NewMux opens) from the address
+// live.LocalIPv4 picks. The binaries' tests answer it from a simulated
+// network instead, so that -live runs hermetically through the rest of
+// OpenMux as shipped: -capture, -timeout and the pressure callback included.
+var Dial = func() (netip.Addr, live.PacketConn, error) {
+	src, err := live.LocalIPv4()
+	return src, nil, err
 }
 
 // Register declares the group's flags on fs. listFlag names the inline
@@ -146,16 +153,7 @@ type Mux struct {
 // one probe timeout. onPressure, when non-nil, hears of every change of the
 // mux's degradation level before it is logged.
 func (l *Live) OpenMux(ctx context.Context, onPressure func(tracer.MuxHealth)) (*Mux, error) {
-	var (
-		src  netip.Addr
-		conn live.PacketConn
-		err  error
-	)
-	if l.dial != nil {
-		src, conn, err = l.dial()
-	} else {
-		src, err = live.LocalIPv4()
-	}
+	src, conn, err := Dial()
 	if err != nil {
 		return nil, Usagef("cannot determine local IPv4 source: %v", err)
 	}

@@ -6,20 +6,20 @@ import (
 	"time"
 )
 
-// SimConn is the in-process PacketConn the hermetic tests and the replay
-// corpus generator drive the live transport with: every sent probe is
-// answered by the responder (typically a second, identical netsim.Network
-// replaying exactly the responses the simulator transport would have
-// produced), and the schedule injects the pathologies a real network adds
-// on top — reordering, duplication, loss, and late arrival. ReadBatch
+// SimConn is the in-process PacketConn the hermetic tests drive the live
+// transport with: every sent probe is answered by the responder (typically
+// a second, identical netsim.Network replaying exactly the responses the
+// simulator transport would have produced), and the schedule injects the
+// pathologies a real network adds on top — reordering, duplication, loss,
+// and late arrival. ReadBatch
 // returns ErrTimeout the moment nothing is deliverable, which
 // fast-forwards the transport's deadline wheel without any real sleeping.
 // All methods are safe for concurrent use, so the shared mux's writer
 // workers and its reader can hit one SimConn at once under -race.
 //
-// It lives in the non-test build so `go generate`-run tools can capture
-// hermetic campaigns through the real mux (see internal/tracer/replay/gen);
-// production binaries never construct one.
+// It is in the non-test build because tests of other packages use it too:
+// the binaries' tests put it behind cli.Dial to run -live hermetically and
+// to record the replay corpus. The binaries themselves never construct one.
 type SimConn struct {
 	mu sync.Mutex
 

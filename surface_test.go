@@ -13,12 +13,14 @@ package repro
 // are out of its reach. The same scan keeps test support out of the
 // program: no non-test file may import a package of testSupport.
 //
-// Two more rules hold the non-test files outside bench/. The packages whose
+// Three more rules hold the non-test files outside bench/. The packages whose
 // output is a pure function of (seed, config) — netsim, measure and anomaly
 // — neither read the wall clock (time.Now) nor import math/rand; topo, which
-// draws the topology, is the exception. And netsim's draws are keyed by
+// draws the topology, is the exception. netsim's draws are keyed by
 // (seed, round, probe), never by arrival order, so no struct netsim declares
-// has a field of func type: nothing can hook into the forwarding walk.
+// has a field of func type: nothing can hook into the forwarding walk. And
+// the transports (tracer and the packages under it) sit below the
+// measurement layers: none imports measure or daemon.
 //
 // The call-site ledger, testdata/callsites.txt, holds the same files to
 // every "one X" decision — one TTL ladder, one live transport, one front
@@ -68,14 +70,18 @@ var purePackages = map[string]bool{
 }
 
 // checkProgramRules holds a non-test file of package pkg, outside bench/, to
-// the determinism rule: the pure packages neither import math/rand nor read
-// the wall clock, and netsim declares no struct field of func type.
+// the determinism rule — the pure packages neither import math/rand nor read
+// the wall clock, and netsim declares no struct field of func type — and to
+// the layering rule: a transport imports neither measure nor daemon.
 func checkProgramRules(errorf func(string, ...any), fset *token.FileSet, pkg string, f *ast.File) {
 	pure, timeName := purePackages[pkg], ""
+	transport := pkg == "repro/internal/tracer" || strings.HasPrefix(pkg, "repro/internal/tracer/")
 	for _, im := range f.Imports {
 		switch ip, _ := strconv.Unquote(im.Path.Value); {
 		case pure && (ip == "math/rand" || ip == "math/rand/v2"):
 			errorf("%s: %s imports %s; its draws are keyed by (seed, round, probe), never by a shared generator", fset.Position(im.Pos()), pkg, ip)
+		case transport && (ip == "repro/internal/measure" || ip == "repro/internal/daemon"):
+			errorf("%s: the transport %s imports %s; measurement sits on the transports, never under them", fset.Position(im.Pos()), pkg, ip)
 		case ip == "time":
 			timeName = "time"
 			if im.Name != nil {
@@ -404,6 +410,7 @@ func TestSurfaceCatchesRenamedCopies(t *testing.T) {
 		{"repro/internal/measure", `import "repro/internal/ckpt"; func appendFlags(b []byte, loop, cycle bool) []byte { return ckpt.AppendBool(ckpt.AppendBool(b, loop), cycle) }`, "measure.appendFlags names ckpt.AppendBool, but"},
 		{"repro/internal/daemon", `import "repro/internal/ckpt"; func (ck *Checkpoint) encodeDest(b []byte, d netip.Addr) []byte { return ckpt.AppendAddr(b, d) }`, "daemon.Checkpoint.encodeDest names ckpt.AppendAddr, but"},
 		{"repro/internal/netsim", "type tapped struct{ tap func([]byte) }", "a netsim struct holds a func"},
+		{"repro/internal/tracer/replay", `import "repro/internal/measure"; var _ = measure.Config{}`, "the transport repro/internal/tracer/replay imports repro/internal/measure"},
 	} {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, "plant.go", "package p\n"+c.src, parser.SkipObjectResolution)
