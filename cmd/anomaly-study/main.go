@@ -57,7 +57,7 @@ func main() {
 	fs.IntVar(&o.workers, "workers", 32, "parallel probing workers")
 	fs.BoolVar(&o.batch, "batch", true, "submit each trace's TTL ladder as batched exchanges")
 	fs.BoolVar(&o.truth, "truth", false, "print generator ground truth")
-	fs.BoolVar(&o.failFast, "fail-fast", false, "abort the campaign on the first trace error instead of retrying and quarantining")
+	fs.BoolVar(&o.failFast, "fail-fast", false, "abort the campaign on the first trace error instead of counting the failed pair and quarantining")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file for resumable campaigns")
 	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "write the checkpoint every N completed rounds")
 	fs.BoolVar(&o.resume, "resume", false, "resume the campaign from -checkpoint instead of starting over")
@@ -120,8 +120,8 @@ func runStudy(o *options) (err error) {
 		}
 		cfg.Dests, cfg.MinTTL = dests, 1
 		// Replay errors are deterministic — a probe the capture does not
-		// hold will be missing on every retry — so the fault-tolerant
-		// retry/quarantine policy would only bury the divergence.
+		// hold will be missing on every try — so counting failed pairs
+		// and quarantining would only bury the divergence.
 		cfg.FailFast = true
 		shared = rt
 		finish = func(*measure.Stats) { cli.WarnDiverged(rt) }

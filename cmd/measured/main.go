@@ -58,7 +58,7 @@ func run() (err error) {
 	maxRounds := flag.Int("max-rounds", 0, "stop after N completed rounds (0: run until signalled)")
 	batch := flag.Bool("batch", true, "submit each trace's TTL ladder as batched exchanges")
 	faultSeed := flag.Int64("fault-seed", 0, "fault-injection seed (with any -fault-*-every flag)")
-	faultTransient := flag.Int("fault-transient-every", 0, "afflict ~every k-th destination with a transient-error window")
+	faultTransient := flag.Int("fault-transient-every", 0, "afflict ~every k-th destination with an error window")
 	faultDrop := flag.Int("fault-drop-every", 0, "afflict ~every k-th destination with a response-drop burst")
 	faultPanic := flag.Int("fault-panic-every", 0, "afflict ~every k-th destination with an injected-panic window")
 	flag.Parse()
@@ -124,7 +124,7 @@ func run() (err error) {
 		cfg.Transport = sc.Transport()
 		if *faultTransient > 0 || *faultDrop > 0 || *faultPanic > 0 {
 			// The hermetic soak configuration CI exercises the supervision
-			// machinery with: seeded transient-error, response-drop and
+			// machinery with: seeded error-window, response-drop and
 			// injected-panic schedules over the simulator.
 			cfg.Transport = netsim.WrapFaults(cfg.Transport, netsim.FaultPlan{
 				Seed:           *faultSeed,

@@ -80,12 +80,11 @@ const maxIPIDGap = 1024
 //     Paris measurement;
 //  5. residual: per-packet load balancing (unverifiable, as in the paper).
 //
-// parisLoops is the paired Paris route's detection, already in hand:
-// streaming accumulators memoize FindLoops per interned route and classify
-// many instances against one detection pass. It is also how the
-// accumulator re-evaluates a zero-TTL candidate against the current round's
-// route: the rule's IP ID coherence check is the one loop observable that
-// changes between exchanges of one path.
+// route is the classic route the loop was seen on, read as measured: the
+// zero-TTL rule's IP ID check differs between exchanges of one path, so a
+// cause is a fact about that route and never reusable for another. parisLoops
+// is the paired Paris route's detection, already in hand: streaming
+// accumulators run FindLoops once per interned route.
 func ClassifyLoopDetected(l Loop, route *tracer.Route, parisLoops []Loop) Cause {
 	hops := route.Hops
 	first := hops[l.Start]
@@ -156,9 +155,9 @@ func respTTLDecreasing(hops []tracer.Hop) bool {
 //     Paris measurement;
 //  4. residual: per-packet load balancing or spoofed addresses.
 //
-// Like ClassifyLoopDetected it takes the Paris detection already in hand;
-// periodic cycles re-evaluate their IP ID coherence against each round's
-// route through it.
+// Like ClassifyLoopDetected it reads the route the cycle was seen on as
+// measured (the forwarding-loop rule checks its IP IDs) and takes the Paris
+// detection already in hand.
 func ClassifyCycleDetected(c Cycle, route *tracer.Route, parisCycles []Cycle) Cause {
 	hops := route.Hops
 
@@ -213,27 +212,9 @@ func cycleIPIDsCoherent(hops []tracer.Hop, c Cycle) bool {
 	return prev != nil
 }
 
-// LoopConsultsIPID reports whether classifying l on routes along this path
-// reads the response IP IDs: only the zero-TTL rule does, and only when
-// the loop opens with the quoted-TTL 0-then-1 pattern (Fig. 4). The
-// pattern is a path property, so accumulators evaluate it once per
-// interned route; loops without it classify identically whatever the IP
-// IDs and their memoized cause is reusable, while loops with it re-run
-// ClassifyLoopDetected against each round's route.
-func LoopConsultsIPID(l Loop, route *tracer.Route) bool {
-	hops := route.Hops
-	return hops[l.Start].ProbeTTL == 0 && hops[l.Start+1].ProbeTTL == 1
-}
-
-// CycleConsultsIPID reports whether classifying c reads the response IP
-// IDs: only periodic cycles check counter coherence (Section 4.2.1).
-func CycleConsultsIPID(c Cycle) bool { return c.Period > 0 }
-
 // PairClass is the full classification of one paired measurement: every
 // classic loop and cycle instance with its attributed cause (indexes line up
-// with Loops and Cycles), plus the count of Paris-only loops — loops the
-// Paris trace saw on an address that loops nowhere in the paired classic
-// route (Section 4.1.2's 0.25% residue).
+// with Loops and Cycles), plus the count of Paris-only loops.
 type PairClass struct {
 	Loops       []Loop
 	LoopCauses  []Cause
@@ -245,47 +226,35 @@ type PairClass struct {
 // ClassifyPair detects and classifies every anomaly of a paired
 // classic/Paris measurement in one call.
 func ClassifyPair(classic, paris *tracer.Route) PairClass {
-	return ClassifyPairDetected(FindLoops(classic), FindCycles(classic),
-		FindLoops(paris), FindCycles(paris), classic)
-}
-
-// ClassifyPairDetected is ClassifyPair with all four detection passes
-// already run — the streaming accumulator's entry point, which memoizes
-// FindLoops/FindCycles per interned route and re-classifies only when one
-// side of the pair actually changed. Each detection pass is consulted once:
-// Paris-only matching builds the classic loop-address set a single time
-// instead of rescanning the classic loops per Paris instance.
-func ClassifyPairDetected(loops []Loop, cycles []Cycle, parisLoops []Loop, parisCycles []Cycle, classic *tracer.Route) PairClass {
-	pc := PairClass{Loops: loops, Cycles: cycles}
-	if len(loops) > 0 {
-		pc.LoopCauses = make([]Cause, len(loops))
-		for i, l := range loops {
+	pc := PairClass{Loops: FindLoops(classic), Cycles: FindCycles(classic)}
+	parisLoops, parisCycles := FindLoops(paris), FindCycles(paris)
+	if len(pc.Loops) > 0 {
+		pc.LoopCauses = make([]Cause, len(pc.Loops))
+		for i, l := range pc.Loops {
 			pc.LoopCauses[i] = ClassifyLoopDetected(l, classic, parisLoops)
 		}
 	}
-	if len(cycles) > 0 {
-		pc.CycleCauses = make([]Cause, len(cycles))
-		for i, c := range cycles {
+	if len(pc.Cycles) > 0 {
+		pc.CycleCauses = make([]Cause, len(pc.Cycles))
+		for i, c := range pc.Cycles {
 			pc.CycleCauses[i] = ClassifyCycleDetected(c, classic, parisCycles)
 		}
 	}
-	if len(parisLoops) > 0 {
-		// Set-built-once Paris-only matching: O(classic + paris) instead
-		// of the nested O(classic × paris) rescan.
-		var inClassic map[netip.Addr]bool
-		if len(loops) > 0 {
-			inClassic = make(map[netip.Addr]bool, len(loops))
-			for _, l := range loops {
-				inClassic[l.Addr] = true
-			}
-		}
-		for _, l := range parisLoops {
-			if !inClassic[l.Addr] {
-				pc.ParisOnly++
-			}
+	pc.ParisOnly = ParisOnly(pc.Loops, parisLoops)
+	return pc
+}
+
+// ParisOnly counts the Paris-only loops of a pair: loops the Paris trace saw
+// on an address that loops nowhere in the paired classic route (Section
+// 4.1.2's 0.25% residue).
+func ParisOnly(loops, parisLoops []Loop) int {
+	n := 0
+	for _, l := range parisLoops {
+		if !loopsContain(loops, l.Addr) {
+			n++
 		}
 	}
-	return pc
+	return n
 }
 
 // ClassifyDiamond attributes a diamond found in the classic per-destination

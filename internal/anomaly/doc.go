@@ -9,15 +9,17 @@
 // Every detector and the classifier are pure functions over the routes they
 // are given: no package-level state, no randomness, no clock reads. The
 // same routes always yield the same instances and the same causes, in the
-// same order, which is what lets the measure package memoize per-route
-// results on interned routes and still produce byte-identical statistics
+// same order, which is what lets the measure package keep per-route
+// detection on interned routes and still produce byte-identical statistics
 // at any worker count.
 //
-// Two classifier rules consult response IP IDs (LoopConsultsIPID,
-// CycleConsultsIPID), which differ on every exchange even along a stable
-// path. Both rules are gated on path-stable patterns and are re-evaluated
-// against each round's route rather than a memoized one, so IP-ID-driven
-// verdicts stay per-round facts and never leak through interning. All
-// values are read-only to this package; nothing here mutates a Route, so
-// concurrent analysis of distinct routes needs no synchronization.
+// Two classifier rules read response IP IDs — zero-TTL forwarding and the
+// forwarding-loop cycle's counter coherence — which differ on every
+// exchange even along a stable path. So a cause is a fact about the route
+// it was classified on: callers classify every pair against its own classic
+// route (ClassifyLoopDetected, ClassifyCycleDetected) and never reuse a
+// cause for another exchange, and which rules read per-exchange fields is
+// known only here. All values are read-only to this package; nothing here
+// mutates a Route, so concurrent analysis of distinct routes needs no
+// synchronization.
 package anomaly

@@ -301,7 +301,8 @@ func TestDaemonQuarantine(t *testing.T) {
 	cfg := testConfig(sc)
 	// Roughly every 2nd destination is blackholed from its first exchange.
 	plan := netsim.FaultPlan{Seed: 23, BlackholeEvery: 2, BlackholeStart: 0}
-	cfg.Transport = netsim.WrapFaults(sc.Transport(), plan)
+	ft := netsim.WrapFaults(sc.Transport(), plan)
+	cfg.Transport = ft
 	cfg.Period = 1
 	d := mustNew(t, cfg)
 	defer d.Stop()
@@ -349,11 +350,13 @@ func TestDaemonQuarantine(t *testing.T) {
 	// One error budget, two runtimes: at period 1 the daemon probes every
 	// destination every round, so a campaign over the same faulty topology
 	// must fail, quarantine and skip the same destinations after the same
-	// number of pairs — both charge measure.DestRun, which holds the budget.
+	// number of pairs — both charge measure.DestRun, which holds the budget —
+	// and meet as many injected errors, one batch per failed pair.
 	sc2 := freeTopo(t, 8, 17, 0)
-	camp, err := measure.NewCampaign(netsim.WrapFaults(sc2.Transport(), plan), measure.Config{
+	ft2 := netsim.WrapFaults(sc2.Transport(), plan)
+	camp, err := measure.NewCampaign(ft2, measure.Config{
 		Dests: sc2.Dests, Rounds: 5, Workers: 3, RoundStart: sc2.RoundStart,
-		PortSeed: 42, Batch: true, Stream: true, Sleep: noSleep,
+		PortSeed: 42, Batch: true, Stream: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,6 +368,9 @@ func TestDaemonQuarantine(t *testing.T) {
 	if got, want := res.Stats.Robust, s.Robust; got.Probed != want.Probed || got.Failed != want.Failed ||
 		got.Skipped != want.Skipped || got.QuarantinedDests != want.QuarantinedDests {
 		t.Fatalf("campaign and daemon charge the same faults differently:\ncampaign: %+v\ndaemon:   %+v", got, want)
+	}
+	if got, want := ft2.InjectedErrors(), ft.InjectedErrors(); got != want {
+		t.Fatalf("campaign met %d injected errors, daemon %d", got, want)
 	}
 }
 

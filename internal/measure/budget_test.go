@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"context"
 	"io"
 	"path/filepath"
 	"testing"
@@ -46,7 +45,7 @@ func (w *steadyWorker) pair(tb testing.TB, i int) {
 		w.sc.RoundStart(w.round)
 		w.round++
 	}
-	p, err := w.c.measureDest(context.Background(), 0, w.round-1, w.sc.Dests[idx], &w.c.runs[idx])
+	p, err := w.c.measureDest(0, w.round-1, w.sc.Dests[idx], &w.c.runs[idx])
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func BenchmarkFoldFirstSight(b *testing.B) {
 	w.sc.RoundStart(0)
 	pairs := make([]Pair, len(w.sc.Dests))
 	for i, d := range w.sc.Dests {
-		p, err := w.c.measureDest(context.Background(), 0, 0, d, &w.c.runs[i])
+		p, err := w.c.measureDest(0, 0, d, &w.c.runs[i])
 		if err != nil {
 			b.Fatal(err)
 		}

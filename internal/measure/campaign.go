@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"time"
 
 	"repro/internal/keyhash"
 	"repro/internal/tracer"
@@ -57,10 +56,6 @@ type Config struct {
 	// default (false) the campaign degrades instead — see the package
 	// comment's error-policy contract.
 	FailFast bool
-	// Sleep replaces time.Sleep for retry backoff waits; tests inject a
-	// recording no-op so retry schedules are asserted without real delays.
-	// Nil sleeps for real.
-	Sleep func(time.Duration)
 
 	// CheckpointPath, when set, persists a resumable checkpoint to this
 	// path after every CheckpointEvery completed rounds (atomic temp-file +
@@ -114,8 +109,8 @@ type Outcome int
 const (
 	// OutcomeOK is a successfully measured pair; both routes are present.
 	OutcomeOK Outcome = iota
-	// OutcomeFailed is a pair whose measurement failed after the retry
-	// budget (or fatally); both routes are nil, nothing was measured.
+	// OutcomeFailed is a pair whose measurement failed; both routes are
+	// nil, nothing was measured.
 	OutcomeFailed
 	// OutcomeSkipped is a pair never attempted because its destination was
 	// quarantined by the error budget; both routes are nil.
@@ -375,7 +370,7 @@ func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator)
 					return
 				default:
 				}
-				p, err := c.measureDest(ctx, w, round, dests[i], &c.runs[i])
+				p, err := c.measureDest(w, round, dests[i], &c.runs[i])
 				if err != nil {
 					stopOnce.Do(func() {
 						firstErr = err
@@ -400,62 +395,22 @@ func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator)
 }
 
 // measureDest applies the error policy around one destination's pair: skip
-// when quarantined, retry transient failures with seeded-jitter backoff,
-// charge the error budget on exhaustion. With FailFast it is the worker's
+// when quarantined, otherwise measure once and charge a failure to the
+// error budget, as the daemon does. With FailFast it is the worker's
 // Prober.MeasurePair plus nothing — errors propagate and abort the round.
-func (c *Campaign) measureDest(ctx context.Context, w, round int, d netip.Addr, run *DestRun) (Pair, error) {
+func (c *Campaign) measureDest(w, round int, d netip.Addr, run *DestRun) (Pair, error) {
 	if !c.cfg.FailFast && run.Quarantined {
 		return SkippedPair(d, round), nil
 	}
 	hints := run.Hints
 	p, err := c.probers[w].MeasurePair(d, round, &hints)
-	if err != nil && c.cfg.FailFast {
+	switch {
+	case err != nil && c.cfg.FailFast:
 		return Pair{}, err
-	}
-	for attempt := 1; err != nil && attempt < maxAttempts && tracer.IsTransient(err) && ctx.Err() == nil; attempt++ {
-		c.sleep(c.backoff(d, round, attempt))
-		p, err = c.probers[w].MeasurePair(d, round, &hints)
-	}
-	if err != nil {
+	case err != nil:
 		run.Failed()
 		return FailedPair(d, round), nil
 	}
 	run.Succeeded(hints)
 	return p, nil
-}
-
-// The retry policy of a transiently failing pair: at most maxAttempts tries
-// per pair per round (the first included; fatal errors are never retried),
-// attempt k waiting retryBackoff << (k-1), capped at retryBackoffMax.
-const (
-	maxAttempts     = 3
-	retryBackoff    = 100 * time.Millisecond
-	retryBackoffMax = 2 * time.Second
-)
-
-// backoff is the delay before retry attempt k (1-based): exponential from
-// retryBackoff, capped at retryBackoffMax, scaled by a jitter factor in
-// [0.5, 1.5) drawn from a SplitMix64 hash of (PortSeed, destination, round,
-// attempt) — deterministic for a campaign, decorrelated across destinations
-// so synchronized failures do not retry in lockstep.
-func (c *Campaign) backoff(d netip.Addr, round, attempt int) time.Duration {
-	delay := retryBackoff << (attempt - 1)
-	if delay <= 0 || delay > retryBackoffMax {
-		delay = retryBackoffMax
-	}
-	a := d.As4()
-	x := uint64(c.cfg.PortSeed)
-	x ^= uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3])
-	x ^= uint64(round)<<32 ^ uint64(attempt)<<56
-	jitter := 0.5 + float64(keyhash.Mix64(x)>>11)/float64(1<<53)
-	return time.Duration(float64(delay) * jitter)
-}
-
-// sleep waits through the configured seam (tests) or for real.
-func (c *Campaign) sleep(d time.Duration) {
-	if c.cfg.Sleep != nil {
-		c.cfg.Sleep(d)
-		return
-	}
-	time.Sleep(d)
 }

@@ -13,7 +13,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/netsim"
@@ -99,7 +98,6 @@ func TestCheckpointQuarantineSurvivesResume(t *testing.T) {
 		sc := topo.Generate(simtest.Default(dests))
 		cfg := checkpointConfig(sc, path)
 		cfg.Rounds = rounds
-		cfg.Sleep = func(time.Duration) {}
 		return newCampaign(t, netsim.WrapFaults(netsim.NewTransport(sc.Net), plan), cfg), sc
 	}
 

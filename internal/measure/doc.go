@@ -55,16 +55,17 @@
 // accumulator's own interned copy — a pointer-free header over 8-byte hop
 // cells — so a fingerprint collision can only cost speed, never
 // correctness. Per-route work (loop/cycle detection, response tallies,
-// diamond-graph contribution) is memoized on the interned route;
-// classic-vs-Paris classification is memoized per fingerprint pair.
-// Interning equality ignores per-exchange quantities (RTTs and response IP
-// IDs, which differ every round even on a stable path); RTT tallies fold
-// per round from the current pair, and the two classification rules that
-// consult IP IDs are gated on path-stable patterns and re-evaluated
-// against each round's route, keeping the statistics byte-identical. A
-// stable path therefore costs zero anomaly work per round, and campaign
-// memory is O(destinations + unique routes) — independent of the round
-// count — where retained results grow O(destinations × rounds). A
+// diamond-graph contribution) is memoized on the interned route. Interning
+// equality ignores per-exchange quantities (RTTs and response IP IDs, which
+// differ every round even on a stable path), so what reads them is read off
+// the folded pair: RTT tallies, and the classification of every classic
+// loop and cycle, which each pair gets against its own classic route
+// (anomaly.ClassifyLoopDetected and ClassifyCycleDetected, two of whose
+// rules read IP IDs) beside its Paris-only loop count (anomaly.ParisOnly).
+// A stable path without a loop or a cycle therefore costs no anomaly work
+// per round, and campaign memory is O(destinations + unique routes) —
+// independent of the round count — where retained results grow
+// O(destinations × rounds). A
 // destination's share is its interned routes' cells and headers, a few
 // sorted slices and two diamond indexes of a few hundred bytes, each a
 // sorted set of (head, tail, middle) triples (see stream.go's header for the
@@ -137,15 +138,13 @@
 //
 // A 556-round campaign on the real Internet meets failures a hermetic
 // simulation never shows, so by default the campaign degrades instead of
-// aborting. Transports classify their failures with the tracer taxonomy
-// (tracer.IsTransient); a pair whose trace fails transiently is tried up to
-// three times with exponential, seeded-jitter backoff (100ms doubling,
-// capped at 2s; waits through Config.Sleep so tests inject a clock). A pair
-// still failing — or failing fatally — is recorded as an explicit Outcome
-// Failed pair (no routes) and charges the destination's error budget; after
-// three consecutive failed rounds the destination is quarantined and its
-// remaining rounds are recorded as Skipped pairs without probing. One
-// successful pair resets the budget. The budget lives in one place, DestRun
+// aborting. Each pair is measured once: a pair whose trace fails is
+// recorded as an explicit Outcome Failed pair (no routes) and charges the
+// destination's error budget once, as in the daemon. Nothing retries a
+// failed pair — the live mux absorbs its own transient send errors, and a
+// replay error recurs on every try. After three consecutive failed rounds
+// the destination is quarantined and its remaining rounds are recorded as
+// Skipped pairs without probing. One successful pair resets the budget. The budget lives in one place, DestRun
 // (Succeeded, Failed, and the quarantineAfter constant beside them), which
 // the campaign keeps per destination, the daemon embeds in its scheduler
 // entry, and both checkpoint as it is — so the two runtimes cannot disagree

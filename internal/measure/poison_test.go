@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/simtest"
@@ -142,13 +141,16 @@ func mustLoad(tb testing.TB, path string) *Checkpoint {
 	return ck
 }
 
-// cloneRounds deep-copies retained results.
+// cloneRounds deep-copies retained results. Failed and Skipped pairs have
+// no routes to copy.
 func cloneRounds(rounds [][]Pair) [][]Pair {
 	out := make([][]Pair, len(rounds))
 	for r := range rounds {
 		out[r] = make([]Pair, len(rounds[r]))
 		for i, p := range rounds[r] {
-			p.Paris, p.Classic = p.Paris.Clone(), p.Classic.Clone()
+			if p.Outcome == OutcomeOK {
+				p.Paris, p.Classic = p.Paris.Clone(), p.Classic.Clone()
+			}
 			out[r][i] = p
 		}
 	}
@@ -158,10 +160,10 @@ func cloneRounds(rounds [][]Pair) [][]Pair {
 // comparePoisoned runs the campaign config describes twice over fresh
 // scenarios — retaining and untouched, streamed and poisoned — and
 // requires the same Stats and the same final checkpoint, byte for byte. prep,
-// when non-nil, adjusts each campaign before it runs. It returns how many
-// lone Paris routes the poisoned run gave back.
+// when non-nil, adjusts each campaign before it runs. It returns the
+// statistics and how many lone Paris routes the poisoned run gave back.
 func comparePoisoned(t *testing.T, scenario func() *topo.Scenario, transport func(*topo.Scenario) tracer.Transport,
-	config func(sc *topo.Scenario, stream bool, ckPath string) Config, prep func(*Campaign, tracer.Transport)) (lones int) {
+	config func(sc *topo.Scenario, stream bool, ckPath string) Config, prep func(*Campaign, tracer.Transport)) (*Stats, int) {
 	t.Helper()
 	build := func(stream bool, ckPath string) *Campaign {
 		sc := scenario()
@@ -203,7 +205,7 @@ func comparePoisoned(t *testing.T, scenario func() *topo.Scenario, transport fun
 	if !reflect.DeepEqual(resM.Rounds, kept) {
 		t.Error("retained Results.Rounds changed after the campaign measured on")
 	}
-	return recycled.lones
+	return want, recycled.lones
 }
 
 // TestPoisonedStreamMatchesAnalyze is the suite's main gate: streamed,
@@ -228,9 +230,8 @@ func TestPoisonedProbesPerHop3(t *testing.T) {
 }
 
 // classicFailer fails, once per destination, the first batch of the round-1
-// classic ladder with a transient error — after the pair's Paris trace has
-// succeeded — so the retry path gives a finished Paris route back and
-// measures the pair again.
+// classic ladder — after the pair's Paris trace has succeeded — so the pair
+// folds as Failed and gives its finished Paris route back.
 type classicFailer struct {
 	tracer.Transport
 	seed int64
@@ -250,7 +251,7 @@ func (c *classicFailer) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult)
 		c.mu.Unlock()
 		if first {
 			for i := range probes {
-				out[i] = tracer.ProbeResult{Err: tracer.Transient(errors.New("injected classic failure"))}
+				out[i] = tracer.ProbeResult{Err: errors.New("injected classic failure")}
 			}
 			return
 		}
@@ -258,21 +259,18 @@ func (c *classicFailer) ExchangeBatch(probes [][]byte, out []tracer.ProbeResult)
 	c.Transport.ExchangeBatch(probes, out)
 }
 
-// TestPoisonedRetryAfterClassicFailure covers the retry path where the Paris
-// trace succeeded and the classic one failed.
-func TestPoisonedRetryAfterClassicFailure(t *testing.T) {
+// TestPoisonedClassicFailure covers the pair whose Paris trace succeeded and
+// whose classic one failed: it folds as Failed, once, and its lone Paris
+// route goes back to the worker.
+func TestPoisonedClassicFailure(t *testing.T) {
 	var failers []*classicFailer
-	lones := comparePoisoned(t, func() *topo.Scenario { return gadgetsScenario(120) },
+	s, lones := comparePoisoned(t, func() *topo.Scenario { return gadgetsScenario(120) },
 		func(sc *topo.Scenario) tracer.Transport {
 			f := &classicFailer{Transport: sc.Transport(), seed: 42, failed: make(map[netip.Addr]bool)}
 			failers = append(failers, f)
 			return f
 		},
-		func(sc *topo.Scenario, stream bool, ckPath string) Config {
-			cfg := poisonConfig(sc, stream, ckPath)
-			cfg.Sleep = func(time.Duration) {}
-			return cfg
-		}, nil)
+		poisonConfig, nil)
 	for _, f := range failers {
 		if len(f.failed) != 120 {
 			t.Errorf("classic ladder failed toward %d destinations, want all 120", len(f.failed))
@@ -280,6 +278,9 @@ func TestPoisonedRetryAfterClassicFailure(t *testing.T) {
 	}
 	if lones != 120 {
 		t.Errorf("%d lone Paris routes given back, want one per destination", lones)
+	}
+	if s.Robust.Failed != 120 || s.Robust.Skipped != 0 || s.Routes != 120*5 {
+		t.Errorf("robust %+v over %d routes, want 120 failed pairs, none skipped, the other 600 measured", s.Robust, s.Routes)
 	}
 }
 

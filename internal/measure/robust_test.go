@@ -3,8 +3,6 @@ package measure
 import (
 	"context"
 	"errors"
-	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,37 +11,28 @@ import (
 	"repro/internal/topo"
 )
 
-// faultyCampaign builds a streaming campaign over a fresh default
-// scenario with the given fault plan afflicted on its transport. The
-// returned sleeps slice records every backoff wait (no real sleeping).
-func faultyCampaign(t *testing.T, dests, rounds int, plan netsim.FaultPlan, cfg Config) (*Campaign, *topo.Scenario, *netsim.FaultTransport, *[]time.Duration) {
+// faultyCampaign builds a campaign over a fresh default scenario with the
+// given fault plan afflicted on its transport.
+func faultyCampaign(t *testing.T, dests, rounds int, plan netsim.FaultPlan, cfg Config) (*Campaign, *topo.Scenario, *netsim.FaultTransport) {
 	t.Helper()
 	sc := topo.Generate(simtest.Default(dests))
 	ft := netsim.WrapFaults(netsim.NewTransport(sc.Net), plan)
-	sleeps := new([]time.Duration)
 	cfg.Dests = sc.Dests
 	cfg.Rounds = rounds
 	cfg.RoundStart = sc.RoundStart
 	cfg.PortSeed = 42
-	// Every worker backs off through this one seam.
-	var mu sync.Mutex
-	cfg.Sleep = func(d time.Duration) {
-		mu.Lock()
-		defer mu.Unlock()
-		*sleeps = append(*sleeps, d)
-	}
-	camp := newCampaign(t, ft, cfg)
-	return camp, sc, ft, sleeps
+	return newCampaign(t, ft, cfg), sc, ft
 }
 
 // TestCampaignQuarantinesBlackholedDests pins the default error policy's
 // accounting exactly: a blackholed destination fails quarantineAfter rounds
-// (each after the full retry budget) and is then skipped for the rest of
-// the campaign, while every healthy destination is measured in full.
+// (each pair measured once and charged once) and is then skipped for the
+// rest of the campaign, while every healthy destination is measured in
+// full.
 func TestCampaignQuarantinesBlackholedDests(t *testing.T) {
 	const dests, rounds = 60, 6
 	plan := netsim.FaultPlan{Seed: 11, BlackholeEvery: 5}
-	camp, sc, ft, sleeps := faultyCampaign(t, dests, rounds, plan, Config{
+	camp, sc, ft := faultyCampaign(t, dests, rounds, plan, Config{
 		Workers: 4,
 		Stream:  true,
 	})
@@ -76,67 +65,20 @@ func TestCampaignQuarantinesBlackholedDests(t *testing.T) {
 		t.Errorf("Probed = %d (Routes %d), want %d", s.Robust.Probed, s.Routes, wantProbed)
 	}
 
-	// Each failed pair burned the full retry budget: maxAttempts tries on
-	// the Paris trace, so maxAttempts-1 backoff waits per failed pair and
-	// one injected error per try.
-	wantSleeps := wantFailed * (maxAttempts - 1)
-	if len(*sleeps) != wantSleeps {
-		t.Errorf("recorded %d backoff waits, want %d", len(*sleeps), wantSleeps)
-	}
-	if got := ft.InjectedErrors(); got != wantFailed*maxAttempts {
-		t.Errorf("injected errors = %d, want %d", got, wantFailed*maxAttempts)
+	// Each failed pair was tried once: its Paris trace's first probe met
+	// the blackhole, one injected error per failed pair.
+	if got := ft.InjectedErrors(); got != wantFailed {
+		t.Errorf("injected errors = %d, want %d", got, wantFailed)
 	}
 	if s.Loops.Instances == 0 || s.Diamonds.Total == 0 {
 		t.Error("faulty campaign produced degenerate anomaly statistics")
 	}
 }
 
-// TestCampaignRetriesRideOutTransientWindow: a transient window shorter
-// than the retry budget costs retries but loses nothing — every pair is
-// eventually measured and the statistics are byte-identical to a fault-free
-// campaign over the same scenario.
-func TestCampaignRetriesRideOutTransientWindow(t *testing.T) {
-	const (
-		dests  = 48
-		rounds = 3
-	)
-	// Every destination errors its first two exchanges; the third attempt
-	// starts past the window and the whole trace runs clean.
-	plan := netsim.FaultPlan{Seed: 5, TransientEvery: 1, TransientStart: 0, TransientLen: 2}
-	camp, _, _, sleeps := faultyCampaign(t, dests, rounds, plan, Config{
-		Workers: 4,
-		Stream:  true,
-	})
-	res := mustRun(t, camp)
-	s := res.Stats
-	if s.Robust.Failed != 0 || s.Robust.Skipped != 0 || s.Robust.QuarantinedDests != 0 {
-		t.Fatalf("retries did not ride out the window: %+v", s.Robust)
-	}
-	if s.Routes != dests*rounds {
-		t.Fatalf("Routes = %d, want %d", s.Routes, dests*rounds)
-	}
-	// Two retries per destination, all in round 0's first trace.
-	if want := dests * 2; len(*sleeps) != want {
-		t.Fatalf("recorded %d backoff waits, want %d", len(*sleeps), want)
-	}
-
-	// The dropped-then-retried probes never reached the simulated network,
-	// so the statistics must match a fault-free campaign exactly.
-	clean := topo.Generate(simtest.Default(dests))
-	cres := mustRun(t, newCampaign(t, netsim.NewTransport(clean.Net), Config{
-		Dests: clean.Dests, Rounds: rounds, Workers: 4,
-		RoundStart: clean.RoundStart, PortSeed: 42, Stream: true,
-	}))
-	if !reflect.DeepEqual(s, cres.Stats) {
-		t.Errorf("faulted-but-retried stats differ from fault-free stats:\nfaulted: %+v\nclean:   %+v", s, cres.Stats)
-	}
-}
-
 // TestCampaignFailFastAborts preserves the historical semantics: with
-// FailFast the first trace error fails the whole campaign and carries the
-// transport taxonomy.
+// FailFast the first trace error fails the whole campaign.
 func TestCampaignFailFastAborts(t *testing.T) {
-	camp, _, _, sleeps := faultyCampaign(t, 20, 3, netsim.FaultPlan{Seed: 1, BlackholeEvery: 1}, Config{
+	camp, _, _ := faultyCampaign(t, 20, 3, netsim.FaultPlan{Seed: 1, BlackholeEvery: 1}, Config{
 		Workers:  4,
 		FailFast: true,
 	})
@@ -146,9 +88,6 @@ func TestCampaignFailFastAborts(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatalf("failed campaign returned results: %+v", res)
-	}
-	if len(*sleeps) != 0 {
-		t.Fatalf("FailFast retried (%d backoff waits)", len(*sleeps))
 	}
 }
 
@@ -193,17 +132,17 @@ func TestRunRoundLeaksNoGoroutines(t *testing.T) {
 	base := simtest.Goroutines(measurePkg)
 	plan := netsim.FaultPlan{Seed: 1, BlackholeEvery: 1}
 
-	ff, _, _, _ := faultyCampaign(t, 20, 2, plan, Config{Workers: 8, FailFast: true})
+	ff, _, _ := faultyCampaign(t, 20, 2, plan, Config{Workers: 8, FailFast: true})
 	if _, err := ff.Run(); err == nil {
 		t.Fatal("expected FailFast error")
 	}
 
-	deg, _, _, _ := faultyCampaign(t, 20, quarantineAfter+1, plan, Config{Workers: 8, Stream: true})
+	deg, _, _ := faultyCampaign(t, 20, quarantineAfter+1, plan, Config{Workers: 8, Stream: true})
 	mustRun(t, deg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cc, _, _, _ := faultyCampaign(t, 20, 2, plan, Config{Workers: 8, Stream: true})
+	cc, _, _ := faultyCampaign(t, 20, 2, plan, Config{Workers: 8, Stream: true})
 	if _, err := cc.RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run returned %v", err)
 	}
@@ -220,34 +159,5 @@ func TestRunRoundLeaksNoGoroutines(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines of this package leaked", n)
 		}
-	}
-}
-
-// TestBackoffSchedule pins the retry delay computation: deterministic,
-// exponential, jittered within [0.5, 1.5), capped.
-func TestBackoffSchedule(t *testing.T) {
-	sc := topo.Generate(simtest.Default(4))
-	camp := newCampaign(t, netsim.NewTransport(sc.Net), Config{
-		Dests:    sc.Dests,
-		PortSeed: 9,
-	})
-	d := sc.Dests[0]
-	for attempt := 1; attempt <= 6; attempt++ {
-		got := camp.backoff(d, 3, attempt)
-		if again := camp.backoff(d, 3, attempt); again != got {
-			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, got, again)
-		}
-		base := 100 * time.Millisecond << (attempt - 1)
-		if base <= 0 || base > 2*time.Second {
-			base = 2 * time.Second
-		}
-		lo := time.Duration(float64(base) * 0.5)
-		hi := time.Duration(float64(base) * 1.5)
-		if got < lo || got >= hi {
-			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, got, lo, hi)
-		}
-	}
-	if a, b := camp.backoff(sc.Dests[0], 0, 1), camp.backoff(sc.Dests[1], 0, 1); a == b {
-		t.Error("jitter identical across destinations; retries would march in lockstep")
 	}
 }

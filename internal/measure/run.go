@@ -40,10 +40,11 @@ func (r *DestRun) Succeeded(h PathHints) {
 // pair resets the count. A FailFast campaign has no budget.
 const quarantineAfter = 3
 
-// Failed charges one failed pair (retries already spent) to the budget and
-// reports whether this failure is the one that exhausted it: the
-// quarantineAfter-th in a row quarantines the destination, once, and a
-// quarantined destination stays quarantined for the rest of the run.
+// Failed charges one failed pair to the budget — every run calls it once
+// per failed pair, which nothing retries — and reports whether this failure
+// is the one that exhausted it: the quarantineAfter-th in a row quarantines
+// the destination, once, and a quarantined destination stays quarantined
+// for the rest of the run.
 func (r *DestRun) Failed() (justQuarantined bool) {
 	r.ConsecFails++
 	if r.Quarantined || r.ConsecFails < quarantineAfter {

@@ -66,12 +66,12 @@ type DiamondStats struct {
 
 // RobustStats accounts for the campaign's error policy: of the
 // destination-rounds attempted, how many pairs were measured, how many
-// failed after the retry budget, and how many were skipped because their
+// failed, and how many were skipped because their
 // destination had been quarantined. All zero on a fault-free campaign.
 type RobustStats struct {
 	// Probed counts successfully measured pairs (equals Stats.Routes).
 	Probed int
-	// Failed counts pairs whose measurement failed after retries.
+	// Failed counts pairs whose measurement failed, each once.
 	Failed int
 	// Skipped counts pairs never attempted: their destination was
 	// quarantined by the error budget when the round reached it.

@@ -14,7 +14,7 @@ import (
 // streaming one gives its routes back — so a campaign never has to retain
 // its routes. Memory is O(destinations + unique routes) — independent of the
 // round count — where retaining every Pair of every round costs
-// O(destinations × rounds). What a destination costs: about 2.8 KB a dozen
+// O(destinations × rounds). What a destination costs: about 2.5 KB a dozen
 // rounds into the default topology (TestAccumulatorHeapPerDest holds it under
 // 5 KB). Its eight or so interned routes are 32-byte memo headers over one
 // array of 8-byte hop cells (cell.go) — about 90 hops, 0.7 KB, where a cloned
@@ -30,22 +30,20 @@ import (
 // in place — so a 64-bit collision can only cost speed, never correctness),
 // and every interned route memoizes the work that depends on it alone —
 // loop/cycle detection, response and mid-star tallies, reachability, its
-// diamond-graph contribution. Classification, which differences the classic
-// route against its paired Paris route, is memoized per (classic, paris)
-// fingerprint combination. A stable path therefore costs two fingerprints,
-// two in-place comparisons and a handful of counter increments per round —
-// zero anomaly work, zero allocations.
+// diamond-graph contribution. A stable path therefore costs two
+// fingerprints, two in-place comparisons and a handful of counter
+// increments per round, and no allocation.
 //
 // Fingerprints and equality deliberately ignore RTTs and response IP IDs:
 // both change on every exchange even when the path did not (a responder's
 // IP ID steps with the probe's index and moves with the round), and keying
 // on them would make every round's route "unique", degrading memory right
-// back to O(destinations × rounds). So the cells do not keep them either. The only
-// two classification rules that read IP IDs — the zero-TTL loop check and
-// periodic-cycle counter coherence — are gated on path-stable patterns
-// (quoted-TTL 0-then-1, periodicity), so Fold re-evaluates exactly those
-// instances against the current round's route and reuses the memoized cause
-// everywhere else; RTTs fold from the current pair too (foldRTT).
+// back to O(destinations × rounds). So the cells do not keep them either,
+// and nothing read off a memo depends on them. What does is read off the
+// folded pair itself: every pair is classified against its own classic
+// route (two of the cause rules read its IP IDs, and only package anomaly
+// knows which), and RTTs fold from it too (foldRTT). Classification only
+// runs on a route with a loop or a cycle, a few in a hundred.
 
 // routeMemo is one interned measured route: a pointer-free header over the
 // route's hop cells (cell.go) in its destination's cell array, plus what the
@@ -95,19 +93,6 @@ type routeStats struct {
 	reached   bool
 }
 
-// pairMemo is the memoized cross-route classification for one (classic,
-// paris) fingerprint combination. It is only kept after both routes interned
-// cleanly, so within one destination the fingerprints identify the routes
-// uniquely.
-type pairMemo struct {
-	classic, paris uint64
-	// causes is the offset in destState.causes of the classic route's loop
-	// causes, followed by its cycle causes (lined up with its loops and
-	// cycles).
-	causes    uint32
-	parisOnly uint32
-}
-
 // sigSpan tracks one anomaly signature's observation rounds. Pairs for a
 // destination arrive in nondecreasing round order (the accumulator
 // contract), so counting distinct rounds needs only the last round seen.
@@ -118,11 +103,11 @@ type sigSpan struct {
 }
 
 // destState is everything the accumulator keeps per destination: the
-// interned routes and pair classifications, the incrementally grown diamond
-// graphs, and the signature spans. Signatures are (address, destination)
-// pairs, so keying the spans by address alone loses nothing. Every lookup
-// table is a slice sorted by its key and searched by bisection: a handful of
-// entries each, and no map's buckets or pointers.
+// interned routes, the incrementally grown diamond graphs, and the
+// signature spans. Signatures are (address, destination) pairs, so keying
+// the spans by address alone loses nothing. Every lookup table is a slice
+// sorted by its key and searched by bisection: a handful of entries each,
+// and no map's buckets or pointers.
 type destState struct {
 	classic, paris []routeMemo // by fingerprint
 	// cells holds every interned route's hops, route after route in
@@ -132,8 +117,6 @@ type destState struct {
 	// cells State noted after the accumulator has moved on.
 	cells                    []uint64
 	anoms                    []routeAnoms
-	pairs                    []pairMemo // by (classic, paris)
-	causes                   []anomaly.Cause
 	classicGraph, parisGraph anomaly.Graph
 	loopSigs, cycleSigs      []sigSpan // by address
 	// diamonds is the graphs' diamond tally as of the last count; dirty
@@ -300,21 +283,6 @@ func searchMemo(ms []routeMemo, fp uint64) (int, bool) {
 		}
 	}
 	return lo, lo < len(ms) && ms[lo].fp == fp
-}
-
-// searchPair returns where (classic, paris) sorts in ps and whether it is
-// there.
-func searchPair(ps []pairMemo, classic, paris uint64) (int, bool) {
-	lo, hi := 0, len(ps)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if p := &ps[m]; p.classic < classic || p.classic == classic && p.paris < paris {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(ps) && ps[lo].classic == classic && ps[lo].paris == paris
 }
 
 // note records one observation of a signature in a round, and counts it in
@@ -546,16 +514,15 @@ func (a *Accumulator) analyzeRoute(rt *tracer.Route, classic bool, ds *destState
 	return st
 }
 
-// intern returns rt's statistics, whether they are memoized and whether rt
-// was already known: read off the memo when rt's fingerprint is interned
-// with equal contents (memoized and known), otherwise analyzed and — the
-// fingerprint being new — interned by packing rt's hops into the
-// destination's cells (rt itself is never retained). It reports neither for
-// a fingerprint collision (fingerprint present, contents unequal) nor for a
-// route no memo holds (see packHop and representable); the caller then
-// classifies the pair without memoization — every side effect of
-// analyzeRoute is idempotent, so correctness is unaffected.
-func (a *Accumulator) intern(ds *destState, classic bool, rt *tracer.Route, fp uint64) (st routeStats, memoized, known bool) {
+// intern returns rt's statistics and whether rt was already known: read off
+// the memo when rt's fingerprint is interned with equal contents, otherwise
+// analyzed and — the fingerprint being new — interned by packing rt's hops
+// into the destination's cells (rt itself is never retained). A fingerprint
+// collision (fingerprint present, contents unequal) and a route no memo
+// holds (see packHop and representable) are analyzed and reported unknown:
+// every side effect of analyzeRoute is idempotent, so correctness is
+// unaffected.
+func (a *Accumulator) intern(ds *destState, classic bool, rt *tracer.Route, fp uint64) (st routeStats, known bool) {
 	memos := &ds.paris
 	if classic {
 		memos = &ds.classic
@@ -563,48 +530,22 @@ func (a *Accumulator) intern(ds *destState, classic bool, rt *tracer.Route, fp u
 	i, found := searchMemo(*memos, fp)
 	if found {
 		if mo := &(*memos)[i]; ds.matches(mo, rt) {
-			return ds.stats(mo), true, true
+			return ds.stats(mo), true
 		}
-		return a.analyzeRoute(rt, classic, ds), false, false
+		return a.analyzeRoute(rt, classic, ds), false
 	}
 	st = a.analyzeRoute(rt, classic, ds)
 	if !representable(rt, ds.dest()) {
-		return st, false, false
+		return st, false
 	}
 	off := len(ds.cells)
 	cells, ok := appendCells(ds.cells, rt.Hops)
 	if !ok {
-		return st, false, false
+		return st, false
 	}
 	ds.cells = cells
 	a.remember(ds, memos, i, fp, rt, off, st)
-	return st, true, false
-}
-
-// classify returns the pair's loop and cycle causes and its Paris-only loop
-// count: memoized per fingerprint combination when both routes interned,
-// computed afresh otherwise. The classifier reads the classic route's hops,
-// and the folded route is Equal to the interned one; the only observables
-// Equal ignores that a rule reads are IP IDs, and Fold re-evaluates those
-// rules against the folded route every time.
-func (ds *destState) classify(cs, ps *routeStats, classic *tracer.Route, cfp, pfp uint64, memoable bool) (loopCauses, cycleCauses []anomaly.Cause, parisOnly int) {
-	var i int
-	if memoable {
-		var found bool
-		if i, found = searchPair(ds.pairs, cfp, pfp); found {
-			pm := &ds.pairs[i]
-			nl := len(cs.loops)
-			causes := ds.causes[pm.causes : int(pm.causes)+nl+len(cs.cycles)]
-			return causes[:nl], causes[nl:], int(pm.parisOnly)
-		}
-	}
-	pc := anomaly.ClassifyPairDetected(cs.loops, cs.cycles, ps.loops, ps.cycles, classic)
-	if memoable {
-		off := len(ds.causes)
-		ds.causes = append(append(ds.causes, pc.LoopCauses...), pc.CycleCauses...)
-		ds.pairs = slices.Insert(ds.pairs, i, pairMemo{classic: cfp, paris: pfp, causes: uint32(off), parisOnly: uint32(pc.ParisOnly)})
-	}
-	return pc.LoopCauses, pc.CycleCauses, pc.ParisOnly
+	return st, false
 }
 
 // foldRTT tallies one route's hop round-trip times. Unlike the memoized
@@ -666,11 +607,8 @@ func (a *Accumulator) Fold(p *Pair) FoldResult {
 		a.freshDests = append(a.freshDests, ds)
 	}
 
-	cfp := p.Classic.Fingerprint()
-	pfp := p.Paris.Fingerprint()
-	cs, cok, _ := a.intern(ds, true, p.Classic, cfp)
-	ps, pok, pknown := a.intern(ds, false, p.Paris, pfp)
-	loopCauses, cycleCauses, parisOnly := ds.classify(&cs, &ps, p.Classic, cfp, pfp, cok && pok)
+	cs, _ := a.intern(ds, true, p.Classic, p.Classic.Fingerprint())
+	ps, pknown := a.intern(ds, false, p.Paris, p.Paris.Fingerprint())
 
 	a.routes++
 	if cs.reached {
@@ -688,21 +626,13 @@ func (a *Accumulator) Fold(p *Pair) FoldResult {
 			a.destsWithLoop++
 		}
 	}
-	for i, l := range cs.loops {
+	for _, l := range cs.loops {
 		a.loopInstances++
 		a.loopAddrs.add(l.Addr)
-		cause := loopCauses[i]
-		if anomaly.LoopConsultsIPID(l, p.Classic) {
-			// The zero-TTL rule reads IP IDs, the one loop observable
-			// excluded from interning equality; re-evaluate against this
-			// round's route. The quoted-TTL pattern gating this is rare,
-			// so stable paths still skip all classification work.
-			cause = anomaly.ClassifyLoopDetected(l, p.Classic, ps.loops)
-		}
-		a.loopByCause[cause]++
+		a.loopByCause[anomaly.ClassifyLoopDetected(l, p.Classic, ps.loops)]++
 		a.loopSigs.note(&ds.loopSigs, l.Addr, p.Round)
 	}
-	a.parisOnly += parisOnly
+	a.parisOnly += anomaly.ParisOnly(cs.loops, ps.loops)
 
 	if len(cs.cycles) > 0 {
 		a.routesWithCycle++
@@ -711,16 +641,10 @@ func (a *Accumulator) Fold(p *Pair) FoldResult {
 			a.destsWithCycle++
 		}
 	}
-	for i, c := range cs.cycles {
+	for _, c := range cs.cycles {
 		a.cycleInstances++
 		a.cycleAddrs.add(c.Addr)
-		cause := cycleCauses[i]
-		if anomaly.CycleConsultsIPID(c) {
-			// Periodic cycles check IP ID coherence per round (Section
-			// 4.2.1) — same reasoning as the loop override above.
-			cause = anomaly.ClassifyCycleDetected(c, p.Classic, ps.cycles)
-		}
-		a.cycleByCause[cause]++
+		a.cycleByCause[anomaly.ClassifyCycleDetected(c, p.Classic, ps.cycles)]++
 		a.cycleSigs.note(&ds.cycleSigs, c.Addr, p.Round)
 	}
 	return FoldResult{

@@ -2,7 +2,6 @@ package measure
 
 import (
 	"bytes"
-	"context"
 	"net/netip"
 	"reflect"
 	"slices"
@@ -64,9 +63,8 @@ func TestAnalyzeAllAddressesSorted(t *testing.T) {
 }
 
 // TestAccumulatorInterning exercises the memoization directly: folding the
-// same routes round after round must keep exactly one interned route and
-// one pair classification per side while the per-round tallies keep
-// counting.
+// same routes round after round must keep exactly one interned route per
+// side while the per-round tallies keep counting.
 func TestAccumulatorInterning(t *testing.T) {
 	d := netip.AddrFrom4([4]byte{172, 16, 0, 1})
 	a := NewAccumulator()
@@ -87,9 +85,6 @@ func TestAccumulatorInterning(t *testing.T) {
 	if len(ds.classic) != 1 || len(ds.paris) != 1 {
 		t.Errorf("interned %d classic and %d paris routes, want 1 and 1", len(ds.classic), len(ds.paris))
 	}
-	if len(ds.pairs) != 1 {
-		t.Errorf("memoized %d pair classifications, want 1", len(ds.pairs))
-	}
 	if a.routes != 4 || a.loopInstances != 4 {
 		t.Errorf("routes=%d loopInstances=%d, want 4 and 4 (tallies must keep counting per round)", a.routes, a.loopInstances)
 	}
@@ -102,12 +97,11 @@ func TestAccumulatorInterning(t *testing.T) {
 		}
 	}
 
-	// A changed route interns a second object and re-classifies.
+	// A changed route interns a second object.
 	p := Pair{Dest: d, Round: 4, Classic: synthRoute(d, 1, 5, 5, 3), Paris: synthRoute(d, 1, 2, 4, 3)}
 	a.Fold(&p)
-	if len(ds.classic) != 2 || len(ds.paris) != 1 || len(ds.pairs) != 2 {
-		t.Errorf("after route change: classic=%d paris=%d pairs=%d, want 2, 1, 2",
-			len(ds.classic), len(ds.paris), len(ds.pairs))
+	if len(ds.classic) != 2 || len(ds.paris) != 1 {
+		t.Errorf("after route change: classic=%d paris=%d, want 2 and 1", len(ds.classic), len(ds.paris))
 	}
 }
 
@@ -255,7 +249,7 @@ func TestReadsDoNotMoveStatistics(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		w.sc.RoundStart(r)
 		for i, d := range w.sc.Dests {
-			p, err := w.c.measureDest(context.Background(), 0, r, d, &w.c.runs[i])
+			p, err := w.c.measureDest(0, r, d, &w.c.runs[i])
 			if err != nil {
 				t.Fatal(err)
 			}

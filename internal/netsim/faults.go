@@ -14,42 +14,44 @@ import (
 // per-destination schedules of transient errors, blackholes, and response
 // drops onto any underlying transport. Every schedule is a pure function of
 // (plan seed, destination address, per-destination exchange ordinal), so a
-// campaign over a faulty network is exactly reproducible — retry, backoff,
-// quarantine, and resume logic can be exercised hermetically, with failure
-// counts pinned to the exchange, under -race and without a single sleep.
+// campaign over a faulty network is exactly reproducible — failure
+// accounting, quarantine, and resume logic can be exercised hermetically,
+// with failure counts pinned to the exchange, under -race and without a
+// single sleep.
 
 // FaultPlan selects which destinations misbehave and how. Destinations are
 // picked by a seeded hash ("every k-th destination"), and each affliction is
 // windowed in per-destination exchange ordinals — the running count of
-// probes sent toward that destination, retries included — so a fault's
-// timing is independent of worker interleaving and batching.
+// probes sent toward that destination — so a fault's timing is independent
+// of worker interleaving.
 type FaultPlan struct {
 	// Seed fixes destination selection. The same seed always afflicts the
 	// same destinations with the same schedules.
 	Seed int64
 
-	// TransientEvery, when > 0, gives roughly every k-th destination a
-	// transient-error window: exchanges whose per-destination ordinal
-	// falls in [TransientStart, TransientStart+TransientLen) fail with a
-	// transient error (the probe never reaches the network); exchanges
-	// outside the window succeed normally. A window shorter than the
-	// retry budget models an outage retries ride out.
+	// TransientEvery, when > 0, gives roughly every k-th destination an
+	// error window: exchanges whose per-destination ordinal falls in
+	// [TransientStart, TransientStart+TransientLen) fail with a plain
+	// error (the probe never reaches the network); exchanges outside the
+	// window succeed normally. The window models an outage a destination
+	// recovers from: its failed pairs are charged once each, and a pair
+	// measured after the window resets the destination's error budget.
 	TransientEvery int
 	TransientStart int
 	TransientLen   int
 
 	// BlackholeEvery, when > 0, gives roughly every k-th destination a
 	// permanent failure: every exchange from per-destination ordinal
-	// BlackholeStart onward fails with a transient error, forever. These
-	// destinations exhaust any retry budget and are what the campaign's
-	// quarantine policy exists for.
+	// BlackholeStart onward fails with a plain error, forever. These
+	// destinations exhaust the error budget and are what the quarantine
+	// policy exists for.
 	BlackholeEvery int
 	BlackholeStart int
 
 	// DropEvery, when > 0, gives roughly every k-th destination a
 	// response-drop burst: exchanges in [DropStart, DropStart+DropLen)
 	// complete without error but return no response (stars) — loss, not
-	// failure, so the measurement records it rather than retrying.
+	// failure, so the measurement records it.
 	DropEvery int
 	DropStart int
 	DropLen   int
@@ -132,7 +134,7 @@ type faultKind int
 
 const (
 	faultNone  faultKind = iota
-	faultErr             // transient error: the exchange did not happen
+	faultErr             // injected error: the exchange did not happen
 	faultStar            // silent drop: the exchange happened, no response
 	faultPanic           // injected panic: takes the probing goroutine down
 	faultStall           // wedge: block until ReleaseStalls, then a star
@@ -147,8 +149,7 @@ type destFaults struct {
 
 // FaultTransport wraps any tracer transport with a FaultPlan. Its batches
 // pass the unafflicted probes to the inner transport in order; an injected
-// transient error surfaces in the probe's ProbeResult.Err with the tracer
-// taxonomy.
+// error surfaces in the probe's ProbeResult.Err.
 //
 // FaultTransport is safe for concurrent use; the per-destination ordinal
 // counters are guarded by one mutex, which is off the forwarding hot path
@@ -176,8 +177,8 @@ func WrapFaults(tp tracer.Transport, plan FaultPlan) *FaultTransport {
 	}
 }
 
-// InjectedErrors returns how many exchanges failed with an injected
-// transient error so far.
+// InjectedErrors returns how many exchanges failed with an injected error
+// so far.
 func (t *FaultTransport) InjectedErrors() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -267,7 +268,7 @@ func panicFor(probe []byte) {
 
 // errFor builds the injected error for a probe's destination.
 func errFor(probe []byte) error {
-	return tracer.Transient(fmt.Errorf("netsim: injected fault toward %v", netip.AddrFrom4([4]byte(probe[16:20]))))
+	return fmt.Errorf("netsim: injected fault toward %v", netip.AddrFrom4([4]byte(probe[16:20])))
 }
 
 // ExchangeBatch implements tracer.Transport: afflicted probes resolve in

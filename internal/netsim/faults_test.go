@@ -92,9 +92,6 @@ func TestFaultTransientWindow(t *testing.T) {
 			t.Fatalf("ordinal %d: err=%v, want error=%v", ord, r.Err, want)
 		}
 		if r.Err != nil {
-			if !tracer.IsTransient(r.Err) {
-				t.Fatalf("ordinal %d: injected error not transient: %v", ord, r.Err)
-			}
 			if r.OK || len(r.Resp) != 0 {
 				t.Fatalf("ordinal %d: errored exchange leaked ok=%v resp=%v", ord, r.OK, r.Resp)
 			}
@@ -116,9 +113,6 @@ func TestFaultBlackholePersists(t *testing.T) {
 		want := ord >= 2
 		if (err != nil) != want {
 			t.Fatalf("ordinal %d: err=%v, want error=%v", ord, err, want)
-		}
-		if err != nil && !tracer.IsTransient(err) {
-			t.Fatalf("ordinal %d: blackhole error not transient: %v", ord, err)
 		}
 	}
 }
@@ -160,8 +154,8 @@ func TestFaultExchangeDegradesErrorToStar(t *testing.T) {
 	if ok || resp != nil || rtt != 0 {
 		t.Fatalf("Exchange over blackhole returned resp=%v rtt=%v ok=%v, want star", resp, rtt, ok)
 	}
-	if r := exchangeOne(ft, probeFor(dst)); r.Err == nil || !tracer.IsTransient(r.Err) || r.OK {
-		t.Fatalf("ExchangeBatch over blackhole returned %+v, want a transient Err", r)
+	if r := exchangeOne(ft, probeFor(dst)); r.Err == nil || r.OK {
+		t.Fatalf("ExchangeBatch over blackhole returned %+v, want an Err", r)
 	}
 }
 
@@ -194,8 +188,8 @@ func TestFaultBatchSubsetPassthrough(t *testing.T) {
 	for i, d := range order {
 		isFaulted := i == 1 || i == 3
 		if isFaulted {
-			if out[i].Err == nil || !tracer.IsTransient(out[i].Err) {
-				t.Fatalf("slot %d (%v): Err = %v, want transient", i, d, out[i].Err)
+			if out[i].Err == nil {
+				t.Fatalf("slot %d (%v): Err = nil, want an injected error", i, d)
 			}
 			if out[i].OK || len(out[i].Resp) != 0 {
 				t.Fatalf("slot %d (%v): faulted slot carries a result", i, d)
@@ -242,7 +236,7 @@ func TestFaultBatchStaleSlotReset(t *testing.T) {
 	inner := &stubTransport{}
 	ft := WrapFaults(inner, FaultPlan{Seed: 1, DropEvery: 1, DropStart: 0, DropLen: 1})
 	probes := [][]byte{probeFor(dst)}
-	stale := tracer.Transient(errors.New("stale error from a recycled slot"))
+	stale := errors.New("stale error from a recycled slot")
 	out := []tracer.ProbeResult{{Resp: []byte{1, 2, 3}, OK: true, RTT: time.Second, Err: stale}}
 	ft.ExchangeBatch(probes, out) // ordinal 0: drop
 	if out[0].Err != nil || out[0].OK || len(out[0].Resp) != 0 || out[0].RTT != 0 {

@@ -79,7 +79,7 @@ func studyExchanges(t *testing.T, g topo.GenConfig, batch, plain bool, plan *net
 	}
 	camp, err := measure.NewCampaign(tp, measure.Config{
 		Dests: sc.Dests, Rounds: 4, Workers: 1, RoundStart: sc.RoundStart,
-		PortSeed: 7, Batch: batch, Stream: true, Sleep: func(time.Duration) {},
+		PortSeed: 7, Batch: batch, Stream: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,6 +62,10 @@ var scenarios = []scenario{
 	}},
 	{name: "blackholes", gen: simtest.Default(dests), faults: &netsim.FaultPlan{Seed: 11, BlackholeEvery: 5},
 		holds: func(s *measure.Stats) bool { return anomalies(s) && s.Robust.Failed > 0 && s.Robust.Skipped > 0 }},
+	// An error window every destination it afflicts recovers from: each
+	// failed pair is charged once, whatever the shape that measured it.
+	{name: "errors", gen: simtest.Default(dests), faults: &netsim.FaultPlan{Seed: 13, TransientEvery: 3, TransientStart: 5, TransientLen: 30},
+		holds: func(s *measure.Stats) bool { return anomalies(s) && s.Robust.Failed > 0 }},
 }
 
 // shape is how a campaign row probes.
@@ -93,7 +97,7 @@ func (sc scenario) build() (*topo.Scenario, tracer.Transport) {
 func config(s *topo.Scenario, sh shape) measure.Config {
 	return measure.Config{
 		Dests: s.Dests, Rounds: rounds, Workers: sh.workers, RoundStart: s.RoundStart,
-		PortSeed: portSeed, Batch: sh.batch, Stream: sh.stream, Sleep: noSleep,
+		PortSeed: portSeed, Batch: sh.batch, Stream: sh.stream,
 	}
 }
 

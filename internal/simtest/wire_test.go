@@ -41,7 +41,7 @@ func wireOf(t *testing.T, gen topo.GenConfig, workers int, batch bool) map[strin
 	w := &wire{Transport: s.Transport(), count: make(map[string]int)}
 	camp, err := measure.NewCampaign(w, measure.Config{
 		Dests: s.Dests, Rounds: 3, Workers: workers, RoundStart: s.RoundStart,
-		PortSeed: portSeed, Batch: batch, Stream: true, Sleep: noSleep,
+		PortSeed: portSeed, Batch: batch, Stream: true,
 	})
 	if err != nil {
 		t.Fatal(err)

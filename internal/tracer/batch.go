@@ -21,9 +21,12 @@ type ProbeResult struct {
 	OK bool
 	// Err, when non-nil, means this probe's exchange failed outright (OK
 	// is then false and Resp empty): nothing was measured, not even a
-	// star. Errors follow the package taxonomy — IsTransient reports
-	// whether a retry may succeed. Transports without a failure mode
-	// leave it nil.
+	// star. It is the one place a transport reports a failed probe; the
+	// ladder ends a trace on the first Err among the hops it consumes, and
+	// the free function Exchange, which has no error channel, counts a
+	// failure as a star. A failure is plain: nothing above the transport
+	// retries it, a run charges the failed pair once. Transports without a
+	// failure mode leave it nil.
 	Err error
 }
 

@@ -191,9 +191,9 @@ func addrWord(a netip.Addr) uint64 {
 // because a path that forwarded identically must fingerprint identically
 // round over round; that stability is what campaign accumulators intern
 // on. Routes that compare Equal always share a fingerprint; the
-// accumulator verifies fingerprint hits with Equal, and re-evaluates the
-// two classification rules that do consult IP IDs against the current
-// round's route (see the measure package's streaming contract).
+// accumulator verifies fingerprint hits with Equal, and classifies every
+// pair against its own route, IP IDs included (see the measure package's
+// fold contract).
 func (r *Route) Fingerprint() uint64 {
 	h := keyhash.FNVOffset64
 	h = (h ^ addrWord(r.Dest)) * keyhash.FNVPrime64
