@@ -41,6 +41,24 @@ const (
 	reorderCapture = "../../internal/tracer/replay/testdata/corpus/reorder-tcptraceroute.pcap"
 )
 
+// unbatchedReplayWarning is what the replay of reorderCapture prints on
+// stderr without -batch. The capture was recorded with -batch, whose window
+// probes past each destination's hop; the unbatched ladder stops at the
+// destination and never asks for those overshoot probes, and they are the
+// 28 captured exchanges it leaves unserved. The 4 junk records, answers the
+// recording mux discarded, are no divergence.
+var unbatchedReplayWarning = filepath.Base(os.Args[0]) + ": replay: 28 captured exchange(s) never served, 4 junk record(s) — the replayed run diverges from the captured one\n"
+
+// wantStderr is what the tool prints on stderr for args: the unbatched
+// replay's warning, and nothing for every other run — a replay under the
+// flags the capture was recorded with serves every exchange it holds.
+func wantStderr(args []string) string {
+	if slices.Contains(args, "-replay") && !slices.Contains(args, "-batch") {
+		return unbatchedReplayWarning
+	}
+	return ""
+}
+
 // reorderNet is the network reorderCapture is recorded over: four
 // destinations, with per-packet balancing and flips off so that a probe is
 // answered the same way whenever it is sent.
@@ -86,15 +104,16 @@ func traceroute(t *testing.T, args ...string) (stdout, stderr string, exit int) 
 // flows a single trace does not send). Batched, the replay runs under the
 // flags the capture was recorded with and serves every exchange, so it must
 // print no warning: the junk the capture holds, answers the recording mux
-// discarded, is no divergence.
+// discarded, is no divergence. Unbatched, it prints exactly the warning
+// wantStderr names.
 func TestBatchFlagChangesNoRoute(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scenario", "fig3", "-method", "classic-udp"},
 		{"-replay", reorderCapture, "-method", "tcptraceroute", "-retries", "0"},
 	} {
 		plain, stderr, exit := traceroute(t, args...)
-		if exit != 0 || !strings.Contains(plain, "halt: destination") {
-			t.Fatalf("%v: exit %d, stdout %q, stderr %q", args, exit, plain, stderr)
+		if exit != 0 || !strings.Contains(plain, "halt: destination") || stderr != wantStderr(args) {
+			t.Fatalf("%v: exit %d, stdout %q, stderr %q, want stderr %q", args, exit, plain, stderr, wantStderr(args))
 		}
 		batched, stderr, exit := traceroute(t, append(args, "-batch")...)
 		if exit != 0 || stderr != "" {
@@ -111,7 +130,8 @@ func TestBatchFlagChangesNoRoute(t *testing.T) {
 // the corpus' per-trace capture (the other two corpus captures hold
 // campaigns, whose flows a single trace does not send). Every -method run is
 // also made with -batch against the same section: -batch only widens the
-// ladder's window, so it never changes a route.
+// ladder's window, so it never changes a route. Every run's stderr is held
+// to wantStderr: empty, but for the unbatched replay's pinned warning.
 // A change that means to alter this output rewrites the file with -update
 // and shows the diff; any other change must leave it byte-equal.
 func TestOutputGolden(t *testing.T) {
@@ -131,12 +151,16 @@ func TestOutputGolden(t *testing.T) {
 		if exit != 0 {
 			t.Fatalf("%v: exit %d, stderr %q", args, exit, stderr)
 		}
+		if want := wantStderr(args); stderr != want {
+			t.Errorf("%v: stderr %q, want %q", args, stderr, want)
+		}
 		fmt.Fprintf(&got, "== %s\n%s", strings.Join(args, " "), out)
 		if !slices.Contains(args, "-method") {
 			continue // -flows enumerates paths; it has no ladder to batch
 		}
-		if batched, stderr, exit := traceroute(t, append(args, "-batch")...); exit != 0 || batched != out {
-			t.Errorf("%v -batch: exit %d, stderr %q, output differs from the unbatched run:\n%s", args, exit, stderr, batched)
+		args = append(args, "-batch")
+		if batched, stderr, exit := traceroute(t, args...); exit != 0 || batched != out || stderr != wantStderr(args) {
+			t.Errorf("%v: exit %d, stderr %q, output differs from the unbatched run:\n%s", args, exit, stderr, batched)
 		}
 	}
 	if *update {

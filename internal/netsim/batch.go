@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,6 +78,10 @@ type exchCtx struct {
 	dyn     *dynamics
 	clk     vclock
 	scratch linkSlot
+	// via holds the address of the next hop routerForward chose, when the
+	// walk needs it (NAT's inside test, the link into an unregistered
+	// adjacency): the stored entry keeps it as four bytes.
+	via netip.Addr
 
 	// share says the exchange may resume on the ladder and replay return
 	// memos: epoch, read as the exchange starts, is even. fwd classifies

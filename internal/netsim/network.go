@@ -127,9 +127,7 @@ type netNode struct {
 }
 
 // addr returns the node's interface address.
-func (nd *netNode) addr() netip.Addr {
-	return netip.AddrFrom4([4]byte{byte(nd.key >> 24), byte(nd.key >> 16), byte(nd.key >> 8), byte(nd.key)})
-}
+func (nd *netNode) addr() netip.Addr { return addrOf(nd.key) }
 
 // a4 maps an address to its registry key. ok is false for anything but a
 // plain IPv4 address, which can never be registered.
@@ -704,21 +702,22 @@ func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, at i
 		return nodeNone, nil, nil, true
 	}
 	// A single next hop is in the compiled table; only an entry to balance
-	// (or the rare hop below that needs its address) reads the Route.
+	// (or the rare hop below that needs its address) reads the entry.
 	next, i, kind := t.next[e], 0, fwdPure
 	if next < nodeNone {
-		rt := &t.entries[e]
+		te := &t.entries[e]
 		rot := 0
 		if link != nil {
 			rot = ctx.dyn.weightRot(link, ctx.clk.now)
 		}
 		ctx.rot = int8(rot)
-		var err error
-		if i, err = r.selectHop(rt, hdr, payload, ctx, rot); err != nil {
+		policy, opts := t.balance(te)
+		var ok bool
+		if i, ok = selectHop(policy, opts, t.width(te), hdr, payload, ctx, rot); !ok {
 			return nodeNone, nil, nil, true
 		}
 		next = t.hops[-2-next+int32(i)]
-		if rt.Balance != PerDestination {
+		if policy != PerDestination {
 			kind = fwdFlow // or impure, below, if per-packet spreading drew
 		}
 	}
@@ -726,16 +725,19 @@ func (n *Network) routerForward(ctx *exchCtx, r *Router, cfg *routerConfig, at i
 	// like a flap from its virtual time. Responses, addressed to the
 	// source, are never redirected.
 	if fl := cfg.faults.Flip; fl != nil && isTransitProbe && !dst.source {
-		if t.entries[e].Hops[i].Via == fl.From && fl.toggled(position(ctx.seed, hdr, payload)) {
+		if t.via(&t.entries[e], i) == fl.From && fl.toggled(position(ctx.seed, hdr, payload)) {
 			return n.nodeOf(fl.To), &fl.To, nil, false
 		}
 		kind = fwdImpure
 	}
 	// NAT egress rewriting (Fig. 5): packets whose source lies inside the
 	// NAT prefix leaving for an outside adjacency get the public address.
+	// The next hop's address is built into the exchange context, where via
+	// can point.
 	nat := &cfg.nat
 	if next < 0 || nat.Enabled() {
-		via = &t.entries[e].Hops[i].Via
+		ctx.via = t.via(&t.entries[e], i)
+		via = &ctx.via
 		if nat.Enabled() && hdr.Src.Is4() && nat.Inside.Contains(hdr.Src) && !nat.Inside.Contains(*via) {
 			if err := packet.PatchSrc(pkt, nat.Public); err == nil {
 				hdr.Src = nat.Public

@@ -9,10 +9,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/flow"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/tracer"
@@ -426,6 +428,67 @@ func TestConcurrentFlipsDuringExchanges(t *testing.T) {
 	flipper.Wait()
 }
 
+// TestConcurrentAddRouteDuringExchanges has eight goroutines exchanging
+// while a ninth keeps appending balanced routes to r1 and now and then
+// resets its table. r1's own route to the host balances too, and r1 runs a
+// NAT, so every visit reads the entry's hop count and chosen next hop out
+// of the hop pool while the appends grow that pool past the published
+// snapshot's prefix. The appended prefixes match no probe, so every
+// outcome must be the one a quiet table gave. Under -race this is the gate
+// for a stored table appended to while it is read.
+func TestConcurrentAddRouteDuringExchanges(t *testing.T) {
+	l, _ := flipNet()
+	base := []netsim.Route{
+		{Prefix: host32(lineHost), Hops: []netsim.NextHop{{Via: lineIf(3)}, {Via: lineIf(13)}}},
+		{Prefix: anyDst, Hops: via1(lineIf(1))},
+	}
+	r1 := l.rs[1]
+	r1.SetRoutes(base)
+	r1.SetNAT(netsim.NAT{Public: ip4(198, 51, 100, 1), Inside: netip.MustParsePrefix("192.168.0.0/16")})
+	probes := ladder(t, lineSrc, lineHost, 5)
+	want := exchangeAll(l.net, probes, false)
+	stop := make(chan struct{})
+	var grower sync.WaitGroup
+	grower.Add(1)
+	go func() {
+		defer grower.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%64 == 63 {
+				r1.SetRoutes(base)
+				continue
+			}
+			r1.AddRoute(netsim.Route{
+				Prefix:  netip.PrefixFrom(ip4(192, 168, byte(i), 0), 24),
+				Hops:    []netsim.NextHop{{Via: lineIf(3)}, {Via: lineIf(13)}, {Via: ip4(10, 9, 9, byte(i))}},
+				Balance: netsim.PerDestination,
+			})
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				for j, o := range exchangeAll(l.net, probes, (w+i)%2 == 0) {
+					if o != want[j] {
+						t.Errorf("worker %d: probe %d\n got %s\nwant %s", w, j, o, want[j])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	grower.Wait()
+}
+
 // TestUnroutableAdjacenciesDropWhereTheyDid pins the step at which a packet
 // handed to nothing dies: a next hop or a forwarding override naming an
 // unregistered or a non-IPv4 address, and a next hop naming the source
@@ -681,6 +744,105 @@ func TestDuplicateSlash32LastWins(t *testing.T) {
 		l.rs[1].AddRoute(host(false))
 		if got := respSrcOf(t, l.net, mkProbe(t, probeUDP, lineSrc, lineHost, 3, 1), batch); got != lineIf(3) {
 			t.Errorf("batch=%v: TTL 3 answered by %v, want %v (the latest /32)", batch, got, lineIf(3))
+		}
+	}
+}
+
+// roundTripRoutes is a table of every shape a route can take: single and
+// balanced, under each policy and key kind, with an address past its
+// prefix length, and the odd ones a stored entry cannot spell — non-IPv4
+// and invalid prefixes, a non-IPv4 next hop, nil and empty hop lists, a
+// policy and a key kind past a byte.
+func roundTripRoutes() []netsim.Route {
+	v6 := netip.MustParseAddr("2001:db8::1")
+	three := []netsim.NextHop{{Via: lineIf(2)}, {Via: lineIf(3)}, {Via: ip4(10, 9, 9, 9)}}
+	rts := []netsim.Route{
+		{Prefix: host32(lineHost), Hops: via1(lineIf(3))},
+		{Prefix: anyDst, Hops: via1(lineIf(1)), Balance: netsim.PerPacket},
+		{Prefix: netip.PrefixFrom(ip4(172, 16, 9, 77), 24), Hops: via1(lineIf(3))},
+	}
+	for _, p := range []netsim.Policy{netsim.PerFlow, netsim.PerPacket, netsim.PerDestination} {
+		for _, k := range []flow.KeyKind{flow.KeyFirstFourOctets, flow.KeyFiveTuple, flow.KeyDestination} {
+			rts = append(rts, netsim.Route{
+				Prefix: netip.PrefixFrom(ip4(172, 20, byte(p), byte(k)), 31), Hops: three,
+				Balance: p, FlowOpts: flow.Options{Kind: k},
+			})
+		}
+	}
+	return append(rts,
+		netsim.Route{Prefix: netip.MustParsePrefix("2001:db8::/32"), Hops: via1(lineIf(3))},
+		netsim.Route{Prefix: netip.PrefixFrom(netip.AddrFrom16(lineHost.As16()), 128), Hops: via1(lineIf(3))},
+		netsim.Route{Prefix: netip.PrefixFrom(lineHost, 33), Hops: via1(lineIf(3))},
+		netsim.Route{Hops: via1(lineIf(3))},
+		netsim.Route{Prefix: host32(lineHost), Hops: via1(v6)},
+		netsim.Route{Prefix: anyDst, Hops: []netsim.NextHop{{Via: lineIf(2)}, {Via: v6}}, Balance: netsim.PerDestination},
+		netsim.Route{Prefix: anyDst},
+		netsim.Route{Prefix: anyDst, Hops: []netsim.NextHop{}},
+		netsim.Route{Prefix: anyDst, Hops: three, Balance: netsim.Policy(300)},
+		netsim.Route{Prefix: anyDst, Hops: three, FlowOpts: flow.Options{Kind: flow.KeyKind(-1)}},
+	)
+}
+
+// TestRoutesRoundTrip: Routes gives back what AddRoute and SetRoutes were
+// handed, route for route, and a copy the caller may change.
+func TestRoutesRoundTrip(t *testing.T) {
+	want := roundTripRoutes()
+	added := netsim.NewRouter("added", lineIf(100))
+	for _, rt := range want {
+		added.AddRoute(rt)
+	}
+	set := netsim.NewRouter("set", lineIf(101))
+	set.SetRoutes(want)
+	for _, r := range []*netsim.Router{added, set} {
+		got := r.Routes()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d routes back, want %d", r.Name, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s: route %d came back as %+v, want %+v", r.Name, i, got[i], want[i])
+			}
+		}
+		for i := range got {
+			got[i].Hops = append(got[i].Hops, netsim.NextHop{Via: lineIf(9)})
+			if len(got[i].Hops) > 1 {
+				got[i].Hops[0].Via = lineIf(8)
+			}
+		}
+		if again := r.Routes(); !reflect.DeepEqual(again, want) {
+			t.Errorf("%s: changing the routes Routes returned changed the table", r.Name)
+		}
+	}
+}
+
+// TestOddPrefixesMatchNothing: a non-IPv4 or invalid prefix routes nothing,
+// not even a default route's worth, so r1 answers net-unreachable; the
+// IPv4 /24 installed after them still routes.
+func TestOddPrefixesMatchNothing(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		l := newLine(29)
+		odd := []netsim.Route{
+			{Prefix: netip.MustParsePrefix("::/0"), Hops: via1(lineIf(3))},
+			{Prefix: netip.PrefixFrom(netip.AddrFrom16(lineHost.As16()), 128), Hops: via1(lineIf(3))},
+			{Prefix: netip.PrefixFrom(ip4(0, 0, 0, 0), 33), Hops: via1(lineIf(3))},
+			{Hops: via1(lineIf(3))},
+			{Prefix: host32(lineSrc), Hops: via1(lineIf(1))},
+		}
+		l.rs[1].SetRoutes(odd)
+		h, payload, err := packet.ParseIPv4(mustHex(t, exchangeAll(l.net, [][]byte{mkProbe(t, probeUDP, lineSrc, lineHost, 64, 3)}, batch)[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := new(packet.ICMP)
+		if err := packet.ParseICMPInto(payload, m); err != nil {
+			t.Fatal(err)
+		}
+		if h.Src != lineIf(2) || m.Type != packet.ICMPTypeDestUnreachable || m.Code != packet.CodeNetUnreachable {
+			t.Errorf("batch=%v: answered by %v type %d code %d, want net-unreachable from %v", batch, h.Src, m.Type, m.Code, lineIf(2))
+		}
+		l.rs[1].AddRoute(netsim.Route{Prefix: netip.PrefixFrom(ip4(172, 16, 0, 0), 24), Hops: via1(lineIf(3))})
+		if got := respSrcOf(t, l.net, mkProbe(t, probeUDP, lineSrc, lineHost, 3, 3), batch); got != lineIf(3) {
+			t.Errorf("batch=%v: TTL 3 answered by %v, want %v through the /24", batch, got, lineIf(3))
 		}
 	}
 }

@@ -55,18 +55,30 @@
 //     between rounds without a lock. A mutation is seen by every exchange
 //     that starts after the mutation returns; one in flight meanwhile may
 //     see it at some visits and not at others.
+//   - A router stores its forwarding table pointer-free: one 12-byte entry
+//     per route (the IPv4 prefix as a word and its length, the policy, and
+//     a single next hop's address inline or the offset of a balanced
+//     route's hop count and next hops in a per-router pool of 4-byte
+//     addresses), so the collector never scans a table and a campaign's
+//     hundred thousand host routes cost 12 bytes each, not a 72-byte Route
+//     and a []NextHop of their own. The rare route an entry cannot spell (a
+//     non-IPv4 prefix or next hop, non-default flow options) is kept whole
+//     beside the entries; Routes spells every route back exactly.
 //   - Forwarding tables publish an immutable compiled snapshot behind an
-//     atomic pointer, exactly like the config snapshot: the entry list with
-//     every next hop resolved to a node id, the /32 entries toward hosts
-//     indexed by host id, the lookup result for the source address, and the
-//     topology generation all of that was resolved at. The per-visit lookup
-//     is lock-free and hash-free: slice loads. Route mutation (AddRoute,
-//     SetRoutes) serializes on a per-router mutex and
+//     atomic pointer, exactly like the config snapshot: the stored entries
+//     with every next hop resolved to a node id, the /32 entries toward
+//     hosts indexed by host id, the lookup result for the source address,
+//     and the topology generation all of that was resolved at. The
+//     per-visit lookup is lock-free and hash-free: slice loads. Route
+//     mutation (AddRoute, SetRoutes) serializes on a per-router mutex and
 //     invalidates the snapshot; the next visit — under the topology read
 //     lock, which keeps the registry still — rebuilds it once, as it does
 //     for a snapshot whose generation a registration has since outdated.
-//     Entries are never mutated in place, so indexes into a published
-//     snapshot stay valid indefinitely.
+//     The entries, the hop pool and the kept routes are only appended to
+//     (AddRoute) or replaced (SetRoutes), never written in place, so a
+//     published snapshot reads a prefix of arrays a mutator may be
+//     appending to past its end, and indexes into it stay valid
+//     indefinitely.
 //   - Counters (the network probe counter, the epoch below), the per-node
 //     return memos and, under dynamics, the per-node up words and link
 //     draws are atomics.
@@ -166,6 +178,7 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -211,7 +224,10 @@ type NextHop struct {
 }
 
 // Route is a forwarding-table entry. When several next hops are present the
-// router balances across them according to Balance.
+// router balances across them according to Balance. It is what AddRoute and
+// SetRoutes take and Routes gives back; the router stores it as a
+// pointer-free 12-byte entry (see tableEntry), so neither the Route nor its
+// Hops slice is retained.
 type Route struct {
 	Prefix  netip.Prefix
 	Hops    []NextHop
@@ -363,10 +379,10 @@ type Router struct {
 	// tableMu serializes route mutators and snapshot rebuilds; the lookup
 	// hot path never takes it (it loads the snapshot pointer instead).
 	tableMu sync.Mutex
-	// table is the mutable route list, guarded by tableMu. Entries are
-	// never mutated in place — mutators append or install a fresh slice —
-	// so pointers into a published snapshot stay valid forever.
-	table []Route
+	// table is the mutable route list, guarded by tableMu. Nothing in it
+	// is mutated in place — mutators append or install a fresh store — so
+	// a published snapshot's prefix of it stays valid forever.
+	table routeStore
 	// snap is the atomically-published compiled table, rebuilt on demand
 	// after a mutation (mutators clear it; the next lookup pays the one
 	// O(table) rebuild) or a registration (its generation no longer
@@ -428,22 +444,172 @@ func (r *Router) bumpEpoch() {
 	}
 }
 
-// routerTable is the immutable compiled forwarding table: the route entries
-// it was built from, with every address in them resolved once against the
-// network's registry, so the walk indexes where it used to hash. entries
-// shares the mutable table's backing array at build time; that is safe
-// because entries are never overwritten in place and the snapshot's length
-// bounds every access.
+// tableEntry is one stored route: 12 pointer-free bytes, so a table of
+// thousands of host routes is one flat array the collector never scans. The
+// prefix is its IPv4 address bits as given (Prefix.Contains ignores those
+// past its length) and its length; form says where the next hops are (see
+// routeStore).
+type tableEntry struct {
+	addr   uint32
+	hop    uint32
+	bits   uint8
+	policy uint8
+	form   uint8
+}
+
+// The forms of a tableEntry.
+const (
+	// formOne: hop is the single next hop's address.
+	formOne = iota
+	// formPool: more.pool[hop] is the hop count n, and
+	// more.pool[hop+1:hop+1+n] the next hops' addresses.
+	formPool
+	// formOdd: more.odd[hop] is the route, kept whole.
+	formOdd
+)
+
+// noMatch is the prefix length of an entry whose prefix matches nothing.
+const noMatch = 0xff
+
+// contains reports whether the entry's prefix, of 32 bits or fewer,
+// contains the address with key k. A shift by the full 32 bits (a /0)
+// leaves 0, which every address matches.
+func (e *tableEntry) contains(k uint32) bool {
+	return (e.addr^k)>>(32-e.bits) == 0
+}
+
+// routeStore is a forwarding table as a router stores it: one entry per
+// route, in installation order, and, behind more, the next hops of the
+// balanced entries as a pool of 4-byte addresses and the rare route no
+// entry can spell — a non-IPv4 or invalid prefix, a non-IPv4 next hop, no
+// next hop, a policy past a byte, flow options other than the paper's
+// default (an ablation's five-tuple) — kept whole in odd, so Routes gives it
+// back exactly and the walk reads its hops, policy and flow options there.
+// An odd route's entry still holds its prefix, one that matches nothing
+// unless it is a valid IPv4 one. A router with neither, most of a
+// campaign's, pays one nil pointer for them. The arrays are only ever
+// appended to or replaced, never overwritten in place, and more is replaced
+// on every change to it, so a snapshot's copy of the store stays valid as
+// the router's grows.
+type routeStore struct {
+	entries []tableEntry
+	more    *moreRoutes
+}
+
+// moreRoutes is the part of a routeStore few routers need.
+type moreRoutes struct {
+	pool []uint32
+	odd  []Route
+}
+
+// add appends rt.
+func (s *routeStore) add(rt Route) {
+	e := tableEntry{bits: noMatch, policy: uint8(rt.Balance)}
+	if k, ok := a4(rt.Prefix.Addr()); ok && rt.Prefix.IsValid() {
+		e.addr, e.bits = k, uint8(rt.Prefix.Bits())
+	}
+	spelled := e.bits != noMatch && Policy(e.policy) == rt.Balance && rt.FlowOpts == (flow.Options{}) && len(rt.Hops) > 0
+	for _, h := range rt.Hops {
+		spelled = spelled && h.Via.Is4()
+	}
+	if spelled && len(rt.Hops) == 1 {
+		e.hop, _ = a4(rt.Hops[0].Via)
+		s.entries = append(s.entries, e)
+		return
+	}
+	var m moreRoutes
+	if s.more != nil {
+		m = *s.more
+	}
+	if spelled {
+		e.hop, e.form = uint32(len(m.pool)), formPool
+		m.pool = append(m.pool, uint32(len(rt.Hops)))
+		for _, h := range rt.Hops {
+			k, _ := a4(h.Via)
+			m.pool = append(m.pool, k)
+		}
+	} else {
+		e.hop, e.form = uint32(len(m.odd)), formOdd
+		rt.Hops = slices.Clone(rt.Hops)
+		m.odd = append(m.odd, rt)
+	}
+	s.more = &m
+	s.entries = append(s.entries, e)
+}
+
+// width returns the number of next hops of entry e.
+func (s *routeStore) width(e *tableEntry) int {
+	switch e.form {
+	case formOne:
+		return 1
+	case formPool:
+		return int(s.more.pool[e.hop])
+	default:
+		return len(s.more.odd[e.hop].Hops)
+	}
+}
+
+// balance returns the policy and flow options entry e balances by.
+func (s *routeStore) balance(e *tableEntry) (Policy, flow.Options) {
+	if e.form == formOdd {
+		rt := &s.more.odd[e.hop]
+		return rt.Balance, rt.FlowOpts
+	}
+	return Policy(e.policy), flow.Options{}
+}
+
+// via returns the address of next hop i of entry e.
+func (s *routeStore) via(e *tableEntry, i int) netip.Addr {
+	switch e.form {
+	case formOne:
+		return addrOf(e.hop)
+	case formPool:
+		return addrOf(s.more.pool[e.hop+1+uint32(i)])
+	default:
+		return s.more.odd[e.hop].Hops[i].Via
+	}
+}
+
+// routes spells the stored routes out, each with hops of its own.
+func (s *routeStore) routes() []Route {
+	out := make([]Route, len(s.entries))
+	for i := range s.entries {
+		e := &s.entries[i]
+		if e.form == formOdd {
+			out[i] = s.more.odd[e.hop]
+			out[i].Hops = slices.Clone(out[i].Hops)
+			continue
+		}
+		hops := make([]NextHop, s.width(e))
+		for j := range hops {
+			hops[j] = NextHop{s.via(e, j)}
+		}
+		out[i] = Route{Prefix: netip.PrefixFrom(addrOf(e.addr), int(e.bits)), Hops: hops, Balance: Policy(e.policy)}
+	}
+	return out
+}
+
+// addrOf is the IPv4 address with key k (a4's inverse).
+func addrOf(k uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)})
+}
+
+// routerTable is the immutable compiled forwarding table: the stored routes
+// it was built from, with every next hop in them resolved once against the
+// network's registry, so the walk indexes where it used to hash. The
+// routeStore is the router's as of the build, sharing its backing arrays,
+// which is safe because those are never overwritten in place and the
+// snapshot's lengths bound every access.
 type routerTable struct {
 	// gen is the topology generation the addresses were resolved at; a
 	// table from an older generation is stale (see Network.gen).
-	gen     uint64
-	entries []Route
+	gen uint64
+	routeStore
 	// next[i] is the node id of entry i's only next hop (nodeNone: nothing
 	// registered there) — all the walk needs of the common single-hop entry.
 	// An entry to balance over several next hops (or with none) holds
-	// -2-off instead, its hops' node ids sitting at hops[off:] in Route.Hops
-	// order.
+	// -2-off instead, its hops' node ids sitting at hops[off:] in the
+	// route's hop order.
 	next []int32
 	hops []int32
 	// dense indexes the /32 entries toward hosts by dense host id, offset by
@@ -456,9 +622,9 @@ type routerTable struct {
 	// host32 indexes the remaining /32 entries — those for addresses that
 	// are not hosts — by the 4-byte address.
 	host32 map[uint32]int32
-	// prefixIdx lists the indices of non-/32 entries, so the LPM fallback
-	// scans only real prefixes (a handful: pod subnets and the default
-	// route) instead of the thousands of indexed host routes.
+	// prefixIdx lists the indices of the other entries that match anything,
+	// so the LPM fallback scans only real prefixes (a handful: pod subnets
+	// and the default route) instead of the thousands of indexed host routes.
 	prefixIdx []int32
 	// srcEntry is the lookup result for the measurement source address,
 	// which every response on its way back asks for at every hop.
@@ -472,7 +638,7 @@ func (r *Router) AddRoute(rt Route) *Router {
 	defer r.tableMu.Unlock()
 	r.bumpEpoch()
 	defer r.bumpEpoch()
-	r.table = append(r.table, rt)
+	r.table.add(rt)
 	r.snap.Store(nil)
 	return r
 }
@@ -483,15 +649,20 @@ func (r *Router) SetRoutes(rts []Route) {
 	defer r.tableMu.Unlock()
 	r.bumpEpoch()
 	defer r.bumpEpoch()
-	r.table = append([]Route(nil), rts...)
+	s := routeStore{entries: make([]tableEntry, 0, len(rts))}
+	for _, rt := range rts {
+		s.add(rt)
+	}
+	r.table = s
 	r.snap.Store(nil)
 }
 
-// Routes returns a copy of the forwarding table.
+// Routes returns a copy of the forwarding table, each route as it was
+// installed.
 func (r *Router) Routes() []Route {
 	r.tableMu.Lock()
 	defer r.tableMu.Unlock()
-	return append([]Route(nil), r.table...)
+	return r.table.routes()
 }
 
 // compiled returns the current forwarding table compiled against n's
@@ -513,28 +684,32 @@ func (r *Router) compiled(n *Network) *routerTable {
 	return t
 }
 
-func compileTable(n *Network, entries []Route) *routerTable {
-	t := &routerTable{gen: n.gen, entries: entries, next: make([]int32, len(entries))}
+func compileTable(n *Network, s routeStore) *routerTable {
+	entries := s.entries
+	t := &routerTable{gen: n.gen, routeStore: s, next: make([]int32, len(entries))}
 	// hostOf[i] is the dense id of the host entry i is a /32 for, else -1.
 	hostOf := make([]int32, len(entries))
 	lo, hi := int32(0), int32(-1)
 	for i := range entries {
 		e := &entries[i]
-		if len(e.Hops) == 1 {
-			t.next[i] = n.nodeOf(e.Hops[0].Via)
+		if w := s.width(e); w == 1 {
+			t.next[i] = n.nodeOf(s.via(e, 0))
 		} else {
 			t.next[i] = -2 - int32(len(t.hops))
-			for _, h := range e.Hops {
-				t.hops = append(t.hops, n.nodeOf(h.Via))
+			for j := range w {
+				t.hops = append(t.hops, n.nodeOf(s.via(e, j)))
 			}
 		}
 		hostOf[i] = -1
-		k, v4 := a4(e.Prefix.Addr())
-		if !v4 || e.Prefix.Bits() != 32 {
+		switch e.bits {
+		case noMatch:
+			continue
+		case 32:
+		default:
 			t.prefixIdx = append(t.prefixIdx, int32(i))
 			continue
 		}
-		if id, ok := n.ids[k]; ok && n.nodes[id].host != nil {
+		if id, ok := n.ids[e.addr]; ok && n.nodes[id].host != nil {
 			h := n.nodes[id].hostID
 			if hi < lo {
 				lo = h // the first host entry opens the span
@@ -545,7 +720,7 @@ func compileTable(n *Network, entries []Route) *routerTable {
 		if t.host32 == nil {
 			t.host32 = make(map[uint32]int32)
 		}
-		t.host32[k] = int32(i)
+		t.host32[e.addr] = int32(i)
 	}
 	t.base, t.dense = lo, make([]int32, hi-lo+1)
 	for i := range t.dense {
@@ -619,46 +794,43 @@ func (t *routerTable) lookup(d *dstRef, dst netip.Addr) int32 {
 		}
 	}
 	best, bestLen := int32(-1), -1
+	k, v4 := a4(dst)
+	if !v4 {
+		return best
+	}
 	for _, i := range t.prefixIdx {
-		rt := &t.entries[i]
-		if rt.Prefix.Contains(dst) && rt.Prefix.Bits() > bestLen {
-			best, bestLen = i, rt.Prefix.Bits()
+		if e := &t.entries[i]; int(e.bits) > bestLen && e.contains(k) {
+			best, bestLen = i, int(e.bits)
 		}
 	}
 	return best
 }
 
-// selectHop chooses one of the route's equal-cost next hops — its index in
-// rt.Hops — for the packet with the given parsed header and transport
-// payload; PerPacket spreading draws from the exchange's stream. rot
-// is the virtual-clock weight-churn rotation (0 outside churn windows): it
-// offsets the hashed bucket of the flow-keyed policies, remapping flows to
-// different next hops without perturbing the hash itself — weight churn in
-// real routers likewise remaps buckets while the flow key stays stable.
-func (r *Router) selectHop(rt *Route, hdr *packet.IPv4, payload []byte, ctx *exchCtx, rot int) (int, error) {
-	n := len(rt.Hops)
-	if n == 0 {
-		return 0, fmt.Errorf("netsim: route %v on %s has no next hops", rt.Prefix, r.Name)
+// selectHop chooses one of n equal-cost next hops — its index in the
+// route's hop order — by the route's policy and flow options, for the packet
+// with the given parsed header and transport payload; PerPacket spreading
+// draws from the exchange's stream. rot is the virtual-clock weight-churn
+// rotation (0 outside churn windows): it offsets the hashed bucket of the
+// flow-keyed policies, remapping flows to different next hops without
+// perturbing the hash itself — weight churn in real routers likewise remaps
+// buckets while the flow key stays stable. ok is false for a route with no
+// next hop, an unknown policy or key kind.
+func selectHop(policy Policy, opts flow.Options, n int, hdr *packet.IPv4, payload []byte, ctx *exchCtx, rot int) (i int, ok bool) {
+	if n <= 1 {
+		return 0, n == 1
 	}
-	if n == 1 {
-		return 0, nil
-	}
-	switch rt.Balance {
+	switch policy {
 	case PerFlow:
-		k, err := flow.FromParsed(hdr, payload, rt.FlowOpts)
-		if err != nil {
-			return 0, err
-		}
-		return (k.Bucket(n) + rot) % n, nil
 	case PerPacket:
-		return ctx.stream().Intn(n), nil
+		return ctx.stream().Intn(n), true
 	case PerDestination:
-		k, err := flow.FromParsed(hdr, payload, flow.Options{Kind: flow.KeyDestination})
-		if err != nil {
-			return 0, err
-		}
-		return (k.Bucket(n) + rot) % n, nil
+		opts = flow.Options{Kind: flow.KeyDestination}
 	default:
-		return 0, fmt.Errorf("netsim: unknown balance policy %v", rt.Balance)
+		return 0, false
 	}
+	k, err := flow.FromParsed(hdr, payload, opts)
+	if err != nil {
+		return 0, false
+	}
+	return (k.Bucket(n) + rot) % n, true
 }
