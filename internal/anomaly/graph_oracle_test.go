@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/costs"
 	"repro/internal/tracer"
 )
 
@@ -233,17 +234,20 @@ func fifteenHops() *tracer.Route {
 	return mkRoute(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
 }
 
-// TestFindCyclesCycleFreeAllocs: the route nearly every first sight analyzes
-// has no cycle, and finding that out allocates nothing.
-func TestFindCyclesCycleFreeAllocs(t *testing.T) {
+// TestCosts reads anomaly's row of testdata/costs.txt: the route nearly
+// every first sight analyzes has no cycle, and finding that out allocates
+// nothing (find-cycles-allocs, per call).
+func TestCosts(t *testing.T) {
+	rows := costs.Rows{}
 	rt := fifteenHops()
-	if n := testing.AllocsPerRun(100, func() {
-		if len(FindCycles(rt)) != 0 {
-			t.Fatal("cycle in a cycle-free route")
+	rows.Allocs("anomaly/find-cycles-allocs", 100, nil, func() {
+		for range 100 {
+			if len(FindCycles(rt)) != 0 {
+				t.Fatal("cycle in a cycle-free route")
+			}
 		}
-	}); n != 0 {
-		t.Errorf("FindCycles allocates %.1f times on a cycle-free route", n)
-	}
+	})
+	rows.Check(t)
 }
 
 // TestGraphAddRefusesUnkeyableAddress: an address the four-byte key cannot

@@ -1,5 +1,5 @@
 //go:build !race
 
-package simtest
+package costs
 
 const Race = false

@@ -1,9 +1,13 @@
 package daemon
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/costs"
 	"repro/internal/simtest"
 	"repro/internal/tracer"
 )
@@ -76,18 +80,52 @@ func TestTickGoroutinesConstant(t *testing.T) {
 	t.Logf("%d goroutines during a Tick, %d between ticks", peak, base)
 }
 
-// TestTickAllocs pins a warmed Tick's allocations per dispatched pair.
-func TestTickAllocs(t *testing.T) {
-	if simtest.Race {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
+// TestCosts reads daemon's rows of testdata/costs.txt, over daemons whose
+// destinations are all due every round.
+//
+// tick-allocs is a warmed Tick's allocations per dispatched pair, at 200
+// destinations.
+//
+// The rest are read at 500 destinations six ticks in. stats-allocs and
+// stats-bytes are one GET /stats through Handler (the merge under the
+// daemon's lock and the JSON encoding of its Stats, whose stats-addresses
+// addresses encode one at a time); ckpt-locked-allocs and ckpt-locked-bytes
+// are checkpointLocked, what a checkpoint allocates under the daemon's lock;
+// ckpt-file-bytes is the file that checkpoint saves.
+func TestCosts(t *testing.T) {
+	rows := costs.Rows{}
 	const dests = 200
 	d := mustNew(t, poolConfig(t, dests))
 	defer d.Stop()
 	tick(d, 3)
-	perPair := testing.AllocsPerRun(5, d.Tick) / dests
-	if perPair > 3 {
-		t.Fatalf("%.2f allocations per pair, want at most 3", perPair)
+	rows.Allocs("daemon/tick-allocs", 5*dests, d.Tick, func() { tick(d, 5) })
+
+	d = mustNew(t, poolConfig(t, 500))
+	defer d.Stop()
+	tick(d, 6)
+	h, req := d.Handler(), httptest.NewRequest(http.MethodGet, "/stats", nil)
+	warm, rec := httptest.NewRecorder(), httptest.NewRecorder()
+	rows["daemon/stats-bytes"] = rows.Allocs("daemon/stats-allocs", 1, func() {
+		h.ServeHTTP(warm, req)
+		rec.Body.Grow(warm.Body.Len()) // the recorder's buffer is not the handler's cost
+	}, func() { h.ServeHTTP(rec, req) })
+	if rec.Code != http.StatusOK || rec.Body.Len() != warm.Body.Len() {
+		t.Errorf("/stats: status %d, %d bytes; the warm-up read %d", rec.Code, rec.Body.Len(), warm.Body.Len())
 	}
-	t.Logf("%.2f allocations per pair", perPair)
+	rows["daemon/stats-addresses"] = float64(len(d.Snapshot().AllAddresses))
+
+	var ck *Checkpoint
+	var err error
+	d.mu.Lock()
+	rows["daemon/ckpt-locked-bytes"] = rows.Allocs("daemon/ckpt-locked-allocs", 1, nil, func() { ck, err = d.checkpointLocked() })
+	d.mu.Unlock()
+	path := filepath.Join(t.TempDir(), "d.ck")
+	if err == nil {
+		err = ck.Save(path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows["daemon/ckpt-file-bytes"] = float64(len(readFile(t, path)))
+	rows.Check(t)
 }

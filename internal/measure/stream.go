@@ -15,14 +15,15 @@ import (
 // its routes. Memory is O(destinations + unique routes) — independent of the
 // round count — where retaining every Pair of every round costs
 // O(destinations × rounds). What a destination costs: about 2.5 KB a dozen
-// rounds into the default topology (TestAccumulatorHeapPerDest holds it under
-// 5 KB). Its eight or so interned routes are 32-byte memo headers over one
-// array of 8-byte hop cells (cell.go) — about 90 hops, 0.7 KB, where a cloned
-// tracer.Route spent 72 bytes a hop — and every per-destination table is a
-// sorted slice, not a map; the rest is two diamond indexes of a few hundred
-// bytes, each one sorted slice of 12-byte (head, tail, middle) address
-// triples (anomaly.Graph). None of it but the rare loop and cycle lists holds
-// a pointer for the collector to scan.
+// rounds into the default topology (the row measure/heap-per-dest of
+// testdata/costs.txt holds it under 5 KB). Its eight or so interned routes
+// are 32-byte memo headers over one array of 8-byte hop cells (cell.go) —
+// about 90 hops, 0.7 KB, where a cloned tracer.Route spent 72 bytes a hop —
+// and every per-destination table is a sorted slice, not a map; the rest is
+// two diamond indexes of a few hundred bytes, each one sorted slice of
+// 12-byte (head, tail, middle) address triples (anomaly.Graph). None of it
+// but the rare loop and cycle lists holds a pointer for the collector to
+// scan.
 //
 // The accumulator exploits round-over-round route stability by interning:
 // each destination keeps its distinct routes keyed by tracer.Route

@@ -75,7 +75,7 @@ func BenchmarkExchangeParallel(b *testing.B) {
 // dynamics on, a skipped hop still charges its link and re-checks the
 // probe's flap, rotation and brownout draws, so the difference between the
 // two is the dynamics layer itself. ns/probe is the per-probe cost;
-// allocs/op must stay 0 (TestWalkStepBudget).
+// allocs/op must stay 0 (the rows netsim/walk-allocs-* of testdata/costs.txt).
 func BenchmarkExchangeLadder(b *testing.B) {
 	for _, dynamics := range []string{"off", "on"} {
 		b.Run("dynamics="+dynamics, func(b *testing.B) {

@@ -886,26 +886,3 @@ func ladderBatch(t testing.TB, src, dst netip.Addr) [][]byte {
 	}
 	return probes
 }
-
-// TestWalkStepBudget: a warmed 16-probe batch allocates nothing, with the
-// virtual-clock dynamics off and on — one path, and nothing on it touches
-// the heap.
-func TestWalkStepBudget(t *testing.T) {
-	for _, dynamics := range []bool{false, true} {
-		l := newLine(19)
-		if dynamics {
-			l.net.SetDynamics(netsim.Dynamics{Seed: 19, Delay: 1, Load: 0.3, Churn: 0.5})
-		}
-		probes := ladderBatch(t, lineSrc, lineHost)
-		out := make([]tracer.ProbeResult, len(probes))
-		l.net.ExchangeBatch(probes, out)
-		for i, r := range out {
-			if !r.OK || r.RTT <= 0 {
-				t.Fatalf("dynamics=%v: probe %d answered %v with RTT %v", dynamics, i, r.OK, r.RTT)
-			}
-		}
-		if allocs := testing.AllocsPerRun(200, func() { l.net.ExchangeBatch(probes, out) }); allocs != 0 {
-			t.Errorf("dynamics=%v: %.1f allocations per warmed 16-probe batch, want 0", dynamics, allocs)
-		}
-	}
-}

@@ -12,8 +12,7 @@
 // which holds netsim's probes and responses themselves, byte for byte, to
 // the same at any worker count; and TestStaleSlots, the one table that
 // holds every transport to writing each result slot whole.
-// It also holds Race, the one race-detector flag the allocation pins read,
-// and Goroutines, which counts one package's goroutines by ID for the
+// It also holds Goroutines, which counts one package's goroutines by ID for the
 // goroutine-leak checks of the mux and the daemon.
 // Only _test.go files may import this package; TestSurface in the module
 // root refuses any other importer.

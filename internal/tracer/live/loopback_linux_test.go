@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/costs"
 	"repro/internal/measure"
 	"repro/internal/pcap"
-	"repro/internal/simtest"
 	"repro/internal/tracer"
 	"repro/internal/tracer/replay"
 )
@@ -212,7 +212,7 @@ func TestLiveMuxLoopbackBatchAllocs(t *testing.T) {
 	if err := available(); err != nil {
 		t.Skipf("raw sockets unavailable: %v", err)
 	}
-	if simtest.Race {
+	if costs.Race {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	lo := netip.AddrFrom4([4]byte{127, 0, 0, 1})

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/costs"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/simtest"
@@ -127,35 +128,36 @@ var ladderDisciplines = []struct {
 	{"paris-tcp", tracer.NewParisTCP},
 }
 
-// TestMuxExchangeAllocs pins the mux side of a warmed exchange at zero
-// allocations: one handle, a 16-probe ladder per ExchangeBatch, for a
-// discipline with one key per probe (UDP) and two with a terminal key as
-// well (ICMP, TCP).
-func TestMuxExchangeAllocs(t *testing.T) {
-	if simtest.Race {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
+// TestCosts reads live's row of testdata/costs.txt: mux-exchange-allocs is
+// the mux side of a warmed exchange, one handle and a 16-probe ladder per
+// ExchangeBatch, the most of a discipline with one key per probe (UDP) and
+// two with a terminal key as well (ICMP, TCP).
+func TestCosts(t *testing.T) {
+	rows := costs.Rows{}
 	for _, d := range ladderDisciplines {
-		t.Run(d.name, func(t *testing.T) {
-			src, probes, answers := recordLadder(t, d.mk, 0, 16)
-			m := openFakeMux(t, MuxConfig{Source: src, Conn: &loopConn{answers: answers}})
-			tp := m.Transport()
-			out := make([]tracer.ProbeResult, len(probes))
-			exchange := func() {
-				tp.ExchangeBatch(probes, out)
-				for i := range out {
-					if !out[i].OK {
-						t.Fatalf("probe %d unanswered: %+v", i, out[i])
-					}
+		src, probes, answers := recordLadder(t, d.mk, 0, 16)
+		m := openFakeMux(t, MuxConfig{Source: src, Conn: &loopConn{answers: answers}})
+		tp := m.Transport()
+		out := make([]tracer.ProbeResult, len(probes))
+		exchange := func() {
+			tp.ExchangeBatch(probes, out)
+			for i := range out {
+				if !out[i].OK {
+					t.Fatalf("%s: probe %d unanswered: %+v", d.name, i, out[i])
 				}
 			}
-			exchange() // warm: the handle's batch, the estimator, the result buffers
-			if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
-				t.Errorf("a warmed 16-probe exchange allocates %.1f times, want 0", allocs)
+		}
+		worst := rows["live/mux-exchange-allocs"]
+		// exchange warms the handle's batch, the estimator, the result buffers.
+		rows.Allocs("live/mux-exchange-allocs", 200, exchange, func() {
+			for range 200 {
+				exchange()
 			}
-			assertMuxDrained(t, m)
 		})
+		rows["live/mux-exchange-allocs"] = max(worst, rows["live/mux-exchange-allocs"])
+		assertMuxDrained(t, m)
 	}
+	rows.Check(t)
 }
 
 // TestMuxSharedKeyTableDrains runs the one discipline whose probes share a

@@ -1,14 +1,13 @@
 package replay_test
 
 import (
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/costs"
 	"repro/internal/pcap"
-	"repro/internal/simtest"
 	"repro/internal/tracer"
 	"repro/internal/tracer/replay"
 )
@@ -116,35 +115,13 @@ func TestRacingPopsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestServeAllocs pins serving at zero allocations per matched probe: a
-// warmed ExchangeBatch parses the probe's key on the stack, pops the head
-// and copies the response into the caller's buffer. Heads are consumed, so
-// a batch cannot be repeated as testing.AllocsPerRun would; the first
-// captured round is served once, in batches, over a fresh transport, and
-// the malloc count read around it at GOMAXPROCS 1. Another goroutine of the
-// test binary can still allocate inside that window, so a nonzero count is
-// retried on a fresh transport; an allocation on the serving path shows in
-// every attempt.
-func TestServeAllocs(t *testing.T) {
-	if simtest.Race {
-		t.Skip("the race detector allocates on its own account")
-	}
-	_, path, _ := lossyCapture(t)
-	raw, recs := readCapture(t, path)
-	var allocs uint64
-	var matched int
-	for attempt := 1; attempt <= 3; attempt++ {
-		if allocs, matched = serveFirstRound(t, raw, recs); allocs == 0 {
-			return
-		}
-	}
-	t.Errorf("ExchangeBatch: %d allocations over %d matched probes, want 0", allocs, matched)
-}
-
-// serveFirstRound serves the first occurrence of every probe of the capture
-// raw, whose records are recs, in batches of 16 and reports the allocations
-// made after the first batch, and the probes they served.
-func serveFirstRound(t *testing.T, raw []byte, recs []pcap.Record) (allocs uint64, matched int) {
+// serveFirstRound reads replay/serve-allocs: serving allocates nothing per
+// matched probe, since a warmed ExchangeBatch parses the probe's key on the
+// stack, pops the head and copies the response into the caller's buffer.
+// Heads are consumed, so a batch cannot be repeated: it serves the first
+// occurrence of every probe of the capture raw, whose records are recs, in
+// batches of 16 over a fresh transport, and counts after the first batch.
+func serveFirstRound(t *testing.T, rows costs.Rows, raw []byte, recs []pcap.Record) {
 	t.Helper()
 	rt := load(t, raw, replay.Config{Retries: loadRetries})
 	// Each flow's first outbound record is its head, so the first
@@ -163,24 +140,20 @@ func serveFirstRound(t *testing.T, raw []byte, recs []pcap.Record) (allocs uint6
 	for i := range out {
 		out[i].Resp = make([]byte, 0, 1500)
 	}
-	serve := func(probes [][]byte) int {
+	serve := func(probes [][]byte) {
 		rt.ExchangeBatch(probes, out)
 		for i := range probes {
 			if out[i].Err != nil {
 				t.Fatalf("probe %d of a captured round: %v", i, out[i].Err)
 			}
 		}
-		return len(probes)
 	}
-	serve(round[:batch]) // warm-up
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	before := mallocs()
-	for lo := batch; lo < len(round); lo += batch {
-		matched += serve(round[lo:min(lo+batch, len(round))])
+	if len(round) < 1000+batch {
+		t.Fatalf("only %d probes served: too few for a per-probe pin to mean anything", len(round)-batch)
 	}
-	allocs = mallocs() - before
-	if matched < 1000 {
-		t.Fatalf("only %d probes served: too few for a per-probe pin to mean anything", matched)
-	}
-	return allocs, matched
+	rows.Allocs("replay/serve-allocs", len(round)-batch, func() { serve(round[:batch]) }, func() {
+		for lo := batch; lo < len(round); lo += batch {
+			serve(round[lo:min(lo+batch, len(round))])
+		}
+	})
 }

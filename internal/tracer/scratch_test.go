@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/costs"
 )
 
 // nullTransport answers a ladder from a table recorded beforehand, indexed by
@@ -39,11 +41,13 @@ func recordNull(t *testing.T, mk func(Transport, Options) Tracer, opts Options, 
 	return null
 }
 
-// TestTraceSteadyStateAllocs is the budget the Scratch comment promises: a
-// reused tracer whose routes come back through Recycle allocates nothing per
-// trace — Batch on or off, Paris or classic — and the route it refills is
-// the route a fresh trace would have returned.
-func TestTraceSteadyStateAllocs(t *testing.T) {
+// TestCosts reads tracer's row of testdata/costs.txt: trace-allocs is the
+// budget the Scratch comment promises, that a reused tracer whose routes
+// come back through Recycle allocates nothing per trace, Batch on or off,
+// Paris or classic (the most of the four). The route it refills must be the
+// route a fresh trace would have returned.
+func TestCosts(t *testing.T) {
+	rows := costs.Rows{}
 	const pathLen = 11
 	for _, tc := range []struct {
 		name string
@@ -76,16 +80,20 @@ func TestTraceSteadyStateAllocs(t *testing.T) {
 				got = rt
 				opts.Scratch.Recycle(rt)
 			}
-			trace() // warm the Scratch: buffers grown, one route in the pool
-			allocs := testing.AllocsPerRun(100, trace)
-			if allocs != 0 {
-				t.Errorf("%s batch=%v: %v allocs per steady-state trace, want 0", tc.name, batch, allocs)
-			}
+			worst := rows["tracer/trace-allocs"]
+			// trace warms the Scratch: buffers grown, one route in the pool.
+			rows.Allocs("tracer/trace-allocs", 100, trace, func() {
+				for range 100 {
+					trace()
+				}
+			})
+			rows["tracer/trace-allocs"] = max(worst, rows["tracer/trace-allocs"])
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s batch=%v: recycled route differs from a fresh trace\ngot:  %+v\nwant: %+v", tc.name, batch, got, want)
 			}
 		}
 	}
+	rows.Check(t)
 }
 
 // TestScratchRecycle pins what Recycle does to the routes around it: a

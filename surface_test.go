@@ -109,6 +109,7 @@ func checkProgramRules(errorf func(string, ...any), fset *token.FileSet, pkg str
 // testSupport lists the packages only _test.go files may import.
 var testSupport = map[string]bool{
 	"repro/internal/ckpt/ckpttest": true,
+	"repro/internal/costs":         true,
 	"repro/internal/simtest":       true,
 }
 
