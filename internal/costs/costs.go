@@ -1,12 +1,16 @@
 // Package costs is the one ledger of the repository's allocation and heap
-// budgets. testdata/costs.txt at the module root holds one row per line:
+// budgets. testdata/costs.txt at the module root holds one row per line,
+// under a line naming the test that reads it:
 //
+//	<Test>:
 //	<pkg>/<row> <value> <unit> exact
 //	<pkg>/<row> <value> <unit> max <ceiling> [race max <ceiling>]
 //
-// Each package's TestCosts reads all of its rows into one Rows, through the
-// one heap reader (Rows.Heap) and the one malloc counter (Rows.Allocs), and
-// hands them to Rows.Check. An exact row fails when its reading differs
+// A budget test reads all of its rows into one Rows, through the one heap
+// reader (Rows.Heap) and the one malloc counter (Rows.Allocs), and hands
+// them to Rows.Check, which holds the rows listed under that test's name
+// for the packages it read: each must be read, and each reading must be
+// listed there. An exact row fails when its reading differs
 // from its value; a max row fails over its ceiling, and also more than 20 %
 // under its value, so that a gain shows as a diff of costs.txt as a loss
 // does. A failing row prints the line to commit. Under the race detector,
@@ -91,8 +95,9 @@ func (r Rows) Allocs(name string, n int, warm, f func()) (bytes float64) {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
-// Check logs every reading of r and holds the rows of its packages to
-// testdata/costs.txt, found from this source file's path.
+// Check logs every reading of r and holds it to the rows that
+// testdata/costs.txt, found from this source file's path, lists under t's
+// top-level test for the packages r read.
 func (r Rows) Check(t testing.TB) {
 	t.Helper()
 	_, self, _, _ := runtime.Caller(0)
@@ -103,25 +108,32 @@ func (r Rows) Check(t testing.TB) {
 	for _, name := range slices.Sorted(maps.Keys(r)) {
 		t.Logf("%s %s", name, num(r[name]))
 	}
-	for _, msg := range check(string(file), r, Race) {
+	test, _, _ := strings.Cut(t.Name(), "/")
+	for _, msg := range check(string(file), r, Race, test) {
 		t.Error(msg)
 	}
 }
+
+// header is a line naming the test that reads the rows below it.
+var header = regexp.MustCompile(`^(Test\w*):$`)
 
 // row is one line of the ledger: the package of the row, its value, unit
 // and check, the check's ceiling, and the race ceiling if it has one.
 var row = regexp.MustCompile(`^(\S+)/\S+ +(\d+(?:\.\d+)?) +(\S+) +(exact|max +(\d+(?:\.\d+)?)( +race +max +(\d+(?:\.\d+)?))?)$`)
 
-// check holds readings to the ledger file's rows of their packages and
-// says what fails.
-func check(file string, readings Rows, race bool) (errs []string) {
+// check holds readings, made by test, to the rows the ledger file lists
+// under test for their packages, and says what fails.
+func check(file string, readings Rows, race bool, test string) (errs []string) {
 	pkgs := make(map[string]bool)
 	for name := range readings {
 		pkgs[strings.Split(name, "/")[0]] = true
 	}
-	lines := make(map[string]int)
+	lines, owner := make(map[string]int), ""
 	for i, text := range strings.Split(file, "\n") {
 		if text = strings.TrimSpace(text); text == "" || text[0] == '#' {
+			continue
+		} else if h := header.FindStringSubmatch(text); h != nil {
+			owner = h[1]
 			continue
 		}
 		name := strings.Fields(text)[0]
@@ -129,18 +141,27 @@ func check(file string, readings Rows, race bool) (errs []string) {
 		if m == nil {
 			errs = append(errs, at+": malformed row; want <pkg>/<row> <value> <unit> exact|max N [race max N]")
 			continue
+		} else if owner == "" {
+			errs = append(errs, at+": no <Test>: line above this row names the test that reads it")
+			continue
 		} else if prev := lines[name]; prev != 0 {
 			errs = append(errs, fmt.Sprintf("%s duplicates line %d", at, prev))
 			continue
 		}
 		lines[name] = i + 1
 		v, read := readings[name]
+		if owner != test {
+			if read {
+				errs = append(errs, fmt.Sprintf("%s is read by %s but listed under %s:", at, test, owner))
+			}
+			continue
+		}
 		value, ceiling, raceCeiling := atof(m[2]), atof(m[5]), atof(m[7])
 		commit := fmt.Sprintf("; the line to commit: %s %s %s %s", name, num(v), m[3], m[4])
 		switch exact := m[4] == "exact"; {
 		case !read:
 			if pkgs[m[1]] && (!race || m[6] != "") {
-				errs = append(errs, at+": no TestCosts reads this row")
+				errs = append(errs, fmt.Sprintf("%s: %s does not read this row", at, test))
 			}
 		case race:
 			if m[6] != "" && !(v <= raceCeiling) {
@@ -156,7 +177,7 @@ func check(file string, readings Rows, race bool) (errs []string) {
 	}
 	for _, name := range slices.Sorted(maps.Keys(readings)) {
 		if lines[name] == 0 {
-			errs = append(errs, fmt.Sprintf("%s reads %s and has no row in costs.txt; add one: %[1]s %[2]s <unit> max %[2]s", name, num(readings[name])))
+			errs = append(errs, fmt.Sprintf("%s reads %s and has no row in costs.txt; add one below the line %s: as %[1]s %[2]s <unit> max %[2]s", name, num(readings[name]), test))
 		}
 	}
 	return errs

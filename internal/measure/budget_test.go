@@ -73,9 +73,8 @@ func hopSlots(a *Accumulator) (slots int, exact bool) {
 	return slots, exact
 }
 
-// TestCosts reads measure's rows of testdata/costs.txt.
-//
-// heap-per-dest is what an always-on run retains: the live heap an
+// TestAccumulatorHeapPerDest reads the row measure/heap-per-dest of
+// testdata/costs.txt: what an always-on run retains, the live heap an
 // accumulator holds per destination after a dozen rounds of the topology the
 // binaries run (flips on: per-packet balancers, every rare-cause pod). About
 // a third of it is interned routes (8-byte hop cells under 32-byte memo
@@ -83,36 +82,7 @@ func hopSlots(a *Accumulator) (slots int, exact bool) {
 // maps per destination read 11.4 KB; diamond graphs kept as a map per
 // address cost 23 KB more, and a cache of each (classic, Paris) pair's
 // causes 0.26 KB.
-//
-// pair-allocs is the study's steady state: once a worker's buffers, route
-// pool and interned routes are warm, a pair (two traces, the fold, the
-// recycling, netsim's own forwarding included) allocates only for a classic
-// route seen for the first time, which the accumulator copies and analyzes
-// once; the tracer's share is zero (tracer/trace-allocs). Under the race
-// detector sync.Pool drops a quarter of what it is handed back and netsim
-// keeps its per-batch state in pools, so netsim's share rises from none to
-// about six; the race ceiling still catches a per-trace allocation coming
-// back (ten a trace before this budget existed).
-//
-// merge-allocs-N and state-allocs-N are a read of an accumulator with
-// nothing folded since the last, at N destinations: the sorted views and
-// diamond tallies are current, so Merge and State allocate as much at 400
-// destinations as at 100.
-//
-// save-allocs and save-alloc-share are State and the body's streamed write
-// (Checkpoint.Encode, framed, to io.Discard) of a steady accumulator, twelve
-// rounds in and one folded since its last read: the allocations, and the
-// bytes allocated as a share of the body's save-body-bytes. State encodes
-// the head and notes the hop cells, which the write streams through the
-// frame's buffer; a write that built the body in a buffer of its own would
-// allocate more than the body.
-//
-// interned-hop-slots is what an accumulator retains for its interned
-// routes: one cell per hop in an array at exact length, whether the route
-// was folded live (traced into a hint-sized or recycled, possibly longer,
-// hop slice) or restored from a checkpoint, so a resumed campaign holds
-// exactly the hop cells the uninterrupted one does.
-func TestCosts(t *testing.T) {
+func TestAccumulatorHeapPerDest(t *testing.T) {
 	rows := costs.Rows{}
 	gen := simtest.Default(300)
 	rows.Heap("measure/heap-per-dest", gen.Destinations, func(mark func()) any {
@@ -121,11 +91,34 @@ func TestCosts(t *testing.T) {
 		w.rounds(t, 12)
 		return w.acc
 	})
+	rows.Check(t)
+}
 
+// TestPairAllocBudget reads the row measure/pair-allocs of
+// testdata/costs.txt, the study's steady state: once a worker's buffers,
+// route pool and interned routes are warm, a pair (two traces, the fold, the
+// recycling, netsim's own forwarding included) allocates only for a classic
+// route seen for the first time, which the accumulator copies and analyzes
+// once; the tracer's share is zero (tracer/trace-allocs). Under the race
+// detector sync.Pool drops a quarter of what it is handed back and netsim
+// keeps its per-batch state in pools, so netsim's share rises from none to
+// about six; the race ceiling still catches a per-trace allocation coming
+// back (ten a trace before this budget existed).
+func TestPairAllocBudget(t *testing.T) {
+	rows := costs.Rows{}
 	w := newSteadyWorker(t, 100)
 	w.rounds(t, 40)
 	rows.Allocs("measure/pair-allocs", 4*100, func() { w.rounds(t, 1) }, func() { w.rounds(t, 4) })
+	rows.Check(t)
+}
 
+// TestReadAllocs reads the rows measure/merge-allocs-N and
+// measure/state-allocs-N of testdata/costs.txt: a read of an accumulator
+// with nothing folded since the last, at N destinations. The sorted views
+// and diamond tallies are current, so Merge and State allocate as much at
+// 400 destinations as at 100.
+func TestReadAllocs(t *testing.T) {
+	rows := costs.Rows{}
 	for _, dests := range []int{100, 400} {
 		w := newSteadyWorker(t, dests)
 		w.rounds(t, 5)
@@ -133,8 +126,20 @@ func TestCosts(t *testing.T) {
 		rows.Allocs(fmt.Sprintf("measure/merge-allocs-%d", dests), 1, merge, merge)
 		rows.Allocs(fmt.Sprintf("measure/state-allocs-%d", dests), 1, state, state)
 	}
+	rows.Check(t)
+}
 
-	w = newSteadyWorker(t, 1000)
+// TestSaveAllocatesNoBody reads the rows measure/save-allocs and
+// measure/save-alloc-share of testdata/costs.txt: State and the body's
+// streamed write (Checkpoint.Encode, framed, to io.Discard) of a steady
+// accumulator, twelve rounds in and one folded since its last read, its
+// allocations and the bytes allocated as a share of the body's
+// measure/save-body-bytes. State encodes the head and notes the hop cells,
+// which the write streams through the frame's buffer; a write that built the
+// body in a buffer of its own would allocate more than the body.
+func TestSaveAllocatesNoBody(t *testing.T) {
+	rows := costs.Rows{}
+	w := newSteadyWorker(t, 1000)
 	w.rounds(t, 11)
 	var st AccState
 	saved := rows.Allocs("measure/save-allocs", 1, func() {
@@ -143,8 +148,18 @@ func TestCosts(t *testing.T) {
 	}, func() { st = encodeState(t, w.acc) })
 	rows["measure/save-body-bytes"] = float64(st.size())
 	rows["measure/save-alloc-share"] = saved / float64(st.size())
+	rows.Check(t)
+}
 
-	w = newSteadyWorker(t, 80)
+// TestInternedRoutesExactSize reads the row measure/interned-hop-slots of
+// testdata/costs.txt, what an accumulator retains for its interned routes:
+// one cell per hop in an array at exact length, whether the route was folded
+// live (traced into a hint-sized or recycled, possibly longer, hop slice) or
+// restored from a checkpoint, so a resumed campaign holds exactly the hop
+// cells the uninterrupted one does.
+func TestInternedRoutesExactSize(t *testing.T) {
+	rows := costs.Rows{}
+	w := newSteadyWorker(t, 80)
 	w.rounds(t, 5)
 	live, exact := hopSlots(w.acc)
 	if !exact {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/tracer"
 )
 
-// TestCosts reads netsim's rows of testdata/costs.txt.
+// TestRouteHeapBudget reads netsim's heap rows of testdata/costs.txt.
 //
 // route-heap is what a forwarding table costs per route: the live heap that
 // 10,000 single-hop /32 host routes and a few balanced prefixes add to one
@@ -25,11 +25,7 @@ import (
 // at 1,000 destinations of the topology the binaries run, before any
 // exchange compiles a table: routers, hosts, the node registry and the
 // stored routes.
-//
-// walk-allocs-static and walk-allocs-dynamics are a warmed 16-probe batch
-// with the virtual-clock dynamics off and on: one path, and nothing on it
-// touches the heap.
-func TestCosts(t *testing.T) {
+func TestRouteHeapBudget(t *testing.T) {
 	rows := costs.Rows{}
 	const hosts = 10000
 	rows.Heap("netsim/route-heap", hosts+4, func(mark func()) any {
@@ -66,7 +62,15 @@ func TestCosts(t *testing.T) {
 		mark()
 		return topo.Generate(cfg)
 	})
+	rows.Check(t)
+}
 
+// TestWalkStepBudget reads the rows netsim/walk-allocs-static and
+// netsim/walk-allocs-dynamics of testdata/costs.txt: a warmed 16-probe batch
+// with the virtual-clock dynamics off and on. One path, and nothing on it
+// touches the heap.
+func TestWalkStepBudget(t *testing.T) {
+	rows := costs.Rows{}
 	for _, dynamics := range []string{"static", "dynamics"} {
 		l := newLine(19)
 		if dynamics == "dynamics" {

@@ -128,34 +128,37 @@ var ladderDisciplines = []struct {
 	{"paris-tcp", tracer.NewParisTCP},
 }
 
-// TestCosts reads live's row of testdata/costs.txt: mux-exchange-allocs is
-// the mux side of a warmed exchange, one handle and a 16-probe ladder per
-// ExchangeBatch, the most of a discipline with one key per probe (UDP) and
-// two with a terminal key as well (ICMP, TCP).
-func TestCosts(t *testing.T) {
+// TestMuxExchangeAllocs reads the row live/mux-exchange-allocs of
+// testdata/costs.txt: the mux side of a warmed exchange, one handle and a
+// 16-probe ladder per ExchangeBatch, the most of a discipline with one key
+// per probe (UDP) and two with a terminal key as well (ICMP, TCP), each a
+// subtest.
+func TestMuxExchangeAllocs(t *testing.T) {
 	rows := costs.Rows{}
 	for _, d := range ladderDisciplines {
-		src, probes, answers := recordLadder(t, d.mk, 0, 16)
-		m := openFakeMux(t, MuxConfig{Source: src, Conn: &loopConn{answers: answers}})
-		tp := m.Transport()
-		out := make([]tracer.ProbeResult, len(probes))
-		exchange := func() {
-			tp.ExchangeBatch(probes, out)
-			for i := range out {
-				if !out[i].OK {
-					t.Fatalf("%s: probe %d unanswered: %+v", d.name, i, out[i])
+		t.Run(d.name, func(t *testing.T) {
+			src, probes, answers := recordLadder(t, d.mk, 0, 16)
+			m := openFakeMux(t, MuxConfig{Source: src, Conn: &loopConn{answers: answers}})
+			tp := m.Transport()
+			out := make([]tracer.ProbeResult, len(probes))
+			exchange := func() {
+				tp.ExchangeBatch(probes, out)
+				for i := range out {
+					if !out[i].OK {
+						t.Fatalf("probe %d unanswered: %+v", i, out[i])
+					}
 				}
 			}
-		}
-		worst := rows["live/mux-exchange-allocs"]
-		// exchange warms the handle's batch, the estimator, the result buffers.
-		rows.Allocs("live/mux-exchange-allocs", 200, exchange, func() {
-			for range 200 {
-				exchange()
-			}
+			worst := rows["live/mux-exchange-allocs"]
+			// exchange warms the handle's batch, the estimator, the result buffers.
+			rows.Allocs("live/mux-exchange-allocs", 200, exchange, func() {
+				for range 200 {
+					exchange()
+				}
+			})
+			rows["live/mux-exchange-allocs"] = max(worst, rows["live/mux-exchange-allocs"])
+			assertMuxDrained(t, m)
 		})
-		rows["live/mux-exchange-allocs"] = max(worst, rows["live/mux-exchange-allocs"])
-		assertMuxDrained(t, m)
 	}
 	rows.Check(t)
 }

@@ -115,12 +115,28 @@ func TestRacingPopsExactlyOnce(t *testing.T) {
 	}
 }
 
-// serveFirstRound reads replay/serve-allocs: serving allocates nothing per
-// matched probe, since a warmed ExchangeBatch parses the probe's key on the
-// stack, pops the head and copies the response into the caller's buffer.
-// Heads are consumed, so a batch cannot be repeated: it serves the first
-// occurrence of every probe of the capture raw, whose records are recs, in
-// batches of 16 over a fresh transport, and counts after the first batch.
+// TestServeAllocs reads the row replay/serve-allocs of testdata/costs.txt:
+// serving allocates nothing per matched probe, since a warmed ExchangeBatch
+// parses the probe's key on the stack, pops the head and copies the response
+// into the caller's buffer. Another goroutine of the test binary can
+// allocate inside the window, so a nonzero count is read again on a fresh
+// transport; an allocation on the serving path shows in every attempt.
+func TestServeAllocs(t *testing.T) {
+	rows := costs.Rows{}
+	_, path, _ := lossyCapture(t)
+	raw, recs := readCapture(t, path)
+	for range 3 {
+		if serveFirstRound(t, rows, raw, recs); rows["replay/serve-allocs"] == 0 {
+			break
+		}
+	}
+	rows.Check(t)
+}
+
+// serveFirstRound reads replay/serve-allocs into rows. Heads are consumed,
+// so a batch cannot be repeated: it serves the first occurrence of every
+// probe of the capture raw, whose records are recs, in batches of 16 over a
+// fresh transport, and counts after the first batch.
 func serveFirstRound(t *testing.T, rows costs.Rows, raw []byte, recs []pcap.Record) {
 	t.Helper()
 	rt := load(t, raw, replay.Config{Retries: loadRetries})
