@@ -12,56 +12,67 @@ import (
 	"path/filepath"
 )
 
-// WriteFile installs data at path atomically; see WriteFileFunc.
-func WriteFile(path string, data []byte) error {
-	return WriteFileFunc(path, func(w io.Writer) error {
-		_, err := w.Write(data)
+// WriteFileFunc streams a file into place through a File: write receives
+// it, and once write returns nil the File is committed. write's own error
+// is returned unwrapped, and the File is then aborted.
+func WriteFileFunc(path string, write func(io.Writer) error) error {
+	f, err := Create(path)
+	if err != nil {
 		return err
-	})
+	}
+	if err := write(f); err != nil {
+		f.Abort()
+		return err
+	}
+	return f.Commit()
 }
 
-// WriteFileFunc streams a file into place: write receives a temp file in
-// path's directory, and once it returns nil the temp file is fsynced,
-// renamed over path, and the directory itself fsynced — so a kill mid-write
-// leaves the previous file intact and a power loss after a nil return cannot
-// lose the rename. The writer is unbuffered; write does its own batching.
-// The temp file is removed on every error path (write's own error is
-// returned unwrapped), and a successful install sweeps stale "<base>.tmp*"
-// siblings left behind by writers killed mid-write — the file's writer is
-// assumed to be a single process, which is both the checkpoint and the
-// capture contract.
-func WriteFileFunc(path string, write func(io.Writer) error) error {
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
+// File is a file on its way to path: a temp file in path's directory that
+// Commit installs and Abort removes. Until one of them returns, path keeps
+// whatever it held. Writes are unbuffered; the writer does its own batching.
+// A File is for one goroutine at a time.
+type File struct {
+	tmp  *os.File
+	path string
+}
+
+// Create opens a File that Commit will install at path.
+func Create(path string) (*File, error) {
+	base := filepath.Base(path)
+	tmp, err := os.CreateTemp(filepath.Dir(path), base+".tmp*")
 	if err != nil {
-		return fmt.Errorf("atomicio: temp file for %s: %w", base, err)
+		return nil, fmt.Errorf("atomicio: temp file for %s: %w", base, err)
 	}
-	tmpName := tmp.Name()
-	installed := false
-	defer func() {
-		// One cleanup for every failure path: an error anywhere below
-		// must never leave the .tmp file behind.
-		if !installed {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	if err := write(tmp); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
+	return &File{tmp: tmp, path: path}, nil
+}
+
+// Write appends p to the temp file.
+func (f *File) Write(p []byte) (int, error) { return f.tmp.Write(p) }
+
+// Commit fsyncs the temp file, renames it over path and fsyncs the
+// directory — so a kill mid-write leaves the previous file intact and a
+// power loss after a nil return cannot lose the rename. The temp file is
+// removed on every error path, and a successful install sweeps stale
+// "<base>.tmp*" siblings left behind by writers killed mid-write — the
+// file's writer is assumed to be a single process, which is both the
+// checkpoint and the capture contract.
+func (f *File) Commit() error {
+	dir, base := filepath.Dir(f.path), filepath.Base(f.path)
+	if err := f.tmp.Sync(); err != nil {
+		f.Abort()
 		return fmt.Errorf("atomicio: syncing %s: %w", base, err)
 	}
-	if err := tmp.Close(); err != nil {
+	if err := f.tmp.Close(); err != nil {
+		f.Abort()
 		return fmt.Errorf("atomicio: closing %s: %w", base, err)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
+	if err := os.Rename(f.tmp.Name(), f.path); err != nil {
+		f.Abort()
 		return fmt.Errorf("atomicio: installing %s: %w", base, err)
 	}
-	installed = true
-	// Writers killed between CreateTemp and Rename leak their randomized
-	// temp name forever (no later write ever picks the same name). Sweep
-	// them now that a complete file is installed.
+	// Writers killed between Create and Commit leak their randomized temp
+	// name forever (no later write ever picks the same name). Sweep them now
+	// that a complete file is installed.
 	if stale, err := filepath.Glob(filepath.Join(dir, base+".tmp*")); err == nil {
 		for _, s := range stale {
 			os.Remove(s)
@@ -73,6 +84,12 @@ func WriteFileFunc(path string, write func(io.Writer) error) error {
 		return fmt.Errorf("atomicio: syncing directory of %s: %w", base, err)
 	}
 	return nil
+}
+
+// Abort closes and removes the temp file, leaving path as it was.
+func (f *File) Abort() {
+	f.tmp.Close()
+	os.Remove(f.tmp.Name())
 }
 
 func syncDir(dir string) error {

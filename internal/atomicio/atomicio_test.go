@@ -8,6 +8,14 @@ import (
 	"testing"
 )
 
+// writeFile installs data at path.
+func writeFile(path string, data []byte) error {
+	return WriteFileFunc(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
 // tmpDebris lists any "<base>.tmp*" siblings of path — the leak the atomic
 // writer must never leave behind.
 func tmpDebris(t *testing.T, path string) []string {
@@ -30,7 +38,7 @@ func TestAtomicWriteCleansTempOnError(t *testing.T) {
 	if err := os.Mkdir(target, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFile(target, []byte("round 3")); err == nil {
+	if err := writeFile(target, []byte("round 3")); err == nil {
 		t.Fatal("rename onto a directory should fail")
 	}
 	if stale := tmpDebris(t, target); len(stale) != 0 {
@@ -41,7 +49,7 @@ func TestAtomicWriteCleansTempOnError(t *testing.T) {
 	// temp file: its error comes back as is, no temp file survives, and the
 	// previous file is untouched.
 	target2 := filepath.Join(dir, "ck2")
-	if err := WriteFile(target2, []byte("previous")); err != nil {
+	if err := writeFile(target2, []byte("previous")); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("encoder failed midway")
@@ -97,5 +105,44 @@ func TestAtomicWriteSweepsStaleTemps(t *testing.T) {
 	}
 	if got, err := os.ReadFile(target); err != nil || string(got) != "round 7" {
 		t.Fatalf("written content wrong: %q %v", got, err)
+	}
+}
+
+// TestFileInstallsAtCommit: what a File is written reaches path only at
+// Commit. Until then path keeps the file it held, and after Abort it still
+// does; neither leaves a temp file.
+func TestFileInstallsAtCommit(t *testing.T) {
+	target := filepath.Join(t.TempDir(), "capture")
+	if err := writeFile(target, []byte("header")); err != nil {
+		t.Fatal(err)
+	}
+	for _, commit := range []bool{false, true} {
+		f, err := Create(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, piece := range []string{"header", "+records"} {
+			if _, err := io.WriteString(f, piece); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := os.ReadFile(target); err != nil || string(got) != "header" {
+			t.Fatalf("commit=%v: path holds %q %v before the File is done", commit, got, err)
+		}
+		want := "header"
+		if commit {
+			want = "header+records"
+			if err := f.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			f.Abort()
+		}
+		if got, err := os.ReadFile(target); err != nil || string(got) != want {
+			t.Fatalf("commit=%v: path holds %q %v, want %q", commit, got, err, want)
+		}
+		if stale := tmpDebris(t, target); len(stale) != 0 {
+			t.Fatalf("commit=%v: temp files left: %v", commit, stale)
+		}
 	}
 }

@@ -258,6 +258,9 @@ func (s *Scanner) Next() bool {
 // Record returns the record the last successful Next framed.
 func (s *Scanner) Record() Record { return s.rec }
 
+// Offset returns where that record's Data begins in the input.
+func (s *Scanner) Offset() int { return s.off - len(s.rec.Data) }
+
 // Err returns the error that ended the scan, or nil at a clean end.
 func (s *Scanner) Err() error { return s.err }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/costs"
 )
 
 // samplePackets are small but realistic LINKTYPE_RAW payloads: each starts
@@ -443,6 +446,59 @@ func TestCaptureSink(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("capture dir holds %d entries, want just the pcap", len(entries))
+	}
+}
+
+// TestCaptureHeap reads the row pcap/capture-heap of testdata/costs.txt:
+// the Go heap a Capture holds once 12,000 records have gone through it. The
+// records stream to a temp file beside the path through one fixed buffer,
+// so the row does not grow with the count. Until Close the path holds the
+// header-only capture; Close installs every record and leaves no temp file.
+func TestCaptureHeap(t *testing.T) {
+	const n = 12000
+	dir := t.TempDir()
+	var caps []*Capture
+	fill := func() *Capture {
+		c, err := CreateCapture(filepath.Join(dir, fmt.Sprintf("c%d.pcap", len(caps))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt := make([]byte, 64)
+		pkt[0] = 0x45
+		for i := range n {
+			binary.BigEndian.PutUint32(pkt[4:], uint32(i))
+			c.CaptureOutbound(time.Unix(1700000000, int64(i)), pkt)
+		}
+		caps = append(caps, c)
+		return c
+	}
+	rows := costs.Rows{}
+	rows.Heap("pcap/capture-heap", 1, func(mark func()) any {
+		mark()
+		return fill()
+	})
+	rows.Check(t)
+
+	c := fill()
+	if recs := readFile(t, c.Path()); len(recs) != 0 {
+		t.Fatalf("%d records at the path before Close, want the header-only capture", len(recs))
+	}
+	for _, c := range caps {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs := readFile(t, c.Path())
+		if len(recs) != n {
+			t.Fatalf("%s: %d records installed, want %d", c.Path(), len(recs), n)
+		}
+		for i, r := range recs {
+			if binary.BigEndian.Uint32(r.Data[4:]) != uint32(i) || r.TS != 1700000000e9+int64(i) {
+				t.Fatalf("%s: record %d reads back as another", c.Path(), i)
+			}
+		}
+	}
+	if stale, err := filepath.Glob(filepath.Join(dir, "*.tmp*")); err != nil || len(stale) != 0 {
+		t.Fatalf("temp files left beside the captures: %v %v", stale, err)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/packet"
@@ -14,18 +14,24 @@ import (
 	"repro/internal/tracer/flowkey"
 )
 
-// Open loads the pcap capture at path: one read of the file, then one pass
-// over its bytes (see load). Errors name the file, and for a torn file how
-// many complete records precede the tear.
+// Open loads the pcap capture at path: the file is mapped read-only (read
+// whole where the build maps nothing), then loaded in one pass over its bytes
+// (see load). A refused capture is unmapped before Open returns; a loaded
+// one once its Transport is unreachable, which is safe because no slice of
+// the mapping outlives a serve call (ProbeResult.Answer copies every
+// response). Errors name the file, and for a torn file how many complete
+// records precede the tear.
 func Open(path string, cfg Config) (*Transport, error) {
-	b, err := os.ReadFile(path)
+	b, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
 	t, err := load(b, cfg)
 	if err != nil {
+		unmap(b)
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	runtime.AddCleanup(t, unmap, b)
 	return t, nil
 }
 
@@ -44,11 +50,13 @@ const (
 	kindResp               // inbound with a key it may answer under
 )
 
-// parsed is one record as the parse stage hands it to the fold: for a probe
-// its quoted key and, if hasTerminal, its terminal key; for a response the
-// one key it answers under; each key with its hash.
+// parsed is one record as the parse stage hands it to the fold: its
+// timestamp (Unix ns) and its bytes' span in the capture; for a probe its
+// quoted key and, if hasTerminal, its terminal key; for a response the one
+// key it answers under; each key with its hash.
 type parsed struct {
-	rec         pcap.Record
+	ts          int64
+	at          span
 	kind        uint8
 	hasTerminal bool
 	key, term   flowkey.Key
@@ -104,10 +112,13 @@ func load(b []byte, cfg Config) (*Transport, error) {
 	}
 	// After the 24-byte file header, every record takes a 16-byte record
 	// header at least: that bounds the records, and so the exchanges, the
-	// int32 indexes must reach.
+	// int32 indexes must reach. A span must reach every byte.
 	most := (len(b) - 24) / 16
 	if most > math.MaxInt32 {
 		return nil, fmt.Errorf("replay: a capture of %d bytes may hold more records than the %d one transport can index", len(b), math.MaxInt32)
+	}
+	if uint64(len(b)) > 1<<spanOffBits {
+		return nil, fmt.Errorf("replay: a capture of %d bytes is longer than the %d bytes one transport can index", len(b), uint64(1)<<spanOffBits)
 	}
 
 	// Both channels hold every block, so no send on either ever blocks: the
@@ -124,10 +135,10 @@ func load(b []byte, cfg Config) (*Transport, error) {
 	for i := range blocksAhead {
 		p.free <- &block{recs: backing[i*n : i*n : (i+1)*n]}
 	}
-	go p.run(first)
+	go p.run()
 
 	l := loader{
-		t:            &Transport{src: h.Src},
+		t:            &Transport{src: h.Src, data: b},
 		retries:      cfg.Retries,
 		timeout:      int64(cfg.Timeout),
 		seenDst:      make(map[[4]byte]bool),
@@ -170,22 +181,19 @@ type parser struct {
 	err        error // what ended the capture early, if anything
 }
 
-// run frames first and every record after it, parses them into the blocks
-// it takes from free and sends each block on full, closing full when the
-// capture ends.
-func (p *parser) run(first pcap.Record) {
+// run parses the record the Scanner has framed and every record it frames
+// after it into the blocks it takes from free, and sends each block on full,
+// closing full when the capture ends.
+func (p *parser) run() {
 	defer close(p.full)
-	rec, more := first, true
-	for more {
+	for more := true; more; {
 		blk := <-p.free
 		blk.recs = blk.recs[:0]
 		for more && len(blk.recs) < cap(blk.recs) {
 			blk.recs = blk.recs[:len(blk.recs)+1]
-			p.parse(&blk.recs[len(blk.recs)-1], rec)
+			p.parse(&blk.recs[len(blk.recs)-1], p.s.Record(), p.s.Offset())
 			p.n++
-			if more = p.s.Next(); more {
-				rec = p.s.Record()
-			}
+			more = p.s.Next()
 		}
 		blk.last = !more
 		p.full <- blk
@@ -193,11 +201,12 @@ func (p *parser) run(first pcap.Record) {
 	p.err = p.s.Err()
 }
 
-// parse classifies rec into r: a packet is a probe iff it comes from the
-// capture's source and is probe-shaped; any other packet is a response if
-// it has a key to answer under, and junk if not.
-func (p *parser) parse(r *parsed, rec pcap.Record) {
-	r.rec = rec
+// parse classifies rec, whose bytes begin at off in the capture, into r: a
+// packet is a probe iff it comes from the capture's source and is
+// probe-shaped; any other packet is a response if it has a key to answer
+// under, and junk if not.
+func (p *parser) parse(r *parsed, rec pcap.Record, off int) {
+	r.ts, r.at = rec.TS, spanOf(off, len(rec.Data))
 	r.kind = kindJunk
 	var h packet.IPv4
 	payload, err := packet.ParseIPv4Into(rec.Data, &h)
@@ -293,7 +302,6 @@ func (l *loader) fold(r *parsed) {
 // open exchange, or the start of a new one.
 func (l *loader) probe(r *parsed) {
 	t := l.t
-	ts, pkt := r.rec.TS, r.rec.Data
 	flow, added := t.flows.insert(&r.key, r.hash, l.left)
 	if added {
 		t.heads.add(l.left) // set below: a new flow's exchange is its head
@@ -305,11 +313,11 @@ func (l *loader) probe(r *parsed) {
 	}
 	q := l.quoted.at(flow)
 	if q.tail >= 0 {
-		if e := t.exchanges.at(q.tail); e.resp == nil && int(q.tx) < 1+l.retries && bytes.Equal(e.probe, pkt) {
+		if e := t.exchanges.at(q.tail); e.resp == 0 && int(q.tx) < 1+l.retries && bytes.Equal(t.rec(e.probe), t.rec(r.at)) {
 			// A retransmission: same exchange, later clock, and the
 			// exchange rejoins the in-flight horizon.
 			q.tx++
-			q.lastTS = ts
+			q.lastTS = r.ts
 			q.run = l.run
 			return
 		}
@@ -317,13 +325,13 @@ func (l *loader) probe(r *parsed) {
 		// the next round's probe, and an exchange still open was a star.
 	}
 	idx := t.exchanges.add(l.left)
-	*t.exchanges.at(idx) = exchange{probe: pkt, next: -1}
+	*t.exchanges.at(idx) = exchange{probe: r.at, next: -1}
 	if q.tail >= 0 {
 		t.exchanges.at(q.tail).next = idx
 	} else {
 		t.heads.at(flow).Store(idx)
 	}
-	*q = quotedLoad{tail: idx, tx: 1, run: l.run, lastTS: ts}
+	*q = quotedLoad{tail: idx, tx: 1, run: l.run, lastTS: r.ts}
 	if r.hasTerminal {
 		fifo, added := l.terminals.insert(&r.term, r.thash, l.left)
 		if added {
@@ -345,7 +353,7 @@ func (l *loader) response(r *parsed) bool {
 			return false
 		}
 		q := l.quoted.at(flow)
-		return l.bind(q, t.exchanges.at(q.tail), r.rec)
+		return l.bind(q, t.exchanges.at(q.tail), r)
 	}
 	fifo := l.terminals.find(&r.key, r.hash)
 	if fifo < 0 {
@@ -355,7 +363,7 @@ func (l *loader) response(r *parsed) bool {
 	for i, reg := range *regs {
 		q := l.quoted.at(reg.flow)
 		e := t.exchanges.at(reg.exch)
-		if q.tail != reg.exch || e.resp != nil {
+		if q.tail != reg.exch || e.resp != 0 {
 			continue // superseded or answered: not open
 		}
 		if q.run != l.run {
@@ -365,7 +373,7 @@ func (l *loader) response(r *parsed) bool {
 			// in flight to be credited.
 			continue
 		}
-		if !l.bind(q, e, r.rec) {
+		if !l.bind(q, e, r) {
 			return false
 		}
 		*regs = (*regs)[i:] // consumed prefix never binds again
@@ -374,16 +382,16 @@ func (l *loader) response(r *parsed) bool {
 	return false
 }
 
-// bind credits resp to e, the latest exchange of q's flow, unless e is
-// already answered or the response comes more than the timeout after e's
-// latest transmission: the wheel had expired that probe before the
-// response arrived, and the original run discarded it.
-func (l *loader) bind(q *quotedLoad, e *exchange, resp pcap.Record) bool {
-	rtt := resp.TS - q.lastTS
-	if e.resp != nil || rtt > l.timeout {
+// bind credits the response r to e, the latest exchange of q's flow,
+// unless e is already answered or the response comes more than the timeout
+// after e's latest transmission: the wheel had expired that probe before
+// the response arrived, and the original run discarded it.
+func (l *loader) bind(q *quotedLoad, e *exchange, r *parsed) bool {
+	rtt := r.ts - q.lastTS
+	if e.resp != 0 || rtt > l.timeout {
 		return false
 	}
-	e.resp = resp.Data
+	e.resp = r.at
 	e.rtt = time.Duration(rtt)
 	return true
 }

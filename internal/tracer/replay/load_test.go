@@ -98,8 +98,8 @@ func BenchmarkLoad(b *testing.B) {
 	reportPerRecord(b, len(recs))
 }
 
-// BenchmarkOpen: what a -replay run pays before its first trace — the file
-// read plus reconstruction. What an opened capture retains is the row
+// BenchmarkOpen: what a -replay run pays before its first trace — mapping
+// the file plus reconstruction. What an opened capture retains is the row
 // replay/open-heap of testdata/costs.txt.
 func BenchmarkOpen(b *testing.B) {
 	_, path, _ := lossyCapture(b)
@@ -140,8 +140,9 @@ func BenchmarkServe(b *testing.B) {
 // are not: framing a capture allocates nothing but the Scanner
 // (replay/scan-allocs); Open allocates per slab, per block of the parse
 // stage and per table growth step, never per packet (replay/open-allocs, per
-// record). replay/open-heap is what an opened capture retains per record,
-// its bytes included.
+// record). replay/open-heap is the Go heap an opened capture retains per
+// record: the exchanges, the flow table and the heads. The capture's bytes
+// are outside it, mapped from the file, not on the heap.
 func TestLoadAllocBudget(t *testing.T) {
 	rows := costs.Rows{}
 	_, path, _ := lossyCapture(t)
@@ -200,32 +201,56 @@ func TestLoadLeavesBytesAlone(t *testing.T) {
 // simtest.Goroutines counts goroutines by.
 const replayPkg = "repro/internal/tracer/replay"
 
-// TestOpenLeavesNoGoroutine: Open joins its parse stage however the load
-// ends — a capture loaded, a torn one refused (the stage ran to the tear),
-// and one that does not begin with a probe.
-func TestOpenLeavesNoGoroutine(t *testing.T) {
+// openCase is a capture file Open is run on, and what it must say: a
+// substring of the error, or empty for success.
+type openCase struct{ name, path, want string }
+
+// openCases writes, into a fresh directory, a capture that loads and each
+// way Open refuses one: torn, not beginning with a probe, empty, and the
+// header-only capture pcap.CreateCapture installs.
+func openCases(t *testing.T) []openCase {
 	raw, recs := readCapture(t, filepath.Join("testdata", "corpus", "clean-paris-udp.pcap"))
 	noProbe := encode(t, append([]pcap.Record{{TS: recs[0].TS, Data: []byte{0x45}}}, recs...))
 	dir := t.TempDir()
+	var cases []openCase
 	for _, c := range []struct {
-		name, want string // want: a substring of the error; empty: success
+		name, want string
 		raw        []byte
 	}{
 		{"loaded", "", raw},
 		{"torn", "complete records precede the tear", raw[:len(raw)-3]},
 		{"no-probe", "does not begin with a probe", noProbe},
+		{"empty", "pcap: truncated file: empty input", nil},
+		{"header-only", "replay: capture holds no records", encode(t, nil)},
 	} {
 		path := filepath.Join(dir, c.name+".pcap")
 		if err := os.WriteFile(path, c.raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		before := simtest.Goroutines(replayPkg)
-		for range 20 {
-			_, err := replay.Open(path, replay.Config{})
-			if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
-				t.Fatalf("%s: Open error %v, want %q", c.name, err, c.want)
-			}
+		cases = append(cases, openCase{c.name, path, c.want})
+	}
+	return cases
+}
+
+// open20 opens c twenty times, dropping each Transport, and fails t on any
+// result but c's.
+func open20(t *testing.T, c openCase) {
+	for range 20 {
+		_, err := replay.Open(c.path, replay.Config{})
+		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Fatalf("%s: Open error %v, want %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestOpenLeavesNoGoroutine: Open joins its parse stage however the load
+// ends — a capture loaded, a torn one refused (the stage ran to the tear),
+// one that does not begin with a probe — and refuses an empty and a
+// header-only file with the errors a read of the whole file gave.
+func TestOpenLeavesNoGoroutine(t *testing.T) {
+	for _, c := range openCases(t) {
+		before := simtest.Goroutines(replayPkg)
+		open20(t, c)
 		// A joined goroutine may still be on its way out: give it a moment.
 		for deadline := time.Now().Add(2 * time.Second); ; {
 			n := simtest.NewGoroutines(replayPkg, before, 0)

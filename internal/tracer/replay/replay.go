@@ -8,13 +8,15 @@
 // # How a capture becomes a transport
 //
 // A capture (written by the live layer's pcap tap) is a single
-// LINKTYPE_RAW stream holding both directions. Open reads the file once and
-// loads it in one pass over those bytes, in two stages: a goroutine frames
-// each record in place (pcap.Scanner), parses its IPv4 header once and
-// derives its flow keys, a block of records ahead of the calling goroutine,
-// which folds them into exchanges in capture order. Nothing is copied: the
-// exchanges the Transport serves point into the file's bytes, which it keeps
-// and never writes to (see docs/replay.md, "Loading").
+// LINKTYPE_RAW stream holding both directions. Open maps the file read-only
+// (on linux and darwin; elsewhere it reads it whole) and loads it in one pass
+// over those bytes, in two stages: a goroutine frames each record in place
+// (pcap.Scanner), parses its IPv4 header once and derives its flow keys, a
+// block of records ahead of the calling goroutine, which folds them into
+// exchanges in capture order. Nothing is copied: an exchange names its probe
+// and response by their offset and length in the file's bytes, which the
+// Transport keeps mapped until it is collected and never writes to (see
+// docs/replay.md, "Loading").
 //
 // Loading classifies each record structurally: a packet is outbound iff
 // its source address is the capture's source AND it is probe-shaped — a
@@ -108,12 +110,33 @@ type Config struct {
 
 // exchange is one reconstructed probe conversation: 1+ transmissions of
 // identical probe bytes, and at most one bound response. probe and resp are
-// slices of the capture's records, not copies.
+// spans of the capture's records, not copies, so an exchange holds no
+// pointer for the collector to scan.
 type exchange struct {
-	probe []byte
-	resp  []byte // nil: a star
+	probe span
+	resp  span // 0: a star
 	rtt   time.Duration
 	next  int32 // the following exchange on the same quoted key; -1: none
+}
+
+// span names a record's bytes in the capture: their offset in the top
+// spanOffBits bits, their length in the low spanLenBits. No record's bytes
+// begin at offset 0 (the file header is there), so span 0 names none.
+type span uint64
+
+// pcap frames no record longer than 1 MiB (TestSpanHoldsEveryRecord), and
+// load refuses a capture longer than 1<<spanOffBits bytes (8 TiB).
+const (
+	spanLenBits = 21
+	spanOffBits = 64 - spanLenBits
+)
+
+func spanOf(off, n int) span { return span(off)<<spanLenBits | span(n) }
+
+// rec returns the bytes s names in t's capture.
+func (t *Transport) rec(s span) []byte {
+	off := s >> spanLenBits
+	return t.data[off : off+(s&(1<<spanLenBits-1))]
 }
 
 // chunked is an array that grows a chunk of chunkLen elements at a time:
@@ -153,11 +176,16 @@ func (c *chunked[T]) add(bound int) int32 {
 // popped by compare-and-swap, so racing pops serve each exchange once.
 //
 // A Transport keeps the capture it was loaded from — the probes it checks
-// requests against and the responses it returns are its bytes — and treats
-// it as read-only; so must its callers.
+// requests against and the responses it returns are its bytes, and its
+// exchanges name them by span — and treats it as read-only; so must its
+// callers. Open's capture is the file mapped read-only, so the file must not
+// be truncated or rewritten in place while a Transport maps it: touching a
+// page cut from the file raises SIGBUS. Captures this program writes are
+// installed by rename (atomicio), which never does that.
 type Transport struct {
 	// Immutable once Open returns. flows maps each quoted key to its flow,
 	// the flow's index in heads.
+	data      []byte // the capture
 	src       netip.Addr
 	flows     table
 	exchanges chunked[exchange]
@@ -250,17 +278,17 @@ func (t *Transport) serve(probe []byte) ([]byte, time.Duration, bool, error) {
 			describe(probe))
 	}
 	e := t.exchanges.at(h)
-	if !bytes.Equal(e.probe, probe) {
+	if captured := t.rec(e.probe); !bytes.Equal(captured, probe) {
 		return nil, 0, false, fmt.Errorf(
 			"replay: probe/capture mismatch for %s: captured %s with equal flow key but different bytes",
-			describe(probe), describe(e.probe))
+			describe(probe), describe(captured))
 	}
-	if e.resp == nil {
+	if e.resp == 0 {
 		// A captured star: the virtual clock elapses the original timeout
 		// instantly.
 		return nil, 0, false, nil
 	}
-	return e.resp, e.rtt, true, nil
+	return t.rec(e.resp), e.rtt, true, nil
 }
 
 // describe renders a packet's flow for error messages.

@@ -51,6 +51,7 @@ import (
 const (
 	surfaceList  = "testdata/surface.txt"
 	callsiteList = "testdata/callsites.txt"
+	costsList    = "testdata/costs.txt"
 )
 
 // surfaceReasons is the fixed set of reasons an unused export may stay.
@@ -433,5 +434,81 @@ func TestSurfaceCatchesRenamedCopies(t *testing.T) {
 	}
 	if stale := l.check(nil); len(stale) != callers || !slices.ContainsFunc(stale, func(s string) bool { return strings.Contains(s, "lists tracer.engine.trace as a caller of .build") }) {
 		t.Errorf("with no sources, the ledger's %d callers should each be reported stale; got:\n%s", callers, strings.Join(stale, "\n"))
+	}
+}
+
+// costsTests holds each "<Test>:" line of the cost ledger, ledger, to a test
+// function: a row names its package by the last element of its directory
+// (replay for internal/tracer/replay), which must be one directory of dirs,
+// and a _test.go file there must declare the func the row's <Test>: line
+// names. internal/costs holds a test's readings to its rows, but cannot see
+// a row under a test that no longer exists. It returns what fails.
+func costsTests(ledger string, dirs map[string][]string) (bad []string) {
+	fset := token.NewFileSet()
+	tests, seen, owner := map[string]map[string]bool{}, map[string]bool{}, ""
+	for i, line := range strings.Split(ledger, "\n") {
+		switch line = strings.TrimSpace(line); {
+		case line == "" || line[0] == '#':
+		case strings.HasSuffix(line, ":"):
+			owner = strings.TrimSuffix(line, ":")
+		default:
+			pkg, _, _ := strings.Cut(strings.Fields(line)[0], "/")
+			if len(dirs[pkg]) != 1 {
+				bad = append(bad, fmt.Sprintf("%s:%d: the package %s is %d directories of the module, not one", costsList, i+1, pkg, len(dirs[pkg])))
+				continue
+			}
+			dir := dirs[pkg][0]
+			if tests[dir] == nil {
+				tests[dir] = map[string]bool{}
+				files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+				for _, name := range files {
+					f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+					if err != nil {
+						bad = append(bad, err.Error())
+						continue
+					}
+					for _, d := range f.Decls {
+						if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+							tests[dir][fn.Name.Name] = true
+						}
+					}
+				}
+			}
+			if !tests[dir][owner] && !seen[owner+" "+dir] {
+				seen[owner+" "+dir] = true
+				bad = append(bad, fmt.Sprintf("%s:%d: the rows of %s are listed under %s:, but no _test.go file of %s declares func %[4]s", costsList, i+1, pkg, owner, dir))
+			}
+		}
+	}
+	return bad
+}
+
+// TestCostsNameTests holds testdata/costs.txt to costsTests, and checks that
+// costsTests reports a row under a test its package does not declare.
+func TestCostsNameTests(t *testing.T) {
+	dirs := map[string][]string{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != "." && (d.Name() == "testdata" || d.Name() == "bench" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		dirs[d.Name()] = append(dirs[d.Name()], p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := os.ReadFile(costsList)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range costsTests(string(ledger), dirs) {
+		t.Error(bad)
+	}
+	planted := costsTests("TestLoadAllocBudgt:\nreplay/open-heap 30 B/record max 36\n", dirs)
+	if len(planted) != 1 || !strings.Contains(planted[0], "no _test.go file of internal/tracer/replay declares func TestLoadAllocBudgt") {
+		t.Errorf("a row under a misspelt test: got %q, want one report naming it", planted)
 	}
 }
