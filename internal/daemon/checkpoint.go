@@ -17,16 +17,17 @@ import (
 // accumulator length-prefixed (campaign version 6) and a schedule entry
 // without the seen flag and the classic fingerprint; version 6 is a schedule
 // entry without the Paris fingerprint, since a route change is judged
-// against the accumulator's interned routes. An older file is quarantined
-// like any other unreadable checkpoint.
-const checkpointVersion = 6
+// against the accumulator's interned routes; version 7 has the same layout
+// with one accumulator per shard, where 6 had the daemon's one. An older
+// file is quarantined like any other unreadable checkpoint.
+const checkpointVersion = 7
 
 // Checkpoint is the daemon's serialized resumable state: the run body it
 // shares with campaign checkpoints — digest, round cursor, opaque transport
 // cursor, per-destination error budgets and path hints, and the folded
-// statistics as Workers[0], the daemon's one accumulator — then what only a
-// scheduler has: the cumulative supervision counters, the event cursor and
-// the per-destination cadence table.
+// statistics as Workers, one accumulator per shard in shard order — then
+// what only a scheduler has: the cumulative supervision counters, the event
+// cursor and the per-destination cadence table.
 type Checkpoint struct {
 	measure.Checkpoint
 	// Cumulative supervision counters, restored so /stats survives a
@@ -41,20 +42,28 @@ type Checkpoint struct {
 
 // checkpointLocked snapshots the daemon between rounds. Caller holds d.mu
 // with no jobs in flight (Tick checkpoints after wg.Wait), so the
-// accumulator and the scheduler table are quiescent, and saves the snapshot
-// after releasing it: Save streams the accumulator's hop cells, most of the
-// file, from the cells Accumulator.State noted, which needs no lock.
+// accumulators and the scheduler table are quiescent; it takes every
+// shard's lock too, as Snapshot does, since State and Merge both update an
+// accumulator's cached views. The caller saves the snapshot after releasing
+// mu: Save streams the accumulators' hop cells, most of the file, from the
+// cells Accumulator.State noted, which needs no lock.
 func (d *Daemon) checkpointLocked() (*Checkpoint, error) {
-	st, err := d.acc.State()
-	if err != nil {
-		return nil, fmt.Errorf("daemon: checkpoint: %w", err)
+	accs := d.lockShards()
+	defer d.unlockShards()
+	states := make([]measure.AccState, len(accs))
+	for i, a := range accs {
+		st, err := a.State()
+		if err != nil {
+			return nil, fmt.Errorf("daemon: checkpoint: shard %d: %w", i, err)
+		}
+		states[i] = st
 	}
 	ck := &Checkpoint{
 		Checkpoint: measure.Checkpoint{
 			Digest:    d.digest,
 			NextRound: int(d.round),
 			Dests:     make([]measure.DestRun, len(d.sched.dests)),
-			Workers:   []measure.AccState{st},
+			Workers:   states,
 		},
 		Shed:     d.shed,
 		Restarts: d.restarts,
@@ -128,7 +137,8 @@ func loadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // recover restores the daemon from the checkpoint at path, if any, through
-// the restore path campaign resume uses (measure.Checkpoint.Restore). A
+// the restore path campaign resume uses (measure.Checkpoint.Restore), with
+// as many shards as the checkpoint holds accumulators. A
 // checkpoint that fails to decode, validate or restore is moved aside to
 // path+".corrupt" and the daemon starts fresh — an always-on service should
 // come back measuring, not refuse to boot over a torn file the atomic writer
@@ -144,17 +154,18 @@ func (d *Daemon) recover(path string) error {
 	if ck == nil {
 		return nil
 	}
-	accs, err := ck.Restore(d.digest, len(d.cfg.Dests), 1)
+	accs, err := ck.restore(d.digest, len(d.cfg.Dests))
 	if errors.Is(err, measure.ErrDigest) {
 		return fmt.Errorf("daemon: %w (pass FreshStart to discard)", err)
-	}
-	if err == nil {
-		err = ck.checkSched(len(d.cfg.Dests))
 	}
 	if err != nil {
 		return d.quarantineCorrupt(path, err)
 	}
-	d.acc, d.round = accs[0], int64(ck.NextRound)
+	d.shards = make([]shard, len(accs))
+	for i, a := range accs {
+		d.shards[i].acc = a
+	}
+	d.round = int64(ck.NextRound)
 	d.shed, d.restarts, d.stalls, d.panics = ck.Shed, ck.Restarts, ck.Stalls, ck.Panics
 	d.events.setSeq(ck.EventSeq)
 	for i, ds := range d.sched.dests {
@@ -170,10 +181,25 @@ func (d *Daemon) recover(path string) error {
 	return nil
 }
 
+// restore validates the body against the run that wants to continue from it
+// and rebuilds its shards' accumulators: measure.Checkpoint.Restore with as
+// many accumulators as the body holds, at least one, then checkSched.
+// recover and the FuzzDecodeCheckpoint property both call it, so a body the
+// fuzz target accepts is one recovery accepts.
+func (ck *Checkpoint) restore(digest uint64, dests int) ([]*measure.Accumulator, error) {
+	accs, err := ck.Restore(digest, dests, max(len(ck.Workers), 1))
+	if err == nil {
+		err = ck.checkSched(dests)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return accs, nil
+}
+
 // checkSched refuses a schedule table no daemon writes: one not of the
 // configuration's length, or an entry with a negative due round, pair count
-// or shed streak. recover and the FuzzDecodeCheckpoint property both call
-// it, so a body the fuzz target accepts is one recovery accepts.
+// or shed streak.
 func (ck *Checkpoint) checkSched(dests int) error {
 	if len(ck.Sched) != dests {
 		return fmt.Errorf("daemon: checkpoint schedules %d destinations, configuration has %d", len(ck.Sched), dests)

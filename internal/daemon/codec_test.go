@@ -15,7 +15,7 @@ import (
 )
 
 // toyCheckpoint runs a small daemon for a few rounds and returns the
-// checkpoint file Stop leaves behind.
+// checkpoint file Stop leaves behind: six destinations in three shards.
 func toyCheckpoint(t testing.TB) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "toy.ck")
@@ -33,31 +33,47 @@ func toyCheckpoint(t testing.TB) []byte {
 }
 
 // recodeCheckpoint decodes a daemon checkpoint file and, if it is accepted
-// — it decodes, and its schedule is one recovery accepts (checkSched), on
-// which the scheduler's shed lottery is then run — encodes it again, with
-// every worker body the restore accepts replaced by what the restored
+// — it decodes, and recovery accepts its body (restore: its shards'
+// accumulators restore, no destination is in two of them, and its schedule
+// passes checkSched), on which the scheduler's shed lottery is then run —
+// encodes it again, with every shard's body replaced by what its restored
 // accumulator writes: such a body must write back the same bytes.
 func recodeCheckpoint(t *testing.T, file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
 	if err := ckpt.Decode(file, ckpt.KindDaemon, checkpointVersion, ck.decode); err != nil {
 		return nil, err
 	}
-	if err := ck.checkSched(len(ck.Dests)); err != nil {
+	accs, err := ck.restore(ck.Digest, len(ck.Dests))
+	if err != nil {
 		return nil, err
 	}
 	for i := range ck.Sched {
 		shedScore(ck.Sched[i].NextDue, &destSched{DestState: ck.Sched[i], idx: i})
 	}
-	for w, st := range ck.Workers {
-		if a, err := measure.RestoreAccumulator(st); err == nil {
-			if ck.Workers[w], err = a.State(); err != nil {
-				t.Fatalf("worker %d: a restored body cannot be written back: %v", w, err)
-			}
+	for w, a := range accs {
+		if ck.Workers[w], err = a.State(); err != nil {
+			t.Fatalf("shard %d: a restored body cannot be written back: %v", w, err)
 		}
 	}
 	var buf bytes.Buffer
-	err := ckpt.Encode(&buf, ckpt.KindDaemon, checkpointVersion, ck.encode)
+	err = ckpt.Encode(&buf, ckpt.KindDaemon, checkpointVersion, ck.encode)
 	return buf.Bytes(), err
+}
+
+// sharedShard is the toy checkpoint with its second shard's body replaced
+// by its first's, so two shards claim the same destinations: a body no
+// daemon writes, whose restore Merge would count twice.
+func sharedShard(t testing.TB) []byte {
+	ck := new(Checkpoint)
+	if err := ckpt.Decode(toyCheckpoint(t), ckpt.KindDaemon, checkpointVersion, ck.decode); err != nil {
+		t.Fatal(err)
+	}
+	ck.Workers[1] = ck.Workers[0]
+	var buf bytes.Buffer
+	if err := ckpt.Encode(&buf, ckpt.KindDaemon, checkpointVersion, ck.encode); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestCheckpointRoundTrip: every field of the daemon checkpoint survives the
@@ -70,15 +86,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	ck := mustLoad(t, path)
 	if ck.NextRound != 4 || len(ck.Dests) != 6 || ck.Dests[0].Hints.Paris == 0 ||
-		len(ck.Sched) != 6 || ck.Sched[0].Pairs == 0 || len(ck.Workers) != 1 ||
+		len(ck.Sched) != 6 || ck.Sched[0].Pairs == 0 || len(ck.Workers) != 3 ||
 		string(ck.Transport) != `{"ProbeCounts":[7]}` {
 		t.Fatalf("toy checkpoint degenerate or misdecoded: %+v", ck)
 	}
-	if a, err := measure.RestoreAccumulator(ck.Workers[0]); err != nil || measure.Merge(4, 6, a).Routes == 0 {
-		t.Fatalf("toy checkpoint's accumulator degenerate or refused: %v", err)
+	for w, st := range ck.Workers {
+		if a, err := measure.RestoreAccumulator(st); err != nil || measure.Merge(4, 6, a).Routes != 4 {
+			t.Fatalf("toy checkpoint's shard %d degenerate or refused: %v", w, err)
+		}
 	}
-	// Every destination was measured, so the body holds all six, and the
-	// restored accumulator must write that body back: one that lost a
+	// Every destination was measured, so the shards hold two each, and the
+	// restored accumulators must write those bodies back: one that lost a
 	// destination would write a shorter one.
 	for i := range ck.Sched {
 		if ck.Sched[i].Pairs == 0 {
@@ -101,7 +119,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v6.ck from the current encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v7.ck from the current encoder")
 
 // TestCheckpointGolden pins the daemon's wire format: the toy daemon's
 // checkpoint must be the committed file byte for byte (it holds no RTT and
@@ -109,7 +127,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v6.ck from t
 // bumps checkpointVersion and regenerates the file (go test -run
 // TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "toy-v6.ck")
+	golden := filepath.Join("testdata", "toy-v7.ck")
 	got := toyCheckpoint(t)
 	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
@@ -123,19 +141,21 @@ func TestCheckpointGolden(t *testing.T) {
 }
 
 // FuzzDecodeCheckpoint: the daemon checkpoint decoder is total on arbitrary
-// bytes (see ckpttest.Check for the properties), and so are recovery's
-// schedule checks and the restore of the accumulator body it slices out.
-// Seeded with the toy checkpoint and its truncation ladder, with the files
-// of TestDaemonImpossibleCheckpointStartsFresh's schedule rows, and with the
-// previous versions' (testdata/toy-v5.ck, toy-v4.ck, toy-v3.ck, toy-v2.ck), whose
-// bodies Check also wraps in a current frame: the old layouts read as the
-// new one.
+// bytes (see ckpttest.Check for the properties), and so is recovery's
+// restore of the body: its checks and the shards' accumulators it slices
+// out. Seeded with the three-shard toy checkpoint and its truncation
+// ladder, with the files of TestDaemonImpossibleCheckpointStartsFresh's
+// schedule rows, with the toy checkpoint whose two shards claim the same
+// destinations, and with the previous versions' (testdata/toy-v6.ck,
+// toy-v5.ck, toy-v4.ck, toy-v3.ck, toy-v2.ck), whose bodies Check also wraps
+// in a current frame: the old layouts read as the new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	ckpttest.Seed(f, toyCheckpoint(f))
 	for _, file := range impossibleSchedules(f) {
 		ckpttest.Seed(f, file)
 	}
-	for _, name := range []string{"toy-v5.ck", "toy-v4.ck", "toy-v3.ck", "toy-v2.ck"} {
+	ckpttest.Seed(f, sharedShard(f))
+	for _, name := range []string{"toy-v6.ck", "toy-v5.ck", "toy-v4.ck", "toy-v3.ck", "toy-v2.ck"} {
 		previous, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

@@ -27,7 +27,12 @@ type Config struct {
 	// whose pair showed a Paris route new to it is re-armed for the next
 	// round instead. Zero selects 5.
 	Period int
-	// Workers sizes the supervised pool. Zero selects 4.
+	// Workers sizes the supervised pool. Zero selects 4. A fresh daemon
+	// splits Dests into Workers contiguous shards, the campaign's worker
+	// plan, each with its own accumulator, and slot w is first to run the
+	// jobs of shards w, w+Workers, ...; an idle slot takes another's. The
+	// shard count is fixed at first start: a recovered daemon keeps its
+	// checkpoint's, so Workers stays retunable across restarts.
 	Workers int
 	// QueueCap bounds the jobs admitted per round; due work beyond it is
 	// shed by a random-early lottery with aging (see shedScore) and
@@ -115,12 +120,14 @@ type Daemon struct {
 	// deliberately excluded: they are retunable across restarts.
 	digest uint64
 
-	// mu guards everything the scheduler, the fold path, and the HTTP
-	// snapshot share: the accumulator, the cadence table, the supervision
-	// counters, and the round cursor. /stats snapshots under it, so a
-	// served Stats is always a fold boundary — never a torn read.
+	// mu guards the scheduler's state: the cadence table outside a
+	// successful fold, the supervision counters and the round cursor. A
+	// successful fold takes only its shard's lock; every other path that
+	// folds holds mu and then the shard's lock. /stats and the checkpoint
+	// take mu and then every shard's lock in index order, so a served
+	// Stats is always a fold boundary — never a torn read.
 	mu           sync.Mutex
-	acc          *measure.Accumulator
+	shards       []shard
 	sched        *scheduler
 	round        int64
 	shed         int64
@@ -135,9 +142,14 @@ type Daemon struct {
 	recoveredAt  int64
 
 	events *eventHub
-	jobs   chan *job
+	// queues holds one job queue per worker slot, kicks one wake-up per
+	// slot: Tick queues a job to its shard's owner and then kicks every
+	// slot, so an idle one looks for jobs to take from the others.
+	queues []chan *job
+	kicks  []chan struct{}
 	// afterFold, when a test sets it, sees each measured pair right after
-	// its fold, under mu: the point past which finish reads no route.
+	// its fold, under its shard's lock: the point past which finish reads
+	// no route.
 	afterFold func(*measure.Pair)
 
 	ready    atomic.Bool
@@ -160,17 +172,26 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:    cfg,
 		tp:     cfg.Transport,
 		digest: measure.RunDigest(cfg.Dests, cfg.Probe),
-		acc:    measure.NewAccumulator(),
+		shards: make([]shard, cfg.Workers),
 		sched:  newScheduler(cfg.Dests, int64(cfg.Period)),
 		events: newEventHub(eventBuffer),
-		jobs:   make(chan *job, cfg.QueueCap),
+		queues: make([]chan *job, cfg.Workers),
+		kicks:  make([]chan struct{}, cfg.Workers),
 		stop:   make(chan struct{}),
+	}
+	for i := range d.shards {
+		d.shards[i].acc = measure.NewAccumulator()
+	}
+	for w := range d.queues {
+		d.queues[w] = make(chan *job, cfg.QueueCap)
+		d.kicks[w] = make(chan struct{}, 1)
 	}
 	if cfg.CheckpointPath != "" && !cfg.FreshStart {
 		if err := d.recover(cfg.CheckpointPath); err != nil {
 			return nil, err
 		}
 	}
+	d.sched.partition(len(d.shards))
 	measure.ReplayRounds(cfg.RoundStart, int(d.round))
 	d.workersAlive = cfg.Workers
 	for w := 0; w < cfg.Workers; w++ {
@@ -222,7 +243,7 @@ func (d *Daemon) Tick() {
 			// — the same accounting a campaign round produces — without
 			// consuming queue capacity.
 			p := measure.SkippedPair(ds.dest, int(round))
-			d.acc.Fold(&p)
+			d.shards[ds.shard].fold(&p)
 			ds.NextDue = round + d.sched.period
 			continue
 		}
@@ -250,6 +271,7 @@ func (d *Daemon) Tick() {
 	// The jobs are queued under mu, so a pool dying concurrently drains
 	// them deterministically (its drain and these sends serialize). The
 	// slice never grows past its capacity: every queued job stays put.
+	// Each job goes to the queue of its shard's owner.
 	var wg sync.WaitGroup
 	jobs := make([]job, 0, len(runnable))
 	for _, ds := range runnable {
@@ -263,7 +285,7 @@ func (d *Daemon) Tick() {
 		jobs = append(jobs, job{ds: ds, round: round, hints: ds.Hints, wg: &wg})
 		wg.Add(1)
 		select {
-		case d.jobs <- &jobs[len(jobs)-1]:
+		case d.queues[ds.shard%len(d.queues)] <- &jobs[len(jobs)-1]:
 		default:
 			// Unreachable: admission bounds a round's jobs by QueueCap
 			// and every round leaves the queue empty (a stalled one
@@ -274,6 +296,12 @@ func (d *Daemon) Tick() {
 		}
 	}
 	d.mu.Unlock()
+	for _, k := range d.kicks {
+		select {
+		case k <- struct{}{}:
+		default: // a kick is already pending
+		}
+	}
 
 	for _, ds := range shedList {
 		d.events.publish(Event{Round: round, Type: EventShed, Dest: ds.dest,
@@ -331,10 +359,10 @@ func (d *Daemon) Tick() {
 
 // failLocked folds one failed pair for ds — its trace erred, stalled or
 // never found a live worker — charges the destination's error budget and
-// re-arms its cadence. Caller holds mu.
+// re-arms its cadence. Caller holds mu; the fold takes the shard's lock.
 func (d *Daemon) failLocked(ds *destSched, round int64) {
 	p := measure.FailedPair(ds.dest, int(round))
-	d.acc.Fold(&p)
+	d.shards[ds.shard].fold(&p)
 	if ds.Failed() {
 		// eventHub has its own mutex and never takes d.mu, so publishing
 		// under d.mu is deadlock-free and keeps event order deterministic.
@@ -372,9 +400,10 @@ func (d *Daemon) Stop() error {
 // Snapshot returns a consistent mid-flight statistics snapshot: the same
 // measure.Stats a streaming campaign would produce over the pairs folded so
 // far, with the daemon's supervision counters stamped into Stats.Robust.
-// The merge runs under the daemon mutex, so the snapshot always lands on a
-// fold boundary. The mux health is read before the mutex is taken: the mux
-// holds its own lock for it, and the field is stamped, never merged.
+// The merge runs under the daemon mutex and every shard's lock, so the
+// snapshot always lands on a fold boundary. The mux health is read before
+// the mutex is taken: the mux holds its own lock for it, and the field is
+// stamped, never merged.
 func (d *Daemon) Snapshot() *measure.Stats {
 	var mux *tracer.MuxHealth
 	if d.cfg.MuxHealth != nil {
@@ -383,13 +412,47 @@ func (d *Daemon) Snapshot() *measure.Stats {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := measure.Merge(int(d.round), len(d.cfg.Dests), d.acc)
+	s := measure.Merge(int(d.round), len(d.cfg.Dests), d.lockShards()...)
+	d.unlockShards()
 	s.Robust.Shed = int(d.shed)
 	s.Robust.WorkerRestarts = int(d.restarts)
 	s.Robust.WatchdogStalls = int(d.stalls)
 	s.Robust.DeadWorkers = d.deadWorkers
 	s.Robust.Mux = mux
 	return s
+}
+
+// shard is one contiguous block of Config.Dests and the accumulator its
+// pairs fold into, padded so that no two shards' locks share a cache line.
+type shard struct {
+	mu  sync.Mutex
+	acc *measure.Accumulator
+	_   [48]byte
+}
+
+// fold folds p into the shard under its lock.
+func (sh *shard) fold(p *measure.Pair) {
+	sh.mu.Lock()
+	sh.acc.Fold(p)
+	sh.mu.Unlock()
+}
+
+// lockShards takes every shard's lock in index order, the one order in
+// which more than one is held, and returns their accumulators. The caller
+// holds mu and releases the locks with unlockShards.
+func (d *Daemon) lockShards() []*measure.Accumulator {
+	accs := make([]*measure.Accumulator, len(d.shards))
+	for i := range d.shards {
+		d.shards[i].mu.Lock()
+		accs[i] = d.shards[i].acc
+	}
+	return accs
+}
+
+func (d *Daemon) unlockShards() {
+	for i := range d.shards {
+		d.shards[i].mu.Unlock()
+	}
 }
 
 // Health summarizes liveness for /healthz.

@@ -549,7 +549,9 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 // a version-3 one from before hop cells (testdata/toy-v3.ck, likewise) or a
 // version-4 one from before length-prefixed accumulator bodies
 // (testdata/toy-v4.ck, likewise) or a version-5 one whose schedule still
-// carries the Paris fingerprint (testdata/toy-v5.ck, likewise) — the daemon
+// carries the Paris fingerprint (testdata/toy-v5.ck, likewise) or a
+// version-6 one with the daemon's one accumulator where shards now stand
+// (testdata/toy-v6.ck, likewise) — the daemon
 // moves it to .corrupt, publishes a recovered event that names the cause,
 // and comes back measuring from round zero.
 func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
@@ -566,6 +568,7 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 	v3 := readFile(t, filepath.Join("testdata", "toy-v3.ck"))
 	v4 := readFile(t, filepath.Join("testdata", "toy-v4.ck"))
 	v5 := readFile(t, filepath.Join("testdata", "toy-v5.ck"))
+	v6 := readFile(t, filepath.Join("testdata", "toy-v6.ck"))
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/2] ^= 1
 
@@ -582,6 +585,7 @@ func TestDaemonCorruptCheckpointStartsFresh(t *testing.T) {
 		{"version 3 binary", v3, ckpt.ErrVersion},
 		{"version 4 binary", v4, ckpt.ErrVersion},
 		{"version 5 binary", v5, ckpt.ErrVersion},
+		{"version 6 binary", v6, ckpt.ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckPath := filepath.Join(t.TempDir(), "daemon.ck")
@@ -703,7 +707,8 @@ func withTrailingByte(t *testing.T, st measure.AccState) measure.AccState {
 // body no daemon can have written — a negative round, a negative failure
 // count, a schedule table of another length, a schedule entry with a
 // negative due round, pair count or shed streak, an accumulator body its
-// restore refuses — is unusable too: moved aside, never resumed (a negative
+// restore refuses, no shard at all, two shards that claim one destination —
+// is unusable too: moved aside, never resumed (a negative
 // round would reach RoundStart, a negative shed streak a negative shift).
 func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 	good := goodCheckpoint(t)
@@ -713,6 +718,10 @@ func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 		"short schedule":  func(_ *testing.T, ck *Checkpoint) { ck.Sched = ck.Sched[:3] },
 		"worker body with a trailing byte": func(t *testing.T, ck *Checkpoint) {
 			ck.Workers[0] = withTrailingByte(t, ck.Workers[0])
+		},
+		"no shard": func(_ *testing.T, ck *Checkpoint) { ck.Workers = nil },
+		"two shards claim one destination": func(_ *testing.T, ck *Checkpoint) {
+			ck.Workers[1] = ck.Workers[0]
 		},
 	}
 	for name, tamper := range scheduleTampers {

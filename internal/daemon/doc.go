@@ -54,12 +54,17 @@
 //
 // # Statistics
 //
-// The worker that measured a pair folds it into the one streaming
-// measure.Accumulator under the daemon mutex and then gives its routes back
-// to its own Prober, so /stats serves a consistent mid-flight snapshot: a
-// measure.Stats produced by the same Merge the campaign uses, with the
-// supervision counters stamped into Stats.Robust (Shed, WorkerRestarts,
-// WatchdogStalls, DeadWorkers).
+// The destinations are split into contiguous shards, the campaign's worker
+// plan, each with its own streaming measure.Accumulator and lock; worker
+// slot w is first to run the jobs of shards w, w+Workers, ..., and takes
+// another slot's jobs when its own queue is empty. The worker that measured
+// a pair folds it into its destination's shard under that shard's lock
+// alone and then gives its routes back to its own Prober. /stats takes the
+// daemon mutex and every shard's lock in index order, so it serves a
+// consistent mid-flight snapshot: a measure.Stats produced by the same
+// Merge the campaign uses, over every shard, with the supervision counters
+// stamped into Stats.Robust (Shed, WorkerRestarts, WatchdogStalls,
+// DeadWorkers).
 //
 // # Recovery
 //

@@ -69,7 +69,7 @@ func TestFinishDoesNotReadRoutesAfterFold(t *testing.T) {
 		return string(sj), events, ck
 	}
 
-	// afterFold runs under the daemon lock, so the map needs no other.
+	// afterFold runs under the one shard's lock, so the map needs no other.
 	loops, cycles := map[key]int{}, map[key]int{}
 	wantStats, wantEvents, wantCk := run(func(p *measure.Pair) {
 		k := key{p.Dest, p.Round}
@@ -132,7 +132,7 @@ func TestPerPacketDiamondWaitsItsPeriod(t *testing.T) {
 	ckPath := filepath.Join(t.TempDir(), "perpacket.ck")
 
 	// Every fold, in order, across both lives; afterFold runs under the
-	// daemon lock and one destination is never in flight twice.
+	// destination's shard lock and one destination is never in flight twice.
 	var rounds []int64
 	var seen []*tracer.Route
 	var isNew []bool

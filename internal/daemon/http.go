@@ -16,7 +16,7 @@ import (
 //	                    Seq > N replay first, then live events follow
 //
 // The handler is safe to serve while Tick runs: /stats snapshots under the
-// daemon mutex (never a torn read), and a slow /events client drops events
+// daemon mutex and every shard's lock (never a torn read), and a slow /events client drops events
 // rather than backpressuring the measurement loop.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()

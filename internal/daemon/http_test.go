@@ -160,8 +160,8 @@ func TestHTTPEventsSSE(t *testing.T) {
 // the daemon ticks, asserting every served snapshot lands on a fold
 // boundary: the internally consistent invariants below cannot hold on a
 // torn read. Every round also writes a checkpoint, encoded outside the
-// daemon mutex from arrays the accumulator shares with it. Run under -race
-// this also proves the accumulator is never read concurrently with a fold,
+// daemon's locks from arrays the accumulators share with it. Run under -race
+// this also proves no accumulator is read concurrently with a fold,
 // and that a /stats read never writes what a checkpoint being encoded reads.
 func TestStatsSnapshotsNotTorn(t *testing.T) {
 	sc := freeTopo(t, 16, 9, 0)

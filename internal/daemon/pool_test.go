@@ -86,12 +86,13 @@ func TestTickGoroutinesConstant(t *testing.T) {
 // tick-allocs is a warmed Tick's allocations per dispatched pair, at 200
 // destinations.
 //
-// The rest are read at 500 destinations six ticks in. stats-allocs and
-// stats-bytes are one GET /stats through Handler (the merge under the
-// daemon's lock and the JSON encoding of its Stats, whose stats-addresses
-// addresses encode one at a time); ckpt-locked-allocs and ckpt-locked-bytes
-// are checkpointLocked, what a checkpoint allocates under the daemon's lock;
-// ckpt-file-bytes is the file that checkpoint saves.
+// The rest are read at 500 destinations six ticks in, on a daemon of three
+// shards. stats-allocs and stats-bytes are one GET /stats through Handler
+// (the merge of the three accumulators under the daemon's locks and the
+// JSON encoding of its Stats, whose stats-addresses addresses encode one at
+// a time); ckpt-locked-allocs and ckpt-locked-bytes are checkpointLocked,
+// what a checkpoint allocates under the daemon's locks, one State per
+// shard; ckpt-file-bytes is the file that checkpoint saves.
 func TestCosts(t *testing.T) {
 	rows := costs.Rows{}
 	const dests = 200

@@ -9,18 +9,20 @@ import (
 )
 
 // destSched is one destination's scheduler state, guarded by the daemon
-// mutex. A dispatched job carries a copy of the path hints to its worker and
-// finish writes the new ones back under the mutex. Tick resolves every job
-// it dispatched before it returns, so a destination is never in flight
-// twice.
+// mutex, and while its job is in flight by its shard's lock too. A
+// dispatched job carries a copy of the path hints to its worker, and a
+// successful finish writes the new ones back under the shard's lock alone.
+// Tick resolves every job it dispatched before it returns, so a destination
+// is never in flight twice.
 type destSched struct {
 	// DestRun is the error budget and the path hints carried between the
 	// destination's pairs — the record a campaign keeps too — and DestState
 	// the cadence; both are checkpointed as they are.
 	measure.DestRun
 	DestState
-	dest netip.Addr
-	idx  int
+	dest  netip.Addr
+	idx   int
+	shard int
 }
 
 // DestState is one destination's cadence: what the scheduler keeps per
@@ -55,6 +57,17 @@ func newScheduler(dests []netip.Addr, period int64) *scheduler {
 		s.dests[i] = &destSched{dest: d, idx: i}
 	}
 	return s
+}
+
+// partition assigns each destination its shard: its block in the
+// contiguous, maximally even split of the list into n, the campaign's
+// worker plan.
+func (s *scheduler) partition(n int) {
+	for sh := 0; sh < n; sh++ {
+		for i := sh * len(s.dests) / n; i < (sh+1)*len(s.dests)/n; i++ {
+			s.dests[i].shard = sh
+		}
+	}
 }
 
 // due lists the destinations runnable in round, oldest due first (ties in

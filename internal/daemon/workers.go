@@ -55,7 +55,8 @@ type job struct {
 // scratch buffers are not concurrency-safe), finishes every job it wins and
 // gives the routes back to that Prober, and exits on Stop, on being replaced
 // after a stall, or — after a panic in a trace — into onWorkerPanic, which
-// accounts for the death and restarts the slot.
+// accounts for the death and restarts the slot. When no queue holds a job
+// (next) it waits for its own queue, a kick from Tick, or Stop.
 func (d *Daemon) worker(id, gen int) {
 	var cur *job
 	var curRun int64
@@ -79,38 +80,66 @@ func (d *Daemon) worker(id, gen int) {
 	}()
 	prober := measure.NewProber(d.tp, d.cfg.Probe)
 	for {
-		select {
-		case <-d.stop:
-			return
-		case j := <-d.jobs:
-			run := jsRun(id, gen)
-			if !j.state.CompareAndSwap(jsPending, run) {
-				// Discarded (or drained) while queued; nothing ran, the
-				// slot stays healthy.
+		j := d.next(id)
+		if j == nil {
+			select {
+			case <-d.stop:
+				return
+			case j = <-d.queues[id]:
+			case <-d.kicks[id]:
 				continue
 			}
-			cur, curRun = j, run
-			hints := j.hints
-			pair, err := prober.MeasurePair(j.ds.dest, int(j.round), &hints)
-			won := j.state.CompareAndSwap(run, jsDone)
-			cur = nil
-			if !won {
-				// Discarded mid-run: the slot belongs to a replacement
-				// worker now, so this goroutine exits with its late
-				// result dropped on the floor.
-				return
-			}
-			d.finish(j, &pair, err, hints)
-			prober.Recycle(&pair)
-			j.wg.Done()
 		}
+		run := jsRun(id, gen)
+		if !j.state.CompareAndSwap(jsPending, run) {
+			// Discarded (or drained) while queued; nothing ran, the
+			// slot stays healthy.
+			continue
+		}
+		cur, curRun = j, run
+		hints := j.hints
+		pair, err := prober.MeasurePair(j.ds.dest, int(j.round), &hints)
+		won := j.state.CompareAndSwap(run, jsDone)
+		cur = nil
+		if !won {
+			// Discarded mid-run: the slot belongs to a replacement
+			// worker now, so this goroutine exits with its late
+			// result dropped on the floor.
+			return
+		}
+		d.finish(j, &pair, err, hints)
+		prober.Recycle(&pair)
+		j.wg.Done()
 	}
 }
 
-// finish folds a resolved job's outcome into the accumulator and re-arms the
-// destination's cadence: success every Period rounds, a Paris route new to
-// the destination next round (immediate re-exploration), failure per the
-// error budget. A route the destination has shown before — a per-packet
+// next takes a queued job for slot id without waiting: the slot's own
+// first, then the other slots' in turn from the next one, so an idle worker
+// helps at a round's tail and a dead slot's shards are still measured. It
+// returns nil when every queue is empty.
+func (d *Daemon) next(id int) *job {
+	for i := range d.queues {
+		if j := take(d.queues[(id+i)%len(d.queues)]); j != nil {
+			return j
+		}
+	}
+	return nil
+}
+
+// take receives a job from q if one is queued, and nil otherwise.
+func take(q chan *job) *job {
+	select {
+	case j := <-q:
+		return j
+	default:
+		return nil
+	}
+}
+
+// finish folds a resolved job's outcome into its shard's accumulator and
+// re-arms the destination's cadence: success every Period rounds, a Paris
+// route new to the destination next round (immediate re-exploration),
+// failure per the error budget. A route the destination has shown before — a per-packet
 // balancer's draw, or a flip back to a known path — is load balancing, not
 // a path change (DTRACK's rule), and waits its Period like any other pair.
 //
@@ -118,15 +147,20 @@ func (d *Daemon) worker(id, gen int) {
 // soon as finish returns, so Fold is the last reader. It copies what the
 // accumulator keeps; everything after it — cadence, events — works from the
 // FoldResult (TestFinishDoesNotReadRoutesAfterFold poisons the routes there).
+//
+// A success takes only its shard's lock, so workers on other shards fold at
+// the same time; a failure takes mu, like every other failure path.
 func (d *Daemon) finish(j *job, pair *measure.Pair, err error, hints measure.PathHints) {
-	d.mu.Lock()
 	ds, round := j.ds, j.round
 	if err != nil {
+		d.mu.Lock()
 		d.failLocked(ds, round)
 		d.mu.Unlock()
 		return
 	}
-	fr := d.acc.Fold(pair)
+	sh := &d.shards[ds.shard]
+	sh.mu.Lock()
+	fr := sh.acc.Fold(pair)
 	if d.afterFold != nil {
 		d.afterFold(pair)
 	}
@@ -138,7 +172,7 @@ func (d *Daemon) finish(j *job, pair *measure.Pair, err error, hints measure.Pat
 	} else {
 		ds.NextDue = round + d.sched.period
 	}
-	d.mu.Unlock()
+	sh.mu.Unlock()
 	if changed {
 		d.events.publish(Event{Round: round, Type: EventRouteChange, Dest: ds.dest,
 			Detail: "paris route new to this destination; re-exploring next round",
@@ -243,24 +277,21 @@ func (d *Daemon) onWorkerPanic(id, gen int, r any, j *job) {
 	}()
 }
 
-// drainJobs empties the queue, failing every job still pending. The pool's
-// death calls it so Tick resolves instead of waiting forever; it holds mu,
-// so it and Tick's queueing serialize and a job is either drained here or
-// failed inline by Tick. A stalled round calls it once every job is
+// drainJobs empties every slot's queue, failing every job still pending.
+// The pool's death calls it so Tick resolves instead of waiting forever; it
+// holds mu, so it and Tick's queueing serialize and a job is either drained
+// here or failed inline by Tick. A stalled round calls it once every job is
 // resolved, to clear out the ones discarded while queued.
 func (d *Daemon) drainJobs() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for {
-		select {
-		case j := <-d.jobs:
+	for _, q := range d.queues {
+		for j := take(q); j != nil; j = take(q) {
 			// A job the watchdog discarded is left alone.
 			if j.state.CompareAndSwap(jsPending, jsDone) {
 				d.failLocked(j.ds, j.round)
 				j.wg.Done()
 			}
-		default:
-			return
 		}
 	}
 }

@@ -79,8 +79,8 @@ type Checkpoint struct {
 	Dests []DestRun
 	// Workers holds one accumulator body per campaign worker, in worker
 	// order (the worker plan is a pure function of the config, so body w
-	// resumes as worker w's accumulator). The daemon folds into one
-	// accumulator and writes exactly one.
+	// resumes as worker w's accumulator). The daemon writes one per
+	// shard, a contiguous block of the destinations, in shard order.
 	Workers []AccState
 }
 

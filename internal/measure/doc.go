@@ -75,8 +75,8 @@
 //
 // Merge and State read an accumulator without rebuilding it, so that a
 // read costs what was folded since the last one, not the accumulator's
-// size: the daemon reads its one accumulator under the lock its folds take,
-// four times a second for /stats and at every checkpoint. Three views are
+// size: the daemon reads its shards' accumulators under the locks their
+// folds take, four times a second for /stats and at every checkpoint. Three views are
 // kept current for that:
 //
 //   - Address sets (every responder, loop and cycle addresses, quarantined

@@ -3,7 +3,9 @@ package simtest_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -102,7 +104,7 @@ func config(s *topo.Scenario, sh shape) measure.Config {
 }
 
 // finish runs camp and returns what it measured.
-func finish(t *testing.T, camp *measure.Campaign, err error) outcome {
+func finish(t testing.TB, camp *measure.Campaign, err error) outcome {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -158,14 +160,19 @@ func haltResume(t *testing.T, sc scenario, k int) outcome {
 	return finish(t, camp, err)
 }
 
-// daemonRun ticks the daemon at period 1, every destination admitted, for
-// the campaign's rounds: a campaign by another scheduler.
-func daemonRun(t *testing.T, sc scenario) outcome {
+// daemonRun ticks a daemon of the given workers over a fresh copy of sc.
+func daemonRun(t *testing.T, sc scenario, workers int) outcome {
 	s, tp := sc.build()
+	return outcome{stats: daemonStats(t, s, tp, workers)}
+}
+
+// daemonStats ticks the daemon at period 1, every destination admitted, for
+// the campaign's rounds over s: a campaign by another scheduler.
+func daemonStats(t testing.TB, s *topo.Scenario, tp tracer.Transport, workers int) *measure.Stats {
 	d, err := daemon.New(daemon.Config{
 		Dests: s.Dests, Transport: tp, RoundStart: s.RoundStart,
 		Probe:  measure.ProbeConfig{PortSeed: portSeed, Batch: true},
-		Period: 1, Workers: 4, QueueCap: len(s.Dests),
+		Period: 1, Workers: workers, QueueCap: len(s.Dests),
 		Watchdog: func(int64) <-chan time.Time { return nil }, Sleep: noSleep,
 	})
 	if err != nil {
@@ -175,7 +182,7 @@ func daemonRun(t *testing.T, sc scenario) outcome {
 	for range rounds {
 		d.Tick()
 	}
-	return outcome{stats: d.Snapshot()}
+	return d.Snapshot()
 }
 
 // muxRun runs an 8-worker campaign through one live.Mux over a SimConn
@@ -247,10 +254,11 @@ func TestHouseInvariant(t *testing.T) {
 			if !sc.holds(ref.stats) {
 				t.Fatalf("reference run is degenerate for this scenario: %s", simtest.JSON(ref.stats))
 			}
-			// row holds what run measures to want's statistics and, if it
-			// kept its pairs, to the reference's routes.
-			row := func(name string, want *measure.Stats, run func(t *testing.T) outcome) {
-				t.Run(name, func(t *testing.T) {
+			// rowIn holds what run measures to want's statistics and, if it
+			// kept its pairs, to the reference's routes, as a subtest of
+			// parent; row does so as a subtest of the scenario.
+			rowIn := func(parent *testing.T, name string, want *measure.Stats, run func(t *testing.T) outcome) {
+				parent.Run(name, func(t *testing.T) {
 					got := run(t)
 					if d := simtest.Diff(want, got.stats); d != "" {
 						t.Errorf("statistics differ from the reference at %s", d)
@@ -265,6 +273,7 @@ func TestHouseInvariant(t *testing.T) {
 					}
 				})
 			}
+			row := func(name string, want *measure.Stats, run func(t *testing.T) outcome) { rowIn(t, name, want, run) }
 			for name, sh := range map[string]shape{
 				"workers=8":               {workers: 8},
 				"workers=32":              {workers: 32},
@@ -276,7 +285,13 @@ func TestHouseInvariant(t *testing.T) {
 			}
 			row("halt-mid", ref.stats, func(t *testing.T) outcome { return haltResume(t, sc, rounds/2) })
 			row("halt-final", ref.stats, func(t *testing.T) outcome { return haltResume(t, sc, rounds) })
-			row("daemon", ref.stats, func(t *testing.T) outcome { return daemonRun(t, sc) })
+			// The daemon at one shard and at four: each worker slot owns
+			// a shard of the destinations and folds into its accumulator.
+			t.Run("daemon", func(t *testing.T) {
+				for _, w := range []int{1, 4} {
+					rowIn(t, fmt.Sprintf("workers=%d", w), ref.stats, func(t *testing.T) outcome { return daemonRun(t, sc, w) })
+				}
+			})
 			if sc.faults != nil {
 				return
 			}
@@ -302,4 +317,34 @@ func TestHouseInvariant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkDaemonVsCampaign runs one scenario through the campaign and
+// through the daemon at period 1, each with one worker per processor over
+// a fresh copy of the topology (generated outside the timings), and
+// requires the two Stats to be byte-equal. daemon/campaign is the daemon's
+// speed over the campaign's: the campaign's time over the daemon's, summed
+// over the iterations. Compare at -cpu 2:
+//
+//	go test -run '^$' -bench DaemonVsCampaign -benchtime 10x -cpu 2 ./internal/simtest
+func BenchmarkDaemonVsCampaign(b *testing.B) {
+	sc := scenario{name: "default", gen: simtest.Default(2000)}
+	workers := runtime.GOMAXPROCS(0)
+	var campT, daemonT time.Duration
+	for range b.N {
+		s, tp := sc.build()
+		start := time.Now()
+		camp, err := measure.NewCampaign(tp, config(s, shape{workers: workers, batch: true, stream: true}))
+		want := finish(b, camp, err).stats
+		campT += time.Since(start)
+
+		s, tp = sc.build()
+		start = time.Now()
+		got := daemonStats(b, s, tp, workers)
+		daemonT += time.Since(start)
+		if d := simtest.Diff(want, got); d != "" {
+			b.Fatalf("the daemon's statistics differ from the campaign's at %s", d)
+		}
+	}
+	b.ReportMetric(float64(campT)/float64(daemonT), "daemon/campaign")
 }
