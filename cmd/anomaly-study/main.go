@@ -54,7 +54,7 @@ func main() {
 	fs.BoolVar(&o.topo.Paper, "paper", false, "use the paper-scale configuration (5,000 destinations x 556 rounds)")
 	o.live.Register(fs, "live-dests", true)
 	fs.IntVar(&o.rounds, "rounds", 25, "number of measurement rounds")
-	fs.IntVar(&o.workers, "workers", 32, "parallel probing workers")
+	fs.IntVar(&o.workers, "workers", 32, "parallel probing workers (a resume may use any count)")
 	fs.BoolVar(&o.batch, "batch", true, "submit each trace's TTL ladder as batched exchanges")
 	fs.BoolVar(&o.truth, "truth", false, "print generator ground truth")
 	fs.BoolVar(&o.failFast, "fail-fast", false, "abort the campaign on the first trace error instead of counting the failed pair and quarantining")

@@ -3,31 +3,21 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"net/netip"
 	"os"
 
 	"repro/internal/ckpt"
 	"repro/internal/measure"
 )
 
-// checkpointVersion gates the daemon checkpoint schema. Version 2 replaced
-// the JSON document with the binary format of internal/ckpt; version 3 is
-// the run body a campaign checkpoint is made of, followed by the daemon's
-// schedule section; version 4 is that body with interned hops written as
-// 8-byte cells (campaign version 5); version 5 is the body with its
-// accumulator length-prefixed (campaign version 6) and a schedule entry
-// without the seen flag and the classic fingerprint; version 6 is a schedule
-// entry without the Paris fingerprint, since a route change is judged
-// against the accumulator's interned routes; version 7 has the same layout
-// with one accumulator per shard, where 6 had the daemon's one. An older
-// file is quarantined like any other unreadable checkpoint.
-const checkpointVersion = 7
-
 // Checkpoint is the daemon's serialized resumable state: the run body it
 // shares with campaign checkpoints — digest, round cursor, opaque transport
 // cursor, per-destination error budgets and path hints, and the folded
 // statistics as Workers, one accumulator per shard in shard order — then
 // what only a scheduler has: the cumulative supervision counters, the event
-// cursor and the per-destination cadence table.
+// cursor and the per-destination cadence table. Its frame carries
+// measure.CheckpointVersion, whose history covers the schedule section too;
+// an older file is quarantined like any other unreadable checkpoint.
 type Checkpoint struct {
 	measure.Checkpoint
 	// Cumulative supervision counters, restored so /stats survives a
@@ -89,7 +79,7 @@ const minDestState = 3
 // (internal/ckpt) on the one atomic write path, so a kill mid-write leaves
 // the previous checkpoint intact.
 func (ck *Checkpoint) Save(path string) error {
-	if err := ckpt.WriteFile(path, ckpt.KindDaemon, checkpointVersion, ck.encode); err != nil {
+	if err := ckpt.WriteFile(path, ckpt.KindDaemon, measure.CheckpointVersion, ck.encode); err != nil {
 		return fmt.Errorf("daemon: writing checkpoint %s: %w", path, err)
 	}
 	return nil
@@ -126,7 +116,7 @@ func (ck *Checkpoint) decode(d *ckpt.Decoder) {
 // file is unusable (errors.Is against the ckpt.Err* values).
 func loadCheckpoint(path string) (*Checkpoint, error) {
 	ck := new(Checkpoint)
-	err := ckpt.ReadFile(path, ckpt.KindDaemon, checkpointVersion, ck.decode)
+	err := ckpt.ReadFile(path, ckpt.KindDaemon, measure.CheckpointVersion, ck.decode)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -154,7 +144,7 @@ func (d *Daemon) recover(path string) error {
 	if ck == nil {
 		return nil
 	}
-	accs, err := ck.restore(d.digest, len(d.cfg.Dests))
+	accs, err := ck.restore(d.digest, d.cfg.Dests)
 	if errors.Is(err, measure.ErrDigest) {
 		return fmt.Errorf("daemon: %w (pass FreshStart to discard)", err)
 	}
@@ -182,14 +172,14 @@ func (d *Daemon) recover(path string) error {
 }
 
 // restore validates the body against the run that wants to continue from it
-// and rebuilds its shards' accumulators: measure.Checkpoint.Restore with as
-// many accumulators as the body holds, at least one, then checkSched.
-// recover and the FuzzDecodeCheckpoint property both call it, so a body the
-// fuzz target accepts is one recovery accepts.
-func (ck *Checkpoint) restore(digest uint64, dests int) ([]*measure.Accumulator, error) {
-	accs, err := ck.Restore(digest, dests, max(len(ck.Workers), 1))
+// and rebuilds its shards' accumulators: measure.Checkpoint.Restore, one
+// shard per body, then checkSched. recover and the FuzzDecodeCheckpoint
+// property both call it, so a body the fuzz target accepts is one recovery
+// accepts.
+func (ck *Checkpoint) restore(digest uint64, dests []netip.Addr) ([]*measure.Accumulator, error) {
+	accs, err := ck.Restore(digest, dests)
 	if err == nil {
-		err = ck.checkSched(dests)
+		err = ck.checkSched(len(dests))
 	}
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,17 +34,18 @@ func toyCheckpoint(t testing.TB) []byte {
 }
 
 // recodeCheckpoint decodes a daemon checkpoint file and, if it is accepted
-// — it decodes, and recovery accepts its body (restore: its shards'
-// accumulators restore, no destination is in two of them, and its schedule
-// passes checkSched), on which the scheduler's shed lottery is then run —
-// encodes it again, with every shard's body replaced by what its restored
+// — it decodes, and recovery accepts its body against dests, the toy
+// configuration's destinations (restore: its shards' accumulators restore,
+// each holds only its block of the plan, and its schedule passes
+// checkSched), on which the scheduler's shed lottery is then run — encodes
+// it again, with every shard's body replaced by what its restored
 // accumulator writes: such a body must write back the same bytes.
-func recodeCheckpoint(t *testing.T, file []byte) ([]byte, error) {
+func recodeCheckpoint(t *testing.T, dests []netip.Addr, file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
-	if err := ckpt.Decode(file, ckpt.KindDaemon, checkpointVersion, ck.decode); err != nil {
+	if err := ckpt.Decode(file, ckpt.KindDaemon, measure.CheckpointVersion, ck.decode); err != nil {
 		return nil, err
 	}
-	accs, err := ck.restore(ck.Digest, len(ck.Dests))
+	accs, err := ck.restore(ck.Digest, dests)
 	if err != nil {
 		return nil, err
 	}
@@ -56,25 +58,31 @@ func recodeCheckpoint(t *testing.T, file []byte) ([]byte, error) {
 		}
 	}
 	var buf bytes.Buffer
-	err = ckpt.Encode(&buf, ckpt.KindDaemon, checkpointVersion, ck.encode)
+	err = ckpt.Encode(&buf, ckpt.KindDaemon, measure.CheckpointVersion, ck.encode)
 	return buf.Bytes(), err
 }
 
-// sharedShard is the toy checkpoint with its second shard's body replaced
-// by its first's, so two shards claim the same destinations: a body no
-// daemon writes, whose restore Merge would count twice.
-func sharedShard(t testing.TB) []byte {
+// toyWith is the toy checkpoint with edit applied, encoded again: with the
+// edits below, a frame that verifies around a body no daemon writes.
+func toyWith(t testing.TB, edit func(*Checkpoint)) []byte {
 	ck := new(Checkpoint)
-	if err := ckpt.Decode(toyCheckpoint(t), ckpt.KindDaemon, checkpointVersion, ck.decode); err != nil {
+	if err := ckpt.Decode(toyCheckpoint(t), ckpt.KindDaemon, measure.CheckpointVersion, ck.decode); err != nil {
 		t.Fatal(err)
 	}
-	ck.Workers[1] = ck.Workers[0]
+	edit(ck)
 	var buf bytes.Buffer
-	if err := ckpt.Encode(&buf, ckpt.KindDaemon, checkpointVersion, ck.encode); err != nil {
+	if err := ckpt.Encode(&buf, ckpt.KindDaemon, measure.CheckpointVersion, ck.encode); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
+
+// sharedShard and swappedShards are the toy checkpoint with its second
+// shard's body replaced by its first's, so two shards claim the same
+// destinations, and with the two bodies swapped, so each holds the other's
+// block: bodies no daemon writes.
+func sharedShard(ck *Checkpoint)   { ck.Workers[1] = ck.Workers[0] }
+func swappedShards(ck *Checkpoint) { ck.Workers[0], ck.Workers[1] = ck.Workers[1], ck.Workers[0] }
 
 // TestCheckpointRoundTrip: every field of the daemon checkpoint survives the
 // file, and a loaded checkpoint saves back to the same bytes.
@@ -103,7 +111,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("toy checkpoint: destination %d never measured", i)
 		}
 	}
-	if again, err := recodeCheckpoint(t, file); err != nil || !bytes.Equal(again, file) {
+	if again, err := recodeCheckpoint(t, freeTopo(t, 6, 3, 0).Dests, file); err != nil || !bytes.Equal(again, file) {
 		t.Fatalf("toy checkpoint with its accumulator restored does not write back the same file (%v)", err)
 	}
 	again := filepath.Join(t.TempDir(), "again.ck")
@@ -124,7 +132,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v7.ck from t
 // TestCheckpointGolden pins the daemon's wire format: the toy daemon's
 // checkpoint must be the committed file byte for byte (it holds no RTT and
 // no IP ID, so nothing in it varies run to run). A deliberate format change
-// bumps checkpointVersion and regenerates the file (go test -run
+// bumps measure.CheckpointVersion and regenerates the file (go test -run
 // TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "toy-v7.ck")
@@ -142,19 +150,22 @@ func TestCheckpointGolden(t *testing.T) {
 
 // FuzzDecodeCheckpoint: the daemon checkpoint decoder is total on arbitrary
 // bytes (see ckpttest.Check for the properties), and so is recovery's
-// restore of the body: its checks and the shards' accumulators it slices
-// out. Seeded with the three-shard toy checkpoint and its truncation
-// ladder, with the files of TestDaemonImpossibleCheckpointStartsFresh's
-// schedule rows, with the toy checkpoint whose two shards claim the same
-// destinations, and with the previous versions' (testdata/toy-v6.ck,
-// toy-v5.ck, toy-v4.ck, toy-v3.ck, toy-v2.ck), whose bodies Check also wraps
-// in a current frame: the old layouts read as the new one.
+// restore of the body against the toy configuration: its checks and the
+// shards' accumulators it slices out. Seeded with the three-shard toy
+// checkpoint and its truncation ladder, with the toy checkpoint under each
+// of TestDaemonImpossibleCheckpointStartsFresh's schedule rows, with the
+// toy checkpoint whose two shards claim the same destinations and the one
+// whose two shards are swapped, and with the previous versions'
+// (testdata/toy-v6.ck, toy-v5.ck, toy-v4.ck, toy-v3.ck, toy-v2.ck), whose
+// bodies Check also wraps in a current frame: the old layouts read as the
+// new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	ckpttest.Seed(f, toyCheckpoint(f))
 	for _, file := range impossibleSchedules(f) {
 		ckpttest.Seed(f, file)
 	}
-	ckpttest.Seed(f, sharedShard(f))
+	ckpttest.Seed(f, toyWith(f, sharedShard))
+	ckpttest.Seed(f, toyWith(f, swappedShards))
 	for _, name := range []string{"toy-v6.ck", "toy-v5.ck", "toy-v4.ck", "toy-v3.ck", "toy-v2.ck"} {
 		previous, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -162,9 +173,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		ckpttest.Seed(f, previous)
 	}
+	dests := freeTopo(f, 6, 3, 0).Dests
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ckpttest.Check(t, ckpt.KindDaemon, checkpointVersion, data, func(file []byte) ([]byte, error) {
-			return recodeCheckpoint(t, file)
+		ckpttest.Check(t, ckpt.KindDaemon, measure.CheckpointVersion, data, func(file []byte) ([]byte, error) {
+			return recodeCheckpoint(t, dests, file)
 		})
 	})
 }

@@ -28,9 +28,9 @@ type Config struct {
 	// round instead. Zero selects 5.
 	Period int
 	// Workers sizes the supervised pool. Zero selects 4. A fresh daemon
-	// splits Dests into Workers contiguous shards, the campaign's worker
-	// plan, each with its own accumulator, and slot w is first to run the
-	// jobs of shards w, w+Workers, ...; an idle slot takes another's. The
+	// splits Dests into Workers shards by the campaign's plan (measure.Block),
+	// each with its own accumulator, and slot w is first to run the jobs
+	// of shards w, w+Workers, ...; an idle slot takes another's. The
 	// shard count is fixed at first start: a recovered daemon keeps its
 	// checkpoint's, so Workers stays retunable across restarts.
 	Workers int
@@ -191,7 +191,12 @@ func New(cfg Config) (*Daemon, error) {
 			return nil, err
 		}
 	}
-	d.sched.partition(len(d.shards))
+	for sh := range d.shards {
+		lo, hi := measure.Block(sh, len(d.shards), len(cfg.Dests))
+		for _, ds := range d.sched.dests[lo:hi] {
+			ds.shard = sh
+		}
+	}
 	measure.ReplayRounds(cfg.RoundStart, int(d.round))
 	d.workersAlive = cfg.Workers
 	for w := 0; w < cfg.Workers; w++ {

@@ -646,20 +646,15 @@ var scheduleTampers = map[string]func(*DestState){
 	},
 }
 
-// impossibleSchedules are goodCheckpoint's file with each scheduleTampers
-// row applied, the fuzz seeds of the class.
+// impossibleSchedules are the toy checkpoint with each scheduleTampers row
+// applied, the fuzz seeds of the class.
 func impossibleSchedules(t testing.TB) (files [][]byte) {
-	good := goodCheckpoint(t)
 	for _, tamper := range scheduleTampers {
-		ck := mustLoad(t, good)
-		for i := range ck.Sched {
-			tamper(&ck.Sched[i])
-		}
-		var buf bytes.Buffer
-		if err := ckpt.Encode(&buf, ckpt.KindDaemon, checkpointVersion, ck.encode); err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, buf.Bytes())
+		files = append(files, toyWith(t, func(ck *Checkpoint) {
+			for i := range ck.Sched {
+				tamper(&ck.Sched[i])
+			}
+		}))
 	}
 	return files
 }
@@ -707,7 +702,8 @@ func withTrailingByte(t *testing.T, st measure.AccState) measure.AccState {
 // body no daemon can have written — a negative round, a negative failure
 // count, a schedule table of another length, a schedule entry with a
 // negative due round, pair count or shed streak, an accumulator body its
-// restore refuses, no shard at all, two shards that claim one destination —
+// restore refuses, no shard at all, two shards that claim one destination,
+// two shards whose bodies are swapped —
 // is unusable too: moved aside, never resumed (a negative
 // round would reach RoundStart, a negative shed streak a negative shift).
 func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
@@ -719,10 +715,9 @@ func TestDaemonImpossibleCheckpointStartsFresh(t *testing.T) {
 		"worker body with a trailing byte": func(t *testing.T, ck *Checkpoint) {
 			ck.Workers[0] = withTrailingByte(t, ck.Workers[0])
 		},
-		"no shard": func(_ *testing.T, ck *Checkpoint) { ck.Workers = nil },
-		"two shards claim one destination": func(_ *testing.T, ck *Checkpoint) {
-			ck.Workers[1] = ck.Workers[0]
-		},
+		"no shard":                         func(_ *testing.T, ck *Checkpoint) { ck.Workers = nil },
+		"two shards claim one destination": func(_ *testing.T, ck *Checkpoint) { sharedShard(ck) },
+		"swapped bodies":                   func(_ *testing.T, ck *Checkpoint) { swappedShards(ck) },
 	}
 	for name, tamper := range scheduleTampers {
 		tampers[name] = func(_ *testing.T, ck *Checkpoint) {

@@ -59,17 +59,6 @@ func newScheduler(dests []netip.Addr, period int64) *scheduler {
 	return s
 }
 
-// partition assigns each destination its shard: its block in the
-// contiguous, maximally even split of the list into n, the campaign's
-// worker plan.
-func (s *scheduler) partition(n int) {
-	for sh := 0; sh < n; sh++ {
-		for i := sh * len(s.dests) / n; i < (sh+1)*len(s.dests)/n; i++ {
-			s.dests[i].shard = sh
-		}
-	}
-}
-
 // due lists the destinations runnable in round, oldest due first (ties in
 // list order). Caller holds the daemon mutex.
 func (s *scheduler) due(round int64) []*destSched {

@@ -310,7 +310,7 @@ func encodeState(tb testing.TB, a *Accumulator) AccState {
 func encoded(tb testing.TB, st AccState) AccState {
 	tb.Helper()
 	ck := &Checkpoint{Workers: []AccState{st}}
-	if err := ckpt.Encode(io.Discard, ckpt.KindCampaign, checkpointVersion, ck.Encode); err != nil {
+	if err := ckpt.Encode(io.Discard, ckpt.KindCampaign, CheckpointVersion, ck.Encode); err != nil {
 		tb.Fatal(err)
 	}
 	return st

@@ -21,7 +21,11 @@ type Config struct {
 	// completed 556).
 	Rounds int
 	// Workers is the number of parallel probing processes (the paper
-	// launches 32, each probing 1/32 of the list).
+	// launches 32, each probing 1/32 of the list). The destinations are
+	// split into shards, each shard's block of the list (Block) folding
+	// into its own accumulator, and worker w probes shards w, w+Workers
+	// and so on. A fresh campaign has Workers shards; a resumed one keeps
+	// its checkpoint's count, so a resume may use any Workers.
 	Workers int
 	// MinTTL skips the local network (the paper sets 2). Traces stop at
 	// the paper's 39 hops or 8 consecutive stars.
@@ -75,7 +79,7 @@ type Config struct {
 	TransportState func() json.RawMessage
 
 	// TransportFor, when set, supplies per-worker transports: worker w
-	// probes every destination of its plan through TransportFor(w) instead
+	// probes every destination of its shards through TransportFor(w) instead
 	// of the shared campaign transport (a nil return falls back to the
 	// shared one). Live campaigns use it to give each worker its own
 	// handle on the shared socket mux, mirroring the paper's N independent
@@ -150,7 +154,7 @@ type Results struct {
 	// Rounds[r] lists the pairs measured in round r, one per
 	// destination. Nil when the campaign streamed.
 	Rounds [][]Pair
-	// Stats merges the workers' accumulators.
+	// Stats merges the shards' accumulators.
 	Stats *Stats
 }
 
@@ -160,23 +164,19 @@ type Results struct {
 type Campaign struct {
 	cfg Config
 	// probers[w] is worker w's Prober, over TransportFor(w) when the seam
-	// is set and returns non-nil, over the shared transport otherwise. The
-	// plan is fixed, so a destination is only ever probed by one worker and
-	// a Prober never crosses goroutines.
+	// is set and returns non-nil, over the shared transport otherwise. A
+	// shard has one owning worker for the whole run, so a destination is
+	// only ever probed by one worker and a Prober never crosses goroutines.
 	probers []*Prober
-	// plan[w] lists the destination indices worker w probes each round;
-	// computed once at construction.
-	plan [][]int
 	// digest is the campaign's RunDigest, which a checkpoint must match to
 	// resume it: beyond the destinations and the probing, the statistics
-	// depend on how many rounds it runs and how the list is split among
-	// workers.
+	// depend on how many rounds it runs.
 	digest uint64
 	// runs holds each destination's error budget and previous ladder
 	// lengths; the next round sizes its routes — and, batched, its first
 	// window — from the latter, so a stable route is probed in exactly one
 	// batch with no overshoot. Indexed by destination; each slot is owned by
-	// the single worker whose plan covers it, so no locking.
+	// the single worker whose shard covers it, so no locking.
 	runs []DestRun
 	// resume, when non-nil, is the state loaded by Resume (which also filled
 	// runs); the next RunContext consumes it and continues from its round
@@ -184,7 +184,8 @@ type Campaign struct {
 	resume *resumeState
 }
 
-// resumeState carries a loaded checkpoint into the next RunContext call.
+// resumeState carries a loaded checkpoint into the next RunContext call:
+// its round cursor and one restored accumulator per shard.
 type resumeState struct {
 	nextRound int
 	accs      []*Accumulator
@@ -192,7 +193,7 @@ type resumeState struct {
 
 // NewCampaign creates a campaign; cfg.Dests must be non-empty and free of
 // duplicates (statistics are per destination — the accumulators and the
-// worker plan both assume one owner per address).
+// shards both assume one owner per address).
 func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 	cfg = cfg.withDefaults()
 	if err := ValidateDests(cfg.Dests); err != nil {
@@ -207,13 +208,10 @@ func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 	c := &Campaign{
 		cfg:     cfg,
 		probers: make([]*Prober, cfg.Workers),
-		plan:    workerPlan(cfg),
 		runs:    make([]DestRun, len(cfg.Dests)),
 	}
 	pc := ProbeConfig{MinTTL: cfg.MinTTL, PortSeed: cfg.PortSeed, Batch: cfg.Batch}
-	// The trailing 1 is the stream switch every checkpoint on disk hashes:
-	// only a streaming campaign checkpoints or resumes.
-	c.digest = RunDigest(cfg.Dests, pc, uint64(cfg.Rounds), uint64(cfg.Workers), 1)
+	c.digest = RunDigest(cfg.Dests, pc, uint64(cfg.Rounds))
 	for w := range c.probers {
 		wtp := tp
 		if cfg.TransportFor != nil {
@@ -229,22 +227,6 @@ func NewCampaign(tp tracer.Transport, cfg Config) (*Campaign, error) {
 	return c, nil
 }
 
-// workerPlan partitions the destination indices among the workers: the
-// paper's contiguous 1/Workers slicing, maximally even, so the plan is a
-// function of (Dests, Workers) alone. Trailing workers plan nothing when
-// there are more workers than destinations.
-func workerPlan(cfg Config) [][]int {
-	plan := make([][]int, cfg.Workers)
-	for w := range plan {
-		lo := w * len(cfg.Dests) / cfg.Workers
-		hi := (w + 1) * len(cfg.Dests) / cfg.Workers
-		for i := lo; i < hi; i++ {
-			plan[w] = append(plan[w], i)
-		}
-	}
-	return plan
-}
-
 // portFor derives the stable per-destination Paris flow ports in the
 // paper's [10000, 60000] range.
 func portFor(seed int64, dest netip.Addr, salt uint64) uint16 {
@@ -257,7 +239,7 @@ func portFor(seed int64, dest netip.Addr, salt uint64) uint16 {
 }
 
 // Run executes every round and returns the collected results: the merged
-// statistics of the per-worker accumulators that folded each pair as it
+// statistics of the per-shard accumulators that folded each pair as it
 // completed, and, without Config.Stream, the pairs. Run may be called
 // repeatedly; a run starts from fresh accumulators each time (unless Resume
 // loaded a checkpoint first). Run is RunContext with a background context.
@@ -278,7 +260,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 		start, accs = rs.nextRound, rs.accs
 		ReplayRounds(c.cfg.RoundStart, start)
 	} else {
-		// A run that resumes nothing starts from fresh accumulators with
+		// A run that resumes nothing starts from Workers fresh shards with
 		// every error budget whole; the ladder hints of an earlier Run stay
 		// useful.
 		accs = make([]*Accumulator, c.cfg.Workers)
@@ -331,18 +313,18 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 }
 
 // runRound measures every destination once with Workers parallel workers,
-// each holding its planned share of the list (the paper's 32 processes each
-// probe 1/32 of the destinations). Worker w folds each pair into accs[w]
-// before it measures the next. With Config.Stream it then gives the pair's
-// routes back to its Prober and nothing is retained; otherwise the pairs
-// are collected into a slice and their routes are the caller's for good.
-// Under the default error policy measureDest absorbs failures into
-// Failed/Skipped pairs and runRound never errors; with FailFast the first
-// error any worker hits aborts the whole round — a stop channel closed under
-// a sync.Once halts the remaining workers at their next destination instead
-// of letting them probe out their slices silently. Context cancellation
-// stops workers the same way in both modes, without an error of its own (the
-// caller reads ctx.Err()).
+// each holding its shards' blocks of the list (the paper's 32 processes each
+// probe 1/32 of the destinations). Worker w measures shards w, w+Workers,
+// ... and folds each pair into its shard's accumulator before it measures
+// the next. With Config.Stream it then gives the pair's routes back to its
+// Prober and nothing is retained; otherwise the pairs are collected into a
+// slice and their routes are the caller's for good. Under the default error
+// policy measureDest absorbs failures into Failed/Skipped pairs and runRound
+// never errors; with FailFast the first error any worker hits aborts the
+// whole round — a stop channel closed under a sync.Once halts the remaining
+// workers at their next destination instead of letting them probe out their
+// shards silently. Context cancellation stops workers the same way in both
+// modes, without an error of its own (the caller reads ctx.Err()).
 func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator) ([]Pair, error) {
 	dests := c.cfg.Dests
 	var out []Pair
@@ -355,37 +337,37 @@ func (c *Campaign) runRound(ctx context.Context, round int, accs []*Accumulator)
 		stop     = make(chan struct{})
 		firstErr error
 	)
-	for w := 0; w < c.cfg.Workers; w++ {
-		if len(c.plan[w]) == 0 {
-			continue
-		}
+	for w := 0; w < min(c.cfg.Workers, len(accs)); w++ {
 		wg.Add(1)
-		go func(w int, idxs []int) {
+		go func(w int) {
 			defer wg.Done()
-			for _, i := range idxs {
-				select {
-				case <-stop:
-					return
-				case <-ctx.Done():
-					return
-				default:
-				}
-				p, err := c.measureDest(w, round, dests[i], &c.runs[i])
-				if err != nil {
-					stopOnce.Do(func() {
-						firstErr = err
-						close(stop)
-					})
-					return
-				}
-				accs[w].Fold(&p)
-				if c.cfg.Stream {
-					c.probers[w].Recycle(&p)
-				} else {
-					out[i] = p
+			for s := w; s < len(accs); s += c.cfg.Workers {
+				lo, hi := Block(s, len(accs), len(dests))
+				for i := lo; i < hi; i++ {
+					select {
+					case <-stop:
+						return
+					case <-ctx.Done():
+						return
+					default:
+					}
+					p, err := c.measureDest(w, round, dests[i], &c.runs[i])
+					if err != nil {
+						stopOnce.Do(func() {
+							firstErr = err
+							close(stop)
+						})
+						return
+					}
+					accs[s].Fold(&p)
+					if c.cfg.Stream {
+						c.probers[w].Recycle(&p)
+					} else {
+						out[i] = p
+					}
 				}
 			}
-		}(w, c.plan[w])
+		}(w)
 	}
 	wg.Wait()
 	if firstErr != nil {

@@ -32,8 +32,8 @@ import (
 //
 // Compatibility contract: the frame's version byte gates the schema, and
 // Digest hashes the run's shape (RunDigest: destination list, effective
-// probing, and for a campaign its rounds, workers and stream switch), so a
-// checkpoint only ever resumes the exact run that wrote it. Files are
+// probing, and for a campaign its rounds), so a checkpoint only ever resumes
+// the run that wrote it, at any worker count. Files are
 // written with an atomic temp-file + rename, so a kill during Save leaves
 // the previous checkpoint intact.
 //
@@ -52,15 +52,22 @@ import (
 // statistics stay correct; only its diamond-graph echo would be rebuilt one
 // round late after a resume.
 
-// checkpointVersion is the schema version Save writes and Load accepts.
-// Version 2 added the accumulator RTT tallies; version 3 replaced the JSON
-// document with the binary format; version 4 is the run body shared with the
-// daemon (one DestRun per destination where version 3 had a health table and
-// two hint arrays); version 5 writes interned hops as the accumulator stores
-// them, one 8-byte cell each, without RTTs and IP IDs; version 6 writes each
-// accumulator's body length-prefixed. Older files are refused, never resumed
-// with silently wrong statistics.
-const checkpointVersion = 6
+// CheckpointVersion is the schema version of both kinds of checkpoint, the
+// campaign's and the daemon's: Save writes it and Load accepts only it. A
+// campaign's version 2 added the accumulator RTT tallies; version 3 replaced
+// the JSON document with the binary format (daemon 2); version 4 is the run
+// body shared with the daemon (daemon 3; one DestRun per destination where
+// version 3 had a health table and two hint arrays); version 5 writes
+// interned hops as the accumulator stores them, one 8-byte cell each,
+// without RTTs and IP IDs (daemon 4); version 6 writes each accumulator's
+// body length-prefixed (daemon 5, whose schedule entry also lost the seen
+// flag and the classic fingerprint; daemon 6 lost the Paris fingerprint).
+// Version 7 has the same layout for both kinds, and body i is block i of
+// the plan (Block) for as many shards as there are bodies: the daemon's
+// version 7 had one body per shard where its 6 had one, and the campaign's
+// digest no longer hashes its worker count. Older files are refused, never
+// resumed with silently wrong statistics.
+const CheckpointVersion = 7
 
 // Checkpoint is a run's serialized resumable state: all of a streaming
 // campaign's, and the body of the daemon's.
@@ -77,10 +84,10 @@ type Checkpoint struct {
 	// Dests is the per-destination error budget and path hints, indexed
 	// like Config.Dests.
 	Dests []DestRun
-	// Workers holds one accumulator body per campaign worker, in worker
-	// order (the worker plan is a pure function of the config, so body w
-	// resumes as worker w's accumulator). The daemon writes one per
-	// shard, a contiguous block of the destinations, in shard order.
+	// Workers holds one accumulator body per block of the plan: body i
+	// holds the destinations of Block(i, len(Workers), len(Dests)) and
+	// nothing else. The campaign and the daemon both write one per shard,
+	// in shard order.
 	Workers []AccState
 }
 
@@ -124,7 +131,7 @@ func (c *Campaign) checkpoint(nextRound int, accs []*Accumulator) (*Checkpoint, 
 // cells of each accumulator body in it, so nothing the size of the file is
 // held in memory.
 func (ck *Checkpoint) Save(path string) error {
-	if err := ckpt.WriteFile(path, ckpt.KindCampaign, checkpointVersion, ck.Encode); err != nil {
+	if err := ckpt.WriteFile(path, ckpt.KindCampaign, CheckpointVersion, ck.Encode); err != nil {
 		return fmt.Errorf("measure: writing checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return nil
@@ -136,7 +143,7 @@ func (ck *Checkpoint) Save(path string) error {
 // another version.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	ck := new(Checkpoint)
-	if err := ckpt.ReadFile(path, ckpt.KindCampaign, checkpointVersion, ck.Decode); err != nil {
+	if err := ckpt.ReadFile(path, ckpt.KindCampaign, CheckpointVersion, ck.Decode); err != nil {
 		return nil, fmt.Errorf("measure: checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return ck, nil
@@ -148,84 +155,82 @@ var ErrDigest = errors.New("checkpoint digest does not match the configuration")
 
 // Restore is the one way back from a loaded body into a run: it validates
 // the body against the run that wants to continue from it — digest (the
-// run's RunDigest), destination count, accumulator count, a round cursor and
-// error budgets no run can have produced negative — and rebuilds the
-// accumulators by replay. What only one runtime knows stays with it: the
-// campaign's upper bound on the round cursor, the daemon's schedule section
-// and its policy for a file that fails here.
-func (ck *Checkpoint) Restore(digest uint64, dests, accs int) ([]*Accumulator, error) {
+// run's RunDigest), destination count, at least one accumulator, a round
+// cursor and error budgets no run can have produced negative, and each
+// accumulator against the plan — and rebuilds the accumulators by replay,
+// one per body: the body count is the run's shard count. What only one
+// runtime knows stays with it: the campaign's upper bound on the round
+// cursor, the daemon's schedule section and its policy for a file that
+// fails here.
+//
+// Accumulator w may hold, measured or quarantined, only destinations of
+// Block(w, len(Workers), len(dests)): no run folds any other there, and a
+// misplaced one would split a destination's state between two
+// accumulators once the run folds it into its own block's. The blocks are
+// disjoint, so no destination is restored twice either.
+func (ck *Checkpoint) Restore(digest uint64, dests []netip.Addr) ([]*Accumulator, error) {
 	if ck.Digest != digest {
 		return nil, fmt.Errorf("measure: %w: checkpoint %#x, configuration %#x", ErrDigest, ck.Digest, digest)
 	}
 	if ck.NextRound < 0 {
 		return nil, fmt.Errorf("measure: checkpoint round cursor %d is negative", ck.NextRound)
 	}
-	if len(ck.Dests) != dests {
-		return nil, fmt.Errorf("measure: checkpoint for %d destinations, configuration has %d", len(ck.Dests), dests)
+	if len(ck.Dests) != len(dests) {
+		return nil, fmt.Errorf("measure: checkpoint for %d destinations, configuration has %d", len(ck.Dests), len(dests))
 	}
-	if len(ck.Workers) != accs {
-		return nil, fmt.Errorf("measure: checkpoint holds %d accumulators, configuration needs %d", len(ck.Workers), accs)
+	if len(ck.Workers) == 0 {
+		return nil, fmt.Errorf("measure: checkpoint holds no accumulator")
 	}
 	for i, r := range ck.Dests {
 		if r.ConsecFails < 0 {
 			return nil, fmt.Errorf("measure: checkpoint destination %d: %d consecutive failures", i, r.ConsecFails)
 		}
 	}
-	out := make([]*Accumulator, accs)
+	index := make(map[netip.Addr]int, len(dests))
+	for i, d := range dests {
+		index[d] = i
+	}
+	out := make([]*Accumulator, len(ck.Workers))
 	for w := range ck.Workers {
 		a, err := RestoreAccumulator(ck.Workers[w])
 		if err != nil {
 			return nil, fmt.Errorf("measure: worker %d: %w", w, err)
 		}
+		lo, hi := Block(w, len(out), len(dests))
+		inBlock := func(d netip.Addr) error {
+			if i, ok := index[d]; !ok || i < lo || i >= hi {
+				return errCorrupt("worker %d holds destination %v, outside its block [%d, %d) of the plan", w, d, lo, hi)
+			}
+			return nil
+		}
+		for _, ds := range a.destView {
+			if err := inBlock(ds.dest()); err != nil {
+				return nil, err
+			}
+		}
+		for _, d := range a.skippedDests.view {
+			if err := inBlock(d); err != nil {
+				return nil, err
+			}
+		}
 		out[w] = a
-	}
-	if err := destsOwnedOnce(out); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
-// destsOwnedOnce refuses a destination present in two accumulators — as a
-// measured destination or a quarantined one — which no run can write: each
-// destination belongs to one worker, and Merge would count it twice.
-func destsOwnedOnce(accs []*Accumulator) error {
-	if len(accs) < 2 {
-		return nil
-	}
-	owner := make(map[netip.Addr]int)
-	claim := func(d netip.Addr, w int) error {
-		if prev, seen := owner[d]; seen && prev != w {
-			return errCorrupt("destination %v in accumulators %d and %d", d, prev, w)
-		}
-		owner[d] = w
-		return nil
-	}
-	for w, a := range accs {
-		for _, ds := range a.destView {
-			if err := claim(ds.dest(), w); err != nil {
-				return err
-			}
-		}
-		for _, d := range a.skippedDests.view {
-			if err := claim(d, w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Resume loads a checkpoint into the campaign: the next RunContext call
 // continues from the checkpoint's round cursor with the restored
-// accumulators, error budgets, and path hints. Restore validates the config
-// digest, so a checkpoint can only continue the campaign shape that wrote
-// it. The caller is responsible for restoring Checkpoint.Transport into the
-// transport before running.
+// accumulators, one per shard, error budgets, and path hints. Restore
+// validates the config digest, so a checkpoint can only continue the
+// campaign shape that wrote it, and holds each body to its block, so the
+// campaign keeps the checkpoint's shard count at any Workers. The caller is
+// responsible for restoring Checkpoint.Transport into the transport before
+// running.
 func (c *Campaign) Resume(ck *Checkpoint) error {
 	if !c.cfg.Stream {
 		return fmt.Errorf("measure: resume requires a streaming campaign")
 	}
-	accs, err := ck.Restore(c.digest, len(c.cfg.Dests), c.cfg.Workers)
+	accs, err := ck.Restore(c.digest, c.cfg.Dests)
 	if err != nil {
 		return err
 	}

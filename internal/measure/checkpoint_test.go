@@ -156,16 +156,47 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("Resume accepted a checkpoint from a different campaign config")
 	}
 
-	// The worker plan is a function of (Dests, Workers), so a checkpoint
-	// written at 4 workers is refused by an 8-worker campaign.
-	sc4 := topo.Generate(simtest.Default(dests))
-	cfg4 := checkpointConfig(sc4, filepath.Join(dir, "w4.ck"))
-	cfg4.Workers = 4
-	mustRun(t, newCampaign(t, netsim.NewTransport(sc4.Net), cfg4))
-	cfg8 := checkpointConfig(sc2, "")
-	cfg8.Workers = 8
-	if err := newCampaign(t, netsim.NewTransport(sc2.Net), cfg8).Resume(mustLoad(t, cfg4.CheckpointPath)); !errors.Is(err, ErrDigest) {
-		t.Errorf("8 workers resuming a 4-worker checkpoint: got %v, want ErrDigest", err)
+	// A checkpoint holds one body per shard and the campaign keeps its
+	// shard count, so one written at 4 workers and halted after round 4
+	// resumes at 1, 3 and 8 workers to the uninterrupted run's statistics.
+	at := func(workers int, path string) (*Campaign, *topo.Scenario) {
+		sc := topo.Generate(simtest.Default(dests))
+		cfg := checkpointConfig(sc, path)
+		cfg.Workers = workers
+		return newCampaign(t, netsim.NewTransport(sc.Net), cfg), sc
+	}
+	uninterrupted, _ := at(4, "")
+	want, err := json.Marshal(mustRun(t, uninterrupted).Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halted, sc4 := at(4, filepath.Join(dir, "w4.ck"))
+	ctx, cancel := context.WithCancel(context.Background())
+	halted.cfg.RoundStart = func(r int) {
+		if r == 4 {
+			cancel()
+		}
+		sc4.RoundStart(r)
+	}
+	if _, err := halted.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("halted run returned %v", err)
+	}
+	ck4 := mustLoad(t, halted.cfg.CheckpointPath)
+	if ck4.NextRound != 4 || len(ck4.Workers) != 4 {
+		t.Fatalf("halted checkpoint at round %d with %d bodies, want 4 and 4", ck4.NextRound, len(ck4.Workers))
+	}
+	for _, workers := range []int{1, 3, 8} {
+		resumed, _ := at(workers, "")
+		if err := resumed.Resume(ck4); err != nil {
+			t.Fatalf("%d workers resuming a 4-worker checkpoint: %v", workers, err)
+		}
+		got, err := json.Marshal(mustRun(t, resumed).Stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d workers resuming a 4-worker checkpoint: statistics differ from the uninterrupted run", workers)
+		}
 	}
 
 	// Non-streaming campaign → refused.
@@ -209,9 +240,9 @@ func TestResumeValidation(t *testing.T) {
 		t.Errorf("missing file: got %v, want ErrNotExist", err)
 	}
 	// The previous binary versions are refused by version, with no upgrade
-	// path: testdata/toy-v5.ck and toy-v4.ck are the golden files of those
-	// layouts.
-	for _, name := range []string{"toy-v5.ck", "toy-v4.ck"} {
+	// path: testdata/toy-v6.ck, toy-v5.ck and toy-v4.ck are the golden files
+	// of those layouts.
+	for _, name := range []string{"toy-v6.ck", "toy-v5.ck", "toy-v4.ck"} {
 		if _, err := LoadCheckpoint(filepath.Join("testdata", name)); !errors.Is(err, ckpt.ErrVersion) {
 			t.Errorf("%s: got %v, want ErrVersion", name, err)
 		}
@@ -219,18 +250,22 @@ func TestResumeValidation(t *testing.T) {
 
 	// A frame that verifies around a body no run can have written — a
 	// negative round cursor, a cursor past the campaign's end, a negative
-	// failure count — is refused by Restore, not resumed.
+	// failure count, a body outside its block of the plan — is refused by
+	// Restore, not resumed.
+	camp4, _ := at(4, "")
 	for name, tamper := range map[string]func(*Checkpoint){
 		"negative cursor":   func(c *Checkpoint) { c.NextRound = -1 },
 		"cursor past end":   func(c *Checkpoint) { c.NextRound = 9 },
 		"negative budget":   func(c *Checkpoint) { c.Dests[3].ConsecFails = -2 },
 		"missing dest":      func(c *Checkpoint) { c.Dests = c.Dests[1:] },
 		"extra accumulator": func(c *Checkpoint) { c.Workers = append(c.Workers, AccState{}) },
+		"no accumulator":    func(c *Checkpoint) { c.Workers = nil },
+		"swapped bodies":    func(c *Checkpoint) { c.Workers[0], c.Workers[1] = c.Workers[1], c.Workers[0] },
 	} {
-		bad := *ck
-		bad.Dests = slices.Clone(ck.Dests)
+		bad := *ck4
+		bad.Dests, bad.Workers = slices.Clone(ck4.Dests), slices.Clone(ck4.Workers)
 		tamper(&bad)
-		if err := camp.Resume(&bad); err == nil || errors.Is(err, ErrDigest) {
+		if err := camp4.Resume(&bad); err == nil || errors.Is(err, ErrDigest) {
 			t.Errorf("%s: Resume returned %v, want a refusal of the body", name, err)
 		}
 	}
@@ -373,7 +408,8 @@ func TestCheckpointFilesDeterministic(t *testing.T) {
 	}
 }
 
-// goldenConfig is the toy campaign testdata/toy-v6.ck was written by: small
+// goldenConfig is the toy campaign testdata/toy-v7.ck (and toy-v6.ck before
+// it) was written by: small
 // enough to commit, large enough to meet a loop (so the per-cause map, the
 // loop address set and the signature spans are not all empty). Its topology
 // is the one the file was recorded over — per-packet diamonds, diff-2 and
@@ -397,16 +433,17 @@ func goldenConfig(path string) (*topo.Scenario, Config) {
 	return sc, cfg
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v6.ck from the current encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/toy-v7.ck from the current encoder")
 
 // TestCheckpointGolden pins the wire format: the toy campaign halted after
-// three rounds must write the committed file byte for byte, and the
-// committed file must resume to the uninterrupted run's statistics. A
-// deliberate format change bumps checkpointVersion and regenerates the file
+// three rounds must write the committed file byte for byte, the committed
+// file restored must write itself back, and it must resume to the
+// uninterrupted run's statistics. A
+// deliberate format change bumps CheckpointVersion and regenerates the file
 // (go test -run TestCheckpointGolden -update).
 func TestCheckpointGolden(t *testing.T) {
 	const killAt = 3
-	golden := filepath.Join("testdata", "toy-v6.ck")
+	golden := filepath.Join("testdata", "toy-v7.ck")
 	ckPath := filepath.Join(t.TempDir(), "toy.ck")
 
 	sc, cfg := goldenConfig(ckPath)
@@ -433,6 +470,9 @@ func TestCheckpointGolden(t *testing.T) {
 		t.Fatalf("Save no longer reproduces %s (%d bytes written, %d committed): the wire format changed", golden, len(got), len(want))
 	}
 
+	if again, err := recodeCheckpoint(t, sc.Dests, want); err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("%s with its accumulator restored does not write back the same file (%v)", golden, err)
+	}
 	ck := mustLoad(t, golden)
 	if ck.NextRound != killAt || len(ck.Workers) != 1 {
 		t.Fatalf("golden checkpoint degenerate: NextRound=%d workers=%d", ck.NextRound, len(ck.Workers))
@@ -474,14 +514,15 @@ func refusalAcc(t *testing.T) *Accumulator {
 }
 
 // TestRestoreRefusesDestinationTwice: a destination belongs to exactly one
-// accumulator, once. A body that lists it in two workers' states would be
+// accumulator, once. A body that lists it in two shards' states would be
 // merged twice (double-counting its diamonds and signatures), and a second
-// copy inside one state would silently replace the first; both are refused.
+// copy inside one state would silently replace the first; both are refused,
+// the first because one of the two copies is outside its block of the plan.
 func TestRestoreRefusesDestinationTwice(t *testing.T) {
 	a := refusalAcc(t)
 	st := mustState(t, a)
-	ck := &Checkpoint{Workers: []AccState{st, st}}
-	if _, err := ck.Restore(0, 0, 2); !errors.Is(err, ckpt.ErrCorrupt) {
+	ck := &Checkpoint{Dests: make([]DestRun, 2), Workers: []AccState{st, st}}
+	if _, err := ck.Restore(0, []netip.Addr{aAddr(200), aAddr(201)}); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Errorf("one destination in two accumulators: got %v, want ErrCorrupt", err)
 	}
 	a.destView = slices.Insert(slices.Clone(a.destView), 0, a.destView[0])

@@ -51,7 +51,7 @@ func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 func varintSize(v int64) int   { return uvarintSize(uint64(v<<1) ^ uint64(v>>63)) }
 
 // Encode appends the run body: a campaign checkpoint is exactly this, the
-// daemon's continues with its schedule section. Each worker's accumulator
+// daemon's continues with its schedule section. Each shard's accumulator
 // body is written length-prefixed, its noted cells streamed in place.
 func (ck *Checkpoint) Encode(e *ckpt.Encoder) {
 	e.U64(ck.Digest)

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"bytes"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,40 +15,65 @@ import (
 )
 
 // recodeCheckpoint decodes a campaign checkpoint file and, if it is
-// accepted, restores every worker body in it and encodes the file again. A
-// body the restore accepts must be what the restored accumulator writes.
-func recodeCheckpoint(t *testing.T, file []byte) ([]byte, error) {
+// accepted — it decodes, and Restore accepts its body against dests, the
+// toy configuration's destinations — encodes it again, with every body
+// replaced by what its restored accumulator writes: such a body must write
+// back the same bytes.
+func recodeCheckpoint(t *testing.T, dests []netip.Addr, file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
-	if err := ckpt.Decode(file, ckpt.KindCampaign, checkpointVersion, ck.Decode); err != nil {
+	if err := ckpt.Decode(file, ckpt.KindCampaign, CheckpointVersion, ck.Decode); err != nil {
 		return nil, err
 	}
-	for w, st := range ck.Workers {
-		if a, err := RestoreAccumulator(st); err == nil && !bytes.Equal(mustState(t, a).head, st.head) {
-			t.Fatalf("worker %d: a restored %d-byte body writes back different bytes", w, len(st.head))
+	accs, err := ck.Restore(ck.Digest, dests)
+	if err != nil {
+		return nil, err
+	}
+	for w, a := range accs {
+		if ck.Workers[w], err = a.State(); err != nil {
+			t.Fatalf("worker %d: a restored body cannot be written back: %v", w, err)
 		}
 	}
 	var buf bytes.Buffer
-	err := ckpt.Encode(&buf, ckpt.KindCampaign, checkpointVersion, ck.Encode)
+	err = ckpt.Encode(&buf, ckpt.KindCampaign, CheckpointVersion, ck.Encode)
 	return buf.Bytes(), err
+}
+
+// swappedBodies is the toy campaign run at three workers, its checkpoint
+// with the bodies of shards 0 and 1 swapped: each holds the other's block,
+// which no run writes.
+func swappedBodies(tb testing.TB) []byte {
+	sc, cfg := goldenConfig(filepath.Join(tb.TempDir(), "swapped.ck"))
+	cfg.Workers = 3
+	mustRun(tb, newCampaign(tb, netsim.NewTransport(sc.Net), cfg))
+	ck := mustLoad(tb, cfg.CheckpointPath)
+	ck.Workers[0], ck.Workers[1] = ck.Workers[1], ck.Workers[0]
+	var buf bytes.Buffer
+	if err := ckpt.Encode(&buf, ckpt.KindCampaign, CheckpointVersion, ck.Encode); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // FuzzDecodeCheckpoint: the campaign checkpoint decoder is total on
 // arbitrary bytes (see ckpttest.Check for the properties), and so is the
-// restore of every accumulator body it slices out. Seeded with the golden
-// toy checkpoint and its truncation ladder, and with the previous versions'
-// goldens, whose bodies Check also wraps in a current frame: the old layouts
-// read as the new one.
+// restore of the body against the toy configuration, which is what resume
+// runs. Seeded with the golden toy checkpoint and its truncation ladder,
+// with the toy campaign's three-worker checkpoint whose first two bodies
+// are swapped, and with the previous versions' goldens, whose bodies Check
+// also wraps in a current frame: the old layouts read as the new one.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	for _, name := range []string{"toy-v6.ck", "toy-v5.ck", "toy-v4.ck"} {
+	for _, name := range []string{"toy-v7.ck", "toy-v6.ck", "toy-v5.ck", "toy-v4.ck"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
 		ckpttest.Seed(f, golden)
 	}
+	ckpttest.Seed(f, swappedBodies(f))
+	sc, _ := goldenConfig("")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ckpttest.Check(t, ckpt.KindCampaign, checkpointVersion, data, func(file []byte) ([]byte, error) {
-			return recodeCheckpoint(t, file)
+		ckpttest.Check(t, ckpt.KindCampaign, CheckpointVersion, data, func(file []byte) ([]byte, error) {
+			return recodeCheckpoint(t, sc.Dests, file)
 		})
 	})
 }
@@ -115,9 +141,13 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 // in ns/op here is the body layout's and its encoder's, not the disk's.
 func BenchmarkAccStateEncode(b *testing.B) {
 	ck := benchCheckpoint(b)
-	accs, err := ck.Restore(ck.Digest, len(ck.Dests), len(ck.Workers))
-	if err != nil {
-		b.Fatal(err)
+	accs := make([]*Accumulator, len(ck.Workers))
+	for w, st := range ck.Workers {
+		a, err := RestoreAccumulator(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		accs[w] = a
 	}
 	n := 0
 	b.ReportAllocs()

@@ -5,15 +5,16 @@
 //
 // # Concurrency model
 //
-// A campaign partitions its destination list across Config.Workers
-// goroutines with a worker plan that is a pure function of the
-// configuration, the paper's contiguous 1/Workers slicing: each destination
-// belongs to exactly one worker for the whole campaign. Workers share the
+// A campaign splits its destination list into shards by the plan (Block),
+// the paper's contiguous 1/Workers slicing: a fresh campaign has
+// Config.Workers shards and a resumed one its checkpoint's count, and
+// worker w owns shards w, w+Workers, ..., so each destination belongs to
+// exactly one shard and one worker for the whole campaign. Workers share the
 // transport — which must be safe for concurrent use, as both netsim and the
 // live transport are — and nothing else: the Prober (its two tracers,
 // scratch buffers and route pool), retry state, and the statistics
-// accumulator are all per-worker or per-destination and owned by
-// the one worker that probes them. Rounds are separated by a WaitGroup
+// accumulators are all per-worker, per-shard or per-destination and owned
+// by the one worker that probes them. Rounds are separated by a WaitGroup
 // barrier; RoundStart hooks, checkpoints, and the final Merge all run on
 // the campaign goroutine between rounds, where every accumulator is
 // quiescent.
@@ -35,13 +36,13 @@
 //
 // # Fold contract
 //
-// A campaign computes its statistics while it probes: each worker owns one
-// Accumulator and folds every pair it measures as the pair completes,
-// before it measures the next. Accumulator.Fold is the one way a pair
-// enters the statistics; no path analyzes retained pairs afterwards.
-// Ownership does the synchronization — the worker plan is fixed for the
-// campaign's lifetime, so all of a destination's pairs flow through the one
-// worker that owns the destination, in round order, and no accumulator (nor
+// A campaign computes its statistics while it probes: each shard has one
+// Accumulator, and its worker folds every pair it measures into it as the
+// pair completes, before it measures the next. Accumulator.Fold is the one
+// way a pair enters the statistics; no path analyzes retained pairs
+// afterwards. Ownership does the synchronization — the shards are fixed for
+// the campaign's lifetime, so all of a destination's pairs flow through the
+// one worker that owns its shard, in round order, and no accumulator (nor
 // any per-destination state inside it) is ever touched by two goroutines.
 // The partials meet exactly once, in Merge after the last round, on the
 // caller's goroutine (the per-round WaitGroup provides the happens-before
@@ -161,7 +162,7 @@
 //
 // With Config.CheckpointPath set on a streaming campaign, the campaign
 // serializes its resumable state every Config.CheckpointEvery completed
-// rounds: the per-worker accumulator partials (interned routes as their
+// rounds: the per-shard accumulator partials (interned routes as their
 // hop cells, scalar tallies, signature spans — the memo and graph layers are
 // rebuilt on load by replaying the interned routes through the same
 // analysis code), the per-destination DestRun records (error budget and
@@ -171,7 +172,9 @@
 // Checkpoint type for the format and compatibility contract (documented in
 // docs/checkpoint.md); Resume goes through Checkpoint.Restore — the restore
 // path the daemon shares — which validates a config digest (RunDigest) so a
-// checkpoint can only continue the campaign shape that wrote it. A resumed streaming
-// campaign replays RoundStart for the completed rounds and produces
-// statistics byte-identical to the uninterrupted run at any worker count.
+// checkpoint can only continue the campaign shape that wrote it, and holds
+// each body to its shard's block of the plan. A resumed streaming campaign
+// keeps the checkpoint's shards at any Config.Workers, replays RoundStart
+// for the completed rounds and produces statistics byte-identical to the
+// uninterrupted run.
 package measure

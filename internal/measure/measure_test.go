@@ -360,25 +360,22 @@ func TestCampaignDuplicateDestsRejected(t *testing.T) {
 	}
 }
 
-// TestWorkerPlan checks the paper's 1/Workers slicing directly: every
-// destination is planned exactly once, each worker's slice is contiguous in
-// list order, and more workers than destinations leave the extra workers
-// empty.
+// TestWorkerPlan checks the paper's 1/Workers slicing directly: the blocks
+// of Block tile the list in order, each contiguous and maximally even, and
+// more shards than destinations leave the extra shards empty.
 func TestWorkerPlan(t *testing.T) {
-	sc := smallScenario(t, 20)
-	for _, workers := range []int{32, 6, 2} {
-		c := newCampaign(t, netsim.NewTransport(sc.Net), Config{Dests: sc.Dests, Workers: workers, PortSeed: 1})
+	const items = 20
+	for _, n := range []int{32, 7, 6, 2, 1} {
 		next := 0
-		for w, idxs := range c.plan {
-			for _, i := range idxs {
-				if i != next {
-					t.Fatalf("workers=%d: worker %d plans index %d, want %d", workers, w, i, next)
-				}
-				next++
+		for i := 0; i < n; i++ {
+			lo, hi := Block(i, n, items)
+			if lo != next || hi-lo < items/n || hi-lo > items/n+1 {
+				t.Fatalf("n=%d: shard %d holds [%d, %d), want a block of %d or %d from %d", n, i, lo, hi, items/n, items/n+1, next)
 			}
+			next = hi
 		}
-		if next != len(sc.Dests) {
-			t.Fatalf("workers=%d: plan covers %d of %d destinations", workers, next, len(sc.Dests))
+		if next != items {
+			t.Fatalf("n=%d: the blocks cover %d of %d items", n, next, items)
 		}
 	}
 }

@@ -99,15 +99,16 @@ func poisonConfig(sc *topo.Scenario, stream bool, ckPath string) Config {
 
 // referenceCheckpoint is the checkpoint file the streamed campaign c must
 // have written last, rebuilt from the retained results of its Stream=false
-// twin: each worker's pairs folded in plan order into a fresh accumulator.
+// twin: each shard's pairs folded in list order into a fresh accumulator.
 func referenceCheckpoint(t *testing.T, c *Campaign, res *Results) []byte {
 	t.Helper()
 	accs := make([]*Accumulator, c.cfg.Workers)
-	for w := range accs {
-		accs[w] = NewAccumulator()
+	for s := range accs {
+		accs[s] = NewAccumulator()
+		lo, hi := Block(s, len(accs), len(c.cfg.Dests))
 		for r := range res.Rounds {
-			for _, i := range c.plan[w] {
-				accs[w].Fold(&res.Rounds[r][i])
+			for i := lo; i < hi; i++ {
+				accs[s].Fold(&res.Rounds[r][i])
 			}
 		}
 	}

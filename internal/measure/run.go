@@ -98,12 +98,23 @@ func ValidateDests(dests []netip.Addr) error {
 	return nil
 }
 
+// Block is the plan of every run: the block [lo, hi) of shard i when a list
+// of length items is split among n shards, the paper's contiguous 1/n
+// slicing, maximally even, so it is a function of (i, n, items) alone.
+// Trailing shards hold nothing when there are more shards than items. The
+// campaign and the daemon split their destinations by it, and
+// Checkpoint.Restore holds body i of a checkpoint to block i.
+func Block(i, n, items int) (lo, hi int) {
+	return i * items / n, (i + 1) * items / n
+}
+
 // RunDigest fingerprints what a checkpoint is only valid for: the
 // destination list, the effective probing shape — probe with its defaults
 // applied, so a zero field and its spelled-out default hash alike — and
 // whatever else the caller's statistics depend on (the campaign adds its
-// rounds, workers and stream switch; the daemon nothing, its cadence knobs
-// being retunable across restarts).
+// round count; the daemon nothing, its cadence knobs being retunable across
+// restarts). Neither hashes its worker or shard count: the checkpoint's
+// body count is its shard count, and Restore checks each body against it.
 func RunDigest(dests []netip.Addr, probe ProbeConfig, extras ...uint64) uint64 {
 	probe = probe.withDefaults()
 	h := keyhash.FNVOffset64

@@ -655,7 +655,7 @@ func (a *Accumulator) Fold(p *Pair) FoldResult {
 	}
 }
 
-// Merge combines per-worker accumulators into the campaign-wide Stats.
+// Merge combines per-shard accumulators into the campaign-wide Stats.
 // rounds and dests are the campaign dimensions (per-accumulator
 // counts cannot reconstruct them). Every merged quantity is a sum or a set
 // union and each destination lives in exactly one accumulator, so the

@@ -219,11 +219,11 @@ func written(t testing.TB, st AccState) AccState {
 	t.Helper()
 	var file bytes.Buffer
 	file.Grow(st.size() + 64)
-	if err := ckpt.Encode(&file, ckpt.KindCampaign, checkpointVersion, (&Checkpoint{Workers: []AccState{st}}).Encode); err != nil {
+	if err := ckpt.Encode(&file, ckpt.KindCampaign, CheckpointVersion, (&Checkpoint{Workers: []AccState{st}}).Encode); err != nil {
 		t.Fatal(err)
 	}
 	back := new(Checkpoint)
-	if err := ckpt.Decode(file.Bytes(), ckpt.KindCampaign, checkpointVersion, back.Decode); err != nil {
+	if err := ckpt.Decode(file.Bytes(), ckpt.KindCampaign, CheckpointVersion, back.Decode); err != nil {
 		t.Fatal(err)
 	}
 	return back.Workers[0]
