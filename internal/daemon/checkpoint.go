@@ -30,31 +30,17 @@ type Checkpoint struct {
 	Sched []DestState
 }
 
-// checkpointLocked snapshots the daemon between rounds. Caller holds d.mu
-// with no jobs in flight (Tick checkpoints after wg.Wait), so the
-// accumulators and the scheduler table are quiescent; it takes every
-// shard's lock too, as Snapshot does, since State and Merge both update an
-// accumulator's cached views. The caller saves the snapshot after releasing
-// mu: Save streams the accumulators' hop cells, most of the file, from the
-// cells Accumulator.State noted, which needs no lock.
+// checkpointLocked snapshots the daemon at a round boundary: the run body
+// measure.NewCheckpoint builds for the campaign too, over the DestRuns
+// copied out of the scheduler table, then the daemon's counters, event
+// cursor and the table's DestStates. Caller holds d.mu at the boundary —
+// after Tick's wg.Wait every fold of the round has returned, and Stop does
+// not race Tick — so it takes no shard lock: any later fold is either
+// under d.mu or a next round's job. saveCheckpoint saves the snapshot after
+// releasing mu: Save streams the accumulators' hop cells, most of the file,
+// from the cells Accumulator.State noted, which needs no lock.
 func (d *Daemon) checkpointLocked() (*Checkpoint, error) {
-	accs := d.lockShards()
-	defer d.unlockShards()
-	states := make([]measure.AccState, len(accs))
-	for i, a := range accs {
-		st, err := a.State()
-		if err != nil {
-			return nil, fmt.Errorf("daemon: checkpoint: shard %d: %w", i, err)
-		}
-		states[i] = st
-	}
 	ck := &Checkpoint{
-		Checkpoint: measure.Checkpoint{
-			Digest:    d.digest,
-			NextRound: int(d.round),
-			Dests:     make([]measure.DestRun, len(d.sched.dests)),
-			Workers:   states,
-		},
 		Shed:     d.shed,
 		Restarts: d.restarts,
 		Stalls:   d.stalls,
@@ -62,13 +48,30 @@ func (d *Daemon) checkpointLocked() (*Checkpoint, error) {
 		EventSeq: d.events.seq(),
 		Sched:    make([]DestState, len(d.sched.dests)),
 	}
+	runs := make([]measure.DestRun, len(d.sched.dests))
 	for i, ds := range d.sched.dests {
-		ck.Dests[i], ck.Sched[i] = ds.DestRun, ds.DestState
+		runs[i], ck.Sched[i] = ds.DestRun, ds.DestState
 	}
-	if d.cfg.TransportState != nil {
-		ck.Transport = d.cfg.TransportState()
+	accs := make([]*measure.Accumulator, len(d.shards))
+	for i := range d.shards {
+		accs[i] = d.shards[i].acc
 	}
-	return ck, nil
+	var err error
+	ck.Checkpoint, err = measure.NewCheckpoint(d.digest, int(d.round), runs, accs, d.cfg.TransportState)
+	return ck, err
+}
+
+// saveCheckpoint is the one save step, Tick's and Stop's: it snapshots the
+// daemon under mu and saves the snapshot to CheckpointPath after releasing
+// it.
+func (d *Daemon) saveCheckpoint() error {
+	d.mu.Lock()
+	ck, err := d.checkpointLocked()
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return ck.Save(d.cfg.CheckpointPath)
 }
 
 // minDestState is the fewest bytes one DestState occupies on disk: three

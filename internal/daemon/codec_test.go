@@ -38,8 +38,9 @@ func toyCheckpoint(t testing.TB) []byte {
 // configuration's destinations (restore: its shards' accumulators restore,
 // each holds only its block of the plan, and its schedule passes
 // checkSched), on which the scheduler's shed lottery is then run — encodes
-// it again, with every shard's body replaced by what its restored
-// accumulator writes: such a body must write back the same bytes.
+// it again, its run body rebuilt by measure.NewCheckpoint from the restored
+// shards' accumulators, as the daemon writes it: such a body must write
+// back the same bytes.
 func recodeCheckpoint(t *testing.T, dests []netip.Addr, file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
 	if err := ckpt.Decode(file, ckpt.KindDaemon, measure.CheckpointVersion, ck.decode); err != nil {
@@ -52,10 +53,9 @@ func recodeCheckpoint(t *testing.T, dests []netip.Addr, file []byte) ([]byte, er
 	for i := range ck.Sched {
 		shedScore(ck.Sched[i].NextDue, &destSched{DestState: ck.Sched[i], idx: i})
 	}
-	for w, a := range accs {
-		if ck.Workers[w], err = a.State(); err != nil {
-			t.Fatalf("shard %d: a restored body cannot be written back: %v", w, err)
-		}
+	ck.Checkpoint, err = measure.NewCheckpoint(ck.Digest, ck.NextRound, ck.Dests, accs, func() json.RawMessage { return ck.Transport })
+	if err != nil {
+		t.Fatalf("a restored body cannot be written back: %v", err)
 	}
 	var buf bytes.Buffer
 	err = ckpt.Encode(&buf, ckpt.KindDaemon, measure.CheckpointVersion, ck.encode)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,12 +121,15 @@ type Daemon struct {
 	// deliberately excluded: they are retunable across restarts.
 	digest uint64
 
-	// mu guards the scheduler's state: the cadence table outside a
-	// successful fold, the supervision counters and the round cursor. A
-	// successful fold takes only its shard's lock; every other path that
-	// folds holds mu and then the shard's lock. /stats and the checkpoint
-	// take mu and then every shard's lock in index order, so a served
-	// Stats is always a fold boundary — never a torn read.
+	// mu and the shards' locks follow two rules. A shard's lock guards
+	// folds into its accumulator: a successful fold takes only its own, and
+	// every other fold holds mu first. mu guards everything read at the
+	// round boundary: the cadence table outside a successful fold, the
+	// supervision counters, the round cursor and the accumulators' reads
+	// (State and Merge both update an accumulator's cached views). /stats
+	// reads while folds run, so it also takes every shard's lock in index
+	// order and serves a fold boundary, never a torn read; the checkpoint
+	// is built at the boundary, where no fold runs, and takes mu alone.
 	mu           sync.Mutex
 	shards       []shard
 	sched        *scheduler
@@ -258,19 +262,13 @@ func (d *Daemon) Tick() {
 	if len(runnable) > d.cfg.QueueCap {
 		n := len(runnable) - d.cfg.QueueCap
 		shedList = shedVictims(runnable, n, round)
-		victim := make(map[*destSched]bool, n)
 		for _, ds := range shedList {
-			victim[ds] = true
 			ds.ShedStreak++
 			ds.NextDue = round + 1
 		}
-		kept := runnable[:0]
-		for _, ds := range runnable {
-			if !victim[ds] {
-				kept = append(kept, ds)
-			}
-		}
-		runnable = kept
+		// Every victim is now due after this round, and every destination
+		// kept was due in it.
+		runnable = slices.DeleteFunc(runnable, func(ds *destSched) bool { return ds.NextDue > round })
 		d.shed += int64(n)
 	}
 	// The jobs are queued under mu, so a pool dying concurrently drains
@@ -340,17 +338,9 @@ func (d *Daemon) Tick() {
 
 	d.mu.Lock()
 	d.round = round + 1
-	var ck *Checkpoint
-	var err error
-	save := d.cfg.CheckpointPath != "" && int(d.round)%d.cfg.CheckpointEvery == 0
-	if save {
-		ck, err = d.checkpointLocked()
-	}
 	d.mu.Unlock()
-	if save {
-		if err == nil {
-			err = ck.Save(d.cfg.CheckpointPath)
-		}
+	if d.cfg.CheckpointPath != "" && int(round+1)%d.cfg.CheckpointEvery == 0 {
+		err := d.saveCheckpoint()
 		d.mu.Lock()
 		d.lastCkErr = err
 		d.mu.Unlock()
@@ -389,13 +379,7 @@ func (d *Daemon) Stop() error {
 		d.ready.Store(false)
 		close(d.stop)
 		if d.cfg.CheckpointPath != "" {
-			d.mu.Lock()
-			var ck *Checkpoint
-			ck, err = d.checkpointLocked()
-			d.mu.Unlock()
-			if err == nil {
-				err = ck.Save(d.cfg.CheckpointPath)
-			}
+			err = d.saveCheckpoint()
 		}
 		d.events.closeAll()
 	})
@@ -405,7 +389,8 @@ func (d *Daemon) Stop() error {
 // Snapshot returns a consistent mid-flight statistics snapshot: the same
 // measure.Stats a streaming campaign would produce over the pairs folded so
 // far, with the daemon's supervision counters stamped into Stats.Robust.
-// The merge runs under the daemon mutex and every shard's lock, so the
+// The merge runs under the daemon mutex and every shard's lock, taken in
+// index order (the one order in which more than one is held), so the
 // snapshot always lands on a fold boundary. The mux health is read before
 // the mutex is taken: the mux holds its own lock for it, and the field is
 // stamped, never merged.
@@ -417,8 +402,15 @@ func (d *Daemon) Snapshot() *measure.Stats {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := measure.Merge(int(d.round), len(d.cfg.Dests), d.lockShards()...)
-	d.unlockShards()
+	accs := make([]*measure.Accumulator, len(d.shards))
+	for i := range d.shards {
+		d.shards[i].mu.Lock()
+		accs[i] = d.shards[i].acc
+	}
+	s := measure.Merge(int(d.round), len(d.cfg.Dests), accs...)
+	for i := range d.shards {
+		d.shards[i].mu.Unlock()
+	}
 	s.Robust.Shed = int(d.shed)
 	s.Robust.WorkerRestarts = int(d.restarts)
 	s.Robust.WatchdogStalls = int(d.stalls)
@@ -429,6 +421,8 @@ func (d *Daemon) Snapshot() *measure.Stats {
 
 // shard is one contiguous block of Config.Dests and the accumulator its
 // pairs fold into, padded so that no two shards' locks share a cache line.
+// Its lock guards folds into the accumulator; reads of it hold d.mu, and
+// /stats, which reads while folds run, takes every shard's lock too.
 type shard struct {
 	mu  sync.Mutex
 	acc *measure.Accumulator
@@ -440,24 +434,6 @@ func (sh *shard) fold(p *measure.Pair) {
 	sh.mu.Lock()
 	sh.acc.Fold(p)
 	sh.mu.Unlock()
-}
-
-// lockShards takes every shard's lock in index order, the one order in
-// which more than one is held, and returns their accumulators. The caller
-// holds mu and releases the locks with unlockShards.
-func (d *Daemon) lockShards() []*measure.Accumulator {
-	accs := make([]*measure.Accumulator, len(d.shards))
-	for i := range d.shards {
-		d.shards[i].mu.Lock()
-		accs[i] = d.shards[i].acc
-	}
-	return accs
-}
-
-func (d *Daemon) unlockShards() {
-	for i := range d.shards {
-		d.shards[i].mu.Unlock()
-	}
 }
 
 // Health summarizes liveness for /healthz.

@@ -69,8 +69,10 @@
 // # Recovery
 //
 // With CheckpointPath set the daemon checkpoints every CheckpointEvery
-// completed rounds on the atomic temp-file + rename path and auto-recovers
-// on startup: accumulator statistics, per-destination cadence and
+// completed rounds and on Stop, building the run body with the campaign's
+// builder (measure.NewCheckpoint) under the daemon mutex alone at the round
+// boundary, where no fold runs, and saving it on the atomic temp-file +
+// rename path. It auto-recovers on startup: accumulator statistics, per-destination cadence and
 // quarantine state, cumulative supervision counters, and the opaque
 // transport payload (Config.TransportState) all survive a kill -9. A corrupt checkpoint is moved
 // aside (".corrupt") and the daemon starts fresh rather than refusing to

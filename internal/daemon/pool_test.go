@@ -91,8 +91,9 @@ func TestTickGoroutinesConstant(t *testing.T) {
 // (the merge of the three accumulators under the daemon's locks and the
 // JSON encoding of its Stats, whose stats-addresses addresses encode one at
 // a time); ckpt-locked-allocs and ckpt-locked-bytes are checkpointLocked,
-// what a checkpoint allocates under the daemon's locks, one State per
-// shard; ckpt-file-bytes is the file that checkpoint saves.
+// what a checkpoint allocates under the daemon mutex, one State per shard
+// through measure.NewCheckpoint; ckpt-file-bytes is the file that
+// checkpoint saves.
 func TestCosts(t *testing.T) {
 	rows := costs.Rows{}
 	const dests = 200

@@ -170,7 +170,7 @@ func TestInternedRoutesExactSize(t *testing.T) {
 	}
 	rows["measure/interned-hop-slots"] = float64(live)
 	path := filepath.Join(t.TempDir(), "exact.ck")
-	ck, err := w.c.checkpoint(w.round, []*Accumulator{w.acc})
+	ck, err := NewCheckpoint(w.c.digest, w.round, w.c.runs, []*Accumulator{w.acc}, w.c.cfg.TransportState)
 	if err != nil {
 		t.Fatal(err)
 	}

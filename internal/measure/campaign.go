@@ -296,7 +296,9 @@ func (c *Campaign) RunContext(ctx context.Context) (*Results, error) {
 			res.Rounds = append(res.Rounds, pairs)
 		}
 		if c.cfg.CheckpointPath != "" && ((r+1)%c.cfg.CheckpointEvery == 0 || r == c.cfg.Rounds-1) {
-			ck, err := c.checkpoint(r+1, accs)
+			// The body keeps c.runs, which no worker moves before the
+			// next round: it is saved by then.
+			ck, err := NewCheckpoint(c.digest, r+1, c.runs, accs, c.cfg.TransportState)
 			if err == nil {
 				err = ck.Save(c.cfg.CheckpointPath)
 			}

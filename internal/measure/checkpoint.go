@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/netip"
 	"path/filepath"
-	"slices"
 
 	"repro/internal/ckpt"
 )
@@ -101,23 +100,20 @@ type AccState struct {
 	cells []cellCut
 }
 
-// checkpoint snapshots the campaign after nextRound-1 completed. RunContext
-// calls it only between rounds, where the wg.Wait edge makes the
-// accumulators and the DestRuns quiescent.
-func (c *Campaign) checkpoint(nextRound int, accs []*Accumulator) (*Checkpoint, error) {
-	ck := &Checkpoint{
-		Digest:    c.digest,
-		NextRound: nextRound,
-		Dests:     slices.Clone(c.runs),
-		Workers:   make([]AccState, len(accs)),
-	}
-	if c.cfg.TransportState != nil {
-		ck.Transport = c.cfg.TransportState()
+// NewCheckpoint builds a run's checkpoint body, the campaign's whole file
+// and the daemon's first section: one AccState per accumulator in shard
+// order, runs as Dests (kept, not copied), and transport's payload when it
+// is set. The accumulators must be quiescent, which both runtimes arrange by
+// building it at a round boundary, after every fold of the round returned.
+func NewCheckpoint(digest uint64, nextRound int, runs []DestRun, accs []*Accumulator, transport func() json.RawMessage) (Checkpoint, error) {
+	ck := Checkpoint{Digest: digest, NextRound: nextRound, Dests: runs, Workers: make([]AccState, len(accs))}
+	if transport != nil {
+		ck.Transport = transport()
 	}
 	for w, a := range accs {
 		st, err := a.State()
 		if err != nil {
-			return nil, err
+			return Checkpoint{}, fmt.Errorf("measure: checkpoint: shard %d: %w", w, err)
 		}
 		ck.Workers[w] = st
 	}

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -16,9 +17,9 @@ import (
 
 // recodeCheckpoint decodes a campaign checkpoint file and, if it is
 // accepted — it decodes, and Restore accepts its body against dests, the
-// toy configuration's destinations — encodes it again, with every body
-// replaced by what its restored accumulator writes: such a body must write
-// back the same bytes.
+// toy configuration's destinations — encodes it again, the body rebuilt by
+// NewCheckpoint from the restored accumulators, as a campaign writes it:
+// such a body must write back the same bytes.
 func recodeCheckpoint(t *testing.T, dests []netip.Addr, file []byte) ([]byte, error) {
 	ck := new(Checkpoint)
 	if err := ckpt.Decode(file, ckpt.KindCampaign, CheckpointVersion, ck.Decode); err != nil {
@@ -28,13 +29,12 @@ func recodeCheckpoint(t *testing.T, dests []netip.Addr, file []byte) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	for w, a := range accs {
-		if ck.Workers[w], err = a.State(); err != nil {
-			t.Fatalf("worker %d: a restored body cannot be written back: %v", w, err)
-		}
+	rebuilt, err := NewCheckpoint(ck.Digest, ck.NextRound, ck.Dests, accs, func() json.RawMessage { return ck.Transport })
+	if err != nil {
+		t.Fatalf("a restored body cannot be written back: %v", err)
 	}
 	var buf bytes.Buffer
-	err = ckpt.Encode(&buf, ckpt.KindCampaign, CheckpointVersion, ck.Encode)
+	err = ckpt.Encode(&buf, ckpt.KindCampaign, CheckpointVersion, rebuilt.Encode)
 	return buf.Bytes(), err
 }
 

@@ -167,7 +167,9 @@
 // rebuilt on load by replaying the interned routes through the same
 // analysis code), the per-destination DestRun records (error budget and
 // path hints), an opaque Config.TransportState payload, and the next round
-// to run. Files are written atomically (temp file + rename), so a kill leaves
+// to run. NewCheckpoint builds that body, for the campaign and for the
+// daemon, whose checkpoint adds its schedule section. Files are written
+// atomically (temp file + rename), so a kill leaves
 // either the previous or the new checkpoint, never a torn one. See the
 // Checkpoint type for the format and compatibility contract (documented in
 // docs/checkpoint.md); Resume goes through Checkpoint.Restore — the restore

@@ -113,7 +113,7 @@ func referenceCheckpoint(t *testing.T, c *Campaign, res *Results) []byte {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "reference.ck")
-	ck, err := c.checkpoint(len(res.Rounds), accs)
+	ck, err := NewCheckpoint(c.digest, len(res.Rounds), c.runs, accs, c.cfg.TransportState)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/anomaly"
+	"repro/internal/ckpt"
 	"repro/internal/daemon"
 	"repro/internal/measure"
 	"repro/internal/netsim"
@@ -317,6 +320,86 @@ func TestHouseInvariant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOneCheckpointBody: the campaign and the daemon at period 1 write one
+// run body through one builder. Each runs at three workers for the
+// campaign's rounds with a checkpoint after every round, and the two files
+// must hold equal error budgets and path hints, byte-equal accumulator
+// bodies and one round cursor. Only the digests differ (the campaign's
+// hashes its rounds), and the daemon's file goes on with its schedule
+// section, which is not read here.
+func TestOneCheckpointBody(t *testing.T) {
+	const workers = 3
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			t.Parallel()
+			s, tp := sc.build()
+			cfg := config(s, shape{workers: workers, batch: true, stream: true})
+			cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ck")
+			camp, err := measure.NewCampaign(tp, cfg)
+			finish(t, camp, err)
+			want, err := measure.LoadCheckpoint(cfg.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s, tp = sc.build()
+			path := filepath.Join(t.TempDir(), "daemon.ck")
+			d, err := daemon.New(daemon.Config{
+				Dests: s.Dests, Transport: tp, RoundStart: s.RoundStart,
+				Probe:  measure.ProbeConfig{PortSeed: portSeed, Batch: true},
+				Period: 1, Workers: workers, QueueCap: len(s.Dests), CheckpointPath: path,
+				Watchdog: func(int64) <-chan time.Time { return nil }, Sleep: noSleep,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range rounds {
+				d.Tick()
+			}
+			if err := d.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			got := runBody(t, path)
+
+			if want.NextRound != rounds || got.NextRound != rounds {
+				t.Errorf("round cursors: campaign %d, daemon %d, want %d", want.NextRound, got.NextRound, rounds)
+			}
+			if !reflect.DeepEqual(want.Dests, got.Dests) {
+				t.Error("the daemon's error budgets and path hints differ from the campaign's")
+			}
+			if len(want.Workers) != workers || len(got.Workers) != workers {
+				t.Fatalf("accumulator bodies: campaign %d, daemon %d, want %d", len(want.Workers), len(got.Workers), workers)
+			}
+			for w := range want.Workers {
+				// A loaded body is its bytes: equal bodies are byte-equal.
+				if !reflect.DeepEqual(want.Workers[w], got.Workers[w]) {
+					t.Errorf("shard %d: the daemon's accumulator body differs from the campaign's", w)
+				}
+			}
+		})
+	}
+}
+
+// runBody reads the run body of the daemon checkpoint at path, the section
+// it shares with a campaign's, and stops there.
+func runBody(t *testing.T, path string) *measure.Checkpoint {
+	t.Helper()
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errSchedule := errors.New("schedule section not read")
+	ck := new(measure.Checkpoint)
+	err = ckpt.Decode(file, ckpt.KindDaemon, measure.CheckpointVersion, func(d *ckpt.Decoder) {
+		ck.Decode(d)
+		d.Fail(errSchedule)
+	})
+	if !errors.Is(err, errSchedule) {
+		t.Fatalf("daemon checkpoint: %v", err)
+	}
+	return ck
 }
 
 // BenchmarkDaemonVsCampaign runs one scenario through the campaign and

@@ -159,6 +159,9 @@ func load(b []byte, cfg Config) (*Transport, error) {
 	if p.err != nil {
 		return nil, readErr(p.err, p.n)
 	}
+	l.t.flows.keys.trim()
+	l.t.exchanges.trim()
+	l.t.heads.trim()
 	return l.t, nil
 }
 

@@ -140,9 +140,10 @@ func (t *Transport) rec(s span) []byte {
 }
 
 // chunked is an array that grows a chunk of chunkLen elements at a time:
-// growing never copies, and no element moves. The exchanges and everything
-// kept per flow are chunked, and named by their int32 index: an int32 where
-// a pointer would be, and no per-element allocation.
+// growing never copies, and no element moves until trim, which load calls
+// once the capture is folded. The exchanges and everything kept per flow are
+// chunked, and named by their int32 index: an int32 where a pointer would
+// be, and no per-element allocation.
 type chunked[T any] struct {
 	chunks [][]T
 	n      int32
@@ -166,6 +167,21 @@ func (c *chunked[T]) add(bound int) int32 {
 	}
 	c.n++
 	return i
+}
+
+// trim reallocates the last chunk at the length its elements fill. add sizes
+// a chunk before the elements that fill it arrive, so until the parse stage
+// reaches the end of the capture a new last chunk holds up to chunkLen
+// elements, most of which may never be added; untrimmed, what a Transport
+// retains would jump by a chunk wherever its flow count crosses a multiple
+// of chunkLen. load trims each array a Transport keeps once the capture is
+// folded, when no element is referenced.
+func (c *chunked[T]) trim() {
+	if n := int(c.n) & (chunkLen - 1); n != 0 && n < len(c.chunks[len(c.chunks)-1]) {
+		exact := make([]T, n)
+		copy(exact, c.chunks[len(c.chunks)-1])
+		c.chunks[len(c.chunks)-1] = exact
+	}
 }
 
 // Transport serves a loaded capture. It implements tracer.Transport and is

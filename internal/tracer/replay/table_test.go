@@ -46,3 +46,25 @@ func TestTableCollisions(t *testing.T) {
 		}
 	}
 }
+
+// TestTrimLeavesNoSlack: a chunked array one element into a chunk sized for
+// a whole one keeps, once trimmed, that chunk at one element, and every
+// element at its index.
+func TestTrimLeavesNoSlack(t *testing.T) {
+	var c chunked[int32]
+	for i := range chunkLen + 1 {
+		*c.at(c.add(1 << 20)) = int32(i)
+	}
+	if got := len(c.chunks[1]); got != chunkLen {
+		t.Fatalf("the second chunk holds %d elements before trim, want %d", got, chunkLen)
+	}
+	c.trim()
+	if got := len(c.chunks[1]); got != 1 {
+		t.Errorf("the second chunk holds %d elements after trim, want 1", got)
+	}
+	for i := range c.n {
+		if v := *c.at(i); v != i {
+			t.Fatalf("element %d reads %d after trim", i, v)
+		}
+	}
+}
