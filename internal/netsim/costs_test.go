@@ -24,7 +24,8 @@ import (
 // topology-heap is the live heap of a generated topology per destination,
 // at 1,000 destinations of the topology the binaries run, before any
 // exchange compiles a table: routers, hosts, the node registry and the
-// stored routes.
+// stored routes. topology-allocs is what building it allocates, per
+// destination: its garbage as well as what it keeps.
 func TestRouteHeapBudget(t *testing.T) {
 	rows := costs.Rows{}
 	const hosts = 10000
@@ -62,6 +63,8 @@ func TestRouteHeapBudget(t *testing.T) {
 		mark()
 		return topo.Generate(cfg)
 	})
+	generate := func() { topo.Generate(cfg) }
+	rows.Allocs("netsim/topology-allocs", cfg.Destinations, generate, generate)
 	rows.Check(t)
 }
 

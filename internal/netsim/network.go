@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,11 +44,15 @@ type Network struct {
 	// whether or not anything is registered there yet. The forwarding walk
 	// moves from id to id; ids maps the 4-byte IPv4 address to the id and
 	// is consulted only when something is resolved (a packet's destination,
-	// a forwarding table being compiled), never per hop.
+	// a forwarding table being compiled), never per hop. A node holds no
+	// pointer: it names its box by index into routers or hosts, so the
+	// collector never scans the table.
 	nodes []netNode
 	ids   map[uint32]int32
-	// hosts counts the dense host ids handed out (netNode.hostID).
-	hosts int32
+	// routers lists the registered routers by Router.idx, hosts the
+	// attached hosts by dense host id (netNode.hostID).
+	routers []*Router
+	hosts   []*Host
 	// gen is the topology generation, bumped under the write lock by every
 	// registration. Compiled forwarding tables are stamped with it (see
 	// routerTable), so a table that resolved addresses against an older
@@ -109,15 +114,14 @@ func New(seed int64) *Network {
 const nodeNone int32 = -1
 
 // netNode is one registry entry: the router or host answering at an
-// interface address (at most one is non-nil; neither for an address that
-// was only ever named, which drops what it is handed), plus, for hosts,
-// their dense host id and the gateway their responses enter the network
-// through.
+// interface address (at most one is set; neither for an address that was
+// only ever named, which drops what it is handed), plus, for hosts, the
+// gateway their responses enter the network through. 24 pointer-free
+// bytes.
 type netNode struct {
-	router *Router
-	host   *Host
+	router int32  // index into Network.routers, or -1
+	hostID int32  // dense host id, index into Network.hosts, or -1
 	key    uint32 // the interface address, as a4 gives it
-	hostID int32  // -1 unless host is set
 	hostGW int32
 	// ret is the return memo of the replies this node originates: the epoch
 	// (top 40 bits), the steps from origination to delivery (16 bits) and
@@ -155,7 +159,12 @@ func (n *Network) internLocked(k uint32) int32 {
 	id, ok := n.ids[k]
 	if !ok {
 		id = int32(len(n.nodes))
-		n.nodes = append(n.nodes, netNode{key: k, hostID: -1, hostGW: nodeNone})
+		if len(n.nodes) == cap(n.nodes) {
+			// Double: append grows a large slice by a quarter, copying
+			// the whole registry every few registrations.
+			n.nodes = slices.Grow(n.nodes, max(len(n.nodes), 64))
+		}
+		n.nodes = append(n.nodes, netNode{router: -1, hostID: -1, key: k, hostGW: nodeNone})
 		n.ids[k] = id
 		if dy := n.dyn.Load(); dy != nil {
 			dy.links = append(dy.links, linkSlot{})
@@ -191,19 +200,25 @@ func (n *Network) AddRouter(r *Router) *Router {
 	n.topoMu.Lock()
 	defer n.topoMu.Unlock()
 	n.adoptLocked(r)
-	for _, a := range r.ifaces {
-		n.registerIfaceLocked(r, a)
+	for _, k := range r.ifaces {
+		n.registerIfaceLocked(r, k)
 	}
 	return r
 }
 
-// adoptLocked binds r to this network. A router's compiled forwarding table
-// holds this network's node ids, so one Router belongs to one Network.
+// adoptLocked binds r to this network, listing it on first adoption. A
+// router's compiled forwarding table holds this network's node ids, so one
+// Router belongs to one Network.
 func (n *Network) adoptLocked(r *Router) {
-	if cur := r.net.Load(); cur != nil && cur != n {
+	switch cur := r.net.Load(); cur {
+	case nil:
+		r.idx = int32(len(n.routers))
+		n.routers = append(n.routers, r)
+		r.net.Store(n)
+	case n:
+	default:
 		panic(fmt.Sprintf("netsim: router %s is already registered in another Network; a router's compiled table holds one network's node ids", r.Name))
 	}
-	r.net.Store(n)
 	n.registeredLocked()
 }
 
@@ -215,15 +230,15 @@ func (n *Network) registeredLocked() {
 	n.epoch.Add(2)
 }
 
-func (n *Network) registerIfaceLocked(r *Router, a netip.Addr) {
-	nd := &n.nodes[n.internLocked(mustA4(a))]
-	if nd.host != nil {
-		panic(fmt.Sprintf("netsim: interface %v already owned by a host", a))
+func (n *Network) registerIfaceLocked(r *Router, k uint32) {
+	nd := &n.nodes[n.internLocked(k)]
+	if nd.hostID >= 0 {
+		panic(fmt.Sprintf("netsim: interface %v already owned by a host", addrOf(k)))
 	}
-	if nd.router != nil && nd.router != r {
-		panic(fmt.Sprintf("netsim: interface %v already owned by router %s", a, nd.router.Name))
+	if nd.router >= 0 && nd.router != r.idx {
+		panic(fmt.Sprintf("netsim: interface %v already owned by router %s", addrOf(k), n.routers[nd.router].Name))
 	}
-	nd.router = r
+	nd.router = r.idx
 }
 
 // AddIface allocates a new interface on r with address a, registering it in
@@ -233,8 +248,9 @@ func (n *Network) AddIface(r *Router, a netip.Addr) int {
 	n.topoMu.Lock()
 	defer n.topoMu.Unlock()
 	n.adoptLocked(r)
-	n.registerIfaceLocked(r, a)
-	r.ifaces = append(r.ifaces, a)
+	k := mustA4(a)
+	n.registerIfaceLocked(r, k)
+	r.ifaces = append(r.ifaces, k)
 	return len(r.ifaces) - 1
 }
 
@@ -244,16 +260,16 @@ func (n *Network) AttachHost(h *Host, gateway netip.Addr) *Host {
 	n.topoMu.Lock()
 	defer n.topoMu.Unlock()
 	id := n.internLocked(mustA4(h.Addr))
-	if n.nodes[id].router != nil {
+	if n.nodes[id].router >= 0 {
 		panic(fmt.Sprintf("netsim: host address %v already owned by a router", h.Addr))
 	}
 	gw := n.internAddrLocked(gateway) // may grow n.nodes
 	nd := &n.nodes[id]
-	if nd.host == nil {
-		nd.hostID = n.hosts
-		n.hosts++
+	if nd.hostID < 0 {
+		nd.hostID = int32(len(n.hosts))
+		n.hosts = append(n.hosts, h)
 	}
-	nd.host, nd.hostGW = h, gw
+	n.hosts[nd.hostID], nd.hostGW = h, gw
 	n.registeredLocked()
 	return h
 }
@@ -282,10 +298,10 @@ func (n *Network) RouterAt(a netip.Addr) (*Router, bool) {
 	n.topoMu.RLock()
 	defer n.topoMu.RUnlock()
 	id := n.nodeOf(a)
-	if id < 0 || n.nodes[id].router == nil {
+	if id < 0 || n.nodes[id].router < 0 {
 		return nil, false
 	}
-	return n.nodes[id].router, true
+	return n.routers[n.nodes[id].router], true
 }
 
 // ProbeCount returns the number of probes injected so far.
@@ -336,16 +352,16 @@ func (n *Network) Exchange(probe []byte) (resp []byte, steps int, ok bool) {
 // dstRef is a packet's destination address resolved against the registry,
 // once per packet version: everything the per-hop decisions ask about it.
 type dstRef struct {
-	node   int32   // the destination's node id, or nodeNone
-	host   int32   // its dense host id, or -1
-	router *Router // the router owning it, if it is a router interface
-	source bool    // it is the measurement source address
+	node   int32 // the destination's node id, or nodeNone
+	host   int32 // its dense host id, or -1
+	router int32 // the index of the router owning it, or -1
+	source bool  // it is the measurement source address
 }
 
 // resolveDst resolves a packet's destination. Responses, nearly all of them
 // addressed to the source, cost no map access; a probe costs one.
 func (n *Network) resolveDst(a netip.Addr) dstRef {
-	d := dstRef{node: nodeNone, host: -1, source: a == n.source}
+	d := dstRef{node: nodeNone, host: -1, router: -1, source: a == n.source}
 	if d.source {
 		d.node = n.srcNode
 	} else {
@@ -422,8 +438,9 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 		nd := &n.nodes[at]
 
 		var reply []byte
-		if h := nd.host; h != nil {
+		if nd.hostID >= 0 {
 			// Delivery to a host.
+			h := n.hosts[nd.hostID]
 			if dst.node != at {
 				return nil, steps, false // mis-delivered; drop
 			}
@@ -432,13 +449,13 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 				return nil, steps, false
 			}
 		} else {
-			r := nd.router
-			if r == nil {
+			if nd.router < 0 {
 				return nil, steps, false // dangling adjacency
 			}
+			r := n.routers[nd.router]
 			cfg := r.config.Load()
 			switch {
-			case !originated && dst.router == r:
+			case !originated && dst.router == nd.router:
 				// Packet addressed to one of the router's own interfaces: the
 				// router answers like a host (intermediate hops are pingable).
 				o := routerOrigin(ctx, r, cfg, hdr.Dst, &hdr, payload)
@@ -496,7 +513,7 @@ func (n *Network) run(ctx *exchCtx, pkt []byte) (resp []byte, steps int, ok bool
 		dst = n.resolveDst(hdr.Dst)
 		// A router's reply leaves from the node that originated it; a host's
 		// first crosses the link to its gateway, and arrives there in transit.
-		if nd.host != nil {
+		if nd.hostID >= 0 {
 			if at, originated = nd.hostGW, false; ctx.dyn != nil && !n.advanceClock(ctx, at, nil, len(pkt)) {
 				return nil, steps, false
 			}

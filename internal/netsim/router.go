@@ -41,7 +41,11 @@
 //     gateway) owns a dense node id, hosts a dense host id besides, and the
 //     address -> id map is consulted only to resolve something — a packet's
 //     destination once per packet version, a forwarding table when it is
-//     compiled — never per hop. The registry is guarded by an RWMutex.
+//     compiled — never per hop. The table holds no pointer: a node names
+//     its router by index into the network's router list and its host by
+//     the dense host id into its host list, so the collector never scans
+//     it, and it doubles as it grows. A router keeps its interfaces as
+//     4-byte addresses. The registry is guarded by an RWMutex.
 //     Registration (AddRouter, AddIface, AttachHost, SetSource) takes the
 //     write lock and bumps a topology generation; every Exchange
 //     holds only the read lock, so packets in flight exclude topology
@@ -54,7 +58,9 @@
 //     (flaps, transient loops, a round's flip schedule) can be installed
 //     between rounds without a lock. A mutation is seen by every exchange
 //     that starts after the mutation returns; one in flight meanwhile may
-//     see it at some visits and not at others.
+//     see it at some visits and not at others. A router whose only setting
+//     is a small IP ID stride publishes no snapshot of its own: it shares
+//     an interned one (plainConfigs) with every router of that stride.
 //   - A router stores its forwarding table pointer-free: one 12-byte entry
 //     per route (the IPv4 prefix as a word and its length, the policy, and
 //     a single next hop's address inline or the offset of a balanced
@@ -123,7 +129,14 @@
 // Both shortcuts are keyed by the network's epoch, which every
 // registration, config publication, route mutation and SetDynamics
 // advances, so a mutation is seen by every exchange that starts after the
-// mutation returns.
+// mutation returns. One exception: AddRoute leaves the epoch alone on a
+// router whose table no walk has ever compiled. Compiling and mutating
+// both hold the router's tableMu, so a walk reads a router's routes only
+// by compiling its table, and a ladder or memo recorded before the first
+// compile cannot depend on them. A walk that compiles after the mutation
+// sees the new route at whatever epoch it started. This lets a topology
+// builder install a hundred thousand routes without touching the epoch
+// every exchange reads.
 //
 // # Exchange contract
 //
@@ -356,21 +369,34 @@ type routerConfig struct {
 	ipIDStride uint16
 }
 
+// plainConfigs are the snapshots of a router whose only setting is an IP ID
+// stride below len(plainConfigs): plainConfigs[s] for stride s. Routers
+// share them, so a generated topology's thousands of routers publish no
+// snapshot of their own.
+var plainConfigs = func() (c [8]routerConfig) {
+	for s := range c {
+		c[s] = routerConfig{icmpTTL: 255, ipIDStride: uint16(s)}
+	}
+	return c
+}()
+
 // Router is a simulated network-layer device.
 type Router struct {
 	Name string
 
-	// ifaces lists the router's interface addresses; index = interface
-	// number as drawn in the paper's figures (A0, A1, ...). Grown only
-	// during topology building (Network.AddIface holds the network write
-	// lock, excluding packets in flight).
-	ifaces []netip.Addr
+	// ifaces lists the router's interface addresses, as a4 gives them;
+	// index = interface number as drawn in the paper's figures (A0, A1,
+	// ...). Grown only during topology building (Network.AddIface holds the
+	// network write lock, excluding packets in flight).
+	ifaces []uint32
 
 	// net is the one Network this router is registered in, set (under that
-	// network's write lock) by its first AddRouter/AddIface; the compiled
-	// forwarding table holds that network's node and host ids. The mutators
-	// load it without that lock to bump the network's epoch.
+	// network's write lock) by its first AddRouter/AddIface, and idx its
+	// index in that network's router list; the compiled forwarding table
+	// holds that network's node and host ids. The mutators load net without
+	// that lock to bump the network's epoch.
 	net atomic.Pointer[Network]
+	idx int32
 
 	// config is the atomically-published behavioural snapshot; see
 	// routerConfig.
@@ -383,6 +409,9 @@ type Router struct {
 	// is mutated in place — mutators append or install a fresh store — so
 	// a published snapshot's prefix of it stays valid forever.
 	table routeStore
+	// everCompiled is set, under tableMu, by the first compile: until then
+	// no walk has read the table, so AddRoute need not advance the epoch.
+	everCompiled bool
 	// snap is the atomically-published compiled table, rebuilt on demand
 	// after a mutation (mutators clear it; the next lookup pays the one
 	// O(table) rebuild) or a registration (its generation no longer
@@ -403,12 +432,11 @@ type Router struct {
 // NewRouter creates a router with the given name and interface addresses.
 // Interface 0 is conventionally the upstream (source-facing) interface.
 func NewRouter(name string, ifaces ...netip.Addr) *Router {
-	r := &Router{
-		Name:   name,
-		ifaces: append([]netip.Addr(nil), ifaces...),
-		key:    keyhash.FNV1a(keyhash.FNVOffset64, []byte(name)),
+	r := &Router{Name: name, key: keyhash.FNV1a(keyhash.FNVOffset64, []byte(name))}
+	for _, a := range ifaces {
+		r.ifaces = append(r.ifaces, mustA4(a))
 	}
-	r.config.Store(&routerConfig{icmpTTL: 255, ipIDStride: 1})
+	r.config.Store(&plainConfigs[1])
 	return r
 }
 
@@ -417,22 +445,26 @@ func (r *Router) Iface(i int) netip.Addr {
 	if i < 0 || i >= len(r.ifaces) {
 		panic(fmt.Sprintf("netsim: router %s has no interface %d", r.Name, i))
 	}
-	return r.ifaces[i]
+	return addrOf(r.ifaces[i])
 }
 
 // NumIfaces returns the number of interfaces.
 func (r *Router) NumIfaces() int { return len(r.ifaces) }
 
-// updateConfig publishes a new behavioural snapshot produced by applying f
-// to a copy of the current one.
-func (r *Router) updateConfig(f func(*routerConfig)) {
+// updateConfig publishes a new behavioural snapshot: what f makes of the
+// current one, shared from plainConfigs when it is one of those.
+func (r *Router) updateConfig(f func(routerConfig) routerConfig) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.bumpEpoch()
 	defer r.bumpEpoch()
-	cfg := *r.config.Load()
-	f(&cfg)
-	r.config.Store(&cfg)
+	cfg := f(*r.config.Load())
+	if s := int(cfg.ipIDStride); s < len(plainConfigs) && cfg == plainConfigs[s] {
+		r.config.Store(&plainConfigs[s])
+		return
+	}
+	own := cfg // escapes here alone, so a shared snapshot allocates nothing
+	r.config.Store(&own)
 }
 
 // bumpEpoch advances the epoch of the network r is registered in, if any.
@@ -636,10 +668,12 @@ type routerTable struct {
 func (r *Router) AddRoute(rt Route) *Router {
 	r.tableMu.Lock()
 	defer r.tableMu.Unlock()
-	r.bumpEpoch()
-	defer r.bumpEpoch()
+	if r.everCompiled {
+		r.bumpEpoch()
+		defer r.bumpEpoch()
+		r.snap.Store(nil)
+	}
 	r.table.add(rt)
-	r.snap.Store(nil)
 	return r
 }
 
@@ -681,6 +715,7 @@ func (r *Router) compiled(n *Network) *routerTable {
 	}
 	t := compileTable(n, r.table)
 	r.snap.Store(t)
+	r.everCompiled = true
 	return t
 }
 
@@ -709,7 +744,7 @@ func compileTable(n *Network, s routeStore) *routerTable {
 			t.prefixIdx = append(t.prefixIdx, int32(i))
 			continue
 		}
-		if id, ok := n.ids[e.addr]; ok && n.nodes[id].host != nil {
+		if id, ok := n.ids[e.addr]; ok && n.nodes[id].hostID >= 0 {
 			h := n.nodes[id].hostID
 			if hi < lo {
 				lo = h // the first host entry opens the span
@@ -739,19 +774,19 @@ func compileTable(n *Network, s routeStore) *routerTable {
 
 // SetFaults replaces the router's fault configuration.
 func (r *Router) SetFaults(f Faults) *Router {
-	r.updateConfig(func(cfg *routerConfig) { cfg.faults = f })
+	r.updateConfig(func(cfg routerConfig) routerConfig { cfg.faults = f; return cfg })
 	return r
 }
 
 // SetNAT configures source rewriting for packets leaving the inside prefix.
 func (r *Router) SetNAT(n NAT) *Router {
-	r.updateConfig(func(cfg *routerConfig) { cfg.nat = n })
+	r.updateConfig(func(cfg routerConfig) routerConfig { cfg.nat = n; return cfg })
 	return r
 }
 
 // SetICMPTTL sets the initial TTL for ICMP messages this router originates.
 func (r *Router) SetICMPTTL(ttl uint8) *Router {
-	r.updateConfig(func(cfg *routerConfig) { cfg.icmpTTL = ttl })
+	r.updateConfig(func(cfg routerConfig) routerConfig { cfg.icmpTTL = ttl; return cfg })
 	return r
 }
 
@@ -761,7 +796,7 @@ func (r *Router) SetIPIDStride(stride uint16) *Router {
 	if stride == 0 {
 		stride = 1
 	}
-	r.updateConfig(func(cfg *routerConfig) { cfg.ipIDStride = stride })
+	r.updateConfig(func(cfg routerConfig) routerConfig { cfg.ipIDStride = stride; return cfg })
 	return r
 }
 

@@ -304,7 +304,7 @@ func TestHouseInvariant(t *testing.T) {
 				retries int
 			}{
 				{"clean", live.SimSchedule{}, 0},
-				{"reorder+dup", live.SimSchedule{Reorder: true, Dup: func(ord int) bool { return ord%3 == 0 }}, 1},
+				{"reorder+dup", live.SimSchedule{Reorder: true, Dup: func(ord int, _ []byte) bool { return ord%3 == 0 }}, 1},
 			} {
 				var captured outcome
 				path := filepath.Join(t.TempDir(), m.name+".pcap")

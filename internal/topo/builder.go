@@ -1,8 +1,8 @@
 package topo
 
 import (
-	"fmt"
 	"net/netip"
+	"strconv"
 
 	"repro/internal/flow"
 	"repro/internal/netsim"
@@ -24,6 +24,10 @@ type Builder struct {
 	privCounter uint32
 	hostCounter uint32
 	routerSeq   int
+
+	// hop is the one next hop of the routes Link and AttachHost add:
+	// AddRoute keeps no Route's Hops, so one array serves them all.
+	hop [1]netsim.NextHop
 }
 
 // NewBuilder creates a network seeded for reproducibility, with the
@@ -86,7 +90,7 @@ func (b *Builder) nextHostAddr() netip.Addr {
 func (b *Builder) NewRouter(name string) *netsim.Router {
 	b.routerSeq++
 	if name == "" {
-		name = fmt.Sprintf("r%d", b.routerSeq)
+		name = numbered('r', b.routerSeq)
 	}
 	r := netsim.NewRouter(name)
 	b.Net.AddRouter(r)
@@ -126,12 +130,18 @@ func (b *Builder) link(parent, child *netsim.Router, private bool) (parentIf, ch
 		b.Net.AddIface(child, childIf)
 	}
 	if !hasDefault(child) {
-		child.AddRoute(netsim.Route{
-			Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{}), 0),
-			Hops:   []netsim.NextHop{{Via: parentIf}},
-		})
+		b.hop[0].Via = parentIf
+		child.AddRoute(netsim.Route{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{}), 0), Hops: b.hop[:]})
 	}
 	return parentIf, childIf
+}
+
+// converge links parent to a convergence router that an earlier Link gave
+// its interface and default route, as Link gives every diamond and flip exit
+// at its first branch: it is Link less the child's side, so only the parent
+// gets a new interface and the child's routes are not looked through again.
+func (b *Builder) converge(parent *netsim.Router) {
+	b.Net.AddIface(parent, b.nextPub())
 }
 
 func hasDefault(r *netsim.Router) bool {
@@ -156,16 +166,20 @@ func (b *Builder) AttachHost(r *netsim.Router, name string, private bool) *netsi
 		rIf = b.nextPub()
 	}
 	if name == "" {
-		name = fmt.Sprintf("h%d", b.hostCounter)
+		name = numbered('h', int(b.hostCounter))
 	}
 	h := netsim.NewHost(name, addr)
 	b.Net.AddIface(r, rIf)
 	b.Net.AttachHost(h, rIf)
-	r.AddRoute(netsim.Route{
-		Prefix: netip.PrefixFrom(addr, 32),
-		Hops:   []netsim.NextHop{{Via: addr}},
-	})
+	b.hop[0].Via = addr
+	r.AddRoute(netsim.Route{Prefix: netip.PrefixFrom(addr, 32), Hops: b.hop[:]})
 	return h
+}
+
+// numbered is the name of box n of a kind: the kind's letter, then n.
+func numbered(kind byte, n int) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], kind), int64(n), 10))
 }
 
 // routeStep is one step of a destination route: router On forwards matching

@@ -1,10 +1,10 @@
 package topo
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"slices"
+	"strconv"
 
 	"repro/internal/asmap"
 	"repro/internal/flow"
@@ -217,6 +217,21 @@ type routeTemplate struct {
 }
 
 // Generate builds a random scenario from cfg.
+//
+// It builds on two goroutines. The calling one draws the pods in order,
+// and links their routers; each new router gets its default route as it is
+// linked, and the pod's leaf gets its destinations' host routes as they are
+// attached. It then hands the pod's destination routes — along the spine,
+// from the core to the pod's transit and along the pod's template — to a
+// second goroutine, which installs the pods in the order it is handed them.
+// So every router's routes arrive in the order one goroutine would add
+// them: its default route and host routes come before its pod is handed
+// over, no router gets a route from the calling goroutine once its pod is
+// handed over (later pods only add interfaces to the shared transits), the
+// pods come in order, and within a pod the routes go in as they always did,
+// destination by destination along spine, transit and template. The second
+// goroutine has ended when Generate returns, and a panic there reaches
+// Generate's caller.
 func Generate(cfg GenConfig) *Scenario {
 	if cfg.Destinations <= 0 {
 		panic("topo: GenConfig.Destinations must be positive")
@@ -245,78 +260,30 @@ func Generate(cfg GenConfig) *Scenario {
 	sc.AS.RegisterAS(asmap.AS{Number: 1, Name: "core-t1", Tier: asmap.TierOne})
 	sc.AS.Add(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, 0}), 12), 1)
 
-	// Gateway/core/transit spine.
+	// Gateway/core/transit spine, with the steps every destination route
+	// takes along it: from the gateway down the core, then to a transit.
 	core := b.Chain(b.Gateway, cfg.CoreLen)
+	spine := []routeStep{{On: b.Gateway, Via: via(core[0].Iface(0))}}
+	for i := 0; i+1 < len(core); i++ {
+		spine = append(spine, routeStep{On: core[i], Via: via(core[i+1].Iface(0))})
+	}
 	transits := make([]*netsim.Router, cfg.Transits)
+	toTransit := make([]routeStep, cfg.Transits)
 	for i := range transits {
-		transits[i] = b.NewRouter(fmt.Sprintf("t%d", i))
+		transits[i] = b.NewRouter("t" + strconv.Itoa(i))
 		b.Link(core[len(core)-1], transits[i])
+		toTransit[i] = routeStep{On: core[len(core)-1], Via: via(transits[i].Iface(0))}
 		asn := 10 + i
-		sc.AS.RegisterAS(asmap.AS{Number: asn, Name: fmt.Sprintf("transit-%d", i), Tier: asmap.TierRegional})
+		sc.AS.RegisterAS(asmap.AS{Number: asn, Name: "transit-" + strconv.Itoa(i), Tier: asmap.TierRegional})
 		sc.AS.Add(netip.PrefixFrom(transits[i].Iface(0), 32), asn)
 	}
 
 	gen := &generator{cfg: cfg, rng: rng, sc: sc}
-
-	destsLeft := cfg.Destinations
-	for p := 0; destsLeft > 0; p++ {
-		transit := transits[rng.Intn(len(transits))]
-
-		kind := podRegular
-		r := rng.Float64()
-		cum := 0.0
-		for _, k := range []struct {
-			p    float64
-			kind podKind
-		}{
-			{cfg.PNATPod, podNAT},
-			{cfg.PMessyNATPod, podMessyNAT},
-			{cfg.PZeroTTLPod, podZeroTTL},
-			{cfg.PFlapPod, podFlap},
-			{cfg.PFlapDiamondPod, podFlapDiamond},
-		} {
-			cum += k.p
-			if r < cum {
-				kind = k.kind
-				break
-			}
-		}
-
-		nDest := cfg.DestsPerPod
-		switch kind {
-		case podNAT, podMessyNAT:
-			nDest = cfg.NATPodDests
-		case podZeroTTL:
-			nDest = cfg.ZeroPodDests
-		case podFlap, podFlapDiamond:
-			nDest = cfg.FlapPodDests
-		}
-		if nDest > destsLeft {
-			nDest = destsLeft
-		}
-		destsLeft -= nDest
-
-		asn := 1000 + p
-		sc.AS.RegisterAS(asmap.AS{Number: asn, Name: fmt.Sprintf("stub-%d", p), Tier: asmap.TierStub})
-
-		tmpl := gen.buildPod(b, transit, kind, nDest)
-		sc.Truth.Pods++
-
-		// Attach destinations and install their routes.
-		for d := 0; d < nDest; d++ {
-			h := b.AttachHost(tmpl.leaf, "", tmpl.nat)
-			sc.Dests = append(sc.Dests, h.Addr)
-			sc.AS.Add(netip.PrefixFrom(h.Addr, 32), asn)
-			installStep(routeStep{On: b.Gateway, Via: via(core[0].Iface(0))}, h.Addr)
-			for i := 0; i+1 < len(core); i++ {
-				installStep(routeStep{On: core[i], Via: via(core[i+1].Iface(0))}, h.Addr)
-			}
-			installStep(routeStep{On: core[len(core)-1], Via: via(transit.Iface(0))}, h.Addr)
-			for _, s := range tmpl.steps {
-				installStep(s, h.Addr)
-			}
-		}
-	}
+	pods, installed := startInstaller(spine)
+	func() {
+		defer installed()
+		gen.drawPods(b, transits, toTransit, pods)
+	}()
 	sc.Truth.Routers = b.routerSeq
 
 	// Virtual-clock dynamics. With all intensities zero SetDynamics stores
@@ -388,6 +355,56 @@ func installStep(s routeStep, dest netip.Addr) {
 	})
 }
 
+// podRoutes is one pod's share of the destination routes: the steps toward
+// each of its destinations past the spine.
+type podRoutes struct {
+	dests   []netip.Addr
+	transit routeStep // the core's step to the pod's transit
+	steps   []routeStep
+}
+
+// startInstaller starts the goroutine that installs the destination routes
+// of the pods sent on pods, in order, behind the spine. installed closes
+// pods, waits for the goroutine to end and panics with what it recovered,
+// if anything panicked there.
+func startInstaller(spine []routeStep) (pods chan<- podRoutes, installed func()) {
+	// The buffer lets the drawing goroutine run up to 64 pods ahead of the
+	// installer instead of waiting at every hand-over.
+	ch, done := make(chan podRoutes, 64), make(chan any)
+	go func() {
+		var failed any
+		for p := range ch {
+			if failed == nil {
+				failed = p.install(spine)
+			}
+		}
+		done <- failed
+	}()
+	return ch, func() {
+		close(ch)
+		if p := <-done; p != nil {
+			panic(p)
+		}
+	}
+}
+
+// install adds the pod's destination routes, destination by destination,
+// as spine, transit and template steps; it returns what panicked, if
+// anything did.
+func (p *podRoutes) install(spine []routeStep) (failed any) {
+	defer func() { failed = recover() }()
+	for _, d := range p.dests {
+		for _, s := range spine {
+			installStep(s, d)
+		}
+		installStep(p.transit, d)
+		for _, s := range p.steps {
+			installStep(s, d)
+		}
+	}
+	return nil
+}
+
 // generator carries the shared state of one Generate run.
 type generator struct {
 	cfg GenConfig
@@ -397,6 +414,67 @@ type generator struct {
 	flapRouters []*netsim.Router
 	loopers     []*looper
 	flips       []*flipState
+}
+
+// drawPods draws and links the pods until cfg.Destinations are attached,
+// each off a transit drawn from transits, and sends each pod's destination
+// routes to pods once its routers have their default routes and its leaf
+// its host routes.
+func (g *generator) drawPods(b *Builder, transits []*netsim.Router, toTransit []routeStep, pods chan<- podRoutes) {
+	cfg, rng, sc := g.cfg, g.rng, g.sc
+	destsLeft := cfg.Destinations
+	for p := 0; destsLeft > 0; p++ {
+		t := rng.Intn(len(transits))
+
+		kind := podRegular
+		r := rng.Float64()
+		cum := 0.0
+		for _, k := range []struct {
+			p    float64
+			kind podKind
+		}{
+			{cfg.PNATPod, podNAT},
+			{cfg.PMessyNATPod, podMessyNAT},
+			{cfg.PZeroTTLPod, podZeroTTL},
+			{cfg.PFlapPod, podFlap},
+			{cfg.PFlapDiamondPod, podFlapDiamond},
+		} {
+			cum += k.p
+			if r < cum {
+				kind = k.kind
+				break
+			}
+		}
+
+		nDest := cfg.DestsPerPod
+		switch kind {
+		case podNAT, podMessyNAT:
+			nDest = cfg.NATPodDests
+		case podZeroTTL:
+			nDest = cfg.ZeroPodDests
+		case podFlap, podFlapDiamond:
+			nDest = cfg.FlapPodDests
+		}
+		if nDest > destsLeft {
+			nDest = destsLeft
+		}
+		destsLeft -= nDest
+
+		asn := 1000 + p
+		sc.AS.RegisterAS(asmap.AS{Number: asn, Name: "stub-" + strconv.Itoa(p), Tier: asmap.TierStub})
+
+		tmpl := g.buildPod(b, transits[t], kind, nDest)
+		sc.Truth.Pods++
+
+		// Attach the destinations, then hand their routes over.
+		first := len(sc.Dests)
+		for range nDest {
+			h := b.AttachHost(tmpl.leaf, "", tmpl.nat)
+			sc.Dests = append(sc.Dests, h.Addr)
+			sc.AS.Add(netip.PrefixFrom(h.Addr, 32), asn)
+		}
+		pods <- podRoutes{sc.Dests[first:], toTransit[t], tmpl.steps}
+	}
 }
 
 // buildPod assembles one pod's routers into b and returns its route
@@ -455,7 +533,11 @@ func (g *generator) buildPod(b *Builder, entry *netsim.Router, kind podKind, nDe
 				}
 				prev = r
 			}
-			b.Link(prev, exit)
+			if w == 0 {
+				b.Link(prev, exit)
+			} else {
+				b.converge(prev)
+			}
 			tmpl.steps = append(tmpl.steps, routeStep{On: prev, Via: via(exit.Iface(0))})
 			heads = append(heads, first)
 		}
@@ -667,7 +749,7 @@ func buildFlip(b *Builder, tmpl *routeTemplate, cur **netsim.Router, diff int) *
 		}
 		prev = r
 	}
-	b.Link(prev, exit)
+	b.converge(prev)
 	tmpl.steps = append(tmpl.steps, routeStep{On: prev, Via: via(exit.Iface(0))})
 	// Active route: short branch.
 	tmpl.steps = append(tmpl.steps, routeStep{On: entry, Via: via(s.Iface(0))})

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"net/netip"
 	"slices"
 	"testing"
 
@@ -195,4 +196,22 @@ func TestFlipScheduleReachedDirectly(t *testing.T) {
 	if slices.Equal(direct, routes(r-1)) {
 		t.Error("rounds r-1 and r traced identically: no flip toggled, the check is degenerate")
 	}
+}
+
+// TestInstallerPanicReachesCaller: a panic installing a pod's routes reaches
+// the goroutine that waits for the installer, once the pods sent behind it
+// (more than the hand-over buffer holds) are drained, so Generate neither
+// returns with the installer running nor hangs on a dead one.
+func TestInstallerPanicReachesCaller(t *testing.T) {
+	pods, installed := startInstaller(nil)
+	dest := []netip.Addr{netip.AddrFrom4([4]byte{172, 16, 0, 1})}
+	for range 100 {
+		pods <- podRoutes{dests: dest} // no router to install on
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("the installer's panic did not reach its caller")
+		}
+	}()
+	installed()
 }

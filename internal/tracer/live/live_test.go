@@ -156,7 +156,7 @@ func TestLiveDifferentialAgainstNetsim(t *testing.T) {
 		{"clean", func() SimSchedule { return SimSchedule{} }, 0, false},
 		{"reorder", func() SimSchedule { return SimSchedule{Reorder: true} }, 0, true},
 		{"duplicate", func() SimSchedule {
-			return SimSchedule{Dup: func(int) bool { return true }}
+			return SimSchedule{Dup: func(int, []byte) bool { return true }}
 		}, 0, false},
 		{"delay-half", func() SimSchedule {
 			return SimSchedule{Delay: func(ord int) int {

@@ -173,7 +173,7 @@ func TestMuxExchangeAllocs(t *testing.T) {
 func TestMuxSharedKeyTableDrains(t *testing.T) {
 	sc := muxTopo(t, 8, 53)
 	fake := &SimConn{Respond: simtest.Responder(sc.Net),
-		Sched: SimSchedule{Reorder: true, Dup: func(int) bool { return true }}}
+		Sched: SimSchedule{Reorder: true, Dup: func(int, []byte) bool { return true }}}
 	m := openFakeMux(t, MuxConfig{Source: sc.Net.Source(), Conn: fake, Retries: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -106,7 +106,7 @@ func TestMuxMultiWorkerDifferential(t *testing.T) {
 		{"clean", func() SimSchedule { return SimSchedule{} }, 0},
 		{"reorder", func() SimSchedule { return SimSchedule{Reorder: true} }, 0},
 		{"duplicate", func() SimSchedule {
-			return SimSchedule{Dup: func(int) bool { return true }}
+			return SimSchedule{Dup: func(int, []byte) bool { return true }}
 		}, 0},
 		{"delay-half", func() SimSchedule {
 			return SimSchedule{Delay: func(ord int) int {

@@ -64,7 +64,7 @@ type SimSchedule struct {
 	// responder — the exchange happened, only the answer is lost).
 	Drop func(ord int, probe []byte) bool
 	// Dup delivers the response twice.
-	Dup func(ord int) bool
+	Dup func(ord int, probe []byte) bool
 	// Delay withholds the response for n ReadBatch calls; it models late
 	// arrival within the probe's deadline (loss past the deadline is what
 	// Drop is for), so held responses are still delivered before ReadBatch
@@ -106,7 +106,7 @@ func (c *SimConn) WriteBatch(dgs []Datagram) (int, error) {
 			continue
 		}
 		n := 1
-		if c.Sched.Dup != nil && c.Sched.Dup(ord) {
+		if c.Sched.Dup != nil && c.Sched.Dup(ord, probe) {
 			n = 2
 		}
 		d := 0

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/costs"
+	"repro/internal/keyhash"
 	"repro/internal/pcap"
 	"repro/internal/simtest"
 	"repro/internal/topo"
@@ -18,11 +19,14 @@ import (
 	"repro/internal/tracer/replay"
 )
 
-// The load-path layer benchmarks and the allocation budget run on one kind
-// of capture: a seeded campaign through the real mux with every tenth
-// response lost and every fiftieth duplicated, so that retransmit folding,
+// The load-path layer benchmarks and the allocation budget run on one
+// capture: a seeded campaign through the real mux that loses the first
+// answer to a tenth of the probes and every answer to a hundredth, and
+// duplicates the first answer to a fiftieth, so that retransmit folding,
 // stars and junk are all on the path, as in the repository benchmark's
-// replay_lossy workload.
+// replay_lossy workload. Which answers go is a function of the probe's
+// bytes and its send count, not of the order the workers send in, so every
+// process records the same capture.
 const (
 	loadSeed, loadDests, loadWorkers, loadRounds, loadRetries = 53, 48, 4, 6, 1
 )
@@ -30,9 +34,19 @@ const (
 func lossyCapture(tb testing.TB) (stats []byte, path string, sc *topo.Scenario) {
 	tb.Helper()
 	sc = replayTopo(tb, loadDests, loadSeed)
+	// answered counts the answers each probe drew; the SimConn's lock
+	// serializes the schedule's calls.
+	answered := make(map[string]int)
 	sched := live.SimSchedule{
-		Drop: func(ord int, _ []byte) bool { return ord%10 == 3 },
-		Dup:  func(ord int) bool { return ord%50 == 7 },
+		Drop: func(_ int, probe []byte) bool {
+			h, n := keyhash.Mix64(keyhash.FNV1a(keyhash.FNVOffset64, probe)), answered[string(probe)]
+			answered[string(probe)]++
+			return h%100 == 1 || h%10 == 0 && n == 0
+		},
+		Dup: func(_ int, probe []byte) bool {
+			h := keyhash.Mix64(keyhash.FNV1a(keyhash.FNVOffset64, probe))
+			return h>>32%50 == 7 && answered[string(probe)] == 1
+		},
 	}
 	captured, path := captureCampaign(tb, sc, sched, loadRetries, loadWorkers, loadRounds)
 	return simtest.JSON(captured), path, sc
