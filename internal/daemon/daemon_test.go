@@ -435,9 +435,19 @@ func TestDaemonWatchdogStall(t *testing.T) {
 			}()
 			// Wait (without sleeping) until the wedged workers are parked
 			// in the transport and everything else has folded, then fire
-			// the round's watchdog once.
-			for ft.InjectedStalls() < tc.wedged || d.Snapshot().Robust.Probed < tc.probed {
-				runtime.Gosched()
+			// the round's watchdog once. A round that never gets there
+			// fails after 10 s, unblocked first so that Stop returns.
+			for deadline := time.Now().Add(10 * time.Second); ft.InjectedStalls() < tc.wedged || d.Snapshot().Robust.Probed < tc.probed; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					stalls, probed := ft.InjectedStalls(), d.Snapshot().Robust.Probed
+					ft.ReleaseStalls()
+					select {
+					case wd <- time.Time{}:
+					case <-tickDone:
+					}
+					t.Fatalf("after 10 s the round has %d stalls injected and %d pairs probed, want %d and %d",
+						stalls, probed, tc.wedged, tc.probed)
+				}
 			}
 			wd <- time.Time{}
 			<-tickDone

@@ -114,14 +114,14 @@ func (w *Writer) WritePacket(ts time.Time, data []byte) error {
 	return nil
 }
 
-// format is what a capture's file header fixes for every record after it:
+// Format is what a capture's file header fixes for every record after it:
 // byte order and timestamp resolution.
-type format struct {
+type Format struct {
 	bigEndian bool
 	nano      bool
 }
 
-func (f format) u32(b []byte) uint32 {
+func (f Format) u32(b []byte) uint32 {
 	if f.bigEndian {
 		return binary.BigEndian.Uint32(b)
 	}
@@ -133,8 +133,8 @@ func (f format) u32(b []byte) uint32 {
 // the magic. Every record this package returns is documented to start at
 // the IP header, so any link type but LINKTYPE_RAW is refused here, once,
 // for every reader.
-func parseFileHeader(hdr []byte) (format, error) {
-	var f format
+func parseFileHeader(hdr []byte) (Format, error) {
+	var f Format
 	switch magic := binary.LittleEndian.Uint32(hdr[0:]); magic {
 	case magicNano:
 		f.nano = true
@@ -146,11 +146,11 @@ func parseFileHeader(hdr []byte) (format, error) {
 			f.nano = true
 		case magicMicro:
 		default:
-			return format{}, fmt.Errorf("%w: 0x%08x", errBadMagic, magic)
+			return Format{}, fmt.Errorf("%w: 0x%08x", errBadMagic, magic)
 		}
 	}
 	if lt := f.u32(hdr[20:]); lt != linkTypeRaw {
-		return format{}, fmt.Errorf("%w: file has link type %d%s, need LINKTYPE_RAW (%d): records must start at the IP header, with no link-layer framing",
+		return Format{}, fmt.Errorf("%w: file has link type %d%s, need LINKTYPE_RAW (%d): records must start at the IP header, with no link-layer framing",
 			errLinkType, lt, linkTypeName(lt), linkTypeRaw)
 	}
 	return f, nil
@@ -176,25 +176,39 @@ func linkTypeName(lt uint32) string {
 // bytes) into the capture timestamp, Unix nanoseconds, and the number of
 // data bytes that follow, refusing impossible values: a capture length above
 // maxRecordLen or a sub-second fraction of a second or more.
-func (f format) recordHeader(hdr []byte) (ts int64, incl int, err error) {
+func (f Format) recordHeader(hdr []byte) (ts int64, incl int, err error) {
 	frac := f.u32(hdr[4:])
 	n := f.u32(hdr[8:])
 	if n > maxRecordLen {
 		return 0, 0, fmt.Errorf("pcap: record claims %d bytes captured (max %d): corrupt header", n, maxRecordLen)
 	}
-	nsec := int64(frac)
-	if f.nano {
-		if frac >= 1e9 {
-			return 0, 0, fmt.Errorf("pcap: record timestamp has %d nanoseconds: corrupt header", frac)
-		}
-	} else {
-		if frac >= 1e6 {
-			return 0, 0, fmt.Errorf("pcap: record timestamp has %d microseconds: corrupt header", frac)
-		}
+	if f.nano && frac >= 1e9 {
+		return 0, 0, fmt.Errorf("pcap: record timestamp has %d nanoseconds: corrupt header", frac)
+	}
+	if !f.nano && frac >= 1e6 {
+		return 0, 0, fmt.Errorf("pcap: record timestamp has %d microseconds: corrupt header", frac)
+	}
+	return f.ts(hdr), int(n), nil
+}
+
+// ts decodes a record header's timestamp, Unix nanoseconds.
+func (f Format) ts(hdr []byte) int64 {
+	nsec := int64(f.u32(hdr[4:]))
+	if !f.nano {
 		nsec *= 1000
 	}
 	// A uint32 of seconds times 1e9 stays below 2^63: no overflow.
-	return int64(f.u32(hdr[0:]))*1e9 + nsec, int(n), nil
+	return int64(f.u32(hdr[0:]))*1e9 + nsec
+}
+
+// Record returns the record whose data begins at off in b, a capture of
+// format f: the Record a Scanner over b framed there, Data's capacity
+// clipped alike. It decodes the record header before off without checking
+// it, so off must be an Offset that such a Scanner returned.
+func (f Format) Record(b []byte, off int) Record {
+	hdr := b[off-recordHeaderLen : off]
+	end := off + int(f.u32(hdr[8:]))
+	return Record{TS: f.ts(hdr), Data: b[off:end:end]}
 }
 
 // Scanner frames the records of a capture held in memory, in capture order.
@@ -205,7 +219,7 @@ func (f format) recordHeader(hdr []byte) (ts int64, incl int, err error) {
 type Scanner struct {
 	b   []byte
 	off int // start of the next record header
-	f   format
+	f   Format
 	rec Record
 	err error
 }
@@ -260,6 +274,9 @@ func (s *Scanner) Record() Record { return s.rec }
 
 // Offset returns where that record's Data begins in the input.
 func (s *Scanner) Offset() int { return s.off - len(s.rec.Data) }
+
+// Format returns the format of the capture s frames.
+func (s *Scanner) Format() Format { return s.f }
 
 // Err returns the error that ended the scan, or nil at a clean end.
 func (s *Scanner) Err() error { return s.err }

@@ -71,6 +71,12 @@ func stream(t testing.TB, data []byte) ([]Record, error) {
 	}
 }
 
+// sameSlice reports whether a and b are one slice of one buffer: the same
+// length and capacity, and the same first element.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && cap(a) == cap(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // inBuffer reports whether p points into b.
 func inBuffer(b []byte, p *byte) bool {
 	if len(b) == 0 {
@@ -92,6 +98,10 @@ func scan(t testing.TB, data []byte) ([]Record, error) {
 	var recs []Record
 	for s.Next() {
 		recs = append(recs, s.Record())
+		if at := s.Format().Record(data, s.Offset()); at.TS != s.Record().TS || !sameSlice(at.Data, s.Record().Data) {
+			t.Fatalf("Format.Record at offset %d reads ts %d and %d bytes, not the framed record's %d and %d",
+				s.Offset(), at.TS, len(at.Data), s.Record().TS, len(s.Record().Data))
+		}
 	}
 	if err := s.Err(); s.Next() || s.Err() != err {
 		t.Fatalf("a finished scan framed again, or its error changed from %v to %v", err, s.Err())

@@ -41,8 +41,9 @@
 //
 // The syscall layer sits behind the PacketConn interface (sockets.go). The
 // real implementation needs root or CAP_NET_RAW, exists on linux/amd64 and
-// linux/arm64 only, and is exercised by an opt-in loopback test (its
-// receive path also by unprivileged tests over UDP sockets); everything
+// linux/arm64 only, and is exercised by loopback tests that run wherever
+// raw sockets open and skip elsewhere (its receive path also by
+// unprivileged tests over UDP sockets); everything
 // above the seam — the batching, demultiplexing, timeout, retry, and
 // buffer-recycling logic — runs identically over an in-process fake and is pinned by differential
 // tests against the simulator: ladders driven through a fake that replays

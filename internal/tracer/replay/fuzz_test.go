@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"testing"
 
@@ -18,16 +19,20 @@ import (
 // panics, the exchanges not yet served are exactly the Leftover count, and
 // a flow drained of its exchanges answers only with the loud error. The
 // seeds are the corpus captures cut to their first records, small enough
-// for the mutator to work on.
+// for the mutator to work on, and the first of them again in big-endian
+// microsecond form, whose record headers serving decodes too.
 func FuzzReplayServe(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.pcap"))
 	if err != nil || len(paths) == 0 {
 		f.Fatalf("no corpus captures: %v", err)
 	}
+	seq := []byte{0, 1, 2, 3, 0, 1, 64, 65, 255}
 	for _, p := range paths {
 		_, recs := readCapture(f, p)
-		f.Add(encode(f, recs[:min(len(recs), 40)]), []byte{0, 1, 2, 3, 0, 1, 64, 65, 255})
+		f.Add(encode(recs[:min(len(recs), 40)], dialects[0]), seq)
 	}
+	_, recs := readCapture(f, paths[0])
+	f.Add(encode(recs[:min(len(recs), 40)], dialect{binary.BigEndian, true}), seq)
 	f.Fuzz(func(t *testing.T, capture, seq []byte) {
 		rt, err := replay.Load(capture, replay.Config{})
 		if err != nil {

@@ -51,12 +51,12 @@ const (
 )
 
 // parsed is one record as the parse stage hands it to the fold: its
-// timestamp (Unix ns) and its bytes' span in the capture; for a probe its
-// quoted key and, if hasTerminal, its terminal key; for a response the one
-// key it answers under; each key with its hash.
+// timestamp (Unix ns) and where its bytes begin in the capture; for a probe
+// its quoted key and, if hasTerminal, its terminal key; for a response the
+// one key it answers under; each key with its hash.
 type parsed struct {
 	ts          int64
-	at          span
+	at          int
 	kind        uint8
 	hasTerminal bool
 	key, term   flowkey.Key
@@ -112,13 +112,13 @@ func load(b []byte, cfg Config) (*Transport, error) {
 	}
 	// After the 24-byte file header, every record takes a 16-byte record
 	// header at least: that bounds the records, and so the exchanges, the
-	// int32 indexes must reach. A span must reach every byte.
+	// int32 indexes must reach. An exchange's offsets must reach every byte.
 	most := (len(b) - 24) / 16
 	if most > math.MaxInt32 {
 		return nil, fmt.Errorf("replay: a capture of %d bytes may hold more records than the %d one transport can index", len(b), math.MaxInt32)
 	}
-	if uint64(len(b)) > 1<<spanOffBits {
-		return nil, fmt.Errorf("replay: a capture of %d bytes is longer than the %d bytes one transport can index", len(b), uint64(1)<<spanOffBits)
+	if uint64(len(b)) > 1<<offBits {
+		return nil, fmt.Errorf("replay: a capture of %d bytes is longer than the %d bytes one transport can index", len(b), uint64(1)<<offBits)
 	}
 
 	// Both channels hold every block, so no send on either ever blocks: the
@@ -138,7 +138,7 @@ func load(b []byte, cfg Config) (*Transport, error) {
 	go p.run()
 
 	l := loader{
-		t:            &Transport{src: h.Src, data: b},
+		t:            &Transport{src: h.Src, data: b, f: s.Format()},
 		retries:      cfg.Retries,
 		timeout:      int64(cfg.Timeout),
 		seenDst:      make(map[[4]byte]bool),
@@ -209,7 +209,7 @@ func (p *parser) run() {
 // probe-shaped; any other packet is a response if it has a key to answer
 // under, and junk if not.
 func (p *parser) parse(r *parsed, rec pcap.Record, off int) {
-	r.ts, r.at = rec.TS, spanOf(off, len(rec.Data))
+	r.ts, r.at = rec.TS, off
 	r.kind = kindJunk
 	var h packet.IPv4
 	payload, err := packet.ParseIPv4Into(rec.Data, &h)
@@ -316,9 +316,12 @@ func (l *loader) probe(r *parsed) {
 	}
 	q := l.quoted.at(flow)
 	if q.tail >= 0 {
-		if e := t.exchanges.at(q.tail); e.resp == 0 && int(q.tx) < 1+l.retries && bytes.Equal(t.rec(e.probe), t.rec(r.at)) {
+		if e := t.exchanges.at(q.tail); e.respAt() == 0 && int(q.tx) < 1+l.retries && bytes.Equal(t.rec(e.probeAt()).Data, t.rec(r.at).Data) {
 			// A retransmission: same exchange, later clock, and the
-			// exchange rejoins the in-flight horizon.
+			// exchange rejoins the in-flight horizon. The exchange now
+			// names this transmission, whose timestamp a served RTT is
+			// measured from.
+			e.setProbe(r.at)
 			q.tx++
 			q.lastTS = r.ts
 			q.run = l.run
@@ -328,7 +331,9 @@ func (l *loader) probe(r *parsed) {
 		// the next round's probe, and an exchange still open was a star.
 	}
 	idx := t.exchanges.add(l.left)
-	*t.exchanges.at(idx) = exchange{probe: r.at, next: -1}
+	e := t.exchanges.at(idx)
+	*e = exchange{next: -1}
+	e.setProbe(r.at)
 	if q.tail >= 0 {
 		t.exchanges.at(q.tail).next = idx
 	} else {
@@ -366,7 +371,7 @@ func (l *loader) response(r *parsed) bool {
 	for i, reg := range *regs {
 		q := l.quoted.at(reg.flow)
 		e := t.exchanges.at(reg.exch)
-		if q.tail != reg.exch || e.resp != 0 {
+		if q.tail != reg.exch || e.respAt() != 0 {
 			continue // superseded or answered: not open
 		}
 		if q.run != l.run {
@@ -388,13 +393,13 @@ func (l *loader) response(r *parsed) bool {
 // bind credits the response r to e, the latest exchange of q's flow,
 // unless e is already answered or the response comes more than the timeout
 // after e's latest transmission: the wheel had expired that probe before
-// the response arrived, and the original run discarded it.
+// the response arrived, and the original run discarded it. Serving reads
+// the same difference of timestamps, r's minus that transmission's, as the
+// exchange's RTT.
 func (l *loader) bind(q *quotedLoad, e *exchange, r *parsed) bool {
-	rtt := r.ts - q.lastTS
-	if e.resp != 0 || rtt > l.timeout {
+	if e.respAt() != 0 || r.ts-q.lastTS > l.timeout {
 		return false
 	}
-	e.resp = r.at
-	e.rtt = time.Duration(rtt)
+	e.setResp(r.at)
 	return true
 }

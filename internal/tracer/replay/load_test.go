@@ -3,6 +3,8 @@ package replay_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -65,20 +67,47 @@ func readCapture(tb testing.TB, path string) (raw []byte, recs []pcap.Record) {
 	return raw, recs
 }
 
-// encode writes recs as a capture.
-func encode(tb testing.TB, recs []pcap.Record) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	w, err := pcap.NewWriter(&buf)
-	if err != nil {
-		tb.Fatal(err)
+// dialect is one of the four pcap dialects the readers accept: byte order,
+// and microsecond or nanosecond timestamps.
+type dialect struct {
+	order binary.ByteOrder
+	micro bool
+}
+
+// dialects are the four; the first is the one pcap.Writer writes.
+var dialects = []dialect{{binary.LittleEndian, false}, {binary.BigEndian, false}, {binary.LittleEndian, true}, {binary.BigEndian, true}}
+
+func (d dialect) String() string {
+	res := "nano"
+	if d.micro {
+		res = "micro"
 	}
+	return fmt.Sprintf("%s-%s", strings.ToLower(strings.TrimSuffix(d.order.String(), "Endian")), res)
+}
+
+// encode writes recs as a capture in dialect d. pcap.Writer writes the
+// first dialect only, so the headers are written here; a microsecond
+// capture truncates each timestamp to its microsecond.
+func encode(recs []pcap.Record, d dialect) []byte {
+	magic, unit := uint32(0xa1b23c4d), int64(1)
+	if d.micro {
+		magic, unit = 0xa1b2c3d4, 1000
+	}
+	b := make([]byte, 24, 24+len(recs)*80)
+	d.order.PutUint32(b[0:], magic)
+	d.order.PutUint16(b[4:], 2)
+	d.order.PutUint16(b[6:], 4)
+	d.order.PutUint32(b[16:], 65535)
+	d.order.PutUint32(b[20:], 101) // LINKTYPE_RAW
 	for _, r := range recs {
-		if err := w.WritePacket(time.Unix(0, r.TS), r.Data); err != nil {
-			tb.Fatal(err)
-		}
+		var hdr [16]byte
+		d.order.PutUint32(hdr[0:], uint32(r.TS/1e9))
+		d.order.PutUint32(hdr[4:], uint32(r.TS%1e9/unit))
+		d.order.PutUint32(hdr[8:], uint32(len(r.Data)))
+		d.order.PutUint32(hdr[12:], uint32(len(r.Data)))
+		b = append(append(b, hdr[:]...), r.Data...)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // load is replay.Load for a test: a capture that does not load fails it.
@@ -224,7 +253,7 @@ type openCase struct{ name, path, want string }
 // header-only capture pcap.CreateCapture installs.
 func openCases(t *testing.T) []openCase {
 	raw, recs := readCapture(t, filepath.Join("testdata", "corpus", "clean-paris-udp.pcap"))
-	noProbe := encode(t, append([]pcap.Record{{TS: recs[0].TS, Data: []byte{0x45}}}, recs...))
+	noProbe := encode(append([]pcap.Record{{TS: recs[0].TS, Data: []byte{0x45}}}, recs...), dialects[0])
 	dir := t.TempDir()
 	var cases []openCase
 	for _, c := range []struct {
@@ -235,7 +264,7 @@ func openCases(t *testing.T) []openCase {
 		{"torn", "complete records precede the tear", raw[:len(raw)-3]},
 		{"no-probe", "does not begin with a probe", noProbe},
 		{"empty", "pcap: truncated file: empty input", nil},
-		{"header-only", "replay: capture holds no records", encode(t, nil)},
+		{"header-only", "replay: capture holds no records", encode(nil, dialects[0])},
 	} {
 		path := filepath.Join(dir, c.name+".pcap")
 		if err := os.WriteFile(path, c.raw, 0o644); err != nil {

@@ -13,10 +13,11 @@
 // over those bytes, in two stages: a goroutine frames each record in place
 // (pcap.Scanner), parses its IPv4 header once and derives its flow keys, a
 // block of records ahead of the calling goroutine, which folds them into
-// exchanges in capture order. Nothing is copied: an exchange names its probe
-// and response by their offset and length in the file's bytes, which the
-// Transport keeps mapped until it is collected and never writes to (see
-// docs/replay.md, "Loading").
+// exchanges in capture order. Nothing is copied: an exchange is 16 bytes
+// naming where its probe and response begin in the file's bytes, which the
+// Transport keeps mapped until it is collected and never writes to; their
+// lengths and timestamps are read from the pcap record headers in front of
+// them when they are served (see docs/replay.md, "Loading").
 //
 // Loading classifies each record structurally: a packet is outbound iff
 // its source address is the capture's source AND it is probe-shaped — a
@@ -61,11 +62,12 @@
 //
 // Replay never sleeps. A captured star (an exchange with no bound
 // response) is served as an immediate ok=false, and RTTs are differences
-// of capture timestamps — the live layer stamps captures with the same
-// clock readings its own RTTs use, so a replayed RTT equals the original
-// to the nanosecond. Timeouts therefore "elapse" instantly: a full
-// campaign that took minutes of wall-clock waiting replays in
-// milliseconds with identical statistics.
+// of capture timestamps, the response's minus its probe's latest
+// transmission's, read from their record headers — the live layer stamps
+// captures with the same clock readings its own RTTs use, so a replayed
+// RTT equals the original to the nanosecond. Timeouts therefore "elapse"
+// instantly: a full campaign that took minutes of wall-clock waiting
+// replays in milliseconds with identical statistics.
 //
 // # Divergence is loud
 //
@@ -87,6 +89,7 @@ import (
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/pcap"
 	"repro/internal/tracer"
 	"repro/internal/tracer/flowkey"
 )
@@ -109,35 +112,41 @@ type Config struct {
 }
 
 // exchange is one reconstructed probe conversation: 1+ transmissions of
-// identical probe bytes, and at most one bound response. probe and resp are
-// spans of the capture's records, not copies, so an exchange holds no
-// pointer for the collector to scan.
+// identical probe bytes, and at most one bound response. It names its probe
+// (the latest transmission) and its response by where their bytes begin in
+// the capture, and reads their lengths and timestamps from the pcap record
+// headers in front of those bytes: a response's RTT is its timestamp minus
+// the probe's. An offset takes offBits bits, its low 32 in probe or resp and
+// the rest in high, so an exchange is 16 bytes with no pointer for the
+// collector to scan. No record's bytes begin at offset 0 (the file header
+// is there), so a response offset of 0 names none: a star.
 type exchange struct {
-	probe span
-	resp  span // 0: a star
-	rtt   time.Duration
-	next  int32 // the following exchange on the same quoted key; -1: none
+	probe, resp uint32 // the low 32 bits of each offset
+	high        uint32 // the bits above them: probe's in the low highBits bits, resp's in the next highBits
+	next        int32  // the following exchange on the same quoted key; -1: none
 }
 
-// span names a record's bytes in the capture: their offset in the top
-// spanOffBits bits, their length in the low spanLenBits. No record's bytes
-// begin at offset 0 (the file header is there), so span 0 names none.
-type span uint64
-
-// pcap frames no record longer than 1 MiB (TestSpanHoldsEveryRecord), and
-// load refuses a capture longer than 1<<spanOffBits bytes (8 TiB).
+// load refuses a capture longer than 1<<offBits bytes (8 TiB), so every
+// offset fits offBits bits.
 const (
-	spanLenBits = 21
-	spanOffBits = 64 - spanLenBits
+	offBits  = 43
+	highBits = offBits - 32
+	highMask = 1<<highBits - 1
 )
 
-func spanOf(off, n int) span { return span(off)<<spanLenBits | span(n) }
+func (e *exchange) probeAt() int { return int(uint64(e.high&highMask)<<32 | uint64(e.probe)) }
+func (e *exchange) respAt() int  { return int(uint64(e.high>>highBits)<<32 | uint64(e.resp)) }
 
-// rec returns the bytes s names in t's capture.
-func (t *Transport) rec(s span) []byte {
-	off := s >> spanLenBits
-	return t.data[off : off+(s&(1<<spanLenBits-1))]
+func (e *exchange) setProbe(off int) {
+	e.probe, e.high = uint32(off), e.high&^highMask|uint32(uint64(off)>>32)
 }
+
+func (e *exchange) setResp(off int) {
+	e.resp, e.high = uint32(off), e.high&highMask|uint32(uint64(off)>>32)<<highBits
+}
+
+// rec returns the record whose bytes begin at off in t's capture.
+func (t *Transport) rec(off int) pcap.Record { return t.f.Record(t.data, off) }
 
 // chunked is an array that grows a chunk of chunkLen elements at a time:
 // growing never copies, and no element moves until trim, which load calls
@@ -201,7 +210,8 @@ func (c *chunked[T]) trim() {
 type Transport struct {
 	// Immutable once Open returns. flows maps each quoted key to its flow,
 	// the flow's index in heads.
-	data      []byte // the capture
+	data      []byte      // the capture
+	f         pcap.Format // its byte order and timestamp resolution
 	src       netip.Addr
 	flows     table
 	exchanges chunked[exchange]
@@ -294,17 +304,20 @@ func (t *Transport) serve(probe []byte) ([]byte, time.Duration, bool, error) {
 			describe(probe))
 	}
 	e := t.exchanges.at(h)
-	if captured := t.rec(e.probe); !bytes.Equal(captured, probe) {
+	sent := t.rec(e.probeAt())
+	if !bytes.Equal(sent.Data, probe) {
 		return nil, 0, false, fmt.Errorf(
 			"replay: probe/capture mismatch for %s: captured %s with equal flow key but different bytes",
-			describe(probe), describe(captured))
+			describe(probe), describe(sent.Data))
 	}
-	if e.resp == 0 {
+	at := e.respAt()
+	if at == 0 {
 		// A captured star: the virtual clock elapses the original timeout
 		// instantly.
 		return nil, 0, false, nil
 	}
-	return t.rec(e.resp), e.rtt, true, nil
+	resp := t.rec(at)
+	return resp.Data, time.Duration(resp.TS - sent.TS), true, nil
 }
 
 // describe renders a packet's flow for error messages.

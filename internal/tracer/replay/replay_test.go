@@ -258,7 +258,7 @@ func TestReplayTimeoutGuard(t *testing.T) {
 			late[i].TS = r.TS + int64(time.Hour)
 		}
 	}
-	lateRaw := encode(t, late)
+	lateRaw := encode(late, dialects[0])
 	rt := load(t, lateRaw, replay.Config{})
 	if rt.Junk() == 0 {
 		t.Fatal("hour-late responses were bound instead of junked")

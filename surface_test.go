@@ -439,9 +439,9 @@ func TestSurfaceCatchesRenamedCopies(t *testing.T) {
 
 // costsTests holds each "<Test>:" line of the cost ledger, ledger, to a test
 // function: a row names its package by the last element of its directory
-// (replay for internal/tracer/replay), which must be one directory of dirs,
-// and a _test.go file there must declare the func the row's <Test>: line
-// names. internal/costs holds a test's readings to its rows, but cannot see
+// (replay for internal/tracer/replay; program for the module root), which
+// must be one directory of dirs, and a _test.go file there must declare the
+// func the row's <Test>: line names. internal/costs holds a test's readings to its rows, but cannot see
 // a row under a test that no longer exists. It returns what fails.
 func costsTests(ledger string, dirs map[string][]string) (bad []string) {
 	fset := token.NewFileSet()
@@ -491,10 +491,13 @@ func TestCostsNameTests(t *testing.T) {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if p != "." && (d.Name() == "testdata" || d.Name() == "bench" || strings.HasPrefix(d.Name(), ".")) {
+		name := d.Name()
+		if p == "." {
+			name = "program"
+		} else if name == "testdata" || name == "bench" || strings.HasPrefix(name, ".") {
 			return filepath.SkipDir
 		}
-		dirs[d.Name()] = append(dirs[d.Name()], p)
+		dirs[name] = append(dirs[name], p)
 		return nil
 	})
 	if err != nil {
